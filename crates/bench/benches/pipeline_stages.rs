@@ -9,10 +9,9 @@ use ompdart_bench::corpus;
 use ompdart_core::pipeline::{
     stage_accesses, stage_graphs, stage_parse, stage_plans, stage_summaries,
 };
-use ompdart_core::{AnalysisSession, BatchDriver, OmpDartOptions};
+use ompdart_core::{AnalysisSession, OmpDartOptions, Ompdart};
 use ompdart_sim::{simulate_source, SimConfig};
 use std::hint::black_box;
-use std::sync::Arc;
 
 fn bench(c: &mut Criterion) {
     let lulesh = ompdart_suite::by_name("lulesh").unwrap();
@@ -56,13 +55,10 @@ fn bench(c: &mut Criterion) {
         session.timings()
     );
 
-    // Batch throughput: all nine benchmark inputs through one BatchDriver.
+    // Batch throughput: all nine benchmark inputs through one fresh tool.
     let inputs = corpus();
     c.bench_function("pipeline/batch_analyze_corpus", |b| {
-        b.iter(|| {
-            let driver = BatchDriver::with_session(Arc::new(AnalysisSession::new()));
-            black_box(driver.analyze_all(black_box(&inputs)))
-        })
+        b.iter(|| black_box(Ompdart::new().analyze_batch(black_box(&inputs))))
     });
 
     c.bench_function("pipeline/simulate_lulesh_unoptimized", |b| {

@@ -8,7 +8,7 @@
 //!   edited unit re-summarizes and re-plans exactly one function, the
 //!   other units are served from the linked cache;
 //! * **closed-world baseline** — the same three units analyzed
-//!   independently (`BatchDriver` semantics), for comparing the cost and
+//!   independently (`analyze_batch` semantics), for comparing the cost and
 //!   the mapping quality (`unknown_callee_fallbacks`) of linking.
 //!
 //! Prints a greppable `whole_program:` summary line asserting zero

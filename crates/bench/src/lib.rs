@@ -6,7 +6,7 @@ use ompdart_suite::all_benchmarks;
 pub mod alloc_counter;
 
 /// The nine unoptimized benchmark sources as `(name, source)` pairs — the
-/// batch corpus the throughput benches push through a `BatchDriver`.
+/// batch corpus the throughput benches push through `Ompdart::analyze_batch`.
 pub fn corpus() -> Vec<(String, String)> {
     all_benchmarks()
         .iter()

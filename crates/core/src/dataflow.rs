@@ -173,26 +173,14 @@ struct UpdateDecision {
 /// function launches no kernels. Every construct of the produced plan
 /// carries a [`Provenance`] naming the dataflow fact and the deciding
 /// source span that justified it.
+///
+/// `extern_refs` is the whole-program link context: it maps every function
+/// defined in *another* translation unit of the linked program to the set
+/// of variables its body references, extending the exit-liveness scan
+/// (dead-exit-copy demotion) across unit boundaries exactly as if those
+/// functions lived in this unit. `None` plans the unit as a closed world.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_function(
-    unit: &TranslationUnit,
-    func: &FunctionDef,
-    graph: &AstCfg,
-    accesses: &FunctionAccesses,
-    symbols: &SymbolTable,
-    options: &DataflowOptions,
-    diags: &mut Diagnostics,
-) -> Option<MappingPlan> {
-    plan_function_linked(unit, func, graph, accesses, symbols, options, diags, None)
-}
-
-/// [`plan_function`] with whole-program link context: `extern_refs` maps
-/// every function defined in *another* translation unit of the linked
-/// program to the set of variables its body references, extending the
-/// exit-liveness scan (dead-exit-copy demotion) across unit boundaries
-/// exactly as if those functions lived in this unit.
-#[allow(clippy::too_many_arguments)]
-pub fn plan_function_linked(
     unit: &TranslationUnit,
     func: &FunctionDef,
     graph: &AstCfg,
@@ -1425,7 +1413,7 @@ mod tests {
             .get(&Symbol::intern(func_name))
             .unwrap()
             .clone();
-        augment_with_call_effects(&mut acc, &unit, &summaries);
+        augment_with_call_effects(&mut acc, &unit, &summaries, false);
         let mut diags = Diagnostics::new();
         let plan = plan_function(
             &unit,
@@ -1435,6 +1423,7 @@ mod tests {
             all_sym.get(&Symbol::intern(func_name)).unwrap(),
             &options,
             &mut diags,
+            None,
         )
         .expect("function should produce a plan");
         (plan, unit)
@@ -1800,6 +1789,7 @@ int main() {
             &sym,
             &DataflowOptions::default(),
             &mut diags,
+            None,
         );
         assert!(
             diags.has_errors(),
@@ -2048,6 +2038,7 @@ void f() {
             &sym,
             &DataflowOptions::default(),
             &mut diags,
+            None,
         );
         assert!(plan.is_none());
     }

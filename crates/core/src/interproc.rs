@@ -266,37 +266,21 @@ impl ProgramSummaries {
             seeds.insert(func.name, seed_summary(func, acc, sym));
             nodes.push(PropagationNode::build(func.name, func, acc, sym, |c| c));
         }
-        ProgramSummaries::propagate(&nodes, &seeds, max_passes)
+        ProgramSummaries::propagate(&nodes, seeds, max_passes, false, 1)
     }
 
     /// Run the call-site propagation to a fixed point over pre-computed
-    /// per-function seeds — extracted from [`Self::compute`] so the
-    /// per-function seeds can come from a cache and so the link stage can
-    /// feed it nodes spanning several translation units.
-    pub fn propagate(
-        nodes: &[PropagationNode<'_>],
-        seeds: &HashMap<Symbol, FunctionSummary>,
-        max_passes: usize,
-    ) -> ProgramSummaries {
-        ProgramSummaries::propagate_opts(nodes, seeds, max_passes, false)
-    }
-
-    /// [`Self::propagate`] with the opt-in pessimistic-globals mode: when
-    /// `clobber_globals` is set, a call to a function with no summary (and
-    /// not a pure builtin) merges a pessimistic host read+write of every
-    /// visible global into the *caller's* summary, so the clobber is
-    /// transitive — callers of a function that calls an unknown extern see
-    /// the globals clobbered too, not just the direct call site.
-    pub fn propagate_opts(
-        nodes: &[PropagationNode<'_>],
-        seeds: &HashMap<Symbol, FunctionSummary>,
-        max_passes: usize,
-        clobber_globals: bool,
-    ) -> ProgramSummaries {
-        ProgramSummaries::propagate_parallel(nodes, seeds, max_passes, clobber_globals, 1)
-    }
-
-    /// The SCC-wavefront fixed point with up to `threads` workers.
+    /// per-function seeds (consumed: the converged result is built in
+    /// place) — the SCC-wavefront engine with up to `threads` workers.
+    /// Seeds can come from a cache, and the link stage feeds it nodes
+    /// spanning several translation units.
+    ///
+    /// When `clobber_globals` is set (the opt-in pessimistic-globals mode),
+    /// a call to a function with no summary (and not a pure builtin) merges
+    /// a pessimistic host read+write of every visible global into the
+    /// *caller's* summary, so the clobber is transitive — callers of a
+    /// function that calls an unknown extern see the globals clobbered too,
+    /// not just the direct call site.
     ///
     /// The call graph is condensed into strongly connected components
     /// ([`crate::scc::condense`]); components within one wavefront share no
@@ -314,27 +298,7 @@ impl ProgramSummaries {
     /// components never consume more than one pass regardless, which is
     /// what makes thousand-deep cross-unit call chains converge in one
     /// wavefront sweep instead of a thousand whole-program passes.
-    pub fn propagate_parallel(
-        nodes: &[PropagationNode<'_>],
-        seeds: &HashMap<Symbol, FunctionSummary>,
-        max_passes: usize,
-        clobber_globals: bool,
-        threads: usize,
-    ) -> ProgramSummaries {
-        ProgramSummaries::propagate_parallel_owned(
-            nodes,
-            seeds.clone(),
-            max_passes,
-            clobber_globals,
-            threads,
-        )
-    }
-
-    /// [`Self::propagate_parallel`] taking ownership of the seed map — the
-    /// converged result is built in place, so a caller that constructs
-    /// seeds per link (as [`crate::Program::relink`] does) avoids cloning
-    /// every summary a second time.
-    pub fn propagate_parallel_owned(
+    pub fn propagate(
         nodes: &[PropagationNode<'_>],
         seeds: HashMap<Symbol, FunctionSummary>,
         max_passes: usize,
@@ -353,7 +317,7 @@ impl ProgramSummaries {
     /// The pre-condensation engine: a whole-program `while changed` sweep,
     /// kept as the executable reference the SCC-wavefront engine is pinned
     /// against (parity tests, the `link_scale` bench). Unlike
-    /// [`Self::propagate_parallel`], convergence on a call chain of depth
+    /// [`Self::propagate`], convergence on a call chain of depth
     /// `d` needs `max_passes >= d` here.
     pub fn propagate_sequential(
         nodes: &[PropagationNode<'_>],
@@ -374,41 +338,20 @@ impl ProgramSummaries {
     /// set, re-seed only the functions in `dirty` (plus their transitive
     /// callers — the reverse call-graph cone, the only summaries that can
     /// depend on a dirty function), and iterate the cone to convergence
-    /// against the stable out-of-cone values. Returns the summaries and the
-    /// cone — exactly the functions whose summaries were re-derived from
-    /// their seeds.
+    /// against the stable out-of-cone values, with up to `threads` workers
+    /// for the cone's wavefront sweep. Returns the summaries and the cone —
+    /// exactly the functions whose summaries were re-derived from their
+    /// seeds.
     ///
     /// Because the out-of-cone summaries depend only on out-of-cone seeds
     /// (no transitive call reaches a dirty function), they are already at
     /// the least fixed point and the result is identical to a cold
-    /// [`Self::propagate`] over all nodes.
-    pub fn propagate_incremental(
-        nodes: &[PropagationNode<'_>],
-        seeds: &HashMap<Symbol, FunctionSummary>,
-        previous: &ProgramSummaries,
-        dirty: &BTreeSet<Symbol>,
-        max_passes: usize,
-        clobber_globals: bool,
-    ) -> (ProgramSummaries, BTreeSet<Symbol>) {
-        ProgramSummaries::propagate_incremental_parallel(
-            nodes,
-            seeds,
-            previous,
-            dirty,
-            max_passes,
-            clobber_globals,
-            1,
-        )
-    }
-
-    /// [`Self::propagate_incremental`] with up to `threads` workers for the
-    /// cone's wavefront sweep. The dirty cone is closed under "calls into
-    /// the cone", and every strongly connected component is a set of mutual
-    /// transitive callers — so the cone always covers whole components and
-    /// the wavefront engine re-converges exactly the cone, reading stable
-    /// out-of-cone summaries.
+    /// [`Self::propagate`] over all nodes. The dirty cone is closed under
+    /// "calls into the cone", and every strongly connected component is a
+    /// set of mutual transitive callers — so the cone always covers whole
+    /// components and the wavefront engine re-converges exactly the cone.
     #[allow(clippy::too_many_arguments)]
-    pub fn propagate_incremental_parallel(
+    pub fn propagate_incremental(
         nodes: &[PropagationNode<'_>],
         seeds: &HashMap<Symbol, FunctionSummary>,
         previous: &ProgramSummaries,
@@ -531,7 +474,7 @@ impl ProgramSummaries {
         let mut deepest = 0usize;
         for wavefront in &cond.wavefronts {
             // The incremental cone covers whole components (see
-            // `propagate_incremental_parallel`), so a component is either
+            // `propagate_incremental`), so a component is either
             // entirely in the cone or entirely stable.
             let work: Vec<usize> = wavefront
                 .iter()
@@ -862,25 +805,13 @@ fn param_index(func: &FunctionDef, var: Symbol) -> Option<usize> {
 /// **Default assumption:** an unknown extern callee is assumed to read and
 /// write the data reached through its non-`const` pointer arguments — and
 /// *nothing else*. In particular it is assumed **not** to touch global
-/// variables it was not handed a pointer to. The opt-in
-/// [`augment_with_call_effects_opts`] `clobber_globals` mode drops that
-/// assumption and treats every global as host-read+written at the call
-/// site.
-pub fn augment_with_call_effects(
-    acc: &mut FunctionAccesses,
-    unit: &TranslationUnit,
-    summaries: &ProgramSummaries,
-) -> usize {
-    augment_with_call_effects_opts(acc, unit, summaries, false)
-}
-
-/// [`augment_with_call_effects`] with the opt-in pessimistic-globals mode:
-/// when `clobber_globals` is set, an unknown extern callee is additionally
-/// assumed to read and write **every global variable** of the translation
-/// unit on the host (the synthesized accesses carry
-/// [`AccessOrigin::UnknownCallee`] with `clobbers_global`, so the
+/// variables it was not handed a pointer to. The opt-in `clobber_globals`
+/// mode (pessimistic globals) drops that assumption: an unknown extern
+/// callee is additionally assumed to read and write **every global
+/// variable** of the translation unit on the host (the synthesized accesses
+/// carry [`AccessOrigin::UnknownCallee`] with `clobbers_global`, so the
 /// `unknown_callee_pessimistic` provenance explains them at the call site).
-pub fn augment_with_call_effects_opts(
+pub fn augment_with_call_effects(
     acc: &mut FunctionAccesses,
     unit: &TranslationUnit,
     summaries: &ProgramSummaries,
@@ -1134,7 +1065,7 @@ void driver(int n) {
         let (summaries, mut accesses, unit) = analyze(LAYERED);
         let outer = accesses.get_mut(&Symbol::intern("outer")).unwrap();
         let before = outer.accesses.len();
-        augment_with_call_effects(outer, &unit, &summaries);
+        augment_with_call_effects(outer, &unit, &summaries, false);
         assert!(outer.accesses.len() > before);
         // After augmentation, `outer` has a write access to `data` at the
         // scale_buffer call site.
@@ -1156,7 +1087,7 @@ void f(double *data, int n) {
 ";
         let (summaries, mut accesses, unit) = analyze(src);
         let f = accesses.get_mut(&Symbol::intern("f")).unwrap();
-        augment_with_call_effects(f, &unit, &summaries);
+        augment_with_call_effects(f, &unit, &summaries, false);
         let writes: Vec<_> = f
             .accesses
             .iter()
@@ -1182,7 +1113,7 @@ void f() {
 ";
         let (summaries, mut accesses, unit) = analyze(src);
         let f = accesses.get_mut(&Symbol::intern("f")).unwrap();
-        augment_with_call_effects(f, &unit, &summaries);
+        augment_with_call_effects(f, &unit, &summaries, false);
         assert!(!f
             .accesses
             .iter()

@@ -70,18 +70,15 @@ pub mod verify;
 
 pub use access::{Access, AccessKind, AccessOrigin, FunctionAccesses, SymbolTable};
 pub use bounds::{find_update_insert_loc, loop_bounds, LoopBounds};
-pub use dataflow::{plan_function, plan_function_linked, DataflowOptions};
+pub use dataflow::{plan_function, DataflowOptions};
 pub use interproc::{
-    augment_with_call_effects, augment_with_call_effects_opts, seed_summary, Effect,
-    FunctionSummary, ProgramSummaries, PropagationNode,
+    augment_with_call_effects, seed_summary, Effect, FunctionSummary, ProgramSummaries,
+    PropagationNode,
 };
 pub use pipeline::{
-    AnalysisSession, BatchDriver, CacheStats, FunctionAccessCache, FunctionKeySnapshot,
-    FunctionPlanCache, FunctionSummaryCache, Stage, StageError, StageTimings, SummarizedUnit,
-    UnitAnalysis,
+    AnalysisSession, CacheStats, FunctionAccessCache, FunctionKeySnapshot, FunctionPlanCache,
+    FunctionSummaryCache, Stage, StageError, StageTimings, SummarizedUnit, UnitAnalysis,
 };
-#[allow(deprecated)]
-pub use plan::ir::RegionPlan;
 pub use plan::{
     diff_plans, explain_plan, explain_plans, extract_explicit_plans, plans_from_json,
     plans_to_json, AnalysisStats, CollapseSpec, DiffEntry, EnterDataSpec, ExitDataSpec,
@@ -101,7 +98,6 @@ use ompdart_frontend::diag::Diagnostics;
 use ompdart_frontend::source::SourceFile;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Configuration of the OMPDart pipeline.
 #[derive(Clone, Copy, Debug)]
@@ -192,28 +188,6 @@ impl fmt::Display for OmpDartError {
 
 impl std::error::Error for OmpDartError {}
 
-/// Result of a successful transformation.
-#[derive(Debug)]
-pub struct TransformResult {
-    /// The rewritten source with data-mapping directives inserted.
-    pub transformed_source: String,
-    /// Per-function mapping plans.
-    pub plans: Vec<MappingPlan>,
-    /// Warnings and notes produced during analysis.
-    pub diagnostics: Diagnostics,
-    /// Aggregate statistics (kernels, mapped variables, inserted constructs).
-    pub stats: AnalysisStats,
-    /// Wall-clock time spent analyzing and rewriting (the paper's Table V).
-    pub tool_time: Duration,
-}
-
-impl TransformResult {
-    /// The plan for a given function.
-    pub fn plan_for(&self, function: &str) -> Option<&MappingPlan> {
-        self.plans.iter().find(|p| p.function == function)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The Ompdart facade: builder -> tool -> Analysis handles
 // ---------------------------------------------------------------------------
@@ -296,9 +270,7 @@ impl OmpdartBuilder {
     /// Attach a persistent artifact store rooted at `dir`: plans are loaded
     /// from disk when the full content key matches and written back after
     /// every planning run, so a new process with the same `dir` starts
-    /// warm. Corrupt, stale, or foreign-options entries are rejected. A
-    /// store-served [`Analysis`] carries empty access/summary artifacts
-    /// (see [`Analysis::artifacts`]).
+    /// warm. Corrupt, stale, or foreign-options entries are rejected.
     pub fn cache_dir(mut self, dir: impl Into<std::path::PathBuf>) -> OmpdartBuilder {
         self.cache_dir = Some(dir.into());
         self
@@ -400,12 +372,10 @@ impl Ompdart {
     /// to pessimistic assumptions. Use [`Ompdart::analyze_program`] to link
     /// the inputs into one whole program instead.
     pub fn analyze_batch(&self, inputs: &[(String, String)]) -> Vec<Result<Analysis, StageError>> {
-        BatchDriver::with_session(Arc::clone(&self.session))
-            .with_threads(self.session.parallelism())
-            .analyze_all(inputs)
-            .into_iter()
-            .map(|r| r.map(|unit| Analysis { unit }))
-            .collect()
+        pipeline::parallel_map_indexed(self.session.parallelism(), inputs.len(), |i| {
+            let (name, source) = &inputs[i];
+            self.analyze(name, source)
+        })
     }
 
     /// Analyze many `(name, source)` pairs as **one linked program**:
@@ -510,86 +480,8 @@ impl Analysis {
     }
 
     /// The raw staged artifacts (graphs, accesses, summaries, ...).
-    ///
-    /// Note: when the analysis was served from a persistent store
-    /// (`cache_dir`), the access and summary artifacts are *empty* — they
-    /// are intermediates of the planning stage, which a store hit skips.
-    /// Plans, stats, the rewrite, and the parse/graph artifacts are always
-    /// populated.
     pub fn artifacts(&self) -> &Arc<UnitAnalysis> {
         &self.unit
-    }
-
-    /// Assemble the legacy [`TransformResult`] (owned copies of the
-    /// rewritten source and plans).
-    pub fn to_transform_result(&self) -> TransformResult {
-        self.unit.to_transform_result()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Legacy one-shot API (deprecated wrappers over the facade)
-// ---------------------------------------------------------------------------
-
-/// The pre-builder OMPDart entry point.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OmpDart {
-    options: OmpDartOptions,
-}
-
-impl OmpDart {
-    /// Create the tool with default options.
-    pub fn new() -> OmpDart {
-        OmpDart {
-            options: OmpDartOptions::default(),
-        }
-    }
-
-    /// Create the tool with explicit options.
-    pub fn with_options(options: OmpDartOptions) -> OmpDart {
-        OmpDart { options }
-    }
-
-    /// The active options.
-    pub fn options(&self) -> &OmpDartOptions {
-        &self.options
-    }
-
-    /// Analyze and transform a source string.
-    #[deprecated(
-        note = "use `Ompdart::builder().options(..).build().analyze(name, source)` and the \
-                returned `Analysis` handle"
-    )]
-    pub fn transform_source(
-        &self,
-        name: &str,
-        source: &str,
-    ) -> Result<TransformResult, OmpDartError> {
-        Ompdart::builder()
-            .options(self.options)
-            .build()
-            .analyze(name, source)
-            .map(|a| a.to_transform_result())
-            .map_err(OmpDartError::from)
-    }
-
-    /// Analyze a parsed translation unit and produce per-function plans
-    /// without rewriting.
-    #[deprecated(
-        note = "use `Ompdart::analyze` and read `Analysis::plans`/`Analysis::stats`; the staged \
-                `pipeline::stage_*` functions remain for borrowed-unit workflows"
-    )]
-    pub fn analyze_unit(
-        &self,
-        unit: &TranslationUnit,
-        diagnostics: &mut Diagnostics,
-    ) -> (Vec<MappingPlan>, AnalysisStats) {
-        let graphs = pipeline::stage_graphs(unit);
-        let accesses = pipeline::stage_accesses(unit, &graphs);
-        let summaries = pipeline::stage_summaries(unit, &accesses, &self.options);
-        let plans = pipeline::stage_plans(unit, &graphs, &accesses, &summaries, &self.options, 1);
-        diagnostics.extend(plans.diagnostics.clone());
-        (plans.plans, plans.stats)
     }
 }
 
@@ -612,16 +504,6 @@ fn function_with_existing_mappings(unit: &TranslationUnit) -> Option<String> {
         }
     }
     None
-}
-
-/// Convenience wrapper: transform a source string with default options.
-#[deprecated(note = "use `Ompdart::builder().build().analyze(name, source)`")]
-pub fn transform(name: &str, source: &str) -> Result<TransformResult, OmpDartError> {
-    Ompdart::builder()
-        .build()
-        .analyze(name, source)
-        .map(|a| a.to_transform_result())
-        .map_err(OmpDartError::from)
 }
 
 /// Re-exported for downstream crates that need to parse alongside the tool.

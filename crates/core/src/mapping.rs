@@ -2,13 +2,9 @@
 //! Mapping IR in [`crate::plan::ir`].
 //!
 //! `ompdart_core::mapping::MapSpec` and friends keep resolving, but new code
-//! should import from [`crate::plan`] (or the crate root re-exports). The
-//! old `RegionPlan` name is a deprecated alias of [`MappingPlan`].
+//! should import from [`crate::plan`] (or the crate root re-exports).
 
 pub use crate::plan::ir::{
     AnalysisStats, FirstPrivateSpec, MapSpec, MappingConstruct, MappingPlan, Placement, Provenance,
     ProvenanceFact, UpdateDirection, UpdateSpec,
 };
-
-#[allow(deprecated)]
-pub use crate::plan::ir::RegionPlan;

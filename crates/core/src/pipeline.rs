@@ -4,8 +4,7 @@
 //! parse, hybrid AST-CFG construction, memory-access classification,
 //! interprocedural summaries, host/device data-flow planning, and source
 //! rewriting. This module models each of those stages as a first-class,
-//! independently runnable artifact instead of the historical one-shot
-//! [`crate::OmpDart::transform_source`] monolith:
+//! independently runnable artifact:
 //!
 //! * [`ParsedUnit`] — frontend output (AST + diagnostics + content hash),
 //! * [`GraphsArtifact`] — per-function CFGs / hybrid AST-CFG,
@@ -15,13 +14,21 @@
 //! * [`RewriteOutput`] — the transformed source.
 //!
 //! Every artifact records the wall-clock time its stage took
-//! ([`StageTimings`] aggregates them), stage failures are typed
-//! ([`StageError`]), and an [`AnalysisSession`] caches finished artifacts
-//! under a content hash so repeated analysis of unchanged sources is
-//! near-free. [`BatchDriver`] fans a whole corpus of translation units out
-//! over scoped worker threads, while the planning stage itself fans out per
-//! function. The legacy [`crate::OmpDart`] API is a thin wrapper over this
-//! module.
+//! ([`StageTimings`] aggregates them) and stage failures are typed
+//! ([`StageError`]).
+//!
+//! An [`AnalysisSession`] drives the stages along **one path**:
+//! [`AnalysisSession::summarize`] runs parse → graphs → accesses → summaries
+//! for a unit, and [`AnalysisSession::analyze_linked`] plans and rewrites it
+//! under a [`LinkContext`]. A whole program gets its contexts from the link
+//! stage ([`crate::program`]); a single unit is the *closed-world program*
+//! — its context is its own converged summaries and nothing imported
+//! ([`LinkContext::closed_world`]) — so [`AnalysisSession::analyze`] is
+//! summarize → `analyze_linked` → flush, and there is one unit-analysis
+//! cache, one store probe and one planning call for both. Finished
+//! artifacts are cached under a content hash so repeated analysis of
+//! unchanged sources is near-free, and the planning stage fans out per
+//! function over the session's worker pool.
 //!
 //! ```
 //! use ompdart_core::pipeline::AnalysisSession;
@@ -41,27 +48,29 @@
 //! let session = AnalysisSession::new();
 //! let analysis = session.analyze("demo.c", src).unwrap();
 //! assert!(analysis.rewrite.source.contains("#pragma omp target data"));
-//! // The second analysis of identical content is served from the cache.
+//! // The second analysis of identical content is served from the cache:
+//! // same artifacts, no stage re-run.
 //! let again = session.analyze("demo.c", src).unwrap();
+//! assert!(std::sync::Arc::ptr_eq(&analysis, &again));
 //! assert_eq!(session.cache_stats().analysis_hits, 1);
-//! assert_eq!(analysis.parsed.content_hash, again.parsed.content_hash);
+//! assert_eq!(session.cache_stats().analysis_misses, 1);
 //! ```
 
 use crate::access::{FunctionAccesses, SymbolTable};
-use crate::dataflow::{function_referenced_vars, plan_function_linked};
+use crate::dataflow::{function_referenced_vars, plan_function};
 use crate::interproc::{
-    augment_with_call_effects_opts, seed_summary, Effect, FunctionSummary, ProgramSummaries,
+    augment_with_call_effects, seed_summary, Effect, FunctionSummary, ProgramSummaries,
     PropagationNode,
 };
 use crate::plan::explain::explain_plans;
 use crate::plan::ir::{AnalysisStats, MappingPlan};
 use crate::plan::json::plans_to_json;
-use crate::program::{LinkContext, LinkState, UnitServe, UNLINKED};
+use crate::program::{LinkContext, LinkState, UnitServe};
 use crate::relocate::{relocate_diagnostics, relocate_function_accesses, relocate_plan};
 use crate::rewrite;
 use crate::shard::ShardMap;
 use crate::store::{ArtifactStore, PendingUnitSave, StoredFunctionPlan, StoredUnit};
-use crate::{function_with_existing_mappings, OmpDartError, OmpDartOptions, TransformResult};
+use crate::{function_with_existing_mappings, OmpDartError, OmpDartOptions};
 use ompdart_frontend::ast::{FunctionDef, TranslationUnit};
 use ompdart_frontend::diag::Diagnostics;
 use ompdart_frontend::parser::parse_str;
@@ -358,23 +367,12 @@ pub struct AccessArtifact {
     pub elapsed: Duration,
 }
 
-impl AccessArtifact {
-    /// An empty artifact (store-served analyses skip this stage).
-    pub(crate) fn empty() -> AccessArtifact {
-        AccessArtifact {
-            accesses: HashMap::new(),
-            symbols: HashMap::new(),
-            cache_hits: 0,
-            cache_misses: 0,
-            elapsed: Duration::ZERO,
-        }
-    }
-}
-
 /// Interprocedural artifact: per-function side-effect summaries.
 #[derive(Debug)]
 pub struct SummariesArtifact {
-    pub summaries: ProgramSummaries,
+    /// The unit-local converged summaries. `Arc`'d so the unit's
+    /// closed-world [`LinkContext`] shares them instead of cloning.
+    pub summaries: Arc<ProgramSummaries>,
     /// The per-function *local* (direct-effect) seeds the fixed point ran
     /// over, keyed by function name. The link stage re-converges these
     /// across units — incrementally, because each seed is a function-
@@ -387,19 +385,6 @@ pub struct SummariesArtifact {
     /// consulted.
     pub cache_misses: u64,
     pub elapsed: Duration,
-}
-
-impl SummariesArtifact {
-    /// An empty artifact (store-served analyses skip this stage).
-    pub(crate) fn empty() -> SummariesArtifact {
-        SummariesArtifact {
-            summaries: ProgramSummaries::default(),
-            seeds: HashMap::new(),
-            cache_hits: 0,
-            cache_misses: 0,
-            elapsed: Duration::ZERO,
-        }
-    }
 }
 
 /// Planning artifact: per-function mapping plans plus statistics.
@@ -591,7 +576,7 @@ pub fn stage_summaries_cached(
     let start = Instant::now();
     if !options.interprocedural {
         return SummariesArtifact {
-            summaries: ProgramSummaries::default(),
+            summaries: Arc::default(),
             seeds: HashMap::new(),
             cache_hits: 0,
             cache_misses: 0,
@@ -638,14 +623,15 @@ pub fn stage_summaries_cached(
         seeds.insert(func.name, seed);
         nodes.push(PropagationNode::build(func.name, func, acc, sym, |c| c));
     }
-    let summaries = ProgramSummaries::propagate_opts(
+    let summaries = ProgramSummaries::propagate(
         &nodes,
-        &seeds,
+        seeds.clone(),
         options.max_interproc_passes,
         options.pessimistic_globals,
+        1,
     );
     SummariesArtifact {
-        summaries,
+        summaries: Arc::new(summaries),
         seeds,
         cache_hits,
         cache_misses,
@@ -985,66 +971,6 @@ pub fn stage_plans(
     )
 }
 
-/// Stage 5 with function-granular caching: functions whose key (source
-/// text, environment, callee summaries, options) is unchanged re-use their
-/// cached plan — relocated to the current node ids and byte offsets —
-/// instead of re-running the data-flow analysis. The artifact's
-/// `plan_cache_hits`/`plan_cache_misses` record the split.
-#[allow(clippy::too_many_arguments)]
-pub fn stage_plans_incremental(
-    parsed: &ParsedUnit,
-    graphs: &GraphsArtifact,
-    accesses: &AccessArtifact,
-    summaries: &SummariesArtifact,
-    options: &OmpDartOptions,
-    parallelism: usize,
-    cache: &FunctionPlanCache,
-    store: Option<&ArtifactStore>,
-) -> PlansArtifact {
-    run_plan_stage(
-        &parsed.unit,
-        graphs,
-        accesses,
-        summaries,
-        options,
-        parallelism,
-        Some((parsed, cache)),
-        store,
-        None,
-    )
-}
-
-/// Stage 5 under a whole-program [`LinkContext`]: callee effects resolve
-/// against the *linked* summaries (cross-unit callees included), and
-/// `main`'s exit liveness extends over every other unit's functions. The
-/// function-granular cache keys incorporate the linked facts, so an edit in
-/// another unit re-plans functions here only when a callee summary or the
-/// external liveness surface it depends on actually changed.
-#[allow(clippy::too_many_arguments)]
-pub fn stage_plans_linked(
-    parsed: &ParsedUnit,
-    graphs: &GraphsArtifact,
-    accesses: &AccessArtifact,
-    summaries: &SummariesArtifact,
-    options: &OmpDartOptions,
-    parallelism: usize,
-    cache: &FunctionPlanCache,
-    store: Option<&ArtifactStore>,
-    link: &LinkContext,
-) -> PlansArtifact {
-    run_plan_stage(
-        &parsed.unit,
-        graphs,
-        accesses,
-        summaries,
-        options,
-        parallelism,
-        Some((parsed, cache)),
-        store,
-        Some(link),
-    )
-}
-
 /// How one function's plan slot was produced.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum PlanServe {
@@ -1057,6 +983,19 @@ enum PlanServe {
     Store,
 }
 
+/// The one planning stage behind [`stage_plans`] and
+/// [`AnalysisSession::analyze_linked`].
+///
+/// With `incremental` set, functions whose key (source text, environment,
+/// callee summaries, liveness surface, options) is unchanged re-use their
+/// cached plan — relocated to the current node ids and byte offsets —
+/// instead of re-running the data-flow analysis, and `static` functions are
+/// additionally looked up in `store`. With `link` set, callee effects
+/// resolve against the context's summaries (cross-unit callees included)
+/// and `main`'s exit liveness extends over every other unit's functions;
+/// the cache keys incorporate those facts, so an edit in another unit
+/// re-plans functions here only when a callee summary or the external
+/// liveness surface it depends on actually changed.
 #[allow(clippy::too_many_arguments)]
 fn run_plan_stage(
     unit: &TranslationUnit,
@@ -1204,14 +1143,14 @@ fn run_plan_stage(
             let Some(mut acc) = accesses.accesses.get(&func.name).cloned() else {
                 return (true, None, Diagnostics::new(), 0u64);
             };
-            let fallbacks = augment_with_call_effects_opts(
+            let fallbacks = augment_with_call_effects(
                 &mut acc,
                 unit,
                 effective_summaries,
                 options.pessimistic_globals,
             ) as u64;
             let mut diags = Diagnostics::new();
-            let plan = plan_function_linked(
+            let plan = plan_function(
                 unit,
                 func,
                 graph,
@@ -1330,7 +1269,7 @@ fn run_plan_stage(
 /// thread spawn, no per-slot lock. With one worker (or one item) the map
 /// runs inline, the deterministic-debugging escape hatch. Shared by the
 /// per-function plan fan-out, the whole-program driver, the link
-/// wavefronts and [`BatchDriver::analyze_all`].
+/// wavefronts and [`crate::Ompdart::analyze_batch`].
 pub(crate) fn parallel_map_indexed<T, F>(workers: usize, len: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -1401,19 +1340,6 @@ impl UnitAnalysis {
         }
     }
 
-    /// Assemble the legacy [`TransformResult`] from the staged artifacts.
-    pub fn to_transform_result(&self) -> TransformResult {
-        let mut diagnostics = self.parsed.diagnostics.clone();
-        diagnostics.extend(self.plans.diagnostics.clone());
-        TransformResult {
-            transformed_source: self.rewrite.source.clone(),
-            plans: self.plans.plans.clone(),
-            diagnostics,
-            stats: self.plans.stats,
-            tool_time: self.timings().total(),
-        }
-    }
-
     /// Human-readable justification of every mapping decision: one line per
     /// construct, with the deciding source location.
     pub fn explain(&self) -> String {
@@ -1437,9 +1363,11 @@ pub struct CacheStats {
     pub parse_hits: u64,
     /// `parse` calls that ran the frontend.
     pub parse_misses: u64,
-    /// `analyze` calls served entirely from the artifact cache.
+    /// Unit analyses ([`AnalysisSession::analyze_linked`], and therefore
+    /// every `analyze` call and every non-fast-path unit of a program
+    /// round) served entirely from the unit-analysis cache.
     pub analysis_hits: u64,
-    /// `analyze` calls that ran the pipeline.
+    /// Unit analyses that ran planning (or hit the store).
     pub analysis_misses: u64,
     /// Functions whose plan was served (relocated) from the
     /// function-granular plan cache instead of re-running the data-flow
@@ -1462,10 +1390,10 @@ pub struct CacheStats {
     /// links — where no previous converged state exists — add nothing
     /// here; an unchanged relink adds zero.
     pub relink_reseeded_functions: u64,
-    /// `analyze` calls whose plans were served from the persistent
+    /// Unit analyses whose plans were served from the persistent
     /// artifact store (when a `cache_dir` is configured).
     pub store_hits: u64,
-    /// `analyze` calls that ran the planner while a store was configured
+    /// Unit analyses that ran the planner while a store was configured
     /// (each one is written back to the store afterwards).
     pub store_misses: u64,
     /// Functions whose plan was served from a *function-level* persistent
@@ -1475,15 +1403,10 @@ pub struct CacheStats {
     /// Function-store lookups that missed (each true planning run of an
     /// eligible function writes one entry back).
     pub function_store_misses: u64,
-    /// `summarize` calls (whole-program phase 1) served from the cache.
+    /// `summarize` calls served from the cache.
     pub summarize_hits: u64,
     /// `summarize` calls that ran the parse→summaries stages.
     pub summarize_misses: u64,
-    /// Linked per-unit analyses (whole-program phase 3) served entirely
-    /// from the cache.
-    pub linked_hits: u64,
-    /// Linked per-unit analyses that ran planning (or hit the store).
-    pub linked_misses: u64,
     /// Units served by the identity fast path: their summarized artifact
     /// (same `Arc`) and imports fingerprint matched the previous
     /// whole-program round, so the prior linked analysis was returned
@@ -1510,13 +1433,11 @@ struct CacheCounters {
     function_store_misses: AtomicU64,
     summarize_hits: AtomicU64,
     summarize_misses: AtomicU64,
-    linked_hits: AtomicU64,
-    linked_misses: AtomicU64,
     fast_path_hits: AtomicU64,
 }
 
-/// Linked per-unit analyses keyed by `(content hash, imports fingerprint)`.
-type LinkedCacheMap = ShardMap<(u64, u64), Vec<Arc<UnitAnalysis>>>;
+/// Unit analyses keyed by `(content hash, imports fingerprint)`.
+type AnalysisCacheMap = ShardMap<(u64, u64), Vec<Arc<UnitAnalysis>>>;
 
 /// Cumulative per-stage wall time as relaxed atomics, so concurrent stage
 /// calls accumulate without a shared lock (the old `Mutex<StageTimings>`
@@ -1560,37 +1481,39 @@ impl AtomicStageTimings {
 
 /// A reusable, thread-safe driver for the staged pipeline.
 ///
-/// The session caches [`ParsedUnit`]s and complete [`UnitAnalysis`] bundles
-/// indexed by the FNV-1a hash of (file name, source text) — every hit is
-/// verified against the full `(name, source)` pair, so a hash collision can
-/// never return another file's artifacts. On top of that sit two
-/// incremental layers:
+/// The session caches [`ParsedUnit`]s, [`SummarizedUnit`]s and complete
+/// [`UnitAnalysis`] bundles indexed by the FNV-1a hash of (file name,
+/// source text) — every hit is verified against the full `(name, source)`
+/// pair, so a hash collision can never return another file's artifacts. On
+/// top of that sit two incremental layers:
 ///
-/// * a [`FunctionPlanCache`]: when an edited source re-enters `analyze`,
-///   only functions whose key (own text, environment, callee summaries)
-///   changed are re-planned; unchanged functions re-use their plan,
-///   relocated to the new node ids and byte offsets
+/// * a [`FunctionPlanCache`]: when an edited source is re-analyzed, only
+///   functions whose key (own text, environment, callee summaries) changed
+///   are re-planned; unchanged functions re-use their plan, relocated to
+///   the new node ids and byte offsets
 ///   ([`CacheStats::function_plan_hits`] proves it);
 /// * an optional persistent [`ArtifactStore`]
 ///   ([`AnalysisSession::with_cache_dir`]): plans are loaded from disk on a
 ///   content match and written back after every miss, so a fresh process
 ///   starts warm.
 ///
-/// Stage methods can also be called individually to run the pipeline step
-/// by step.
+/// [`Self::analyze`] (one unit, a closed world) and
+/// [`crate::program::ProgramDriver`] (many units, linked) both run
+/// [`Self::summarize`] → [`Self::analyze_linked`]; stage methods can also
+/// be called individually to run the pipeline step by step.
 #[derive(Debug)]
 pub struct AnalysisSession {
     options: OmpDartOptions,
     parallelism: usize,
     parse_cache: ShardMap<u64, Vec<Arc<ParsedUnit>>>,
-    unit_cache: ShardMap<u64, Vec<Arc<UnitAnalysis>>>,
-    /// Summarize-phase artifacts of whole-program analyses, keyed like the
-    /// other caches by content hash with full `(name, source)` verification.
+    /// Summarize-phase artifacts, keyed like the parse cache by content
+    /// hash with full `(name, source)` verification.
     summarize_cache: ShardMap<u64, Vec<Arc<SummarizedUnit>>>,
-    /// Linked per-unit analyses, keyed by `(content hash, imports
+    /// The one unit-analysis cache, keyed by `(content hash, imports
     /// fingerprint)`: the same unit content planned under different link
-    /// surroundings yields different plans and must not alias.
-    linked_cache: LinkedCacheMap,
+    /// surroundings (stand-alone is [`crate::UNLINKED`]) yields different
+    /// plans and must not alias.
+    analysis_cache: AnalysisCacheMap,
     function_plans: FunctionPlanCache,
     function_accesses: FunctionAccessCache,
     function_summaries: FunctionSummaryCache,
@@ -1601,10 +1524,10 @@ pub struct AnalysisSession {
     /// point from scratch.
     link_state: Mutex<Option<Arc<LinkState>>>,
     store: Option<ArtifactStore>,
-    /// Write-behind buffer of linked store write-backs: `analyze_linked`
-    /// queues here and [`AnalysisSession::flush_store_writes`] flushes the
-    /// whole batch through one [`ArtifactStore::save_many`] call, so a
-    /// 1000-unit cold link pays one directory sweep instead of 1000.
+    /// Write-behind buffer of store write-backs: `analyze_linked` queues
+    /// here and [`AnalysisSession::flush_store_writes`] flushes the whole
+    /// batch at once, so a 1000-unit cold link pays one gc pass instead of
+    /// 1000.
     pending_saves: Mutex<Vec<PendingUnitSave>>,
     /// The previous whole-program round's per-unit artifacts, keyed for
     /// the identity fast path: a unit whose summarized `Arc` and imports
@@ -1623,9 +1546,9 @@ impl Default for AnalysisSession {
 
 impl Drop for AnalysisSession {
     fn drop(&mut self) {
-        // Last-resort flush of the write-behind buffer: queued linked
-        // write-backs must reach the store even if no program driver ever
-        // called `flush_store_writes`.
+        // Last-resort flush of the write-behind buffer: queued write-backs
+        // must reach the store even if a caller driving `analyze_linked` by
+        // hand never called `flush_store_writes`.
         self.flush_store_writes();
     }
 }
@@ -1642,9 +1565,8 @@ impl AnalysisSession {
             options,
             parallelism: default_parallelism(),
             parse_cache: ShardMap::new(),
-            unit_cache: ShardMap::new(),
             summarize_cache: ShardMap::new(),
-            linked_cache: ShardMap::new(),
+            analysis_cache: ShardMap::new(),
             function_plans: FunctionPlanCache::new(),
             function_accesses: FunctionAccessCache::new(),
             function_summaries: FunctionSummaryCache::new(),
@@ -1668,8 +1590,6 @@ impl AnalysisSession {
     /// after every planning run, so a new process with the same `dir`
     /// starts warm. Entries produced under different options, a different
     /// format version, or corrupted on disk are rejected, never trusted.
-    /// A store-served [`UnitAnalysis`] carries empty access/summary
-    /// artifacts — they are intermediates of the skipped planning stage.
     pub fn with_cache_dir(mut self, dir: impl Into<std::path::PathBuf>) -> AnalysisSession {
         self.store = Some(ArtifactStore::open(dir));
         self
@@ -1702,9 +1622,9 @@ impl AnalysisSession {
         &self.function_summaries
     }
 
-    /// Flush the write-behind buffer of linked store write-backs in one
-    /// [`ArtifactStore::save_many`] batch. Returns the number of unit
-    /// entries written. Called once per whole-program analysis by
+    /// Flush the write-behind buffer of store write-backs in one batch.
+    /// Returns the number of unit entries written. Called once per
+    /// [`Self::analyze`] and once per whole-program analysis by
     /// [`crate::program::ProgramDriver::analyze_program`]; dropping the
     /// session flushes any stragglers, so callers driving
     /// [`Self::analyze_linked`] by hand lose nothing — at the latest, the
@@ -1720,17 +1640,15 @@ impl AnalysisSession {
         };
         let count = pending.len();
         // Drain the batch through the worker pool: each entry keeps its own
-        // tmp-file + rename atomicity (`save_one`), then one legacy sweep
-        // and one GC cover the whole batch (`finish_batch`) — the same
-        // on-disk effect as the old serial `save_many`, minus the serial
-        // write loop.
+        // tmp-file + rename atomicity (`save_one`), then one GC pass covers
+        // the whole batch (`finish_batch`) — the same on-disk effect as a
+        // serial `save_many`, minus the serial write loop.
         if store.prepare_dir().is_ok() {
             let paths = parallel_map_indexed(self.parallelism, count, |i| {
                 store.save_one(&self.options, &pending[i]).ok()
             });
-            let names: Vec<&str> = pending.iter().map(|p| p.name.as_str()).collect();
             let written: Vec<std::path::PathBuf> = paths.into_iter().flatten().collect();
-            store.finish_batch(&names, &self.options, &written);
+            store.finish_batch(&written);
         }
         count
     }
@@ -1769,7 +1687,7 @@ impl AnalysisSession {
     }
 
     /// Drop cached parse/unit artifacts of `name` whose content differs
-    /// from `source`. Long-lived front doors (`ompdart watch`/`serve`)
+    /// from `source`. Long-lived front doors (`ompdart watch`, the daemon)
     /// call this after re-analyzing an edited file so that only the latest
     /// version of each unit stays pinned in memory — without it, every
     /// save of every watched file would accumulate a full artifact bundle
@@ -1780,15 +1698,11 @@ impl AnalysisSession {
             bucket.retain(|p| p.name != name || p.file.text() == source);
             !bucket.is_empty()
         });
-        self.unit_cache.retain(|_, bucket| {
-            bucket.retain(|a| a.parsed.name != name || a.parsed.file.text() == source);
-            !bucket.is_empty()
-        });
         self.summarize_cache.retain(|_, bucket| {
             bucket.retain(|s| s.parsed.name != name || s.parsed.file.text() == source);
             !bucket.is_empty()
         });
-        self.linked_cache.retain(|_, bucket| {
+        self.analysis_cache.retain(|_, bucket| {
             bucket.retain(|a| a.parsed.name != name || a.parsed.file.text() == source);
             !bucket.is_empty()
         });
@@ -1830,8 +1744,6 @@ impl AnalysisSession {
             function_store_misses: self.counters.function_store_misses.load(Ordering::Relaxed),
             summarize_hits: self.counters.summarize_hits.load(Ordering::Relaxed),
             summarize_misses: self.counters.summarize_misses.load(Ordering::Relaxed),
-            linked_hits: self.counters.linked_hits.load(Ordering::Relaxed),
-            linked_misses: self.counters.linked_misses.load(Ordering::Relaxed),
             fast_path_hits: self.counters.fast_path_hits.load(Ordering::Relaxed),
         }
     }
@@ -1930,7 +1842,8 @@ impl AnalysisSession {
     /// Stage 5: data-flow planning with per-function fan-out and the
     /// function-granular plan cache — functions whose key is unchanged
     /// since a previous `plan`/`analyze` call of this session are served by
-    /// relocation instead of re-analysis.
+    /// relocation instead of re-analysis. Plans the unit as a closed world;
+    /// [`Self::analyze_linked`] plans under a [`LinkContext`].
     pub fn plan(
         &self,
         parsed: &ParsedUnit,
@@ -1938,15 +1851,30 @@ impl AnalysisSession {
         accesses: &AccessArtifact,
         summaries: &SummariesArtifact,
     ) -> Arc<PlansArtifact> {
-        let artifact = Arc::new(stage_plans_incremental(
-            parsed,
+        self.plan_under(parsed, graphs, accesses, summaries, None)
+    }
+
+    /// The session's one planning call: [`run_plan_stage`] over the
+    /// function-plan cache and the store, counted into the session's
+    /// statistics.
+    fn plan_under(
+        &self,
+        parsed: &ParsedUnit,
+        graphs: &GraphsArtifact,
+        accesses: &AccessArtifact,
+        summaries: &SummariesArtifact,
+        link: Option<&LinkContext>,
+    ) -> Arc<PlansArtifact> {
+        let artifact = Arc::new(run_plan_stage(
+            &parsed.unit,
             graphs,
             accesses,
             summaries,
             &self.options,
             self.parallelism,
-            &self.function_plans,
+            Some((parsed, &self.function_plans)),
             self.store.as_ref(),
+            link,
         ));
         self.counters
             .function_plan_hits
@@ -1976,12 +1904,9 @@ impl AnalysisSession {
         artifact
     }
 
-    /// Run (or fetch from the cache) the complete pipeline for one source.
-    ///
-    /// Lookup order: the in-memory unit cache (full-key verified), then —
-    /// when a `cache_dir` is attached — the persistent store (plans loaded
-    /// from disk, only parse/graphs/rewrite re-run), then the full
-    /// pipeline, whose planning stage consults the function-granular cache.
+    /// Run (or fetch from the cache) the complete pipeline for one source,
+    /// analyzed as a closed world: calls into functions the unit does not
+    /// define fall back to pessimistic assumptions.
     pub fn analyze(&self, name: &str, source: &str) -> Result<Arc<UnitAnalysis>, StageError> {
         self.analyze_served(name, source).map(|(unit, _)| unit)
     }
@@ -1989,129 +1914,23 @@ impl AnalysisSession {
     /// [`Self::analyze`] plus a *per-request* [`UnitServe`] report derived
     /// from this call's own cache lookups and planning artifacts — never
     /// from before/after deltas of the session-global counters, which are
-    /// only sound when requests cannot interleave. Long-lived concurrent
-    /// front doors (`ompdart serve`, the `ompdartd` daemon) report how each
-    /// individual request was served through this.
+    /// only sound when requests cannot interleave.
+    ///
+    /// A single unit is the closed-world program: summarize, plan under
+    /// [`LinkContext::closed_world`], flush. This deliberately does not go
+    /// through [`crate::program::ProgramDriver`] — a one-unit request must
+    /// leave the session's link state and recorded program round alone, or
+    /// interleaving it with whole-program requests on one session would
+    /// evict their incremental relink and round-level fast path.
     pub fn analyze_served(
         &self,
         name: &str,
         source: &str,
     ) -> Result<(Arc<UnitAnalysis>, UnitServe), StageError> {
-        let key = content_hash(name, source);
-        let find = |bucket: &[Arc<UnitAnalysis>]| {
-            bucket
-                .iter()
-                .find(|a| a.parsed.name == name && a.parsed.file.text() == source)
-                .cloned()
-        };
-        if let Some(hit) = self.unit_cache.read(&key, |b| b.and_then(|b| find(b))) {
-            self.counters.analysis_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((hit, UnitServe::Cached));
-        }
-        self.counters
-            .analysis_misses
-            .fetch_add(1, Ordering::Relaxed);
-        let parsed = self.parse(name, source)?;
-        if self.options.reject_existing_mappings {
-            check_input_contract(&parsed)?;
-        }
-        let graphs = self.graphs(&parsed);
-
-        // Persistent-store fast path: a verified content match on disk
-        // skips access classification, summaries and planning entirely.
-        let stored = self.store.as_ref().and_then(|store| {
-            let hit = store.load(source, &self.options, UNLINKED);
-            let counter = if hit.is_some() {
-                &self.counters.store_hits
-            } else {
-                &self.counters.store_misses
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
-            hit
-        });
-        let (analysis, served) = match stored {
-            Some(stored) => {
-                // Re-seed the function-granular plan cache from the
-                // persisted per-function keys, so the first *edit* after
-                // this warm start is already incremental.
-                self.seed_function_plans(name, source, &stored);
-                let plans = Arc::new(PlansArtifact {
-                    plans: stored.plans,
-                    stats: stored.stats,
-                    diagnostics: Diagnostics::new(),
-                    plan_cache_hits: 0,
-                    plan_cache_misses: 0,
-                    function_store_hits: 0,
-                    function_store_misses: 0,
-                    function_keys: stored.functions,
-                    elapsed: Duration::ZERO,
-                });
-                let rewrite = self.rewrite(&parsed, &graphs, &plans);
-                // A store-served analysis carries empty access/summary
-                // artifacts: they are intermediates of planning, which was
-                // skipped.
-                (
-                    Arc::new(UnitAnalysis {
-                        parsed,
-                        graphs,
-                        accesses: Arc::new(AccessArtifact::empty()),
-                        summaries: Arc::new(SummariesArtifact::empty()),
-                        plans,
-                        rewrite,
-                    }),
-                    UnitServe::Store,
-                )
-            }
-            None => {
-                let accesses = self.accesses(&parsed, &graphs);
-                let summaries = self.summaries(&parsed, &accesses);
-                let plans = self.plan(&parsed, &graphs, &accesses, &summaries);
-                let rewrite = self.rewrite(&parsed, &graphs, &plans);
-                if let Some(store) = &self.store {
-                    // Write-back, best effort. Units with planning
-                    // diagnostics are not persisted: the warnings would be
-                    // lost on a later store hit.
-                    if plans.diagnostics.is_empty() {
-                        let _ = store.save(
-                            name,
-                            source,
-                            &self.options,
-                            UNLINKED,
-                            &plans.plans,
-                            &plans.stats,
-                            &plans.function_keys,
-                        );
-                    }
-                }
-                let served = UnitServe::Planned {
-                    reused: plans.plan_cache_hits,
-                    replanned: plans.plan_cache_misses,
-                };
-                (
-                    Arc::new(UnitAnalysis {
-                        parsed,
-                        graphs,
-                        accesses,
-                        summaries,
-                        plans,
-                        rewrite,
-                    }),
-                    served,
-                )
-            }
-        };
-        // First writer wins, as in `parse`: concurrent analyses of the same
-        // content may both compute (benign duplicated work), but every
-        // caller observes the same cached Arc afterwards. The serve report
-        // stays this request's own — the duplicated work really happened.
-        let winner = self.unit_cache.update(key, |bucket| {
-            if let Some(winner) = find(bucket) {
-                return winner;
-            }
-            bucket.push(Arc::clone(&analysis));
-            Arc::clone(&analysis)
-        });
-        Ok((winner, served))
+        let unit = self.summarize(name, source)?;
+        let served = self.analyze_linked(&unit, &LinkContext::closed_world(&unit));
+        self.flush_store_writes();
+        Ok(served)
     }
 
     /// Re-seed the in-memory function-plan cache from a store hit's
@@ -2167,9 +1986,8 @@ impl AnalysisSession {
         }
     }
 
-    /// Whole-program phase 1, cached: everything up to the interprocedural
-    /// summaries for one unit. Shares the parse cache with [`Self::analyze`]
-    /// and applies the same full-key verification discipline.
+    /// Phase 1, cached: everything up to the interprocedural summaries for
+    /// one unit, under the parse cache's full-key verification discipline.
     pub fn summarize(&self, name: &str, source: &str) -> Result<Arc<SummarizedUnit>, StageError> {
         let key = content_hash(name, source);
         let find = |bucket: &[Arc<SummarizedUnit>]| {
@@ -2208,12 +2026,13 @@ impl AnalysisSession {
         }))
     }
 
-    /// Whole-program phase 3 for one unit: plan and rewrite under a
-    /// [`LinkContext`]. Lookup order mirrors [`Self::analyze`]: the linked
-    /// in-memory cache (keyed by content *and* the unit's imported-interface
-    /// fingerprint), then the persistent store under the same link key, then
-    /// the linked planning stage, whose function-granular cache keys
-    /// incorporate the cross-unit facts.
+    /// Phase 3 for one unit: plan and rewrite under a [`LinkContext`].
+    /// Lookup order: the in-memory unit-analysis cache (keyed by content
+    /// *and* the unit's imported-interface fingerprint), then — when a
+    /// `cache_dir` is attached — the persistent store under the same link
+    /// key (plans loaded from disk, only the rewrite re-runs), then the
+    /// planning stage, whose function-granular cache keys incorporate the
+    /// context's facts.
     pub fn analyze_linked(
         &self,
         unit: &Arc<SummarizedUnit>,
@@ -2221,19 +2040,23 @@ impl AnalysisSession {
     ) -> (Arc<UnitAnalysis>, UnitServe) {
         let name = unit.parsed.name.as_str();
         let source = unit.parsed.file.text();
-        let key = (content_hash(name, source), link.imports_fingerprint);
+        let key = (unit.parsed.content_hash, link.imports_fingerprint);
         let find = |bucket: &[Arc<UnitAnalysis>]| {
             bucket
                 .iter()
                 .find(|a| a.parsed.name == name && a.parsed.file.text() == source)
                 .cloned()
         };
-        if let Some(hit) = self.linked_cache.read(&key, |b| b.and_then(|b| find(b))) {
-            self.counters.linked_hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(hit) = self.analysis_cache.read(&key, |b| b.and_then(|b| find(b))) {
+            self.counters.analysis_hits.fetch_add(1, Ordering::Relaxed);
             return (hit, UnitServe::Cached);
         }
-        self.counters.linked_misses.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .analysis_misses
+            .fetch_add(1, Ordering::Relaxed);
 
+        // Persistent-store fast path: a verified content match on disk
+        // skips planning entirely.
         let stored = self.store.as_ref().and_then(|store| {
             let hit = store.load(source, &self.options, link.imports_fingerprint);
             let counter = if hit.is_some() {
@@ -2244,8 +2067,11 @@ impl AnalysisSession {
             counter.fetch_add(1, Ordering::Relaxed);
             hit
         });
-        let (analysis, served) = match stored {
+        let (plans, served) = match stored {
             Some(stored) => {
+                // Re-seed the function-granular plan cache from the
+                // persisted per-function keys, so the first *edit* after
+                // this warm start is already incremental.
                 self.seed_function_plans(name, source, &stored);
                 let plans = Arc::new(PlansArtifact {
                     plans: stored.plans,
@@ -2258,52 +2084,22 @@ impl AnalysisSession {
                     function_keys: stored.functions,
                     elapsed: Duration::ZERO,
                 });
-                let rewrite = self.rewrite(&unit.parsed, &unit.graphs, &plans);
-                (
-                    Arc::new(UnitAnalysis {
-                        parsed: Arc::clone(&unit.parsed),
-                        graphs: Arc::clone(&unit.graphs),
-                        accesses: Arc::clone(&unit.accesses),
-                        summaries: Arc::clone(&unit.summaries),
-                        plans,
-                        rewrite,
-                    }),
-                    UnitServe::Store,
-                )
+                (plans, UnitServe::Store)
             }
             None => {
-                let plans = Arc::new(stage_plans_linked(
+                let plans = self.plan_under(
                     &unit.parsed,
                     &unit.graphs,
                     &unit.accesses,
                     &unit.summaries,
-                    &self.options,
-                    self.parallelism,
-                    &self.function_plans,
-                    self.store.as_ref(),
-                    link,
-                ));
-                self.counters
-                    .function_plan_hits
-                    .fetch_add(plans.plan_cache_hits, Ordering::Relaxed);
-                self.counters
-                    .function_plan_misses
-                    .fetch_add(plans.plan_cache_misses, Ordering::Relaxed);
-                self.counters
-                    .function_store_hits
-                    .fetch_add(plans.function_store_hits, Ordering::Relaxed);
-                self.counters
-                    .function_store_misses
-                    .fetch_add(plans.function_store_misses, Ordering::Relaxed);
-                self.cumulative.add(Stage::Plan, plans.elapsed);
-                let rewrite = self.rewrite(&unit.parsed, &unit.graphs, &plans);
+                    Some(link),
+                );
                 if self.store.is_some() && plans.diagnostics.is_empty() {
                     // Write-behind: queue the store write-back instead of
-                    // paying a per-unit directory sweep here. The buffer is
-                    // flushed in one `save_many` batch by
-                    // [`Self::flush_store_writes`] (the program driver
-                    // calls it once per whole-program analysis; dropping
-                    // the session flushes as a last resort).
+                    // paying a per-unit gc pass here; the buffer is flushed
+                    // in one batch by [`Self::flush_store_writes`]. Units
+                    // with planning diagnostics are not persisted: the
+                    // warnings would be lost on a later store hit.
                     self.pending_saves.lock().unwrap().push(PendingUnitSave {
                         name: name.to_string(),
                         source: source.to_string(),
@@ -2313,23 +2109,27 @@ impl AnalysisSession {
                         functions: plans.function_keys.clone(),
                     });
                 }
-                (
-                    Arc::new(UnitAnalysis {
-                        parsed: Arc::clone(&unit.parsed),
-                        graphs: Arc::clone(&unit.graphs),
-                        accesses: Arc::clone(&unit.accesses),
-                        summaries: Arc::clone(&unit.summaries),
-                        plans: Arc::clone(&plans),
-                        rewrite,
-                    }),
-                    UnitServe::Planned {
-                        reused: plans.plan_cache_hits,
-                        replanned: plans.plan_cache_misses,
-                    },
-                )
+                let served = UnitServe::Planned {
+                    reused: plans.plan_cache_hits,
+                    replanned: plans.plan_cache_misses,
+                };
+                (plans, served)
             }
         };
-        let winner = self.linked_cache.update(key, |bucket| {
+        let rewrite = self.rewrite(&unit.parsed, &unit.graphs, &plans);
+        let analysis = Arc::new(UnitAnalysis {
+            parsed: Arc::clone(&unit.parsed),
+            graphs: Arc::clone(&unit.graphs),
+            accesses: Arc::clone(&unit.accesses),
+            summaries: Arc::clone(&unit.summaries),
+            plans,
+            rewrite,
+        });
+        // First writer wins, as in `parse`: concurrent analyses of the same
+        // content may both compute (benign duplicated work), but every
+        // caller observes the same cached Arc afterwards. The serve report
+        // stays this request's own — the duplicated work really happened.
+        let winner = self.analysis_cache.update(key, |bucket| {
             if let Some(winner) = find(bucket) {
                 return winner;
             }
@@ -2337,21 +2137,6 @@ impl AnalysisSession {
             Arc::clone(&analysis)
         });
         (winner, served)
-    }
-
-    /// Run the pipeline and assemble the legacy [`TransformResult`]. The
-    /// reported `tool_time` is the wall-clock time of this call, so cached
-    /// invocations report near-zero time.
-    #[deprecated(
-        note = "use `Ompdart::builder().build().analyze(..)` (or `AnalysisSession::analyze`) \
-                and read the `Analysis`/`UnitAnalysis` artifacts instead"
-    )]
-    pub fn transform(&self, name: &str, source: &str) -> Result<TransformResult, StageError> {
-        let start = Instant::now();
-        let analysis = self.analyze(name, source)?;
-        let mut result = analysis.to_transform_result();
-        result.tool_time = start.elapsed();
-        Ok(result)
     }
 }
 
@@ -2362,74 +2147,6 @@ pub(crate) fn default_parallelism() -> usize {
         .map(|n| n.get())
         .unwrap_or(4)
         .clamp(1, 8)
-}
-
-// ---------------------------------------------------------------------------
-// BatchDriver: many translation units, concurrently
-// ---------------------------------------------------------------------------
-
-/// One slot of a batch run: the analysis of a unit or its stage error.
-pub type BatchResult = Result<Arc<UnitAnalysis>, StageError>;
-
-/// Analyzes many translation units concurrently over one shared
-/// [`AnalysisSession`] (and therefore one shared artifact cache).
-#[derive(Debug)]
-pub struct BatchDriver {
-    session: Arc<AnalysisSession>,
-    threads: usize,
-}
-
-impl BatchDriver {
-    /// A driver over a fresh default session.
-    pub fn new() -> BatchDriver {
-        BatchDriver::with_session(Arc::new(AnalysisSession::new()))
-    }
-
-    /// A driver over an existing session (shares its cache).
-    pub fn with_session(session: Arc<AnalysisSession>) -> BatchDriver {
-        BatchDriver {
-            session,
-            threads: default_parallelism(),
-        }
-    }
-
-    /// Override the number of worker threads.
-    pub fn with_threads(mut self, threads: usize) -> BatchDriver {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// The underlying session.
-    pub fn session(&self) -> &AnalysisSession {
-        &self.session
-    }
-
-    /// Analyze every `(name, source)` pair, preserving input order. Units
-    /// are distributed over scoped worker threads; results (or stage
-    /// errors) land in the slot of their input.
-    pub fn analyze_all(&self, inputs: &[(String, String)]) -> Vec<BatchResult> {
-        parallel_map_indexed(self.threads, inputs.len(), |i| {
-            let (name, source) = &inputs[i];
-            self.session.analyze(name, source)
-        })
-    }
-
-    /// Transform every `(name, source)` pair, preserving input order.
-    pub fn transform_all(
-        &self,
-        inputs: &[(String, String)],
-    ) -> Vec<Result<TransformResult, StageError>> {
-        self.analyze_all(inputs)
-            .into_iter()
-            .map(|r| r.map(|a| a.to_transform_result()))
-            .collect()
-    }
-}
-
-impl Default for BatchDriver {
-    fn default() -> Self {
-        BatchDriver::new()
-    }
 }
 
 #[cfg(test)]
@@ -2459,11 +2176,10 @@ int main() {
         let plans = session.plan(&parsed, &graphs, &accesses, &summaries);
         let rewrite = session.rewrite(&parsed, &graphs, &plans);
 
-        #[allow(deprecated)] // compat pin: staged stages == legacy one-shot
-        let one_shot = crate::transform("demo.c", DEMO).unwrap();
-        assert_eq!(one_shot.transformed_source, rewrite.source);
-        assert_eq!(one_shot.stats, plans.stats);
-        assert_eq!(one_shot.plans.len(), plans.plans.len());
+        let one_shot = AnalysisSession::new().analyze("demo.c", DEMO).unwrap();
+        assert_eq!(one_shot.rewrite.source, rewrite.source);
+        assert_eq!(one_shot.plans.stats, plans.stats);
+        assert_eq!(one_shot.plans.plans, plans.plans);
     }
 
     #[test]
@@ -2551,21 +2267,24 @@ int main() { f(); g(); printf(\"%f %f\\n\", a[1], b[1]); return 0; }
                 )
             })
             .collect();
-        let driver = BatchDriver::new().with_threads(4);
-        let results = driver.analyze_all(&inputs);
+        let tool = crate::Ompdart::builder().parallelism(4).build();
+        let results = tool.analyze_batch(&inputs);
         assert_eq!(results.len(), 6);
         for (i, result) in results.iter().enumerate() {
-            let analysis = result.as_ref().expect("unit failed");
+            let analysis = result.as_ref().expect("unit failed").artifacts();
             assert_eq!(analysis.parsed.name, format!("unit{i}.c"));
             assert!(analysis.rewrite.source.contains("#pragma omp target data"));
         }
-        assert_eq!(driver.session().cache_stats().analysis_misses, 6);
+        assert_eq!(tool.session().cache_stats().analysis_misses, 6);
 
         // Re-running the same corpus is served from the cache.
-        let again = driver.analyze_all(&inputs);
-        assert_eq!(driver.session().cache_stats().analysis_hits, 6);
+        let again = tool.analyze_batch(&inputs);
+        assert_eq!(tool.session().cache_stats().analysis_hits, 6);
         for (a, b) in results.iter().zip(&again) {
-            assert!(Arc::ptr_eq(a.as_ref().unwrap(), b.as_ref().unwrap()));
+            assert!(Arc::ptr_eq(
+                a.as_ref().unwrap().artifacts(),
+                b.as_ref().unwrap().artifacts()
+            ));
         }
     }
 
@@ -2667,8 +2386,8 @@ void driver() {
         assert_eq!(cold.plans.plans, incremental.plans.plans);
     }
 
-    /// Colliding 64-bit keys must not alias: the parse and unit caches
-    /// verify the full `(name, source)` on every hit.
+    /// Colliding 64-bit keys must not alias: the parse, summarize and
+    /// unit-analysis caches verify the full `(name, source)` on every hit.
     #[test]
     fn cache_hits_verify_full_key() {
         let session = AnalysisSession::new();
@@ -2677,13 +2396,19 @@ void driver() {
         // same buckets (the public API cannot collide on demand, so poke
         // the internals the way a colliding hash would).
         let other = session.analyze("y.c", DEMO).unwrap();
+        let other_summarized = session.summarize("y.c", DEMO).unwrap();
         let key = content_hash("x.c", TWO_FUNCS);
         session
-            .unit_cache
-            .update(key, |bucket| bucket.push(Arc::clone(&other)));
+            .analysis_cache
+            .update((key, crate::UNLINKED), |bucket| {
+                bucket.insert(0, Arc::clone(&other))
+            });
+        session
+            .summarize_cache
+            .update(key, |bucket| bucket.insert(0, other_summarized));
         session
             .parse_cache
-            .update(key, |bucket| bucket.push(Arc::clone(&other.parsed)));
+            .update(key, |bucket| bucket.insert(0, Arc::clone(&other.parsed)));
         // The colliding entry must be skipped, not returned.
         let again = session.analyze("x.c", TWO_FUNCS).unwrap();
         assert!(Arc::ptr_eq(&a, &again));
@@ -2693,7 +2418,7 @@ void driver() {
     }
 
     /// Long-lived sessions can evict superseded versions of a unit so
-    /// watch/serve memory stays bounded by the number of files, not the
+    /// watch/daemon memory stays bounded by the number of files, not the
     /// number of saves.
     #[test]
     fn evict_stale_versions_keeps_only_the_latest() {
@@ -2702,13 +2427,15 @@ void driver() {
         let edited = DEMO.replace("a[i] += 1.0;", "a[i] += 2.0;");
         let latest = session.analyze("demo.c", &edited).unwrap();
         let other = session.analyze("other.c", TWO_FUNCS).unwrap();
-        assert_eq!(session.unit_cache.len(), 3);
+        assert_eq!(session.analysis_cache.len(), 3);
+        assert_eq!(session.summarize_cache.len(), 3);
 
         session.evict_stale_versions("demo.c", &edited);
         let remaining: usize = session
-            .unit_cache
+            .analysis_cache
             .fold(0usize, |acc, _, bucket| acc + bucket.len());
         assert_eq!(remaining, 2, "the old demo.c version must be gone");
+        assert_eq!(session.summarize_cache.len(), 2);
         // The surviving entries still hit.
         let again = session.analyze("demo.c", &edited).unwrap();
         assert!(Arc::ptr_eq(&latest, &again));

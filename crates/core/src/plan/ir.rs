@@ -671,10 +671,6 @@ pub struct MappingPlan {
     pub kernels: Vec<NodeId>,
 }
 
-/// The pre-IR name of [`MappingPlan`], kept for source compatibility.
-#[deprecated(note = "renamed to `MappingPlan`; the IR now carries provenance")]
-pub type RegionPlan = MappingPlan;
-
 impl MappingPlan {
     /// Total number of constructs this plan will insert.
     pub fn construct_count(&self) -> usize {

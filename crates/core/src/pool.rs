@@ -1,6 +1,6 @@
 //! The session's persistent worker pool.
 //!
-//! [`crate::pipeline::parallel_map_indexed`] used to spawn fresh scoped
+//! `crate::pipeline::parallel_map_indexed` used to spawn fresh scoped
 //! threads and allocate a `Vec<Mutex<Option<T>>>` on *every* call — and the
 //! whole-program driver calls it once per phase, the plan stage once per
 //! unit, the wavefront engine once per level. This module replaces that
@@ -14,7 +14,7 @@
 //!   threads — same claim-cursor scheme, fresh threads — so independent
 //!   programs (the daemon's per-program sessions) still overlap.
 //! * **Nested fan-outs run inline.** A pool task that itself calls
-//!   [`run`] (the per-function plan fan-out inside the per-unit program
+//!   `pool_map` (the per-function plan fan-out inside the per-unit program
 //!   fan-out) executes sequentially on its own thread instead of spawning
 //!   a second layer of threads under the first — the outer level already
 //!   owns the hardware.
@@ -116,7 +116,7 @@ fn global() -> &'static Pool {
 }
 
 /// The machine's available parallelism, probed once per process.
-/// [`pool_map`] never runs a job wider than this: on a box with fewer
+/// `pool_map` never runs a job wider than this: on a box with fewer
 /// cores than the requested width, extra claim threads only add submit
 /// latency and cache traffic without any real concurrency (the 1→8 thread
 /// cold "anti-scaling" in `BENCH_link_scale.json` was exactly this).
@@ -129,7 +129,7 @@ pub fn available_width() -> usize {
     })
 }
 
-/// The width [`pool_map`] will actually run a large job at for a requested
+/// The width `pool_map` will actually run a large job at for a requested
 /// width: the request capped at the machine's available parallelism.
 pub fn effective_width(requested: usize) -> usize {
     requested.max(1).min(available_width())

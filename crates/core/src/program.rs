@@ -1,12 +1,16 @@
 //! The whole-program link stage: cross-translation-unit summaries,
 //! program-level liveness, and the two-phase [`ProgramDriver`].
 //!
-//! The per-unit pipeline treats every translation unit as a closed world:
-//! a call into another file has no summary, so
-//! [`crate::interproc::augment_with_call_effects`] falls back to the
-//! maximally pessimistic host read+write assumption and every cross-file
-//! call forces conservative `tofrom` mappings. This module adds a *link
-//! layer* between the Summaries and Plans stages:
+//! Every unit is planned under a [`LinkContext`] — the interprocedural
+//! summaries its call sites resolve against, plus the referenced-variable
+//! sets of functions defined elsewhere. A unit analyzed on its own gets the
+//! *closed-world* context ([`LinkContext::closed_world`]): its own converged
+//! summaries and nothing imported, so a call into another file has no
+//! summary, [`crate::interproc::augment_with_call_effects`] falls back to
+//! the maximally pessimistic host read+write assumption, and every
+//! cross-file call forces conservative `tofrom` mappings. This module
+//! builds the richer contexts of a *linked* program, between the Summaries
+//! and Plans stages:
 //!
 //! 1. **Export** — each unit's [`ExportedInterface`] collects the
 //!    prototypes, local interprocedural summaries, and referenced-variable
@@ -23,12 +27,13 @@
 //!
 //! [`ProgramDriver`] packages the three phases as *parallel summarize →
 //! sequential link → parallel plan* over one shared
-//! [`AnalysisSession`]; a single-unit program is the degenerate case and
-//! produces byte-identical output to [`AnalysisSession::analyze`]. The
-//! defining golden property, pinned by `tests/whole_program.rs` and the
-//! split proptest: analyzing `k` units as one linked program rewrites each
-//! unit byte-identically to analyzing the concatenation of all `k` unit
-//! sources as a single translation unit.
+//! [`AnalysisSession`]. Planning is the same call either way —
+//! [`AnalysisSession::analyze_linked`] — so a single-unit program produces
+//! byte-identical output to [`AnalysisSession::analyze`]. The defining
+//! golden property, pinned by `tests/whole_program.rs` and the split
+//! proptest: analyzing `k` units as one linked program rewrites each unit
+//! byte-identically to analyzing the concatenation of all `k` unit sources
+//! as a single translation unit.
 
 use crate::dataflow::function_referenced_vars;
 use crate::interproc::{FunctionSummary, ProgramSummaries, PropagationNode};
@@ -49,7 +54,7 @@ use std::time::{Duration, Instant};
 pub type ExternalRefs = BTreeMap<Symbol, Arc<BTreeSet<String>>>;
 
 /// The link-fingerprint value of analyses that are not part of any linked
-/// program (the classic single-unit path).
+/// program (a unit analyzed as a closed world).
 pub const UNLINKED: u64 = 0;
 
 /// The unit-private symbol a cross-unit `static` function links under:
@@ -101,7 +106,7 @@ impl ExportedInterface {
         // reordering that changes nothing observable.
         let mut sorted: Vec<&ompdart_frontend::ast::FunctionDef> =
             unit.parsed.unit.functions().collect();
-        sorted.sort_by(|a, b| a.name.cmp(&b.name));
+        sorted.sort_by_key(|a| a.name);
         let mut h = Fnv::new();
         for f in sorted {
             h.write_str(&f.name);
@@ -114,7 +119,7 @@ impl ExportedInterface {
             // call resolution but still participate in whole-program
             // liveness, so the storage class is part of the surface.
             h.write(&[u8::from(f.is_static)]);
-            match unit.summaries.summaries.summary(&f.name) {
+            match unit.summaries.summaries.summary(f.name) {
                 Some(s) => {
                     h.write(&[1]);
                     h.write_u64(summary_fingerprint(s));
@@ -291,11 +296,28 @@ pub struct LinkContext {
     /// converged summary of every callee its functions name (through the
     /// unit's static-shadowing view) plus, for units defining `main`, the
     /// program-wide referenced-variable map `main`'s exit-liveness scan
-    /// consults. Threaded through the linked cache and the persistent
+    /// consults. Threaded through the unit-analysis cache and the persistent
     /// store key: editing one file invalidates another unit's stored plans
     /// only when a fact that unit actually *reads* changed — an edit round
     /// re-plans the import cone, not the whole program.
     pub imports_fingerprint: u64,
+}
+
+impl LinkContext {
+    /// The context of a unit analyzed on its own — the closed-world
+    /// program: call sites resolve against the unit's own converged
+    /// summaries, no function is defined elsewhere, and the imports
+    /// fingerprint is [`UNLINKED`] (the unit-analysis cache and store key
+    /// of stand-alone analyses).
+    pub fn closed_world(unit: &SummarizedUnit) -> LinkContext {
+        let extern_refs = ExternalRefs::new();
+        LinkContext {
+            summaries: Arc::clone(&unit.summaries.summaries),
+            extern_refs_fingerprint: external_refs_fingerprint(&extern_refs),
+            extern_refs: Arc::new(extern_refs),
+            imports_fingerprint: UNLINKED,
+        }
+    }
 }
 
 fn external_refs_fingerprint(refs: &ExternalRefs) -> u64 {
@@ -406,8 +428,8 @@ impl Program {
     /// merge the call graphs, and run the interprocedural fixed point to
     /// convergence across unit boundaries.
     ///
-    /// The fixed point is computed by the exact algorithm the single-unit
-    /// pipeline uses ([`ProgramSummaries::compute`]) over the merged view,
+    /// The fixed point is computed by the exact algorithm the summarize
+    /// stage runs per unit ([`ProgramSummaries::propagate`]) over the merged view,
     /// which is what makes a linked multi-unit analysis provably equal to a
     /// single-unit analysis of the concatenated sources.
     pub fn link(
@@ -505,7 +527,7 @@ impl Program {
                         // re-verifying) the whole summary set.
                         (Arc::clone(&state.summaries), state.passes, 0, local_fps)
                     } else {
-                        let (mut merged, cone) = ProgramSummaries::propagate_incremental_parallel(
+                        let (mut merged, cone) = ProgramSummaries::propagate_incremental(
                             &nodes,
                             &seeds,
                             &state.summaries,
@@ -528,7 +550,7 @@ impl Program {
                 None => {
                     // Cold link: the seed map was built fresh above, so
                     // hand it to the engine instead of cloning it again.
-                    let merged = ProgramSummaries::propagate_parallel_owned(
+                    let merged = ProgramSummaries::propagate(
                         &nodes,
                         seeds,
                         options.max_interproc_passes,
@@ -687,7 +709,7 @@ impl Program {
         threads: usize,
     ) -> ProgramSummaries {
         let (seeds, nodes) = merged_propagation_inputs(units);
-        ProgramSummaries::propagate_parallel_owned(
+        ProgramSummaries::propagate(
             &nodes,
             seeds,
             options.max_interproc_passes,
@@ -974,7 +996,7 @@ fn percentile(sorted: &[Duration], pct: usize) -> Duration {
 
 /// Analyzes many translation units as *one linked program* over a shared
 /// [`AnalysisSession`]: parallel summarize → sequential link → parallel
-/// plan. Contrast with [`crate::pipeline::BatchDriver`], which analyzes
+/// plan. Contrast with [`crate::Ompdart::analyze_batch`], which analyzes
 /// units independently (each a closed world).
 #[derive(Debug)]
 pub struct ProgramDriver {
@@ -1060,7 +1082,7 @@ impl ProgramDriver {
     /// spent its time.
     ///
     /// Two identity fast paths ride on the previous round recorded in the
-    /// session (see [`ProgramRound`]):
+    /// session (a `ProgramRound`):
     ///
     /// * **Round level** — when every unit's summarized `Arc` matches the
     ///   previous round position-wise, the whole round is the previous
@@ -1075,9 +1097,9 @@ impl ProgramDriver {
     /// Soundness: the summarize cache guarantees identical `(name,
     /// content)` yields one `Arc`, so `Arc` identity is content identity;
     /// the imports fingerprint covers every cross-unit fact a unit's plans
-    /// can observe (the same key the linked cache and the persistent store
-    /// trust). Byte-identity of fast-path rounds is pinned by tests at
-    /// every thread count.
+    /// can observe (the same key the unit-analysis cache and the persistent
+    /// store trust). Byte-identity of fast-path rounds is pinned by tests
+    /// at every thread count.
     pub fn analyze_program_profiled(
         &self,
         inputs: &[(String, String)],
@@ -1170,7 +1192,7 @@ impl ProgramDriver {
 
         // One batched store flush for the whole program: the per-unit
         // write-backs queued by `analyze_linked` land on disk through one
-        // pool-parallel batch (one directory sweep + one gc pass).
+        // pool-parallel batch (one gc pass).
         let phase = Instant::now();
         self.session.flush_store_writes();
         let flush = phase.elapsed();

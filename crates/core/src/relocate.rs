@@ -182,7 +182,7 @@ pub fn relocate_call(call: &CallSite, did: i64, dpos: i64) -> CallSite {
 /// statement-index side table under the shifted ids.
 pub fn relocate_function_accesses(acc: &FunctionAccesses, did: i64, dpos: i64) -> FunctionAccesses {
     FunctionAccesses::from_parts(
-        acc.function.clone(),
+        acc.function,
         acc.accesses
             .iter()
             .map(|a| relocate_access(a, did, dpos))

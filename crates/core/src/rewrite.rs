@@ -298,16 +298,23 @@ mod tests {
         let mut diags = Diagnostics::new();
         let mut symbols = HashMap::new();
         for f in unit.functions() {
-            symbols.insert(f.name.clone(), SymbolTable::build(&unit, f));
+            symbols.insert(f.name, SymbolTable::build(&unit, f));
         }
         for f in unit.functions() {
             let Some(g) = graphs.function(&f.name) else {
                 continue;
             };
             let acc = FunctionAccesses::collect(f, &g.index, &symbols[&f.name]);
-            if let Some(plan) =
-                plan_function(&unit, f, g, &acc, &symbols[&f.name], &options, &mut diags)
-            {
+            if let Some(plan) = plan_function(
+                &unit,
+                f,
+                g,
+                &acc,
+                &symbols[&f.name],
+                &options,
+                &mut diags,
+                None,
+            ) {
                 plans.push(plan);
             }
         }

@@ -312,12 +312,11 @@ impl ArtifactStore {
     ///
     /// The entry itself is content-addressed and name-free; `name` is used
     /// only to update the unit's `ref-*` side file and prune the entry the
-    /// same unit's *previous* save produced (plus any unloadable pre-v3
-    /// entries for the same name), so a long editing session still leaves
-    /// one content entry per (unit, options, link) on disk — not one per
-    /// save. When a size cap is configured, least-recently-used entries
-    /// are then evicted until the store fits, never including the entry
-    /// just written.
+    /// same unit's *previous* save produced, so a long editing session
+    /// still leaves one content entry per (unit, options, link) on disk —
+    /// not one per save. When a size cap is configured, least-recently-used
+    /// entries are then evicted until the store fits, never including the
+    /// entry just written.
     #[allow(clippy::too_many_arguments)]
     pub fn save(
         &self,
@@ -332,10 +331,7 @@ impl ArtifactStore {
         std::fs::create_dir_all(&self.dir)?;
         let path = self.write_entry(source, options, link, plans, stats, functions)?;
         self.repoint_ref(name, options, link, &path);
-        self.sweep_legacy(&[name], options, std::slice::from_ref(&path));
-        if let Some(max) = self.max_bytes {
-            let _ = self.gc_protecting(max, std::slice::from_ref(&path));
-        }
+        self.finish_batch(std::slice::from_ref(&path));
         Ok(path)
     }
 
@@ -343,10 +339,10 @@ impl ArtifactStore {
     /// of a whole-program analysis. Per-entry atomicity is identical to
     /// [`ArtifactStore::save`] (each entry is its own temp file + rename,
     /// each superseded previous entry its own atomic unlink), but the
-    /// directory-wide work — the legacy sweep and the LRU garbage
-    /// collection — runs **once** for the whole batch instead of once per
-    /// unit, so a 1000-unit cold link pays one sweep, not 1000. None of the
-    /// just-written entries is ever evicted by the batch's own gc pass.
+    /// directory-wide work — the LRU garbage collection — runs **once** for
+    /// the whole batch instead of once per unit, so a 1000-unit cold link
+    /// pays one directory scan, not 1000. None of the just-written entries
+    /// is ever evicted by the batch's own gc pass.
     pub fn save_many(
         &self,
         options: &OmpDartOptions,
@@ -360,8 +356,7 @@ impl ArtifactStore {
         for save in saves {
             paths.push(self.save_one(options, save)?);
         }
-        let names: Vec<&str> = saves.iter().map(|s| s.name.as_str()).collect();
-        self.finish_batch(&names, options, &paths);
+        self.finish_batch(&paths);
         Ok(paths)
     }
 
@@ -397,11 +392,9 @@ impl ArtifactStore {
     }
 
     /// The directory-wide epilogue of a batch of [`ArtifactStore::save_one`]
-    /// calls: one legacy sweep and one LRU garbage collection for the whole
-    /// batch (never evicting the entries just written), so a 1000-unit cold
-    /// link pays one sweep, not 1000.
-    pub(crate) fn finish_batch(&self, names: &[&str], options: &OmpDartOptions, paths: &[PathBuf]) {
-        self.sweep_legacy(names, options, paths);
+    /// calls: one LRU garbage collection for the whole batch (never evicting
+    /// the entries just written) when a size cap is configured.
+    pub(crate) fn finish_batch(&self, paths: &[PathBuf]) {
         if let Some(max) = self.max_bytes {
             let _ = self.gc_protecting(max, paths);
         }
@@ -524,44 +517,6 @@ impl ArtifactStore {
             }
         }
         let _ = std::fs::write(&ref_path, keep_file);
-    }
-
-    /// Legacy (pre-v3) cleanup: entries keyed by any of `names`' hashes.
-    /// One directory scan serves the whole batch.
-    ///
-    /// A v3 entry's first file-name field is a source hash, which collides
-    /// with a name hash only with negligible probability — and a false
-    /// positive costs one cache miss, nothing more.
-    fn sweep_legacy(&self, names: &[&str], options: &OmpDartOptions, keep: &[PathBuf]) {
-        let name_hashes: Vec<String> = names
-            .iter()
-            .map(|name| format!("{:016x}", content_hash(name, "")))
-            .collect();
-        let options_hash = format!("{:016x}", options.fingerprint());
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return;
-        };
-        for entry in entries.filter_map(Result::ok) {
-            let path = entry.path();
-            if keep.contains(&path) {
-                continue;
-            }
-            let stale = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .and_then(parse_entry_name)
-                .is_some_and(|fields| match fields {
-                    EntryName::Legacy4([n, _, o, _]) => {
-                        o == options_hash && name_hashes.iter().any(|h| h == n)
-                    }
-                    EntryName::Legacy3([n, _, o]) => {
-                        o == options_hash && name_hashes.iter().any(|h| h == n)
-                    }
-                });
-            if stale {
-                let _ = std::fs::remove_file(&path);
-            }
-        }
     }
 }
 
@@ -696,32 +651,6 @@ impl ArtifactStore {
         std::fs::write(&tmp, doc.render_pretty())?;
         std::fs::rename(&tmp, &path)?;
         Ok(path)
-    }
-}
-
-/// A parsed store-entry file name, viewed as a *legacy candidate*: the v2
-/// four-field `(name, content, options, link)` layout or the pre-link
-/// three-field one. Neither can be loaded by this version; pruning cleans
-/// them up after an upgrade. (The current v3 layout also has four fields —
-/// disambiguation happens via the in-file `store_version`, and pruning only
-/// ever matches on the name hash, which v3 entries do not carry.)
-enum EntryName<'a> {
-    Legacy4([&'a str; 4]),
-    Legacy3([&'a str; 3]),
-}
-
-/// Split `unit-<a>-<b>-<c>[-<d>].json` into its hash fields; `None` for
-/// anything that is not a store entry.
-fn parse_entry_name(file_name: &str) -> Option<EntryName<'_>> {
-    let body = file_name.strip_prefix("unit-")?.strip_suffix(".json")?;
-    let fields: Vec<&str> = body.split('-').collect();
-    if fields.iter().any(|f| f.len() != 16) {
-        return None;
-    }
-    match fields.as_slice() {
-        [a, b, c, d] => Some(EntryName::Legacy4([a, b, c, d])),
-        [a, b, c] => Some(EntryName::Legacy3([a, b, c])),
-        _ => None,
     }
 }
 
@@ -965,10 +894,11 @@ mod tests {
 
     /// Store migration: a v2 `(name, source)`-keyed document — whether it
     /// sits at its legacy path or happens to collide with a v3 path —
-    /// degrades cleanly to a miss, and the legacy files are pruned by the
-    /// next save for the same unit name.
+    /// degrades cleanly to a miss, and the next save for the same content
+    /// overwrites the colliding one. (Legacy files at their own paths are
+    /// dead weight that leaves through the LRU `gc`.)
     #[test]
-    fn v2_entries_degrade_to_miss_and_are_pruned() {
+    fn v2_entries_degrade_to_miss() {
         let store = temp_store("migrate");
         let options = OmpDartOptions::default();
         let stats = AnalysisStats::default();
@@ -1013,12 +943,10 @@ mod tests {
             "a v2 document must degrade to a miss, never be trusted"
         );
 
-        // The first save for the same unit name sweeps the legacy files.
+        // A save of the same content replaces the colliding document.
         store
             .save("old.c", source, &options, UNLINKED, &plans, &stats, &[])
             .unwrap();
-        assert!(!v2_path.exists(), "v2 four-field entry must be pruned");
-        assert!(!v2_short.exists(), "v2 three-field entry must be pruned");
         assert!(store.load(source, &options, UNLINKED).is_some());
         let _ = std::fs::remove_dir_all(store.dir());
     }
@@ -1099,7 +1027,7 @@ mod tests {
 
     /// `save_many` batches a whole program's write-backs: per-entry
     /// atomicity and ref-repointing match `save` (superseded content is
-    /// pruned), with one legacy sweep and one gc pass for the batch.
+    /// pruned), with one gc pass for the batch.
     #[test]
     fn save_many_batches_and_prunes_like_save() {
         let store = temp_store("many");

@@ -288,15 +288,15 @@ impl Checker<'_> {
             // Collect accesses by statement; recursion handled by walk.
             let accesses: Vec<_> = self.accesses.for_stmt(s.id).cloned().collect();
             for access in accesses {
-                if !self.symbols.is_aggregate(&access.var) && !self.symbols.is_scalar(&access.var) {
+                if !self.symbols.is_aggregate(access.var) && !self.symbols.is_scalar(access.var) {
                     continue;
                 }
                 let mut v = self.validity(&access.var);
                 if access.kind.may_read() && !v.dev {
                     // Only report variables that actually live across the
                     // host/device boundary (declared outside the kernel).
-                    if self.symbols.is_global(&access.var)
-                        || self.symbols.is_param(&access.var)
+                    if self.symbols.is_global(access.var)
+                        || self.symbols.is_param(access.var)
                         || self.is_present(&access.var)
                     {
                         self.stale(&access.var, true, s.id, access.span);

@@ -377,7 +377,10 @@ mod tests {
         let s = Symbol::intern("needle");
         assert!(s == "needle");
         assert!("needle" == s);
-        assert!(s == "needle".to_string());
+        #[allow(clippy::cmp_owned)] // the `PartialEq<String>` impl is the subject
+        {
+            assert!(s == "needle".to_string());
+        }
         assert!(s != "haystack");
         // Deref gives str methods directly.
         assert!(s.starts_with("nee"));

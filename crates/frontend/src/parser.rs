@@ -292,10 +292,10 @@ impl<'a> Parser<'a> {
                 }
             };
             let end = self.expect(&TokenKind::Semi);
-            self.typedefs.insert(alias.clone());
-            let struct_name = tag.unwrap_or_else(|| alias.clone());
-            self.structs.insert(struct_name.clone());
-            self.typedefs.insert(struct_name.clone());
+            self.typedefs.insert(alias);
+            let struct_name = tag.unwrap_or(alias);
+            self.structs.insert(struct_name);
+            self.typedefs.insert(struct_name);
             let id = self.fresh_id();
             let sid = self.fresh_id();
             let span = start.to(end);
@@ -303,14 +303,14 @@ impl<'a> Parser<'a> {
             let struct_def = TopLevel::Struct(StructDef {
                 id: sid,
                 span,
-                name: struct_name.clone(),
+                name: struct_name,
                 fields,
             });
             // Represent the alias as a typedef to the struct type.
             let _ = TopLevel::Typedef {
                 id,
                 span,
-                name: alias.clone(),
+                name: alias,
                 ty: Type::Struct(struct_name),
             };
             return Some(struct_def);
@@ -318,7 +318,7 @@ impl<'a> Parser<'a> {
         let ty = self.parse_type_specifier()?;
         let (ty, name, _name_span) = self.parse_declarator(ty)?;
         let end = self.expect(&TokenKind::Semi);
-        self.typedefs.insert(name.clone());
+        self.typedefs.insert(name);
         let id = self.fresh_id();
         Some(TopLevel::Typedef {
             id,
@@ -340,7 +340,7 @@ impl<'a> Parser<'a> {
                 return None;
             }
         };
-        self.structs.insert(name.clone());
+        self.structs.insert(name);
         let fields = self.parse_struct_fields();
         let end = self.expect(&TokenKind::Semi);
         let id = self.fresh_id();
@@ -592,7 +592,7 @@ impl<'a> Parser<'a> {
                     self.bump();
                     if let TokenKind::Ident(name) = self.peek().clone() {
                         self.bump();
-                        self.structs.insert(name.clone());
+                        self.structs.insert(name);
                         base = Some(Type::Struct(name));
                         consumed_any = true;
                     } else {

@@ -541,8 +541,9 @@ fn submit_analyze(
     }
 }
 
-/// The analysis body of an `analyze` request: single units go through the
-/// per-unit serve path, multi-unit requests through whole-program link.
+/// The analysis body of an `analyze` request: a single unit is analyzed as
+/// a closed world (leaving the program's link state and recorded round
+/// untouched), multi-unit requests go through whole-program link.
 fn run_analyze(session: &ProgramSession, units: &[(String, String)]) -> Result<Json, RequestError> {
     if units.len() == 1 {
         let (name, source) = &units[0];
@@ -626,12 +627,11 @@ fn request_stats_json(stats: &RequestStats) -> Json {
             "analysis_hits".into(),
             Json::Int(stats.analysis_hits as i64),
         ),
-        ("store_hits".into(), Json::Int(stats.store_hits as i64)),
-        ("linked_hits".into(), Json::Int(stats.linked_hits as i64)),
         (
-            "linked_misses".into(),
-            Json::Int(stats.linked_misses as i64),
+            "analysis_misses".into(),
+            Json::Int(stats.analysis_misses as i64),
         ),
+        ("store_hits".into(), Json::Int(stats.store_hits as i64)),
         (
             "fast_path_hits".into(),
             Json::Int(stats.fast_path_hits as i64),
@@ -807,11 +807,6 @@ fn cache_stats_json(stats: &CacheStats) -> Json {
         (
             "summarize_misses".into(),
             Json::Int(stats.summarize_misses as i64),
-        ),
-        ("linked_hits".into(), Json::Int(stats.linked_hits as i64)),
-        (
-            "linked_misses".into(),
-            Json::Int(stats.linked_misses as i64),
         ),
         (
             "fast_path_hits".into(),

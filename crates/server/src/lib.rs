@@ -4,7 +4,7 @@
 //! daemon, plus the client used to drive it.
 //!
 //! The one-shot CLI pays the full pipeline on every invocation; `ompdart
-//! watch`/`serve` keep a single warm session but serve one program and one
+//! watch` keeps a single warm session but serves one program and one
 //! caller at a time. This crate turns the warm session into a *service*:
 //!
 //! * [`protocol`] — the wire format: length-prefixed JSON frames carrying

@@ -51,14 +51,12 @@ pub struct RequestStats {
     /// Functions the incremental link fixed point re-derived (the dirty
     /// cone). Zero for cold links and unchanged relinks.
     pub relink_reseeded_functions: u64,
-    /// Whole-unit artifact-cache hits.
+    /// Unit analyses served entirely from the unit-analysis cache.
     pub analysis_hits: u64,
+    /// Unit analyses that ran planning (or hit the store).
+    pub analysis_misses: u64,
     /// Units served from the persistent store.
     pub store_hits: u64,
-    /// Linked per-unit analyses served entirely from the cache.
-    pub linked_hits: u64,
-    /// Linked per-unit analyses that ran planning.
-    pub linked_misses: u64,
     /// Units served by the driver's identity fast path: unchanged content
     /// under an unchanged imported surface, reusing the previous round's
     /// analysis with no relocation, re-planning, or re-serialization.
@@ -73,9 +71,8 @@ impl RequestStats {
             relink_reseeded_functions: after.relink_reseeded_functions
                 - before.relink_reseeded_functions,
             analysis_hits: after.analysis_hits - before.analysis_hits,
+            analysis_misses: after.analysis_misses - before.analysis_misses,
             store_hits: after.store_hits - before.store_hits,
-            linked_hits: after.linked_hits - before.linked_hits,
-            linked_misses: after.linked_misses - before.linked_misses,
             fast_path_hits: after.fast_path_hits - before.fast_path_hits,
         }
     }
@@ -348,17 +345,20 @@ int main() {
         assert!(!Arc::ptr_eq(&a, &b));
         assert!(Arc::ptr_eq(&a, &registry.program("alpha")));
 
-        let (_, _, stats_a) = a.analyze_unit("a.c", UNIT_A).unwrap();
+        let (first, _, stats_a) = a.analyze_unit("a.c", UNIT_A).unwrap();
         assert!(stats_a.function_plan_misses > 0);
+        assert_eq!(stats_a.analysis_misses, 1);
         // Program beta's counters are untouched by alpha's request.
         assert_eq!(b.stats(), CacheStats::default());
 
-        // A repeat of the same content is served from alpha's cache and
-        // the per-request delta proves it.
-        let (_, serve, stats_a2) = a.analyze_unit("a.c", UNIT_A).unwrap();
+        // A repeat of the same content is served from alpha's cache — the
+        // same artifacts — and the per-request delta proves it.
+        let (again, serve, stats_a2) = a.analyze_unit("a.c", UNIT_A).unwrap();
         assert_eq!(serve, UnitServe::Cached);
+        assert!(Arc::ptr_eq(first.artifacts(), again.artifacts()));
         assert_eq!(stats_a2.function_plan_misses, 0);
         assert_eq!(stats_a2.analysis_hits, 1);
+        assert_eq!(stats_a2.analysis_misses, 0);
 
         let (_, _, stats_b) = b.analyze_unit("b.c", UNIT_B).unwrap();
         assert!(stats_b.function_plan_misses > 0);
@@ -381,9 +381,8 @@ int main() {
             .program("beta")
             .analyze_unit("b.c", UNIT_B)
             .unwrap();
-        // Single-unit analyses persist eagerly; flushing drains whatever
-        // the linked write-behind path may have buffered (possibly zero).
-        registry.flush_all();
+        // Single-unit analyses flush their own write-back.
+        assert_eq!(registry.flush_all(), 0);
         assert!(root.join("alpha").is_dir());
         assert!(root.join("beta").is_dir());
 

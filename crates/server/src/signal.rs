@@ -1,5 +1,5 @@
 //! SIGINT/SIGTERM handling for the long-lived front doors (`ompdartd`,
-//! `ompdart watch`, `ompdart serve`).
+//! `ompdart watch`).
 //!
 //! The handler does the only async-signal-safe thing possible: it bumps a
 //! global atomic *epoch*. Long-lived loops snapshot the epoch when they

@@ -717,6 +717,7 @@ mod tests {
         let b = run_benchmark_with_session(&bench, &config, &session).unwrap();
         let stats = session.cache_stats();
         assert_eq!(stats.analysis_hits, 1, "second run must reuse the analysis");
+        assert_eq!(stats.analysis_misses, 1, "second run must not plan again");
         assert_eq!(
             stats.parse_misses, parses,
             "second run must not re-parse anything"

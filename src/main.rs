@@ -8,7 +8,6 @@
 //! ompdart diff-plan <left> <right>        # each side: plan .json or a .c source
 //! ompdart batch <input.c>... [--threads N] [--out-dir DIR]
 //! ompdart watch <dir> [--out-dir DIR] [--cache-dir DIR] [--interval-ms N] [--iterations N] [--poll]
-//! ompdart serve [--out-dir DIR] [--cache-dir DIR]
 //! ompdart daemon [--socket PATH | --tcp ADDR] [--cache-dir DIR] [--workers N]
 //! ompdart client [--socket PATH | --tcp ADDR] <analyze|explain|stats|gc|shutdown> ...
 //! ompdart cache gc <dir> [--max-bytes N[k|m|g]]
@@ -21,8 +20,8 @@
 //! construct; `diff-plan` compares two mappings (generated, serialized, or
 //! extracted from an already-mapped source); `batch` fans a corpus out over
 //! worker threads with one shared artifact cache, each file a closed world.
-//! `watch` and `serve` keep one long-lived session hot — `watch` links the
-//! watched directory as one program, re-planning only the functions an edit
+//! `watch` keeps one long-lived session hot — it links the watched
+//! directory as one program, re-planning only the functions an edit
 //! actually invalidated (across files) and, with `--cache-dir`, starting
 //! warm from the persistent artifact store; `cache gc` evicts
 //! least-recently-used store entries down to a size cap. `daemon` runs
@@ -37,7 +36,6 @@ use ompdart_server::registry::RegistryConfig;
 use ompdart_server::watch::make_watcher;
 use ompdart_server::{signal, Client};
 use ompdart_sim::{simulate_source, SimConfig};
-use std::io::BufRead;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -56,7 +54,6 @@ USAGE:
     ompdart batch <input.c>... [--threads <N>] [--out-dir <dir>] [--pessimistic-globals]
     ompdart watch <dir> [--out-dir <dir>] [--cache-dir <dir>] [--interval-ms <N>]
                   [--iterations <N>] [--once] [--link-threads <N>] [--poll]
-    ompdart serve [--out-dir <dir>] [--cache-dir <dir>] [--link-threads <N>]
     ompdart daemon [--socket <path> | --tcp <addr>] [--workers <N>] [--cache-dir <dir>]
                    [--cache-max-bytes <N[k|m|g]>] [--pessimistic-globals]
                    [--link-threads <N>] [--quiet]
@@ -112,9 +109,6 @@ SUBCOMMANDS:
                Wakeups come from inotify where available; --poll forces
                the classic fixed-interval re-scan. SIGINT/SIGTERM flush
                the persistent store before exit.
-    serve      Line protocol on stdin over the same hot session:
-               `analyze <path> [<out>]` re-emits one file, `stats`
-               prints cache counters, `quit` (or EOF) exits.
     daemon     Run ompdartd: analysis as a service on a unix socket
                (default ompdartd.sock) or --tcp ADDR, speaking
                length-prefixed JSON requests (analyze, explain, stats,
@@ -146,7 +140,6 @@ fn main() -> ExitCode {
         "diff-plan" => cmd_diff_plan(rest),
         "batch" => cmd_batch(rest),
         "watch" => cmd_watch(rest),
-        "serve" => cmd_serve(rest),
         "daemon" => cmd_daemon(rest),
         "client" => cmd_client(rest),
         "cache" => cmd_cache(rest),
@@ -270,7 +263,7 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
     }
     if cache_dir.is_some() {
         return Err("`--cache-dir` applies to multi-input (linked) analyze \
-                    (single-input incremental caching goes through `watch`/`serve`)"
+                    (single-input incremental caching goes through `watch` or the daemon)"
             .into());
     }
     if out_dir.is_some() {
@@ -381,6 +374,7 @@ fn serve_label(serve: &UnitServe) -> String {
 
 /// Multi-input `analyze`: link every input as one whole program and write
 /// each unit's mapped output.
+#[allow(clippy::too_many_arguments)]
 fn cmd_analyze_program(
     inputs: &[&str],
     out_dir: Option<&str>,
@@ -740,7 +734,7 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, String> {
 }
 
 // ---------------------------------------------------------------------------
-// watch / serve: the long-lived incremental front door
+// watch: the long-lived incremental front door
 // ---------------------------------------------------------------------------
 
 /// Where the rewritten source of `input` is emitted.
@@ -773,11 +767,10 @@ fn scan_c_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
 
 /// Analyze `source` (already read from `path`) over the shared hot session
 /// and re-emit its mapped output to `out_path`, reporting how the caches
-/// served the run. `tag` names the front door (`watch`/`serve`) in the
-/// emitted lines. Taking the source instead of re-reading keeps the
+/// served the run. Taking the source instead of re-reading keeps the
 /// recorded content hash and the analyzed text in lockstep even when a
 /// save lands mid-scan.
-fn emit_one(tool: &Ompdart, tag: &str, path: &Path, source: &str, out_path: &Path) {
+fn emit_one(tool: &Ompdart, path: &Path, source: &str, out_path: &Path) {
     let display = path.display().to_string();
     let start = Instant::now();
     // The serve verdict is part of the analysis result itself — not a
@@ -788,13 +781,13 @@ fn emit_one(tool: &Ompdart, tag: &str, path: &Path, source: &str, out_path: &Pat
             let elapsed = start.elapsed();
             if let Err(e) = std::fs::write(out_path, analysis.rewritten_source()) {
                 println!(
-                    "[{tag}] {display}: FAILED — cannot write {}: {e}",
+                    "[watch] {display}: FAILED — cannot write {}: {e}",
                     out_path.display()
                 );
                 return;
             }
             println!(
-                "[{tag}] {display}: re-emitted {} ({}, {:.1}ms)",
+                "[watch] {display}: re-emitted {} ({}, {:.1}ms)",
                 out_path.display(),
                 serve_label(&serve),
                 elapsed.as_secs_f64() * 1e3
@@ -803,7 +796,7 @@ fn emit_one(tool: &Ompdart, tag: &str, path: &Path, source: &str, out_path: &Pat
         Err(e) => {
             let line = render_stage_error(&display, source, e);
             println!(
-                "[{tag}] {display}: FAILED — {}",
+                "[watch] {display}: FAILED — {}",
                 line.lines().next().unwrap_or("unknown error")
             );
         }
@@ -815,39 +808,11 @@ fn emit_one(tool: &Ompdart, tag: &str, path: &Path, source: &str, out_path: &Pat
     let _ = std::io::stdout().flush();
 }
 
-struct SessionFlags {
-    out_dir: Option<String>,
-    cache_dir: Option<String>,
-    cache_max_bytes: Option<u64>,
-    pessimistic_globals: bool,
-    link_threads: usize,
-}
-
-impl SessionFlags {
-    /// Build the long-lived tool these commands share.
-    fn tool(&self) -> Ompdart {
-        let mut builder = Ompdart::builder()
-            .pessimistic_globals(self.pessimistic_globals)
-            .link_threads(self.link_threads);
-        if let Some(dir) = &self.cache_dir {
-            builder = builder.cache_dir(dir);
-        }
-        if let Some(max) = self.cache_max_bytes {
-            builder = builder.cache_max_bytes(max);
-        }
-        builder.build()
-    }
-}
-
 fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
     let mut dir: Option<&str> = None;
-    let mut flags = SessionFlags {
-        out_dir: None,
-        cache_dir: None,
-        cache_max_bytes: None,
-        pessimistic_globals: false,
-        link_threads: 0,
-    };
+    let mut out_dir: Option<&str> = None;
+    let mut cache_dir: Option<&str> = None;
+    let mut builder = Ompdart::builder();
     let mut interval_ms: u64 = 500;
     let mut iterations: Option<u64> = None;
     let mut once = false;
@@ -856,21 +821,15 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--out-dir" => {
-                flags.out_dir = Some(
-                    it.next()
-                        .ok_or("`--out-dir` expects a directory")?
-                        .to_string(),
-                );
+                out_dir = Some(it.next().ok_or("`--out-dir` expects a directory")?);
             }
             "--cache-dir" => {
-                flags.cache_dir = Some(
-                    it.next()
-                        .ok_or("`--cache-dir` expects a directory")?
-                        .to_string(),
-                );
+                let dir = it.next().ok_or("`--cache-dir` expects a directory")?;
+                cache_dir = Some(dir);
+                builder = builder.cache_dir(dir);
             }
             "--cache-max-bytes" => {
-                flags.cache_max_bytes = Some(parse_size(
+                builder = builder.cache_max_bytes(parse_size(
                     it.next().ok_or("`--cache-max-bytes` expects a size")?,
                 )?);
             }
@@ -891,13 +850,14 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
             }
             "--once" => once = true,
             "--poll" => force_poll = true,
-            "--pessimistic-globals" => flags.pessimistic_globals = true,
+            "--pessimistic-globals" => builder = builder.pessimistic_globals(true),
             "--link-threads" => {
-                flags.link_threads = it
-                    .next()
-                    .ok_or("`--link-threads` expects a number")?
-                    .parse()
-                    .map_err(|_| "`--link-threads` expects a number".to_string())?;
+                builder = builder.link_threads(
+                    it.next()
+                        .ok_or("`--link-threads` expects a number")?
+                        .parse()
+                        .map_err(|_| "`--link-threads` expects a number".to_string())?,
+                );
             }
             flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
             path if dir.is_none() => dir = Some(path),
@@ -905,10 +865,10 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
         }
     }
     let dir = Path::new(dir.ok_or("`watch` expects a directory")?);
-    if let Some(out) = &flags.out_dir {
+    if let Some(out) = out_dir {
         std::fs::create_dir_all(out).map_err(|e| format!("cannot create `{out}`: {e}"))?;
     }
-    let tool = flags.tool();
+    let tool = builder.build();
     // SIGINT/SIGTERM end the loop cleanly so the persistent store's
     // write-behind buffer is flushed — not lost in process teardown.
     let shutdown = signal::install();
@@ -919,7 +879,7 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
         "[watch] watching {} via {} (scan bound {interval_ms}ms){}",
         dir.display(),
         watcher.backend(),
-        match &flags.cache_dir {
+        match cache_dir {
             Some(cd) => format!(", persistent cache at {cd}"),
             None => String::new(),
         }
@@ -948,7 +908,7 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
                     .filter(|(p, s)| seen.get(p) != Some(s))
                     .collect();
                 if !changed.is_empty() {
-                    watch_program_scan(&tool, &flags, &units, &changed, &mut last_emitted);
+                    watch_program_scan(&tool, out_dir, &units, &changed, &mut last_emitted);
                     seen = units.into_iter().collect();
                 }
             }
@@ -996,7 +956,7 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
 /// (duplicate `main`s, a unit that fails to parse).
 fn watch_program_scan(
     tool: &Ompdart,
-    flags: &SessionFlags,
+    out_dir: Option<&str>,
     units: &[(PathBuf, String)],
     changed: &[&(PathBuf, String)],
     last_emitted: &mut std::collections::HashMap<PathBuf, String>,
@@ -1024,7 +984,7 @@ fn watch_program_scan(
                     continue;
                 }
                 let rewritten = unit.rewrite.source.as_str();
-                let out_path = mapped_path(path, flags.out_dir.as_deref());
+                let out_path = mapped_path(path, out_dir);
                 let unchanged = last_emitted.get(path).is_some_and(|prev| prev == rewritten);
                 if unchanged {
                     // Nothing new on disk; still report re-planning work so
@@ -1059,124 +1019,14 @@ fn watch_program_scan(
         Err(err) => {
             println!("[watch] not linkable as one program ({err}); analyzing files independently");
             for (path, source) in changed {
-                let out_path = mapped_path(path, flags.out_dir.as_deref());
-                emit_one(tool, "watch", path, source, &out_path);
+                let out_path = mapped_path(path, out_dir);
+                emit_one(tool, path, source, &out_path);
                 last_emitted.remove(path.as_path());
             }
         }
     }
     use std::io::Write;
     let _ = std::io::stdout().flush();
-}
-
-fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
-    let mut flags = SessionFlags {
-        out_dir: None,
-        cache_dir: None,
-        cache_max_bytes: None,
-        pessimistic_globals: false,
-        link_threads: 0,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--pessimistic-globals" => flags.pessimistic_globals = true,
-            "--link-threads" => {
-                flags.link_threads = it
-                    .next()
-                    .ok_or("`--link-threads` expects a number")?
-                    .parse()
-                    .map_err(|_| "`--link-threads` expects a number".to_string())?;
-            }
-            "--out-dir" => {
-                flags.out_dir = Some(
-                    it.next()
-                        .ok_or("`--out-dir` expects a directory")?
-                        .to_string(),
-                );
-            }
-            "--cache-dir" => {
-                flags.cache_dir = Some(
-                    it.next()
-                        .ok_or("`--cache-dir` expects a directory")?
-                        .to_string(),
-                );
-            }
-            "--cache-max-bytes" => {
-                flags.cache_max_bytes = Some(parse_size(
-                    it.next().ok_or("`--cache-max-bytes` expects a size")?,
-                )?);
-            }
-            other => return Err(format!("unexpected argument `{other}`")),
-        }
-    }
-    if let Some(out) = &flags.out_dir {
-        std::fs::create_dir_all(out).map_err(|e| format!("cannot create `{out}`: {e}"))?;
-    }
-    let tool = flags.tool();
-    // As in `watch`: a signal must not strand the write-behind buffer.
-    let shutdown = signal::install();
-    println!("[serve] ready — `analyze <path> [<out>]`, `stats`, `quit`");
-    let stdin = std::io::stdin();
-    for line in stdin.lock().lines() {
-        if shutdown.is_shutdown() {
-            break;
-        }
-        let line = line.map_err(|e| format!("stdin read failed: {e}"))?;
-        let mut words = line.split_whitespace();
-        match words.next() {
-            Some("analyze") => {
-                let Some(path) = words.next() else {
-                    println!("[serve] error: `analyze` expects a path");
-                    continue;
-                };
-                let path = Path::new(path);
-                let source = match std::fs::read_to_string(path) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        println!("[serve] error: cannot read `{}`: {e}", path.display());
-                        continue;
-                    }
-                };
-                // An explicit second argument overrides the default
-                // `<stem>.mapped.c` output location.
-                let out_path = match words.next() {
-                    Some(out) => PathBuf::from(out),
-                    None => mapped_path(path, flags.out_dir.as_deref()),
-                };
-                emit_one(&tool, "serve", path, &source, &out_path);
-            }
-            Some("stats") => {
-                let stats = tool.session().cache_stats();
-                println!(
-                    "[serve] stats: analyses {} hit / {} miss, function plans {} reused / {} replanned, \
-                     accesses {} reused / {} recollected, summaries {} reused / {} recomputed, \
-                     relink re-seeded {} function(s), store {} hit / {} miss",
-                    stats.analysis_hits,
-                    stats.analysis_misses,
-                    stats.function_plan_hits,
-                    stats.function_plan_misses,
-                    stats.function_access_hits,
-                    stats.function_access_misses,
-                    stats.function_summary_hits,
-                    stats.function_summary_misses,
-                    stats.relink_reseeded_functions,
-                    stats.store_hits,
-                    stats.store_misses
-                );
-            }
-            Some("quit") | Some("exit") => break,
-            Some(other) => println!("[serve] error: unknown command `{other}`"),
-            None => {}
-        }
-        use std::io::Write;
-        let _ = std::io::stdout().flush();
-    }
-    let flushed = tool.session().flush_store_writes();
-    if flushed > 0 {
-        println!("[serve] flushed {flushed} store write(s)");
-    }
-    Ok(ExitCode::SUCCESS)
 }
 
 // ---------------------------------------------------------------------------

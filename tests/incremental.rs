@@ -215,31 +215,44 @@ fn renamed_file_starts_warm_from_the_content_addressed_store() {
 }
 
 /// The persistent store and the in-memory caches compose: within one
-/// session the unit cache wins, across sessions the store wins, and an
-/// edit falls back to incremental planning.
+/// session the unit-analysis cache wins, across sessions the store wins —
+/// a store-served analysis still carries every staged artifact and is
+/// byte-equal to the cold one — and an edit falls back to incremental
+/// planning.
 #[test]
-fn store_unit_cache_and_function_cache_compose() {
+fn store_analysis_cache_and_function_cache_compose() {
     let dir = std::env::temp_dir().join(format!("ompdart-store-compose-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let demo = incremental_demo();
 
     let warmup = AnalysisSession::new().with_cache_dir(&dir);
-    warmup.analyze("demo.c", demo).unwrap();
+    let cold = warmup.analyze("demo.c", demo).unwrap();
 
     let session = AnalysisSession::new().with_cache_dir(&dir);
     let served = session.analyze("demo.c", demo).unwrap();
-    assert_eq!(session.cache_stats().store_hits, 1);
-    // Same content again: the in-memory unit cache answers, not the store.
+    let stats = session.cache_stats();
+    assert_eq!(stats.store_hits, 1);
+    assert_eq!(stats.function_plan_misses, 0, "a store hit plans nothing");
+    // The store only replaces planning: the summarize-phase artifacts are
+    // the unit's own, and the output is byte-equal to the cold analysis.
+    let functions = served.parsed.unit.functions().count();
+    assert_eq!(served.accesses.accesses.len(), functions);
+    assert_eq!(served.summaries.seeds.len(), functions);
+    assert_eq!(served.rewrite.source, cold.rewrite.source);
+    assert_eq!(served.plans_json(), cold.plans_json());
+    // Same content again: the in-memory cache answers, not the store.
     let again = session.analyze("demo.c", demo).unwrap();
     assert!(Arc::ptr_eq(&served, &again));
     let stats = session.cache_stats();
     assert_eq!(stats.analysis_hits, 1);
+    assert_eq!(stats.analysis_misses, 1);
     assert_eq!(stats.store_hits, 1, "the store must not be consulted twice");
+    assert_eq!(stats.store_misses, 0);
 
     // An edit misses the store, but the store hit above *seeded* the
     // function-plan cache from the persisted per-function keys — so even
     // the first edit after a warm start re-plans only the edited function.
-    let functions = served.parsed.unit.functions().count() as u64;
+    let functions = functions as u64;
     let (edited, _) = one_function_edit("demo.c", demo).unwrap();
     session.analyze("demo.c", &edited).unwrap();
     let stats = session.cache_stats();

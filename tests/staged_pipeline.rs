@@ -1,15 +1,14 @@
-//! Integration tests for the staged `AnalysisSession` / `BatchDriver` API:
-//! stage-by-stage artifacts must compose to exactly the facade result, the
-//! artifact cache must serve repeated analyses without re-running any
-//! stage, the batch driver must analyze several translation units
-//! concurrently with deterministic, order-preserving results, and the
-//! serialized Mapping IR must round-trip into a byte-identical rewrite.
+//! Integration tests for the staged `AnalysisSession` API and
+//! `Ompdart::analyze_batch`: stage-by-stage artifacts must compose to
+//! exactly the facade result, the artifact cache must serve repeated
+//! analyses without re-running any stage, the batch path must analyze
+//! several translation units concurrently with deterministic,
+//! order-preserving results, and the serialized Mapping IR must round-trip
+//! into a byte-identical rewrite.
 
 use ompdart_core::pipeline::Stage;
 use ompdart_core::plan::plans_from_json;
-use ompdart_core::{
-    apply_plans, AnalysisSession, BatchDriver, OmpDartOptions, Ompdart, StageError,
-};
+use ompdart_core::{apply_plans, AnalysisSession, OmpDartOptions, Ompdart, StageError};
 use ompdart_sim::{simulate_source, SimConfig};
 use std::sync::Arc;
 use std::time::Duration;
@@ -92,6 +91,7 @@ fn artifact_cache_returns_identical_plans_without_reparsing() {
         .unwrap();
     let stats = session.cache_stats();
     assert_eq!(stats.analysis_misses, 1);
+    assert_eq!(stats.analysis_hits, 0);
     assert_eq!(stats.parse_misses, 1);
     let spent = session.timings().total();
     assert!(spent > Duration::ZERO);
@@ -104,6 +104,7 @@ fn artifact_cache_returns_identical_plans_without_reparsing() {
         stats.analysis_hits, 1,
         "identical content must hit the cache"
     );
+    assert_eq!(stats.analysis_misses, 1, "a hit must not plan again");
     assert_eq!(stats.parse_misses, 1, "the cache hit must skip re-parsing");
     assert_eq!(
         session.timings().total(),
@@ -122,9 +123,9 @@ fn artifact_cache_returns_identical_plans_without_reparsing() {
     assert_eq!(session.cache_stats().analysis_misses, 2);
 }
 
-/// BatchDriver: at least two translation units analyzed concurrently, with
-/// order-preserving results that match the facade and still simulate
-/// correctly.
+/// `analyze_batch`: at least two translation units analyzed concurrently,
+/// with order-preserving results that match one-at-a-time analysis and
+/// still simulate correctly.
 #[test]
 fn batch_driver_matches_sequential_analyses() {
     let inputs: Vec<(String, String)> = ompdart_suite::all_benchmarks()
@@ -134,29 +135,31 @@ fn batch_driver_matches_sequential_analyses() {
         .collect();
     assert!(inputs.len() >= 2);
 
-    let driver = BatchDriver::new().with_threads(4);
-    let batch = driver.analyze_all(&inputs);
+    let batch = Ompdart::builder()
+        .parallelism(4)
+        .build()
+        .analyze_batch(&inputs);
     assert_eq!(batch.len(), inputs.len());
 
     for ((name, source), result) in inputs.iter().zip(&batch) {
         let analysis = result.as_ref().expect("batch unit failed");
-        assert_eq!(&analysis.parsed.name, name);
+        assert_eq!(&analysis.artifacts().parsed.name, name);
         let sequential = Ompdart::builder().build().analyze(name, source).unwrap();
         assert_eq!(
             sequential.rewritten_source(),
-            analysis.rewrite.source,
+            analysis.rewritten_source(),
             "{name}: batch result diverges from sequential analysis"
         );
         // The batch-produced mapping must still preserve program semantics.
         let before = simulate_source(source, SimConfig::default()).unwrap();
-        let after = simulate_source(&analysis.rewrite.source, SimConfig::default()).unwrap();
+        let after = simulate_source(analysis.rewritten_source(), SimConfig::default()).unwrap();
         assert_eq!(before.output, after.output, "{name}");
     }
 }
 
-/// Regression: `transform_all` (and `analyze_all`) must keep results in
-/// input order even when worker threads finish out of order. Twelve units
-/// of very different sizes over few threads maximize reordering pressure.
+/// Regression: `analyze_batch` must keep results in input order even when
+/// worker threads finish out of order. Twelve units of very different
+/// sizes over few threads maximize reordering pressure.
 #[test]
 fn batch_results_preserve_input_order_with_many_units() {
     let mut inputs: Vec<(String, String)> = Vec::new();
@@ -177,23 +180,25 @@ fn batch_results_preserve_input_order_with_many_units() {
     }
     assert!(inputs.len() > 8);
 
-    let driver = BatchDriver::new().with_threads(3);
-    let results = driver.transform_all(&inputs);
+    let results = Ompdart::builder()
+        .parallelism(3)
+        .build()
+        .analyze_batch(&inputs);
     assert_eq!(results.len(), inputs.len());
     for (i, ((name, source), result)) in inputs.iter().zip(&results).enumerate() {
         let result = result.as_ref().unwrap_or_else(|e| panic!("{name}: {e}"));
         // Slot i must hold the analysis of input i: the tiny odd units
         // mention their own function name, the big even units match the
-        // sequential transform of the same source.
+        // sequential analysis of the same source.
         let expected = Ompdart::builder().build().analyze(name, source).unwrap();
         assert_eq!(
-            result.transformed_source,
+            result.rewritten_source(),
             expected.rewritten_source(),
             "slot {i} holds the wrong unit's result"
         );
         if i % 2 == 1 {
             assert!(
-                result.transformed_source.contains(&format!("f{i}")),
+                result.rewritten_source().contains(&format!("f{i}")),
                 "slot {i} lost its unit"
             );
         }
@@ -201,7 +206,7 @@ fn batch_results_preserve_input_order_with_many_units() {
 }
 
 /// Stage errors are typed, carry the failing stage, and convert into the
-/// legacy `OmpDartError` for the compatibility wrappers.
+/// stage-less `OmpDartError`.
 #[test]
 fn typed_stage_errors_translate_to_legacy_errors() {
     let session = AnalysisSession::new();

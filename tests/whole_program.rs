@@ -843,6 +843,45 @@ fn identity_fast_path_reuses_untouched_units_on_edit_rounds() {
     assert_eq!(program.concatenated_rewrite(), cold.concatenated_rewrite());
 }
 
+/// A one-unit analysis interleaved between two rounds of the same program
+/// on one session (the daemon's `explain` between `analyze` requests) is a
+/// closed world of its own: it neither records a round nor takes the link
+/// state, so the next program round still rides the round-level fast path.
+#[test]
+fn one_unit_analysis_between_rounds_keeps_the_round_fast_path() {
+    let inputs = owned(&lulesh_multifile());
+    let tool = Ompdart::builder().build();
+    let cold = tool.analyze_program(&inputs).expect("cold link failed");
+
+    let (name, source) = &inputs[1];
+    let alone = tool
+        .analyze(name, source)
+        .expect("one-unit analysis failed");
+    let fresh = Ompdart::builder().build().analyze(name, source).unwrap();
+    assert_eq!(
+        alone.rewritten_source(),
+        fresh.rewritten_source(),
+        "the one-unit analysis must not see the program's link facts"
+    );
+
+    let before = tool.session().cache_stats();
+    let warm = tool.analyze_program(&inputs).expect("warm round failed");
+    let after = tool.session().cache_stats();
+    assert_eq!(
+        after.fast_path_hits - before.fast_path_hits,
+        inputs.len() as u64,
+        "the one-unit analysis must not evict the recorded round"
+    );
+    assert_eq!(
+        after.relink_reseeded_functions, before.relink_reseeded_functions,
+        "the one-unit analysis must not replace the link state"
+    );
+    assert_eq!(after.function_plan_misses, before.function_plan_misses);
+    for (warm_unit, cold_unit) in warm.units.iter().zip(&cold.units) {
+        assert!(Arc::ptr_eq(warm_unit, cold_unit));
+    }
+}
+
 /// Byte-identity is pinned at every worker count: the same program linked
 /// with 1, 2, 4, and 8 threads — cold and warm — produces identical
 /// rewrites and link passes.
