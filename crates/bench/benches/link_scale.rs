@@ -148,8 +148,7 @@ fn bench(c: &mut Criterion) {
          linked_fallbacks={linked_fallbacks} fast_path_units={} \
          allocs_per_unit_cold={allocs_per_unit_cold:.0} \
          pool_workers={}",
-        warm_profile.fast_path_units,
-        cold_profile.pool_workers
+        warm_profile.fast_path_units, cold_profile.pool_workers
     );
 
     assert_eq!(

@@ -43,7 +43,10 @@ unsafe impl GlobalAlloc for CountingAllocator {
         // A realloc is one more allocator round-trip; count the grown
         // portion so `bytes` tracks total requested, not peak.
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size.saturating_sub(layout.size()) as u64, Ordering::Relaxed);
+        BYTES.fetch_add(
+            new_size.saturating_sub(layout.size()) as u64,
+            Ordering::Relaxed,
+        );
         System.realloc(ptr, layout, new_size)
     }
 

@@ -230,7 +230,10 @@ const STMT_IDX_INLINE: usize = 6;
 
 #[derive(Clone, Debug)]
 enum StmtIndices {
-    Inline { len: u8, buf: [u32; STMT_IDX_INLINE] },
+    Inline {
+        len: u8,
+        buf: [u32; STMT_IDX_INLINE],
+    },
     Spilled(Vec<u32>),
 }
 

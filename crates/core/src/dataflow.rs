@@ -27,10 +27,10 @@ use crate::plan::ir::{
 };
 use crate::program::ExternalRefs;
 use ompdart_frontend::ast::*;
-use ompdart_frontend::Symbol;
 use ompdart_frontend::diag::Diagnostics;
 use ompdart_frontend::omp::{Clause, MapType};
 use ompdart_frontend::source::Span;
+use ompdart_frontend::Symbol;
 use ompdart_graph::{AstCfg, StmtIndex};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -1176,11 +1176,7 @@ impl Walker<'_> {
     /// `loop_cond` is set, the accesses come from a loop condition
     /// re-evaluation and dependency fixes anchor to the end of the loop body.
     fn process_accesses(&mut self, stmt: &Stmt, loop_cond: Option<(NodeId, NodeId)>) {
-        let list: Vec<_> = self
-            .accesses
-            .for_stmt(stmt.id)
-            .cloned()
-            .collect();
+        let list: Vec<_> = self.accesses.for_stmt(stmt.id).cloned().collect();
         for access in list {
             if !self.mapped.contains(&access.var) {
                 continue;
@@ -1409,10 +1405,7 @@ mod tests {
         }
         let summaries = ProgramSummaries::compute(&unit, &all_acc, &all_sym, 8);
         let func = unit.function(func_name).unwrap();
-        let mut acc = all_acc
-            .get(&Symbol::intern(func_name))
-            .unwrap()
-            .clone();
+        let mut acc = all_acc.get(&Symbol::intern(func_name)).unwrap().clone();
         augment_with_call_effects(&mut acc, &unit, &summaries, false);
         let mut diags = Diagnostics::new();
         let plan = plan_function(

@@ -644,11 +644,7 @@ fn merge_known_call(
                 local_changed |= caller.param_effects[pidx].merge(effect);
             }
         } else if node.sym.is_global(*var) {
-            local_changed |= caller
-                .global_effects
-                .entry(*var)
-                .or_default()
-                .merge(effect);
+            local_changed |= caller.global_effects.entry(*var).or_default().merge(effect);
         }
     }
     // Global effects propagate directly.
@@ -685,11 +681,7 @@ fn merge_unknown_call(
     let mut local_changed = false;
     for var in node.sym.names() {
         if node.sym.is_global(var) {
-            local_changed |= caller
-                .global_effects
-                .entry(var)
-                .or_default()
-                .merge(effect);
+            local_changed |= caller.global_effects.entry(var).or_default().merge(effect);
         }
     }
     local_changed
@@ -1027,7 +1019,12 @@ void top(double *data, int n) {
         // `top` inherits everything through one more level of calls.
         let t = summaries.summary("top").unwrap();
         assert!(t.param_effects[0].host_write);
-        assert!(t.global_effects.get(&Symbol::intern("weights")).unwrap().host_read);
+        assert!(
+            t.global_effects
+                .get(&Symbol::intern("weights"))
+                .unwrap()
+                .host_read
+        );
     }
 
     #[test]

@@ -614,7 +614,12 @@ pub fn stage_summaries_cached(
                 None => {
                     cache_misses += 1;
                     let seed = seed_summary(func, acc, sym);
-                    cache.store(Symbol::intern(&parsed.name), func.name, key.clone(), seed.clone());
+                    cache.store(
+                        Symbol::intern(&parsed.name),
+                        func.name,
+                        key.clone(),
+                        seed.clone(),
+                    );
                     seed
                 }
             },

@@ -18,9 +18,9 @@
 use crate::access::{FunctionAccesses, SymbolTable};
 use ompdart_frontend::ast::{NodeId, Stmt, StmtKind, TranslationUnit};
 use ompdart_frontend::diag::{Diagnostic, Diagnostics};
-use ompdart_frontend::Symbol;
 use ompdart_frontend::omp::{Clause, DirectiveKind, MapType, OmpDirective};
 use ompdart_frontend::parser::parse_str;
+use ompdart_frontend::Symbol;
 use ompdart_graph::ProgramGraphs;
 use std::collections::HashMap;
 
@@ -313,11 +313,7 @@ impl Checker<'_> {
     }
 
     fn check_stmt_accesses(&mut self, stmt: &Stmt, _device: bool) {
-        let accesses: Vec<_> = self
-            .accesses
-            .for_stmt(stmt.id)
-            .cloned()
-            .collect();
+        let accesses: Vec<_> = self.accesses.for_stmt(stmt.id).cloned().collect();
         for access in accesses {
             if access.on_device {
                 continue; // handled by check_device_body

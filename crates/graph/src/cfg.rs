@@ -526,10 +526,7 @@ impl Builder {
                             CfgNodeKind::Statement
                         },
                         Some(stmt.id),
-                        std::borrow::Cow::Owned(format!(
-                            "omp {}",
-                            dir.kind.directive_text()
-                        )),
+                        std::borrow::Cow::Owned(format!("omp {}", dir.kind.directive_text())),
                     );
                     self.add_edge(pred, node, in_kind);
                     match &dir.body {

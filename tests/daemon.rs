@@ -525,7 +525,10 @@ fn warm_rounds_report_fast_path_hits_over_the_wire() {
         "the edit profile must record the warm round: {edit_profile:?}"
     );
     assert!(
-        edit_profile.get("total_us").and_then(Json::as_int).is_some(),
+        edit_profile
+            .get("total_us")
+            .and_then(Json::as_int)
+            .is_some(),
         "the edit profile must carry one-edit phase timings: {edit_profile:?}"
     );
     // Cumulative session counters also expose the fast path.

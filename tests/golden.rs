@@ -102,7 +102,11 @@ fn warm_rounds_and_thread_counts_keep_benchmarks_byte_identical() {
             cold.rewritten_source(),
             "{name}: warm rewrite moved"
         );
-        assert_eq!(warm.plans_json(), cold.plans_json(), "{name}: warm plan JSON moved");
+        assert_eq!(
+            warm.plans_json(),
+            cold.plans_json(),
+            "{name}: warm plan JSON moved"
+        );
     }
 
     let units: Vec<(String, String)> = benchmarks::lulesh_multifile()
