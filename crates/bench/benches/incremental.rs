@@ -48,9 +48,8 @@ fn bench(c: &mut Criterion) {
         let t = Instant::now();
         session.analyze(name, &edited).unwrap();
         let incr = t.elapsed();
-        let after = session.cache_stats();
-        let hits = after.function_plan_hits - before.function_plan_hits;
-        let misses = after.function_plan_misses - before.function_plan_misses;
+        let moved = session.cache_stats() - before;
+        let (hits, misses) = (moved.function_plan_hits, moved.function_plan_misses);
         total_hits += hits;
         total_misses += misses;
         eprintln!(

@@ -18,13 +18,13 @@
 //!
 //! Prints a greppable `link_scale:` summary line plus one
 //! `link_scale_sweep:` line per thread count, and writes the same numbers
-//! (with the warm round's [`ompdart_core::DriverProfile`]) to
+//! (with the cold, one-edit and warm rounds' [`ompdart_core::DriverProfile`]s) to
 //! `BENCH_link_scale.json` at the repo root, the perf trajectory the CI
 //! `link-scale` job snapshots.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ompdart_bench::alloc_counter;
-use ompdart_core::{AnalysisSession, OmpDartOptions, Program, ProgramDriver};
+use ompdart_core::{AnalysisSession, OmpDartOptions, Program, ProgramDriver, Stage};
 use ompdart_suite::corpus;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -101,13 +101,8 @@ fn bench(c: &mut Criterion) {
     // Per-phase cold breakdown: parse from the session's per-stage
     // accumulator (CPU time summed over units), the rest from the driver
     // profile (wall time of each phase).
-    let stage_delta = {
-        let mut now = session.timings();
-        let before = stage_before;
-        now.parse -= before.parse;
-        now
-    };
-    let cold_parse_ms = stage_delta.parse.as_secs_f64() * 1e3;
+    let cold_parse = session.timings().of(Stage::Parse) - stage_before.of(Stage::Parse);
+    let cold_parse_ms = cold_parse.as_secs_f64() * 1e3;
     let linked_fallbacks = cold.stats().unknown_callee_fallbacks;
     let cold_rewrite = cold.concatenated_rewrite();
 
@@ -134,8 +129,7 @@ fn bench(c: &mut Criterion) {
     let t = Instant::now();
     let (edit_round, edit_profile) = driver.analyze_program_profiled(&edited).unwrap();
     let edit_ms = t.elapsed().as_secs_f64() * 1e3;
-    let after = session.cache_stats();
-    let reseeded = after.relink_reseeded_functions - before.relink_reseeded_functions;
+    let reseeded = (session.cache_stats() - before).relink_reseeded_functions;
     let cone_bound = (edit_at + 1) as u64;
     let edit_rewrite = edit_round.concatenated_rewrite();
 
@@ -212,23 +206,6 @@ fn bench(c: &mut Criterion) {
     }
     let sweep_json = sweep_json.trim_end_matches(",\n").to_string();
 
-    let phase_json = |profile: &ompdart_core::DriverProfile, parse_ms: Option<f64>| {
-        let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
-        let parse = parse_ms
-            .map(|p| format!("\"parse_ms\": {p:.3}, "))
-            .unwrap_or_default();
-        format!(
-            "{{ {parse}\"summarize_ms\": {:.3}, \"link_ms\": {:.3}, \
-             \"plan_ms\": {:.3}, \"flush_ms\": {:.3}, \"total_ms\": {:.3}, \
-             \"fast_path_units\": {} }}",
-            ms(profile.summarize),
-            ms(profile.link),
-            ms(profile.plan),
-            ms(profile.flush),
-            ms(profile.total),
-            profile.fast_path_units
-        )
-    };
     let json = format!(
         "{{\n  \"bench\": \"link_scale\",\n  \"units\": {n},\n  \"threads\": {threads},\n  \
          \"pool_workers\": {},\n  \
@@ -239,6 +216,7 @@ fn bench(c: &mut Criterion) {
          \"warm_relink_ms\": {warm_ms:.3},\n    \"one_edit_ms\": {edit_ms:.3},\n    \
          \"allocs_per_unit_cold\": {allocs_per_unit_cold:.0},\n    \
          \"alloc_kb_per_unit_cold\": {alloc_kb_per_unit_cold:.1},\n    \
+         \"cold_parse_ms\": {cold_parse_ms:.3},\n    \
          \"cold_phases\": {},\n    \
          \"one_edit_phases\": {},\n    \
          \"relink_reseeded_functions\": {reseeded},\n    \
@@ -246,9 +224,9 @@ fn bench(c: &mut Criterion) {
          \"linked_fallbacks\": {linked_fallbacks}\n  }},\n  \
          \"warm_profile\": {},\n  \"sweep\": [\n{sweep_json}\n  ]\n}}\n",
         cold_profile.pool_workers,
-        phase_json(&cold_profile, Some(cold_parse_ms)),
-        phase_json(&edit_profile, None),
-        warm_profile.to_json().trim_end()
+        cold_profile.to_json(),
+        edit_profile.to_json(),
+        warm_profile.to_json()
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_link_scale.json");
     std::fs::write(path, json).expect("write BENCH_link_scale.json");

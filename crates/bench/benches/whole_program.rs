@@ -51,7 +51,7 @@ fn bench(c: &mut Criterion) {
     let t = Instant::now();
     driver.analyze_program(&edited).unwrap();
     let edit_ms = t.elapsed().as_secs_f64() * 1e3;
-    let after = session.cache_stats();
+    let edit = session.cache_stats() - before;
 
     // A *summary-changing* one-function edit in the driver unit: the whole
     // Accesses→Summaries→Link→Plans chain must stay function-granular —
@@ -69,7 +69,7 @@ fn bench(c: &mut Criterion) {
     let t = Instant::now();
     driver.analyze_program(&edited2).unwrap();
     let relink_edit_ms = t.elapsed().as_secs_f64() * 1e3;
-    let after2 = session.cache_stats();
+    let edit2 = session.cache_stats() - before2;
 
     let closed = AnalysisSession::new();
     let mut closed_fallbacks = 0usize;
@@ -87,10 +87,10 @@ fn bench(c: &mut Criterion) {
          relink_edit={relink_edit_ms:.3}ms \
          edit_replanned={} linked_fallbacks={linked_fallbacks} closed_world_fallbacks={closed_fallbacks} \
          relink_reseeded={} summary_misses={} access_misses={}",
-        after.function_plan_misses - before.function_plan_misses,
-        after2.relink_reseeded_functions - before2.relink_reseeded_functions,
-        after2.function_summary_misses - before2.function_summary_misses,
-        after2.function_access_misses - before2.function_access_misses,
+        edit.function_plan_misses,
+        edit2.relink_reseeded_functions,
+        edit2.function_summary_misses,
+        edit2.function_access_misses,
     );
     assert_eq!(
         linked_fallbacks, 0,
@@ -101,23 +101,19 @@ fn bench(c: &mut Criterion) {
         "the closed-world baseline must show what linking removes"
     );
     assert_eq!(
-        after.function_plan_misses - before.function_plan_misses,
-        1,
+        edit.function_plan_misses, 1,
         "an interface-preserving edit must re-plan exactly one function"
     );
     assert_eq!(
-        after2.relink_reseeded_functions - before2.relink_reseeded_functions,
-        1,
+        edit2.relink_reseeded_functions, 1,
         "a one-function edit must re-seed exactly its call-graph cone"
     );
     assert_eq!(
-        after2.function_summary_misses - before2.function_summary_misses,
-        1,
+        edit2.function_summary_misses, 1,
         "a one-function edit must re-summarize exactly one function"
     );
     assert_eq!(
-        after2.function_access_misses - before2.function_access_misses,
-        1,
+        edit2.function_access_misses, 1,
         "a one-function edit must re-collect accesses for exactly one function"
     );
 

@@ -65,6 +65,7 @@ pub mod relocate;
 pub mod rewrite;
 pub mod scc;
 pub mod shard;
+pub mod stats;
 pub mod store;
 pub mod verify;
 
@@ -76,20 +77,21 @@ pub use interproc::{
     PropagationNode,
 };
 pub use pipeline::{
-    AnalysisSession, CacheStats, FunctionAccessCache, FunctionKeySnapshot, FunctionPlanCache,
-    FunctionSummaryCache, Stage, StageError, StageTimings, SummarizedUnit, UnitAnalysis,
+    AnalysisSession, FunctionKeySnapshot, Stage, StageError, StageTimings, SummarizedUnit,
+    UnitAnalysis,
 };
 pub use plan::{
     diff_plans, explain_plan, explain_plans, extract_explicit_plans, plans_from_json,
-    plans_to_json, AnalysisStats, CollapseSpec, DiffEntry, EnterDataSpec, ExitDataSpec,
-    FirstPrivateSpec, MapSpec, MappingConstruct, MappingPlan, Placement, PlanDiff, PlanJsonError,
-    Provenance, ProvenanceFact, UpdateDirection, UpdateSpec, PLAN_FORMAT_VERSION,
+    plans_to_json, plans_to_json_value, AnalysisStats, CollapseSpec, DiffEntry, EnterDataSpec,
+    ExitDataSpec, FirstPrivateSpec, MapSpec, MappingConstruct, MappingPlan, Placement, PlanDiff,
+    PlanJsonError, Provenance, ProvenanceFact, UpdateDirection, UpdateSpec, PLAN_FORMAT_VERSION,
 };
 pub use program::{
     DriverProfile, ExportedInterface, ExternalRefs, LinkContext, LinkState, LinkedSummaries,
     Program, ProgramAnalysis, ProgramDriver, ProgramError, UnitServe, UNLINKED,
 };
 pub use rewrite::apply_plans;
+pub use stats::CacheStats;
 pub use store::{ArtifactStore, GcReport, StoredUnit, STORE_FORMAT_VERSION};
 pub use verify::{verify_source, verify_unit, StaleRead, VerifyReport};
 
@@ -389,9 +391,8 @@ impl Ompdart {
         &self,
         inputs: &[(String, String)],
     ) -> Result<ProgramAnalysis, ProgramError> {
-        ProgramDriver::with_session(Arc::clone(&self.session))
-            .with_threads(self.session.parallelism())
-            .analyze_program(inputs)
+        self.analyze_program_profiled(inputs)
+            .map(|(analysis, _)| analysis)
     }
 
     /// [`Ompdart::analyze_program`] plus a [`DriverProfile`]: per-phase

@@ -69,6 +69,7 @@ use crate::program::{LinkContext, LinkState, UnitServe};
 use crate::relocate::{relocate_diagnostics, relocate_function_accesses, relocate_plan};
 use crate::rewrite;
 use crate::shard::ShardMap;
+use crate::stats::{AtomicCacheStats, CacheStats, Counter};
 use crate::store::{ArtifactStore, PendingUnitSave, StoredFunctionPlan, StoredUnit};
 use crate::{function_with_existing_mappings, OmpDartError, OmpDartOptions};
 use ompdart_frontend::ast::{FunctionDef, TranslationUnit};
@@ -185,43 +186,26 @@ impl From<StageError> for OmpDartError {
     }
 }
 
-/// Wall-clock time spent in each pipeline stage.
+/// Wall-clock time spent in each pipeline stage, indexed by [`Stage`].
 #[derive(Clone, Copy, Debug, Default)]
-pub struct StageTimings {
-    pub parse: Duration,
-    pub graphs: Duration,
-    pub accesses: Duration,
-    pub summaries: Duration,
-    pub plan: Duration,
-    pub rewrite: Duration,
-}
+pub struct StageTimings([Duration; Stage::ALL.len()]);
 
 impl StageTimings {
     /// Time of one stage.
     pub fn of(&self, stage: Stage) -> Duration {
-        match stage {
-            Stage::Parse => self.parse,
-            Stage::Graphs => self.graphs,
-            Stage::Accesses => self.accesses,
-            Stage::Summaries => self.summaries,
-            Stage::Plan => self.plan,
-            Stage::Rewrite => self.rewrite,
-        }
+        self.0[stage as usize]
     }
 
     /// Total across all stages.
     pub fn total(&self) -> Duration {
-        Stage::ALL.iter().map(|s| self.of(*s)).sum()
+        self.0.iter().sum()
     }
 
     /// Accumulate another timing set into this one.
     pub fn merge(&mut self, other: &StageTimings) {
-        self.parse += other.parse;
-        self.graphs += other.graphs;
-        self.accesses += other.accesses;
-        self.summaries += other.summaries;
-        self.plan += other.plan;
-        self.rewrite += other.rewrite;
+        for (mine, theirs) in self.0.iter_mut().zip(other.0) {
+            *mine += theirs;
+        }
     }
 }
 
@@ -358,12 +342,9 @@ pub struct GraphsArtifact {
 pub struct AccessArtifact {
     pub accesses: HashMap<Symbol, FunctionAccesses>,
     pub symbols: HashMap<Symbol, SymbolTable>,
-    /// Functions whose access artifact was served (relocated) from the
-    /// function-granular access cache. Zero when no cache was consulted.
-    pub cache_hits: u64,
-    /// Functions whose accesses were re-collected while a cache was
-    /// consulted.
-    pub cache_misses: u64,
+    /// The function-access-cache rows this stage call moved. All zero when
+    /// no cache was consulted.
+    pub counted: CacheStats,
     pub elapsed: Duration,
 }
 
@@ -378,12 +359,9 @@ pub struct SummariesArtifact {
     /// across units — incrementally, because each seed is a function-
     /// granular artifact with its own cache key.
     pub seeds: HashMap<Symbol, FunctionSummary>,
-    /// Functions whose local summary was served from the function-granular
-    /// summary cache. Zero when no cache was consulted.
-    pub cache_hits: u64,
-    /// Functions whose local summary was recomputed while a cache was
-    /// consulted.
-    pub cache_misses: u64,
+    /// The function-summary-cache rows this stage call moved. All zero
+    /// when no cache was consulted.
+    pub counted: CacheStats,
     pub elapsed: Duration,
 }
 
@@ -394,19 +372,11 @@ pub struct PlansArtifact {
     pub stats: AnalysisStats,
     /// Diagnostics produced by the data-flow analysis.
     pub diagnostics: Diagnostics,
-    /// Functions whose plan was served (relocated) from the
-    /// function-granular plan cache. Zero when no cache was consulted.
-    pub plan_cache_hits: u64,
-    /// Functions that were actually (re-)planned while a cache was
-    /// consulted. Zero when no cache was consulted.
-    pub plan_cache_misses: u64,
-    /// Functions served from a *function-level* persistent store entry
-    /// (only `static` functions are eligible — the header-defined-and-
-    /// shared case). Zero when no store was consulted.
-    pub function_store_hits: u64,
-    /// Eligible functions whose function-level store lookup missed (each
-    /// one writes an entry back after planning).
-    pub function_store_misses: u64,
+    /// The function-plan-cache and function-store rows this stage call
+    /// moved (only `static` functions are eligible for the function-level
+    /// store — the header-defined-and-shared case). All zero when no cache
+    /// was consulted.
+    pub counted: CacheStats,
     /// Per-function plan-cache key snapshots (source order), populated when
     /// the function-granular cache was consulted. The persistent store
     /// saves these alongside the plans so a later process can re-seed its
@@ -464,7 +434,7 @@ pub fn stage_graphs(unit: &TranslationUnit) -> GraphsArtifact {
 
 /// Stage 3 — classify memory accesses and build symbol tables.
 pub fn stage_accesses(unit: &TranslationUnit, graphs: &GraphsArtifact) -> AccessArtifact {
-    stage_accesses_cached(None, unit, graphs, None)
+    stage_accesses_cached(unit, graphs, None)
 }
 
 /// [`stage_accesses`] with the function-granular access cache: functions
@@ -474,68 +444,42 @@ pub fn stage_accesses(unit: &TranslationUnit, graphs: &GraphsArtifact) -> Access
 /// rebuilt from the fresh parse (they are cheap, and their array-size
 /// expressions point at *global* declarations, which move by a different
 /// delta than the function).
-pub fn stage_accesses_cached(
-    parsed: Option<&ParsedUnit>,
+fn stage_accesses_cached(
     unit: &TranslationUnit,
     graphs: &GraphsArtifact,
-    cache: Option<(&FunctionAccessCache, u64)>,
+    cache: Option<(&ParsedUnit, &FunctionAccessCache)>,
 ) -> AccessArtifact {
     let start = Instant::now();
     let mut symbols = HashMap::new();
     let mut accesses = HashMap::new();
-    let mut cache_hits = 0u64;
-    let mut cache_misses = 0u64;
+    let mut counted = CacheStats::default();
     for func in unit.functions() {
         let sym = SymbolTable::build(unit, func);
-        let keyed = match (parsed, cache) {
-            (Some(parsed), Some((cache, env_hash))) => Some((
-                parsed,
-                cache,
-                FunctionStageKey {
-                    snippet: parsed.file.snippet(func.span).to_string(),
-                    env_hash,
-                },
-            )),
-            _ => None,
+        let collect = || CachedFunctionAccesses {
+            base_id: func.id.0,
+            base_pos: func.span.start,
+            accesses: graphs
+                .graphs
+                .function(&func.name)
+                .map(|g| FunctionAccesses::collect(func, &g.index, &sym)),
         };
-        let mut served = None;
-        if let Some((parsed, cache, key)) = &keyed {
-            if let Some(entry) = cache.lookup(&parsed.name, func.name, key) {
-                let did = i64::from(func.id.0) - i64::from(entry.base_id);
-                let dpos = i64::from(func.span.start) - i64::from(entry.base_pos);
-                served = Some(
-                    entry
-                        .accesses
-                        .as_ref()
-                        .map(|acc| relocate_function_accesses(acc, did, dpos)),
+        let entry = match cache {
+            Some((parsed, cache)) => {
+                let count = (
+                    &mut counted.function_access_hits,
+                    &mut counted.function_access_misses,
                 );
+                cache.get_or_insert_with(parsed, func, count, collect)
             }
-        }
-        let collected = match served {
-            Some(acc) => {
-                cache_hits += 1;
-                acc
-            }
-            None => {
-                let acc = graphs
-                    .graphs
-                    .function(&func.name)
-                    .map(|g| FunctionAccesses::collect(func, &g.index, &sym));
-                if let Some((parsed, cache, key)) = keyed {
-                    cache_misses += 1;
-                    cache.store(
-                        Symbol::intern(&parsed.name),
-                        func.name,
-                        key,
-                        CachedFunctionAccesses {
-                            base_id: func.id.0,
-                            base_pos: func.span.start,
-                            accesses: acc.clone(),
-                        },
-                    );
-                }
-                acc
-            }
+            None => collect(),
+        };
+        let did = i64::from(func.id.0) - i64::from(entry.base_id);
+        let dpos = i64::from(func.span.start) - i64::from(entry.base_pos);
+        let collected = match (did, dpos) {
+            (0, 0) => entry.accesses,
+            _ => entry
+                .accesses
+                .map(|acc| relocate_function_accesses(&acc, did, dpos)),
         };
         if let Some(acc) = collected {
             accesses.insert(func.name, acc);
@@ -545,8 +489,7 @@ pub fn stage_accesses_cached(
     AccessArtifact {
         accesses,
         symbols,
-        cache_hits,
-        cache_misses,
+        counted,
         elapsed: start.elapsed(),
     }
 }
@@ -557,7 +500,7 @@ pub fn stage_summaries(
     accesses: &AccessArtifact,
     options: &OmpDartOptions,
 ) -> SummariesArtifact {
-    stage_summaries_cached(None, unit, accesses, options, None)
+    stage_summaries_cached(unit, accesses, options, None)
 }
 
 /// [`stage_summaries`] with the function-granular summary cache: the
@@ -566,27 +509,24 @@ pub fn stage_summaries(
 /// edited function's seed only. The call-site fixed point then propagates
 /// over the (mostly cached) seeds — summaries carry no node ids or spans,
 /// so seed hits need no relocation.
-pub fn stage_summaries_cached(
-    parsed: Option<&ParsedUnit>,
+fn stage_summaries_cached(
     unit: &TranslationUnit,
     accesses: &AccessArtifact,
     options: &OmpDartOptions,
-    cache: Option<(&FunctionSummaryCache, u64)>,
+    cache: Option<(&ParsedUnit, &FunctionSummaryCache)>,
 ) -> SummariesArtifact {
     let start = Instant::now();
     if !options.interprocedural {
         return SummariesArtifact {
             summaries: Arc::default(),
             seeds: HashMap::new(),
-            cache_hits: 0,
-            cache_misses: 0,
+            counted: CacheStats::default(),
             elapsed: start.elapsed(),
         };
     }
     let mut seeds = HashMap::new();
     let mut nodes = Vec::new();
-    let mut cache_hits = 0u64;
-    let mut cache_misses = 0u64;
+    let mut counted = CacheStats::default();
     for func in unit.functions() {
         let Some(acc) = accesses.accesses.get(&func.name) else {
             continue;
@@ -594,35 +534,14 @@ pub fn stage_summaries_cached(
         let Some(sym) = accesses.symbols.get(&func.name) else {
             continue;
         };
-        let keyed = match (parsed, cache) {
-            (Some(parsed), Some((cache, env_hash))) => Some((
-                parsed,
-                cache,
-                FunctionStageKey {
-                    snippet: parsed.file.snippet(func.span).to_string(),
-                    env_hash,
-                },
-            )),
-            _ => None,
-        };
-        let seed = match &keyed {
-            Some((parsed, cache, key)) => match cache.lookup(&parsed.name, func.name, key) {
-                Some(seed) => {
-                    cache_hits += 1;
-                    seed
-                }
-                None => {
-                    cache_misses += 1;
-                    let seed = seed_summary(func, acc, sym);
-                    cache.store(
-                        Symbol::intern(&parsed.name),
-                        func.name,
-                        key.clone(),
-                        seed.clone(),
-                    );
-                    seed
-                }
-            },
+        let seed = match cache {
+            Some((parsed, cache)) => {
+                let count = (
+                    &mut counted.function_summary_hits,
+                    &mut counted.function_summary_misses,
+                );
+                cache.get_or_insert_with(parsed, func, count, || seed_summary(func, acc, sym))
+            }
             None => seed_summary(func, acc, sym),
         };
         seeds.insert(func.name, seed);
@@ -638,8 +557,7 @@ pub fn stage_summaries_cached(
     SummariesArtifact {
         summaries: Arc::new(summaries),
         seeds,
-        cache_hits,
-        cache_misses,
+        counted,
         elapsed: start.elapsed(),
     }
 }
@@ -680,7 +598,6 @@ pub(crate) struct FunctionPlanKey {
 /// every hit.
 #[derive(Clone, Debug)]
 struct CachedFunctionPlan {
-    key: FunctionPlanKey,
     /// `func.id` at cache time (node-id relocation base).
     base_id: u32,
     /// `func.span.start` at cache time (byte-offset relocation base).
@@ -695,7 +612,7 @@ struct CachedFunctionPlan {
 }
 
 /// The persisted form of one function's plan-cache key: everything needed
-/// to re-seed the in-memory [`FunctionPlanCache`] from a store hit, so the
+/// to re-seed the in-memory function-plan cache from a store hit, so the
 /// first edit after a warm start is already incremental. The snippet itself
 /// is not stored — a store hit verified the full source, so the snippet is
 /// recovered from `[base_pos, base_pos + snippet_len)` of that source.
@@ -714,131 +631,101 @@ pub struct FunctionKeySnapshot {
     pub fallbacks: u64,
 }
 
-/// Session-lifetime cache of per-function planning results.
-///
-/// Entries are indexed by `(unit name, function name)` and verified against
-/// the full function-plan key on every hit. Because node ids are assigned
-/// by one sequential counter and spans are plain byte offsets, a function
-/// whose own tokens are unchanged keeps the same ids and offsets *relative
-/// to its definition* even when surrounding code moves it — a hit therefore
-/// relocates the cached plan by the id/offset delta instead of re-running
-/// the data-flow analysis.
-#[derive(Debug, Default)]
-pub struct FunctionPlanCache {
-    entries: ShardMap<(Symbol, Symbol), CachedFunctionPlan>,
-}
-
-impl FunctionPlanCache {
-    /// An empty cache.
-    pub fn new() -> FunctionPlanCache {
-        FunctionPlanCache::default()
-    }
-
-    /// Number of cached function entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    fn lookup(
-        &self,
-        unit: &str,
-        func: Symbol,
-        key: &FunctionPlanKey,
-    ) -> Option<CachedFunctionPlan> {
-        // Non-inserting name resolution: a unit never stored never interned.
-        let unit = Symbol::lookup(unit)?;
-        self.entries.read(&(unit, func), |entry| {
-            entry.and_then(|e| (e.key == *key).then(|| e.clone()))
-        })
-    }
-
-    fn store(&self, unit: Symbol, func: Symbol, entry: CachedFunctionPlan) {
-        self.entries.insert((unit, func), entry);
-    }
-}
-
 /// The inputs that determine a function's *pre-planning* stage artifacts
 /// (classified accesses, local summary seed): the exact source text of the
 /// function and the hash of everything outside function bodies. Options do
 /// not participate — access classification and direct-effect seeding are
 /// option-independent.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct FunctionStageKey {
+struct FunctionStageKey {
     snippet: String,
     env_hash: u64,
 }
 
-/// A session-lifetime per-function stage cache: entries are indexed by
-/// `(unit name, function name)` and verified against the full stage key
-/// (function snippet + environment hash) on every hit — the snippet is
-/// compared byte for byte, never trusted to a hash. One generic cache backs both the access
-/// stage ([`FunctionAccessCache`], whose hits are *relocated* — see
-/// [`crate::relocate`]) and the summary stage ([`FunctionSummaryCache`],
-/// whose values carry no coordinates and need none).
+/// A session-lifetime per-function cache: entries are indexed by `(unit
+/// name, function name)` and verified against the full key `K` on every
+/// hit — the function snippet inside it is compared byte for byte, never
+/// trusted to a hash. One generic cache backs the access stage
+/// ([`FunctionAccessCache`]), the summary stage ([`FunctionSummaryCache`])
+/// and the planning stage ([`FunctionPlanCache`]).
+///
+/// Because node ids are assigned by one sequential counter and spans are
+/// plain byte offsets, a function whose own tokens are unchanged keeps the
+/// same ids and offsets *relative to its definition* even when surrounding
+/// code moves it — a hit on a coordinate-carrying value (accesses, plans)
+/// therefore *relocates* it by the id/offset delta instead of re-running
+/// the stage (see [`crate::relocate`]); summaries carry no coordinates and
+/// need none.
 #[derive(Debug)]
-pub struct FunctionStageCache<T> {
-    entries: ShardMap<(Symbol, Symbol), (FunctionStageKey, T)>,
+struct FunctionCache<K, V> {
+    entries: ShardMap<(Symbol, Symbol), (K, V)>,
 }
 
-impl<T> Default for FunctionStageCache<T> {
-    fn default() -> Self {
-        FunctionStageCache {
+impl<K: PartialEq, V: Clone> FunctionCache<K, V> {
+    fn new() -> FunctionCache<K, V> {
+        FunctionCache {
             entries: ShardMap::new(),
         }
     }
-}
 
-impl<T: Clone> FunctionStageCache<T> {
-    /// An empty cache.
-    pub fn new() -> FunctionStageCache<T> {
-        FunctionStageCache::default()
-    }
-
-    /// Number of cached function entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    fn lookup(&self, unit: &str, func: Symbol, key: &FunctionStageKey) -> Option<T> {
+    fn lookup(&self, unit: &str, func: Symbol, key: &K) -> Option<V> {
+        // Non-inserting name resolution: a unit never stored never interned.
         let unit = Symbol::lookup(unit)?;
         self.entries.read(&(unit, func), |entry| {
             entry.and_then(|(stored_key, value)| (stored_key == key).then(|| value.clone()))
         })
     }
 
-    fn store(&self, unit: Symbol, func: Symbol, key: FunctionStageKey, value: T) {
+    fn store(&self, unit: Symbol, func: Symbol, key: K, value: V) {
         self.entries.insert((unit, func), (key, value));
     }
 }
 
+impl<V: Clone> FunctionCache<FunctionStageKey, V> {
+    /// The cached stage value of `func` in `parsed` (counted as a hit), or
+    /// `compute`'s (counted as a miss, and stored).
+    fn get_or_insert_with(
+        &self,
+        parsed: &ParsedUnit,
+        func: &FunctionDef,
+        (hits, misses): (&mut u64, &mut u64),
+        compute: impl FnOnce() -> V,
+    ) -> V {
+        let key = FunctionStageKey {
+            snippet: parsed.file.snippet(func.span).to_string(),
+            env_hash: parsed.environment_hash(),
+        };
+        if let Some(hit) = self.lookup(&parsed.name, func.name, &key) {
+            *hits += 1;
+            return hit;
+        }
+        *misses += 1;
+        let value = compute();
+        self.store(Symbol::intern(&parsed.name), func.name, key, value.clone());
+        value
+    }
+}
+
+/// Session-lifetime cache of per-function planning results.
+type FunctionPlanCache = FunctionCache<FunctionPlanKey, CachedFunctionPlan>;
+
 /// A cached per-function access artifact, stored in the coordinates of the
 /// parse that produced it and relocated on every hit. `accesses` is `None`
-/// for functions the graph stage produced no CFG for. Opaque outside the
-/// pipeline — it only exists as the value type of [`FunctionAccessCache`].
+/// for functions the graph stage produced no CFG for.
 #[derive(Clone, Debug)]
-pub struct CachedFunctionAccesses {
+struct CachedFunctionAccesses {
     base_id: u32,
     base_pos: u32,
     accesses: Option<FunctionAccesses>,
 }
 
 /// Session-lifetime cache of per-function classified accesses.
-pub type FunctionAccessCache = FunctionStageCache<CachedFunctionAccesses>;
+type FunctionAccessCache = FunctionCache<FunctionStageKey, CachedFunctionAccesses>;
 
 /// Session-lifetime cache of per-function local (direct-effect) summary
 /// seeds. Summaries carry only variable names and effect bits — no node
 /// ids, no spans — so hits need no relocation.
-pub type FunctionSummaryCache = FunctionStageCache<FunctionSummary>;
+type FunctionSummaryCache = FunctionCache<FunctionStageKey, FunctionSummary>;
 
 /// Hash of the translation-unit environment: every byte of the source that
 /// lies outside a function definition. See [`FunctionPlanKey::env_hash`].
@@ -1118,8 +1005,8 @@ fn run_plan_stage(
                     cache.store(
                         Symbol::intern(&parsed.name),
                         func.name,
+                        key.clone(),
                         CachedFunctionPlan {
-                            key: (*key).clone(),
                             base_id: func.id.0,
                             base_pos: func.span.start,
                             analyzed: entry.analyzed,
@@ -1190,8 +1077,8 @@ fn run_plan_stage(
             cache.store(
                 Symbol::intern(&parsed.name),
                 func.name,
+                key,
                 CachedFunctionPlan {
-                    key,
                     base_id: func.id.0,
                     base_pos: func.span.start,
                     analyzed,
@@ -1218,22 +1105,17 @@ fn run_plan_stage(
     let mut plans = Vec::new();
     let mut stats = AnalysisStats::default();
     let mut diagnostics = Diagnostics::new();
-    let mut plan_cache_hits = 0u64;
-    let mut plan_cache_misses = 0u64;
-    let mut function_store_hits = 0u64;
-    let mut function_store_misses = 0u64;
+    let mut counted = CacheStats::default();
     let mut function_keys = Vec::new();
     for slot in slots {
         let (analyzed, plan, diags, serve, fallbacks, snap) = slot;
         if shared.is_some() {
             match serve {
-                PlanServe::Memory => plan_cache_hits += 1,
-                PlanServe::Store => function_store_hits += 1,
+                PlanServe::Memory => counted.function_plan_hits += 1,
+                PlanServe::Store => counted.function_store_hits += 1,
                 PlanServe::Planned { store_consulted } => {
-                    plan_cache_misses += 1;
-                    if store_consulted {
-                        function_store_misses += 1;
-                    }
+                    counted.function_plan_misses += 1;
+                    counted.function_store_misses += u64::from(store_consulted);
                 }
             }
         }
@@ -1259,10 +1141,7 @@ fn run_plan_stage(
         plans,
         stats,
         diagnostics,
-        plan_cache_hits,
-        plan_cache_misses,
-        function_store_hits,
-        function_store_misses,
+        counted,
         function_keys,
         elapsed: start.elapsed(),
     }
@@ -1335,14 +1214,15 @@ pub struct UnitAnalysis {
 impl UnitAnalysis {
     /// Per-stage timings of this analysis.
     pub fn timings(&self) -> StageTimings {
-        StageTimings {
-            parse: self.parsed.elapsed,
-            graphs: self.graphs.elapsed,
-            accesses: self.accesses.elapsed,
-            summaries: self.summaries.elapsed,
-            plan: self.plans.elapsed,
-            rewrite: self.rewrite.elapsed,
-        }
+        // In `Stage` order.
+        StageTimings([
+            self.parsed.elapsed,
+            self.graphs.elapsed,
+            self.accesses.elapsed,
+            self.summaries.elapsed,
+            self.plans.elapsed,
+            self.rewrite.elapsed,
+        ])
     }
 
     /// Human-readable justification of every mapping decision: one line per
@@ -1361,126 +1241,68 @@ impl UnitAnalysis {
 // AnalysisSession: cached, reusable pipeline driver
 // ---------------------------------------------------------------------------
 
-/// Cache hit/miss counters of an [`AnalysisSession`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// `parse` calls served from the parse cache.
-    pub parse_hits: u64,
-    /// `parse` calls that ran the frontend.
-    pub parse_misses: u64,
-    /// Unit analyses ([`AnalysisSession::analyze_linked`], and therefore
-    /// every `analyze` call and every non-fast-path unit of a program
-    /// round) served entirely from the unit-analysis cache.
-    pub analysis_hits: u64,
-    /// Unit analyses that ran planning (or hit the store).
-    pub analysis_misses: u64,
-    /// Functions whose plan was served (relocated) from the
-    /// function-granular plan cache instead of re-running the data-flow
-    /// analysis.
-    pub function_plan_hits: u64,
-    /// Functions that were actually planned.
-    pub function_plan_misses: u64,
-    /// Functions whose classified accesses were served (relocated) from
-    /// the function-granular access cache.
-    pub function_access_hits: u64,
-    /// Functions whose accesses were re-collected.
-    pub function_access_misses: u64,
-    /// Functions whose local (direct-effect) summary seed was served from
-    /// the function-granular summary cache.
-    pub function_summary_hits: u64,
-    /// Functions whose local summary seed was recomputed.
-    pub function_summary_misses: u64,
-    /// Functions the incremental link fixed point re-derived from their
-    /// seeds (the reverse call-graph cone of the edited functions). Cold
-    /// links — where no previous converged state exists — add nothing
-    /// here; an unchanged relink adds zero.
-    pub relink_reseeded_functions: u64,
-    /// Unit analyses whose plans were served from the persistent
-    /// artifact store (when a `cache_dir` is configured).
-    pub store_hits: u64,
-    /// Unit analyses that ran the planner while a store was configured
-    /// (each one is written back to the store afterwards).
-    pub store_misses: u64,
-    /// Functions whose plan was served from a *function-level* persistent
-    /// store entry (shared `static` header functions warm across units and
-    /// across processes; see [`crate::store::ArtifactStore`]).
-    pub function_store_hits: u64,
-    /// Function-store lookups that missed (each true planning run of an
-    /// eligible function writes one entry back).
-    pub function_store_misses: u64,
-    /// `summarize` calls served from the cache.
-    pub summarize_hits: u64,
-    /// `summarize` calls that ran the parse→summaries stages.
-    pub summarize_misses: u64,
-    /// Units served by the identity fast path: their summarized artifact
-    /// (same `Arc`) and imports fingerprint matched the previous
-    /// whole-program round, so the prior linked analysis was returned
-    /// without content hashing, cache probing, relocation or re-planning.
-    pub fast_path_hits: u64,
+/// A content-keyed artifact cache. The key (a content hash, possibly
+/// paired with more) only *indexes* a bucket; a hit requires the stored
+/// `(name, source)` to match byte for byte, so colliding keys chain instead
+/// of aliasing.
+#[derive(Debug)]
+struct ContentCache<K, V> {
+    buckets: ShardMap<K, Vec<Arc<V>>>,
+    /// The parse an artifact was built from, and with it the `(name,
+    /// source)` every hit is verified against.
+    parsed: fn(&V) -> &ParsedUnit,
 }
 
-#[derive(Debug, Default)]
-struct CacheCounters {
-    parse_hits: AtomicU64,
-    parse_misses: AtomicU64,
-    analysis_hits: AtomicU64,
-    analysis_misses: AtomicU64,
-    function_plan_hits: AtomicU64,
-    function_plan_misses: AtomicU64,
-    function_access_hits: AtomicU64,
-    function_access_misses: AtomicU64,
-    function_summary_hits: AtomicU64,
-    function_summary_misses: AtomicU64,
-    relink_reseeded_functions: AtomicU64,
-    store_hits: AtomicU64,
-    store_misses: AtomicU64,
-    function_store_hits: AtomicU64,
-    function_store_misses: AtomicU64,
-    summarize_hits: AtomicU64,
-    summarize_misses: AtomicU64,
-    fast_path_hits: AtomicU64,
-}
-
-/// Unit analyses keyed by `(content hash, imports fingerprint)`.
-type AnalysisCacheMap = ShardMap<(u64, u64), Vec<Arc<UnitAnalysis>>>;
-
-/// Cumulative per-stage wall time as relaxed atomics, so concurrent stage
-/// calls accumulate without a shared lock (the old `Mutex<StageTimings>`
-/// serialized every stage completion across all workers).
-#[derive(Debug, Default)]
-struct AtomicStageTimings {
-    parse: AtomicU64,
-    graphs: AtomicU64,
-    accesses: AtomicU64,
-    summaries: AtomicU64,
-    plan: AtomicU64,
-    rewrite: AtomicU64,
-}
-
-impl AtomicStageTimings {
-    fn add(&self, stage: Stage, elapsed: Duration) {
-        let ns = elapsed.as_nanos() as u64;
-        let counter = match stage {
-            Stage::Parse => &self.parse,
-            Stage::Graphs => &self.graphs,
-            Stage::Accesses => &self.accesses,
-            Stage::Summaries => &self.summaries,
-            Stage::Plan => &self.plan,
-            Stage::Rewrite => &self.rewrite,
-        };
-        counter.fetch_add(ns, Ordering::Relaxed);
+impl<K: std::hash::Hash + Eq, V> ContentCache<K, V> {
+    fn new(parsed: fn(&V) -> &ParsedUnit) -> Self {
+        ContentCache {
+            buckets: ShardMap::new(),
+            parsed,
+        }
     }
 
-    fn snapshot(&self) -> StageTimings {
-        let ns = |c: &AtomicU64| Duration::from_nanos(c.load(Ordering::Relaxed));
-        StageTimings {
-            parse: ns(&self.parse),
-            graphs: ns(&self.graphs),
-            accesses: ns(&self.accesses),
-            summaries: ns(&self.summaries),
-            plan: ns(&self.plan),
-            rewrite: ns(&self.rewrite),
+    /// The artifact of `(name, source)` filed under `key`; on a miss,
+    /// `compute`'s — unless a concurrent call raced it to the same content,
+    /// in which case the first writer wins and every caller observes that
+    /// one `Arc` (the duplicated work is benign). The lookup counts into the
+    /// `hits` or `misses` row of `counters`.
+    fn get_or_try_insert_with<E>(
+        &self,
+        key: K,
+        (name, source): (&str, &str),
+        (counters, hits, misses): (&AtomicCacheStats, Counter, Counter),
+        compute: impl FnOnce() -> Result<Arc<V>, E>,
+    ) -> Result<Arc<V>, E> {
+        let find = |bucket: &[Arc<V>]| {
+            let same = |v: &&Arc<V>| {
+                let parsed = (self.parsed)(v);
+                parsed.name == name && parsed.file.text() == source
+            };
+            bucket.iter().find(same).cloned()
+        };
+        if let Some(hit) = self.buckets.read(&key, |b| b.and_then(|b| find(b))) {
+            counters.add(hits, 1);
+            return Ok(hit);
         }
+        counters.add(misses, 1);
+        let computed = compute()?;
+        Ok(self.buckets.update(key, |bucket| {
+            find(bucket).unwrap_or_else(|| {
+                bucket.push(Arc::clone(&computed));
+                computed
+            })
+        }))
+    }
+
+    /// Drop the artifacts of `name` whose content differs from `source`.
+    fn retain_name(&self, name: &str, source: &str) {
+        self.buckets.retain(|_, bucket| {
+            bucket.retain(|v| {
+                let parsed = (self.parsed)(v);
+                parsed.name != name || parsed.file.text() == source
+            });
+            !bucket.is_empty()
+        });
     }
 }
 
@@ -1492,11 +1314,10 @@ impl AtomicStageTimings {
 /// pair, so a hash collision can never return another file's artifacts. On
 /// top of that sit two incremental layers:
 ///
-/// * a [`FunctionPlanCache`]: when an edited source is re-analyzed, only
+/// * a function-plan cache: when an edited source is re-analyzed, only
 ///   functions whose key (own text, environment, callee summaries) changed
 ///   are re-planned; unchanged functions re-use their plan, relocated to
-///   the new node ids and byte offsets
-///   ([`CacheStats::function_plan_hits`] proves it);
+///   the new node ids and byte offsets ([`Self::cache_stats`] proves it);
 /// * an optional persistent [`ArtifactStore`]
 ///   ([`AnalysisSession::with_cache_dir`]): plans are loaded from disk on a
 ///   content match and written back after every miss, so a fresh process
@@ -1510,15 +1331,15 @@ impl AtomicStageTimings {
 pub struct AnalysisSession {
     options: OmpDartOptions,
     parallelism: usize,
-    parse_cache: ShardMap<u64, Vec<Arc<ParsedUnit>>>,
+    parse_cache: ContentCache<u64, ParsedUnit>,
     /// Summarize-phase artifacts, keyed like the parse cache by content
-    /// hash with full `(name, source)` verification.
-    summarize_cache: ShardMap<u64, Vec<Arc<SummarizedUnit>>>,
+    /// hash.
+    summarize_cache: ContentCache<u64, SummarizedUnit>,
     /// The one unit-analysis cache, keyed by `(content hash, imports
     /// fingerprint)`: the same unit content planned under different link
     /// surroundings (stand-alone is [`crate::UNLINKED`]) yields different
     /// plans and must not alias.
-    analysis_cache: AnalysisCacheMap,
+    analysis_cache: ContentCache<(u64, u64), UnitAnalysis>,
     function_plans: FunctionPlanCache,
     function_accesses: FunctionAccessCache,
     function_summaries: FunctionSummaryCache,
@@ -1539,8 +1360,11 @@ pub struct AnalysisSession {
     /// fingerprint match its entry is served the prior linked analysis
     /// with no hashing, relocation or re-planning.
     last_round: Mutex<Option<Arc<crate::program::ProgramRound>>>,
-    counters: CacheCounters,
-    cumulative: AtomicStageTimings,
+    counters: AtomicCacheStats,
+    /// Cumulative per-stage wall time in nanoseconds, indexed by [`Stage`]:
+    /// relaxed atomics, so concurrent stage calls accumulate without a
+    /// shared lock.
+    cumulative: [AtomicU64; Stage::ALL.len()],
 }
 
 impl Default for AnalysisSession {
@@ -1569,9 +1393,9 @@ impl AnalysisSession {
         AnalysisSession {
             options,
             parallelism: default_parallelism(),
-            parse_cache: ShardMap::new(),
-            summarize_cache: ShardMap::new(),
-            analysis_cache: ShardMap::new(),
+            parse_cache: ContentCache::new(|p| p),
+            summarize_cache: ContentCache::new(|s| &s.parsed),
+            analysis_cache: ContentCache::new(|a| &a.parsed),
             function_plans: FunctionPlanCache::new(),
             function_accesses: FunctionAccessCache::new(),
             function_summaries: FunctionSummaryCache::new(),
@@ -1579,8 +1403,8 @@ impl AnalysisSession {
             store: None,
             pending_saves: Mutex::new(Vec::new()),
             last_round: Mutex::new(None),
-            counters: CacheCounters::default(),
-            cumulative: AtomicStageTimings::default(),
+            counters: AtomicCacheStats::default(),
+            cumulative: Default::default(),
         }
     }
 
@@ -1610,21 +1434,6 @@ impl AnalysisSession {
     /// The attached persistent artifact store, if any.
     pub fn artifact_store(&self) -> Option<&ArtifactStore> {
         self.store.as_ref()
-    }
-
-    /// The session's function-granular plan cache.
-    pub fn function_plan_cache(&self) -> &FunctionPlanCache {
-        &self.function_plans
-    }
-
-    /// The session's function-granular access cache.
-    pub fn function_access_cache(&self) -> &FunctionAccessCache {
-        &self.function_accesses
-    }
-
-    /// The session's function-granular summary cache.
-    pub fn function_summary_cache(&self) -> &FunctionSummaryCache {
-        &self.function_summaries
     }
 
     /// Flush the write-behind buffer of store write-backs in one batch.
@@ -1669,8 +1478,7 @@ impl AnalysisSession {
     pub(crate) fn note_link(&self, state: Arc<LinkState>, reseeded: u64) {
         *self.link_state.lock().unwrap() = Some(state);
         self.counters
-            .relink_reseeded_functions
-            .fetch_add(reseeded, Ordering::Relaxed);
+            .add(Counter::relink_reseeded_functions, reseeded);
     }
 
     /// The previous whole-program round's artifacts (identity fast path).
@@ -1686,9 +1494,7 @@ impl AnalysisSession {
 
     /// Count units served by the identity fast path.
     pub(crate) fn count_fast_path(&self, units: u64) {
-        self.counters
-            .fast_path_hits
-            .fetch_add(units, Ordering::Relaxed);
+        self.counters.add(Counter::fast_path_hits, units);
     }
 
     /// Drop cached parse/unit artifacts of `name` whose content differs
@@ -1699,18 +1505,9 @@ impl AnalysisSession {
     /// for the session's lifetime. (The function-plan cache already keeps
     /// one entry per function and needs no eviction.)
     pub fn evict_stale_versions(&self, name: &str, source: &str) {
-        self.parse_cache.retain(|_, bucket| {
-            bucket.retain(|p| p.name != name || p.file.text() == source);
-            !bucket.is_empty()
-        });
-        self.summarize_cache.retain(|_, bucket| {
-            bucket.retain(|s| s.parsed.name != name || s.parsed.file.text() == source);
-            !bucket.is_empty()
-        });
-        self.analysis_cache.retain(|_, bucket| {
-            bucket.retain(|a| a.parsed.name != name || a.parsed.file.text() == source);
-            !bucket.is_empty()
-        });
+        self.parse_cache.retain_name(name, source);
+        self.summarize_cache.retain_name(name, source);
+        self.analysis_cache.retain_name(name, source);
     }
 
     /// The active options.
@@ -1725,122 +1522,71 @@ impl AnalysisSession {
 
     /// Cache hit/miss counters so far.
     pub fn cache_stats(&self) -> CacheStats {
-        CacheStats {
-            parse_hits: self.counters.parse_hits.load(Ordering::Relaxed),
-            parse_misses: self.counters.parse_misses.load(Ordering::Relaxed),
-            analysis_hits: self.counters.analysis_hits.load(Ordering::Relaxed),
-            analysis_misses: self.counters.analysis_misses.load(Ordering::Relaxed),
-            function_plan_hits: self.counters.function_plan_hits.load(Ordering::Relaxed),
-            function_plan_misses: self.counters.function_plan_misses.load(Ordering::Relaxed),
-            function_access_hits: self.counters.function_access_hits.load(Ordering::Relaxed),
-            function_access_misses: self.counters.function_access_misses.load(Ordering::Relaxed),
-            function_summary_hits: self.counters.function_summary_hits.load(Ordering::Relaxed),
-            function_summary_misses: self
-                .counters
-                .function_summary_misses
-                .load(Ordering::Relaxed),
-            relink_reseeded_functions: self
-                .counters
-                .relink_reseeded_functions
-                .load(Ordering::Relaxed),
-            store_hits: self.counters.store_hits.load(Ordering::Relaxed),
-            store_misses: self.counters.store_misses.load(Ordering::Relaxed),
-            function_store_hits: self.counters.function_store_hits.load(Ordering::Relaxed),
-            function_store_misses: self.counters.function_store_misses.load(Ordering::Relaxed),
-            summarize_hits: self.counters.summarize_hits.load(Ordering::Relaxed),
-            summarize_misses: self.counters.summarize_misses.load(Ordering::Relaxed),
-            fast_path_hits: self.counters.fast_path_hits.load(Ordering::Relaxed),
-        }
+        self.counters.snapshot()
     }
 
     /// Cumulative per-stage wall-clock time spent by this session (cache
     /// hits add nothing — that is the point).
     pub fn timings(&self) -> StageTimings {
-        self.cumulative.snapshot()
+        let ns = |i: usize| self.cumulative[i].load(Ordering::Relaxed);
+        StageTimings(std::array::from_fn(|i| Duration::from_nanos(ns(i))))
+    }
+
+    fn add_time(&self, stage: Stage, elapsed: Duration) {
+        self.cumulative[stage as usize].fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// Stage 1, cached: parse source text. The content hash only indexes
     /// the cache; a hit requires the stored `(name, source)` to match byte
-    /// for byte, so colliding keys chain instead of aliasing.
+    /// for byte, so colliding keys chain instead of aliasing, and identical
+    /// content always yields one `Arc`.
     pub fn parse(&self, name: &str, source: &str) -> Result<Arc<ParsedUnit>, StageError> {
         let key = content_hash(name, source);
-        let find = |bucket: &[Arc<ParsedUnit>]| {
-            bucket
-                .iter()
-                .find(|p| p.name == name && p.file.text() == source)
-                .cloned()
-        };
-        if let Some(hit) = self.parse_cache.read(&key, |b| b.and_then(|b| find(b))) {
-            self.counters.parse_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit);
-        }
-        self.counters.parse_misses.fetch_add(1, Ordering::Relaxed);
-        let parsed = Arc::new(stage_parse(name, source)?);
-        self.cumulative.add(Stage::Parse, parsed.elapsed);
-        // First writer wins: if a concurrent call raced us to the same key,
-        // return its artifact so identical content always yields one Arc.
-        Ok(self.parse_cache.update(key, |bucket| {
-            if let Some(winner) = find(bucket) {
-                return winner;
-            }
-            bucket.push(Arc::clone(&parsed));
-            Arc::clone(&parsed)
-        }))
+        let count = (&self.counters, Counter::parse_hits, Counter::parse_misses);
+        self.parse_cache
+            .get_or_try_insert_with(key, (name, source), count, || {
+                let parsed = Arc::new(stage_parse(name, source)?);
+                self.add_time(Stage::Parse, parsed.elapsed);
+                Ok(parsed)
+            })
     }
 
     /// Stage 2: build the hybrid AST-CFG.
     pub fn graphs(&self, parsed: &ParsedUnit) -> Arc<GraphsArtifact> {
         let artifact = Arc::new(stage_graphs(&parsed.unit));
-        self.cumulative.add(Stage::Graphs, artifact.elapsed);
+        self.add_time(Stage::Graphs, artifact.elapsed);
         artifact
     }
 
     /// Stage 3: classify memory accesses, with the function-granular access
     /// cache — functions whose own text and environment are unchanged since
     /// a previous call of this session are served by relocation instead of
-    /// a body walk ([`CacheStats::function_access_hits`] proves it).
+    /// a body walk ([`Self::cache_stats`] proves it).
     pub fn accesses(&self, parsed: &ParsedUnit, graphs: &GraphsArtifact) -> Arc<AccessArtifact> {
-        let env_hash = parsed.environment_hash();
-        let artifact = Arc::new(stage_accesses_cached(
-            Some(parsed),
-            &parsed.unit,
-            graphs,
-            Some((&self.function_accesses, env_hash)),
-        ));
-        self.counters
-            .function_access_hits
-            .fetch_add(artifact.cache_hits, Ordering::Relaxed);
-        self.counters
-            .function_access_misses
-            .fetch_add(artifact.cache_misses, Ordering::Relaxed);
-        self.cumulative.add(Stage::Accesses, artifact.elapsed);
+        let cache = Some((parsed, &self.function_accesses));
+        let artifact = Arc::new(stage_accesses_cached(&parsed.unit, graphs, cache));
+        self.counters.add_all(artifact.counted);
+        self.add_time(Stage::Accesses, artifact.elapsed);
         artifact
     }
 
     /// Stage 4: interprocedural summaries, with the function-granular
     /// summary cache — unchanged functions re-use their cached local seed
-    /// and only the call-site fixed point re-runs
-    /// ([`CacheStats::function_summary_hits`] proves it).
+    /// and only the call-site fixed point re-runs ([`Self::cache_stats`]
+    /// proves it).
     pub fn summaries(
         &self,
         parsed: &ParsedUnit,
         accesses: &AccessArtifact,
     ) -> Arc<SummariesArtifact> {
-        let env_hash = parsed.environment_hash();
         let artifact = Arc::new(stage_summaries_cached(
-            Some(parsed),
             &parsed.unit,
             accesses,
             &self.options,
-            Some((&self.function_summaries, env_hash)),
+            Some((parsed, &self.function_summaries)),
         ));
-        self.counters
-            .function_summary_hits
-            .fetch_add(artifact.cache_hits, Ordering::Relaxed);
-        self.counters
-            .function_summary_misses
-            .fetch_add(artifact.cache_misses, Ordering::Relaxed);
-        self.cumulative.add(Stage::Summaries, artifact.elapsed);
+        self.counters.add_all(artifact.counted);
+        self.add_time(Stage::Summaries, artifact.elapsed);
         artifact
     }
 
@@ -1881,19 +1627,8 @@ impl AnalysisSession {
             self.store.as_ref(),
             link,
         ));
-        self.counters
-            .function_plan_hits
-            .fetch_add(artifact.plan_cache_hits, Ordering::Relaxed);
-        self.counters
-            .function_plan_misses
-            .fetch_add(artifact.plan_cache_misses, Ordering::Relaxed);
-        self.counters
-            .function_store_hits
-            .fetch_add(artifact.function_store_hits, Ordering::Relaxed);
-        self.counters
-            .function_store_misses
-            .fetch_add(artifact.function_store_misses, Ordering::Relaxed);
-        self.cumulative.add(Stage::Plan, artifact.elapsed);
+        self.counters.add_all(artifact.counted);
+        self.add_time(Stage::Plan, artifact.elapsed);
         artifact
     }
 
@@ -1905,7 +1640,7 @@ impl AnalysisSession {
         plans: &PlansArtifact,
     ) -> Arc<RewriteOutput> {
         let artifact = Arc::new(stage_rewrite(parsed, graphs, plans));
-        self.cumulative.add(Stage::Rewrite, artifact.elapsed);
+        self.add_time(Stage::Rewrite, artifact.elapsed);
         artifact
     }
 
@@ -1970,14 +1705,14 @@ impl AnalysisSession {
             self.function_plans.store(
                 Symbol::intern(name),
                 key.function,
+                FunctionPlanKey {
+                    snippet: source[start..end].to_string(),
+                    env_hash: key.env_hash,
+                    callees_hash: key.callees_hash,
+                    refs_hash: key.refs_hash,
+                    options_hash: key.options_hash,
+                },
                 CachedFunctionPlan {
-                    key: FunctionPlanKey {
-                        snippet: source[start..end].to_string(),
-                        env_hash: key.env_hash,
-                        callees_hash: key.callees_hash,
-                        refs_hash: key.refs_hash,
-                        options_hash: key.options_hash,
-                    },
                     base_id: key.base_id,
                     base_pos: key.base_pos,
                     analyzed: key.analyzed,
@@ -1995,40 +1730,28 @@ impl AnalysisSession {
     /// one unit, under the parse cache's full-key verification discipline.
     pub fn summarize(&self, name: &str, source: &str) -> Result<Arc<SummarizedUnit>, StageError> {
         let key = content_hash(name, source);
-        let find = |bucket: &[Arc<SummarizedUnit>]| {
-            bucket
-                .iter()
-                .find(|s| s.parsed.name == name && s.parsed.file.text() == source)
-                .cloned()
-        };
-        if let Some(hit) = self.summarize_cache.read(&key, |b| b.and_then(|b| find(b))) {
-            self.counters.summarize_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit);
-        }
-        self.counters
-            .summarize_misses
-            .fetch_add(1, Ordering::Relaxed);
-        let parsed = self.parse(name, source)?;
-        if self.options.reject_existing_mappings {
-            check_input_contract(&parsed)?;
-        }
-        let graphs = self.graphs(&parsed);
-        let accesses = self.accesses(&parsed, &graphs);
-        let summaries = self.summaries(&parsed, &accesses);
-        let summarized = Arc::new(SummarizedUnit {
-            parsed,
-            graphs,
-            accesses,
-            summaries,
-            link_exports: std::sync::OnceLock::new(),
-        });
-        Ok(self.summarize_cache.update(key, |bucket| {
-            if let Some(winner) = find(bucket) {
-                return winner;
-            }
-            bucket.push(Arc::clone(&summarized));
-            Arc::clone(&summarized)
-        }))
+        let count = (
+            &self.counters,
+            Counter::summarize_hits,
+            Counter::summarize_misses,
+        );
+        self.summarize_cache
+            .get_or_try_insert_with(key, (name, source), count, || {
+                let parsed = self.parse(name, source)?;
+                if self.options.reject_existing_mappings {
+                    check_input_contract(&parsed)?;
+                }
+                let graphs = self.graphs(&parsed);
+                let accesses = self.accesses(&parsed, &graphs);
+                let summaries = self.summaries(&parsed, &accesses);
+                Ok(Arc::new(SummarizedUnit {
+                    parsed,
+                    graphs,
+                    accesses,
+                    summaries,
+                    link_exports: std::sync::OnceLock::new(),
+                }))
+            })
     }
 
     /// Phase 3 for one unit: plan and rewrite under a [`LinkContext`].
@@ -2046,112 +1769,102 @@ impl AnalysisSession {
         let name = unit.parsed.name.as_str();
         let source = unit.parsed.file.text();
         let key = (unit.parsed.content_hash, link.imports_fingerprint);
-        let find = |bucket: &[Arc<UnitAnalysis>]| {
-            bucket
-                .iter()
-                .find(|a| a.parsed.name == name && a.parsed.file.text() == source)
-                .cloned()
+        // The serve report stays this request's own even when a concurrent
+        // analysis of the same content wins the cache slot — the duplicated
+        // work really happened.
+        let mut served = UnitServe::Cached;
+        let analyze = || {
+            let (plans, how) = self.plan_or_load(unit, link);
+            served = how;
+            let rewrite = self.rewrite(&unit.parsed, &unit.graphs, &plans);
+            Ok::<_, std::convert::Infallible>(Arc::new(UnitAnalysis {
+                parsed: Arc::clone(&unit.parsed),
+                graphs: Arc::clone(&unit.graphs),
+                accesses: Arc::clone(&unit.accesses),
+                summaries: Arc::clone(&unit.summaries),
+                plans,
+                rewrite,
+            }))
         };
-        if let Some(hit) = self.analysis_cache.read(&key, |b| b.and_then(|b| find(b))) {
-            self.counters.analysis_hits.fetch_add(1, Ordering::Relaxed);
-            return (hit, UnitServe::Cached);
-        }
-        self.counters
-            .analysis_misses
-            .fetch_add(1, Ordering::Relaxed);
+        let count = (
+            &self.counters,
+            Counter::analysis_hits,
+            Counter::analysis_misses,
+        );
+        let Ok(analysis) =
+            self.analysis_cache
+                .get_or_try_insert_with(key, (name, source), count, analyze);
+        (analysis, served)
+    }
 
-        // Persistent-store fast path: a verified content match on disk
-        // skips planning entirely.
+    /// The plans of a unit-analysis cache miss: loaded from the persistent
+    /// store on a verified content match (which skips planning entirely),
+    /// planned otherwise.
+    fn plan_or_load(
+        &self,
+        unit: &SummarizedUnit,
+        link: &LinkContext,
+    ) -> (Arc<PlansArtifact>, UnitServe) {
+        let name = unit.parsed.name.as_str();
+        let source = unit.parsed.file.text();
         let stored = self.store.as_ref().and_then(|store| {
             let hit = store.load(source, &self.options, link.imports_fingerprint);
-            let counter = if hit.is_some() {
-                &self.counters.store_hits
-            } else {
-                &self.counters.store_misses
+            let row = match hit {
+                Some(_) => Counter::store_hits,
+                None => Counter::store_misses,
             };
-            counter.fetch_add(1, Ordering::Relaxed);
+            self.counters.add(row, 1);
             hit
         });
-        let (plans, served) = match stored {
-            Some(stored) => {
-                // Re-seed the function-granular plan cache from the
-                // persisted per-function keys, so the first *edit* after
-                // this warm start is already incremental.
-                self.seed_function_plans(name, source, &stored);
-                let plans = Arc::new(PlansArtifact {
-                    plans: stored.plans,
-                    stats: stored.stats,
-                    diagnostics: Diagnostics::new(),
-                    plan_cache_hits: 0,
-                    plan_cache_misses: 0,
-                    function_store_hits: 0,
-                    function_store_misses: 0,
-                    function_keys: stored.functions,
-                    elapsed: Duration::ZERO,
-                });
-                (plans, UnitServe::Store)
-            }
-            None => {
-                let plans = self.plan_under(
-                    &unit.parsed,
-                    &unit.graphs,
-                    &unit.accesses,
-                    &unit.summaries,
-                    Some(link),
-                );
-                if self.store.is_some() && plans.diagnostics.is_empty() {
-                    // Write-behind: queue the store write-back instead of
-                    // paying a per-unit gc pass here; the buffer is flushed
-                    // in one batch by [`Self::flush_store_writes`]. Units
-                    // with planning diagnostics are not persisted: the
-                    // warnings would be lost on a later store hit.
-                    self.pending_saves.lock().unwrap().push(PendingUnitSave {
-                        name: name.to_string(),
-                        source: source.to_string(),
-                        link: link.imports_fingerprint,
-                        plans: plans.plans.clone(),
-                        stats: plans.stats,
-                        functions: plans.function_keys.clone(),
-                    });
-                }
-                let served = UnitServe::Planned {
-                    reused: plans.plan_cache_hits,
-                    replanned: plans.plan_cache_misses,
-                };
-                (plans, served)
-            }
+        if let Some(stored) = stored {
+            // Re-seed the function-granular plan cache from the persisted
+            // per-function keys, so the first *edit* after this warm start
+            // is already incremental.
+            self.seed_function_plans(name, source, &stored);
+            let plans = Arc::new(PlansArtifact {
+                plans: stored.plans,
+                stats: stored.stats,
+                diagnostics: Diagnostics::new(),
+                counted: CacheStats::default(),
+                function_keys: stored.functions,
+                elapsed: Duration::ZERO,
+            });
+            return (plans, UnitServe::Store);
+        }
+        let plans = self.plan_under(
+            &unit.parsed,
+            &unit.graphs,
+            &unit.accesses,
+            &unit.summaries,
+            Some(link),
+        );
+        if self.store.is_some() && plans.diagnostics.is_empty() {
+            // Write-behind: queue the store write-back instead of paying a
+            // per-unit gc pass here; the buffer is flushed in one batch by
+            // [`Self::flush_store_writes`]. Units with planning diagnostics
+            // are not persisted: the warnings would be lost on a later
+            // store hit.
+            self.pending_saves.lock().unwrap().push(PendingUnitSave {
+                name: name.to_string(),
+                source: source.to_string(),
+                link: link.imports_fingerprint,
+                plans: plans.plans.clone(),
+                stats: plans.stats,
+                functions: plans.function_keys.clone(),
+            });
+        }
+        let served = UnitServe::Planned {
+            reused: plans.counted.function_plan_hits,
+            replanned: plans.counted.function_plan_misses,
         };
-        let rewrite = self.rewrite(&unit.parsed, &unit.graphs, &plans);
-        let analysis = Arc::new(UnitAnalysis {
-            parsed: Arc::clone(&unit.parsed),
-            graphs: Arc::clone(&unit.graphs),
-            accesses: Arc::clone(&unit.accesses),
-            summaries: Arc::clone(&unit.summaries),
-            plans,
-            rewrite,
-        });
-        // First writer wins, as in `parse`: concurrent analyses of the same
-        // content may both compute (benign duplicated work), but every
-        // caller observes the same cached Arc afterwards. The serve report
-        // stays this request's own — the duplicated work really happened.
-        let winner = self.analysis_cache.update(key, |bucket| {
-            if let Some(winner) = find(bucket) {
-                return winner;
-            }
-            bucket.push(Arc::clone(&analysis));
-            Arc::clone(&analysis)
-        });
-        (winner, served)
+        (plans, served)
     }
 }
 
 /// Worker count used by default for batch, per-function and link-wavefront
 /// fan-out (see [`crate::OmpDartOptions::effective_link_threads`]).
 pub(crate) fn default_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .clamp(1, 8)
+    crate::pool::available_width().min(8)
 }
 
 #[cfg(test)]
@@ -2405,14 +2118,17 @@ void driver() {
         let key = content_hash("x.c", TWO_FUNCS);
         session
             .analysis_cache
+            .buckets
             .update((key, crate::UNLINKED), |bucket| {
                 bucket.insert(0, Arc::clone(&other))
             });
         session
             .summarize_cache
+            .buckets
             .update(key, |bucket| bucket.insert(0, other_summarized));
         session
             .parse_cache
+            .buckets
             .update(key, |bucket| bucket.insert(0, Arc::clone(&other.parsed)));
         // The colliding entry must be skipped, not returned.
         let again = session.analyze("x.c", TWO_FUNCS).unwrap();
@@ -2432,15 +2148,16 @@ void driver() {
         let edited = DEMO.replace("a[i] += 1.0;", "a[i] += 2.0;");
         let latest = session.analyze("demo.c", &edited).unwrap();
         let other = session.analyze("other.c", TWO_FUNCS).unwrap();
-        assert_eq!(session.analysis_cache.len(), 3);
-        assert_eq!(session.summarize_cache.len(), 3);
+        assert_eq!(session.analysis_cache.buckets.len(), 3);
+        assert_eq!(session.summarize_cache.buckets.len(), 3);
 
         session.evict_stale_versions("demo.c", &edited);
         let remaining: usize = session
             .analysis_cache
+            .buckets
             .fold(0usize, |acc, _, bucket| acc + bucket.len());
         assert_eq!(remaining, 2, "the old demo.c version must be gone");
-        assert_eq!(session.summarize_cache.len(), 2);
+        assert_eq!(session.summarize_cache.buckets.len(), 2);
         // The surviving entries still hit.
         let again = session.analyze("demo.c", &edited).unwrap();
         assert!(Arc::ptr_eq(&latest, &again));

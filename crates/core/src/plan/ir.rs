@@ -758,21 +758,22 @@ impl MappingPlan {
     }
 }
 
-/// Aggregate statistics over a whole transformation run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AnalysisStats {
-    pub functions_analyzed: usize,
-    pub functions_with_kernels: usize,
-    pub kernels: usize,
-    pub mapped_variables: usize,
-    pub map_clauses: usize,
-    pub update_directives: usize,
-    pub firstprivate_clauses: usize,
-    /// Call sites whose callee had no visible definition (and no builtin
-    /// model), forcing the maximally pessimistic host read+write fallback.
-    /// Zero for a fully linked whole-program analysis whose calls all
-    /// resolve to real summaries.
-    pub unknown_callee_fallbacks: usize,
+crate::stats::stats_table! {
+    /// Aggregate statistics over a whole transformation run.
+    pub struct AnalysisStats: usize {
+        functions_analyzed,
+        functions_with_kernels,
+        kernels,
+        mapped_variables,
+        map_clauses,
+        update_directives,
+        firstprivate_clauses,
+        /// Call sites whose callee had no visible definition (and no
+        /// builtin model), forcing the maximally pessimistic host
+        /// read+write fallback. Zero for a fully linked whole-program
+        /// analysis whose calls all resolve to real summaries.
+        unknown_callee_fallbacks,
+    }
 }
 
 impl AnalysisStats {

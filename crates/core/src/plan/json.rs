@@ -14,9 +14,8 @@
 
 use crate::pipeline::Stage;
 use crate::plan::ir::{
-    AnalysisStats, CollapseSpec, EnterDataSpec, ExitDataSpec, FirstPrivateSpec, MapSpec,
-    MappingPlan, Placement, Provenance, ProvenanceFact, UpdateDirection, UpdateSpec,
-    PLAN_FORMAT_VERSION,
+    CollapseSpec, EnterDataSpec, ExitDataSpec, FirstPrivateSpec, MapSpec, MappingPlan, Placement,
+    Provenance, ProvenanceFact, UpdateDirection, UpdateSpec, PLAN_FORMAT_VERSION,
 };
 use ompdart_frontend::ast::NodeId;
 use ompdart_frontend::omp::MapType;
@@ -1013,8 +1012,10 @@ impl MappingPlan {
     }
 }
 
-/// Serialize a whole translation unit's plans as one versioned document.
-pub fn plans_to_json(plans: &[MappingPlan]) -> String {
+/// A whole translation unit's plans as one versioned document value — what
+/// a caller embedding the document in a larger one (the daemon's `analyze`
+/// response) wants instead of rendered text.
+pub fn plans_to_json_value(plans: &[MappingPlan]) -> Json {
     Json::Object(vec![
         ("version".into(), Json::Int(i64::from(PLAN_FORMAT_VERSION))),
         (
@@ -1022,65 +1023,11 @@ pub fn plans_to_json(plans: &[MappingPlan]) -> String {
             Json::Array(plans.iter().map(MappingPlan::to_json_value).collect()),
         ),
     ])
-    .render_pretty()
 }
 
-/// Field order of the [`AnalysisStats`] serialization (kept in one place so
-/// the writer and the reader cannot drift apart).
-const STATS_FIELDS: [&str; 8] = [
-    "functions_analyzed",
-    "functions_with_kernels",
-    "kernels",
-    "mapped_variables",
-    "map_clauses",
-    "update_directives",
-    "firstprivate_clauses",
-    "unknown_callee_fallbacks",
-];
-
-/// Serialize [`AnalysisStats`] as a JSON object (used by the persistent
-/// artifact store alongside the plan document).
-pub fn stats_to_json(stats: &AnalysisStats) -> Json {
-    let values = [
-        stats.functions_analyzed,
-        stats.functions_with_kernels,
-        stats.kernels,
-        stats.mapped_variables,
-        stats.map_clauses,
-        stats.update_directives,
-        stats.firstprivate_clauses,
-        stats.unknown_callee_fallbacks,
-    ];
-    Json::Object(
-        STATS_FIELDS
-            .iter()
-            .zip(values)
-            .map(|(key, v)| ((*key).to_string(), Json::Int(v as i64)))
-            .collect(),
-    )
-}
-
-/// Parse an object written by [`stats_to_json`]. Every field is required;
-/// negative counts are schema violations.
-pub fn stats_from_json(value: &Json) -> Result<AnalysisStats, PlanJsonError> {
-    let field = |key: &str| -> Result<usize, PlanJsonError> {
-        let n = value
-            .get(key)
-            .and_then(Json::as_int)
-            .ok_or_else(|| PlanJsonError::schema(format!("missing integer field `{key}`")))?;
-        usize::try_from(n)
-            .map_err(|_| PlanJsonError::schema(format!("`{key}` must be non-negative")))
-    };
-    Ok(AnalysisStats {
-        functions_analyzed: field(STATS_FIELDS[0])?,
-        functions_with_kernels: field(STATS_FIELDS[1])?,
-        kernels: field(STATS_FIELDS[2])?,
-        mapped_variables: field(STATS_FIELDS[3])?,
-        map_clauses: field(STATS_FIELDS[4])?,
-        update_directives: field(STATS_FIELDS[5])?,
-        firstprivate_clauses: field(STATS_FIELDS[6])?,
-        unknown_callee_fallbacks: field(STATS_FIELDS[7])?,
-    })
+/// Serialize a whole translation unit's plans as one versioned document.
+pub fn plans_to_json(plans: &[MappingPlan]) -> String {
+    plans_to_json_value(plans).render_pretty()
 }
 
 /// Parse a document produced by [`plans_to_json`].
@@ -1096,7 +1043,7 @@ pub fn plans_from_json(text: &str) -> Result<Vec<MappingPlan>, PlanJsonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::ir::{Placement, UpdateDirection};
+    use crate::plan::ir::{AnalysisStats, Placement, UpdateDirection};
 
     fn sample_plan() -> MappingPlan {
         let mut plan = MappingPlan {
@@ -1312,12 +1259,19 @@ mod tests {
             firstprivate_clauses: 2,
             unknown_callee_fallbacks: 4,
         };
-        let json = stats_to_json(&stats);
-        assert_eq!(stats_from_json(&json).unwrap(), stats);
+        let json = stats.to_json();
+        // The field order is written into every store document: pinned.
+        assert_eq!(
+            json.render(),
+            "{\"functions_analyzed\":3,\"functions_with_kernels\":2,\"kernels\":5,\
+             \"mapped_variables\":7,\"map_clauses\":6,\"update_directives\":1,\
+             \"firstprivate_clauses\":2,\"unknown_callee_fallbacks\":4}"
+        );
+        assert_eq!(AnalysisStats::from_json(&json), Ok(stats));
         // Missing and negative fields are schema violations.
-        assert!(stats_from_json(&Json::Object(vec![])).is_err());
+        assert!(AnalysisStats::from_json(&Json::Object(vec![])).is_err());
         let negative = Json::Object(vec![("functions_analyzed".into(), Json::Int(-1))]);
-        assert!(stats_from_json(&negative).is_err());
+        assert!(AnalysisStats::from_json(&negative).is_err());
     }
 
     /// Adversarial nesting must fail with a syntax error, never overflow

@@ -23,6 +23,4 @@ pub use ir::{
     MappingConstruct, MappingPlan, Placement, Provenance, ProvenanceFact, UpdateDirection,
     UpdateSpec, PLAN_FORMAT_VERSION,
 };
-pub use json::{
-    plans_from_json, plans_to_json, stats_from_json, stats_to_json, Json, PlanJsonError,
-};
+pub use json::{plans_from_json, plans_to_json, plans_to_json_value, Json, PlanJsonError};

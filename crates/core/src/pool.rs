@@ -26,12 +26,13 @@
 //! claim order affects only *which thread* computes an index, never which
 //! value lands in its slot.
 //!
-//! The pool exports counters (jobs, items, inline/fallback splits, and the
-//! submitter's wait time on job retirement) consumed by
-//! [`crate::program::DriverProfile`].
+//! The pool counts jobs, items, inline/fallback splits, and the
+//! submitter's wait time on job retirement into the process-wide
+//! [`crate::stats::ProcessStats`] table.
 
+use crate::stats::{ProcessCounter, PROCESS};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -70,31 +71,10 @@ struct PoolState {
     active: usize,
 }
 
-/// Cumulative pool counters (process-wide, monotonic).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Jobs executed on the pool.
-    pub jobs: u64,
-    /// Total indices processed by pool jobs.
-    pub items: u64,
-    /// Nested fan-outs that ran inline on a pool task's thread.
-    pub inline_jobs: u64,
-    /// Fan-outs that found the pool busy and used scoped-thread fallback.
-    pub fallback_jobs: u64,
-    /// Nanoseconds submitters spent blocked waiting for the last worker to
-    /// finish after their own claim loop ran dry (pool tail latency).
-    pub submit_wait_ns: u64,
-}
-
 struct Pool {
     state: Mutex<PoolState>,
     work_cv: Condvar,
     done_cv: Condvar,
-    jobs: AtomicU64,
-    items: AtomicU64,
-    inline_jobs: AtomicU64,
-    fallback_jobs: AtomicU64,
-    submit_wait_ns: AtomicU64,
     spawned: OnceLock<usize>,
 }
 
@@ -106,11 +86,6 @@ fn global() -> &'static Pool {
         state: Mutex::new(PoolState::default()),
         work_cv: Condvar::new(),
         done_cv: Condvar::new(),
-        jobs: AtomicU64::new(0),
-        items: AtomicU64::new(0),
-        inline_jobs: AtomicU64::new(0),
-        fallback_jobs: AtomicU64::new(0),
-        submit_wait_ns: AtomicU64::new(0),
         spawned: OnceLock::new(),
     })
 }
@@ -133,24 +108,6 @@ pub fn available_width() -> usize {
 /// width: the request capped at the machine's available parallelism.
 pub fn effective_width(requested: usize) -> usize {
     requested.max(1).min(available_width())
-}
-
-/// Number of persistent worker threads the pool has spawned (0 until the
-/// first wide job, and forever 0 on a single-core machine).
-pub fn spawned_workers() -> usize {
-    global().spawned.get().copied().unwrap_or(0)
-}
-
-/// Snapshot of the process-wide pool counters.
-pub fn stats() -> PoolStats {
-    let pool = global();
-    PoolStats {
-        jobs: pool.jobs.load(Ordering::Relaxed),
-        items: pool.items.load(Ordering::Relaxed),
-        inline_jobs: pool.inline_jobs.load(Ordering::Relaxed),
-        fallback_jobs: pool.fallback_jobs.load(Ordering::Relaxed),
-        submit_wait_ns: pool.submit_wait_ns.load(Ordering::Relaxed),
-    }
 }
 
 impl Pool {
@@ -225,8 +182,8 @@ impl Pool {
             st.job = Some(Arc::clone(&core));
         }
         self.work_cv.notify_all();
-        self.jobs.fetch_add(1, Ordering::Relaxed);
-        self.items.fetch_add(len as u64, Ordering::Relaxed);
+        PROCESS.add(ProcessCounter::pool_jobs, 1);
+        PROCESS.add(ProcessCounter::pool_items, len as u64);
 
         run_claims(&core);
 
@@ -240,8 +197,10 @@ impl Pool {
                 st = self.done_cv.wait(st).unwrap();
             }
         }
-        self.submit_wait_ns
-            .fetch_add(wait.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        PROCESS.add(
+            ProcessCounter::pool_wait_ns,
+            wait.elapsed().as_nanos() as u64,
+        );
         if let Some(payload) = core.panic.lock().unwrap().take() {
             std::panic::resume_unwind(payload);
         }
@@ -352,7 +311,7 @@ where
         return (0..len).map(f).collect();
     }
     if IN_POOL_TASK.with(|flag| flag.get()) {
-        global().inline_jobs.fetch_add(1, Ordering::Relaxed);
+        PROCESS.add(ProcessCounter::pool_inline_jobs, 1);
         return (0..len).map(f).collect();
     }
     let slots = Slots::new(len);
@@ -361,7 +320,7 @@ where
         unsafe { slots.write(i, f(i)) };
     };
     if global().run(workers, len, &task).is_err() {
-        global().fallback_jobs.fetch_add(1, Ordering::Relaxed);
+        PROCESS.add(ProcessCounter::pool_fallback_jobs, 1);
         scoped_claim_run(workers, len, &task);
     }
     // SAFETY: both paths returned normally, so every index finished and

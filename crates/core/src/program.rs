@@ -40,6 +40,8 @@ use crate::interproc::{FunctionSummary, ProgramSummaries, PropagationNode};
 use crate::pipeline::{
     summary_fingerprint, AnalysisSession, Fnv, StageError, SummarizedUnit, UnitAnalysis,
 };
+use crate::plan::json::Json;
+use crate::stats::Value;
 use ompdart_frontend::Symbol;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -841,19 +843,8 @@ pub struct ProgramAnalysis {
 impl ProgramAnalysis {
     /// Sum of every unit's analysis statistics.
     pub fn stats(&self) -> crate::plan::ir::AnalysisStats {
-        let mut total = crate::plan::ir::AnalysisStats::default();
-        for unit in &self.units {
-            let s = unit.plans.stats;
-            total.functions_analyzed += s.functions_analyzed;
-            total.functions_with_kernels += s.functions_with_kernels;
-            total.kernels += s.kernels;
-            total.mapped_variables += s.mapped_variables;
-            total.map_clauses += s.map_clauses;
-            total.update_directives += s.update_directives;
-            total.firstprivate_clauses += s.firstprivate_clauses;
-            total.unknown_callee_fallbacks += s.unknown_callee_fallbacks;
-        }
-        total
+        let units = self.units.iter().map(|unit| unit.plans.stats);
+        units.fold(Default::default(), std::ops::Add::add)
     }
 
     /// The concatenation of every unit's rewritten source, in input order
@@ -927,62 +918,71 @@ pub struct DriverProfile {
     /// requested thread count capped at the machine's available
     /// parallelism ([`crate::pool::effective_width`]).
     pub pool_workers: usize,
-    /// Worker-pool jobs this call ran ([`crate::pool::stats`] delta).
+    /// This and the fields below: the movement of the process-wide
+    /// [`crate::stats::ProcessStats`] row of the same name over the call.
     pub pool_jobs: u64,
-    /// Indices processed by those pool jobs.
     pub pool_items: u64,
-    /// Nested fan-outs that ran inline on a pool task's thread.
     pub pool_inline_jobs: u64,
-    /// Fan-outs that found the pool busy and used scoped-thread fallback.
     pub pool_fallback_jobs: u64,
-    /// Nanoseconds submitters idled waiting for job retirement (pool tail
-    /// latency).
     pub pool_wait_ns: u64,
-    /// Nanoseconds blocked on shard-cache locks
-    /// ([`crate::shard::lock_stats`] delta).
     pub lock_wait_ns: u64,
-    /// Shard-cache lock acquisitions that found the lock held.
     pub lock_contentions: u64,
 }
 
 impl DriverProfile {
-    /// The profile as a small hand-rolled JSON object (milliseconds for
-    /// the wall-clock fields).
-    pub fn to_json(&self) -> String {
-        let ms = |d: Duration| d.as_secs_f64() * 1e3;
-        format!(
-            concat!(
-                "{{\"units\":{},\"fast_path_units\":{},",
-                "\"warm_units\":{},\"edit_path\":{},",
-                "\"summarize_ms\":{:.3},\"link_ms\":{:.3},\"contexts_ms\":{:.3},",
-                "\"plan_ms\":{:.3},\"flush_ms\":{:.3},\"total_ms\":{:.3},",
-                "\"unit_p50_ms\":{:.3},\"unit_p99_ms\":{:.3},",
-                "\"pool_workers\":{},",
-                "\"pool_jobs\":{},\"pool_items\":{},\"pool_inline_jobs\":{},",
-                "\"pool_fallback_jobs\":{},\"pool_wait_ns\":{},",
-                "\"lock_wait_ns\":{},\"lock_contentions\":{}}}"
-            ),
-            self.units,
-            self.fast_path_units,
-            self.warm_units,
-            self.edit_path,
-            ms(self.summarize),
-            ms(self.link),
-            ms(self.contexts),
-            ms(self.plan),
-            ms(self.flush),
-            ms(self.total),
-            ms(self.unit_p50),
-            ms(self.unit_p99),
-            self.pool_workers,
-            self.pool_jobs,
-            self.pool_items,
-            self.pool_inline_jobs,
-            self.pool_fallback_jobs,
-            self.pool_wait_ns,
-            self.lock_wait_ns,
-            self.lock_contentions,
+    /// Every field as a `(name, value)` cell, in rendering order: the one
+    /// list both JSON spellings below walk.
+    pub fn fields(&self) -> [(&'static str, Value); 20] {
+        macro_rules! cells {
+            ($($kind:ident($field:ident $(as $ty:ty)?)),+) => {
+                [$((stringify!($field), Value::$kind(self.$field $(as $ty)?))),+]
+            };
+        }
+        cells!(
+            Count(units as u64),
+            Count(fast_path_units as u64),
+            Count(warm_units as u64),
+            Flag(edit_path),
+            Time(summarize),
+            Time(link),
+            Time(contexts),
+            Time(plan),
+            Time(flush),
+            Time(total),
+            Time(unit_p50),
+            Time(unit_p99),
+            Count(pool_workers as u64),
+            Count(pool_jobs),
+            Count(pool_items),
+            Count(pool_inline_jobs),
+            Count(pool_fallback_jobs),
+            Count(pool_wait_ns),
+            Count(lock_wait_ns),
+            Count(lock_contentions)
         )
+    }
+
+    /// The `--profile-json` spelling: a compact object whose durations are
+    /// `<field>_ms` floats.
+    pub fn to_json(&self) -> String {
+        let cell = |(name, value): &(&str, Value)| match value {
+            Value::Count(n) => format!("\"{name}\":{n}"),
+            Value::Flag(b) => format!("\"{name}\":{b}"),
+            Value::Time(d) => format!("\"{name}_ms\":{:.3}", d.as_secs_f64() * 1e3),
+        };
+        let cells: Vec<String> = self.fields().iter().map(cell).collect();
+        format!("{{{}}}", cells.join(","))
+    }
+
+    /// The wire spelling (the daemon's `stats` verb): the same object with
+    /// durations as `<field>_us` integers — the protocol has no floats.
+    pub fn to_wire_json(&self) -> Json {
+        let cell = |(name, value): (&str, Value)| match value {
+            Value::Count(n) => (name.to_string(), Json::Int(n as i64)),
+            Value::Flag(b) => (name.to_string(), Json::Bool(b)),
+            Value::Time(d) => (format!("{name}_us"), Json::Int(d.as_micros() as i64)),
+        };
+        Json::Object(self.fields().into_iter().map(cell).collect())
     }
 }
 
@@ -1030,9 +1030,9 @@ impl ProgramDriver {
     /// Phase 1+2 only: summarize every unit in parallel and link them.
     /// The link is *incremental* across calls on one session: the fixed
     /// point starts from the previously converged summaries and re-seeds
-    /// only the edited functions' call-graph cone
-    /// (`CacheStats::relink_reseeded_functions` proves it), byte-identical
-    /// to a cold link.
+    /// only the edited functions' call-graph cone (the session's
+    /// [`CacheStats`](crate::stats::CacheStats) prove it), byte-identical to
+    /// a cold link.
     pub fn link(&self, inputs: &[(String, String)]) -> Result<Program, ProgramError> {
         let units = self.summarize_all(inputs)?;
         self.relink_units(units)
@@ -1105,19 +1105,10 @@ impl ProgramDriver {
         inputs: &[(String, String)],
     ) -> Result<(ProgramAnalysis, DriverProfile), ProgramError> {
         let total_start = Instant::now();
-        let pool_before = crate::pool::stats();
-        let lock_before = crate::shard::lock_stats();
+        let process_before = crate::stats::PROCESS.snapshot();
         let finish_profile = |mut profile: DriverProfile| {
-            let pool = crate::pool::stats();
-            let lock = crate::shard::lock_stats();
             profile.pool_workers = crate::pool::effective_width(self.threads);
-            profile.pool_jobs = pool.jobs - pool_before.jobs;
-            profile.pool_items = pool.items - pool_before.items;
-            profile.pool_inline_jobs = pool.inline_jobs - pool_before.inline_jobs;
-            profile.pool_fallback_jobs = pool.fallback_jobs - pool_before.fallback_jobs;
-            profile.pool_wait_ns = pool.submit_wait_ns - pool_before.submit_wait_ns;
-            profile.lock_wait_ns = lock.0 - lock_before.0;
-            profile.lock_contentions = lock.1 - lock_before.1;
+            profile.set_rows(crate::stats::PROCESS.snapshot() - process_before);
             profile.total = total_start.elapsed();
             profile
         };
@@ -1259,5 +1250,45 @@ impl ProgramDriver {
 impl Default for ProgramDriver {
     fn default() -> Self {
         ProgramDriver::new()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Both JSON spellings of a profile are consumed outside this repo's
+    /// tests (`--profile-json` files, the daemon's `stats` verb): pinned
+    /// byte for byte, key order included.
+    #[test]
+    fn profile_json_spellings_are_pinned() {
+        let profile = DriverProfile {
+            units: 3,
+            edit_path: true,
+            summarize: Duration::from_micros(1500),
+            pool_workers: 2,
+            lock_contentions: 7,
+            ..DriverProfile::default()
+        };
+        assert_eq!(
+            profile.to_json(),
+            "{\"units\":3,\"fast_path_units\":0,\"warm_units\":0,\"edit_path\":true,\
+             \"summarize_ms\":1.500,\"link_ms\":0.000,\"contexts_ms\":0.000,\"plan_ms\":0.000,\
+             \"flush_ms\":0.000,\"total_ms\":0.000,\"unit_p50_ms\":0.000,\"unit_p99_ms\":0.000,\
+             \"pool_workers\":2,\"pool_jobs\":0,\"pool_items\":0,\"pool_inline_jobs\":0,\
+             \"pool_fallback_jobs\":0,\"pool_wait_ns\":0,\"lock_wait_ns\":0,\
+             \"lock_contentions\":7}"
+        );
+        // The wire object is the same list with integer-microsecond
+        // durations; `pool_workers` is its one key the parent did not send.
+        assert_eq!(
+            profile.to_wire_json().render(),
+            "{\"units\":3,\"fast_path_units\":0,\"warm_units\":0,\"edit_path\":true,\
+             \"summarize_us\":1500,\"link_us\":0,\"contexts_us\":0,\"plan_us\":0,\
+             \"flush_us\":0,\"total_us\":0,\"unit_p50_us\":0,\"unit_p99_us\":0,\
+             \"pool_workers\":2,\"pool_jobs\":0,\"pool_items\":0,\"pool_inline_jobs\":0,\
+             \"pool_fallback_jobs\":0,\"pool_wait_ns\":0,\"lock_wait_ns\":0,\
+             \"lock_contentions\":7}"
+        );
     }
 }

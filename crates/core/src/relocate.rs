@@ -4,12 +4,10 @@
 //! Node ids are assigned by one sequential counter and spans are plain byte
 //! offsets into the source, so a function whose own tokens are unchanged
 //! keeps the same ids and offsets *relative to its definition* even when
-//! surrounding code moves it. Every function-granular cache
-//! ([`crate::pipeline::FunctionPlanCache`],
-//! [`crate::pipeline::FunctionAccessCache`]) therefore stores its artifacts
-//! in the coordinates of the parse that produced them and, on a hit, shifts
-//! every node id by `did` and every byte span by `dpos` instead of
-//! re-running the producing stage. Name-bearing artifacts (diagnostics, the
+//! surrounding code moves it. The pipeline's function-granular plan and
+//! access caches therefore store their artifacts in the coordinates of the
+//! parse that produced them and, on a hit, shift every node id by `did` and
+//! every byte span by `dpos` instead of re-running the producing stage. Name-bearing artifacts (diagnostics, the
 //! unit name itself) are *not* persisted across renames — they are rebuilt
 //! here from the fresh parse, which is what lets the content-addressed
 //! store ([`crate::store`]) drop the unit name from its key entirely.

@@ -12,12 +12,12 @@
 //!
 //! Lock contention is *measured*, not guessed: every acquisition first
 //! tries the non-blocking path, and only a failed try falls back to the
-//! blocking call with a timer around it. The totals feed the
-//! [`crate::program::DriverProfile`] lock-wait counters.
+//! blocking call with a timer around it. The totals are the lock rows of
+//! the process-wide [`crate::stats::ProcessStats`] table.
 
+use crate::stats::{ProcessCounter, PROCESS};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, RandomState};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 use std::time::Instant;
 
@@ -26,18 +26,13 @@ use std::time::Instant;
 /// whole-map sweeps (`retain`, `len`) stay cheap.
 pub const SHARDS: usize = 16;
 
-/// Nanoseconds spent blocked on shard locks, process-wide.
-static LOCK_WAIT_NS: AtomicU64 = AtomicU64::new(0);
-/// Number of shard-lock acquisitions that found the lock held.
-static LOCK_CONTENTIONS: AtomicU64 = AtomicU64::new(0);
-
-/// Snapshot of the process-wide shard-lock contention counters:
-/// `(lock_wait_ns, lock_contentions)`.
-pub fn lock_stats() -> (u64, u64) {
-    (
-        LOCK_WAIT_NS.load(Ordering::Relaxed),
-        LOCK_CONTENTIONS.load(Ordering::Relaxed),
-    )
+/// Count one contended acquisition that blocked since `start`.
+fn note_contention(start: Instant) {
+    PROCESS.add(
+        ProcessCounter::lock_wait_ns,
+        start.elapsed().as_nanos() as u64,
+    );
+    PROCESS.add(ProcessCounter::lock_contentions, 1);
 }
 
 fn read_timed<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
@@ -47,8 +42,7 @@ fn read_timed<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
         Err(TryLockError::WouldBlock) => {
             let start = Instant::now();
             let guard = lock.read().unwrap_or_else(|p| p.into_inner());
-            LOCK_WAIT_NS.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            LOCK_CONTENTIONS.fetch_add(1, Ordering::Relaxed);
+            note_contention(start);
             guard
         }
     }
@@ -61,8 +55,7 @@ fn write_timed<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
         Err(TryLockError::WouldBlock) => {
             let start = Instant::now();
             let guard = lock.write().unwrap_or_else(|p| p.into_inner());
-            LOCK_WAIT_NS.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            LOCK_CONTENTIONS.fetch_add(1, Ordering::Relaxed);
+            note_contention(start);
             guard
         }
     }
@@ -159,7 +152,7 @@ impl<K: Hash + Eq, V> ShardMap<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Eight threads hammering one key must serialize their bucket pushes
     /// without losing a single write and without aliasing: the bucket ends

@@ -58,7 +58,7 @@
 
 use crate::pipeline::{content_hash, content_hash2, FunctionKeySnapshot, FunctionPlanKey};
 use crate::plan::ir::{AnalysisStats, MappingPlan, PLAN_FORMAT_VERSION};
-use crate::plan::json::{stats_from_json, stats_to_json, Json};
+use crate::plan::json::Json;
 use crate::OmpDartOptions;
 use std::path::{Path, PathBuf};
 use std::time::SystemTime;
@@ -117,7 +117,7 @@ pub struct PendingUnitSave {
 }
 
 /// One function's persisted planning result, stored (like the in-memory
-/// [`crate::pipeline::FunctionPlanCache`] it mirrors) in the node-id/byte
+/// function-plan cache entry it mirrors) in the node-id/byte
 /// coordinates of the parse that produced it and relocated on every hit.
 #[derive(Clone, Debug)]
 pub(crate) struct StoredFunctionPlan {
@@ -287,7 +287,7 @@ impl ArtifactStore {
             .map(MappingPlan::from_json_value)
             .collect::<Result<Vec<_>, _>>()
             .ok()?;
-        let stats = stats_from_json(doc.get("stats")?).ok()?;
+        let stats = AnalysisStats::from_json(doc.get("stats")?).ok()?;
         let functions = doc
             .get("functions")
             .and_then(Json::as_array)?
@@ -435,7 +435,7 @@ impl ArtifactStore {
                 Json::Str(format!("{:016x}", options.fingerprint())),
             ),
             ("link".into(), Json::Str(format!("{link:016x}"))),
-            ("stats".into(), stats_to_json(stats)),
+            ("stats".into(), stats.to_json()),
             (
                 "functions".into(),
                 Json::Array(functions.iter().map(function_key_to_json).collect()),

@@ -1,9 +1,7 @@
 //! The standalone daemon binary. `ompdart daemon` is a thin alias for
-//! this; both parse the same flags.
+//! this; both parse their flags with [`DaemonConfig::from_args`].
 
-use ompdart_server::daemon::{DaemonConfig, DaemonHandle, Endpoint};
-use ompdart_server::registry::RegistryConfig;
-use std::time::Duration;
+use ompdart_server::daemon::{DaemonConfig, DaemonHandle};
 
 const USAGE: &str = "\
 ompdartd - the OMPDart analysis daemon
@@ -34,86 +32,18 @@ fn fail(message: &str) -> ! {
     std::process::exit(2);
 }
 
-fn parse_size(text: &str) -> Option<u64> {
-    let lower = text.to_ascii_lowercase();
-    let (digits, multiplier) = match lower.strip_suffix(['k', 'm', 'g']) {
-        Some(digits) => {
-            let mult = match lower.as_bytes()[lower.len() - 1] {
-                b'k' => 1u64 << 10,
-                b'm' => 1 << 20,
-                _ => 1 << 30,
-            };
-            (digits, mult)
-        }
-        None => (lower.as_str(), 1),
-    };
-    digits.parse::<u64>().ok().map(|n| n * multiplier)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut endpoint: Option<Endpoint> = None;
-    let mut registry = RegistryConfig::default();
-    let mut workers = 0usize;
-    let mut quiet = false;
-
-    let mut i = 0;
-    let value = |i: &mut usize, flag: &str| -> String {
-        *i += 1;
-        match args.get(*i) {
-            Some(v) => v.clone(),
-            None => fail(&format!("{flag} needs a value")),
-        }
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--socket" => endpoint = Some(Endpoint::Unix(value(&mut i, "--socket").into())),
-            "--tcp" => endpoint = Some(Endpoint::Tcp(value(&mut i, "--tcp"))),
-            "--workers" => {
-                workers = value(&mut i, "--workers")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--workers needs an integer"))
-            }
-            "--cache-dir" => registry.cache_dir = Some(value(&mut i, "--cache-dir").into()),
-            "--cache-max-bytes" => {
-                let raw = value(&mut i, "--cache-max-bytes");
-                registry.cache_max_bytes =
-                    Some(parse_size(&raw).unwrap_or_else(|| fail("bad --cache-max-bytes")));
-            }
-            "--pessimistic-globals" => registry.pessimistic_globals = true,
-            "--link-threads" => {
-                registry.link_threads = value(&mut i, "--link-threads")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--link-threads needs an integer"))
-            }
-            "--quiet" => quiet = true,
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return;
-            }
-            other => fail(&format!("unknown flag `{other}`")),
-        }
-        i += 1;
+    if args.iter().any(|arg| arg == "-h" || arg == "--help") {
+        println!("{USAGE}");
+        return;
     }
-
-    let config = DaemonConfig {
-        endpoint: endpoint.unwrap_or_else(|| Endpoint::Unix("ompdartd.sock".into())),
-        registry,
-        workers,
-        quiet,
-    };
-    let handle = match DaemonHandle::spawn(config) {
-        Ok(handle) => handle,
-        Err(e) => {
-            eprintln!("error: cannot start daemon: {e}");
-            std::process::exit(1);
-        }
-    };
-    // Park until the accept loop observes shutdown (signal or request),
-    // then join its drain-and-flush epilogue.
-    let token = handle.token();
-    while !token.is_shutdown() {
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    let config = DaemonConfig::from_args(&args).unwrap_or_else(|message| fail(&message));
+    let handle = DaemonHandle::spawn(config).unwrap_or_else(|e| {
+        eprintln!("error: cannot start daemon: {e}");
+        std::process::exit(1);
+    });
+    // Blocks until the accept loop observes shutdown (signal or request)
+    // and has run its drain-and-flush epilogue.
     handle.join();
 }

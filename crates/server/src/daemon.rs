@@ -23,10 +23,10 @@ use crate::pool::WorkerPool;
 use crate::protocol::{
     self, error_response, ok_response, ErrorKind, FrameError, RequestError, PROTOCOL_VERSION,
 };
-use crate::registry::{ProgramRegistry, ProgramSession, RegistryConfig, RequestStats};
+use crate::registry::{ProgramRegistry, ProgramSession, RegistryConfig};
 use crate::signal::{self, ShutdownToken};
-use ompdart_core::plan::Json;
-use ompdart_core::{Analysis, CacheStats, DriverProfile, UnitServe};
+use ompdart_core::plan::{plans_to_json_value, Json, MappingPlan};
+use ompdart_core::{Analysis, CacheStats, UnitServe};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -158,6 +158,60 @@ pub struct DaemonConfig {
     pub quiet: bool,
 }
 
+impl DaemonConfig {
+    /// Parse the daemon's command line — the one front door behind both
+    /// `ompdartd` and `ompdart daemon`. Without `--socket`/`--tcp` the
+    /// daemon listens on the unix socket `ompdartd.sock`.
+    pub fn from_args(args: &[String]) -> Result<DaemonConfig, String> {
+        let mut config = DaemonConfig {
+            endpoint: Endpoint::Unix("ompdartd.sock".into()),
+            registry: RegistryConfig::default(),
+            workers: 0,
+            quiet: false,
+        };
+        let mut it = args.iter();
+        while let Some(flag) = it.next() {
+            let mut value =
+                |what: &str| it.next().ok_or_else(|| format!("`{flag}` expects {what}"));
+            let number = |text: &String| {
+                text.parse::<usize>()
+                    .map_err(|_| format!("`{flag}` expects a number"))
+            };
+            match flag.as_str() {
+                "--socket" => config.endpoint = Endpoint::Unix(value("a path")?.into()),
+                "--tcp" => config.endpoint = Endpoint::Tcp(value("an address")?.clone()),
+                "--workers" => config.workers = number(value("a number")?)?,
+                "--cache-dir" => config.registry.cache_dir = Some(value("a directory")?.into()),
+                "--cache-max-bytes" => {
+                    config.registry.cache_max_bytes = Some(parse_size(value("a size")?)?)
+                }
+                "--pessimistic-globals" => config.registry.pessimistic_globals = true,
+                "--link-threads" => config.registry.link_threads = number(value("a number")?)?,
+                "--quiet" => config.quiet = true,
+                other => return Err(format!("unknown flag `{other}`")),
+            }
+        }
+        Ok(config)
+    }
+}
+
+/// Parse a size like `1048576`, `64k`, `256m`, `2g` into bytes. Overflow is
+/// an error, never a wrap.
+pub fn parse_size(text: &str) -> Result<u64, String> {
+    let text = text.trim();
+    let (digits, factor) = match text.as_bytes().last() {
+        Some(b'k' | b'K') => (&text[..text.len() - 1], 1u64 << 10),
+        Some(b'm' | b'M') => (&text[..text.len() - 1], 1u64 << 20),
+        Some(b'g' | b'G') => (&text[..text.len() - 1], 1u64 << 30),
+        _ => (text, 1u64),
+    };
+    digits
+        .parse::<u64>()
+        .map_err(|_| format!("`{text}` is not a size (expected N, Nk, Nm or Ng)"))?
+        .checked_mul(factor)
+        .ok_or_else(|| format!("`{text}` overflows"))
+}
+
 struct Shared {
     registry: ProgramRegistry,
     pool: WorkerPool,
@@ -208,12 +262,9 @@ impl DaemonHandle {
             }
         };
         listener.set_nonblocking()?;
-        let workers = if config.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        } else {
-            config.workers
+        let workers = match config.workers {
+            0 => ompdart_core::pool::available_width(),
+            n => n,
         };
         let shared = Arc::new(Shared {
             registry: ProgramRegistry::new(config.registry),
@@ -240,11 +291,6 @@ impl DaemonHandle {
     /// The bound endpoint (with TCP port 0 resolved to the real port).
     pub fn endpoint(&self) -> &Endpoint {
         &self.endpoint
-    }
-
-    /// The daemon's shutdown token (shared with the accept loop).
-    pub fn token(&self) -> ShutdownToken {
-        self.token.clone()
     }
 
     /// Ask the daemon to stop (same path as SIGTERM / `shutdown`).
@@ -522,11 +568,8 @@ fn submit_analyze(
     let job_key = key.clone();
     let accepted = shared.pool.submit(&key, move || {
         let session = shared_job.registry.program(&job_key);
-        let response = match run_analyze(&session, &units) {
-            Ok(result) => {
-                log_analyze(&shared_job, &job_key, &units, &result);
-                ok_response(id, result)
-            }
+        let response = match run_analyze(&shared_job, &session, &units) {
+            Ok(result) => ok_response(id, result),
             Err(err) => error_response(id, &err),
         };
         respond(&writer, response);
@@ -544,30 +587,31 @@ fn submit_analyze(
 /// The analysis body of an `analyze` request: a single unit is analyzed as
 /// a closed world (leaving the program's link state and recorded round
 /// untouched), multi-unit requests go through whole-program link.
-fn run_analyze(session: &ProgramSession, units: &[(String, String)]) -> Result<Json, RequestError> {
+fn run_analyze(
+    shared: &Shared,
+    session: &ProgramSession,
+    units: &[(String, String)],
+) -> Result<Json, RequestError> {
     if units.len() == 1 {
         let (name, source) = &units[0];
         let (analysis, serve, stats) = session
             .analyze_unit(name, source)
             .map_err(|e| RequestError::new(ErrorKind::Analysis, e.to_string()))?;
-        let unit = unit_result(
-            name,
-            &serve,
-            analysis.rewritten_source(),
-            &analysis.plans_json(),
-        );
+        log_analyze(shared, session.key(), &[serve], &stats);
+        let unit = unit_result(name, &serve, analysis.rewritten_source(), analysis.plans());
         Ok(analyze_result(session.key(), vec![unit], &stats, 0))
     } else {
         let (program, stats) = session
             .analyze_program(units)
             .map_err(|e| RequestError::new(ErrorKind::Analysis, e.to_string()))?;
+        log_analyze(shared, session.key(), &program.served, &stats);
         let mut rendered = Vec::with_capacity(units.len());
         for (i, unit) in program.units.iter().enumerate() {
             rendered.push(unit_result(
                 &units[i].0,
                 &program.served[i],
                 &unit.rewrite.source,
-                &unit.plans_json(),
+                &unit.plans.plans,
             ));
         }
         Ok(analyze_result(
@@ -590,81 +634,34 @@ pub fn serve_label(serve: &UnitServe) -> String {
     }
 }
 
-fn unit_result(name: &str, serve: &UnitServe, rewritten: &str, plans_json: &str) -> Json {
-    let plans = Json::parse(plans_json).unwrap_or(Json::Null);
+fn unit_result(name: &str, serve: &UnitServe, rewritten: &str, plans: &[MappingPlan]) -> Json {
     Json::Object(vec![
         ("name".into(), Json::Str(name.to_string())),
         ("serve".into(), Json::Str(serve_label(serve))),
         ("rewritten_source".into(), Json::Str(rewritten.to_string())),
-        ("plans".into(), plans),
+        ("plans".into(), plans_to_json_value(plans)),
     ])
 }
 
-fn analyze_result(key: &str, units: Vec<Json>, stats: &RequestStats, link_passes: usize) -> Json {
+/// `stats` is the request's own movement of the program's counters.
+fn analyze_result(key: &str, units: Vec<Json>, stats: &CacheStats, link_passes: usize) -> Json {
     Json::Object(vec![
         ("program".into(), Json::Str(key.to_string())),
         ("units".into(), Json::Array(units)),
-        ("request_stats".into(), request_stats_json(stats)),
+        ("request_stats".into(), stats.to_json()),
         ("link_passes".into(), Json::Int(link_passes as i64)),
     ])
 }
 
-fn request_stats_json(stats: &RequestStats) -> Json {
-    Json::Object(vec![
-        (
-            "function_plan_hits".into(),
-            Json::Int(stats.function_plan_hits as i64),
-        ),
-        (
-            "function_plan_misses".into(),
-            Json::Int(stats.function_plan_misses as i64),
-        ),
-        (
-            "relink_reseeded_functions".into(),
-            Json::Int(stats.relink_reseeded_functions as i64),
-        ),
-        (
-            "analysis_hits".into(),
-            Json::Int(stats.analysis_hits as i64),
-        ),
-        (
-            "analysis_misses".into(),
-            Json::Int(stats.analysis_misses as i64),
-        ),
-        ("store_hits".into(), Json::Int(stats.store_hits as i64)),
-        (
-            "fast_path_hits".into(),
-            Json::Int(stats.fast_path_hits as i64),
-        ),
-    ])
-}
-
-fn log_analyze(shared: &Shared, key: &str, units: &[(String, String)], result: &Json) {
-    let serves: Vec<String> = result
-        .get("units")
-        .and_then(Json::as_array)
-        .map(|units| {
-            units
-                .iter()
-                .filter_map(|u| u.get("serve").and_then(Json::as_str))
-                .map(str::to_string)
-                .collect()
-        })
-        .unwrap_or_default();
-    let stats = result.get("request_stats");
-    let get = |field: &str| {
-        stats
-            .and_then(|s| s.get(field))
-            .and_then(Json::as_int)
-            .unwrap_or(0)
-    };
+fn log_analyze(shared: &Shared, key: &str, serves: &[UnitServe], stats: &CacheStats) {
+    if shared.quiet {
+        return;
+    }
+    let serves: Vec<String> = serves.iter().map(serve_label).collect();
     shared.log(format_args!(
-        "analyze program={key} units={} serves=[{}] plan_hits={} plan_misses={} reseeded={}",
-        units.len(),
+        "analyze program={key} units={} serves=[{}] {stats}",
+        serves.len(),
         serves.join(", "),
-        get("function_plan_hits"),
-        get("function_plan_misses"),
-        get("relink_reseeded_functions"),
     ));
 }
 
@@ -774,92 +771,6 @@ fn explain_result(analysis: &Analysis, name: &str, source: &str, line: u32, col:
     ])
 }
 
-fn cache_stats_json(stats: &CacheStats) -> Json {
-    Json::Object(vec![
-        ("parse_hits".into(), Json::Int(stats.parse_hits as i64)),
-        ("parse_misses".into(), Json::Int(stats.parse_misses as i64)),
-        (
-            "analysis_hits".into(),
-            Json::Int(stats.analysis_hits as i64),
-        ),
-        (
-            "analysis_misses".into(),
-            Json::Int(stats.analysis_misses as i64),
-        ),
-        (
-            "function_plan_hits".into(),
-            Json::Int(stats.function_plan_hits as i64),
-        ),
-        (
-            "function_plan_misses".into(),
-            Json::Int(stats.function_plan_misses as i64),
-        ),
-        (
-            "relink_reseeded_functions".into(),
-            Json::Int(stats.relink_reseeded_functions as i64),
-        ),
-        ("store_hits".into(), Json::Int(stats.store_hits as i64)),
-        ("store_misses".into(), Json::Int(stats.store_misses as i64)),
-        (
-            "summarize_hits".into(),
-            Json::Int(stats.summarize_hits as i64),
-        ),
-        (
-            "summarize_misses".into(),
-            Json::Int(stats.summarize_misses as i64),
-        ),
-        (
-            "fast_path_hits".into(),
-            Json::Int(stats.fast_path_hits as i64),
-        ),
-    ])
-}
-
-/// The per-program [`DriverProfile`] as a protocol object. Durations are
-/// integer microseconds (the wire format has no floats); counters are raw.
-fn driver_profile_json(profile: &DriverProfile) -> Json {
-    let us = |d: std::time::Duration| Json::Int(d.as_micros() as i64);
-    Json::Object(vec![
-        ("units".into(), Json::Int(profile.units as i64)),
-        (
-            "fast_path_units".into(),
-            Json::Int(profile.fast_path_units as i64),
-        ),
-        ("warm_units".into(), Json::Int(profile.warm_units as i64)),
-        ("edit_path".into(), Json::Bool(profile.edit_path)),
-        ("summarize_us".into(), us(profile.summarize)),
-        ("link_us".into(), us(profile.link)),
-        ("contexts_us".into(), us(profile.contexts)),
-        ("plan_us".into(), us(profile.plan)),
-        ("flush_us".into(), us(profile.flush)),
-        ("total_us".into(), us(profile.total)),
-        ("unit_p50_us".into(), us(profile.unit_p50)),
-        ("unit_p99_us".into(), us(profile.unit_p99)),
-        ("pool_jobs".into(), Json::Int(profile.pool_jobs as i64)),
-        ("pool_items".into(), Json::Int(profile.pool_items as i64)),
-        (
-            "pool_inline_jobs".into(),
-            Json::Int(profile.pool_inline_jobs as i64),
-        ),
-        (
-            "pool_fallback_jobs".into(),
-            Json::Int(profile.pool_fallback_jobs as i64),
-        ),
-        (
-            "pool_wait_ns".into(),
-            Json::Int(profile.pool_wait_ns as i64),
-        ),
-        (
-            "lock_wait_ns".into(),
-            Json::Int(profile.lock_wait_ns as i64),
-        ),
-        (
-            "lock_contentions".into(),
-            Json::Int(profile.lock_contentions as i64),
-        ),
-    ])
-}
-
 fn stats_result(shared: &Shared) -> Json {
     let programs: Vec<Json> = shared
         .registry
@@ -868,15 +779,14 @@ fn stats_result(shared: &Shared) -> Json {
         .map(|session| {
             Json::Object(vec![
                 ("program".into(), Json::Str(session.key().to_string())),
-                ("stats".into(), cache_stats_json(&session.stats())),
+                ("stats".into(), session.stats().to_json()),
                 // Additive in protocol v1: `null` until the program's
                 // first whole-program request completes.
                 (
                     "profile".into(),
                     session
                         .last_profile()
-                        .map(|p| driver_profile_json(&p))
-                        .unwrap_or(Json::Null),
+                        .map_or(Json::Null, |p| p.to_wire_json()),
                 ),
                 // Additive in protocol v1: `null` until the program's
                 // first *edit* round (a request served over previously
@@ -885,8 +795,7 @@ fn stats_result(shared: &Shared) -> Json {
                     "edit_profile".into(),
                     session
                         .last_edit_profile()
-                        .map(|p| driver_profile_json(&p))
-                        .unwrap_or(Json::Null),
+                        .map_or(Json::Null, |p| p.to_wire_json()),
                 ),
             ])
         })
@@ -969,6 +878,49 @@ mod tests {
             Endpoint::Tcp("127.0.0.1:9".into()).to_string(),
             "tcp:127.0.0.1:9"
         );
+    }
+
+    #[test]
+    fn sizes_parse_with_suffixes_and_overflow_is_an_error() {
+        assert_eq!(parse_size("1048576"), Ok(1 << 20));
+        assert_eq!(parse_size("64k"), Ok(64 << 10));
+        assert_eq!(parse_size(" 256M "), Ok(256 << 20));
+        assert_eq!(parse_size("2g"), Ok(2 << 30));
+        assert!(parse_size("99999999999g").is_err());
+        assert!(parse_size("g").is_err());
+        assert!(parse_size("-1").is_err());
+    }
+
+    #[test]
+    fn daemon_flags_parse_through_one_front_door() {
+        let parse = |line: &str| {
+            let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+            DaemonConfig::from_args(&args)
+        };
+        let config = parse("").unwrap();
+        assert_eq!(config.endpoint, Endpoint::Unix("ompdartd.sock".into()));
+        assert_eq!((config.workers, config.quiet), (0, false));
+
+        let config = parse(
+            "--tcp 127.0.0.1:0 --workers 3 --cache-dir /tmp/c --cache-max-bytes 1m \
+             --pessimistic-globals --link-threads 2 --quiet",
+        )
+        .unwrap();
+        assert_eq!(config.endpoint, Endpoint::Tcp("127.0.0.1:0".into()));
+        assert_eq!((config.workers, config.quiet), (3, true));
+        assert_eq!(config.registry.cache_dir, Some(PathBuf::from("/tmp/c")));
+        assert_eq!(config.registry.cache_max_bytes, Some(1 << 20));
+        assert!(config.registry.pessimistic_globals);
+        assert_eq!(config.registry.link_threads, 2);
+
+        for bad in [
+            "--workers",
+            "--workers many",
+            "--cache-max-bytes 99999999999g",
+            "--frobnicate",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

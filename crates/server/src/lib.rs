@@ -39,12 +39,12 @@ pub mod signal;
 pub mod watch;
 
 pub use client::{Client, ClientError};
-pub use daemon::{serve_label, Conn, DaemonConfig, DaemonHandle, Endpoint};
+pub use daemon::{parse_size, serve_label, Conn, DaemonConfig, DaemonHandle, Endpoint};
 pub use pool::WorkerPool;
 pub use protocol::{
     error_response, ok_response, read_frame, write_frame, ErrorKind, FrameError, RequestError,
     MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
-pub use registry::{ProgramRegistry, ProgramSession, RegistryConfig, RequestStats};
+pub use registry::{ProgramRegistry, ProgramSession, RegistryConfig};
 pub use signal::{ShutdownToken, SIGINT, SIGTERM};
 pub use watch::{make_watcher, DirWatcher, PollWatcher, WatchWake};

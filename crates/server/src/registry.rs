@@ -11,8 +11,8 @@
 //! program B. Requests for one program serialize on the session's request
 //! lock (the daemon's worker pool provides the same guarantee by sharding,
 //! but the registry does not rely on its callers for correctness), which is
-//! also what makes the before/after [`CacheStats`] snapshots in
-//! [`RequestStats`] sound: no concurrent request can move this program's
+//! also what makes a request's stats — `after - before` of two [`CacheStats`]
+//! snapshots — sound: no concurrent request can move this program's
 //! counters between the two reads.
 
 use ompdart_core::{
@@ -40,42 +40,12 @@ pub struct RegistryConfig {
     pub parallelism: usize,
 }
 
-/// The per-request counter movement, read under the program's request lock
-/// so interleaved requests to *other* programs cannot contaminate it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RequestStats {
-    /// Functions served from the function-granular plan cache.
-    pub function_plan_hits: u64,
-    /// Functions actually re-planned by this request.
-    pub function_plan_misses: u64,
-    /// Functions the incremental link fixed point re-derived (the dirty
-    /// cone). Zero for cold links and unchanged relinks.
-    pub relink_reseeded_functions: u64,
-    /// Unit analyses served entirely from the unit-analysis cache.
-    pub analysis_hits: u64,
-    /// Unit analyses that ran planning (or hit the store).
-    pub analysis_misses: u64,
-    /// Units served from the persistent store.
-    pub store_hits: u64,
-    /// Units served by the driver's identity fast path: unchanged content
-    /// under an unchanged imported surface, reusing the previous round's
-    /// analysis with no relocation, re-planning, or re-serialization.
-    pub fast_path_hits: u64,
-}
-
-impl RequestStats {
-    fn delta(before: &CacheStats, after: &CacheStats) -> RequestStats {
-        RequestStats {
-            function_plan_hits: after.function_plan_hits - before.function_plan_hits,
-            function_plan_misses: after.function_plan_misses - before.function_plan_misses,
-            relink_reseeded_functions: after.relink_reseeded_functions
-                - before.relink_reseeded_functions,
-            analysis_hits: after.analysis_hits - before.analysis_hits,
-            analysis_misses: after.analysis_misses - before.analysis_misses,
-            store_hits: after.store_hits - before.store_hits,
-            fast_path_hits: after.fast_path_hits - before.fast_path_hits,
-        }
-    }
+/// Lock `mutex`, recovering the guard if a holder panicked: every value
+/// behind the registry's locks is valid at every step of its updates.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// One program's warm state: its own tool (session, link state, caches)
@@ -107,63 +77,44 @@ impl ProgramSession {
         &self.tool
     }
 
-    /// Serialize against other requests for this program.
-    fn enter(&self) -> MutexGuard<'_, ()> {
-        self.requests
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    /// Whole-program analysis with a request-local stats delta.
+    /// Whole-program analysis plus the request's own counter movement.
     pub fn analyze_program(
         &self,
         units: &[(String, String)],
-    ) -> Result<(ProgramAnalysis, RequestStats), ProgramError> {
-        let _guard = self.enter();
+    ) -> Result<(ProgramAnalysis, CacheStats), ProgramError> {
+        let _guard = lock(&self.requests);
         let before = self.tool.session().cache_stats();
         let (analysis, profile) = self.tool.analyze_program_profiled(units)?;
         let after = self.tool.session().cache_stats();
-        *self
-            .last_profile
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner()) = Some(profile);
+        *lock(&self.last_profile) = Some(profile);
         if profile.edit_path {
-            *self
-                .last_edit_profile
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner()) = Some(profile);
+            *lock(&self.last_edit_profile) = Some(profile);
         }
-        Ok((analysis, RequestStats::delta(&before, &after)))
+        Ok((analysis, after - before))
     }
 
     /// The driver profile of the most recent whole-program request, if any.
     pub fn last_profile(&self) -> Option<DriverProfile> {
-        *self
-            .last_profile
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
+        *lock(&self.last_profile)
     }
 
     /// The driver profile of the most recent edit round, if any.
     pub fn last_edit_profile(&self) -> Option<DriverProfile> {
-        *self
-            .last_edit_profile
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
+        *lock(&self.last_edit_profile)
     }
 
     /// Single-unit analysis with the per-request [`UnitServe`] verdict and
-    /// stats delta.
+    /// counter movement.
     pub fn analyze_unit(
         &self,
         name: &str,
         source: &str,
-    ) -> Result<(Analysis, UnitServe, RequestStats), StageError> {
-        let _guard = self.enter();
+    ) -> Result<(Analysis, UnitServe, CacheStats), StageError> {
+        let _guard = lock(&self.requests);
         let before = self.tool.session().cache_stats();
         let (analysis, serve) = self.tool.analyze_with_serve(name, source)?;
         let after = self.tool.session().cache_stats();
-        Ok((analysis, serve, RequestStats::delta(&before, &after)))
+        Ok((analysis, serve, after - before))
     }
 
     /// Cumulative counters for this program's session.
@@ -179,7 +130,7 @@ impl ProgramSession {
 
     /// Evict this program's persistent store down to `max_bytes`.
     pub fn gc(&self, max_bytes: u64) -> Option<GcReport> {
-        let _guard = self.enter();
+        let _guard = lock(&self.requests);
         self.flush();
         self.tool
             .session()
@@ -211,10 +162,7 @@ impl ProgramRegistry {
     /// The session for `key`, creating (and warming from its store
     /// subdirectory, if any) on first use.
     pub fn program(&self, key: &str) -> Arc<ProgramSession> {
-        let mut programs = self
-            .programs
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let mut programs = lock(&self.programs);
         if let Some(session) = programs.get(key) {
             return Arc::clone(session);
         }
@@ -243,10 +191,7 @@ impl ProgramRegistry {
 
     /// Keys of every live program, sorted.
     pub fn keys(&self) -> Vec<String> {
-        let programs = self
-            .programs
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let programs = lock(&self.programs);
         let mut keys: Vec<String> = programs.keys().cloned().collect();
         keys.sort();
         keys
@@ -254,10 +199,7 @@ impl ProgramRegistry {
 
     /// Snapshot of every live session (for stats / shutdown flushing).
     pub fn sessions(&self) -> Vec<Arc<ProgramSession>> {
-        let programs = self
-            .programs
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let programs = lock(&self.programs);
         let mut sessions: Vec<Arc<ProgramSession>> = programs.values().cloned().collect();
         sessions.sort_by(|a, b| a.key.cmp(&b.key));
         sessions

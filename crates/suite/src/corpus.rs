@@ -264,8 +264,7 @@ mod tests {
         let name = edit_one_function(&mut corpus, edit_at);
         let before = session.cache_stats();
         driver.analyze_program(&corpus).unwrap();
-        let after = session.cache_stats();
-        let reseeded = after.relink_reseeded_functions - before.relink_reseeded_functions;
+        let reseeded = (session.cache_stats() - before).relink_reseeded_functions;
         let cone_bound = (edit_at + 1) as u64; // main + stage_1..stage_40
         assert!(
             reseeded >= 1,

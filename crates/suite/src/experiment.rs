@@ -732,7 +732,7 @@ mod tests {
         let bench = benchmarks::by_name("ace").unwrap();
         let r = run_benchmark(&bench, &quick_config()).unwrap();
         assert!(r.stage_timings.total() > Duration::from_secs(0));
-        assert!(r.stage_timings.parse > Duration::from_secs(0));
+        assert!(r.stage_timings.of(ompdart_core::Stage::Parse) > Duration::from_secs(0));
     }
 
     /// The IR surface: generated plans justify every construct, serialize

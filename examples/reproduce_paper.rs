@@ -159,10 +159,6 @@ fn main() {
             println!("{:<10} {}", r.name, r.stage_timings);
         }
         println!("{:<10} {}", "session", session.timings());
-        let stats = session.cache_stats();
-        println!(
-            "cache: {} analysis misses, {} analysis hits, {} parse misses, {} parse hits",
-            stats.analysis_misses, stats.analysis_hits, stats.parse_misses, stats.parse_hits
-        );
+        println!("cache: {}", session.cache_stats());
     }
 }

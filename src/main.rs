@@ -32,9 +32,8 @@
 use ompdart_core::plan::{diff_plans, extract_explicit_plans, Json, MappingPlan};
 use ompdart_core::{Analysis, ArtifactStore, Ompdart, ProgramError, StageError, UnitServe};
 use ompdart_server::daemon::{DaemonConfig, DaemonHandle, Endpoint};
-use ompdart_server::registry::RegistryConfig;
 use ompdart_server::watch::make_watcher;
-use ompdart_server::{signal, Client};
+use ompdart_server::{parse_size, signal, Client};
 use ompdart_sim::{simulate_source, SimConfig};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -478,22 +477,6 @@ fn cmd_analyze_program(
     } else {
         ExitCode::FAILURE
     })
-}
-
-/// Parse a size like `1048576`, `64k`, `256m`, `2g` into bytes.
-fn parse_size(text: &str) -> Result<u64, String> {
-    let text = text.trim();
-    let (digits, factor) = match text.as_bytes().last() {
-        Some(b'k' | b'K') => (&text[..text.len() - 1], 1u64 << 10),
-        Some(b'm' | b'M') => (&text[..text.len() - 1], 1u64 << 20),
-        Some(b'g' | b'G') => (&text[..text.len() - 1], 1u64 << 30),
-        _ => (text, 1u64),
-    };
-    digits
-        .parse::<u64>()
-        .map_err(|_| format!("`{text}` is not a size (expected N, Nk, Nm or Ng)"))?
-        .checked_mul(factor)
-        .ok_or_else(|| format!("`{text}` overflows"))
 }
 
 fn cmd_cache(args: &[String]) -> Result<ExitCode, String> {
@@ -1036,63 +1019,10 @@ fn watch_program_scan(
 /// `ompdart daemon`: run `ompdartd` in the foreground until a signal or a
 /// client `shutdown` request drains and flushes it.
 fn cmd_daemon(args: &[String]) -> Result<ExitCode, String> {
-    let mut endpoint: Option<Endpoint> = None;
-    let mut registry = RegistryConfig::default();
-    let mut workers = 0usize;
-    let mut quiet = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--socket" => {
-                endpoint = Some(Endpoint::Unix(
-                    it.next().ok_or("`--socket` expects a path")?.into(),
-                ));
-            }
-            "--tcp" => {
-                endpoint = Some(Endpoint::Tcp(
-                    it.next().ok_or("`--tcp` expects an address")?.to_string(),
-                ));
-            }
-            "--workers" => {
-                workers = it
-                    .next()
-                    .ok_or("`--workers` expects a number")?
-                    .parse()
-                    .map_err(|_| "`--workers` expects a number".to_string())?;
-            }
-            "--cache-dir" => {
-                registry.cache_dir =
-                    Some(it.next().ok_or("`--cache-dir` expects a directory")?.into());
-            }
-            "--cache-max-bytes" => {
-                registry.cache_max_bytes = Some(parse_size(
-                    it.next().ok_or("`--cache-max-bytes` expects a size")?,
-                )?);
-            }
-            "--pessimistic-globals" => registry.pessimistic_globals = true,
-            "--link-threads" => {
-                registry.link_threads = it
-                    .next()
-                    .ok_or("`--link-threads` expects a number")?
-                    .parse()
-                    .map_err(|_| "`--link-threads` expects a number".to_string())?;
-            }
-            "--quiet" => quiet = true,
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    let config = DaemonConfig {
-        endpoint: endpoint.unwrap_or_else(|| Endpoint::Unix("ompdartd.sock".into())),
-        registry,
-        workers,
-        quiet,
-    };
+    let config = DaemonConfig::from_args(args)?;
     let handle = DaemonHandle::spawn(config).map_err(|e| format!("cannot start daemon: {e}"))?;
-    let token = handle.token();
-    while !token.is_shutdown() {
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
-    // Join the accept loop's drain-and-flush epilogue before exiting 0.
+    // Blocks until shutdown is observed and the accept loop's
+    // drain-and-flush epilogue has run.
     handle.join();
     Ok(ExitCode::SUCCESS)
 }
@@ -1252,20 +1182,14 @@ fn cmd_client(args: &[String]) -> Result<ExitCode, String> {
                     let Some(profile) = entry.get(field).filter(|p| **p != Json::Null) else {
                         continue;
                     };
-                    let us =
-                        |f: &str| profile.get(f).and_then(Json::as_int).unwrap_or(0) as f64 / 1e3;
+                    let count = |f: &str| profile.get(f).and_then(Json::as_int).unwrap_or(0);
+                    let us = |f: &str| count(f) as f64 / 1e3;
                     println!(
                         "[client] {key}: {label}: {} unit(s) ({} fast-pathed, {} warm) in {:.3}ms \
                          (summarize {:.3}ms, link {:.3}ms, plan {:.3}ms, flush {:.3}ms)",
-                        profile.get("units").and_then(Json::as_int).unwrap_or(0),
-                        profile
-                            .get("fast_path_units")
-                            .and_then(Json::as_int)
-                            .unwrap_or(0),
-                        profile
-                            .get("warm_units")
-                            .and_then(Json::as_int)
-                            .unwrap_or(0),
+                        count("units"),
+                        count("fast_path_units"),
+                        count("warm_units"),
                         us("total_us"),
                         us("summarize_us"),
                         us("link_us"),

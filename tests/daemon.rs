@@ -17,7 +17,7 @@
 //! every test serializes on [`daemon_lock`].
 
 use ompdart_core::plan::Json;
-use ompdart_core::Ompdart;
+use ompdart_core::{CacheStats, Ompdart};
 use ompdart_server::daemon::{DaemonConfig, DaemonHandle, Endpoint};
 use ompdart_server::registry::RegistryConfig;
 use ompdart_server::{protocol, signal, Client, ClientError};
@@ -539,6 +539,17 @@ fn warm_rounds_report_fast_path_hits_over_the_wire() {
             .and_then(Json::as_int),
         Some(units.len() as i64)
     );
+    // One vocabulary on the wire: the cumulative `stats` object and a
+    // request's `request_stats` both carry every counter the engine keeps,
+    // and the profile says how wide the pool ran.
+    for name in CacheStats::NAMES {
+        for object in [program.get("stats"), warm.get("request_stats")] {
+            let value = object.and_then(|o| o.get(name)).and_then(Json::as_int);
+            assert!(value.is_some(), "`{name}` is missing from {object:?}");
+        }
+    }
+    let width = profile.get("pool_workers").and_then(Json::as_int);
+    assert!(width >= Some(1), "no effective pool width in {profile:?}");
     client.shutdown().expect("shutdown");
     handle.join();
 }
