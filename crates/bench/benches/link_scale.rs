@@ -6,18 +6,24 @@
 //!   sequential reference sweep vs the SCC-wavefront engine on the
 //!   resolved worker count, with a byte-identity assert between the two;
 //! * **driver trajectory** — cold `analyze_program`, warm relink of the
-//!   unchanged corpus (the identity fast path), and a semantic
-//!   one-function edit in the middle of the call chain, asserting
+//!   unchanged corpus (the identity fast path), a semantic one-function
+//!   edit in the middle of the call chain, asserting
 //!   `relink_reseeded_functions` stays inside the edit's dirty cone (the
-//!   edited stage plus its transitive callers);
+//!   edited stage plus its transitive callers), and the same edit at the
+//!   head of the chain, whose cone — and `relink_touched_units` — is a
+//!   handful whatever the corpus size;
 //! * **thread sweep** — the same cold/warm/one-edit trajectory at 1, 2,
-//!   4, and 8 workers, each point's rewrites asserted byte-identical to
-//!   the sequential reference;
+//!   4, and 8 requested workers, each point's rewrites asserted
+//!   byte-identical to the sequential reference. Every point reports the
+//!   width it effectively ran at (the pool is capped at the machine's
+//!   parallelism), and a point whose effective width repeats the previous
+//!   one is skipped: it would measure noise, not scaling;
 //! * **quality** — `linked_fallbacks == 0`: every cross-unit call in the
 //!   corpus resolves.
 //!
-//! Prints a greppable `link_scale:` summary line plus one
-//! `link_scale_sweep:` line per thread count, and writes the same numbers
+//! Prints a greppable `link_scale:` summary line, a `link_scale_head_edit:`
+//! line, plus one `link_scale_sweep:` line per distinct effective width,
+//! and writes the same numbers
 //! (with the cold, one-edit and warm rounds' [`ompdart_core::DriverProfile`]s) to
 //! `BENCH_link_scale.json` at the repo root, the perf trajectory the CI
 //! `link-scale` job snapshots.
@@ -40,6 +46,27 @@ fn corpus_units() -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(1000)
+}
+
+/// The committed trajectory's `"before"` object, carried over verbatim so
+/// the parent's numbers stay beside every refresh (`{}` when there is none).
+fn carried_before(path: &str) -> String {
+    let previous = std::fs::read_to_string(path).unwrap_or_default();
+    let key = "\"before\": ";
+    let Some(at) = previous.find(key) else {
+        return "{}".to_string();
+    };
+    let body = &previous[at + key.len()..];
+    let mut depth = 0usize;
+    for (i, c) in body.char_indices() {
+        match c {
+            '{' => depth += 1,
+            '}' if depth == 1 => return body[..=i].to_string(),
+            '}' => depth = depth.saturating_sub(1),
+            _ => {}
+        }
+    }
+    "{}".to_string()
 }
 
 fn options_for(units: usize) -> OmpDartOptions {
@@ -133,6 +160,30 @@ fn bench(c: &mut Criterion) {
     let cone_bound = (edit_at + 1) as u64;
     let edit_rewrite = edit_round.concatenated_rewrite();
 
+    // The same edit at the head of the chain (after reverting the first):
+    // its cone is `stage_1` and `main`, so the relink touches a handful of
+    // units at any corpus size.
+    driver.analyze_program(&inputs).unwrap();
+    let mut head_edited = inputs.clone();
+    corpus::edit_one_function(&mut head_edited, 1);
+    let before = session.cache_stats();
+    let t = Instant::now();
+    driver.analyze_program(&head_edited).unwrap();
+    let head_edit_ms = t.elapsed().as_secs_f64() * 1e3;
+    let head_moved = session.cache_stats() - before;
+    let (head_reseeded, head_touched) = (
+        head_moved.relink_reseeded_functions,
+        head_moved.relink_touched_units,
+    );
+    eprintln!(
+        "link_scale_head_edit: units={n} head_edit={head_edit_ms:.3}ms \
+         relink_reseeded={head_reseeded} relink_touched_units={head_touched}"
+    );
+    assert!(
+        head_touched <= 8,
+        "a head edit must touch a handful of units, not {head_touched}"
+    );
+
     eprintln!(
         "link_scale: units={n} threads={threads} engine_seq={sequential_ms:.3}ms \
          engine_par={parallel_ms:.3}ms speedup={speedup:.2}x identical=true \
@@ -158,10 +209,16 @@ fn bench(c: &mut Criterion) {
         "re-seeding must stay inside the dirty cone: {reseeded} > {cone_bound}"
     );
 
-    // --- Thread sweep: the same trajectory at 1, 2, 4, and 8 workers, ---
-    // each point byte-identical to the trajectory above.
+    // --- Thread sweep: the same trajectory at 1, 2, 4, and 8 requested ---
+    // workers, each point byte-identical to the trajectory above.
     let mut sweep_json = String::new();
+    let mut previous_width = 0;
     for t_count in [1usize, 2, 4, 8] {
+        let workers = ompdart_core::pool::effective_width(t_count);
+        if workers == previous_width {
+            continue;
+        }
+        previous_width = workers;
         let sweep_options = OmpDartOptions {
             link_threads: t_count,
             ..options_for(n)
@@ -191,13 +248,13 @@ fn bench(c: &mut Criterion) {
         );
         let warm_per_unit_us = sweep_warm_ms * 1e3 / n as f64;
         eprintln!(
-            "link_scale_sweep: threads={t_count} cold={sweep_cold_ms:.3}ms \
+            "link_scale_sweep: threads={t_count} workers={workers} cold={sweep_cold_ms:.3}ms \
              warm={sweep_warm_ms:.3}ms warm_per_unit_us={warm_per_unit_us:.1} \
              one_edit={sweep_edit_ms:.3}ms fast_path_units={} identical=true",
             sweep_profile.fast_path_units
         );
         sweep_json.push_str(&format!(
-            "    {{ \"threads\": {t_count}, \"cold_ms\": {sweep_cold_ms:.3}, \
+            "    {{ \"threads\": {t_count}, \"workers\": {workers}, \"cold_ms\": {sweep_cold_ms:.3}, \
              \"warm_ms\": {sweep_warm_ms:.3}, \"warm_per_unit_us\": {warm_per_unit_us:.1}, \
              \"one_edit_ms\": {sweep_edit_ms:.3}, \"fast_path_units\": {}, \
              \"identical\": true }},\n",
@@ -206,6 +263,7 @@ fn bench(c: &mut Criterion) {
     }
     let sweep_json = sweep_json.trim_end_matches(",\n").to_string();
 
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_link_scale.json");
     let json = format!(
         "{{\n  \"bench\": \"link_scale\",\n  \"units\": {n},\n  \"threads\": {threads},\n  \
          \"pool_workers\": {},\n  \
@@ -214,6 +272,8 @@ fn bench(c: &mut Criterion) {
          \"identical\": true\n  }},\n  \"driver\": {{\n    \
          \"cold_link_ms\": {cold_link_ms:.3},\n    \"cold_analyze_ms\": {cold_ms:.3},\n    \
          \"warm_relink_ms\": {warm_ms:.3},\n    \"one_edit_ms\": {edit_ms:.3},\n    \
+         \"head_edit_ms\": {head_edit_ms:.3},\n    \
+         \"relink_touched_units\": {head_touched},\n    \
          \"allocs_per_unit_cold\": {allocs_per_unit_cold:.0},\n    \
          \"alloc_kb_per_unit_cold\": {alloc_kb_per_unit_cold:.1},\n    \
          \"cold_parse_ms\": {cold_parse_ms:.3},\n    \
@@ -222,13 +282,13 @@ fn bench(c: &mut Criterion) {
          \"relink_reseeded_functions\": {reseeded},\n    \
          \"dirty_cone_bound\": {cone_bound},\n    \
          \"linked_fallbacks\": {linked_fallbacks}\n  }},\n  \
-         \"warm_profile\": {},\n  \"sweep\": [\n{sweep_json}\n  ]\n}}\n",
+         \"warm_profile\": {},\n  \"sweep\": [\n{sweep_json}\n  ],\n  \"before\": {}\n}}\n",
         cold_profile.pool_workers,
         cold_profile.to_json(),
         edit_profile.to_json(),
-        warm_profile.to_json()
+        warm_profile.to_json(),
+        carried_before(path)
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_link_scale.json");
     std::fs::write(path, json).expect("write BENCH_link_scale.json");
 
     // Criterion samples of the isolated engines, for trend tracking.

@@ -10,12 +10,20 @@
 //! definitions are not visible (external translation units), exactly as the
 //! paper prescribes: `const` pointer parameters are assumed read-only, other
 //! pointers read-write.
+//!
+//! One engine serves every fixed point: [`ProgramSummaries::propagate`]
+//! converges a whole node set from its seeds (a unit's own functions in the
+//! summarize stage, a cold link's whole program), and
+//! [`ProgramSummaries::propagate_incremental`] re-converges, in place, just
+//! the caller-closed cone the link stage hands it — condensing only the
+//! cone's subgraph, with every converged summary held behind its own `Arc`
+//! so that starting from a previous fixed point copies pointers.
 
 use crate::access::{Access, AccessKind, AccessOrigin, CallSite, FunctionAccesses, SymbolTable};
 use ompdart_frontend::ast::{FunctionDef, TranslationUnit};
 use ompdart_frontend::Symbol;
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// The effect of a function on one externally visible datum.
@@ -113,7 +121,10 @@ pub struct FunctionSummary {
 /// Summaries for every function definition in the translation unit.
 #[derive(Clone, Debug, Default)]
 pub struct ProgramSummaries {
-    functions: HashMap<Symbol, FunctionSummary>,
+    /// One `Arc` per function: seeds flow from the function-summary cache
+    /// through the fixed point into every per-unit view as pointer copies,
+    /// and cloning a whole converged set deep-copies nothing.
+    functions: HashMap<Symbol, Arc<FunctionSummary>>,
     /// Optional fall-through layer for [`Self::summary`] lookups: an
     /// [`Self::overlay`] view holds only its own (shadowing) entries and
     /// resolves everything else here, so building a per-unit view over a
@@ -263,7 +274,7 @@ impl ProgramSummaries {
             let Some(sym) = symbols.get(&func.name) else {
                 continue;
             };
-            seeds.insert(func.name, seed_summary(func, acc, sym));
+            seeds.insert(func.name, Arc::new(seed_summary(func, acc, sym)));
             nodes.push(PropagationNode::build(func.name, func, acc, sym, |c| c));
         }
         ProgramSummaries::propagate(&nodes, seeds, max_passes, false, 1)
@@ -300,7 +311,7 @@ impl ProgramSummaries {
     /// wavefront sweep instead of a thousand whole-program passes.
     pub fn propagate(
         nodes: &[PropagationNode<'_>],
-        seeds: HashMap<Symbol, FunctionSummary>,
+        seeds: HashMap<Symbol, Arc<FunctionSummary>>,
         max_passes: usize,
         clobber_globals: bool,
         threads: usize,
@@ -310,7 +321,7 @@ impl ProgramSummaries {
             base: None,
             passes: 0,
         };
-        result.run_wavefronts(nodes, max_passes, None, clobber_globals, threads);
+        result.run_wavefronts(nodes, max_passes, clobber_globals, threads);
         result
     }
 
@@ -321,7 +332,7 @@ impl ProgramSummaries {
     /// `d` needs `max_passes >= d` here.
     pub fn propagate_sequential(
         nodes: &[PropagationNode<'_>],
-        seeds: &HashMap<Symbol, FunctionSummary>,
+        seeds: &HashMap<Symbol, Arc<FunctionSummary>>,
         max_passes: usize,
         clobber_globals: bool,
     ) -> ProgramSummaries {
@@ -330,116 +341,53 @@ impl ProgramSummaries {
             base: None,
             passes: 0,
         };
-        result.run_passes(nodes, max_passes, None, clobber_globals);
+        result.run_passes(nodes, max_passes, clobber_globals);
         result
     }
 
-    /// Incremental propagation: start from a *previously converged* summary
-    /// set, re-seed only the functions in `dirty` (plus their transitive
-    /// callers — the reverse call-graph cone, the only summaries that can
-    /// depend on a dirty function), and iterate the cone to convergence
-    /// against the stable out-of-cone values, with up to `threads` workers
-    /// for the cone's wavefront sweep. Returns the summaries and the cone —
-    /// exactly the functions whose summaries were re-derived from their
-    /// seeds.
+    /// Incremental propagation, in place: `self` is a *previously
+    /// converged* summary set and `cone` a set of functions closed under
+    /// "is called by" — every dirty function plus its transitive callers,
+    /// the only summaries that can depend on a dirty one (the link stage
+    /// keeps the reverse call graph that yields it). Each cone entry is
+    /// reset to its fresh seed, or dropped when the function no longer
+    /// exists (`None`) — a shrunk seed must not keep stale effects alive —
+    /// and `nodes`, the cone's surviving functions, are re-converged
+    /// against the stable out-of-cone values with up to `threads` workers.
+    /// Returns what each cone entry held before, in `cone` order.
     ///
     /// Because the out-of-cone summaries depend only on out-of-cone seeds
     /// (no transitive call reaches a dirty function), they are already at
     /// the least fixed point and the result is identical to a cold
-    /// [`Self::propagate`] over all nodes. The dirty cone is closed under
-    /// "calls into the cone", and every strongly connected component is a
-    /// set of mutual transitive callers — so the cone always covers whole
-    /// components and the wavefront engine re-converges exactly the cone.
-    #[allow(clippy::too_many_arguments)]
+    /// [`Self::propagate`] over all nodes. Every strongly connected
+    /// component is a set of mutual transitive callers, so the cone always
+    /// covers whole components: condensing the cone's own subgraph yields
+    /// exactly the components (and callee-before-caller order) a
+    /// whole-program condensation would, at the cone's cost.
     pub fn propagate_incremental(
+        &mut self,
+        cone: Vec<(Symbol, Option<Arc<FunctionSummary>>)>,
         nodes: &[PropagationNode<'_>],
-        seeds: &HashMap<Symbol, FunctionSummary>,
-        previous: &ProgramSummaries,
-        dirty: &BTreeSet<Symbol>,
         max_passes: usize,
         clobber_globals: bool,
         threads: usize,
-    ) -> (ProgramSummaries, BTreeSet<Symbol>) {
-        // Reverse call-graph closure of the dirty set: summaries flow from
-        // callee to caller, so only transitive callers of a dirty function
-        // can observe the change. Removed functions stay in `dirty` (their
-        // callers still name them in call sites of the new graph). A
-        // worklist over a reverse-adjacency index keeps this O(V + E) —
-        // a fixed-point sweep here would cost O(cone-depth * E) and make a
-        // mid-chain edit *slower* than a cold link on deep call chains.
-        let index: HashMap<Symbol, u32> = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, node)| (node.name, i as u32))
+    ) -> Vec<Option<Arc<FunctionSummary>>> {
+        let previous = cone
+            .into_iter()
+            .map(|(name, seed)| match seed {
+                Some(seed) => self.functions.insert(name, seed),
+                None => self.functions.remove(&name),
+            })
             .collect();
-        let mut callers: Vec<Vec<u32>> = vec![Vec::new(); nodes.len()];
-        for (i, node) in nodes.iter().enumerate() {
-            for call in node.calls.iter() {
-                if let Some(&callee) = index.get(&call.callee) {
-                    callers[callee as usize].push(i as u32);
-                }
-            }
+        if !nodes.is_empty() {
+            self.run_wavefronts(nodes, max_passes, clobber_globals, threads);
         }
-        let mut in_cone = vec![false; nodes.len()];
-        let mut worklist: Vec<u32> = Vec::new();
-        for name in dirty {
-            if let Some(&i) = index.get(name) {
-                if !in_cone[i as usize] {
-                    in_cone[i as usize] = true;
-                    worklist.push(i);
-                }
-            }
-        }
-        while let Some(i) = worklist.pop() {
-            for &caller in &callers[i as usize] {
-                if !in_cone[caller as usize] {
-                    in_cone[caller as usize] = true;
-                    worklist.push(caller);
-                }
-            }
-        }
-        let mut cone: BTreeSet<Symbol> = dirty.clone();
-        for (i, node) in nodes.iter().enumerate() {
-            if in_cone[i] {
-                cone.insert(node.name);
-            }
-        }
-
-        // Start from the previous fixed point; reset the cone to its fresh
-        // seeds (a shrunk seed must not keep stale effects alive).
-        let mut functions = previous.functions.clone();
-        for name in &cone {
-            match seeds.get(name) {
-                Some(seed) => {
-                    functions.insert(*name, seed.clone());
-                }
-                None => {
-                    functions.remove(name);
-                }
-            }
-        }
-        // Functions that exist now but not before (and are not dirty by
-        // value) still need their converged entry.
-        for (name, seed) in seeds {
-            functions.entry(*name).or_insert_with(|| seed.clone());
-        }
-        // Drop entries for functions that no longer exist.
-        functions.retain(|name, _| seeds.contains_key(name));
-
-        let mut result = ProgramSummaries {
-            functions,
-            base: None,
-            passes: 0,
-        };
-        if !cone.is_empty() {
-            result.run_wavefronts(nodes, max_passes, Some(&cone), clobber_globals, threads);
-        }
-        (result, cone)
+        previous
     }
 
     /// The SCC-wavefront engine shared by the cold and incremental fixed
-    /// points. With `only` set, updates are restricted to that set of
-    /// functions (reads still see every summary).
+    /// points: converges exactly `nodes`, reading (never updating) the
+    /// summary of any callee outside them.
     ///
     /// Wavefront levels are processed in ascending order; within one level
     /// the components share no edges, so up to `threads` workers converge
@@ -451,7 +399,6 @@ impl ProgramSummaries {
         &mut self,
         nodes: &[PropagationNode<'_>],
         max_passes: usize,
-        only: Option<&BTreeSet<Symbol>>,
         clobber_globals: bool,
         threads: usize,
     ) {
@@ -473,34 +420,16 @@ impl ProgramSummaries {
 
         let mut deepest = 0usize;
         for wavefront in &cond.wavefronts {
-            // The incremental cone covers whole components (see
-            // `propagate_incremental`), so a component is either
-            // entirely in the cone or entirely stable.
-            let work: Vec<usize> = wavefront
-                .iter()
-                .copied()
-                .filter(|&c| {
-                    only.is_none_or(|set| {
-                        cond.members[c]
-                            .iter()
-                            .any(|&v| set.contains(&nodes[v].name))
-                    })
-                })
-                .collect();
-            if work.is_empty() {
-                continue;
-            }
             let results = {
                 let base = &self.functions;
-                crate::pipeline::parallel_map_indexed(threads, work.len(), |slot| {
-                    let c = work[slot];
+                crate::pipeline::parallel_map_indexed(threads, wavefront.len(), |slot| {
+                    let c = wavefront[slot];
                     converge_component(
                         nodes,
                         base,
                         &cond.members[c],
                         cond.cyclic[c],
                         max_passes,
-                        only,
                         clobber_globals,
                     )
                 })
@@ -508,7 +437,7 @@ impl ProgramSummaries {
             for (updates, inner) in results {
                 deepest = deepest.max(inner);
                 for (name, summary) in updates {
-                    self.functions.insert(name, summary);
+                    self.functions.insert(name, Arc::new(summary));
                 }
             }
         }
@@ -521,31 +450,32 @@ impl ProgramSummaries {
         &mut self,
         nodes: &[PropagationNode<'_>],
         max_passes: usize,
-        only: Option<&BTreeSet<Symbol>>,
         clobber_globals: bool,
     ) {
+        let working = |functions: &HashMap<Symbol, Arc<FunctionSummary>>, name: Symbol| {
+            functions
+                .get(&name)
+                .map(|summary| FunctionSummary::clone(summary))
+                .unwrap_or_default()
+        };
         for pass in 0..max_passes.max(1) {
             self.passes = pass + 1;
             let mut changed = false;
             for node in nodes {
-                if only.is_some_and(|set| !set.contains(&node.name)) {
-                    continue;
-                }
                 for call in node.calls.iter() {
                     let Some(callee_summary) = self.functions.get(&call.callee).cloned() else {
                         if clobber_globals && !PURE_BUILTINS.contains(&call.callee.as_str()) {
-                            let mut caller =
-                                self.functions.get(&node.name).cloned().unwrap_or_default();
+                            let mut caller = working(&self.functions, node.name);
                             if merge_unknown_call(&mut caller, node, call.on_device) {
-                                self.functions.insert(node.name, caller);
+                                self.functions.insert(node.name, Arc::new(caller));
                                 changed = true;
                             }
                         }
                         continue;
                     };
-                    let mut caller = self.functions.get(&node.name).cloned().unwrap_or_default();
+                    let mut caller = working(&self.functions, node.name);
                     if merge_known_call(&mut caller, node, call, &callee_summary) {
-                        self.functions.insert(node.name, caller);
+                        self.functions.insert(node.name, Arc::new(caller));
                         changed = true;
                     }
                 }
@@ -557,14 +487,16 @@ impl ProgramSummaries {
     }
 
     /// A lookup-only view over `base`: [`Self::summary`] resolves names
-    /// first in the view's own (initially empty) layer, then in `base`.
-    /// [`Self::insert`] writes into the own layer, shadowing `base` without
-    /// touching it — the link stage's per-unit static views cost the few
-    /// shadowed `static` entries instead of a full clone of the
-    /// whole-program summary set.
-    pub fn overlay(base: Arc<ProgramSummaries>) -> ProgramSummaries {
+    /// first in the view's `own` layer, then in `base`. The own layer
+    /// shadows `base` without touching it — the link stage's per-unit
+    /// static views cost the few shadowed `static` entries (pointer
+    /// copies) instead of a full clone of the whole-program summary set.
+    pub fn overlay(
+        base: Arc<ProgramSummaries>,
+        own: impl IntoIterator<Item = (Symbol, Arc<FunctionSummary>)>,
+    ) -> ProgramSummaries {
         ProgramSummaries {
-            functions: HashMap::new(),
+            functions: own.into_iter().collect(),
             passes: base.passes,
             base: Some(base),
         }
@@ -577,21 +509,15 @@ impl ProgramSummaries {
     }
 
     fn summary_sym(&self, name: Symbol) -> Option<&FunctionSummary> {
-        self.functions
-            .get(&name)
-            .or_else(|| self.base.as_ref().and_then(|base| base.summary_sym(name)))
+        match self.functions.get(&name) {
+            Some(summary) => Some(summary),
+            None => self.base.as_ref().and_then(|base| base.summary_sym(name)),
+        }
     }
 
     /// Iterate all summaries (unspecified order).
     pub fn iter(&self) -> impl Iterator<Item = (&Symbol, &FunctionSummary)> {
-        self.functions.iter()
-    }
-
-    /// Insert (or replace) one summary under an explicit key. The link
-    /// stage uses this to build per-unit views where unit-private `static`
-    /// symbols appear under their source-level names.
-    pub fn insert(&mut self, name: impl Into<Symbol>, summary: FunctionSummary) {
-        self.functions.insert(name.into(), summary);
+        self.functions.iter().map(|(name, s)| (name, &**s))
     }
 
     /// Number of summarized functions.
@@ -697,11 +623,10 @@ fn merge_unknown_call(
 /// components iterate until no summary changes, bounded by `max_passes`.
 fn converge_component(
     nodes: &[PropagationNode<'_>],
-    base: &HashMap<Symbol, FunctionSummary>,
+    base: &HashMap<Symbol, Arc<FunctionSummary>>,
     members: &[usize],
     cyclic: bool,
     max_passes: usize,
-    only: Option<&BTreeSet<Symbol>>,
     clobber_globals: bool,
 ) -> (Vec<(Symbol, FunctionSummary)>, usize) {
     // Working copies exist only for members whose summary actually changes;
@@ -715,9 +640,6 @@ fn converge_component(
         let mut changed = false;
         for &v in members {
             let node = &nodes[v];
-            if only.is_some_and(|set| !set.contains(&node.name)) {
-                continue;
-            }
             if node.calls.is_empty() {
                 continue;
             }
@@ -726,7 +648,10 @@ fn converge_component(
             // if this visit (or an earlier pass) changed it.
             let (mut caller, was_local) = match local.remove(&node.name) {
                 Some(summary) => (summary, true),
-                None => (base.get(&node.name).cloned().unwrap_or_default(), false),
+                None => {
+                    let summary = base.get(&node.name).map(|s| FunctionSummary::clone(s));
+                    (summary.unwrap_or_default(), false)
+                }
             };
             let mut caller_changed = false;
             for call in node.calls.iter() {
@@ -741,7 +666,10 @@ fn converge_component(
                 }
                 // In-component callees live in `local` (and shadow their
                 // stale `base` snapshot); everything else is final in `base`.
-                match local.get(&call.callee).or_else(|| base.get(&call.callee)) {
+                let callee = local
+                    .get(&call.callee)
+                    .or_else(|| base.get(&call.callee).map(|s| &**s));
+                match callee {
                     Some(callee_summary) => {
                         if merge_known_call(&mut caller, node, call, callee_summary) {
                             caller_changed = true;

@@ -357,8 +357,10 @@ pub struct SummariesArtifact {
     /// The per-function *local* (direct-effect) seeds the fixed point ran
     /// over, keyed by function name. The link stage re-converges these
     /// across units — incrementally, because each seed is a function-
-    /// granular artifact with its own cache key.
-    pub seeds: HashMap<Symbol, FunctionSummary>,
+    /// granular artifact with its own cache key. `Arc`'d: a seed is shared
+    /// by the summary cache, this map, the unit-local fixed point and the
+    /// link stage without ever being deep-copied.
+    pub seeds: HashMap<Symbol, Arc<FunctionSummary>>,
     /// The function-summary-cache rows this stage call moved. All zero
     /// when no cache was consulted.
     pub counted: CacheStats,
@@ -540,9 +542,11 @@ fn stage_summaries_cached(
                     &mut counted.function_summary_hits,
                     &mut counted.function_summary_misses,
                 );
-                cache.get_or_insert_with(parsed, func, count, || seed_summary(func, acc, sym))
+                cache.get_or_insert_with(parsed, func, count, || {
+                    Arc::new(seed_summary(func, acc, sym))
+                })
             }
-            None => seed_summary(func, acc, sym),
+            None => Arc::new(seed_summary(func, acc, sym)),
         };
         seeds.insert(func.name, seed);
         nodes.push(PropagationNode::build(func.name, func, acc, sym, |c| c));
@@ -725,7 +729,7 @@ type FunctionAccessCache = FunctionCache<FunctionStageKey, CachedFunctionAccesse
 /// Session-lifetime cache of per-function local (direct-effect) summary
 /// seeds. Summaries carry only variable names and effect bits — no node
 /// ids, no spans — so hits need no relocation.
-type FunctionSummaryCache = FunctionCache<FunctionStageKey, FunctionSummary>;
+type FunctionSummaryCache = FunctionCache<FunctionStageKey, Arc<FunctionSummary>>;
 
 /// Hash of the translation-unit environment: every byte of the source that
 /// lies outside a function definition. See [`FunctionPlanKey::env_hash`].
@@ -776,42 +780,65 @@ pub(crate) fn summary_fingerprint(s: &FunctionSummary) -> u64 {
     h.finish()
 }
 
-/// Fingerprint of the interprocedural facts a function's plan consumes: the
-/// summary of every direct callee, or — for callees without a summary — the
-/// `const` qualifiers of the visible prototype the pessimistic fallback
-/// reads. In a linked program the summaries are the *whole-program* ones,
-/// so a callee edited in another unit invalidates its callers here exactly
-/// when its converged summary changed.
-pub(crate) fn callees_fingerprint(
+/// One direct callee of a function, as the function's callee fingerprint
+/// reads it: the name its call sites spell, and the bytes hashed when that
+/// name has no summary — the parameter count, `const` qualifiers and
+/// variadic flag of the visible prototype the pessimistic fallback reads
+/// (empty without one).
+#[derive(Debug)]
+pub(crate) struct CalleeKey {
+    pub(crate) name: Symbol,
+    proto: Vec<u8>,
+}
+
+/// The direct callees of `func_name`, sorted by name and de-duplicated:
+/// everything about a function's callee fingerprint that depends on the
+/// unit alone, so the link stage memoises it per unit content.
+pub(crate) fn callee_keys(
     func_name: Symbol,
     accesses: &AccessArtifact,
-    summaries: &ProgramSummaries,
     unit: &TranslationUnit,
-) -> u64 {
-    let mut names: Vec<&str> = accesses
+) -> Vec<CalleeKey> {
+    let mut names: Vec<Symbol> = accesses
         .accesses
         .get(&func_name)
-        .map(|acc| acc.calls.iter().map(|c| c.callee.as_str()).collect())
+        .map(|acc| acc.calls.iter().map(|c| c.callee).collect())
         .unwrap_or_default();
     names.sort_unstable();
     names.dedup();
+    let key = |name: Symbol| {
+        let mut proto = Vec::new();
+        if let Some(decl) = unit.all_functions().find(|f| f.name == name) {
+            proto.extend_from_slice(&(decl.params.len() as u64).to_le_bytes());
+            proto.extend(decl.params.iter().map(|p| u8::from(p.is_const_pointee)));
+            proto.push(u8::from(decl.is_variadic));
+        }
+        CalleeKey { name, proto }
+    };
+    names.into_iter().map(key).collect()
+}
+
+/// Fingerprint of the interprocedural facts a function's plan consumes: the
+/// summary fingerprint (`summary_fp`) of every direct callee, or — for
+/// callees without a summary — the shape of the visible prototype. In a
+/// linked program the summaries are the *whole-program* ones, so a callee
+/// edited in another unit invalidates its callers here exactly when its
+/// converged summary changed.
+pub(crate) fn callees_fingerprint(
+    callees: &[CalleeKey],
+    summary_fp: impl Fn(Symbol) -> Option<u64>,
+) -> u64 {
     let mut h = Fnv::new();
-    for name in names {
-        h.write_str(name);
-        match summaries.summary(name) {
-            Some(summary) => {
+    for callee in callees {
+        h.write_str(&callee.name);
+        match summary_fp(callee.name) {
+            Some(fingerprint) => {
                 h.write(&[1]);
-                h.write_u64(summary_fingerprint(summary));
+                h.write_u64(fingerprint);
             }
             None => {
                 h.write(&[2]);
-                if let Some(proto) = unit.all_functions().find(|f| f.name == name) {
-                    h.write_u64(proto.params.len() as u64);
-                    for p in &proto.params {
-                        h.write(&[u8::from(p.is_const_pointee)]);
-                    }
-                    h.write(&[u8::from(proto.is_variadic)]);
-                }
+                h.write(&callee.proto);
             }
         }
     }
@@ -938,7 +965,10 @@ fn run_plan_stage(
             .map(|(parsed, _, env_hash, options_hash)| FunctionPlanKey {
                 snippet: parsed.file.snippet(func.span).to_string(),
                 env_hash: *env_hash,
-                callees_hash: callees_fingerprint(func.name, accesses, effective_summaries, unit),
+                callees_hash: callees_fingerprint(
+                    &callee_keys(func.name, accesses, unit),
+                    |callee| effective_summaries.summary(callee).map(summary_fingerprint),
+                ),
                 refs_hash: if func.name == "main" {
                     let mut h = Fnv::new();
                     h.write_u64(liveness_fingerprint(unit, &func.name));
@@ -1343,12 +1373,11 @@ pub struct AnalysisSession {
     function_plans: FunctionPlanCache,
     function_accesses: FunctionAccessCache,
     function_summaries: FunctionSummaryCache,
-    /// The previously converged whole-program link state (seed
-    /// fingerprints + converged cross-unit summaries), used by
-    /// [`crate::program::Program::relink`] to re-seed only the edited
-    /// functions' call-graph cone instead of re-running the merged fixed
-    /// point from scratch.
-    link_state: Mutex<Option<Arc<LinkState>>>,
+    /// The persistent whole-program link state: the latest linked program
+    /// and the indexes [`crate::program::Program::relink`] patches, so the
+    /// next link touches only the units that changed and what their
+    /// re-derived summaries reach. Empty until the first link.
+    link_state: Mutex<LinkState>,
     store: Option<ArtifactStore>,
     /// Write-behind buffer of store write-backs: `analyze_linked` queues
     /// here and [`AnalysisSession::flush_store_writes`] flushes the whole
@@ -1399,7 +1428,7 @@ impl AnalysisSession {
             function_plans: FunctionPlanCache::new(),
             function_accesses: FunctionAccessCache::new(),
             function_summaries: FunctionSummaryCache::new(),
-            link_state: Mutex::new(None),
+            link_state: Mutex::default(),
             store: None,
             pending_saves: Mutex::new(Vec::new()),
             last_round: Mutex::new(None),
@@ -1467,18 +1496,23 @@ impl AnalysisSession {
         count
     }
 
-    /// The previously converged link state, if any (whole-program
-    /// incremental relinking; see [`crate::program::Program::relink`]).
-    pub(crate) fn take_link_state(&self) -> Option<Arc<LinkState>> {
-        self.link_state.lock().unwrap().clone()
+    /// Take the persistent link state out of the session (leaving the empty
+    /// state, whose patch is a cold link) for
+    /// [`crate::program::Program::relink`] to patch;
+    /// [`Self::note_link`] puts it back.
+    pub(crate) fn take_link_state(&self) -> LinkState {
+        std::mem::take(&mut *self.link_state.lock().expect("link state lock poisoned"))
     }
 
-    /// Record the converged link state of the latest whole-program link
-    /// and the number of functions the incremental fixed point re-seeded.
-    pub(crate) fn note_link(&self, state: Arc<LinkState>, reseeded: u64) {
-        *self.link_state.lock().unwrap() = Some(state);
-        self.counters
-            .add(Counter::relink_reseeded_functions, reseeded);
+    /// Put the link state back after a relink and count what the relink
+    /// re-seeded and touched.
+    pub(crate) fn note_link(&self, state: LinkState) {
+        self.counters.add_all(CacheStats {
+            relink_reseeded_functions: state.reseeded,
+            relink_touched_units: state.touched_units,
+            ..CacheStats::default()
+        });
+        *self.link_state.lock().expect("link state lock poisoned") = state;
     }
 
     /// The previous whole-program round's artifacts (identity fast path).

@@ -17,9 +17,14 @@
 //!    sets of its defined functions, plus a stable fingerprint of all of
 //!    it.
 //! 2. **Link** — [`Program::link`] merges every unit's call graph and
-//!    re-runs the interprocedural fixed point to convergence *across*
-//!    units ([`LinkedSummaries`]), so a callee defined in another file
-//!    resolves to its real summary.
+//!    runs the interprocedural fixed point to convergence *across* units
+//!    ([`LinkedSummaries`]), so a callee defined in another file resolves
+//!    to its real summary. There is one link path, [`Program::relink`],
+//!    and it *patches* a persistent [`LinkState`] — the latest program
+//!    plus the indexes a link derives — by the units that changed, at a
+//!    cost of O(changed units + dirty cone + importers of moved
+//!    summaries); a cold link is the patch of the empty state, in which
+//!    every unit is a changed one.
 //! 3. **Plan** — each unit is planned against the linked summaries and a
 //!    cross-unit [`ExternalRefs`] view, so whole-program exit liveness
 //!    (the dead-exit-copy demotion) still works when the kernel and the
@@ -38,12 +43,14 @@
 use crate::dataflow::function_referenced_vars;
 use crate::interproc::{FunctionSummary, ProgramSummaries, PropagationNode};
 use crate::pipeline::{
-    summary_fingerprint, AnalysisSession, Fnv, StageError, SummarizedUnit, UnitAnalysis,
+    callee_keys, callees_fingerprint, summary_fingerprint, AnalysisSession, CalleeKey, Fnv,
+    StageError, SummarizedUnit, UnitAnalysis,
 };
 use crate::plan::json::Json;
 use crate::stats::Value;
 use ompdart_frontend::Symbol;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -65,6 +72,11 @@ pub const UNLINKED: u64 = 0;
 /// resolve to the mangled symbol; other units never see it.
 fn mangle_static(name: &str, unit: &str) -> String {
     format!("{name}@{unit}")
+}
+
+/// True for the link-resolved name of a `static` function.
+fn is_mangled(resolved: Symbol) -> bool {
+    resolved.contains('@')
 }
 
 // ---------------------------------------------------------------------------
@@ -155,9 +167,9 @@ fn unit_referenced_vars(unit: &SummarizedUnit) -> ExternalRefs {
 
 /// One function's link-ready propagation inputs, resolved once per unit
 /// *content*: its mangled name (statics), resolved call list, parameter
-/// names, and local seed summary. [`Program::relink`] assembles the merged
-/// call graph from these by borrowing — no per-relink name mangling, call
-/// re-resolution, or node rebuilding.
+/// names, local seed summary and local fingerprint. [`Program::relink`]
+/// borrows these for exactly the functions it re-converges — no per-relink
+/// name mangling, call re-resolution, hashing or node rebuilding.
 #[derive(Debug)]
 pub(crate) struct LinkFunction {
     /// Source-level name (artifact-map key inside the unit).
@@ -168,16 +180,21 @@ pub(crate) struct LinkFunction {
     pub(crate) params: Vec<Symbol>,
     /// Call sites with callee names link-resolved.
     pub(crate) calls: Vec<crate::access::CallSite>,
-    /// The local seed summary under its resolved name.
-    pub(crate) seed: FunctionSummary,
+    /// The local seed summary under its resolved name (the unit's own
+    /// seed `Arc` unless the function is a renamed static).
+    pub(crate) seed: Arc<FunctionSummary>,
+    /// Fingerprint of everything the cross-unit propagation reads from the
+    /// function's caller side (see [`local_fingerprint`]).
+    pub(crate) local_fp: u64,
 }
 
 /// Everything the link stage derives from one unit's own content: its
-/// referenced-variable sets, its [`ExportedInterface`], and its resolved
-/// propagation inputs. Memoized on the [`SummarizedUnit`] itself (a
-/// `OnceLock`), so a content-identical unit — which keeps its `Arc` across
-/// rounds thanks to the summarize cache — pays the AST walks, name
-/// mangling, and call resolution once per unit *content*, not once per
+/// referenced-variable sets, its [`ExportedInterface`], its resolved
+/// propagation inputs and the callee lists its imports fingerprint hashes.
+/// Memoized on the [`SummarizedUnit`] itself (a `OnceLock`), so a
+/// content-identical unit — which keeps its `Arc` across rounds thanks to
+/// the summarize cache — pays the AST walks, name mangling, call
+/// resolution and fingerprinting once per unit *content*, not once per
 /// relink.
 #[derive(Debug)]
 pub(crate) struct UnitExports {
@@ -195,6 +212,13 @@ pub(crate) struct UnitExports {
     pub(crate) statics_mangled: Vec<(Symbol, Symbol)>,
     /// Link-ready propagation inputs per function with full artifacts.
     pub(crate) link_funcs: Vec<LinkFunction>,
+    /// Every defined function, in source order, with its direct callees:
+    /// what the unit's imports fingerprint hashes against the converged
+    /// summaries.
+    pub(crate) callees: Vec<(Symbol, Vec<CalleeKey>)>,
+    /// True when the unit defines `main`, the one consumer of the
+    /// program-wide referenced-variable map.
+    pub(crate) defines_main: bool,
 }
 
 impl SummarizedUnit {
@@ -238,30 +262,69 @@ impl SummarizedUnit {
                 .filter_map(|f| {
                     let seed = self.summaries.seeds.get(&f.name)?;
                     let acc = self.accesses.accesses.get(&f.name)?;
+                    let sym = self.accesses.symbols.get(&f.name)?;
                     let resolved = resolve(f.name);
                     let mut calls = acc.calls.clone();
                     for call in &mut calls {
                         call.callee = resolve(call.callee);
                     }
-                    let mut seed = seed.clone();
-                    seed.name = resolved;
+                    let seed = if resolved == f.name {
+                        Arc::clone(seed)
+                    } else {
+                        let mut seed = FunctionSummary::clone(seed);
+                        seed.name = resolved;
+                        Arc::new(seed)
+                    };
+                    let params: Vec<Symbol> = f.params.iter().map(|p| p.name).collect();
                     Some(LinkFunction {
                         source: f.name,
                         resolved,
-                        params: f.params.iter().map(|p| p.name).collect(),
+                        local_fp: local_fingerprint(&seed, &params, &calls, sym),
+                        params,
                         calls,
                         seed,
                     })
                 })
                 .collect();
+            let callees = self
+                .parsed
+                .unit
+                .functions()
+                .map(|f| {
+                    let keys = callee_keys(f.name, &self.accesses, &self.parsed.unit);
+                    (f.name, keys)
+                })
+                .collect();
             UnitExports {
                 resolved_refs,
                 interface,
+                defines_main: names.iter().any(|&(source, _)| source == "main"),
                 names,
                 statics_mangled,
                 link_funcs,
+                callees,
             }
         })
+    }
+
+    /// The unit's propagation inputs under `options`: none at all when the
+    /// interprocedural analysis is off (the linked summaries are then
+    /// empty, as every unit-local summary set already is).
+    fn link_funcs(&self, options: &crate::OmpDartOptions) -> &[LinkFunction] {
+        match options.interprocedural {
+            true => &self.exports().link_funcs,
+            false => &[],
+        }
+    }
+
+    /// The propagation node of one of this unit's [`LinkFunction`]s.
+    fn node<'a>(&'a self, lf: &'a LinkFunction) -> PropagationNode<'a> {
+        PropagationNode {
+            name: lf.resolved,
+            params: Cow::Borrowed(&lf.params),
+            sym: &self.accesses.symbols[&lf.source],
+            calls: Cow::Borrowed(&lf.calls),
+        }
     }
 }
 
@@ -279,7 +342,7 @@ pub struct LinkedSummaries {
     pub summaries: Arc<ProgramSummaries>,
     /// Resolved function name (statics mangled) → index (into the
     /// program's unit list) of the defining unit.
-    pub defined_in: BTreeMap<Symbol, usize>,
+    pub defined_in: HashMap<Symbol, usize>,
     /// Propagation passes the cross-unit fixed point took.
     pub passes: usize,
 }
@@ -339,8 +402,10 @@ fn external_refs_fingerprint(refs: &ExternalRefs) -> u64 {
 // ---------------------------------------------------------------------------
 
 /// A linked program: every unit's summarize-phase artifacts, the exported
-/// interfaces, and the converged cross-unit summaries.
-#[derive(Debug)]
+/// interfaces, and the converged cross-unit summaries. Cloning one copies
+/// pointers only — [`Program::relink`] hands out clones of the program its
+/// [`LinkState`] keeps.
+#[derive(Clone, Debug)]
 pub struct Program {
     /// The summarized units, in input order.
     pub units: Vec<Arc<SummarizedUnit>>,
@@ -352,9 +417,8 @@ pub struct Program {
     pub linked: LinkedSummaries,
     /// The *program-wide* referenced-variable map shared by every unit's
     /// [`LinkContext`]: all units' functions, other units' statics under
-    /// their mangled `name@unit` symbols. Built once per relink (O(program)
-    /// total, not O(units²) as the old per-unit exclusion maps were); see
-    /// [`Program::link_context`] for why sharing one map is sound.
+    /// their mangled `name@unit` symbols; see [`Program::link_context`]
+    /// for why sharing one map is sound.
     all_refs: Arc<ExternalRefs>,
     /// Fingerprint of `all_refs` (shared by every context).
     all_refs_fingerprint: u64,
@@ -363,38 +427,81 @@ pub struct Program {
     /// entry hashes the converged summaries of exactly the callees unit
     /// `i` names, so it moves only when a fact unit `i` observes changed.
     import_fps: Vec<u64>,
-    /// Per-unit summary views, built once at link time for units that
-    /// define statics (`None` for units without statics, which share
-    /// `linked.summaries` directly). Views are lookup-only
-    /// [`ProgramSummaries::overlay`]s over the linked summaries — they hold
-    /// just the unit's shadowing `static` entries, not a full clone.
-    unit_views: Vec<Option<Arc<ProgramSummaries>>>,
+    /// Per unit, its own statics as the unit sees them — under their
+    /// source-level names, shadowing any same-named external symbol as C
+    /// scoping does. [`Program::link_context`] lays these few entries over
+    /// the shared linked summaries ([`ProgramSummaries::overlay`]).
+    unit_statics: Vec<Arc<[StaticView]>>,
 }
 
-/// The persisted outcome of one whole-program link, kept by the
-/// [`AnalysisSession`] so the *next* link of the same program can start
-/// from the previous fixed point: only functions whose local fingerprint
-/// (seed summary + resolved call list) changed — plus their reverse
-/// call-graph cone — are re-derived from their seeds
-/// ([`ProgramSummaries::propagate_incremental`]). An unchanged program
-/// relinks without running a single propagation pass, and the result is
-/// pinned byte-identical to a cold link.
+/// One unit-private `static` function as its own unit names it.
+#[derive(Debug)]
+struct StaticView {
+    /// The source-level name.
+    source: Symbol,
+    /// The converged summary of the mangled symbol, renamed to `source`.
+    summary: Arc<FunctionSummary>,
+    /// [`summary_fingerprint`] of `summary`.
+    fingerprint: u64,
+}
+
+/// Where a linked function's propagation inputs live, plus the memoised
+/// fingerprint of its converged summary.
+#[derive(Debug)]
+struct LinkedFunction {
+    /// Index into the defining unit's [`UnitExports::link_funcs`].
+    index: usize,
+    /// [`summary_fingerprint`] of the converged summary: re-hashed only
+    /// when a relink moves the summary.
+    summary_fp: u64,
+}
+
+/// The persistent, owned form of everything a whole-program link derives,
+/// kept by the [`AnalysisSession`] between links: the latest [`Program`]
+/// plus the indexes that let [`Program::relink`] *patch* it — which unit
+/// defines each function and where its propagation inputs live, the
+/// reverse call graph (which also answers "which units import this
+/// function"), and a fingerprint per converged summary. The default state
+/// is the empty program; patching it is a cold link. A state belongs to one
+/// set of analysis options: every relink of it must pass the same.
 #[derive(Debug)]
 pub struct LinkState {
-    /// The unit names of the linked program, in input order. A link over a
-    /// different unit set falls back to a cold fixed point.
-    unit_names: Vec<String>,
-    /// Per-function local fingerprints (resolved names): the seed summary
-    /// plus everything the propagation reads from the caller side of each
-    /// call site.
-    local_fps: BTreeMap<Symbol, u64>,
-    /// The converged cross-unit summaries (resolved names), shared with
-    /// the program's [`LinkedSummaries`] — an unchanged relink reuses the
-    /// `Arc` instead of cloning the whole summary set.
-    summaries: Arc<ProgramSummaries>,
-    /// Propagation passes of the converged fixed point (reported when an
-    /// unchanged relink skips propagation entirely).
-    passes: usize,
+    program: Program,
+    /// Every function of the fixed point, by resolved name.
+    functions: HashMap<Symbol, LinkedFunction>,
+    /// Called name (defined in the program or not) → the functions calling
+    /// it, once per call site.
+    callers: HashMap<Symbol, Vec<Symbol>>,
+    /// Functions the latest relink re-derived from their seeds.
+    pub(crate) reseeded: u64,
+    /// Units whose view or imports fingerprint the latest relink
+    /// recomputed.
+    pub(crate) touched_units: u64,
+}
+
+impl Default for LinkState {
+    fn default() -> LinkState {
+        let all_refs = ExternalRefs::new();
+        LinkState {
+            program: Program {
+                units: Vec::new(),
+                interfaces: Vec::new(),
+                linked: LinkedSummaries {
+                    summaries: Arc::default(),
+                    defined_in: HashMap::new(),
+                    passes: 0,
+                },
+                all_refs_fingerprint: external_refs_fingerprint(&all_refs),
+                all_refs: Arc::new(all_refs),
+                import_fps: Vec::new(),
+                unit_statics: Vec::new(),
+            },
+            functions: HashMap::new(),
+            callers: HashMap::new(),
+            reseeded: 0,
+            touched_units: 0,
+        }
+    }
 }
 
 /// A failure of whole-program analysis.
@@ -428,7 +535,8 @@ impl std::error::Error for ProgramError {}
 impl Program {
     /// Link already-summarized units into one program: export interfaces,
     /// merge the call graphs, and run the interprocedural fixed point to
-    /// convergence across unit boundaries.
+    /// convergence across unit boundaries — [`Program::relink`] of the
+    /// empty [`LinkState`], in which every unit is a changed one.
     ///
     /// The fixed point is computed by the exact algorithm the summarize
     /// stage runs per unit ([`ProgramSummaries::propagate`]) over the merged view,
@@ -438,165 +546,279 @@ impl Program {
         units: Vec<Arc<SummarizedUnit>>,
         options: &crate::OmpDartOptions,
     ) -> Result<Program, ProgramError> {
-        Program::relink(units, options, None).map(|(program, _, _)| program)
+        Program::relink(units, options, &mut LinkState::default())
     }
 
-    /// [`Program::link`] with an optional previously converged
-    /// [`LinkState`]: the cross-unit fixed point starts from the previous
-    /// summaries and re-seeds only the functions whose local fingerprint
-    /// changed, plus their reverse call-graph cone. Returns the program,
-    /// the new link state, and the number of re-seeded functions (zero for
-    /// an unchanged relink, everything-defined for a cold link reported as
-    /// zero — cold links have no "re-" to speak of).
+    /// Link `units` by *patching* `state`, the persistent form of the
+    /// previous link, and return (a pointer-copy of) the patched program.
+    /// The one link path; its cost is O(changed units + dirty cone +
+    /// importers of moved summaries), plus pointer copies per unit:
+    ///
+    /// 1. **Diff.** Units are matched to the state's by name; a unit is
+    ///    *changed* unless it is its predecessor, pointer-equal (the
+    ///    summarize cache interns by content, so `Arc` identity is content
+    ///    identity). Added, removed, reordered and renamed units are just
+    ///    changed units without a predecessor or successor.
+    /// 2. **Patch the indexes.** Only changed units' definitions leave and
+    ///    enter `defined_in`, the function table, the reverse call graph
+    ///    and the program-wide referenced-variable map (left as is,
+    ///    fingerprint included, when every changed unit references what
+    ///    its predecessor did). A function is *dirty* when its memoised
+    ///    local fingerprint differs from its namesake's, or it appeared or
+    ///    disappeared.
+    /// 3. **Re-converge the cone.** The dirty functions' transitive
+    ///    callers — read off the reverse call graph — are reset to their
+    ///    seeds and re-converged in place
+    ///    ([`ProgramSummaries::propagate_incremental`]); everything else
+    ///    keeps its converged `Arc`.
+    /// 4. **Refresh what observes a moved summary.** Static views and
+    ///    imports fingerprints are recomputed for changed units and for
+    ///    units that name a function whose converged summary actually
+    ///    moved, from memoised per-summary fingerprints.
+    ///
+    /// The result is identical to a cold link of the same units (pinned by
+    /// tests at every worker count), `linked.passes` aside — a diagnostic
+    /// that reports the deepest component iteration of *this* link's cone.
+    /// On an error `state` is left as it was. The counts of the relink are
+    /// left in `state` (`reseeded`, `touched_units`).
     pub fn relink(
         units: Vec<Arc<SummarizedUnit>>,
         options: &crate::OmpDartOptions,
-        previous: Option<&LinkState>,
-    ) -> Result<(Program, Arc<LinkState>, u64), ProgramError> {
-        // Reject duplicate definitions before merging anything. Functions
+        state: &mut LinkState,
+    ) -> Result<Program, ProgramError> {
+        let LinkState {
+            program,
+            functions,
+            callers,
+            reseeded,
+            touched_units,
+        } = state;
+        let Program {
+            units: was,
+            interfaces,
+            linked,
+            all_refs,
+            all_refs_fingerprint,
+            import_fps,
+            unit_statics,
+        } = program;
+        (*reseeded, *touched_units) = (0, 0);
+
+        // --- 1. Diff: predecessor by name, kept when pointer-equal. ------
+        let predecessor: Vec<Option<usize>> = if same_names(&units, was) {
+            (0..units.len()).map(Some).collect()
+        } else {
+            let mut by_name: HashMap<&str, usize> = (was.iter().enumerate())
+                .map(|(j, unit)| (unit.parsed.name.as_str(), j))
+                .collect();
+            (units.iter())
+                .map(|unit| by_name.remove(unit.parsed.name.as_str()))
+                .collect()
+        };
+        let mut successor: Vec<Option<usize>> = vec![None; was.len()];
+        for (i, j) in predecessor.iter().enumerate() {
+            if let Some(j) = *j {
+                successor[j] = Some(i);
+            }
+        }
+        let kept = |i: usize| predecessor[i].filter(|&j| Arc::ptr_eq(&units[i], &was[j]));
+        let survives = |j: usize| successor[j].filter(|&i| Arc::ptr_eq(&units[i], &was[j]));
+        let changed: Vec<usize> = (0..units.len()).filter(|&i| kept(i).is_none()).collect();
+        // A changed unit that references what its predecessor did leaves
+        // the program-wide referenced-variable map alone.
+        let same_refs =
+            |i: usize, j: usize| units[i].exports().resolved_refs == was[j].exports().resolved_refs;
+
+        // Reject duplicate definitions before patching anything. Functions
         // link under their *resolved* names: unit-private `static`
         // definitions mangle to `name@unit`, so same-named statics in
         // different units coexist instead of colliding (two statics with
-        // one name inside the same unit still collide, as in C). The
-        // resolved names — like every other per-unit link input below —
-        // come from each unit's memoized exports: a content-unchanged unit
-        // keeps its summarize Arc, so no AST is re-walked (and no name is
-        // re-mangled) for it on a relink.
-        let mut defined_in: BTreeMap<Symbol, usize> = BTreeMap::new();
-        for (idx, unit) in units.iter().enumerate() {
-            for &(source, resolved) in &unit.exports().names {
-                if let Some(first) = defined_in.insert(resolved, idx) {
+        // one name inside the same unit still collide, as in C). Only a
+        // changed unit can introduce one, against another changed unit or
+        // a surviving definition.
+        let mut fresh: HashMap<Symbol, usize> = HashMap::new();
+        for &i in &changed {
+            for &(source, resolved) in &units[i].exports().names {
+                let other = (fresh.insert(resolved, i))
+                    .or_else(|| survives(*linked.defined_in.get(&resolved)?));
+                if let Some(other) = other {
+                    let unit = |i: usize| units[i].parsed.name.clone();
                     return Err(ProgramError::DuplicateFunction {
                         function: source.to_string(),
-                        units: [units[first].parsed.name.clone(), unit.parsed.name.clone()],
+                        units: [unit(other.min(i)), unit(other.max(i))],
                     });
                 }
             }
         }
 
-        let interfaces: Vec<Arc<ExportedInterface>> = units
-            .iter()
-            .map(|u| Arc::clone(&u.exports().interface))
-            .collect();
-
-        // The program-wide referenced-variable map every LinkContext
-        // shares: all units, other units' statics mangled. One map for the
-        // whole program instead of one exclusion map per unit; entries are
-        // Arc-shared with the per-unit memos, never deep-copied.
-        let mut all_refs: ExternalRefs = BTreeMap::new();
-        for unit in &units {
-            for (name, vars) in &unit.exports().resolved_refs {
-                all_refs.insert(*name, Arc::clone(vars));
+        // --- 2. Patch the indexes: retire what left, admit what came. ----
+        let mut refs_moved = false;
+        // What a retired function had: its local fingerprint, and the
+        // fingerprint of its converged summary (carried over to a namesake).
+        let mut gone: HashMap<Symbol, (u64, u64)> = HashMap::new();
+        for (j, unit) in was.iter().enumerate() {
+            if survives(j).is_some() {
+                continue;
+            }
+            let exports = unit.exports();
+            for &(_, resolved) in &exports.names {
+                linked.defined_in.remove(&resolved);
+            }
+            if !successor[j].is_some_and(|i| same_refs(i, j)) {
+                refs_moved |= !exports.resolved_refs.is_empty();
+                let refs = Arc::make_mut(all_refs);
+                for name in exports.resolved_refs.keys() {
+                    refs.remove(name);
+                }
+            }
+            for lf in unit.link_funcs(options) {
+                if let Some(f) = functions.remove(&lf.resolved) {
+                    gone.insert(lf.resolved, (lf.local_fp, f.summary_fp));
+                }
+                for call in &lf.calls {
+                    if let Some(list) = callers.get_mut(&call.callee) {
+                        if let Some(at) = list.iter().position(|&c| c == lf.resolved) {
+                            list.swap_remove(at);
+                        }
+                        if list.is_empty() {
+                            callers.remove(&call.callee);
+                        }
+                    }
+                }
             }
         }
-        let all_refs_fingerprint = external_refs_fingerprint(&all_refs);
-        let all_refs = Arc::new(all_refs);
-
-        // The whole-program fixed point over per-function seeds. Each
-        // unit's summarize phase already produced (and cached, function-
-        // granularly) its local seeds; linking only merges them under
-        // resolved names and (re-)runs the call-site propagation.
-        let unit_names: Vec<String> = units.iter().map(|u| u.parsed.name.clone()).collect();
-        let (summaries, passes, reseeded, local_fps) = if options.interprocedural {
-            let threads = options.effective_link_threads();
-            let (seeds, nodes) = merged_propagation_inputs(&units);
-            let local_fps: BTreeMap<Symbol, u64> = nodes
-                .iter()
-                .map(|node| (node.name, local_fingerprint(node, &seeds)))
-                .collect();
-
-            // Previous state is only reusable for the same program (same
-            // unit names, in order) — interleaving different programs over
-            // one session falls back to a cold fixed point each time.
-            let reusable = previous.filter(|state| state.unit_names == unit_names);
-            match reusable {
-                Some(state) => {
-                    let dirty: BTreeSet<Symbol> = local_fps
-                        .iter()
-                        .filter(|(name, fp)| state.local_fps.get(*name) != Some(fp))
-                        .map(|(name, _)| *name)
-                        .chain(
-                            state
-                                .local_fps
-                                .keys()
-                                .filter(|name| !local_fps.contains_key(*name))
-                                .copied(),
-                        )
-                        .collect();
-                    if dirty.is_empty() {
-                        // Nothing changed: the previous fixed point stands
-                        // verbatim — share its Arc instead of cloning (and
-                        // re-verifying) the whole summary set.
-                        (Arc::clone(&state.summaries), state.passes, 0, local_fps)
-                    } else {
-                        let (mut merged, cone) = ProgramSummaries::propagate_incremental(
-                            &nodes,
-                            &seeds,
-                            &state.summaries,
-                            &dirty,
-                            options.max_interproc_passes,
-                            options.pessimistic_globals,
-                            threads,
-                        );
-                        let passes = if cone.is_empty() {
-                            // The dirty set named only removed functions:
-                            // no propagation ran.
-                            merged.passes = state.passes;
-                            state.passes
-                        } else {
-                            merged.passes
-                        };
-                        (Arc::new(merged), passes, cone.len() as u64, local_fps)
-                    }
-                }
-                None => {
-                    // Cold link: the seed map was built fresh above, so
-                    // hand it to the engine instead of cloning it again.
-                    let merged = ProgramSummaries::propagate(
-                        &nodes,
-                        seeds,
-                        options.max_interproc_passes,
-                        options.pessimistic_globals,
-                        threads,
-                    );
-                    let passes = merged.passes;
-                    (Arc::new(merged), passes, 0, local_fps)
+        // The dirty functions: the seed of the cone, each named once.
+        let mut cone: Vec<Symbol> = Vec::new();
+        for (i, unit) in units.iter().enumerate() {
+            let exports = unit.exports();
+            if kept(i) != Some(i) {
+                // New here, or a kept unit that changed position.
+                for &(_, resolved) in &exports.names {
+                    linked.defined_in.insert(resolved, i);
                 }
             }
-        } else {
-            (Arc::new(ProgramSummaries::default()), 0, 0, BTreeMap::new())
-        };
+            if kept(i).is_some() {
+                continue;
+            }
+            if !predecessor[i].is_some_and(|j| same_refs(i, j)) {
+                refs_moved |= !exports.resolved_refs.is_empty();
+                let refs = Arc::make_mut(all_refs);
+                for (name, vars) in &exports.resolved_refs {
+                    refs.insert(*name, Arc::clone(vars));
+                }
+            }
+            for (index, lf) in unit.link_funcs(options).iter().enumerate() {
+                let had = gone.remove(&lf.resolved);
+                if had.map(|(local_fp, _)| local_fp) != Some(lf.local_fp) {
+                    cone.push(lf.resolved);
+                }
+                let summary_fp = had.map_or(0, |(_, summary_fp)| summary_fp);
+                functions.insert(lf.resolved, LinkedFunction { index, summary_fp });
+                for call in &lf.calls {
+                    callers.entry(call.callee).or_default().push(lf.resolved);
+                }
+            }
+        }
+        cone.extend(gone.into_keys());
 
-        let state = Arc::new(LinkState {
-            unit_names,
-            local_fps,
-            summaries: Arc::clone(&summaries),
-            passes,
-        });
-        // Per-unit views for static-bearing units, built once here rather
-        // than on every `link_context` call: the unit's own statics appear
-        // under their source-level names (shadowing any same-named
-        // external symbol, as C scoping does). Each view is an overlay
-        // holding only those shadowing entries — resolution of every other
-        // name falls through to the shared linked summaries.
-        let unit_views: Vec<Option<Arc<ProgramSummaries>>> = units
-            .iter()
-            .map(|unit| {
-                let statics = &unit.exports().statics_mangled;
-                if statics.is_empty() {
-                    return None;
+        // --- 3. Re-converge the dirty cone, in place. --------------------
+        // Summaries flow from callee to caller, so only transitive callers
+        // of a dirty function can observe the change; a function that no
+        // longer exists is still named by its callers' call sites. The
+        // worklist is the cone: O(cone + its in-edges).
+        let mut in_cone: HashSet<Symbol> = cone.iter().copied().collect();
+        let mut next = 0;
+        while let Some(&name) = cone.get(next) {
+            next += 1;
+            for &caller in callers.get(&name).into_iter().flatten() {
+                if in_cone.insert(caller) {
+                    cone.push(caller);
                 }
-                let mut view = ProgramSummaries::overlay(Arc::clone(&summaries));
-                for &(name, mangled) in statics {
-                    if let Some(summary) = summaries.summary(mangled) {
-                        let mut summary = summary.clone();
-                        summary.name = name;
-                        view.insert(name, summary);
-                    }
-                }
-                Some(Arc::new(view))
+            }
+        }
+        let link_func = |name: &Symbol| {
+            let index = functions.get(name)?.index;
+            let unit = &units[linked.defined_in[name]];
+            Some((unit, &unit.exports().link_funcs[index]))
+        };
+        let mut nodes: Vec<PropagationNode<'_>> = Vec::with_capacity(cone.len());
+        let seeds = (cone.iter())
+            .map(|name| {
+                let function = link_func(name).map(|(unit, lf)| {
+                    nodes.push(unit.node(lf));
+                    Arc::clone(&lf.seed)
+                });
+                (*name, function)
             })
             .collect();
+        let summaries = Arc::make_mut(&mut linked.summaries);
+        let before = summaries.propagate_incremental(
+            seeds,
+            &nodes,
+            options.max_interproc_passes,
+            options.pessimistic_globals,
+            options.effective_link_threads(),
+        );
+        linked.passes = summaries.passes;
+
+        // --- 4. Refresh what observes a moved summary. -------------------
+        // Changed units, the unit owning a moved static (its view renames
+        // the summary), the units calling a moved function, and — when the
+        // referenced-variable map moved — the units defining `main`.
+        let mut touched = vec![false; units.len()];
+        for &i in &changed {
+            touched[i] = true;
+        }
+        let mut restatic = touched.clone();
+        // Once every unit is touched (a cold link) there is nobody left to
+        // find through the reverse call graph.
+        let mut untouched = units.len() - changed.len();
+        for (name, before) in cone.iter().zip(&before) {
+            *reseeded += u64::from(before.is_some());
+            let now = summaries.summary(*name);
+            if now == before.as_deref() {
+                continue;
+            }
+            if let (Some(now), Some(f)) = (now, functions.get_mut(name)) {
+                f.summary_fp = summary_fingerprint(now);
+                restatic[linked.defined_in[name]] |= is_mangled(*name);
+            }
+            if untouched > 0 {
+                for caller in callers.get(name).into_iter().flatten() {
+                    let importer = &mut touched[linked.defined_in[caller]];
+                    untouched -= usize::from(!*importer);
+                    *importer = true;
+                }
+            }
+        }
+        if refs_moved {
+            let fingerprint = external_refs_fingerprint(all_refs);
+            if fingerprint != *all_refs_fingerprint {
+                *all_refs_fingerprint = fingerprint;
+                for (i, unit) in units.iter().enumerate() {
+                    touched[i] |= unit.exports().defines_main;
+                }
+            }
+        }
+
+        let none: Arc<[StaticView]> = Arc::new([]);
+        *unit_statics = (0..units.len())
+            .map(|i| Arc::clone(kept(i).map_or(&none, |j| &unit_statics[j])))
+            .collect();
+        for (i, unit) in units.iter().enumerate().filter(|(i, _)| restatic[*i]) {
+            touched[i] = true;
+            unit_statics[i] = (unit.exports().statics_mangled.iter())
+                .filter_map(|&(source, mangled)| {
+                    let mut summary = summaries.summary(mangled)?.clone();
+                    summary.name = source;
+                    Some(StaticView {
+                        source,
+                        fingerprint: summary_fingerprint(&summary),
+                        summary: Arc::new(summary),
+                    })
+                })
+                .collect();
+        }
 
         // Dependency-aware imported-surface fingerprints, derived from the
         // *converged* fixed point: for each unit, hash the summary of
@@ -607,52 +829,36 @@ impl Program {
         // cross-unit fact `analyze_linked` can observe, so an edit in unit
         // A moves unit B's fingerprint only when a summary B actually
         // reads changed: the edit path re-plans the import cone, not the
-        // program. (The old scheme hashed all *other* units' exported
-        // interfaces, so any interface change anywhere invalidated every
-        // unit — `one_edit_ms` tracked program size, not cone size.)
-        let import_fps: Vec<u64> = units
-            .iter()
-            .enumerate()
-            .map(|(idx, unit)| {
-                let view: &ProgramSummaries = match &unit_views[idx] {
-                    Some(view) => view,
-                    None => &summaries,
-                };
-                let mut h = Fnv::new();
-                let mut defines_main = false;
-                for f in unit.parsed.unit.functions() {
-                    defines_main |= f.name == "main";
-                    h.write_str(&f.name);
-                    h.write_u64(crate::pipeline::callees_fingerprint(
-                        f.name,
-                        &unit.accesses,
-                        view,
-                        &unit.parsed.unit,
-                    ));
-                    h.write(&[0xee]);
-                }
-                if defines_main {
-                    h.write(&[1]);
-                    h.write_u64(all_refs_fingerprint);
-                }
-                h.finish()
-            })
+        // program.
+        *import_fps = (0..units.len())
+            .map(|i| kept(i).map_or(0, |j| import_fps[j]))
             .collect();
+        for (i, unit) in units.iter().enumerate().filter(|(i, _)| touched[*i]) {
+            *touched_units += 1;
+            let exports = unit.exports();
+            let summary_fp =
+                |callee: Symbol| match unit_statics[i].iter().find(|view| view.source == callee) {
+                    Some(view) => Some(view.fingerprint),
+                    None => functions.get(&callee).map(|f| f.summary_fp),
+                };
+            let mut h = Fnv::new();
+            for (name, callees) in &exports.callees {
+                h.write_str(name);
+                h.write_u64(callees_fingerprint(callees, summary_fp));
+                h.write(&[0xee]);
+            }
+            if exports.defines_main {
+                h.write(&[1]);
+                h.write_u64(*all_refs_fingerprint);
+            }
+            import_fps[i] = h.finish();
+        }
 
-        let program = Program {
-            units,
-            interfaces,
-            linked: LinkedSummaries {
-                summaries,
-                defined_in,
-                passes,
-            },
-            all_refs,
-            all_refs_fingerprint,
-            import_fps,
-            unit_views,
-        };
-        Ok((program, state, reseeded))
+        *interfaces = (units.iter())
+            .map(|unit| Arc::clone(&unit.exports().interface))
+            .collect();
+        *was = units;
+        Ok(program.clone())
     }
 
     /// Number of units in the program.
@@ -665,10 +871,11 @@ impl Program {
         self.units.is_empty()
     }
 
-    /// The [`LinkContext`] for the unit at `index`, assembled in O(1) from
-    /// program-wide pieces: the linked summaries (or the unit's prebuilt
-    /// static-shadowing view), the shared referenced-variable map, and the
-    /// unit's dependency-aware imports fingerprint.
+    /// The [`LinkContext`] for the unit at `index`, assembled from
+    /// program-wide pieces: the linked summaries (under the unit's
+    /// static-shadowing view, when it defines statics), the shared
+    /// referenced-variable map, and the unit's dependency-aware imports
+    /// fingerprint.
     ///
     /// Every unit shares **one** `extern_refs` map covering *all* units —
     /// including the unit's own functions, which the per-unit maps used to
@@ -685,11 +892,13 @@ impl Program {
     /// units' statics stay under their private mangled symbols, so two
     /// same-named statics never merge their variable sets.
     pub fn link_context(&self, index: usize) -> LinkContext {
-        // Per-unit summary view, prebuilt at link time for static-bearing
-        // units; everyone else shares the linked summaries directly.
-        let summaries = match &self.unit_views[index] {
-            Some(view) => Arc::clone(view),
-            None => Arc::clone(&self.linked.summaries),
+        let statics = &self.unit_statics[index];
+        let summaries = match statics.is_empty() {
+            true => Arc::clone(&self.linked.summaries),
+            false => Arc::new(ProgramSummaries::overlay(
+                Arc::clone(&self.linked.summaries),
+                (statics.iter()).map(|view| (view.source, Arc::clone(&view.summary))),
+            )),
         };
         LinkContext {
             summaries,
@@ -739,32 +948,28 @@ impl Program {
     }
 }
 
-/// Merge every unit's per-function seeds and propagation nodes under their
-/// link-resolved names: unit-private `static` functions (and calls to
-/// them from inside their unit) mangle to `name@unit`, everything else
-/// keeps its source-level name. All resolution already happened once per
-/// unit content ([`UnitExports::link_funcs`]); this merge only borrows the
-/// memoized call lists and clones each seed into the owned map.
+/// True when two unit lists name the same units position by position (a
+/// pointer-equal pair needs no string compare).
+fn same_names(a: &[Arc<SummarizedUnit>], b: &[Arc<SummarizedUnit>]) -> bool {
+    a.len() == b.len()
+        && (a.iter().zip(b)).all(|(a, b)| Arc::ptr_eq(a, b) || a.parsed.name == b.parsed.name)
+}
+
+/// Every unit's memoised seeds and propagation nodes under their
+/// link-resolved names (see [`LinkFunction`]): pointer copies and borrows.
 fn merged_propagation_inputs(
     units: &[Arc<SummarizedUnit>],
-) -> (HashMap<Symbol, FunctionSummary>, Vec<PropagationNode<'_>>) {
-    let mut seeds: HashMap<Symbol, FunctionSummary> = HashMap::new();
-    let mut nodes: Vec<PropagationNode<'_>> = Vec::new();
-    for unit in units {
-        for lf in &unit.exports().link_funcs {
-            let Some(sym) = unit.accesses.symbols.get(&lf.source) else {
-                continue;
-            };
-            seeds.insert(lf.resolved, lf.seed.clone());
-            nodes.push(PropagationNode {
-                name: lf.resolved,
-                params: std::borrow::Cow::Borrowed(&lf.params),
-                sym,
-                calls: std::borrow::Cow::Borrowed(&lf.calls),
-            });
-        }
-    }
-    (seeds, nodes)
+) -> (
+    HashMap<Symbol, Arc<FunctionSummary>>,
+    Vec<PropagationNode<'_>>,
+) {
+    let functions = || {
+        (units.iter()).flat_map(|unit| unit.exports().link_funcs.iter().map(move |lf| (unit, lf)))
+    };
+    let seeds = functions()
+        .map(|(_, lf)| (lf.resolved, Arc::clone(&lf.seed)))
+        .collect();
+    (seeds, functions().map(|(unit, lf)| unit.node(lf)).collect())
 }
 
 /// Fingerprint of everything the cross-unit propagation reads from one
@@ -773,16 +978,15 @@ fn merged_propagation_inputs(
 /// of each by-reference argument. Two links in which every function's
 /// local fingerprint matches converge to identical summaries — which is
 /// what lets the incremental relink skip them.
-fn local_fingerprint(node: &PropagationNode<'_>, seeds: &HashMap<Symbol, FunctionSummary>) -> u64 {
+fn local_fingerprint(
+    seed: &FunctionSummary,
+    params: &[Symbol],
+    calls: &[crate::access::CallSite],
+    sym: &crate::access::SymbolTable,
+) -> u64 {
     let mut h = Fnv::new();
-    match seeds.get(&node.name) {
-        Some(seed) => {
-            h.write(&[1]);
-            h.write_u64(summary_fingerprint(seed));
-        }
-        None => h.write(&[0]),
-    }
-    for call in node.calls.iter() {
+    h.write_u64(summary_fingerprint(seed));
+    for call in calls {
         h.write_str(&call.callee);
         h.write(&[u8::from(call.on_device)]);
         for arg in &call.args {
@@ -791,16 +995,10 @@ fn local_fingerprint(node: &PropagationNode<'_>, seeds: &HashMap<Symbol, Functio
                 Some(var) => {
                     h.write_str(var);
                     h.write(&[
-                        u8::from(node.sym.is_aggregate(var)),
-                        u8::from(node.sym.is_global(var)),
+                        u8::from(sym.is_aggregate(var)),
+                        u8::from(sym.is_global(var)),
                     ]);
-                    h.write_u64(
-                        node.params
-                            .iter()
-                            .position(|p| p == var)
-                            .map(|i| i as u64 + 1)
-                            .unwrap_or(0),
-                    );
+                    h.write_u64((params.iter().position(|p| p == var)).map_or(0, |i| i as u64 + 1));
                 }
                 None => h.write(&[0xfe]),
             }
@@ -874,7 +1072,7 @@ pub(crate) struct ProgramRound {
     pub(crate) link_passes: usize,
     /// Unit name → index (last wins for duplicate names; the `Arc::ptr_eq`
     /// + fingerprint verification makes a wrong mapping harmless).
-    pub(crate) by_name: HashMap<String, usize>,
+    pub(crate) by_name: Arc<HashMap<String, usize>>,
 }
 
 /// Where one whole-program analysis spent its time: per-phase wall clock,
@@ -902,7 +1100,8 @@ pub struct DriverProfile {
     pub summarize: Duration,
     /// Wall time of the (incremental) link fixed point.
     pub link: Duration,
-    /// Wall time spent assembling per-unit link contexts.
+    /// Wall time spent deciding the unit-level fast path and assembling
+    /// the link contexts of the units that missed it.
     pub contexts: Duration,
     /// Wall time of the parallel plan+rewrite fan-out.
     pub plan: Duration,
@@ -910,7 +1109,8 @@ pub struct DriverProfile {
     pub flush: Duration,
     /// End-to-end wall time of the whole call.
     pub total: Duration,
-    /// Median per-unit latency inside the plan fan-out.
+    /// Median per-unit latency inside the plan fan-out (the units that
+    /// missed the identity fast path; zero when none did).
     pub unit_p50: Duration,
     /// 99th-percentile per-unit latency inside the plan fan-out.
     pub unit_p99: Duration,
@@ -1059,13 +1259,13 @@ impl ProgramDriver {
         Ok(units)
     }
 
-    /// Phase 2: (incrementally) link already-summarized units.
+    /// Phase 2: link already-summarized units by patching the session's
+    /// persistent link state.
     fn relink_units(&self, units: Vec<Arc<SummarizedUnit>>) -> Result<Program, ProgramError> {
-        let previous = self.session.take_link_state();
-        let (program, state, reseeded) =
-            Program::relink(units, self.session.options(), previous.as_deref())?;
-        self.session.note_link(state, reseeded);
-        Ok(program)
+        let mut state = self.session.take_link_state();
+        let program = Program::relink(units, self.session.options(), &mut state);
+        self.session.note_link(state);
+        program
     }
 
     /// The full two-phase pipeline: parallel summarize, sequential link,
@@ -1151,33 +1351,38 @@ impl ProgramDriver {
         let program = self.relink_units(units)?;
         let link = phase.elapsed();
 
+        // Unit-level identity fast path: unchanged content (Arc identity)
+        // under an unchanged imported surface reuses the previous round's
+        // analysis outright. A unit is looked for at its own position
+        // first; the name index only serves a unit set that changed.
         let phase = Instant::now();
-        let contexts: Vec<LinkContext> = (0..program.len())
-            .map(|i| program.link_context(i))
+        let reused = |i: usize| {
+            let round = round.as_ref()?;
+            let unit = &program.units[i];
+            let j = match round.units.get(i) {
+                Some(previous) if Arc::ptr_eq(previous, unit) => i,
+                _ => *round.by_name.get(unit.parsed.name.as_str())?,
+            };
+            (Arc::ptr_eq(unit, &round.units[j]) && program.import_fps[i] == round.imports_fps[j])
+                .then(|| Arc::clone(&round.analyses[j]))
+        };
+        let mut units: Vec<Option<Arc<UnitAnalysis>>> = (0..program.len()).map(reused).collect();
+        let fast_path_units = units.iter().flatten().count();
+        self.session.count_fast_path(fast_path_units as u64);
+        let mut served = vec![UnitServe::Cached; program.len()];
+        // Only the units that missed it need a context and a planner.
+        let todo: Vec<(usize, LinkContext)> = (0..program.len())
+            .filter(|&i| units[i].is_none())
+            .map(|i| (i, program.link_context(i)))
             .collect();
         let contexts_elapsed = phase.elapsed();
 
         let phase = Instant::now();
-        let planned = crate::pipeline::parallel_map_indexed(self.threads, program.len(), |i| {
+        let planned = crate::pipeline::parallel_map_indexed(self.threads, todo.len(), |slot| {
             let unit_start = Instant::now();
-            // Unit-level identity fast path: unchanged content (Arc
-            // identity) under an unchanged imported surface reuses the
-            // previous round's analysis outright.
-            let reused = round.as_ref().and_then(|round| {
-                let j = *round.by_name.get(program.units[i].parsed.name.as_str())?;
-                (Arc::ptr_eq(&program.units[i], &round.units[j])
-                    && contexts[i].imports_fingerprint == round.imports_fps[j])
-                    .then(|| Arc::clone(&round.analyses[j]))
-            });
-            let (analysis, serve, fast) = match reused {
-                Some(analysis) => (analysis, UnitServe::Cached, true),
-                None => {
-                    let (analysis, serve) =
-                        self.session.analyze_linked(&program.units[i], &contexts[i]);
-                    (analysis, serve, false)
-                }
-            };
-            (analysis, serve, fast, unit_start.elapsed())
+            let (i, context) = &todo[slot];
+            let (analysis, serve) = self.session.analyze_linked(&program.units[*i], context);
+            (analysis, serve, unit_start.elapsed())
         });
         let plan = phase.elapsed();
 
@@ -1188,30 +1393,30 @@ impl ProgramDriver {
         self.session.flush_store_writes();
         let flush = phase.elapsed();
 
-        let mut units = Vec::with_capacity(planned.len());
-        let mut served = Vec::with_capacity(planned.len());
         let mut durations = Vec::with_capacity(planned.len());
-        let mut fast_path_units = 0usize;
-        for (analysis, serve, fast, elapsed) in planned {
-            units.push(analysis);
-            served.push(serve);
+        for ((i, _), (analysis, serve, elapsed)) in todo.iter().zip(planned) {
+            units[*i] = Some(analysis);
+            served[*i] = serve;
             durations.push(elapsed);
-            fast_path_units += usize::from(fast);
         }
-        self.session.count_fast_path(fast_path_units as u64);
+        let units: Vec<Arc<UnitAnalysis>> = units.into_iter().flatten().collect();
 
-        // Record this round for the next one's identity fast paths.
-        let by_name: HashMap<String, usize> = program
-            .units
-            .iter()
-            .enumerate()
-            .map(|(i, u)| (u.parsed.name.clone(), i))
-            .collect();
+        // Record this round for the next one's identity fast paths; the
+        // name index is the previous round's while the names are.
+        let named_alike = |round: &&Arc<ProgramRound>| same_names(&round.units, &program.units);
+        let by_name = match round.as_ref().filter(named_alike) {
+            Some(round) => Arc::clone(&round.by_name),
+            None => Arc::new(
+                (program.units.iter().enumerate())
+                    .map(|(i, u)| (u.parsed.name.clone(), i))
+                    .collect(),
+            ),
+        };
         self.session.note_round(Arc::new(ProgramRound {
             units: program.units.clone(),
             analyses: units.clone(),
             interfaces: program.interfaces.clone(),
-            imports_fps: contexts.iter().map(|c| c.imports_fingerprint).collect(),
+            imports_fps: program.import_fps.clone(),
             link_passes: program.linked.passes,
             by_name,
         }));

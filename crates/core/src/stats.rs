@@ -222,6 +222,11 @@ stats_table! {
         /// functions). Cold links — where no previous converged state
         /// exists — add nothing here; an unchanged relink adds zero.
         relink_reseeded_functions,
+        /// Units whose static-shadowing view or imports fingerprint a
+        /// relink recomputed: the units that changed plus the units naming
+        /// a function whose converged summary moved. A cold link computes
+        /// every unit's; an unchanged relink adds zero.
+        relink_touched_units,
         /// Unit analyses whose plans were served from the persistent
         /// artifact store (when a `cache_dir` is configured).
         store_hits,

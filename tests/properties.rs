@@ -921,3 +921,203 @@ proptest! {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// Patched relinks: any edit script leaves the state a cold link would build
+// ---------------------------------------------------------------------------
+
+/// One function of the edit-script model: `f<name>`, maybe `static`, one of
+/// a few bodies, and the names it calls (defined anywhere or nowhere).
+#[derive(Clone, Debug)]
+struct ModelFn {
+    name: usize,
+    is_static: bool,
+    body: u8,
+    callees: Vec<usize>,
+}
+
+/// The names functions are drawn from: few, so a name is often a `static`
+/// in one unit and a global (or another static) in the next.
+const MODEL_NAMES: usize = 6;
+
+/// A program under edit: `(file id, functions)` per unit, in link order.
+/// Unit 0 also holds the globals and `main` and is never removed.
+type Model = Vec<(usize, Vec<ModelFn>)>;
+
+fn render_model(model: &Model) -> Vec<(String, String)> {
+    let header = "#ifndef RELINK_H\n#define RELINK_H\n#define N 16\n\
+                  extern double ga[N];\nextern double gb[N];\nextern double gc[N];\n#endif\n";
+    let render_fn = |f: &ModelFn| {
+        let body = match f.body % 4 {
+            0 => "  ga[2] += 1.0;\n",
+            1 => "  gb[3] = ga[1];\n",
+            2 => {
+                "  #pragma omp target teams distribute parallel for\n  \
+                  for (int i = 0; i < N; i++) gc[i] += 1.0;\n"
+            }
+            _ => "  gc[0] += gb[0];\n",
+        };
+        let calls: String = (f.callees.iter())
+            .map(|c| format!("  if (ga[1] > 100.0) {{ f{c}(); }}\n"))
+            .collect();
+        let storage = if f.is_static { "static " } else { "" };
+        format!("{storage}void f{}() {{\n{body}{calls}}}\n", f.name)
+    };
+    let mut units: Vec<(String, String)> = (model.iter())
+        .map(|(id, functions)| {
+            let text: String = functions.iter().map(render_fn).collect();
+            (format!("relink_{id}.c"), format!("{header}{text}"))
+        })
+        .collect();
+    let calls: String = (0..MODEL_NAMES).map(|n| format!("  f{n}();\n")).collect();
+    units[0].1.push_str(&format!(
+        "double ga[N];\ndouble gb[N];\ndouble gc[N];\n\
+         int main() {{\n{calls}  printf(\"%f\\n\", ga[0] + gc[1]);\n  return 0;\n}}\n"
+    ));
+    units
+}
+
+/// Apply one random edit that keeps the program linkable: no two
+/// definitions of a name in one unit, at most one non-static per name.
+fn edit_model(model: &mut Model, rng: &mut u64, next_file: &mut usize) {
+    let mut roll = |bound: usize| {
+        *rng ^= *rng << 13;
+        *rng ^= *rng >> 7;
+        *rng ^= *rng << 17;
+        (*rng % bound as u64) as usize
+    };
+    let global_taken = |model: &Model, name: usize| {
+        (model.iter().flat_map(|(_, fs)| fs)).any(|f| f.name == name && !f.is_static)
+    };
+    let unit = roll(model.len());
+    let functions = model[unit].1.len();
+    match roll(8) {
+        // Body edit.
+        0 if functions > 0 => model[unit].1[roll(functions)].body = roll(4) as u8,
+        // Callee retargeted (or a call site added).
+        1 if functions > 0 => {
+            let f = &mut model[unit].1[roll(functions)];
+            let callee = roll(MODEL_NAMES);
+            match f.callees.len() {
+                0 => f.callees.push(callee),
+                n => f.callees[roll(n)] = callee,
+            }
+        }
+        // Function removed (its callers keep calling the name).
+        2 if functions > 0 => drop(model[unit].1.remove(roll(functions))),
+        // `static` toggled: the name starts or stops being mangled.
+        3 if functions > 0 => {
+            let at = roll(functions);
+            let name = model[unit].1[at].name;
+            if !model[unit].1[at].is_static || !global_taken(model, name) {
+                model[unit].1[at].is_static ^= true;
+            }
+        }
+        // Unit removed, reordered, or added (empty; functions follow).
+        4 if unit > 0 => drop(model.remove(unit)),
+        5 => {
+            let other = roll(model.len());
+            model.swap(unit, other);
+        }
+        6 if model.len() < 5 => {
+            *next_file += 1;
+            model.push((*next_file, Vec::new()));
+        }
+        // Function added.
+        _ => {
+            let name = roll(MODEL_NAMES);
+            if model[unit].1.iter().all(|f| f.name != name) {
+                let is_static = global_taken(model, name) || roll(3) == 0;
+                let callees = (0..roll(3)).map(|_| roll(MODEL_NAMES)).collect();
+                let body = roll(4) as u8;
+                model[unit].1.push(ModelFn {
+                    name,
+                    is_static,
+                    body,
+                    callees,
+                });
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 12, .. ProptestConfig::default() })]
+
+    /// One long-lived session per worker count follows a random edit
+    /// script — body edits, retargeted calls, functions added and removed,
+    /// `static` toggled, units added, removed and reordered — and after
+    /// every step its patched link state is the one a cold `Program::link`
+    /// of the same units builds: converged summaries, `defined_in`, every
+    /// unit's static view, imports and extern-refs fingerprints, and the
+    /// rewrites planned under them.
+    #[test]
+    fn patched_relink_agrees_with_a_cold_link_after_every_edit(
+        seed in 1u64..u64::MAX,
+        steps in 4usize..10,
+    ) {
+        let mut rng = seed;
+        let mut next_file = 2;
+        let mut model: Model = vec![(0, Vec::new()), (1, Vec::new()), (2, Vec::new())];
+        for _ in 0..8 {
+            edit_model(&mut model, &mut rng, &mut next_file);
+        }
+        let drivers: Vec<(ompdart_core::OmpDartOptions, ompdart_core::ProgramDriver)> =
+            [1usize, 2, 8]
+                .into_iter()
+                .map(|link_threads| {
+                    let options = ompdart_core::OmpDartOptions {
+                        link_threads,
+                        ..ompdart_core::OmpDartOptions::default()
+                    };
+                    let session = ompdart_core::AnalysisSession::with_options(options);
+                    let driver =
+                        ompdart_core::ProgramDriver::with_session(std::sync::Arc::new(session));
+                    (options, driver.with_threads(link_threads))
+                })
+                .collect();
+        for step in 0..=steps {
+            let inputs = render_model(&model);
+            let cold_rewrite = ompdart_core::ProgramDriver::new()
+                .analyze_program(&inputs)
+                .map(|analysis| analysis.concatenated_rewrite());
+            for (options, driver) in &drivers {
+                let at = format!(
+                    "step {step}, {} link thread(s), seed {seed:#x}\n{inputs:#?}",
+                    options.link_threads
+                );
+                let warm = driver.analyze_program(&inputs);
+                prop_assert_eq!(
+                    warm.map(|a| a.concatenated_rewrite()).map_err(|e| e.to_string()),
+                    cold_rewrite.clone().map_err(|e| e.to_string()),
+                    "rewrites differ at {}", at
+                );
+                let patched = driver.link(&inputs).expect("the round above linked");
+                let cold = ompdart_core::Program::link(patched.units.clone(), options)
+                    .expect("the round above linked");
+                prop_assert!(
+                    patched.linked.summaries.same_summaries(&cold.linked.summaries),
+                    "summaries differ at {}", at
+                );
+                prop_assert_eq!(
+                    &patched.linked.defined_in, &cold.linked.defined_in,
+                    "defined_in differs at {}", at
+                );
+                for unit in 0..patched.len() {
+                    let (was, now) = (patched.link_context(unit), cold.link_context(unit));
+                    prop_assert_eq!(
+                        (was.imports_fingerprint, was.extern_refs_fingerprint),
+                        (now.imports_fingerprint, now.extern_refs_fingerprint),
+                        "unit {}'s fingerprints differ at {}", unit, at
+                    );
+                    prop_assert!(
+                        was.summaries.same_summaries(&now.summaries)
+                            && was.extern_refs == now.extern_refs,
+                        "unit {}'s view differs at {}", unit, at
+                    );
+                }
+            }
+            edit_model(&mut model, &mut rng, &mut next_file);
+        }
+    }
+}

@@ -909,3 +909,140 @@ fn results_are_byte_identical_at_every_thread_count() {
         );
     }
 }
+
+/// One warm round on `driver`'s session: the counter movement, the
+/// analysis, and the promise that it equals a cold analysis of `inputs`.
+fn warm_round(
+    driver: &ProgramDriver,
+    inputs: &[(String, String)],
+) -> (ompdart_core::CacheStats, ompdart_core::ProgramAnalysis) {
+    let before = driver.session().cache_stats();
+    let warm = driver.analyze_program(inputs).expect("warm round failed");
+    let moved = driver.session().cache_stats() - before;
+    let cold = ProgramDriver::new().analyze_program(inputs).unwrap();
+    assert_eq!(
+        warm.concatenated_rewrite(),
+        cold.concatenated_rewrite(),
+        "a patched link must rewrite exactly as a cold link of the same units"
+    );
+    (moved, warm)
+}
+
+/// A unit-set change patches the link state like any other edit: adding,
+/// removing, reordering or renaming a file of a watched directory keeps
+/// the converged fixed point and re-seeds inside the changed units' cone,
+/// where the parent threw the whole state away.
+#[test]
+fn unit_set_changes_relink_inside_the_cone() {
+    let base = ompdart_suite::corpus::generate(12, 7);
+    let driver = ProgramDriver::new();
+    driver.analyze_program(&base).expect("cold link failed");
+    let leaf = (
+        "leaf.c".to_string(),
+        "double leaf_buf[8];\nvoid leaf_fn(void) { leaf_buf[0] += 1.0; }\n".to_string(),
+    );
+
+    // Add: a leaf unit in the middle shifts every later unit's index.
+    let mut added = base.clone();
+    added.insert(3, leaf);
+    let (moved, round) = warm_round(&driver, &added);
+    assert_eq!(moved.relink_reseeded_functions, 0, "nothing calls the leaf");
+    assert_eq!(
+        moved.relink_touched_units, 2,
+        "the leaf, and `main`'s unit: its exit liveness reads every unit's referenced variables"
+    );
+    assert_eq!(moved.fast_path_hits, base.len() as u64 - 1);
+    assert!(matches!(round.served[3], UnitServe::Planned { .. }));
+
+    // Reorder: the same units in another order change nothing at all.
+    let mut reordered = added.clone();
+    reordered.rotate_left(5);
+    let (moved, _) = warm_round(&driver, &reordered);
+    assert_eq!(moved.relink_reseeded_functions, 0);
+    assert_eq!(moved.relink_touched_units, 0);
+    assert_eq!(moved.fast_path_hits, reordered.len() as u64);
+
+    // Rename: the unit's header-defined static re-mangles, so the old
+    // `syn_touch@syn_0005.c` leaves and the stages up to the renamed one
+    // (stage_1..stage_5 and main) may observe the new one.
+    let mut renamed = reordered.clone();
+    let at = renamed.iter().position(|(n, _)| n == "syn_0005.c").unwrap();
+    renamed[at].0 = "renamed.c".to_string();
+    let (moved, _) = warm_round(&driver, &renamed);
+    assert!(
+        (1..=8).contains(&moved.relink_reseeded_functions),
+        "a rename re-seeds its statics and their callers, not the program: {moved}"
+    );
+    assert!(moved.relink_touched_units <= 7, "{moved}");
+
+    // Remove the leaf again: only its own function is re-derived (away).
+    let mut removed = renamed.clone();
+    removed.retain(|(n, _)| n != "leaf.c");
+    let (moved, _) = warm_round(&driver, &removed);
+    assert_eq!(moved.relink_reseeded_functions, 1);
+    assert_eq!(moved.relink_touched_units, 1, "`main`'s unit again");
+
+    // Remove the chain's tail: `stage_10` now calls an undefined function,
+    // and every stage above it must forget what `stage_11` did.
+    let mut cut = removed.clone();
+    cut.retain(|(n, _)| n != "syn_0011.c");
+    let (moved, _) = warm_round(&driver, &cut);
+    assert!(moved.relink_reseeded_functions >= 11, "{moved}");
+
+    // A duplicate definition is rejected naming both units, and leaves the
+    // session's link state as it was: the next round is still a patch.
+    let mut duplicated = cut.clone();
+    duplicated.push(("dup.c".to_string(), "void stage_3(void) { }\n".to_string()));
+    match driver.analyze_program(&duplicated).unwrap_err() {
+        ProgramError::DuplicateFunction { function, units } => {
+            assert_eq!(function, "stage_3");
+            assert!(units.contains(&"syn_0003.c".to_string()), "{units:?}");
+            assert!(units.contains(&"dup.c".to_string()), "{units:?}");
+        }
+        other => panic!("expected DuplicateFunction, got {other:?}"),
+    }
+    let (moved, _) = warm_round(&driver, &cut);
+    assert_eq!(moved.relink_reseeded_functions, 0);
+    assert_eq!(moved.fast_path_hits, cut.len() as u64);
+}
+
+/// "The relink's cost follows the dirty cone", asserted as counts on the
+/// ledger's 1000-unit corpus: an edit at the head of the call chain
+/// touches a handful of units however large the program is, and a
+/// mid-chain edit touches its cone and no more.
+#[test]
+fn relink_touches_follow_the_cone_on_the_thousand_unit_corpus() {
+    let base = ompdart_suite::corpus::generate(1000, 42);
+    let driver = ProgramDriver::new();
+    let session = Arc::clone(driver.session());
+    let relink = |inputs: &[(String, String)]| {
+        let before = session.cache_stats();
+        driver.link(inputs).expect("link failed");
+        session.cache_stats() - before
+    };
+    let cold = relink(&base);
+    assert_eq!(cold.relink_reseeded_functions, 0);
+    assert_eq!(cold.relink_touched_units, 1000);
+
+    let mut head = base.clone();
+    ompdart_suite::corpus::edit_one_function(&mut head, 1);
+    let moved = relink(&head);
+    assert!(
+        (1..=8).contains(&moved.relink_reseeded_functions),
+        "{moved}"
+    );
+    assert!((1..=8).contains(&moved.relink_touched_units), "{moved}");
+
+    let unchanged = relink(&head);
+    assert_eq!(unchanged.relink_reseeded_functions, 0);
+    assert_eq!(unchanged.relink_touched_units, 0);
+
+    // Revert the head edit and edit stage_500 in one round: the cone is
+    // main and stage_1..stage_500.
+    let mut mid = base.clone();
+    ompdart_suite::corpus::edit_one_function(&mut mid, 500);
+    let moved = relink(&mid);
+    assert!(moved.relink_reseeded_functions >= 500, "{moved}");
+    assert!(moved.relink_reseeded_functions <= 501 + 8, "{moved}");
+    assert!(moved.relink_touched_units <= 501 + 1 + 8, "{moved}");
+}
