@@ -64,7 +64,7 @@ use crate::interproc::{
 };
 use crate::plan::explain::explain_plans;
 use crate::plan::ir::{AnalysisStats, MappingPlan};
-use crate::plan::json::plans_to_json;
+use crate::plan::json::{plans_to_json, plans_to_json_value, write_json_string};
 use crate::program::{LinkContext, LinkState, UnitServe};
 use crate::relocate::{relocate_diagnostics, relocate_function_accesses, relocate_plan};
 use crate::rewrite;
@@ -1239,6 +1239,12 @@ pub struct UnitAnalysis {
     pub summaries: Arc<SummariesArtifact>,
     pub plans: Arc<PlansArtifact>,
     pub rewrite: Arc<RewriteOutput>,
+    /// The two payload-heavy artifacts as a server sends them, rendered on
+    /// first use: the rewritten source as a JSON string literal, and the
+    /// plan document, compact. An analysis is shared across requests by
+    /// the analysis cache and the round fast path, so an unchanged unit is
+    /// rendered once however often it is served.
+    wire: std::sync::OnceLock<(String, String)>,
 }
 
 impl UnitAnalysis {
@@ -1264,6 +1270,30 @@ impl UnitAnalysis {
     /// The versioned plan-JSON document for this unit's plans.
     pub fn plans_json(&self) -> String {
         plans_to_json(&self.plans.plans)
+    }
+
+    fn wire(&self) -> &(String, String) {
+        self.wire.get_or_init(|| {
+            let mut source = String::new();
+            write_json_string(&mut source, &self.rewrite.source);
+            let mut plans = plans_to_json_value(&self.plans.plans).render();
+            // Held for as long as the analysis is: give back the writers'
+            // growth slack (up to half of each buffer).
+            source.shrink_to_fit();
+            plans.shrink_to_fit();
+            (source, plans)
+        })
+    }
+
+    /// The rewritten source as a JSON string literal (memoised).
+    pub fn rewritten_source_json(&self) -> &str {
+        &self.wire().0
+    }
+
+    /// [`Self::plans_json`] rendered compactly (memoised): the same
+    /// document value, without insignificant whitespace.
+    pub fn plans_json_compact(&self) -> &str {
+        &self.wire().1
     }
 }
 
@@ -1818,6 +1848,7 @@ impl AnalysisSession {
                 summaries: Arc::clone(&unit.summaries),
                 plans,
                 rewrite,
+                wire: std::sync::OnceLock::new(),
             }))
         };
         let count = (

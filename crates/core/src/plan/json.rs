@@ -7,6 +7,19 @@
 //! [`MappingPlan::from_json`] rejects documents written by an incompatible
 //! future version instead of mis-reading them.
 //!
+//! The same kernel carries every store document and every daemon frame, so
+//! its two hot loops — writing and reading a string — move bytes in runs:
+//! the input is scanned eight bytes per step to the next byte that needs
+//! attention (`"`, `\`, and for the writer a control byte) and everything
+//! before it is copied at once; integers are read digit by digit. The
+//! grammar, every error message and offset, the nesting cap and the
+//! rendered bytes are those of the char-at-a-time kernel this replaced,
+//! which `tests/properties.rs` keeps as the reference. A server that sends
+//! the same string or document many times does not call the writer many
+//! times: [`write_json_string`] and [`Json::render_into`] append to a
+//! caller's buffer, and [`crate::pipeline::UnitAnalysis`] memoises the two
+//! renderings the daemon splices into its responses.
+//!
 //! Node ids and byte spans are serialized as plain integers. They are
 //! meaningful relative to a parse of the *same* source text (parsing is
 //! deterministic), which is what makes the round-trip
@@ -82,9 +95,15 @@ impl Json {
 
     /// Render compactly (no insignificant whitespace).
     pub fn render(&self) -> String {
-        let mut out = String::with_capacity(self.rendered_size_hint(None));
-        self.write(&mut out, None, 0);
+        let mut out = String::new();
+        self.render_into(&mut out);
         out
+    }
+
+    /// Render compactly into a caller-owned buffer, appending.
+    pub fn render_into(&self, out: &mut String) {
+        out.reserve(self.rendered_size_hint(None));
+        self.write(out, None, 0);
     }
 
     /// Render with two-space indentation.
@@ -194,6 +213,7 @@ impl Json {
     /// Parse a JSON document. Trailing non-whitespace is an error.
     pub fn parse(text: &str) -> Result<Json, PlanJsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -214,23 +234,57 @@ fn write_json_int(out: &mut String, n: i64) {
     let _ = write!(out, "{n}");
 }
 
-fn write_json_string(out: &mut String, s: &str) {
+/// Append `s` as a JSON string literal. Bytes move in runs: everything up
+/// to the next byte that needs an escape (`"`, `\`, or a control byte) is
+/// copied by one `push_str`. Such a byte is ASCII, so both ends of a run
+/// are character boundaries.
+pub fn write_json_string(out: &mut String, s: &str) {
     use std::fmt::Write as _;
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut rest = s;
+    while let Some(run) = first_special(rest.as_bytes(), 0x20) {
+        out.push_str(&rest[..run]);
+        match rest.as_bytes()[run] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            control => {
+                let _ = write!(out, "\\u{control:04x}");
             }
-            c => out.push(c),
         }
+        rest = &rest[run + 1..];
     }
+    out.push_str(rest);
     out.push('"');
+}
+
+/// Index of the first `"`, `\` or byte below `controls` (`0x20` for the
+/// writer, which escapes control bytes; `0` for the parser, which takes
+/// them raw). Eight bytes are tested per step with the subtract-and-mask
+/// tests for "has a zero byte" and "has a byte below n": a borrow can only
+/// flag a byte above one that is truly flagged, so the lowest flag is exact.
+fn first_special(bytes: &[u8], controls: u8) -> Option<usize> {
+    const ONES: u64 = u64::MAX / 0xff;
+    const HIGH: u64 = ONES * 0x80;
+    let mut at = 0;
+    for word in bytes.chunks_exact(8) {
+        let w = u64::from_le_bytes(word.try_into().expect("chunks of eight"));
+        let (quote, slash) = (w ^ (ONES * 0x22), w ^ (ONES * 0x5c));
+        let flags = (w.wrapping_sub(ONES * u64::from(controls)) & !w)
+            | (quote.wrapping_sub(ONES) & !quote)
+            | (slash.wrapping_sub(ONES) & !slash);
+        if flags & HIGH != 0 {
+            return Some(at + (flags & HIGH).trailing_zeros() as usize / 8);
+        }
+        at += 8;
+    }
+    let tail = bytes[at..]
+        .iter()
+        .position(|&b| b < controls || b == b'"' || b == b'\\')?;
+    Some(at + tail)
 }
 
 /// Maximum container nesting the parser accepts. Plan documents nest a
@@ -239,6 +293,8 @@ fn write_json_string(out: &mut String, s: &str) {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text.as_bytes()`.
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -355,113 +411,114 @@ impl Parser<'_> {
         }
     }
 
+    /// A string literal. Bytes move in runs: everything up to the next `"`
+    /// or `\` is one slice of the (already valid UTF-8) input, copied once;
+    /// a string without escapes is its first run.
     fn string(&mut self) -> Result<String, PlanJsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let Some(b) = self.peek() else {
-                return Err(PlanJsonError::syntax(self.pos, "unterminated string"));
+            let start = self.pos;
+            let Some(len) = first_special(&self.bytes[start..], 0) else {
+                return Err(PlanJsonError::syntax(
+                    self.bytes.len(),
+                    "unterminated string",
+                ));
+            };
+            let end = start + len;
+            // Every escape consumes whole ASCII bytes, so a run starts and
+            // ends on character boundaries; `get` keeps that a checked fact.
+            let run = self
+                .text
+                .get(start..end)
+                .ok_or_else(|| PlanJsonError::syntax(start, "invalid UTF-8"))?;
+            out.push_str(run);
+            self.pos = end + 1;
+            if self.bytes[end] == b'"' {
+                return Ok(out);
+            }
+            let Some(esc) = self.peek() else {
+                return Err(PlanJsonError::syntax(self.pos, "unterminated escape"));
             };
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(PlanJsonError::syntax(self.pos, "unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000c}'),
-                        b'u' => {
-                            let unit = self.hex4()?;
-                            let scalar = match unit {
-                                // High surrogate: a low surrogate must
-                                // follow (standard JSON encoding of non-BMP
-                                // characters, e.g. Python's ensure_ascii).
-                                0xd800..=0xdbff => {
-                                    if self.peek() != Some(b'\\') {
-                                        return Err(PlanJsonError::syntax(
-                                            self.pos,
-                                            "unpaired high surrogate",
-                                        ));
-                                    }
-                                    self.pos += 1;
-                                    if self.peek() != Some(b'u') {
-                                        return Err(PlanJsonError::syntax(
-                                            self.pos,
-                                            "unpaired high surrogate",
-                                        ));
-                                    }
-                                    self.pos += 1;
-                                    let low = self.hex4()?;
-                                    if !(0xdc00..=0xdfff).contains(&low) {
-                                        return Err(PlanJsonError::syntax(
-                                            self.pos,
-                                            "invalid low surrogate",
-                                        ));
-                                    }
-                                    0x10000 + ((unit - 0xd800) << 10) + (low - 0xdc00)
-                                }
-                                0xdc00..=0xdfff => {
-                                    return Err(PlanJsonError::syntax(
-                                        self.pos,
-                                        "unpaired low surrogate",
-                                    ));
-                                }
-                                other => other,
-                            };
-                            out.push(char::from_u32(scalar).ok_or_else(|| {
-                                PlanJsonError::syntax(self.pos, "invalid \\u escape")
-                            })?);
-                        }
-                        _ => {
-                            return Err(PlanJsonError::syntax(self.pos, "unknown escape"));
-                        }
-                    }
-                }
-                _ => {
-                    // Re-decode the UTF-8 sequence starting at b.
-                    let start = self.pos - 1;
-                    let width = utf8_width(b);
-                    let end = (start + width).min(self.bytes.len());
-                    match std::str::from_utf8(&self.bytes[start..end]) {
-                        Ok(s) => {
-                            out.push_str(s);
-                            self.pos = end;
-                        }
-                        Err(_) => return Err(PlanJsonError::syntax(start, "invalid UTF-8")),
-                    }
-                }
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{0008}'),
+                b'f' => out.push('\u{000c}'),
+                b'u' => out.push(self.unicode_escape()?),
+                _ => return Err(PlanJsonError::syntax(self.pos, "unknown escape")),
             }
         }
     }
 
-    /// Read four hex digits of a `\u` escape.
-    fn hex4(&mut self) -> Result<u32, PlanJsonError> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(PlanJsonError::syntax(self.pos, "truncated \\u escape"));
-        }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .ok()
-            .and_then(|h| u32::from_str_radix(h, 16).ok())
-            .ok_or_else(|| PlanJsonError::syntax(self.pos, "invalid \\u escape"))?;
-        self.pos += 4;
-        Ok(hex)
+    /// The character of a `\u` escape whose `\u` has been consumed: four hex
+    /// digits, or a surrogate pair of two such escapes.
+    fn unicode_escape(&mut self) -> Result<char, PlanJsonError> {
+        let unit = self.hex4()?;
+        let scalar = match unit {
+            // High surrogate: a low surrogate must follow (standard JSON
+            // encoding of non-BMP characters, e.g. Python's ensure_ascii).
+            0xd800..=0xdbff => {
+                for expected in [b'\\', b'u'] {
+                    if self.peek() != Some(expected) {
+                        return Err(PlanJsonError::syntax(self.pos, "unpaired high surrogate"));
+                    }
+                    self.pos += 1;
+                }
+                let low = self.hex4()?;
+                if !(0xdc00..=0xdfff).contains(&low) {
+                    return Err(PlanJsonError::syntax(self.pos, "invalid low surrogate"));
+                }
+                0x10000 + ((unit - 0xd800) << 10) + (low - 0xdc00)
+            }
+            0xdc00..=0xdfff => {
+                return Err(PlanJsonError::syntax(self.pos, "unpaired low surrogate"));
+            }
+            other => other,
+        };
+        char::from_u32(scalar).ok_or_else(|| PlanJsonError::syntax(self.pos, "invalid \\u escape"))
     }
 
+    /// Read exactly four hex digits of a `\u` escape (no sign, no blanks).
+    fn hex4(&mut self) -> Result<u32, PlanJsonError> {
+        let Some(digits) = self.bytes.get(self.pos..self.pos + 4) else {
+            return Err(PlanJsonError::syntax(self.pos, "truncated \\u escape"));
+        };
+        let mut unit = 0;
+        for &b in digits {
+            let digit = (b as char)
+                .to_digit(16)
+                .ok_or_else(|| PlanJsonError::syntax(self.pos, "invalid \\u escape"))?;
+            unit = unit << 4 | digit;
+        }
+        self.pos += 4;
+        Ok(unit)
+    }
+
+    /// An integer, accumulated digit by digit on the sign's side of zero so
+    /// `i64::MIN` parses and anything wider is an error, not a wrap.
     fn number(&mut self) -> Result<Json, PlanJsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        let digits = self.pos;
+        let mut value = Some(0i64);
+        while let Some(b @ b'0'..=b'9') = self.peek() {
+            let digit = i64::from(b - b'0');
+            value = value.and_then(|v| v.checked_mul(10)).and_then(|v| {
+                if negative {
+                    v.checked_sub(digit)
+                } else {
+                    v.checked_add(digit)
+                }
+            });
             self.pos += 1;
         }
         if matches!(self.peek(), Some(b'.') | Some(b'e') | Some(b'E')) {
@@ -470,20 +527,10 @@ impl Parser<'_> {
                 "the plan format only uses integers",
             ));
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<i64>().ok())
+        value
+            .filter(|_| self.pos > digits)
             .map(Json::Int)
             .ok_or_else(|| PlanJsonError::syntax(start, "invalid number"))
-    }
-}
-
-fn utf8_width(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
     }
 }
 
@@ -1245,6 +1292,44 @@ mod tests {
         assert!(Json::parse("\"\\ud835\"").is_err());
         assert!(Json::parse("\"\\ud835x\"").is_err());
         assert!(Json::parse("\"\\udc65\"").is_err());
+    }
+
+    /// A `\u` escape is exactly four hex digits: `from_str_radix` took a
+    /// sign, so `\u+041` used to parse as `A`.
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(Json::parse("\"\\u0041\""), Ok(Json::Str("A".into())));
+        for bad in ["\"\\u+041\"", "\"\\u-041\"", "\"\\u041\"", "\"\\u 041\""] {
+            assert_eq!(
+                Json::parse(bad),
+                Err(PlanJsonError::syntax(3, "invalid \\u escape")),
+                "{bad}"
+            );
+        }
+        // Three digits, then the input ends.
+        assert_eq!(
+            Json::parse("\"\\u041"),
+            Err(PlanJsonError::syntax(3, "truncated \\u escape"))
+        );
+    }
+
+    /// Integers are accumulated without going through `str::parse`: the
+    /// whole `i64` range round-trips and one past either end is an error.
+    #[test]
+    fn integers_cover_the_whole_range_and_reject_overflow() {
+        for n in [0, -1, 7, i64::MAX, i64::MIN] {
+            assert_eq!(Json::parse(&n.to_string()), Ok(Json::Int(n)));
+            assert_eq!(Json::Int(n).render(), n.to_string());
+        }
+        assert_eq!(Json::parse("-0"), Ok(Json::Int(0)));
+        assert_eq!(Json::parse("007"), Ok(Json::Int(7)));
+        for bad in ["9223372036854775808", "-9223372036854775809", "-", "-x"] {
+            assert_eq!(
+                Json::parse(bad),
+                Err(PlanJsonError::syntax(0, "invalid number")),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

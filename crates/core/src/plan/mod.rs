@@ -23,4 +23,6 @@ pub use ir::{
     MappingConstruct, MappingPlan, Placement, Provenance, ProvenanceFact, UpdateDirection,
     UpdateSpec, PLAN_FORMAT_VERSION,
 };
-pub use json::{plans_from_json, plans_to_json, plans_to_json_value, Json, PlanJsonError};
+pub use json::{
+    plans_from_json, plans_to_json, plans_to_json_value, write_json_string, Json, PlanJsonError,
+};

@@ -25,7 +25,8 @@ use crate::protocol::{
 };
 use crate::registry::{ProgramRegistry, ProgramSession, RegistryConfig};
 use crate::signal::{self, ShutdownToken};
-use ompdart_core::plan::{plans_to_json_value, Json, MappingPlan};
+use ompdart_core::pipeline::UnitAnalysis;
+use ompdart_core::plan::{write_json_string, Json};
 use ompdart_core::{Analysis, CacheStats, UnitServe};
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -113,6 +114,14 @@ impl Write for Conn {
         match self {
             Conn::Unix(s) => s.write(buf),
             Conn::Tcp(s) => s.write(buf),
+        }
+    }
+
+    // A frame is one vectored write; the default would send only its prefix.
+    fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
+        match self {
+            Conn::Unix(s) => s.write_vectored(bufs),
+            Conn::Tcp(s) => s.write_vectored(bufs),
         }
     }
 
@@ -387,11 +396,14 @@ fn connection_loop(id: u64, mut conn: Conn, shared: Arc<Shared>, token: Shutdown
 }
 
 fn respond(writer: &Arc<Mutex<Conn>>, response: Json) {
-    let payload = response.render();
+    respond_rendered(writer, &response.render());
+}
+
+fn respond_rendered(writer: &Arc<Mutex<Conn>>, payload: &str) {
     let mut writer = writer
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner());
-    let _ = protocol::write_frame(&mut *writer, &payload);
+    let _ = protocol::write_frame(&mut *writer, payload);
 }
 
 /// Decode one request payload and dispatch it. Cheap requests answer
@@ -403,7 +415,7 @@ fn handle_payload(
     token: &ShutdownToken,
     writer: &Arc<Mutex<Conn>>,
 ) {
-    let request = match Json::parse(payload) {
+    let mut request = match Json::parse(payload) {
         Ok(value) => value,
         Err(e) => {
             let err = RequestError::new(ErrorKind::BadJson, format!("invalid JSON: {e}"));
@@ -433,8 +445,8 @@ fn handle_payload(
         }
     };
     let outcome = match kind.as_str() {
-        "analyze" => submit_analyze(&request, id, shared, writer),
-        "explain" => submit_explain(&request, id, shared, writer),
+        "analyze" => submit_analyze(&mut request, id, shared, writer),
+        "explain" => submit_explain(&mut request, id, shared, writer),
         "stats" => {
             respond(writer, ok_response(id, stats_result(shared)));
             Ok(())
@@ -465,13 +477,31 @@ fn handle_payload(
     }
 }
 
+fn field_mut<'a>(object: &'a mut Json, key: &str) -> Option<&'a mut Json> {
+    match object {
+        Json::Object(fields) => fields.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+        _ => None,
+    }
+}
+
+/// Move the string under `key` out of a request object, leaving `""`.
+fn take_str(object: &mut Json, key: &str) -> Option<String> {
+    match field_mut(object, key)? {
+        Json::Str(text) => Some(std::mem::take(text)),
+        _ => None,
+    }
+}
+
 /// Decode the `units` field: an array of `{name, source}` or `{name?,
-/// path}` objects (paths are read daemon-side).
-fn decode_units(request: &Json) -> Result<Vec<(String, String)>, RequestError> {
-    let units = request
-        .get("units")
-        .and_then(Json::as_array)
-        .ok_or_else(|| RequestError::new(ErrorKind::BadRequest, "missing `units` array"))?;
+/// path}` objects (paths are read daemon-side). Names and sources are moved
+/// out of the parsed request, not copied.
+fn decode_units(request: &mut Json) -> Result<Vec<(String, String)>, RequestError> {
+    let Some(Json::Array(units)) = field_mut(request, "units") else {
+        return Err(RequestError::new(
+            ErrorKind::BadRequest,
+            "missing `units` array",
+        ));
+    };
     if units.is_empty() {
         return Err(RequestError::new(
             ErrorKind::BadRequest,
@@ -479,28 +509,27 @@ fn decode_units(request: &Json) -> Result<Vec<(String, String)>, RequestError> {
         ));
     }
     let mut decoded = Vec::with_capacity(units.len());
-    for (i, unit) in units.iter().enumerate() {
-        let name = unit.get("name").and_then(Json::as_str);
-        if let Some(source) = unit.get("source").and_then(Json::as_str) {
+    for (i, unit) in units.iter_mut().enumerate() {
+        let name = take_str(unit, "name");
+        if let Some(source) = take_str(unit, "source") {
             let name = name.ok_or_else(|| {
                 RequestError::new(ErrorKind::BadRequest, format!("units[{i}] missing `name`"))
             })?;
-            decoded.push((name.to_string(), source.to_string()));
-        } else if let Some(path) = unit.get("path").and_then(Json::as_str) {
-            let source = std::fs::read_to_string(path).map_err(|e| {
+            decoded.push((name, source));
+        } else if let Some(path) = take_str(unit, "path") {
+            let source = std::fs::read_to_string(&path).map_err(|e| {
                 RequestError::new(
                     ErrorKind::Io,
                     format!("units[{i}]: cannot read {path}: {e}"),
                 )
             })?;
             let name = name
-                .map(str::to_string)
                 .or_else(|| {
-                    std::path::Path::new(path)
+                    std::path::Path::new(&path)
                         .file_name()
                         .map(|f| f.to_string_lossy().into_owned())
                 })
-                .unwrap_or_else(|| path.to_string());
+                .unwrap_or(path);
             decoded.push((name, source));
         } else {
             return Err(RequestError::new(
@@ -556,7 +585,7 @@ fn program_key(request: &Json) -> String {
 }
 
 fn submit_analyze(
-    request: &Json,
+    request: &mut Json,
     id: Option<i64>,
     shared: &Arc<Shared>,
     writer: &Arc<Mutex<Conn>>,
@@ -568,11 +597,10 @@ fn submit_analyze(
     let job_key = key.clone();
     let accepted = shared.pool.submit(&key, move || {
         let session = shared_job.registry.program(&job_key);
-        let response = match run_analyze(&shared_job, &session, &units) {
-            Ok(result) => ok_response(id, result),
-            Err(err) => error_response(id, &err),
-        };
-        respond(&writer, response);
+        match run_analyze(&shared_job, &session, id, &units) {
+            Ok(payload) => respond_rendered(&writer, &payload),
+            Err(err) => respond(&writer, error_response(id, &err)),
+        }
     });
     if accepted {
         Ok(())
@@ -584,43 +612,46 @@ fn submit_analyze(
     }
 }
 
-/// The analysis body of an `analyze` request: a single unit is analyzed as
-/// a closed world (leaving the program's link state and recorded round
-/// untouched), multi-unit requests go through whole-program link.
+/// The analysis body of an `analyze` request, answered as the rendered
+/// response: a single unit is analyzed as a closed world (leaving the
+/// program's link state and recorded round untouched), multi-unit requests
+/// go through whole-program link.
 fn run_analyze(
     shared: &Shared,
     session: &ProgramSession,
+    id: Option<i64>,
     units: &[(String, String)],
-) -> Result<Json, RequestError> {
-    if units.len() == 1 {
-        let (name, source) = &units[0];
+) -> Result<String, RequestError> {
+    let (analyses, serves, stats, link_passes) = if let [(name, source)] = units {
         let (analysis, serve, stats) = session
             .analyze_unit(name, source)
             .map_err(|e| RequestError::new(ErrorKind::Analysis, e.to_string()))?;
-        log_analyze(shared, session.key(), &[serve], &stats);
-        let unit = unit_result(name, &serve, analysis.rewritten_source(), analysis.plans());
-        Ok(analyze_result(session.key(), vec![unit], &stats, 0))
+        (
+            vec![Arc::clone(analysis.artifacts())],
+            vec![serve],
+            stats,
+            0,
+        )
     } else {
         let (program, stats) = session
             .analyze_program(units)
             .map_err(|e| RequestError::new(ErrorKind::Analysis, e.to_string()))?;
-        log_analyze(shared, session.key(), &program.served, &stats);
-        let mut rendered = Vec::with_capacity(units.len());
-        for (i, unit) in program.units.iter().enumerate() {
-            rendered.push(unit_result(
-                &units[i].0,
-                &program.served[i],
-                &unit.rewrite.source,
-                &unit.plans.plans,
-            ));
-        }
-        Ok(analyze_result(
-            session.key(),
-            rendered,
-            &stats,
-            program.link_passes,
-        ))
-    }
+        (program.units, program.served, stats, program.link_passes)
+    };
+    log_analyze(shared, session.key(), &serves, &stats);
+    let units: Vec<AnalyzedUnit<'_>> = units
+        .iter()
+        .zip(&serves)
+        .zip(&analyses)
+        .map(|(((name, _), serve), analysis)| (name.as_str(), *serve, &**analysis))
+        .collect();
+    Ok(analyze_response(
+        id,
+        session.key(),
+        &units,
+        &stats,
+        link_passes,
+    ))
 }
 
 /// Human-readable serve verdict, shared wording with the CLI.
@@ -634,23 +665,56 @@ pub fn serve_label(serve: &UnitServe) -> String {
     }
 }
 
-fn unit_result(name: &str, serve: &UnitServe, rewritten: &str, plans: &[MappingPlan]) -> Json {
-    Json::Object(vec![
-        ("name".into(), Json::Str(name.to_string())),
-        ("serve".into(), Json::Str(serve_label(serve))),
-        ("rewritten_source".into(), Json::Str(rewritten.to_string())),
-        ("plans".into(), plans_to_json_value(plans)),
-    ])
-}
+/// One unit of an `analyze` response: its name as requested, how it was
+/// served, and its analysis.
+pub type AnalyzedUnit<'a> = (&'a str, UnitServe, &'a UnitAnalysis);
 
-/// `stats` is the request's own movement of the program's counters.
-fn analyze_result(key: &str, units: Vec<Json>, stats: &CacheStats, link_passes: usize) -> Json {
-    Json::Object(vec![
-        ("program".into(), Json::Str(key.to_string())),
-        ("units".into(), Json::Array(units)),
-        ("request_stats".into(), stats.to_json()),
-        ("link_passes".into(), Json::Int(link_passes as i64)),
-    ])
+/// The rendered `ok` response of an `analyze` request, written straight
+/// into one buffer: no [`Json`] tree of it is built and the payload-heavy
+/// parts — each unit's rewritten source and plan document — are the
+/// analysis's own memoised renderings, so an unchanged unit costs a copy.
+/// `stats` is the request's own movement of the program's counters; its
+/// nineteen integers alone go through [`CacheStats::to_json`], the one
+/// place that object's format lives.
+pub fn analyze_response(
+    id: Option<i64>,
+    key: &str,
+    units: &[AnalyzedUnit<'_>],
+    stats: &CacheStats,
+    link_passes: usize,
+) -> String {
+    use std::fmt::Write as _;
+    // The spliced bytes, plus room for each unit's keys and serve label
+    // and for the envelope and `request_stats`.
+    let payload: usize = units
+        .iter()
+        .map(|(name, _, unit)| {
+            name.len() + unit.rewritten_source_json().len() + unit.plans_json_compact().len() + 96
+        })
+        .sum();
+    let mut out = String::with_capacity(payload + key.len() + 1024);
+    protocol::write_ok_head(&mut out, id);
+    out.push_str("{\"program\":");
+    write_json_string(&mut out, key);
+    out.push_str(",\"units\":[");
+    for (i, (name, serve, unit)) in units.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"name\":");
+        write_json_string(&mut out, name);
+        out.push_str(",\"serve\":");
+        write_json_string(&mut out, &serve_label(serve));
+        out.push_str(",\"rewritten_source\":");
+        out.push_str(unit.rewritten_source_json());
+        out.push_str(",\"plans\":");
+        out.push_str(unit.plans_json_compact());
+        out.push('}');
+    }
+    out.push_str("],\"request_stats\":");
+    stats.to_json().render_into(&mut out);
+    let _ = write!(out, ",\"link_passes\":{link_passes}}}}}");
+    out
 }
 
 fn log_analyze(shared: &Shared, key: &str, serves: &[UnitServe], stats: &CacheStats) {
@@ -682,7 +746,7 @@ fn offset_of(source: &str, line: u32, col: u32) -> Option<u32> {
 }
 
 fn submit_explain(
-    request: &Json,
+    request: &mut Json,
     id: Option<i64>,
     shared: &Arc<Shared>,
     writer: &Arc<Mutex<Conn>>,

@@ -2,9 +2,15 @@
 //!
 //! Every message — request or response — is one *frame*: a 4-byte
 //! big-endian `u32` byte length followed by exactly that many bytes of
-//! UTF-8 JSON. The payload reuses the crate-wide hand-rolled [`Json`]
-//! value (the same machinery that serializes the versioned plan JSON), so
-//! the daemon's responses embed plan documents verbatim.
+//! UTF-8 JSON, handed to the transport in one write ([`write_frame`]). The
+//! payload reuses the crate-wide hand-rolled [`Json`] value (the same
+//! machinery that serializes the versioned plan JSON), so the daemon's
+//! responses embed plan documents verbatim. Small responses are built as a
+//! [`Json`] value and rendered; an `analyze` response — the one that
+//! carries sources and plan documents — is written straight into the
+//! frame's buffer by [`crate::daemon::analyze_response`] from renderings
+//! each unit's analysis already holds, byte for byte what rendering
+//! [`ok_response`] of the equivalent value would give.
 //!
 //! Requests are objects of the shape
 //!
@@ -26,7 +32,7 @@
 //! re-synchronized; a well-framed bad payload keeps the connection open).
 
 use ompdart_core::plan::Json;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 /// Version of the request/response schema. Bumped on incompatible change;
 /// the daemon rejects other versions with a structured error.
@@ -98,12 +104,25 @@ pub fn read_frame(reader: &mut impl Read) -> Result<String, FrameError> {
     String::from_utf8(payload).map_err(|_| FrameError::NotUtf8)
 }
 
-/// Write one frame (length prefix + payload).
+/// Write one frame. Prefix and payload go out in one vectored write (one
+/// syscall on a socket, and the peer never wakes on a bare prefix), looped
+/// only if the writer takes less than it was offered.
 pub fn write_frame(writer: &mut impl Write, payload: &str) -> std::io::Result<()> {
     let bytes = payload.as_bytes();
     debug_assert!(bytes.len() <= MAX_FRAME_BYTES as usize);
-    writer.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    writer.write_all(bytes)?;
+    let prefix = (bytes.len() as u32).to_be_bytes();
+    let mut parts = [IoSlice::new(&prefix), IoSlice::new(bytes)];
+    let mut parts = &mut parts[..];
+    // `advance_slices` drops every part that is used up, an empty payload
+    // included.
+    while !parts.is_empty() {
+        match writer.write_vectored(parts) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     writer.flush()
 }
 
@@ -171,6 +190,18 @@ pub fn ok_response(id: Option<i64>, result: Json) -> Json {
     ])
 }
 
+/// Everything of [`ok_response`]'s compact rendering that precedes the
+/// result: a caller appends the rendered result and the closing `}`.
+pub(crate) fn write_ok_head(out: &mut String, id: Option<i64>) {
+    use std::fmt::Write as _;
+    let _ = write!(out, "{{\"version\":{PROTOCOL_VERSION},\"id\":");
+    let _ = match id {
+        Some(id) => write!(out, "{id}"),
+        None => write!(out, "null"),
+    };
+    out.push_str(",\"ok\":true,\"result\":");
+}
+
 /// The `ok:false` response for request `id`.
 pub fn error_response(id: Option<i64>, error: &RequestError) -> Json {
     Json::Object(vec![
@@ -211,6 +242,70 @@ mod tests {
         assert_eq!(read_frame(&mut cursor).unwrap(), "{\"x\":1}");
         assert_eq!(read_frame(&mut cursor).unwrap(), "");
         assert!(matches!(read_frame(&mut cursor), Err(FrameError::Closed)));
+    }
+
+    /// Counts calls, and takes at most `limit` bytes per call.
+    struct CountingWriter {
+        sink: Vec<u8>,
+        writes: usize,
+        limit: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.writes += 1;
+            let before = self.sink.len();
+            for buf in bufs {
+                let room = self.limit - (self.sink.len() - before);
+                self.sink.extend_from_slice(&buf[..buf.len().min(room)]);
+            }
+            Ok(self.sink.len() - before)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_and_short_writes_are_completed() {
+        let payload = "{\"rewritten_source\":\"int main() {}\"}";
+        let mut whole = CountingWriter {
+            sink: Vec::new(),
+            writes: 0,
+            limit: usize::MAX,
+        };
+        write_frame(&mut whole, payload).unwrap();
+        assert_eq!(whole.writes, 1, "prefix and payload must go out together");
+        assert_eq!(whole.sink[..4], (payload.len() as u32).to_be_bytes());
+        assert_eq!(&whole.sink[4..], payload.as_bytes());
+
+        // A writer that takes three bytes at a time splits the prefix and
+        // the payload at every possible place; the frame still arrives whole.
+        let mut slow = CountingWriter {
+            sink: Vec::new(),
+            writes: 0,
+            limit: 3,
+        };
+        write_frame(&mut slow, payload).unwrap();
+        write_frame(&mut slow, "").unwrap();
+        assert_eq!(slow.writes, (4 + payload.len()).div_ceil(3) + 2);
+        let mut cursor = std::io::Cursor::new(slow.sink);
+        assert_eq!(read_frame(&mut cursor).unwrap(), payload);
+        assert_eq!(read_frame(&mut cursor).unwrap(), "");
+
+        // A writer that takes nothing is an error, not a spin.
+        let mut stuck = CountingWriter {
+            sink: Vec::new(),
+            writes: 0,
+            limit: 0,
+        };
+        let err = write_frame(&mut stuck, payload).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::WriteZero);
     }
 
     #[test]
@@ -257,6 +352,13 @@ mod tests {
         let ok = ok_response(Some(3), Json::Object(vec![]));
         assert_eq!(ok.get("id").and_then(Json::as_int), Some(3));
         assert_eq!(ok.get("ok").and_then(Json::as_bool), Some(true));
+        // The head an `analyze` response is spliced behind is this envelope.
+        for id in [Some(3), Some(-7), None] {
+            let mut spliced = String::new();
+            write_ok_head(&mut spliced, id);
+            spliced.push_str("{}}");
+            assert_eq!(spliced, ok_response(id, Json::Object(vec![])).render());
+        }
         let err = error_response(None, &RequestError::new(ErrorKind::BadJson, "nope"));
         assert!(err.get("id").unwrap().is_null());
         assert_eq!(

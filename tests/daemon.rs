@@ -16,14 +16,17 @@
 //! Signal state is process-global, and the daemon binds real sockets, so
 //! every test serializes on [`daemon_lock`].
 
-use ompdart_core::plan::Json;
-use ompdart_core::{CacheStats, Ompdart};
-use ompdart_server::daemon::{DaemonConfig, DaemonHandle, Endpoint};
-use ompdart_server::registry::RegistryConfig;
+use ompdart_core::pipeline::UnitAnalysis;
+use ompdart_core::plan::{plans_to_json_value, Json};
+use ompdart_core::{CacheStats, Ompdart, UnitServe};
+use ompdart_server::daemon::{
+    analyze_response, serve_label, AnalyzedUnit, DaemonConfig, DaemonHandle, Endpoint,
+};
+use ompdart_server::registry::{ProgramRegistry, RegistryConfig};
 use ompdart_server::{protocol, signal, Client, ClientError};
 use ompdart_suite::lulesh_multifile;
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 fn daemon_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -150,6 +153,203 @@ fn daemon_analyze_matches_one_shot_api_byte_for_byte() {
     client.shutdown().expect("shutdown request");
     handle.join();
     assert!(!socket.exists(), "socket file must be removed on shutdown");
+}
+
+/// The tree oracle of an `analyze` response: the `Json` value the daemon
+/// used to build (and re-build, and re-render) for every request. Product
+/// code now writes the same bytes without it; this is what "the same" means.
+fn analyze_response_oracle(
+    id: Option<i64>,
+    key: &str,
+    units: &[AnalyzedUnit<'_>],
+    stats: &CacheStats,
+    link_passes: usize,
+) -> String {
+    let units = units
+        .iter()
+        .map(|(name, serve, unit)| {
+            Json::Object(vec![
+                ("name".into(), Json::Str(name.to_string())),
+                ("serve".into(), Json::Str(serve_label(serve))),
+                (
+                    "rewritten_source".into(),
+                    Json::Str(unit.rewrite.source.clone()),
+                ),
+                ("plans".into(), plans_to_json_value(&unit.plans.plans)),
+            ])
+        })
+        .collect();
+    let result = Json::Object(vec![
+        ("program".into(), Json::Str(key.to_string())),
+        ("units".into(), Json::Array(units)),
+        ("request_stats".into(), stats.to_json()),
+        ("link_passes".into(), Json::Int(link_passes as i64)),
+    ]);
+    protocol::ok_response(id, result).render()
+}
+
+/// The spliced `analyze` response is the tree oracle's rendering byte for
+/// byte — one-unit and multi-unit programs, over cold → unchanged → edit →
+/// revert — and an unchanged round re-renders nothing: every unit's
+/// memoised source literal and plan document are the very same allocations
+/// as in the round before. A live daemon's frames are then checked to be
+/// exactly such renderings.
+#[test]
+fn spliced_analyze_response_equals_the_tree_oracle_byte_for_byte() {
+    let one_unit = vec![(
+        "one \"quoted\\name\".c".to_string(),
+        "#define N 16\ndouble a[N];\nint main() {\n  for (int it = 0; it < 2; it++) {\n    #pragma omp target teams distribute parallel for\n    for (int i = 0; i < N; i++) a[i] += 1.0;\n  }\n  printf(\"%f\\t\u{e9}\\n\", a[0]);\n  return 0;\n}\n"
+            .to_string(),
+    )];
+    let edit_of = |units: &[(String, String)]| {
+        let mut edited = units.to_vec();
+        let last = edited.last_mut().unwrap();
+        last.1 = last.1.replacen("int main()", "/* edit */ int main()", 1);
+        assert_ne!(edited, units, "the edit site must exist");
+        edited
+    };
+
+    let registry = ProgramRegistry::new(RegistryConfig::default());
+    for (key, base) in [
+        ("solo \u{1d465}", one_unit.clone()),
+        ("lulesh", lulesh_units()),
+    ] {
+        let session = registry.program(key);
+        let edited = edit_of(&base);
+        let mut rounds: Vec<Vec<Arc<UnitAnalysis>>> = Vec::new();
+        for (round, units) in [&base, &base, &edited, &base].into_iter().enumerate() {
+            let (analyses, serves, stats, link_passes) = if let [(name, source)] = &units[..] {
+                let (analysis, serve, stats) = session.analyze_unit(name, source).expect("unit");
+                (
+                    vec![Arc::clone(analysis.artifacts())],
+                    vec![serve],
+                    stats,
+                    0,
+                )
+            } else {
+                let (program, stats) = session.analyze_program(units).expect("program");
+                (program.units, program.served, stats, program.link_passes)
+            };
+            let rows: Vec<AnalyzedUnit<'_>> = units
+                .iter()
+                .zip(&serves)
+                .zip(&analyses)
+                .map(|(((name, _), serve), unit)| (name.as_str(), *serve, &**unit))
+                .collect();
+            for id in [Some(round as i64 + 1), None] {
+                assert_eq!(
+                    analyze_response(id, key, &rows, &stats, link_passes),
+                    analyze_response_oracle(id, key, &rows, &stats, link_passes),
+                    "{key} round {round} id {id:?}"
+                );
+            }
+            if round == 1 {
+                assert!(serves.iter().all(|s| *s == UnitServe::Cached), "{serves:?}");
+            }
+            rounds.push(analyses);
+        }
+        let literals = |round: usize| -> Vec<(*const u8, *const u8)> {
+            rounds[round]
+                .iter()
+                .map(|u| {
+                    (
+                        u.rewritten_source_json().as_ptr(),
+                        u.plans_json_compact().as_ptr(),
+                    )
+                })
+                .collect()
+        };
+        assert_eq!(
+            literals(0),
+            literals(1),
+            "{key}: an unchanged round re-rendered"
+        );
+        // The edit re-rendered the unit it re-analysed, and only that one.
+        let (before, after) = (literals(1), literals(2));
+        let last = before.len() - 1;
+        assert_eq!(
+            before[..last],
+            after[..last],
+            "{key}: untouched units re-rendered"
+        );
+        assert_ne!(
+            before[last], after[last],
+            "{key}: the edited unit kept old bytes"
+        );
+    }
+
+    // Over the socket: each frame is the compact rendering of the value it
+    // parses to, and that value carries the in-process rewrite.
+    let _guard = daemon_lock();
+    let dir = scratch("spliced");
+    let handle = spawn_daemon(dir.join("d.sock"), None);
+    let mut client = Client::connect(handle.endpoint()).expect("connect");
+    for (key, base) in [("solo", one_unit), ("lulesh", lulesh_units())] {
+        let edited = edit_of(&base);
+        let reference = |units: &[(String, String)]| -> Vec<String> {
+            let analysis = Ompdart::builder()
+                .build()
+                .analyze_program(units)
+                .expect("direct");
+            analysis
+                .units
+                .iter()
+                .map(|u| u.rewrite.source.clone())
+                .collect()
+        };
+        let expected = [reference(&base), reference(&edited)];
+        for (round, (units, expected)) in [
+            (&base, &expected[0]),
+            (&base, &expected[0]),
+            (&edited, &expected[1]),
+            (&base, &expected[0]),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let fields = units
+                .iter()
+                .map(|(name, source)| {
+                    Json::Object(vec![
+                        ("name".into(), Json::Str(name.clone())),
+                        ("source".into(), Json::Str(source.clone())),
+                    ])
+                })
+                .collect();
+            let request = protocol::request(
+                round as i64,
+                "analyze",
+                vec![
+                    ("program".into(), Json::Str(key.into())),
+                    ("units".into(), Json::Array(fields)),
+                ],
+            );
+            let raw = client
+                .raw_round_trip(&request.render())
+                .expect("round trip");
+            let response = Json::parse(&raw).expect("response is JSON");
+            assert_eq!(
+                response.render(),
+                raw,
+                "{key} round {round}: not the compact rendering"
+            );
+            assert_eq!(
+                response.get("ok").and_then(Json::as_bool),
+                Some(true),
+                "{raw}"
+            );
+            let got = response.get("result").and_then(|r| r.get("units"));
+            let got: Vec<&str> = got
+                .and_then(Json::as_array)
+                .unwrap()
+                .iter()
+                .filter_map(|u| u.get("rewritten_source").and_then(Json::as_str))
+                .collect();
+            assert_eq!(got, *expected, "{key} round {round}");
+        }
+    }
+    client.shutdown().expect("shutdown");
+    handle.join();
 }
 
 /// Satellite: the program registry. Two clients interleave edit rounds to

@@ -977,15 +977,18 @@ fn render_model(model: &Model) -> Vec<(String, String)> {
     units
 }
 
+/// The next xorshift draw of `rng`, below `bound`.
+fn roll(rng: &mut u64, bound: usize) -> usize {
+    *rng ^= *rng << 13;
+    *rng ^= *rng >> 7;
+    *rng ^= *rng << 17;
+    (*rng % bound as u64) as usize
+}
+
 /// Apply one random edit that keeps the program linkable: no two
 /// definitions of a name in one unit, at most one non-static per name.
 fn edit_model(model: &mut Model, rng: &mut u64, next_file: &mut usize) {
-    let mut roll = |bound: usize| {
-        *rng ^= *rng << 13;
-        *rng ^= *rng >> 7;
-        *rng ^= *rng << 17;
-        (*rng % bound as u64) as usize
-    };
+    let mut roll = |bound: usize| roll(rng, bound);
     let global_taken = |model: &Model, name: usize| {
         (model.iter().flat_map(|(_, fs)| fs)).any(|f| f.name == name && !f.is_static)
     };
@@ -1119,5 +1122,329 @@ proptest! {
             }
             edit_model(&mut model, &mut rng, &mut next_file);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The JSON kernel against its char-at-a-time references, and no-panic at the
+// plan-JSON and wire-frame boundaries
+// ---------------------------------------------------------------------------
+
+/// The string writer as it was before it moved bytes in runs: one `push`
+/// per character. Kept as the reference the run-scanning writer must equal.
+fn reference_write_string(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// The string parser as it was before it moved bytes in runs — one decode
+/// and `push` per character — over a whole document that must be a single
+/// string literal. Errors are `(offset, message)` exactly as `Json::parse`
+/// reports them. (Its `\u` digits are read strictly, like the fixed kernel;
+/// the parent's went through `from_str_radix` and took a sign.)
+fn reference_parse_string(text: &str) -> Result<String, (usize, &'static str)> {
+    fn hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, (usize, &'static str)> {
+        if *pos + 4 > bytes.len() {
+            return Err((*pos, "truncated \\u escape"));
+        }
+        let mut unit = 0;
+        for &b in &bytes[*pos..*pos + 4] {
+            let digit = (b as char)
+                .to_digit(16)
+                .ok_or((*pos, "invalid \\u escape"))?;
+            unit = unit * 16 + digit;
+        }
+        *pos += 4;
+        Ok(unit)
+    }
+    let bytes = text.as_bytes();
+    let is_ws = |b: u8| matches!(b, b' ' | b'\t' | b'\n' | b'\r');
+    let mut pos = bytes.iter().take_while(|&&b| is_ws(b)).count();
+    if bytes.get(pos) != Some(&b'"') {
+        return Err((pos, "expected a JSON value"));
+    }
+    pos += 1;
+    let mut out = String::new();
+    loop {
+        let Some(&b) = bytes.get(pos) else {
+            return Err((pos, "unterminated string"));
+        };
+        pos += 1;
+        match b {
+            b'"' => break,
+            b'\\' => {
+                let Some(&esc) = bytes.get(pos) else {
+                    return Err((pos, "unterminated escape"));
+                };
+                pos += 1;
+                match esc {
+                    b'"' => out.push('"'),
+                    b'\\' => out.push('\\'),
+                    b'/' => out.push('/'),
+                    b'n' => out.push('\n'),
+                    b'r' => out.push('\r'),
+                    b't' => out.push('\t'),
+                    b'b' => out.push('\u{0008}'),
+                    b'f' => out.push('\u{000c}'),
+                    b'u' => {
+                        let unit = hex4(bytes, &mut pos)?;
+                        let scalar = match unit {
+                            0xd800..=0xdbff => {
+                                for expected in [b'\\', b'u'] {
+                                    if bytes.get(pos) != Some(&expected) {
+                                        return Err((pos, "unpaired high surrogate"));
+                                    }
+                                    pos += 1;
+                                }
+                                let low = hex4(bytes, &mut pos)?;
+                                if !(0xdc00..=0xdfff).contains(&low) {
+                                    return Err((pos, "invalid low surrogate"));
+                                }
+                                0x10000 + ((unit - 0xd800) << 10) + (low - 0xdc00)
+                            }
+                            0xdc00..=0xdfff => return Err((pos, "unpaired low surrogate")),
+                            other => other,
+                        };
+                        out.push(char::from_u32(scalar).ok_or((pos, "invalid \\u escape"))?);
+                    }
+                    _ => return Err((pos, "unknown escape")),
+                }
+            }
+            _ => {
+                let start = pos - 1;
+                let width = match b {
+                    0x00..=0x7f => 1,
+                    0xc0..=0xdf => 2,
+                    0xe0..=0xef => 3,
+                    _ => 4,
+                };
+                let end = (start + width).min(bytes.len());
+                match std::str::from_utf8(&bytes[start..end]) {
+                    Ok(s) => out.push_str(s),
+                    Err(_) => return Err((start, "invalid UTF-8")),
+                }
+                pos = end;
+            }
+        }
+    }
+    pos += bytes[pos..].iter().take_while(|&&b| is_ws(b)).count();
+    if pos < bytes.len() {
+        return Err((pos, "trailing characters"));
+    }
+    Ok(out)
+}
+
+/// Arbitrary text from a seed: plain runs of every length around the
+/// eight-byte scanning step, every escape the writer knows, every control
+/// byte, DEL, two- and three-byte characters and astral ones — adjacent in
+/// every order, so runs straddle escapes and word boundaries.
+fn arbitrary_text(rng: &mut u64) -> String {
+    let mut out = String::new();
+    for _ in 0..roll(rng, 12) {
+        match roll(rng, 8) {
+            0 | 1 => {
+                for _ in 0..roll(rng, 20) {
+                    out.push((b' ' + roll(rng, 95) as u8) as char);
+                }
+            }
+            2 => out.push(['"', '\\', '\n', '\r', '\t', '/'][roll(rng, 6)]),
+            3 => out.push(roll(rng, 0x20) as u8 as char),
+            4 => out.push('\u{7f}'),
+            5 => out.push(['é', 'π', '≈', '\u{fffd}', '\u{80}'][roll(rng, 5)]),
+            6 => out.push(['\u{1d465}', '😀', '\u{10ffff}'][roll(rng, 3)]),
+            _ => out.push_str("abcdefgh".repeat(roll(rng, 4)).as_str()),
+        }
+    }
+    out
+}
+
+/// A string literal as a foreign encoder or a hostile peer might write it:
+/// the pieces of [`arbitrary_text`], raw, between quotes, mixed with escape
+/// sequences the writer never emits and with malformed ones; sometimes cut
+/// short.
+fn arbitrary_literal(rng: &mut u64) -> String {
+    const ESCAPES: [&str; 16] = [
+        "\\/",
+        "\\b",
+        "\\f",
+        "\\n",
+        "\\\"",
+        "\\\\",
+        "\\u00e9",
+        "\\u0041",
+        "\\ud835\\udc65",
+        "\\ud835",
+        "\\udc65",
+        "\\ud835\\u0041",
+        "\\u+041",
+        "\\u12",
+        "\\x",
+        "\\",
+    ];
+    let mut out = String::from("\"");
+    for _ in 0..roll(rng, 6) {
+        if roll(rng, 2) == 0 {
+            out.push_str(ESCAPES[roll(rng, ESCAPES.len())]);
+        } else {
+            out.push_str(&arbitrary_text(rng).replace('"', "'"));
+        }
+    }
+    out.push('"');
+    if roll(rng, 4) == 0 {
+        let mut cut = roll(rng, out.len() + 1);
+        while !out.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        out.truncate(cut);
+    }
+    out
+}
+
+/// One wire frame: prefix and payload.
+fn frame_of(payload: &str) -> Vec<u8> {
+    let mut frame = Vec::new();
+    ompdart_server::protocol::write_frame(&mut frame, payload).expect("a Vec takes every byte");
+    frame
+}
+
+/// Read frames until the stream ends or errs; the property is that this
+/// returns at all.
+fn drain_frames(bytes: Vec<u8>) -> usize {
+    let mut cursor = std::io::Cursor::new(bytes);
+    let mut frames = 0;
+    while ompdart_server::protocol::read_frame(&mut cursor).is_ok() {
+        frames += 1;
+    }
+    frames
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, .. ProptestConfig::default() })]
+
+    /// `parse(render(s)) == s` for arbitrary strings, and the run-scanning
+    /// writer and parser agree with their char-at-a-time references: byte
+    /// for byte on what is written, value for value — error offset and
+    /// message included — on what is read, also for literals the writer
+    /// would never produce.
+    #[test]
+    fn json_strings_round_trip_and_match_the_char_at_a_time_kernel(seed in 1u64..u64::MAX) {
+        use ompdart_core::plan::{Json, PlanJsonError};
+        let mut rng = seed;
+        let text = arbitrary_text(&mut rng);
+        let rendered = Json::Str(text.clone()).render();
+        prop_assert_eq!(&rendered, &reference_write_string(&text), "seed {:#x}", seed);
+        prop_assert_eq!(Json::parse(&rendered), Ok(Json::Str(text.clone())), "seed {:#x}", seed);
+        // As an object key and inside containers the same writer runs.
+        let nested = Json::Array(vec![Json::Object(vec![(text.clone(), Json::Str(text))])]);
+        prop_assert_eq!(Json::parse(&nested.render()), Ok(nested.clone()), "seed {:#x}", seed);
+        prop_assert_eq!(Json::parse(&nested.render_pretty()), Ok(nested), "seed {:#x}", seed);
+
+        let literal = arbitrary_literal(&mut rng);
+        let expected = reference_parse_string(&literal)
+            .map(Json::Str)
+            .map_err(|(offset, message)| PlanJsonError::Syntax { offset, message: message.into() });
+        prop_assert_eq!(Json::parse(&literal), expected, "literal {:?}", literal);
+    }
+
+    /// Byte mutation at two input boundaries — plan JSON and wire frames:
+    /// truncations, flipped and inserted bytes never panic `Json::parse`,
+    /// `plans_from_json` or `read_frame`, and whatever still parses renders
+    /// to something that parses to the same value.
+    #[test]
+    fn mutated_plan_json_and_frames_never_panic(
+        plans in proptest::collection::vec(plan_strategy(), 1..3),
+        seed in 1u64..u64::MAX,
+    ) {
+        use ompdart_core::plan::{plans_from_json, plans_to_json, plans_to_json_value, Json};
+        let mut rng = seed;
+        let documents = [plans_to_json(&plans), plans_to_json_value(&plans).render()];
+        for document in &documents {
+            for _ in 0..24 {
+                let mut bytes = document.clone().into_bytes();
+                let at = roll(&mut rng, bytes.len());
+                match roll(&mut rng, 4) {
+                    0 => bytes.truncate(at),
+                    1 => bytes[at] ^= 1 << roll(&mut rng, 8),
+                    2 => bytes[at] = b"\"\\{}[],:u-0"[roll(&mut rng, 11)],
+                    _ => bytes.insert(at, roll(&mut rng, 256) as u8),
+                }
+                let text = String::from_utf8_lossy(&bytes);
+                if let Ok(value) = Json::parse(&text) {
+                    prop_assert_eq!(Json::parse(&value.render()), Ok(value), "seed {:#x}", seed);
+                }
+                let _ = plans_from_json(&text);
+
+                // The same damage to a frame carrying the document, with a
+                // second frame behind it.
+                let mut frame = frame_of(document);
+                frame.extend(frame_of("{}"));
+                let at = roll(&mut rng, frame.len());
+                match roll(&mut rng, 3) {
+                    0 => frame.truncate(at),
+                    1 => frame[at] ^= 1 << roll(&mut rng, 8),
+                    _ => frame.insert(at, roll(&mut rng, 256) as u8),
+                }
+                prop_assert!(drain_frames(frame) <= 2);
+            }
+        }
+    }
+}
+
+/// Nesting exactly at the parser's depth cap parses, one level more is a
+/// syntax error (never a stack overflow) — for arrays, objects and a mix,
+/// through `Json::parse`, `plans_from_json` and a frame's payload alike.
+#[test]
+fn nesting_at_and_past_the_depth_cap() {
+    use ompdart_core::plan::{plans_from_json, Json, PlanJsonError};
+    const MAX_DEPTH: usize = 128;
+    let nest = |depth: usize, mixed: bool| {
+        let mut text = String::new();
+        for level in 0..depth {
+            text.push_str(if mixed && level % 2 == 0 {
+                "{\"k\":"
+            } else {
+                "["
+            });
+        }
+        text.push('1');
+        for level in (0..depth).rev() {
+            text.push(if mixed && level % 2 == 0 { '}' } else { ']' });
+        }
+        text
+    };
+    for mixed in [false, true] {
+        let at = nest(MAX_DEPTH, mixed);
+        assert!(Json::parse(&at).is_ok(), "depth {MAX_DEPTH} must parse");
+        assert!(matches!(
+            plans_from_json(&at),
+            Err(PlanJsonError::Schema(_))
+        ));
+        let past = nest(MAX_DEPTH + 1, mixed);
+        for result in [
+            Json::parse(&past).map(|_| ()),
+            plans_from_json(&past).map(|_| ()),
+        ] {
+            match result {
+                Err(PlanJsonError::Syntax { message, .. }) => {
+                    assert_eq!(message, "nesting too deep")
+                }
+                other => panic!("depth {} must be refused, got {other:?}", MAX_DEPTH + 1),
+            }
+        }
+        let far_past = nest(100_000, mixed);
+        assert!(Json::parse(&far_past).is_err());
+        assert_eq!(drain_frames(frame_of(&far_past)), 1);
     }
 }
