@@ -6,7 +6,7 @@
 //! rewriting. This module models each of those stages as a first-class,
 //! independently runnable artifact:
 //!
-//! * [`ParsedUnit`] — frontend output (AST + diagnostics + content hash),
+//! * [`ParsedUnit`] — frontend output (source file + AST + diagnostics),
 //! * [`GraphsArtifact`] — per-function CFGs / hybrid AST-CFG,
 //! * [`AccessArtifact`] — classified accesses and symbol tables,
 //! * [`SummariesArtifact`] — interprocedural side-effect summaries,
@@ -24,11 +24,11 @@
 //! stage ([`crate::program`]); a single unit is the *closed-world program*
 //! — its context is its own converged summaries and nothing imported
 //! ([`LinkContext::closed_world`]) — so [`AnalysisSession::analyze`] is
-//! summarize → `analyze_linked` → flush, and there is one unit-analysis
-//! cache, one store probe and one planning call for both. Finished
-//! artifacts are cached under a content hash so repeated analysis of
-//! unchanged sources is near-free, and the planning stage fans out per
-//! function over the session's worker pool.
+//! summarize → `analyze_linked` → flush, and there is one unit table, one
+//! store probe and one planning call for both. Finished artifacts live in
+//! the session's unit table, indexed by unit name and verified against the
+//! source bytes, so repeated analysis of unchanged sources is near-free, and
+//! the planning stage fans out per function over the session's worker pool.
 //!
 //! ```
 //! use ompdart_core::pipeline::AnalysisSession;
@@ -221,10 +221,9 @@ impl fmt::Display for StageTimings {
     }
 }
 
-/// FNV-1a content hash used to key the artifact caches. The hash only
-/// *indexes* the caches; every lookup verifies the full `(name, source)`
-/// pair before trusting an entry, so a 64-bit collision can cost a re-run
-/// but never return another file's artifacts.
+/// FNV-1a content hash, one half of the persistent store's on-disk key
+/// (see [`content_hash2`]). The session's in-memory unit table does not
+/// hash content at all: it is indexed by name and compares source bytes.
 pub fn content_hash(name: &str, source: &str) -> u64 {
     let mut h = Fnv::new();
     h.write(name.as_bytes());
@@ -303,8 +302,6 @@ pub fn options_fingerprint(options: &OmpDartOptions) -> u64 {
 pub struct ParsedUnit {
     /// File name used in diagnostics.
     pub name: String,
-    /// FNV-1a hash of (name, source) — the cache key.
-    pub content_hash: u64,
     /// The source file (spans in the AST point into it).
     pub file: SourceFile,
     /// The typed AST.
@@ -406,7 +403,6 @@ pub fn stage_parse(name: &str, source: &str) -> Result<ParsedUnit, StageError> {
     }
     Ok(ParsedUnit {
         name: name.to_string(),
-        content_hash: content_hash(name, source),
         file,
         unit: parse.unit,
         diagnostics: parse.diagnostics,
@@ -1223,10 +1219,10 @@ pub struct SummarizedUnit {
     /// stage re-converges these across units.
     pub summaries: Arc<SummariesArtifact>,
     /// Lazily computed link-stage exports (referenced variables, exported
-    /// interface, static-function names). A content-identical unit keeps
-    /// its `Arc` across rounds, so the AST walks behind these run once per
-    /// unit *content*, not once per relink — see
-    /// [`crate::program::UnitExports`].
+    /// interface, static-function names). A unit keeps its `Arc` for as
+    /// long as its content stays resident in the session's unit table, so
+    /// the AST walks behind these run once per resident version, not once
+    /// per relink — see [`crate::program::UnitExports`].
     pub(crate) link_exports: std::sync::OnceLock<crate::program::UnitExports>,
 }
 
@@ -1242,8 +1238,8 @@ pub struct UnitAnalysis {
     /// The two payload-heavy artifacts as a server sends them, rendered on
     /// first use: the rewritten source as a JSON string literal, and the
     /// plan document, compact. An analysis is shared across requests by
-    /// the analysis cache and the round fast path, so an unchanged unit is
-    /// rendered once however often it is served.
+    /// the session's unit table, so an unchanged unit is rendered once
+    /// however often it is served.
     wire: std::sync::OnceLock<(String, String)>,
 }
 
@@ -1301,78 +1297,110 @@ impl UnitAnalysis {
 // AnalysisSession: cached, reusable pipeline driver
 // ---------------------------------------------------------------------------
 
-/// A content-keyed artifact cache. The key (a content hash, possibly
-/// paired with more) only *indexes* a bucket; a hit requires the stored
-/// `(name, source)` to match byte for byte, so colliding keys chain instead
-/// of aliasing.
-#[derive(Debug)]
-struct ContentCache<K, V> {
-    buckets: ShardMap<K, Vec<Arc<V>>>,
-    /// The parse an artifact was built from, and with it the `(name,
-    /// source)` every hit is verified against.
-    parsed: fn(&V) -> &ParsedUnit,
+/// How many content versions of one unit stay resident: the current one and
+/// the one before it, so an edit → revert (an editor's undo, a branch
+/// switched and switched back) is served from memory. A third distinct
+/// version drops the least recently used of the two.
+const VERSIONS_PER_UNIT: usize = 2;
+
+/// How many analyses of one version stay resident, each under the imports
+/// fingerprint it was planned for: the closed-world one
+/// ([`crate::UNLINKED`] — what `explain` and single-unit requests ask for)
+/// and the two most recent linked ones, so a *neighbour's* edit → revert,
+/// which moves this unit's imports fingerprint and moves it back, stays warm
+/// too.
+const ANALYSES_PER_VERSION: usize = 3;
+
+/// Most-recently-used lookup: the entry `is` accepts, moved to the front.
+fn touch<T>(list: &mut [T], is: impl Fn(&T) -> bool) -> Option<&mut T> {
+    let at = list.iter().position(is)?;
+    list[..=at].rotate_right(1);
+    list.first_mut()
 }
 
-impl<K: std::hash::Hash + Eq, V> ContentCache<K, V> {
-    fn new(parsed: fn(&V) -> &ParsedUnit) -> Self {
-        ContentCache {
-            buckets: ShardMap::new(),
-            parsed,
-        }
+/// Put `entry` at the front of a most-recently-used list of at most `bound`
+/// entries, dropping the least recently used beyond that.
+fn admit<T>(list: &mut Vec<T>, entry: T, bound: usize) {
+    list.truncate(bound - 1);
+    list.insert(0, entry);
+}
+
+/// One resident content version of a unit: its parse, the summarize-phase
+/// artifacts once [`AnalysisSession::summarize`] has run on it, and the
+/// analyses planned from them.
+#[derive(Debug)]
+struct UnitVersion {
+    /// The parse, and with it the source every hit is verified against.
+    parsed: Arc<ParsedUnit>,
+    /// `None` while the version has only been parsed.
+    summarized: Option<Arc<SummarizedUnit>>,
+    /// `(imports fingerprint, analysis)`, most recently used first, at
+    /// most [`ANALYSES_PER_VERSION`]. The same content planned under
+    /// different link surroundings yields different plans.
+    analyses: Vec<(u64, Arc<UnitAnalysis>)>,
+}
+
+impl UnitVersion {
+    /// The analysis planned under `imports_fingerprint`, moved to the front.
+    fn analysis(&mut self, imports_fingerprint: u64) -> Option<Arc<UnitAnalysis>> {
+        touch(&mut self.analyses, |(fp, _)| *fp == imports_fingerprint)
+            .map(|(_, analysis)| Arc::clone(analysis))
+    }
+}
+
+/// Everything the session keeps of one unit name: at most
+/// [`VERSIONS_PER_UNIT`] content versions, most recently used first.
+#[derive(Debug, Default)]
+struct UnitSlot {
+    versions: Vec<UnitVersion>,
+}
+
+impl UnitSlot {
+    /// The resident version with this content, moved to the front. A hit is
+    /// a byte compare of the source — or pointer identity, for a caller that
+    /// already holds the version's own parse.
+    fn version(
+        &mut self,
+        parsed: Option<&Arc<ParsedUnit>>,
+        source: &str,
+    ) -> Option<&mut UnitVersion> {
+        touch(&mut self.versions, |v| {
+            parsed.is_some_and(|p| Arc::ptr_eq(p, &v.parsed)) || v.parsed.file.text() == source
+        })
     }
 
-    /// The artifact of `(name, source)` filed under `key`; on a miss,
-    /// `compute`'s — unless a concurrent call raced it to the same content,
-    /// in which case the first writer wins and every caller observes that
-    /// one `Arc` (the duplicated work is benign). The lookup counts into the
-    /// `hits` or `misses` row of `counters`.
-    fn get_or_try_insert_with<E>(
-        &self,
-        key: K,
-        (name, source): (&str, &str),
-        (counters, hits, misses): (&AtomicCacheStats, Counter, Counter),
-        compute: impl FnOnce() -> Result<Arc<V>, E>,
-    ) -> Result<Arc<V>, E> {
-        let find = |bucket: &[Arc<V>]| {
-            let same = |v: &&Arc<V>| {
-                let parsed = (self.parsed)(v);
-                parsed.name == name && parsed.file.text() == source
+    /// [`Self::version`] of `parsed`'s content, admitted (around `parsed`)
+    /// when it is not resident. A concurrent call that raced to the same
+    /// content finds the first writer's version, so every caller observes
+    /// one set of `Arc`s (the duplicated work is benign).
+    fn version_or_admit(&mut self, parsed: &Arc<ParsedUnit>) -> &mut UnitVersion {
+        if self.version(Some(parsed), parsed.file.text()).is_none() {
+            let version = UnitVersion {
+                parsed: Arc::clone(parsed),
+                summarized: None,
+                analyses: Vec::new(),
             };
-            bucket.iter().find(same).cloned()
-        };
-        if let Some(hit) = self.buckets.read(&key, |b| b.and_then(|b| find(b))) {
-            counters.add(hits, 1);
-            return Ok(hit);
+            admit(&mut self.versions, version, VERSIONS_PER_UNIT);
         }
-        counters.add(misses, 1);
-        let computed = compute()?;
-        Ok(self.buckets.update(key, |bucket| {
-            find(bucket).unwrap_or_else(|| {
-                bucket.push(Arc::clone(&computed));
-                computed
-            })
-        }))
-    }
-
-    /// Drop the artifacts of `name` whose content differs from `source`.
-    fn retain_name(&self, name: &str, source: &str) {
-        self.buckets.retain(|_, bucket| {
-            bucket.retain(|v| {
-                let parsed = (self.parsed)(v);
-                parsed.name != name || parsed.file.text() == source
-            });
-            !bucket.is_empty()
-        });
+        &mut self.versions[0]
     }
 }
 
 /// A reusable, thread-safe driver for the staged pipeline.
 ///
-/// The session caches [`ParsedUnit`]s, [`SummarizedUnit`]s and complete
-/// [`UnitAnalysis`] bundles indexed by the FNV-1a hash of (file name,
-/// source text) — every hit is verified against the full `(name, source)`
-/// pair, so a hash collision can never return another file's artifacts. On
-/// top of that sit two incremental layers:
+/// Every unit the session has seen has **one home**: its slot in the unit
+/// table, indexed by unit name. A slot holds the unit's current content
+/// version and the one before it (`VERSIONS_PER_UNIT`), and a version holds
+/// its [`ParsedUnit`], its [`SummarizedUnit`] and the few most recent
+/// [`UnitAnalysis`] bundles planned from it, one per imports fingerprint
+/// (`ANALYSES_PER_VERSION`). A lookup is a name probe plus a byte compare
+/// of the source — never a content hash, and never another file's
+/// artifacts — and a slot never grows past those two bounds, so a
+/// long-lived session (`ompdart watch`, the daemon) stays bounded by the
+/// number of unit names it has seen, not by the number of saves. A
+/// superseded version is released as soon as two newer ones have been
+/// analyzed; recomputing it later is an ordinary edit. On top of the table
+/// sit two incremental layers:
 ///
 /// * a function-plan cache: when an edited source is re-analyzed, only
 ///   functions whose key (own text, environment, callee summaries) changed
@@ -1391,22 +1419,15 @@ impl<K: std::hash::Hash + Eq, V> ContentCache<K, V> {
 pub struct AnalysisSession {
     options: OmpDartOptions,
     parallelism: usize,
-    parse_cache: ContentCache<u64, ParsedUnit>,
-    /// Summarize-phase artifacts, keyed like the parse cache by content
-    /// hash.
-    summarize_cache: ContentCache<u64, SummarizedUnit>,
-    /// The one unit-analysis cache, keyed by `(content hash, imports
-    /// fingerprint)`: the same unit content planned under different link
-    /// surroundings (stand-alone is [`crate::UNLINKED`]) yields different
-    /// plans and must not alias.
-    analysis_cache: ContentCache<(u64, u64), UnitAnalysis>,
+    /// The unit table: unit name → its resident versions.
+    units: ShardMap<String, UnitSlot>,
     function_plans: FunctionPlanCache,
     function_accesses: FunctionAccessCache,
     function_summaries: FunctionSummaryCache,
-    /// The persistent whole-program link state: the latest linked program
-    /// and the indexes [`crate::program::Program::relink`] patches, so the
-    /// next link touches only the units that changed and what their
-    /// re-derived summaries reach. Empty until the first link.
+    /// The persistent whole-program link state: the latest linked program,
+    /// its analyses, and the indexes [`crate::program::Program::relink`]
+    /// patches, so the next link touches only the units that changed and
+    /// what their re-derived summaries reach. Empty until the first link.
     link_state: Mutex<LinkState>,
     store: Option<ArtifactStore>,
     /// Write-behind buffer of store write-backs: `analyze_linked` queues
@@ -1414,11 +1435,6 @@ pub struct AnalysisSession {
     /// batch at once, so a 1000-unit cold link pays one gc pass instead of
     /// 1000.
     pending_saves: Mutex<Vec<PendingUnitSave>>,
-    /// The previous whole-program round's per-unit artifacts, keyed for
-    /// the identity fast path: a unit whose summarized `Arc` and imports
-    /// fingerprint match its entry is served the prior linked analysis
-    /// with no hashing, relocation or re-planning.
-    last_round: Mutex<Option<Arc<crate::program::ProgramRound>>>,
     counters: AtomicCacheStats,
     /// Cumulative per-stage wall time in nanoseconds, indexed by [`Stage`]:
     /// relaxed atomics, so concurrent stage calls accumulate without a
@@ -1452,16 +1468,13 @@ impl AnalysisSession {
         AnalysisSession {
             options,
             parallelism: default_parallelism(),
-            parse_cache: ContentCache::new(|p| p),
-            summarize_cache: ContentCache::new(|s| &s.parsed),
-            analysis_cache: ContentCache::new(|a| &a.parsed),
+            units: ShardMap::new(),
             function_plans: FunctionPlanCache::new(),
             function_accesses: FunctionAccessCache::new(),
             function_summaries: FunctionSummaryCache::new(),
             link_state: Mutex::default(),
             store: None,
             pending_saves: Mutex::new(Vec::new()),
-            last_round: Mutex::new(None),
             counters: AtomicCacheStats::default(),
             cumulative: Default::default(),
         }
@@ -1528,50 +1541,59 @@ impl AnalysisSession {
 
     /// Take the persistent link state out of the session (leaving the empty
     /// state, whose patch is a cold link) for
-    /// [`crate::program::Program::relink`] to patch;
-    /// [`Self::note_link`] puts it back.
+    /// [`crate::program::ProgramDriver`] to read and patch;
+    /// [`Self::put_link_state`] puts it back.
     pub(crate) fn take_link_state(&self) -> LinkState {
         std::mem::take(&mut *self.link_state.lock().expect("link state lock poisoned"))
     }
 
-    /// Put the link state back after a relink and count what the relink
-    /// re-seeded and touched.
-    pub(crate) fn note_link(&self, state: LinkState) {
-        self.counters.add_all(CacheStats {
-            relink_reseeded_functions: state.reseeded,
-            relink_touched_units: state.touched_units,
-            ..CacheStats::default()
-        });
+    /// Put the link state back.
+    pub(crate) fn put_link_state(&self, state: LinkState) {
         *self.link_state.lock().expect("link state lock poisoned") = state;
     }
 
-    /// The previous whole-program round's artifacts (identity fast path).
-    pub(crate) fn last_round(&self) -> Option<Arc<crate::program::ProgramRound>> {
-        self.last_round.lock().unwrap().clone()
+    /// The session's counters, for what the driver counts itself (relink
+    /// work, units served by the identity fast path).
+    pub(crate) fn counters(&self) -> &AtomicCacheStats {
+        &self.counters
     }
 
-    /// Record this whole-program round's artifacts for the next round's
-    /// identity fast path.
-    pub(crate) fn note_round(&self, round: Arc<crate::program::ProgramRound>) {
-        *self.last_round.lock().unwrap() = Some(round);
+    /// The resident version of `name` with this content (see
+    /// [`UnitSlot::version`]), read through `get`.
+    fn resident<R>(
+        &self,
+        name: &str,
+        parsed: Option<&Arc<ParsedUnit>>,
+        source: &str,
+        get: impl FnOnce(&mut UnitVersion) -> Option<R>,
+    ) -> Option<R> {
+        let read = |slot: &mut UnitSlot| get(slot.version(parsed, source)?);
+        self.units.modify(name, read).flatten()
     }
 
-    /// Count units served by the identity fast path.
-    pub(crate) fn count_fast_path(&self, units: u64) {
-        self.counters.add(Counter::fast_path_hits, units);
+    /// The identity fast path of a program round: the analysis of `unit`
+    /// under `imports_fingerprint`, if the unit table holds one — no
+    /// context is assembled, nothing is hashed, relocated or planned.
+    pub(crate) fn resident_analysis(
+        &self,
+        unit: &SummarizedUnit,
+        imports_fingerprint: u64,
+    ) -> Option<Arc<UnitAnalysis>> {
+        let parsed = &unit.parsed;
+        self.resident(&parsed.name, Some(parsed), parsed.file.text(), |version| {
+            version.analysis(imports_fingerprint)
+        })
     }
 
-    /// Drop cached parse/unit artifacts of `name` whose content differs
-    /// from `source`. Long-lived front doors (`ompdart watch`, the daemon)
-    /// call this after re-analyzing an edited file so that only the latest
-    /// version of each unit stays pinned in memory — without it, every
-    /// save of every watched file would accumulate a full artifact bundle
-    /// for the session's lifetime. (The function-plan cache already keeps
-    /// one entry per function and needs no eviction.)
+    /// Release the resident versions of `name` whose content differs from
+    /// `source` now, instead of when newer versions push them out. No host
+    /// has to call this — the unit table bounds itself (see the type docs);
+    /// it is for a caller that wants a session which never revisits
+    /// superseded content to hold none of it.
     pub fn evict_stale_versions(&self, name: &str, source: &str) {
-        self.parse_cache.retain_name(name, source);
-        self.summarize_cache.retain_name(name, source);
-        self.analysis_cache.retain_name(name, source);
+        self.units.modify(name, |slot| {
+            slot.versions.retain(|v| v.parsed.file.text() == source)
+        });
     }
 
     /// The active options.
@@ -1600,19 +1622,19 @@ impl AnalysisSession {
         self.cumulative[stage as usize].fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Stage 1, cached: parse source text. The content hash only indexes
-    /// the cache; a hit requires the stored `(name, source)` to match byte
-    /// for byte, so colliding keys chain instead of aliasing, and identical
-    /// content always yields one `Arc`.
+    /// Stage 1, cached: parse source text. A hit is a resident version of
+    /// `name` whose source matches byte for byte; identical content always
+    /// yields one `Arc` for as long as that version stays resident.
     pub fn parse(&self, name: &str, source: &str) -> Result<Arc<ParsedUnit>, StageError> {
-        let key = content_hash(name, source);
-        let count = (&self.counters, Counter::parse_hits, Counter::parse_misses);
-        self.parse_cache
-            .get_or_try_insert_with(key, (name, source), count, || {
-                let parsed = Arc::new(stage_parse(name, source)?);
-                self.add_time(Stage::Parse, parsed.elapsed);
-                Ok(parsed)
-            })
+        if let Some(parsed) = self.resident(name, None, source, |v| Some(Arc::clone(&v.parsed))) {
+            self.counters.add(Counter::parse_hits, 1);
+            return Ok(parsed);
+        }
+        self.counters.add(Counter::parse_misses, 1);
+        let parsed = Arc::new(stage_parse(name, source)?);
+        self.add_time(Stage::Parse, parsed.elapsed);
+        let admit = |slot: &mut UnitSlot| Arc::clone(&slot.version_or_admit(&parsed).parsed);
+        Ok(self.units.update(name.to_string(), admit))
     }
 
     /// Stage 2: build the hybrid AST-CFG.
@@ -1723,9 +1745,9 @@ impl AnalysisSession {
     /// A single unit is the closed-world program: summarize, plan under
     /// [`LinkContext::closed_world`], flush. This deliberately does not go
     /// through [`crate::program::ProgramDriver`] — a one-unit request must
-    /// leave the session's link state and recorded program round alone, or
-    /// interleaving it with whole-program requests on one session would
-    /// evict their incremental relink and round-level fast path.
+    /// leave the session's link state alone, or interleaving it with
+    /// whole-program requests on one session would evict their incremental
+    /// relink and round-level fast path.
     pub fn analyze_served(
         &self,
         name: &str,
@@ -1791,80 +1813,83 @@ impl AnalysisSession {
     }
 
     /// Phase 1, cached: everything up to the interprocedural summaries for
-    /// one unit, under the parse cache's full-key verification discipline.
+    /// one unit, under [`Self::parse`]'s full-source verification.
     pub fn summarize(&self, name: &str, source: &str) -> Result<Arc<SummarizedUnit>, StageError> {
-        let key = content_hash(name, source);
-        let count = (
-            &self.counters,
-            Counter::summarize_hits,
-            Counter::summarize_misses,
-        );
-        self.summarize_cache
-            .get_or_try_insert_with(key, (name, source), count, || {
-                let parsed = self.parse(name, source)?;
-                if self.options.reject_existing_mappings {
-                    check_input_contract(&parsed)?;
-                }
-                let graphs = self.graphs(&parsed);
-                let accesses = self.accesses(&parsed, &graphs);
-                let summaries = self.summaries(&parsed, &accesses);
-                Ok(Arc::new(SummarizedUnit {
-                    parsed,
-                    graphs,
-                    accesses,
-                    summaries,
-                    link_exports: std::sync::OnceLock::new(),
-                }))
-            })
+        if let Some(unit) = self.resident(name, None, source, |v| v.summarized.clone()) {
+            self.counters.add(Counter::summarize_hits, 1);
+            return Ok(unit);
+        }
+        self.counters.add(Counter::summarize_misses, 1);
+        let parsed = self.parse(name, source)?;
+        if self.options.reject_existing_mappings {
+            check_input_contract(&parsed)?;
+        }
+        let graphs = self.graphs(&parsed);
+        let accesses = self.accesses(&parsed, &graphs);
+        let summaries = self.summaries(&parsed, &accesses);
+        let unit = Arc::new(SummarizedUnit {
+            parsed,
+            graphs,
+            accesses,
+            summaries,
+            link_exports: std::sync::OnceLock::new(),
+        });
+        let admit = |slot: &mut UnitSlot| {
+            let version = slot.version_or_admit(&unit.parsed);
+            Arc::clone(version.summarized.get_or_insert(unit))
+        };
+        Ok(self.units.update(name.to_string(), admit))
     }
 
     /// Phase 3 for one unit: plan and rewrite under a [`LinkContext`].
-    /// Lookup order: the in-memory unit-analysis cache (keyed by content
-    /// *and* the unit's imported-interface fingerprint), then — when a
-    /// `cache_dir` is attached — the persistent store under the same link
-    /// key (plans loaded from disk, only the rewrite re-runs), then the
-    /// planning stage, whose function-granular cache keys incorporate the
-    /// context's facts.
+    /// Lookup order: the unit table (the unit's resident version, under the
+    /// context's imports fingerprint), then — when a `cache_dir` is
+    /// attached — the persistent store under the same link key (plans
+    /// loaded from disk, only the rewrite re-runs), then the planning
+    /// stage, whose function-granular cache keys incorporate the context's
+    /// facts.
     pub fn analyze_linked(
         &self,
         unit: &Arc<SummarizedUnit>,
         link: &LinkContext,
     ) -> (Arc<UnitAnalysis>, UnitServe) {
-        let name = unit.parsed.name.as_str();
-        let source = unit.parsed.file.text();
-        let key = (unit.parsed.content_hash, link.imports_fingerprint);
+        if let Some(analysis) = self.resident_analysis(unit, link.imports_fingerprint) {
+            self.counters.add(Counter::analysis_hits, 1);
+            return (analysis, UnitServe::Cached);
+        }
+        self.counters.add(Counter::analysis_misses, 1);
         // The serve report stays this request's own even when a concurrent
-        // analysis of the same content wins the cache slot — the duplicated
+        // analysis of the same content is admitted first — the duplicated
         // work really happened.
-        let mut served = UnitServe::Cached;
-        let analyze = || {
-            let (plans, how) = self.plan_or_load(unit, link);
-            served = how;
-            let rewrite = self.rewrite(&unit.parsed, &unit.graphs, &plans);
-            Ok::<_, std::convert::Infallible>(Arc::new(UnitAnalysis {
-                parsed: Arc::clone(&unit.parsed),
-                graphs: Arc::clone(&unit.graphs),
-                accesses: Arc::clone(&unit.accesses),
-                summaries: Arc::clone(&unit.summaries),
-                plans,
-                rewrite,
-                wire: std::sync::OnceLock::new(),
-            }))
+        let (plans, served) = self.plan_or_load(unit, link);
+        let rewrite = self.rewrite(&unit.parsed, &unit.graphs, &plans);
+        let analysis = Arc::new(UnitAnalysis {
+            parsed: Arc::clone(&unit.parsed),
+            graphs: Arc::clone(&unit.graphs),
+            accesses: Arc::clone(&unit.accesses),
+            summaries: Arc::clone(&unit.summaries),
+            plans,
+            rewrite,
+            wire: std::sync::OnceLock::new(),
+        });
+        let admit_analysis = |slot: &mut UnitSlot| {
+            let version = slot.version_or_admit(&unit.parsed);
+            version.summarized.get_or_insert_with(|| Arc::clone(unit));
+            version
+                .analysis(link.imports_fingerprint)
+                .unwrap_or_else(|| {
+                    let entry = (link.imports_fingerprint, Arc::clone(&analysis));
+                    admit(&mut version.analyses, entry, ANALYSES_PER_VERSION);
+                    analysis
+                })
         };
-        let count = (
-            &self.counters,
-            Counter::analysis_hits,
-            Counter::analysis_misses,
-        );
-        let Ok(analysis) =
-            self.analysis_cache
-                .get_or_try_insert_with(key, (name, source), count, analyze);
-        (analysis, served)
+        let name = unit.parsed.name.clone();
+        (self.units.update(name, admit_analysis), served)
     }
 
-    /// The plans of a unit-analysis cache miss: loaded from the persistent
-    /// store on a verified content match (which skips planning entirely),
-    /// planned otherwise.
+    /// The plans of a unit the table holds no analysis of: loaded from the
+    /// persistent store on a verified content match (which skips planning
+    /// entirely), planned otherwise.
     fn plan_or_load(
         &self,
         unit: &SummarizedUnit,
@@ -2169,69 +2194,133 @@ void driver() {
         assert_eq!(cold.plans.plans, incremental.plans.plans);
     }
 
-    /// Colliding 64-bit keys must not alias: the parse, summarize and
-    /// unit-analysis caches verify the full `(name, source)` on every hit.
+    /// The unit table is indexed by name and verified against the source:
+    /// the same content under another name, or other content under the same
+    /// name, is a different unit — never another file's artifacts.
     #[test]
     fn cache_hits_verify_full_key() {
         let session = AnalysisSession::new();
         let a = session.analyze("x.c", TWO_FUNCS).unwrap();
-        // Simulate a collision by force-filing a different unit under the
-        // same buckets (the public API cannot collide on demand, so poke
-        // the internals the way a colliding hash would).
-        let other = session.analyze("y.c", DEMO).unwrap();
-        let other_summarized = session.summarize("y.c", DEMO).unwrap();
-        let key = content_hash("x.c", TWO_FUNCS);
-        session
-            .analysis_cache
-            .buckets
-            .update((key, crate::UNLINKED), |bucket| {
-                bucket.insert(0, Arc::clone(&other))
-            });
-        session
-            .summarize_cache
-            .buckets
-            .update(key, |bucket| bucket.insert(0, other_summarized));
-        session
-            .parse_cache
-            .buckets
-            .update(key, |bucket| bucket.insert(0, Arc::clone(&other.parsed)));
-        // The colliding entry must be skipped, not returned.
+        // Same content, other name: its own parse, its own diagnostics name.
+        let renamed = session.analyze("y.c", TWO_FUNCS).unwrap();
+        assert!(!Arc::ptr_eq(&a, &renamed));
+        assert_eq!(renamed.parsed.name, "y.c");
+        // Same name, other content: the resident version must be skipped.
+        let other = session.analyze("x.c", DEMO).unwrap();
+        assert_eq!(other.parsed.file.text(), DEMO);
+        assert_eq!(session.cache_stats().analysis_misses, 3);
+        // Both versions of `x.c` are resident, each under its own bytes.
         let again = session.analyze("x.c", TWO_FUNCS).unwrap();
         assert!(Arc::ptr_eq(&a, &again));
-        let reparsed = session.parse("x.c", TWO_FUNCS).unwrap();
-        assert_eq!(reparsed.name, "x.c");
-        assert_eq!(reparsed.file.text(), TWO_FUNCS);
+        let reparsed = session.parse("x.c", DEMO).unwrap();
+        assert!(Arc::ptr_eq(&reparsed, &other.parsed));
+        assert_eq!(session.cache_stats().analysis_misses, 3);
     }
 
-    /// Long-lived sessions can evict superseded versions of a unit so
-    /// watch/daemon memory stays bounded by the number of files, not the
-    /// number of saves.
+    /// Ledger finding 4: a long-lived session is bounded by construction.
+    /// One unit of a three-unit program goes through 100 distinct versions,
+    /// each followed by its revert and a closed-world request for the same
+    /// unit. Nothing evicts by hand; every revert round and every
+    /// closed-world request after the first is served from memory; and once
+    /// version k+2 has been analyzed nothing of version k is alive — not
+    /// the edited unit's artifacts, not the analysis its importer got under
+    /// that version's interface.
     #[test]
-    fn evict_stale_versions_keeps_only_the_latest() {
-        let session = AnalysisSession::new();
-        session.analyze("demo.c", DEMO).unwrap();
-        let edited = DEMO.replace("a[i] += 1.0;", "a[i] += 2.0;");
-        let latest = session.analyze("demo.c", &edited).unwrap();
-        let other = session.analyze("other.c", TWO_FUNCS).unwrap();
-        assert_eq!(session.analysis_cache.buckets.len(), 3);
-        assert_eq!(session.summarize_cache.buckets.len(), 3);
+    fn superseded_versions_are_released_while_reverts_stay_cached() {
+        // Version `k` of the edited unit also touches a global of its own,
+        // so `fill`'s summary — and with it the importing unit's imports
+        // fingerprint — is different in every version.
+        let helper = |k: usize| {
+            format!(
+                "extern double field[64];\ndouble seen_{k};\n\
+                 void fill(int n) {{\n  seen_{k} += 1.0;\n\
+                 \x20 for (int i = 0; i < n; i++) field[i] = {k}.0 * i;\n}}\n"
+            )
+        };
+        let base: Vec<(String, String)> = vec![
+            ("helper.c".into(), helper(0)),
+            (
+                "leaf.c".into(),
+                "double side[8];
+void bump(void) { side[0] += 1.0; }
+"
+                .into(),
+            ),
+            (
+                "main.c".into(),
+                "double field[64];
+void fill(int n);
+void bump(void);
+                 int main() {
+  fill(64);
+  bump();
+                   #pragma omp target teams distribute parallel for
+                   for (int i = 0; i < 64; i++) field[i] += 1.0;
+                   fill(64);
+  printf(\"%f\\n\", field[3]);
+  return 0;
+}
+"
+                .into(),
+            ),
+        ];
+        let session = Arc::new(AnalysisSession::new());
+        let driver = crate::program::ProgramDriver::with_session(Arc::clone(&session));
+        driver.analyze_program(&base).unwrap();
+        session.analyze_served("helper.c", &base[0].1).unwrap();
 
-        session.evict_stale_versions("demo.c", &edited);
-        let remaining: usize = session
-            .analysis_cache
-            .buckets
-            .fold(0usize, |acc, _, bucket| acc + bucket.len());
-        assert_eq!(remaining, 2, "the old demo.c version must be gone");
-        assert_eq!(session.summarize_cache.buckets.len(), 2);
-        // The surviving entries still hit.
-        let again = session.analyze("demo.c", &edited).unwrap();
-        assert!(Arc::ptr_eq(&latest, &again));
-        let other_again = session.analyze("other.c", TWO_FUNCS).unwrap();
-        assert!(Arc::ptr_eq(&other, &other_again));
-        // The superseded content is a miss (recomputed, not aliased).
-        let misses_before = session.cache_stats().analysis_misses;
-        session.analyze("demo.c", DEMO).unwrap();
-        assert_eq!(session.cache_stats().analysis_misses, misses_before + 1);
+        // Per version: the edited unit's summarized artifacts and analysis,
+        // and the importer's analysis under that version's interface.
+        type Handles = (
+            std::sync::Weak<SummarizedUnit>,
+            std::sync::Weak<UnitAnalysis>,
+            std::sync::Weak<UnitAnalysis>,
+        );
+        let mut handles: Vec<Handles> = Vec::new();
+        for k in 0..100 {
+            let mut edited = base.clone();
+            edited[0].1 = helper(k + 1);
+            let round = driver.analyze_program(&edited).unwrap();
+            assert!(matches!(round.served[0], UnitServe::Planned { .. }));
+            assert_eq!(round.served[1], UnitServe::Cached);
+            assert!(matches!(round.served[2], UnitServe::Planned { .. }));
+            handles.push((
+                Arc::downgrade(&session.summarize("helper.c", &edited[0].1).unwrap()),
+                Arc::downgrade(&round.units[0]),
+                Arc::downgrade(&round.units[2]),
+            ));
+            drop(round);
+
+            let reverted = driver.analyze_program(&base).unwrap();
+            assert!(
+                reverted.served.iter().all(|s| *s == UnitServe::Cached),
+                "revert of version {k}: {:?}",
+                reverted.served
+            );
+            let (_, alone) = session.analyze_served("helper.c", &base[0].1).unwrap();
+            assert_eq!(alone, UnitServe::Cached, "closed-world request after {k}");
+
+            if k >= 2 {
+                let (unit, analysis, importer) = &handles[k - 2];
+                assert!(unit.upgrade().is_none(), "version {} is alive", k - 2);
+                assert!(analysis.upgrade().is_none(), "version {} is alive", k - 2);
+                assert!(
+                    importer.upgrade().is_none(),
+                    "the importer's analysis under version {} is alive",
+                    k - 2
+                );
+            }
+        }
+        // Evicting by hand still works, one slot at a time: the base version
+        // goes, the named one stays, other units are untouched.
+        let last = helper(100);
+        session.evict_stale_versions("helper.c", &last);
+        let before = session.cache_stats();
+        session.summarize("helper.c", &last).unwrap();
+        session.summarize("leaf.c", &base[1].1).unwrap();
+        session.summarize("helper.c", &base[0].1).unwrap();
+        let moved = session.cache_stats() - before;
+        assert_eq!((moved.summarize_hits, moved.summarize_misses), (2, 1));
     }
 
     /// The persistent store round-trips through a "process restart": a new

@@ -47,7 +47,7 @@ use crate::pipeline::{
     StageError, SummarizedUnit, UnitAnalysis,
 };
 use crate::plan::json::Json;
-use crate::stats::Value;
+use crate::stats::{Counter, Value};
 use ompdart_frontend::Symbol;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -191,11 +191,11 @@ pub(crate) struct LinkFunction {
 /// Everything the link stage derives from one unit's own content: its
 /// referenced-variable sets, its [`ExportedInterface`], its resolved
 /// propagation inputs and the callee lists its imports fingerprint hashes.
-/// Memoized on the [`SummarizedUnit`] itself (a `OnceLock`), so a
-/// content-identical unit — which keeps its `Arc` across rounds thanks to
-/// the summarize cache — pays the AST walks, name mangling, call
-/// resolution and fingerprinting once per unit *content*, not once per
-/// relink.
+/// Memoized on the [`SummarizedUnit`] itself (a `OnceLock`), so a unit —
+/// which keeps its `Arc` across rounds for as long as its content stays
+/// resident in the session's unit table — pays the AST walks, name
+/// mangling, call resolution and fingerprinting once per resident version,
+/// not once per relink.
 #[derive(Debug)]
 pub(crate) struct UnitExports {
     /// Referenced variables per defined function, keyed by *resolved* name
@@ -361,8 +361,8 @@ pub struct LinkContext {
     /// converged summary of every callee its functions name (through the
     /// unit's static-shadowing view) plus, for units defining `main`, the
     /// program-wide referenced-variable map `main`'s exit-liveness scan
-    /// consults. Threaded through the unit-analysis cache and the persistent
-    /// store key: editing one file invalidates another unit's stored plans
+    /// consults. Threaded through the unit table and the persistent store
+    /// key: editing one file invalidates another unit's stored plans
     /// only when a fact that unit actually *reads* changed — an edit round
     /// re-plans the import cone, not the whole program.
     pub imports_fingerprint: u64,
@@ -372,8 +372,8 @@ impl LinkContext {
     /// The context of a unit analyzed on its own — the closed-world
     /// program: call sites resolve against the unit's own converged
     /// summaries, no function is defined elsewhere, and the imports
-    /// fingerprint is [`UNLINKED`] (the unit-analysis cache and store key
-    /// of stand-alone analyses).
+    /// fingerprint is [`UNLINKED`] (the unit-table and store key of
+    /// stand-alone analyses).
     pub fn closed_world(unit: &SummarizedUnit) -> LinkContext {
         let extern_refs = ExternalRefs::new();
         LinkContext {
@@ -461,12 +461,17 @@ struct LinkedFunction {
 /// plus the indexes that let [`Program::relink`] *patch* it — which unit
 /// defines each function and where its propagation inputs live, the
 /// reverse call graph (which also answers "which units import this
-/// function"), and a fingerprint per converged summary. The default state
-/// is the empty program; patching it is a cold link. A state belongs to one
-/// set of analysis options: every relink of it must pass the same.
+/// function"), and a fingerprint per converged summary — and, once
+/// [`ProgramDriver`] has planned that program, its analyses. The default
+/// state is the empty program; patching it is a cold link. A state belongs
+/// to one set of analysis options: every relink of it must pass the same.
 #[derive(Debug)]
 pub struct LinkState {
     program: Program,
+    /// The linked analysis of every unit of `program`, in unit order — what
+    /// a round over the very same units returns again. Empty when the
+    /// program was linked but not planned: a relink clears it.
+    analyses: Vec<Arc<UnitAnalysis>>,
     /// Every function of the fixed point, by resolved name.
     functions: HashMap<Symbol, LinkedFunction>,
     /// Called name (defined in the program or not) → the functions calling
@@ -496,6 +501,7 @@ impl Default for LinkState {
                 import_fps: Vec::new(),
                 unit_statics: Vec::new(),
             },
+            analyses: Vec::new(),
             functions: HashMap::new(),
             callers: HashMap::new(),
             reseeded: 0,
@@ -554,11 +560,15 @@ impl Program {
     /// The one link path; its cost is O(changed units + dirty cone +
     /// importers of moved summaries), plus pointer copies per unit:
     ///
-    /// 1. **Diff.** Units are matched to the state's by name; a unit is
-    ///    *changed* unless it is its predecessor, pointer-equal (the
-    ///    summarize cache interns by content, so `Arc` identity is content
-    ///    identity). Added, removed, reordered and renamed units are just
-    ///    changed units without a predecessor or successor.
+    /// 1. **Diff.** Units are matched to the state's by name — the one
+    ///    by-name diff of a round — and a unit is *changed* unless it is its
+    ///    predecessor, pointer-equal. `Arc` identity is a sufficient witness
+    ///    of content identity, not a necessary one: the session's unit table
+    ///    hands out one `Arc` per resident version, and a version that was
+    ///    dropped and recomputed is simply a changed unit here, whose local
+    ///    fingerprints then find nothing dirty. Added, removed, reordered
+    ///    and renamed units are just changed units without a predecessor or
+    ///    successor.
     /// 2. **Patch the indexes.** Only changed units' definitions leave and
     ///    enter `defined_in`, the function table, the reverse call graph
     ///    and the program-wide referenced-variable map (left as is,
@@ -580,7 +590,8 @@ impl Program {
     /// tests at every worker count), `linked.passes` aside — a diagnostic
     /// that reports the deepest component iteration of *this* link's cone.
     /// On an error `state` is left as it was. The counts of the relink are
-    /// left in `state` (`reseeded`, `touched_units`).
+    /// left in `state` (`reseeded`, `touched_units`); the previous program's
+    /// analyses are not carried over.
     pub fn relink(
         units: Vec<Arc<SummarizedUnit>>,
         options: &crate::OmpDartOptions,
@@ -588,6 +599,7 @@ impl Program {
     ) -> Result<Program, ProgramError> {
         let LinkState {
             program,
+            analyses,
             functions,
             callers,
             reseeded,
@@ -652,6 +664,7 @@ impl Program {
         }
 
         // --- 2. Patch the indexes: retire what left, admit what came. ----
+        analyses.clear();
         let mut refs_moved = false;
         // What a retired function had: its local fingerprint, and the
         // fingerprint of its converged summary (carried over to a namesake).
@@ -1055,26 +1068,6 @@ impl ProgramAnalysis {
     }
 }
 
-/// One completed whole-program round, retained by the session for the
-/// *identity fast path* of the next round: a unit whose summarized `Arc`
-/// (content identity — the summarize cache guarantees identical content
-/// yields one `Arc`) and imports fingerprint (everything the unit's plans
-/// can observe of the other units: prototypes, summaries, referenced
-/// variables) both match its entry here is served the previous round's
-/// linked analysis without content hashing, cache probing, relocation or
-/// re-planning.
-#[derive(Debug)]
-pub(crate) struct ProgramRound {
-    pub(crate) units: Vec<Arc<SummarizedUnit>>,
-    pub(crate) analyses: Vec<Arc<UnitAnalysis>>,
-    pub(crate) interfaces: Vec<Arc<ExportedInterface>>,
-    pub(crate) imports_fps: Vec<u64>,
-    pub(crate) link_passes: usize,
-    /// Unit name → index (last wins for duplicate names; the `Arc::ptr_eq`
-    /// + fingerprint verification makes a wrong mapping harmless).
-    pub(crate) by_name: Arc<HashMap<String, usize>>,
-}
-
 /// Where one whole-program analysis spent its time: per-phase wall clock,
 /// per-unit latency percentiles, and the process-wide worker-pool and
 /// shard-lock counter deltas attributable to the call. Surfaced by
@@ -1092,7 +1085,7 @@ pub struct DriverProfile {
     /// earlier run, `warm_units > 0` with `edit_path == false` is the
     /// store-served warm start.
     pub warm_units: usize,
-    /// True when the round rode previously recorded link state in this
+    /// True when the round rode link state an earlier round left in this
     /// session (an edit round): the per-phase breakdown below is then a
     /// one-edit profile, not a cold-start one.
     pub edit_path: bool,
@@ -1100,8 +1093,8 @@ pub struct DriverProfile {
     pub summarize: Duration,
     /// Wall time of the (incremental) link fixed point.
     pub link: Duration,
-    /// Wall time spent deciding the unit-level fast path and assembling
-    /// the link contexts of the units that missed it.
+    /// Wall time spent probing the unit table for the unit-level fast path
+    /// and assembling the link contexts of the units that missed it.
     pub contexts: Duration,
     /// Wall time of the parallel plan+rewrite fan-out.
     pub plan: Duration,
@@ -1235,7 +1228,10 @@ impl ProgramDriver {
     /// a cold link.
     pub fn link(&self, inputs: &[(String, String)]) -> Result<Program, ProgramError> {
         let units = self.summarize_all(inputs)?;
-        self.relink_units(units)
+        let mut state = self.session.take_link_state();
+        let program = self.relink(units, &mut state);
+        self.session.put_link_state(state);
+        program
     }
 
     /// Phase 1: summarize every unit in parallel (input order preserved).
@@ -1259,12 +1255,18 @@ impl ProgramDriver {
         Ok(units)
     }
 
-    /// Phase 2: link already-summarized units by patching the session's
-    /// persistent link state.
-    fn relink_units(&self, units: Vec<Arc<SummarizedUnit>>) -> Result<Program, ProgramError> {
-        let mut state = self.session.take_link_state();
-        let program = Program::relink(units, self.session.options(), &mut state);
-        self.session.note_link(state);
+    /// Phase 2: link already-summarized units by patching `state`, the
+    /// session's persistent link state, and count what the relink re-seeded
+    /// and touched.
+    fn relink(
+        &self,
+        units: Vec<Arc<SummarizedUnit>>,
+        state: &mut LinkState,
+    ) -> Result<Program, ProgramError> {
+        let program = Program::relink(units, self.session.options(), state);
+        let counters = self.session.counters();
+        counters.add(Counter::relink_reseeded_functions, state.reseeded);
+        counters.add(Counter::relink_touched_units, state.touched_units);
         program
     }
 
@@ -1281,25 +1283,29 @@ impl ProgramDriver {
     /// [`Self::analyze_program`] plus a [`DriverProfile`] of where the call
     /// spent its time.
     ///
-    /// Two identity fast paths ride on the previous round recorded in the
-    /// session (a `ProgramRound`):
+    /// Two identity fast paths keep a round's cost on the units that
+    /// changed:
     ///
-    /// * **Round level** — when every unit's summarized `Arc` matches the
-    ///   previous round position-wise, the whole round is the previous
-    ///   round: its analyses are returned with no link, no contexts, no
-    ///   planning, no flush. A warm re-analysis of an unchanged program is
-    ///   N summarize-cache probes plus N pointer comparisons.
-    /// * **Unit level** — on edit rounds, any unit whose `Arc` *and*
-    ///   imports fingerprint match its previous-round entry reuses its
-    ///   previous analysis without content hashing or cache probing; only
-    ///   genuinely affected units reach `analyze_linked`.
+    /// * **Round level** — when every unit's summarized `Arc` matches,
+    ///   position-wise, the program the session's [`LinkState`] holds, the
+    ///   whole round is that program's: its analyses are returned with no
+    ///   link, no contexts, no planning, no flush. A warm re-analysis of an
+    ///   unchanged program is N unit-table probes plus N pointer
+    ///   comparisons.
+    /// * **Unit level** — on edit rounds, a unit whose resident version in
+    ///   the session's unit table already holds an analysis under the
+    ///   imports fingerprint the relink gave it is served that analysis:
+    ///   only genuinely affected units get a [`LinkContext`] and reach
+    ///   `analyze_linked`. A reverted unit, or one whose edited neighbour
+    ///   was reverted, is served the same way while its earlier analysis
+    ///   is still resident.
     ///
-    /// Soundness: the summarize cache guarantees identical `(name,
-    /// content)` yields one `Arc`, so `Arc` identity is content identity;
-    /// the imports fingerprint covers every cross-unit fact a unit's plans
-    /// can observe (the same key the unit-analysis cache and the persistent
-    /// store trust). Byte-identity of fast-path rounds is pinned by tests
-    /// at every thread count.
+    /// Soundness: the unit table hands out one `Arc` per resident
+    /// `(name, content)` and finds a version by its source bytes, so a hit
+    /// is content identity; the imports fingerprint covers every cross-unit
+    /// fact a unit's plans can observe (the same key the persistent store
+    /// trusts). Byte-identity of fast-path rounds is pinned by tests at
+    /// every thread count.
     pub fn analyze_program_profiled(
         &self,
         inputs: &[(String, String)],
@@ -1312,63 +1318,60 @@ impl ProgramDriver {
             profile.total = total_start.elapsed();
             profile
         };
+        let count_fast_path =
+            |units: usize| (self.session.counters()).add(Counter::fast_path_hits, units as u64);
 
         let phase = Instant::now();
         let units = self.summarize_all(inputs)?;
         let summarize = phase.elapsed();
 
-        let round = self.session.last_round();
+        // Held until the round's analyses are in it: a concurrent round on
+        // this session meanwhile links cold, from the empty state.
+        let mut state = self.session.take_link_state();
+        let edit_path = !state.program.is_empty();
 
-        // Round-level identity fast path: the whole program is the
-        // previous round.
-        if let Some(round) = &round {
-            if round.units.len() == units.len()
-                && units
-                    .iter()
-                    .zip(&round.units)
-                    .all(|(now, prev)| Arc::ptr_eq(now, prev))
-            {
-                self.session.count_fast_path(units.len() as u64);
-                let analysis = ProgramAnalysis {
-                    units: round.analyses.clone(),
-                    interfaces: round.interfaces.clone(),
-                    served: vec![UnitServe::Cached; units.len()],
-                    link_passes: round.link_passes,
-                };
-                let profile = finish_profile(DriverProfile {
-                    units: units.len(),
-                    fast_path_units: units.len(),
-                    warm_units: units.len(),
-                    edit_path: true,
-                    summarize,
-                    ..DriverProfile::default()
-                });
-                return Ok((analysis, profile));
-            }
+        // Round-level identity fast path: the whole program is the one the
+        // link state holds, analyses included.
+        let unchanged = state.analyses.len() == units.len()
+            && (units.iter().zip(&state.program.units)).all(|(now, was)| Arc::ptr_eq(now, was));
+        if unchanged {
+            count_fast_path(units.len());
+            let analysis = ProgramAnalysis {
+                units: state.analyses.clone(),
+                interfaces: state.program.interfaces.clone(),
+                served: vec![UnitServe::Cached; units.len()],
+                link_passes: state.program.linked.passes,
+            };
+            self.session.put_link_state(state);
+            let profile = finish_profile(DriverProfile {
+                units: units.len(),
+                fast_path_units: units.len(),
+                warm_units: units.len(),
+                edit_path: true,
+                summarize,
+                ..DriverProfile::default()
+            });
+            return Ok((analysis, profile));
         }
 
         let phase = Instant::now();
-        let program = self.relink_units(units)?;
+        let program = match self.relink(units, &mut state) {
+            Ok(program) => program,
+            Err(error) => {
+                self.session.put_link_state(state);
+                return Err(error);
+            }
+        };
         let link = phase.elapsed();
 
-        // Unit-level identity fast path: unchanged content (Arc identity)
-        // under an unchanged imported surface reuses the previous round's
-        // analysis outright. A unit is looked for at its own position
-        // first; the name index only serves a unit set that changed.
+        // Unit-level identity fast path: the unit table already holds this
+        // version's analysis under this imports fingerprint.
         let phase = Instant::now();
-        let reused = |i: usize| {
-            let round = round.as_ref()?;
-            let unit = &program.units[i];
-            let j = match round.units.get(i) {
-                Some(previous) if Arc::ptr_eq(previous, unit) => i,
-                _ => *round.by_name.get(unit.parsed.name.as_str())?,
-            };
-            (Arc::ptr_eq(unit, &round.units[j]) && program.import_fps[i] == round.imports_fps[j])
-                .then(|| Arc::clone(&round.analyses[j]))
-        };
-        let mut units: Vec<Option<Arc<UnitAnalysis>>> = (0..program.len()).map(reused).collect();
+        let resident =
+            |i: usize| (self.session).resident_analysis(&program.units[i], program.import_fps[i]);
+        let mut units: Vec<Option<Arc<UnitAnalysis>>> = (0..program.len()).map(resident).collect();
         let fast_path_units = units.iter().flatten().count();
-        self.session.count_fast_path(fast_path_units as u64);
+        count_fast_path(fast_path_units);
         let mut served = vec![UnitServe::Cached; program.len()];
         // Only the units that missed it need a context and a planner.
         let todo: Vec<(usize, LinkContext)> = (0..program.len())
@@ -1401,25 +1404,9 @@ impl ProgramDriver {
         }
         let units: Vec<Arc<UnitAnalysis>> = units.into_iter().flatten().collect();
 
-        // Record this round for the next one's identity fast paths; the
-        // name index is the previous round's while the names are.
-        let named_alike = |round: &&Arc<ProgramRound>| same_names(&round.units, &program.units);
-        let by_name = match round.as_ref().filter(named_alike) {
-            Some(round) => Arc::clone(&round.by_name),
-            None => Arc::new(
-                (program.units.iter().enumerate())
-                    .map(|(i, u)| (u.parsed.name.clone(), i))
-                    .collect(),
-            ),
-        };
-        self.session.note_round(Arc::new(ProgramRound {
-            units: program.units.clone(),
-            analyses: units.clone(),
-            interfaces: program.interfaces.clone(),
-            imports_fps: program.import_fps.clone(),
-            link_passes: program.linked.passes,
-            by_name,
-        }));
+        // The next round's round-level fast path reads these.
+        state.analyses = units.clone();
+        self.session.put_link_state(state);
 
         durations.sort_unstable();
         let warm_units = served
@@ -1430,7 +1417,7 @@ impl ProgramDriver {
             units: units.len(),
             fast_path_units,
             warm_units,
-            edit_path: round.is_some(),
+            edit_path,
             summarize,
             link,
             contexts: contexts_elapsed,

@@ -1,8 +1,8 @@
 //! A sharded concurrent map for the session's hot caches.
 //!
 //! Every [`crate::pipeline::AnalysisSession`] cache used to be one global
-//! `Mutex<HashMap>`: eight workers probing the parse/unit/plan caches
-//! serialized on a single lock per lookup. [`ShardMap`] splits the key
+//! `Mutex<HashMap>`: eight workers probing the unit table and the function
+//! caches serialized on a single lock per lookup. [`ShardMap`] splits the key
 //! space over [`SHARDS`] independent `RwLock<HashMap>` shards — the key's
 //! hash selects the shard, concurrent readers of one shard share the read
 //! lock, and writers contend only with traffic that hashes to the same
@@ -16,6 +16,7 @@
 //! the process-wide [`crate::stats::ProcessStats`] table.
 
 use crate::stats::{ProcessCounter, PROCESS};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, RandomState};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
@@ -23,7 +24,7 @@ use std::time::Instant;
 
 /// Number of shards. A small power of two: enough to make cross-shard
 /// collisions rare at the session's worker counts (≤ 8), small enough that
-/// whole-map sweeps (`retain`, `len`) stay cheap.
+/// a whole-map sweep (`len`) stays cheap.
 pub const SHARDS: usize = 16;
 
 /// Count one contended acquisition that blocked since `start`.
@@ -98,7 +99,9 @@ impl<K, V> ShardMap<K, V> {
 }
 
 impl<K: Hash + Eq, V> ShardMap<K, V> {
-    fn shard(&self, key: &K) -> &RwLock<HashMap<K, V>> {
+    /// The shard of `key`. A borrowed form hashes like the key it borrows
+    /// from (the `Borrow` contract), so `&str` finds a `String` key's shard.
+    fn shard<Q: Hash + ?Sized>(&self, key: &Q) -> &RwLock<HashMap<K, V>> {
         let h = self.hasher.hash_one(key) as usize;
         &self.shards[h % SHARDS]
     }
@@ -106,7 +109,11 @@ impl<K: Hash + Eq, V> ShardMap<K, V> {
     /// Apply `f` to the value under `key` (or `None`) while holding the
     /// shard's *read* lock. Concurrent readers of one shard proceed in
     /// parallel.
-    pub fn read<R>(&self, key: &K, f: impl FnOnce(Option<&V>) -> R) -> R {
+    pub fn read<Q, R>(&self, key: &Q, f: impl FnOnce(Option<&V>) -> R) -> R
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         let guard = read_timed(self.shard(key));
         f(guard.get(key))
     }
@@ -116,36 +123,26 @@ impl<K: Hash + Eq, V> ShardMap<K, V> {
         write_timed(self.shard(&key)).insert(key, value)
     }
 
+    /// Apply `f` to the value under `key`, if there is one, while holding
+    /// the shard's write lock.
+    pub fn modify<Q, R>(&self, key: &Q, f: impl FnOnce(&mut V) -> R) -> Option<R>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        write_timed(self.shard(key)).get_mut(key).map(f)
+    }
+
     /// Apply `f` to the (default-created if absent) value under `key`
     /// while holding the shard's write lock. This is the first-writer-wins
-    /// primitive the bucketed caches use: probe the bucket again under the
-    /// lock, then push.
+    /// primitive of the unit table: probe the slot again under the lock,
+    /// then insert.
     pub fn update<R>(&self, key: K, f: impl FnOnce(&mut V) -> R) -> R
     where
         V: Default,
     {
         let mut guard = write_timed(self.shard(&key));
         f(guard.entry(key).or_default())
-    }
-
-    /// Retain only the entries for which `f` returns true, shard by shard.
-    pub fn retain(&self, mut f: impl FnMut(&K, &mut V) -> bool) {
-        for shard in &self.shards {
-            write_timed(shard).retain(|k, v| f(k, v));
-        }
-    }
-
-    /// Fold over every entry, shard by shard (each shard read-locked for
-    /// the duration of its visit; unspecified order).
-    pub fn fold<A>(&self, init: A, mut f: impl FnMut(A, &K, &V) -> A) -> A {
-        let mut acc = init;
-        for shard in &self.shards {
-            let guard = read_timed(shard);
-            for (k, v) in guard.iter() {
-                acc = f(acc, k, v);
-            }
-        }
-        acc
     }
 }
 
@@ -190,17 +187,25 @@ mod tests {
         assert_eq!(map.len(), 1, "all traffic targeted one key");
     }
 
+    /// A `String`-keyed map answers `&str` probes from the key's own
+    /// shard, and `modify` touches existing keys only.
     #[test]
-    fn retain_and_fold_cover_every_shard() {
-        let map: ShardMap<u64, u64> = ShardMap::new();
+    fn borrowed_keys_find_their_shard_and_modify_never_inserts() {
+        let map: ShardMap<String, u64> = ShardMap::new();
         for k in 0..1000u64 {
-            map.insert(k, k * 2);
+            map.insert(format!("unit_{k}.c"), k);
         }
         assert_eq!(map.len(), 1000);
-        let sum = map.fold(0u64, |acc, _, v| acc + v);
-        assert_eq!(sum, (0..1000u64).map(|k| k * 2).sum());
-        map.retain(|k, _| k % 2 == 0);
-        assert_eq!(map.len(), 500);
+        for k in 0..1000u64 {
+            let name = format!("unit_{k}.c");
+            assert_eq!(map.read(name.as_str(), |v| v.copied()), Some(k));
+            assert_eq!(
+                map.modify(name.as_str(), |v| std::mem::replace(v, 0)),
+                Some(k)
+            );
+        }
+        assert_eq!(map.modify("absent.c", |v| *v), None);
+        assert_eq!(map.len(), 1000);
     }
 
     #[test]

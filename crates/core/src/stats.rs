@@ -191,13 +191,14 @@ stats_table! {
     /// Cache hit/miss counters of an
     /// [`AnalysisSession`](crate::pipeline::AnalysisSession).
     pub struct CacheStats: u64, counted by Counter in AtomicCacheStats {
-        /// `parse` calls served from the parse cache.
+        /// `parse` calls served a resident version's parse from the unit
+        /// table.
         parse_hits,
         /// `parse` calls that ran the frontend.
         parse_misses,
         /// Unit analyses (`analyze_linked`, and therefore every `analyze`
         /// call and every non-fast-path unit of a program round) served
-        /// entirely from the unit-analysis cache.
+        /// entirely from the unit table.
         analysis_hits,
         /// Unit analyses that ran planning (or hit the store).
         analysis_misses,
@@ -241,15 +242,16 @@ stats_table! {
         /// Function-store lookups that missed (each true planning run of
         /// an eligible function writes one entry back).
         function_store_misses,
-        /// `summarize` calls served from the cache.
+        /// `summarize` calls served from the unit table.
         summarize_hits,
         /// `summarize` calls that ran the parse→summaries stages.
         summarize_misses,
-        /// Units served by the identity fast path: their summarized
-        /// artifact (same `Arc`) and imports fingerprint matched the
-        /// previous whole-program round, so the prior linked analysis was
-        /// returned without content hashing, cache probing, relocation or
-        /// re-planning.
+        /// Units of a program round served by the identity fast path:
+        /// their summarized artifact (same `Arc`) and imports fingerprint
+        /// matched an analysis already resident — the whole previous
+        /// program's, or this unit's slot of the unit table — so the prior
+        /// linked analysis was returned without content hashing, context
+        /// assembly, relocation or re-planning.
         fast_path_hits,
     }
 }

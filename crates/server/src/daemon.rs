@@ -614,8 +614,8 @@ fn submit_analyze(
 
 /// The analysis body of an `analyze` request, answered as the rendered
 /// response: a single unit is analyzed as a closed world (leaving the
-/// program's link state and recorded round untouched), multi-unit requests
-/// go through whole-program link.
+/// program's link state untouched), multi-unit requests go through
+/// whole-program link.
 fn run_analyze(
     shared: &Shared,
     session: &ProgramSession,

@@ -5,10 +5,12 @@
 //! *different* programs through a single session would cold-relink on every
 //! switch and the cache counters of concurrent requests would bleed into
 //! each other. The registry fixes both: every program key owns its own
-//! [`ompdart_core::Ompdart`] tool (own session → own link state, function
-//! caches, and counters) and its own per-program subdirectory of the
-//! persistent store, so clients editing program A never evict or chill
-//! program B. Requests for one program serialize on the session's request
+//! [`ompdart_core::Ompdart`] tool (own session → own unit table, link
+//! state, function caches, and counters) and its own per-program
+//! subdirectory of the persistent store, so clients editing program A never
+//! evict or chill program B. A session's unit table keeps a constant number
+//! of versions per unit name, so a program's resident memory follows its
+//! unit count, not its request count. Requests for one program serialize on the session's request
 //! lock (the daemon's worker pool provides the same guarantee by sharding,
 //! but the registry does not rely on its callers for correctness), which is
 //! also what makes a request's stats — `after - before` of two [`CacheStats`]

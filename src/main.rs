@@ -433,20 +433,7 @@ fn cmd_analyze_program(
             );
             continue;
         }
-        let stem = Path::new(path)
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("unit");
-        let mut name = format!("{stem}.mapped.c");
-        let mut suffix = 1usize;
-        while !used_names.insert(name.clone()) {
-            name = format!("{stem}.{suffix}.mapped.c");
-            suffix += 1;
-        }
-        let out_path = match out_dir {
-            Some(dir) => Path::new(dir).join(name),
-            None => Path::new(path).with_file_name(name),
-        };
+        let out_path = mapped_path(Path::new(path), out_dir, &mut used_names);
         std::fs::write(&out_path, analysis.rewritten_source())
             .map_err(|e| format!("cannot write `{}`: {e}", out_path.display()))?;
         eprintln!(
@@ -576,7 +563,7 @@ fn load_plans(path: &str) -> Result<Vec<MappingPlan>, String> {
             Ok(analysis.plans().to_vec())
         }
         Err(StageError::AlreadyMapped { .. }) => {
-            // The session's parse cache already holds this source (the
+            // The session's unit table already holds this parse (the
             // contract check runs after parsing), so this does not re-parse.
             let parsed = tool
                 .session()
@@ -674,22 +661,10 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, String> {
                     stats.kernels,
                     stats.total_constructs()
                 );
-                if let Some(dir) = out_dir {
-                    let stem = Path::new(path)
-                        .file_stem()
-                        .and_then(|s| s.to_str())
-                        .unwrap_or("unit");
-                    // Inputs from different directories may share a stem;
-                    // disambiguate instead of silently overwriting.
-                    let mut name = format!("{stem}.mapped.c");
-                    let mut suffix = 1usize;
-                    while !used_names.insert(name.clone()) {
-                        name = format!("{stem}.{suffix}.mapped.c");
-                        suffix += 1;
-                    }
-                    let out_path = format!("{dir}/{name}");
+                if out_dir.is_some() {
+                    let out_path = mapped_path(Path::new(path), out_dir, &mut used_names);
                     std::fs::write(&out_path, analysis.rewritten_source())
-                        .map_err(|e| format!("cannot write `{out_path}`: {e}"))?;
+                        .map_err(|e| format!("cannot write `{}`: {e}", out_path.display()))?;
                 }
             }
             Err(e) => {
@@ -720,10 +695,22 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, String> {
 // watch: the long-lived incremental front door
 // ---------------------------------------------------------------------------
 
-/// Where the rewritten source of `input` is emitted.
-fn mapped_path(input: &Path, out_dir: Option<&str>) -> PathBuf {
+/// Where the rewritten source of `input` is emitted: `<stem>.mapped.c`, in
+/// `out_dir` or next to the input. Inputs from different directories may
+/// share a stem; a name already in `used` (the names handed out so far this
+/// run) gets a numeric infix instead of silently overwriting that output.
+fn mapped_path(
+    input: &Path,
+    out_dir: Option<&str>,
+    used: &mut std::collections::HashSet<String>,
+) -> PathBuf {
     let stem = input.file_stem().and_then(|s| s.to_str()).unwrap_or("unit");
-    let name = format!("{stem}.mapped.c");
+    let mut name = format!("{stem}.mapped.c");
+    let mut suffix = 1usize;
+    while !used.insert(name.clone()) {
+        name = format!("{stem}.{suffix}.mapped.c");
+        suffix += 1;
+    }
     match out_dir {
         Some(dir) => Path::new(dir).join(name),
         None => input.with_file_name(name),
@@ -784,9 +771,6 @@ fn emit_one(tool: &Ompdart, path: &Path, source: &str, out_path: &Path) {
             );
         }
     }
-    // Long-lived session: drop artifact bundles of superseded versions of
-    // this file so memory is bounded by the file count, not the save count.
-    tool.session().evict_stale_versions(&display, source);
     use std::io::Write;
     let _ = std::io::stdout().flush();
 }
@@ -948,15 +932,12 @@ fn watch_program_scan(
         .iter()
         .map(|(p, s)| (p.display().to_string(), s.clone()))
         .collect();
+    let mut used_names = std::collections::HashSet::new();
     match tool.analyze_program(&pairs) {
         Ok(program) => {
-            for (idx, (path, source)) in units.iter().enumerate() {
+            for (idx, (path, _)) in units.iter().enumerate() {
                 let unit = &program.units[idx];
                 let serve = &program.served[idx];
-                // Always drop superseded cached versions of this file —
-                // including on the failure paths below — so session memory
-                // stays bounded by the file count, not the save count.
-                tool.session().evict_stale_versions(&pairs[idx].0, source);
                 let diagnostics = &unit.plans.diagnostics;
                 if diagnostics.has_errors() {
                     println!(
@@ -967,7 +948,7 @@ fn watch_program_scan(
                     continue;
                 }
                 let rewritten = unit.rewrite.source.as_str();
-                let out_path = mapped_path(path, out_dir);
+                let out_path = mapped_path(path, out_dir, &mut used_names);
                 let unchanged = last_emitted.get(path).is_some_and(|prev| prev == rewritten);
                 if unchanged {
                     // Nothing new on disk; still report re-planning work so
@@ -1002,7 +983,7 @@ fn watch_program_scan(
         Err(err) => {
             println!("[watch] not linkable as one program ({err}); analyzing files independently");
             for (path, source) in changed {
-                let out_path = mapped_path(path, out_dir);
+                let out_path = mapped_path(path, out_dir, &mut used_names);
                 emit_one(tool, path, source, &out_path);
                 last_emitted.remove(path.as_path());
             }
@@ -1086,6 +1067,7 @@ fn cmd_client(args: &[String]) -> Result<ExitCode, String> {
                 .get("units")
                 .and_then(Json::as_array)
                 .ok_or("malformed analyze result")?;
+            let mut used_names = std::collections::HashSet::new();
             for unit in units {
                 let name = unit.get("name").and_then(Json::as_str).unwrap_or("?");
                 let serve = unit.get("serve").and_then(Json::as_str).unwrap_or("?");
@@ -1094,7 +1076,7 @@ fn cmd_client(args: &[String]) -> Result<ExitCode, String> {
                     &out_dir,
                     unit.get("rewritten_source").and_then(Json::as_str),
                 ) {
-                    let out = mapped_path(Path::new(name), Some(dir));
+                    let out = mapped_path(Path::new(name), Some(dir), &mut used_names);
                     std::fs::write(&out, rewritten)
                         .map_err(|e| format!("cannot write `{}`: {e}", out.display()))?;
                     println!("[client] wrote {}", out.display());

@@ -1126,6 +1126,121 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// The unit table: a long-lived session answers like a fresh one, and counts
+// every lookup once
+// ---------------------------------------------------------------------------
+
+/// Every unit's rewritten source and plan JSON, in unit order.
+fn unit_outputs(program: &ompdart_core::ProgramAnalysis) -> Vec<(String, String)> {
+    (program.units.iter())
+        .map(|unit| {
+            let analysis = ompdart_core::Analysis::from_unit(std::sync::Arc::clone(unit));
+            (
+                analysis.rewritten_source().to_string(),
+                analysis.plans_json(),
+            )
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 12, .. ProptestConfig::default() })]
+
+    /// One long-lived session per worker count follows a random script over
+    /// the six-name model: the model's own edits (bodies, calls, functions
+    /// and units added, removed and reordered), a unit renamed, the previous
+    /// program brought back (A→B→A, which the table keeps warm) and an older
+    /// one (A→B→C→A, which overflows its version bound), with closed-world
+    /// requests for single units in between. After every step each unit's
+    /// rewritten source and plan JSON are a fresh session's, byte for byte,
+    /// and the hit and miss rows of each lookup kind add up to the lookups
+    /// made.
+    #[test]
+    fn a_long_lived_session_agrees_with_a_fresh_one_after_every_step(
+        seed in 1u64..u64::MAX,
+        steps in 6usize..14,
+    ) {
+        let mut rng = seed;
+        let mut next_file = 2;
+        let mut model: Model = vec![(0, Vec::new()), (1, Vec::new()), (2, Vec::new())];
+        for _ in 0..8 {
+            edit_model(&mut model, &mut rng, &mut next_file);
+        }
+        let drivers: Vec<ompdart_core::ProgramDriver> = [1usize, 2, 8]
+            .into_iter()
+            .map(|threads| {
+                let options = ompdart_core::OmpDartOptions {
+                    link_threads: threads,
+                    ..ompdart_core::OmpDartOptions::default()
+                };
+                let session = ompdart_core::AnalysisSession::with_options(options);
+                ompdart_core::ProgramDriver::with_session(std::sync::Arc::new(session))
+                    .with_threads(threads)
+            })
+            .collect();
+        // Lookups made so far on each session (they all see the same script).
+        let (mut summarize_lookups, mut analysis_lookups) = (0u64, 0u64);
+        let mut history: Vec<Model> = Vec::new();
+        for step in 0..=steps {
+            let inputs = render_model(&model);
+            let fresh = ompdart_core::ProgramDriver::new()
+                .analyze_program(&inputs)
+                .expect("the model stays linkable");
+            let fresh_out = unit_outputs(&fresh);
+            // One unit of the program, also asked for on its own.
+            let (alone_name, alone_source) = &inputs[roll(&mut rng, inputs.len())];
+            let fresh_alone = Ompdart::builder().build().analyze(alone_name, alone_source).unwrap();
+            summarize_lookups += inputs.len() as u64 + 1;
+            analysis_lookups += inputs.len() as u64 + 1;
+            for driver in &drivers {
+                let at = format!(
+                    "step {step}, {} thread(s), seed {seed:#x}\n{inputs:#?}",
+                    driver.session().options().link_threads
+                );
+                let warm = driver.analyze_program(&inputs).expect("the model stays linkable");
+                prop_assert_eq!(&unit_outputs(&warm), &fresh_out, "outputs differ at {}", at);
+                let alone = driver.session().analyze(alone_name, alone_source).unwrap();
+                prop_assert_eq!(
+                    (&alone.rewrite.source, alone.plans_json()),
+                    (&fresh_alone.artifacts().rewrite.source, fresh_alone.plans_json()),
+                    "`{}` analyzed alone differs at {}", alone_name, at
+                );
+                let stats = driver.session().cache_stats();
+                prop_assert_eq!(
+                    stats.summarize_hits + stats.summarize_misses, summarize_lookups,
+                    "summarize lookups at {}: {}", at, stats
+                );
+                prop_assert_eq!(
+                    stats.fast_path_hits + stats.analysis_hits + stats.analysis_misses,
+                    analysis_lookups,
+                    "analysis lookups at {}: {}", at, stats
+                );
+                prop_assert_eq!(
+                    stats.parse_hits + stats.parse_misses, stats.summarize_misses,
+                    "every summarize miss parses once, at {}: {}", at, stats
+                );
+            }
+            history.push(model.clone());
+            match roll(&mut rng, 8) {
+                // Back to the program before this one: an edit reverted.
+                0 | 1 if history.len() >= 2 => model = history[history.len() - 2].clone(),
+                // Back to an older one, two or more distinct versions ago.
+                2 if history.len() >= 3 => {
+                    model = history[roll(&mut rng, history.len() - 2)].clone();
+                }
+                // A unit renamed: same content, a name the session never saw.
+                3 => {
+                    next_file += 1;
+                    let unit = roll(&mut rng, model.len());
+                    model[unit].0 = next_file;
+                }
+                _ => edit_model(&mut model, &mut rng, &mut next_file),
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // The JSON kernel against its char-at-a-time references, and no-panic at the
 // plan-JSON and wire-frame boundaries
 // ---------------------------------------------------------------------------
