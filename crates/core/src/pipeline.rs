@@ -70,7 +70,7 @@ use crate::relocate::{relocate_diagnostics, relocate_function_accesses, relocate
 use crate::rewrite;
 use crate::shard::ShardMap;
 use crate::stats::{AtomicCacheStats, CacheStats, Counter};
-use crate::store::{ArtifactStore, PendingUnitSave, StoredFunctionPlan, StoredUnit};
+use crate::store::{self, ArtifactStore};
 use crate::{function_with_existing_mappings, OmpDartError, OmpDartOptions};
 use ompdart_frontend::ast::{FunctionDef, TranslationUnit};
 use ompdart_frontend::diag::Diagnostics;
@@ -221,31 +221,6 @@ impl fmt::Display for StageTimings {
     }
 }
 
-/// FNV-1a content hash, one half of the persistent store's on-disk key
-/// (see [`content_hash2`]). The session's in-memory unit table does not
-/// hash content at all: it is indexed by name and compares source bytes.
-pub fn content_hash(name: &str, source: &str) -> u64 {
-    let mut h = Fnv::new();
-    h.write(name.as_bytes());
-    h.write(&[0]);
-    h.write(source.as_bytes());
-    h.finish()
-}
-
-/// A second, independently mixed content hash. The persistent artifact
-/// store records both hashes (plus name and length) so its on-disk key is
-/// effectively 128 bits wide — full-source verification without storing
-/// the source itself.
-pub fn content_hash2(name: &str, source: &str) -> u64 {
-    let mut h: u64 = 0x9e37_79b9_97f4_a7c5;
-    for b in name.bytes().chain([0xff]).chain(source.bytes()) {
-        h = (h ^ u64::from(b))
-            .wrapping_mul(0x2545_f491_4f6c_dd1d)
-            .rotate_left(23);
-    }
-    h
-}
-
 /// Incremental FNV-1a hasher shared by the cache-key fingerprints (also
 /// used by the link stage's interface fingerprints).
 pub(crate) struct Fnv(u64);
@@ -379,7 +354,8 @@ pub struct PlansArtifact {
     /// Per-function plan-cache key snapshots (source order), populated when
     /// the function-granular cache was consulted. The persistent store
     /// saves these alongside the plans so a later process can re-seed its
-    /// cache from a store hit.
+    /// cache from a store hit. Empty for plans that came *from* the store:
+    /// there they stay encoded until the unit is planned again.
     pub function_keys: Vec<FunctionKeySnapshot>,
     pub elapsed: Duration,
 }
@@ -595,20 +571,21 @@ pub(crate) struct FunctionPlanKey {
 
 /// A cached per-function planning result, stored in the coordinates
 /// (node ids, byte offsets) of the parse that produced it and relocated on
-/// every hit.
+/// every hit. The persistent store keeps the same record for `static`
+/// functions with a kernel that planned without diagnostics.
 #[derive(Clone, Debug)]
-struct CachedFunctionPlan {
+pub(crate) struct CachedFunctionPlan {
     /// `func.id` at cache time (node-id relocation base).
-    base_id: u32,
+    pub(crate) base_id: u32,
     /// `func.span.start` at cache time (byte-offset relocation base).
-    base_pos: u32,
+    pub(crate) base_pos: u32,
     /// Whether the function counted towards `functions_analyzed`.
-    analyzed: bool,
+    pub(crate) analyzed: bool,
     /// Unknown-callee pessimistic fallbacks the function's planning hit
     /// (re-counted into the stats on every cache hit).
-    fallbacks: u64,
-    plan: Option<MappingPlan>,
-    diagnostics: Diagnostics,
+    pub(crate) fallbacks: u64,
+    pub(crate) plan: Option<MappingPlan>,
+    pub(crate) diagnostics: Diagnostics,
 }
 
 /// The persisted form of one function's plan-cache key: everything needed
@@ -1014,8 +991,18 @@ fn run_plan_stage(
         // one-definition rule — are additionally keyed into the store
         // under their full plan key. The second unit (or process) to see
         // an identical snippet under an identical environment is served
-        // from disk instead of re-planning.
-        let store_eligible = func.is_static && key.is_some() && store.is_some();
+        // from the store — its pack, or the records queued for the next
+        // flush — instead of re-planning. A function without a kernel is
+        // not eligible: it plans to `None` at once, which a lookup and a
+        // record cost more than.
+        let offloads = |name| {
+            graphs
+                .graphs
+                .function(name)
+                .is_some_and(|g| !g.index.kernels().is_empty())
+        };
+        let store_eligible =
+            func.is_static && key.is_some() && store.is_some() && offloads(&func.name);
         if store_eligible {
             if let (Some(key), Some(store), Some((parsed, cache, ..))) =
                 (&key, store, shared.as_ref())
@@ -1083,36 +1070,22 @@ fn run_plan_stage(
         let snap = key
             .as_ref()
             .map(|key| snapshot(key, analyzed, plan.is_some(), fallbacks));
-        if store_eligible && diags.is_empty() {
-            if let (Some(key), Some(store)) = (&key, store) {
-                // Write-back, best effort: functions with diagnostics are
-                // not persisted (the warnings would vanish on a later hit).
-                let _ = store.save_function(
-                    key,
-                    &StoredFunctionPlan {
-                        base_id: func.id.0,
-                        base_pos: func.span.start,
-                        analyzed,
-                        fallbacks,
-                        plan: plan.clone(),
-                    },
-                );
-            }
-        }
         if let (Some(key), Some((parsed, cache, ..))) = (key, shared.as_ref()) {
-            cache.store(
-                Symbol::intern(&parsed.name),
-                func.name,
-                key,
-                CachedFunctionPlan {
-                    base_id: func.id.0,
-                    base_pos: func.span.start,
-                    analyzed,
-                    fallbacks,
-                    plan: plan.clone(),
-                    diagnostics: diags.clone(),
-                },
-            );
+            let cached = CachedFunctionPlan {
+                base_id: func.id.0,
+                base_pos: func.span.start,
+                analyzed,
+                fallbacks,
+                plan: plan.clone(),
+                diagnostics: diags.clone(),
+            };
+            if let (Some(store), true, true) = (store, store_eligible, diags.is_empty()) {
+                // Queued for the session's next flush, not written here.
+                // Functions with diagnostics are not persisted (the
+                // warnings would vanish on a later hit).
+                store.queue_function(&parsed.name, func.name.as_str(), &key, &cached);
+            }
+            cache.store(Symbol::intern(&parsed.name), func.name, key, cached);
         }
         (
             analyzed,
@@ -1429,17 +1402,29 @@ pub struct AnalysisSession {
     /// patches, so the next link touches only the units that changed and
     /// what their re-derived summaries reach. Empty until the first link.
     link_state: Mutex<LinkState>,
+    /// The persistent store. Write-backs are queued in it while planning and
+    /// [`AnalysisSession::flush_store_writes`] appends the whole round's at
+    /// once.
     store: Option<ArtifactStore>,
-    /// Write-behind buffer of store write-backs: `analyze_linked` queues
-    /// here and [`AnalysisSession::flush_store_writes`] flushes the whole
-    /// batch at once, so a 1000-unit cold link pays one gc pass instead of
-    /// 1000.
-    pending_saves: Mutex<Vec<PendingUnitSave>>,
+    /// Store-served units whose persisted function keys have not been put
+    /// into `function_plans` yet, by unit name: that is only worth its
+    /// decoding and clones if the name is ever planned again, so it waits
+    /// until then.
+    unseeded: Mutex<HashMap<String, Unseeded>>,
     counters: AtomicCacheStats,
     /// Cumulative per-stage wall time in nanoseconds, indexed by [`Stage`]:
     /// relaxed atomics, so concurrent stage calls accumulate without a
     /// shared lock.
     cumulative: [AtomicU64; Stage::ALL.len()],
+}
+
+/// What a store hit leaves for [`AnalysisSession::seed_function_plans`]: the
+/// unit as served, and its per-function key snapshots, still encoded.
+#[derive(Debug)]
+struct Unseeded {
+    parsed: Arc<ParsedUnit>,
+    plans: Arc<PlansArtifact>,
+    snapshots: String,
 }
 
 impl Default for AnalysisSession {
@@ -1474,7 +1459,7 @@ impl AnalysisSession {
             function_summaries: FunctionSummaryCache::new(),
             link_state: Mutex::default(),
             store: None,
-            pending_saves: Mutex::new(Vec::new()),
+            unseeded: Mutex::default(),
             counters: AtomicCacheStats::default(),
             cumulative: Default::default(),
         }
@@ -1508,35 +1493,16 @@ impl AnalysisSession {
         self.store.as_ref()
     }
 
-    /// Flush the write-behind buffer of store write-backs in one batch.
-    /// Returns the number of unit entries written. Called once per
+    /// Append the store write-backs queued since the last flush to the pack,
+    /// in one write. Returns the number of records written. Called once per
     /// [`Self::analyze`] and once per whole-program analysis by
     /// [`crate::program::ProgramDriver::analyze_program`]; dropping the
     /// session flushes any stragglers, so callers driving
-    /// [`Self::analyze_linked`] by hand lose nothing — at the latest, the
-    /// entries land on disk when the session goes away.
+    /// [`Self::analyze_linked`] by hand lose nothing. Best effort: records
+    /// that cannot be written are a later miss.
     pub fn flush_store_writes(&self) -> usize {
-        let pending: Vec<PendingUnitSave> =
-            std::mem::take(&mut *self.pending_saves.lock().unwrap());
-        if pending.is_empty() {
-            return 0;
-        }
-        let Some(store) = &self.store else {
-            return 0;
-        };
-        let count = pending.len();
-        // Drain the batch through the worker pool: each entry keeps its own
-        // tmp-file + rename atomicity (`save_one`), then one GC pass covers
-        // the whole batch (`finish_batch`) — the same on-disk effect as a
-        // serial `save_many`, minus the serial write loop.
-        if store.prepare_dir().is_ok() {
-            let paths = parallel_map_indexed(self.parallelism, count, |i| {
-                store.save_one(&self.options, &pending[i]).ok()
-            });
-            let written: Vec<std::path::PathBuf> = paths.into_iter().flatten().collect();
-            store.finish_batch(&written);
-        }
-        count
+        let flushed = self.store.as_ref().map(ArtifactStore::flush);
+        flushed.and_then(Result::ok).unwrap_or(0)
     }
 
     /// Take the persistent link state out of the session (leaving the empty
@@ -1702,6 +1668,7 @@ impl AnalysisSession {
         summaries: &SummariesArtifact,
         link: Option<&LinkContext>,
     ) -> Arc<PlansArtifact> {
+        self.seed_function_plans(&parsed.name);
         let artifact = Arc::new(run_plan_stage(
             &parsed.unit,
             graphs,
@@ -1759,40 +1726,34 @@ impl AnalysisSession {
         Ok(served)
     }
 
-    /// Re-seed the in-memory function-plan cache from a store hit's
-    /// persisted per-function keys. Snippets are recovered from the
-    /// verified source; entries whose recorded byte range no longer fits
-    /// (malformed or truncated documents) are skipped, never trusted.
-    fn seed_function_plans(&self, name: &str, source: &str, stored: &StoredUnit) {
-        for key in &stored.functions {
+    /// Before `name` is planned: if its last analysis came from the store,
+    /// put that record's per-function keys and plans into the function-plan
+    /// cache, so the first *edit* after a warm start re-plans only what
+    /// changed. Snippets are recovered from the verified source; a key whose
+    /// byte range or plan does not fit is skipped, never trusted.
+    fn seed_function_plans(&self, name: &str) {
+        let mut waiting = self.unseeded.lock().expect("seed lock poisoned");
+        let Some(unit) = waiting.remove(name) else {
+            return;
+        };
+        drop(waiting);
+        let (source, stored) = (unit.parsed.file.text(), &unit.plans);
+        for key in &store::decode_snapshots(&unit.snapshots).unwrap_or_default() {
             let start = key.base_pos as usize;
-            let Some(end) = start.checked_add(key.snippet_len as usize) else {
+            let Some(snippet) = source.get(start..start.saturating_add(key.snippet_len as usize))
+            else {
                 continue;
             };
-            if end > source.len()
-                || !source.is_char_boundary(start)
-                || !source.is_char_boundary(end)
-            {
+            let named = |plan: &&MappingPlan| plan.function == key.function.as_str();
+            let plan = stored.plans.iter().find(named).cloned();
+            if plan.is_some() != key.has_plan {
                 continue;
             }
-            let plan = if key.has_plan {
-                let Some(plan) = stored
-                    .plans
-                    .iter()
-                    .find(|p| p.function == key.function.as_str())
-                    .cloned()
-                else {
-                    continue;
-                };
-                Some(plan)
-            } else {
-                None
-            };
             self.function_plans.store(
                 Symbol::intern(name),
                 key.function,
                 FunctionPlanKey {
-                    snippet: source[start..end].to_string(),
+                    snippet: snippet.to_string(),
                     env_hash: key.env_hash,
                     callees_hash: key.callees_hash,
                     refs_hash: key.refs_hash,
@@ -1896,9 +1857,16 @@ impl AnalysisSession {
         link: &LinkContext,
     ) -> (Arc<PlansArtifact>, UnitServe) {
         let name = unit.parsed.name.as_str();
-        let source = unit.parsed.file.text();
-        let stored = self.store.as_ref().and_then(|store| {
-            let hit = store.load(source, &self.options, link.imports_fingerprint);
+        // One hash of the source serves the lookup and the write-back.
+        let store = self.store.as_ref().map(|store| {
+            let source = unit.parsed.file.text();
+            (
+                store,
+                store::unit_key(source, &self.options, link.imports_fingerprint),
+            )
+        });
+        let stored = store.as_ref().and_then(|(store, key)| {
+            let hit = store.load_unit(key);
             let row = match hit {
                 Some(_) => Counter::store_hits,
                 None => Counter::store_misses,
@@ -1907,18 +1875,21 @@ impl AnalysisSession {
             hit
         });
         if let Some(stored) = stored {
-            // Re-seed the function-granular plan cache from the persisted
-            // per-function keys, so the first *edit* after this warm start
-            // is already incremental.
-            self.seed_function_plans(name, source, &stored);
             let plans = Arc::new(PlansArtifact {
                 plans: stored.plans,
                 stats: stored.stats,
                 diagnostics: Diagnostics::new(),
                 counted: CacheStats::default(),
-                function_keys: stored.functions,
+                function_keys: Vec::new(),
                 elapsed: Duration::ZERO,
             });
+            let seed = Unseeded {
+                parsed: Arc::clone(&unit.parsed),
+                plans: Arc::clone(&plans),
+                snapshots: stored.snapshots,
+            };
+            let mut waiting = self.unseeded.lock().expect("seed lock poisoned");
+            waiting.insert(name.to_string(), seed);
             return (plans, UnitServe::Store);
         }
         let plans = self.plan_under(
@@ -1928,20 +1899,12 @@ impl AnalysisSession {
             &unit.summaries,
             Some(link),
         );
-        if self.store.is_some() && plans.diagnostics.is_empty() {
-            // Write-behind: queue the store write-back instead of paying a
-            // per-unit gc pass here; the buffer is flushed in one batch by
+        if let (Some((store, key)), true) = (store, plans.diagnostics.is_empty()) {
+            // Queued, and appended to the pack by the round's one
             // [`Self::flush_store_writes`]. Units with planning diagnostics
             // are not persisted: the warnings would be lost on a later
             // store hit.
-            self.pending_saves.lock().unwrap().push(PendingUnitSave {
-                name: name.to_string(),
-                source: source.to_string(),
-                link: link.imports_fingerprint,
-                plans: plans.plans.clone(),
-                stats: plans.stats,
-                functions: plans.function_keys.clone(),
-            });
+            store.queue_unit(name, key, &plans.plans, &plans.stats, &plans.function_keys);
         }
         let served = UnitServe::Planned {
             reused: plans.counted.function_plan_hits,

@@ -1,111 +1,326 @@
-//! Persistent on-disk artifact store: warm starts across process restarts.
+//! Persistent artifact store: one append-only **pack** file per cache
+//! directory, so a new process over the same directory starts warm.
 //!
-//! The store keeps one JSON document per analyzed translation unit, keyed
-//! **content-addressed** — by the source text alone, *not* by the file
-//! name — plus the analysis options and, for units analyzed as part of a
-//! linked whole program, the fingerprint of the interfaces the unit
-//! *imports* from the rest of the program. A renamed or copied file (or
-//! two units that happen to share their full text, e.g. generated sources
-//! sharing one header) therefore starts **warm**: the first analysis under
-//! the new name is served from the entry the old name wrote. Nothing in a
-//! stored document embeds the unit name — the artifacts that do carry the
-//! name (parse diagnostics, the source file handle) are rebuilt from the
-//! fresh parse by the relocation layer ([`crate::relocate`]) instead of
-//! being persisted, which is what makes the name-free key sound.
+//! A *unit* record holds one translation unit's plans, statistics and
+//! per-function key snapshots ([`FunctionKeySnapshot`], so the first *edit*
+//! after a warm start re-plans only the edited function). It is keyed **by
+//! content**: source length, two independent hashes of the source text, the
+//! [`OmpDartOptions`] fingerprint and the fingerprint of what the unit
+//! imports from the rest of its program. The unit name is not in the key, so
+//! a renamed or copied file hits, and an edit to one unit leaves the others'
+//! records valid unless an interface they import moved. A *function* record
+//! holds the plan of one `static` function with a kernel under its full plan
+//! key, so units (or processes) sharing a header-defined function warm each
+//! other. Only plans are stored: parsing and rewriting re-run on every start,
+//! and parsing is deterministic, so the node ids in a stored plan fit a fresh
+//! parse of the same text and a store-served rewrite is byte-identical to a
+//! cold one.
 //!
-//! Documents reuse the versioned plan JSON of [`crate::plan::json`] and add
-//! a *full verification key*: besides the primary FNV-1a content hash
-//! (which also names the file on disk), every entry records the source
-//! length, an independent second content hash, the [`OmpDartOptions`]
-//! fingerprint, and the link fingerprint. A lookup only hits when every
-//! component matches — a corrupt file, a hash collision, a stale entry
-//! from an older format version (including the pre-v3 `(name, source)`
-//! keyed layout, which degrades cleanly to a miss), or an entry produced
-//! under different options or link surroundings is silently treated as a
-//! miss and overwritten on the next write-back, never trusted.
+//! # The pack
 //!
-//! The link fingerprint is what makes store invalidation *interface
-//! granular* across files: editing one unit changes its own content key
-//! (its entry misses and is re-planned), but other units' entries keep
-//! hitting unless the edited unit's **exported interface** changed — only
-//! then does their imported-interface fingerprint move.
+//! `<dir>/ompdart.pack` is a sequence of records:
 //!
-//! Besides the plans, each entry persists per-function sub-entries
-//! ([`FunctionKeySnapshot`]), so a warm-started session re-seeds its
-//! in-memory function-plan cache from a store hit and the *first edit*
-//! after a restart already re-plans only the edited function (access
-//! collection and local summarization are not persisted — they are cheap
-//! intermediates and re-run for the unit on that first edit).
+//! ```text
+//! magic[4] versions[4] key[7 x u64] slot[8] payload_len[4] payload_sum[8]
+//! header_sum[8] payload[payload_len]
+//! ```
 //!
-//! The store is deliberately plan-granular: plans are the expensive artifact
-//! (the data-flow analysis), while parsing and rewriting are cheap and must
-//! re-run anyway to rebuild spans and node ids for the current source.
-//! Because parsing is deterministic, node ids serialized in a stored plan
-//! line up with a fresh parse of the identical source, which is what makes
-//! a store-served rewrite byte-identical to a cold one (the same property
-//! the plan-JSON golden tests pin).
+//! `versions` packs [`STORE_FORMAT_VERSION`] and [`PLAN_FORMAT_VERSION`]; a
+//! record of another version is skipped like damage. The payload is lines of
+//! compact JSON from [`crate::plan::json`], the only codec. `slot` hashes
+//! *who* wrote the record as *what* — `(unit name, options, alone or linked)`
+//! or `(unit name, function name, options)` — which makes "superseded" a
+//! fact of the index instead of an unlink: a record is **live** while it is
+//! the latest of its slot, dead once the same name saved something newer,
+//! and still answers lookups when dead (a reverted edit hits) until a
+//! compaction drops it. A unit has one slot alone and one in its program,
+//! not one per link fingerprint: those move with every neighbour's
+//! interface, and a slot nobody writes again never dies.
 //!
-//! Disk growth is bounded two ways. Content addressing removes the name
-//! from the key, so "the previous version of this file" is tracked through
-//! tiny `ref-*` side files — one per `(unit name, options, link)` — whose
-//! only job is to let a write-back prune the entry the same file's previous
-//! save produced (a shared entry another name still points at simply
-//! re-materializes on that file's next save). On top of that, an optional
-//! size cap ([`ArtifactStore::with_max_bytes`], surfaced as `ompdart cache
-//! gc`) evicts least-recently-used entries. Eviction never touches the
-//! entry being written and removes files one atomic unlink at a time, so a
-//! concurrent reader sees either a full entry or a miss, never a torn one.
+//! *Writing.* Nothing is written while planning: records are encoded where
+//! they are produced and queued, and a flush appends the whole queue with
+//! one `O_APPEND` `write` — no temp file, no `fsync`. A crash or a full disk
+//! can tear the pack's tail; it cannot make the store lie, because a header
+//! is believed only if its checksum holds, and a payload only if its does.
+//!
+//! *Reading.* The first use of a store reads the pack once and indexes the
+//! headers, skipping payloads by length; a damaged or torn stretch is
+//! skipped to the next magic, so the records after it are still found. A
+//! miss is answered by the index without a system call. A hit decodes the
+//! one payload it needs — from the bytes of that first read until the next
+//! flush releases them, by a positioned read afterwards: a long-lived
+//! process keeps the index resident, never the payloads. Every key word has
+//! to match, a function hit also compares the stored snippet byte for byte,
+//! and queued function records answer lookups too, so the units of one round
+//! warm each other before anything is on disk. A flush re-reads the pack if
+//! its length is not the one indexed, so what another process appended (or
+//! compacted) is picked up by the next flush or start; an offset gone stale
+//! in between fails the payload checksum and is a miss.
+//!
+//! *Bounded growth.* Appending removes nothing; compaction does. After a
+//! flush that leaves more dead bytes than live ones (past
+//! [`COMPACT_FLOOR_BYTES`]) or more than the [`ArtifactStore::with_max_bytes`]
+//! cap, the live records are copied, least recently used first, into a temp
+//! file that is renamed over the pack; under a cap the oldest are left out
+//! until the rest fits, never one the current flush wrote. Recency is the
+//! position in the pack, refreshed by a hit *in this process* only: a hit in
+//! another would have to write on the read path. A process appending to the
+//! old pack while another renames a compacted one over it loses those
+//! records: a later miss. [`ArtifactStore::gc`] (`ompdart cache gc`, the
+//! daemon's `gc` verb) is the same pass under an explicit cap, and removes
+//! the files of the layouts before the pack, which are never read.
 
-use crate::pipeline::{content_hash, content_hash2, FunctionKeySnapshot, FunctionPlanKey};
+use crate::pipeline::{CachedFunctionPlan, FunctionKeySnapshot, FunctionPlanKey};
 use crate::plan::ir::{AnalysisStats, MappingPlan, PLAN_FORMAT_VERSION};
-use crate::plan::json::Json;
+use crate::plan::json::{plans_from_json, plans_to_json_value, write_json_string, Json};
 use crate::OmpDartOptions;
-use std::path::{Path, PathBuf};
-use std::time::SystemTime;
+use std::collections::HashMap;
+use std::fmt::Write as _;
+use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::path::PathBuf;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Version of the on-disk store envelope. Bumped whenever the document
-/// layout around the embedded plan JSON changes; entries written by any
-/// other version are rejected as stale. v3 moved to the content-addressed
-/// key (source text only); v2 `(name, source)` entries degrade to a miss.
-pub const STORE_FORMAT_VERSION: u32 = 3;
+/// Version of the pack format; a record of any other store or plan version
+/// is never read. v4 is the pack; v3's `unit-*`, `fn-*` and `ref-*` files
+/// are ignored, and removed by [`ArtifactStore::gc`].
+pub const STORE_FORMAT_VERSION: u32 = 4;
 
-/// FNV-1a hash of the source text alone — the primary content address.
-fn source_hash(source: &str) -> u64 {
-    content_hash("", source)
+const PACK_FILE: &str = "ompdart.pack";
+/// Starts every record. Payloads are UTF-8, which never holds `0xff`, so the
+/// scan that follows damage cannot take payload bytes for a record.
+const MAGIC: [u8; 4] = [0xff, b'O', b'D', b'P'];
+const VERSIONS: u32 = STORE_FORMAT_VERSION << 16 | PLAN_FORMAT_VERSION;
+const HEADER_LEN: usize = 4 + 4 + 7 * 8 + 8 + 4 + 8 + 8;
+const UNIT: u64 = 1;
+const FUNCTION: u64 = 2;
+
+/// Compaction runs once dead bytes exceed live bytes — the traffic of a
+/// long-lived session (`ompdart watch`, the daemon), whose every edit appends
+/// the edited unit's record and kills its predecessor: a rewrite then costs
+/// no more than was appended since the last. The floor is for a few-unit
+/// program under that traffic: below it dead bytes cost less than a rename.
+pub const COMPACT_FLOOR_BYTES: u64 = 16 << 10;
+
+/// One step of the store's hash: a bijection of `h` for any `word`, so two
+/// inputs that differ in one word never collide.
+fn fold(h: u64, word: u64) -> u64 {
+    let mixed = (h ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    mixed.rotate_left(29)
 }
 
-/// The independent second hash of the source text alone.
-fn source_hash2(source: &str) -> u64 {
-    content_hash2("", source)
+/// Two independently mixed hashes of `bytes` in one pass, eight bytes a step:
+/// both key a unit's source, the first sums headers and payloads.
+fn hash_pair(bytes: &[u8]) -> (u64, u64) {
+    let (mut a, mut b) = (0xcbf2_9ce4_8422_2325_u64, 0x2545_f491_4f6c_dd1d_u64);
+    let mut step = |word: u64| {
+        a = fold(a, word);
+        b = (b ^ word)
+            .wrapping_mul(0xd6e8_feb8_6659_fd93)
+            .rotate_left(37);
+    };
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        step(u64::from_le_bytes(chunk.try_into().expect("eight bytes")));
+    }
+    let mut tail = [0u8; 8];
+    tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
+    step(u64::from_le_bytes(tail));
+    step(bytes.len() as u64);
+    (a, b)
 }
 
-/// A directory-backed store of per-unit planning artifacts.
-///
-/// Opening a store never fails: the directory is created lazily on the
-/// first write, and every read error (missing directory, unreadable file,
-/// corrupt JSON) degrades to a cache miss.
-#[derive(Clone, Debug)]
+/// What a lookup has to match, word for word: the record kind, then a unit's
+/// source length and two hashes, options and link fingerprint, or a
+/// function's snippet length and hash and the rest of its [`FunctionPlanKey`].
+pub(crate) type RecordKey = [u64; 7];
+
+/// The key of `source` planned under `options` and `link`. Hashes the source
+/// once; the session uses one key for the lookup and the write-back.
+pub(crate) fn unit_key(source: &str, options: &OmpDartOptions, link: u64) -> RecordKey {
+    let (a, b) = hash_pair(source.as_bytes());
+    let len = source.len() as u64;
+    [UNIT, len, a, b, options.fingerprint(), link, 0]
+}
+
+fn function_key(key: &FunctionPlanKey) -> RecordKey {
+    let snippet = key.snippet.as_bytes();
+    let (len, hash, env) = (snippet.len() as u64, hash_pair(snippet).0, key.env_hash);
+    let (callees, refs, options) = (key.callees_hash, key.refs_hash, key.options_hash);
+    [FUNCTION, len, hash, env, callees, refs, options]
+}
+
+/// Who writes a record, as what (see the module docs).
+fn slot(kind: u64, who: &str, words: [u64; 2]) -> u64 {
+    let who = hash_pair(who.as_bytes()).0;
+    fold(fold(fold(who, words[0]), words[1]), kind)
+}
+
+/// The index's view of one record in the pack.
+#[derive(Clone, Copy, Debug)]
+struct Record {
+    key: RecordKey,
+    /// Where its header starts.
+    offset: u64,
+    len: u32,
+    sum: u64,
+    /// Position in the pack when indexed, then the time of the last hit.
+    recency: u64,
+}
+
+impl Record {
+    fn size(&self) -> u64 {
+        HEADER_LEN as u64 + u64::from(self.len)
+    }
+}
+
+/// The record whose header starts `bytes` and its slot, if the header's
+/// checksum holds; the caller fills in where and when.
+fn parse_header(bytes: &[u8]) -> Option<(Record, u64)> {
+    let head = bytes.get(..HEADER_LEN)?;
+    let word = |at: usize| u64::from_le_bytes(head[at..at + 8].try_into().expect("eight bytes"));
+    let half = |at: usize| u32::from_le_bytes(head[at..at + 4].try_into().expect("four bytes"));
+    let summed = HEADER_LEN - 8;
+    if head[..4] != MAGIC || half(4) != VERSIONS || word(summed) != hash_pair(&head[..summed]).0 {
+        return None;
+    }
+    let key = std::array::from_fn(|i| word(8 + 8 * i));
+    let (len, sum, offset, recency) = (half(72), word(76), 0, 0);
+    let record = Record {
+        key,
+        offset,
+        len,
+        sum,
+        recency,
+    };
+    Some((record, word(64)))
+}
+
+/// One record, header and payload, ready to append.
+fn encode_record(key: &RecordKey, slot: u64, payload: &str) -> Option<Vec<u8>> {
+    let len = u32::try_from(payload.len()).ok()?;
+    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&VERSIONS.to_le_bytes());
+    for word in key.iter().chain([&slot]) {
+        out.extend_from_slice(&word.to_le_bytes());
+    }
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(&hash_pair(payload.as_bytes()).0.to_le_bytes());
+    let sum = hash_pair(&out).0;
+    out.extend_from_slice(&sum.to_le_bytes());
+    out.extend_from_slice(payload.as_bytes());
+    Some(out)
+}
+
+fn find_magic(bytes: &[u8]) -> Option<usize> {
+    bytes.windows(MAGIC.len()).position(|w| w == MAGIC)
+}
+
+/// Append the queue, one buffer, with one `write` (more if `out` falls short).
+fn append(queue: &[u8], out: &mut impl Write) -> io::Result<()> {
+    out.write_all(queue)
+}
+
+/// A function record as it was queued: its snippet, and what was planned.
+type QueuedFunction = (String, CachedFunctionPlan);
+
+/// A store's memory: the index of the pack as last read, and the queue.
+#[derive(Debug, Default)]
+struct Pack {
+    loaded: bool,
+    /// Length of the pack the index describes.
+    scanned: u64,
+    records: Vec<Record>,
+    /// The latest record under each key: what lookups read.
+    by_key: HashMap<RecordKey, usize>,
+    /// The latest record of each slot: what is live.
+    by_slot: HashMap<u64, usize>,
+    clock: u64,
+    /// The bytes of the first read, until the next flush.
+    resident: Option<Arc<Vec<u8>>>,
+    /// The `queued` records waiting for the next flush, back to back.
+    queue: Vec<u8>,
+    queued: usize,
+    /// The queued function records by key: they answer lookups.
+    queued_functions: HashMap<RecordKey, QueuedFunction>,
+}
+
+impl Pack {
+    /// Index every intact record in `bytes`, which start at `base`.
+    fn index(&mut self, bytes: &[u8], base: u64) {
+        let mut at = 0;
+        while at < bytes.len() {
+            let header = parse_header(&bytes[at..]);
+            let end = at + HEADER_LEN + header.map_or(0, |(record, _)| record.len as usize);
+            // A record torn by a crash is followed by the next append, not
+            // by its own payload: believe a length only if a record, the
+            // end, or at least no other record's start comes after it.
+            let whole = end <= bytes.len()
+                && (end == bytes.len()
+                    || bytes[end..].starts_with(&MAGIC)
+                    || find_magic(&bytes[at + 1..end]).is_none());
+            match header {
+                Some((mut record, slot)) if whole => {
+                    self.clock += 1;
+                    (record.offset, record.recency) = (base + at as u64, self.clock);
+                    self.by_key.insert(record.key, self.records.len());
+                    self.by_slot.insert(slot, self.records.len());
+                    self.records.push(record);
+                    at = end;
+                }
+                _ => at = find_magic(&bytes[at + 1..]).map_or(bytes.len(), |i| at + 1 + i),
+            }
+        }
+    }
+
+    /// Replace the index by that of `bytes`, a whole pack.
+    fn reindex(&mut self, bytes: &[u8]) {
+        self.records.clear();
+        self.by_key.clear();
+        self.by_slot.clear();
+        self.index(bytes, 0);
+        self.scanned = bytes.len() as u64;
+        self.loaded = true;
+    }
+
+    fn live(&self) -> impl Iterator<Item = &Record> {
+        self.by_slot.values().map(|&id| &self.records[id])
+    }
+}
+
+/// A directory-backed store of planning artifacts (see the module docs).
+/// Opening one never fails and touches nothing: the pack is read on first
+/// use, the directory is created by the first flush, and every I/O error — a
+/// missing or read-only directory, a damaged pack — degrades to a miss or a
+/// lost write, never to a wrong answer.
+#[derive(Debug)]
 pub struct ArtifactStore {
     dir: PathBuf,
-    /// When set, every write-back enforces this LRU size cap.
     max_bytes: Option<u64>,
+    pack: Mutex<Pack>,
 }
 
-/// One unit's stored planning artifacts, as returned by
-/// [`ArtifactStore::load`].
+/// One unit's stored planning artifacts, as [`ArtifactStore::load`] returns.
 #[derive(Clone, Debug)]
 pub struct StoredUnit {
     /// The per-function mapping plans, in source order.
     pub plans: Vec<MappingPlan>,
     /// The aggregate statistics recorded when the plans were produced.
     pub stats: AnalysisStats,
-    /// Per-function plan-cache key snapshots (source order), used to
-    /// re-seed the in-memory function-plan cache on a hit.
-    pub functions: Vec<FunctionKeySnapshot>,
+    /// [`Self::functions`], still encoded: more bytes than the plans, and
+    /// only read by a session that plans the unit again.
+    pub(crate) snapshots: String,
 }
 
-/// One unit's queued write-back, as buffered by the session's write-behind
-/// layer and flushed in bulk through [`ArtifactStore::save_many`].
+impl StoredUnit {
+    /// Per-function plan-cache key snapshots (source order), which re-seed
+    /// the in-memory function-plan cache after a hit.
+    pub fn functions(&self) -> Vec<FunctionKeySnapshot> {
+        decode_snapshots(&self.snapshots).unwrap_or_default()
+    }
+}
+
+/// One unit's write-back, as taken by [`ArtifactStore::save_many`].
 #[derive(Clone, Debug)]
 pub struct PendingUnitSave {
     pub name: String,
@@ -116,618 +331,414 @@ pub struct PendingUnitSave {
     pub functions: Vec<FunctionKeySnapshot>,
 }
 
-/// One function's persisted planning result, stored (like the in-memory
-/// function-plan cache entry it mirrors) in the node-id/byte
-/// coordinates of the parse that produced it and relocated on every hit.
-#[derive(Clone, Debug)]
-pub(crate) struct StoredFunctionPlan {
-    pub(crate) base_id: u32,
-    pub(crate) base_pos: u32,
-    pub(crate) analyzed: bool,
-    pub(crate) fallbacks: u64,
-    pub(crate) plan: Option<MappingPlan>,
-}
-
-/// What one garbage-collection pass did.
+/// What one compaction did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GcReport {
-    /// Entries present before the pass.
+    /// Records in the pack before, live or dead (`gc`: and older layouts' files).
     pub entries_before: usize,
-    /// Entries evicted (least-recently-used first).
+    /// Records left out: the dead, and the live ones evicted to meet the cap.
     pub entries_evicted: usize,
-    /// Bytes freed by eviction.
     pub bytes_freed: u64,
-    /// Bytes still stored after the pass.
     pub bytes_kept: u64,
 }
 
 impl ArtifactStore {
-    /// A store rooted at `dir`. The directory is created on first write.
+    /// A store rooted at `dir`.
     pub fn open(dir: impl Into<PathBuf>) -> ArtifactStore {
         ArtifactStore {
             dir: dir.into(),
             max_bytes: None,
+            pack: Mutex::default(),
         }
     }
 
-    /// Enforce an LRU size cap: after every write-back, least-recently-used
-    /// entries are evicted until the store fits in `max_bytes`. The entry
-    /// just written is never evicted.
+    /// Cap the pack's size: a flush that leaves it larger compacts it, evicting
+    /// least-recently-used records — never one it just wrote — until it fits.
     pub fn with_max_bytes(mut self, max_bytes: u64) -> ArtifactStore {
         self.max_bytes = Some(max_bytes);
         self
     }
 
-    /// The configured size cap, if any.
-    pub fn max_bytes(&self) -> Option<u64> {
-        self.max_bytes
+    fn pack_path(&self) -> PathBuf {
+        self.dir.join(PACK_FILE)
     }
 
-    /// The directory backing this store.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    /// Read and index the pack as it is now; a missing one is empty.
+    fn reload(&self, pack: &mut Pack) -> Vec<u8> {
+        let bytes = std::fs::read(self.pack_path()).unwrap_or_default();
+        pack.reindex(&bytes);
+        bytes
     }
 
-    /// The on-disk path an entry for `source` under `options` and `link`
-    /// lives at. The file name carries four hashes — two independent
-    /// hashes of the source text (the content address; the unit name does
-    /// not participate), the options fingerprint, and the link fingerprint
-    /// — so sessions with different options or link surroundings sharing
-    /// one `cache_dir` coexist instead of overwriting each other.
-    /// Colliding hashes share a path but are disambiguated by the in-file
-    /// verification key.
-    pub fn entry_path(&self, source: &str, options: &OmpDartOptions, link: u64) -> PathBuf {
-        self.dir.join(format!(
-            "unit-{:016x}-{:016x}-{:016x}-{:016x}.json",
-            source_hash(source),
-            source_hash2(source),
-            options.fingerprint(),
-            link,
-        ))
+    /// [`Self::reload`] if another process appended to the pack or compacted it.
+    fn refresh(&self, pack: &mut Pack) {
+        let len = std::fs::metadata(self.pack_path()).map_or(0, |meta| meta.len());
+        if len != pack.scanned {
+            self.reload(pack);
+        }
     }
 
-    /// The path of the tiny side file remembering which content entry the
-    /// unit called `name` last wrote under `options` and `link` — the only
-    /// place the unit *name* still appears (hashed), and only so a later
-    /// save can prune the superseded entry.
-    fn ref_path(&self, name: &str, options: &OmpDartOptions, link: u64) -> PathBuf {
-        self.dir.join(format!(
-            "ref-{:016x}-{:016x}-{:016x}.ref",
-            content_hash(name, ""),
-            options.fingerprint(),
-            link,
-        ))
+    /// The state, with the pack indexed: the first call reads it, once, and
+    /// keeps the bytes for this round's hits. A poisoned lock is taken over:
+    /// the index is a hint (a hit re-verifies what it reads), never unsafe.
+    fn loaded(&self) -> MutexGuard<'_, Pack> {
+        let mut pack = self.pack.lock().unwrap_or_else(PoisonError::into_inner);
+        if !pack.loaded {
+            pack.resident = Some(Arc::new(self.reload(&mut pack)));
+        }
+        pack
     }
 
-    fn files_with_prefix(&self, prefix: &str) -> Vec<PathBuf> {
-        std::fs::read_dir(&self.dir)
-            .map(|entries| {
-                entries
-                    .filter_map(Result::ok)
-                    .map(|e| e.path())
-                    .filter(|p| {
-                        p.file_name()
-                            .and_then(|n| n.to_str())
-                            .is_some_and(|n| n.starts_with(prefix) && n.ends_with(".json"))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    fn entry_files(&self) -> Vec<PathBuf> {
-        self.files_with_prefix("unit-")
-    }
-
-    /// Every evictable cache file: unit entries plus function-level
-    /// entries. The LRU garbage collector works over this set.
-    fn cache_files(&self) -> Vec<PathBuf> {
-        let mut files = self.files_with_prefix("unit-");
-        files.extend(self.files_with_prefix("fn-"));
-        files
-    }
-
-    /// Number of unit entries currently on disk (diagnostics and tests).
+    /// Number of live unit records in the pack (diagnostics and tests).
     pub fn entry_count(&self) -> usize {
-        self.entry_files().len()
+        self.loaded().live().filter(|r| r.key[0] == UNIT).count()
     }
 
-    /// Number of function-level entries currently on disk.
+    /// Number of live function records in the pack.
     pub fn function_entry_count(&self) -> usize {
-        self.files_with_prefix("fn-").len()
+        let function = |record: &&Record| record.key[0] == FUNCTION;
+        self.loaded().live().filter(function).count()
     }
 
-    /// Total size in bytes of all cache files currently on disk.
+    /// Size of the pack in bytes, as last read or written by this store.
     pub fn total_bytes(&self) -> u64 {
-        self.cache_files()
-            .iter()
-            .filter_map(|p| std::fs::metadata(p).ok())
-            .map(|m| m.len())
-            .sum()
+        self.loaded().scanned
     }
 
-    /// True when no entries are stored.
-    pub fn is_empty(&self) -> bool {
-        self.entry_count() == 0
+    /// The payload under `key`, decoded: `None` unless the index holds the
+    /// key, the payload's checksum holds, and `decode` takes it.
+    fn read<R>(&self, key: &RecordKey, decode: impl FnOnce(&str) -> Option<R>) -> Option<R> {
+        let (record, resident) = {
+            let mut pack = self.loaded();
+            let id = *pack.by_key.get(key)?;
+            pack.clock += 1;
+            pack.records[id].recency = pack.clock;
+            (pack.records[id], pack.resident.clone())
+        };
+        let (start, len) = (record.offset + HEADER_LEN as u64, record.len as usize);
+        let mut read = Vec::new();
+        let payload = match &resident {
+            Some(bytes) => bytes.get(start as usize..start as usize + len)?,
+            None => {
+                let mut file = std::fs::File::open(self.pack_path()).ok()?;
+                file.seek(SeekFrom::Start(start)).ok()?;
+                file.take(len as u64).read_to_end(&mut read).ok()?;
+                &read[..]
+            }
+        };
+        // A cache may lose its tail; it may never lie.
+        if payload.len() != len || hash_pair(payload).0 != record.sum {
+            return None;
+        }
+        decode(std::str::from_utf8(payload).ok()?)
     }
 
-    /// Look up the stored plans for `source` under `options` and `link` —
-    /// the unit name does not participate, so renamed or copied files hit
-    /// the entries their previous name wrote. Returns `None` unless the
-    /// entry exists, parses, carries the expected versions, and its full
-    /// key — source length, both content hashes, the options fingerprint,
-    /// and the link fingerprint — matches exactly. A hit refreshes the
-    /// entry's modification time (best effort) so LRU eviction sees it as
-    /// recently used.
+    /// The stored plans for `source` under `options` and `link`. The unit name
+    /// does not participate: a renamed or copied file hits.
     pub fn load(&self, source: &str, options: &OmpDartOptions, link: u64) -> Option<StoredUnit> {
-        let path = self.entry_path(source, options, link);
-        let text = std::fs::read_to_string(&path).ok()?;
-        let doc = Json::parse(&text).ok()?;
-        if doc.get("store_version").and_then(Json::as_int) != Some(i64::from(STORE_FORMAT_VERSION))
-            || doc.get("version").and_then(Json::as_int) != Some(i64::from(PLAN_FORMAT_VERSION))
-        {
-            return None;
-        }
-        let key = doc.get("key")?;
-        let matches = key.get("len").and_then(Json::as_int) == Some(source.len() as i64)
-            && key.get("fnv").and_then(Json::as_str)
-                == Some(format!("{:016x}", source_hash(source)).as_str())
-            && key.get("fnv2").and_then(Json::as_str)
-                == Some(format!("{:016x}", source_hash2(source)).as_str())
-            && doc.get("options").and_then(Json::as_str)
-                == Some(format!("{:016x}", options.fingerprint()).as_str())
-            && doc.get("link").and_then(Json::as_str) == Some(format!("{link:016x}").as_str());
-        if !matches {
-            return None;
-        }
-        let plans = doc
-            .get("plans")
-            .and_then(Json::as_array)?
-            .iter()
-            .map(MappingPlan::from_json_value)
-            .collect::<Result<Vec<_>, _>>()
-            .ok()?;
-        let stats = AnalysisStats::from_json(doc.get("stats")?).ok()?;
-        let functions = doc
-            .get("functions")
-            .and_then(Json::as_array)?
-            .iter()
-            .map(function_key_from_json)
-            .collect::<Option<Vec<_>>>()?;
-        // LRU touch: a hit makes the entry "recently used". Best effort —
-        // read-only stores simply age out faster.
-        if let Ok(file) = std::fs::OpenOptions::new().write(true).open(&path) {
-            let _ = file.set_modified(SystemTime::now());
-        }
-        Some(StoredUnit {
-            plans,
-            stats,
-            functions,
+        self.load_unit(&unit_key(source, options, link))
+    }
+
+    pub(crate) fn load_unit(&self, key: &RecordKey) -> Option<StoredUnit> {
+        self.read(key, |payload| {
+            let mut lines = payload.splitn(3, '\n');
+            Some(StoredUnit {
+                plans: plans_from_json(lines.next()?).ok()?,
+                stats: AnalysisStats::from_json(&Json::parse(lines.next()?).ok()?).ok()?,
+                snapshots: lines.next()?.to_string(),
+            })
         })
     }
 
-    /// Write back the plans for `source` produced under `options` and
-    /// `link`. The write is atomic (temp file + rename) so concurrent
-    /// writers and crashed processes never leave a torn entry behind.
-    ///
-    /// The entry itself is content-addressed and name-free; `name` is used
-    /// only to update the unit's `ref-*` side file and prune the entry the
-    /// same unit's *previous* save produced, so a long editing session
-    /// still leaves one content entry per (unit, options, link) on disk —
-    /// not one per save. When a size cap is configured, least-recently-used
-    /// entries are then evicted until the store fits, never including the
-    /// entry just written.
-    #[allow(clippy::too_many_arguments)]
-    pub fn save(
+    /// Look up one function's stored planning result under its full plan
+    /// key: the index matches the key's hashes, the stored snippet is then
+    /// compared byte for byte. The key names no unit, which is what lets
+    /// units sharing a header-defined `static` function warm each other.
+    pub(crate) fn load_function(&self, key: &FunctionPlanKey) -> Option<CachedFunctionPlan> {
+        let record_key = function_key(key);
+        if let Some((snippet, entry)) = self.loaded().queued_functions.get(&record_key) {
+            return (*snippet == key.snippet).then(|| entry.clone());
+        }
+        self.read(&record_key, |payload| {
+            let mut parts = payload.splitn(3, '\n');
+            let (plan, facts) = (parts.next()?, Json::parse(parts.next()?).ok()?);
+            let [base_id, base_pos, analyzed, fallbacks] = facts.as_array()? else {
+                return None;
+            };
+            if parts.next()? != key.snippet {
+                return None;
+            }
+            Some(CachedFunctionPlan {
+                base_id: u32::try_from(base_id.as_int()?).ok()?,
+                base_pos: u32::try_from(base_pos.as_int()?).ok()?,
+                analyzed: analyzed.as_bool()?,
+                fallbacks: u64::try_from(fallbacks.as_int()?).ok()?,
+                plan: match plan {
+                    "" => None,
+                    plan => Some(MappingPlan::from_json(plan).ok()?),
+                },
+                // Only functions planned without diagnostics are stored.
+                diagnostics: Default::default(),
+            })
+        })
+    }
+
+    /// Queue one record, and with a function's what answers lookups for it.
+    fn enqueue(&self, key: RecordKey, slot: u64, payload: &str, function: Option<QueuedFunction>) {
+        let Some(record) = encode_record(&key, slot, payload) else {
+            return;
+        };
+        let mut pack = self.loaded();
+        pack.queue.extend_from_slice(&record);
+        pack.queued += 1;
+        pack.queued_functions
+            .extend(function.map(|function| (key, function)));
+    }
+
+    /// Queue the plans of the unit called `name` (which only says whose save
+    /// this supersedes) for the next [`Self::flush`], as three lines: the
+    /// compact plan document, the statistics, the key snapshots.
+    pub(crate) fn queue_unit(
         &self,
         name: &str,
-        source: &str,
-        options: &OmpDartOptions,
-        link: u64,
+        key: RecordKey,
         plans: &[MappingPlan],
         stats: &AnalysisStats,
         functions: &[FunctionKeySnapshot],
-    ) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(&self.dir)?;
-        let path = self.write_entry(source, options, link, plans, stats, functions)?;
-        self.repoint_ref(name, options, link, &path);
-        self.finish_batch(std::slice::from_ref(&path));
-        Ok(path)
+    ) {
+        let mut payload = plans_to_json_value(plans).render();
+        payload.push('\n');
+        stats.to_json().render_into(&mut payload);
+        payload.push_str("\n[");
+        for (i, s) in functions.iter().enumerate() {
+            payload.push_str(if i > 0 { ",[" } else { "[" });
+            write_json_string(&mut payload, s.function.as_str());
+            // Hashes are written as the integers they are (reinterpreted as
+            // `i64`), so reading one back allocates nothing.
+            let [env, callees, refs] = [s.env_hash, s.callees_hash, s.refs_hash].map(|h| h as i64);
+            let (options, fallbacks) = (s.options_hash as i64, s.fallbacks as i64);
+            let (id, pos, len, analyzed, has) =
+                (s.base_id, s.base_pos, s.snippet_len, s.analyzed, s.has_plan);
+            let _ = write!(
+                payload,
+                ",{id},{pos},{len},{env},{callees},{refs},{options},{analyzed},{has},{fallbacks}]"
+            );
+        }
+        payload.push(']');
+        let linked = u64::from(key[5] != crate::program::UNLINKED);
+        self.enqueue(key, slot(UNIT, name, [key[4], linked]), &payload, None);
     }
 
-    /// Write back many units' plans in one batch — the write-behind flush
-    /// of a whole-program analysis. Per-entry atomicity is identical to
-    /// [`ArtifactStore::save`] (each entry is its own temp file + rename,
-    /// each superseded previous entry its own atomic unlink), but the
-    /// directory-wide work — the LRU garbage collection — runs **once** for
-    /// the whole batch instead of once per unit, so a 1000-unit cold link
-    /// pays one directory scan, not 1000. None of the just-written entries
-    /// is ever evicted by the batch's own gc pass.
+    /// Queue the plan of `function`, planned in `unit`, for the next
+    /// [`Self::flush`]; lookups see it from now on. The compact plan (or an
+    /// empty line), one line of facts, and the snippet as it is, to the end.
+    pub(crate) fn queue_function(
+        &self,
+        unit: &str,
+        function: &str,
+        key: &FunctionPlanKey,
+        entry: &CachedFunctionPlan,
+    ) {
+        let mut payload = String::new();
+        if let Some(plan) = &entry.plan {
+            plan.to_json_value().render_into(&mut payload);
+        }
+        let (id, pos, fallbacks) = (entry.base_id, entry.base_pos, entry.fallbacks as i64);
+        let _ = write!(payload, "\n[{id},{pos},{},{fallbacks}]\n", entry.analyzed);
+        payload.push_str(&key.snippet);
+        let slot = slot(
+            FUNCTION,
+            &format!("{unit}\0{function}"),
+            [key.options_hash, 0],
+        );
+        let queued = (key.snippet.clone(), entry.clone());
+        self.enqueue(function_key(key), slot, &payload, Some(queued));
+    }
+
+    /// Write back many units' plans: queue them, then flush the queue.
+    /// Returns the files written — the pack, or none for an empty batch.
     pub fn save_many(
         &self,
         options: &OmpDartOptions,
         saves: &[PendingUnitSave],
-    ) -> std::io::Result<Vec<PathBuf>> {
-        if saves.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.prepare_dir()?;
-        let mut paths = Vec::with_capacity(saves.len());
+    ) -> io::Result<Vec<PathBuf>> {
         for save in saves {
-            paths.push(self.save_one(options, save)?);
+            let key = unit_key(&save.source, options, save.link);
+            self.queue_unit(&save.name, key, &save.plans, &save.stats, &save.functions);
         }
-        self.finish_batch(&paths);
-        Ok(paths)
+        let written = self.flush()?;
+        Ok(Vec::from_iter((written > 0).then(|| self.pack_path())))
     }
 
-    /// Ensure the store directory exists — the once-per-batch prelude of
-    /// [`ArtifactStore::save_one`] fan-outs.
-    pub(crate) fn prepare_dir(&self) -> std::io::Result<()> {
-        std::fs::create_dir_all(&self.dir)
-    }
-
-    /// Write one batch member's content entry and re-point its `ref-*`
-    /// side file. Per-entry atomicity is identical to
-    /// [`ArtifactStore::save`] (own temp file + rename), and entries are
-    /// independent of each other, so a whole batch of `save_one` calls may
-    /// run concurrently — e.g. fanned out over the session's worker pool
-    /// by `AnalysisSession::flush_store_writes`. Callers must run
-    /// [`ArtifactStore::prepare_dir`] once first and
-    /// [`ArtifactStore::finish_batch`] once afterwards.
-    pub(crate) fn save_one(
-        &self,
-        options: &OmpDartOptions,
-        save: &PendingUnitSave,
-    ) -> std::io::Result<PathBuf> {
-        let path = self.write_entry(
-            &save.source,
-            options,
-            save.link,
-            &save.plans,
-            &save.stats,
-            &save.functions,
-        )?;
-        self.repoint_ref(&save.name, options, save.link, &path);
-        Ok(path)
-    }
-
-    /// The directory-wide epilogue of a batch of [`ArtifactStore::save_one`]
-    /// calls: one LRU garbage collection for the whole batch (never evicting
-    /// the entries just written) when a size cap is configured.
-    pub(crate) fn finish_batch(&self, paths: &[PathBuf]) {
-        if let Some(max) = self.max_bytes {
-            let _ = self.gc_protecting(max, paths);
+    /// Append every queued record to the pack with one `write`, compact it if
+    /// it has outgrown its bounds, release the bytes kept from the first read.
+    /// Returns the number of records written; lost on an error: a later miss.
+    pub(crate) fn flush(&self) -> io::Result<usize> {
+        let mut pack = self.loaded();
+        pack.resident = None;
+        pack.queued_functions.clear();
+        let queue = std::mem::take(&mut pack.queue);
+        let queued = std::mem::take(&mut pack.queued);
+        if queue.is_empty() {
+            return Ok(0);
         }
+        std::fs::create_dir_all(&self.dir)?;
+        let mut options = std::fs::OpenOptions::new();
+        let mut file = options.append(true).create(true).open(self.pack_path())?;
+        self.refresh(&mut pack);
+        let mark = pack.clock;
+        append(&queue, &mut file)?;
+        let end = file.stream_position()?;
+        if end.checked_sub(queue.len() as u64) == Some(pack.scanned) {
+            let start = pack.scanned;
+            pack.index(&queue, start);
+            pack.scanned = end;
+        } else {
+            // Another process appended between the refresh and the write.
+            self.reload(&mut pack);
+        }
+        let cap = self.max_bytes.unwrap_or(u64::MAX);
+        let live: u64 = pack.live().map(Record::size).sum();
+        if end > cap || end.saturating_sub(live) > live.max(COMPACT_FLOOR_BYTES) {
+            // Best effort: a failed compaction leaves pack and index alone.
+            let _ = self.compact(&mut pack, cap, mark);
+        }
+        Ok(queued)
     }
 
-    /// Atomically materialize one content-addressed entry document.
-    fn write_entry(
-        &self,
-        source: &str,
-        options: &OmpDartOptions,
-        link: u64,
-        plans: &[MappingPlan],
-        stats: &AnalysisStats,
-        functions: &[FunctionKeySnapshot],
-    ) -> std::io::Result<PathBuf> {
-        let doc = Json::Object(vec![
-            (
-                "store_version".into(),
-                Json::Int(i64::from(STORE_FORMAT_VERSION)),
-            ),
-            ("version".into(), Json::Int(i64::from(PLAN_FORMAT_VERSION))),
-            (
-                "key".into(),
-                Json::Object(vec![
-                    ("len".into(), Json::Int(source.len() as i64)),
-                    (
-                        "fnv".into(),
-                        Json::Str(format!("{:016x}", source_hash(source))),
-                    ),
-                    (
-                        "fnv2".into(),
-                        Json::Str(format!("{:016x}", source_hash2(source))),
-                    ),
-                ]),
-            ),
-            (
-                "options".into(),
-                Json::Str(format!("{:016x}", options.fingerprint())),
-            ),
-            ("link".into(), Json::Str(format!("{link:016x}"))),
-            ("stats".into(), stats.to_json()),
-            (
-                "functions".into(),
-                Json::Array(functions.iter().map(function_key_to_json).collect()),
-            ),
-            (
-                "plans".into(),
-                Json::Array(plans.iter().map(MappingPlan::to_json_value).collect()),
-            ),
-        ]);
-        let path = self.entry_path(source, options, link);
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        std::fs::write(&tmp, doc.render_pretty())?;
-        std::fs::rename(&tmp, &path)?;
-        Ok(path)
+    /// Rewrite the pack as its live records, least recently used first,
+    /// leaving out the oldest until the rest fits in `cap` — but none newer
+    /// than `mark`. The caller has brought the index up to date.
+    fn compact(&self, pack: &mut Pack, cap: u64, mark: u64) -> io::Result<GcReport> {
+        let mut keep: Vec<Record> = pack.live().copied().collect();
+        keep.sort_by_key(|record| record.recency);
+        let mut total: u64 = keep.iter().map(Record::size).sum();
+        keep.retain(|record| {
+            let evict = total > cap && record.recency <= mark;
+            total -= if evict { record.size() } else { 0 };
+            !evict
+        });
+        let (entries_before, bytes_before) = (pack.records.len(), pack.scanned);
+        if total != pack.scanned {
+            let old = std::fs::read(self.pack_path())?;
+            let mut new = Vec::with_capacity(total as usize);
+            for record in &keep {
+                // Copy the record only if it is still where the index has it.
+                let at = record.offset as usize;
+                let bytes = old.get(at..at + record.size() as usize);
+                let same = |(h, _): (Record, u64)| (h.key, h.sum) == (record.key, record.sum);
+                let there = bytes.filter(|bytes| parse_header(bytes).is_some_and(same));
+                new.extend_from_slice(there.unwrap_or_default());
+            }
+            if new.is_empty() {
+                std::fs::remove_file(self.pack_path())?;
+            } else {
+                // A store compacts under its lock: process and address name it.
+                let temp = format!("{PACK_FILE}.{}.{self:p}", std::process::id());
+                let temp = self.dir.join(temp);
+                let renamed = std::fs::write(&temp, &new)
+                    .and_then(|()| std::fs::rename(&temp, self.pack_path()));
+                if renamed.is_err() {
+                    let _ = std::fs::remove_file(&temp);
+                }
+                renamed?;
+            }
+            pack.reindex(&new);
+        }
+        Ok(GcReport {
+            entries_before,
+            entries_evicted: entries_before - pack.records.len(),
+            bytes_freed: bytes_before.saturating_sub(pack.scanned),
+            bytes_kept: pack.scanned,
+        })
     }
 
-    /// Evict least-recently-used entries until the store's total size fits
-    /// in `max_bytes`. Returns what the pass did. Entries are removed one
-    /// atomic unlink at a time; in-flight temp files are never touched.
+    /// Compact the pack down to `max_bytes`, evicting least-recently-used
+    /// records, and remove what older layouts and interrupted compactions
+    /// left in the directory.
     pub fn gc(&self, max_bytes: u64) -> GcReport {
-        self.gc_protecting(max_bytes, &[])
-    }
-
-    fn gc_protecting(&self, max_bytes: u64, protect: &[PathBuf]) -> GcReport {
-        let mut entries: Vec<(PathBuf, SystemTime, u64)> = self
-            .cache_files()
-            .into_iter()
-            .filter_map(|p| {
-                let meta = std::fs::metadata(&p).ok()?;
-                let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
-                Some((p, mtime, meta.len()))
-            })
-            .collect();
-        let mut report = GcReport {
-            entries_before: entries.len(),
-            ..Default::default()
-        };
-        let mut total: u64 = entries.iter().map(|(_, _, len)| *len).sum();
-        // Oldest first; ties broken by path for determinism.
-        entries.sort_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-        for (path, _, len) in entries {
-            if total <= max_bytes {
-                break;
-            }
-            if protect.contains(&path) {
-                continue;
-            }
-            if std::fs::remove_file(&path).is_ok() {
-                total = total.saturating_sub(len);
+        let mut pack = self.loaded();
+        pack.resident = None;
+        self.refresh(&mut pack);
+        let compacted = self.compact(&mut pack, max_bytes, u64::MAX);
+        let mut report = compacted.unwrap_or_default();
+        for entry in std::fs::read_dir(&self.dir).into_iter().flatten().flatten() {
+            let name = entry.file_name();
+            let name = name.to_string_lossy();
+            let stale = name.starts_with(PACK_FILE) && name != PACK_FILE
+                || name.ends_with(".json")
+                    && (name.starts_with("unit-") || name.starts_with("fn-"))
+                || name.ends_with(".ref") && name.starts_with("ref-");
+            let len = entry.metadata().map_or(0, |meta| meta.len());
+            if stale && std::fs::remove_file(entry.path()).is_ok() {
+                report.entries_before += 1;
                 report.entries_evicted += 1;
                 report.bytes_freed += len;
             }
         }
-        report.bytes_kept = total;
         report
     }
-
-    /// Best-effort removal of the entry superseded by a fresh write.
-    ///
-    /// Content addressing removed the unit name from the entry key, so
-    /// "this file's previous version" is remembered through the unit's
-    /// `ref-*` side file: it names the content entry the same
-    /// `(name, options, link)` triple last wrote. If that entry differs
-    /// from the one just written, it is deleted (if another unit still
-    /// shares that content, its next save simply re-materializes it — a
-    /// cache miss, never an error) and the ref is repointed.
-    fn repoint_ref(&self, name: &str, options: &OmpDartOptions, link: u64, keep: &Path) {
-        let keep_file = keep.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        let ref_path = self.ref_path(name, options, link);
-        if let Ok(previous) = std::fs::read_to_string(&ref_path) {
-            let previous = previous.trim();
-            if !previous.is_empty()
-                && previous != keep_file
-                && previous.starts_with("unit-")
-                && previous.ends_with(".json")
-                && !previous.contains(['/', '\\'])
-            {
-                let _ = std::fs::remove_file(self.dir.join(previous));
-            }
-        }
-        let _ = std::fs::write(&ref_path, keep_file);
-    }
 }
 
-// ---------------------------------------------------------------------------
-// Function-level entries
-// ---------------------------------------------------------------------------
-
-/// Hash over the non-snippet components of a function plan key, used as
-/// the third field of a function entry's file name. Purely an index — the
-/// in-file key re-verifies every component individually.
-fn function_meta_hash(key: &FunctionPlanKey) -> u64 {
-    content_hash(
-        &format!(
-            "{:016x}{:016x}{:016x}{:016x}",
-            key.env_hash, key.callees_hash, key.refs_hash, key.options_hash
-        ),
-        "",
-    )
-}
-
-impl ArtifactStore {
-    /// The on-disk path of a function-level entry: two independent hashes
-    /// of the function's source snippet plus one hash over the remaining
-    /// key components (environment, callee summaries, refs, options). The
-    /// file name only indexes — a hit additionally requires the in-file
-    /// key to match, including the stored snippet byte for byte.
-    pub(crate) fn function_entry_path(&self, key: &FunctionPlanKey) -> PathBuf {
-        self.dir.join(format!(
-            "fn-{:016x}-{:016x}-{:016x}.json",
-            source_hash(&key.snippet),
-            source_hash2(&key.snippet),
-            function_meta_hash(key),
-        ))
-    }
-
-    /// Look up one function's stored planning result under the full plan
-    /// key. Same discipline as [`ArtifactStore::load`]: versions, every
-    /// hash component, and the full snippet text must match exactly, and a
-    /// hit refreshes the entry's mtime so LRU eviction sees it as recently
-    /// used. This is what lets two units (or two processes) sharing a
-    /// header-defined `static` function warm each other: the key carries
-    /// no unit name, only the function's complete planning inputs.
-    pub(crate) fn load_function(&self, key: &FunctionPlanKey) -> Option<StoredFunctionPlan> {
-        let path = self.function_entry_path(key);
-        let text = std::fs::read_to_string(&path).ok()?;
-        let doc = Json::parse(&text).ok()?;
-        if doc.get("store_version").and_then(Json::as_int) != Some(i64::from(STORE_FORMAT_VERSION))
-            || doc.get("version").and_then(Json::as_int) != Some(i64::from(PLAN_FORMAT_VERSION))
-        {
-            return None;
+/// The inverse of the third line [`ArtifactStore::queue_unit`] writes.
+pub(crate) fn decode_snapshots(text: &str) -> Option<Vec<FunctionKeySnapshot>> {
+    let small = |value: &Json| u32::try_from(value.as_int()?).ok();
+    let hash = |value: &Json| value.as_int().map(|n| n as u64);
+    let decode = |value: &Json| match value.as_array()? {
+        [function, id, pos, len, env, callees, refs, options, analyzed, has_plan, fallbacks] => {
+            Some(FunctionKeySnapshot {
+                function: ompdart_frontend::Symbol::intern(function.as_str()?),
+                base_id: small(id)?,
+                base_pos: small(pos)?,
+                snippet_len: small(len)?,
+                env_hash: hash(env)?,
+                callees_hash: hash(callees)?,
+                refs_hash: hash(refs)?,
+                options_hash: hash(options)?,
+                analyzed: analyzed.as_bool()?,
+                has_plan: has_plan.as_bool()?,
+                fallbacks: hash(fallbacks)?,
+            })
         }
-        let stored_key = doc.get("key")?;
-        let matches = stored_key.get("len").and_then(Json::as_int)
-            == Some(key.snippet.len() as i64)
-            && hex_u64(stored_key.get("env")) == Some(key.env_hash)
-            && hex_u64(stored_key.get("callees")) == Some(key.callees_hash)
-            && hex_u64(stored_key.get("refs")) == Some(key.refs_hash)
-            && hex_u64(stored_key.get("options")) == Some(key.options_hash)
-            && doc.get("snippet").and_then(Json::as_str) == Some(key.snippet.as_str());
-        if !matches {
-            return None;
-        }
-        let int_u32 = |k: &str| -> Option<u32> {
-            doc.get(k)
-                .and_then(Json::as_int)
-                .and_then(|n| u32::try_from(n).ok())
-        };
-        let plan = match doc.get("plan") {
-            Some(value) => Some(MappingPlan::from_json_value(value).ok()?),
-            None => None,
-        };
-        let entry = StoredFunctionPlan {
-            base_id: int_u32("base_id")?,
-            base_pos: int_u32("base_pos")?,
-            analyzed: doc.get("analyzed").and_then(Json::as_bool)?,
-            fallbacks: doc
-                .get("fallbacks")
-                .and_then(Json::as_int)
-                .and_then(|n| u64::try_from(n).ok())?,
-            plan,
-        };
-        if let Ok(file) = std::fs::OpenOptions::new().write(true).open(&path) {
-            let _ = file.set_modified(SystemTime::now());
-        }
-        Some(entry)
-    }
-
-    /// Write back one function's planning result under its full plan key.
-    /// Atomic (temp file + rename) like the unit entries; no directory
-    /// sweep or gc runs here — function entries participate in the LRU
-    /// accounting of the next unit-level save's gc pass instead.
-    pub(crate) fn save_function(
-        &self,
-        key: &FunctionPlanKey,
-        entry: &StoredFunctionPlan,
-    ) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(&self.dir)?;
-        let mut fields = vec![
-            (
-                "store_version".into(),
-                Json::Int(i64::from(STORE_FORMAT_VERSION)),
-            ),
-            ("version".into(), Json::Int(i64::from(PLAN_FORMAT_VERSION))),
-            (
-                "key".into(),
-                Json::Object(vec![
-                    ("len".into(), Json::Int(key.snippet.len() as i64)),
-                    ("env".into(), Json::Str(format!("{:016x}", key.env_hash))),
-                    (
-                        "callees".into(),
-                        Json::Str(format!("{:016x}", key.callees_hash)),
-                    ),
-                    ("refs".into(), Json::Str(format!("{:016x}", key.refs_hash))),
-                    (
-                        "options".into(),
-                        Json::Str(format!("{:016x}", key.options_hash)),
-                    ),
-                ]),
-            ),
-            ("snippet".into(), Json::Str(key.snippet.clone())),
-            ("base_id".into(), Json::Int(i64::from(entry.base_id))),
-            ("base_pos".into(), Json::Int(i64::from(entry.base_pos))),
-            ("analyzed".into(), Json::Bool(entry.analyzed)),
-            ("fallbacks".into(), Json::Int(entry.fallbacks as i64)),
-        ];
-        if let Some(plan) = &entry.plan {
-            fields.push(("plan".into(), plan.to_json_value()));
-        }
-        let doc = Json::Object(fields);
-        let path = self.function_entry_path(key);
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        std::fs::write(&tmp, doc.render_pretty())?;
-        std::fs::rename(&tmp, &path)?;
-        Ok(path)
-    }
-}
-
-fn hex_u64(value: Option<&Json>) -> Option<u64> {
-    value
-        .and_then(Json::as_str)
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-}
-
-fn function_key_to_json(key: &FunctionKeySnapshot) -> Json {
-    Json::Object(vec![
-        ("function".into(), Json::Str(key.function.to_string())),
-        ("base_id".into(), Json::Int(i64::from(key.base_id))),
-        ("base_pos".into(), Json::Int(i64::from(key.base_pos))),
-        ("snippet_len".into(), Json::Int(i64::from(key.snippet_len))),
-        ("env".into(), Json::Str(format!("{:016x}", key.env_hash))),
-        (
-            "callees".into(),
-            Json::Str(format!("{:016x}", key.callees_hash)),
-        ),
-        ("refs".into(), Json::Str(format!("{:016x}", key.refs_hash))),
-        (
-            "options".into(),
-            Json::Str(format!("{:016x}", key.options_hash)),
-        ),
-        ("analyzed".into(), Json::Bool(key.analyzed)),
-        ("has_plan".into(), Json::Bool(key.has_plan)),
-        ("fallbacks".into(), Json::Int(key.fallbacks as i64)),
-    ])
-}
-
-fn function_key_from_json(value: &Json) -> Option<FunctionKeySnapshot> {
-    let int_u32 = |k: &str| -> Option<u32> {
-        value
-            .get(k)
-            .and_then(Json::as_int)
-            .and_then(|n| u32::try_from(n).ok())
+        _ => None,
     };
-    Some(FunctionKeySnapshot {
-        function: ompdart_frontend::Symbol::intern(value.get("function").and_then(Json::as_str)?),
-        base_id: int_u32("base_id")?,
-        base_pos: int_u32("base_pos")?,
-        snippet_len: int_u32("snippet_len")?,
-        env_hash: hex_u64(value.get("env"))?,
-        callees_hash: hex_u64(value.get("callees"))?,
-        refs_hash: hex_u64(value.get("refs"))?,
-        options_hash: hex_u64(value.get("options"))?,
-        analyzed: value.get("analyzed").and_then(Json::as_bool)?,
-        has_plan: value.get("has_plan").and_then(Json::as_bool)?,
-        fallbacks: value
-            .get("fallbacks")
-            .and_then(Json::as_int)
-            .and_then(|n| u64::try_from(n).ok())?,
-    })
+    let document = Json::parse(text).ok()?;
+    document.as_array()?.iter().map(decode).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::ir::MapSpec;
+    use crate::plan::json::plans_to_json;
     use crate::program::UNLINKED;
+    use ompdart_frontend::diag::Diagnostics;
     use ompdart_frontend::omp::MapType;
+    use std::sync::Barrier;
 
-    fn temp_store(tag: &str) -> ArtifactStore {
+    fn temp_dir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("ompdart-store-test-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        ArtifactStore::open(dir)
+        dir
     }
 
-    fn sample_plans() -> Vec<MappingPlan> {
+    fn temp_store(tag: &str) -> ArtifactStore {
+        ArtifactStore::open(temp_dir(tag))
+    }
+
+    /// One plan mapping `var`, so different saves hold different bytes.
+    fn plans_of(var: &str) -> Vec<MappingPlan> {
         let mut plan = MappingPlan {
             function: "main".into(),
             ..Default::default()
         };
-        plan.maps.push(MapSpec::new("a", MapType::ToFrom));
+        plan.maps.push(MapSpec::new(var, MapType::ToFrom));
         vec![plan]
+    }
+
+    fn sample_plans() -> Vec<MappingPlan> {
+        plans_of("a")
     }
 
     fn sample_keys() -> Vec<FunctionKeySnapshot> {
@@ -737,13 +748,40 @@ mod tests {
             base_pos: 14,
             snippet_len: 25,
             env_hash: 0x1111,
-            callees_hash: 0x2222,
+            callees_hash: 0xffff_ffff_ffff_2222,
             refs_hash: 0x3333,
             options_hash: 0x4444,
             analyzed: true,
             has_plan: true,
             fallbacks: 1,
         }]
+    }
+
+    fn pending(name: &str, source: &str, link: u64, plans: &[MappingPlan]) -> PendingUnitSave {
+        PendingUnitSave {
+            name: name.to_string(),
+            source: source.to_string(),
+            link,
+            plans: plans.to_vec(),
+            stats: AnalysisStats::default(),
+            functions: sample_keys(),
+        }
+    }
+
+    /// Save one unit through the public batch entry point.
+    fn save(store: &ArtifactStore, name: &str, source: &str, options: &OmpDartOptions, link: u64) {
+        let batch = [pending(name, source, link, &sample_plans())];
+        store.save_many(options, &batch).unwrap();
+    }
+
+    /// The names in `dir`, sorted.
+    fn listing(dir: &std::path::Path) -> Vec<String> {
+        let entries = std::fs::read_dir(dir).into_iter().flatten().flatten();
+        let mut names: Vec<String> = entries
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
     }
 
     #[test]
@@ -754,364 +792,282 @@ mod tests {
             map_clauses: 1,
             ..Default::default()
         };
-        let plans = sample_plans();
-        store
-            .save(
-                "demo.c",
-                "int main() {}",
-                &options,
-                UNLINKED,
-                &plans,
-                &stats,
-                &sample_keys(),
-            )
-            .unwrap();
+        let mut unit = pending("demo.c", "int main() {}", UNLINKED, &sample_plans());
+        unit.stats = stats;
+        let written = store.save_many(&options, &[unit]).unwrap();
+        assert_eq!(written, vec![store.pack_path()]);
         assert_eq!(store.entry_count(), 1);
+        assert_eq!(listing(&store.dir), [PACK_FILE]);
 
-        let hit = store.load("int main() {}", &options, UNLINKED).unwrap();
-        assert_eq!(hit.plans, plans);
-        assert_eq!(hit.stats, stats);
-        assert_eq!(hit.functions, sample_keys());
+        // This instance (index built from what it wrote) and a new one
+        // (index built from the file) agree.
+        for store in [&store, &ArtifactStore::open(&store.dir)] {
+            let hit = store.load("int main() {}", &options, UNLINKED).unwrap();
+            assert_eq!(hit.plans, sample_plans());
+            assert_eq!(hit.stats, stats);
+            assert_eq!(hit.functions(), sample_keys());
 
-        // Different source, options, or link fingerprint must miss.
-        assert!(store.load("int main() { }", &options, UNLINKED).is_none());
-        let other_options = OmpDartOptions {
-            interprocedural: false,
-            ..OmpDartOptions::default()
-        };
-        assert!(store
-            .load("int main() {}", &other_options, UNLINKED)
-            .is_none());
-        assert!(store.load("int main() {}", &options, 0xdead_beef).is_none());
-        let _ = std::fs::remove_dir_all(store.dir());
+            // Different source, options, or link fingerprint must miss.
+            assert!(store.load("int main() { }", &options, UNLINKED).is_none());
+            let other_options = OmpDartOptions {
+                interprocedural: false,
+                ..OmpDartOptions::default()
+            };
+            assert!(store
+                .load("int main() {}", &other_options, UNLINKED)
+                .is_none());
+            assert!(store.load("int main() {}", &options, 0xdead_beef).is_none());
+        }
+        let _ = std::fs::remove_dir_all(&store.dir);
     }
 
     /// The key is the *content*, not the name: a renamed or copied file
-    /// hits the entry its previous name wrote, and saving identical
-    /// content under a second name shares the entry instead of duplicating
-    /// it.
+    /// hits the record its previous name wrote, and a record stays live
+    /// while any name's latest save refers to its content — an edit of one
+    /// owner does not take shared content from under the other.
     #[test]
     fn content_addressing_shares_entries_across_names() {
         let store = temp_store("content");
         let options = OmpDartOptions::default();
-        let stats = AnalysisStats::default();
-        let plans = sample_plans();
-        store
-            .save(
-                "a.c",
-                "void f() {}",
-                &options,
-                UNLINKED,
-                &plans,
-                &stats,
-                &[],
-            )
-            .unwrap();
+        save(&store, "a.c", "void f() {}", &options, UNLINKED);
         // The "renamed file" does not even participate in the lookup —
         // only the content does.
         assert!(store.load("void f() {}", &options, UNLINKED).is_some());
 
-        // A second unit with identical content shares the entry.
-        store
-            .save(
-                "b.c",
-                "void f() {}",
-                &options,
-                UNLINKED,
-                &plans,
-                &stats,
-                &[],
-            )
-            .unwrap();
-        assert_eq!(store.entry_count(), 1, "identical content must share");
+        // A second unit with identical content, then an edit of the first.
+        save(&store, "b.c", "void f() {}", &options, UNLINKED);
+        save(&store, "a.c", "void f() { f(); }", &options, UNLINKED);
+        assert_eq!(store.entry_count(), 2, "one live record per name");
 
-        // Editing a.c prunes only its own previous entry (the shared one);
-        // b.c's next save re-materializes it — a miss, never corruption.
-        store
-            .save(
-                "a.c",
-                "void f() { f(); }",
-                &options,
-                UNLINKED,
-                &plans,
-                &stats,
-                &[],
-            )
-            .unwrap();
-        assert_eq!(store.entry_count(), 1);
-        assert!(store.load("void f() {}", &options, UNLINKED).is_none());
-        assert!(store
-            .load("void f() { f(); }", &options, UNLINKED)
-            .is_some());
-        let _ = std::fs::remove_dir_all(store.dir());
+        // b.c's content survives a.c's edit, a compaction included; a.c's
+        // superseded record (same content, written first) is what goes.
+        let report = store.gc(u64::MAX);
+        assert_eq!((report.entries_before, report.entries_evicted), (3, 1));
+        for store in [&store, &ArtifactStore::open(&store.dir)] {
+            assert!(store.load("void f() {}", &options, UNLINKED).is_some());
+            assert!(store
+                .load("void f() { f(); }", &options, UNLINKED)
+                .is_some());
+        }
+        let _ = std::fs::remove_dir_all(&store.dir);
+    }
+
+    /// Rewrite the header of the first record in `pack` through `edit`,
+    /// keeping its checksum right: what a writer of another version, or a
+    /// colliding key, would have left.
+    fn reheader(pack: &mut [u8], edit: impl FnOnce(&mut [u8])) {
+        let summed = HEADER_LEN - 8;
+        edit(&mut pack[..summed]);
+        let sum = hash_pair(&pack[..summed]).0;
+        pack[summed..HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
     }
 
     #[test]
     fn corrupt_and_stale_entries_are_rejected() {
         let store = temp_store("corrupt");
         let options = OmpDartOptions::default();
-        let stats = AnalysisStats::default();
-        let save = || {
-            store
-                .save(
-                    "x.c",
-                    "void f() {}",
-                    &options,
-                    UNLINKED,
-                    &sample_plans(),
-                    &stats,
-                    &[],
-                )
-                .unwrap()
-        };
-        save();
-        let path = store.entry_path("void f() {}", &options, UNLINKED);
+        save(&store, "x.c", "void f() {}", &options, UNLINKED);
+        let path = store.pack_path();
+        let intact = std::fs::read(&path).unwrap();
+        let load = || ArtifactStore::open(&store.dir).load("void f() {}", &options, UNLINKED);
+        assert!(load().is_some());
 
-        // Corrupt JSON: miss, not a panic or a bad deserialization.
-        std::fs::write(&path, "{ not json").unwrap();
-        assert!(store.load("void f() {}", &options, UNLINKED).is_none());
+        // Not a pack at all: a miss, not a panic or a bad decode.
+        std::fs::write(&path, "{ not a pack").unwrap();
+        assert!(load().is_none());
 
-        // A valid document from a future store version: stale, rejected.
-        save();
-        let bumped = std::fs::read_to_string(&path).unwrap().replacen(
-            "\"store_version\": 3",
-            "\"store_version\": 99",
-            1,
-        );
-        std::fs::write(&path, bumped).unwrap();
-        assert!(store.load("void f() {}", &options, UNLINKED).is_none());
+        // A well-formed record of a future store version: never read.
+        let mut future = intact.clone();
+        reheader(&mut future, |head| head[6] = 99);
+        std::fs::write(&path, &future).unwrap();
+        assert!(load().is_none());
 
-        // An entry whose key was tampered with (collision simulation).
-        save();
-        let tampered =
-            std::fs::read_to_string(&path)
-                .unwrap()
-                .replacen("\"len\": 11", "\"len\": 12", 1);
-        std::fs::write(&path, tampered).unwrap();
-        assert!(store.load("void f() {}", &options, UNLINKED).is_none());
-        let _ = std::fs::remove_dir_all(store.dir());
+        // A record under a key that differs in one word (its length).
+        let mut other_key = intact.clone();
+        reheader(&mut other_key, |head| head[16] ^= 1);
+        std::fs::write(&path, &other_key).unwrap();
+        assert!(load().is_none());
+
+        // A payload that no longer sums up, though it still parses: the
+        // variable name went from `a` to `b`.
+        let mut lying = intact.clone();
+        let at = intact
+            .windows(9)
+            .position(|w| w == b"\"var\":\"a\"")
+            .unwrap();
+        lying[at + 7] = b'b';
+        std::fs::write(&path, &lying).unwrap();
+        assert!(load().is_none());
+
+        std::fs::write(&path, &intact).unwrap();
+        assert!(load().is_some());
+        let _ = std::fs::remove_dir_all(&store.dir);
     }
 
-    /// Store migration: a v2 `(name, source)`-keyed document — whether it
-    /// sits at its legacy path or happens to collide with a v3 path —
-    /// degrades cleanly to a miss, and the next save for the same content
-    /// overwrites the colliding one. (Legacy files at their own paths are
-    /// dead weight that leaves through the LRU `gc`.)
+    /// Store migration: the v3 directory of `unit-*`/`fn-*`/`ref-*` files
+    /// (and anything older) is never read — a miss — and leaves through
+    /// `gc`, which touches nothing else in the directory.
     #[test]
-    fn v2_entries_degrade_to_miss() {
+    fn v3_files_are_never_read_and_leave_through_gc() {
         let store = temp_store("migrate");
         let options = OmpDartOptions::default();
-        let stats = AnalysisStats::default();
-        let plans = sample_plans();
-        let source = "void f() {}";
+        std::fs::create_dir_all(&store.dir).unwrap();
+        let legacy = [
+            "unit-00000000000000aa-00000000000000bb-00000000000000cc-00000000000000dd.json",
+            "fn-00000000000000aa-00000000000000bb-00000000000000cc.json",
+            "ref-00000000000000aa-00000000000000bb-00000000000000cc.ref",
+            "ompdart.pack.123.0x7f00",
+        ];
+        for name in legacy {
+            std::fs::write(store.dir.join(name), "{\"store_version\": 3}").unwrap();
+        }
+        std::fs::write(store.dir.join("notes.txt"), "not the store's").unwrap();
+        assert!(store.load("void f() {}", &options, UNLINKED).is_none());
+        assert_eq!(store.entry_count(), 0);
 
-        // A v2-era document at its own four-field path: first field is the
-        // *name* hash, which v3 never looks up — unreadable dead weight.
-        let v2_path = store.dir().join(format!(
-            "unit-{:016x}-{:016x}-{:016x}-{:016x}.json",
-            content_hash("old.c", ""),
-            content_hash("old.c", source),
-            options.fingerprint(),
-            UNLINKED,
-        ));
-        std::fs::create_dir_all(store.dir()).unwrap();
-        std::fs::write(&v2_path, "{\"store_version\": 2}").unwrap();
-        // ...and a pre-link three-field one.
-        let v2_short = store.dir().join(format!(
-            "unit-{:016x}-{:016x}-{:016x}.json",
-            content_hash("old.c", ""),
-            content_hash("old.c", source),
-            options.fingerprint(),
-        ));
-        std::fs::write(&v2_short, "{}").unwrap();
-        assert!(store.load(source, &options, UNLINKED).is_none());
+        // A save beside them lands in the pack and hits.
+        save(&store, "old.c", "void f() {}", &options, UNLINKED);
+        assert!(store.load("void f() {}", &options, UNLINKED).is_some());
 
-        // Even a v2 document sitting exactly at the v3 path (simulated
-        // collision) is rejected by its store_version.
-        let v3_path = store.entry_path(source, &options, UNLINKED);
-        std::fs::write(
-            &v3_path,
-            format!(
-                "{{\"store_version\": 2, \"version\": 1, \"key\": {{\"name\": \"old.c\", \
-                 \"len\": {}, \"fnv\": \"x\", \"fnv2\": \"x\"}}}}",
-                source.len()
-            ),
-        )
-        .unwrap();
-        assert!(
-            store.load(source, &options, UNLINKED).is_none(),
-            "a v2 document must degrade to a miss, never be trusted"
-        );
-
-        // A save of the same content replaces the colliding document.
-        store
-            .save("old.c", source, &options, UNLINKED, &plans, &stats, &[])
-            .unwrap();
-        assert!(store.load(source, &options, UNLINKED).is_some());
-        let _ = std::fs::remove_dir_all(store.dir());
+        let report = store.gc(u64::MAX);
+        assert_eq!((report.entries_before, report.entries_evicted), (5, 4));
+        assert_eq!(listing(&store.dir), ["notes.txt", PACK_FILE]);
+        assert!(store.load("void f() {}", &options, UNLINKED).is_some());
+        let _ = std::fs::remove_dir_all(&store.dir);
     }
 
-    /// Different option sets sharing one cache dir coexist (distinct
-    /// files), while superseded content of the same (unit, options) pair
-    /// is pruned on write-back so disk is bounded by the unit count, not
-    /// the save count.
+    /// Different option sets sharing one cache dir coexist, while the
+    /// superseded content of the same (unit, options) pair is dead: it is
+    /// not counted, and a compaction drops it, so disk is bounded by the
+    /// unit count, not the save count.
     #[test]
     fn options_variants_coexist_and_superseded_versions_are_pruned() {
         let store = temp_store("prune");
-        let stats = AnalysisStats::default();
-        let plans = sample_plans();
         let defaults = OmpDartOptions::default();
         let no_ip = OmpDartOptions {
             interprocedural: false,
             ..OmpDartOptions::default()
         };
-        let save = |name: &str, src: &str, opts: &OmpDartOptions| {
-            store
-                .save(name, src, opts, UNLINKED, &plans, &stats, &[])
-                .unwrap();
-        };
-        save("a.c", "v1", &defaults);
-        save("a.c", "v1", &no_ip);
+        save(&store, "a.c", "v1", &defaults, UNLINKED);
+        save(&store, "a.c", "v1", &no_ip, UNLINKED);
         assert_eq!(store.entry_count(), 2, "options variants must coexist");
         assert!(store.load("v1", &defaults, UNLINKED).is_some());
         assert!(store.load("v1", &no_ip, UNLINKED).is_some());
 
-        // New content for the default options: the old default entry is
-        // pruned, the other-options entry survives.
-        save("a.c", "v2", &defaults);
+        // New content for the default options: the old default record is
+        // dead (until compacted it still answers — a revert would hit), the
+        // other-options record is untouched.
+        save(&store, "a.c", "v2", &defaults, UNLINKED);
         assert_eq!(store.entry_count(), 2);
+        assert!(store.load("v1", &defaults, UNLINKED).is_some());
+        store.gc(u64::MAX);
         assert!(store.load("v1", &defaults, UNLINKED).is_none());
         assert!(store.load("v2", &defaults, UNLINKED).is_some());
         assert!(store.load("v1", &no_ip, UNLINKED).is_some());
 
         // Other units are untouched by pruning.
-        save("b.c", "w1", &defaults);
-        save("a.c", "v3", &defaults);
+        save(&store, "b.c", "w1", &defaults, UNLINKED);
+        save(&store, "a.c", "v3", &defaults, UNLINKED);
         assert_eq!(store.entry_count(), 3);
+        store.gc(u64::MAX);
         assert!(store.load("w1", &defaults, UNLINKED).is_some());
-        let _ = std::fs::remove_dir_all(store.dir());
+        assert_eq!(store.entry_count(), 3);
+        let _ = std::fs::remove_dir_all(&store.dir);
     }
 
-    /// Entries for the same unit under different *link* surroundings
-    /// coexist through write-backs (a unit analyzed stand-alone and inside
-    /// a program shares one cache dir without thrashing), while superseded
-    /// content under the *same* link is still pruned.
+    /// Records for the same unit under different *link* surroundings
+    /// coexist (a unit analyzed stand-alone and inside a program shares one
+    /// cache dir without thrashing), while superseded content under the
+    /// *same* link is dead and leaves with the next compaction.
     #[test]
     fn link_variants_coexist_and_superseded_content_is_pruned() {
         let store = temp_store("linkprune");
         let options = OmpDartOptions::default();
-        let stats = AnalysisStats::default();
-        let plans = sample_plans();
         let linked = 0xabcd_u64;
-
-        store
-            .save("u.c", "v1", &options, UNLINKED, &plans, &stats, &[])
-            .unwrap();
-        store
-            .save("u.c", "v1", &options, linked, &plans, &stats, &[])
-            .unwrap();
+        save(&store, "u.c", "v1", &options, UNLINKED);
+        save(&store, "u.c", "v1", &options, linked);
         assert_eq!(store.entry_count(), 2, "link variants must coexist");
-        assert!(store.load("v1", &options, UNLINKED).is_some());
-        assert!(store.load("v1", &options, linked).is_some());
 
-        // New content under one link prunes only that link's old entry.
-        store
-            .save("u.c", "v2", &options, linked, &plans, &stats, &[])
-            .unwrap();
+        save(&store, "u.c", "v2", &options, linked);
         assert_eq!(store.entry_count(), 2);
+        let report = store.gc(u64::MAX);
+        assert_eq!(report.entries_evicted, 1);
         assert!(store.load("v1", &options, UNLINKED).is_some());
         assert!(store.load("v1", &options, linked).is_none());
         assert!(store.load("v2", &options, linked).is_some());
-        let _ = std::fs::remove_dir_all(store.dir());
+        let _ = std::fs::remove_dir_all(&store.dir);
     }
 
-    /// `save_many` batches a whole program's write-backs: per-entry
-    /// atomicity and ref-repointing match `save` (superseded content is
-    /// pruned), with one gc pass for the batch.
+    /// `save_many` writes a whole program's records as one batch into the
+    /// one pack; a re-flush supersedes exactly the records of the units that
+    /// changed.
     #[test]
     fn save_many_batches_and_prunes_like_save() {
         let store = temp_store("many");
         let options = OmpDartOptions::default();
-        let stats = AnalysisStats::default();
         let plans = sample_plans();
         let batch = |srcs: &[(&str, &str)]| -> Vec<PendingUnitSave> {
-            srcs.iter()
-                .map(|(name, src)| PendingUnitSave {
-                    name: name.to_string(),
-                    source: src.to_string(),
-                    link: UNLINKED,
-                    plans: plans.clone(),
-                    stats,
-                    functions: Vec::new(),
-                })
+            (srcs.iter())
+                .map(|(name, src)| pending(name, src, UNLINKED, &plans))
                 .collect()
         };
-        let paths = store
-            .save_many(
-                &options,
-                &batch(&[("a.c", "s1"), ("b.c", "s2"), ("c.c", "s3")]),
-            )
-            .unwrap();
-        assert_eq!(paths.len(), 3);
+        let first = batch(&[("a.c", "s1"), ("b.c", "s2"), ("c.c", "s3")]);
+        store.save_many(&options, &first).unwrap();
         assert_eq!(store.entry_count(), 3);
+        assert_eq!(listing(&store.dir), [PACK_FILE]);
         for src in ["s1", "s2", "s3"] {
             assert!(store.load(src, &options, UNLINKED).is_some());
         }
 
-        // A re-flush with one edited unit prunes only its superseded entry.
-        store
-            .save_many(
-                &options,
-                &batch(&[("a.c", "s1-edited"), ("b.c", "s2"), ("c.c", "s3")]),
-            )
-            .unwrap();
+        // A re-flush with one edited unit: still three live records, and
+        // the compaction drops the three superseded ones.
+        let second = batch(&[("a.c", "s1-edited"), ("b.c", "s2"), ("c.c", "s3")]);
+        store.save_many(&options, &second).unwrap();
         assert_eq!(store.entry_count(), 3);
+        assert_eq!(store.gc(u64::MAX).entries_evicted, 3);
         assert!(store.load("s1", &options, UNLINKED).is_none());
         assert!(store.load("s1-edited", &options, UNLINKED).is_some());
         assert!(store.load("s2", &options, UNLINKED).is_some());
 
         // The empty batch is a no-op.
         assert!(store.save_many(&options, &[]).unwrap().is_empty());
-        let _ = std::fs::remove_dir_all(store.dir());
+        let _ = std::fs::remove_dir_all(&store.dir);
     }
 
-    /// The batch flush enforces the size cap once, and never evicts an
-    /// entry the batch itself just wrote — only older entries age out.
+    /// Size of the pack one sample unit makes.
+    fn one_record_bytes(tag: &str) -> u64 {
+        let probe = temp_store(tag);
+        save(
+            &probe,
+            "probe.c",
+            "p00",
+            &OmpDartOptions::default(),
+            UNLINKED,
+        );
+        let one = probe.total_bytes();
+        assert_eq!(probe.gc(0).bytes_kept, 0);
+        assert!(listing(&probe.dir).is_empty(), "an empty pack is no file");
+        let _ = std::fs::remove_dir_all(&probe.dir);
+        one
+    }
+
+    /// The batch flush enforces the size cap once, and never evicts a
+    /// record the batch itself just wrote — only older ones age out.
     #[test]
     fn save_many_gc_protects_the_whole_batch() {
-        let dir =
-            std::env::temp_dir().join(format!("ompdart-store-test-{}-manycap", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let probe = ArtifactStore::open(&dir);
+        let one = one_record_bytes("manycap-probe");
         let options = OmpDartOptions::default();
-        let stats = AnalysisStats::default();
+        // Room for roughly three records; one old record, then a batch of
+        // three: the old one is the only eviction candidate.
+        let store = temp_store("manycap").with_max_bytes(one * 3 + one / 2);
+        save(&store, "old.c", "old", &options, UNLINKED);
         let plans = sample_plans();
-        probe
-            .save("probe.c", "p", &options, UNLINKED, &plans, &stats, &[])
-            .unwrap();
-        let one = probe.total_bytes();
-        let _ = probe.gc(0);
-
-        // Room for roughly three entries; one old entry, then a batch of
-        // three: the old entry is the only eviction candidate.
-        let store = ArtifactStore::open(&dir).with_max_bytes(one * 3 + one / 2);
-        store
-            .save("old.c", "old", &options, UNLINKED, &plans, &stats, &[])
-            .unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let batch: Vec<PendingUnitSave> = [("n0.c", "n0"), ("n1.c", "n1"), ("n2.c", "n2")]
+        let batch: Vec<PendingUnitSave> = [("n0.c", "n00"), ("n1.c", "n01"), ("n2.c", "n02")]
             .iter()
-            .map(|(name, src)| PendingUnitSave {
-                name: name.to_string(),
-                source: src.to_string(),
-                link: UNLINKED,
-                plans: plans.clone(),
-                stats,
-                functions: Vec::new(),
-            })
+            .map(|(name, src)| pending(name, src, UNLINKED, &plans))
             .collect();
         store.save_many(&options, &batch).unwrap();
-        for src in ["n0", "n1", "n2"] {
+        for src in ["n00", "n01", "n02"] {
             assert!(
                 store.load(src, &options, UNLINKED).is_some(),
                 "batch member {src} must survive its own flush"
@@ -1119,14 +1075,19 @@ mod tests {
         }
         assert!(
             store.load("old", &options, UNLINKED).is_none(),
-            "the pre-existing entry must be the one evicted"
+            "the pre-existing record must be the one evicted"
         );
-        let _ = std::fs::remove_dir_all(&dir);
+        // A batch larger than the cap is kept whole all the same.
+        let tight = temp_store("manycap-tight").with_max_bytes(one);
+        tight.save_many(&options, &batch).unwrap();
+        assert_eq!(tight.entry_count(), 3);
+        let _ = std::fs::remove_dir_all(&store.dir);
+        let _ = std::fs::remove_dir_all(&tight.dir);
     }
 
     fn sample_fn_key() -> FunctionPlanKey {
         FunctionPlanKey {
-            snippet: "static void f(void) { }".into(),
+            snippet: "static void f(void) {\n  g(\"x\");\n}".into(),
             env_hash: 0xaaaa,
             callees_hash: 0xbbbb,
             refs_hash: 0,
@@ -1134,75 +1095,81 @@ mod tests {
         }
     }
 
-    /// Function-level entries round-trip under the full plan key, reject
-    /// any differing component (including a tampered snippet), and
-    /// participate in the LRU gc accounting.
+    fn sample_fn_entry(plan: Option<MappingPlan>) -> CachedFunctionPlan {
+        CachedFunctionPlan {
+            base_id: 7,
+            base_pos: 120,
+            analyzed: plan.is_some(),
+            fallbacks: 2,
+            plan,
+            diagnostics: Diagnostics::new(),
+        }
+    }
+
+    /// Function records round-trip under the full plan key — from the queue
+    /// before the flush, from the pack after it — reject any differing
+    /// component (including a snippet behind a colliding hash), and are part
+    /// of the gc accounting.
     #[test]
     fn function_entries_round_trip_and_verify_their_key() {
         let store = temp_store("fnentry");
         let key = sample_fn_key();
-        let entry = StoredFunctionPlan {
-            base_id: 7,
-            base_pos: 120,
-            analyzed: true,
-            fallbacks: 2,
-            plan: Some(sample_plans().remove(0)),
+        let entry = sample_fn_entry(Some(sample_plans().remove(0)));
+        store.queue_function("a.c", "f", &key, &entry);
+        let check = |store: &ArtifactStore| {
+            let hit = store.load_function(&key).expect("exact key must hit");
+            assert_eq!((hit.base_id, hit.base_pos), (7, 120));
+            assert_eq!((hit.analyzed, hit.fallbacks), (true, 2));
+            assert_eq!(hit.plan, entry.plan);
+            assert!(hit.diagnostics.is_empty());
+            // Any differing key component must miss.
+            for change in [0, 1, 2, 3] {
+                let mut other = sample_fn_key();
+                match change {
+                    0 => other.env_hash ^= 1,
+                    1 => other.callees_hash ^= 1,
+                    2 => other.options_hash ^= 1,
+                    _ => other.snippet.push(' '),
+                }
+                assert!(store.load_function(&other).is_none(), "change {change}");
+            }
         };
-        store.save_function(&key, &entry).unwrap();
+        check(&store);
+        assert!(
+            listing(&store.dir).is_empty(),
+            "a queued record is not on disk"
+        );
+        assert_eq!(store.flush().unwrap(), 1);
+        check(&store);
+        check(&ArtifactStore::open(&store.dir));
         assert_eq!(store.function_entry_count(), 1);
         assert_eq!(
             store.entry_count(),
             0,
-            "function entries are not unit entries"
+            "function records are not unit records"
         );
-        let hit = store.load_function(&key).expect("exact key must hit");
-        assert_eq!(hit.base_id, 7);
-        assert_eq!(hit.base_pos, 120);
-        assert!(hit.analyzed);
-        assert_eq!(hit.fallbacks, 2);
-        assert_eq!(hit.plan, entry.plan);
 
-        // Any differing key component must miss.
-        let mut other = sample_fn_key();
-        other.env_hash ^= 1;
-        assert!(store.load_function(&other).is_none());
-        let mut other = sample_fn_key();
-        other.callees_hash ^= 1;
-        assert!(store.load_function(&other).is_none());
-        let mut other = sample_fn_key();
-        other.snippet.push(' ');
-        assert!(store.load_function(&other).is_none());
+        // A different snippet behind the same index words (a hash collision,
+        // simulated by re-keying the lookup) is rejected byte for byte.
+        let mut collided = sample_fn_key();
+        collided.snippet = collided.snippet.replace("\"x\"", "\"y\"");
+        let forged = function_key(&key);
+        let decode = |payload: &str| Some(payload.ends_with(&collided.snippet));
+        assert_eq!(store.read(&forged, decode), Some(false));
 
-        // A tampered snippet (index-collision simulation) is rejected by
-        // the byte-for-byte verification.
-        let path = store.function_entry_path(&key);
-        let tampered = std::fs::read_to_string(&path).unwrap().replacen(
-            "static void f(void) { }",
-            "static void g(void) { }",
-            1,
-        );
-        std::fs::write(&path, tampered).unwrap();
-        assert!(store.load_function(&key).is_none());
-
-        // Entries without a plan round-trip too.
-        let planless = StoredFunctionPlan {
-            base_id: 1,
-            base_pos: 0,
-            analyzed: false,
-            fallbacks: 0,
-            plan: None,
-        };
-        store.save_function(&key, &planless).unwrap();
+        // Records without a plan round-trip too, and supersede: same unit,
+        // same function.
+        store.queue_function("a.c", "f", &key, &sample_fn_entry(None));
+        store.flush().unwrap();
         let hit = store.load_function(&key).unwrap();
-        assert!(hit.plan.is_none());
-        assert!(!hit.analyzed);
+        assert!(hit.plan.is_none() && !hit.analyzed);
+        assert_eq!(store.function_entry_count(), 1);
 
-        // Function entries are part of the gc accounting.
-        assert!(store.total_bytes() > 0);
         let report = store.gc(0);
-        assert!(report.entries_evicted >= 1);
+        assert_eq!((report.entries_before, report.entries_evicted), (2, 2));
         assert_eq!(store.function_entry_count(), 0);
-        let _ = std::fs::remove_dir_all(store.dir());
+        assert!(store.load_function(&key).is_none());
+        let _ = std::fs::remove_dir_all(&store.dir);
     }
 
     #[test]
@@ -1211,24 +1178,18 @@ mod tests {
         assert!(store
             .load("int x;", &OmpDartOptions::default(), UNLINKED)
             .is_none());
-        assert!(store.is_empty());
+        assert_eq!(store.entry_count(), 0);
         assert_eq!(store.gc(0), GcReport::default());
     }
 
-    /// LRU gc evicts oldest entries first and never the protected (just
-    /// written) one; the explicit `gc` entry point reports its work.
+    /// Compaction under a cap evicts the least recently used first — a hit
+    /// in this process refreshes a record — and reports its work.
     #[test]
     fn gc_evicts_least_recently_used_first() {
         let store = temp_store("gc");
         let options = OmpDartOptions::default();
-        let stats = AnalysisStats::default();
-        let plans = sample_plans();
         for (name, src) in [("a.c", "s1"), ("b.c", "s2"), ("c.c", "s3")] {
-            store
-                .save(name, src, &options, UNLINKED, &plans, &stats, &[])
-                .unwrap();
-            // Distinct mtimes even on coarse-grained filesystems.
-            std::thread::sleep(std::time::Duration::from_millis(20));
+            save(&store, name, src, &options, UNLINKED);
         }
         assert_eq!(store.entry_count(), 3);
         let total = store.total_bytes();
@@ -1236,68 +1197,576 @@ mod tests {
 
         // Touch a.c (the oldest) via a load hit: b.c becomes the LRU.
         assert!(store.load("s1", &options, UNLINKED).is_some());
-        std::thread::sleep(std::time::Duration::from_millis(20));
 
         let report = store.gc(total - one);
-        assert_eq!(report.entries_before, 3);
-        assert!(report.entries_evicted >= 1);
-        assert!(report.bytes_kept <= total - one);
+        assert_eq!((report.entries_before, report.entries_evicted), (3, 1));
+        assert_eq!(report.bytes_kept, total - one);
+        assert_eq!(report.bytes_freed, one);
         assert!(
             store.load("s1", &options, UNLINKED).is_some(),
-            "recently-used entry must survive"
+            "recently-used record must survive"
         );
         assert!(
             store.load("s2", &options, UNLINKED).is_none(),
-            "least-recently-used entry must be evicted"
+            "least-recently-used record must be evicted"
         );
+        // The order survives in the file: the next process evicts c.c, the
+        // older of the two by position.
+        let next = ArtifactStore::open(&store.dir);
+        assert_eq!(next.gc(one).entries_evicted, 1);
+        assert!(next.load("s1", &options, UNLINKED).is_some());
+        assert!(next.load("s3", &options, UNLINKED).is_none());
 
-        // gc(0) clears everything.
+        // gc(0) clears everything, the file included.
         let report = store.gc(0);
         assert_eq!(report.bytes_kept, 0);
-        assert!(store.is_empty());
-        let _ = std::fs::remove_dir_all(store.dir());
+        assert_eq!(store.entry_count(), 0);
+        assert!(listing(&store.dir).is_empty());
+        let _ = std::fs::remove_dir_all(&store.dir);
     }
 
-    /// A capped store stays under its limit on every save, and the entry
+    /// A capped store stays under its limit on every save, and the record
     /// being written is never the one evicted.
     #[test]
     fn size_cap_is_enforced_on_save() {
-        let dir =
-            std::env::temp_dir().join(format!("ompdart-store-test-{}-cap", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let probe = ArtifactStore::open(&dir);
+        let one = one_record_bytes("cap-probe");
         let options = OmpDartOptions::default();
-        let stats = AnalysisStats::default();
-        let plans = sample_plans();
-        probe
-            .save("probe.c", "p", &options, UNLINKED, &plans, &stats, &[])
-            .unwrap();
-        let one = probe.total_bytes();
-        let _ = probe.gc(0);
-
-        // Room for roughly two entries.
-        let store = ArtifactStore::open(&dir).with_max_bytes(one * 2 + one / 2);
+        // Room for roughly two records.
+        let store = temp_store("cap").with_max_bytes(one * 2 + one / 2);
         for (i, name) in ["u0.c", "u1.c", "u2.c", "u3.c"].iter().enumerate() {
-            store
-                .save(
-                    name,
-                    &format!("src{i}"),
-                    &options,
-                    UNLINKED,
-                    &plans,
-                    &stats,
-                    &[],
-                )
-                .unwrap();
+            let source = format!("src{i}");
+            save(&store, name, &source, &options, UNLINKED);
             assert!(
                 store.total_bytes() <= one * 2 + one / 2,
                 "cap exceeded after saving {name}"
             );
-            // The freshly written entry always survives its own save.
-            assert!(store.load(&format!("src{i}"), &options, UNLINKED).is_some());
-            std::thread::sleep(std::time::Duration::from_millis(20));
+            let on_disk = std::fs::metadata(store.pack_path()).unwrap().len();
+            assert_eq!(on_disk, store.total_bytes());
+            // The freshly written record always survives its own save.
+            assert!(store.load(&source, &options, UNLINKED).is_some());
         }
-        assert!(store.entry_count() <= 2);
+        assert_eq!(store.entry_count(), 2);
+        let _ = std::fs::remove_dir_all(&store.dir);
+    }
+
+    /// Counts calls, the way `protocol.rs` pins `write_frame`.
+    struct CountingWriter {
+        sink: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.sink.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A flush of a whole program's unit and function records is one
+    /// `write` into one file; nothing else is ever created. A miss makes no
+    /// system call and a hit writes nothing.
+    #[test]
+    fn a_flush_is_one_write_a_miss_no_call_and_a_hit_no_write() {
+        let store = temp_store("onewrite");
+        let options = OmpDartOptions::default();
+        let plans = sample_plans();
+        for (name, source) in [("a.c", "s1"), ("b.c", "s2"), ("c.c", "s3")] {
+            let key = unit_key(source, &options, UNLINKED);
+            store.queue_unit(name, key, &plans, &AnalysisStats::default(), &sample_keys());
+        }
+        let function = sample_fn_entry(plans.first().cloned());
+        store.queue_function("a.c", "f", &sample_fn_key(), &function);
+
+        // What `flush` does with the queue, on a writer that counts.
+        let batch = store.loaded().queue.clone();
+        let mut out = CountingWriter {
+            sink: Vec::new(),
+            writes: 0,
+        };
+        append(&batch, &mut out).unwrap();
+        assert_eq!(out.writes, 1, "the whole queue must go out in one write");
+        assert_eq!(out.sink, batch);
+        let mut index = Pack::default();
+        index.index(&batch, 0);
+        assert_eq!(index.records.len(), 4);
+
+        assert_eq!(store.flush().unwrap(), 4);
+        assert_eq!(listing(&store.dir), [PACK_FILE]);
+        assert_eq!(std::fs::read(store.pack_path()).unwrap(), batch);
+
+        // A new instance reads the pack once; then the directory can go
+        // away under it: misses stay misses and hits stay hits, because
+        // neither touches the file system.
+        let fresh = ArtifactStore::open(&store.dir);
+        assert!(fresh.load("s1", &options, UNLINKED).is_some());
+        let gone = store.dir.with_extension("gone");
+        let _ = std::fs::remove_dir_all(&gone);
+        std::fs::rename(&store.dir, &gone).unwrap();
+        assert!(fresh.load("never saved", &options, UNLINKED).is_none());
+        assert!(fresh.load("s2", &options, UNLINKED).is_some());
+        assert!(fresh.load_function(&sample_fn_key()).is_some());
+        std::fs::rename(&gone, &store.dir).unwrap();
+
+        // After a flush the bytes are released and a hit is a positioned
+        // read: still no write — the pack's bytes and times do not move.
+        assert_eq!(fresh.flush().unwrap(), 0);
+        assert!(fresh.loaded().resident.is_none());
+        let before = std::fs::metadata(store.pack_path()).unwrap();
+        for _ in 0..3 {
+            assert!(fresh.load("s3", &options, UNLINKED).is_some());
+            assert!(fresh.load("never saved", &options, UNLINKED).is_none());
+        }
+        let after = std::fs::metadata(store.pack_path()).unwrap();
+        assert_eq!(before.len(), after.len());
+        assert_eq!(before.modified().unwrap(), after.modified().unwrap());
+        assert_eq!(listing(&store.dir), [PACK_FILE]);
+        let _ = std::fs::remove_dir_all(&store.dir);
+    }
+
+    // -----------------------------------------------------------------
+    // Degrade to miss: whatever happens to the pack, a hit is exactly what
+    // was saved and everything else is a miss.
+    // -----------------------------------------------------------------
+
+    /// What a populated pack must answer: per unit source the plan JSON
+    /// saved under it, and per function key the plan JSON saved under it.
+    struct Saved {
+        units: Vec<(String, String)>,
+        functions: Vec<(FunctionPlanKey, String)>,
+    }
+
+    fn fn_key(i: usize) -> FunctionPlanKey {
+        FunctionPlanKey {
+            snippet: format!("static void f{i}(void) {{\n  touch(\"{i}\");\n}}"),
+            env_hash: 0x1000 + i as u64,
+            callees_hash: u64::MAX - i as u64,
+            refs_hash: 0,
+            options_hash: 0xcccc,
+        }
+    }
+
+    /// Three flushes into `dir`: units and function records interleaved,
+    /// one unit saved twice (a dead record in the middle of the pack).
+    fn populate(dir: &std::path::Path) -> Saved {
+        let store = ArtifactStore::open(dir);
+        let options = OmpDartOptions::default();
+        let mut saved = Saved {
+            units: Vec::new(),
+            functions: Vec::new(),
+        };
+        for round in 0..3 {
+            for i in 0..2 {
+                let n = round * 2 + i;
+                let (name, source) = (format!("u{n}.c"), format!("int unit_{n}(void);"));
+                let plans = plans_of(&format!("v{n}"));
+                let key = unit_key(&source, &options, UNLINKED);
+                if n == 3 {
+                    // Superseded within the same flush by the save below.
+                    store.queue_unit(
+                        &name,
+                        unit_key("old", &options, UNLINKED),
+                        &plans,
+                        &AnalysisStats::default(),
+                        &[],
+                    );
+                }
+                store.queue_unit(
+                    &name,
+                    key,
+                    &plans,
+                    &AnalysisStats::default(),
+                    &sample_keys(),
+                );
+                saved.units.push((source, plans_to_json(&plans)));
+            }
+            let plan = plans_of(&format!("w{round}")).remove(0);
+            store.queue_function(
+                "u0.c",
+                &format!("f{round}"),
+                &fn_key(round),
+                &sample_fn_entry(Some(plan.clone())),
+            );
+            saved.functions.push((fn_key(round), plan.to_json()));
+            store.flush().unwrap();
+        }
+        saved
+    }
+
+    /// Look every saved key up in a new store over `dir`: a hit must hold
+    /// exactly what was saved. Returns which keys hit, units then functions.
+    fn lookups(dir: &std::path::Path, saved: &Saved) -> Vec<bool> {
+        let store = ArtifactStore::open(dir);
+        let options = OmpDartOptions::default();
+        let mut hits = Vec::new();
+        for (source, plans_json) in &saved.units {
+            let hit = store.load(source, &options, UNLINKED);
+            if let Some(unit) = &hit {
+                assert_eq!(
+                    &plans_to_json(&unit.plans),
+                    plans_json,
+                    "wrong plans for `{source}`"
+                );
+                assert_eq!(unit.stats, AnalysisStats::default());
+                assert_eq!(
+                    unit.functions(),
+                    sample_keys(),
+                    "wrong snapshots for `{source}`"
+                );
+            }
+            hits.push(hit.is_some());
+        }
+        for (key, plan_json) in &saved.functions {
+            let hit = store.load_function(key);
+            if let Some(entry) = &hit {
+                assert_eq!(&entry.plan.as_ref().unwrap().to_json(), plan_json);
+                assert_eq!(
+                    (entry.base_id, entry.base_pos, entry.fallbacks),
+                    (7, 120, 2)
+                );
+            }
+            hits.push(hit.is_some());
+        }
+        hits
+    }
+
+    /// One damaged pack: every lookup is right or a miss (`lookups`), the
+    /// records `must_hit` names are found, and the store still takes a save
+    /// and a compaction, after which nothing that hit is lost.
+    fn check_damaged(dir: &std::path::Path, saved: &Saved, must_hit: &[bool], what: &str) {
+        let hits = lookups(dir, saved);
+        for (i, (&hit, &must)) in hits.iter().zip(must_hit).enumerate() {
+            assert!(hit || !must, "{what}: intact record {i} was not found");
+        }
+        let store = ArtifactStore::open(dir);
+        let options = OmpDartOptions::default();
+        save(&store, "new.c", "int fresh;", &options, UNLINKED);
+        assert!(
+            store.load("int fresh;", &options, UNLINKED).is_some(),
+            "{what}"
+        );
+        store.gc(u64::MAX);
+        let after = lookups(dir, saved);
+        assert_eq!(after, hits, "{what}: a compaction changed what hits");
+        assert!(ArtifactStore::open(dir)
+            .load("int fresh;", &options, UNLINKED)
+            .is_some());
+    }
+
+    /// xorshift, as in `tests/properties.rs`.
+    fn roll(rng: &mut u64, bound: usize) -> usize {
+        *rng ^= *rng << 13;
+        *rng ^= *rng >> 7;
+        *rng ^= *rng << 17;
+        (*rng % bound as u64) as usize
+    }
+
+    #[test]
+    fn a_damaged_pack_degrades_to_misses_and_never_lies() {
+        let dir = temp_dir("damage");
+        let saved = populate(&dir);
+        let path = dir.join(PACK_FILE);
+        let intact = std::fs::read(&path).unwrap();
+        // Record extents, and which saved key (if any) each record answers:
+        // units in order (the dead `old` record answers none), then
+        // functions.
+        let mut index = Pack::default();
+        index.index(&intact, 0);
+        let extents: Vec<(usize, usize)> = (index.records.iter())
+            .map(|r| (r.offset as usize, (r.offset + r.size()) as usize))
+            .collect();
+        assert_eq!(extents.len(), 10);
+        assert_eq!(
+            extents.last().unwrap().1,
+            intact.len(),
+            "no slack in an intact pack"
+        );
+        let options = OmpDartOptions::default();
+        let answers: Vec<Option<usize>> = (index.records.iter())
+            .map(|r| {
+                let unit =
+                    |(source, _): &(String, String)| unit_key(source, &options, UNLINKED) == r.key;
+                let function = |(key, _): &(FunctionPlanKey, String)| function_key(key) == r.key;
+                (saved.units.iter().position(unit)).or_else(|| {
+                    saved
+                        .functions
+                        .iter()
+                        .position(function)
+                        .map(|i| i + saved.units.len())
+                })
+            })
+            .collect();
+        let keys = saved.units.len() + saved.functions.len();
+        // The keys whose records lie wholly outside `damaged`.
+        let untouched = |damaged: std::ops::Range<usize>| -> Vec<bool> {
+            let mut must = vec![false; keys];
+            for (&(start, end), answer) in extents.iter().zip(&answers) {
+                if let (Some(key), true) = (answer, end <= damaged.start || start >= damaged.end) {
+                    must[*key] = true;
+                }
+            }
+            must
+        };
+        let write = |bytes: &[u8]| {
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(&path, bytes).unwrap();
+        };
+        assert_eq!(lookups(&dir, &saved), vec![true; keys]);
+
+        // Truncation at and around every record boundary and header end.
+        for &(start, end) in &extents {
+            for cut in [
+                start,
+                start + 1,
+                start + HEADER_LEN - 1,
+                start + HEADER_LEN,
+                start + HEADER_LEN + 1,
+                end - 1,
+            ] {
+                write(&intact[..cut]);
+                check_damaged(
+                    &dir,
+                    &saved,
+                    &untouched(cut..intact.len()),
+                    &format!("cut at {cut}"),
+                );
+            }
+        }
+
+        // One flipped bit: every bit of one header, the low bit of every
+        // byte of one unit's and one function's payload (a digit or a
+        // letter becomes its neighbour: JSON that still parses), and a
+        // seeded sample of the rest.
+        let mut rng = 0x9e37_79b9_7f4a_7c15_u64;
+        let (unit, function) = (extents[4], extents[2]);
+        let mut flips: Vec<(usize, u8)> = (0..HEADER_LEN * 8)
+            .map(|bit| (unit.0 + bit / 8, 1 << (bit % 8)))
+            .collect();
+        flips.extend((unit.0 + HEADER_LEN..unit.1).map(|at| (at, 1)));
+        flips.extend((function.0 + HEADER_LEN..function.1).map(|at| (at, 1)));
+        flips.extend((0..300).map(|_| (roll(&mut rng, intact.len()), 1 << roll(&mut rng, 8))));
+        for (at, bit) in flips {
+            let mut bytes = intact.clone();
+            bytes[at] ^= bit;
+            write(&bytes);
+            check_damaged(
+                &dir,
+                &saved,
+                &untouched(at..at + 1),
+                &format!("bit {bit:#x} of byte {at}"),
+            );
+        }
+
+        // A stretch overwritten, and garbage inserted: zeroes, `0xff`, noise,
+        // a copy of a real header (a record start that leads nowhere).
+        for case in 0..200 {
+            let (at, len) = (roll(&mut rng, intact.len()), 1 + roll(&mut rng, 200));
+            let garbage: Vec<u8> = match case % 4 {
+                0 => vec![0; len],
+                1 => vec![0xff; len],
+                2 => (0..len).map(|_| roll(&mut rng, 256) as u8).collect(),
+                _ => intact[extents[1].0..]
+                    .iter()
+                    .copied()
+                    .cycle()
+                    .take(len.min(HEADER_LEN + 3))
+                    .collect(),
+            };
+            let mut bytes = intact.clone();
+            let damaged = if case % 2 == 0 {
+                let end = (at + garbage.len()).min(bytes.len());
+                bytes[at..end].copy_from_slice(&garbage[..end - at]);
+                at..end
+            } else {
+                // Inserted inside a record it breaks it; between two it
+                // breaks none.
+                bytes.splice(at..at, garbage.iter().copied());
+                at..at + usize::from(!extents.iter().any(|&(start, _)| start == at))
+            };
+            // A copied header announces a payload that is not there: the
+            // record after it may be taken for that payload if nothing
+            // tells them apart, so only insist on the records before — and
+            // not on the record it copies, whose key it now claims.
+            let mut must = untouched(damaged.clone());
+            if case % 4 == 3 {
+                must = untouched(damaged.start..intact.len());
+                must[answers[1].unwrap()] = false;
+            }
+            write(&bytes);
+            check_damaged(&dir, &saved, &must, &format!("garbage case {case} at {at}"));
+        }
+
+        // No bytes, no file, no directory, a directory in the file's place.
+        write(&[]);
+        check_damaged(&dir, &saved, &vec![false; keys], "an empty pack");
+        std::fs::remove_file(&path).unwrap();
+        check_damaged(&dir, &saved, &vec![false; keys], "no pack");
+        std::fs::remove_dir_all(&dir).unwrap();
+        check_damaged(&dir, &saved, &vec![false; keys], "no directory");
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::create_dir_all(&path).unwrap();
+        assert_eq!(lookups(&dir, &saved), vec![false; keys]);
+        let blocked = ArtifactStore::open(&dir);
+        let batch = [pending("new.c", "int fresh;", UNLINKED, &sample_plans())];
+        assert!(
+            blocked.save_many(&options, &batch).is_err(),
+            "a lost write is reported"
+        );
+        assert!(blocked.load("int fresh;", &options, UNLINKED).is_none());
+        blocked.gc(0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A read-only directory: what is there is served, a write is lost (or,
+    /// for a process allowed to write anyway, lands), nothing panics.
+    #[cfg(unix)]
+    #[test]
+    fn a_read_only_directory_serves_hits_and_loses_writes() {
+        use std::os::unix::fs::PermissionsExt;
+        let dir = temp_dir("readonly");
+        let saved = populate(&dir);
+        let keys = saved.units.len() + saved.functions.len();
+        let set_mode = |path: &std::path::Path, mode: u32| {
+            std::fs::set_permissions(path, std::fs::Permissions::from_mode(mode)).unwrap();
+        };
+        set_mode(&dir.join(PACK_FILE), 0o444);
+        set_mode(&dir, 0o555);
+        assert_eq!(lookups(&dir, &saved), vec![true; keys]);
+        let store = ArtifactStore::open(&dir);
+        let options = OmpDartOptions::default();
+        let batch = [pending("new.c", "int fresh;", UNLINKED, &sample_plans())];
+        let written = store.save_many(&options, &batch);
+        assert_eq!(
+            written.is_ok(),
+            store.load("int fresh;", &options, UNLINKED).is_some()
+        );
+        store.gc(u64::MAX);
+        store.gc(0);
+        // Whatever the two passes could do, nothing answers wrongly.
+        lookups(&dir, &saved);
+        set_mode(&dir, 0o755);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Two stores over one directory, as two processes would be: they flush
+    /// the same and different keys at the same time, and then one compacts
+    /// while the other appends. Every key hits with the right bytes or
+    /// misses, nothing appended without a concurrent compaction is lost,
+    /// and each instance's next flush shows it what the other left.
+    #[test]
+    fn two_instances_over_one_directory() {
+        const ROUNDS: usize = 20;
+        let dir = temp_dir("two");
+        let options = OmpDartOptions::default();
+        let source = |who: usize, round: usize| format!("int by_{who}_in_{round};");
+        let plans = |who: usize, round: usize| plans_of(&format!("v_{who}_{round}"));
+        let right_or_miss = |store: &ArtifactStore, who: usize, round: usize| -> bool {
+            let hit = store.load(&source(who, round), &options, UNLINKED);
+            if let Some(unit) = &hit {
+                assert_eq!(
+                    unit.plans,
+                    plans(who, round),
+                    "wrong bytes for {who}/{round}"
+                );
+            }
+            hit.is_some()
+        };
+        // `who` saves its own key of the round and the key both share, under
+        // names of that round only: nothing is superseded but one of the
+        // two saves of a shared key, so no flush compacts on its own.
+        let flush_round = |store: &ArtifactStore, who: usize, round: usize| {
+            let (own, shared) = (format!("own{who}_{round}.c"), format!("shared{round}.c"));
+            let batch = [
+                pending(&own, &source(who, round), UNLINKED, &plans(who, round)),
+                pending(&shared, &source(2, round), UNLINKED, &plans(2, round)),
+            ];
+            store.save_many(&options, &batch).unwrap();
+        };
+
+        // Both append, round by round at the same moment.
+        let stores = [ArtifactStore::open(&dir), ArtifactStore::open(&dir)];
+        let barrier = Barrier::new(2);
+        std::thread::scope(|scope| {
+            for (who, store) in stores.iter().enumerate() {
+                let (barrier, flush_round) = (&barrier, &flush_round);
+                scope.spawn(move || {
+                    for round in 0..ROUNDS {
+                        barrier.wait();
+                        flush_round(store, who, round);
+                    }
+                });
+            }
+        });
+        // One more flush each, and both see everything: appends alone lose
+        // nothing.
+        for (who, store) in stores.iter().enumerate() {
+            flush_round(store, who, ROUNDS);
+        }
+        flush_round(&stores[0], 0, ROUNDS + 1);
+        let fresh = ArtifactStore::open(&dir);
+        for store in stores.iter().chain([&fresh]) {
+            for round in 0..=ROUNDS {
+                for who in 0..3 {
+                    assert!(right_or_miss(store, who, round), "{who}/{round} was lost");
+                }
+            }
+        }
+        assert_eq!(listing(&dir), [PACK_FILE]);
+
+        // One appends new content under ever new names (all of it stays
+        // live) while the other compacts under a cap that evicts.
+        let cap = fresh.total_bytes() / 2;
+        std::thread::scope(|scope| {
+            let (barrier, stores, options) = (&barrier, &stores, &options);
+            scope.spawn(move || {
+                for round in 0..ROUNDS {
+                    barrier.wait();
+                    let name = format!("late{round}.c");
+                    let batch = [pending(
+                        &name,
+                        &source(3, round),
+                        UNLINKED,
+                        &plans(3, round),
+                    )];
+                    stores[0].save_many(options, &batch).unwrap();
+                }
+            });
+            scope.spawn(move || {
+                for _ in 0..ROUNDS {
+                    barrier.wait();
+                    stores[1].gc(cap);
+                }
+            });
+        });
+        // After each has flushed once more, all three views agree on what
+        // survived, and whatever hits is right.
+        for (who, store) in stores.iter().enumerate() {
+            flush_round(store, who, ROUNDS + 2);
+        }
+        flush_round(&stores[0], 0, ROUNDS + 3);
+        let fresh = ArtifactStore::open(&dir);
+        let mut survivors = 0;
+        for round in 0..ROUNDS + 3 {
+            for who in 0..4 {
+                let on_disk = right_or_miss(&fresh, who, round);
+                survivors += usize::from(on_disk);
+                for store in &stores {
+                    assert_eq!(right_or_miss(store, who, round), on_disk, "{who}/{round}");
+                }
+            }
+        }
+        assert!(survivors > 0);
+        let names = listing(&dir);
+        assert_eq!(
+            names,
+            [PACK_FILE],
+            "no temp file may outlive its compaction"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

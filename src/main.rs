@@ -2,8 +2,8 @@
 //! a binary over the `Ompdart` builder API.
 //!
 //! ```text
-//! ompdart analyze <input.c> [-o <out.c>] [--plan-json <path|->] [--timings] [--simulate]
-//! ompdart analyze <a.c> <b.c>... [--out-dir DIR] [--timings] [--link-threads N]   # linked whole program
+//! ompdart analyze <input.c> [-o <out.c>] [--plan-json <path|->] [--timings] [--simulate] [--cache-dir DIR]
+//! ompdart analyze <a.c> <b.c>... [--out-dir DIR] [--timings] [--link-threads N] [--cache-dir DIR]   # linked whole program
 //! ompdart explain <input.c>
 //! ompdart diff-plan <left> <right>        # each side: plan .json or a .c source
 //! ompdart batch <input.c>... [--threads N] [--out-dir DIR]
@@ -23,8 +23,8 @@
 //! `watch` keeps one long-lived session hot — it links the watched
 //! directory as one program, re-planning only the functions an edit
 //! actually invalidated (across files) and, with `--cache-dir`, starting
-//! warm from the persistent artifact store; `cache gc` evicts
-//! least-recently-used store entries down to a size cap. `daemon` runs
+//! warm from the persistent artifact store; `cache gc` compacts the store
+//! down to a size cap, least-recently-used records first. `daemon` runs
 //! `ompdartd` — analysis as a service over a unix socket (or TCP): many
 //! clients, many programs, each program on its own warm incremental
 //! session — and `client` drives it.
@@ -44,7 +44,7 @@ ompdart — static generation of efficient OpenMP offload data mappings
 
 USAGE:
     ompdart analyze <input.c> [-o <out.c>] [--plan-json <path|->] [--timings] [--simulate]
-                    [--pessimistic-globals] [--lifetimes]
+                    [--pessimistic-globals] [--lifetimes] [--cache-dir <dir>]
     ompdart analyze <a.c> <b.c>... [--out-dir <dir>] [--timings] [--pessimistic-globals]
                     [--lifetimes] [--link-threads <N>] [--profile-json <path|->]
                     [--cache-dir <dir>]
@@ -85,6 +85,10 @@ SUBCOMMANDS:
                (multi-input) emits a driver profile — per-phase wall
                time, per-unit plan percentiles, identity-fast-path unit
                counts, pool and shard-lock counters — to a file or `-`.
+               --cache-dir (one input or several) keeps plans in a pack
+               file in that directory: a repeat run over unchanged
+               sources loads them instead of planning, with the same
+               output byte for byte.
     explain    Print one justified line per mapping construct: the
                OpenMP syntax, the dataflow fact that forced it, the
                deciding pipeline stage and source location.
@@ -122,8 +126,9 @@ SUBCOMMANDS:
                source position, `check_plans` validates a plan-JSON
                document (old format versions are refused),
                `stats`/`gc`/`shutdown` administrate.
-    cache gc   Evict least-recently-used persistent-store entries until
-               the directory fits --max-bytes (default 256m).
+    cache gc   Compact the persistent store's pack, evicting its least
+               recently used records until it fits --max-bytes (default
+               256m), and remove what older store layouts left there.
 ";
 
 fn main() -> ExitCode {
@@ -260,11 +265,6 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
     if profile_json.is_some() {
         return Err("`--profile-json` applies to multi-input (linked) analyze".into());
     }
-    if cache_dir.is_some() {
-        return Err("`--cache-dir` applies to multi-input (linked) analyze \
-                    (single-input incremental caching goes through `watch` or the daemon)"
-            .into());
-    }
     if out_dir.is_some() {
         return Err("`--out-dir` applies to multi-input analyze; use `-o <out.c>`".into());
     }
@@ -277,11 +277,13 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
         );
     }
 
-    let tool = Ompdart::builder()
+    let mut builder = Ompdart::builder()
         .pessimistic_globals(pessimistic_globals)
-        .lifetimes(lifetimes)
-        .build();
-    let analysis = analyze_file(&tool, input)?;
+        .lifetimes(lifetimes);
+    if let Some(dir) = cache_dir {
+        builder = builder.cache_dir(dir);
+    }
+    let analysis = analyze_file(&builder.build(), input)?;
 
     let stats = analysis.stats();
     eprintln!(

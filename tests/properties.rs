@@ -1241,6 +1241,220 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// The persistent store: a restart at every step answers like a fresh session
+// ---------------------------------------------------------------------------
+
+/// A session under `threads` workers, `--lifetimes` on or off, over
+/// `cache_dir` if given: what one run of the tool is.
+fn one_run(
+    threads: usize,
+    lifetimes: bool,
+    cache_dir: Option<&std::path::Path>,
+) -> ompdart_core::ProgramDriver {
+    let mut options = ompdart_core::OmpDartOptions {
+        link_threads: threads,
+        ..ompdart_core::OmpDartOptions::default()
+    };
+    options.dataflow.lifetimes = lifetimes;
+    let mut session = ompdart_core::AnalysisSession::with_options(options);
+    if let Some(dir) = cache_dir {
+        session = session.with_cache_dir(dir);
+    }
+    ompdart_core::ProgramDriver::with_session(std::sync::Arc::new(session)).with_threads(threads)
+}
+
+/// `units` with a comment no earlier edit made put into the first function
+/// of the first unit (from `from` on, wrapping) that defines one: that
+/// function's text moves, its summary and everyone else's text do not.
+fn edit_one_body(units: &[(String, String)], from: usize, nonce: usize) -> Vec<(String, String)> {
+    let mut edited = units.to_vec();
+    let order = (0..units.len()).map(|i| (from + i) % units.len());
+    for unit in order {
+        if let Some(at) = edited[unit].1.find("() {\n") {
+            let comment = format!("  /* edit {nonce} */\n");
+            edited[unit].1.insert_str(at + "() {\n".len(), &comment);
+            break;
+        }
+    }
+    edited
+}
+
+/// The file names in a cache directory, sorted.
+fn cache_listing(dir: &std::path::Path) -> Vec<String> {
+    let entries = std::fs::read_dir(dir).into_iter().flatten().flatten();
+    let mut names: Vec<String> = entries
+        .map(|entry| entry.file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 8, .. ProptestConfig::default() })]
+
+    /// The six-name edit model again, but every step is a *new session over
+    /// the same cache directory* — the one-shot user's restart — at 1, 2
+    /// and 8 threads with `--lifetimes` on and off. Each unit's rewritten
+    /// source and plan JSON are a store-less fresh session's, byte for byte;
+    /// every unit the table did not hold went to the store exactly once; the
+    /// directory holds the pack and nothing else; and an edit made right
+    /// after a restart re-plans exactly the one function it touched, as it
+    /// does in a long-lived store-less session — so the persisted function
+    /// keys reach the plan cache however late they are decoded.
+    #[test]
+    fn a_restart_at_every_step_agrees_with_a_fresh_session(
+        seed in 1u64..u64::MAX,
+        steps in 5usize..10,
+    ) {
+        let mut rng = seed;
+        let mut next_file = 2;
+        let mut model: Model = vec![(0, Vec::new()), (1, Vec::new()), (2, Vec::new())];
+        for _ in 0..8 {
+            edit_model(&mut model, &mut rng, &mut next_file);
+        }
+        let runs: Vec<(usize, bool, std::path::PathBuf)> = [1usize, 2, 8]
+            .into_iter()
+            .flat_map(|threads| [false, true].map(|lifetimes| (threads, lifetimes)))
+            .map(|(threads, lifetimes)| {
+                let dir = std::env::temp_dir().join(format!(
+                    "ompdart-restart-{}-{seed:x}-{threads}-{lifetimes}",
+                    std::process::id()
+                ));
+                let _ = std::fs::remove_dir_all(&dir);
+                (threads, lifetimes, dir)
+            })
+            .collect();
+        let mut history: Vec<Model> = Vec::new();
+        for step in 0..=steps {
+            let inputs = render_model(&model);
+            // The edit tried right after a restart: one function's body, with
+            // text the pack cannot hold yet (unit 0 always defines `main`).
+            let edited = edit_one_body(&inputs, roll(&mut rng, inputs.len()), step);
+            for (threads, lifetimes, dir) in &runs {
+                let at = format!(
+                    "step {step}, {threads} thread(s), lifetimes {lifetimes}, seed {seed:#x}\n{inputs:#?}"
+                );
+                let fresh = one_run(*threads, *lifetimes, None)
+                    .analyze_program(&inputs)
+                    .expect("the model stays linkable");
+                let restarted = one_run(*threads, *lifetimes, Some(dir));
+                let warm = restarted.analyze_program(&inputs).expect("the model stays linkable");
+                prop_assert_eq!(&unit_outputs(&warm), &unit_outputs(&fresh), "outputs differ at {}", at);
+                let stats = restarted.session().cache_stats();
+                prop_assert_eq!(
+                    stats.store_hits + stats.store_misses, stats.analysis_misses,
+                    "store lookups at {}: {}", at, stats
+                );
+                prop_assert!(
+                    cache_listing(dir).iter().all(|name| name == "ompdart.pack"),
+                    "the cache directory holds {:?} at {}", cache_listing(dir), at
+                );
+
+                // Restart once more: everything saved above is served, and
+                // the first edit on top of it is as incremental as it is for
+                // a session that planned the program itself.
+                let again = one_run(*threads, *lifetimes, Some(dir));
+                let served = again.analyze_program(&inputs).expect("the model stays linkable");
+                prop_assert_eq!(&unit_outputs(&served), &unit_outputs(&fresh), "outputs differ at {}", at);
+                if served.served.iter().any(|serve| *serve != ompdart_core::UnitServe::Store) {
+                    // A unit with planning diagnostics is never persisted.
+                    continue;
+                }
+                let oracle = one_run(*threads, *lifetimes, None);
+                oracle.analyze_program(&inputs).expect("the model stays linkable");
+                let (before, oracle_before) =
+                    (again.session().cache_stats(), oracle.session().cache_stats());
+                let after_edit = again.analyze_program(&edited).expect("the model stays linkable");
+                let oracle_edit = oracle.analyze_program(&edited).expect("the model stays linkable");
+                prop_assert_eq!(
+                    &unit_outputs(&after_edit), &unit_outputs(&oracle_edit),
+                    "the edit after a restart differs at {}", at
+                );
+                let moved = again.session().cache_stats() - before;
+                let oracle_moved = oracle.session().cache_stats() - oracle_before;
+                prop_assert_eq!(
+                    (moved.function_plan_misses, moved.function_plan_hits),
+                    (oracle_moved.function_plan_misses, oracle_moved.function_plan_hits),
+                    "the edit after a restart moves {} at {}", moved, at
+                );
+                prop_assert_eq!(moved.function_plan_misses, 1, "one body moved at {}", at);
+            }
+            history.push(model.clone());
+            match roll(&mut rng, 6) {
+                // Back to the program before this one: an edit reverted.
+                0 | 1 if history.len() >= 2 => model = history[history.len() - 2].clone(),
+                _ => edit_model(&mut model, &mut rng, &mut next_file),
+            }
+        }
+        for (_, _, dir) in &runs {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+}
+
+/// Bounded growth: 200 steps of edit (content never seen before) and revert,
+/// a new session over the same cache directory at every step. The pack is
+/// never larger than its live bytes plus as many dead ones — or the
+/// compaction floor, if that is more — plus what one step appends; and the
+/// directory never holds anything but the pack.
+#[test]
+fn two_hundred_edits_and_reverts_leave_a_bounded_pack() {
+    let dir = std::env::temp_dir().join(format!("ompdart-restart-growth-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut rng = 0x5eed_u64;
+    let mut next_file = 2;
+    let mut model: Model = vec![(0, Vec::new()), (1, Vec::new()), (2, Vec::new())];
+    for _ in 0..12 {
+        edit_model(&mut model, &mut rng, &mut next_file);
+    }
+    let base = render_model(&model);
+    let pack = dir.join("ompdart.pack");
+    let pack_len = || std::fs::metadata(&pack).map_or(0, |meta| meta.len());
+    let (mut largest_step, mut compactions) = (0u64, 0usize);
+    for step in 0..200 {
+        let inputs = match step % 2 {
+            0 => edit_one_body(&base, step / 2, step),
+            _ => base.clone(),
+        };
+        let before = pack_len();
+        let run = one_run(2, false, Some(&dir));
+        let warm = run
+            .analyze_program(&inputs)
+            .expect("the model stays linkable");
+        let fresh = one_run(2, false, None).analyze_program(&inputs).unwrap();
+        assert_eq!(unit_outputs(&warm), unit_outputs(&fresh), "step {step}");
+        drop(run);
+        assert_eq!(cache_listing(&dir), ["ompdart.pack"], "step {step}");
+
+        let len = pack_len();
+        if len < before {
+            compactions += 1;
+        } else {
+            largest_step = largest_step.max(len - before);
+        }
+        // Live bytes: what a full compaction of a copy of the pack keeps.
+        let copy = dir.with_extension("copy");
+        let _ = std::fs::remove_dir_all(&copy);
+        std::fs::create_dir_all(&copy).unwrap();
+        std::fs::copy(&pack, copy.join("ompdart.pack")).unwrap();
+        let live = ompdart_core::ArtifactStore::open(&copy)
+            .gc(u64::MAX)
+            .bytes_kept;
+        let _ = std::fs::remove_dir_all(&copy);
+        let bound = live + live.max(ompdart_core::store::COMPACT_FLOOR_BYTES) + largest_step;
+        assert!(
+            len <= bound,
+            "step {step}: a pack of {len} B holds {live} live B (bound {bound})"
+        );
+    }
+    assert!(
+        compactions >= 2,
+        "the script must outgrow the floor: {compactions} compaction(s)"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
 // The JSON kernel against its char-at-a-time references, and no-panic at the
 // plan-JSON and wire-frame boundaries
 // ---------------------------------------------------------------------------

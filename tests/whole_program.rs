@@ -708,6 +708,59 @@ fn program_store_warm_start_and_seeded_first_edit() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Two byte-identical units in one program (generated sources, a file copied
+/// under two names): both are planned and saved by the populating run — one
+/// flush, one writer, no race on a shared path — and a restart serves both
+/// from the store. Editing one of them does not take the stored content from
+/// under the other.
+#[test]
+fn byte_identical_units_populate_and_restart_with_two_store_hits() {
+    let dir = std::env::temp_dir().join(format!("ompdart-wp-twins-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let twin = "\
+#define N 32
+static double buf[N];
+static void touch(void) {
+  for (int it = 0; it < 3; it++) {
+    #pragma omp target teams distribute parallel for
+    for (int i = 0; i < N; i++) buf[i] += 1.0;
+  }
+  printf(\"%f\\n\", buf[0]);
+}
+";
+    let main = "int main() { return 0; }\n";
+    let inputs = owned(&[("left.c", twin), ("right.c", twin), ("main.c", main)]);
+
+    let first = Ompdart::builder().cache_dir(&dir).build();
+    let cold = first
+        .analyze_program(&inputs)
+        .expect("populating run failed");
+    let stats = first.session().cache_stats();
+    assert_eq!((stats.store_hits, stats.store_misses), (0, 3), "{stats:?}");
+    assert_eq!(first.session().artifact_store().unwrap().entry_count(), 3);
+
+    let second = Ompdart::builder().cache_dir(&dir).build();
+    let warm = second.analyze_program(&inputs).expect("restart failed");
+    assert_eq!(warm.served, vec![UnitServe::Store; 3]);
+    let stats = second.session().cache_stats();
+    assert_eq!((stats.store_hits, stats.store_misses), (3, 0), "{stats:?}");
+    assert_eq!(warm.concatenated_rewrite(), cold.concatenated_rewrite());
+
+    // `left.c` is edited and saved; after another restart `right.c` still
+    // finds the content the two used to share.
+    let mut edited = inputs.clone();
+    edited[0].1 = twin.replace("+= 1.0", "+= 2.0");
+    second.analyze_program(&edited).expect("edit run failed");
+    let third = Ompdart::builder().cache_dir(&dir).build();
+    let again = third
+        .analyze_program(&edited)
+        .expect("second restart failed");
+    assert_eq!(again.served, vec![UnitServe::Store; 3]);
+    let entries = std::fs::read_dir(&dir).unwrap().count();
+    assert_eq!(entries, 1, "a populated cache directory holds one file");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Duplicate definitions across units are a link error, not silent
 /// last-writer-wins behavior.
 #[test]
