@@ -1,0 +1,558 @@
+//! A unit's **interface**: everything the rest of a program reads of it.
+//!
+//! A translation unit has two halves. Its *body* — the AST, the graphs, the
+//! classified accesses, the unit-local summaries ([`crate::pipeline::UnitBody`])
+//! — is large, derived from the source text, and needed only to *plan* the
+//! unit. Its *interface* — [`UnitExports`] — is what every other unit's
+//! analysis reads: per defined function its name, its seed summary, its call
+//! sites as the fixed point reads them ([`LinkCall`]), the variables it
+//! references and the callees its plans depend on. It is small, holds no
+//! node id, span or symbol table, and is a pure function of the unit's bytes
+//! and the analysis options, so it is persisted ([`UnitExports::encode`],
+//! the store's interface record) and a restart links a program from
+//! interfaces alone, the way ThinLTO links from function summaries: a body
+//! is built only for the units an edit reaches.
+//!
+//! There is one constructor (`UnitExports::assemble`) for a unit parsed this
+//! run and one restored from its encoding ([`UnitExports::decode`]): it
+//! resolves names for the unit's *name* —
+//! `static` functions link under `name@unit` — which is why the encoding,
+//! like the store's key, is of the content alone and a renamed or copied
+//! file decodes its own.
+
+use crate::dataflow::function_referenced_vars;
+use crate::interproc::{
+    visible_globals, ArgTarget, Effect, FunctionSummary, LinkArg, LinkCall, PropagationNode,
+};
+use crate::pipeline::{callee_keys, effect_byte, summary_fingerprint, CalleeKey, Fnv, UnitBody};
+use crate::program::ExternalRefs;
+use crate::OmpDartOptions;
+use ompdart_frontend::intern::FnvBuild;
+use ompdart_frontend::Symbol;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
+
+/// The unit-private symbol a cross-unit `static` function links under:
+/// `name@unit`. `@` cannot appear in a C identifier, so mangled names can
+/// never collide with source-level ones. Calls inside the defining unit
+/// resolve to the mangled symbol; other units never see it.
+fn mangle_static(name: &str, unit: &str) -> String {
+    format!("{name}@{unit}")
+}
+
+/// True for the link-resolved name of a `static` function.
+pub(crate) fn is_mangled(resolved: Symbol) -> bool {
+    resolved.contains('@')
+}
+
+/// What one translation unit exports to the rest of the program: for every
+/// defined function its prototype shape, its *local* interprocedural
+/// summary, and the set of variables its body references (whole-program
+/// liveness input). The [`ExportedInterface::fingerprint`] is stable across
+/// edits that do not change any of those facts — which is precisely when
+/// other units' cached plans remain valid.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ExportedInterface {
+    /// The unit's name (diagnostics file name).
+    pub unit: String,
+    /// Names of the functions the unit defines, in source order.
+    pub functions: Vec<String>,
+    /// Stable fingerprint of the exported surface: function prototypes,
+    /// local summaries, and referenced-variable sets.
+    pub fingerprint: u64,
+}
+
+impl ExportedInterface {
+    /// The exported interface of one summarized unit.
+    pub fn of(unit: &crate::pipeline::SummarizedUnit) -> ExportedInterface {
+        ExportedInterface::clone(&unit.exports().interface)
+    }
+}
+
+/// The fingerprint of a parsed unit's exported surface.
+fn surface_fingerprint(body: &UnitBody, refs: &BTreeMap<Symbol, Arc<BTreeSet<String>>>) -> u64 {
+    // Hash in name order so the fingerprint is insensitive to function
+    // reordering that changes nothing observable.
+    let mut sorted: Vec<&ompdart_frontend::ast::FunctionDef> =
+        body.parsed.unit.functions().collect();
+    sorted.sort_by_key(|a| a.name);
+    let mut h = Fnv::new();
+    for f in sorted {
+        h.write_str(&f.name);
+        h.write_u64(f.params.len() as u64);
+        for p in &f.params {
+            h.write(&[u8::from(p.is_const_pointee)]);
+        }
+        h.write(&[u8::from(f.is_variadic)]);
+        // Unit-private `static` functions are invisible to other units'
+        // call resolution but still participate in whole-program
+        // liveness, so the storage class is part of the surface.
+        h.write(&[u8::from(f.is_static)]);
+        match body.summaries.summaries.summary(f.name) {
+            Some(s) => {
+                h.write(&[1]);
+                h.write_u64(summary_fingerprint(s));
+            }
+            None => h.write(&[0]),
+        }
+        if let Some(vars) = refs.get(&f.name) {
+            for var in vars.iter() {
+                h.write_str(var);
+            }
+        }
+        h.write(&[0xfe]);
+    }
+    h.finish()
+}
+
+/// One function's propagation inputs, resolved once per unit *content*:
+/// its call list with callee names link-resolved, its local seed summary
+/// under its resolved name, and its local fingerprint.
+/// [`crate::program::Program::relink`] borrows these for exactly the
+/// functions it re-converges — no per-relink name mangling, call
+/// re-resolution, hashing or node rebuilding.
+#[derive(Debug, PartialEq)]
+pub(crate) struct LinkFunction {
+    /// Call sites with callee names link-resolved.
+    pub(crate) calls: Vec<LinkCall>,
+    /// The local seed summary under the resolved name (the unit's own seed
+    /// `Arc` unless the function is a renamed static).
+    pub(crate) seed: Arc<FunctionSummary>,
+    /// Fingerprint of everything the cross-unit propagation reads from the
+    /// function's caller side (see [`local_fingerprint`]).
+    pub(crate) local_fp: u64,
+}
+
+/// One function a unit defines, as the rest of the program reads it.
+#[derive(Debug, PartialEq)]
+pub(crate) struct ExportedFunction {
+    /// Source-level name.
+    pub(crate) source: Symbol,
+    /// Link-resolved name: `name@unit` for statics, `source` otherwise.
+    pub(crate) resolved: Symbol,
+    /// The variables the body references (whole-program liveness input),
+    /// `Arc`-shared with the program-wide map.
+    pub(crate) refs: Arc<BTreeSet<String>>,
+    /// The function's direct callees: what the unit's imports fingerprint,
+    /// and the function's own plan key, hash against the converged
+    /// summaries.
+    pub(crate) callees: Vec<CalleeKey>,
+    /// The propagation inputs; `None` when the interprocedural analysis is
+    /// off (the linked summaries are then empty, as every unit-local
+    /// summary set already is).
+    pub(crate) link: Option<LinkFunction>,
+}
+
+impl ExportedFunction {
+    /// The propagation node of this function (which has `link`).
+    pub(crate) fn node<'a>(
+        &'a self,
+        link: &'a LinkFunction,
+        globals: &'a [Symbol],
+    ) -> PropagationNode<'a> {
+        PropagationNode {
+            name: self.resolved,
+            calls: Cow::Borrowed(&link.calls),
+            globals,
+        }
+    }
+}
+
+/// One defined function as its unit's bytes describe it, names unresolved:
+/// the input of [`UnitExports::assemble`].
+pub(crate) struct FunctionParts {
+    pub(crate) name: Symbol,
+    pub(crate) is_static: bool,
+    pub(crate) refs: Arc<BTreeSet<String>>,
+    pub(crate) callees: Vec<CalleeKey>,
+    /// Seed summary and call sites, under source-level names.
+    pub(crate) link: Option<(Arc<FunctionSummary>, Vec<LinkCall>)>,
+}
+
+/// A unit's interface (see the module docs). Memoized on the
+/// [`crate::pipeline::SummarizedUnit`] — which keeps its `Arc` across rounds
+/// for as long as its content stays resident in the session's unit table —
+/// so the AST walks, name mangling, call resolution and fingerprinting
+/// behind it run once per resident version, not once per relink; restored
+/// from the store, they do not run at all.
+#[derive(Debug, PartialEq)]
+pub struct UnitExports {
+    /// The unit's exported interface (prototypes, summaries, refs).
+    pub(crate) interface: Arc<ExportedInterface>,
+    /// Every defined function, in source order.
+    pub(crate) functions: Vec<ExportedFunction>,
+    /// Referenced variables per defined function, keyed by *resolved* name
+    /// (statics mangled) — exactly the entries the program-wide
+    /// `extern_refs` map takes, values `Arc`-shared.
+    pub(crate) resolved_refs: ExternalRefs,
+    /// `(source, mangled)` for the unit's `static` functions (the
+    /// static-shadowing summary views read these).
+    pub(crate) statics_mangled: Vec<(Symbol, Symbol)>,
+    /// The globals every function of the unit can see, sorted; what an
+    /// unknown callee clobbers in pessimistic-globals mode, and empty when
+    /// that mode is off.
+    pub(crate) globals: Vec<Symbol>,
+    /// True when the unit defines `main`, the one consumer of the
+    /// program-wide referenced-variable map.
+    pub(crate) defines_main: bool,
+}
+
+impl UnitExports {
+    /// The interface of a unit parsed this run.
+    pub(crate) fn of(unit: &str, body: &UnitBody, options: &OmpDartOptions) -> UnitExports {
+        let ast = &body.parsed.unit;
+        let refs: BTreeMap<Symbol, Arc<BTreeSet<String>>> = ast
+            .functions()
+            .map(|f| (f.name, Arc::new(function_referenced_vars(f))))
+            .collect();
+        let fingerprint = surface_fingerprint(body, &refs);
+        let globals = match options.pessimistic_globals {
+            true => visible_globals(ast),
+            false => Vec::new(),
+        };
+        let functions = ast.functions().map(|f| {
+            let link = || {
+                let seed = body.summaries.seeds.get(&f.name)?;
+                let acc = body.accesses.accesses.get(&f.name)?;
+                let sym = body.accesses.symbols.get(&f.name)?;
+                let calls = acc.calls.iter().map(|call| LinkCall::of(call, f, sym));
+                Some((Arc::clone(seed), calls.collect()))
+            };
+            FunctionParts {
+                name: f.name,
+                is_static: f.is_static,
+                refs: Arc::clone(&refs[&f.name]),
+                callees: callee_keys(f.name, &body.accesses, ast),
+                link: link(),
+            }
+        });
+        UnitExports::assemble(unit, fingerprint, globals, functions.collect())
+    }
+
+    /// The one constructor: resolve `functions`' names for the unit called
+    /// `unit` and derive the indexes and fingerprints the link stage reads.
+    pub(crate) fn assemble(
+        unit: &str,
+        fingerprint: u64,
+        globals: Vec<Symbol>,
+        functions: Vec<FunctionParts>,
+    ) -> UnitExports {
+        let mut statics_mangled: Vec<(Symbol, Symbol)> = (functions.iter())
+            .filter(|f| f.is_static)
+            .map(|f| (f.name, Symbol::intern(&mangle_static(&f.name, unit))))
+            .collect();
+        statics_mangled.sort_unstable();
+        statics_mangled.dedup();
+        let resolve = |name: Symbol| -> Symbol {
+            match statics_mangled.iter().find(|(s, _)| *s == name) {
+                Some(&(_, mangled)) => mangled,
+                None => name,
+            }
+        };
+        let interface = Arc::new(ExportedInterface {
+            unit: unit.to_string(),
+            functions: functions.iter().map(|f| f.name.to_string()).collect(),
+            fingerprint,
+        });
+        let functions: Vec<ExportedFunction> = (functions.into_iter())
+            .map(|f| {
+                let resolved = resolve(f.name);
+                let link = f.link.map(|(seed, mut calls)| {
+                    for call in &mut calls {
+                        call.callee = resolve(call.callee);
+                    }
+                    let seed = if resolved == f.name {
+                        seed
+                    } else {
+                        let mut seed = Arc::unwrap_or_clone(seed);
+                        seed.name = resolved;
+                        Arc::new(seed)
+                    };
+                    LinkFunction {
+                        local_fp: local_fingerprint(&seed, &calls, &globals),
+                        calls,
+                        seed,
+                    }
+                });
+                ExportedFunction {
+                    source: f.name,
+                    resolved,
+                    refs: f.refs,
+                    callees: f.callees,
+                    link,
+                }
+            })
+            .collect();
+        UnitExports {
+            interface,
+            resolved_refs: (functions.iter())
+                .map(|f| (f.resolved, Arc::clone(&f.refs)))
+                .collect(),
+            defines_main: functions.iter().any(|f| f.source == "main"),
+            functions,
+            statics_mangled,
+            globals,
+        }
+    }
+
+    /// The functions of the fixed point: index into [`Self::functions`],
+    /// the function, its propagation inputs.
+    pub(crate) fn linked(&self) -> impl Iterator<Item = (usize, &ExportedFunction, &LinkFunction)> {
+        (self.functions.iter().enumerate()).filter_map(|(i, f)| Some((i, f, f.link.as_ref()?)))
+    }
+
+    /// Append the interface's encoding to `out`: text, one line for the
+    /// unit and one per function, names as the source spells them (so it is
+    /// the same for every name the content is saved under). Returns false,
+    /// with `out` as it was, for an interface holding a name the format has
+    /// no spelling for.
+    pub fn encode(&self, out: &mut Vec<u8>) -> bool {
+        let start = out.len();
+        let encoded = self.encode_lines(out).is_some();
+        if !encoded {
+            out.truncate(start);
+        }
+        encoded
+    }
+
+    fn encode_lines(&self, out: &mut Vec<u8>) -> Option<()> {
+        let unresolve = |name: Symbol| -> Symbol {
+            match self.statics_mangled.iter().find(|(_, m)| *m == name) {
+                Some(&(source, _)) => source,
+                None => name,
+            }
+        };
+        // A name is one token: not empty, no blank, no control byte.
+        fn name(out: &mut Vec<u8>, name: &str) -> Option<()> {
+            let plain = !name.is_empty() && name.bytes().all(|b| b > b' ' && b != 0x7f);
+            plain.then(|| {
+                out.push(b' ');
+                out.extend_from_slice(name.as_bytes());
+            })
+        }
+        // A number is a blank and its decimal digits (no formatter: this
+        // runs once per token of every unit a populating run parses).
+        fn number(out: &mut Vec<u8>, n: usize) {
+            let mut digits = [0u8; 20];
+            let mut at = digits.len();
+            let mut rest = n;
+            loop {
+                at -= 1;
+                digits[at] = b'0' + (rest % 10) as u8;
+                rest /= 10;
+                if rest == 0 {
+                    break;
+                }
+            }
+            out.push(b' ');
+            out.extend_from_slice(&digits[at..]);
+        }
+        let effect = |e: &Effect| usize::from(effect_byte(*e));
+        out.extend_from_slice(format!("{:x}", self.interface.fingerprint).as_bytes());
+        number(out, self.functions.len());
+        number(out, self.globals.len());
+        for global in &self.globals {
+            name(out, global)?;
+        }
+        for f in &self.functions {
+            let flags = u8::from(f.source != f.resolved) | u8::from(f.link.is_some()) << 1;
+            out.extend_from_slice(&[b'\n', b'0' + flags]);
+            name(out, &f.source)?;
+            number(out, f.refs.len());
+            for var in f.refs.iter() {
+                name(out, var)?;
+            }
+            number(out, f.callees.len());
+            for callee in &f.callees {
+                name(out, &callee.name)?;
+                out.extend_from_slice(b" -");
+                for byte in &callee.proto {
+                    let hex = |nibble: u8| b"0123456789abcdef"[usize::from(nibble)];
+                    out.extend_from_slice(&[hex(byte >> 4), hex(byte & 15)]);
+                }
+            }
+            let Some(link) = &f.link else {
+                continue;
+            };
+            let seed = &link.seed;
+            number(out, usize::from(seed.has_kernels));
+            number(out, seed.param_effects.len());
+            for e in &seed.param_effects {
+                number(out, effect(e));
+            }
+            number(out, seed.global_effects.len());
+            for (global, e) in &seed.global_effects {
+                name(out, global)?;
+                number(out, effect(e));
+            }
+            number(out, link.calls.len());
+            for call in &link.calls {
+                name(out, &unresolve(call.callee))?;
+                number(out, usize::from(call.on_device));
+                number(out, call.args.len());
+                for arg in &call.args {
+                    number(out, arg.position as usize);
+                    match arg.target {
+                        ArgTarget::Param(at) => {
+                            out.extend_from_slice(b" p");
+                            number(out, at as usize);
+                        }
+                        ArgTarget::Global(var) => {
+                            out.extend_from_slice(b" g");
+                            name(out, &var)?;
+                        }
+                    }
+                }
+            }
+        }
+        Some(())
+    }
+
+    /// The interface `payload` encodes, with names resolved for the unit
+    /// called `unit`; `None` for anything [`Self::encode`] does not write.
+    pub fn decode<'a>(unit: &str, payload: &'a str) -> Option<UnitExports> {
+        let mut tokens = payload.split_ascii_whitespace();
+        let mut token = || tokens.next();
+        // A name is spelled once per use: like the lexer, go to the
+        // process-wide symbol table once per distinct name.
+        let mut names: HashMap<&str, Symbol, FnvBuild> = HashMap::default();
+        let mut symbol = |token: Option<&'a str>| {
+            token.map(|name| *names.entry(name).or_insert_with(|| Symbol::intern(name)))
+        };
+        fn number<T: std::str::FromStr>(token: Option<&str>) -> Option<T> {
+            token?.parse().ok()
+        }
+        fn flag(token: Option<&str>) -> Option<bool> {
+            match token? {
+                "0" => Some(false),
+                "1" => Some(true),
+                _ => None,
+            }
+        }
+        let effect = |token: Option<&str>| -> Option<Effect> {
+            let bits: u8 = number(token).filter(|bits| *bits < 16)?;
+            Some(Effect {
+                host_read: bits & 1 != 0,
+                host_write: bits & 2 != 0,
+                device_read: bits & 4 != 0,
+                device_write: bits & 8 != 0,
+            })
+        };
+        let fingerprint = u64::from_str_radix(token()?, 16).ok()?;
+        let function_count: usize = number(token())?;
+        let global_count: usize = number(token())?;
+        let globals = (0..global_count)
+            .map(|_| symbol(token()))
+            .collect::<Option<Vec<Symbol>>>()?;
+        let mut functions = Vec::new();
+        for _ in 0..function_count {
+            let flags: u8 = number(token()).filter(|flags| *flags < 4)?;
+            let name = symbol(token())?;
+            let ref_count: usize = number(token())?;
+            let refs = (0..ref_count)
+                .map(|_| token().map(str::to_string))
+                .collect::<Option<BTreeSet<String>>>()?;
+            let callee_count: usize = number(token())?;
+            let mut callees = Vec::new();
+            for _ in 0..callee_count {
+                let name = symbol(token())?;
+                let hex = token()?.strip_prefix('-')?.as_bytes();
+                let proto = (hex.chunks(2))
+                    .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).ok()?, 16).ok())
+                    .collect::<Option<Vec<u8>>>()?;
+                callees.push(CalleeKey { name, proto });
+            }
+            let mut link = None;
+            if flags & 2 != 0 {
+                let has_kernels = flag(token())?;
+                let param_count: usize = number(token())?;
+                let param_effects = (0..param_count)
+                    .map(|_| effect(token()))
+                    .collect::<Option<Vec<Effect>>>()?;
+                let global_count: usize = number(token())?;
+                let mut global_effects = BTreeMap::new();
+                for _ in 0..global_count {
+                    global_effects.insert(symbol(token())?, effect(token())?);
+                }
+                let call_count: usize = number(token())?;
+                let mut calls = Vec::new();
+                for _ in 0..call_count {
+                    let callee = symbol(token())?;
+                    let on_device = flag(token())?;
+                    let arg_count: usize = number(token())?;
+                    let mut args = Vec::new();
+                    for _ in 0..arg_count {
+                        let position: u32 = number(token())?;
+                        let target = match token()? {
+                            // The fixed point indexes the caller's
+                            // parameter effects with it.
+                            "p" => ArgTarget::Param(
+                                number(token()).filter(|at| (*at as usize) < param_count)?,
+                            ),
+                            "g" => ArgTarget::Global(symbol(token())?),
+                            _ => return None,
+                        };
+                        args.push(LinkArg { position, target });
+                    }
+                    calls.push(LinkCall {
+                        callee,
+                        on_device,
+                        args,
+                    });
+                }
+                let seed = FunctionSummary {
+                    name,
+                    param_effects,
+                    global_effects,
+                    has_kernels,
+                };
+                link = Some((Arc::new(seed), calls));
+            }
+            functions.push(FunctionParts {
+                name,
+                is_static: flags & 1 != 0,
+                refs: Arc::new(refs),
+                callees,
+                link,
+            });
+        }
+        if token().is_some() {
+            return None;
+        }
+        Some(UnitExports::assemble(unit, fingerprint, globals, functions))
+    }
+}
+
+/// Fingerprint of everything the cross-unit propagation reads from one
+/// function's caller side: its local seed summary, every call site — the
+/// resolved callee, the execution space, where each by-reference argument
+/// lands — and the globals an unknown callee would clobber. Two links in
+/// which every function's local fingerprint matches converge to identical
+/// summaries — which is what lets the incremental relink skip them.
+fn local_fingerprint(seed: &FunctionSummary, calls: &[LinkCall], globals: &[Symbol]) -> u64 {
+    let mut h = Fnv::new();
+    h.write_u64(summary_fingerprint(seed));
+    for call in calls {
+        h.write_str(&call.callee);
+        h.write(&[u8::from(call.on_device)]);
+        for arg in &call.args {
+            h.write_u64(u64::from(arg.position));
+            match arg.target {
+                ArgTarget::Param(at) => {
+                    h.write(&[1]);
+                    h.write_u64(u64::from(at));
+                }
+                ArgTarget::Global(var) => {
+                    h.write(&[2]);
+                    h.write_str(&var);
+                }
+            }
+        }
+        h.write(&[0xfd]);
+    }
+    for global in globals {
+        h.write_str(global);
+    }
+    h.finish()
+}

@@ -212,49 +212,109 @@ pub fn seed_summary(
     summary
 }
 
+/// Where a by-reference call argument lands in the *caller's* summary: the
+/// one fact the fixed point needs about an argument's base variable,
+/// resolved against the caller's symbol table when the node is built — so
+/// the propagation itself reads no symbol table and no AST.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ArgTarget {
+    /// An aggregate parameter of the caller, by position.
+    Param(u32),
+    /// A global variable.
+    Global(Symbol),
+}
+
+/// One by-reference argument of a call site whose base variable is visible
+/// to the caller's callers. Arguments passed by value, without a base
+/// variable, or based on a local or scalar are not recorded: a callee's
+/// effect on them never leaves the caller.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LinkArg {
+    /// Position of the argument: the index of the callee parameter whose
+    /// effect flows through it.
+    pub position: u32,
+    pub target: ArgTarget,
+}
+
+/// One call site as the call-site propagation reads it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct LinkCall {
+    pub callee: Symbol,
+    pub on_device: bool,
+    pub args: Vec<LinkArg>,
+}
+
+impl LinkCall {
+    /// The propagation's view of `call`, made in a function with parameters
+    /// `func.params` and symbol table `sym`.
+    pub fn of(call: &CallSite, func: &FunctionDef, sym: &SymbolTable) -> LinkCall {
+        let target = |var: Symbol| match param_index(func, var) {
+            Some(position) => sym
+                .is_aggregate(var)
+                .then_some(ArgTarget::Param(position as u32)),
+            None => sym.is_global(var).then_some(ArgTarget::Global(var)),
+        };
+        let args = call.args.iter().enumerate().filter_map(|(position, arg)| {
+            let target = target(arg.base_var.filter(|_| arg.by_ref)?)?;
+            Some(LinkArg {
+                position: position as u32,
+                target,
+            })
+        });
+        LinkCall {
+            callee: call.callee,
+            on_device: call.on_device,
+            args: args.collect(),
+        }
+    }
+}
+
 /// Everything the call-site propagation reads from one function, decoupled
-/// from the owning [`TranslationUnit`] so the link stage can run the fixed
-/// point over functions from *several* units (with unit-private `static`
-/// names already resolved in `calls`).
+/// from the owning [`TranslationUnit`] — and from its symbol tables — so the
+/// link stage can run the fixed point over functions from *several* units
+/// (with unit-private `static` names already resolved in `calls`), whether
+/// those units were parsed this run or restored from the store.
 #[derive(Clone, Debug)]
 pub struct PropagationNode<'a> {
     /// The function's name under which its seed (and converged summary) is
     /// keyed — for cross-unit `static` functions this is the mangled
     /// unit-private symbol, not the source-level name.
     pub name: Symbol,
-    /// Parameter names, in declaration order. Borrowed when the caller
-    /// memoized the resolved list (the link stage does, per unit content),
-    /// owned when built fresh.
-    pub params: Cow<'a, [Symbol]>,
-    /// The function's symbol table (aggregate/global classification of
-    /// call-argument base variables).
-    pub sym: &'a SymbolTable,
-    /// The function's call sites, callee names fully resolved.
-    pub calls: Cow<'a, [CallSite]>,
+    /// The function's call sites, callee names fully resolved. Borrowed
+    /// when the caller memoized the resolved list (the link stage does, per
+    /// unit content), owned when built fresh.
+    pub calls: Cow<'a, [LinkCall]>,
+    /// The globals the function can see — what a call to an unknown callee
+    /// clobbers in pessimistic-globals mode. Empty when that mode is off.
+    pub globals: &'a [Symbol],
 }
 
 impl<'a> PropagationNode<'a> {
-    /// Build the node for one function from its per-unit artifacts,
-    /// resolving callee names through `resolve` (identity for a single
-    /// unit; the link stage maps unit-private statics to mangled names).
+    /// Build the node for one function from its per-unit artifacts.
     pub fn build(
         name: Symbol,
         func: &FunctionDef,
         acc: &FunctionAccesses,
-        sym: &'a SymbolTable,
-        resolve: impl Fn(Symbol) -> Symbol,
+        sym: &SymbolTable,
+        globals: &'a [Symbol],
     ) -> PropagationNode<'a> {
-        let mut calls = acc.calls.clone();
-        for call in &mut calls {
-            call.callee = resolve(call.callee);
-        }
+        let calls = acc.calls.iter().map(|call| LinkCall::of(call, func, sym));
         PropagationNode {
             name,
-            params: Cow::Owned(func.params.iter().map(|p| p.name).collect()),
-            sym,
-            calls: Cow::Owned(calls),
+            calls: Cow::Owned(calls.collect()),
+            globals,
         }
     }
+}
+
+/// The globals a function of `unit` can see, sorted: every global the unit
+/// declares (a parameter or local of the same name does not hide one from
+/// [`SymbolTable::is_global`]).
+pub fn visible_globals(unit: &TranslationUnit) -> Vec<Symbol> {
+    let mut globals: Vec<Symbol> = unit.globals().map(|g| g.name).collect();
+    globals.sort_unstable();
+    globals.dedup();
+    globals
 }
 
 impl ProgramSummaries {
@@ -275,7 +335,7 @@ impl ProgramSummaries {
                 continue;
             };
             seeds.insert(func.name, Arc::new(seed_summary(func, acc, sym)));
-            nodes.push(PropagationNode::build(func.name, func, acc, sym, |c| c));
+            nodes.push(PropagationNode::build(func.name, func, acc, sym, &[]));
         }
         ProgramSummaries::propagate(&nodes, seeds, max_passes, false, 1)
     }
@@ -474,7 +534,7 @@ impl ProgramSummaries {
                         continue;
                     };
                     let mut caller = working(&self.functions, node.name);
-                    if merge_known_call(&mut caller, node, call, &callee_summary) {
+                    if merge_known_call(&mut caller, call, &callee_summary) {
                         self.functions.insert(node.name, Arc::new(caller));
                         changed = true;
                     }
@@ -542,8 +602,7 @@ impl ProgramSummaries {
 /// engine and the SCC-wavefront workers so the two cannot drift apart.
 fn merge_known_call(
     caller: &mut FunctionSummary,
-    node: &PropagationNode<'_>,
-    call: &CallSite,
+    call: &LinkCall,
     callee_summary: &FunctionSummary,
 ) -> bool {
     let mut local_changed = false;
@@ -552,26 +611,19 @@ fn merge_known_call(
         local_changed = true;
     }
     // Parameter effects flow to the caller's own params/globals.
-    for (arg_idx, arg) in call.args.iter().enumerate() {
-        if !arg.by_ref {
-            continue;
-        }
-        let Some(var) = &arg.base_var else { continue };
+    for arg in &call.args {
         let mut effect = callee_summary
             .param_effects
-            .get(arg_idx)
+            .get(arg.position as usize)
             .copied()
             .unwrap_or_default();
         if call.on_device {
             effect = device_shifted(effect);
         }
-        if let Some(pidx) = node.params.iter().position(|p| p == var) {
-            if node.sym.is_aggregate(*var) {
-                local_changed |= caller.param_effects[pidx].merge(effect);
-            }
-        } else if node.sym.is_global(*var) {
-            local_changed |= caller.global_effects.entry(*var).or_default().merge(effect);
-        }
+        local_changed |= match arg.target {
+            ArgTarget::Param(position) => caller.param_effects[position as usize].merge(effect),
+            ArgTarget::Global(var) => caller.global_effects.entry(var).or_default().merge(effect),
+        };
     }
     // Global effects propagate directly.
     for (global, effect) in &callee_summary.global_effects {
@@ -592,9 +644,6 @@ fn merge_known_call(
 /// `caller`: every global the caller can see becomes host read+written
 /// (device-shifted inside offloaded regions), so the clobber is part of
 /// the *summary* and propagates transitively to the caller's own callers.
-/// The symbol table's name order is unordered, but merging into the
-/// `BTreeMap` of global effects is commutative, so the result is
-/// deterministic regardless.
 fn merge_unknown_call(
     caller: &mut FunctionSummary,
     node: &PropagationNode<'_>,
@@ -605,10 +654,8 @@ fn merge_unknown_call(
         effect = device_shifted(effect);
     }
     let mut local_changed = false;
-    for var in node.sym.names() {
-        if node.sym.is_global(var) {
-            local_changed |= caller.global_effects.entry(var).or_default().merge(effect);
-        }
+    for &var in node.globals {
+        local_changed |= caller.global_effects.entry(var).or_default().merge(effect);
     }
     local_changed
 }
@@ -659,7 +706,7 @@ fn converge_component(
                     // A self-recursive edge reads the caller while mutating
                     // it; merge against a snapshot.
                     let snapshot = caller.clone();
-                    if merge_known_call(&mut caller, node, call, &snapshot) {
+                    if merge_known_call(&mut caller, call, &snapshot) {
                         caller_changed = true;
                     }
                     continue;
@@ -671,7 +718,7 @@ fn converge_component(
                     .or_else(|| base.get(&call.callee).map(|s| &**s));
                 match callee {
                     Some(callee_summary) => {
-                        if merge_known_call(&mut caller, node, call, callee_summary) {
+                        if merge_known_call(&mut caller, call, callee_summary) {
                             caller_changed = true;
                         }
                     }
@@ -814,9 +861,7 @@ pub fn augment_with_call_effects(
         // Opt-in: the unknown callee may also touch any global it can name,
         // not just the data it was handed a pointer to.
         if clobber_globals {
-            let mut globals: Vec<Symbol> = unit.globals().map(|g| g.name).collect();
-            globals.sort_unstable();
-            globals.dedup();
+            let globals = visible_globals(unit);
             if !globals.is_empty() {
                 fell_back = true;
                 let origin = AccessOrigin::UnknownCallee {

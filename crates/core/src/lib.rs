@@ -55,6 +55,7 @@
 pub mod access;
 pub mod bounds;
 pub mod dataflow;
+pub mod interface;
 pub mod interproc;
 pub mod mapping;
 pub mod pipeline;
@@ -73,12 +74,12 @@ pub use access::{Access, AccessKind, AccessOrigin, FunctionAccesses, SymbolTable
 pub use bounds::{find_update_insert_loc, loop_bounds, LoopBounds};
 pub use dataflow::{plan_function, DataflowOptions};
 pub use interproc::{
-    augment_with_call_effects, seed_summary, Effect, FunctionSummary, ProgramSummaries,
-    PropagationNode,
+    augment_with_call_effects, seed_summary, ArgTarget, Effect, FunctionSummary, LinkArg, LinkCall,
+    ProgramSummaries, PropagationNode,
 };
 pub use pipeline::{
     AnalysisSession, FunctionKeySnapshot, Stage, StageError, StageTimings, SummarizedUnit,
-    UnitAnalysis,
+    UnitAnalysis, UnitBody,
 };
 pub use plan::{
     diff_plans, explain_plan, explain_plans, extract_explicit_plans, plans_from_json,
@@ -88,7 +89,7 @@ pub use plan::{
 };
 pub use program::{
     DriverProfile, ExportedInterface, ExternalRefs, LinkContext, LinkState, LinkedSummaries,
-    Program, ProgramAnalysis, ProgramDriver, ProgramError, UnitServe, UNLINKED,
+    Program, ProgramAnalysis, ProgramDriver, ProgramError, UnitExports, UnitServe, UNLINKED,
 };
 pub use rewrite::apply_plans;
 pub use stats::CacheStats;
@@ -448,9 +449,7 @@ impl Analysis {
 
     /// Parse- and analysis-time diagnostics, merged.
     pub fn diagnostics(&self) -> Diagnostics {
-        let mut diagnostics = self.unit.parsed.diagnostics.clone();
-        diagnostics.extend(self.unit.plans.diagnostics.clone());
-        diagnostics
+        self.unit.diagnostics()
     }
 
     /// Per-stage wall-clock timings of this analysis.
@@ -458,14 +457,22 @@ impl Analysis {
         self.unit.timings()
     }
 
-    /// The parsed translation unit (AST).
+    /// The parsed translation unit (AST). An analysis served from the
+    /// persistent store is parsed on the first call.
     pub fn translation_unit(&self) -> &TranslationUnit {
-        &self.unit.parsed.unit
+        &self.unit.parsed().unit
     }
 
-    /// The input source file (spans in plans and diagnostics point into it).
+    /// The input source file (spans in plans and diagnostics point into
+    /// it). An analysis served from the persistent store is parsed on the
+    /// first call; [`Self::source_text`] is the text alone.
     pub fn source_file(&self) -> &SourceFile {
-        &self.unit.parsed.file
+        &self.unit.parsed().file
+    }
+
+    /// The source text that was analyzed.
+    pub fn source_text(&self) -> &str {
+        self.unit.source()
     }
 
     /// Human-readable justification of every mapping decision: one line per

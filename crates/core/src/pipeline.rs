@@ -18,9 +18,14 @@
 //! ([`StageError`]).
 //!
 //! An [`AnalysisSession`] drives the stages along **one path**:
-//! [`AnalysisSession::summarize`] runs parse → graphs → accesses → summaries
-//! for a unit, and [`AnalysisSession::analyze_linked`] plans and rewrites it
-//! under a [`LinkContext`]. A whole program gets its contexts from the link
+//! [`AnalysisSession::summarize`] yields a unit as the link stage consumes
+//! it — a [`SummarizedUnit`]: its *interface* (what other units read of it)
+//! and, behind a `OnceLock`, its *body* ([`UnitBody`]: parse → graphs →
+//! accesses → summaries), built at once for a unit that has to be parsed
+//! and on demand for one whose interface the persistent store held — and
+//! [`AnalysisSession::analyze_linked`] plans and rewrites it under a
+//! [`LinkContext`], or loads plans and rewrite from the store without
+//! touching the body. A whole program gets its contexts from the link
 //! stage ([`crate::program`]); a single unit is the *closed-world program*
 //! — its context is its own converged summaries and nothing imported
 //! ([`LinkContext::closed_world`]) — so [`AnalysisSession::analyze`] is
@@ -58,14 +63,15 @@
 
 use crate::access::{FunctionAccesses, SymbolTable};
 use crate::dataflow::{function_referenced_vars, plan_function};
+use crate::interface::UnitExports;
 use crate::interproc::{
-    augment_with_call_effects, seed_summary, Effect, FunctionSummary, ProgramSummaries,
-    PropagationNode,
+    augment_with_call_effects, seed_summary, visible_globals, Effect, FunctionSummary,
+    ProgramSummaries, PropagationNode,
 };
 use crate::plan::explain::explain_plans;
 use crate::plan::ir::{AnalysisStats, MappingPlan};
 use crate::plan::json::{plans_to_json, plans_to_json_value, write_json_string};
-use crate::program::{LinkContext, LinkState, UnitServe};
+use crate::program::{LinkContext, LinkState, UnitServe, UNLINKED};
 use crate::relocate::{relocate_diagnostics, relocate_function_accesses, relocate_plan};
 use crate::rewrite;
 use crate::shard::ShardMap;
@@ -81,7 +87,7 @@ use ompdart_graph::ProgramGraphs;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
@@ -501,6 +507,10 @@ fn stage_summaries_cached(
     let mut seeds = HashMap::new();
     let mut nodes = Vec::new();
     let mut counted = CacheStats::default();
+    let globals = match options.pessimistic_globals {
+        true => visible_globals(unit),
+        false => Vec::new(),
+    };
     for func in unit.functions() {
         let Some(acc) = accesses.accesses.get(&func.name) else {
             continue;
@@ -521,7 +531,7 @@ fn stage_summaries_cached(
             None => Arc::new(seed_summary(func, acc, sym)),
         };
         seeds.insert(func.name, seed);
-        nodes.push(PropagationNode::build(func.name, func, acc, sym, |c| c));
+        nodes.push(PropagationNode::build(func.name, func, acc, sym, &globals));
     }
     let summaries = ProgramSummaries::propagate(
         &nodes,
@@ -731,7 +741,7 @@ pub(crate) fn environment_hash(file: &SourceFile, unit: &TranslationUnit) -> u64
     h.finish()
 }
 
-fn effect_byte(e: Effect) -> u8 {
+pub(crate) fn effect_byte(e: Effect) -> u8 {
     u8::from(e.host_read)
         | u8::from(e.host_write) << 1
         | u8::from(e.device_read) << 2
@@ -758,10 +768,10 @@ pub(crate) fn summary_fingerprint(s: &FunctionSummary) -> u64 {
 /// name has no summary — the parameter count, `const` qualifiers and
 /// variadic flag of the visible prototype the pessimistic fallback reads
 /// (empty without one).
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct CalleeKey {
     pub(crate) name: Symbol,
-    proto: Vec<u8>,
+    pub(crate) proto: Vec<u8>,
 }
 
 /// The direct callees of `func_name`, sorted by name and de-duplicated:
@@ -860,6 +870,7 @@ pub fn stage_plans(
         None,
         None,
         None,
+        None,
     )
 }
 
@@ -887,7 +898,9 @@ enum PlanServe {
 /// and `main`'s exit liveness extends over every other unit's functions;
 /// the cache keys incorporate those facts, so an edit in another unit
 /// re-plans functions here only when a callee summary or the external
-/// liveness surface it depends on actually changed.
+/// liveness surface it depends on actually changed. With `exports` set —
+/// the unit's interface, where it has been computed — a function's callee
+/// list is read from it instead of derived again.
 #[allow(clippy::too_many_arguments)]
 fn run_plan_stage(
     unit: &TranslationUnit,
@@ -899,6 +912,7 @@ fn run_plan_stage(
     incremental: Option<(&ParsedUnit, &FunctionPlanCache)>,
     store: Option<&ArtifactStore>,
     link: Option<&LinkContext>,
+    exports: Option<&UnitExports>,
 ) -> PlansArtifact {
     let start = Instant::now();
     let funcs: Vec<_> = unit.functions().collect();
@@ -931,17 +945,27 @@ fn run_plan_stage(
         u64,
         Option<FunctionKeySnapshot>,
     );
+    // The fingerprint of the summary a callee resolves to: the link's
+    // memo in a linked program, hashed here in a closed world.
+    let summary_fp = |callee: Symbol| match link {
+        Some(link) => link.summary_fingerprint(callee),
+        None => effective_summaries.summary(callee).map(summary_fingerprint),
+    };
     let plan_one = |idx: usize| -> Slot {
         let func = funcs[idx];
+        let callees = || match exports.map(|exports| &exports.functions[idx]) {
+            Some(exported) => {
+                debug_assert_eq!(exported.source, func.name, "interface out of step");
+                callees_fingerprint(&exported.callees, summary_fp)
+            }
+            None => callees_fingerprint(&callee_keys(func.name, accesses, unit), summary_fp),
+        };
         let key = shared
             .as_ref()
             .map(|(parsed, _, env_hash, options_hash)| FunctionPlanKey {
                 snippet: parsed.file.snippet(func.span).to_string(),
                 env_hash: *env_hash,
-                callees_hash: callees_fingerprint(
-                    &callee_keys(func.name, accesses, unit),
-                    |callee| effective_summaries.summary(callee).map(summary_fingerprint),
-                ),
+                callees_hash: callees(),
                 refs_hash: if func.name == "main" {
                     let mut h = Fnv::new();
                     h.write_u64(liveness_fingerprint(unit, &func.name));
@@ -1179,33 +1203,195 @@ pub fn stage_rewrite(
 // The assembled analysis of one translation unit
 // ---------------------------------------------------------------------------
 
-/// The summarize-phase artifacts of one translation unit: everything up to
-/// (and including) the interprocedural summaries, but no plans yet. This is
-/// the unit of work of the whole-program pipeline's parallel first phase;
-/// the link stage consumes a set of these.
+/// The **body** of a unit: every artifact derived from parsing it, up to
+/// (and including) the unit-local interprocedural summaries. Large, and
+/// needed only to *plan* the unit (or to look at it: `explain`, a plan-JSON
+/// dump), so it is built on demand — see [`SummarizedUnit`].
 #[derive(Debug)]
-pub struct SummarizedUnit {
+pub struct UnitBody {
     pub parsed: Arc<ParsedUnit>,
     pub graphs: Arc<GraphsArtifact>,
     pub accesses: Arc<AccessArtifact>,
     /// The *unit-local* summaries (closed-world fixed point). The link
-    /// stage re-converges these across units.
+    /// stage re-converges their seeds across units.
     pub summaries: Arc<SummariesArtifact>,
-    /// Lazily computed link-stage exports (referenced variables, exported
-    /// interface, static-function names). A unit keeps its `Arc` for as
-    /// long as its content stays resident in the session's unit table, so
-    /// the AST walks behind these run once per resident version, not once
-    /// per relink — see [`crate::program::UnitExports`].
-    pub(crate) link_exports: std::sync::OnceLock<crate::program::UnitExports>,
 }
 
-/// Every artifact of a fully analyzed translation unit.
+impl UnitBody {
+    /// The one body constructor: parse → input contract → graphs →
+    /// accesses → summaries. With a `session`, through its unit table,
+    /// function-granular caches, counters and timings; without, the pure
+    /// stage functions (what an accessor runs when nobody has built the
+    /// body of a restored unit yet).
+    fn build(
+        name: &str,
+        source: &str,
+        options: &OmpDartOptions,
+        session: Option<&AnalysisSession>,
+    ) -> Result<UnitBody, StageError> {
+        let parsed = match session {
+            Some(session) => session.parse(name, source)?,
+            None => Arc::new(stage_parse(name, source)?),
+        };
+        if options.reject_existing_mappings {
+            check_input_contract(&parsed)?;
+        }
+        let (graphs, accesses, summaries) = match session {
+            Some(session) => {
+                let graphs = session.graphs(&parsed);
+                let accesses = session.accesses(&parsed, &graphs);
+                let summaries = session.summaries(&parsed, &accesses);
+                (graphs, accesses, summaries)
+            }
+            None => {
+                let graphs = Arc::new(stage_graphs(&parsed.unit));
+                let accesses = Arc::new(stage_accesses(&parsed.unit, &graphs));
+                let summaries = Arc::new(stage_summaries(&parsed.unit, &accesses, options));
+                (graphs, accesses, summaries)
+            }
+        };
+        Ok(UnitBody {
+            parsed,
+            graphs,
+            accesses,
+            summaries,
+        })
+    }
+}
+
+/// One translation unit as the whole-program pipeline's first phase leaves
+/// it, and the link stage consumes it: its name, its source text and its
+/// **interface** ([`UnitExports`] — what the rest of the program reads of
+/// it), with its **body** ([`UnitBody`]) behind a `OnceLock`.
+///
+/// A unit parsed this run has its body from the start and computes its
+/// interface from it on first use. A unit *restored* from the persistent
+/// store has its interface from the start and no body: the accessors
+/// ([`Self::parsed`], [`Self::graphs`], [`Self::accesses`],
+/// [`Self::summaries`]) build it on first use, which a restart whose plans
+/// are all in the store never asks for.
+#[derive(Debug)]
+pub struct SummarizedUnit {
+    name: String,
+    /// The source text. Shared with the unit table's version (a resident
+    /// unit is recognised by this pointer) and, for a parsed unit, with the
+    /// body's [`SourceFile`].
+    source: Arc<String>,
+    /// The options the body is built under, when it is built on demand.
+    options: OmpDartOptions,
+    body: OnceLock<UnitBody>,
+    exports: OnceLock<UnitExports>,
+    /// The store's two content hashes of `source`, computed once per unit:
+    /// the interface record and every plan record are keyed by them.
+    content: OnceLock<store::ContentKey>,
+}
+
+impl SummarizedUnit {
+    /// A unit parsed this run, around its body.
+    fn parsed_now(name: &str, options: &OmpDartOptions, body: UnitBody) -> SummarizedUnit {
+        SummarizedUnit {
+            name: name.to_string(),
+            source: body.parsed.file.shared_text(),
+            options: *options,
+            body: OnceLock::from(body),
+            exports: OnceLock::new(),
+            content: OnceLock::new(),
+        }
+    }
+
+    /// A unit restored from its stored (or otherwise decoded) interface:
+    /// `exports` must be the interface of `source` under `options`. Nothing
+    /// is parsed until an accessor asks for the body.
+    pub fn restored(
+        name: &str,
+        source: &str,
+        options: &OmpDartOptions,
+        exports: UnitExports,
+    ) -> SummarizedUnit {
+        SummarizedUnit {
+            name: name.to_string(),
+            source: Arc::new(source.to_string()),
+            options: *options,
+            body: OnceLock::new(),
+            exports: OnceLock::from(exports),
+            content: OnceLock::new(),
+        }
+    }
+
+    /// The unit's name (diagnostics file name).
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The unit's source text.
+    pub fn source(&self) -> &str {
+        &self.source
+    }
+
+    /// The unit's interface, computed from the body on first use unless it
+    /// was restored.
+    pub fn exports(&self) -> &UnitExports {
+        self.exports
+            .get_or_init(|| UnitExports::of(&self.name, self.body(), &self.options))
+    }
+
+    /// The body, if it has been built: a parsed unit's, or a restored
+    /// unit's once something asked for it.
+    pub fn body_if_built(&self) -> Option<&UnitBody> {
+        self.body.get()
+    }
+
+    /// The body, built now (by the pure stage functions) if it has not been.
+    pub fn body(&self) -> &UnitBody {
+        self.body_through(None)
+    }
+
+    /// [`Self::body`], built through `session`'s caches and counters if
+    /// there is one.
+    fn body_through(&self, session: Option<&AnalysisSession>) -> &UnitBody {
+        // Only a restored unit gets here without a body, and its interface
+        // record was written by a run that parsed these very bytes, under
+        // these options, without a diagnostic.
+        self.body.get_or_init(|| {
+            UnitBody::build(&self.name, &self.source, &self.options, session)
+                .expect("a unit with a stored interface parsed before")
+        })
+    }
+
+    /// The parse (builds the body on first use).
+    pub fn parsed(&self) -> &Arc<ParsedUnit> {
+        &self.body().parsed
+    }
+
+    /// The graphs (builds the body on first use).
+    pub fn graphs(&self) -> &Arc<GraphsArtifact> {
+        &self.body().graphs
+    }
+
+    /// The classified accesses (builds the body on first use).
+    pub fn accesses(&self) -> &Arc<AccessArtifact> {
+        &self.body().accesses
+    }
+
+    /// The unit-local summaries (builds the body on first use).
+    pub fn summaries(&self) -> &Arc<SummariesArtifact> {
+        &self.body().summaries
+    }
+
+    /// The store's content hashes of the source.
+    fn content(&self) -> store::ContentKey {
+        *(self.content).get_or_init(|| store::content_key(&self.source))
+    }
+}
+
+/// A fully analyzed translation unit: the summarized unit, its plans and
+/// its rewrite. Plans, statistics and the rewritten source are held
+/// eagerly — they are what every consumer reads; the body stays behind the
+/// unit's `OnceLock`, shared with it, and is reached through the same
+/// accessors.
 #[derive(Debug)]
 pub struct UnitAnalysis {
-    pub parsed: Arc<ParsedUnit>,
-    pub graphs: Arc<GraphsArtifact>,
-    pub accesses: Arc<AccessArtifact>,
-    pub summaries: Arc<SummariesArtifact>,
+    unit: Arc<SummarizedUnit>,
     pub plans: Arc<PlansArtifact>,
     pub rewrite: Arc<RewriteOutput>,
     /// The two payload-heavy artifacts as a server sends them, rendered on
@@ -1213,27 +1399,75 @@ pub struct UnitAnalysis {
     /// plan document, compact. An analysis is shared across requests by
     /// the session's unit table, so an unchanged unit is rendered once
     /// however often it is served.
-    wire: std::sync::OnceLock<(String, String)>,
+    wire: OnceLock<(String, String)>,
 }
 
 impl UnitAnalysis {
-    /// Per-stage timings of this analysis.
+    /// The summarized unit this analysis planned: name, source, interface,
+    /// and the (possibly unbuilt) body.
+    pub fn unit(&self) -> &Arc<SummarizedUnit> {
+        &self.unit
+    }
+
+    /// The source text that was analyzed.
+    pub fn source(&self) -> &str {
+        self.unit.source()
+    }
+
+    /// The parse (builds the body on first use).
+    pub fn parsed(&self) -> &Arc<ParsedUnit> {
+        self.unit.parsed()
+    }
+
+    /// The graphs (builds the body on first use).
+    pub fn graphs(&self) -> &Arc<GraphsArtifact> {
+        self.unit.graphs()
+    }
+
+    /// The classified accesses (builds the body on first use).
+    pub fn accesses(&self) -> &Arc<AccessArtifact> {
+        self.unit.accesses()
+    }
+
+    /// The unit-local summaries (builds the body on first use).
+    pub fn summaries(&self) -> &Arc<SummariesArtifact> {
+        self.unit.summaries()
+    }
+
+    /// Parse- and planning-time diagnostics, merged. Builds nothing: a
+    /// unit whose parse produced a diagnostic is never served without its
+    /// body, so a unit without one has none to show.
+    pub fn diagnostics(&self) -> Diagnostics {
+        let parse = self
+            .unit
+            .body_if_built()
+            .map(|body| &body.parsed.diagnostics);
+        let mut diagnostics = parse.cloned().unwrap_or_default();
+        diagnostics.extend(self.plans.diagnostics.clone());
+        diagnostics
+    }
+
+    /// Per-stage timings of this analysis: the stages that ran for it.
+    /// The body's four read zero while it has not been built.
     pub fn timings(&self) -> StageTimings {
+        let body = self.unit.body_if_built();
+        let of = |elapsed: fn(&UnitBody) -> Duration| body.map_or(Duration::ZERO, elapsed);
         // In `Stage` order.
         StageTimings([
-            self.parsed.elapsed,
-            self.graphs.elapsed,
-            self.accesses.elapsed,
-            self.summaries.elapsed,
+            of(|body| body.parsed.elapsed),
+            of(|body| body.graphs.elapsed),
+            of(|body| body.accesses.elapsed),
+            of(|body| body.summaries.elapsed),
             self.plans.elapsed,
             self.rewrite.elapsed,
         ])
     }
 
     /// Human-readable justification of every mapping decision: one line per
-    /// construct, with the deciding source location.
+    /// construct, with the deciding source location (from the parse: builds
+    /// the body on first use).
     pub fn explain(&self) -> String {
-        explain_plans(&self.plans.plans, Some(&self.parsed.file))
+        explain_plans(&self.plans.plans, Some(&self.parsed().file))
     }
 
     /// The versioned plan-JSON document for this unit's plans.
@@ -1298,13 +1532,17 @@ fn admit<T>(list: &mut Vec<T>, entry: T, bound: usize) {
     list.insert(0, entry);
 }
 
-/// One resident content version of a unit: its parse, the summarize-phase
-/// artifacts once [`AnalysisSession::summarize`] has run on it, and the
-/// analyses planned from them.
+/// One resident content version of a unit: its source, its parse (where
+/// something parsed it), the summarized unit once
+/// [`AnalysisSession::summarize`] has run on it, and the analyses planned
+/// from that.
 #[derive(Debug)]
 struct UnitVersion {
-    /// The parse, and with it the source every hit is verified against.
-    parsed: Arc<ParsedUnit>,
+    /// The source every hit is verified against.
+    source: Arc<String>,
+    /// `None` while nothing has parsed the version: it was restored from
+    /// the store, and no plan of it has been missed yet.
+    parsed: Option<Arc<ParsedUnit>>,
     /// `None` while the version has only been parsed.
     summarized: Option<Arc<SummarizedUnit>>,
     /// `(imports fingerprint, analysis)`, most recently used first, at
@@ -1331,25 +1569,22 @@ struct UnitSlot {
 impl UnitSlot {
     /// The resident version with this content, moved to the front. A hit is
     /// a byte compare of the source — or pointer identity, for a caller that
-    /// already holds the version's own parse.
-    fn version(
-        &mut self,
-        parsed: Option<&Arc<ParsedUnit>>,
-        source: &str,
-    ) -> Option<&mut UnitVersion> {
+    /// already holds the version's own text.
+    fn version(&mut self, shared: Option<&Arc<String>>, source: &str) -> Option<&mut UnitVersion> {
         touch(&mut self.versions, |v| {
-            parsed.is_some_and(|p| Arc::ptr_eq(p, &v.parsed)) || v.parsed.file.text() == source
+            shared.is_some_and(|text| Arc::ptr_eq(text, &v.source)) || *v.source == source
         })
     }
 
-    /// [`Self::version`] of `parsed`'s content, admitted (around `parsed`)
-    /// when it is not resident. A concurrent call that raced to the same
-    /// content finds the first writer's version, so every caller observes
-    /// one set of `Arc`s (the duplicated work is benign).
-    fn version_or_admit(&mut self, parsed: &Arc<ParsedUnit>) -> &mut UnitVersion {
-        if self.version(Some(parsed), parsed.file.text()).is_none() {
+    /// [`Self::version`] of `source`, admitted (around that very text) when
+    /// it is not resident. A concurrent call that raced to the same content
+    /// finds the first writer's version, so every caller observes one set
+    /// of `Arc`s (the duplicated work is benign).
+    fn version_or_admit(&mut self, source: &Arc<String>) -> &mut UnitVersion {
+        if self.version(Some(source), source).is_none() {
             let version = UnitVersion {
-                parsed: Arc::clone(parsed),
+                source: Arc::clone(source),
+                parsed: None,
                 summarized: None,
                 analyses: Vec::new(),
             };
@@ -1364,11 +1599,11 @@ impl UnitSlot {
 /// Every unit the session has seen has **one home**: its slot in the unit
 /// table, indexed by unit name. A slot holds the unit's current content
 /// version and the one before it (`VERSIONS_PER_UNIT`), and a version holds
-/// its [`ParsedUnit`], its [`SummarizedUnit`] and the few most recent
-/// [`UnitAnalysis`] bundles planned from it, one per imports fingerprint
-/// (`ANALYSES_PER_VERSION`). A lookup is a name probe plus a byte compare
-/// of the source — never a content hash, and never another file's
-/// artifacts — and a slot never grows past those two bounds, so a
+/// its source, its [`SummarizedUnit`] — interface, and body once built —
+/// and the few most recent [`UnitAnalysis`] bundles planned from it, one per
+/// imports fingerprint (`ANALYSES_PER_VERSION`). A lookup is a name probe
+/// plus a byte compare of the source — never a content hash, and never
+/// another file's artifacts — and a slot never grows past those two bounds, so a
 /// long-lived session (`ompdart watch`, the daemon) stays bounded by the
 /// number of unit names it has seen, not by the number of saves. A
 /// superseded version is released as soon as two newer ones have been
@@ -1380,9 +1615,10 @@ impl UnitSlot {
 ///   are re-planned; unchanged functions re-use their plan, relocated to
 ///   the new node ids and byte offsets ([`Self::cache_stats`] proves it);
 /// * an optional persistent [`ArtifactStore`]
-///   ([`AnalysisSession::with_cache_dir`]): plans are loaded from disk on a
-///   content match and written back after every miss, so a fresh process
-///   starts warm.
+///   ([`AnalysisSession::with_cache_dir`]): a unit's interface, its plans
+///   and the edits that rewrite it are loaded from disk on a content match
+///   and written back after every miss, so a fresh process starts warm and
+///   parses only the units a change reached.
 ///
 /// [`Self::analyze`] (one unit, a closed world) and
 /// [`crate::program::ProgramDriver`] (many units, linked) both run
@@ -1422,7 +1658,7 @@ pub struct AnalysisSession {
 /// unit as served, and its per-function key snapshots, still encoded.
 #[derive(Debug)]
 struct Unseeded {
-    parsed: Arc<ParsedUnit>,
+    unit: Arc<SummarizedUnit>,
     plans: Arc<PlansArtifact>,
     snapshots: String,
 }
@@ -1529,11 +1765,11 @@ impl AnalysisSession {
     fn resident<R>(
         &self,
         name: &str,
-        parsed: Option<&Arc<ParsedUnit>>,
+        shared: Option<&Arc<String>>,
         source: &str,
         get: impl FnOnce(&mut UnitVersion) -> Option<R>,
     ) -> Option<R> {
-        let read = |slot: &mut UnitSlot| get(slot.version(parsed, source)?);
+        let read = |slot: &mut UnitSlot| get(slot.version(shared, source)?);
         self.units.modify(name, read).flatten()
     }
 
@@ -1545,8 +1781,7 @@ impl AnalysisSession {
         unit: &SummarizedUnit,
         imports_fingerprint: u64,
     ) -> Option<Arc<UnitAnalysis>> {
-        let parsed = &unit.parsed;
-        self.resident(&parsed.name, Some(parsed), parsed.file.text(), |version| {
+        self.resident(&unit.name, Some(&unit.source), &unit.source, |version| {
             version.analysis(imports_fingerprint)
         })
     }
@@ -1557,9 +1792,8 @@ impl AnalysisSession {
     /// it is for a caller that wants a session which never revisits
     /// superseded content to hold none of it.
     pub fn evict_stale_versions(&self, name: &str, source: &str) {
-        self.units.modify(name, |slot| {
-            slot.versions.retain(|v| v.parsed.file.text() == source)
-        });
+        self.units
+            .modify(name, |slot| slot.versions.retain(|v| *v.source == source));
     }
 
     /// The active options.
@@ -1589,17 +1823,26 @@ impl AnalysisSession {
     }
 
     /// Stage 1, cached: parse source text. A hit is a resident version of
-    /// `name` whose source matches byte for byte; identical content always
-    /// yields one `Arc` for as long as that version stays resident.
+    /// `name` whose source matches byte for byte and which something has
+    /// parsed; identical content always yields one `Arc` for as long as
+    /// that version stays resident.
     pub fn parse(&self, name: &str, source: &str) -> Result<Arc<ParsedUnit>, StageError> {
-        if let Some(parsed) = self.resident(name, None, source, |v| Some(Arc::clone(&v.parsed))) {
+        let resident = |v: &mut UnitVersion| {
+            // A restored unit whose body an accessor built has a parse too.
+            let body = v.summarized.as_ref().and_then(|unit| unit.body_if_built());
+            (v.parsed.clone()).or_else(|| body.map(|body| Arc::clone(&body.parsed)))
+        };
+        if let Some(parsed) = self.resident(name, None, source, resident) {
             self.counters.add(Counter::parse_hits, 1);
             return Ok(parsed);
         }
         self.counters.add(Counter::parse_misses, 1);
         let parsed = Arc::new(stage_parse(name, source)?);
         self.add_time(Stage::Parse, parsed.elapsed);
-        let admit = |slot: &mut UnitSlot| Arc::clone(&slot.version_or_admit(&parsed).parsed);
+        let admit = |slot: &mut UnitSlot| {
+            let version = slot.version_or_admit(&parsed.file.shared_text());
+            Arc::clone(version.parsed.get_or_insert(parsed))
+        };
         Ok(self.units.update(name.to_string(), admit))
     }
 
@@ -1654,7 +1897,7 @@ impl AnalysisSession {
         accesses: &AccessArtifact,
         summaries: &SummariesArtifact,
     ) -> Arc<PlansArtifact> {
-        self.plan_under(parsed, graphs, accesses, summaries, None)
+        self.plan_under(parsed, graphs, accesses, summaries, None, None)
     }
 
     /// The session's one planning call: [`run_plan_stage`] over the
@@ -1667,6 +1910,7 @@ impl AnalysisSession {
         accesses: &AccessArtifact,
         summaries: &SummariesArtifact,
         link: Option<&LinkContext>,
+        exports: Option<&UnitExports>,
     ) -> Arc<PlansArtifact> {
         self.seed_function_plans(&parsed.name);
         let artifact = Arc::new(run_plan_stage(
@@ -1679,6 +1923,7 @@ impl AnalysisSession {
             Some((parsed, &self.function_plans)),
             self.store.as_ref(),
             link,
+            exports,
         ));
         self.counters.add_all(artifact.counted);
         self.add_time(Stage::Plan, artifact.elapsed);
@@ -1710,7 +1955,9 @@ impl AnalysisSession {
     /// only sound when requests cannot interleave.
     ///
     /// A single unit is the closed-world program: summarize, plan under
-    /// [`LinkContext::closed_world`], flush. This deliberately does not go
+    /// [`LinkContext::closed_world`], flush — and that context, which reads
+    /// the unit's body, is only assembled once the unit table and the store
+    /// have both missed under [`UNLINKED`]. This deliberately does not go
     /// through [`crate::program::ProgramDriver`] — a one-unit request must
     /// leave the session's link state alone, or interleaving it with
     /// whole-program requests on one session would evict their incremental
@@ -1721,7 +1968,7 @@ impl AnalysisSession {
         source: &str,
     ) -> Result<(Arc<UnitAnalysis>, UnitServe), StageError> {
         let unit = self.summarize(name, source)?;
-        let served = self.analyze_linked(&unit, &LinkContext::closed_world(&unit));
+        let served = self.analyze_under(&unit, UNLINKED, None);
         self.flush_store_writes();
         Ok(served)
     }
@@ -1733,12 +1980,12 @@ impl AnalysisSession {
     /// byte range or plan does not fit is skipped, never trusted.
     fn seed_function_plans(&self, name: &str) {
         let mut waiting = self.unseeded.lock().expect("seed lock poisoned");
-        let Some(unit) = waiting.remove(name) else {
+        let Some(served) = waiting.remove(name) else {
             return;
         };
         drop(waiting);
-        let (source, stored) = (unit.parsed.file.text(), &unit.plans);
-        for key in &store::decode_snapshots(&unit.snapshots).unwrap_or_default() {
+        let (source, stored) = (served.unit.source(), &served.plans);
+        for key in &store::decode_snapshots(&served.snapshots).unwrap_or_default() {
             let start = key.base_pos as usize;
             let Some(snippet) = source.get(start..start.saturating_add(key.snippet_len as usize))
             else {
@@ -1773,30 +2020,54 @@ impl AnalysisSession {
         }
     }
 
-    /// Phase 1, cached: everything up to the interprocedural summaries for
-    /// one unit, under [`Self::parse`]'s full-source verification.
+    /// Phase 1, cached: one unit as the link stage consumes it. Lookup
+    /// order: the unit table, under [`Self::parse`]'s full-source
+    /// verification; then — when a `cache_dir` is attached — the store's
+    /// interface record for this content, which yields the unit without
+    /// parsing anything; then the frontend: parse → graphs → accesses →
+    /// summaries, after which the interface is computed and queued for the
+    /// store (unless the parse produced a diagnostic: such a unit is parsed
+    /// on every start, so its warnings reappear).
     pub fn summarize(&self, name: &str, source: &str) -> Result<Arc<SummarizedUnit>, StageError> {
         if let Some(unit) = self.resident(name, None, source, |v| v.summarized.clone()) {
             self.counters.add(Counter::summarize_hits, 1);
             return Ok(unit);
         }
         self.counters.add(Counter::summarize_misses, 1);
-        let parsed = self.parse(name, source)?;
-        if self.options.reject_existing_mappings {
-            check_input_contract(&parsed)?;
-        }
-        let graphs = self.graphs(&parsed);
-        let accesses = self.accesses(&parsed, &graphs);
-        let summaries = self.summaries(&parsed, &accesses);
-        let unit = Arc::new(SummarizedUnit {
-            parsed,
-            graphs,
-            accesses,
-            summaries,
-            link_exports: std::sync::OnceLock::new(),
+        let keyed = (self.store.as_ref()).map(|store| (store, store::content_key(source)));
+        let stored = keyed.and_then(|(store, content)| {
+            let hit = store.load_interface(content, &self.options, name);
+            let row = match hit {
+                Some(_) => Counter::interface_store_hits,
+                None => Counter::interface_store_misses,
+            };
+            self.counters.add(row, 1);
+            hit
         });
+        let unit = match stored {
+            Some(exports) => SummarizedUnit::restored(name, source, &self.options, exports),
+            None => {
+                let body = UnitBody::build(name, source, &self.options, Some(self))?;
+                let clean = body.parsed.diagnostics.is_empty();
+                let unit = SummarizedUnit::parsed_now(name, &self.options, body);
+                if let (Some((store, content)), true) = (keyed, clean) {
+                    store.queue_interface(name, content, &self.options, unit.exports());
+                }
+                unit
+            }
+        };
+        if let Some((_, content)) = keyed {
+            // Hashed once: the unit's plan records are keyed by it too.
+            let _ = unit.content.set(content);
+        }
+        let unit = Arc::new(unit);
         let admit = |slot: &mut UnitSlot| {
-            let version = slot.version_or_admit(&unit.parsed);
+            let version = slot.version_or_admit(&unit.source);
+            if version.summarized.is_none() {
+                // The version is recognised by the unit's own text from now
+                // on (it may have been admitted around a parse's copy).
+                version.source = Arc::clone(&unit.source);
+            }
             Arc::clone(version.summarized.get_or_insert(unit))
         };
         Ok(self.units.update(name.to_string(), admit))
@@ -1805,16 +2076,29 @@ impl AnalysisSession {
     /// Phase 3 for one unit: plan and rewrite under a [`LinkContext`].
     /// Lookup order: the unit table (the unit's resident version, under the
     /// context's imports fingerprint), then — when a `cache_dir` is
-    /// attached — the persistent store under the same link key (plans
-    /// loaded from disk, only the rewrite re-runs), then the planning
-    /// stage, whose function-granular cache keys incorporate the context's
-    /// facts.
+    /// attached — the persistent store under the same link key (plans and
+    /// the rewrite's edits loaded from disk: a splice into the source, the
+    /// unit's body is not touched), then the planning stage, which builds
+    /// the body if the unit was restored and whose function-granular cache
+    /// keys incorporate the context's facts.
     pub fn analyze_linked(
         &self,
         unit: &Arc<SummarizedUnit>,
         link: &LinkContext,
     ) -> (Arc<UnitAnalysis>, UnitServe) {
-        if let Some(analysis) = self.resident_analysis(unit, link.imports_fingerprint) {
+        self.analyze_under(unit, link.imports_fingerprint, Some(link))
+    }
+
+    /// [`Self::analyze_linked`] under `imports_fingerprint`; without a
+    /// `link`, the unit's closed world, assembled only if it has to be
+    /// planned.
+    fn analyze_under(
+        &self,
+        unit: &Arc<SummarizedUnit>,
+        imports_fingerprint: u64,
+        link: Option<&LinkContext>,
+    ) -> (Arc<UnitAnalysis>, UnitServe) {
+        if let Some(analysis) = self.resident_analysis(unit, imports_fingerprint) {
             self.counters.add(Counter::analysis_hits, 1);
             return (analysis, UnitServe::Cached);
         }
@@ -1822,47 +2106,41 @@ impl AnalysisSession {
         // The serve report stays this request's own even when a concurrent
         // analysis of the same content is admitted first — the duplicated
         // work really happened.
-        let (plans, served) = self.plan_or_load(unit, link);
-        let rewrite = self.rewrite(&unit.parsed, &unit.graphs, &plans);
+        let (plans, rewrite, served) = self.plan_or_load(unit, imports_fingerprint, link);
+        self.add_time(Stage::Rewrite, rewrite.elapsed);
         let analysis = Arc::new(UnitAnalysis {
-            parsed: Arc::clone(&unit.parsed),
-            graphs: Arc::clone(&unit.graphs),
-            accesses: Arc::clone(&unit.accesses),
-            summaries: Arc::clone(&unit.summaries),
+            unit: Arc::clone(unit),
             plans,
-            rewrite,
-            wire: std::sync::OnceLock::new(),
+            rewrite: Arc::new(rewrite),
+            wire: OnceLock::new(),
         });
         let admit_analysis = |slot: &mut UnitSlot| {
-            let version = slot.version_or_admit(&unit.parsed);
+            let version = slot.version_or_admit(&unit.source);
             version.summarized.get_or_insert_with(|| Arc::clone(unit));
-            version
-                .analysis(link.imports_fingerprint)
-                .unwrap_or_else(|| {
-                    let entry = (link.imports_fingerprint, Arc::clone(&analysis));
-                    admit(&mut version.analyses, entry, ANALYSES_PER_VERSION);
-                    analysis
-                })
+            version.analysis(imports_fingerprint).unwrap_or_else(|| {
+                let entry = (imports_fingerprint, Arc::clone(&analysis));
+                admit(&mut version.analyses, entry, ANALYSES_PER_VERSION);
+                analysis
+            })
         };
-        let name = unit.parsed.name.clone();
-        (self.units.update(name, admit_analysis), served)
+        (self.units.update(unit.name.clone(), admit_analysis), served)
     }
 
-    /// The plans of a unit the table holds no analysis of: loaded from the
-    /// persistent store on a verified content match (which skips planning
-    /// entirely), planned otherwise.
+    /// The plans and the rewrite of a unit the table holds no analysis of:
+    /// loaded from the persistent store on a verified content match (which
+    /// skips planning entirely, and the body with it when the record
+    /// carries the rewrite's edits), planned otherwise.
     fn plan_or_load(
         &self,
-        unit: &SummarizedUnit,
-        link: &LinkContext,
-    ) -> (Arc<PlansArtifact>, UnitServe) {
-        let name = unit.parsed.name.as_str();
-        // One hash of the source serves the lookup and the write-back.
-        let store = self.store.as_ref().map(|store| {
-            let source = unit.parsed.file.text();
+        unit: &Arc<SummarizedUnit>,
+        imports_fingerprint: u64,
+        link: Option<&LinkContext>,
+    ) -> (Arc<PlansArtifact>, RewriteOutput, UnitServe) {
+        // One hash of the source serves every lookup and write-back.
+        let store = (self.store.as_ref()).map(|store| {
             (
                 store,
-                store::unit_key(source, &self.options, link.imports_fingerprint),
+                unit.content().unit(&self.options, imports_fingerprint),
             )
         });
         let stored = store.as_ref().and_then(|(store, key)| {
@@ -1883,34 +2161,70 @@ impl AnalysisSession {
                 function_keys: Vec::new(),
                 elapsed: Duration::ZERO,
             });
+            let rewrite = match &stored.edits {
+                Some(edits) => spliced(edits, unit.source(), Instant::now()),
+                // A record saved without its edits: derive them.
+                None => {
+                    let body = unit.body_through(Some(self));
+                    stage_rewrite(&body.parsed, &body.graphs, &plans)
+                }
+            };
             let seed = Unseeded {
-                parsed: Arc::clone(&unit.parsed),
+                unit: Arc::clone(unit),
                 plans: Arc::clone(&plans),
                 snapshots: stored.snapshots,
             };
             let mut waiting = self.unseeded.lock().expect("seed lock poisoned");
-            waiting.insert(name.to_string(), seed);
-            return (plans, UnitServe::Store);
+            waiting.insert(unit.name.clone(), seed);
+            return (plans, rewrite, UnitServe::Store);
         }
+        let body = unit.body_through(Some(self));
+        let closed_world;
+        let link = match link {
+            Some(link) => link,
+            None => {
+                closed_world = LinkContext::closed_world(unit);
+                &closed_world
+            }
+        };
         let plans = self.plan_under(
-            &unit.parsed,
-            &unit.graphs,
-            &unit.accesses,
-            &unit.summaries,
+            &body.parsed,
+            &body.graphs,
+            &body.accesses,
+            &body.summaries,
             Some(link),
+            unit.exports.get(),
         );
+        let start = Instant::now();
+        let edits = rewrite::plan_edits(
+            &body.parsed.file,
+            &body.parsed.unit,
+            &body.graphs.graphs,
+            &plans.plans,
+        );
+        let rewrite = spliced(&edits, unit.source(), start);
         if let (Some((store, key)), true) = (store, plans.diagnostics.is_empty()) {
             // Queued, and appended to the pack by the round's one
             // [`Self::flush_store_writes`]. Units with planning diagnostics
             // are not persisted: the warnings would be lost on a later
             // store hit.
-            store.queue_unit(name, key, &plans.plans, &plans.stats, &plans.function_keys);
+            let (stats, keys) = (&plans.stats, &plans.function_keys);
+            store.queue_unit(&unit.name, key, &plans.plans, stats, keys, Some(&edits));
         }
         let served = UnitServe::Planned {
             reused: plans.counted.function_plan_hits,
             replanned: plans.counted.function_plan_misses,
         };
-        (plans, served)
+        (plans, rewrite, served)
+    }
+}
+
+/// The rewrite of `source` that `edits` make, as a stage artifact whose work
+/// began at `since`.
+fn spliced(edits: &rewrite::EditSet, source: &str, since: Instant) -> RewriteOutput {
+    RewriteOutput {
+        source: edits.apply(source),
+        elapsed: since.elapsed(),
     }
 }
 
@@ -2043,7 +2357,7 @@ int main() { f(); g(); printf(\"%f %f\\n\", a[1], b[1]); return 0; }
         assert_eq!(results.len(), 6);
         for (i, result) in results.iter().enumerate() {
             let analysis = result.as_ref().expect("unit failed").artifacts();
-            assert_eq!(analysis.parsed.name, format!("unit{i}.c"));
+            assert_eq!(analysis.parsed().name, format!("unit{i}.c"));
             assert!(analysis.rewrite.source.contains("#pragma omp target data"));
         }
         assert_eq!(tool.session().cache_stats().analysis_misses, 6);
@@ -2167,16 +2481,16 @@ void driver() {
         // Same content, other name: its own parse, its own diagnostics name.
         let renamed = session.analyze("y.c", TWO_FUNCS).unwrap();
         assert!(!Arc::ptr_eq(&a, &renamed));
-        assert_eq!(renamed.parsed.name, "y.c");
+        assert_eq!(renamed.parsed().name, "y.c");
         // Same name, other content: the resident version must be skipped.
         let other = session.analyze("x.c", DEMO).unwrap();
-        assert_eq!(other.parsed.file.text(), DEMO);
+        assert_eq!(other.parsed().file.text(), DEMO);
         assert_eq!(session.cache_stats().analysis_misses, 3);
         // Both versions of `x.c` are resident, each under its own bytes.
         let again = session.analyze("x.c", TWO_FUNCS).unwrap();
         assert!(Arc::ptr_eq(&a, &again));
         let reparsed = session.parse("x.c", DEMO).unwrap();
-        assert!(Arc::ptr_eq(&reparsed, &other.parsed));
+        assert!(Arc::ptr_eq(&reparsed, other.parsed()));
         assert_eq!(session.cache_stats().analysis_misses, 3);
     }
 

@@ -12,19 +12,24 @@
 //! builds the richer contexts of a *linked* program, between the Summaries
 //! and Plans stages:
 //!
-//! 1. **Export** — each unit's [`ExportedInterface`] collects the
-//!    prototypes, local interprocedural summaries, and referenced-variable
-//!    sets of its defined functions, plus a stable fingerprint of all of
-//!    it.
+//! 1. **Export** — each unit's interface ([`UnitExports`],
+//!    [`crate::interface`]) collects the seed summaries, call sites and
+//!    referenced-variable sets of its defined functions, plus a stable
+//!    fingerprint of the exported surface ([`ExportedInterface`]). It is
+//!    computed from a unit parsed this run, or restored from the
+//!    persistent store without parsing anything.
 //! 2. **Link** — [`Program::link`] merges every unit's call graph and
 //!    runs the interprocedural fixed point to convergence *across* units
 //!    ([`LinkedSummaries`]), so a callee defined in another file resolves
-//!    to its real summary. There is one link path, [`Program::relink`],
-//!    and it *patches* a persistent [`LinkState`] — the latest program
-//!    plus the indexes a link derives — by the units that changed, at a
-//!    cost of O(changed units + dirty cone + importers of moved
-//!    summaries); a cold link is the patch of the empty state, in which
-//!    every unit is a changed one.
+//!    to its real summary. The link reads **interfaces only**: of a unit
+//!    nothing but its name and its [`UnitExports`] — no AST, no access
+//!    artifact, no symbol table — so it is the same code over the same
+//!    input whether a unit was parsed or restored. There is one link path,
+//!    [`Program::relink`], and it *patches* a persistent [`LinkState`] —
+//!    the latest program plus the indexes a link derives — by the units
+//!    that changed, at a cost of O(changed units + dirty cone + importers
+//!    of moved summaries); a cold link is the patch of the empty state, in
+//!    which every unit is a changed one.
 //! 3. **Plan** — each unit is planned against the linked summaries and a
 //!    cross-unit [`ExternalRefs`] view, so whole-program exit liveness
 //!    (the dead-exit-copy demotion) still works when the kernel and the
@@ -40,16 +45,16 @@
 //! byte-identically to analyzing the concatenation of all `k` unit sources
 //! as a single translation unit.
 
-use crate::dataflow::function_referenced_vars;
+use crate::interface::{is_mangled, ExportedFunction, LinkFunction};
+pub use crate::interface::{ExportedInterface, UnitExports};
 use crate::interproc::{FunctionSummary, ProgramSummaries, PropagationNode};
 use crate::pipeline::{
-    callee_keys, callees_fingerprint, summary_fingerprint, AnalysisSession, CalleeKey, Fnv,
-    StageError, SummarizedUnit, UnitAnalysis,
+    callees_fingerprint, summary_fingerprint, AnalysisSession, Fnv, StageError, SummarizedUnit,
+    UnitAnalysis,
 };
 use crate::plan::json::Json;
 use crate::stats::{Counter, Value};
 use ompdart_frontend::Symbol;
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
@@ -65,268 +70,6 @@ pub type ExternalRefs = BTreeMap<Symbol, Arc<BTreeSet<String>>>;
 /// The link-fingerprint value of analyses that are not part of any linked
 /// program (a unit analyzed as a closed world).
 pub const UNLINKED: u64 = 0;
-
-/// The unit-private symbol a cross-unit `static` function links under:
-/// `name@unit`. `@` cannot appear in a C identifier, so mangled names can
-/// never collide with source-level ones. Calls inside the defining unit
-/// resolve to the mangled symbol; other units never see it.
-fn mangle_static(name: &str, unit: &str) -> String {
-    format!("{name}@{unit}")
-}
-
-/// True for the link-resolved name of a `static` function.
-fn is_mangled(resolved: Symbol) -> bool {
-    resolved.contains('@')
-}
-
-// ---------------------------------------------------------------------------
-// ExportedInterface
-// ---------------------------------------------------------------------------
-
-/// What one translation unit exports to the rest of the program: for every
-/// defined function its prototype shape, its *local* interprocedural
-/// summary, and the set of variables its body references (whole-program
-/// liveness input). The [`ExportedInterface::fingerprint`] is stable across
-/// edits that do not change any of those facts — which is precisely when
-/// other units' cached plans remain valid.
-#[derive(Clone, Debug)]
-pub struct ExportedInterface {
-    /// The unit's name (diagnostics file name).
-    pub unit: String,
-    /// Names of the functions the unit defines, in source order.
-    pub functions: Vec<String>,
-    /// Stable fingerprint of the exported surface: function prototypes,
-    /// local summaries, and referenced-variable sets.
-    pub fingerprint: u64,
-}
-
-impl ExportedInterface {
-    /// Export the interface of one summarized unit.
-    pub fn of(unit: &SummarizedUnit) -> ExportedInterface {
-        ExportedInterface::with_refs(unit, &unit_referenced_vars(unit))
-    }
-
-    /// [`ExportedInterface::of`] with the unit's referenced-variable sets
-    /// already computed (the link stage computes them once per unit and
-    /// shares them with every [`LinkContext`] instead of re-walking ASTs).
-    fn with_refs(unit: &SummarizedUnit, refs: &ExternalRefs) -> ExportedInterface {
-        let functions: Vec<String> = unit
-            .parsed
-            .unit
-            .functions()
-            .map(|f| f.name.to_string())
-            .collect();
-        // Hash in name order so the fingerprint is insensitive to function
-        // reordering that changes nothing observable.
-        let mut sorted: Vec<&ompdart_frontend::ast::FunctionDef> =
-            unit.parsed.unit.functions().collect();
-        sorted.sort_by_key(|a| a.name);
-        let mut h = Fnv::new();
-        for f in sorted {
-            h.write_str(&f.name);
-            h.write_u64(f.params.len() as u64);
-            for p in &f.params {
-                h.write(&[u8::from(p.is_const_pointee)]);
-            }
-            h.write(&[u8::from(f.is_variadic)]);
-            // Unit-private `static` functions are invisible to other units'
-            // call resolution but still participate in whole-program
-            // liveness, so the storage class is part of the surface.
-            h.write(&[u8::from(f.is_static)]);
-            match unit.summaries.summaries.summary(f.name) {
-                Some(s) => {
-                    h.write(&[1]);
-                    h.write_u64(summary_fingerprint(s));
-                }
-                None => h.write(&[0]),
-            }
-            if let Some(vars) = refs.get(&f.name) {
-                for var in vars.iter() {
-                    h.write_str(var);
-                }
-            }
-            h.write(&[0xfe]);
-        }
-        ExportedInterface {
-            unit: unit.parsed.name.clone(),
-            functions,
-            fingerprint: h.finish(),
-        }
-    }
-}
-
-/// The referenced-variable sets of every function a unit defines, keyed by
-/// function name — one AST walk per function, computed once per unit.
-fn unit_referenced_vars(unit: &SummarizedUnit) -> ExternalRefs {
-    unit.parsed
-        .unit
-        .functions()
-        .map(|f| (f.name, Arc::new(function_referenced_vars(f))))
-        .collect()
-}
-
-/// One function's link-ready propagation inputs, resolved once per unit
-/// *content*: its mangled name (statics), resolved call list, parameter
-/// names, local seed summary and local fingerprint. [`Program::relink`]
-/// borrows these for exactly the functions it re-converges — no per-relink
-/// name mangling, call re-resolution, hashing or node rebuilding.
-#[derive(Debug)]
-pub(crate) struct LinkFunction {
-    /// Source-level name (artifact-map key inside the unit).
-    pub(crate) source: Symbol,
-    /// Link-resolved name: `name@unit` for statics, `source` otherwise.
-    pub(crate) resolved: Symbol,
-    /// Parameter names, in declaration order.
-    pub(crate) params: Vec<Symbol>,
-    /// Call sites with callee names link-resolved.
-    pub(crate) calls: Vec<crate::access::CallSite>,
-    /// The local seed summary under its resolved name (the unit's own
-    /// seed `Arc` unless the function is a renamed static).
-    pub(crate) seed: Arc<FunctionSummary>,
-    /// Fingerprint of everything the cross-unit propagation reads from the
-    /// function's caller side (see [`local_fingerprint`]).
-    pub(crate) local_fp: u64,
-}
-
-/// Everything the link stage derives from one unit's own content: its
-/// referenced-variable sets, its [`ExportedInterface`], its resolved
-/// propagation inputs and the callee lists its imports fingerprint hashes.
-/// Memoized on the [`SummarizedUnit`] itself (a `OnceLock`), so a unit —
-/// which keeps its `Arc` across rounds for as long as its content stays
-/// resident in the session's unit table — pays the AST walks, name
-/// mangling, call resolution and fingerprinting once per resident version,
-/// not once per relink.
-#[derive(Debug)]
-pub(crate) struct UnitExports {
-    /// Referenced variables per defined function, keyed by *resolved* name
-    /// (statics mangled) — exactly the entries the program-wide
-    /// `extern_refs` map takes, values `Arc`-shared.
-    pub(crate) resolved_refs: ExternalRefs,
-    /// The unit's exported interface (prototypes, summaries, refs).
-    pub(crate) interface: Arc<ExportedInterface>,
-    /// `(source, resolved)` name of every defined function, in source
-    /// order (duplicate-definition rejection reads these).
-    pub(crate) names: Vec<(Symbol, Symbol)>,
-    /// `(source, mangled)` for the unit's `static` functions (the
-    /// static-shadowing summary views read these).
-    pub(crate) statics_mangled: Vec<(Symbol, Symbol)>,
-    /// Link-ready propagation inputs per function with full artifacts.
-    pub(crate) link_funcs: Vec<LinkFunction>,
-    /// Every defined function, in source order, with its direct callees:
-    /// what the unit's imports fingerprint hashes against the converged
-    /// summaries.
-    pub(crate) callees: Vec<(Symbol, Vec<CalleeKey>)>,
-    /// True when the unit defines `main`, the one consumer of the
-    /// program-wide referenced-variable map.
-    pub(crate) defines_main: bool,
-}
-
-impl SummarizedUnit {
-    /// The memoized link-stage exports of this unit (see [`UnitExports`]).
-    pub(crate) fn exports(&self) -> &UnitExports {
-        self.link_exports.get_or_init(|| {
-            let refs = unit_referenced_vars(self);
-            let interface = Arc::new(ExportedInterface::with_refs(self, &refs));
-            let uname = &self.parsed.name;
-            let statics: BTreeSet<Symbol> = self
-                .parsed
-                .unit
-                .functions()
-                .filter(|f| f.is_static)
-                .map(|f| f.name)
-                .collect();
-            let statics_mangled: Vec<(Symbol, Symbol)> = statics
-                .iter()
-                .map(|&s| (s, Symbol::intern(&mangle_static(&s, uname))))
-                .collect();
-            let resolve = |name: Symbol| -> Symbol {
-                match statics_mangled.iter().find(|(s, _)| *s == name) {
-                    Some(&(_, mangled)) => mangled,
-                    None => name,
-                }
-            };
-            let names: Vec<(Symbol, Symbol)> = self
-                .parsed
-                .unit
-                .functions()
-                .map(|f| (f.name, resolve(f.name)))
-                .collect();
-            let resolved_refs: ExternalRefs = refs
-                .iter()
-                .map(|(name, vars)| (resolve(*name), Arc::clone(vars)))
-                .collect();
-            let link_funcs: Vec<LinkFunction> = self
-                .parsed
-                .unit
-                .functions()
-                .filter_map(|f| {
-                    let seed = self.summaries.seeds.get(&f.name)?;
-                    let acc = self.accesses.accesses.get(&f.name)?;
-                    let sym = self.accesses.symbols.get(&f.name)?;
-                    let resolved = resolve(f.name);
-                    let mut calls = acc.calls.clone();
-                    for call in &mut calls {
-                        call.callee = resolve(call.callee);
-                    }
-                    let seed = if resolved == f.name {
-                        Arc::clone(seed)
-                    } else {
-                        let mut seed = FunctionSummary::clone(seed);
-                        seed.name = resolved;
-                        Arc::new(seed)
-                    };
-                    let params: Vec<Symbol> = f.params.iter().map(|p| p.name).collect();
-                    Some(LinkFunction {
-                        source: f.name,
-                        resolved,
-                        local_fp: local_fingerprint(&seed, &params, &calls, sym),
-                        params,
-                        calls,
-                        seed,
-                    })
-                })
-                .collect();
-            let callees = self
-                .parsed
-                .unit
-                .functions()
-                .map(|f| {
-                    let keys = callee_keys(f.name, &self.accesses, &self.parsed.unit);
-                    (f.name, keys)
-                })
-                .collect();
-            UnitExports {
-                resolved_refs,
-                interface,
-                defines_main: names.iter().any(|&(source, _)| source == "main"),
-                names,
-                statics_mangled,
-                link_funcs,
-                callees,
-            }
-        })
-    }
-
-    /// The unit's propagation inputs under `options`: none at all when the
-    /// interprocedural analysis is off (the linked summaries are then
-    /// empty, as every unit-local summary set already is).
-    fn link_funcs(&self, options: &crate::OmpDartOptions) -> &[LinkFunction] {
-        match options.interprocedural {
-            true => &self.exports().link_funcs,
-            false => &[],
-        }
-    }
-
-    /// The propagation node of one of this unit's [`LinkFunction`]s.
-    fn node<'a>(&'a self, lf: &'a LinkFunction) -> PropagationNode<'a> {
-        PropagationNode {
-            name: lf.resolved,
-            params: Cow::Borrowed(&lf.params),
-            sym: &self.accesses.symbols[&lf.source],
-            calls: Cow::Borrowed(&lf.calls),
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // LinkedSummaries and LinkContext
@@ -366,22 +109,52 @@ pub struct LinkContext {
     /// only when a fact that unit actually *reads* changed — an edit round
     /// re-plans the import cone, not the whole program.
     pub imports_fingerprint: u64,
+    /// The link's memoised fingerprint of every converged summary — the
+    /// program's function table and this unit's static views, both shared,
+    /// neither copied — so planning a function hashes none of its callees'
+    /// summaries again. `None` for a closed world, which links nothing.
+    fingerprints: Option<(Arc<FunctionTable>, Arc<[StaticView]>)>,
 }
 
 impl LinkContext {
     /// The context of a unit analyzed on its own — the closed-world
     /// program: call sites resolve against the unit's own converged
-    /// summaries, no function is defined elsewhere, and the imports
-    /// fingerprint is [`UNLINKED`] (the unit-table and store key of
-    /// stand-alone analyses).
+    /// summaries (which builds the unit's body), no function is defined
+    /// elsewhere, and the imports fingerprint is [`UNLINKED`] (the
+    /// unit-table and store key of stand-alone analyses).
     pub fn closed_world(unit: &SummarizedUnit) -> LinkContext {
         let extern_refs = ExternalRefs::new();
         LinkContext {
-            summaries: Arc::clone(&unit.summaries.summaries),
+            summaries: Arc::clone(&unit.summaries().summaries),
             extern_refs_fingerprint: external_refs_fingerprint(&extern_refs),
             extern_refs: Arc::new(extern_refs),
             imports_fingerprint: UNLINKED,
+            fingerprints: None,
         }
+    }
+
+    /// [`summary_fingerprint`] of the summary `callee` resolves to under
+    /// this context ([`Self::summaries`]), from the link's memo where there
+    /// is one.
+    pub(crate) fn summary_fingerprint(&self, callee: Symbol) -> Option<u64> {
+        match &self.fingerprints {
+            Some((functions, statics)) => memoised_fingerprint(statics, functions, callee),
+            None => self.summaries.summary(callee).map(summary_fingerprint),
+        }
+    }
+}
+
+/// The memoised fingerprint of the summary a unit with the static views
+/// `statics` sees under the name `callee`: its own static's, shadowing any
+/// same-named external symbol as C scoping does, else the program's.
+fn memoised_fingerprint(
+    statics: &[StaticView],
+    functions: &FunctionTable,
+    callee: Symbol,
+) -> Option<u64> {
+    match statics.iter().find(|view| view.source == callee) {
+        Some(view) => Some(view.fingerprint),
+        None => functions.get(&callee).map(|f| f.summary_fp),
     }
 }
 
@@ -432,7 +205,15 @@ pub struct Program {
     /// scoping does. [`Program::link_context`] lays these few entries over
     /// the shared linked summaries ([`ProgramSummaries::overlay`]).
     unit_statics: Vec<Arc<[StaticView]>>,
+    /// Every function of the fixed point, by resolved name. Shared with
+    /// the [`LinkContext`]s, so a relink patches it in place once the
+    /// previous round's contexts are gone.
+    functions: Arc<FunctionTable>,
 }
+
+/// Resolved function name → where its propagation inputs live, and the
+/// fingerprint of its converged summary.
+type FunctionTable = HashMap<Symbol, LinkedFunction>;
 
 /// One unit-private `static` function as its own unit names it.
 #[derive(Debug)]
@@ -447,9 +228,9 @@ struct StaticView {
 
 /// Where a linked function's propagation inputs live, plus the memoised
 /// fingerprint of its converged summary.
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 struct LinkedFunction {
-    /// Index into the defining unit's [`UnitExports::link_funcs`].
+    /// Index into the defining unit's [`UnitExports::functions`].
     index: usize,
     /// [`summary_fingerprint`] of the converged summary: re-hashed only
     /// when a relink moves the summary.
@@ -458,10 +239,10 @@ struct LinkedFunction {
 
 /// The persistent, owned form of everything a whole-program link derives,
 /// kept by the [`AnalysisSession`] between links: the latest [`Program`]
-/// plus the indexes that let [`Program::relink`] *patch* it — which unit
-/// defines each function and where its propagation inputs live, the
-/// reverse call graph (which also answers "which units import this
-/// function"), and a fingerprint per converged summary — and, once
+/// plus the index that lets [`Program::relink`] *patch* it — the reverse
+/// call graph, which also answers "which units import this function" (the
+/// function table and the fingerprint per converged summary live in the
+/// program itself) — and, once
 /// [`ProgramDriver`] has planned that program, its analyses. The default
 /// state is the empty program; patching it is a cold link. A state belongs
 /// to one set of analysis options: every relink of it must pass the same.
@@ -472,8 +253,6 @@ pub struct LinkState {
     /// a round over the very same units returns again. Empty when the
     /// program was linked but not planned: a relink clears it.
     analyses: Vec<Arc<UnitAnalysis>>,
-    /// Every function of the fixed point, by resolved name.
-    functions: HashMap<Symbol, LinkedFunction>,
     /// Called name (defined in the program or not) → the functions calling
     /// it, once per call site.
     callers: HashMap<Symbol, Vec<Symbol>>,
@@ -500,9 +279,9 @@ impl Default for LinkState {
                 all_refs: Arc::new(all_refs),
                 import_fps: Vec::new(),
                 unit_statics: Vec::new(),
+                functions: Arc::default(),
             },
             analyses: Vec::new(),
-            functions: HashMap::new(),
             callers: HashMap::new(),
             reseeded: 0,
             touched_units: 0,
@@ -600,7 +379,6 @@ impl Program {
         let LinkState {
             program,
             analyses,
-            functions,
             callers,
             reseeded,
             touched_units,
@@ -613,18 +391,20 @@ impl Program {
             all_refs_fingerprint,
             import_fps,
             unit_statics,
+            functions,
         } = program;
         (*reseeded, *touched_units) = (0, 0);
+        let functions = Arc::make_mut(functions);
 
         // --- 1. Diff: predecessor by name, kept when pointer-equal. ------
         let predecessor: Vec<Option<usize>> = if same_names(&units, was) {
             (0..units.len()).map(Some).collect()
         } else {
             let mut by_name: HashMap<&str, usize> = (was.iter().enumerate())
-                .map(|(j, unit)| (unit.parsed.name.as_str(), j))
+                .map(|(j, unit)| (unit.name(), j))
                 .collect();
             (units.iter())
-                .map(|unit| by_name.remove(unit.parsed.name.as_str()))
+                .map(|unit| by_name.remove(unit.name()))
                 .collect()
         };
         let mut successor: Vec<Option<usize>> = vec![None; was.len()];
@@ -650,13 +430,13 @@ impl Program {
         // a surviving definition.
         let mut fresh: HashMap<Symbol, usize> = HashMap::new();
         for &i in &changed {
-            for &(source, resolved) in &units[i].exports().names {
-                let other = (fresh.insert(resolved, i))
-                    .or_else(|| survives(*linked.defined_in.get(&resolved)?));
+            for f in &units[i].exports().functions {
+                let other = (fresh.insert(f.resolved, i))
+                    .or_else(|| survives(*linked.defined_in.get(&f.resolved)?));
                 if let Some(other) = other {
-                    let unit = |i: usize| units[i].parsed.name.clone();
+                    let unit = |i: usize| units[i].name().to_string();
                     return Err(ProgramError::DuplicateFunction {
-                        function: source.to_string(),
+                        function: f.source.to_string(),
                         units: [unit(other.min(i)), unit(other.max(i))],
                     });
                 }
@@ -674,8 +454,8 @@ impl Program {
                 continue;
             }
             let exports = unit.exports();
-            for &(_, resolved) in &exports.names {
-                linked.defined_in.remove(&resolved);
+            for f in &exports.functions {
+                linked.defined_in.remove(&f.resolved);
             }
             if !successor[j].is_some_and(|i| same_refs(i, j)) {
                 refs_moved |= !exports.resolved_refs.is_empty();
@@ -684,13 +464,13 @@ impl Program {
                     refs.remove(name);
                 }
             }
-            for lf in unit.link_funcs(options) {
-                if let Some(f) = functions.remove(&lf.resolved) {
-                    gone.insert(lf.resolved, (lf.local_fp, f.summary_fp));
+            for (_, f, lf) in linked_functions(unit, options) {
+                if let Some(was) = functions.remove(&f.resolved) {
+                    gone.insert(f.resolved, (lf.local_fp, was.summary_fp));
                 }
                 for call in &lf.calls {
                     if let Some(list) = callers.get_mut(&call.callee) {
-                        if let Some(at) = list.iter().position(|&c| c == lf.resolved) {
+                        if let Some(at) = list.iter().position(|&c| c == f.resolved) {
                             list.swap_remove(at);
                         }
                         if list.is_empty() {
@@ -706,8 +486,8 @@ impl Program {
             let exports = unit.exports();
             if kept(i) != Some(i) {
                 // New here, or a kept unit that changed position.
-                for &(_, resolved) in &exports.names {
-                    linked.defined_in.insert(resolved, i);
+                for f in &exports.functions {
+                    linked.defined_in.insert(f.resolved, i);
                 }
             }
             if kept(i).is_some() {
@@ -720,15 +500,15 @@ impl Program {
                     refs.insert(*name, Arc::clone(vars));
                 }
             }
-            for (index, lf) in unit.link_funcs(options).iter().enumerate() {
-                let had = gone.remove(&lf.resolved);
+            for (index, f, lf) in linked_functions(unit, options) {
+                let had = gone.remove(&f.resolved);
                 if had.map(|(local_fp, _)| local_fp) != Some(lf.local_fp) {
-                    cone.push(lf.resolved);
+                    cone.push(f.resolved);
                 }
                 let summary_fp = had.map_or(0, |(_, summary_fp)| summary_fp);
-                functions.insert(lf.resolved, LinkedFunction { index, summary_fp });
+                functions.insert(f.resolved, LinkedFunction { index, summary_fp });
                 for call in &lf.calls {
-                    callers.entry(call.callee).or_default().push(lf.resolved);
+                    callers.entry(call.callee).or_default().push(f.resolved);
                 }
             }
         }
@@ -751,14 +531,15 @@ impl Program {
         }
         let link_func = |name: &Symbol| {
             let index = functions.get(name)?.index;
-            let unit = &units[linked.defined_in[name]];
-            Some((unit, &unit.exports().link_funcs[index]))
+            let exports = units[linked.defined_in[name]].exports();
+            let function = &exports.functions[index];
+            Some((function, function.link.as_ref()?, &exports.globals[..]))
         };
         let mut nodes: Vec<PropagationNode<'_>> = Vec::with_capacity(cone.len());
         let seeds = (cone.iter())
             .map(|name| {
-                let function = link_func(name).map(|(unit, lf)| {
-                    nodes.push(unit.node(lf));
+                let function = link_func(name).map(|(f, lf, globals)| {
+                    nodes.push(f.node(lf, globals));
                     Arc::clone(&lf.seed)
                 });
                 (*name, function)
@@ -849,15 +630,11 @@ impl Program {
         for (i, unit) in units.iter().enumerate().filter(|(i, _)| touched[*i]) {
             *touched_units += 1;
             let exports = unit.exports();
-            let summary_fp =
-                |callee: Symbol| match unit_statics[i].iter().find(|view| view.source == callee) {
-                    Some(view) => Some(view.fingerprint),
-                    None => functions.get(&callee).map(|f| f.summary_fp),
-                };
+            let summary_fp = |callee| memoised_fingerprint(&unit_statics[i], functions, callee);
             let mut h = Fnv::new();
-            for (name, callees) in &exports.callees {
-                h.write_str(name);
-                h.write_u64(callees_fingerprint(callees, summary_fp));
+            for f in &exports.functions {
+                h.write_str(&f.source);
+                h.write_u64(callees_fingerprint(&f.callees, summary_fp));
                 h.write(&[0xee]);
             }
             if exports.defines_main {
@@ -918,6 +695,7 @@ impl Program {
             extern_refs: Arc::clone(&self.all_refs),
             extern_refs_fingerprint: self.all_refs_fingerprint,
             imports_fingerprint: self.import_fps[index],
+            fingerprints: Some((Arc::clone(&self.functions), Arc::clone(statics))),
         }
     }
 
@@ -964,8 +742,18 @@ impl Program {
 /// True when two unit lists name the same units position by position (a
 /// pointer-equal pair needs no string compare).
 fn same_names(a: &[Arc<SummarizedUnit>], b: &[Arc<SummarizedUnit>]) -> bool {
-    a.len() == b.len()
-        && (a.iter().zip(b)).all(|(a, b)| Arc::ptr_eq(a, b) || a.parsed.name == b.parsed.name)
+    a.len() == b.len() && (a.iter().zip(b)).all(|(a, b)| Arc::ptr_eq(a, b) || a.name() == b.name())
+}
+
+/// A unit's functions of the fixed point under `options`: none at all when
+/// the interprocedural analysis is off (the linked summaries are then
+/// empty, as every unit-local summary set already is).
+fn linked_functions<'a>(
+    unit: &'a SummarizedUnit,
+    options: &crate::OmpDartOptions,
+) -> impl Iterator<Item = (usize, &'a ExportedFunction, &'a LinkFunction)> {
+    let interprocedural = options.interprocedural;
+    (unit.exports().linked()).filter(move |_| interprocedural)
 }
 
 /// Every unit's memoised seeds and propagation nodes under their
@@ -977,48 +765,16 @@ fn merged_propagation_inputs(
     Vec<PropagationNode<'_>>,
 ) {
     let functions = || {
-        (units.iter()).flat_map(|unit| unit.exports().link_funcs.iter().map(move |lf| (unit, lf)))
+        units.iter().flat_map(|unit| {
+            let exports = unit.exports();
+            (exports.linked()).map(move |(_, f, lf)| (f, lf, &exports.globals[..]))
+        })
     };
     let seeds = functions()
-        .map(|(_, lf)| (lf.resolved, Arc::clone(&lf.seed)))
+        .map(|(f, lf, _)| (f.resolved, Arc::clone(&lf.seed)))
         .collect();
-    (seeds, functions().map(|(unit, lf)| unit.node(lf)).collect())
-}
-
-/// Fingerprint of everything the cross-unit propagation reads from one
-/// function's caller side: its local seed summary plus, for every call
-/// site, the resolved callee, the execution space, and the classification
-/// of each by-reference argument. Two links in which every function's
-/// local fingerprint matches converge to identical summaries — which is
-/// what lets the incremental relink skip them.
-fn local_fingerprint(
-    seed: &FunctionSummary,
-    params: &[Symbol],
-    calls: &[crate::access::CallSite],
-    sym: &crate::access::SymbolTable,
-) -> u64 {
-    let mut h = Fnv::new();
-    h.write_u64(summary_fingerprint(seed));
-    for call in calls {
-        h.write_str(&call.callee);
-        h.write(&[u8::from(call.on_device)]);
-        for arg in &call.args {
-            h.write(&[u8::from(arg.by_ref)]);
-            match &arg.base_var {
-                Some(var) => {
-                    h.write_str(var);
-                    h.write(&[
-                        u8::from(sym.is_aggregate(var)),
-                        u8::from(sym.is_global(var)),
-                    ]);
-                    h.write_u64((params.iter().position(|p| p == var)).map_or(0, |i| i as u64 + 1));
-                }
-                None => h.write(&[0xfe]),
-            }
-        }
-        h.write(&[0xfd]);
-    }
-    h.finish()
+    let nodes = functions().map(|(f, lf, globals)| f.node(lf, globals));
+    (seeds, nodes.collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -1085,6 +841,11 @@ pub struct DriverProfile {
     /// earlier run, `warm_units > 0` with `edit_path == false` is the
     /// store-served warm start.
     pub warm_units: usize,
+    /// Units whose body — AST, graphs, accesses, unit-local summaries — was
+    /// built this round: the units that ran the frontend. On a restart over
+    /// a populated store this is the number of units the change reached,
+    /// zero when nothing changed.
+    pub parsed_units: usize,
     /// True when the round rode link state an earlier round left in this
     /// session (an edit round): the per-phase breakdown below is then a
     /// one-edit profile, not a cold-start one.
@@ -1125,7 +886,7 @@ pub struct DriverProfile {
 impl DriverProfile {
     /// Every field as a `(name, value)` cell, in rendering order: the one
     /// list both JSON spellings below walk.
-    pub fn fields(&self) -> [(&'static str, Value); 20] {
+    pub fn fields(&self) -> [(&'static str, Value); 21] {
         macro_rules! cells {
             ($($kind:ident($field:ident $(as $ty:ty)?)),+) => {
                 [$((stringify!($field), Value::$kind(self.$field $(as $ty)?))),+]
@@ -1135,6 +896,7 @@ impl DriverProfile {
             Count(units as u64),
             Count(fast_path_units as u64),
             Count(warm_units as u64),
+            Count(parsed_units as u64),
             Flag(edit_path),
             Time(summarize),
             Time(link),
@@ -1235,18 +997,23 @@ impl ProgramDriver {
     }
 
     /// Phase 1: summarize every unit in parallel (input order preserved).
+    /// A unit's interface is what the link reads of it, so the worker that
+    /// summarized a unit also computes its interface: the sequential link
+    /// finds every one ready.
     fn summarize_all(
         &self,
         inputs: &[(String, String)],
     ) -> Result<Vec<Arc<SummarizedUnit>>, ProgramError> {
         let summarized = crate::pipeline::parallel_map_indexed(self.threads, inputs.len(), |i| {
             let (name, source) = &inputs[i];
-            self.session
-                .summarize(name, source)
-                .map_err(|error| ProgramError::Unit {
-                    name: name.clone(),
-                    error,
-                })
+            let unit = self.session.summarize(name, source);
+            let ready = unit.inspect(|unit| {
+                unit.exports();
+            });
+            ready.map_err(|error| ProgramError::Unit {
+                name: name.clone(),
+                error,
+            })
         });
         let mut units = Vec::with_capacity(summarized.len());
         for result in summarized {
@@ -1312,9 +1079,12 @@ impl ProgramDriver {
     ) -> Result<(ProgramAnalysis, DriverProfile), ProgramError> {
         let total_start = Instant::now();
         let process_before = crate::stats::PROCESS.snapshot();
+        let parsed_before = self.session.cache_stats().parse_misses;
         let finish_profile = |mut profile: DriverProfile| {
             profile.pool_workers = crate::pool::effective_width(self.threads);
             profile.set_rows(crate::stats::PROCESS.snapshot() - process_before);
+            let parsed = self.session.cache_stats().parse_misses - parsed_before;
+            profile.parsed_units = parsed as usize;
             profile.total = total_start.elapsed();
             profile
         };
@@ -1464,19 +1234,19 @@ mod tests {
         };
         assert_eq!(
             profile.to_json(),
-            "{\"units\":3,\"fast_path_units\":0,\"warm_units\":0,\"edit_path\":true,\
-             \"summarize_ms\":1.500,\"link_ms\":0.000,\"contexts_ms\":0.000,\"plan_ms\":0.000,\
+            "{\"units\":3,\"fast_path_units\":0,\"warm_units\":0,\"parsed_units\":0,\
+             \"edit_path\":true,\"summarize_ms\":1.500,\"link_ms\":0.000,\"contexts_ms\":0.000,\"plan_ms\":0.000,\
              \"flush_ms\":0.000,\"total_ms\":0.000,\"unit_p50_ms\":0.000,\"unit_p99_ms\":0.000,\
              \"pool_workers\":2,\"pool_jobs\":0,\"pool_items\":0,\"pool_inline_jobs\":0,\
              \"pool_fallback_jobs\":0,\"pool_wait_ns\":0,\"lock_wait_ns\":0,\
              \"lock_contentions\":7}"
         );
         // The wire object is the same list with integer-microsecond
-        // durations; `pool_workers` is its one key the parent did not send.
+        // durations.
         assert_eq!(
             profile.to_wire_json().render(),
-            "{\"units\":3,\"fast_path_units\":0,\"warm_units\":0,\"edit_path\":true,\
-             \"summarize_us\":1500,\"link_us\":0,\"contexts_us\":0,\"plan_us\":0,\
+            "{\"units\":3,\"fast_path_units\":0,\"warm_units\":0,\"parsed_units\":0,\
+             \"edit_path\":true,\"summarize_us\":1500,\"link_us\":0,\"contexts_us\":0,\"plan_us\":0,\
              \"flush_us\":0,\"total_us\":0,\"unit_p50_us\":0,\"unit_p99_us\":0,\
              \"pool_workers\":2,\"pool_jobs\":0,\"pool_items\":0,\"pool_inline_jobs\":0,\
              \"pool_fallback_jobs\":0,\"pool_wait_ns\":0,\"lock_wait_ns\":0,\

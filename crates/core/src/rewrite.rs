@@ -28,6 +28,19 @@ pub fn apply_plans(
     graphs: &ProgramGraphs,
     plans: &[MappingPlan],
 ) -> String {
+    plan_edits(file, unit, graphs, plans).apply(file.text())
+}
+
+/// The insertions that turn the original text into the transformed program:
+/// everything [`apply_plans`] reads the AST and the graphs for. Applying
+/// them is a splice into the text alone, which is how a unit restored from
+/// the persistent store is rewritten without being parsed.
+pub(crate) fn plan_edits(
+    file: &SourceFile,
+    unit: &TranslationUnit,
+    graphs: &ProgramGraphs,
+    plans: &[MappingPlan],
+) -> EditSet {
     let mut edits = EditSet::default();
     let directives = collect_directives(unit);
     for plan in plans {
@@ -169,7 +182,7 @@ pub fn apply_plans(
             }
         }
     }
-    edits.apply(file.text())
+    edits
 }
 
 /// Render the consolidated `map(...)` clauses of one lifetime directive, in
@@ -241,17 +254,25 @@ fn collect_directives(unit: &TranslationUnit) -> BTreeMap<NodeId, OmpDirective> 
 }
 
 /// A set of pure-insertion edits applied to the original text.
-#[derive(Default)]
-struct EditSet {
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct EditSet {
     inserts: BTreeMap<u32, Vec<String>>,
 }
 
 impl EditSet {
-    fn insert(&mut self, pos: u32, text: String) {
+    pub(crate) fn insert(&mut self, pos: u32, text: String) {
         self.inserts.entry(pos).or_default().push(text);
     }
 
-    fn apply(&self, original: &str) -> String {
+    /// Every `(position, text)` insertion, in the order [`Self::apply`]
+    /// makes them; [`Self::insert`]ing them again in that order rebuilds
+    /// the set.
+    pub(crate) fn insertions(&self) -> impl Iterator<Item = (u32, &str)> {
+        (self.inserts.iter())
+            .flat_map(|(&pos, texts)| texts.iter().map(move |text| (pos, text.as_str())))
+    }
+
+    pub(crate) fn apply(&self, original: &str) -> String {
         let mut out = String::with_capacity(original.len() + 256);
         let mut prev = 0usize;
         for (&pos, texts) in &self.inserts {

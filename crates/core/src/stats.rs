@@ -242,6 +242,13 @@ stats_table! {
         /// Function-store lookups that missed (each true planning run of
         /// an eligible function writes one entry back).
         function_store_misses,
+        /// `summarize` calls that restored a unit from the store's interface
+        /// record for its content: nothing of the unit was parsed.
+        interface_store_hits,
+        /// `summarize` calls that found no interface record while a store
+        /// was configured, and parsed the unit (which queues one, unless
+        /// the parse produced a diagnostic).
+        interface_store_misses,
         /// `summarize` calls served from the unit table.
         summarize_hits,
         /// `summarize` calls that ran the parse→summaries stages.

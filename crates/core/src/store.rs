@@ -1,20 +1,46 @@
 //! Persistent artifact store: one append-only **pack** file per cache
-//! directory, so a new process over the same directory starts warm.
+//! directory, so a new process over the same directory starts warm — and
+//! parses only the units a change reached.
 //!
-//! A *unit* record holds one translation unit's plans, statistics and
-//! per-function key snapshots ([`FunctionKeySnapshot`], so the first *edit*
-//! after a warm start re-plans only the edited function). It is keyed **by
-//! content**: source length, two independent hashes of the source text, the
-//! [`OmpDartOptions`] fingerprint and the fingerprint of what the unit
-//! imports from the rest of its program. The unit name is not in the key, so
-//! a renamed or copied file hits, and an edit to one unit leaves the others'
-//! records valid unless an interface they import moved. A *function* record
-//! holds the plan of one `static` function with a kernel under its full plan
-//! key, so units (or processes) sharing a header-defined function warm each
-//! other. Only plans are stored: parsing and rewriting re-run on every start,
-//! and parsing is deterministic, so the node ids in a stored plan fit a fresh
-//! parse of the same text and a store-served rewrite is byte-identical to a
-//! cold one.
+//! Three kinds of record, all keyed **by content** (the unit name is in no
+//! key, so a renamed or copied file hits):
+//!
+//! * An *interface* record holds what the rest of a program reads of one
+//!   translation unit — [`UnitExports`]: per function its seed summary, call
+//!   sites, referenced variables and callees — keyed by the source's length
+//!   and two independent hashes of its text plus the [`OmpDartOptions`]
+//!   fingerprint. It is what lets a restart *link* a program without parsing
+//!   it: the link stage reads interfaces and nothing else of a unit.
+//! * A *unit* record holds one unit's plans, statistics, the **edit list** of
+//!   its rewrite (the `(position, text)` insertions that turn the source into
+//!   the mapped program) and per-function key snapshots
+//!   ([`FunctionKeySnapshot`], so the first *edit* after a warm start
+//!   re-plans only the edited function). Its key adds the fingerprint of what
+//!   the unit imports from the rest of its program, so an edit to one unit
+//!   leaves the others' records valid unless an interface they import moved.
+//!   A hit is served without the unit's AST: the rewrite is a splice of the
+//!   stored insertions into the bytes just read, never a re-derivation.
+//! * A *function* record holds the plan of one `static` function with a
+//!   kernel under its full plan key, so units (or processes) sharing a
+//!   header-defined function warm each other.
+//!
+//! Both halves of a warm unit are pure functions of its bytes and the
+//! options, and parsing is deterministic — the node ids in a stored plan fit
+//! a fresh parse of the same text — so whatever mix a restart finds (interface
+//! and plans; interface only, because an imported summary moved; neither,
+//! because the file was edited) its output is byte-identical to a cold run's.
+//! A unit is parsed exactly when its interface is missing or one of its plan
+//! records is: the body ([`crate::pipeline::UnitBody`]) is built for the
+//! units the change reached and for nothing else.
+//!
+//! *What is never stored.* A unit whose **parse** produced a diagnostic has
+//! no interface record, and a unit (or `static` function) whose **planning**
+//! produced one has no plan record: a record is served silently, and the
+//! warning has to reappear on every run, so such a unit is parsed — or
+//! planned — every time. A unit that failed to parse or broke the input
+//! contract never got as far as a record. A unit record saved through
+//! [`ArtifactStore::save_many`] carries no edit list; a hit on it builds the
+//! unit's body and derives the rewrite from the plans.
 //!
 //! # The pack
 //!
@@ -26,10 +52,13 @@
 //! ```
 //!
 //! `versions` packs [`STORE_FORMAT_VERSION`] and [`PLAN_FORMAT_VERSION`]; a
-//! record of another version is skipped like damage. The payload is lines of
-//! compact JSON from [`crate::plan::json`], the only codec. `slot` hashes
-//! *who* wrote the record as *what* — `(unit name, options, alone or linked)`
-//! or `(unit name, function name, options)` — which makes "superseded" a
+//! record of another version is skipped like damage. A unit's or function's
+//! payload is lines of compact JSON from [`crate::plan::json`]; an
+//! interface's is the token lines [`UnitExports::encode`] writes straight
+//! into the queue, without a document tree in between. Every payload is
+//! UTF-8. `slot` hashes *who* wrote the record as *what* — `(unit name,
+//! options, alone or linked)`, `(unit name, function name, options)` or
+//! `(unit name, options)` for its interface — which makes "superseded" a
 //! fact of the index instead of an unlink: a record is **live** while it is
 //! the latest of its slot, dead once the same name saved something newer,
 //! and still answers lookups when dead (a reverted edit hits) until a
@@ -70,9 +99,11 @@
 //! daemon's `gc` verb) is the same pass under an explicit cap, and removes
 //! the files of the layouts before the pack, which are never read.
 
+use crate::interface::UnitExports;
 use crate::pipeline::{CachedFunctionPlan, FunctionKeySnapshot, FunctionPlanKey};
 use crate::plan::ir::{AnalysisStats, MappingPlan, PLAN_FORMAT_VERSION};
 use crate::plan::json::{plans_from_json, plans_to_json_value, write_json_string, Json};
+use crate::rewrite::EditSet;
 use crate::OmpDartOptions;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -81,9 +112,11 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Version of the pack format; a record of any other store or plan version
-/// is never read. v4 is the pack; v3's `unit-*`, `fn-*` and `ref-*` files
-/// are ignored, and removed by [`ArtifactStore::gc`].
-pub const STORE_FORMAT_VERSION: u32 = 4;
+/// is never read, and leaves with the next compaction. v5 adds the
+/// interface record and the unit record's edit list to v4's pack; v3's
+/// `unit-*`, `fn-*` and `ref-*` files are ignored, and removed by
+/// [`ArtifactStore::gc`].
+pub const STORE_FORMAT_VERSION: u32 = 5;
 
 const PACK_FILE: &str = "ompdart.pack";
 /// Starts every record. Payloads are UTF-8, which never holds `0xff`, so the
@@ -93,6 +126,7 @@ const VERSIONS: u32 = STORE_FORMAT_VERSION << 16 | PLAN_FORMAT_VERSION;
 const HEADER_LEN: usize = 4 + 4 + 7 * 8 + 8 + 4 + 8 + 8;
 const UNIT: u64 = 1;
 const FUNCTION: u64 = 2;
+const INTERFACE: u64 = 3;
 
 /// Compaction runs once dead bytes exceed live bytes — the traffic of a
 /// long-lived session (`ompdart watch`, the daemon), whose every edit appends
@@ -130,16 +164,34 @@ fn hash_pair(bytes: &[u8]) -> (u64, u64) {
 }
 
 /// What a lookup has to match, word for word: the record kind, then a unit's
-/// source length and two hashes, options and link fingerprint, or a
-/// function's snippet length and hash and the rest of its [`FunctionPlanKey`].
+/// or an interface's source length and two hashes, options and (a unit's)
+/// link fingerprint, or a function's snippet length and hash and the rest of
+/// its [`FunctionPlanKey`].
 pub(crate) type RecordKey = [u64; 7];
 
-/// The key of `source` planned under `options` and `link`. Hashes the source
-/// once; the session uses one key for the lookup and the write-back.
-pub(crate) fn unit_key(source: &str, options: &OmpDartOptions, link: u64) -> RecordKey {
+/// What keys a source text: its length and two hashes. The session hashes a
+/// unit's source once, and keys its interface record and every plan record
+/// of it — lookup and write-back — with the result.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct ContentKey([u64; 3]);
+
+pub(crate) fn content_key(source: &str) -> ContentKey {
     let (a, b) = hash_pair(source.as_bytes());
-    let len = source.len() as u64;
-    [UNIT, len, a, b, options.fingerprint(), link, 0]
+    ContentKey([source.len() as u64, a, b])
+}
+
+impl ContentKey {
+    /// The key of this content planned under `options` and `link`.
+    pub(crate) fn unit(self, options: &OmpDartOptions, link: u64) -> RecordKey {
+        let [len, a, b] = self.0;
+        [UNIT, len, a, b, options.fingerprint(), link, 0]
+    }
+
+    /// The key of this content's interface under `options`.
+    fn interface(self, options: &OmpDartOptions) -> RecordKey {
+        let [len, a, b] = self.0;
+        [INTERFACE, len, a, b, options.fingerprint(), 0, 0]
+    }
 }
 
 fn function_key(key: &FunctionPlanKey) -> RecordKey {
@@ -195,21 +247,38 @@ fn parse_header(bytes: &[u8]) -> Option<(Record, u64)> {
     Some((record, word(64)))
 }
 
-/// One record, header and payload, ready to append.
-fn encode_record(key: &RecordKey, slot: u64, payload: &str) -> Option<Vec<u8>> {
-    let len = u32::try_from(payload.len()).ok()?;
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSIONS.to_le_bytes());
-    for word in key.iter().chain([&slot]) {
-        out.extend_from_slice(&word.to_le_bytes());
+/// Append one record to `out`, ready to be written: its header, then the
+/// payload `write` appends — which must be UTF-8, see [`MAGIC`]. Returns
+/// false, with `out` as it was, if `write` does or the payload is too long.
+fn append_record(
+    out: &mut Vec<u8>,
+    key: &RecordKey,
+    slot: u64,
+    write: impl FnOnce(&mut Vec<u8>) -> bool,
+) -> bool {
+    let start = out.len();
+    out.resize(start + HEADER_LEN, 0);
+    let len = match write(out) {
+        true => u32::try_from(out.len() - start - HEADER_LEN).ok(),
+        false => None,
+    };
+    let Some(len) = len else {
+        out.truncate(start);
+        return false;
+    };
+    let (header, payload) = out[start..].split_at_mut(HEADER_LEN);
+    let words = key.iter().chain([&slot]).map(|word| word.to_le_bytes());
+    let fields = (MAGIC.into_iter().chain(VERSIONS.to_le_bytes()))
+        .chain(words.flatten())
+        .chain(len.to_le_bytes())
+        .chain(hash_pair(payload).0.to_le_bytes());
+    let summed = HEADER_LEN - 8;
+    for (byte, field) in header[..summed].iter_mut().zip(fields) {
+        *byte = field;
     }
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&hash_pair(payload.as_bytes()).0.to_le_bytes());
-    let sum = hash_pair(&out).0;
-    out.extend_from_slice(&sum.to_le_bytes());
-    out.extend_from_slice(payload.as_bytes());
-    Some(out)
+    let sum = hash_pair(&header[..summed]).0;
+    header[summed..].copy_from_slice(&sum.to_le_bytes());
+    true
 }
 
 fn find_magic(bytes: &[u8]) -> Option<usize> {
@@ -310,6 +379,10 @@ pub struct StoredUnit {
     /// [`Self::functions`], still encoded: more bytes than the plans, and
     /// only read by a session that plans the unit again.
     pub(crate) snapshots: String,
+    /// The insertions that rewrite the unit's source under these plans;
+    /// `None` for a record saved without them ([`ArtifactStore::save_many`]),
+    /// whose rewrite is derived from the plans again.
+    pub(crate) edits: Option<EditSet>,
 }
 
 impl StoredUnit {
@@ -436,18 +509,31 @@ impl ArtifactStore {
     /// The stored plans for `source` under `options` and `link`. The unit name
     /// does not participate: a renamed or copied file hits.
     pub fn load(&self, source: &str, options: &OmpDartOptions, link: u64) -> Option<StoredUnit> {
-        self.load_unit(&unit_key(source, options, link))
+        self.load_unit(&content_key(source).unit(options, link))
     }
 
     pub(crate) fn load_unit(&self, key: &RecordKey) -> Option<StoredUnit> {
         self.read(key, |payload| {
-            let mut lines = payload.splitn(3, '\n');
+            let mut lines = payload.splitn(4, '\n');
             Some(StoredUnit {
                 plans: plans_from_json(lines.next()?).ok()?,
                 stats: AnalysisStats::from_json(&Json::parse(lines.next()?).ok()?).ok()?,
+                edits: decode_edits(lines.next()?)?,
                 snapshots: lines.next()?.to_string(),
             })
         })
+    }
+
+    /// The stored interface of the content `content` keys, under `options`,
+    /// with its names resolved for the unit called `unit`.
+    pub(crate) fn load_interface(
+        &self,
+        content: ContentKey,
+        options: &OmpDartOptions,
+        unit: &str,
+    ) -> Option<UnitExports> {
+        let decode = |payload: &str| UnitExports::decode(unit, payload);
+        self.read(&content.interface(options), decode)
     }
 
     /// Look up one function's stored planning result under its full plan
@@ -483,21 +569,59 @@ impl ArtifactStore {
         })
     }
 
-    /// Queue one record, and with a function's what answers lookups for it.
-    fn enqueue(&self, key: RecordKey, slot: u64, payload: &str, function: Option<QueuedFunction>) {
-        let Some(record) = encode_record(&key, slot, payload) else {
-            return;
-        };
+    /// Queue one record — `write` appends its payload to the queue itself —
+    /// and with a function's what answers lookups for it.
+    fn enqueue(
+        &self,
+        key: RecordKey,
+        slot: u64,
+        write: impl FnOnce(&mut Vec<u8>) -> bool,
+        function: Option<QueuedFunction>,
+    ) {
         let mut pack = self.loaded();
-        pack.queue.extend_from_slice(&record);
-        pack.queued += 1;
-        pack.queued_functions
-            .extend(function.map(|function| (key, function)));
+        if append_record(&mut pack.queue, &key, slot, write) {
+            pack.queued += 1;
+            pack.queued_functions
+                .extend(function.map(|function| (key, function)));
+        }
+    }
+
+    /// [`Self::enqueue`] a payload rendered beforehand, outside the lock.
+    fn enqueue_rendered(
+        &self,
+        key: RecordKey,
+        slot: u64,
+        payload: &str,
+        function: Option<QueuedFunction>,
+    ) {
+        let copy = |queue: &mut Vec<u8>| {
+            queue.extend_from_slice(payload.as_bytes());
+            true
+        };
+        self.enqueue(key, slot, copy, function);
+    }
+
+    /// Queue the interface of the unit called `name` (which only says whose
+    /// save this supersedes) for the next [`Self::flush`], encoded straight
+    /// into the queue. An interface the encoding has no spelling for is not
+    /// queued: its unit is parsed on every start.
+    pub(crate) fn queue_interface(
+        &self,
+        name: &str,
+        content: ContentKey,
+        options: &OmpDartOptions,
+        exports: &UnitExports,
+    ) {
+        let key = content.interface(options);
+        let slot = slot(INTERFACE, name, [key[4], 0]);
+        self.enqueue(key, slot, |queue| exports.encode(queue), None);
     }
 
     /// Queue the plans of the unit called `name` (which only says whose save
-    /// this supersedes) for the next [`Self::flush`], as three lines: the
-    /// compact plan document, the statistics, the key snapshots.
+    /// this supersedes) for the next [`Self::flush`], as four lines: the
+    /// compact plan document, the statistics, the rewrite's insertions
+    /// (`[position, text, ...]`, or `null` without `edits`), the key
+    /// snapshots.
     pub(crate) fn queue_unit(
         &self,
         name: &str,
@@ -505,10 +629,23 @@ impl ArtifactStore {
         plans: &[MappingPlan],
         stats: &AnalysisStats,
         functions: &[FunctionKeySnapshot],
+        edits: Option<&EditSet>,
     ) {
         let mut payload = plans_to_json_value(plans).render();
         payload.push('\n');
         stats.to_json().render_into(&mut payload);
+        payload.push('\n');
+        match edits {
+            Some(edits) => {
+                payload.push('[');
+                for (i, (position, text)) in edits.insertions().enumerate() {
+                    let _ = write!(payload, "{}{position},", if i > 0 { "," } else { "" });
+                    write_json_string(&mut payload, text);
+                }
+                payload.push(']');
+            }
+            None => payload.push_str("null"),
+        }
         payload.push_str("\n[");
         for (i, s) in functions.iter().enumerate() {
             payload.push_str(if i > 0 { ",[" } else { "[" });
@@ -526,7 +663,7 @@ impl ArtifactStore {
         }
         payload.push(']');
         let linked = u64::from(key[5] != crate::program::UNLINKED);
-        self.enqueue(key, slot(UNIT, name, [key[4], linked]), &payload, None);
+        self.enqueue_rendered(key, slot(UNIT, name, [key[4], linked]), &payload, None);
     }
 
     /// Queue the plan of `function`, planned in `unit`, for the next
@@ -552,7 +689,7 @@ impl ArtifactStore {
             [key.options_hash, 0],
         );
         let queued = (key.snippet.clone(), entry.clone());
-        self.enqueue(function_key(key), slot, &payload, Some(queued));
+        self.enqueue_rendered(function_key(key), slot, &payload, Some(queued));
     }
 
     /// Write back many units' plans: queue them, then flush the queue.
@@ -563,8 +700,9 @@ impl ArtifactStore {
         saves: &[PendingUnitSave],
     ) -> io::Result<Vec<PathBuf>> {
         for save in saves {
-            let key = unit_key(&save.source, options, save.link);
-            self.queue_unit(&save.name, key, &save.plans, &save.stats, &save.functions);
+            let key = content_key(&save.source).unit(options, save.link);
+            let (stats, functions) = (&save.stats, &save.functions);
+            self.queue_unit(&save.name, key, &save.plans, stats, functions, None);
         }
         let written = self.flush()?;
         Ok(Vec::from_iter((written > 0).then(|| self.pack_path())))
@@ -680,7 +818,25 @@ impl ArtifactStore {
     }
 }
 
-/// The inverse of the third line [`ArtifactStore::queue_unit`] writes.
+/// The inverse of the third line [`ArtifactStore::queue_unit`] writes:
+/// `Some(None)` for a record saved without its edits.
+fn decode_edits(text: &str) -> Option<Option<EditSet>> {
+    let document = Json::parse(text).ok()?;
+    if document == Json::Null {
+        return Some(None);
+    }
+    let mut edits = EditSet::default();
+    for pair in document.as_array()?.chunks(2) {
+        let [position, text] = pair else {
+            return None;
+        };
+        let position = u32::try_from(position.as_int()?).ok()?;
+        edits.insert(position, text.as_str()?.to_string());
+    }
+    Some(Some(edits))
+}
+
+/// The inverse of the last line [`ArtifactStore::queue_unit`] writes.
 pub(crate) fn decode_snapshots(text: &str) -> Option<Vec<FunctionKeySnapshot>> {
     let small = |value: &Json| u32::try_from(value.as_int()?).ok();
     let hash = |value: &Json| value.as_int().map(|n| n as u64);
@@ -725,6 +881,10 @@ mod tests {
 
     fn temp_store(tag: &str) -> ArtifactStore {
         ArtifactStore::open(temp_dir(tag))
+    }
+
+    fn unit_key(source: &str, options: &OmpDartOptions, link: u64) -> RecordKey {
+        content_key(source).unit(options, link)
     }
 
     /// One plan mapping `var`, so different saves hold different bytes.
@@ -881,6 +1041,18 @@ mod tests {
         reheader(&mut future, |head| head[6] = 99);
         std::fs::write(&path, &future).unwrap();
         assert!(load().is_none());
+
+        // Nor is one the previous version wrote (no legacy reader): a miss,
+        // and gone from the pack once a compaction has passed over it.
+        let mut previous = intact.clone();
+        reheader(&mut previous, |head| head[6] = 4);
+        std::fs::write(&path, &previous).unwrap();
+        assert!(load().is_none());
+        let upgraded = ArtifactStore::open(&store.dir);
+        save(&upgraded, "y.c", "void g() {}", &options, UNLINKED);
+        upgraded.gc(u64::MAX);
+        assert_eq!(upgraded.total_bytes(), intact.len() as u64);
+        assert!(upgraded.load("void g() {}", &options, UNLINKED).is_some());
 
         // A record under a key that differs in one word (its length).
         let mut other_key = intact.clone();
@@ -1277,7 +1449,14 @@ mod tests {
         let plans = sample_plans();
         for (name, source) in [("a.c", "s1"), ("b.c", "s2"), ("c.c", "s3")] {
             let key = unit_key(source, &options, UNLINKED);
-            store.queue_unit(name, key, &plans, &AnalysisStats::default(), &sample_keys());
+            store.queue_unit(
+                name,
+                key,
+                &plans,
+                &AnalysisStats::default(),
+                &sample_keys(),
+                None,
+            );
         }
         let function = sample_fn_entry(plans.first().cloned());
         store.queue_function("a.c", "f", &sample_fn_key(), &function);
@@ -1334,10 +1513,46 @@ mod tests {
     // -----------------------------------------------------------------
 
     /// What a populated pack must answer: per unit source the plan JSON
-    /// saved under it, and per function key the plan JSON saved under it.
+    /// saved under it (and the rewrite its edit list makes), per function
+    /// key the plan JSON saved under it, and per interface source the
+    /// interface saved under it.
     struct Saved {
         units: Vec<(String, String)>,
         functions: Vec<(FunctionPlanKey, String)>,
+        interfaces: Vec<(String, UnitExports)>,
+    }
+
+    /// The edit list saved with unit `n`: two insertions whose text needs
+    /// escaping, at positions inside `int unit_<n>(void);`.
+    fn edits_of(n: usize) -> EditSet {
+        let mut edits = EditSet::default();
+        edits.insert(4, format!("/* \"{n}\" */\n"));
+        edits.insert(4 + n as u32, "\t#pragma omp target update to(a)\n".into());
+        edits
+    }
+
+    /// A unit whose interface has a bit of everything: a static, a global
+    /// effect, calls with by-reference arguments, a callee with a prototype.
+    fn interface_source(n: usize) -> String {
+        format!(
+            "double shared_{n}[8];\nvoid sink_{n}(const double *p, int n);\n\
+             static void local_{n}(double *p) {{ p[0] = shared_{n}[1]; }}\n\
+             void entry_{n}(double *q) {{\n  local_{n}(q);\n  local_{n}(shared_{n});\n\
+             \x20 sink_{n}(q, {n});\n  other_{n}();\n}}\n"
+        )
+    }
+
+    /// The interface of `source`, parsed under the name `name`.
+    fn interface_of(name: &str, source: &str) -> UnitExports {
+        let session = crate::pipeline::AnalysisSession::new();
+        let unit = session.summarize(name, source).unwrap();
+        UnitExports::decode(name, &encoded(unit.exports())).unwrap()
+    }
+
+    fn encoded(exports: &UnitExports) -> String {
+        let mut out = Vec::new();
+        assert!(exports.encode(&mut out));
+        String::from_utf8(out).unwrap()
     }
 
     fn fn_key(i: usize) -> FunctionPlanKey {
@@ -1358,6 +1573,7 @@ mod tests {
         let mut saved = Saved {
             units: Vec::new(),
             functions: Vec::new(),
+            interfaces: Vec::new(),
         };
         for round in 0..3 {
             for i in 0..2 {
@@ -1373,6 +1589,7 @@ mod tests {
                         &plans,
                         &AnalysisStats::default(),
                         &[],
+                        None,
                     );
                 }
                 store.queue_unit(
@@ -1381,9 +1598,19 @@ mod tests {
                     &plans,
                     &AnalysisStats::default(),
                     &sample_keys(),
+                    Some(&edits_of(n)),
                 );
                 saved.units.push((source, plans_to_json(&plans)));
             }
+            let source = interface_source(round);
+            let exports = interface_of(&format!("i{round}.c"), &source);
+            store.queue_interface(
+                &format!("i{round}.c"),
+                content_key(&source),
+                &options,
+                &exports,
+            );
+            saved.interfaces.push((source, exports));
             let plan = plans_of(&format!("w{round}")).remove(0);
             store.queue_function(
                 "u0.c",
@@ -1398,7 +1625,8 @@ mod tests {
     }
 
     /// Look every saved key up in a new store over `dir`: a hit must hold
-    /// exactly what was saved. Returns which keys hit, units then functions.
+    /// exactly what was saved. Returns which keys hit: units, then functions,
+    /// then interfaces.
     fn lookups(dir: &std::path::Path, saved: &Saved) -> Vec<bool> {
         let store = ArtifactStore::open(dir);
         let options = OmpDartOptions::default();
@@ -1417,6 +1645,14 @@ mod tests {
                     sample_keys(),
                     "wrong snapshots for `{source}`"
                 );
+                // The rewrite a hit makes is the one the saved edits make.
+                let n = hits.len();
+                let rewritten = unit.edits.as_ref().map(|edits| edits.apply(source));
+                assert_eq!(
+                    rewritten,
+                    Some(edits_of(n).apply(source)),
+                    "wrong rewrite for `{source}`"
+                );
             }
             hits.push(hit.is_some());
         }
@@ -1428,6 +1664,14 @@ mod tests {
                     (entry.base_id, entry.base_pos, entry.fallbacks),
                     (7, 120, 2)
                 );
+            }
+            hits.push(hit.is_some());
+        }
+        for (i, (source, exports)) in saved.interfaces.iter().enumerate() {
+            let name = format!("i{i}.c");
+            let hit = store.load_interface(content_key(source), &options, &name);
+            if let Some(hit) = &hit {
+                assert_eq!(hit, exports, "wrong interface for `{name}`");
             }
             hits.push(hit.is_some());
         }
@@ -1479,7 +1723,7 @@ mod tests {
         let extents: Vec<(usize, usize)> = (index.records.iter())
             .map(|r| (r.offset as usize, (r.offset + r.size()) as usize))
             .collect();
-        assert_eq!(extents.len(), 10);
+        assert_eq!(extents.len(), 13);
         assert_eq!(
             extents.last().unwrap().1,
             intact.len(),
@@ -1491,16 +1735,17 @@ mod tests {
                 let unit =
                     |(source, _): &(String, String)| unit_key(source, &options, UNLINKED) == r.key;
                 let function = |(key, _): &(FunctionPlanKey, String)| function_key(key) == r.key;
-                (saved.units.iter().position(unit)).or_else(|| {
-                    saved
-                        .functions
-                        .iter()
-                        .position(function)
-                        .map(|i| i + saved.units.len())
-                })
+                let interface = |(source, _): &(String, UnitExports)| {
+                    content_key(source).interface(&options) == r.key
+                };
+                let functions = saved.units.len();
+                let interfaces = functions + saved.functions.len();
+                (saved.units.iter().position(unit))
+                    .or_else(|| Some(functions + saved.functions.iter().position(function)?))
+                    .or_else(|| Some(interfaces + saved.interfaces.iter().position(interface)?))
             })
             .collect();
-        let keys = saved.units.len() + saved.functions.len();
+        let keys = saved.units.len() + saved.functions.len() + saved.interfaces.len();
         // The keys whose records lie wholly outside `damaged`.
         let untouched = |damaged: std::ops::Range<usize>| -> Vec<bool> {
             let mut must = vec![false; keys];
@@ -1539,16 +1784,28 @@ mod tests {
         }
 
         // One flipped bit: every bit of one header, the low bit of every
-        // byte of one unit's and one function's payload (a digit or a
-        // letter becomes its neighbour: JSON that still parses), and a
-        // seeded sample of the rest.
+        // byte of one unit's, one function's and one interface's payload (a
+        // digit or a letter becomes its neighbour: a position, an effect, a
+        // name that still parses), and a seeded sample of the rest.
         let mut rng = 0x9e37_79b9_7f4a_7c15_u64;
-        let (unit, function) = (extents[4], extents[2]);
+        // The first record of each kind that answers a saved key.
+        let of_kind = |kind: u64| {
+            let live =
+                |(r, answer): &(&Record, &Option<usize>)| r.key[0] == kind && answer.is_some();
+            let at = index
+                .records
+                .iter()
+                .zip(&answers)
+                .position(|pair| live(&pair));
+            extents[at.expect("a live record of every kind")]
+        };
+        let (unit, function, interface) = (of_kind(UNIT), of_kind(FUNCTION), of_kind(INTERFACE));
         let mut flips: Vec<(usize, u8)> = (0..HEADER_LEN * 8)
             .map(|bit| (unit.0 + bit / 8, 1 << (bit % 8)))
             .collect();
-        flips.extend((unit.0 + HEADER_LEN..unit.1).map(|at| (at, 1)));
-        flips.extend((function.0 + HEADER_LEN..function.1).map(|at| (at, 1)));
+        for payload in [unit, function, interface] {
+            flips.extend((payload.0 + HEADER_LEN..payload.1).map(|at| (at, 1)));
+        }
         flips.extend((0..300).map(|_| (roll(&mut rng, intact.len()), 1 << roll(&mut rng, 8))));
         for (at, bit) in flips {
             let mut bytes = intact.clone();
@@ -1630,7 +1887,7 @@ mod tests {
         use std::os::unix::fs::PermissionsExt;
         let dir = temp_dir("readonly");
         let saved = populate(&dir);
-        let keys = saved.units.len() + saved.functions.len();
+        let keys = saved.units.len() + saved.functions.len() + saved.interfaces.len();
         let set_mode = |path: &std::path::Path, mode: u32| {
             std::fs::set_permissions(path, std::fs::Permissions::from_mode(mode)).unwrap();
         };

@@ -123,6 +123,11 @@ impl SourceFile {
         &self.text
     }
 
+    /// The complete source text, as the file shares it: a pointer copy.
+    pub fn shared_text(&self) -> Arc<String> {
+        Arc::clone(&self.text)
+    }
+
     /// Length of the file in bytes.
     pub fn len(&self) -> u32 {
         self.text.len() as u32

@@ -23,7 +23,8 @@
 //! `watch` keeps one long-lived session hot — it links the watched
 //! directory as one program, re-planning only the functions an edit
 //! actually invalidated (across files) and, with `--cache-dir`, starting
-//! warm from the persistent artifact store; `cache gc` compacts the store
+//! warm from the persistent artifact store (a restart parses only the units
+//! a change reached); `cache gc` compacts the store
 //! down to a size cap, least-recently-used records first. `daemon` runs
 //! `ompdartd` — analysis as a service over a unix socket (or TCP): many
 //! clients, many programs, each program on its own warm incremental
@@ -85,10 +86,13 @@ SUBCOMMANDS:
                (multi-input) emits a driver profile — per-phase wall
                time, per-unit plan percentiles, identity-fast-path unit
                counts, pool and shard-lock counters — to a file or `-`.
-               --cache-dir (one input or several) keeps plans in a pack
-               file in that directory: a repeat run over unchanged
-               sources loads them instead of planning, with the same
-               output byte for byte.
+               --cache-dir (one input or several) keeps each unit's link
+               interface, plans and rewrite edits in a pack file in that
+               directory: a repeat run parses and plans only the units a
+               change reached (none, over unchanged sources), with the
+               same output byte for byte. A `<stem>.mapped.c` that
+               already holds exactly the new bytes is left untouched,
+               modification time included.
     explain    Print one justified line per mapping construct: the
                OpenMP syntax, the dataflow fact that forced it, the
                deciding pipeline stage and source location.
@@ -320,8 +324,7 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
     if simulate {
         // Simulate the exact text that was analyzed, not a re-read of the
         // file (which may have changed since).
-        let source = analysis.source_file().text().to_string();
-        let before = simulate_source(&source, SimConfig::default())
+        let before = simulate_source(analysis.source_text(), SimConfig::default())
             .map_err(|e| format!("simulation of the input failed: {e}"))?;
         let after = simulate_source(analysis.rewritten_source(), SimConfig::default())
             .map_err(|e| format!("simulation of the transformed source failed: {e}"))?;
@@ -436,7 +439,7 @@ fn cmd_analyze_program(
             continue;
         }
         let out_path = mapped_path(Path::new(path), out_dir, &mut used_names);
-        std::fs::write(&out_path, analysis.rewritten_source())
+        write_mapped(&out_path, analysis.rewritten_source())
             .map_err(|e| format!("cannot write `{}`: {e}", out_path.display()))?;
         eprintln!(
             "{path}: {} kernel(s), {} construct(s), {} unknown-callee fallback(s) -> {}",
@@ -665,7 +668,7 @@ fn cmd_batch(args: &[String]) -> Result<ExitCode, String> {
                 );
                 if out_dir.is_some() {
                     let out_path = mapped_path(Path::new(path), out_dir, &mut used_names);
-                    std::fs::write(&out_path, analysis.rewritten_source())
+                    write_mapped(&out_path, analysis.rewritten_source())
                         .map_err(|e| format!("cannot write `{}`: {e}", out_path.display()))?;
                 }
             }
@@ -719,6 +722,20 @@ fn mapped_path(
     }
 }
 
+/// Write a mapped output to `path` — unless the file already holds exactly
+/// these bytes. An unchanged output keeps its modification time, so a build
+/// rule that depends on it does not fire again, and the file is not
+/// truncated and rewritten for nothing.
+fn write_mapped(path: &Path, contents: &str) -> std::io::Result<()> {
+    let held = |len: u64| len == contents.len() as u64;
+    let unchanged = std::fs::metadata(path).is_ok_and(|meta| held(meta.len()))
+        && std::fs::read(path).is_ok_and(|bytes| bytes == contents.as_bytes());
+    match unchanged {
+        true => Ok(()),
+        false => std::fs::write(path, contents),
+    }
+}
+
 /// The `.c` inputs under `dir` (excluding our own `.mapped.c` outputs),
 /// sorted for deterministic emit order.
 fn scan_c_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
@@ -751,7 +768,7 @@ fn emit_one(tool: &Ompdart, path: &Path, source: &str, out_path: &Path) {
     match tool.analyze_with_serve(&display, source) {
         Ok((analysis, serve)) => {
             let elapsed = start.elapsed();
-            if let Err(e) = std::fs::write(out_path, analysis.rewritten_source()) {
+            if let Err(e) = write_mapped(out_path, analysis.rewritten_source()) {
                 println!(
                     "[watch] {display}: FAILED — cannot write {}: {e}",
                     out_path.display()
@@ -965,7 +982,7 @@ fn watch_program_scan(
                     }
                     continue;
                 }
-                if let Err(e) = std::fs::write(&out_path, rewritten) {
+                if let Err(e) = write_mapped(&out_path, rewritten) {
                     println!(
                         "[watch] {}: FAILED — cannot write {}: {e}",
                         path.display(),
@@ -1079,7 +1096,7 @@ fn cmd_client(args: &[String]) -> Result<ExitCode, String> {
                     unit.get("rewritten_source").and_then(Json::as_str),
                 ) {
                     let out = mapped_path(Path::new(name), Some(dir), &mut used_names);
-                    std::fs::write(&out, rewritten)
+                    write_mapped(&out, rewritten)
                         .map_err(|e| format!("cannot write `{}`: {e}", out.display()))?;
                     println!("[client] wrote {}", out.display());
                 }
@@ -1225,4 +1242,54 @@ fn cmd_client(args: &[String]) -> Result<ExitCode, String> {
         other => return Err(format!("unknown client verb `{other}`")),
     }
     Ok(ExitCode::SUCCESS)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::{Duration, SystemTime};
+
+    /// Every `<stem>.mapped.c` goes through `write_mapped`: the same bytes
+    /// again leave the file — its modification time, its inode — alone, a
+    /// one-byte difference rewrites it, a missing file is created.
+    #[test]
+    fn an_unchanged_mapped_output_is_not_rewritten() {
+        let dir = std::env::temp_dir().join(format!("ompdart-write-mapped-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("unit.mapped.c");
+        let long_ago = SystemTime::UNIX_EPOCH + Duration::from_secs(1_000_000_000);
+        let stamp = |path: &Path| {
+            let meta = std::fs::metadata(path).unwrap();
+            #[cfg(unix)]
+            let inode = std::os::unix::fs::MetadataExt::ino(&meta);
+            #[cfg(not(unix))]
+            let inode = 0u64;
+            (meta.modified().unwrap(), inode)
+        };
+
+        write_mapped(&path, "int a;\n").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "int a;\n");
+        let file = std::fs::File::options().write(true).open(&path).unwrap();
+        file.set_modified(long_ago).unwrap();
+        drop(file);
+        let before = stamp(&path);
+        assert_eq!(before.0, long_ago);
+
+        write_mapped(&path, "int a;\n").unwrap();
+        assert_eq!(
+            stamp(&path),
+            before,
+            "the same bytes must not touch the file"
+        );
+
+        write_mapped(&path, "int b;\n").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "int b;\n");
+        assert_ne!(stamp(&path).0, long_ago, "one byte differs: rewritten");
+
+        // Same length is not same bytes, and a shorter text truncates.
+        write_mapped(&path, "int").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "int");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

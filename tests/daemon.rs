@@ -624,18 +624,38 @@ fn check_plans_reports_version_and_rejects_old_documents() {
 
 /// Satellite: durable shutdown. SIGTERM drains and flushes every program
 /// store; a new daemon over the same cache directory serves the same
-/// program from the persistent store without re-planning anything.
+/// program from the persistent store without re-planning — or parsing —
+/// anything, and what does look at a unit (`explain` at a position,
+/// `check_plans` of its plan document) answers as it did for the parsed one.
 #[test]
 fn sigterm_flushes_stores_and_a_restart_starts_warm() {
     let _guard = daemon_lock();
     let dir = scratch("sigterm");
     let cache = dir.join("cache");
     let units = lulesh_units();
+    // A kernel of the driver unit: provenance facts anchor there.
+    let (hover_name, hover_source) = &units[2];
+    let hover = |client: &mut Client| {
+        let result = client.explain("lulesh", hover_name, hover_source, 49, 8);
+        result.expect("explain")
+    };
+    let plan_documents = |result: &Json| -> Vec<String> {
+        let units = result.get("units").and_then(Json::as_array).expect("units");
+        let plans = units.iter().map(|unit| unit.get("plans").expect("plans"));
+        plans.map(Json::render).collect()
+    };
 
     let handle = spawn_daemon(dir.join("d.sock"), Some(cache.clone()));
     let mut client = Client::connect(handle.endpoint()).expect("connect");
     let cold = client.analyze_sources("lulesh", &units).expect("cold");
     assert!(stat(&cold, "function_plan_misses") > 0);
+    assert_eq!(stat(&cold, "parse_misses"), units.len() as i64);
+    let hovered = hover(&mut client);
+    let facts = hovered.get("facts").and_then(Json::as_array);
+    assert!(facts.is_some_and(|facts| !facts.is_empty()), "{hovered:?}");
+    let checked: Vec<Json> = (plan_documents(&cold).iter())
+        .map(|doc| client.check_plans(doc).expect("a current document"))
+        .collect();
     drop(client);
 
     // The real signal path: raise SIGTERM against the installed handler
@@ -660,6 +680,21 @@ fn sigterm_flushes_stores_and_a_restart_starts_warm() {
         "every unit must come from the store: {:?}",
         serves(&warm)
     );
+    assert_eq!(
+        (
+            stat(&warm, "parse_misses"),
+            stat(&warm, "interface_store_hits")
+        ),
+        (0, units.len() as i64),
+        "a restart over unchanged sources parses nothing: {warm:?}"
+    );
+    // The store-served units answer what looks at them as the parsed ones
+    // did: the same plan documents, valid; the same hover facts.
+    assert_eq!(plan_documents(&warm), plan_documents(&cold));
+    for (doc, was) in plan_documents(&warm).iter().zip(&checked) {
+        assert_eq!(&client.check_plans(doc).expect("a current document"), was);
+    }
+    assert_eq!(hover(&mut client), hovered);
     client.shutdown().expect("shutdown");
     restarted.join();
 }

@@ -10,9 +10,10 @@
 //!   rewrite byte-identically from disk without planning a single
 //!   function.
 
-use ompdart_core::{AnalysisSession, Ompdart};
+use ompdart_core::{AnalysisSession, Ompdart, Stage, UnitServe};
 use ompdart_suite::{all_benchmarks, incremental_demo, one_function_edit};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// The nine paper benchmarks plus the multi-function incremental demo.
 fn corpus() -> Vec<(String, String)> {
@@ -51,7 +52,7 @@ fn incremental_reanalysis_matches_cold_analysis_on_all_benchmarks() {
             "{name}: relocated plans must equal freshly computed plans"
         );
 
-        let functions = fresh.parsed.unit.functions().count();
+        let functions = fresh.parsed().unit.functions().count();
         let hits = after.function_plan_hits - before.function_plan_hits;
         let misses = after.function_plan_misses - before.function_plan_misses;
         assert_eq!(
@@ -156,7 +157,7 @@ fn one_function_edit_misses_one_access_and_one_summary_on_all_benchmarks() {
         let incremental = session.analyze(&name, &edited).unwrap();
         let after = session.cache_stats();
 
-        let functions = incremental.parsed.unit.functions().count() as u64;
+        let functions = incremental.parsed().unit.functions().count() as u64;
         let access_hits = after.function_access_hits - before.function_access_hits;
         let access_misses = after.function_access_misses - before.function_access_misses;
         let summary_hits = after.function_summary_hits - before.function_summary_hits;
@@ -233,11 +234,12 @@ fn store_analysis_cache_and_function_cache_compose() {
     let stats = session.cache_stats();
     assert_eq!(stats.store_hits, 1);
     assert_eq!(stats.function_plan_misses, 0, "a store hit plans nothing");
-    // The store only replaces planning: the summarize-phase artifacts are
-    // the unit's own, and the output is byte-equal to the cold analysis.
-    let functions = served.parsed.unit.functions().count();
-    assert_eq!(served.accesses.accesses.len(), functions);
-    assert_eq!(served.summaries.seeds.len(), functions);
+    // The store replaces parsing and planning; the body the accessors
+    // build on demand is the unit's own, and the output is byte-equal to
+    // the cold analysis.
+    let functions = served.parsed().unit.functions().count();
+    assert_eq!(served.accesses().accesses.len(), functions);
+    assert_eq!(served.summaries().seeds.len(), functions);
     assert_eq!(served.rewrite.source, cold.rewrite.source);
     assert_eq!(served.plans_json(), cold.plans_json());
     // Same content again: the in-memory cache answers, not the store.
@@ -272,5 +274,141 @@ fn store_analysis_cache_and_function_cache_compose() {
         functions - 1,
         "second edit must reuse all unchanged functions"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A restart serves a unit from the store without parsing it — interface,
+/// plans and rewrite are all on disk — and everything that does need the
+/// body builds it on first use and then answers exactly as the analysis of a
+/// parsed unit does.
+#[test]
+fn a_store_served_analysis_builds_its_body_on_demand() {
+    let dir = std::env::temp_dir().join(format!("ompdart-store-body-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let demo = incremental_demo();
+    let cold = Ompdart::builder().cache_dir(&dir).build();
+    let parsed = cold.analyze("demo.c", demo).unwrap();
+    let stats = cold.session().cache_stats();
+    assert_eq!(
+        (
+            stats.parse_misses,
+            stats.interface_store_misses,
+            stats.store_misses
+        ),
+        (1, 1, 1),
+        "{stats}"
+    );
+
+    let tool = Ompdart::builder().cache_dir(&dir).build();
+    let (served, serve) = tool.analyze_with_serve("demo.c", demo).unwrap();
+    assert_eq!(serve, UnitServe::Store);
+    let stats = tool.session().cache_stats();
+    assert_eq!(
+        (
+            stats.parse_misses,
+            stats.interface_store_hits,
+            stats.store_hits
+        ),
+        (0, 1, 1),
+        "{stats}"
+    );
+    let built = || served.artifacts().unit().body_if_built().is_some();
+
+    // What every consumer reads is there without the body.
+    assert_eq!(served.rewritten_source(), parsed.rewritten_source());
+    assert_eq!(served.plans(), parsed.plans());
+    assert_eq!(served.plans_json(), parsed.plans_json());
+    assert_eq!(served.stats(), parsed.stats());
+    assert_eq!(served.source_text(), demo);
+    assert!(served.diagnostics().is_empty());
+    assert_eq!(served.timings().of(Stage::Parse), Duration::ZERO);
+    assert_eq!(
+        ompdart_core::ExportedInterface::of(served.artifacts().unit()),
+        ompdart_core::ExportedInterface::of(parsed.artifacts().unit())
+    );
+    assert!(!built(), "nothing above reads the body");
+
+    // `explain` reads the parse: it builds the body, once.
+    assert_eq!(served.explain(), parsed.explain());
+    assert!(built());
+    let body = Arc::clone(served.artifacts().parsed());
+    assert!(Arc::ptr_eq(&body, served.artifacts().parsed()));
+    assert!(served.timings().of(Stage::Parse) > Duration::ZERO);
+    let stages = |timings: ompdart_core::StageTimings| {
+        Stage::ALL.map(|stage| (stage, timings.of(stage) > Duration::ZERO))
+    };
+    // Plan time is the one stage a store-served analysis did not spend.
+    let mut expected = stages(parsed.timings());
+    expected[Stage::Plan as usize].1 = false;
+    assert_eq!(stages(served.timings()), expected);
+    let functions = parsed.translation_unit().functions().count();
+    assert_eq!(served.translation_unit().functions().count(), functions);
+    assert_eq!(served.artifacts().accesses().accesses.len(), functions);
+    assert_eq!(served.artifacts().summaries().seeds.len(), functions);
+    assert_eq!(served.source_file().name(), "demo.c");
+    assert_eq!(served.source_file().text(), demo);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A unit whose parse produced a warning has no interface record: every
+/// restart parses it again, so the warning is there — and printed by the
+/// CLI — every time, while its plans still come from the store.
+#[test]
+fn a_unit_with_a_parse_warning_is_parsed_on_every_restart() {
+    let dir = std::env::temp_dir().join(format!("ompdart-store-warning-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let source = "\
+#define N 32
+double a[N];
+int main() {
+  #pragma omp frobnicate
+  for (int it = 0; it < 4; it++) {
+    #pragma omp target teams distribute parallel for
+    for (int i = 0; i < N; i++) a[i] += 1.0;
+  }
+  printf(\"%f\\n\", a[0]);
+  return 0;
+}
+";
+    let warning = "unknown OpenMP directive `frobnicate` treated opaquely";
+    let cache = dir.join("cache");
+    for run in 0..3 {
+        let tool = Ompdart::builder().cache_dir(&cache).build();
+        let (analysis, serve) = tool.analyze_with_serve("warn.c", source).unwrap();
+        let diagnostics = analysis.diagnostics();
+        assert!(
+            diagnostics.iter().any(|d| d.message.contains(warning)),
+            "run {run}: {diagnostics:?}"
+        );
+        let stats = tool.session().cache_stats();
+        assert_eq!(
+            (stats.parse_misses, stats.interface_store_hits),
+            (1, 0),
+            "run {run}: {stats}"
+        );
+        assert_eq!(serve == UnitServe::Store, run > 0, "run {run}: {serve:?}");
+    }
+
+    // The same through the binary, one process per run.
+    let input = dir.join("warn.c");
+    std::fs::write(&input, source).unwrap();
+    let mut outputs = Vec::new();
+    for run in 0..3 {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ompdart"))
+            .arg("analyze")
+            .arg(&input)
+            .arg("-o")
+            .arg(dir.join("warn.mapped.c"))
+            .arg("--cache-dir")
+            .arg(dir.join("cli-cache"))
+            .output()
+            .expect("the ompdart binary runs");
+        assert!(out.status.success(), "run {run}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(warning), "run {run} printed:\n{stderr}");
+        outputs.push(std::fs::read_to_string(dir.join("warn.mapped.c")).unwrap());
+    }
+    assert!(outputs.iter().all(|output| *output == outputs[0]));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1053,11 +1053,15 @@ proptest! {
     /// every step its patched link state is the one a cold `Program::link`
     /// of the same units builds: converged summaries, `defined_in`, every
     /// unit's static view, imports and extern-refs fingerprints, and the
-    /// rewrites planned under them.
+    /// rewrites planned under them. Half the scripts run in
+    /// pessimistic-globals mode, where a call to a name nobody defines
+    /// clobbers every global its caller can see — so the script also
+    /// declares new globals, which move no function's text.
     #[test]
     fn patched_relink_agrees_with_a_cold_link_after_every_edit(
         seed in 1u64..u64::MAX,
         steps in 4usize..10,
+        pessimistic in 0usize..2,
     ) {
         let mut rng = seed;
         let mut next_file = 2;
@@ -1065,23 +1069,29 @@ proptest! {
         for _ in 0..8 {
             edit_model(&mut model, &mut rng, &mut next_file);
         }
+        // The file each global declared so far went into.
+        let mut declared: Vec<usize> = Vec::new();
+        let driver_under = |link_threads: usize| {
+            let options = ompdart_core::OmpDartOptions {
+                link_threads,
+                pessimistic_globals: pessimistic == 1,
+                ..ompdart_core::OmpDartOptions::default()
+            };
+            let session = ompdart_core::AnalysisSession::with_options(options);
+            let driver = ompdart_core::ProgramDriver::with_session(std::sync::Arc::new(session));
+            (options, driver.with_threads(link_threads))
+        };
         let drivers: Vec<(ompdart_core::OmpDartOptions, ompdart_core::ProgramDriver)> =
-            [1usize, 2, 8]
-                .into_iter()
-                .map(|link_threads| {
-                    let options = ompdart_core::OmpDartOptions {
-                        link_threads,
-                        ..ompdart_core::OmpDartOptions::default()
-                    };
-                    let session = ompdart_core::AnalysisSession::with_options(options);
-                    let driver =
-                        ompdart_core::ProgramDriver::with_session(std::sync::Arc::new(session));
-                    (options, driver.with_threads(link_threads))
-                })
-                .collect();
+            [1usize, 2, 8].into_iter().map(driver_under).collect();
         for step in 0..=steps {
-            let inputs = render_model(&model);
-            let cold_rewrite = ompdart_core::ProgramDriver::new()
+            let mut inputs = render_model(&model);
+            for (global, file) in declared.iter().enumerate() {
+                let name = format!("relink_{file}.c");
+                if let Some((_, source)) = inputs.iter_mut().find(|(unit, _)| *unit == name) {
+                    source.push_str(&format!("double gx{global}[N];\n"));
+                }
+            }
+            let cold_rewrite = driver_under(0).1
                 .analyze_program(&inputs)
                 .map(|analysis| analysis.concatenated_rewrite());
             for (options, driver) in &drivers {
@@ -1120,7 +1130,119 @@ proptest! {
                     );
                 }
             }
+            match roll(&mut rng, 4) {
+                0 => declared.push(model[roll(&mut rng, model.len())].0),
+                _ => edit_model(&mut model, &mut rng, &mut next_file),
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Interfaces: the encoding holds everything the link reads of a unit
+// ---------------------------------------------------------------------------
+
+/// Link `inputs` from parsed units, encode and decode every unit's interface,
+/// and link again from the decoded interfaces alone — at 1, 2 and 8 link
+/// threads, with pessimistic globals on and off. The decoded interface is
+/// the parsed unit's, field for field; the second link converges to the same
+/// summaries, definitions, per-unit views and fingerprints as the first; and
+/// nothing of a restored unit was parsed to get there.
+fn assert_interfaces_carry_the_link(inputs: &[(String, String)], what: &str) {
+    use ompdart_core::{OmpDartOptions, Program, ProgramDriver, SummarizedUnit, UnitExports};
+    use std::sync::Arc;
+    for pessimistic_globals in [false, true] {
+        for link_threads in [1usize, 2, 8] {
+            let at = format!("{what}, {link_threads} thread(s), pessimistic {pessimistic_globals}");
+            let options = OmpDartOptions {
+                link_threads,
+                pessimistic_globals,
+                ..OmpDartOptions::default()
+            };
+            let session = ompdart_core::AnalysisSession::with_options(options);
+            let parsed = ProgramDriver::with_session(Arc::new(session))
+                .link(inputs)
+                .expect("the program links");
+            let restored: Vec<Arc<SummarizedUnit>> = (parsed.units.iter())
+                .map(|unit| {
+                    let mut encoded = Vec::new();
+                    assert!(unit.exports().encode(&mut encoded), "{at}: not encodable");
+                    let text = std::str::from_utf8(&encoded).expect("the encoding is text");
+                    let decoded = UnitExports::decode(unit.name(), text)
+                        .unwrap_or_else(|| panic!("{at}: `{}` does not decode", unit.name()));
+                    assert_eq!(&decoded, unit.exports(), "{at}: `{}`", unit.name());
+                    // The encoding is of the content: under another name it
+                    // decodes to what that name's own parse exports.
+                    let renamed = format!("renamed_{}", unit.name());
+                    let reparsed = ompdart_core::AnalysisSession::with_options(options)
+                        .summarize(&renamed, unit.source())
+                        .expect("the same text parses");
+                    assert_eq!(
+                        UnitExports::decode(&renamed, text).as_ref(),
+                        Some(reparsed.exports()),
+                        "{at}: `{renamed}`"
+                    );
+                    let unit =
+                        SummarizedUnit::restored(unit.name(), unit.source(), &options, decoded);
+                    Arc::new(unit)
+                })
+                .collect();
+            let relinked = Program::link(restored, &options).expect("the program links");
+            assert!(
+                relinked
+                    .linked
+                    .summaries
+                    .same_summaries(&parsed.linked.summaries),
+                "{at}: summaries differ"
+            );
+            assert_eq!(relinked.linked.defined_in, parsed.linked.defined_in, "{at}");
+            assert_eq!(relinked.interfaces, parsed.interfaces, "{at}");
+            for unit in 0..parsed.len() {
+                let (was, now) = (parsed.link_context(unit), relinked.link_context(unit));
+                assert_eq!(
+                    (was.imports_fingerprint, was.extern_refs_fingerprint),
+                    (now.imports_fingerprint, now.extern_refs_fingerprint),
+                    "{at}: unit {unit}'s fingerprints differ"
+                );
+                assert!(
+                    was.summaries.same_summaries(&now.summaries)
+                        && was.extern_refs == now.extern_refs,
+                    "{at}: unit {unit}'s view differs"
+                );
+                assert!(
+                    relinked.units[unit].body_if_built().is_none(),
+                    "{at}: the link parsed unit {unit}"
+                );
+            }
+        }
+    }
+}
+
+/// [`assert_interfaces_carry_the_link`] over the ten ports — the nine
+/// single-unit benchmarks and the three-unit lulesh — and over programs of
+/// the six-name model, whose few names are statics here and globals there
+/// and are often called without being defined.
+#[test]
+fn a_program_links_from_decoded_interfaces_as_from_parsed_units() {
+    for bench in ompdart_suite::all_benchmarks() {
+        let unit = (bench.unoptimized_file(), bench.unoptimized.to_string());
+        assert_interfaces_carry_the_link(&[unit], &bench.unoptimized_file());
+    }
+    let lulesh: Vec<(String, String)> = (ompdart_suite::lulesh_multifile().into_iter())
+        .map(|(name, source)| (name.to_string(), source.to_string()))
+        .collect();
+    assert_interfaces_carry_the_link(&lulesh, "lulesh_mf");
+
+    for seed in [0x5eed_u64, 0x1234_5678_9abc, 0xfeed_f00d] {
+        let mut rng = seed;
+        let mut next_file = 2;
+        let mut model: Model = vec![(0, Vec::new()), (1, Vec::new()), (2, Vec::new())];
+        for step in 0..24 {
             edit_model(&mut model, &mut rng, &mut next_file);
+            if step % 4 == 3 {
+                let what = format!("model {seed:#x} after {step} edits");
+                assert_interfaces_carry_the_link(&render_model(&model), &what);
+            }
         }
     }
 }
@@ -1279,6 +1401,17 @@ fn edit_one_body(units: &[(String, String)], from: usize, nonce: usize) -> Vec<(
     edited
 }
 
+/// The units of a restart's round that the frontend had to run for: the ones
+/// it planned, and the ones that carry a diagnostic, which are never served
+/// without their body.
+fn units_needing_a_parse(round: &ompdart_core::ProgramAnalysis) -> u64 {
+    let needs = |unit: &ompdart_core::UnitAnalysis, serve: &ompdart_core::UnitServe| {
+        *serve != ompdart_core::UnitServe::Store || !unit.diagnostics().is_empty()
+    };
+    let units = round.units.iter().zip(&round.served);
+    units.filter(|(unit, serve)| needs(unit, serve)).count() as u64
+}
+
 /// The file names in a cache directory, sorted.
 fn cache_listing(dir: &std::path::Path) -> Vec<String> {
     let entries = std::fs::read_dir(dir).into_iter().flatten().flatten();
@@ -1300,7 +1433,10 @@ proptest! {
     /// directory holds the pack and nothing else; and an edit made right
     /// after a restart re-plans exactly the one function it touched, as it
     /// does in a long-lived store-less session — so the persisted function
-    /// keys reach the plan cache however late they are decoded.
+    /// keys reach the plan cache however late they are decoded. And a
+    /// restart parses what changed: the frontend ran for exactly the units
+    /// that were planned or carry a diagnostic (whose warnings must be seen
+    /// again) — for none at all when nothing changed.
     #[test]
     fn a_restart_at_every_step_agrees_with_a_fresh_session(
         seed in 1u64..u64::MAX,
@@ -1349,6 +1485,10 @@ proptest! {
                     cache_listing(dir).iter().all(|name| name == "ompdart.pack"),
                     "the cache directory holds {:?} at {}", cache_listing(dir), at
                 );
+                prop_assert_eq!(
+                    stats.parse_misses, units_needing_a_parse(&warm),
+                    "units parsed at {}: {} (served {:?})", at, stats, warm.served
+                );
 
                 // Restart once more: everything saved above is served, and
                 // the first edit on top of it is as incremental as it is for
@@ -1356,6 +1496,12 @@ proptest! {
                 let again = one_run(*threads, *lifetimes, Some(dir));
                 let served = again.analyze_program(&inputs).expect("the model stays linkable");
                 prop_assert_eq!(&unit_outputs(&served), &unit_outputs(&fresh), "outputs differ at {}", at);
+                let parsed = again.session().cache_stats().parse_misses;
+                prop_assert_eq!(
+                    parsed, units_needing_a_parse(&served),
+                    "units parsed by a restart that changed nothing at {} (served {:?})",
+                    at, served.served
+                );
                 if served.served.iter().any(|serve| *serve != ompdart_core::UnitServe::Store) {
                     // A unit with planning diagnostics is never persisted.
                     continue;
@@ -1378,6 +1524,7 @@ proptest! {
                     "the edit after a restart moves {} at {}", moved, at
                 );
                 prop_assert_eq!(moved.function_plan_misses, 1, "one body moved at {}", at);
+                prop_assert_eq!(parsed, 0, "a restart that changed nothing parsed at {}", at);
             }
             history.push(model.clone());
             match roll(&mut rng, 6) {

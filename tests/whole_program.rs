@@ -611,6 +611,53 @@ int main() {
     assert_eq!(before.output, after.output);
 }
 
+/// In pessimistic-globals mode the set of globals a function can see is an
+/// input of the link fixed point: `helper` calls an unknown extern, so its
+/// summary clobbers every global of its unit. Declaring a new global leaves
+/// `helper`'s text, seed and call sites alone — but not what it clobbers, so
+/// a long-lived session must re-converge it: the edited program's new
+/// `work2` re-synchronizes `g2` around `helper()` exactly as a fresh session
+/// plans it.
+#[test]
+fn a_new_global_reconverges_the_functions_that_clobber_it() {
+    let work = |name: &str, global: &str| {
+        format!(
+            "void {name}(void) {{\n\
+             \x20 #pragma omp target teams distribute parallel for\n\
+             \x20 for (int i = 0; i < N; i++) {global}[i] += 1.0;\n\
+             \x20 helper();\n\
+             \x20 #pragma omp target teams distribute parallel for\n\
+             \x20 for (int i = 0; i < N; i++) {global}[i] += 2.0;\n\
+             \x20 printf(\"%f\\n\", {global}[1]);\n}}\n"
+        )
+    };
+    let prelude = "#define N 16\ndouble g1[N];\nextern void ext(void);\n\
+                   void helper(void) { ext(); }\n";
+    let base_a = format!("{prelude}{}", work("work", "g1"));
+    let edited_a = format!(
+        "{prelude}double g2[N];\n{}{}",
+        work("work", "g1"),
+        work("work2", "g2")
+    );
+    let main = "void work(void);\nint main() { work(); return 0; }\n";
+    let program = |a: &str| owned(&[("a.c", a), ("main.c", main)]);
+    let tool = || Ompdart::builder().pessimistic_globals(true).build();
+
+    let long_lived = tool();
+    long_lived.analyze_program(&program(&base_a)).unwrap();
+    let patched = long_lived.analyze_program(&program(&edited_a)).unwrap();
+    let fresh = tool().analyze_program(&program(&edited_a)).unwrap();
+    let rewrite = &patched.units[0].rewrite.source;
+    assert_eq!(
+        patched.concatenated_rewrite(),
+        fresh.concatenated_rewrite(),
+        "the long-lived session diverges from a fresh one"
+    );
+    for update in ["target update from(g2)", "target update to(g2)"] {
+        assert!(rewrite.contains(update), "no `{update}` in:\n{rewrite}");
+    }
+}
+
 /// Unknown extern callees produce a dedicated provenance fact anchored at
 /// the call site instead of silently inheriting the pessimistic effect.
 #[test]
@@ -641,7 +688,7 @@ fn unknown_callee_pessimism_is_explained() {
             p.detail
         );
         let span = p.span.expect("call-site span must be recorded");
-        let snippet = analysis.parsed.file.snippet(span);
+        let snippet = analysis.parsed().file.snippet(span);
         assert!(
             snippet.contains("scale") || snippet.contains("checksum"),
             "span must point at the call site, got `{snippet}`"
