@@ -5,8 +5,8 @@
 //! * **relink (no edit)** — the same program again: every phase served
 //!   from the session caches;
 //! * **interface-preserving edit** — one unit's function body changes: the
-//!   edited unit re-summarizes and re-plans exactly one function, the
-//!   other units are served from the linked cache;
+//!   edited unit is summarized again and re-plans exactly one function,
+//!   the other units are served from the linked cache;
 //! * **closed-world baseline** — the same three units analyzed
 //!   independently (`analyze_batch` semantics), for comparing the cost and
 //!   the mapping quality (`unknown_callee_fallbacks`) of linking.
@@ -53,11 +53,9 @@ fn bench(c: &mut Criterion) {
     let edit_ms = t.elapsed().as_secs_f64() * 1e3;
     let edit = session.cache_stats() - before;
 
-    // A *summary-changing* one-function edit in the driver unit: the whole
-    // Accesses→Summaries→Link→Plans chain must stay function-granular —
-    // one access re-collection, one local re-summarization, one re-plan,
-    // and an incremental relink that re-seeds only main's call-graph cone
-    // (main alone: nothing calls it).
+    // A *summary-changing* one-function edit in the driver unit: the
+    // incremental relink must re-seed only main's call-graph cone (main
+    // alone: nothing calls it).
     let mut edited2 = edited.clone();
     edited2[2].1 = edited2[2].1.replacen(
         "double esum = 0.0;",
@@ -86,11 +84,8 @@ fn bench(c: &mut Criterion) {
         "whole_program: cold={cold_ms:.3}ms relink={relink_ms:.3}ms one_edit={edit_ms:.3}ms \
          relink_edit={relink_edit_ms:.3}ms \
          edit_replanned={} linked_fallbacks={linked_fallbacks} closed_world_fallbacks={closed_fallbacks} \
-         relink_reseeded={} summary_misses={} access_misses={}",
-        edit.function_plan_misses,
-        edit2.relink_reseeded_functions,
-        edit2.function_summary_misses,
-        edit2.function_access_misses,
+         relink_reseeded={}",
+        edit.function_plan_misses, edit2.relink_reseeded_functions,
     );
     assert_eq!(
         linked_fallbacks, 0,
@@ -107,14 +102,6 @@ fn bench(c: &mut Criterion) {
     assert_eq!(
         edit2.relink_reseeded_functions, 1,
         "a one-function edit must re-seed exactly its call-graph cone"
-    );
-    assert_eq!(
-        edit2.function_summary_misses, 1,
-        "a one-function edit must re-summarize exactly one function"
-    );
-    assert_eq!(
-        edit2.function_access_misses, 1,
-        "a one-function edit must re-collect accesses for exactly one function"
     );
 
     c.bench_function("whole_program/cold_link_lulesh_mf", |b| {

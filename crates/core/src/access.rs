@@ -313,27 +313,6 @@ impl FunctionAccesses {
         out
     }
 
-    /// Reassemble a function's access artifact from its parts, rebuilding
-    /// the statement-index side table. Used by the relocation layer
-    /// ([`crate::relocate`]) when a cached artifact is rebased onto the
-    /// coordinates of a fresh parse.
-    pub fn from_parts(
-        function: Symbol,
-        accesses: Vec<Access>,
-        calls: Vec<CallSite>,
-    ) -> FunctionAccesses {
-        let mut out = FunctionAccesses {
-            function,
-            accesses,
-            calls,
-            by_stmt: HashMap::new(),
-        };
-        for (i, access) in out.accesses.iter().enumerate() {
-            out.by_stmt.entry(access.stmt).or_default().push(i);
-        }
-        out
-    }
-
     /// Add a synthetic access (used by the interprocedural analysis to model
     /// callee side effects at call sites).
     pub fn add_synthetic(&mut self, access: Access) {

@@ -121,8 +121,8 @@ pub struct FunctionSummary {
 /// Summaries for every function definition in the translation unit.
 #[derive(Clone, Debug, Default)]
 pub struct ProgramSummaries {
-    /// One `Arc` per function: seeds flow from the function-summary cache
-    /// through the fixed point into every per-unit view as pointer copies,
+    /// One `Arc` per function: seeds flow from the summaries stage through
+    /// the fixed point into every per-unit view as pointer copies,
     /// and cloning a whole converged set deep-copies nothing.
     functions: HashMap<Symbol, Arc<FunctionSummary>>,
     /// Optional fall-through layer for [`Self::summary`] lookups: an
@@ -182,8 +182,8 @@ const PURE_BUILTINS: &[&str] = &[
 /// The *local* (direct-effect) summary of one function: what its own
 /// expressions do to parameters and globals, before any call-site
 /// propagation. This is the per-function seed of the interprocedural fixed
-/// point — and the unit the function-granular summary cache stores, because
-/// it depends only on the function's own text and the unit environment.
+/// point; it depends only on the function's own text and the unit
+/// environment.
 pub fn seed_summary(
     func: &FunctionDef,
     acc: &FunctionAccesses,

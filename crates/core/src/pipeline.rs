@@ -34,6 +34,11 @@
 //! the session's unit table, indexed by unit name and verified against the
 //! source bytes, so repeated analysis of unchanged sources is near-free, and
 //! the planning stage fans out per function over the session's worker pool.
+//! An *edited* unit re-runs parse → summaries whole, by the pure `stage_*`
+//! functions below — the session has no second flavour of them — and
+//! re-plans only the functions whose plan key moved: plans are the one
+//! function-granular cache, because planning is the one stage that costs
+//! more than keying, cloning and relocating its result.
 //!
 //! ```
 //! use ompdart_core::pipeline::AnalysisSession;
@@ -72,7 +77,7 @@ use crate::plan::explain::explain_plans;
 use crate::plan::ir::{AnalysisStats, MappingPlan};
 use crate::plan::json::{plans_to_json, plans_to_json_value, write_json_string};
 use crate::program::{LinkContext, LinkState, UnitServe, UNLINKED};
-use crate::relocate::{relocate_diagnostics, relocate_function_accesses, relocate_plan};
+use crate::relocate::{relocate_diagnostics, relocate_plan};
 use crate::rewrite;
 use crate::shard::ShardMap;
 use crate::stats::{AtomicCacheStats, CacheStats, Counter};
@@ -291,15 +296,15 @@ pub struct ParsedUnit {
     pub diagnostics: Diagnostics,
     /// Wall-clock time of the parse stage.
     pub elapsed: Duration,
-    /// Lazily computed hash of everything outside function bodies (shared
-    /// by the access/summary/plan cache keys, so one analysis scans the
-    /// source for it at most once).
+    /// Lazily computed hash of everything outside function bodies (part of
+    /// every function's plan-cache key, so one parse scans the source for
+    /// it at most once).
     env_hash: std::sync::OnceLock<u64>,
 }
 
 impl ParsedUnit {
     /// The environment hash (everything outside function definitions),
-    /// computed once per parse and shared by every function-granular cache
+    /// computed once per parse and shared by every function's plan-cache
     /// key.
     pub fn environment_hash(&self) -> u64 {
         *self
@@ -320,9 +325,6 @@ pub struct GraphsArtifact {
 pub struct AccessArtifact {
     pub accesses: HashMap<Symbol, FunctionAccesses>,
     pub symbols: HashMap<Symbol, SymbolTable>,
-    /// The function-access-cache rows this stage call moved. All zero when
-    /// no cache was consulted.
-    pub counted: CacheStats,
     pub elapsed: Duration,
 }
 
@@ -334,14 +336,10 @@ pub struct SummariesArtifact {
     pub summaries: Arc<ProgramSummaries>,
     /// The per-function *local* (direct-effect) seeds the fixed point ran
     /// over, keyed by function name. The link stage re-converges these
-    /// across units — incrementally, because each seed is a function-
-    /// granular artifact with its own cache key. `Arc`'d: a seed is shared
-    /// by the summary cache, this map, the unit-local fixed point and the
-    /// link stage without ever being deep-copied.
+    /// across units, incrementally. `Arc`'d: a seed is shared by this map,
+    /// the unit-local fixed point and the link stage without ever being
+    /// deep-copied.
     pub seeds: HashMap<Symbol, Arc<FunctionSummary>>,
-    /// The function-summary-cache rows this stage call moved. All zero
-    /// when no cache was consulted.
-    pub counted: CacheStats,
     pub elapsed: Duration,
 }
 
@@ -352,10 +350,8 @@ pub struct PlansArtifact {
     pub stats: AnalysisStats,
     /// Diagnostics produced by the data-flow analysis.
     pub diagnostics: Diagnostics,
-    /// The function-plan-cache and function-store rows this stage call
-    /// moved (only `static` functions are eligible for the function-level
-    /// store — the header-defined-and-shared case). All zero when no cache
-    /// was consulted.
+    /// The function-plan-cache rows this stage call moved. All zero when no
+    /// cache was consulted.
     pub counted: CacheStats,
     /// Per-function plan-cache key snapshots (source order), populated when
     /// the function-granular cache was consulted. The persistent store
@@ -414,99 +410,42 @@ pub fn stage_graphs(unit: &TranslationUnit) -> GraphsArtifact {
 
 /// Stage 3 — classify memory accesses and build symbol tables.
 pub fn stage_accesses(unit: &TranslationUnit, graphs: &GraphsArtifact) -> AccessArtifact {
-    stage_accesses_cached(unit, graphs, None)
-}
-
-/// [`stage_accesses`] with the function-granular access cache: functions
-/// whose key (own source text + environment hash) is unchanged re-use their
-/// classified accesses — relocated to the current node ids and byte
-/// offsets — instead of re-walking their bodies. Symbol tables are always
-/// rebuilt from the fresh parse (they are cheap, and their array-size
-/// expressions point at *global* declarations, which move by a different
-/// delta than the function).
-fn stage_accesses_cached(
-    unit: &TranslationUnit,
-    graphs: &GraphsArtifact,
-    cache: Option<(&ParsedUnit, &FunctionAccessCache)>,
-) -> AccessArtifact {
     let start = Instant::now();
     let mut symbols = HashMap::new();
     let mut accesses = HashMap::new();
-    let mut counted = CacheStats::default();
     for func in unit.functions() {
         let sym = SymbolTable::build(unit, func);
-        let collect = || CachedFunctionAccesses {
-            base_id: func.id.0,
-            base_pos: func.span.start,
-            accesses: graphs
-                .graphs
-                .function(&func.name)
-                .map(|g| FunctionAccesses::collect(func, &g.index, &sym)),
-        };
-        let entry = match cache {
-            Some((parsed, cache)) => {
-                let count = (
-                    &mut counted.function_access_hits,
-                    &mut counted.function_access_misses,
-                );
-                cache.get_or_insert_with(parsed, func, count, collect)
-            }
-            None => collect(),
-        };
-        let did = i64::from(func.id.0) - i64::from(entry.base_id);
-        let dpos = i64::from(func.span.start) - i64::from(entry.base_pos);
-        let collected = match (did, dpos) {
-            (0, 0) => entry.accesses,
-            _ => entry
-                .accesses
-                .map(|acc| relocate_function_accesses(&acc, did, dpos)),
-        };
-        if let Some(acc) = collected {
-            accesses.insert(func.name, acc);
+        if let Some(graph) = graphs.graphs.function(&func.name) {
+            let collected = FunctionAccesses::collect(func, &graph.index, &sym);
+            accesses.insert(func.name, collected);
         }
         symbols.insert(func.name, sym);
     }
     AccessArtifact {
         accesses,
         symbols,
-        counted,
         elapsed: start.elapsed(),
     }
 }
 
-/// Stage 4 — interprocedural side-effect summaries (Section IV-C).
+/// Stage 4 — interprocedural side-effect summaries (Section IV-C): every
+/// function's *local* (direct-effect) seed, then the call-site fixed point
+/// over them.
 pub fn stage_summaries(
     unit: &TranslationUnit,
     accesses: &AccessArtifact,
     options: &OmpDartOptions,
-) -> SummariesArtifact {
-    stage_summaries_cached(unit, accesses, options, None)
-}
-
-/// [`stage_summaries`] with the function-granular summary cache: the
-/// per-function *local* (direct-effect) seeds are cached under the same
-/// snippet+environment key the access cache uses, so an edit recomputes the
-/// edited function's seed only. The call-site fixed point then propagates
-/// over the (mostly cached) seeds — summaries carry no node ids or spans,
-/// so seed hits need no relocation.
-fn stage_summaries_cached(
-    unit: &TranslationUnit,
-    accesses: &AccessArtifact,
-    options: &OmpDartOptions,
-    cache: Option<(&ParsedUnit, &FunctionSummaryCache)>,
 ) -> SummariesArtifact {
     let start = Instant::now();
     if !options.interprocedural {
         return SummariesArtifact {
             summaries: Arc::default(),
             seeds: HashMap::new(),
-            counted: CacheStats::default(),
             elapsed: start.elapsed(),
         };
     }
     let mut seeds = HashMap::new();
     let mut nodes = Vec::new();
-    let mut counted = CacheStats::default();
     let globals = match options.pessimistic_globals {
         true => visible_globals(unit),
         false => Vec::new(),
@@ -518,19 +457,7 @@ fn stage_summaries_cached(
         let Some(sym) = accesses.symbols.get(&func.name) else {
             continue;
         };
-        let seed = match cache {
-            Some((parsed, cache)) => {
-                let count = (
-                    &mut counted.function_summary_hits,
-                    &mut counted.function_summary_misses,
-                );
-                cache.get_or_insert_with(parsed, func, count, || {
-                    Arc::new(seed_summary(func, acc, sym))
-                })
-            }
-            None => Arc::new(seed_summary(func, acc, sym)),
-        };
-        seeds.insert(func.name, seed);
+        seeds.insert(func.name, Arc::new(seed_summary(func, acc, sym)));
         nodes.push(PropagationNode::build(func.name, func, acc, sym, &globals));
     }
     let summaries = ProgramSummaries::propagate(
@@ -543,7 +470,6 @@ fn stage_summaries_cached(
     SummariesArtifact {
         summaries: Arc::new(summaries),
         seeds,
-        counted,
         elapsed: start.elapsed(),
     }
 }
@@ -571,31 +497,30 @@ fn stage_summaries_cached(
 ///   the dead-exit-copy demotion;
 /// * `options_hash` — the [`OmpDartOptions`] fingerprint.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct FunctionPlanKey {
-    pub(crate) snippet: String,
-    pub(crate) env_hash: u64,
-    pub(crate) callees_hash: u64,
-    pub(crate) refs_hash: u64,
-    pub(crate) options_hash: u64,
+struct FunctionPlanKey {
+    snippet: String,
+    env_hash: u64,
+    callees_hash: u64,
+    refs_hash: u64,
+    options_hash: u64,
 }
 
 /// A cached per-function planning result, stored in the coordinates
 /// (node ids, byte offsets) of the parse that produced it and relocated on
-/// every hit. The persistent store keeps the same record for `static`
-/// functions with a kernel that planned without diagnostics.
+/// every hit.
 #[derive(Clone, Debug)]
-pub(crate) struct CachedFunctionPlan {
+struct CachedFunctionPlan {
     /// `func.id` at cache time (node-id relocation base).
-    pub(crate) base_id: u32,
+    base_id: u32,
     /// `func.span.start` at cache time (byte-offset relocation base).
-    pub(crate) base_pos: u32,
+    base_pos: u32,
     /// Whether the function counted towards `functions_analyzed`.
-    pub(crate) analyzed: bool,
+    analyzed: bool,
     /// Unknown-callee pessimistic fallbacks the function's planning hit
     /// (re-counted into the stats on every cache hit).
-    pub(crate) fallbacks: u64,
-    pub(crate) plan: Option<MappingPlan>,
-    pub(crate) diagnostics: Diagnostics,
+    fallbacks: u64,
+    plan: Option<MappingPlan>,
+    diagnostics: Diagnostics,
 }
 
 /// The persisted form of one function's plan-cache key: everything needed
@@ -618,44 +543,32 @@ pub struct FunctionKeySnapshot {
     pub fallbacks: u64,
 }
 
-/// The inputs that determine a function's *pre-planning* stage artifacts
-/// (classified accesses, local summary seed): the exact source text of the
-/// function and the hash of everything outside function bodies. Options do
-/// not participate — access classification and direct-effect seeding are
-/// option-independent.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct FunctionStageKey {
-    snippet: String,
-    env_hash: u64,
-}
-
-/// A session-lifetime per-function cache: entries are indexed by `(unit
-/// name, function name)` and verified against the full key `K` on every
-/// hit — the function snippet inside it is compared byte for byte, never
-/// trusted to a hash. One generic cache backs the access stage
-/// ([`FunctionAccessCache`]), the summary stage ([`FunctionSummaryCache`])
-/// and the planning stage ([`FunctionPlanCache`]).
+/// The session-lifetime cache of per-function planning results — the one
+/// function-granular cache: entries are indexed by `(unit name, function
+/// name)` and verified against the full [`FunctionPlanKey`] on every hit —
+/// the function snippet inside it is compared byte for byte, never trusted
+/// to a hash.
 ///
 /// Because node ids are assigned by one sequential counter and spans are
 /// plain byte offsets, a function whose own tokens are unchanged keeps the
 /// same ids and offsets *relative to its definition* even when surrounding
-/// code moves it — a hit on a coordinate-carrying value (accesses, plans)
-/// therefore *relocates* it by the id/offset delta instead of re-running
-/// the stage (see [`crate::relocate`]); summaries carry no coordinates and
-/// need none.
-#[derive(Debug)]
-struct FunctionCache<K, V> {
-    entries: ShardMap<(Symbol, Symbol), (K, V)>,
+/// code moves it — a hit therefore *relocates* the plan by the id/offset
+/// delta instead of re-running the data-flow analysis (see
+/// [`crate::relocate`]). The stages before planning are not cached per
+/// function: measured, collecting a function's accesses and seeding its
+/// summary again costs less than keying, cloning and relocating them.
+#[derive(Debug, Default)]
+struct FunctionPlanCache {
+    entries: ShardMap<(Symbol, Symbol), (FunctionPlanKey, CachedFunctionPlan)>,
 }
 
-impl<K: PartialEq, V: Clone> FunctionCache<K, V> {
-    fn new() -> FunctionCache<K, V> {
-        FunctionCache {
-            entries: ShardMap::new(),
-        }
-    }
-
-    fn lookup(&self, unit: &str, func: Symbol, key: &K) -> Option<V> {
+impl FunctionPlanCache {
+    fn lookup(
+        &self,
+        unit: &str,
+        func: Symbol,
+        key: &FunctionPlanKey,
+    ) -> Option<CachedFunctionPlan> {
         // Non-inserting name resolution: a unit never stored never interned.
         let unit = Symbol::lookup(unit)?;
         self.entries.read(&(unit, func), |entry| {
@@ -663,56 +576,10 @@ impl<K: PartialEq, V: Clone> FunctionCache<K, V> {
         })
     }
 
-    fn store(&self, unit: Symbol, func: Symbol, key: K, value: V) {
+    fn store(&self, unit: Symbol, func: Symbol, key: FunctionPlanKey, value: CachedFunctionPlan) {
         self.entries.insert((unit, func), (key, value));
     }
 }
-
-impl<V: Clone> FunctionCache<FunctionStageKey, V> {
-    /// The cached stage value of `func` in `parsed` (counted as a hit), or
-    /// `compute`'s (counted as a miss, and stored).
-    fn get_or_insert_with(
-        &self,
-        parsed: &ParsedUnit,
-        func: &FunctionDef,
-        (hits, misses): (&mut u64, &mut u64),
-        compute: impl FnOnce() -> V,
-    ) -> V {
-        let key = FunctionStageKey {
-            snippet: parsed.file.snippet(func.span).to_string(),
-            env_hash: parsed.environment_hash(),
-        };
-        if let Some(hit) = self.lookup(&parsed.name, func.name, &key) {
-            *hits += 1;
-            return hit;
-        }
-        *misses += 1;
-        let value = compute();
-        self.store(Symbol::intern(&parsed.name), func.name, key, value.clone());
-        value
-    }
-}
-
-/// Session-lifetime cache of per-function planning results.
-type FunctionPlanCache = FunctionCache<FunctionPlanKey, CachedFunctionPlan>;
-
-/// A cached per-function access artifact, stored in the coordinates of the
-/// parse that produced it and relocated on every hit. `accesses` is `None`
-/// for functions the graph stage produced no CFG for.
-#[derive(Clone, Debug)]
-struct CachedFunctionAccesses {
-    base_id: u32,
-    base_pos: u32,
-    accesses: Option<FunctionAccesses>,
-}
-
-/// Session-lifetime cache of per-function classified accesses.
-type FunctionAccessCache = FunctionCache<FunctionStageKey, CachedFunctionAccesses>;
-
-/// Session-lifetime cache of per-function local (direct-effect) summary
-/// seeds. Summaries carry only variable names and effect bits — no node
-/// ids, no spans — so hits need no relocation.
-type FunctionSummaryCache = FunctionCache<FunctionStageKey, Arc<FunctionSummary>>;
 
 /// Hash of the translation-unit environment: every byte of the source that
 /// lies outside a function definition. See [`FunctionPlanKey::env_hash`].
@@ -870,20 +737,7 @@ pub fn stage_plans(
         None,
         None,
         None,
-        None,
     )
-}
-
-/// How one function's plan slot was produced.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum PlanServe {
-    /// Planned from scratch; records whether the function-level store was
-    /// consulted (and therefore missed).
-    Planned { store_consulted: bool },
-    /// Served (relocated) from the in-memory function-plan cache.
-    Memory,
-    /// Served (relocated) from a function-level persistent store entry.
-    Store,
 }
 
 /// The one planning stage behind [`stage_plans`] and
@@ -892,12 +746,11 @@ enum PlanServe {
 /// With `incremental` set, functions whose key (source text, environment,
 /// callee summaries, liveness surface, options) is unchanged re-use their
 /// cached plan — relocated to the current node ids and byte offsets —
-/// instead of re-running the data-flow analysis, and `static` functions are
-/// additionally looked up in `store`. With `link` set, callee effects
-/// resolve against the context's summaries (cross-unit callees included)
-/// and `main`'s exit liveness extends over every other unit's functions;
-/// the cache keys incorporate those facts, so an edit in another unit
-/// re-plans functions here only when a callee summary or the external
+/// instead of re-running the data-flow analysis. With `link` set, callee
+/// effects resolve against the context's summaries (cross-unit callees
+/// included) and `main`'s exit liveness extends over every other unit's
+/// functions; the cache keys incorporate those facts, so an edit in another
+/// unit re-plans functions here only when a callee summary or the external
 /// liveness surface it depends on actually changed. With `exports` set —
 /// the unit's interface, where it has been computed — a function's callee
 /// list is read from it instead of derived again.
@@ -910,7 +763,6 @@ fn run_plan_stage(
     options: &OmpDartOptions,
     parallelism: usize,
     incremental: Option<(&ParsedUnit, &FunctionPlanCache)>,
-    store: Option<&ArtifactStore>,
     link: Option<&LinkContext>,
     exports: Option<&UnitExports>,
 ) -> PlansArtifact {
@@ -935,13 +787,13 @@ fn run_plan_stage(
         )
     });
 
-    // One slot per function:
-    // (analyzed, plan, diagnostics, how served, fallbacks, key snapshot).
+    // One slot per function: (analyzed, plan, diagnostics, served from the
+    // function-plan cache, fallbacks, key snapshot).
     type Slot = (
         bool,
         Option<MappingPlan>,
         Diagnostics,
-        PlanServe,
+        bool,
         u64,
         Option<FunctionKeySnapshot>,
     );
@@ -1003,65 +855,10 @@ fn run_plan_stage(
                     entry.analyzed,
                     plan,
                     relocate_diagnostics(&entry.diagnostics, dpos),
-                    PlanServe::Memory,
+                    true,
                     entry.fallbacks,
                     Some(snap),
                 );
-            }
-        }
-
-        // Function-level persistent store: `static` functions — the ones a
-        // shared header can define in many units without violating the
-        // one-definition rule — are additionally keyed into the store
-        // under their full plan key. The second unit (or process) to see
-        // an identical snippet under an identical environment is served
-        // from the store — its pack, or the records queued for the next
-        // flush — instead of re-planning. A function without a kernel is
-        // not eligible: it plans to `None` at once, which a lookup and a
-        // record cost more than.
-        let offloads = |name| {
-            graphs
-                .graphs
-                .function(name)
-                .is_some_and(|g| !g.index.kernels().is_empty())
-        };
-        let store_eligible =
-            func.is_static && key.is_some() && store.is_some() && offloads(&func.name);
-        if store_eligible {
-            if let (Some(key), Some(store), Some((parsed, cache, ..))) =
-                (&key, store, shared.as_ref())
-            {
-                if let Some(entry) = store.load_function(key) {
-                    let did = i64::from(func.id.0) - i64::from(entry.base_id);
-                    let dpos = i64::from(func.span.start) - i64::from(entry.base_pos);
-                    let plan = entry.plan.as_ref().map(|p| relocate_plan(p, did, dpos));
-                    // Seed the in-memory cache (in current coordinates) so
-                    // later edits relocate from memory, not disk. Only
-                    // diagnostics-free functions are persisted, so the
-                    // seeded entry legitimately carries none.
-                    cache.store(
-                        Symbol::intern(&parsed.name),
-                        func.name,
-                        key.clone(),
-                        CachedFunctionPlan {
-                            base_id: func.id.0,
-                            base_pos: func.span.start,
-                            analyzed: entry.analyzed,
-                            fallbacks: entry.fallbacks,
-                            plan: plan.clone(),
-                            diagnostics: Diagnostics::new(),
-                        },
-                    );
-                    let snap = snapshot(key, entry.analyzed, plan.is_some(), entry.fallbacks);
-                    return (
-                        entry.analyzed,
-                        plan,
-                        Diagnostics::new(),
-                        PlanServe::Store,
-                        entry.fallbacks,
-                        Some(snap),
-                    );
-                }
             }
         }
 
@@ -1103,24 +900,9 @@ fn run_plan_stage(
                 plan: plan.clone(),
                 diagnostics: diags.clone(),
             };
-            if let (Some(store), true, true) = (store, store_eligible, diags.is_empty()) {
-                // Queued for the session's next flush, not written here.
-                // Functions with diagnostics are not persisted (the
-                // warnings would vanish on a later hit).
-                store.queue_function(&parsed.name, func.name.as_str(), &key, &cached);
-            }
             cache.store(Symbol::intern(&parsed.name), func.name, key, cached);
         }
-        (
-            analyzed,
-            plan,
-            diags,
-            PlanServe::Planned {
-                store_consulted: store_eligible,
-            },
-            fallbacks,
-            snap,
-        )
+        (analyzed, plan, diags, false, fallbacks, snap)
     };
 
     let slots = parallel_map_indexed(workers, funcs.len(), plan_one);
@@ -1131,16 +913,10 @@ fn run_plan_stage(
     let mut counted = CacheStats::default();
     let mut function_keys = Vec::new();
     for slot in slots {
-        let (analyzed, plan, diags, serve, fallbacks, snap) = slot;
+        let (analyzed, plan, diags, hit, fallbacks, snap) = slot;
         if shared.is_some() {
-            match serve {
-                PlanServe::Memory => counted.function_plan_hits += 1,
-                PlanServe::Store => counted.function_store_hits += 1,
-                PlanServe::Planned { store_consulted } => {
-                    counted.function_plan_misses += 1;
-                    counted.function_store_misses += u64::from(store_consulted);
-                }
-            }
+            counted.function_plan_hits += u64::from(hit);
+            counted.function_plan_misses += u64::from(!hit);
         }
         if analyzed {
             stats.functions_analyzed += 1;
@@ -1219,10 +995,11 @@ pub struct UnitBody {
 
 impl UnitBody {
     /// The one body constructor: parse → input contract → graphs →
-    /// accesses → summaries. With a `session`, through its unit table,
-    /// function-granular caches, counters and timings; without, the pure
-    /// stage functions (what an accessor runs when nobody has built the
-    /// body of a restored unit yet).
+    /// accesses → summaries, by the pure stage functions. A `session` only
+    /// keeps the books: the parse goes through its unit table (and parse
+    /// counters), and each artifact's own `elapsed` is added to its
+    /// cumulative timings. Without one — an accessor building the body of
+    /// a restored unit nobody has looked at yet — nothing is recorded.
     fn build(
         name: &str,
         source: &str,
@@ -1236,20 +1013,14 @@ impl UnitBody {
         if options.reject_existing_mappings {
             check_input_contract(&parsed)?;
         }
-        let (graphs, accesses, summaries) = match session {
-            Some(session) => {
-                let graphs = session.graphs(&parsed);
-                let accesses = session.accesses(&parsed, &graphs);
-                let summaries = session.summaries(&parsed, &accesses);
-                (graphs, accesses, summaries)
-            }
-            None => {
-                let graphs = Arc::new(stage_graphs(&parsed.unit));
-                let accesses = Arc::new(stage_accesses(&parsed.unit, &graphs));
-                let summaries = Arc::new(stage_summaries(&parsed.unit, &accesses, options));
-                (graphs, accesses, summaries)
-            }
-        };
+        let graphs = Arc::new(stage_graphs(&parsed.unit));
+        let accesses = Arc::new(stage_accesses(&parsed.unit, &graphs));
+        let summaries = Arc::new(stage_summaries(&parsed.unit, &accesses, options));
+        if let Some(session) = session {
+            session.add_time(Stage::Graphs, graphs.elapsed);
+            session.add_time(Stage::Accesses, accesses.elapsed);
+            session.add_time(Stage::Summaries, summaries.elapsed);
+        }
         Ok(UnitBody {
             parsed,
             graphs,
@@ -1610,10 +1381,13 @@ impl UnitSlot {
 /// analyzed; recomputing it later is an ordinary edit. On top of the table
 /// sit two incremental layers:
 ///
-/// * a function-plan cache: when an edited source is re-analyzed, only
-///   functions whose key (own text, environment, callee summaries) changed
-///   are re-planned; unchanged functions re-use their plan, relocated to
-///   the new node ids and byte offsets ([`Self::cache_stats`] proves it);
+/// * a function-plan cache — the one function-granular cache: an edited
+///   source is parsed, graphed, access-classified and summarized whole
+///   (whole-unit work of the *edited* unit only; identical content never
+///   gets past the table), but only functions whose key (own text,
+///   environment, callee summaries) changed are re-planned; unchanged
+///   functions re-use their plan, relocated to the new node ids and byte
+///   offsets ([`Self::cache_stats`] proves it);
 /// * an optional persistent [`ArtifactStore`]
 ///   ([`AnalysisSession::with_cache_dir`]): a unit's interface, its plans
 ///   and the edits that rewrite it are loaded from disk on a content match
@@ -1622,8 +1396,9 @@ impl UnitSlot {
 ///
 /// [`Self::analyze`] (one unit, a closed world) and
 /// [`crate::program::ProgramDriver`] (many units, linked) both run
-/// [`Self::summarize`] → [`Self::analyze_linked`]; stage methods can also
-/// be called individually to run the pipeline step by step.
+/// [`Self::summarize`] → [`Self::analyze_linked`]. To run the pipeline step
+/// by step, call the pure stage functions ([`stage_parse`] …
+/// [`stage_rewrite`]): they are what the session runs.
 #[derive(Debug)]
 pub struct AnalysisSession {
     options: OmpDartOptions,
@@ -1631,8 +1406,6 @@ pub struct AnalysisSession {
     /// The unit table: unit name → its resident versions.
     units: ShardMap<String, UnitSlot>,
     function_plans: FunctionPlanCache,
-    function_accesses: FunctionAccessCache,
-    function_summaries: FunctionSummaryCache,
     /// The persistent whole-program link state: the latest linked program,
     /// its analyses, and the indexes [`crate::program::Program::relink`]
     /// patches, so the next link touches only the units that changed and
@@ -1690,9 +1463,7 @@ impl AnalysisSession {
             options,
             parallelism: default_parallelism(),
             units: ShardMap::new(),
-            function_plans: FunctionPlanCache::new(),
-            function_accesses: FunctionAccessCache::new(),
-            function_summaries: FunctionSummaryCache::new(),
+            function_plans: FunctionPlanCache::default(),
             link_state: Mutex::default(),
             store: None,
             unseeded: Mutex::default(),
@@ -1846,99 +1617,30 @@ impl AnalysisSession {
         Ok(self.units.update(name.to_string(), admit))
     }
 
-    /// Stage 2: build the hybrid AST-CFG.
-    pub fn graphs(&self, parsed: &ParsedUnit) -> Arc<GraphsArtifact> {
-        let artifact = Arc::new(stage_graphs(&parsed.unit));
-        self.add_time(Stage::Graphs, artifact.elapsed);
-        artifact
-    }
-
-    /// Stage 3: classify memory accesses, with the function-granular access
-    /// cache — functions whose own text and environment are unchanged since
-    /// a previous call of this session are served by relocation instead of
-    /// a body walk ([`Self::cache_stats`] proves it).
-    pub fn accesses(&self, parsed: &ParsedUnit, graphs: &GraphsArtifact) -> Arc<AccessArtifact> {
-        let cache = Some((parsed, &self.function_accesses));
-        let artifact = Arc::new(stage_accesses_cached(&parsed.unit, graphs, cache));
-        self.counters.add_all(artifact.counted);
-        self.add_time(Stage::Accesses, artifact.elapsed);
-        artifact
-    }
-
-    /// Stage 4: interprocedural summaries, with the function-granular
-    /// summary cache — unchanged functions re-use their cached local seed
-    /// and only the call-site fixed point re-runs ([`Self::cache_stats`]
-    /// proves it).
-    pub fn summaries(
-        &self,
-        parsed: &ParsedUnit,
-        accesses: &AccessArtifact,
-    ) -> Arc<SummariesArtifact> {
-        let artifact = Arc::new(stage_summaries_cached(
-            &parsed.unit,
-            accesses,
-            &self.options,
-            Some((parsed, &self.function_summaries)),
-        ));
-        self.counters.add_all(artifact.counted);
-        self.add_time(Stage::Summaries, artifact.elapsed);
-        artifact
-    }
-
-    /// Stage 5: data-flow planning with per-function fan-out and the
-    /// function-granular plan cache — functions whose key is unchanged
-    /// since a previous `plan`/`analyze` call of this session are served by
-    /// relocation instead of re-analysis. Plans the unit as a closed world;
-    /// [`Self::analyze_linked`] plans under a [`LinkContext`].
-    pub fn plan(
-        &self,
-        parsed: &ParsedUnit,
-        graphs: &GraphsArtifact,
-        accesses: &AccessArtifact,
-        summaries: &SummariesArtifact,
-    ) -> Arc<PlansArtifact> {
-        self.plan_under(parsed, graphs, accesses, summaries, None, None)
-    }
-
     /// The session's one planning call: [`run_plan_stage`] over the
-    /// function-plan cache and the store, counted into the session's
-    /// statistics.
+    /// function-plan cache — functions whose key is unchanged since a
+    /// previous analysis of this session are served by relocation instead
+    /// of re-analysis — counted into the session's statistics.
     fn plan_under(
         &self,
-        parsed: &ParsedUnit,
-        graphs: &GraphsArtifact,
-        accesses: &AccessArtifact,
-        summaries: &SummariesArtifact,
-        link: Option<&LinkContext>,
+        body: &UnitBody,
+        link: &LinkContext,
         exports: Option<&UnitExports>,
     ) -> Arc<PlansArtifact> {
-        self.seed_function_plans(&parsed.name);
+        self.seed_function_plans(&body.parsed.name);
         let artifact = Arc::new(run_plan_stage(
-            &parsed.unit,
-            graphs,
-            accesses,
-            summaries,
+            &body.parsed.unit,
+            &body.graphs,
+            &body.accesses,
+            &body.summaries,
             &self.options,
             self.parallelism,
-            Some((parsed, &self.function_plans)),
-            self.store.as_ref(),
-            link,
+            Some((&body.parsed, &self.function_plans)),
+            Some(link),
             exports,
         ));
         self.counters.add_all(artifact.counted);
         self.add_time(Stage::Plan, artifact.elapsed);
-        artifact
-    }
-
-    /// Stage 6: source rewriting.
-    pub fn rewrite(
-        &self,
-        parsed: &ParsedUnit,
-        graphs: &GraphsArtifact,
-        plans: &PlansArtifact,
-    ) -> Arc<RewriteOutput> {
-        let artifact = Arc::new(stage_rewrite(parsed, graphs, plans));
-        self.add_time(Stage::Rewrite, artifact.elapsed);
         artifact
     }
 
@@ -1979,6 +1681,10 @@ impl AnalysisSession {
     /// changed. Snippets are recovered from the verified source; a key whose
     /// byte range or plan does not fit is skipped, never trusted.
     fn seed_function_plans(&self, name: &str) {
+        if self.store.is_none() {
+            // Only a store hit leaves anything to seed from.
+            return;
+        }
         let mut waiting = self.unseeded.lock().expect("seed lock poisoned");
         let Some(served) = waiting.remove(name) else {
             return;
@@ -2187,14 +1893,7 @@ impl AnalysisSession {
                 &closed_world
             }
         };
-        let plans = self.plan_under(
-            &body.parsed,
-            &body.graphs,
-            &body.accesses,
-            &body.summaries,
-            Some(link),
-            unit.exports.get(),
-        );
+        let plans = self.plan_under(body, link, unit.exports.get());
         let start = Instant::now();
         let edits = rewrite::plan_edits(
             &body.parsed.file,
@@ -2253,13 +1952,13 @@ int main() {
 
     #[test]
     fn stages_compose_to_the_one_shot_result() {
-        let session = AnalysisSession::new();
-        let parsed = session.parse("demo.c", DEMO).unwrap();
-        let graphs = session.graphs(&parsed);
-        let accesses = session.accesses(&parsed, &graphs);
-        let summaries = session.summaries(&parsed, &accesses);
-        let plans = session.plan(&parsed, &graphs, &accesses, &summaries);
-        let rewrite = session.rewrite(&parsed, &graphs, &plans);
+        let options = OmpDartOptions::default();
+        let parsed = stage_parse("demo.c", DEMO).unwrap();
+        let graphs = stage_graphs(&parsed.unit);
+        let accesses = stage_accesses(&parsed.unit, &graphs);
+        let summaries = stage_summaries(&parsed.unit, &accesses, &options);
+        let plans = stage_plans(&parsed.unit, &graphs, &accesses, &summaries, &options, 1);
+        let rewrite = stage_rewrite(&parsed, &graphs, &plans);
 
         let one_shot = AnalysisSession::new().analyze("demo.c", DEMO).unwrap();
         assert_eq!(one_shot.rewrite.source, rewrite.source);
@@ -2631,13 +2330,14 @@ void bump(void);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Two units that share a header-defined `static` function warm each
-    /// other through the function-level store: the first copy plans and
-    /// writes back, the second is served from disk, and a later session's
-    /// brand-new unit with the same header starts warm too. Unit-level
-    /// entries land via the batched (write-behind) flush.
+    /// Two units carrying one header-defined `static` kernel function,
+    /// through one cache directory: each unit plans its own copy (nothing
+    /// finer than a unit is stored, so the copies do not warm each other),
+    /// both rewrite exactly as they do without a store, a second process is
+    /// served both from their unit records without planning a function, and
+    /// the pack indexes unit and interface records only.
     #[test]
-    fn shared_static_function_warms_across_units_via_store() {
+    fn shared_static_function_is_served_from_unit_records_only() {
         let dir = std::env::temp_dir().join(format!("ompdart-fn-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
 
@@ -2657,58 +2357,42 @@ static void touch_shared(void) {
             ("a.c".to_string(), unit("a_entry")),
             ("b.c".to_string(), unit("b_entry")),
         ];
+        let run = |session: AnalysisSession| {
+            let session = Arc::new(session);
+            let driver =
+                crate::program::ProgramDriver::with_session(Arc::clone(&session)).with_threads(1);
+            let analysis = driver.analyze_program(&inputs).unwrap();
+            let rewrites: Vec<String> = (analysis.units.iter())
+                .map(|unit| unit.rewrite.source.clone())
+                .collect();
+            (rewrites, session)
+        };
 
-        let session = Arc::new(AnalysisSession::new().with_cache_dir(&dir));
-        let driver =
-            crate::program::ProgramDriver::with_session(Arc::clone(&session)).with_threads(1);
-        let analysis = driver.analyze_program(&inputs).unwrap();
-        let stats = session.cache_stats();
+        let (plain, _) = run(AnalysisSession::new());
+        let (populated, first) = run(AnalysisSession::new().with_cache_dir(&dir));
+        assert_eq!(populated, plain, "a store must not change a rewrite");
+        let stats = first.cache_stats();
         assert_eq!(
-            stats.function_store_misses, 1,
-            "only the first copy of the shared static plans from scratch: {stats:?}"
+            (stats.function_plan_misses, stats.function_plan_hits),
+            (4, 0),
+            "each unit plans its own copy of the shared static: {stats:?}"
         );
-        assert_eq!(
-            stats.function_store_hits, 1,
-            "the second unit's shared static must be a function-store hit: {stats:?}"
-        );
-        assert_eq!(
-            session.artifact_store().unwrap().function_entry_count(),
-            1,
-            "one function-level entry for the shared static"
-        );
-        assert_eq!(
-            session.artifact_store().unwrap().entry_count(),
-            2,
-            "analyze_program must flush the write-behind unit entries"
-        );
+        // `analyze_program` flushed the write-behind queue: two unit and
+        // two interface records, and no third kind.
+        let store = first.artifact_store().unwrap();
+        assert_eq!(store.entry_count(), 2);
+        assert_eq!(store.gc(u64::MAX).entries_before, 4);
 
-        // Store-served plans rewrite byte-identically to a storeless run.
-        let cold = crate::program::ProgramDriver::new()
-            .with_threads(1)
-            .analyze_program(&inputs)
-            .unwrap();
-        for (warm_unit, cold_unit) in analysis.units.iter().zip(&cold.units) {
-            assert_eq!(warm_unit.rewrite.source, cold_unit.rewrite.source);
-        }
-
-        // A later session: a brand-new unit with the same header starts
-        // warm — its shared static is served from the function store.
-        let session2 = Arc::new(AnalysisSession::new().with_cache_dir(&dir));
-        let driver2 =
-            crate::program::ProgramDriver::with_session(Arc::clone(&session2)).with_threads(1);
-        let inputs2 = vec![
-            ("a.c".to_string(), unit("a_entry")),
-            ("c.c".to_string(), unit("c_entry")),
-        ];
-        driver2.analyze_program(&inputs2).unwrap();
-        let stats2 = session2.cache_stats();
-        assert!(
-            stats2.function_store_hits >= 1,
-            "the new unit's shared static must hit the function store: {stats2:?}"
-        );
+        // A second process: both units from their unit records.
+        let (restarted, second) = run(AnalysisSession::new().with_cache_dir(&dir));
+        assert_eq!(restarted, plain);
+        let stats = second.cache_stats();
+        assert_eq!((stats.store_hits, stats.store_misses), (2, 0), "{stats:?}");
+        assert_eq!(stats.interface_store_hits, 2, "{stats:?}");
         assert_eq!(
-            stats2.function_store_misses, 0,
-            "nothing should plan the shared static from scratch again: {stats2:?}"
+            (stats.function_plan_misses, stats.parse_misses),
+            (0, 0),
+            "{stats:?}"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2722,6 +2406,13 @@ static void touch_shared(void) {
         let rendered = format!("{timings}");
         for stage in Stage::ALL {
             assert!(rendered.contains(stage.name()), "{rendered}");
+        }
+        // The session's cumulative timings moved for all six stages: the
+        // body's four are added from the artifacts' own `elapsed`.
+        let cumulative = session.timings();
+        for stage in Stage::ALL {
+            assert!(cumulative.of(stage) > Duration::ZERO, "{stage}");
+            assert!(cumulative.of(stage) >= timings.of(stage), "{stage}");
         }
     }
 }

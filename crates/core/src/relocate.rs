@@ -1,20 +1,20 @@
-//! The relocation layer: rebasing cached per-function artifacts onto the
-//! coordinates of a fresh parse.
+//! The relocation layer: rebasing a cached per-function plan, and the
+//! diagnostics planning it produced, onto the coordinates of a fresh parse.
 //!
 //! Node ids are assigned by one sequential counter and spans are plain byte
 //! offsets into the source, so a function whose own tokens are unchanged
 //! keeps the same ids and offsets *relative to its definition* even when
-//! surrounding code moves it. The pipeline's function-granular plan and
-//! access caches therefore store their artifacts in the coordinates of the
-//! parse that produced them and, on a hit, shift every node id by `did` and
-//! every byte span by `dpos` instead of re-running the producing stage. Name-bearing artifacts (diagnostics, the
-//! unit name itself) are *not* persisted across renames — they are rebuilt
-//! here from the fresh parse, which is what lets the content-addressed
-//! store ([`crate::store`]) drop the unit name from its key entirely.
+//! surrounding code moves it. The pipeline's function-plan cache therefore
+//! stores a plan in the coordinates of the parse that produced it and, on a
+//! hit, shifts every node id by `did` and every byte span by `dpos` instead
+//! of re-running the data-flow analysis. Nothing else is relocated: the
+//! stages before planning re-run on the fresh parse of an edited unit, and
+//! name-bearing artifacts (the unit name itself) are *not* persisted across
+//! renames, which is what lets the content-addressed store
+//! ([`crate::store`]) drop the unit name from its key entirely.
 
-use crate::access::{Access, CallSite, FunctionAccesses};
 use crate::plan::ir::{MappingPlan, Provenance};
-use ompdart_frontend::ast::{Expr, ExprKind, NodeId, Type};
+use ompdart_frontend::ast::NodeId;
 use ompdart_frontend::diag::Diagnostics;
 use ompdart_frontend::source::Span;
 
@@ -88,106 +88,4 @@ pub fn relocate_diagnostics(diags: &Diagnostics, dpos: i64) -> Diagnostics {
         out.push(d);
     }
     out
-}
-
-/// Rebase an expression tree in place: every node id and span, including
-/// the ones hiding inside casts, sizeofs, and array-typed declarators.
-pub fn relocate_expr(expr: &mut Expr, did: i64, dpos: i64) {
-    expr.id = relocate_node(expr.id, did);
-    expr.span = relocate_span(expr.span, dpos);
-    match &mut expr.kind {
-        ExprKind::IntLit(_)
-        | ExprKind::FloatLit(_)
-        | ExprKind::CharLit(_)
-        | ExprKind::StrLit(_)
-        | ExprKind::Ident(_) => {}
-        ExprKind::Unary { operand, .. } => relocate_expr(operand, did, dpos),
-        ExprKind::Binary { lhs, rhs, .. } | ExprKind::Assign { lhs, rhs, .. } => {
-            relocate_expr(lhs, did, dpos);
-            relocate_expr(rhs, did, dpos);
-        }
-        ExprKind::Conditional {
-            cond,
-            then_expr,
-            else_expr,
-        } => {
-            relocate_expr(cond, did, dpos);
-            relocate_expr(then_expr, did, dpos);
-            relocate_expr(else_expr, did, dpos);
-        }
-        ExprKind::Call {
-            callee_span, args, ..
-        } => {
-            *callee_span = relocate_span(*callee_span, dpos);
-            for a in args {
-                relocate_expr(a, did, dpos);
-            }
-        }
-        ExprKind::Index { base, index } => {
-            relocate_expr(base, did, dpos);
-            relocate_expr(index, did, dpos);
-        }
-        ExprKind::Member { base, .. } => relocate_expr(base, did, dpos),
-        ExprKind::Cast { ty, expr } => {
-            relocate_type(ty, did, dpos);
-            relocate_expr(expr, did, dpos);
-        }
-        ExprKind::SizeofType(ty) => relocate_type(ty, did, dpos),
-        ExprKind::SizeofExpr(inner) => relocate_expr(inner, did, dpos),
-        ExprKind::Comma(items) => {
-            for item in items {
-                relocate_expr(item, did, dpos);
-            }
-        }
-        ExprKind::Paren(inner) => relocate_expr(inner, did, dpos),
-    }
-}
-
-/// Rebase the size expressions buried in array types.
-pub fn relocate_type(ty: &mut Type, did: i64, dpos: i64) {
-    match ty {
-        Type::Pointer(inner) => relocate_type(inner, did, dpos),
-        Type::Array(inner, size) => {
-            relocate_type(inner, did, dpos);
-            if let Some(size) = size {
-                relocate_expr(size, did, dpos);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Rebase one classified access (statement id, span, index expressions).
-pub fn relocate_access(access: &Access, did: i64, dpos: i64) -> Access {
-    let mut out = access.clone();
-    out.stmt = relocate_node(out.stmt, did);
-    out.span = relocate_span(out.span, dpos);
-    for idx in &mut out.indices {
-        relocate_expr(idx, did, dpos);
-    }
-    out
-}
-
-/// Rebase one observed call site.
-pub fn relocate_call(call: &CallSite, did: i64, dpos: i64) -> CallSite {
-    let mut out = call.clone();
-    out.stmt = relocate_node(out.stmt, did);
-    out.span = relocate_span(out.span, dpos);
-    out
-}
-
-/// Rebase a whole per-function access artifact, rebuilding the
-/// statement-index side table under the shifted ids.
-pub fn relocate_function_accesses(acc: &FunctionAccesses, did: i64, dpos: i64) -> FunctionAccesses {
-    FunctionAccesses::from_parts(
-        acc.function,
-        acc.accesses
-            .iter()
-            .map(|a| relocate_access(a, did, dpos))
-            .collect(),
-        acc.calls
-            .iter()
-            .map(|c| relocate_call(c, did, dpos))
-            .collect(),
-    )
 }

@@ -6,9 +6,10 @@
 //! `NAMES`/`values()` in row order, `+` and `-` (a request's movement is
 //! `after - before` of two snapshots), one `to_json`/`from_json` pair and one
 //! `Display`. A *counted* table also gets its atomic twin and the row enum
-//! its increment sites name. Adding or renaming a counter is one row plus its
-//! increment site: the CLI, the daemon's wire format and the store cannot
-//! disagree about which counters exist, because none of them lists any.
+//! its increment sites name. Adding, renaming or deleting a counter is one row
+//! plus its increment site: the CLI, the daemon's wire format and the store
+//! cannot disagree about which counters exist, because none of them lists
+//! any.
 //!
 //! Records that mix counts, flags and durations
 //! ([`crate::program::DriverProfile`]) list their fields once as [`Value`]
@@ -208,16 +209,6 @@ stats_table! {
         function_plan_hits,
         /// Functions that were actually planned.
         function_plan_misses,
-        /// Functions whose classified accesses were served (relocated)
-        /// from the function-granular access cache.
-        function_access_hits,
-        /// Functions whose accesses were re-collected.
-        function_access_misses,
-        /// Functions whose local (direct-effect) summary seed was served
-        /// from the function-granular summary cache.
-        function_summary_hits,
-        /// Functions whose local summary seed was recomputed.
-        function_summary_misses,
         /// Functions the incremental link fixed point re-derived from
         /// their seeds (the reverse call-graph cone of the edited
         /// functions). Cold links — where no previous converged state
@@ -234,14 +225,6 @@ stats_table! {
         /// Unit analyses that ran the planner while a store was configured
         /// (each one is written back to the store afterwards).
         store_misses,
-        /// Functions whose plan was served from a *function-level*
-        /// persistent store entry (shared `static` header functions warm
-        /// across units and across processes; see
-        /// [`crate::store::ArtifactStore`]).
-        function_store_hits,
-        /// Function-store lookups that missed (each true planning run of
-        /// an eligible function writes one entry back).
-        function_store_misses,
         /// `summarize` calls that restored a unit from the store's interface
         /// record for its content: nothing of the unit was parsed.
         interface_store_hits,

@@ -2,7 +2,7 @@
 //! directory, so a new process over the same directory starts warm — and
 //! parses only the units a change reached.
 //!
-//! Three kinds of record, all keyed **by content** (the unit name is in no
+//! Two kinds of record, both keyed **by content** (the unit name is in no
 //! key, so a renamed or copied file hits):
 //!
 //! * An *interface* record holds what the rest of a program reads of one
@@ -20,9 +20,10 @@
 //!   leaves the others' records valid unless an interface they import moved.
 //!   A hit is served without the unit's AST: the rewrite is a splice of the
 //!   stored insertions into the bytes just read, never a re-derivation.
-//! * A *function* record holds the plan of one `static` function with a
-//!   kernel under its full plan key, so units (or processes) sharing a
-//!   header-defined function warm each other.
+//!
+//! Nothing finer than a unit is stored: a function's plan lives in its
+//! unit's record, and the in-memory function-plan cache is re-seeded from
+//! that record's key snapshots.
 //!
 //! Both halves of a warm unit are pure functions of its bytes and the
 //! options, and parsing is deterministic — the node ids in a stored plan fit
@@ -34,37 +35,36 @@
 //! units the change reached and for nothing else.
 //!
 //! *What is never stored.* A unit whose **parse** produced a diagnostic has
-//! no interface record, and a unit (or `static` function) whose **planning**
-//! produced one has no plan record: a record is served silently, and the
-//! warning has to reappear on every run, so such a unit is parsed — or
-//! planned — every time. A unit that failed to parse or broke the input
-//! contract never got as far as a record. A unit record saved through
-//! [`ArtifactStore::save_many`] carries no edit list; a hit on it builds the
-//! unit's body and derives the rewrite from the plans.
+//! no interface record, and a unit whose **planning** produced one has no
+//! plan record: a record is served silently, and the warning has to reappear
+//! on every run, so such a unit is parsed — or planned — every time. A unit
+//! that failed to parse or broke the input contract never got as far as a
+//! record. A unit record saved through [`ArtifactStore::save_many`] carries
+//! no edit list; a hit on it builds the unit's body and derives the rewrite
+//! from the plans.
 //!
 //! # The pack
 //!
 //! `<dir>/ompdart.pack` is a sequence of records:
 //!
 //! ```text
-//! magic[4] versions[4] key[7 x u64] slot[8] payload_len[4] payload_sum[8]
+//! magic[4] versions[4] key[6 x u64] slot[8] payload_len[4] payload_sum[8]
 //! header_sum[8] payload[payload_len]
 //! ```
 //!
 //! `versions` packs [`STORE_FORMAT_VERSION`] and [`PLAN_FORMAT_VERSION`]; a
-//! record of another version is skipped like damage. A unit's or function's
-//! payload is lines of compact JSON from [`crate::plan::json`]; an
-//! interface's is the token lines [`UnitExports::encode`] writes straight
-//! into the queue, without a document tree in between. Every payload is
-//! UTF-8. `slot` hashes *who* wrote the record as *what* — `(unit name,
-//! options, alone or linked)`, `(unit name, function name, options)` or
-//! `(unit name, options)` for its interface — which makes "superseded" a
-//! fact of the index instead of an unlink: a record is **live** while it is
-//! the latest of its slot, dead once the same name saved something newer,
-//! and still answers lookups when dead (a reverted edit hits) until a
-//! compaction drops it. A unit has one slot alone and one in its program,
-//! not one per link fingerprint: those move with every neighbour's
-//! interface, and a slot nobody writes again never dies.
+//! record of another version is skipped like damage. A unit's payload is
+//! lines of compact JSON from [`crate::plan::json`]; an interface's is the
+//! token lines [`UnitExports::encode`] writes straight into the queue,
+//! without a document tree in between. Every payload is UTF-8. `slot` hashes
+//! *who* wrote the record as *what* — `(unit name, options, alone or
+//! linked)`, or `(unit name, options)` for its interface — which makes
+//! "superseded" a fact of the index instead of an unlink: a record is
+//! **live** while it is the latest of its slot, dead once the same name
+//! saved something newer, and still answers lookups when dead (a reverted
+//! edit hits) until a compaction drops it. A unit has one slot alone and one
+//! in its program, not one per link fingerprint: those move with every
+//! neighbour's interface, and a slot nobody writes again never dies.
 //!
 //! *Writing.* Nothing is written while planning: records are encoded where
 //! they are produced and queued, and a flush appends the whole queue with
@@ -79,12 +79,10 @@
 //! one payload it needs — from the bytes of that first read until the next
 //! flush releases them, by a positioned read afterwards: a long-lived
 //! process keeps the index resident, never the payloads. Every key word has
-//! to match, a function hit also compares the stored snippet byte for byte,
-//! and queued function records answer lookups too, so the units of one round
-//! warm each other before anything is on disk. A flush re-reads the pack if
-//! its length is not the one indexed, so what another process appended (or
-//! compacted) is picked up by the next flush or start; an offset gone stale
-//! in between fails the payload checksum and is a miss.
+//! to match. A flush re-reads the pack if its length is not the one indexed,
+//! so what another process appended (or compacted) is picked up by the next
+//! flush or start; an offset gone stale in between fails the payload
+//! checksum and is a miss.
 //!
 //! *Bounded growth.* Appending removes nothing; compaction does. After a
 //! flush that leaves more dead bytes than live ones (past
@@ -100,7 +98,7 @@
 //! the files of the layouts before the pack, which are never read.
 
 use crate::interface::UnitExports;
-use crate::pipeline::{CachedFunctionPlan, FunctionKeySnapshot, FunctionPlanKey};
+use crate::pipeline::FunctionKeySnapshot;
 use crate::plan::ir::{AnalysisStats, MappingPlan, PLAN_FORMAT_VERSION};
 use crate::plan::json::{plans_from_json, plans_to_json_value, write_json_string, Json};
 use crate::rewrite::EditSet;
@@ -112,21 +110,20 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Version of the pack format; a record of any other store or plan version
-/// is never read, and leaves with the next compaction. v5 adds the
-/// interface record and the unit record's edit list to v4's pack; v3's
-/// `unit-*`, `fn-*` and `ref-*` files are ignored, and removed by
+/// is never read, and leaves with the next compaction. v6 is v5's pack
+/// without its function records and the seventh key word only they used;
+/// v3's `unit-*`, `fn-*` and `ref-*` files are ignored, and removed by
 /// [`ArtifactStore::gc`].
-pub const STORE_FORMAT_VERSION: u32 = 5;
+pub const STORE_FORMAT_VERSION: u32 = 6;
 
 const PACK_FILE: &str = "ompdart.pack";
 /// Starts every record. Payloads are UTF-8, which never holds `0xff`, so the
 /// scan that follows damage cannot take payload bytes for a record.
 const MAGIC: [u8; 4] = [0xff, b'O', b'D', b'P'];
 const VERSIONS: u32 = STORE_FORMAT_VERSION << 16 | PLAN_FORMAT_VERSION;
-const HEADER_LEN: usize = 4 + 4 + 7 * 8 + 8 + 4 + 8 + 8;
+const HEADER_LEN: usize = 4 + 4 + 6 * 8 + 8 + 4 + 8 + 8;
 const UNIT: u64 = 1;
-const FUNCTION: u64 = 2;
-const INTERFACE: u64 = 3;
+const INTERFACE: u64 = 2;
 
 /// Compaction runs once dead bytes exceed live bytes — the traffic of a
 /// long-lived session (`ompdart watch`, the daemon), whose every edit appends
@@ -163,11 +160,10 @@ fn hash_pair(bytes: &[u8]) -> (u64, u64) {
     (a, b)
 }
 
-/// What a lookup has to match, word for word: the record kind, then a unit's
-/// or an interface's source length and two hashes, options and (a unit's)
-/// link fingerprint, or a function's snippet length and hash and the rest of
-/// its [`FunctionPlanKey`].
-pub(crate) type RecordKey = [u64; 7];
+/// What a lookup has to match, word for word: the record kind, then the
+/// source's length and two hashes, the options and (a unit's) link
+/// fingerprint.
+pub(crate) type RecordKey = [u64; 6];
 
 /// What keys a source text: its length and two hashes. The session hashes a
 /// unit's source once, and keys its interface record and every plan record
@@ -184,27 +180,25 @@ impl ContentKey {
     /// The key of this content planned under `options` and `link`.
     pub(crate) fn unit(self, options: &OmpDartOptions, link: u64) -> RecordKey {
         let [len, a, b] = self.0;
-        [UNIT, len, a, b, options.fingerprint(), link, 0]
+        [UNIT, len, a, b, options.fingerprint(), link]
     }
 
     /// The key of this content's interface under `options`.
     fn interface(self, options: &OmpDartOptions) -> RecordKey {
         let [len, a, b] = self.0;
-        [INTERFACE, len, a, b, options.fingerprint(), 0, 0]
+        [INTERFACE, len, a, b, options.fingerprint(), 0]
     }
-}
-
-fn function_key(key: &FunctionPlanKey) -> RecordKey {
-    let snippet = key.snippet.as_bytes();
-    let (len, hash, env) = (snippet.len() as u64, hash_pair(snippet).0, key.env_hash);
-    let (callees, refs, options) = (key.callees_hash, key.refs_hash, key.options_hash);
-    [FUNCTION, len, hash, env, callees, refs, options]
 }
 
 /// Who writes a record, as what (see the module docs).
 fn slot(kind: u64, who: &str, words: [u64; 2]) -> u64 {
     let who = hash_pair(who.as_bytes()).0;
     fold(fold(fold(who, words[0]), words[1]), kind)
+}
+
+/// The slot of the interface the unit called `name` saves under `key`.
+fn interface_slot(name: &str, key: &RecordKey) -> u64 {
+    slot(INTERFACE, name, [key[4], 0])
 }
 
 /// The index's view of one record in the pack.
@@ -236,7 +230,7 @@ fn parse_header(bytes: &[u8]) -> Option<(Record, u64)> {
         return None;
     }
     let key = std::array::from_fn(|i| word(8 + 8 * i));
-    let (len, sum, offset, recency) = (half(72), word(76), 0, 0);
+    let (len, sum, offset, recency) = (half(64), word(68), 0, 0);
     let record = Record {
         key,
         offset,
@@ -244,7 +238,7 @@ fn parse_header(bytes: &[u8]) -> Option<(Record, u64)> {
         sum,
         recency,
     };
-    Some((record, word(64)))
+    Some((record, word(56)))
 }
 
 /// Append one record to `out`, ready to be written: its header, then the
@@ -290,9 +284,6 @@ fn append(queue: &[u8], out: &mut impl Write) -> io::Result<()> {
     out.write_all(queue)
 }
 
-/// A function record as it was queued: its snippet, and what was planned.
-type QueuedFunction = (String, CachedFunctionPlan);
-
 /// A store's memory: the index of the pack as last read, and the queue.
 #[derive(Debug, Default)]
 struct Pack {
@@ -310,8 +301,6 @@ struct Pack {
     /// The `queued` records waiting for the next flush, back to back.
     queue: Vec<u8>,
     queued: usize,
-    /// The queued function records by key: they answer lookups.
-    queued_functions: HashMap<RecordKey, QueuedFunction>,
 }
 
 impl Pack {
@@ -467,12 +456,6 @@ impl ArtifactStore {
         self.loaded().live().filter(|r| r.key[0] == UNIT).count()
     }
 
-    /// Number of live function records in the pack.
-    pub fn function_entry_count(&self) -> usize {
-        let function = |record: &&Record| record.key[0] == FUNCTION;
-        self.loaded().live().filter(function).count()
-    }
-
     /// Size of the pack in bytes, as last read or written by this store.
     pub fn total_bytes(&self) -> u64 {
         self.loaded().scanned
@@ -525,80 +508,36 @@ impl ArtifactStore {
     }
 
     /// The stored interface of the content `content` keys, under `options`,
-    /// with its names resolved for the unit called `unit`.
+    /// with its names resolved for the unit called `unit`. A hit on a record
+    /// that is not `unit`'s latest — the file was renamed, or an edit
+    /// reverted — queues it again as that: the unit records planned beside
+    /// it are its unit's latest too, and a compaction must not leave them
+    /// without the interface that lets a restart serve them unparsed.
     pub(crate) fn load_interface(
         &self,
         content: ContentKey,
         options: &OmpDartOptions,
         unit: &str,
     ) -> Option<UnitExports> {
-        let decode = |payload: &str| UnitExports::decode(unit, payload);
-        self.read(&content.interface(options), decode)
-    }
-
-    /// Look up one function's stored planning result under its full plan
-    /// key: the index matches the key's hashes, the stored snippet is then
-    /// compared byte for byte. The key names no unit, which is what lets
-    /// units sharing a header-defined `static` function warm each other.
-    pub(crate) fn load_function(&self, key: &FunctionPlanKey) -> Option<CachedFunctionPlan> {
-        let record_key = function_key(key);
-        if let Some((snippet, entry)) = self.loaded().queued_functions.get(&record_key) {
-            return (*snippet == key.snippet).then(|| entry.clone());
+        let key = content.interface(options);
+        let hit = self.read(&key, |payload| UnitExports::decode(unit, payload))?;
+        let latest = {
+            let pack = self.loaded();
+            let of_slot = pack.by_slot.get(&interface_slot(unit, &key));
+            of_slot.is_some_and(|&id| pack.records[id].key == key)
+        };
+        if !latest {
+            self.queue_interface(unit, content, options, &hit);
         }
-        self.read(&record_key, |payload| {
-            let mut parts = payload.splitn(3, '\n');
-            let (plan, facts) = (parts.next()?, Json::parse(parts.next()?).ok()?);
-            let [base_id, base_pos, analyzed, fallbacks] = facts.as_array()? else {
-                return None;
-            };
-            if parts.next()? != key.snippet {
-                return None;
-            }
-            Some(CachedFunctionPlan {
-                base_id: u32::try_from(base_id.as_int()?).ok()?,
-                base_pos: u32::try_from(base_pos.as_int()?).ok()?,
-                analyzed: analyzed.as_bool()?,
-                fallbacks: u64::try_from(fallbacks.as_int()?).ok()?,
-                plan: match plan {
-                    "" => None,
-                    plan => Some(MappingPlan::from_json(plan).ok()?),
-                },
-                // Only functions planned without diagnostics are stored.
-                diagnostics: Default::default(),
-            })
-        })
+        Some(hit)
     }
 
-    /// Queue one record — `write` appends its payload to the queue itself —
-    /// and with a function's what answers lookups for it.
-    fn enqueue(
-        &self,
-        key: RecordKey,
-        slot: u64,
-        write: impl FnOnce(&mut Vec<u8>) -> bool,
-        function: Option<QueuedFunction>,
-    ) {
+    /// Queue one record: `write` appends its payload to the queue itself.
+    fn enqueue(&self, key: RecordKey, slot: u64, write: impl FnOnce(&mut Vec<u8>) -> bool) {
         let mut pack = self.loaded();
         if append_record(&mut pack.queue, &key, slot, write) {
             pack.queued += 1;
-            pack.queued_functions
-                .extend(function.map(|function| (key, function)));
         }
-    }
-
-    /// [`Self::enqueue`] a payload rendered beforehand, outside the lock.
-    fn enqueue_rendered(
-        &self,
-        key: RecordKey,
-        slot: u64,
-        payload: &str,
-        function: Option<QueuedFunction>,
-    ) {
-        let copy = |queue: &mut Vec<u8>| {
-            queue.extend_from_slice(payload.as_bytes());
-            true
-        };
-        self.enqueue(key, slot, copy, function);
     }
 
     /// Queue the interface of the unit called `name` (which only says whose
@@ -613,8 +552,8 @@ impl ArtifactStore {
         exports: &UnitExports,
     ) {
         let key = content.interface(options);
-        let slot = slot(INTERFACE, name, [key[4], 0]);
-        self.enqueue(key, slot, |queue| exports.encode(queue), None);
+        let slot = interface_slot(name, &key);
+        self.enqueue(key, slot, |queue| exports.encode(queue));
     }
 
     /// Queue the plans of the unit called `name` (which only says whose save
@@ -663,33 +602,11 @@ impl ArtifactStore {
         }
         payload.push(']');
         let linked = u64::from(key[5] != crate::program::UNLINKED);
-        self.enqueue_rendered(key, slot(UNIT, name, [key[4], linked]), &payload, None);
-    }
-
-    /// Queue the plan of `function`, planned in `unit`, for the next
-    /// [`Self::flush`]; lookups see it from now on. The compact plan (or an
-    /// empty line), one line of facts, and the snippet as it is, to the end.
-    pub(crate) fn queue_function(
-        &self,
-        unit: &str,
-        function: &str,
-        key: &FunctionPlanKey,
-        entry: &CachedFunctionPlan,
-    ) {
-        let mut payload = String::new();
-        if let Some(plan) = &entry.plan {
-            plan.to_json_value().render_into(&mut payload);
-        }
-        let (id, pos, fallbacks) = (entry.base_id, entry.base_pos, entry.fallbacks as i64);
-        let _ = write!(payload, "\n[{id},{pos},{},{fallbacks}]\n", entry.analyzed);
-        payload.push_str(&key.snippet);
-        let slot = slot(
-            FUNCTION,
-            &format!("{unit}\0{function}"),
-            [key.options_hash, 0],
-        );
-        let queued = (key.snippet.clone(), entry.clone());
-        self.enqueue_rendered(function_key(key), slot, &payload, Some(queued));
+        // Rendered above, outside the lock; copied into the queue under it.
+        self.enqueue(key, slot(UNIT, name, [key[4], linked]), |queue| {
+            queue.extend_from_slice(payload.as_bytes());
+            true
+        });
     }
 
     /// Write back many units' plans: queue them, then flush the queue.
@@ -714,7 +631,6 @@ impl ArtifactStore {
     pub(crate) fn flush(&self) -> io::Result<usize> {
         let mut pack = self.loaded();
         pack.resident = None;
-        pack.queued_functions.clear();
         let queue = std::mem::take(&mut pack.queue);
         let queued = std::mem::take(&mut pack.queued);
         if queue.is_empty() {
@@ -868,7 +784,6 @@ mod tests {
     use crate::plan::ir::MapSpec;
     use crate::plan::json::plans_to_json;
     use crate::program::UNLINKED;
-    use ompdart_frontend::diag::Diagnostics;
     use ompdart_frontend::omp::MapType;
     use std::sync::Barrier;
 
@@ -1042,14 +957,27 @@ mod tests {
         std::fs::write(&path, &future).unwrap();
         assert!(load().is_none());
 
-        // Nor is one the previous version wrote (no legacy reader): a miss,
-        // and gone from the pack once a compaction has passed over it.
+        // Nor is anything the previous version wrote (no legacy reader): a v5
+        // pack with a unit, an interface (kind 3 then) and a function record
+        // (kind 2 then). Nothing is read, and all three are gone from the
+        // pack once a compaction has passed over it.
         let mut previous = intact.clone();
-        reheader(&mut previous, |head| head[6] = 4);
+        reheader(&mut previous, |head| head[6] = 5);
+        for kind in [3u8, 2] {
+            let mut other = intact.clone();
+            reheader(&mut other, |head| (head[6], head[8]) = (5, kind));
+            previous.extend_from_slice(&other);
+        }
         std::fs::write(&path, &previous).unwrap();
         assert!(load().is_none());
         let upgraded = ArtifactStore::open(&store.dir);
+        assert_eq!(
+            upgraded.loaded().records.len(),
+            0,
+            "nothing of v5 is indexed"
+        );
         save(&upgraded, "y.c", "void g() {}", &options, UNLINKED);
+        assert_eq!(upgraded.total_bytes(), 4 * intact.len() as u64);
         upgraded.gc(u64::MAX);
         assert_eq!(upgraded.total_bytes(), intact.len() as u64);
         assert!(upgraded.load("void g() {}", &options, UNLINKED).is_some());
@@ -1257,93 +1185,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&tight.dir);
     }
 
-    fn sample_fn_key() -> FunctionPlanKey {
-        FunctionPlanKey {
-            snippet: "static void f(void) {\n  g(\"x\");\n}".into(),
-            env_hash: 0xaaaa,
-            callees_hash: 0xbbbb,
-            refs_hash: 0,
-            options_hash: 0xcccc,
-        }
-    }
-
-    fn sample_fn_entry(plan: Option<MappingPlan>) -> CachedFunctionPlan {
-        CachedFunctionPlan {
-            base_id: 7,
-            base_pos: 120,
-            analyzed: plan.is_some(),
-            fallbacks: 2,
-            plan,
-            diagnostics: Diagnostics::new(),
-        }
-    }
-
-    /// Function records round-trip under the full plan key — from the queue
-    /// before the flush, from the pack after it — reject any differing
-    /// component (including a snippet behind a colliding hash), and are part
-    /// of the gc accounting.
-    #[test]
-    fn function_entries_round_trip_and_verify_their_key() {
-        let store = temp_store("fnentry");
-        let key = sample_fn_key();
-        let entry = sample_fn_entry(Some(sample_plans().remove(0)));
-        store.queue_function("a.c", "f", &key, &entry);
-        let check = |store: &ArtifactStore| {
-            let hit = store.load_function(&key).expect("exact key must hit");
-            assert_eq!((hit.base_id, hit.base_pos), (7, 120));
-            assert_eq!((hit.analyzed, hit.fallbacks), (true, 2));
-            assert_eq!(hit.plan, entry.plan);
-            assert!(hit.diagnostics.is_empty());
-            // Any differing key component must miss.
-            for change in [0, 1, 2, 3] {
-                let mut other = sample_fn_key();
-                match change {
-                    0 => other.env_hash ^= 1,
-                    1 => other.callees_hash ^= 1,
-                    2 => other.options_hash ^= 1,
-                    _ => other.snippet.push(' '),
-                }
-                assert!(store.load_function(&other).is_none(), "change {change}");
-            }
-        };
-        check(&store);
-        assert!(
-            listing(&store.dir).is_empty(),
-            "a queued record is not on disk"
-        );
-        assert_eq!(store.flush().unwrap(), 1);
-        check(&store);
-        check(&ArtifactStore::open(&store.dir));
-        assert_eq!(store.function_entry_count(), 1);
-        assert_eq!(
-            store.entry_count(),
-            0,
-            "function records are not unit records"
-        );
-
-        // A different snippet behind the same index words (a hash collision,
-        // simulated by re-keying the lookup) is rejected byte for byte.
-        let mut collided = sample_fn_key();
-        collided.snippet = collided.snippet.replace("\"x\"", "\"y\"");
-        let forged = function_key(&key);
-        let decode = |payload: &str| Some(payload.ends_with(&collided.snippet));
-        assert_eq!(store.read(&forged, decode), Some(false));
-
-        // Records without a plan round-trip too, and supersede: same unit,
-        // same function.
-        store.queue_function("a.c", "f", &key, &sample_fn_entry(None));
-        store.flush().unwrap();
-        let hit = store.load_function(&key).unwrap();
-        assert!(hit.plan.is_none() && !hit.analyzed);
-        assert_eq!(store.function_entry_count(), 1);
-
-        let report = store.gc(0);
-        assert_eq!((report.entries_before, report.entries_evicted), (2, 2));
-        assert_eq!(store.function_entry_count(), 0);
-        assert!(store.load_function(&key).is_none());
-        let _ = std::fs::remove_dir_all(&store.dir);
-    }
-
     #[test]
     fn missing_directory_degrades_to_miss() {
         let store = ArtifactStore::open("/nonexistent/ompdart-store");
@@ -1439,7 +1280,7 @@ mod tests {
         }
     }
 
-    /// A flush of a whole program's unit and function records is one
+    /// A flush of a whole program's unit and interface records is one
     /// `write` into one file; nothing else is ever created. A miss makes no
     /// system call and a hit writes nothing.
     #[test]
@@ -1458,8 +1299,9 @@ mod tests {
                 None,
             );
         }
-        let function = sample_fn_entry(plans.first().cloned());
-        store.queue_function("a.c", "f", &sample_fn_key(), &function);
+        let source = interface_source(0);
+        let exports = interface_of("a.c", &source);
+        store.queue_interface("a.c", content_key(&source), &options, &exports);
 
         // What `flush` does with the queue, on a writer that counts.
         let batch = store.loaded().queue.clone();
@@ -1488,7 +1330,8 @@ mod tests {
         std::fs::rename(&store.dir, &gone).unwrap();
         assert!(fresh.load("never saved", &options, UNLINKED).is_none());
         assert!(fresh.load("s2", &options, UNLINKED).is_some());
-        assert!(fresh.load_function(&sample_fn_key()).is_some());
+        let interface = fresh.load_interface(content_key(&source), &options, "a.c");
+        assert_eq!(interface, Some(exports));
         std::fs::rename(&gone, &store.dir).unwrap();
 
         // After a flush the bytes are released and a hit is a positioned
@@ -1513,12 +1356,10 @@ mod tests {
     // -----------------------------------------------------------------
 
     /// What a populated pack must answer: per unit source the plan JSON
-    /// saved under it (and the rewrite its edit list makes), per function
-    /// key the plan JSON saved under it, and per interface source the
-    /// interface saved under it.
+    /// saved under it (and the rewrite its edit list makes), and per
+    /// interface source the interface saved under it.
     struct Saved {
         units: Vec<(String, String)>,
-        functions: Vec<(FunctionPlanKey, String)>,
         interfaces: Vec<(String, UnitExports)>,
     }
 
@@ -1555,24 +1396,13 @@ mod tests {
         String::from_utf8(out).unwrap()
     }
 
-    fn fn_key(i: usize) -> FunctionPlanKey {
-        FunctionPlanKey {
-            snippet: format!("static void f{i}(void) {{\n  touch(\"{i}\");\n}}"),
-            env_hash: 0x1000 + i as u64,
-            callees_hash: u64::MAX - i as u64,
-            refs_hash: 0,
-            options_hash: 0xcccc,
-        }
-    }
-
-    /// Three flushes into `dir`: units and function records interleaved,
+    /// Three flushes into `dir`: unit and interface records interleaved,
     /// one unit saved twice (a dead record in the middle of the pack).
     fn populate(dir: &std::path::Path) -> Saved {
         let store = ArtifactStore::open(dir);
         let options = OmpDartOptions::default();
         let mut saved = Saved {
             units: Vec::new(),
-            functions: Vec::new(),
             interfaces: Vec::new(),
         };
         for round in 0..3 {
@@ -1611,22 +1441,49 @@ mod tests {
                 &exports,
             );
             saved.interfaces.push((source, exports));
-            let plan = plans_of(&format!("w{round}")).remove(0);
-            store.queue_function(
-                "u0.c",
-                &format!("f{round}"),
-                &fn_key(round),
-                &sample_fn_entry(Some(plan.clone())),
-            );
-            saved.functions.push((fn_key(round), plan.to_json()));
             store.flush().unwrap();
         }
         saved
     }
 
+    /// An interface served from a record its unit has superseded (an edit
+    /// reverted) or never wrote (a file renamed) is that unit's latest from
+    /// then on: it survives the compaction that drops the dead one, and a
+    /// hit on a unit's latest queues nothing.
+    #[test]
+    fn an_interface_hit_on_a_record_not_its_units_latest_is_queued_again() {
+        let store = temp_store("revive");
+        let options = OmpDartOptions::default();
+        let (old, new) = (interface_source(0), interface_source(1));
+        for source in [&old, &new] {
+            let exports = interface_of("u.c", source);
+            store.queue_interface("u.c", content_key(source), &options, &exports);
+            store.flush().unwrap();
+        }
+        let old_key = content_key(&old);
+        let reverted = store.load_interface(old_key, &options, "u.c");
+        assert_eq!(reverted, Some(interface_of("u.c", &old)));
+        assert_eq!(store.flush().unwrap(), 1, "the revert is queued again");
+        let report = store.gc(u64::MAX);
+        assert_eq!((report.entries_before, report.entries_evicted), (3, 2));
+
+        let fresh = ArtifactStore::open(&store.dir);
+        assert!(fresh.load_interface(old_key, &options, "u.c").is_some());
+        assert_eq!(fresh.flush().unwrap(), 0, "a unit's latest is left alone");
+        assert!(fresh
+            .load_interface(old_key, &options, "renamed.c")
+            .is_some());
+        assert_eq!(fresh.flush().unwrap(), 1, "the new name owns a record");
+        for name in ["u.c", "renamed.c"] {
+            assert!(fresh.load_interface(old_key, &options, name).is_some());
+        }
+        assert_eq!(fresh.flush().unwrap(), 0);
+        let _ = std::fs::remove_dir_all(&store.dir);
+    }
+
     /// Look every saved key up in a new store over `dir`: a hit must hold
-    /// exactly what was saved. Returns which keys hit: units, then functions,
-    /// then interfaces.
+    /// exactly what was saved. Returns which keys hit: units, then
+    /// interfaces.
     fn lookups(dir: &std::path::Path, saved: &Saved) -> Vec<bool> {
         let store = ArtifactStore::open(dir);
         let options = OmpDartOptions::default();
@@ -1652,17 +1509,6 @@ mod tests {
                     rewritten,
                     Some(edits_of(n).apply(source)),
                     "wrong rewrite for `{source}`"
-                );
-            }
-            hits.push(hit.is_some());
-        }
-        for (key, plan_json) in &saved.functions {
-            let hit = store.load_function(key);
-            if let Some(entry) = &hit {
-                assert_eq!(&entry.plan.as_ref().unwrap().to_json(), plan_json);
-                assert_eq!(
-                    (entry.base_id, entry.base_pos, entry.fallbacks),
-                    (7, 120, 2)
                 );
             }
             hits.push(hit.is_some());
@@ -1717,13 +1563,13 @@ mod tests {
         let intact = std::fs::read(&path).unwrap();
         // Record extents, and which saved key (if any) each record answers:
         // units in order (the dead `old` record answers none), then
-        // functions.
+        // interfaces.
         let mut index = Pack::default();
         index.index(&intact, 0);
         let extents: Vec<(usize, usize)> = (index.records.iter())
             .map(|r| (r.offset as usize, (r.offset + r.size()) as usize))
             .collect();
-        assert_eq!(extents.len(), 13);
+        assert_eq!(extents.len(), 10);
         assert_eq!(
             extents.last().unwrap().1,
             intact.len(),
@@ -1734,18 +1580,15 @@ mod tests {
             .map(|r| {
                 let unit =
                     |(source, _): &(String, String)| unit_key(source, &options, UNLINKED) == r.key;
-                let function = |(key, _): &(FunctionPlanKey, String)| function_key(key) == r.key;
                 let interface = |(source, _): &(String, UnitExports)| {
                     content_key(source).interface(&options) == r.key
                 };
-                let functions = saved.units.len();
-                let interfaces = functions + saved.functions.len();
+                let interfaces = saved.units.len();
                 (saved.units.iter().position(unit))
-                    .or_else(|| Some(functions + saved.functions.iter().position(function)?))
                     .or_else(|| Some(interfaces + saved.interfaces.iter().position(interface)?))
             })
             .collect();
-        let keys = saved.units.len() + saved.functions.len() + saved.interfaces.len();
+        let keys = saved.units.len() + saved.interfaces.len();
         // The keys whose records lie wholly outside `damaged`.
         let untouched = |damaged: std::ops::Range<usize>| -> Vec<bool> {
             let mut must = vec![false; keys];
@@ -1784,9 +1627,9 @@ mod tests {
         }
 
         // One flipped bit: every bit of one header, the low bit of every
-        // byte of one unit's, one function's and one interface's payload (a
-        // digit or a letter becomes its neighbour: a position, an effect, a
-        // name that still parses), and a seeded sample of the rest.
+        // byte of one unit's and one interface's payload (a digit or a
+        // letter becomes its neighbour: a position, an effect, a name that
+        // still parses), and a seeded sample of the rest.
         let mut rng = 0x9e37_79b9_7f4a_7c15_u64;
         // The first record of each kind that answers a saved key.
         let of_kind = |kind: u64| {
@@ -1799,11 +1642,11 @@ mod tests {
                 .position(|pair| live(&pair));
             extents[at.expect("a live record of every kind")]
         };
-        let (unit, function, interface) = (of_kind(UNIT), of_kind(FUNCTION), of_kind(INTERFACE));
+        let (unit, interface) = (of_kind(UNIT), of_kind(INTERFACE));
         let mut flips: Vec<(usize, u8)> = (0..HEADER_LEN * 8)
             .map(|bit| (unit.0 + bit / 8, 1 << (bit % 8)))
             .collect();
-        for payload in [unit, function, interface] {
+        for payload in [unit, interface] {
             flips.extend((payload.0 + HEADER_LEN..payload.1).map(|at| (at, 1)));
         }
         flips.extend((0..300).map(|_| (roll(&mut rng, intact.len()), 1 << roll(&mut rng, 8))));
@@ -1887,7 +1730,7 @@ mod tests {
         use std::os::unix::fs::PermissionsExt;
         let dir = temp_dir("readonly");
         let saved = populate(&dir);
-        let keys = saved.units.len() + saved.functions.len() + saved.interfaces.len();
+        let keys = saved.units.len() + saved.interfaces.len();
         let set_mode = |path: &std::path::Path, mode: u32| {
             std::fs::set_permissions(path, std::fs::Permissions::from_mode(mode)).unwrap();
         };

@@ -11,7 +11,7 @@
 //!   one pass per link.
 //! * **Shared header-defined functions** — every unit carries the same
 //!   guarded header, including a `static` kernel helper (`syn_touch`), so
-//!   the function-level store can warm one unit's copy from another's.
+//!   every unit plans a copy of the same function under its own name.
 //! * **Recursion cycles** — every [`RECURSION_STRIDE`] units, a mutually
 //!   recursive pair (`syn_rec_a_k` / `syn_rec_b_k`) spans two adjacent
 //!   units, giving the condensation genuinely cyclic components that need

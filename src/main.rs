@@ -7,7 +7,8 @@
 //! ompdart explain <input.c>
 //! ompdart diff-plan <left> <right>        # each side: plan .json or a .c source
 //! ompdart batch <input.c>... [--threads N] [--out-dir DIR]
-//! ompdart watch <dir> [--out-dir DIR] [--cache-dir DIR] [--interval-ms N] [--iterations N] [--poll]
+//! ompdart watch <dir> [--out-dir DIR] [--cache-dir DIR] [--cache-max-bytes N[k|m|g]] [--pessimistic-globals]
+//!               [--interval-ms N] [--iterations N] [--once] [--link-threads N] [--poll]
 //! ompdart daemon [--socket PATH | --tcp ADDR] [--cache-dir DIR] [--workers N]
 //! ompdart client [--socket PATH | --tcp ADDR] <analyze|explain|stats|gc|shutdown> ...
 //! ompdart cache gc <dir> [--max-bytes N[k|m|g]]
@@ -52,8 +53,9 @@ USAGE:
     ompdart explain <input.c> [--lifetimes]
     ompdart diff-plan <left> <right>
     ompdart batch <input.c>... [--threads <N>] [--out-dir <dir>] [--pessimistic-globals]
-    ompdart watch <dir> [--out-dir <dir>] [--cache-dir <dir>] [--interval-ms <N>]
-                  [--iterations <N>] [--once] [--link-threads <N>] [--poll]
+    ompdart watch <dir> [--out-dir <dir>] [--cache-dir <dir>] [--cache-max-bytes <N[k|m|g]>]
+                  [--pessimistic-globals] [--interval-ms <N>] [--iterations <N>] [--once]
+                  [--link-threads <N>] [--poll]
     ompdart daemon [--socket <path> | --tcp <addr>] [--workers <N>] [--cache-dir <dir>]
                    [--cache-max-bytes <N[k|m|g]>] [--pessimistic-globals]
                    [--link-threads <N>] [--quiet]
@@ -110,9 +112,12 @@ SUBCOMMANDS:
                invalidated (across files), and re-emit `<name>.mapped.c`.
                Falls back to independent per-file analysis when the
                directory holds unrelated programs (duplicate `main`).
-               --cache-dir persists plans across restarts; --interval-ms
-               bounds the wait between scans (default 500); --iterations
-               exits after N scan cycles; --once scans a single time.
+               --cache-dir persists plans across restarts and
+               --cache-max-bytes caps the pack there (least recently
+               used records go first); --pessimistic-globals as for
+               `analyze`; --interval-ms bounds the wait between scans
+               (default 500); --iterations exits after N scan cycles;
+               --once scans a single time.
                Wakeups come from inotify where available; --poll forces
                the classic fixed-interval re-scan. SIGINT/SIGTERM flush
                the persistent store before exit.
@@ -923,16 +928,14 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
     let stats = tool.session().cache_stats();
     println!(
         "[watch] done after {cycles} scan(s): function plans {} reused / {} replanned, \
-         accesses {} reused / {} recollected, summaries {} reused / {} recomputed, \
-         relink re-seeded {} function(s), store {} hit(s)",
+         relink re-seeded {} function(s), store {} unit / {} interface hit(s), \
+         {} unit(s) parsed",
         stats.function_plan_hits,
         stats.function_plan_misses,
-        stats.function_access_hits,
-        stats.function_access_misses,
-        stats.function_summary_hits,
-        stats.function_summary_misses,
         stats.relink_reseeded_functions,
-        stats.store_hits
+        stats.store_hits,
+        stats.interface_store_hits,
+        stats.parse_misses
     );
     Ok(ExitCode::SUCCESS)
 }

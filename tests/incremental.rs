@@ -140,13 +140,13 @@ fn persistent_store_reproduces_corpus_across_restart() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Every stage after parsing is function-granular: a one-function edit
-/// re-collects accesses, re-seeds the local summary, and re-plans for the
-/// edited function only — on every corpus unit — while the relocated
-/// artifacts keep the result byte-identical to a cold run (pinned by the
-/// golden test above).
+/// Planning is the function-granular stage: on every corpus unit a
+/// one-function edit in a live session parses the unit again, re-plans the
+/// edited function only and serves every other function's plan (relocated)
+/// from the function-plan cache — and the result is byte-identical to a
+/// fresh session's, rewrite and plan JSON.
 #[test]
-fn one_function_edit_misses_one_access_and_one_summary_on_all_benchmarks() {
+fn one_function_edit_replans_one_function_on_all_benchmarks() {
     for (name, source) in corpus() {
         let session = AnalysisSession::new();
         session.analyze(&name, &source).unwrap();
@@ -155,23 +155,19 @@ fn one_function_edit_misses_one_access_and_one_summary_on_all_benchmarks() {
             .unwrap_or_else(|| panic!("{name}: no editable function"));
         let before = session.cache_stats();
         let incremental = session.analyze(&name, &edited).unwrap();
-        let after = session.cache_stats();
+        let moved = session.cache_stats() - before;
 
         let functions = incremental.parsed().unit.functions().count() as u64;
-        let access_hits = after.function_access_hits - before.function_access_hits;
-        let access_misses = after.function_access_misses - before.function_access_misses;
-        let summary_hits = after.function_summary_hits - before.function_summary_hits;
-        let summary_misses = after.function_summary_misses - before.function_summary_misses;
+        assert_eq!(moved.parse_misses, 1, "{name}");
         assert_eq!(
-            access_misses, 1,
-            "{name}: only `{edited_func}` may re-collect accesses"
+            moved.function_plan_misses, 1,
+            "{name}: only `{edited_func}` may be re-planned"
         );
-        assert_eq!(access_hits, functions - 1, "{name}");
-        assert_eq!(
-            summary_misses, 1,
-            "{name}: only `{edited_func}` may re-seed its summary"
-        );
-        assert_eq!(summary_hits, functions - 1, "{name}");
+        assert_eq!(moved.function_plan_hits, functions - 1, "{name}");
+
+        let fresh = AnalysisSession::new().analyze(&name, &edited).unwrap();
+        assert_eq!(incremental.rewrite.source, fresh.rewrite.source, "{name}");
+        assert_eq!(incremental.plans_json(), fresh.plans_json(), "{name}");
     }
 }
 

@@ -1,12 +1,14 @@
-//! Integration tests for the staged `AnalysisSession` API and
-//! `Ompdart::analyze_batch`: stage-by-stage artifacts must compose to
-//! exactly the facade result, the artifact cache must serve repeated
-//! analyses without re-running any stage, the batch path must analyze
-//! several translation units concurrently with deterministic,
+//! Integration tests for the staged pipeline (the free `stage_*` functions),
+//! `AnalysisSession` and `Ompdart::analyze_batch`: stage-by-stage artifacts
+//! must compose to exactly the facade result, the artifact cache must serve
+//! repeated analyses without re-running any stage, the batch path must
+//! analyze several translation units concurrently with deterministic,
 //! order-preserving results, and the serialized Mapping IR must round-trip
 //! into a byte-identical rewrite.
 
-use ompdart_core::pipeline::Stage;
+use ompdart_core::pipeline::{
+    stage_accesses, stage_graphs, stage_parse, stage_plans, stage_rewrite, stage_summaries, Stage,
+};
 use ompdart_core::plan::plans_from_json;
 use ompdart_core::{apply_plans, AnalysisSession, OmpDartOptions, Ompdart, StageError};
 use ompdart_sim::{simulate_source, SimConfig};
@@ -18,16 +20,14 @@ use std::time::Duration;
 /// bundled benchmark.
 #[test]
 fn staged_artifacts_compose_to_the_facade_analysis() {
+    let options = OmpDartOptions::default();
     for bench in ompdart_suite::all_benchmarks() {
-        let session = AnalysisSession::new();
-        let parsed = session
-            .parse(&bench.unoptimized_file(), bench.unoptimized)
-            .unwrap();
-        let graphs = session.graphs(&parsed);
-        let accesses = session.accesses(&parsed, &graphs);
-        let summaries = session.summaries(&parsed, &accesses);
-        let plans = session.plan(&parsed, &graphs, &accesses, &summaries);
-        let rewritten = session.rewrite(&parsed, &graphs, &plans);
+        let parsed = stage_parse(&bench.unoptimized_file(), bench.unoptimized).unwrap();
+        let graphs = stage_graphs(&parsed.unit);
+        let accesses = stage_accesses(&parsed.unit, &graphs);
+        let summaries = stage_summaries(&parsed.unit, &accesses, &options);
+        let plans = stage_plans(&parsed.unit, &graphs, &accesses, &summaries, &options, 2);
+        let rewritten = stage_rewrite(&parsed, &graphs, &plans);
 
         let facade = Ompdart::builder()
             .build()
@@ -64,10 +64,8 @@ fn plan_json_round_trip_rewrites_byte_identically() {
         // Rebuild the rewrite from the deserialized plans alone plus a
         // *fresh* parse of the same source: node ids in the JSON must line
         // up with a new AST because parsing is deterministic.
-        let parsed =
-            ompdart_core::pipeline::stage_parse(&bench.unoptimized_file(), bench.unoptimized)
-                .unwrap();
-        let graphs = ompdart_core::pipeline::stage_graphs(&parsed.unit);
+        let parsed = stage_parse(&bench.unoptimized_file(), bench.unoptimized).unwrap();
+        let graphs = stage_graphs(&parsed.unit);
         let rewritten = apply_plans(&parsed.file, &parsed.unit, &graphs.graphs, &plans);
         assert_eq!(
             rewritten,
