@@ -7,6 +7,7 @@
 //! array subscripts — the index expressions, which the access-pattern
 //! analysis of Section IV-E consumes.
 
+use crate::interproc::Effect;
 use ompdart_frontend::ast::*;
 use ompdart_frontend::source::Span;
 use ompdart_frontend::Symbol;
@@ -64,8 +65,14 @@ pub enum AccessOrigin {
     Direct,
     /// Synthesized from the interprocedural summary of a known callee.
     /// `cross_unit` is true when the callee's definition lives in another
-    /// translation unit of a linked whole-program analysis.
-    Callee { callee: Symbol, cross_unit: bool },
+    /// translation unit of a linked whole-program analysis; `effect` is the
+    /// callee's whole summarised effect on the variable, of which this
+    /// access replays one step.
+    Callee {
+        callee: Symbol,
+        cross_unit: bool,
+        effect: Effect,
+    },
     /// Synthesized from the maximally pessimistic fallback for a callee
     /// whose definition is not visible (at best a prototype).
     /// `clobbers_global` is true when the access models the opt-in
@@ -107,6 +114,10 @@ pub struct CallSite {
     /// simple lvalue or its address) and whether it is passed by reference
     /// (pointer, array, or explicit `&`).
     pub args: Vec<CallArg>,
+    /// Set by [`crate::interproc::augment_with_call_effects`] when the
+    /// callee resolved to a summary (or is a known library function):
+    /// everything it does with its arguments is replayed at the call.
+    pub summarised: bool,
 }
 
 /// One argument of a call site.
@@ -512,6 +523,7 @@ impl Classifier<'_> {
                     on_device: self.on_device,
                     span: *callee_span,
                     args: call_args,
+                    summarised: false,
                 });
             }
             ExprKind::Binary { lhs, rhs, .. } => {

@@ -20,19 +20,20 @@
 
 use crate::access::{Access, AccessOrigin, FunctionAccesses, SymbolTable};
 use crate::bounds::section_length_from_loops;
+use crate::interproc::is_pure_builtin;
 use crate::pipeline::Stage;
 use crate::plan::ir::{
     CollapseSpec, EnterDataSpec, ExitDataSpec, FirstPrivateSpec, MapSpec, MappingPlan, Placement,
     Provenance, ProvenanceFact, UpdateDirection, UpdateSpec,
 };
-use crate::program::ExternalRefs;
+use crate::validity::{Position, Transfers, VarState, Walker};
 use ompdart_frontend::ast::*;
 use ompdart_frontend::diag::Diagnostics;
 use ompdart_frontend::omp::{Clause, MapType};
 use ompdart_frontend::source::Span;
 use ompdart_frontend::Symbol;
 use ompdart_graph::{AstCfg, StmtIndex};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 /// Tunable analysis options (used by the ablation studies).
 #[derive(Clone, Copy, Debug)]
@@ -64,29 +65,6 @@ impl Default for DataflowOptions {
     }
 }
 
-/// Per-variable validity state during the forward traversal.
-#[derive(Clone, Debug)]
-struct VarState {
-    host_valid: bool,
-    dev_valid: bool,
-    /// True once the host has written the variable after region entry.
-    host_modified: bool,
-    last_host_writer: Option<NodeId>,
-    last_dev_writer: Option<NodeId>,
-}
-
-impl Default for VarState {
-    fn default() -> Self {
-        VarState {
-            host_valid: true,
-            dev_valid: false,
-            host_modified: false,
-            last_host_writer: None,
-            last_dev_writer: None,
-        }
-    }
-}
-
 /// The access that forced a mapping decision: the statement, the source
 /// span, and where the access record came from (observed directly, or
 /// synthesized from a — possibly unknown — callee's effects).
@@ -95,14 +73,22 @@ struct Deciding {
     stmt: NodeId,
     span: Span,
     origin: AccessOrigin,
+    /// The write inside this function, on the other side, whose value the
+    /// access reads — `None` when it reads what the function was entered
+    /// with.
+    producer: Option<NodeId>,
 }
 
 impl Deciding {
-    fn of(access: &Access) -> Deciding {
+    fn of(access: &Access, state: &VarState) -> Deciding {
         Deciding {
             stmt: access.stmt,
             span: access.span,
             origin: access.origin.clone(),
+            producer: match access.on_device {
+                true => state.last_host_writer,
+                false => state.last_dev_writer,
+            },
         }
     }
 }
@@ -145,6 +131,7 @@ fn provenance_for(
             AccessOrigin::Callee {
                 callee,
                 cross_unit: true,
+                ..
             },
             _,
         )) => Provenance::plan(
@@ -174,21 +161,18 @@ struct UpdateDecision {
 /// carries a [`Provenance`] naming the dataflow fact and the deciding
 /// source span that justified it.
 ///
-/// `extern_refs` is the whole-program link context: it maps every function
-/// defined in *another* translation unit of the linked program to the set
-/// of variables its body references, extending the exit-liveness scan
-/// (dead-exit-copy demotion) across unit boundaries exactly as if those
-/// functions lived in this unit. `None` plans the unit as a closed world.
-#[allow(clippy::too_many_arguments)]
+/// `accesses` holds the function's own accesses and, replayed at each call
+/// site, what its callees' summaries stand for
+/// ([`crate::interproc::augment_with_call_effects`]) — the summaries of the
+/// whole linked program when there is one, so nothing else about the other
+/// functions or units is read here.
 pub fn plan_function(
-    unit: &TranslationUnit,
     func: &FunctionDef,
     graph: &AstCfg,
     accesses: &FunctionAccesses,
     symbols: &SymbolTable,
     options: &DataflowOptions,
     diags: &mut Diagnostics,
-    extern_refs: Option<&ExternalRefs>,
 ) -> Option<MappingPlan> {
     let index = &graph.index;
     let kernels: Vec<NodeId> = index.kernels().to_vec();
@@ -197,12 +181,31 @@ pub fn plan_function(
     }
     let body = func.body.as_ref()?;
 
+    // ----- region extent ----------------------------------------------------
+    let first_anchor = outermost_loop_or_self(index, kernels[0]);
+    let last_anchor = outermost_loop_or_self(index, *kernels.last().unwrap());
+    let (region_start, region_end) = align_to_common_parent(index, first_anchor, last_anchor);
+    let attach_to_kernel =
+        if kernels.len() == 1 && region_start == kernels[0] && region_end == kernels[0] {
+            Some(kernels[0])
+        } else {
+            None
+        };
+    let region = (region_start, region_end);
+
     // ----- mapped variable set ---------------------------------------------
+    // The variables some statement of the region accesses on the device. A
+    // call *outside* the region whose callee launches kernels is none of
+    // this region's business: the callee's own region maps what it needs.
     let decl_stmts = local_decl_stmts(body);
     let kernel_local = kernel_local_decl_names(body, index);
     let kernel_private = clause_private_vars(body);
     let mut device_vars: Vec<Symbol> = Vec::new();
-    for var in accesses.device_vars() {
+    for access in accesses.accesses.iter().filter(|a| a.on_device) {
+        let var = access.var;
+        if device_vars.contains(&var) || side_of_region(index, region, access.stmt).is_ne() {
+            continue;
+        }
         if symbols.type_of(var).is_none() {
             continue; // macro constants and unknown identifiers
         }
@@ -226,17 +229,6 @@ pub fn plan_function(
             mapped_vars.push(*var);
         }
     }
-
-    // ----- region extent ----------------------------------------------------
-    let first_anchor = outermost_loop_or_self(index, kernels[0]);
-    let last_anchor = outermost_loop_or_self(index, *kernels.last().unwrap());
-    let (region_start, region_end) = align_to_common_parent(index, first_anchor, last_anchor);
-    let attach_to_kernel =
-        if kernels.len() == 1 && region_start == kernels[0] && region_end == kernels[0] {
-            Some(kernels[0])
-        } else {
-            None
-        };
 
     // Declarations of mapped variables must precede the region start.
     if attach_to_kernel.is_none() {
@@ -265,32 +257,24 @@ pub fn plan_function(
 
     // ----- forward traversal -----------------------------------------------
     let loop_map = loop_stmt_map(body);
-    let mut walker = Walker {
-        accesses,
+    let transfers = PlanTransfers {
         index,
         options,
-        mapped: mapped_vars.iter().copied().collect(),
-        state: mapped_vars
-            .iter()
-            .map(|v| (*v, VarState::default()))
-            .collect(),
-        loop_stack: Vec::new(),
         to_entry: HashMap::new(),
         from_exit: HashMap::new(),
         updates: Vec::new(),
         seen_updates: HashSet::new(),
-        region_start,
-        region_end,
-        region_entered: false,
-        past_region: false,
-        cond_depth: 0,
     };
+    let entry = (mapped_vars.iter())
+        .map(|v| (*v, VarState::host_current()))
+        .collect();
+    let mut walker = Walker::new(accesses, entry, region, transfers);
     walker.walk_stmt(body);
 
     // Exit liveness: device-written data that escapes must be copied back —
-    // unless whole-program use shows it is dead on the host: a global that no
-    // other function references and that this function never reads after the
-    // region can stay device-only (`alloc`), sparing the exit copy. Escape
+    // unless nothing that can run after the region reads it: in `main` a
+    // global that neither `main` itself nor a function it calls afterwards
+    // reads can stay device-only (`alloc`), sparing the exit copy. Escape
     // decisions are recorded separately from `from_exit` (which holds actual
     // host reads): their deciding statement is the device write that makes
     // the escaping data dirty. Demotions are recorded so the plan can
@@ -299,17 +283,9 @@ pub fn plan_function(
     let mut demoted: HashMap<Symbol, Option<NodeId>> = HashMap::new();
     for var in &mapped_vars {
         let st = &walker.state[var];
-        if !st.host_valid && symbols.escapes(var) && !walker.from_exit.contains_key(var) {
-            if may_be_read_after_region(
-                unit,
-                func,
-                accesses,
-                index,
-                region_start,
-                *var,
-                symbols,
-                extern_refs,
-            ) {
+        if !st.host_valid && symbols.escapes(var) && !walker.transfers.from_exit.contains_key(var) {
+            let live = may_be_read_after_region(func, accesses, index, region_start, *var, symbols);
+            if live {
                 escape_exit.insert(*var, st.last_dev_writer);
             } else {
                 demoted.insert(*var, st.last_dev_writer);
@@ -318,9 +294,12 @@ pub fn plan_function(
     }
 
     // ----- assemble the plan --------------------------------------------------
-    let to_entry = walker.to_entry.clone();
-    let from_exit = walker.from_exit.clone();
-    let updates_raw = walker.updates.clone();
+    let PlanTransfers {
+        to_entry,
+        from_exit,
+        updates: updates_raw,
+        ..
+    } = walker.transfers;
     let span_of = |id: NodeId| index.info(id).map(|i| i.span);
 
     let mut plan = MappingPlan {
@@ -385,24 +364,36 @@ pub fn plan_function(
                 ),
             ),
             (None, None) => {
+                let first_dev_access = (accesses.accesses.iter())
+                    .find(|a| a.var == *var && a.on_device);
+                // No copy-in because the first device access is a call whose
+                // callee writes the variable before it reads it: say so.
+                let written_first = first_dev_access
+                    .and_then(|a| match &a.origin {
+                        AccessOrigin::Callee { callee, effect, .. }
+                            if effect.device_read() && !effect.device_exposed() =>
+                        {
+                            Some(format!(
+                                "; `{callee}` writes `{var}` on the device before reading it, so nothing is copied in"
+                            ))
+                        }
+                        _ => None,
+                    })
+                    .unwrap_or_default();
                 let provenance = if let Some(writer) = demoted.get(var) {
                     Provenance::plan(
                         ProvenanceFact::DeadExitCopy,
                         writer.and_then(span_of),
                         format!(
-                            "`{var}` escapes, but whole-program liveness proves no host read observes it after the region; exit copy demoted to alloc"
+                            "`{var}` escapes, but {}; exit copy demoted to alloc{written_first}",
+                            runs_after_region(accesses, index, region)
                         ),
                     )
                 } else {
-                    let first_dev_access = accesses
-                        .accesses
-                        .iter()
-                        .find(|a| a.var == *var && a.on_device)
-                        .map(|a| a.stmt);
                     Provenance::plan(
                         ProvenanceFact::DeviceOnlyData,
-                        first_dev_access.and_then(span_of),
-                        format!("`{var}` never crosses the host/device boundary"),
+                        first_dev_access.and_then(|a| span_of(a.stmt)),
+                        format!("`{var}` never crosses the host/device boundary{written_first}"),
                     )
                 };
                 (MapType::Alloc, provenance)
@@ -580,6 +571,54 @@ pub fn plan_function(
         });
     }
 
+    // A function other than `main` can be entered with its data already on
+    // the device — a caller holds a region around the call — and then its own
+    // region's clauses are present-table no-ops. Its internal cross-space
+    // flow must hold all the same: a copy-in fed by a host write inside the
+    // function, and a copy-out a host read inside the function consumes, are
+    // repeated as a `target update` immediately outside the region. An
+    // update moves data exactly when the variable is present, a clause
+    // exactly when it is not, so nothing is ever copied twice.
+    if func.name != "main" {
+        let mirrored = |var: &Symbol| {
+            let to = to_entry.get(var).filter(|read| read.producer.is_some());
+            let from = from_exit.get(var);
+            let to = to.map(|read| (UpdateDirection::To, region_start, Placement::Before, read));
+            let from = from.map(|read| (UpdateDirection::From, region_end, Placement::After, read));
+            to.into_iter().chain(from)
+        };
+        for var in mapped_vars.iter().filter(|var| symbols.escapes(**var)) {
+            for (direction, anchor, placement, read) in mirrored(var) {
+                // What the fact means is said once, by the fact; the detail
+                // names the access on the other side of the boundary.
+                let (detail, at) = match direction {
+                    UpdateDirection::To => (
+                        format!(
+                            "`{}` writes `{var}` on the host before its region",
+                            func.name
+                        ),
+                        read.producer.and_then(span_of),
+                    ),
+                    UpdateDirection::From => (
+                        format!("`{}` reads `{var}` on the host after its region", func.name),
+                        span_of(read.stmt),
+                    ),
+                };
+                plan.updates.push(UpdateSpec {
+                    var: var.to_string(),
+                    direction,
+                    anchor,
+                    placement,
+                    section_length: match symbols.is_pointer(var) {
+                        true => pointer_section_length(*var, accesses, index, &loop_map),
+                        false => None,
+                    },
+                    provenance: Provenance::plan(ProvenanceFact::FlowWhenDataPresent, at, detail),
+                });
+            }
+        }
+    }
+
     // firstprivate clauses, one per kernel that references the scalar. The
     // read-only fact comes from the access-classification stage.
     for var in &firstprivate_vars {
@@ -645,7 +684,6 @@ pub fn plan_function(
         });
     }
 
-    let _ = unit;
     Some(plan)
 }
 
@@ -741,50 +779,25 @@ fn pick_unknown<'a>(a: Option<&'a Deciding>, b: Option<&'a Deciding>) -> Option<
         .or(b)
 }
 
-/// The set of variables a function's body references, in the exact sense of
-/// [`stmt_references_var`] (declaration initializers plus every direct
-/// expression). The link stage exports this per function so whole-program
-/// exit liveness — and its cache fingerprint — see identical facts whether
-/// the reader lives in this unit or in another one.
-pub(crate) fn function_referenced_vars(func: &FunctionDef) -> BTreeSet<String> {
-    let mut vars = BTreeSet::new();
-    if let Some(body) = &func.body {
-        body.walk(&mut |s| {
-            if let StmtKind::Decl(decls) = &s.kind {
-                for d in decls {
-                    if let Some(init) = &d.init {
-                        vars.extend(init.referenced_vars());
-                    }
-                }
-            }
-            for e in s.direct_exprs() {
-                vars.extend(e.referenced_vars());
-            }
-        });
-    }
-    vars
-}
-
-/// The outermost loop enclosing a statement, or the statement itself.
 /// Whether a device-written escaping variable may still be read after the
-/// region ends. Parameters always may (the caller sees them), and so do
+/// region ends, as far as the function's own statements from the region on
+/// say. What runs *after* the region the walk has already answered: there a
+/// call's device side happens on the host too, so a read of the stale host
+/// copy, by `main` or by a callee's exposed read on either side, is an exit
+/// copy the walk asked for itself. Parameters always may (the caller sees
+/// them), and so do
 /// globals in any function other than `main` (the function may be invoked
-/// again and read the stale host copy before its region re-enters). Inside
-/// `main` — which runs exactly once — a global is live only if `main` reads
-/// it on the host after the region or any other function in the *whole
-/// program* references it at all: same-unit functions are scanned directly,
-/// functions from other translation units through the link stage's
-/// `extern_refs` export.
-#[allow(clippy::too_many_arguments)]
+/// again and read the stale host copy before its region re-enters). `main`
+/// runs exactly once, so there a global is live only if `main` reads it on
+/// the host from the region on — itself or through a callee — or aliases
+/// it.
 fn may_be_read_after_region(
-    unit: &TranslationUnit,
     func: &FunctionDef,
     accesses: &FunctionAccesses,
     index: &StmtIndex,
     region_start: NodeId,
     var: Symbol,
     symbols: &SymbolTable,
-    extern_refs: Option<&ExternalRefs>,
 ) -> bool {
     if !symbols.is_global(var) || func.name != "main" {
         return true;
@@ -792,54 +805,81 @@ fn may_be_read_after_region(
     let Some(start_order) = index.info(region_start).map(|i| i.order) else {
         return true;
     };
+    // A call site reads the variable on the host if its callee may, exposed
+    // or not: every step the call replays carries the whole effect.
+    let reads_on_host = |a: &Access| match &a.origin {
+        AccessOrigin::Callee { effect, .. } => effect.host_read(),
+        _ => !a.on_device && a.kind.may_read(),
+    };
     let read_later_here = accesses.accesses.iter().any(|a| {
         a.var == var
-            && !a.on_device
-            && a.kind.may_read()
+            && reads_on_host(a)
             && index
                 .info(a.stmt)
                 .map(|i| i.order >= start_order)
                 .unwrap_or(true)
     });
-    if read_later_here {
-        return true;
-    }
     // An aliasing use anywhere in this function (`double *p = var;`,
-    // `f(var)`, `&var[0]`) can smuggle reads past the name-based access
-    // check above, so it keeps the exit copy.
-    if func
-        .body
-        .as_ref()
-        .is_some_and(|b| stmt_has_aliasing_use(b, var))
-    {
-        return true;
+    // `&var[0]`, `f(var)` for an `f` nothing is known about) can smuggle
+    // reads past the name-based access check above, so it keeps the exit
+    // copy.
+    let summarised: Vec<Symbol> = (accesses.calls.iter())
+        .filter(|call| call.summarised)
+        .map(|call| call.callee)
+        .collect();
+    read_later_here
+        || func
+            .body
+            .as_ref()
+            .is_some_and(|b| stmt_has_aliasing_use(b, var, &summarised))
+}
+
+/// Why nothing reads a demoted variable after the region, for the
+/// provenance of the demotion: what runs there. A `main` that calls nothing
+/// but library functions is its whole program, and says so in the words it
+/// always has.
+fn runs_after_region(
+    accesses: &FunctionAccesses,
+    index: &StmtIndex,
+    region: (NodeId, NodeId),
+) -> String {
+    let mut calls = (accesses.calls.iter()).filter(|call| !is_pure_builtin(call.callee));
+    if calls.next().is_none() {
+        return "whole-program liveness proves no host read observes it after the region"
+            .to_string();
     }
-    if unit
-        .functions()
-        .filter(|f| f.name != func.name)
-        .any(|f| f.body.as_ref().is_some_and(|b| stmt_references_var(b, var)))
-    {
-        return true;
-    }
-    // Functions defined in other translation units of the linked program:
-    // the link stage exported their referenced-variable sets.
-    extern_refs.is_some_and(|refs| {
-        refs.iter()
-            .any(|(name, vars)| func.name != name.as_str() && vars.contains(var.as_str()))
-    })
+    let after = |stmt: NodeId| side_of_region(index, region, stmt).is_gt();
+    let mut callees: Vec<Symbol> = (accesses.calls.iter())
+        .filter(|call| after(call.stmt))
+        .map(|call| call.callee)
+        .collect();
+    callees.sort_unstable();
+    callees.dedup();
+    let names: Vec<String> = callees.iter().map(|c| format!("`{c}`")).collect();
+    let calls = match names.is_empty() {
+        true => "which call nothing".to_string(),
+        false => format!("which call only {}", names.join(", ")),
+    };
+    format!(
+        "`main` runs once and nothing that runs after the region reads it: neither the \
+         statements that follow, {calls}, nor anything those calls read"
+    )
 }
 
 /// True if `var` appears under `stmt` in a way that can create an alias or
 /// consume the whole object: any occurrence that is not the direct base of
-/// an element access (`var[i]...`) or member access (`var.field`).
-fn stmt_has_aliasing_use(stmt: &Stmt, var: Symbol) -> bool {
-    fn init_has(init: &Init, var: Symbol) -> bool {
+/// an element access (`var[i]...`) or member access (`var.field`) — nor an
+/// argument handed as it is to one of `summarised`, the callees whose
+/// summary says what they do with it (that effect is replayed at the call).
+fn stmt_has_aliasing_use(stmt: &Stmt, var: Symbol, summarised: &[Symbol]) -> bool {
+    fn init_has(init: &Init, var: Symbol, summarised: &[Symbol]) -> bool {
         match init {
-            Init::Expr(e) => expr_has(e, var),
-            Init::List(items) => items.iter().any(|i| init_has(i, var)),
+            Init::Expr(e) => expr_has(e, var, summarised),
+            Init::List(items) => items.iter().any(|i| init_has(i, var, summarised)),
         }
     }
-    fn expr_has(e: &Expr, var: Symbol) -> bool {
+    fn expr_has(e: &Expr, var: Symbol, summarised: &[Symbol]) -> bool {
+        let has = |e: &Expr| expr_has(e, var, summarised);
         match &e.kind {
             ExprKind::Ident(name) => *name == var,
             ExprKind::Index { base, index } => {
@@ -847,31 +887,34 @@ fn stmt_has_aliasing_use(stmt: &Stmt, var: Symbol) -> bool {
                 // anything else in base position recurses normally.
                 let base_aliases = match &base.kind {
                     ExprKind::Ident(_) => false,
-                    _ => expr_has(base, var),
+                    _ => has(base),
                 };
-                base_aliases || expr_has(index, var)
+                base_aliases || has(index)
             }
             ExprKind::Member { base, .. } => match &base.kind {
                 ExprKind::Ident(_) => false,
-                _ => expr_has(base, var),
+                _ => has(base),
             },
             ExprKind::Unary {
                 op: UnaryOp::AddrOf,
                 operand,
                 ..
             } => operand.referenced_symbols().contains(&var),
-            ExprKind::Unary { operand, .. } => expr_has(operand, var),
+            ExprKind::Unary { operand, .. } => has(operand),
             ExprKind::Binary { lhs, rhs, .. } | ExprKind::Assign { lhs, rhs, .. } => {
-                expr_has(lhs, var) || expr_has(rhs, var)
+                has(lhs) || has(rhs)
             }
             ExprKind::Conditional {
                 cond,
                 then_expr,
                 else_expr,
-            } => expr_has(cond, var) || expr_has(then_expr, var) || expr_has(else_expr, var),
-            ExprKind::Call { args, .. } => args.iter().any(|a| expr_has(a, var)),
-            ExprKind::Cast { expr, .. } | ExprKind::Paren(expr) => expr_has(expr, var),
-            ExprKind::Comma(items) => items.iter().any(|i| expr_has(i, var)),
+            } => has(cond) || has(then_expr) || has(else_expr),
+            ExprKind::Call { callee, args, .. } => args.iter().any(|arg| match &arg.kind {
+                ExprKind::Ident(_) if summarised.contains(callee) => false,
+                _ => has(arg),
+            }),
+            ExprKind::Cast { expr, .. } | ExprKind::Paren(expr) => has(expr),
+            ExprKind::Comma(items) => items.iter().any(has),
             ExprKind::SizeofExpr(_)
             | ExprKind::SizeofType(_)
             | ExprKind::IntLit(_)
@@ -886,53 +929,49 @@ fn stmt_has_aliasing_use(stmt: &Stmt, var: Symbol) -> bool {
             return;
         }
         let decl_hit = match &s.kind {
-            StmtKind::Decl(decls) => decls
-                .iter()
-                .any(|d| d.init.as_ref().is_some_and(|i| init_has(i, var))),
+            StmtKind::Decl(decls) => decls.iter().any(|d| {
+                d.init
+                    .as_ref()
+                    .is_some_and(|i| init_has(i, var, summarised))
+            }),
             StmtKind::For { init: Some(fi), .. } => match fi.as_ref() {
-                ForInit::Decl(decls) => decls
-                    .iter()
-                    .any(|d| d.init.as_ref().is_some_and(|i| init_has(i, var))),
+                ForInit::Decl(decls) => decls.iter().any(|d| {
+                    d.init
+                        .as_ref()
+                        .is_some_and(|i| init_has(i, var, summarised))
+                }),
                 _ => false,
             },
             _ => false,
         };
-        if decl_hit || s.direct_exprs().iter().any(|e| expr_has(e, var)) {
+        if decl_hit || (s.direct_exprs().iter()).any(|e| expr_has(e, var, summarised)) {
             found = true;
         }
     });
     found
 }
 
-/// True if any expression under `stmt` (including declaration initializers)
-/// references `var`.
-fn stmt_references_var(stmt: &Stmt, var: Symbol) -> bool {
-    let mut found = false;
-    stmt.walk(&mut |s| {
-        if found {
-            return;
-        }
-        let decl_inits_hit = match &s.kind {
-            StmtKind::Decl(decls) => decls.iter().any(|d| {
-                d.init
-                    .as_ref()
-                    .is_some_and(|i| i.referenced_symbols().contains(&var))
-            }),
-            _ => false,
-        };
-        if decl_inits_hit
-            || s.direct_exprs()
-                .iter()
-                .any(|e| e.referenced_symbols().contains(&var))
-        {
-            found = true;
-        }
-    });
-    found
-}
-
+/// The outermost loop enclosing a statement, or the statement itself.
 fn outermost_loop_or_self(index: &StmtIndex, stmt: NodeId) -> NodeId {
     index.enclosing_loops(stmt).first().copied().unwrap_or(stmt)
+}
+
+/// Where `stmt` lies relative to the region spanning the sibling statements
+/// `region.0 ..= region.1`: before it, within it (`Equal`), or after it.
+fn side_of_region(index: &StmtIndex, region: (NodeId, NodeId), stmt: NodeId) -> std::cmp::Ordering {
+    use std::cmp::Ordering;
+    let order = |id: NodeId| index.info(id).map(|info| info.order);
+    let container = index.info(region.0).and_then(|info| info.parent);
+    // The ancestor of `stmt` (or `stmt` itself) that is a sibling of the
+    // region's statements; outside their compound, source order decides.
+    let mut parents = std::iter::successors(Some(stmt), |id| index.info(*id)?.parent);
+    let sibling = parents.find(|id| index.info(*id).is_some_and(|i| i.parent == container));
+    let at = order(sibling.unwrap_or(stmt));
+    match (at < order(region.0), at > order(region.1)) {
+        (true, _) => Ordering::Less,
+        (_, true) => Ordering::Greater,
+        _ => Ordering::Equal,
+    }
 }
 
 /// Lift two anchors to direct children of their lowest common compound
@@ -1074,229 +1113,83 @@ fn pointer_section_length(
     None
 }
 
-struct Walker<'a> {
-    accesses: &'a FunctionAccesses,
+/// What a cross-space dependency means to the planner: the construct that
+/// resolves it.
+struct PlanTransfers<'a> {
     index: &'a StmtIndex,
     options: &'a DataflowOptions,
-    mapped: HashSet<Symbol>,
-    state: HashMap<Symbol, VarState>,
-    loop_stack: Vec<NodeId>,
     /// Variables copied in at region entry, with the deciding device read.
     to_entry: HashMap<Symbol, Deciding>,
     /// Variables copied out at region exit, with the deciding host read.
     from_exit: HashMap<Symbol, Deciding>,
     updates: Vec<UpdateDecision>,
     seen_updates: HashSet<(Symbol, UpdateDirection, NodeId, Placement)>,
-    region_start: NodeId,
-    region_end: NodeId,
-    region_entered: bool,
-    past_region: bool,
-    /// Depth of enclosing `if`/`switch` statements during the walk; writes
-    /// performed under a condition may leave part of the destination stale,
-    /// so they require the target space to hold current data beforehand.
-    cond_depth: usize,
 }
 
-impl Walker<'_> {
-    fn walk_stmt(&mut self, stmt: &Stmt) {
-        if stmt.id == self.region_start && !self.region_entered {
-            self.region_entered = true;
-            for st in self.state.values_mut() {
-                st.host_modified = false;
-            }
-        }
-        match &stmt.kind {
-            StmtKind::Compound(items) => {
-                for s in items {
-                    self.walk_stmt(s);
-                }
-            }
-            StmtKind::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                self.process_accesses(stmt, None);
-                let before = self.state.clone();
-                self.cond_depth += 1;
-                self.walk_stmt(then_branch);
-                let after_then = std::mem::replace(&mut self.state, before);
-                if let Some(e) = else_branch {
-                    self.walk_stmt(e);
-                }
-                self.cond_depth -= 1;
-                let after_else = self.state.clone();
-                self.state = merge_states(&after_then, &after_else);
-            }
-            StmtKind::While { body, .. } | StmtKind::DoWhile { body, .. } => {
-                self.walk_loop(stmt, body);
-            }
-            StmtKind::For { body, .. } => {
-                self.walk_loop(stmt, body);
-            }
-            StmtKind::Switch { body, .. } => {
-                self.process_accesses(stmt, None);
-                self.cond_depth += 1;
-                self.walk_stmt(body);
-                self.cond_depth -= 1;
-            }
-            StmtKind::Omp(dir) => {
-                self.process_accesses(stmt, None);
-                if let Some(body) = &dir.body {
-                    self.walk_stmt(body);
-                }
-            }
-            _ => {
-                self.process_accesses(stmt, None);
-            }
-        }
-        if stmt.id == self.region_end {
-            self.past_region = true;
-        }
-    }
-
-    fn walk_loop(&mut self, loop_stmt: &Stmt, body: &Stmt) {
-        // Condition / init evaluated once before the first iteration.
-        self.process_accesses(loop_stmt, None);
-        // Two passes over the body expose loop-carried cross-space
-        // dependencies (the second pass starts from the state the first one
-        // produced).
-        for _ in 0..2 {
-            self.loop_stack.push(loop_stmt.id);
-            self.walk_stmt(body);
-            // Condition / increment re-evaluated at the end of each
-            // iteration: dependencies found here must be satisfied at the end
-            // of the loop body (Section IV-F rewriter rules).
-            self.process_accesses(loop_stmt, Some((loop_stmt.id, last_body_stmt(body))));
-            self.loop_stack.pop();
-        }
-    }
-
-    /// Process the accesses attributed directly to `stmt`. When
-    /// `loop_cond` is set, the accesses come from a loop condition
-    /// re-evaluation and dependency fixes anchor to the end of the loop body.
-    fn process_accesses(&mut self, stmt: &Stmt, loop_cond: Option<(NodeId, NodeId)>) {
-        let list: Vec<_> = self.accesses.for_stmt(stmt.id).cloned().collect();
-        for access in list {
-            if !self.mapped.contains(&access.var) {
-                continue;
-            }
-            if access.kind.may_read() {
-                self.handle_read(&access, loop_cond);
-            }
-            if access.kind.may_write() {
-                // A write under a condition (or to a single element) may leave
-                // the rest of the destination holding old data, so the target
-                // space must be current before the write.
-                let stale_target = self
-                    .state
-                    .get(&access.var)
-                    .map(|s| {
-                        if access.on_device {
-                            !s.dev_valid
-                        } else {
-                            !s.host_valid
-                        }
-                    })
-                    .unwrap_or(false);
-                if self.cond_depth > 0 && stale_target && !access.kind.may_read() {
-                    self.handle_read(&access, loop_cond);
-                }
-                self.handle_write(access.var, access.on_device, access.stmt);
-            }
-        }
-    }
-
-    fn handle_read(&mut self, access: &Access, loop_cond: Option<(NodeId, NodeId)>) {
+impl Transfers for PlanTransfers<'_> {
+    fn need(&mut self, access: &Access, st: &VarState, at: Position<'_>) {
         let var = access.var;
-        let on_device = access.on_device;
         let stmt = access.stmt;
-        let st = self.state.get(&var).cloned().unwrap_or_default();
-        if on_device {
-            if st.dev_valid {
-                return;
-            }
+        if access.on_device {
             // True dependency: device needs data valid on the host.
             if !st.host_modified {
                 // Satisfiable by copying at region entry.
                 self.to_entry
                     .entry(var)
-                    .or_insert_with(|| Deciding::of(access));
+                    .or_insert_with(|| Deciding::of(access, st));
             } else {
                 // Needs an update inside the region, placed before the kernel
                 // that performs the read and hoisted as far as validity
                 // allows.
                 let kernel = enclosing_kernel(self.index, stmt).unwrap_or(stmt);
-                let anchor = self.hoist_anchor(kernel, st.last_host_writer);
+                let anchor = self.hoist_anchor(kernel, st.last_host_writer, at.loop_stack);
                 self.push_update(
                     var,
                     UpdateDirection::To,
                     anchor,
                     Placement::Before,
-                    access,
+                    Deciding::of(access, st),
                     ProvenanceFact::HostWriteReachesKernel,
                 );
             }
-            if let Some(s) = self.state.get_mut(&var) {
-                s.dev_valid = true;
-            }
+        } else if at.past_region {
+            self.from_exit
+                .entry(var)
+                .or_insert_with(|| Deciding::of(access, st));
+        } else if let Some((_loop_id, body_end)) = at.loop_cond {
+            // Loop-condition read of device-produced data: update at the
+            // end of the loop body.
+            self.push_update(
+                var,
+                UpdateDirection::From,
+                body_end,
+                Placement::After,
+                Deciding::of(access, st),
+                ProvenanceFact::LoopBoundaryHostRead,
+            );
         } else {
-            if st.host_valid {
-                return;
-            }
-            if self.past_region {
-                self.from_exit
-                    .entry(var)
-                    .or_insert_with(|| Deciding::of(access));
-            } else if let Some((_loop_id, body_end)) = loop_cond {
-                // Loop-condition read of device-produced data: update at the
-                // end of the loop body.
-                self.push_update(
-                    var,
-                    UpdateDirection::From,
-                    body_end,
-                    Placement::After,
-                    access,
-                    ProvenanceFact::LoopBoundaryHostRead,
-                );
-            } else {
-                let anchor = self.hoist_anchor(stmt, st.last_dev_writer);
-                self.push_update(
-                    var,
-                    UpdateDirection::From,
-                    anchor,
-                    Placement::Before,
-                    access,
-                    ProvenanceFact::HostReadBetweenKernels,
-                );
-            }
-            if let Some(s) = self.state.get_mut(&var) {
-                s.host_valid = true;
-            }
+            let anchor = self.hoist_anchor(stmt, st.last_dev_writer, at.loop_stack);
+            self.push_update(
+                var,
+                UpdateDirection::From,
+                anchor,
+                Placement::Before,
+                Deciding::of(access, st),
+                ProvenanceFact::HostReadBetweenKernels,
+            );
         }
     }
+}
 
-    fn handle_write(&mut self, var: Symbol, on_device: bool, stmt: NodeId) {
-        let region_entered = self.region_entered;
-        if let Some(s) = self.state.get_mut(&var) {
-            if on_device {
-                s.dev_valid = true;
-                s.host_valid = false;
-                s.last_dev_writer = Some(stmt);
-            } else {
-                s.host_valid = true;
-                s.dev_valid = false;
-                s.last_host_writer = Some(stmt);
-                if region_entered {
-                    s.host_modified = true;
-                }
-            }
-        }
-    }
-
+impl PlanTransfers<'_> {
     /// Hoist an update directive out of every enclosing loop that does not
     /// contain the statement that produced the needed data.
-    fn hoist_anchor(&self, need_at: NodeId, producer: Option<NodeId>) -> NodeId {
+    fn hoist_anchor(
+        &self,
+        need_at: NodeId,
+        producer: Option<NodeId>,
+        loop_stack: &[NodeId],
+    ) -> NodeId {
         if !self.options.hoist_updates {
             return need_at;
         }
@@ -1307,7 +1200,7 @@ impl Walker<'_> {
         // outermost loop on the current walk stack that does not contain the
         // producer.
         for loop_id in self.index.enclosing_loops(need_at) {
-            if !self.loop_stack.contains(loop_id) {
+            if !loop_stack.contains(loop_id) {
                 // A loop that encloses the need in the AST but is not on the
                 // dynamic walk stack cannot happen for structured code; skip
                 // defensively.
@@ -1327,7 +1220,7 @@ impl Walker<'_> {
         direction: UpdateDirection,
         anchor: NodeId,
         placement: Placement,
-        deciding: &Access,
+        deciding: Deciding,
         fact: ProvenanceFact,
     ) {
         let key = (var, direction, anchor, placement);
@@ -1337,40 +1230,10 @@ impl Walker<'_> {
                 direction,
                 anchor,
                 placement,
-                deciding: Deciding::of(deciding),
+                deciding,
                 fact,
             });
         }
-    }
-}
-
-fn merge_states(
-    a: &HashMap<Symbol, VarState>,
-    b: &HashMap<Symbol, VarState>,
-) -> HashMap<Symbol, VarState> {
-    let mut out = HashMap::new();
-    for (var, sa) in a {
-        let sb = b.get(var).cloned().unwrap_or_default();
-        out.insert(
-            *var,
-            VarState {
-                host_valid: sa.host_valid && sb.host_valid,
-                dev_valid: sa.dev_valid && sb.dev_valid,
-                host_modified: sa.host_modified || sb.host_modified,
-                last_host_writer: sa.last_host_writer.or(sb.last_host_writer),
-                last_dev_writer: sa.last_dev_writer.or(sb.last_dev_writer),
-            },
-        );
-    }
-    out
-}
-
-/// The last direct child statement of a loop body (used as the anchor for
-/// end-of-body update placement).
-fn last_body_stmt(body: &Stmt) -> NodeId {
-    match &body.kind {
-        StmtKind::Compound(items) => items.last().map(|s| s.id).unwrap_or(body.id),
-        _ => body.id,
     }
 }
 
@@ -1409,14 +1272,12 @@ mod tests {
         augment_with_call_effects(&mut acc, &unit, &summaries, false);
         let mut diags = Diagnostics::new();
         let plan = plan_function(
-            &unit,
             func,
             graphs.function(func_name).unwrap(),
             &acc,
             all_sym.get(&Symbol::intern(func_name)).unwrap(),
             &options,
             &mut diags,
-            None,
         )
         .expect("function should produce a plan");
         (plan, unit)
@@ -1775,14 +1636,12 @@ int main() {
         let acc = FunctionAccesses::collect(func, &graphs.function("main").unwrap().index, &sym);
         let mut diags = Diagnostics::new();
         let _ = plan_function(
-            &unit,
             func,
             graphs.function("main").unwrap(),
             &acc,
             &sym,
             &DataflowOptions::default(),
             &mut diags,
-            None,
         );
         assert!(
             diags.has_errors(),
@@ -1840,6 +1699,97 @@ int main() {
         for p in plan.provenances() {
             assert!(p.span.is_some(), "{p:?}");
         }
+
+        // Decisions an ordered call-site fact made say so.
+        let src = "\
+#define N 16
+double t[N];
+double in[N];
+double out[N];
+double stage(int s) {
+  double sum = 0.0;
+  for (int i = 0; i < N; i++) in[i] = i + s;
+  #pragma omp target teams distribute parallel for
+  for (int i = 0; i < N; i++) t[i] = in[i] * 2.0;
+  #pragma omp target teams distribute parallel for
+  for (int i = 0; i < N; i++) out[i] = t[i] + 1.0;
+  for (int i = 0; i < N; i++) sum += out[i];
+  return sum;
+}
+int main() {
+  double sum = 0.0;
+  for (int s = 0; s < 3; s++) {
+    #pragma omp target teams distribute parallel for
+    for (int i = 0; i < N; i++) out[i] = s;
+    sum += stage(s);
+    #pragma omp target teams distribute parallel for
+    for (int i = 0; i < N; i++) out[i] += 1.0;
+  }
+  printf(\"%f\\n\", sum);
+  return 0;
+}
+";
+        let (plan, _unit) = plan_for(src, "main");
+        assert!(plan.fully_justified(), "{plan:#?}");
+        // `t`: the callee writes it on the device before it reads it, and
+        // nothing after the region reads it.
+        let t = plan.map_for("t").unwrap();
+        assert_eq!(t.map_type, MapType::Alloc);
+        assert_eq!(t.provenance.fact, ProvenanceFact::DeadExitCopy);
+        let detail = &t.provenance.detail;
+        assert!(
+            detail.contains("`stage` writes `t` on the device before reading it"),
+            "{detail}"
+        );
+        assert!(
+            detail.contains("nothing that runs after the region reads it")
+                && detail.contains("which call only `printf`"),
+            "{detail}"
+        );
+        assert!(!detail.contains("whole-program liveness"), "{detail}");
+        assert!(plan.updates.is_empty(), "{:?}", plan.updates);
+
+        // The callee keeps its own flow when `main` holds the data: one
+        // update outside its region per crossing, each with its own fact
+        // and the in-function access on the other side of it.
+        let (plan, _unit) = plan_for(src, "stage");
+        assert!(plan.fully_justified(), "{plan:#?}");
+        let file_text = |p: &Provenance| {
+            let span = p.span.expect("a span");
+            src[span.start as usize..span.end as usize].to_string()
+        };
+        let [to] = plan.updates_for("in")[..] else {
+            panic!("{:?}", plan.updates);
+        };
+        assert_eq!(to.direction, UpdateDirection::To);
+        assert_eq!(
+            (to.anchor, to.placement),
+            (plan.region_start.unwrap(), Placement::Before)
+        );
+        assert_eq!(to.provenance.fact, ProvenanceFact::FlowWhenDataPresent);
+        assert_eq!(
+            to.provenance.detail,
+            "`stage` writes `in` on the host before its region"
+        );
+        assert!(file_text(&to.provenance).contains("in[i] = i + s"));
+        let [from] = plan.updates_for("out")[..] else {
+            panic!("{:?}", plan.updates);
+        };
+        assert_eq!(from.direction, UpdateDirection::From);
+        assert_eq!(
+            (from.anchor, from.placement),
+            (plan.region_end.unwrap(), Placement::After)
+        );
+        assert_eq!(from.provenance.fact, ProvenanceFact::FlowWhenDataPresent);
+        assert_eq!(
+            from.provenance.detail,
+            "`stage` reads `out` on the host after its region"
+        );
+        assert!(file_text(&from.provenance).contains("sum += out[i]"));
+        // The clauses are what they were: the updates come on top.
+        assert_eq!(plan.map_for("in").unwrap().map_type, MapType::To);
+        assert_eq!(plan.map_for("out").unwrap().map_type, MapType::From);
+        assert!(plan.updates_for("t").is_empty());
     }
 
     /// Update directives are justified by the read that forced them.
@@ -2024,14 +1974,12 @@ void f() {
         let acc = FunctionAccesses::collect(func, &graphs.function("add").unwrap().index, &sym);
         let mut diags = Diagnostics::new();
         let plan = plan_function(
-            &unit,
             func,
             graphs.function("add").unwrap(),
             &acc,
             &sym,
             &DataflowOptions::default(),
             &mut diags,
-            None,
         );
         assert!(plan.is_none());
     }

@@ -5,8 +5,8 @@
 //! — is large, derived from the source text, and needed only to *plan* the
 //! unit. Its *interface* — [`UnitExports`] — is what every other unit's
 //! analysis reads: per defined function its name, its seed summary, its call
-//! sites as the fixed point reads them ([`LinkCall`]), the variables it
-//! references and the callees its plans depend on. It is small, holds no
+//! sites as the fixed point reads them ([`LinkCall`]) and the callees its
+//! plans depend on. It is small, holds no
 //! node id, span or symbol table, and is a pure function of the unit's bytes
 //! and the analysis options, so it is persisted ([`UnitExports::encode`],
 //! the store's interface record) and a restart links a program from
@@ -20,17 +20,15 @@
 //! like the store's key, is of the content alone and a renamed or copied
 //! file decodes its own.
 
-use crate::dataflow::function_referenced_vars;
 use crate::interproc::{
     visible_globals, ArgTarget, Effect, FunctionSummary, LinkArg, LinkCall, PropagationNode,
 };
-use crate::pipeline::{callee_keys, effect_byte, summary_fingerprint, CalleeKey, Fnv, UnitBody};
-use crate::program::ExternalRefs;
+use crate::pipeline::{callee_keys, summary_fingerprint, CalleeKey, Fnv, UnitBody};
 use crate::OmpDartOptions;
 use ompdart_frontend::intern::FnvBuild;
 use ompdart_frontend::Symbol;
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// The unit-private symbol a cross-unit `static` function links under:
@@ -47,9 +45,8 @@ pub(crate) fn is_mangled(resolved: Symbol) -> bool {
 }
 
 /// What one translation unit exports to the rest of the program: for every
-/// defined function its prototype shape, its *local* interprocedural
-/// summary, and the set of variables its body references (whole-program
-/// liveness input). The [`ExportedInterface::fingerprint`] is stable across
+/// defined function its prototype shape and its *local* interprocedural
+/// summary. The [`ExportedInterface::fingerprint`] is stable across
 /// edits that do not change any of those facts — which is precisely when
 /// other units' cached plans remain valid.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -58,8 +55,8 @@ pub struct ExportedInterface {
     pub unit: String,
     /// Names of the functions the unit defines, in source order.
     pub functions: Vec<String>,
-    /// Stable fingerprint of the exported surface: function prototypes,
-    /// local summaries, and referenced-variable sets.
+    /// Stable fingerprint of the exported surface: function prototypes and
+    /// local summaries.
     pub fingerprint: u64,
 }
 
@@ -71,7 +68,7 @@ impl ExportedInterface {
 }
 
 /// The fingerprint of a parsed unit's exported surface.
-fn surface_fingerprint(body: &UnitBody, refs: &BTreeMap<Symbol, Arc<BTreeSet<String>>>) -> u64 {
+fn surface_fingerprint(body: &UnitBody) -> u64 {
     // Hash in name order so the fingerprint is insensitive to function
     // reordering that changes nothing observable.
     let mut sorted: Vec<&ompdart_frontend::ast::FunctionDef> =
@@ -85,9 +82,8 @@ fn surface_fingerprint(body: &UnitBody, refs: &BTreeMap<Symbol, Arc<BTreeSet<Str
             h.write(&[u8::from(p.is_const_pointee)]);
         }
         h.write(&[u8::from(f.is_variadic)]);
-        // Unit-private `static` functions are invisible to other units'
-        // call resolution but still participate in whole-program
-        // liveness, so the storage class is part of the surface.
+        // A `static` function links under a unit-private name, so the
+        // storage class is part of the surface.
         h.write(&[u8::from(f.is_static)]);
         match body.summaries.summaries.summary(f.name) {
             Some(s) => {
@@ -95,11 +91,6 @@ fn surface_fingerprint(body: &UnitBody, refs: &BTreeMap<Symbol, Arc<BTreeSet<Str
                 h.write_u64(summary_fingerprint(s));
             }
             None => h.write(&[0]),
-        }
-        if let Some(vars) = refs.get(&f.name) {
-            for var in vars.iter() {
-                h.write_str(var);
-            }
         }
         h.write(&[0xfe]);
     }
@@ -131,9 +122,6 @@ pub(crate) struct ExportedFunction {
     pub(crate) source: Symbol,
     /// Link-resolved name: `name@unit` for statics, `source` otherwise.
     pub(crate) resolved: Symbol,
-    /// The variables the body references (whole-program liveness input),
-    /// `Arc`-shared with the program-wide map.
-    pub(crate) refs: Arc<BTreeSet<String>>,
     /// The function's direct callees: what the unit's imports fingerprint,
     /// and the function's own plan key, hash against the converged
     /// summaries.
@@ -164,7 +152,6 @@ impl ExportedFunction {
 pub(crate) struct FunctionParts {
     pub(crate) name: Symbol,
     pub(crate) is_static: bool,
-    pub(crate) refs: Arc<BTreeSet<String>>,
     pub(crate) callees: Vec<CalleeKey>,
     /// Seed summary and call sites, under source-level names.
     pub(crate) link: Option<(Arc<FunctionSummary>, Vec<LinkCall>)>,
@@ -178,14 +165,10 @@ pub(crate) struct FunctionParts {
 /// from the store, they do not run at all.
 #[derive(Debug, PartialEq)]
 pub struct UnitExports {
-    /// The unit's exported interface (prototypes, summaries, refs).
+    /// The unit's exported interface (prototypes, summaries).
     pub(crate) interface: Arc<ExportedInterface>,
     /// Every defined function, in source order.
     pub(crate) functions: Vec<ExportedFunction>,
-    /// Referenced variables per defined function, keyed by *resolved* name
-    /// (statics mangled) — exactly the entries the program-wide
-    /// `extern_refs` map takes, values `Arc`-shared.
-    pub(crate) resolved_refs: ExternalRefs,
     /// `(source, mangled)` for the unit's `static` functions (the
     /// static-shadowing summary views read these).
     pub(crate) statics_mangled: Vec<(Symbol, Symbol)>,
@@ -193,20 +176,13 @@ pub struct UnitExports {
     /// unknown callee clobbers in pessimistic-globals mode, and empty when
     /// that mode is off.
     pub(crate) globals: Vec<Symbol>,
-    /// True when the unit defines `main`, the one consumer of the
-    /// program-wide referenced-variable map.
-    pub(crate) defines_main: bool,
 }
 
 impl UnitExports {
     /// The interface of a unit parsed this run.
     pub(crate) fn of(unit: &str, body: &UnitBody, options: &OmpDartOptions) -> UnitExports {
         let ast = &body.parsed.unit;
-        let refs: BTreeMap<Symbol, Arc<BTreeSet<String>>> = ast
-            .functions()
-            .map(|f| (f.name, Arc::new(function_referenced_vars(f))))
-            .collect();
-        let fingerprint = surface_fingerprint(body, &refs);
+        let fingerprint = surface_fingerprint(body);
         let globals = match options.pessimistic_globals {
             true => visible_globals(ast),
             false => Vec::new(),
@@ -222,7 +198,6 @@ impl UnitExports {
             FunctionParts {
                 name: f.name,
                 is_static: f.is_static,
-                refs: Arc::clone(&refs[&f.name]),
                 callees: callee_keys(f.name, &body.accesses, ast),
                 link: link(),
             }
@@ -278,7 +253,6 @@ impl UnitExports {
                 ExportedFunction {
                     source: f.name,
                     resolved,
-                    refs: f.refs,
                     callees: f.callees,
                     link,
                 }
@@ -286,10 +260,6 @@ impl UnitExports {
             .collect();
         UnitExports {
             interface,
-            resolved_refs: (functions.iter())
-                .map(|f| (f.resolved, Arc::clone(&f.refs)))
-                .collect(),
-            defines_main: functions.iter().any(|f| f.source == "main"),
             functions,
             statics_mangled,
             globals,
@@ -348,7 +318,7 @@ impl UnitExports {
             out.push(b' ');
             out.extend_from_slice(&digits[at..]);
         }
-        let effect = |e: &Effect| usize::from(effect_byte(*e));
+        let effect = |e: &Effect| usize::from(e.byte());
         out.extend_from_slice(format!("{:x}", self.interface.fingerprint).as_bytes());
         number(out, self.functions.len());
         number(out, self.globals.len());
@@ -359,10 +329,6 @@ impl UnitExports {
             let flags = u8::from(f.source != f.resolved) | u8::from(f.link.is_some()) << 1;
             out.extend_from_slice(&[b'\n', b'0' + flags]);
             name(out, &f.source)?;
-            number(out, f.refs.len());
-            for var in f.refs.iter() {
-                name(out, var)?;
-            }
             number(out, f.callees.len());
             for callee in &f.callees {
                 name(out, &callee.name)?;
@@ -430,15 +396,7 @@ impl UnitExports {
                 _ => None,
             }
         }
-        let effect = |token: Option<&str>| -> Option<Effect> {
-            let bits: u8 = number(token).filter(|bits| *bits < 16)?;
-            Some(Effect {
-                host_read: bits & 1 != 0,
-                host_write: bits & 2 != 0,
-                device_read: bits & 4 != 0,
-                device_write: bits & 8 != 0,
-            })
-        };
+        let effect = |token: Option<&str>| number::<u8>(token).map(Effect::from_byte);
         let fingerprint = u64::from_str_radix(token()?, 16).ok()?;
         let function_count: usize = number(token())?;
         let global_count: usize = number(token())?;
@@ -449,10 +407,6 @@ impl UnitExports {
         for _ in 0..function_count {
             let flags: u8 = number(token()).filter(|flags| *flags < 4)?;
             let name = symbol(token())?;
-            let ref_count: usize = number(token())?;
-            let refs = (0..ref_count)
-                .map(|_| token().map(str::to_string))
-                .collect::<Option<BTreeSet<String>>>()?;
             let callee_count: usize = number(token())?;
             let mut callees = Vec::new();
             for _ in 0..callee_count {
@@ -512,7 +466,6 @@ impl UnitExports {
             functions.push(FunctionParts {
                 name,
                 is_static: flags & 1 != 0,
-                refs: Arc::new(refs),
                 callees,
                 link,
             });

@@ -20,86 +20,212 @@
 //! so that starting from a previous fixed point copies pointers.
 
 use crate::access::{Access, AccessKind, AccessOrigin, CallSite, FunctionAccesses, SymbolTable};
-use ompdart_frontend::ast::{FunctionDef, TranslationUnit};
+use crate::validity::{Position, States, Transfers, VarState, Walker};
+use ompdart_frontend::ast::{FunctionDef, ParamDecl, TranslationUnit};
+use ompdart_frontend::intern::FnvBuild;
 use ompdart_frontend::Symbol;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-/// The effect of a function on one externally visible datum.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Effect {
-    pub host_read: bool,
-    pub host_write: bool,
-    pub device_read: bool,
-    pub device_write: bool,
-}
+/// The effect of a function on one externally visible datum: eight bits.
+///
+/// Four *may* bits say which accesses can happen at all; they decide what a
+/// caller maps, whether a scalar can be `firstprivate`, and `has_kernels`.
+/// Four more carry the *order* a call site needs to stand in its caller's
+/// data flow for the access sequence it summarises:
+///
+/// * an **exposed read** on a side (may, joins by ∨) — some path reads the
+///   datum there while that side still holds nothing the function itself
+///   made current, so the value the function was *entered* with is observed
+///   and whoever calls it has to have it current on that side. A write under
+///   a condition counts as a read of its target. A read that follows the
+///   function's own write on the other side is not exposed: the function's
+///   plan moves the value across itself;
+/// * an **exit-current** side (must, meets by ∧) — on every path to every
+///   return that side holds the datum's current value.
+///
+/// The byte is what fingerprints hash and the interface encoding spells
+/// ([`Effect::byte`]), and a call site's replayed accesses each carry it
+/// ([`AccessOrigin::Callee`]).
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+pub struct Effect(u8);
 
 impl Effect {
-    /// True if no access was recorded.
-    pub fn is_empty(&self) -> bool {
-        !(self.host_read || self.host_write || self.device_read || self.device_write)
+    pub const HOST_READ: Effect = Effect(1);
+    pub const HOST_WRITE: Effect = Effect(1 << 1);
+    pub const DEVICE_READ: Effect = Effect(1 << 2);
+    pub const DEVICE_WRITE: Effect = Effect(1 << 3);
+    pub const HOST_EXPOSED: Effect = Effect(1 << 4);
+    pub const DEVICE_EXPOSED: Effect = Effect(1 << 5);
+    pub const HOST_CURRENT: Effect = Effect(1 << 6);
+    pub const DEVICE_CURRENT: Effect = Effect(1 << 7);
+
+    const MAY: u8 = 0x0f;
+    const EXPOSED: u8 = 0x30;
+    const CURRENT: u8 = 0xc0;
+    const NAMES: [&'static str; 8] = [
+        "host_read",
+        "host_write",
+        "device_read",
+        "device_write",
+        "host_exposed",
+        "device_exposed",
+        "host_current",
+        "device_current",
+    ];
+
+    /// The eight bits.
+    pub fn byte(self) -> u8 {
+        self.0
     }
 
-    /// Merge another effect into this one; returns true if anything changed.
-    pub fn merge(&mut self, other: Effect) -> bool {
+    /// The inverse of [`Self::byte`].
+    pub fn from_byte(byte: u8) -> Effect {
+        Effect(byte)
+    }
+
+    /// True if every bit of `bits` is set.
+    pub fn has(self, bits: Effect) -> bool {
+        self.0 & bits.0 == bits.0
+    }
+
+    /// Set (`on`) or clear the bits of `bits`.
+    pub fn set(&mut self, bits: Effect, on: bool) {
+        match on {
+            true => self.0 |= bits.0,
+            false => self.0 &= !bits.0,
+        }
+    }
+
+    pub fn host_read(self) -> bool {
+        self.has(Effect::HOST_READ)
+    }
+
+    pub fn host_write(self) -> bool {
+        self.has(Effect::HOST_WRITE)
+    }
+
+    pub fn device_read(self) -> bool {
+        self.has(Effect::DEVICE_READ)
+    }
+
+    pub fn device_write(self) -> bool {
+        self.has(Effect::DEVICE_WRITE)
+    }
+
+    pub fn host_exposed(self) -> bool {
+        self.has(Effect::HOST_EXPOSED)
+    }
+
+    pub fn device_exposed(self) -> bool {
+        self.has(Effect::DEVICE_EXPOSED)
+    }
+
+    pub fn host_current(self) -> bool {
+        self.has(Effect::HOST_CURRENT)
+    }
+
+    pub fn device_current(self) -> bool {
+        self.has(Effect::DEVICE_CURRENT)
+    }
+
+    /// True if no access was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.0 & Effect::MAY == 0
+    }
+
+    /// Merge the effect of a callee into the effect of its caller, wherever
+    /// in the caller the call is made; returns true if anything changed.
+    /// May bits and exposed reads join; a side stays exit-current only if
+    /// no callee may write the other one.
+    pub fn merge(&mut self, callee: Effect) -> bool {
         let before = *self;
-        self.host_read |= other.host_read;
-        self.host_write |= other.host_write;
-        self.device_read |= other.device_read;
-        self.device_write |= other.device_write;
+        self.0 |= callee.0 & (Effect::MAY | Effect::EXPOSED);
+        if callee.device_write() {
+            self.set(Effect::HOST_CURRENT, false);
+        }
+        if callee.host_write() {
+            self.set(Effect::DEVICE_CURRENT, false);
+        }
         *self != before
     }
 
-    /// Record a single access.
-    pub fn record(&mut self, kind: AccessKind, on_device: bool) -> bool {
-        let mut add = Effect::default();
+    /// Record that a single access may happen.
+    pub fn record(&mut self, kind: AccessKind, on_device: bool) {
+        let (read, write) = match on_device {
+            true => (Effect::DEVICE_READ, Effect::DEVICE_WRITE),
+            false => (Effect::HOST_READ, Effect::HOST_WRITE),
+        };
         if kind.may_read() {
-            if on_device {
-                add.device_read = true;
-            } else {
-                add.host_read = true;
-            }
+            self.set(read, true);
         }
         if kind.may_write() {
-            if on_device {
-                add.device_write = true;
-            } else {
-                add.host_write = true;
-            }
+            self.set(write, true);
         }
-        self.merge(add)
     }
 
-    /// Convert to the access kinds this effect implies, as (host, device).
-    pub fn as_access_kinds(&self) -> (Option<AccessKind>, Option<AccessKind>) {
-        let combine = |read: bool, write: bool| match (read, write) {
-            (false, false) => None,
-            (true, false) => Some(AccessKind::Read),
-            (false, true) => Some(AccessKind::Write),
-            (true, true) => Some(AccessKind::ReadWrite),
-        };
-        (
-            combine(self.host_read, self.host_write),
-            combine(self.device_read, self.device_write),
-        )
-    }
-
-    /// The maximally pessimistic effect (read + write on the host).
+    /// The maximally pessimistic effect (read, then write, on the host).
     pub fn pessimistic_host() -> Effect {
-        Effect {
-            host_read: true,
-            host_write: true,
-            ..Default::default()
-        }
+        Effect::read_only_host() | Effect::HOST_WRITE
     }
 
     /// A host read-only effect (used for `const` pointer parameters).
     pub fn read_only_host() -> Effect {
-        Effect {
-            host_read: true,
-            ..Default::default()
+        Effect::HOST_READ | Effect::HOST_EXPOSED
+    }
+
+    /// The conservative corner of the order bits, for a function whose body
+    /// says nothing reliable about order (a recursive component): every
+    /// read may be exposed and no side is proved current at the exit.
+    fn conservative(self) -> Effect {
+        let mut corner = Effect(self.0 & !Effect::CURRENT);
+        corner.set(
+            Effect::HOST_EXPOSED,
+            self.host_exposed() || self.host_read(),
+        );
+        corner.set(
+            Effect::DEVICE_EXPOSED,
+            self.device_exposed() || self.device_read(),
+        );
+        corner
+    }
+
+    /// True when a call site's replayed write on one side is the last one
+    /// it replays *and* the summary proves the other side current at the
+    /// callee's exit too (see [`augment_with_call_effects`]).
+    pub(crate) fn settles_other_side(self, on_device: bool) -> bool {
+        let (last_on_device, other_current) = match on_device {
+            true => (self.device_write_is_last(), self.host_current()),
+            false => (!self.device_write_is_last(), self.device_current()),
+        };
+        last_on_device && other_current
+    }
+
+    /// The order a call site replays its writes in: the device last, as
+    /// before there was an order — unless only the host is proved current at
+    /// the exit.
+    fn device_write_is_last(self) -> bool {
+        match self.host_write() && self.device_write() {
+            true => !self.host_current() || self.device_current(),
+            false => self.device_write(),
         }
+    }
+}
+
+impl std::ops::BitOr for Effect {
+    type Output = Effect;
+
+    fn bitor(self, other: Effect) -> Effect {
+        Effect(self.0 | other.0)
+    }
+}
+
+impl std::fmt::Debug for Effect {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let set = (0..8).filter(|bit| self.0 >> bit & 1 != 0);
+        let names: Vec<&str> = set.map(|bit| Effect::NAMES[bit]).collect();
+        write!(f, "Effect({})", names.join(" | "))
     }
 }
 
@@ -179,6 +305,11 @@ const PURE_BUILTINS: &[&str] = &[
     "exit",
 ];
 
+/// True for a library function of [`PURE_BUILTINS`].
+pub(crate) fn is_pure_builtin(name: Symbol) -> bool {
+    PURE_BUILTINS.contains(&name.as_str())
+}
+
 /// The *local* (direct-effect) summary of one function: what its own
 /// expressions do to parameters and globals, before any call-site
 /// propagation. This is the per-function seed of the interprocedural fixed
@@ -197,19 +328,94 @@ pub fn seed_summary(
             || acc.calls.iter().any(|c| c.on_device),
     };
     for access in &acc.accesses {
-        if let Some(idx) = param_index(func, access.var) {
-            if sym.is_aggregate(access.var) {
-                summary.param_effects[idx].record(access.kind, access.on_device);
-            }
-        } else if sym.is_global(access.var) {
-            summary
-                .global_effects
-                .entry(access.var)
-                .or_default()
-                .record(access.kind, access.on_device);
+        if let Some(effect) = visible_effect(&mut summary, func, sym, access.var) {
+            effect.record(access.kind, access.on_device);
         }
     }
+    seed_order(&mut summary, func, acc, sym);
     summary
+}
+
+/// The effect slot of `var` in `summary`, if `var` is visible to the callers
+/// of `func`: an aggregate parameter, or a global.
+fn visible_effect<'s>(
+    summary: &'s mut FunctionSummary,
+    func: &FunctionDef,
+    sym: &SymbolTable,
+    var: Symbol,
+) -> Option<&'s mut Effect> {
+    match param_index(func, var) {
+        Some(idx) if sym.is_aggregate(var) => Some(&mut summary.param_effects[idx]),
+        None if sym.is_global(var) => Some(summary.global_effects.entry(var).or_default()),
+        _ => None,
+    }
+}
+
+/// What a cross-space dependency means to the summariser: the read observes
+/// a value no transfer inside the function delivers, so it is *exposed* —
+/// on the side it happens on when nothing in the function has written the
+/// other side (a caller has to have this side current), on the *other* side
+/// when the function may have written there but not on every path (the
+/// function's own transfer then copies from a side only a caller can have
+/// made current).
+#[derive(Default)]
+struct Exposure {
+    /// Per variable: exposed on the host, exposed on the device.
+    exposed: HashMap<Symbol, (bool, bool), FnvBuild>,
+}
+
+impl Transfers for Exposure {
+    fn need(&mut self, read: &Access, state: &VarState, _at: Position<'_>) {
+        let (host, device) = self.exposed.entry(read.var).or_default();
+        let (here, there) = match read.on_device {
+            true => (device, host),
+            false => (host, device),
+        };
+        let (there_written, there_valid) = match read.on_device {
+            true => (state.host_modified, state.host_valid),
+            false => (state.last_dev_writer.is_some(), state.dev_valid),
+        };
+        match there_written {
+            true => *there |= !there_valid,
+            false => *here = true,
+        }
+    }
+}
+
+/// Fill in the order bits of `summary`'s direct effects by running the
+/// planner's validity walk over the function's own accesses from an
+/// all-unknown entry state.
+fn seed_order(
+    summary: &mut FunctionSummary,
+    func: &FunctionDef,
+    acc: &FunctionAccesses,
+    sym: &SymbolTable,
+) {
+    let Some(body) = &func.body else { return };
+    let touched = |(p, e): (&ParamDecl, &Effect)| (!e.is_empty()).then_some(p.name);
+    let params = func.params.iter().zip(&summary.param_effects);
+    let tracked: States = (params.filter_map(touched))
+        .chain(summary.global_effects.keys().copied())
+        .map(|var| (var, VarState::unknown()))
+        .collect();
+    if tracked.is_empty() {
+        return;
+    }
+    // The whole body is the region: a host write anywhere in it is one the
+    // function's own plan moves across.
+    let mut walker = Walker::new(acc, tracked, (body.id, body.id), Exposure::default());
+    walker.walk_stmt(body);
+    let exposed = std::mem::take(&mut walker.transfers.exposed);
+    for (var, exit) in walker.exit_state() {
+        let Some(effect) = visible_effect(summary, func, sym, var) else {
+            continue;
+        };
+        let (host, device) = exposed.get(&var).copied().unwrap_or_default();
+        effect.set(Effect::HOST_EXPOSED, host);
+        effect.set(Effect::DEVICE_EXPOSED, device);
+        effect.set(Effect::HOST_CURRENT, exit.host_valid);
+        effect.set(Effect::DEVICE_CURRENT, exit.dev_valid);
+    }
 }
 
 /// Where a by-reference call argument lands in the *caller's* summary: the
@@ -462,21 +668,7 @@ impl ProgramSummaries {
         clobber_globals: bool,
         threads: usize,
     ) {
-        let index: HashMap<Symbol, usize> = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, node)| (node.name, i))
-            .collect();
-        let adj: Vec<Vec<usize>> = nodes
-            .iter()
-            .map(|node| {
-                node.calls
-                    .iter()
-                    .filter_map(|call| index.get(&call.callee).copied())
-                    .collect()
-            })
-            .collect();
-        let cond = crate::scc::condense(&adj);
+        let cond = crate::scc::condense(&call_graph(nodes));
 
         let mut deepest = 0usize;
         for wavefront in &cond.wavefronts {
@@ -505,13 +697,39 @@ impl ProgramSummaries {
     }
 
     /// The pre-condensation pass loop: a whole-program sweep until no
-    /// summary changes, backing [`Self::propagate_sequential`].
+    /// summary changes, backing [`Self::propagate_sequential`]. The members
+    /// of recursive components then take the conservative corner of the
+    /// order bits, as the wavefront engine makes them, and the sweep runs
+    /// again so their callers see it.
     fn run_passes(
         &mut self,
         nodes: &[PropagationNode<'_>],
         max_passes: usize,
         clobber_globals: bool,
     ) {
+        let cond = crate::scc::condense(&call_graph(nodes));
+        let recursive: Vec<Symbol> = (0..cond.len())
+            .filter(|&c| cond.cyclic[c])
+            .flat_map(|c| cond.members[c].iter().map(|&v| nodes[v].name))
+            .collect();
+        let mut passes = 0;
+        loop {
+            self.sweep(nodes, max_passes, clobber_globals);
+            passes += self.passes;
+            let mut cornered = false;
+            for name in &recursive {
+                if let Some(summary) = self.functions.get_mut(name) {
+                    cornered |= take_conservative_corner(Arc::make_mut(summary));
+                }
+            }
+            if !cornered {
+                break;
+            }
+        }
+        self.passes = passes;
+    }
+
+    fn sweep(&mut self, nodes: &[PropagationNode<'_>], max_passes: usize, clobber_globals: bool) {
         let working = |functions: &HashMap<Symbol, Arc<FunctionSummary>>, name: Symbol| {
             functions
                 .get(&name)
@@ -524,7 +742,7 @@ impl ProgramSummaries {
             for node in nodes {
                 for call in node.calls.iter() {
                     let Some(callee_summary) = self.functions.get(&call.callee).cloned() else {
-                        if clobber_globals && !PURE_BUILTINS.contains(&call.callee.as_str()) {
+                        if clobber_globals && !is_pure_builtin(call.callee) {
                             let mut caller = working(&self.functions, node.name);
                             if merge_unknown_call(&mut caller, node, call.on_device) {
                                 self.functions.insert(node.name, Arc::new(caller));
@@ -595,6 +813,41 @@ impl ProgramSummaries {
     pub fn same_summaries(&self, other: &ProgramSummaries) -> bool {
         self.functions == other.functions
     }
+}
+
+/// The call graph among `nodes` as adjacency lists (calls leaving the node
+/// set are not edges).
+fn call_graph(nodes: &[PropagationNode<'_>]) -> Vec<Vec<usize>> {
+    let index: HashMap<Symbol, usize> = nodes
+        .iter()
+        .enumerate()
+        .map(|(i, node)| (node.name, i))
+        .collect();
+    nodes
+        .iter()
+        .map(|node| {
+            node.calls
+                .iter()
+                .filter_map(|call| index.get(&call.callee).copied())
+                .collect()
+        })
+        .collect()
+}
+
+/// Put every effect of a recursive function's converged summary into the
+/// conservative corner of the order bits: merging call sites without their
+/// position is only as good as the seeds, and a seed walked once says
+/// little about a body that re-enters itself. Returns true if anything
+/// changed.
+fn take_conservative_corner(summary: &mut FunctionSummary) -> bool {
+    let effects = (summary.param_effects.iter_mut()).chain(summary.global_effects.values_mut());
+    let mut changed = false;
+    for effect in effects {
+        let cornered = effect.conservative();
+        changed |= cornered != *effect;
+        *effect = cornered;
+    }
+    changed
 }
 
 /// Merge one known callee's summary into `caller` across `call`. Returns
@@ -724,7 +977,7 @@ fn converge_component(
                     }
                     None => {
                         if clobber_globals
-                            && !PURE_BUILTINS.contains(&call.callee.as_str())
+                            && !is_pure_builtin(call.callee)
                             && merge_unknown_call(&mut caller, node, call.on_device)
                         {
                             caller_changed = true;
@@ -741,18 +994,40 @@ fn converge_component(
             break;
         }
     }
+    if cyclic {
+        for &v in members {
+            let name = nodes[v].name;
+            let (mut summary, was_local) = match local.remove(&name) {
+                Some(summary) => (summary, true),
+                None => match base.get(&name) {
+                    Some(summary) => (FunctionSummary::clone(summary), false),
+                    None => continue,
+                },
+            };
+            if take_conservative_corner(&mut summary) || was_local {
+                local.insert(name, summary);
+            }
+        }
+    }
     (local.into_iter().collect(), passes)
 }
 
 /// Move every host effect to the device (used when the call site itself
-/// executes inside an offloaded region).
+/// executes inside an offloaded region): whatever the callee does, it does
+/// there.
 fn device_shifted(e: Effect) -> Effect {
-    Effect {
-        host_read: false,
-        host_write: false,
-        device_read: e.host_read || e.device_read,
-        device_write: e.host_write || e.device_write,
-    }
+    let mut shifted = Effect::default();
+    shifted.set(Effect::DEVICE_READ, e.host_read() || e.device_read());
+    shifted.set(Effect::DEVICE_WRITE, e.host_write() || e.device_write());
+    shifted.set(
+        Effect::DEVICE_EXPOSED,
+        e.host_exposed() || e.device_exposed(),
+    );
+    shifted.set(
+        Effect::DEVICE_CURRENT,
+        e.host_current() || e.device_current(),
+    );
+    shifted
 }
 
 fn param_index(func: &FunctionDef, var: Symbol) -> Option<usize> {
@@ -764,6 +1039,17 @@ fn param_index(func: &FunctionDef, var: Symbol) -> Option<usize> {
 /// assumptions for unknown ones. Synthetic accesses record their
 /// [`AccessOrigin`] so downstream provenance can distinguish a real summary
 /// (possibly from another translation unit) from the pessimistic fallback.
+///
+/// A call enters its caller's data flow as the access *sequence* its
+/// callee's [`Effect`] summarises: its exposed reads — the only reads that
+/// observe what the caller supplies — followed by its writes, the last of
+/// which leaves the exit state the summary proves (the side proved current
+/// is written last, and settles the other one where both are proved; where
+/// no side is proved the device write goes last, which is what an unordered
+/// summary replayed). Reads the
+/// callee satisfies itself are not replayed: asking the caller for a
+/// transfer on their account would put it *before* the call, ahead of the
+/// write inside the callee that produces the value.
 ///
 /// Returns the number of call sites that hit the pessimistic
 /// unknown-callee fallback (zero when every non-builtin callee resolved to
@@ -786,16 +1072,20 @@ pub fn augment_with_call_effects(
 ) -> usize {
     // Detach the call list while synthesizing accesses (which only appends
     // to `acc.accesses`) instead of deep-cloning every call site.
-    let calls: Vec<CallSite> = std::mem::take(&mut acc.calls);
+    let mut calls: Vec<CallSite> = std::mem::take(&mut acc.calls);
     let mut fallbacks = 0usize;
-    for call in &calls {
+    for call in &mut calls {
+        call.summarised = summaries.summary(call.callee).is_some() || is_pure_builtin(call.callee);
+        let call = &*call;
         // Known callee with a body: apply its summary. The summary may come
         // from this unit or — in a linked whole-program analysis — from
         // another translation unit; record which.
         if let Some(summary) = summaries.summary(call.callee) {
-            let origin = AccessOrigin::Callee {
+            let cross_unit = !unit.functions().any(|f| f.name == call.callee);
+            let origin = |effect| AccessOrigin::Callee {
                 callee: call.callee,
-                cross_unit: !unit.functions().any(|f| f.name == call.callee),
+                cross_unit,
+                effect,
             };
             for (arg_idx, arg) in call.args.iter().enumerate() {
                 if !arg.by_ref {
@@ -807,27 +1097,28 @@ pub fn augment_with_call_effects(
                     .get(arg_idx)
                     .copied()
                     .unwrap_or_default();
-                push_effect_accesses(acc, *var, effect, call, &origin);
+                push_effect_accesses(acc, *var, effect, call, origin);
             }
             // Deterministic order: the synthetic accesses decide the
             // mapped-variable order of the caller's plan, so iterate the
             // globals sorted — never in HashMap order. (`BTreeMap<Symbol>`
             // orders by resolved string, same as the old `String` keys.)
             for (global, effect) in summary.global_effects.iter() {
-                push_effect_accesses(acc, *global, *effect, call, &origin);
+                push_effect_accesses(acc, *global, *effect, call, origin);
             }
             continue;
         }
         // Pure/standard library functions: reads only.
-        if PURE_BUILTINS.contains(&call.callee.as_str()) {
-            let origin = AccessOrigin::Callee {
+        if is_pure_builtin(call.callee) {
+            let origin = |effect| AccessOrigin::Callee {
                 callee: call.callee,
                 cross_unit: false,
+                effect,
             };
             for arg in &call.args {
                 if arg.by_ref {
                     if let Some(var) = &arg.base_var {
-                        push_effect_accesses(acc, *var, Effect::read_only_host(), call, &origin);
+                        push_effect_accesses(acc, *var, Effect::read_only_host(), call, origin);
                     }
                 }
             }
@@ -836,9 +1127,11 @@ pub fn augment_with_call_effects(
         // Unknown external function: maximally pessimistic assumptions,
         // refined by `const` pointer parameters on a visible prototype.
         let proto = unit.all_functions().find(|f| f.name == call.callee);
-        let origin = AccessOrigin::UnknownCallee {
-            callee: call.callee,
-            clobbers_global: false,
+        let origin = |clobbers_global| {
+            move |_| AccessOrigin::UnknownCallee {
+                callee: call.callee,
+                clobbers_global,
+            }
         };
         let mut fell_back = false;
         for (arg_idx, arg) in call.args.iter().enumerate() {
@@ -856,7 +1149,7 @@ pub fn augment_with_call_effects(
                 fell_back = true;
                 Effect::pessimistic_host()
             };
-            push_effect_accesses(acc, *var, effect, call, &origin);
+            push_effect_accesses(acc, *var, effect, call, origin(false));
         }
         // Opt-in: the unknown callee may also touch any global it can name,
         // not just the data it was handed a pointer to.
@@ -864,12 +1157,9 @@ pub fn augment_with_call_effects(
             let globals = visible_globals(unit);
             if !globals.is_empty() {
                 fell_back = true;
-                let origin = AccessOrigin::UnknownCallee {
-                    callee: call.callee,
-                    clobbers_global: true,
-                };
                 for global in globals {
-                    push_effect_accesses(acc, global, Effect::pessimistic_host(), call, &origin);
+                    let effect = Effect::pessimistic_host();
+                    push_effect_accesses(acc, global, effect, call, origin(true));
                 }
             }
         }
@@ -881,38 +1171,58 @@ pub fn augment_with_call_effects(
     fallbacks
 }
 
+/// Replay `call`'s `effect` on `var` as synthetic accesses at the call
+/// statement: exposed reads, then writes. A read directly followed by the
+/// write of the same side is one read-write access, so the common
+/// one-sided effect costs the one record it always did.
 fn push_effect_accesses(
     acc: &mut FunctionAccesses,
     var: Symbol,
     effect: Effect,
     call: &CallSite,
-    origin: &AccessOrigin,
+    origin: impl Fn(Effect) -> AccessOrigin,
 ) {
     let mut effect = effect;
     if call.on_device {
         effect = device_shifted(effect);
     }
-    let (host_kind, device_kind) = effect.as_access_kinds();
-    if let Some(kind) = host_kind {
-        acc.add_synthetic(Access {
-            var,
-            kind,
-            stmt: call.stmt,
-            on_device: false,
-            span: call.span,
-            indices: Vec::new(),
-            origin: origin.clone(),
-        });
+    let host_then_device = [
+        (effect.host_exposed(), effect.host_write(), false),
+        (effect.device_exposed(), effect.device_write(), true),
+    ];
+    let mut writes = host_then_device;
+    if !effect.device_write_is_last() {
+        writes.reverse();
     }
-    if let Some(kind) = device_kind {
+    let reads = (host_then_device.into_iter())
+        .filter_map(|(exposed, _, on_device)| exposed.then_some((AccessKind::Read, on_device)));
+    let writes = (writes.into_iter())
+        .filter_map(|(_, written, on_device)| written.then_some((AccessKind::Write, on_device)));
+    // At most two reads and two writes.
+    let mut steps = [(AccessKind::Read, false); 4];
+    let mut len = 0;
+    for step in reads.chain(writes) {
+        match steps[..len].last_mut() {
+            Some((kind @ AccessKind::Read, side))
+                if *side == step.1 && step.0 == AccessKind::Write =>
+            {
+                *kind = AccessKind::ReadWrite;
+            }
+            _ => {
+                steps[len] = step;
+                len += 1;
+            }
+        }
+    }
+    for (kind, on_device) in steps.into_iter().take(len) {
         acc.add_synthetic(Access {
             var,
             kind,
             stmt: call.stmt,
-            on_device: true,
+            on_device,
             span: call.span,
             indices: Vec::new(),
-            origin: origin.clone(),
+            origin: origin(effect),
         });
     }
 }
@@ -969,12 +1279,12 @@ void top(double *data, int n) {
     fn direct_param_effects() {
         let (summaries, _acc, _unit) = analyze(LAYERED);
         let s = summaries.summary("scale_buffer").unwrap();
-        assert!(s.param_effects[0].host_read);
-        assert!(s.param_effects[0].host_write);
+        assert!(s.param_effects[0].host_read());
+        assert!(s.param_effects[0].host_write());
         let r = summaries.summary("read_weights").unwrap();
-        assert!(r.param_effects[0].host_read);
-        assert!(!r.param_effects[0].host_write);
-        assert!(r.param_effects[1].host_write);
+        assert!(r.param_effects[0].host_read());
+        assert!(!r.param_effects[0].host_write());
+        assert!(r.param_effects[1].host_write());
     }
 
     #[test]
@@ -982,22 +1292,21 @@ void top(double *data, int n) {
         let (summaries, _acc, _unit) = analyze(LAYERED);
         // `outer` writes its param through scale_buffer and read_weights.
         let o = summaries.summary("outer").unwrap();
-        assert!(o.param_effects[0].host_write);
-        assert!(o.param_effects[0].host_read);
+        assert!(o.param_effects[0].host_write());
+        assert!(o.param_effects[0].host_read());
         // ...and reads/writes the global `weights` both directly and through
         // read_weights.
         let weights = Symbol::intern("weights");
-        assert!(o.global_effects.get(&weights).unwrap().host_read);
-        assert!(o.global_effects.get(&weights).unwrap().host_write);
+        assert!(o.global_effects.get(&weights).unwrap().host_read());
+        assert!(o.global_effects.get(&weights).unwrap().host_write());
         // `top` inherits everything through one more level of calls.
         let t = summaries.summary("top").unwrap();
-        assert!(t.param_effects[0].host_write);
-        assert!(
-            t.global_effects
-                .get(&Symbol::intern("weights"))
-                .unwrap()
-                .host_read
-        );
+        assert!(t.param_effects[0].host_write());
+        assert!(t
+            .global_effects
+            .get(&Symbol::intern("weights"))
+            .unwrap()
+            .host_read());
     }
 
     #[test]
@@ -1027,7 +1336,7 @@ void driver(int n) {
         assert!(summaries.summary("launch").unwrap().has_kernels);
         assert!(summaries.summary("driver").unwrap().has_kernels);
         // The kernel access is a device write of the parameter.
-        assert!(summaries.summary("launch").unwrap().param_effects[0].device_write);
+        assert!(summaries.summary("launch").unwrap().param_effects[0].device_write());
     }
 
     #[test]
@@ -1094,12 +1403,276 @@ void f() {
     fn effect_merge_and_kinds() {
         let mut e = Effect::default();
         assert!(e.is_empty());
-        assert!(e.record(AccessKind::Read, false));
-        assert!(!e.record(AccessKind::Read, false));
-        assert!(e.record(AccessKind::Write, true));
-        let (host, dev) = e.as_access_kinds();
-        assert_eq!(host, Some(AccessKind::Read));
-        assert_eq!(dev, Some(AccessKind::Write));
-        assert!(device_shifted(Effect::pessimistic_host()).device_write);
+        e.record(AccessKind::Read, false);
+        e.record(AccessKind::Write, true);
+        assert!(e.host_read() && e.device_write() && !e.host_write() && !e.device_read());
+        assert!(device_shifted(Effect::pessimistic_host()).device_write());
+
+        // May bits and exposed reads join; an exit-current side survives a
+        // callee only if the callee cannot write the other side.
+        let local = Effect::HOST_WRITE
+            | Effect::HOST_CURRENT
+            | Effect::DEVICE_READ
+            | Effect::DEVICE_CURRENT;
+        let reader = Effect::DEVICE_READ | Effect::DEVICE_EXPOSED | Effect::DEVICE_CURRENT;
+        let writer = Effect::DEVICE_WRITE | Effect::DEVICE_CURRENT;
+        let mut merged = local;
+        assert!(merged.merge(reader));
+        assert!(merged.device_exposed() && merged.host_current() && merged.device_current());
+        // Idempotent: merging the same callee again changes nothing.
+        assert!(!merged.merge(reader));
+        assert!(merged.merge(writer));
+        assert!(!merged.host_current() && merged.device_current() && merged.device_write());
+        // The order of the callees does not matter.
+        let mut other_way = local;
+        other_way.merge(writer);
+        other_way.merge(reader);
+        assert_eq!(merged, other_way);
+        // Nothing a callee proves about its own exit makes the caller's
+        // exit current.
+        let mut untouched = Effect::default();
+        untouched.merge(writer);
+        assert!(!untouched.device_current() && !untouched.host_current());
+        // The conservative corner: every read may be exposed, nothing proved.
+        let corner = merged.conservative();
+        assert!(corner.device_exposed() && !corner.host_exposed());
+        assert!(!corner.host_current() && !corner.device_current());
+        assert_eq!(corner.conservative(), corner);
+        // All eight bits survive the byte the interface stores.
+        for byte in 0..=u8::MAX {
+            assert_eq!(Effect::from_byte(byte).byte(), byte);
+        }
+    }
+
+    const KERNEL: &str =
+        "#pragma omp target teams distribute parallel for\n  for (int i = 0; i < 32; i++)";
+
+    fn global_effect(summaries: &ProgramSummaries, func: &str, var: &str) -> Effect {
+        let summary = summaries.summary(func).unwrap();
+        *summary.global_effects.get(&Symbol::intern(var)).unwrap()
+    }
+
+    /// The same may bits, told apart by order: a kernel write followed by a
+    /// kernel read exposes nothing, the other way round the read is exposed.
+    #[test]
+    fn write_then_read_is_not_exposed_and_read_then_write_is() {
+        let src = format!(
+            "double t[32];\ndouble out[32];\n\
+             void write_first() {{\n  {KERNEL} t[i] = i;\n  {KERNEL} out[i] = t[i];\n}}\n\
+             void read_first() {{\n  {KERNEL} out[i] = t[i];\n  {KERNEL} t[i] = i;\n}}\n"
+        );
+        let (summaries, _, _) = analyze(&src);
+        let write_first = global_effect(&summaries, "write_first", "t");
+        let read_first = global_effect(&summaries, "read_first", "t");
+        for e in [write_first, read_first] {
+            assert!(e.device_read() && e.device_write() && !e.host_read() && !e.host_write());
+            assert!(e.device_current() && !e.host_current());
+        }
+        assert!(!write_first.device_exposed());
+        assert!(read_first.device_exposed());
+        assert_ne!(
+            crate::pipeline::summary_fingerprint(summaries.summary("write_first").unwrap()),
+            crate::pipeline::summary_fingerprint(summaries.summary("read_first").unwrap()),
+        );
+    }
+
+    /// A function's own transfer makes the second side current: a host write
+    /// the function's kernel reads is not an exposed device read, and leaves
+    /// both sides current; the same for a kernel write its host code reads.
+    #[test]
+    fn a_read_fed_by_the_functions_own_write_on_the_other_side_is_not_exposed() {
+        let src = format!(
+            "double x[32];\ndouble y[32];\n\
+             void host_then_kernel(int s) {{\n  for (int i = 0; i < 32; i++) x[i] = i + s;\n  {KERNEL} y[i] = x[i];\n}}\n\
+             double kernel_then_host() {{\n  double t = 0.0;\n  {KERNEL} y[i] = x[i];\n  for (int i = 0; i < 32; i++) t += y[i];\n  return t;\n}}\n"
+        );
+        let (summaries, _, _) = analyze(&src);
+        let x = global_effect(&summaries, "host_then_kernel", "x");
+        assert!(x.host_write() && x.device_read() && !x.device_exposed() && !x.host_exposed());
+        assert!(x.host_current() && x.device_current());
+        let y = global_effect(&summaries, "kernel_then_host", "y");
+        assert!(y.device_write() && y.host_read() && !y.host_exposed() && !y.device_exposed());
+        assert!(y.host_current() && y.device_current());
+        // The kernel's read of `x` there is of the value it was entered with.
+        let x = global_effect(&summaries, "kernel_then_host", "x");
+        assert!(x.device_exposed() && x.device_current() && !x.host_current());
+    }
+
+    /// A write under a condition leaves the rest of its target as it was,
+    /// so it reads it: exposed, with no may-read bit, and proving nothing
+    /// about the exit.
+    #[test]
+    fn a_conditional_write_to_a_stale_target_is_an_exposed_read() {
+        let src = "\
+double x[32];
+void maybe(int c) {
+  if (c) {
+    for (int i = 0; i < 32; i++) x[i] = 0.0;
+  }
+}
+void always() {
+  for (int i = 0; i < 32; i++) x[i] = 0.0;
+}
+";
+        let (summaries, _, _) = analyze(src);
+        let maybe = global_effect(&summaries, "maybe", "x");
+        assert!(maybe.host_write() && !maybe.host_read());
+        assert!(maybe.host_exposed() && !maybe.host_current());
+        let always = global_effect(&summaries, "always", "x");
+        assert!(always.host_write() && !always.host_exposed() && always.host_current());
+    }
+
+    /// The two-pass loop walk: a kernel in a loop that updates in place
+    /// reads what the function was entered with; one that produces before
+    /// it consumes does not, whichever iteration it is.
+    #[test]
+    fn kernel_in_loop_order_bits() {
+        let src = format!(
+            "double a[32];\ndouble t[32];\n\
+             void in_place() {{\n  for (int it = 0; it < 4; it++) {{\n    {KERNEL} a[i] += 1.0;\n  }}\n}}\n\
+             void produce_consume() {{\n  for (int it = 0; it < 4; it++) {{\n    {KERNEL} t[i] = it;\n    {KERNEL} a[i] = t[i];\n  }}\n}}\n\
+             void consume_produce() {{\n  for (int it = 0; it < 4; it++) {{\n    {KERNEL} a[i] = t[i];\n    {KERNEL} t[i] = it;\n  }}\n}}\n"
+        );
+        let (summaries, _, _) = analyze(&src);
+        let in_place = global_effect(&summaries, "in_place", "a");
+        assert!(in_place.device_exposed() && in_place.device_current());
+        assert!(!global_effect(&summaries, "produce_consume", "t").device_exposed());
+        assert!(global_effect(&summaries, "consume_produce", "t").device_exposed());
+    }
+
+    /// A call inside a kernel does on the device whatever its callee does.
+    #[test]
+    fn a_call_inside_a_kernel_shifts_the_whole_effect_to_the_device() {
+        let shifted = device_shifted(
+            Effect::HOST_READ | Effect::HOST_WRITE | Effect::HOST_EXPOSED | Effect::HOST_CURRENT,
+        );
+        assert_eq!(
+            shifted,
+            Effect::DEVICE_READ
+                | Effect::DEVICE_WRITE
+                | Effect::DEVICE_EXPOSED
+                | Effect::DEVICE_CURRENT
+        );
+        let src = format!(
+            "double a[32];\n\
+             void bump(double *p, int i) {{\n  p[i] = p[i] + 1.0;\n}}\n\
+             void driver() {{\n  {KERNEL} bump(a, i);\n}}\n"
+        );
+        let (summaries, mut accesses, unit) = analyze(&src);
+        let bump = summaries.summary("bump").unwrap().param_effects[0];
+        assert!(
+            bump.host_read() && bump.host_write() && bump.host_exposed() && bump.host_current()
+        );
+        let a = global_effect(&summaries, "driver", "a");
+        assert!(a.device_read() && a.device_write() && a.device_exposed());
+        assert!(!a.host_read() && !a.host_write() && !a.host_exposed());
+        // Replayed at the call: an exposed device read, then a device write
+        // — one read-write access, nothing in between.
+        let driver = accesses.get_mut(&Symbol::intern("driver")).unwrap();
+        augment_with_call_effects(driver, &unit, &summaries, false);
+        let replayed: Vec<_> = (driver.accesses.iter())
+            .filter(|access| access.var == "a" && access.origin != AccessOrigin::Direct)
+            .map(|access| (access.kind, access.on_device))
+            .collect();
+        assert_eq!(replayed, [(AccessKind::ReadWrite, true)]);
+    }
+
+    /// The corners that know nothing about order: an unknown callee reads,
+    /// then writes, on the host and proves nothing; a `const` pointee is an
+    /// exposed host read; pessimistic globals put the same read-then-write
+    /// on every global, in the summary and at the call site.
+    #[test]
+    fn unknown_callee_const_pointee_and_pessimistic_globals_corners() {
+        assert_eq!(
+            Effect::pessimistic_host(),
+            Effect::HOST_READ | Effect::HOST_WRITE | Effect::HOST_EXPOSED
+        );
+        assert_eq!(
+            Effect::read_only_host(),
+            Effect::HOST_READ | Effect::HOST_EXPOSED
+        );
+        let src = "\
+double g[32];
+void opaque(double *buf, int n);
+void inspect(const double *buf, int n);
+void f(double *data, int n) {
+  opaque(data, n);
+  inspect(data, n);
+}
+";
+        let (summaries, accesses, unit) = analyze(src);
+        let replay = |clobber: bool, var: &str| -> Vec<AccessKind> {
+            let mut f = accesses[&Symbol::intern("f")].clone();
+            augment_with_call_effects(&mut f, &unit, &summaries, clobber);
+            let synthetic = f.accesses.iter().filter(|access| access.var == var);
+            synthetic.map(|access| access.kind).collect()
+        };
+        assert_eq!(
+            replay(false, "data"),
+            [AccessKind::ReadWrite, AccessKind::Read]
+        );
+        assert!(replay(false, "g").is_empty());
+        assert_eq!(
+            replay(true, "g"),
+            [AccessKind::ReadWrite, AccessKind::ReadWrite]
+        );
+        // The clobber is part of the caller's summary too.
+        let graphs = ProgramGraphs::build(&unit);
+        let func = unit.function("f").unwrap();
+        let sym = SymbolTable::build(&unit, func);
+        let acc = FunctionAccesses::collect(func, &graphs.function("f").unwrap().index, &sym);
+        let seed = Arc::new(seed_summary(func, &acc, &sym));
+        let globals = visible_globals(&unit);
+        let node = PropagationNode::build(func.name, func, &acc, &sym, &globals);
+        let seeds = HashMap::from([(func.name, seed)]);
+        let clobbered = ProgramSummaries::propagate(&[node], seeds, 8, true, 1);
+        assert_eq!(
+            global_effect(&clobbered, "f", "g"),
+            Effect::pessimistic_host()
+        );
+    }
+
+    /// A mutually recursive pair: walked once, a body that re-enters itself
+    /// says little about order, so both take the conservative corner — and
+    /// the fixed point still converges, the same in both engines.
+    #[test]
+    fn a_mutually_recursive_pair_takes_the_conservative_corner_and_converges() {
+        let src = format!(
+            "double t[32];\ndouble out[32];\n\
+             void pong(int n);\n\
+             void ping(int n) {{\n  {KERNEL} t[i] = n;\n  if (n > 0) pong(n - 1);\n}}\n\
+             void pong(int n) {{\n  {KERNEL} out[i] = t[i];\n  if (n > 0) ping(n - 1);\n}}\n\
+             void top() {{\n  ping(3);\n}}\n"
+        );
+        let (summaries, accesses, unit) = analyze(&src);
+        assert!(summaries.passes <= 4, "took {} passes", summaries.passes);
+        for func in ["ping", "pong"] {
+            let t = global_effect(&summaries, func, "t");
+            assert!(t.device_read() && t.device_write(), "{func}: {t:?}");
+            assert!(t.device_exposed(), "{func}: every read may be exposed");
+            assert!(
+                !t.device_current() && !t.host_current(),
+                "{func}: nothing proved"
+            );
+        }
+        // The caller outside the component sees the cornered summary.
+        assert!(global_effect(&summaries, "top", "t").device_exposed());
+        // Alone, `ping` writes `t` before anything reads it.
+        let ping = unit.function("ping").unwrap();
+        let sym = SymbolTable::build(&unit, ping);
+        let seed = seed_summary(ping, &accesses[&ping.name], &sym);
+        let t = seed.global_effects[&Symbol::intern("t")];
+        assert!(!t.device_exposed() && t.device_current());
+
+        let mut seeds = HashMap::new();
+        let mut nodes = Vec::new();
+        for func in unit.functions() {
+            let sym = SymbolTable::build(&unit, func);
+            let acc = &accesses[&func.name];
+            seeds.insert(func.name, Arc::new(seed_summary(func, acc, &sym)));
+            nodes.push(PropagationNode::build(func.name, func, acc, &sym, &[]));
+        }
+        let sequential = ProgramSummaries::propagate_sequential(&nodes, &seeds, 8, false);
+        assert!(sequential.same_summaries(&summaries));
     }
 }

@@ -68,6 +68,7 @@ pub mod scc;
 pub mod shard;
 pub mod stats;
 pub mod store;
+mod validity;
 pub mod verify;
 
 pub use access::{Access, AccessKind, AccessOrigin, FunctionAccesses, SymbolTable};
@@ -88,8 +89,8 @@ pub use plan::{
     PlanJsonError, Provenance, ProvenanceFact, UpdateDirection, UpdateSpec, PLAN_FORMAT_VERSION,
 };
 pub use program::{
-    DriverProfile, ExportedInterface, ExternalRefs, LinkContext, LinkState, LinkedSummaries,
-    Program, ProgramAnalysis, ProgramDriver, ProgramError, UnitExports, UnitServe, UNLINKED,
+    DriverProfile, ExportedInterface, LinkContext, LinkState, LinkedSummaries, Program,
+    ProgramAnalysis, ProgramDriver, ProgramError, UnitExports, UnitServe, UNLINKED,
 };
 pub use rewrite::apply_plans;
 pub use stats::CacheStats;

@@ -67,11 +67,11 @@
 //! ```
 
 use crate::access::{FunctionAccesses, SymbolTable};
-use crate::dataflow::{function_referenced_vars, plan_function};
+use crate::dataflow::plan_function;
 use crate::interface::UnitExports;
 use crate::interproc::{
-    augment_with_call_effects, seed_summary, visible_globals, Effect, FunctionSummary,
-    ProgramSummaries, PropagationNode,
+    augment_with_call_effects, seed_summary, visible_globals, FunctionSummary, ProgramSummaries,
+    PropagationNode,
 };
 use crate::plan::explain::explain_plans;
 use crate::plan::ir::{AnalysisStats, MappingPlan};
@@ -83,7 +83,7 @@ use crate::shard::ShardMap;
 use crate::stats::{AtomicCacheStats, CacheStats, Counter};
 use crate::store::{self, ArtifactStore};
 use crate::{function_with_existing_mappings, OmpDartError, OmpDartOptions};
-use ompdart_frontend::ast::{FunctionDef, TranslationUnit};
+use ompdart_frontend::ast::TranslationUnit;
 use ompdart_frontend::diag::Diagnostics;
 use ompdart_frontend::parser::parse_str;
 use ompdart_frontend::source::SourceFile;
@@ -491,17 +491,16 @@ pub fn stage_summaries(
 ///   environment edit invalidates every function;
 /// * `callees_hash` — the interprocedural summaries (or visible-prototype
 ///   `const` qualifiers) of the function's direct callees, so editing a
-///   callee's effects re-plans its callers;
-/// * `refs_hash` — for `main` only: the variables referenced by every
-///   sibling function, mirroring the whole-program exit-liveness scan of
-///   the dead-exit-copy demotion;
+///   callee's effects — which accesses it may make, and in which order —
+///   re-plans its callers. It is everything a plan reads of any other
+///   function: `main`'s exit liveness included, which asks what the calls
+///   after its region read;
 /// * `options_hash` — the [`OmpDartOptions`] fingerprint.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct FunctionPlanKey {
     snippet: String,
     env_hash: u64,
     callees_hash: u64,
-    refs_hash: u64,
     options_hash: u64,
 }
 
@@ -536,7 +535,6 @@ pub struct FunctionKeySnapshot {
     pub snippet_len: u32,
     pub env_hash: u64,
     pub callees_hash: u64,
-    pub refs_hash: u64,
     pub options_hash: u64,
     pub analyzed: bool,
     pub has_plan: bool,
@@ -608,24 +606,17 @@ pub(crate) fn environment_hash(file: &SourceFile, unit: &TranslationUnit) -> u64
     h.finish()
 }
 
-pub(crate) fn effect_byte(e: Effect) -> u8 {
-    u8::from(e.host_read)
-        | u8::from(e.host_write) << 1
-        | u8::from(e.device_read) << 2
-        | u8::from(e.device_write) << 3
-}
-
 pub(crate) fn summary_fingerprint(s: &FunctionSummary) -> u64 {
     let mut h = Fnv::new();
     h.write_str(&s.name);
     h.write(&[u8::from(s.has_kernels)]);
     for e in &s.param_effects {
-        h.write(&[effect_byte(*e)]);
+        h.write(&[e.byte()]);
     }
     // `BTreeMap<Symbol>` iterates in resolved-string order already.
     for (name, e) in s.global_effects.iter() {
         h.write_str(name);
-        h.write(&[effect_byte(*e)]);
+        h.write(&[e.byte()]);
     }
     h.finish()
 }
@@ -695,26 +686,6 @@ pub(crate) fn callees_fingerprint(
     h.finish()
 }
 
-/// The whole-program facts `main`'s exit-liveness demotion reads: for every
-/// sibling function, the set of variables its body references (the same
-/// name-occurrence notion the dead-exit-copy liveness scan uses). In a
-/// linked program the caller additionally mixes in the
-/// [`LinkContext::extern_refs_fingerprint`], covering siblings that live in
-/// other units.
-fn liveness_fingerprint(unit: &TranslationUnit, func_name: &str) -> u64 {
-    let mut funcs: Vec<&FunctionDef> = unit.functions().filter(|f| f.name != func_name).collect();
-    funcs.sort_by_key(|f| f.name.as_str());
-    let mut h = Fnv::new();
-    for f in funcs {
-        h.write_str(&f.name);
-        for v in function_referenced_vars(f) {
-            h.write_str(&v);
-        }
-        h.write(&[0]);
-    }
-    h.finish()
-}
-
 /// Stage 5 — host/device data-flow planning, fanned out per function over
 /// scoped worker threads when `parallelism > 1`. The produced plans and
 /// diagnostics are merged back in source order, so the result is identical
@@ -744,14 +715,13 @@ pub fn stage_plans(
 /// [`AnalysisSession::analyze_linked`].
 ///
 /// With `incremental` set, functions whose key (source text, environment,
-/// callee summaries, liveness surface, options) is unchanged re-use their
-/// cached plan — relocated to the current node ids and byte offsets —
-/// instead of re-running the data-flow analysis. With `link` set, callee
-/// effects resolve against the context's summaries (cross-unit callees
-/// included) and `main`'s exit liveness extends over every other unit's
-/// functions; the cache keys incorporate those facts, so an edit in another
-/// unit re-plans functions here only when a callee summary or the external
-/// liveness surface it depends on actually changed. With `exports` set —
+/// callee summaries, options) is unchanged re-use their cached plan —
+/// relocated to the current node ids and byte offsets — instead of
+/// re-running the data-flow analysis. With `link` set, callee effects
+/// resolve against the context's summaries (cross-unit callees included);
+/// the cache keys incorporate those facts, so an edit in another unit
+/// re-plans functions here only when the summary of a callee they name
+/// actually changed. With `exports` set —
 /// the unit's interface, where it has been computed — a function's callee
 /// list is read from it instead of derived again.
 #[allow(clippy::too_many_arguments)]
@@ -818,16 +788,6 @@ fn run_plan_stage(
                 snippet: parsed.file.snippet(func.span).to_string(),
                 env_hash: *env_hash,
                 callees_hash: callees(),
-                refs_hash: if func.name == "main" {
-                    let mut h = Fnv::new();
-                    h.write_u64(liveness_fingerprint(unit, &func.name));
-                    if let Some(link) = link {
-                        h.write_u64(link.extern_refs_fingerprint);
-                    }
-                    h.finish()
-                } else {
-                    0
-                },
                 options_hash: *options_hash,
             });
         let snapshot = |key: &FunctionPlanKey, analyzed: bool, has_plan: bool, fallbacks: u64| {
@@ -838,7 +798,6 @@ fn run_plan_stage(
                 snippet_len: key.snippet.len() as u32,
                 env_hash: key.env_hash,
                 callees_hash: key.callees_hash,
-                refs_hash: key.refs_hash,
                 options_hash: key.options_hash,
                 analyzed,
                 has_plan,
@@ -877,14 +836,12 @@ fn run_plan_stage(
             ) as u64;
             let mut diags = Diagnostics::new();
             let plan = plan_function(
-                unit,
                 func,
                 graph,
                 &acc,
                 &accesses.symbols[&func.name],
                 &options.dataflow,
                 &mut diags,
-                link.map(|l| &*l.extern_refs),
             );
             (true, plan, diags, fallbacks)
         })();
@@ -1709,7 +1666,6 @@ impl AnalysisSession {
                     snippet: snippet.to_string(),
                     env_hash: key.env_hash,
                     callees_hash: key.callees_hash,
-                    refs_hash: key.refs_hash,
                     options_hash: key.options_hash,
                 },
                 CachedFunctionPlan {

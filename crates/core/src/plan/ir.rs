@@ -185,9 +185,9 @@ pub enum ProvenanceFact {
     /// The data never crosses the host/device boundary: the device writes it
     /// before reading it and the host never consumes it (`map(alloc:)`).
     DeviceOnlyData,
-    /// The exit copy was *demoted*: the variable escapes, but whole-program
-    /// liveness proves no host read can observe it after the region, so the
-    /// `map(from:)` collapses to `map(alloc:)`.
+    /// The exit copy was *demoted*: the variable escapes, but nothing that
+    /// runs after the region — `main`'s remaining statements and what they
+    /// call — reads it, so the `map(from:)` collapses to `map(alloc:)`.
     DeadExitCopy,
     /// A scalar that is only ever read inside kernels: passed as a
     /// `firstprivate()` kernel argument instead of being mapped.
@@ -224,11 +224,18 @@ pub enum ProvenanceFact {
     /// The kernel's loop nest is perfectly nested to this depth, so the
     /// offload directive gains a `collapse(n)` clause.
     PerfectNestCollapsed,
+    /// A function's own cross-space flow — a host write it makes before a
+    /// kernel of its reads the value, or a host read it makes of what a
+    /// kernel of its wrote — crosses its region's boundary, where the map
+    /// clause is a present-table no-op whenever a caller already holds the
+    /// data on the device. The `target update` immediately outside the
+    /// region moves the value in exactly that case.
+    FlowWhenDataPresent,
 }
 
 impl ProvenanceFact {
     /// All facts, for enumeration in tests and generators.
-    pub fn all() -> [ProvenanceFact; 16] {
+    pub fn all() -> [ProvenanceFact; 17] {
         [
             ProvenanceFact::Unspecified,
             ProvenanceFact::ReadBeforeWriteOnDevice,
@@ -246,6 +253,7 @@ impl ProvenanceFact {
             ProvenanceFact::LastHostUse,
             ProvenanceFact::DeviceResidentAcrossPhase,
             ProvenanceFact::PerfectNestCollapsed,
+            ProvenanceFact::FlowWhenDataPresent,
         ]
     }
 
@@ -268,6 +276,7 @@ impl ProvenanceFact {
             ProvenanceFact::LastHostUse => "last_host_use",
             ProvenanceFact::DeviceResidentAcrossPhase => "device_resident_across_phase",
             ProvenanceFact::PerfectNestCollapsed => "perfect_nest_collapsed",
+            ProvenanceFact::FlowWhenDataPresent => "flow_when_data_present",
         }
     }
 
@@ -293,7 +302,7 @@ impl ProvenanceFact {
                 "the data never crosses the host/device boundary"
             }
             ProvenanceFact::DeadExitCopy => {
-                "whole-program liveness proves no host read observes the value after the region, demoting the exit copy"
+                "nothing that runs after the region reads the value, demoting the exit copy"
             }
             ProvenanceFact::ReadOnlyInRegion => {
                 "the scalar is only read inside kernels, so a private device copy suffices"
@@ -324,6 +333,9 @@ impl ProvenanceFact {
             }
             ProvenanceFact::PerfectNestCollapsed => {
                 "the offload loop nest is perfectly nested, so its iteration spaces collapse into one"
+            }
+            ProvenanceFact::FlowWhenDataPresent => {
+                "the function's own host/device flow crosses its region boundary, where the map clause does nothing if a caller already holds the data"
             }
         }
     }

@@ -1,11 +1,10 @@
-//! The whole-program link stage: cross-translation-unit summaries,
-//! program-level liveness, and the two-phase [`ProgramDriver`].
+//! The whole-program link stage: cross-translation-unit summaries and the
+//! two-phase [`ProgramDriver`].
 //!
 //! Every unit is planned under a [`LinkContext`] — the interprocedural
-//! summaries its call sites resolve against, plus the referenced-variable
-//! sets of functions defined elsewhere. A unit analyzed on its own gets the
-//! *closed-world* context ([`LinkContext::closed_world`]): its own converged
-//! summaries and nothing imported, so a call into another file has no
+//! summaries its call sites resolve against. A unit analyzed on its own gets
+//! the *closed-world* context ([`LinkContext::closed_world`]): its own
+//! converged summaries and nothing imported, so a call into another file has no
 //! summary, [`crate::interproc::augment_with_call_effects`] falls back to
 //! the maximally pessimistic host read+write assumption, and every
 //! cross-file call forces conservative `tofrom` mappings. This module
@@ -13,9 +12,9 @@
 //! and Plans stages:
 //!
 //! 1. **Export** — each unit's interface ([`UnitExports`],
-//!    [`crate::interface`]) collects the seed summaries, call sites and
-//!    referenced-variable sets of its defined functions, plus a stable
-//!    fingerprint of the exported surface ([`ExportedInterface`]). It is
+//!    [`crate::interface`]) collects the seed summaries and call sites of
+//!    its defined functions, plus a stable fingerprint of the exported
+//!    surface ([`ExportedInterface`]). It is
 //!    computed from a unit parsed this run, or restored from the
 //!    persistent store without parsing anything.
 //! 2. **Link** — [`Program::link`] merges every unit's call graph and
@@ -30,10 +29,11 @@
 //!    that changed, at a cost of O(changed units + dirty cone + importers
 //!    of moved summaries); a cold link is the patch of the empty state, in
 //!    which every unit is a changed one.
-//! 3. **Plan** — each unit is planned against the linked summaries and a
-//!    cross-unit [`ExternalRefs`] view, so whole-program exit liveness
-//!    (the dead-exit-copy demotion) still works when the kernel and the
-//!    last reader live in different files.
+//! 3. **Plan** — each unit is planned against the linked summaries: a call
+//!    site stands in its caller's data flow for the access sequence its
+//!    callee's summary carries, wherever the callee is defined, so a copy-in
+//!    a callee makes redundant and an exit copy nothing reads afterwards are
+//!    dropped across files as they are within one.
 //!
 //! [`ProgramDriver`] packages the three phases as *parallel summarize →
 //! sequential link → parallel plan* over one shared
@@ -55,17 +55,10 @@ use crate::pipeline::{
 use crate::plan::json::Json;
 use crate::stats::{Counter, Value};
 use ompdart_frontend::Symbol;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Referenced-variable sets of functions defined in *other* translation
-/// units, keyed by (link-resolved) function name. The exit-liveness scan of
-/// the planning stage consults this exactly like it scans same-unit
-/// functions. Values are `Arc`-shared with the per-unit memoized exports,
-/// so assembling the program-wide map never deep-copies a set.
-pub type ExternalRefs = BTreeMap<Symbol, Arc<BTreeSet<String>>>;
 
 /// The link-fingerprint value of analyses that are not part of any linked
 /// program (a unit analyzed as a closed world).
@@ -95,16 +88,9 @@ pub struct LinkedSummaries {
 pub struct LinkContext {
     /// Whole-program summaries (shared across all units of the program).
     pub summaries: Arc<ProgramSummaries>,
-    /// Referenced-variable sets of every function defined in another unit.
-    pub extern_refs: Arc<ExternalRefs>,
-    /// Fingerprint of `extern_refs`, mixed into `main`'s liveness cache
-    /// fingerprint.
-    pub extern_refs_fingerprint: u64,
     /// Fingerprint of the unit's *observed* imported surface: the
     /// converged summary of every callee its functions name (through the
-    /// unit's static-shadowing view) plus, for units defining `main`, the
-    /// program-wide referenced-variable map `main`'s exit-liveness scan
-    /// consults. Threaded through the unit table and the persistent store
+    /// unit's static-shadowing view). Threaded through the unit table and the persistent store
     /// key: editing one file invalidates another unit's stored plans
     /// only when a fact that unit actually *reads* changed — an edit round
     /// re-plans the import cone, not the whole program.
@@ -123,11 +109,8 @@ impl LinkContext {
     /// elsewhere, and the imports fingerprint is [`UNLINKED`] (the
     /// unit-table and store key of stand-alone analyses).
     pub fn closed_world(unit: &SummarizedUnit) -> LinkContext {
-        let extern_refs = ExternalRefs::new();
         LinkContext {
             summaries: Arc::clone(&unit.summaries().summaries),
-            extern_refs_fingerprint: external_refs_fingerprint(&extern_refs),
-            extern_refs: Arc::new(extern_refs),
             imports_fingerprint: UNLINKED,
             fingerprints: None,
         }
@@ -158,18 +141,6 @@ fn memoised_fingerprint(
     }
 }
 
-fn external_refs_fingerprint(refs: &ExternalRefs) -> u64 {
-    let mut h = Fnv::new();
-    for (name, vars) in refs {
-        h.write_str(name.as_str());
-        for v in vars.iter() {
-            h.write_str(v);
-        }
-        h.write(&[0xfd]);
-    }
-    h.finish()
-}
-
 // ---------------------------------------------------------------------------
 // Program: the linked whole-program view
 // ---------------------------------------------------------------------------
@@ -188,13 +159,6 @@ pub struct Program {
     /// appear under their mangled `name@unit` symbols here; per-unit
     /// [`LinkContext`]s expose them under their source-level names again.
     pub linked: LinkedSummaries,
-    /// The *program-wide* referenced-variable map shared by every unit's
-    /// [`LinkContext`]: all units' functions, other units' statics under
-    /// their mangled `name@unit` symbols; see [`Program::link_context`]
-    /// for why sharing one map is sound.
-    all_refs: Arc<ExternalRefs>,
-    /// Fingerprint of `all_refs` (shared by every context).
-    all_refs_fingerprint: u64,
     /// Per-unit imported-surface fingerprints (see
     /// [`LinkContext::imports_fingerprint`]). Dependency-aware: unit `i`'s
     /// entry hashes the converged summaries of exactly the callees unit
@@ -265,7 +229,6 @@ pub struct LinkState {
 
 impl Default for LinkState {
     fn default() -> LinkState {
-        let all_refs = ExternalRefs::new();
         LinkState {
             program: Program {
                 units: Vec::new(),
@@ -275,8 +238,6 @@ impl Default for LinkState {
                     defined_in: HashMap::new(),
                     passes: 0,
                 },
-                all_refs_fingerprint: external_refs_fingerprint(&all_refs),
-                all_refs: Arc::new(all_refs),
                 import_fps: Vec::new(),
                 unit_statics: Vec::new(),
                 functions: Arc::default(),
@@ -349,10 +310,8 @@ impl Program {
     ///    and renamed units are just changed units without a predecessor or
     ///    successor.
     /// 2. **Patch the indexes.** Only changed units' definitions leave and
-    ///    enter `defined_in`, the function table, the reverse call graph
-    ///    and the program-wide referenced-variable map (left as is,
-    ///    fingerprint included, when every changed unit references what
-    ///    its predecessor did). A function is *dirty* when its memoised
+    ///    enter `defined_in`, the function table and the reverse call
+    ///    graph. A function is *dirty* when its memoised
     ///    local fingerprint differs from its namesake's, or it appeared or
     ///    disappeared.
     /// 3. **Re-converge the cone.** The dirty functions' transitive
@@ -387,8 +346,6 @@ impl Program {
             units: was,
             interfaces,
             linked,
-            all_refs,
-            all_refs_fingerprint,
             import_fps,
             unit_statics,
             functions,
@@ -416,10 +373,6 @@ impl Program {
         let kept = |i: usize| predecessor[i].filter(|&j| Arc::ptr_eq(&units[i], &was[j]));
         let survives = |j: usize| successor[j].filter(|&i| Arc::ptr_eq(&units[i], &was[j]));
         let changed: Vec<usize> = (0..units.len()).filter(|&i| kept(i).is_none()).collect();
-        // A changed unit that references what its predecessor did leaves
-        // the program-wide referenced-variable map alone.
-        let same_refs =
-            |i: usize, j: usize| units[i].exports().resolved_refs == was[j].exports().resolved_refs;
 
         // Reject duplicate definitions before patching anything. Functions
         // link under their *resolved* names: unit-private `static`
@@ -445,7 +398,6 @@ impl Program {
 
         // --- 2. Patch the indexes: retire what left, admit what came. ----
         analyses.clear();
-        let mut refs_moved = false;
         // What a retired function had: its local fingerprint, and the
         // fingerprint of its converged summary (carried over to a namesake).
         let mut gone: HashMap<Symbol, (u64, u64)> = HashMap::new();
@@ -456,13 +408,6 @@ impl Program {
             let exports = unit.exports();
             for f in &exports.functions {
                 linked.defined_in.remove(&f.resolved);
-            }
-            if !successor[j].is_some_and(|i| same_refs(i, j)) {
-                refs_moved |= !exports.resolved_refs.is_empty();
-                let refs = Arc::make_mut(all_refs);
-                for name in exports.resolved_refs.keys() {
-                    refs.remove(name);
-                }
             }
             for (_, f, lf) in linked_functions(unit, options) {
                 if let Some(was) = functions.remove(&f.resolved) {
@@ -492,13 +437,6 @@ impl Program {
             }
             if kept(i).is_some() {
                 continue;
-            }
-            if !predecessor[i].is_some_and(|j| same_refs(i, j)) {
-                refs_moved |= !exports.resolved_refs.is_empty();
-                let refs = Arc::make_mut(all_refs);
-                for (name, vars) in &exports.resolved_refs {
-                    refs.insert(*name, Arc::clone(vars));
-                }
             }
             for (index, f, lf) in linked_functions(unit, options) {
                 let had = gone.remove(&f.resolved);
@@ -557,8 +495,7 @@ impl Program {
 
         // --- 4. Refresh what observes a moved summary. -------------------
         // Changed units, the unit owning a moved static (its view renames
-        // the summary), the units calling a moved function, and — when the
-        // referenced-variable map moved — the units defining `main`.
+        // the summary) and the units calling a moved function.
         let mut touched = vec![false; units.len()];
         for &i in &changed {
             touched[i] = true;
@@ -585,16 +522,6 @@ impl Program {
                 }
             }
         }
-        if refs_moved {
-            let fingerprint = external_refs_fingerprint(all_refs);
-            if fingerprint != *all_refs_fingerprint {
-                *all_refs_fingerprint = fingerprint;
-                for (i, unit) in units.iter().enumerate() {
-                    touched[i] |= unit.exports().defines_main;
-                }
-            }
-        }
-
         let none: Arc<[StaticView]> = Arc::new([]);
         *unit_statics = (0..units.len())
             .map(|i| Arc::clone(kept(i).map_or(&none, |j| &unit_statics[j])))
@@ -617,13 +544,11 @@ impl Program {
         // Dependency-aware imported-surface fingerprints, derived from the
         // *converged* fixed point: for each unit, hash the summary of
         // every callee its functions name — resolved through the unit's
-        // static-shadowing view, exactly as planning resolves them — plus
-        // the program-wide referenced-variable map for units defining
-        // `main` (the only consumer of `extern_refs`). These cover every
-        // cross-unit fact `analyze_linked` can observe, so an edit in unit
-        // A moves unit B's fingerprint only when a summary B actually
-        // reads changed: the edit path re-plans the import cone, not the
-        // program.
+        // static-shadowing view, exactly as planning resolves them. These
+        // cover every cross-unit fact `analyze_linked` can observe, so an
+        // edit in unit A moves unit B's fingerprint only when a summary B
+        // actually reads changed: the edit path re-plans the import cone,
+        // not the program.
         *import_fps = (0..units.len())
             .map(|i| kept(i).map_or(0, |j| import_fps[j]))
             .collect();
@@ -636,10 +561,6 @@ impl Program {
                 h.write_str(&f.source);
                 h.write_u64(callees_fingerprint(&f.callees, summary_fp));
                 h.write(&[0xee]);
-            }
-            if exports.defines_main {
-                h.write(&[1]);
-                h.write_u64(*all_refs_fingerprint);
             }
             import_fps[i] = h.finish();
         }
@@ -663,24 +584,8 @@ impl Program {
 
     /// The [`LinkContext`] for the unit at `index`, assembled from
     /// program-wide pieces: the linked summaries (under the unit's
-    /// static-shadowing view, when it defines statics), the shared
-    /// referenced-variable map, and the unit's dependency-aware imports
-    /// fingerprint.
-    ///
-    /// Every unit shares **one** `extern_refs` map covering *all* units —
-    /// including the unit's own functions, which the per-unit maps used to
-    /// exclude. That is behavior-preserving because the map's only
-    /// consumer, the exit-liveness scan
-    /// (`dataflow::may_be_read_after_region`), (a) short-circuits to the
-    /// conservative answer for every function except `main` before
-    /// consulting it, (b) skips the entry whose key equals the scanned
-    /// function's own name (mangled `name@unit` symbols can never equal
-    /// `main`), and (c) scans same-unit sibling functions *directly*
-    /// (walking their bodies) before falling back to the map, with the
-    /// identical traversal that produced the map's entries — so a same-unit
-    /// entry can only confirm what the direct scan already found. Other
-    /// units' statics stay under their private mangled symbols, so two
-    /// same-named statics never merge their variable sets.
+    /// static-shadowing view, when it defines statics) and the unit's
+    /// dependency-aware imports fingerprint.
     pub fn link_context(&self, index: usize) -> LinkContext {
         let statics = &self.unit_statics[index];
         let summaries = match statics.is_empty() {
@@ -692,8 +597,6 @@ impl Program {
         };
         LinkContext {
             summaries,
-            extern_refs: Arc::clone(&self.all_refs),
-            extern_refs_fingerprint: self.all_refs_fingerprint,
             imports_fingerprint: self.import_fps[index],
             fingerprints: Some((Arc::clone(&self.functions), Arc::clone(statics))),
         }
@@ -702,7 +605,7 @@ impl Program {
     /// The cross-unit interprocedural fixed point **alone**: seeds and call
     /// graphs merged exactly as [`Program::relink`] merges them (statics
     /// mangled), converged with the SCC-wavefront engine on `threads`
-    /// workers. No interface export, liveness, or planning happens —
+    /// workers. No interface export or planning happens —
     /// parity tests and the `link_scale` bench use this to isolate the
     /// link fixed point from the rest of the pipeline.
     pub fn propagate_merged(

@@ -11,9 +11,14 @@
 //!   block) is wrapped around the region extent;
 //! * `target update to/from` directives are inserted before/after their
 //!   anchor statements, consolidated so that each insertion point receives a
-//!   single directive per direction.
+//!   single directive per direction. An `update to` anchored before the
+//!   region's first statement, and an `update from` anchored after its last,
+//!   go *outside* the region (and outside its `enter data`/`exit data`
+//!   pair): inside, right after the data was mapped or right before it is
+//!   unmapped, they could only repeat the clause; outside they are what
+//!   moves the data when a caller already holds it.
 
-use crate::plan::ir::{MappingPlan, Placement, UpdateDirection};
+use crate::plan::ir::{MappingPlan, Placement, UpdateDirection, UpdateSpec};
 use ompdart_frontend::ast::{NodeId, StmtKind, TranslationUnit};
 use ompdart_frontend::omp::{MapType, OmpDirective};
 use ompdart_frontend::source::SourceFile;
@@ -49,6 +54,8 @@ pub(crate) fn plan_edits(
         };
         let index = &graph.index;
         let span_of = |id: NodeId| index.info(id).map(|i| i.span);
+
+        update_edits(&mut edits, file, index, plan, Side::Before);
 
         // --- map clauses -----------------------------------------------------
         let map_clause_text = render_map_clauses(plan);
@@ -108,38 +115,7 @@ pub(crate) fn plan_edits(
             }
         }
 
-        // --- update directives -------------------------------------------------
-        // Consolidate by (anchor, placement, direction).
-        let mut grouped: BTreeMap<(NodeId, u8, u8), Vec<String>> = BTreeMap::new();
-        for u in &plan.updates {
-            let key = (
-                u.anchor,
-                matches!(u.placement, Placement::After) as u8,
-                matches!(u.direction, UpdateDirection::From) as u8,
-            );
-            let item = u.to_list_item();
-            let entry = grouped.entry(key).or_default();
-            if !entry.contains(&item) {
-                entry.push(item);
-            }
-        }
-        for ((anchor, after, from), items) in grouped {
-            let Some(span) = span_of(anchor) else {
-                continue;
-            };
-            let indent = file.indentation_at(span.start);
-            let keyword = if from == 1 { "from" } else { "to" };
-            let text = format!(
-                "{indent}#pragma omp target update {keyword}({})\n",
-                items.join(", ")
-            );
-            let pos = if after == 1 {
-                after_line_pos(file, span.end)
-            } else {
-                file.line_start_of(span.start)
-            };
-            edits.insert(pos, text);
-        }
+        update_edits(&mut edits, file, index, plan, Side::Within);
 
         // --- unstructured lifetime directives ----------------------------------
         // One `target enter data` / `target exit data` directive per
@@ -181,8 +157,75 @@ pub(crate) fn plan_edits(
                 edits.insert(pos, text);
             }
         }
+        update_edits(&mut edits, file, index, plan, Side::After);
     }
     edits
+}
+
+/// Where an update directive goes relative to its plan's region.
+#[derive(Clone, Copy, PartialEq)]
+enum Side {
+    Before,
+    Within,
+    After,
+}
+
+impl Side {
+    fn of(update: &UpdateSpec, plan: &MappingPlan) -> Side {
+        match (update.direction, update.placement) {
+            (UpdateDirection::To, Placement::Before)
+                if Some(update.anchor) == plan.region_start =>
+            {
+                Side::Before
+            }
+            (UpdateDirection::From, Placement::After) if Some(update.anchor) == plan.region_end => {
+                Side::After
+            }
+            _ => Side::Within,
+        }
+    }
+}
+
+/// Insert `plan`'s update directives of one `side`, consolidated by
+/// (anchor, placement, direction). Edits at one position apply in insertion
+/// order, so the caller's order of sides is the order in the text.
+fn update_edits(
+    edits: &mut EditSet,
+    file: &SourceFile,
+    index: &ompdart_graph::StmtIndex,
+    plan: &MappingPlan,
+    side: Side,
+) {
+    let mut grouped: BTreeMap<(NodeId, u8, u8), Vec<String>> = BTreeMap::new();
+    for u in plan.updates.iter().filter(|u| Side::of(u, plan) == side) {
+        let key = (
+            u.anchor,
+            matches!(u.placement, Placement::After) as u8,
+            matches!(u.direction, UpdateDirection::From) as u8,
+        );
+        let item = u.to_list_item();
+        let entry = grouped.entry(key).or_default();
+        if !entry.contains(&item) {
+            entry.push(item);
+        }
+    }
+    for ((anchor, after, from), items) in grouped {
+        let Some(span) = index.info(anchor).map(|i| i.span) else {
+            continue;
+        };
+        let indent = file.indentation_at(span.start);
+        let keyword = if from == 1 { "from" } else { "to" };
+        let text = format!(
+            "{indent}#pragma omp target update {keyword}({})\n",
+            items.join(", ")
+        );
+        let pos = if after == 1 {
+            after_line_pos(file, span.end)
+        } else {
+            file.line_start_of(span.start)
+        };
+        edits.insert(pos, text);
+    }
 }
 
 /// Render the consolidated `map(...)` clauses of one lifetime directive, in
@@ -326,16 +369,7 @@ mod tests {
                 continue;
             };
             let acc = FunctionAccesses::collect(f, &g.index, &symbols[&f.name]);
-            if let Some(plan) = plan_function(
-                &unit,
-                f,
-                g,
-                &acc,
-                &symbols[&f.name],
-                &options,
-                &mut diags,
-                None,
-            ) {
+            if let Some(plan) = plan_function(f, g, &acc, &symbols[&f.name], &options, &mut diags) {
                 plans.push(plan);
             }
         }

@@ -110,11 +110,12 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Version of the pack format; a record of any other store or plan version
-/// is never read, and leaves with the next compaction. v6 is v5's pack
-/// without its function records and the seventh key word only they used;
-/// v3's `unit-*`, `fn-*` and `ref-*` files are ignored, and removed by
-/// [`ArtifactStore::gc`].
-pub const STORE_FORMAT_VERSION: u32 = 6;
+/// is never read, and leaves with the next compaction. v7 is v6's pack with
+/// the eight-bit ordered effect in the interface records, and without the
+/// referenced-variable lines there and the referenced-variable word of the
+/// function keys; v3's `unit-*`, `fn-*` and `ref-*` files are ignored, and
+/// removed by [`ArtifactStore::gc`].
+pub const STORE_FORMAT_VERSION: u32 = 7;
 
 const PACK_FILE: &str = "ompdart.pack";
 /// Starts every record. Payloads are UTF-8, which never holds `0xff`, so the
@@ -591,13 +592,13 @@ impl ArtifactStore {
             write_json_string(&mut payload, s.function.as_str());
             // Hashes are written as the integers they are (reinterpreted as
             // `i64`), so reading one back allocates nothing.
-            let [env, callees, refs] = [s.env_hash, s.callees_hash, s.refs_hash].map(|h| h as i64);
+            let [env, callees] = [s.env_hash, s.callees_hash].map(|h| h as i64);
             let (options, fallbacks) = (s.options_hash as i64, s.fallbacks as i64);
             let (id, pos, len, analyzed, has) =
                 (s.base_id, s.base_pos, s.snippet_len, s.analyzed, s.has_plan);
             let _ = write!(
                 payload,
-                ",{id},{pos},{len},{env},{callees},{refs},{options},{analyzed},{has},{fallbacks}]"
+                ",{id},{pos},{len},{env},{callees},{options},{analyzed},{has},{fallbacks}]"
             );
         }
         payload.push(']');
@@ -757,7 +758,7 @@ pub(crate) fn decode_snapshots(text: &str) -> Option<Vec<FunctionKeySnapshot>> {
     let small = |value: &Json| u32::try_from(value.as_int()?).ok();
     let hash = |value: &Json| value.as_int().map(|n| n as u64);
     let decode = |value: &Json| match value.as_array()? {
-        [function, id, pos, len, env, callees, refs, options, analyzed, has_plan, fallbacks] => {
+        [function, id, pos, len, env, callees, options, analyzed, has_plan, fallbacks] => {
             Some(FunctionKeySnapshot {
                 function: ompdart_frontend::Symbol::intern(function.as_str()?),
                 base_id: small(id)?,
@@ -765,7 +766,6 @@ pub(crate) fn decode_snapshots(text: &str) -> Option<Vec<FunctionKeySnapshot>> {
                 snippet_len: small(len)?,
                 env_hash: hash(env)?,
                 callees_hash: hash(callees)?,
-                refs_hash: hash(refs)?,
                 options_hash: hash(options)?,
                 analyzed: analyzed.as_bool()?,
                 has_plan: has_plan.as_bool()?,
@@ -824,7 +824,6 @@ mod tests {
             snippet_len: 25,
             env_hash: 0x1111,
             callees_hash: 0xffff_ffff_ffff_2222,
-            refs_hash: 0x3333,
             options_hash: 0x4444,
             analyzed: true,
             has_plan: true,
@@ -957,15 +956,16 @@ mod tests {
         std::fs::write(&path, &future).unwrap();
         assert!(load().is_none());
 
-        // Nor is anything the previous version wrote (no legacy reader): a v5
-        // pack with a unit, an interface (kind 3 then) and a function record
-        // (kind 2 then). Nothing is read, and all three are gone from the
-        // pack once a compaction has passed over it.
-        let mut previous = intact.clone();
-        reheader(&mut previous, |head| head[6] = 5);
-        for kind in [3u8, 2] {
+        // Nor is anything a previous version wrote (no legacy reader): a v6
+        // pack — whose interface records spell four-bit effects and
+        // referenced-variable lines this version has no reader for — with a
+        // unit and an interface record, and a v5 interface record (kind 3
+        // then) behind them. Nothing is read, and all three are gone from
+        // the pack once a compaction has passed over it.
+        let mut previous = Vec::new();
+        for (version, kind) in [(6u8, UNIT as u8), (6, INTERFACE as u8), (5, 3)] {
             let mut other = intact.clone();
-            reheader(&mut other, |head| (head[6], head[8]) = (5, kind));
+            reheader(&mut other, |head| (head[6], head[8]) = (version, kind));
             previous.extend_from_slice(&other);
         }
         std::fs::write(&path, &previous).unwrap();
@@ -974,7 +974,7 @@ mod tests {
         assert_eq!(
             upgraded.loaded().records.len(),
             0,
-            "nothing of v5 is indexed"
+            "nothing of v6 or v5 is indexed"
         );
         save(&upgraded, "y.c", "void g() {}", &options, UNLINKED);
         assert_eq!(upgraded.total_bytes(), 4 * intact.len() as u64);

@@ -66,7 +66,9 @@ impl<'a> Lexer<'a> {
     /// Consume the lexer and return (tokens, diagnostics). The token vector
     /// always ends with exactly one `Eof` token.
     pub fn tokenize(mut self) -> (Vec<Token>, Diagnostics) {
-        let mut out = Vec::new();
+        // One buffer for the whole text (a token per four bytes is more than
+        // C has) instead of a chain of doublings.
+        let mut out = Vec::with_capacity(self.text.len() / 4 + 1);
         loop {
             let tok = self.next_token();
             let eof = tok.is_eof();

@@ -6,7 +6,9 @@
 //! untouched and executing: strategies generate values from a deterministic
 //! xorshift PRNG seeded per test name, the `proptest!` macro expands each
 //! property into a plain `#[test]` that runs `cases` generated inputs, and
-//! `prop_assert*` failures report the offending case. There is no shrinking.
+//! `prop_assert*` failures report the offending case. Cases are not shrunk
+//! behind the property's back; a property whose failing inputs are too big
+//! to read minimises them itself with [`shrink::minimize`].
 
 pub mod strategy {
     use crate::test_runner::TestRng;
@@ -137,6 +139,24 @@ pub mod collection {
             let n = self.len.start + (rng.next_u64() % span) as usize;
             (0..n).map(|_| self.element.generate(rng)).collect()
         }
+    }
+}
+
+pub mod shrink {
+    /// Greedy minimisation of a failing case: replace `failing` by the first
+    /// of `candidates(&failing)` that `still_fails`, until none does.
+    /// `candidates` must only offer strictly smaller cases (drop an element,
+    /// shorten a range), or this does not terminate. The result fails, and
+    /// no single step offered makes it smaller and still failing.
+    pub fn minimize<T>(
+        mut failing: T,
+        candidates: impl Fn(&T) -> Vec<T>,
+        still_fails: impl Fn(&T) -> bool,
+    ) -> T {
+        while let Some(smaller) = candidates(&failing).into_iter().find(&still_fails) {
+            failing = smaller;
+        }
+        failing
     }
 }
 
@@ -348,6 +368,20 @@ mod tests {
             prop_assert!(!v.is_empty() && v.len() < 5);
             prop_assert!(v.iter().all(|&n| n == 9 || n % 2 == 0));
         }
+    }
+
+    #[test]
+    fn minimize_reaches_a_case_no_offered_step_can_shrink() {
+        // Fails while it holds a 7 and a 9; candidates drop one element.
+        let fails = |v: &Vec<u8>| v.contains(&7) && v.contains(&9);
+        let drop_one = |v: &Vec<u8>| -> Vec<Vec<u8>> {
+            let without = |at: usize| v.iter().copied().enumerate().filter(move |(i, _)| *i != at);
+            (0..v.len())
+                .map(|at| without(at).map(|(_, x)| x).collect())
+                .collect()
+        };
+        let minimal = crate::shrink::minimize(vec![1, 9, 3, 7, 7, 5], drop_one, fails);
+        assert_eq!(minimal, [9, 7]);
     }
 
     #[test]

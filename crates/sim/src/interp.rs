@@ -690,7 +690,8 @@ impl<'a> Interpreter<'a> {
                                 .update_to(&self.mem, obj, bytes, &mut self.profile)
                             {
                                 self.warn(format!(
-                                    "target update to({}) on data that is not present",
+                                    "target update to({}): not present, so by the \
+                                     specification nothing is copied",
                                     item.var
                                 ));
                             }
@@ -707,7 +708,8 @@ impl<'a> Interpreter<'a> {
                                 &mut self.profile,
                             ) {
                                 self.warn(format!(
-                                    "target update from({}) on data that is not present",
+                                    "target update from({}): not present, so by the \
+                                     specification nothing is copied",
                                     item.var
                                 ));
                             }

@@ -13,6 +13,9 @@
 //!   with OMPDart, simulates all three variants on the offload runtime
 //!   simulator, and derives Figures 3-6, Table V, and the Section VI
 //!   geometric-mean summary,
+//! * [`outline`] — moving statements of a port's `main` into a function, so
+//!   that "a call site costs what its body costs" is a property over every
+//!   kernel run of a port and not one hand-written multi-file port,
 //! * [`report`] — plain-text renderings of every table and figure.
 //!
 //! ```no_run
@@ -29,6 +32,7 @@ pub mod benchmarks;
 pub mod complexity;
 pub mod corpus;
 pub mod experiment;
+pub mod outline;
 pub mod report;
 
 pub use benchmarks::{

@@ -42,7 +42,7 @@ double reduce_dtc(double *d, int n);
 int main() {
   init_mesh();
   double mindtsum = 0.0;
-  #pragma omp target data map(to: nodalMass, v) map(from: xdd, ydd, zdd, volold, delv, arealg) map(tofrom: xd, yd, zd, x, y, z, vol, ss, fx, fy, fz, p, q, e, work) map(alloc: dtc)
+  #pragma omp target data map(to: xd, yd, zd, y, z, vol, ss, nodalMass, p, q, v) map(tofrom: x, e, work) map(alloc: xdd, ydd, zdd, volold, delv, arealg, dtc, fx, fy, fz)
   {
   for (int s = 0; s < STEPS; s++) {
     calc_forces();

@@ -26,64 +26,115 @@ use ompdart_sim::{
 use proptest::prelude::*;
 
 /// A small statement menu used to build random host/device interleavings
-/// around a single global array.
+/// around two global arrays. The first field of a piece says which of the
+/// two it works on (0 `data`, 1 `aux`).
 #[derive(Clone, Debug)]
 enum Piece {
-    HostInit(u8),
-    HostAccumulate,
-    KernelAdd(u8),
-    KernelScale(u8),
-    KernelInLoop { iters: u8, add: u8 },
-    HostPrint,
+    HostInit(u8, u8),
+    HostAccumulate(u8),
+    KernelAdd(u8, u8),
+    KernelScale(u8, u8),
+    KernelInLoop {
+        array: u8,
+        iters: u8,
+        add: u8,
+    },
+    /// A kernel that overwrites the *other* array from this one.
+    KernelCopy(u8),
+    HostPrint(u8),
 }
 
 fn piece_strategy() -> impl Strategy<Value = Piece> {
     prop_oneof![
-        (0u8..5).prop_map(Piece::HostInit),
-        Just(Piece::HostAccumulate),
-        (1u8..4).prop_map(Piece::KernelAdd),
-        (1u8..3).prop_map(Piece::KernelScale),
-        ((2u8..5), (1u8..3)).prop_map(|(iters, add)| Piece::KernelInLoop { iters, add }),
-        Just(Piece::HostPrint),
+        ((0u8..2), (0u8..5)).prop_map(|(array, v)| Piece::HostInit(array, v)),
+        (0u8..2).prop_map(Piece::HostAccumulate),
+        ((0u8..2), (1u8..4)).prop_map(|(array, v)| Piece::KernelAdd(array, v)),
+        ((0u8..2), (1u8..3)).prop_map(|(array, v)| Piece::KernelScale(array, v)),
+        ((0u8..2), (2u8..5), (1u8..3)).prop_map(|(array, iters, add)| Piece::KernelInLoop {
+            array,
+            iters,
+            add
+        }),
+        (0u8..2).prop_map(Piece::KernelCopy),
+        (0u8..2).prop_map(Piece::HostPrint),
     ]
+}
+
+const ARRAYS: [&str; 2] = ["data", "aux"];
+const KERNEL: &str = "#pragma omp target teams distribute parallel for";
+
+impl Piece {
+    /// The piece as whole lines of `main`.
+    fn render(&self) -> String {
+        let name = |array: &u8| ARRAYS[usize::from(*array)];
+        match self {
+            Piece::HostInit(a, v) => {
+                format!(
+                    "  for (int i = 0; i < N; i++) {}[i] = {v} + i % 3;\n",
+                    name(a)
+                )
+            }
+            Piece::HostAccumulate(a) => {
+                format!(
+                    "  for (int i = 0; i < N; i++) checksum += {}[i];\n",
+                    name(a)
+                )
+            }
+            Piece::KernelAdd(a, v) => {
+                format!(
+                    "  {KERNEL}\n  for (int i = 0; i < N; i++) {}[i] += {v};\n",
+                    name(a)
+                )
+            }
+            Piece::KernelScale(a, v) => {
+                let a = name(a);
+                format!("  {KERNEL}\n  for (int i = 0; i < N; i++) {a}[i] = {a}[i] * {v} + 1;\n")
+            }
+            Piece::KernelInLoop { array, iters, add } => format!(
+                "  for (int it = 0; it < {iters}; it++) {{\n    {KERNEL}\n    \
+                 for (int i = 0; i < N; i++) {}[i] += {add};\n  }}\n",
+                name(array)
+            ),
+            Piece::KernelCopy(a) => format!(
+                "  {KERNEL}\n  for (int i = 0; i < N; i++) {}[i] = {}[i] + 1;\n",
+                name(&(1 - a)),
+                name(a)
+            ),
+            Piece::HostPrint(a) => {
+                format!("  printf(\"probe %d\\n\", {}[7] + checksum);\n", name(a))
+            }
+        }
+    }
+
+    fn has_kernel(&self) -> bool {
+        !matches!(
+            self,
+            Piece::HostInit(..) | Piece::HostAccumulate(_) | Piece::HostPrint(_)
+        )
+    }
+}
+
+/// What every generated program starts with, up to and including the first
+/// line of `main`'s body: a guarded header (so a program split into units
+/// concatenates back into one), the globals, and `prototype` for the
+/// function an outlined program calls.
+fn program_prologue(prototype: &str) -> String {
+    format!(
+        "#ifndef PIECES_H\n#define PIECES_H\n#define N 48\nextern int data[N];\n\
+         extern int aux[N];\nextern int checksum;\n{prototype}#endif\n\
+         int data[N];\nint aux[N];\nint checksum;\nint main() {{\n  checksum = 0;\n"
+    )
 }
 
 /// Render a random program. It always contains at least one kernel so the
 /// tool has something to do, and always prints a final checksum.
 fn render_program(pieces: &[Piece]) -> String {
-    let mut body = String::new();
-    for piece in pieces {
-        match piece {
-            Piece::HostInit(v) => {
-                body.push_str(&format!(
-                    "  for (int i = 0; i < N; i++) data[i] = {v} + i % 3;\n"
-                ));
-            }
-            Piece::HostAccumulate => {
-                body.push_str("  for (int i = 0; i < N; i++) checksum += data[i];\n");
-            }
-            Piece::KernelAdd(v) => {
-                body.push_str(&format!(
-                    "  #pragma omp target teams distribute parallel for\n  for (int i = 0; i < N; i++) data[i] += {v};\n"
-                ));
-            }
-            Piece::KernelScale(v) => {
-                body.push_str(&format!(
-                    "  #pragma omp target teams distribute parallel for\n  for (int i = 0; i < N; i++) data[i] = data[i] * {v} + 1;\n"
-                ));
-            }
-            Piece::KernelInLoop { iters, add } => {
-                body.push_str(&format!(
-                    "  for (int it = 0; it < {iters}; it++) {{\n    #pragma omp target teams distribute parallel for\n    for (int i = 0; i < N; i++) data[i] += {add};\n  }}\n"
-                ));
-            }
-            Piece::HostPrint => {
-                body.push_str("  printf(\"probe %d\\n\", data[7] + checksum);\n");
-            }
-        }
-    }
+    let body: String = pieces.iter().map(Piece::render).collect();
     format!(
-        "#define N 48\nint data[N];\nint main() {{\n  int checksum = 0;\n{body}  #pragma omp target teams distribute parallel for\n  for (int i = 0; i < N; i++) data[i] += 1;\n  for (int i = 0; i < N; i++) checksum += data[i];\n  printf(\"final %d\\n\", checksum);\n  return 0;\n}}\n"
+        "{}{body}  {KERNEL}\n  for (int i = 0; i < N; i++) data[i] += 1;\n  \
+         for (int i = 0; i < N; i++) checksum += data[i];\n  \
+         printf(\"final %d\\n\", checksum);\n  return 0;\n}}\n",
+        program_prologue("")
     )
 }
 
@@ -309,11 +360,7 @@ proptest! {
             src = format!("// café ≤ ∞ λ — entête\n{src}");
         }
         if decor & 2 != 0 {
-            src = src.replacen(
-                "int checksum = 0;",
-                "int checksum = 0; // ∑ ≥ 0 ✓",
-                1,
-            );
+            src = src.replacen("checksum = 0;", "checksum = 0; // ∑ ≥ 0 ✓", 1);
         }
         if decor & 4 != 0 {
             src = src.replacen("#define N 48", "#define N 48 // größe", 1);
@@ -735,8 +782,9 @@ proptest! {
     /// For an arbitrary call graph — cycles, mutual recursion, and
     /// unit-private `static` helpers included — split across units:
     ///
-    /// * the SCC-wavefront merged fixed point is byte-identical to the
-    ///   sequential reference sweep (at any worker count),
+    /// * the SCC-wavefront merged fixed point is identical to the sequential
+    ///   reference sweep (at any worker count), exposed reads, exit-current
+    ///   sides and the recursive components' conservative corner included,
     /// * the linked whole-program rewrite is byte-identical to analyzing
     ///   the concatenated single translation unit,
     /// * no intra-program call falls back to the pessimistic assumption.
@@ -1051,9 +1099,10 @@ proptest! {
     /// script — body edits, retargeted calls, functions added and removed,
     /// `static` toggled, units added, removed and reordered — and after
     /// every step its patched link state is the one a cold `Program::link`
-    /// of the same units builds: converged summaries, `defined_in`, every
-    /// unit's static view, imports and extern-refs fingerprints, and the
-    /// rewrites planned under them. Half the scripts run in
+    /// of the same units builds: converged summaries — the order bits of
+    /// every effect included, `same_summaries` compares whole effects —
+    /// `defined_in`, every unit's static view and imports fingerprint, and
+    /// the rewrites planned under them. Half the scripts run in
     /// pessimistic-globals mode, where a call to a name nobody defines
     /// clobbers every global its caller can see — so the script also
     /// declares new globals, which move no function's text.
@@ -1119,13 +1168,11 @@ proptest! {
                 for unit in 0..patched.len() {
                     let (was, now) = (patched.link_context(unit), cold.link_context(unit));
                     prop_assert_eq!(
-                        (was.imports_fingerprint, was.extern_refs_fingerprint),
-                        (now.imports_fingerprint, now.extern_refs_fingerprint),
-                        "unit {}'s fingerprints differ at {}", unit, at
+                        was.imports_fingerprint, now.imports_fingerprint,
+                        "unit {}'s imports fingerprint differs at {}", unit, at
                     );
                     prop_assert!(
-                        was.summaries.same_summaries(&now.summaries)
-                            && was.extern_refs == now.extern_refs,
+                        was.summaries.same_summaries(&now.summaries),
                         "unit {}'s view differs at {}", unit, at
                     );
                 }
@@ -1200,13 +1247,11 @@ fn assert_interfaces_carry_the_link(inputs: &[(String, String)], what: &str) {
             for unit in 0..parsed.len() {
                 let (was, now) = (parsed.link_context(unit), relinked.link_context(unit));
                 assert_eq!(
-                    (was.imports_fingerprint, was.extern_refs_fingerprint),
-                    (now.imports_fingerprint, now.extern_refs_fingerprint),
-                    "{at}: unit {unit}'s fingerprints differ"
+                    was.imports_fingerprint, now.imports_fingerprint,
+                    "{at}: unit {unit}'s imports fingerprint differs"
                 );
                 assert!(
-                    was.summaries.same_summaries(&now.summaries)
-                        && was.extern_refs == now.extern_refs,
+                    was.summaries.same_summaries(&now.summaries),
                     "{at}: unit {unit}'s view differs"
                 );
                 assert!(
@@ -1922,5 +1967,275 @@ fn nesting_at_and_past_the_depth_cap() {
         let far_past = nest(100_000, mixed);
         assert!(Json::parse(&far_past).is_err());
         assert_eq!(drain_frames(frame_of(&far_past)), 1);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Outlining: moving code into a function changes no output and no cost
+// ---------------------------------------------------------------------------
+
+/// A [`Piece`] program with the contiguous run `run` of its pieces moved out
+/// of `main` into `phase`, which reaches the two arrays as globals or, with
+/// `params`, through pointer parameters.
+#[derive(Clone, Debug)]
+struct Outlined {
+    pieces: Vec<Piece>,
+    run: std::ops::Range<usize>,
+    params: bool,
+}
+
+impl Outlined {
+    /// The outlined program's two units in link order: `phase` alone, then
+    /// the globals and `main`. Concatenated they are the same program as one
+    /// unit (each starts with the guarded header).
+    fn units(&self) -> Vec<(String, String)> {
+        let (signature, call, rename): (_, _, &[(&str, &str)]) = match self.params {
+            true => (
+                "void phase(int *d, int *a)",
+                "phase(data, aux);",
+                &[("data", "d"), ("aux", "a")],
+            ),
+            false => ("void phase()", "phase();", &[]),
+        };
+        let lines = |pieces: &[Piece]| -> usize {
+            let rendered = pieces.iter().map(Piece::render);
+            rendered.map(|text| text.matches('\n').count()).sum()
+        };
+        let prologue = program_prologue(&format!("{signature};\n"));
+        let start = prologue.matches('\n').count() + lines(&self.pieces[..self.run.start]);
+        let end = start + lines(&self.pieces[self.run.clone()]);
+        let inline = render_program(&self.pieces).replacen(&program_prologue(""), &prologue, 1);
+        let (function, rest) =
+            ompdart_suite::outline::outline_lines(&inline, start..end, signature, call, rename);
+        let header = &rest[..rest.find("#endif\n").expect("guarded header") + "#endif\n".len()];
+        vec![
+            ("pieces_phase.c".to_string(), format!("{header}{function}")),
+            ("pieces_main.c".to_string(), rest),
+        ]
+    }
+
+    /// `main` keeps a kernel of its own before the call (the epilogue's
+    /// follows it), so the region it holds has the extent the inline
+    /// program's has and the two mappings must cost the same.
+    fn keeps_main_region(&self) -> bool {
+        self.pieces[..self.run.start].iter().any(Piece::has_kernel)
+    }
+
+    /// The next smaller cases: one piece dropped, or the run one shorter.
+    fn smaller(&self) -> Vec<Outlined> {
+        let mut out = Vec::new();
+        for at in 0..self.pieces.len() {
+            let mut pieces = self.pieces.clone();
+            pieces.remove(at);
+            let shift = |bound: usize| bound - usize::from(at < bound);
+            let run = shift(self.run.start)..shift(self.run.end);
+            if !run.is_empty() {
+                out.push(Outlined {
+                    pieces,
+                    run,
+                    ..self.clone()
+                });
+            }
+        }
+        if self.run.len() > 1 {
+            let (start, end) = (self.run.start, self.run.end);
+            for run in [start + 1..end, start..end - 1] {
+                out.push(Outlined {
+                    run,
+                    ..self.clone()
+                });
+            }
+        }
+        out
+    }
+}
+
+fn outlined_strategy() -> impl Strategy<Value = Outlined> {
+    (
+        proptest::collection::vec(piece_strategy(), 2..7),
+        0usize..64,
+        0usize..64,
+        0u8..2,
+    )
+        .prop_map(|(pieces, from, len, params)| {
+            let start = from % pieces.len();
+            let end = start + 1 + len % (pieces.len() - start);
+            Outlined {
+                pieces,
+                run: start..end,
+                params: params == 1,
+            }
+        })
+}
+
+/// What the simulator says of `source`: printed lines, bytes, calls.
+fn simulated(source: &str) -> Result<(Vec<String>, u64, u64), String> {
+    let run = simulate_source(source, SimConfig::default())
+        .map_err(|e| format!("simulation failed: {e}\n{source}"))?;
+    let profile = run.profile;
+    Ok((run.output, profile.total_bytes(), profile.total_calls()))
+}
+
+/// A cache directory of this test's own, removed when dropped.
+struct ScratchDir(std::path::PathBuf);
+
+impl ScratchDir {
+    fn new(tag: &str) -> ScratchDir {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let name = format!("ompdart-{tag}-{}-{n}", std::process::id());
+        ScratchDir(std::env::temp_dir().join(name))
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// The outlining oracle for one case, over every option set and round kind:
+///
+/// * the mapped program prints what host-only execution (the program with
+///   its pragmas removed) prints;
+/// * it moves no more bytes than the unmapped program's implicit `tofrom`;
+/// * the linked rewrites — of a cold round, a warm round, and a restart
+///   through a cache directory, at 1, 2 and 8 link threads — are the rewrite
+///   of the two units' concatenation, byte for byte;
+/// * where `main` keeps its region, the mapping moves the bytes, in the
+///   calls, that the inline program's mapping moves.
+fn check_outlined(case: &Outlined) -> Result<(), String> {
+    let units = case.units();
+    let concat: String = units.iter().map(|(_, source)| source.as_str()).collect();
+    let host_only: String = (concat.split_inclusive('\n'))
+        .filter(|line| !line.trim_start().starts_with("#pragma omp"))
+        .collect();
+    let expected = simulated(&host_only)?.0;
+    let (unmapped_output, unmapped_bytes, _) = simulated(&concat)?;
+    if unmapped_output != expected {
+        return Err(format!("the simulator disagrees with itself on\n{concat}"));
+    }
+    let inline = render_program(&case.pieces);
+    for lifetimes in [false, true] {
+        for pessimistic in [false, true] {
+            let at = format!("lifetimes {lifetimes}, pessimistic globals {pessimistic}");
+            let tool =
+                || (Ompdart::builder().lifetimes(lifetimes)).pessimistic_globals(pessimistic);
+            let analyze = |name: &str, source: &str| {
+                let analysis = tool().build().analyze(name, source);
+                let analysis = analysis.map_err(|e| format!("{at}: {e}\n{source}"))?;
+                Ok::<String, String>(analysis.rewritten_source().to_string())
+            };
+            let mapped = analyze("pieces_one.c", &concat)?;
+            for link_threads in [1usize, 2, 8] {
+                let dir = ScratchDir::new("outline");
+                let linked = || tool().link_threads(link_threads).cache_dir(&dir.0).build();
+                let session = linked();
+                for round in ["cold", "warm", "restart"] {
+                    let tool = match round {
+                        "restart" => linked(),
+                        _ => session.clone(),
+                    };
+                    let program = tool.analyze_program(&units);
+                    let program = program.map_err(|e| format!("{at}: {e}\n{concat}"))?;
+                    if program.concatenated_rewrite() != mapped {
+                        return Err(format!(
+                            "{at}, {link_threads} link thread(s), {round} round: linked\n{}\n\
+                             is not the rewrite of the concatenation\n{mapped}",
+                            program.concatenated_rewrite()
+                        ));
+                    }
+                    if program.stats().unknown_callee_fallbacks != 0 {
+                        return Err(format!("{at}: a call fell back\n{concat}"));
+                    }
+                }
+            }
+            let (output, bytes, calls) = simulated(&mapped)?;
+            if output != expected {
+                return Err(format!(
+                    "{at}: the mapping changed the output: {output:?}, host only {expected:?}\n{mapped}"
+                ));
+            }
+            if bytes > unmapped_bytes {
+                return Err(format!(
+                    "{at}: {bytes} B moved, unmapped {unmapped_bytes} B\n{mapped}"
+                ));
+            }
+            if case.keeps_main_region() {
+                let inline_mapped = analyze("pieces_inline.c", &inline)?;
+                let (_, inline_bytes, inline_calls) = simulated(&inline_mapped)?;
+                if (bytes, calls) != (inline_bytes, inline_calls) {
+                    return Err(format!(
+                        "{at}: outlined {bytes} B / {calls} call(s), inline {inline_bytes} B / \
+                         {inline_calls} call(s)\n{mapped}\ninline:\n{inline_mapped}"
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
+
+    /// [`check_outlined`] over generated programs. A failure is minimised —
+    /// pieces dropped, the run shortened, while it still fails — so what is
+    /// printed is a program of a few lines.
+    #[test]
+    fn outlining_preserves_output_and_cost(case in outlined_strategy()) {
+        if check_outlined(&case).is_err() {
+            let minimal = proptest::shrink::minimize(
+                case,
+                Outlined::smaller,
+                |smaller| check_outlined(smaller).is_err(),
+            );
+            let failure = check_outlined(&minimal).expect_err("the minimal case fails");
+            return Err(TestCaseError::fail(format!("{minimal:?}\n{failure}")));
+        }
+    }
+}
+
+/// The same outliner over the two ports whose kernels touch global arrays
+/// only: every interior kernel run of `lulesh` and `ace`, moved into a
+/// function, costs exactly what the port costs — bytes and calls — and
+/// prints what it prints. With `--lifetimes` (which plans the same regions
+/// and then re-places them) the single kernels and the longest run are
+/// checked, the hundred runs between them only in the structured mode.
+#[test]
+fn every_fn_variant_of_lulesh_and_ace_costs_what_its_port_costs() {
+    for port in ["lulesh", "ace"] {
+        let bench = ompdart_suite::by_name(port).unwrap();
+        for lifetimes in [false, true] {
+            let mapped = |name: &str, source: &str| {
+                let tool = Ompdart::builder().lifetimes(lifetimes).build();
+                let analysis = tool.analyze(name, source).unwrap();
+                assert_eq!(analysis.stats().unknown_callee_fallbacks, 0, "{name}");
+                simulated(analysis.rewritten_source()).unwrap()
+            };
+            let cost = mapped(&bench.unoptimized_file(), bench.unoptimized);
+            let variants = ompdart_suite::outline::kernel_run_variants(port, bench.unoptimized);
+            // `<port>_fn_<first>_<last>`: how many kernels the run holds.
+            let kernels = |name: &str| {
+                let mut numbers = name.rsplit('_').map(|n| n.parse::<usize>().unwrap());
+                let (last, first) = (numbers.next().unwrap(), numbers.next().unwrap());
+                last - first + 1
+            };
+            let longest = variants
+                .iter()
+                .map(|(name, _)| kernels(name))
+                .max()
+                .unwrap();
+            for (name, source) in variants {
+                if lifetimes && !matches!(kernels(&name), n if n == 1 || n == longest) {
+                    continue;
+                }
+                assert_eq!(
+                    mapped(&format!("{name}.c"), &source),
+                    cost,
+                    "{name}, lifetimes {lifetimes}:\n{source}"
+                );
+            }
+        }
     }
 }

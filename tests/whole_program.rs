@@ -439,15 +439,18 @@ void run_b() {{
         .summaries
         .summary("helper@sa.c")
         .expect("sa.c's static must be summarized");
-    assert!(a.param_effects[0].host_write, "sa.c's helper writes");
-    assert!(!a.param_effects[0].host_read, "sa.c's helper never reads");
+    assert!(a.param_effects[0].host_write(), "sa.c's helper writes");
+    assert!(!a.param_effects[0].host_read(), "sa.c's helper never reads");
     let b = program
         .linked
         .summaries
         .summary("helper@sb.c")
         .expect("sb.c's static must be summarized");
-    assert!(b.param_effects[0].host_read, "sb.c's helper reads");
-    assert!(!b.param_effects[0].host_write, "sb.c's helper never writes");
+    assert!(b.param_effects[0].host_read(), "sb.c's helper reads");
+    assert!(
+        !b.param_effects[0].host_write(),
+        "sb.c's helper never writes"
+    );
     assert!(
         program.linked.summaries.summary("helper").is_none(),
         "no unit may export a plain `helper` symbol"
@@ -1038,10 +1041,10 @@ fn unit_set_changes_relink_inside_the_cone() {
     let (moved, round) = warm_round(&driver, &added);
     assert_eq!(moved.relink_reseeded_functions, 0, "nothing calls the leaf");
     assert_eq!(
-        moved.relink_touched_units, 2,
-        "the leaf, and `main`'s unit: its exit liveness reads every unit's referenced variables"
+        moved.relink_touched_units, 1,
+        "the leaf alone: no unit reads anything of a function it does not call"
     );
-    assert_eq!(moved.fast_path_hits, base.len() as u64 - 1);
+    assert_eq!(moved.fast_path_hits, base.len() as u64);
     assert!(matches!(round.served[3], UnitServe::Planned { .. }));
 
     // Reorder: the same units in another order change nothing at all.
@@ -1070,7 +1073,7 @@ fn unit_set_changes_relink_inside_the_cone() {
     removed.retain(|(n, _)| n != "leaf.c");
     let (moved, _) = warm_round(&driver, &removed);
     assert_eq!(moved.relink_reseeded_functions, 1);
-    assert_eq!(moved.relink_touched_units, 1, "`main`'s unit again");
+    assert_eq!(moved.relink_touched_units, 0, "nobody observed it");
 
     // Remove the chain's tail: `stage_10` now calls an undefined function,
     // and every stage above it must forget what `stage_11` did.
@@ -1135,4 +1138,363 @@ fn relink_touches_follow_the_cone_on_the_thousand_unit_corpus() {
     assert!(moved.relink_reseeded_functions >= 500, "{moved}");
     assert!(moved.relink_reseeded_functions <= 501 + 8, "{moved}");
     assert!(moved.relink_touched_units <= 501 + 1 + 8, "{moved}");
+}
+
+// ---------------------------------------------------------------------------
+// Ordered summaries: a call site costs what its body costs
+// ---------------------------------------------------------------------------
+
+const ORDER_HEADER: &str = "\
+#ifndef ORDER_H
+#define ORDER_H
+#define N 64
+extern double x[N];
+extern double y[N];
+void f(int s);
+double g(int s);
+#endif
+";
+
+/// A callee that host-writes `x` and then reads it in a kernel.
+const HOST_WRITE_THEN_KERNEL: &str = "\
+void f(int s) {
+  for (int i = 0; i < N; i++) x[i] = i + s;
+  #pragma omp target teams distribute parallel for
+  for (int i = 0; i < N; i++) y[i] = x[i] * 2.0;
+}
+";
+
+/// A callee that writes `y` in a kernel and then reads it on the host.
+const KERNEL_THEN_HOST_READ: &str = "\
+double g(int s) {
+  double t = 0.0;
+  #pragma omp target teams distribute parallel for
+  for (int i = 0; i < N; i++) y[i] = x[i] * 2.0 + s;
+  for (int i = 0; i < N; i++) t += y[i];
+  return t;
+}
+";
+
+/// `main` around `call`: between two kernels of its own when `region` is
+/// set, with no kernel (so no region) of its own otherwise.
+fn order_main(call: &str, region: bool) -> String {
+    let (before, after) = match region {
+        true => (
+            "    #pragma omp target teams distribute parallel for\n    \
+             for (int i = 0; i < N; i++) x[i] += 1.0;\n",
+            "    #pragma omp target teams distribute parallel for\n    \
+             for (int i = 0; i < N; i++) y[i] += 1.0;\n",
+        ),
+        false => ("", ""),
+    };
+    format!(
+        "{ORDER_HEADER}double x[N];\ndouble y[N];\nint main() {{\n  \
+         for (int i = 0; i < N; i++) {{ x[i] = i; y[i] = 0.0; }}\n  double sum = 0.0;\n  \
+         for (int s = 0; s < 3; s++) {{\n{before}    {call}\n{after}  }}\n  \
+         for (int i = 0; i < N; i++) sum += y[i];\n  printf(\"%f\\n\", sum);\n  return 0;\n}}\n"
+    )
+}
+
+fn order_units(callee: &str, call: &str, region: bool) -> Vec<(String, String)> {
+    vec![
+        (
+            "order_callee.c".to_string(),
+            format!("{ORDER_HEADER}{callee}"),
+        ),
+        ("order_main.c".to_string(), order_main(call, region)),
+    ]
+}
+
+/// Analyse `units` as one unit (their concatenation) and as a linked
+/// program, in both planner modes; the rewrites agree byte for byte and the
+/// mapped program prints what the unmapped one prints. Returns the mapped
+/// program of each mode (structured, lifetimes).
+fn mapped_both_ways(units: &[(String, String)]) -> [String; 2] {
+    use ompdart_sim::{simulate_source, SimConfig};
+    let concat: String = units.iter().map(|(_, source)| source.as_str()).collect();
+    let unmapped = simulate_source(&concat, SimConfig::default()).expect("unmapped program runs");
+    [false, true].map(|lifetimes| {
+        let tool = || Ompdart::builder().lifetimes(lifetimes).build();
+        let one = tool().analyze("order_one.c", &concat).expect("one unit");
+        let linked = tool().analyze_program(units).expect("two units");
+        assert_eq!(linked.stats().unknown_callee_fallbacks, 0);
+        let mapped = linked.concatenated_rewrite();
+        assert_eq!(
+            mapped,
+            one.rewritten_source(),
+            "lifetimes {lifetimes}: the split must not move the rewrite"
+        );
+        let run = simulate_source(&mapped, SimConfig::default()).expect("mapped program runs");
+        assert_eq!(
+            run.output, unmapped.output,
+            "lifetimes {lifetimes}: the mapping changed what the program prints:\n{mapped}"
+        );
+        assert!(run.profile.total_bytes() <= unmapped.profile.total_bytes());
+        mapped
+    })
+}
+
+/// The lines of `text` around the one holding `needle`: (before, after).
+fn neighbours<'t>(text: &'t str, needle: &str) -> (&'t str, &'t str) {
+    let lines: Vec<&str> = text.lines().collect();
+    let at = (lines.iter().position(|line| line.contains(needle)))
+        .unwrap_or_else(|| panic!("no line holds `{needle}` in:\n{text}"));
+    (lines[at - 1], lines[at + 1])
+}
+
+/// Miscompile (a) of the unordered summary: the callee host-writes `x` and
+/// reads it in a kernel. Replayed as "read, then write" per side, the call
+/// got a `target update to(x)` *before* it — ahead of the host write inside
+/// `f` — while `f`'s own `map(to: x)` is a no-op under `main`'s region: the
+/// kernel in `f` read a stale `x`. Now the read is not exposed, so `main`
+/// places nothing at the call, and `f` repeats its copy-in as an update
+/// outside its region.
+#[test]
+fn a_callee_that_host_writes_then_kernel_reads_keeps_the_output() {
+    let units = order_units(HOST_WRITE_THEN_KERNEL, "f(s);", true);
+    for mapped in mapped_both_ways(&units) {
+        assert_eq!(
+            mapped.matches("#pragma omp target update").count(),
+            1,
+            "{mapped}"
+        );
+        let (before_call, after_call) = neighbours(&mapped, "    f(s);");
+        assert!(!before_call.contains("target update"), "{mapped}");
+        assert!(!after_call.contains("target update"), "{mapped}");
+        // In `f`: after the host loop, before the kernel and whatever maps
+        // its data.
+        let (before, after) = neighbours(&mapped, "#pragma omp target update to(x)");
+        assert!(before.contains("x[i] = i + s"), "{mapped}");
+        assert!(after.contains("map(to: x)"), "{mapped}");
+    }
+}
+
+/// Miscompile (b): the callee writes `y` in a kernel and reads it on the
+/// host; `main` anchored `target update from(y)` before the call, and the
+/// host loop in `g` read the stale `y`.
+#[test]
+fn a_callee_that_kernel_writes_then_host_reads_keeps_the_output() {
+    let units = order_units(KERNEL_THEN_HOST_READ, "sum += g(s);", true);
+    for mapped in mapped_both_ways(&units) {
+        assert_eq!(
+            mapped.matches("#pragma omp target update").count(),
+            1,
+            "{mapped}"
+        );
+        let (before_call, after_call) = neighbours(&mapped, "    sum += g(s);");
+        assert!(!before_call.contains("target update"), "{mapped}");
+        assert!(!after_call.contains("target update"), "{mapped}");
+        // In `g`: after the kernel and whatever unmaps its data, before the
+        // host loop.
+        let (before, after) = neighbours(&mapped, "#pragma omp target update from(y)");
+        assert!(before.contains("y[i] = x[i] * 2.0 + s") || before.contains("map(from: y)"));
+        assert!(after.contains("t += y[i]"), "{mapped}");
+    }
+}
+
+/// Under a `main` that holds no region the callee's clauses do the copies
+/// and its updates find nothing present: they move nothing.
+#[test]
+fn callee_side_updates_are_free_when_no_caller_holds_the_data() {
+    use ompdart_sim::{simulate_source, SimConfig};
+    let programs = [
+        order_units(HOST_WRITE_THEN_KERNEL, "f(s);", false),
+        order_units(KERNEL_THEN_HOST_READ, "sum += g(s);", false),
+    ];
+    for units in programs {
+        for mapped in mapped_both_ways(&units) {
+            assert_eq!(mapped.matches("#pragma omp target update").count(), 1);
+            let without: String = (mapped.lines())
+                .filter(|line| !line.contains("#pragma omp target update"))
+                .flat_map(|line| [line, "\n"])
+                .collect();
+            let [with, without] = [&mapped, &without]
+                .map(|text| simulate_source(text, SimConfig::default()).unwrap());
+            assert_eq!(with.output, without.output);
+            let moved = |run: &ompdart_sim::Outcome| {
+                let p = run.profile;
+                (p.htod_calls, p.htod_bytes, p.dtoh_calls, p.dtoh_bytes)
+            };
+            assert_eq!(moved(&with), moved(&without), "{mapped}");
+        }
+    }
+}
+
+/// The acceptance of the ordered summary on the paper's one interprocedural
+/// port: linked, `lulesh_mf` costs what the same kernels cost inline.
+#[test]
+fn lulesh_mf_costs_what_lulesh_costs() {
+    use ompdart_sim::{simulate_source, SimConfig};
+    let clause = |text: &str, kind: &str| -> Vec<String> {
+        let line = (text.lines())
+            .find(|line| line.contains("#pragma omp target data"))
+            .expect("main holds a region");
+        let open = format!("map({kind}: ");
+        let from = line
+            .find(&open)
+            .unwrap_or_else(|| panic!("no {open}in {line}"))
+            + open.len();
+        let len = line[from..].find(')').unwrap();
+        let mut vars: Vec<String> = line[from..from + len]
+            .split(", ")
+            .map(String::from)
+            .collect();
+        vars.sort();
+        vars
+    };
+    let inputs = owned(&lulesh_multifile());
+    let lulesh = ompdart_suite::benchmarks::by_name("lulesh").unwrap();
+    let unmapped = simulate_source(&lulesh_multifile_concat(), SimConfig::default()).unwrap();
+    for lifetimes in [false, true] {
+        let tool = |threads: usize| {
+            (Ompdart::builder().lifetimes(lifetimes))
+                .link_threads(threads)
+                .build()
+        };
+        let concat = tool(1)
+            .analyze("lulesh_mf_concat.c", &lulesh_multifile_concat())
+            .unwrap();
+        for threads in [1, 2, 8] {
+            let program = tool(threads).analyze_program(&inputs).unwrap();
+            assert_eq!(program.stats().unknown_callee_fallbacks, 0);
+            assert_eq!(program.concatenated_rewrite(), concat.rewritten_source());
+        }
+        let run = simulate_source(concat.rewritten_source(), SimConfig::default()).unwrap();
+        assert_eq!(run.output, unmapped.output);
+        assert!(run.profile.total_bytes() <= 73_600, "{:?}", run.profile);
+        assert!(run.profile.total_calls() <= 23, "{:?}", run.profile);
+        let single = (Ompdart::builder().lifetimes(lifetimes).build())
+            .analyze(&lulesh.unoptimized_file(), lulesh.unoptimized)
+            .unwrap();
+        let inline = simulate_source(single.rewritten_source(), SimConfig::default()).unwrap();
+        assert_eq!(run.profile.total_bytes(), inline.profile.total_bytes());
+        assert_eq!(run.profile.total_calls(), inline.profile.total_calls());
+        if !lifetimes {
+            let main = &tool(1).analyze_program(&inputs).unwrap().units[2];
+            for kind in ["to", "tofrom", "alloc"] {
+                assert_eq!(
+                    clause(&main.rewrite.source, kind),
+                    clause(single.rewritten_source(), kind),
+                    "main's map({kind}: ...) differs from the single-file port's"
+                );
+            }
+            assert_eq!(clause(&main.rewrite.source, "to").len(), 11);
+            assert_eq!(clause(&main.rewrite.source, "tofrom"), ["e", "work", "x"]);
+            assert_eq!(clause(&main.rewrite.source, "alloc").len(), 10);
+            // The clause says what decided it: the callee's order, and what
+            // runs after the region.
+            let explained = main.explain();
+            assert!(
+                explained.contains("`calc_forces` writes `fx` on the device before reading it"),
+                "{explained}"
+            );
+            assert!(
+                explained.contains("nothing that runs after the region reads it"),
+                "{explained}"
+            );
+        }
+    }
+}
+
+/// The order of a callee's accesses is part of its summary: swapping a
+/// kernel write and a kernel read of a global keeps the four may bits and
+/// moves the fingerprint, so the caller in another unit is planned again —
+/// once. Which globals a function nothing calls *mentions* is part of
+/// nothing (it used to keep `main`'s exit copies alive, so it was part of
+/// `main`'s plan key): an edit that changes only that plans the edited
+/// function and no other.
+#[test]
+fn a_reordered_callee_replans_its_caller_once_and_a_mention_replans_nothing() {
+    let header = "#ifndef SWAP_H\n#define SWAP_H\n#define N 32\n\
+                  extern double t[N];\nextern double out[N];\nextern double far[N];\n\
+                  void stage();\nvoid bystander();\n#endif\n";
+    let kernel =
+        "  #pragma omp target teams distribute parallel for\n  for (int i = 0; i < N; i++)";
+    let stage = |write_first: bool| {
+        let write = format!("{kernel} t[i] = i;\n");
+        let read = format!("{kernel} out[i] = t[i];\n");
+        let (first, second) = match write_first {
+            true => (write, read),
+            false => (read, write),
+        };
+        format!("{header}void stage() {{\n{first}{second}}}\n")
+    };
+    let bystander =
+        |mentions: &str| format!("{header}void bystander() {{\n  far[0] = {mentions};\n}}\n");
+    let main = format!(
+        "{header}double t[N];\ndouble out[N];\ndouble far[N];\nint main() {{\n  \
+         for (int s = 0; s < 3; s++) {{\n{kernel} out[i] = s;\n    stage();\n{kernel} out[i] += 1.0;\n  }}\n  \
+         printf(\"%f\\n\", out[1]);\n  return 0;\n}}\n"
+    );
+    let units = |write_first: bool, mentions: &str| {
+        vec![
+            ("swap_stage.c".to_string(), stage(write_first)),
+            ("swap_far.c".to_string(), bystander(mentions)),
+            ("swap_main.c".to_string(), main.clone()),
+        ]
+    };
+    let tool = Ompdart::builder().build();
+    let session = Arc::clone(tool.session());
+    let planned = |inputs: &[(String, String)]| {
+        let before = session.cache_stats();
+        let program = tool.analyze_program(inputs).unwrap();
+        let (planned, _) = delta(before, session.cache_stats());
+        (planned, program)
+    };
+    let (_, cold) = planned(&units(true, "1.0"));
+    assert!(cold.units[2].rewrite.source.contains("map(alloc: t)"));
+
+    // Same accesses, other order: `stage` and its caller `main`, nothing else.
+    let (replanned, swapped) = planned(&units(false, "1.0"));
+    assert_eq!(replanned, 2, "the edited function and its one caller");
+    assert!(matches!(swapped.served[1], UnitServe::Cached));
+    assert!(
+        swapped.units[2].rewrite.source.contains("map(to: t)"),
+        "read first: `t` is copied in now\n{}",
+        swapped.units[2].rewrite.source
+    );
+    let fingerprint = |program: &ompdart_core::ProgramAnalysis| program.interfaces[0].fingerprint;
+    assert_ne!(fingerprint(&cold), fingerprint(&swapped));
+    let (again, _) = planned(&units(false, "1.0"));
+    assert_eq!(again, 0, "once");
+
+    // The far unit starts mentioning `t` and `out`: its own function is
+    // planned again, `main` — which used to key on every mention — is not.
+    let (replanned, mentioned) = planned(&units(false, "t[0] + out[0]"));
+    assert_eq!(replanned, 1, "only the edited function");
+    assert!(matches!(mentioned.served[2], UnitServe::Cached));
+    assert_eq!(
+        mentioned.units[2].rewrite.source,
+        swapped.units[2].rewrite.source
+    );
+}
+
+/// Three levels: `main` holds `x` on the device, `f` calls `g` — whose kernel
+/// writes `x` — before its own kernel reads it. `g`'s result reaches `f`'s
+/// kernel on the device; it was never a host write of `f`'s, so `f` must not
+/// repeat its copy-in as an update (which would put the stale host `x` over
+/// the current device one).
+#[test]
+fn a_nested_callees_device_write_is_not_a_host_write_of_its_caller() {
+    let units = vec![
+        (
+            "nest_callees.c".to_string(),
+            format!(
+                "{ORDER_HEADER}void g(int s) {{\n  \
+                 #pragma omp target teams distribute parallel for\n  \
+                 for (int i = 0; i < N; i++) x[i] = i * 2.0 + s;\n}}\n\
+                 void f(int s) {{\n  g(s);\n  \
+                 #pragma omp target teams distribute parallel for\n  \
+                 for (int i = 0; i < N; i++) y[i] = x[i] + 1.0;\n}}\n"
+            )
+            .replace("double g(int s);", "void g(int s);"),
+        ),
+        (
+            "nest_main.c".to_string(),
+            order_main("f(s);", true).replace("double g(int s);", "void g(int s);"),
+        ),
+    ];
+    for mapped in mapped_both_ways(&units) {
+        assert!(!mapped.contains("#pragma omp target update"), "{mapped}");
+    }
 }
