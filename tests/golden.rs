@@ -1,31 +1,42 @@
-//! Pinned golden outputs: with `--lifetimes` **off** (the default), the
-//! rewritten source of every benchmark — the nine single-file programs and
-//! the linked three-file lulesh port — is byte-identical to the committed
-//! `tests/golden/*.mapped.c` files.
+//! Pinned golden outputs, one plan in two spellings: the rewritten source of
+//! every benchmark — the nine single-file programs and the linked three-file
+//! lulesh port — is byte-identical to the committed `tests/golden/*.mapped.c`
+//! files by default and to `tests/golden/lifetimes/*.mapped.c` under
+//! `--lifetimes`.
 //!
-//! These goldens were captured before the unstructured-lifetimes planner
-//! landed; this test is the proof that the lifetimes mode is purely opt-in
-//! and the default pipeline's output never moved.
+//! The default goldens predate the lifetimes mode; the `--lifetimes` ones
+//! were recorded from the planner that still restated each `map` as an
+//! `enter data` / `exit data` spec pair, before that mode became a rendering
+//! of the structured plan. Neither set has moved since.
 
 use ompdart_core::{Ompdart, ProgramDriver};
 use ompdart_suite::benchmarks;
 
-const GOLDENS: [(&str, &str); 9] = [
-    ("accuracy", include_str!("golden/accuracy.mapped.c")),
-    ("ace", include_str!("golden/ace.mapped.c")),
-    ("backprop", include_str!("golden/backprop.mapped.c")),
-    ("bfs", include_str!("golden/bfs.mapped.c")),
-    ("clenergy", include_str!("golden/clenergy.mapped.c")),
-    ("hotspot", include_str!("golden/hotspot.mapped.c")),
-    ("lulesh", include_str!("golden/lulesh.mapped.c")),
-    ("nw", include_str!("golden/nw.mapped.c")),
-    ("xsbench", include_str!("golden/xsbench.mapped.c")),
+/// `(port, default golden, --lifetimes golden)`.
+macro_rules! goldens {
+    ($($name:literal),* $(,)?) => {
+        [$((
+            $name,
+            include_str!(concat!("golden/", $name, ".mapped.c")),
+            include_str!(concat!("golden/lifetimes/", $name, ".mapped.c")),
+        )),*]
+    };
+}
+
+const GOLDENS: [(&str, &str, &str); 9] = goldens![
+    "accuracy", "ace", "backprop", "bfs", "clenergy", "hotspot", "lulesh", "nw", "xsbench",
+];
+
+const LINKED_GOLDENS: [(&str, &str, &str); 3] = goldens![
+    "lulesh_mf/lulesh_mf_main",
+    "lulesh_mf/lulesh_mf_mesh",
+    "lulesh_mf/lulesh_mf_eos",
 ];
 
 #[test]
 fn default_rewrites_are_byte_identical_to_goldens() {
     let tool = Ompdart::builder().build();
-    for (name, golden) in GOLDENS {
+    for (name, golden, _) in GOLDENS {
         let bench = benchmarks::by_name(name).unwrap();
         let analysis = tool
             .analyze(&bench.unoptimized_file(), bench.unoptimized)
@@ -45,39 +56,52 @@ fn default_rewrites_are_byte_identical_to_goldens() {
     }
 }
 
+/// The same ports under `--lifetimes`: the `enter data` / `exit data`
+/// spelling (and the `collapse(n)` clauses that ride with it) is pinned too.
+#[test]
+fn lifetimes_rewrites_are_byte_identical_to_goldens() {
+    let tool = Ompdart::builder().lifetimes(true).build();
+    for (name, _, golden) in GOLDENS {
+        let bench = benchmarks::by_name(name).unwrap();
+        let analysis = tool
+            .analyze(&bench.unoptimized_file(), bench.unoptimized)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(
+            analysis.rewritten_source(),
+            golden,
+            "{name}: --lifetimes rewrite moved off its golden"
+        );
+    }
+}
+
 #[test]
 fn linked_multifile_rewrites_are_byte_identical_to_goldens() {
-    let goldens = [
-        (
-            "lulesh_mf_main.c",
-            include_str!("golden/lulesh_mf/lulesh_mf_main.mapped.c"),
-        ),
-        (
-            "lulesh_mf_mesh.c",
-            include_str!("golden/lulesh_mf/lulesh_mf_mesh.mapped.c"),
-        ),
-        (
-            "lulesh_mf_eos.c",
-            include_str!("golden/lulesh_mf/lulesh_mf_eos.mapped.c"),
-        ),
-    ];
     let units: Vec<(String, String)> = benchmarks::lulesh_multifile()
         .into_iter()
         .map(|(n, s)| (n.to_string(), s.to_string()))
         .collect();
-    let program = ProgramDriver::new().analyze_program(&units).unwrap();
-    for (name, golden) in goldens {
-        let unit = program
-            .units
-            .iter()
-            .zip(&units)
-            .find(|(_, (n, _))| n == name)
-            .map(|(u, _)| u)
-            .unwrap_or_else(|| panic!("{name}: unit missing from linked program"));
-        assert_eq!(
-            unit.rewrite.source, golden,
-            "{name}: linked (lifetimes-off) rewrite moved off its golden"
-        );
+    for lifetimes in [false, true] {
+        let tool = Ompdart::builder().lifetimes(lifetimes).build();
+        let program = tool.analyze_program(&units).unwrap();
+        for (stem, default_golden, lifetimes_golden) in LINKED_GOLDENS {
+            let name = format!("{}.c", stem.trim_start_matches("lulesh_mf/"));
+            let unit = program
+                .units
+                .iter()
+                .zip(&units)
+                .find(|(_, (n, _))| *n == name)
+                .map(|(u, _)| u)
+                .unwrap_or_else(|| panic!("{name}: unit missing from linked program"));
+            assert_eq!(
+                unit.rewrite.source,
+                if lifetimes {
+                    lifetimes_golden
+                } else {
+                    default_golden
+                },
+                "{name}: linked (lifetimes = {lifetimes}) rewrite moved off its golden"
+            );
+        }
     }
 }
 
