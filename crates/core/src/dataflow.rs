@@ -23,8 +23,8 @@ use crate::bounds::section_length_from_loops;
 use crate::interproc::is_pure_builtin;
 use crate::pipeline::Stage;
 use crate::plan::ir::{
-    CollapseSpec, EnterDataSpec, ExitDataSpec, FirstPrivateSpec, MapSpec, MappingPlan, Placement,
-    Provenance, ProvenanceFact, UpdateDirection, UpdateSpec,
+    CollapseSpec, FirstPrivateSpec, MapSpec, MappingPlan, Placement, Provenance, ProvenanceFact,
+    UpdateDirection, UpdateSpec,
 };
 use crate::validity::{Position, Transfers, VarState, Walker};
 use ompdart_frontend::ast::*;
@@ -46,12 +46,11 @@ pub struct DataflowOptions {
     /// the naive in-loop placement the paper reports as 14x slower on
     /// backprop.
     pub hoist_updates: bool,
-    /// Unstructured device lifetimes: re-place the structured region's
-    /// `map(...)` clauses as `target enter data` / `target exit data`
-    /// directives anchored at the region's phase boundaries
-    /// (first-device-use / last-host-use), and collapse perfectly nested
-    /// offload loops with `collapse(n)`. Off by default; with it off the
-    /// produced plan is identical to the structured one.
+    /// Unstructured device lifetimes: the same mapping decisions, spelled
+    /// as one `target enter data` / `target exit data` pair at the region's
+    /// boundaries ([`MappingPlan::unstructured`]), plus `collapse(n)` on
+    /// perfectly nested offload loops ([`plan_collapses`]). The plan stage
+    /// reads it; [`plan_function`] does not. Off by default.
     pub lifetimes: bool,
 }
 
@@ -404,138 +403,12 @@ pub fn plan_function(
         } else {
             None
         };
-        if options.lifetimes {
-            // Unstructured lifetimes: the structured map becomes an
-            // `enter data` at the phase's first-device-use boundary and an
-            // `exit data` at its last-host-use boundary. The map-type matrix
-            // is exactly the refcounted split of the structured clause:
-            //   to     -> enter(to)    + exit(release)
-            //   tofrom -> enter(to)    + exit(from)
-            //   from   -> enter(alloc) + exit(from)
-            //   alloc  -> enter(alloc) + exit(delete)
-            // Every enter is balanced by an exit: a phase that runs more
-            // than once (a function called per timestep) must leave the
-            // present-table reference count where it found it, or an
-            // enclosing phase's `exit data map(from: ...)` never reaches
-            // zero and never copies the result back.
-            let first_dev_span = accesses
-                .accesses
-                .iter()
-                .find(|a| a.var == *var && a.on_device)
-                .map(|a| a.span);
-            let to_deciding = to_entry.get(var);
-            let enter = match map_type {
-                MapType::To | MapType::ToFrom => EnterDataSpec {
-                    var: var.to_string(),
-                    map_type: MapType::To,
-                    anchor: region_start,
-                    placement: Placement::Before,
-                    section_length: section_length.clone(),
-                    provenance: provenance_for(
-                        ProvenanceFact::FirstDeviceUse,
-                        to_deciding.map(|d| d.span).or(first_dev_span),
-                        format!(
-                            "the first device use of `{var}` reads its host value; `enter data` \
-                             copies it in once at the phase boundary"
-                        ),
-                        to_deciding,
-                    ),
-                },
-                _ => EnterDataSpec {
-                    var: var.to_string(),
-                    map_type: MapType::Alloc,
-                    anchor: region_start,
-                    placement: Placement::Before,
-                    section_length: section_length.clone(),
-                    provenance: Provenance::plan(
-                        ProvenanceFact::FirstDeviceUse,
-                        first_dev_span,
-                        format!(
-                            "the first device use of `{var}` writes it; the phase allocates \
-                             device storage without copying the host value"
-                        ),
-                    ),
-                },
-            };
-            plan.enter_data.push(enter);
-            let exit = match map_type {
-                MapType::ToFrom | MapType::From => {
-                    let from_deciding = from_exit.get(var);
-                    let (span, detail) = match from_deciding {
-                        Some(read) => (
-                            Some(read.span),
-                            format!(
-                                "the last host use of the device-written `{var}` follows this \
-                                 phase; `exit data` copies it back at the phase boundary"
-                            ),
-                        ),
-                        None => (
-                            escape_exit.get(var).and_then(|w| w.and_then(span_of)),
-                            format!(
-                                "`{var}` escapes the phase and whole-program liveness cannot \
-                                 prove the device result dead; `exit data` copies it back"
-                            ),
-                        ),
-                    };
-                    Some(ExitDataSpec {
-                        var: var.to_string(),
-                        map_type: MapType::From,
-                        anchor: region_end,
-                        placement: Placement::After,
-                        section_length,
-                        provenance: provenance_for(
-                            ProvenanceFact::LastHostUse,
-                            span,
-                            detail,
-                            from_deciding,
-                        ),
-                    })
-                }
-                MapType::Alloc => Some(ExitDataSpec {
-                    var: var.to_string(),
-                    map_type: MapType::Delete,
-                    anchor: region_end,
-                    placement: Placement::After,
-                    section_length,
-                    provenance: Provenance::plan(
-                        ProvenanceFact::DeviceResidentAcrossPhase,
-                        demoted
-                            .get(var)
-                            .and_then(|w| w.and_then(span_of))
-                            .or(first_dev_span),
-                        format!(
-                            "`{var}` stays device-resident for the entire phase; no host read \
-                             observes it, so `exit data` deletes the device copy"
-                        ),
-                    ),
-                }),
-                MapType::To => Some(ExitDataSpec {
-                    var: var.to_string(),
-                    map_type: MapType::Release,
-                    anchor: region_end,
-                    placement: Placement::After,
-                    section_length,
-                    provenance: Provenance::plan(
-                        ProvenanceFact::DeviceResidentAcrossPhase,
-                        first_dev_span,
-                        format!(
-                            "`{var}` is read-only on the device; `exit data` releases the \
-                             phase's reference without a copy, keeping the present-table \
-                             count balanced for enclosing phases"
-                        ),
-                    ),
-                }),
-                _ => None,
-            };
-            plan.exit_data.extend(exit);
-        } else {
-            plan.maps.push(MapSpec {
-                var: var.to_string(),
-                map_type,
-                section_length,
-                provenance,
-            });
-        }
+        plan.maps.push(MapSpec {
+            var: var.to_string(),
+            map_type,
+            section_length,
+            provenance,
+        });
     }
 
     for decision in updates_raw {
@@ -647,44 +520,49 @@ pub fn plan_function(
         }
     }
 
-    // Collapse perfectly nested offload loops. Only attempted in lifetimes
-    // mode (it rides the same planning pass), only for kernels that do not
-    // already carry a `collapse` clause, and only when the nest is perfect
-    // with rectangular bounds: each inner loop is the sole statement of its
-    // parent's body and its header never references an outer induction
-    // variable.
-    if options.lifetimes {
-        body.walk(&mut |s| {
-            let StmtKind::Omp(dir) = &s.kind else { return };
-            if !kernels.contains(&s.id) {
-                return;
-            }
-            if dir.clauses.iter().any(|c| matches!(c, Clause::Collapse(_))) {
-                return;
-            }
-            let Some(kernel_loop) = dir.body.as_deref() else {
-                return;
-            };
-            let depth = perfect_nest_depth(kernel_loop);
-            if depth >= 2 {
-                plan.collapses.push(CollapseSpec {
-                    kernel: s.id,
-                    depth,
-                    provenance: Provenance::plan(
-                        ProvenanceFact::PerfectNestCollapsed,
-                        Some(kernel_loop.span),
-                        format!(
-                            "the offload loop nest is perfectly nested {depth} deep with \
-                             rectangular bounds; `collapse({depth})` exposes the full \
-                             iteration space to the device"
-                        ),
-                    ),
-                });
-            }
-        });
-    }
-
     Some(plan)
+}
+
+/// The `collapse(n)` clauses of a function's perfectly nested offload loops
+/// (the `--lifetimes` mode's second half): one per kernel of `kernels` that
+/// does not already carry a `collapse` clause and whose nest is perfect with
+/// rectangular bounds — each inner loop is the sole statement of its
+/// parent's body and its header never references an outer induction
+/// variable.
+pub fn plan_collapses(func: &FunctionDef, kernels: &[NodeId]) -> Vec<CollapseSpec> {
+    let mut collapses = Vec::new();
+    let Some(body) = &func.body else {
+        return collapses;
+    };
+    body.walk(&mut |s| {
+        let StmtKind::Omp(dir) = &s.kind else { return };
+        if !kernels.contains(&s.id) {
+            return;
+        }
+        if dir.clauses.iter().any(|c| matches!(c, Clause::Collapse(_))) {
+            return;
+        }
+        let Some(kernel_loop) = dir.body.as_deref() else {
+            return;
+        };
+        let depth = perfect_nest_depth(kernel_loop);
+        if depth >= 2 {
+            collapses.push(CollapseSpec {
+                kernel: s.id,
+                depth,
+                provenance: Provenance::plan(
+                    ProvenanceFact::PerfectNestCollapsed,
+                    Some(kernel_loop.span),
+                    format!(
+                        "the offload loop nest is perfectly nested {depth} deep with \
+                         rectangular bounds; `collapse({depth})` exposes the full \
+                         iteration space to the device"
+                    ),
+                ),
+            });
+        }
+    });
+    collapses
 }
 
 /// The number of perfectly nested `for` loops starting at `kernel_loop`:
@@ -1821,88 +1699,19 @@ int main() {
         assert!(updates[0].provenance.detail.contains("`a`"));
     }
 
-    /// Lifetimes mode replaces every structured map with the refcounted
-    /// enter/exit split, and every spec carries a lifetime provenance fact.
-    #[test]
-    fn lifetimes_mode_splits_maps_into_enter_exit_pairs() {
-        let src = "\
-#define N 64
-double input[N];
-double output[N];
-double scratch[N];
-int main() {
-  for (int i = 0; i < N; i++) input[i] = i;
-  #pragma omp target teams distribute parallel for
-  for (int i = 0; i < N; i++) {
-    scratch[i] = input[i] * 2.0;
-    output[i] = scratch[i] + 1.0;
-  }
-  double s = 0.0;
-  for (int i = 0; i < N; i++) s += output[i];
-  printf(\"%f\\n\", s);
-  return 0;
-}
-";
-        let (structured, _) = plan_for(src, "main");
-        let (plan, _unit) = plan_with_options(
-            src,
-            "main",
-            DataflowOptions {
-                lifetimes: true,
-                ..Default::default()
-            },
-        );
-        assert!(plan.maps.is_empty(), "{:?}", plan.maps);
-        // input: to -> enter(to) + exit(release). The release leg carries no
-        // copy but keeps the present-table count balanced when the phase
-        // re-runs inside an enclosing lifetime.
-        assert_eq!(plan.enter_for("input").unwrap().map_type, MapType::To);
-        assert_eq!(
-            plan.enter_for("input").unwrap().provenance.fact,
-            ProvenanceFact::FirstDeviceUse
-        );
-        assert_eq!(plan.exit_for("input").unwrap().map_type, MapType::Release);
-        // output: from -> enter(alloc) + exit(from).
-        assert_eq!(plan.enter_for("output").unwrap().map_type, MapType::Alloc);
-        let out_exit = plan.exit_for("output").unwrap();
-        assert_eq!(out_exit.map_type, MapType::From);
-        assert_eq!(out_exit.provenance.fact, ProvenanceFact::LastHostUse);
-        // scratch was alloc in the structured plan -> enter(alloc) + exit(delete).
-        assert_eq!(
-            structured.map_for("scratch").unwrap().map_type,
-            MapType::Alloc
-        );
-        let scratch_exit = plan.exit_for("scratch").unwrap();
-        assert_eq!(scratch_exit.map_type, MapType::Delete);
-        assert_eq!(
-            scratch_exit.provenance.fact,
-            ProvenanceFact::DeviceResidentAcrossPhase
-        );
-        // One enter per structured map; every lifetime spec is justified
-        // with a span.
-        assert_eq!(plan.enter_data.len(), structured.maps.len());
-        for p in plan.provenances() {
-            assert!(p.span.is_some(), "{p:?}");
-        }
-        // Anchors are the phase boundaries.
-        for e in &plan.enter_data {
-            assert_eq!(e.anchor, plan.region_start.unwrap());
-            assert_eq!(e.placement, Placement::Before);
-        }
-        for e in &plan.exit_data {
-            assert_eq!(e.anchor, plan.region_end.unwrap());
-            assert_eq!(e.placement, Placement::After);
-        }
-    }
-
     /// Perfectly nested rectangular offload loops gain `collapse(n)` in
-    /// lifetimes mode; triangular nests and nests with interleaved
-    /// statements are refused.
+    /// lifetimes mode; triangular nests, nests with interleaved statements
+    /// and kernels that already carry the clause are refused.
     #[test]
     fn lifetimes_mode_collapses_perfect_nests_only() {
-        let lifetimes = DataflowOptions {
-            lifetimes: true,
-            ..Default::default()
+        let collapses_of = |src: &str| {
+            let (plan, unit) = plan_for(src, "f");
+            // Planning itself never collapses: that is the plan stage's call.
+            assert!(plan.collapses.is_empty() && !plan.unstructured);
+            (
+                plan_collapses(unit.function("f").unwrap(), &plan.kernels),
+                plan,
+            )
         };
         let perfect = "\
 #define N 16
@@ -1914,14 +1723,14 @@ void f() {
       a[i * N + j] = i + j;
 }
 ";
-        let (plan, _) = plan_with_options(perfect, "f", lifetimes);
-        assert_eq!(plan.collapses.len(), 1, "{:?}", plan.collapses);
-        assert_eq!(plan.collapses[0].depth, 2);
+        let (collapses, plan) = collapses_of(perfect);
+        assert_eq!(collapses.len(), 1, "{collapses:?}");
+        assert_eq!(collapses[0].depth, 2);
         assert_eq!(
-            plan.collapses[0].provenance.fact,
+            collapses[0].provenance.fact,
             ProvenanceFact::PerfectNestCollapsed
         );
-        assert_eq!(plan.collapses[0].kernel, plan.kernels[0]);
+        assert_eq!(collapses[0].kernel, plan.kernels[0]);
 
         // Triangular nest: the inner bound references the outer induction
         // variable, so collapse is illegal.
@@ -1935,8 +1744,8 @@ void f() {
       a[i * N + j] = i + j;
 }
 ";
-        let (plan, _) = plan_with_options(triangular, "f", lifetimes);
-        assert!(plan.collapses.is_empty(), "{:?}", plan.collapses);
+        let (collapses, _) = collapses_of(triangular);
+        assert!(collapses.is_empty(), "{collapses:?}");
 
         // A statement between the loops breaks perfect nesting.
         let imperfect = "\
@@ -1952,14 +1761,13 @@ void f() {
   }
 }
 ";
-        let (plan, _) = plan_with_options(imperfect, "f", lifetimes);
-        assert!(plan.collapses.is_empty(), "{:?}", plan.collapses);
+        let (collapses, _) = collapses_of(imperfect);
+        assert!(collapses.is_empty(), "{collapses:?}");
 
-        // With lifetimes off, no collapse specs are planned at all.
-        let (plan, _) = plan_for(perfect, "f");
-        assert!(plan.collapses.is_empty());
-        assert!(plan.enter_data.is_empty());
-        assert!(plan.exit_data.is_empty());
+        // The source already says it.
+        let declared = perfect.replace("parallel for", "parallel for collapse(2)");
+        let (collapses, _) = collapses_of(&declared);
+        assert!(collapses.is_empty(), "{collapses:?}");
     }
 
     /// Functions without kernels produce no plan.

@@ -84,9 +84,9 @@ pub use pipeline::{
 };
 pub use plan::{
     diff_plans, explain_plan, explain_plans, extract_explicit_plans, plans_from_json,
-    plans_to_json, plans_to_json_value, AnalysisStats, CollapseSpec, DiffEntry, EnterDataSpec,
-    ExitDataSpec, FirstPrivateSpec, MapSpec, MappingConstruct, MappingPlan, Placement, PlanDiff,
-    PlanJsonError, Provenance, ProvenanceFact, UpdateDirection, UpdateSpec, PLAN_FORMAT_VERSION,
+    plans_to_json, plans_to_json_value, AnalysisStats, CollapseSpec, DiffEntry, FirstPrivateSpec,
+    MapSpec, MappingConstruct, MappingPlan, Placement, PlanDiff, PlanJsonError, Provenance,
+    ProvenanceFact, UpdateDirection, UpdateSpec, PLAN_FORMAT_VERSION,
 };
 pub use program::{
     DriverProfile, ExportedInterface, LinkContext, LinkState, LinkedSummaries, Program,
@@ -249,10 +249,10 @@ impl OmpdartBuilder {
         self
     }
 
-    /// Plan unstructured device lifetimes: structured-region maps become
-    /// `target enter data` / `target exit data` at the phase boundaries and
-    /// perfectly nested offload loops gain `collapse(n)` (see
-    /// [`DataflowOptions::lifetimes`]).
+    /// Spell each region's maps as a `target enter data` /
+    /// `target exit data` pair at its boundaries instead of a `target data`
+    /// region — the same plan otherwise — and give perfectly nested offload
+    /// loops `collapse(n)` (see [`DataflowOptions::lifetimes`]).
     pub fn lifetimes(mut self, enabled: bool) -> OmpdartBuilder {
         self.options.dataflow.lifetimes = enabled;
         self

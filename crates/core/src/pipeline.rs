@@ -67,7 +67,7 @@
 //! ```
 
 use crate::access::{FunctionAccesses, SymbolTable};
-use crate::dataflow::plan_function;
+use crate::dataflow::{plan_collapses, plan_function};
 use crate::interface::UnitExports;
 use crate::interproc::{
     augment_with_call_effects, seed_summary, visible_globals, FunctionSummary, ProgramSummaries,
@@ -835,7 +835,7 @@ fn run_plan_stage(
                 options.pessimistic_globals,
             ) as u64;
             let mut diags = Diagnostics::new();
-            let plan = plan_function(
+            let mut plan = plan_function(
                 func,
                 graph,
                 &acc,
@@ -843,6 +843,12 @@ fn run_plan_stage(
                 &options.dataflow,
                 &mut diags,
             );
+            // `--lifetimes` is the same plan under another spelling, plus
+            // the collapse clauses that ride with it.
+            if let (true, Some(plan)) = (options.dataflow.lifetimes, &mut plan) {
+                plan.unstructured = true;
+                plan.collapses = plan_collapses(func, &plan.kernels);
+            }
             (true, plan, diags, fallbacks)
         })();
         let snap = key
@@ -887,7 +893,7 @@ fn run_plan_stage(
             stats.functions_with_kernels += 1;
             stats.kernels += plan.kernels.len();
             stats.mapped_variables += plan.mapped_variables().len();
-            stats.map_clauses += plan.maps.len() + plan.enter_data.len() + plan.exit_data.len();
+            stats.map_clauses += plan.maps.len();
             stats.update_directives += plan.updates.len();
             stats.firstprivate_clauses += plan.firstprivate.len();
             plans.push(plan);

@@ -7,6 +7,8 @@
 //!   mappings ([`extract_explicit_plans`]) — e.g. the expert-optimized
 //!   benchmark variants, whose `map`/`update`/`firstprivate` clauses become
 //!   a [`MappingPlan`] with [`ProvenanceFact::DeclaredInSource`] provenance.
+//!   A mapping spelled `target enter data` … `target exit data` is read back
+//!   as the one decision per variable it stands for.
 //!
 //! [`diff_plans`] then reports, per function and variable, which constructs
 //! only one side emits and where the two sides chose different map types —
@@ -15,8 +17,8 @@
 
 use crate::pipeline::Stage;
 use crate::plan::ir::{
-    CollapseSpec, EnterDataSpec, ExitDataSpec, FirstPrivateSpec, MapSpec, MappingPlan, Placement,
-    Provenance, ProvenanceFact, UpdateDirection, UpdateSpec,
+    CollapseSpec, FirstPrivateSpec, MapSpec, MappingPlan, Placement, Provenance, ProvenanceFact,
+    UpdateDirection, UpdateSpec,
 };
 use ompdart_frontend::ast::{ExprKind, StmtKind, TranslationUnit};
 use ompdart_frontend::omp::{Clause, DirectiveKind, MapItem, MapType};
@@ -35,6 +37,18 @@ fn section_length_of(item: &MapItem) -> Option<String> {
         .map(expr_to_c)
 }
 
+/// The map type a `target enter data` … `target exit data` pair stands for:
+/// the inverse of the rewriter's four-row table (`to + release → to`,
+/// `to + from → tofrom`, `alloc + from → from`, `alloc + delete → alloc`). An
+/// exit that copies nothing back leaves the enter's type as the decision.
+fn fold_exit(enter: MapType, exit: MapType) -> MapType {
+    match (enter, exit) {
+        (MapType::To, MapType::From) => MapType::ToFrom,
+        (MapType::Alloc, MapType::From) => MapType::From,
+        _ => enter,
+    }
+}
+
 /// Build one [`MappingPlan`] per function from the *explicit* data-mapping
 /// directives already present in a translation unit. Every extracted spec
 /// carries [`ProvenanceFact::DeclaredInSource`] provenance anchored to the
@@ -47,6 +61,9 @@ pub fn extract_explicit_plans(unit: &TranslationUnit) -> Vec<MappingPlan> {
             function: func.name.to_string(),
             ..Default::default()
         };
+        // The specs (indices into `plan.maps`) that came from an `enter data`
+        // no `exit data` has closed yet.
+        let mut entered: Vec<usize> = Vec::new();
         body.walk(&mut |s| {
             let StmtKind::Omp(dir) = &s.kind else { return };
             let declared = |item: &MapItem| {
@@ -62,50 +79,45 @@ pub fn extract_explicit_plans(unit: &TranslationUnit) -> Vec<MappingPlan> {
             }
             for clause in &dir.clauses {
                 match clause {
-                    Clause::Map { map_type, items } => match dir.kind {
-                        // Unstructured lifetime directives own their own
-                        // spec lists: an exit map must not be swallowed by
-                        // the structured first-wins dedup below.
-                        DirectiveKind::TargetEnterData => {
-                            for item in items {
-                                plan.enter_data.push(EnterDataSpec {
-                                    var: item.var.clone(),
-                                    map_type: map_type.unwrap_or(MapType::To),
-                                    anchor: s.id,
-                                    placement: Placement::Before,
-                                    section_length: section_length_of(item),
-                                    provenance: declared(item),
-                                });
+                    Clause::Map { map_type, items } => {
+                        let (enters, exits) = (
+                            dir.kind == DirectiveKind::TargetEnterData,
+                            dir.kind == DirectiveKind::TargetExitData,
+                        );
+                        plan.unstructured |= enters || exits;
+                        for item in items {
+                            // An exit closes the lifetime its enter opened:
+                            // together they are one decision.
+                            let open =
+                                (entered.iter()).position(|&spec| plan.maps[spec].var == item.var);
+                            if let (true, Some(open)) = (exits, open) {
+                                let spec = &mut plan.maps[entered.swap_remove(open)];
+                                spec.map_type =
+                                    fold_exit(spec.map_type, map_type.unwrap_or(MapType::From));
+                                continue;
                             }
-                        }
-                        DirectiveKind::TargetExitData => {
-                            for item in items {
-                                plan.exit_data.push(ExitDataSpec {
-                                    var: item.var.clone(),
-                                    map_type: map_type.unwrap_or(MapType::From),
-                                    anchor: s.id,
-                                    placement: Placement::After,
-                                    section_length: section_length_of(item),
-                                    provenance: declared(item),
-                                });
+                            // Duplicated list items (nested regions mapping
+                            // the same variable) collapse to the first.
+                            if plan.map_for(&item.var).is_some() {
+                                continue;
                             }
-                        }
-                        _ => {
-                            for item in items {
-                                // Duplicated list items (nested regions mapping
-                                // the same variable) collapse to the first.
-                                if plan.map_for(&item.var).is_some() {
-                                    continue;
-                                }
-                                plan.maps.push(MapSpec {
-                                    var: item.var.clone(),
-                                    map_type: map_type.unwrap_or(MapType::ToFrom),
-                                    section_length: section_length_of(item),
-                                    provenance: declared(item),
-                                });
+                            if enters {
+                                entered.push(plan.maps.len());
                             }
+                            // An exit nothing opened keeps its own type.
+                            let default = match (enters, exits) {
+                                (true, _) => MapType::To,
+                                (_, true) => MapType::From,
+                                _ => MapType::ToFrom,
+                            };
+                            plan.maps.push(MapSpec {
+                                var: item.var.clone(),
+                                map_type: map_type.unwrap_or(default),
+                                section_length: section_length_of(item),
+                                provenance: declared(item),
+                            });
                         }
-                    },
+                    }
                     Clause::Collapse(depth_expr) if dir.kind.is_offload_kernel() => {
                         if let ExprKind::IntLit(n) = &depth_expr.kind {
                             if *n >= 2 {
@@ -364,76 +376,6 @@ pub fn diff_plans(left: &[MappingPlan], right: &[MappingPlan]) -> PlanDiff {
             }
         }
 
-        // --- enter/exit data, keyed by variable like maps -----------------
-        let enter_rendering = |e: &EnterDataSpec| {
-            format!(
-                "target enter data map({}: {})",
-                e.map_type.as_str(),
-                e.to_list_item()
-            )
-        };
-        for le in &l.enter_data {
-            match r.enter_for(&le.var) {
-                Some(re)
-                    if re.map_type == le.map_type && re.to_list_item() == le.to_list_item() =>
-                {
-                    diff.agreements += 1
-                }
-                Some(re) => diff.entries.push(DiffEntry::Retyped {
-                    function: function.to_string(),
-                    var: le.var.clone(),
-                    left: enter_rendering(le),
-                    right: enter_rendering(re),
-                }),
-                None => diff.entries.push(DiffEntry::OnlyLeft {
-                    function: function.to_string(),
-                    construct: enter_rendering(le),
-                }),
-            }
-        }
-        for re in &r.enter_data {
-            if l.enter_for(&re.var).is_none() {
-                diff.entries.push(DiffEntry::OnlyRight {
-                    function: function.to_string(),
-                    construct: enter_rendering(re),
-                });
-            }
-        }
-        let exit_rendering = |e: &ExitDataSpec| {
-            format!(
-                "target exit data map({}: {})",
-                e.map_type.as_str(),
-                e.to_list_item()
-            )
-        };
-        for le in &l.exit_data {
-            match r.exit_for(&le.var) {
-                Some(re)
-                    if re.map_type == le.map_type && re.to_list_item() == le.to_list_item() =>
-                {
-                    diff.agreements += 1
-                }
-                Some(re) => diff.entries.push(DiffEntry::Retyped {
-                    function: function.to_string(),
-                    var: le.var.clone(),
-                    left: exit_rendering(le),
-                    right: exit_rendering(re),
-                }),
-                None => diff.entries.push(DiffEntry::OnlyLeft {
-                    function: function.to_string(),
-                    construct: exit_rendering(le),
-                }),
-            }
-        }
-        for re in &r.exit_data {
-            if l.exit_for(&re.var).is_none() {
-                diff.entries.push(DiffEntry::OnlyRight {
-                    function: function.to_string(),
-                    construct: exit_rendering(re),
-                });
-            }
-        }
-
         // --- collapse clauses, keyed by depth with multiplicity -----------
         let collapse_counts = |plan: &MappingPlan| -> BTreeMap<u32, usize> {
             let mut counts = BTreeMap::new();
@@ -520,60 +462,85 @@ mod tests {
         ));
     }
 
+    /// `diff-plan` compares decisions, not spellings: the devito-style
+    /// expert idiom — unstructured enter/exit pairs around a collapsed
+    /// kernel — is read back as the structured mapping it stands for.
     #[test]
     fn lifetime_plans_are_extracted_and_diffed() {
-        // The devito-style expert idiom: unstructured enter/exit pairs
-        // around a collapsed kernel.
-        let src = "\
-#define N 8
-double u[N];
-double scratch[N];
-void step() {
-  #pragma omp target enter data map(to: u) map(alloc: scratch)
+        let kernel = "\
   #pragma omp target teams distribute parallel for collapse(2)
   for (int i = 0; i < N; i++)
-    for (int j = 0; j < N; j++)
-      scratch[i] = u[i] + i + j;
-  #pragma omp target exit data map(from: u) map(delete: scratch)
-}
+    for (int j = 0; j < N; j++) {
+      scratch[i] = u[i] + w[i] + i + j;
+      u[i] = scratch[i];
+      v[i] = scratch[i];
+    }
 ";
-        let (_file, result) = parse_str("expert.c", src);
-        assert!(result.is_ok(), "{:?}", result.diagnostics);
-        let plans = extract_explicit_plans(&result.unit);
-        assert_eq!(plans.len(), 1);
-        let plan = &plans[0];
-        assert!(plan.maps.is_empty(), "{:?}", plan.maps);
-        assert_eq!(plan.enter_for("u").unwrap().map_type, MapType::To);
-        assert_eq!(plan.enter_for("scratch").unwrap().map_type, MapType::Alloc);
-        assert_eq!(plan.exit_for("u").unwrap().map_type, MapType::From);
-        assert_eq!(plan.exit_for("scratch").unwrap().map_type, MapType::Delete);
+        let program = |before: &str, after: &str| {
+            let src = format!(
+                "#define N 8\ndouble u[N], v[N], w[N], scratch[N];\nvoid step() {{\n{before}{kernel}{after}}}\n"
+            );
+            let (_file, result) = parse_str("expert.c", &src);
+            assert!(result.is_ok(), "{:?}", result.diagnostics);
+            extract_explicit_plans(&result.unit)
+        };
+        let unstructured = program(
+            "  #pragma omp target enter data map(to: u, w) map(alloc: v, scratch)\n",
+            "  #pragma omp target exit data map(from: u, v) map(delete: scratch) map(release: w)\n",
+        );
+        assert_eq!(unstructured.len(), 1);
+        let plan = &unstructured[0];
+        assert!(plan.unstructured);
+        let types: Vec<_> = (plan.maps.iter())
+            .map(|m| (m.var.as_str(), m.map_type))
+            .collect();
+        let folded = [
+            ("u", MapType::ToFrom),
+            ("w", MapType::To),
+            ("v", MapType::From),
+            ("scratch", MapType::Alloc),
+        ];
+        assert_eq!(types, folded);
         assert_eq!(plan.collapses.len(), 1);
         assert_eq!(plan.collapses[0].depth, 2);
         for p in plan.provenances() {
             assert_eq!(p.fact, ProvenanceFact::DeclaredInSource);
         }
 
-        // Identical lifetime plans agree construct for construct.
-        let self_diff = diff_plans(&plans, &plans);
-        assert!(self_diff.is_empty(), "{:?}", self_diff.entries);
-        assert_eq!(self_diff.agreements, plan.construct_count());
+        // Against the same mapping written as a structured region the diff is
+        // empty.
+        let structured = program(
+            "  #pragma omp target data map(tofrom: u) map(to: w) map(from: v) map(alloc: scratch)\n  {\n",
+            "  }\n",
+        );
+        assert!(!structured[0].unstructured);
+        let diff = diff_plans(&structured, &unstructured);
+        assert!(diff.is_empty(), "{:?}", diff.entries);
+        assert_eq!(diff.agreements, plan.construct_count());
 
-        // A dropped exit copy and a retyped enter show up as divergences.
-        let mut other = plan.clone();
-        other.exit_data.retain(|e| e.var != "u");
-        for e in &mut other.enter_data {
-            if e.var == "u" {
-                e.map_type = MapType::Alloc;
-            }
-        }
-        let diff = diff_plans(&plans, &[other]);
-        assert!(diff.entries.iter().any(
-            |e| matches!(e, DiffEntry::OnlyLeft { construct, .. } if construct.contains("exit data map(from: u)"))
-        ));
-        assert!(diff
-            .entries
-            .iter()
-            .any(|e| matches!(e, DiffEntry::Retyped { var, .. } if var == "u")));
+        // A dropped exit copy and a retyped enter are retyped decisions; an
+        // exit nothing opened keeps its own type.
+        let other = program(
+            "  #pragma omp target enter data map(to: u) map(alloc: w, scratch)\n",
+            "  #pragma omp target exit data map(delete: scratch, v) map(release: w)\n",
+        );
+        let diff = diff_plans(&unstructured, &other);
+        let retyped: Vec<_> = (diff.entries.iter())
+            .map(|e| match e {
+                DiffEntry::Retyped {
+                    var, left, right, ..
+                } => (var.as_str(), left.as_str(), right.as_str()),
+                other => panic!("not a retyping: {other}"),
+            })
+            .collect();
+        assert_eq!(
+            retyped,
+            [
+                ("u", "map(tofrom: u)", "map(to: u)"),
+                ("w", "map(to: w)", "map(alloc: w)"),
+                ("v", "map(from: v)", "map(delete: v)"),
+            ]
+        );
     }
 
     #[test]

@@ -36,8 +36,8 @@ fn construct_line(rendered: &str, p: &Provenance, file: Option<&SourceFile>) -> 
 /// the separator `" — "` between the construct and its justification.
 pub fn explain_plan(plan: &MappingPlan, file: Option<&SourceFile>) -> String {
     let mut out = String::new();
-    let region = if !plan.enter_data.is_empty() || !plan.exit_data.is_empty() {
-        "unstructured `enter data`/`exit data` lifetimes".to_string()
+    let region = if plan.unstructured {
+        "maps spelled as one `target enter data`/`target exit data` pair".to_string()
     } else if plan.attach_to_kernel.is_some() {
         "clauses attached to the single kernel directive".to_string()
     } else {
@@ -65,22 +65,6 @@ pub fn explain_plan(plan: &MappingPlan, file: Option<&SourceFile>) -> String {
     for fp in &plan.firstprivate {
         let rendered = format!("firstprivate({})", fp.var);
         out.push_str(&construct_line(&rendered, &fp.provenance, file));
-    }
-    for e in &plan.enter_data {
-        let rendered = format!(
-            "target enter data map({}: {})",
-            e.map_type.as_str(),
-            e.to_list_item()
-        );
-        out.push_str(&construct_line(&rendered, &e.provenance, file));
-    }
-    for e in &plan.exit_data {
-        let rendered = format!(
-            "target exit data map({}: {})",
-            e.map_type.as_str(),
-            e.to_list_item()
-        );
-        out.push_str(&construct_line(&rendered, &e.provenance, file));
     }
     for c in &plan.collapses {
         let rendered = format!("collapse({})", c.depth);
@@ -162,47 +146,36 @@ mod tests {
 
     #[test]
     fn lifetime_constructs_get_one_justified_line_each() {
-        use crate::plan::ir::{CollapseSpec, EnterDataSpec, ExitDataSpec};
+        use crate::plan::ir::CollapseSpec;
         let mut plan = MappingPlan {
             function: "main".into(),
             kernels: vec![NodeId(3)],
+            unstructured: true,
             ..Default::default()
         };
-        plan.enter_data.push(EnterDataSpec {
-            provenance: Provenance::plan(
-                ProvenanceFact::FirstDeviceUse,
-                Some(Span::new(0, 3)),
-                "first device use of `a`",
-            ),
-            ..EnterDataSpec::new("a", MapType::To, NodeId(2), Placement::Before)
-        });
-        plan.exit_data.push(ExitDataSpec {
-            provenance: Provenance::plan(ProvenanceFact::LastHostUse, None, ""),
-            ..ExitDataSpec::new("a", MapType::From, NodeId(9), Placement::After)
+        plan.maps.push(MapSpec {
+            provenance: Provenance::plan(ProvenanceFact::ReadAndLiveAfterRegion, None, ""),
+            ..MapSpec::new("a", MapType::ToFrom)
         });
         plan.collapses.push(CollapseSpec {
             provenance: Provenance::plan(ProvenanceFact::PerfectNestCollapsed, None, ""),
             ..CollapseSpec::new(NodeId(3), 2)
         });
 
+        // The spelling is named once, in the header; the decisions read as
+        // they do for a structured region.
         let rendered = explain_plan(&plan, None);
         assert_eq!(justified_line_count(&rendered), plan.construct_count());
         assert!(
-            rendered.contains("unstructured `enter data`/`exit data` lifetimes"),
+            rendered.contains("2 construct(s), maps spelled as one `target enter data`"),
             "{rendered}"
         );
-        assert!(
-            rendered.contains("target enter data map(to: a)"),
-            "{rendered}"
-        );
-        assert!(
-            rendered.contains("target exit data map(from: a)"),
-            "{rendered}"
-        );
+        assert!(rendered.contains("  map(tofrom: a) — "), "{rendered}");
         assert!(rendered.contains("collapse(2)"), "{rendered}");
-        assert!(rendered.contains("fact=first_device_use"), "{rendered}");
-        // Facts with no detail fall back to the fact description.
-        assert!(rendered.contains("fact=last_host_use"), "{rendered}");
+        assert!(
+            rendered.contains("fact=perfect_nest_collapsed"),
+            "{rendered}"
+        );
     }
 
     #[test]

@@ -20,9 +20,10 @@ use std::fmt;
 
 /// Version of the serialized [`MappingPlan`] format. Bumped whenever the
 /// JSON schema changes incompatibly; `from_json` rejects other versions.
-/// Version 2 added the lifetime-placed specs (`enter_data`, `exit_data`,
-/// `collapses`); version-1 documents are rejected with a clear error.
-pub const PLAN_FORMAT_VERSION: u32 = 2;
+/// Version 3 replaced version 2's enter-data / exit-data spec lists with
+/// the `unstructured` marker (the lists restated `maps`); older documents
+/// are rejected with a clear error.
+pub const PLAN_FORMAT_VERSION: u32 = 3;
 
 /// The OpenMP constructs OMPDart inserts (Table II of the paper).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -209,18 +210,6 @@ pub enum ProvenanceFact {
     /// The construct was not decided by the analysis: it was declared
     /// explicitly in the input source (used when extracting expert plans).
     DeclaredInSource,
-    /// Lifetime placement: the span is the first device access of the
-    /// variable, so the `target enter data` transfer (or allocation) is
-    /// hoisted to the phase boundary before it.
-    FirstDeviceUse,
-    /// Lifetime placement: the span is the last host-relevant read of the
-    /// device-produced value, so the `target exit data` copy-back sits at
-    /// the phase boundary after the region that produced it.
-    LastHostUse,
-    /// Lifetime placement: no host access interleaves with the device
-    /// lifetime, so the array stays device-resident across the whole phase
-    /// and is torn down with `exit data map(delete:)` instead of a copy.
-    DeviceResidentAcrossPhase,
     /// The kernel's loop nest is perfectly nested to this depth, so the
     /// offload directive gains a `collapse(n)` clause.
     PerfectNestCollapsed,
@@ -235,7 +224,7 @@ pub enum ProvenanceFact {
 
 impl ProvenanceFact {
     /// All facts, for enumeration in tests and generators.
-    pub fn all() -> [ProvenanceFact; 17] {
+    pub fn all() -> [ProvenanceFact; 14] {
         [
             ProvenanceFact::Unspecified,
             ProvenanceFact::ReadBeforeWriteOnDevice,
@@ -249,9 +238,6 @@ impl ProvenanceFact {
             ProvenanceFact::LoopBoundaryHostRead,
             ProvenanceFact::UnknownCalleePessimistic,
             ProvenanceFact::DeclaredInSource,
-            ProvenanceFact::FirstDeviceUse,
-            ProvenanceFact::LastHostUse,
-            ProvenanceFact::DeviceResidentAcrossPhase,
             ProvenanceFact::PerfectNestCollapsed,
             ProvenanceFact::FlowWhenDataPresent,
         ]
@@ -272,9 +258,6 @@ impl ProvenanceFact {
             ProvenanceFact::LoopBoundaryHostRead => "loop_boundary_host_read",
             ProvenanceFact::UnknownCalleePessimistic => "unknown_callee_pessimistic",
             ProvenanceFact::DeclaredInSource => "declared_in_source",
-            ProvenanceFact::FirstDeviceUse => "first_device_use",
-            ProvenanceFact::LastHostUse => "last_host_use",
-            ProvenanceFact::DeviceResidentAcrossPhase => "device_resident_across_phase",
             ProvenanceFact::PerfectNestCollapsed => "perfect_nest_collapsed",
             ProvenanceFact::FlowWhenDataPresent => "flow_when_data_present",
         }
@@ -321,15 +304,6 @@ impl ProvenanceFact {
             }
             ProvenanceFact::DeclaredInSource => {
                 "the construct was declared explicitly in the input source"
-            }
-            ProvenanceFact::FirstDeviceUse => {
-                "the transfer is hoisted to the phase boundary before the first device use"
-            }
-            ProvenanceFact::LastHostUse => {
-                "the copy-back is placed at the phase boundary after which the host last consumes the value"
-            }
-            ProvenanceFact::DeviceResidentAcrossPhase => {
-                "no host access interleaves with the device lifetime, so the data stays device-resident across the phase"
             }
             ProvenanceFact::PerfectNestCollapsed => {
                 "the offload loop nest is perfectly nested, so its iteration spaces collapse into one"
@@ -535,99 +509,6 @@ impl FirstPrivateSpec {
     }
 }
 
-/// A planned `target enter data` directive: an unstructured device-lifetime
-/// *begin*, anchored to a statement like an [`UpdateSpec`]. Valid map types
-/// are `to` (copy in) and `alloc` (allocate only).
-#[derive(Clone, Debug, PartialEq)]
-pub struct EnterDataSpec {
-    pub var: String,
-    /// `to` or `alloc`.
-    pub map_type: MapType,
-    /// Statement the directive anchors to (the phase boundary).
-    pub anchor: NodeId,
-    pub placement: Placement,
-    /// Length expression for pointer variables (`var[0:length]`).
-    pub section_length: Option<String>,
-    /// Why this lifetime begins here (first-device-use fact).
-    pub provenance: Provenance,
-}
-
-impl EnterDataSpec {
-    /// A spec without provenance (hand-built plans and tests).
-    pub fn new(
-        var: impl Into<String>,
-        map_type: MapType,
-        anchor: NodeId,
-        placement: Placement,
-    ) -> EnterDataSpec {
-        EnterDataSpec {
-            var: var.into(),
-            map_type,
-            anchor,
-            placement,
-            section_length: None,
-            provenance: Provenance::default(),
-        }
-    }
-
-    /// True for the map types `target enter data` accepts.
-    pub fn map_type_is_valid(&self) -> bool {
-        matches!(self.map_type, MapType::To | MapType::Alloc)
-    }
-
-    pub fn to_list_item(&self) -> String {
-        render_list_item(&self.var, self.section_length.as_deref())
-    }
-}
-
-/// A planned `target exit data` directive: the matching device-lifetime
-/// *end*. Valid map types are `from` (copy out), `delete` (free without a
-/// copy), and `release` (drop one reference).
-#[derive(Clone, Debug, PartialEq)]
-pub struct ExitDataSpec {
-    pub var: String,
-    /// `from`, `delete`, or `release`.
-    pub map_type: MapType,
-    /// Statement the directive anchors to (the phase boundary).
-    pub anchor: NodeId,
-    pub placement: Placement,
-    /// Length expression for pointer variables (`var[0:length]`).
-    pub section_length: Option<String>,
-    /// Why this lifetime ends here (last-host-use / residency fact).
-    pub provenance: Provenance,
-}
-
-impl ExitDataSpec {
-    /// A spec without provenance (hand-built plans and tests).
-    pub fn new(
-        var: impl Into<String>,
-        map_type: MapType,
-        anchor: NodeId,
-        placement: Placement,
-    ) -> ExitDataSpec {
-        ExitDataSpec {
-            var: var.into(),
-            map_type,
-            anchor,
-            placement,
-            section_length: None,
-            provenance: Provenance::default(),
-        }
-    }
-
-    /// True for the map types `target exit data` accepts.
-    pub fn map_type_is_valid(&self) -> bool {
-        matches!(
-            self.map_type,
-            MapType::From | MapType::Delete | MapType::Release
-        )
-    }
-
-    pub fn to_list_item(&self) -> String {
-        render_list_item(&self.var, self.section_length.as_deref())
-    }
-}
-
 /// A planned `collapse(n)` clause on an offload-kernel directive: the
 /// kernel's loop nest is perfectly nested to `depth` levels.
 #[derive(Clone, Debug, PartialEq)]
@@ -671,12 +552,12 @@ pub struct MappingPlan {
     pub maps: Vec<MapSpec>,
     pub updates: Vec<UpdateSpec>,
     pub firstprivate: Vec<FirstPrivateSpec>,
-    /// Unstructured lifetime begins (`target enter data`), produced by the
-    /// `--lifetimes` planning mode or extracted from expert sources. Empty
-    /// in structured-region plans.
-    pub enter_data: Vec<EnterDataSpec>,
-    /// Unstructured lifetime ends (`target exit data`).
-    pub exit_data: Vec<ExitDataSpec>,
+    /// How `maps` is spelled, not what it decides: when set (the
+    /// `--lifetimes` mode, or a source that was written that way) the
+    /// rewriter emits one `target enter data` / `target exit data` pair at
+    /// `region_start` / `region_end` instead of a structured `target data`
+    /// region.
+    pub unstructured: bool,
     /// `collapse(n)` clauses for perfectly nested offload loops.
     pub collapses: Vec<CollapseSpec>,
     /// Kernels found in this function (source order).
@@ -686,12 +567,7 @@ pub struct MappingPlan {
 impl MappingPlan {
     /// Total number of constructs this plan will insert.
     pub fn construct_count(&self) -> usize {
-        self.maps.len()
-            + self.updates.len()
-            + self.firstprivate.len()
-            + self.enter_data.len()
-            + self.exit_data.len()
-            + self.collapses.len()
+        self.maps.len() + self.updates.len() + self.firstprivate.len() + self.collapses.len()
     }
 
     /// The map specification for a variable, if any.
@@ -707,16 +583,6 @@ impl MappingPlan {
     /// True if the variable is passed `firstprivate` to any kernel.
     pub fn is_firstprivate(&self, var: &str) -> bool {
         self.firstprivate.iter().any(|f| f.var == var)
-    }
-
-    /// The `target enter data` spec for a variable, if any.
-    pub fn enter_for(&self, var: &str) -> Option<&EnterDataSpec> {
-        self.enter_data.iter().find(|e| e.var == var)
-    }
-
-    /// The `target exit data` spec for a variable, if any.
-    pub fn exit_for(&self, var: &str) -> Option<&ExitDataSpec> {
-        self.exit_data.iter().find(|e| e.var == var)
     }
 
     /// The `collapse(n)` spec for a kernel, if any.
@@ -741,25 +607,17 @@ impl MappingPlan {
         for f in &self.firstprivate {
             push(&f.var);
         }
-        for e in &self.enter_data {
-            push(&e.var);
-        }
-        for e in &self.exit_data {
-            push(&e.var);
-        }
         vars
     }
 
     /// Every construct's provenance, in plan order (maps, updates,
-    /// firstprivate, enter/exit data, collapses).
+    /// firstprivate, collapses).
     pub fn provenances(&self) -> Vec<&Provenance> {
         self.maps
             .iter()
             .map(|m| &m.provenance)
             .chain(self.updates.iter().map(|u| &u.provenance))
             .chain(self.firstprivate.iter().map(|f| &f.provenance))
-            .chain(self.enter_data.iter().map(|e| &e.provenance))
-            .chain(self.exit_data.iter().map(|e| &e.provenance))
             .chain(self.collapses.iter().map(|c| &c.provenance))
             .collect()
     }
@@ -926,43 +784,21 @@ mod tests {
     fn lifetime_specs_participate_in_plan_queries() {
         let mut plan = MappingPlan {
             function: "f".into(),
+            unstructured: true,
             ..Default::default()
         };
-        plan.enter_data.push(EnterDataSpec::new(
-            "a",
-            MapType::To,
-            NodeId(2),
-            Placement::Before,
-        ));
-        plan.exit_data.push(ExitDataSpec::new(
-            "a",
-            MapType::From,
-            NodeId(9),
-            Placement::After,
-        ));
+        plan.maps.push(MapSpec::new("a", MapType::ToFrom));
         plan.collapses.push(CollapseSpec::new(NodeId(5), 2));
-        assert_eq!(plan.construct_count(), 3);
-        assert_eq!(plan.provenances().len(), 3);
+        // The marker is a spelling, not a construct.
+        assert_eq!(plan.construct_count(), 2);
+        assert_eq!(plan.provenances().len(), 2);
         assert_eq!(plan.mapped_variables(), vec!["a"]);
-        assert!(plan.enter_for("a").unwrap().map_type_is_valid());
-        assert!(plan.exit_for("a").unwrap().map_type_is_valid());
         assert!(plan.collapse_for(NodeId(5)).is_some());
         assert!(plan.collapse_for(NodeId(6)).is_none());
-        // Invalid directions are detectable.
-        assert!(
-            !EnterDataSpec::new("x", MapType::From, NodeId(1), Placement::Before)
-                .map_type_is_valid()
-        );
-        assert!(
-            !ExitDataSpec::new("x", MapType::To, NodeId(1), Placement::After).map_type_is_valid()
-        );
         // Unjustified hand-built specs fail the acceptance bar...
         assert!(!plan.fully_justified());
-        for e in &mut plan.enter_data {
-            e.provenance = Provenance::plan(ProvenanceFact::FirstDeviceUse, None, "");
-        }
-        for e in &mut plan.exit_data {
-            e.provenance = Provenance::plan(ProvenanceFact::LastHostUse, None, "");
+        for m in &mut plan.maps {
+            m.provenance = Provenance::plan(ProvenanceFact::ReadAndLiveAfterRegion, None, "");
         }
         for c in &mut plan.collapses {
             c.provenance = Provenance::plan(ProvenanceFact::PerfectNestCollapsed, None, "");

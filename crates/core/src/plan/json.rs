@@ -27,8 +27,8 @@
 
 use crate::pipeline::Stage;
 use crate::plan::ir::{
-    CollapseSpec, EnterDataSpec, ExitDataSpec, FirstPrivateSpec, MapSpec, MappingPlan, Placement,
-    Provenance, ProvenanceFact, UpdateDirection, UpdateSpec, PLAN_FORMAT_VERSION,
+    CollapseSpec, FirstPrivateSpec, MapSpec, MappingPlan, Placement, Provenance, ProvenanceFact,
+    UpdateDirection, UpdateSpec, PLAN_FORMAT_VERSION,
 };
 use ompdart_frontend::ast::NodeId;
 use ompdart_frontend::omp::MapType;
@@ -779,128 +779,6 @@ fn firstprivate_spec_from_json(value: &Json) -> Result<FirstPrivateSpec, PlanJso
     })
 }
 
-fn lifetime_spec_to_json(
-    var: &str,
-    map_type: MapType,
-    anchor: NodeId,
-    placement: Placement,
-    section_length: &Option<String>,
-    provenance: &Provenance,
-) -> Json {
-    Json::Object(vec![
-        ("var".into(), Json::Str(var.to_string())),
-        ("map_type".into(), Json::Str(map_type.as_str().into())),
-        ("anchor".into(), node_to_json(Some(anchor))),
-        ("placement".into(), Json::Str(placement.keyword().into())),
-        (
-            "section_length".into(),
-            match section_length {
-                Some(len) => Json::Str(len.clone()),
-                None => Json::Null,
-            },
-        ),
-        ("provenance".into(), provenance_to_json(provenance)),
-    ])
-}
-
-/// The fields shared by enter- and exit-data specs, in declaration order.
-type LifetimeSpecFields = (
-    String,
-    MapType,
-    NodeId,
-    Placement,
-    Option<String>,
-    Provenance,
-);
-
-fn lifetime_spec_from_json(value: &Json, what: &str) -> Result<LifetimeSpecFields, PlanJsonError> {
-    let map_type_key = str_field(value, "map_type")?;
-    let map_type = MapType::from_str(map_type_key)
-        .ok_or_else(|| PlanJsonError::schema(format!("unknown map type `{map_type_key}`")))?;
-    let placement_key = str_field(value, "placement")?;
-    let placement = Placement::from_keyword(placement_key)
-        .ok_or_else(|| PlanJsonError::schema(format!("unknown placement `{placement_key}`")))?;
-    Ok((
-        str_field(value, "var")?.to_string(),
-        map_type,
-        require_node(
-            value
-                .get("anchor")
-                .ok_or_else(|| PlanJsonError::schema(format!("{what} is missing `anchor`")))?,
-            "anchor",
-        )?,
-        placement,
-        opt_str_field(value, "section_length")?,
-        provenance_from_json(
-            value
-                .get("provenance")
-                .ok_or_else(|| PlanJsonError::schema(format!("{what} is missing `provenance`")))?,
-        )?,
-    ))
-}
-
-fn enter_data_spec_to_json(e: &EnterDataSpec) -> Json {
-    lifetime_spec_to_json(
-        &e.var,
-        e.map_type,
-        e.anchor,
-        e.placement,
-        &e.section_length,
-        &e.provenance,
-    )
-}
-
-fn enter_data_spec_from_json(value: &Json) -> Result<EnterDataSpec, PlanJsonError> {
-    let (var, map_type, anchor, placement, section_length, provenance) =
-        lifetime_spec_from_json(value, "enter-data spec")?;
-    let spec = EnterDataSpec {
-        var,
-        map_type,
-        anchor,
-        placement,
-        section_length,
-        provenance,
-    };
-    if !spec.map_type_is_valid() {
-        return Err(PlanJsonError::schema(format!(
-            "`{}` is not a valid `target enter data` map type (expected to|alloc)",
-            spec.map_type
-        )));
-    }
-    Ok(spec)
-}
-
-fn exit_data_spec_to_json(e: &ExitDataSpec) -> Json {
-    lifetime_spec_to_json(
-        &e.var,
-        e.map_type,
-        e.anchor,
-        e.placement,
-        &e.section_length,
-        &e.provenance,
-    )
-}
-
-fn exit_data_spec_from_json(value: &Json) -> Result<ExitDataSpec, PlanJsonError> {
-    let (var, map_type, anchor, placement, section_length, provenance) =
-        lifetime_spec_from_json(value, "exit-data spec")?;
-    let spec = ExitDataSpec {
-        var,
-        map_type,
-        anchor,
-        placement,
-        section_length,
-        provenance,
-    };
-    if !spec.map_type_is_valid() {
-        return Err(PlanJsonError::schema(format!(
-            "`{}` is not a valid `target exit data` map type (expected from|delete|release)",
-            spec.map_type
-        )));
-    }
-    Ok(spec)
-}
-
 fn collapse_spec_to_json(c: &CollapseSpec) -> Json {
     Json::Object(vec![
         ("kernel".into(), node_to_json(Some(c.kernel))),
@@ -958,6 +836,7 @@ impl MappingPlan {
                 "attach_to_kernel".into(),
                 node_to_json(self.attach_to_kernel),
             ),
+            ("unstructured".into(), Json::Bool(self.unstructured)),
             (
                 "kernels".into(),
                 Json::Array(
@@ -983,19 +862,6 @@ impl MappingPlan {
                         .map(firstprivate_spec_to_json)
                         .collect(),
                 ),
-            ),
-            (
-                "enter_data".into(),
-                Json::Array(
-                    self.enter_data
-                        .iter()
-                        .map(enter_data_spec_to_json)
-                        .collect(),
-                ),
-            ),
-            (
-                "exit_data".into(),
-                Json::Array(self.exit_data.iter().map(exit_data_spec_to_json).collect()),
             ),
             (
                 "collapses".into(),
@@ -1026,6 +892,8 @@ impl MappingPlan {
                 value.get("attach_to_kernel").unwrap_or(&Json::Null),
                 "attach_to_kernel",
             )?,
+            unstructured: (value.get("unstructured").and_then(Json::as_bool))
+                .ok_or_else(|| PlanJsonError::schema("missing boolean field `unstructured`"))?,
             ..Default::default()
         };
         for k in array_field(value, "kernels")? {
@@ -1039,12 +907,6 @@ impl MappingPlan {
         }
         for f in array_field(value, "firstprivate")? {
             plan.firstprivate.push(firstprivate_spec_from_json(f)?);
-        }
-        for e in array_field(value, "enter_data")? {
-            plan.enter_data.push(enter_data_spec_from_json(e)?);
-        }
-        for e in array_field(value, "exit_data")? {
-            plan.exit_data.push(exit_data_spec_from_json(e)?);
         }
         for c in array_field(value, "collapses")? {
             plan.collapses.push(collapse_spec_from_json(c)?);
@@ -1098,6 +960,7 @@ mod tests {
             region_start: Some(NodeId(4)),
             region_end: Some(NodeId(19)),
             attach_to_kernel: None,
+            unstructured: true,
             kernels: vec![NodeId(7), NodeId(12)],
             ..Default::default()
         };
@@ -1131,23 +994,6 @@ mod tests {
             ),
             ..FirstPrivateSpec::new(NodeId(7), "n")
         });
-        plan.enter_data.push(EnterDataSpec {
-            section_length: Some("n".into()),
-            provenance: Provenance::plan(
-                ProvenanceFact::FirstDeviceUse,
-                Some(Span::new(12, 20)),
-                "first device use of `a`",
-            ),
-            ..EnterDataSpec::new("a", MapType::To, NodeId(4), Placement::Before)
-        });
-        plan.exit_data.push(ExitDataSpec {
-            provenance: Provenance::plan(
-                ProvenanceFact::DeviceResidentAcrossPhase,
-                None,
-                "`scratch` never escapes to the host",
-            ),
-            ..ExitDataSpec::new("scratch", MapType::Delete, NodeId(19), Placement::After)
-        });
         plan.collapses.push(CollapseSpec {
             provenance: Provenance::plan(
                 ProvenanceFact::PerfectNestCollapsed,
@@ -1180,51 +1026,46 @@ mod tests {
     #[test]
     fn version_is_enforced() {
         let mut json = sample_plan().to_json();
-        json = json.replacen("\"version\": 2", "\"version\": 99", 1);
+        json = json.replacen("\"version\": 3", "\"version\": 99", 1);
         assert_eq!(
             MappingPlan::from_json(&json),
             Err(PlanJsonError::UnsupportedVersion(99))
         );
     }
 
-    /// Version-1 documents (pre-lifetime schema) are rejected with the
-    /// clear unsupported-version error, not mis-read as empty-lifetime
-    /// plans.
+    /// Documents of an older version (1: pre-lifetime schema; 2: lifetimes
+    /// as enter-data / exit-data spec lists) are rejected with the clear
+    /// unsupported-version error, not mis-read as plans without lifetimes.
     #[test]
     fn previous_version_is_rejected() {
-        let mut json = sample_plan().to_json();
-        json = json.replacen("\"version\": 2", "\"version\": 1", 1);
-        let err = MappingPlan::from_json(&json).unwrap_err();
-        assert_eq!(err, PlanJsonError::UnsupportedVersion(1));
-        assert!(err
-            .to_string()
-            .contains("unsupported plan format version 1"));
-        assert!(err
-            .to_string()
-            .contains(&format!("reads version {PLAN_FORMAT_VERSION}")));
-        // Same for whole documents.
-        let doc = plans_to_json(&[sample_plan()]).replacen("\"version\": 2", "\"version\": 1", 1);
-        assert_eq!(
-            plans_from_json(&doc),
-            Err(PlanJsonError::UnsupportedVersion(1))
-        );
+        for old in [1, 2] {
+            let downgrade =
+                |json: String| json.replacen("\"version\": 3", &format!("\"version\": {old}"), 1);
+            let err = MappingPlan::from_json(&downgrade(sample_plan().to_json())).unwrap_err();
+            assert_eq!(err, PlanJsonError::UnsupportedVersion(old));
+            let message = err.to_string();
+            assert!(message.contains(&format!("unsupported plan format version {old}")));
+            assert!(message.contains(&format!("reads version {PLAN_FORMAT_VERSION}")));
+            // Same for whole documents.
+            assert_eq!(
+                plans_from_json(&downgrade(plans_to_json(&[sample_plan()]))),
+                Err(PlanJsonError::UnsupportedVersion(old))
+            );
+        }
     }
 
-    /// The lifetime arrays are required at version 2 and their map types
-    /// are direction-checked.
+    /// The spelling marker is required at version 3 and the collapse depth
+    /// is range-checked.
     #[test]
     fn lifetime_schema_is_validated() {
         let json = sample_plan().to_json();
-        // enter data only accepts to|alloc.
-        let bad_enter = json.replacen(
-            "\"map_type\": \"to\",\n      \"anchor\"",
-            "\"map_type\": \"from\",\n      \"anchor\"",
-            1,
-        );
-        assert!(matches!(
-            MappingPlan::from_json(&bad_enter),
-            Err(PlanJsonError::Schema(_))
-        ));
+        assert!(json.contains("\"unstructured\": true"), "{json}");
+        for bad_marker in ["\"unstructured\": 1", "\"structured\": true"] {
+            assert!(matches!(
+                MappingPlan::from_json(&json.replacen("\"unstructured\": true", bad_marker, 1)),
+                Err(PlanJsonError::Schema(_))
+            ));
+        }
         // collapse depth must be >= 2.
         let bad_depth = json.replacen("\"depth\": 2", "\"depth\": 1", 1);
         assert!(matches!(
@@ -1236,7 +1077,7 @@ mod tests {
     #[test]
     fn schema_violations_are_reported() {
         assert!(matches!(
-            MappingPlan::from_json("{\"version\": 2}"),
+            MappingPlan::from_json("{\"version\": 3}"),
             Err(PlanJsonError::Schema(_))
         ));
         assert!(matches!(

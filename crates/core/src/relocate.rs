@@ -61,14 +61,6 @@ pub fn relocate_plan(plan: &MappingPlan, did: i64, dpos: i64) -> MappingPlan {
         fp.kernel = relocate_node(fp.kernel, did);
         fp.provenance = relocate_provenance(&fp.provenance, dpos);
     }
-    for e in &mut out.enter_data {
-        e.anchor = relocate_node(e.anchor, did);
-        e.provenance = relocate_provenance(&e.provenance, dpos);
-    }
-    for e in &mut out.exit_data {
-        e.anchor = relocate_node(e.anchor, did);
-        e.provenance = relocate_provenance(&e.provenance, dpos);
-    }
     for c in &mut out.collapses {
         c.kernel = relocate_node(c.kernel, did);
         c.provenance = relocate_provenance(&c.provenance, dpos);

@@ -9,6 +9,10 @@
 //!   ...` line;
 //! * otherwise a new `#pragma omp target data` directive (plus a braced
 //!   block) is wrapped around the region extent;
+//! * an [unstructured](MappingPlan::unstructured) plan spells the same maps,
+//!   in either case, as one `target enter data` before the region's first
+//!   statement and one `target exit data` after its last
+//!   ([`enter_exit_types`]);
 //! * `target update to/from` directives are inserted before/after their
 //!   anchor statements, consolidated so that each insertion point receives a
 //!   single directive per direction. An `update to` anchored before the
@@ -18,7 +22,7 @@
 //!   unmapped, they could only repeat the clause; outside they are what
 //!   moves the data when a caller already holds it.
 
-use crate::plan::ir::{MappingPlan, Placement, UpdateDirection, UpdateSpec};
+use crate::plan::ir::{MapSpec, MappingPlan, Placement, UpdateDirection, UpdateSpec};
 use ompdart_frontend::ast::{NodeId, StmtKind, TranslationUnit};
 use ompdart_frontend::omp::{MapType, OmpDirective};
 use ompdart_frontend::source::SourceFile;
@@ -58,36 +62,35 @@ pub(crate) fn plan_edits(
         update_edits(&mut edits, file, index, plan, Side::Before);
 
         // --- map clauses -----------------------------------------------------
-        let map_clause_text = render_map_clauses(plan);
-        if let Some(kernel) = plan.attach_to_kernel {
-            if let Some(dir) = directives.get(&kernel) {
-                if !map_clause_text.is_empty() {
-                    edits.insert(dir.pragma_span.end, format!(" {map_clause_text}"));
+        let region_spans = plan.region_start.zip(plan.region_end);
+        let region_spans = region_spans.and_then(|(start, end)| span_of(start).zip(span_of(end)));
+        // With nothing mapped there is no pair to spell.
+        let unstructured = plan.unstructured && !plan.maps.is_empty();
+        let structured_clauses = || render_map_clauses(&plan.maps, |map_type| map_type);
+        match (plan.attach_to_kernel, region_spans) {
+            // The pair is emitted below, after the updates within the region.
+            _ if unstructured => {}
+            (Some(kernel), _) => {
+                if let (Some(dir), false) = (directives.get(&kernel), plan.maps.is_empty()) {
+                    edits.insert(dir.pragma_span.end, format!(" {}", structured_clauses()));
                 }
             }
-        } else if let (Some(start), Some(end)) = (plan.region_start, plan.region_end) {
-            // A plan whose data movement lives in unstructured lifetime
-            // directives needs no structured region at all: the `enter data`
-            // / `exit data` pair emitted below owns the device data
-            // environment between the same two anchors.
-            let unstructured = !plan.enter_data.is_empty() || !plan.exit_data.is_empty();
-            if let (Some(start_span), Some(end_span)) = (span_of(start), span_of(end)) {
-                if !unstructured {
-                    let indent = file.indentation_at(start_span.start);
-                    let open_pos = file.line_start_of(start_span.start);
-                    let mut open_text = format!("{indent}#pragma omp target data");
-                    if !map_clause_text.is_empty() {
-                        open_text.push(' ');
-                        open_text.push_str(&map_clause_text);
-                    }
-                    open_text.push('\n');
-                    open_text.push_str(&format!("{indent}{{\n"));
-                    edits.insert(open_pos, open_text);
+            (None, Some((start_span, end_span))) => {
+                let indent = file.indentation_at(start_span.start);
+                let open_pos = file.line_start_of(start_span.start);
+                let mut open_text = format!("{indent}#pragma omp target data");
+                if !plan.maps.is_empty() {
+                    open_text.push(' ');
+                    open_text.push_str(&structured_clauses());
+                }
+                open_text.push('\n');
+                open_text.push_str(&format!("{indent}{{\n"));
+                edits.insert(open_pos, open_text);
 
-                    let close_pos = after_line_pos(file, end_span.end);
-                    edits.insert(close_pos, format!("{indent}}}\n"));
-                }
+                let close_pos = after_line_pos(file, end_span.end);
+                edits.insert(close_pos, format!("{indent}}}\n"));
             }
+            (None, None) => {}
         }
 
         // --- firstprivate clauses --------------------------------------------
@@ -117,45 +120,24 @@ pub(crate) fn plan_edits(
 
         update_edits(&mut edits, file, index, plan, Side::Within);
 
-        // --- unstructured lifetime directives ----------------------------------
-        // One `target enter data` / `target exit data` directive per
-        // (anchor, placement), consolidating every spec that shares the
-        // insertion point into a single multi-clause line.
-        let enter_items: Vec<(NodeId, Placement, MapType, String)> = plan
-            .enter_data
-            .iter()
-            .map(|e| (e.anchor, e.placement, e.map_type, e.to_list_item()))
-            .collect();
-        let exit_items: Vec<(NodeId, Placement, MapType, String)> = plan
-            .exit_data
-            .iter()
-            .map(|e| (e.anchor, e.placement, e.map_type, e.to_list_item()))
-            .collect();
-        for (keyword, items) in [("enter", enter_items), ("exit", exit_items)] {
-            let mut grouped: BTreeMap<(NodeId, u8), Vec<(MapType, String)>> = BTreeMap::new();
-            for (anchor, placement, map_type, item) in items {
-                let key = (anchor, matches!(placement, Placement::After) as u8);
-                let entry = grouped.entry(key).or_default();
-                if !entry.iter().any(|(mt, it)| *mt == map_type && *it == item) {
-                    entry.push((map_type, item));
-                }
-            }
-            for ((anchor, after), specs) in grouped {
-                let Some(span) = span_of(anchor) else {
-                    continue;
-                };
-                let indent = file.indentation_at(span.start);
-                let text = format!(
-                    "{indent}#pragma omp target {keyword} data {}\n",
-                    render_lifetime_clauses(&specs)
-                );
-                let pos = if after == 1 {
-                    after_line_pos(file, span.end)
-                } else {
-                    file.line_start_of(span.start)
-                };
-                edits.insert(pos, text);
-            }
+        // --- the unstructured spelling of the maps -----------------------------
+        if let (true, Some((start_span, end_span))) = (unstructured, region_spans) {
+            edits.insert(
+                file.line_start_of(start_span.start),
+                format!(
+                    "{}#pragma omp target enter data {}\n",
+                    file.indentation_at(start_span.start),
+                    render_map_clauses(&plan.maps, |map_type| enter_exit_types(map_type).0)
+                ),
+            );
+            edits.insert(
+                after_line_pos(file, end_span.end),
+                format!(
+                    "{}#pragma omp target exit data {}\n",
+                    file.indentation_at(end_span.start),
+                    render_map_clauses(&plan.maps, |map_type| enter_exit_types(map_type).1)
+                ),
+            );
         }
         update_edits(&mut edits, file, index, plan, Side::After);
     }
@@ -228,26 +210,6 @@ fn update_edits(
     }
 }
 
-/// Render the consolidated `map(...)` clauses of one lifetime directive, in
-/// the fixed order entry types before exit types.
-fn render_lifetime_clauses(specs: &[(MapType, String)]) -> String {
-    let mut groups: BTreeMap<&'static str, Vec<String>> = BTreeMap::new();
-    for (map_type, item) in specs {
-        groups
-            .entry(map_type.as_str())
-            .or_default()
-            .push(item.clone());
-    }
-    let order = ["to", "alloc", "from", "delete", "release"];
-    let mut clauses = Vec::new();
-    for key in order {
-        if let Some(items) = groups.get(key) {
-            clauses.push(format!("map({key}: {})", items.join(", ")));
-        }
-    }
-    clauses.join(" ")
-}
-
 /// Byte position of the start of the line following the line that contains
 /// `pos` (used for "insert after this statement" edits).
 fn after_line_pos(file: &SourceFile, pos: u32) -> u32 {
@@ -256,25 +218,39 @@ fn after_line_pos(file: &SourceFile, pos: u32) -> u32 {
     (line_end + 1).min(file.len())
 }
 
-/// Render the consolidated `map(...)` clauses of a plan.
-fn render_map_clauses(plan: &MappingPlan) -> String {
-    let mut groups: BTreeMap<&'static str, Vec<String>> = BTreeMap::new();
-    for spec in &plan.maps {
-        let key = match spec.map_type {
-            MapType::To => "to",
-            MapType::From => "from",
-            MapType::ToFrom => "tofrom",
-            MapType::Alloc => "alloc",
-            MapType::Release => "release",
-            MapType::Delete => "delete",
-        };
-        groups.entry(key).or_default().push(spec.to_list_item());
+/// How a region's map type is spelled as an unstructured pair: the type of
+/// its `target enter data` clause and of its `target exit data` clause. Under
+/// the present table's reference counts the pair moves exactly what the
+/// structured clause does, and every enter is balanced by an exit — a phase
+/// that runs once per timestep must leave the count where it found it, or an
+/// enclosing phase's `exit data map(from:)` never reaches zero and never
+/// copies back. ([`crate::plan::diff::extract_explicit_plans`] holds the
+/// inverse.)
+fn enter_exit_types(map_type: MapType) -> (MapType, MapType) {
+    match map_type {
+        MapType::To => (MapType::To, MapType::Release),
+        MapType::ToFrom => (MapType::To, MapType::From),
+        MapType::From => (MapType::Alloc, MapType::From),
+        MapType::Alloc => (MapType::Alloc, MapType::Delete),
+        // Already an exit type (hand-built plans only): nothing to copy in.
+        MapType::Release | MapType::Delete => (MapType::Alloc, map_type),
     }
-    let order = ["to", "from", "tofrom", "alloc", "release", "delete"];
+}
+
+/// Render the consolidated `map(...)` clauses of one directive over `maps`,
+/// each under the map type `spell` gives it there: one clause per type, in
+/// a fixed order.
+fn render_map_clauses(maps: &[MapSpec], spell: impl Fn(MapType) -> MapType) -> String {
+    use MapType::*;
     let mut clauses = Vec::new();
-    for key in order {
-        if let Some(items) = groups.get(key) {
-            clauses.push(format!("map({key}: {})", items.join(", ")));
+    for map_type in [To, From, ToFrom, Alloc, Delete, Release] {
+        let items: Vec<String> = (maps.iter())
+            .filter(|m| spell(m.map_type) == map_type)
+            .map(MapSpec::to_list_item)
+            .collect();
+        if !items.is_empty() {
+            let keyword = map_type.as_str();
+            clauses.push(format!("map({keyword}: {})", items.join(", ")));
         }
     }
     clauses.join(" ")
@@ -344,7 +320,7 @@ impl EditSet {
 mod tests {
     use super::*;
     use crate::access::{FunctionAccesses, SymbolTable};
-    use crate::dataflow::{plan_function, DataflowOptions};
+    use crate::dataflow::{plan_collapses, plan_function, DataflowOptions};
     use ompdart_frontend::diag::Diagnostics;
     use ompdart_frontend::parser::parse_str;
     use std::collections::HashMap;
@@ -369,7 +345,13 @@ mod tests {
                 continue;
             };
             let acc = FunctionAccesses::collect(f, &g.index, &symbols[&f.name]);
-            if let Some(plan) = plan_function(f, g, &acc, &symbols[&f.name], &options, &mut diags) {
+            let plan = plan_function(f, g, &acc, &symbols[&f.name], &options, &mut diags);
+            if let Some(mut plan) = plan {
+                // What the plan stage adds under `--lifetimes`.
+                if options.lifetimes {
+                    plan.unstructured = true;
+                    plan.collapses = plan_collapses(f, &plan.kernels);
+                }
                 plans.push(plan);
             }
         }
@@ -573,6 +555,56 @@ int main() {
             transform_with(src, DataflowOptions::default())
         );
         assert!(transform(src).contains("#pragma omp target data"));
+    }
+
+    /// The four-row table: every structured map type becomes its refcounted
+    /// enter/exit split, consolidated into one pair at the region's
+    /// boundaries — also when the structured plan would have attached its
+    /// clauses to the single kernel.
+    #[test]
+    fn lifetimes_mode_spells_maps_as_enter_exit_pairs() {
+        let src = "\
+#define N 64
+double input[N];
+double both[N];
+double output[N];
+double scratch[N];
+int main() {
+  for (int i = 0; i < N; i++) { input[i] = i; both[i] = i; }
+  #pragma omp target teams distribute parallel for
+  for (int i = 0; i < N; i++) {
+    scratch[i] = input[i] * 2.0;
+    both[i] += scratch[i];
+    output[i] = scratch[i] + 1.0;
+  }
+  double s = 0.0;
+  for (int i = 0; i < N; i++) s += output[i] + both[i];
+  printf(\"%f\\n\", s);
+  return 0;
+}
+";
+        let structured = transform(src);
+        assert!(
+            structured.contains(
+                "parallel for map(to: input) map(from: output) map(tofrom: both) map(alloc: scratch)\n"
+            ),
+            "{structured}"
+        );
+        let lifetimes = DataflowOptions {
+            lifetimes: true,
+            ..Default::default()
+        };
+        let out = transform_with(src, lifetimes);
+        let enter =
+            "  #pragma omp target enter data map(to: input, both) map(alloc: scratch, output)\n  \
+                     #pragma omp target teams distribute parallel for\n";
+        let exit =
+            "  }\n  #pragma omp target exit data map(from: both, output) map(delete: scratch) \
+                    map(release: input)\n";
+        assert!(out.contains(enter), "{out}");
+        assert!(out.contains(exit), "{out}");
+        // Apart from those two lines and the kernel's clauses the texts agree.
+        assert_eq!(out.lines().count(), structured.lines().count() + 2);
     }
 
     #[test]

@@ -110,12 +110,11 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Version of the pack format; a record of any other store or plan version
-/// is never read, and leaves with the next compaction. v7 is v6's pack with
-/// the eight-bit ordered effect in the interface records, and without the
-/// referenced-variable lines there and the referenced-variable word of the
-/// function keys; v3's `unit-*`, `fn-*` and `ref-*` files are ignored, and
-/// removed by [`ArtifactStore::gc`].
-pub const STORE_FORMAT_VERSION: u32 = 7;
+/// is never read, and leaves with the next compaction. v8 is v7's pack with
+/// version-3 plan documents in the unit records (the `unstructured` marker
+/// instead of enter-data / exit-data lists); v3's `unit-*`, `fn-*` and
+/// `ref-*` files are ignored, and removed by [`ArtifactStore::gc`].
+pub const STORE_FORMAT_VERSION: u32 = 8;
 
 const PACK_FILE: &str = "ompdart.pack";
 /// Starts every record. Payloads are UTF-8, which never holds `0xff`, so the
@@ -956,14 +955,14 @@ mod tests {
         std::fs::write(&path, &future).unwrap();
         assert!(load().is_none());
 
-        // Nor is anything a previous version wrote (no legacy reader): a v6
-        // pack — whose interface records spell four-bit effects and
-        // referenced-variable lines this version has no reader for — with a
-        // unit and an interface record, and a v5 interface record (kind 3
-        // then) behind them. Nothing is read, and all three are gone from
-        // the pack once a compaction has passed over it.
+        // Nor is anything a previous version wrote (no legacy reader): a v7
+        // pack — whose unit records hold version-2 plan documents this
+        // version has no reader for — with a unit and an interface record,
+        // and a v5 interface record (kind 3 then) behind them. Nothing is
+        // read, and all three are gone from the pack once a compaction has
+        // passed over it.
         let mut previous = Vec::new();
-        for (version, kind) in [(6u8, UNIT as u8), (6, INTERFACE as u8), (5, 3)] {
+        for (version, kind) in [(7u8, UNIT as u8), (7, INTERFACE as u8), (5, 3)] {
             let mut other = intact.clone();
             reheader(&mut other, |head| (head[6], head[8]) = (version, kind));
             previous.extend_from_slice(&other);
@@ -974,7 +973,7 @@ mod tests {
         assert_eq!(
             upgraded.loaded().records.len(),
             0,
-            "nothing of v6 or v5 is indexed"
+            "nothing of v7 or v5 is indexed"
         );
         save(&upgraded, "y.c", "void g() {}", &options, UNLINKED);
         assert_eq!(upgraded.total_bytes(), 4 * intact.len() as u64);

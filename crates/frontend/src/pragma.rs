@@ -502,7 +502,7 @@ void f(int n) {
     }
 
     #[test]
-    fn enter_exit_data_are_standalone() {
+    fn unstructured_data_directives_are_standalone() {
         let src = "\
 void f(double *a, int n) {
   #pragma omp target enter data map(to: a[0:n])

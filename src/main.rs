@@ -78,11 +78,13 @@ SUBCOMMANDS:
                `<stem>.mapped.c` (next to the input, or into --out-dir).
                --pessimistic-globals opts into assuming unknown extern
                callees clobber every global (default: they only touch
-               their non-const pointer arguments). --lifetimes plans
-               unstructured device lifetimes: structured-region maps
-               become `target enter data`/`target exit data` at the
-               phase boundaries and perfect offload loop nests gain
-               `collapse(n)`. --link-threads caps
+               their non-const pointer arguments). --lifetimes spells
+               the same plan as unstructured device lifetimes: each
+               region's maps become one `target enter data` /
+               `target exit data` pair at its boundaries instead of a
+               `target data` region (same decisions, same construct
+               count, same bytes moved), and perfect offload loop
+               nests gain `collapse(n)`. --link-threads caps
                the link-stage wavefront workers (0 = auto); results are
                byte-identical at every worker count. --profile-json
                (multi-input) emits a driver profile — per-phase wall
@@ -1293,6 +1295,36 @@ mod tests {
         // Same length is not same bytes, and a shorter text truncates.
         write_mapped(&path, "int").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "int");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `diff-plan` refuses a plan document of the previous format version —
+    /// whole or a single plan — and says which version it was.
+    #[test]
+    fn load_plans_refuses_a_version_2_document() {
+        let dir = std::env::temp_dir().join(format!("ompdart-load-plans-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let plan = MappingPlan {
+            function: "f".into(),
+            ..Default::default()
+        };
+        let documents = [
+            ompdart_core::plans_to_json(std::slice::from_ref(&plan)),
+            plan.to_json(),
+        ];
+        for (i, current) in documents.iter().enumerate() {
+            let path = dir.join(format!("{i}.json"));
+            let path = path.to_str().unwrap();
+            std::fs::write(path, current).unwrap();
+            assert_eq!(load_plans(path), Ok(vec![plan.clone()]));
+            std::fs::write(path, current.replace("\"version\": 3", "\"version\": 2")).unwrap();
+            let refused = load_plans(path).unwrap_err();
+            assert!(
+                refused.contains("version") && refused.contains('2'),
+                "{refused}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -587,20 +587,30 @@ fn check_plans_reports_version_and_rejects_old_documents() {
     );
     assert!(ok.get("plans").and_then(Json::as_int).unwrap_or(0) >= 1);
 
-    // The same document stamped with the previous format version: a
-    // structured bad_request naming both versions.
-    let old = doc.replacen("\"version\": 2", "\"version\": 1", 1);
-    assert_ne!(old, doc, "the rendered document must carry its version");
-    let err = client.check_plans(&old).expect_err("v1 must be rejected");
-    match err {
-        ClientError::Remote { kind, message } => {
-            assert_eq!(kind, "bad_request");
-            assert!(
-                message.contains("version 1") && message.contains("version 2"),
-                "error must name both versions: {message}"
-            );
+    // The same document stamped with an older format version: a structured
+    // bad_request naming both versions.
+    let current = ompdart_core::plan::PLAN_FORMAT_VERSION;
+    for old_version in [1, 2] {
+        let old = doc.replacen(
+            &format!("\"version\": {current}"),
+            &format!("\"version\": {old_version}"),
+            1,
+        );
+        assert_ne!(old, doc, "the rendered document must carry its version");
+        let err = client
+            .check_plans(&old)
+            .expect_err("an old version must be rejected");
+        match err {
+            ClientError::Remote { kind, message } => {
+                assert_eq!(kind, "bad_request");
+                assert!(
+                    message.contains(&format!("version {old_version}"))
+                        && message.contains(&format!("version {current}")),
+                    "error must name both versions: {message}"
+                );
+            }
+            other => panic!("expected a structured remote error, got {other:?}"),
         }
-        other => panic!("expected a structured remote error, got {other:?}"),
     }
 
     // Missing `plans` field: bad_request, and the connection stays usable.

@@ -33,45 +33,43 @@ const LINKED_GOLDENS: [(&str, &str, &str); 3] = goldens![
     "lulesh_mf/lulesh_mf_eos",
 ];
 
-#[test]
-fn default_rewrites_are_byte_identical_to_goldens() {
-    let tool = Ompdart::builder().build();
-    for (name, golden, _) in GOLDENS {
+/// Every single-file port in one mode: the rewrite is its golden, and the
+/// plan document round-trips with the mode's marker on every plan — the one
+/// thing, with the `collapse(n)` clauses, that tells the two modes' plans
+/// apart.
+fn single_file_rewrites_match_goldens(lifetimes: bool) {
+    let tool = Ompdart::builder().lifetimes(lifetimes).build();
+    for (name, default_golden, lifetimes_golden) in GOLDENS {
         let bench = benchmarks::by_name(name).unwrap();
         let analysis = tool
             .analyze(&bench.unoptimized_file(), bench.unoptimized)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(
             analysis.rewritten_source(),
-            golden,
-            "{name}: default (lifetimes-off) rewrite moved off its golden"
+            if lifetimes {
+                lifetimes_golden
+            } else {
+                default_golden
+            },
+            "{name}: rewrite (lifetimes = {lifetimes}) moved off its golden"
         );
-        // The v2 plan document for the default mode round-trips and keeps
-        // the structured shape: no lifetime-placed specs anywhere.
         let plans = ompdart_core::plan::plans_from_json(&analysis.plans_json()).unwrap();
+        assert_eq!(plans, analysis.plans());
         for plan in &plans {
-            assert!(plan.enter_data.is_empty() && plan.exit_data.is_empty());
-            assert!(plan.collapses.is_empty());
+            assert_eq!(plan.unstructured, lifetimes);
+            assert!(lifetimes || plan.collapses.is_empty());
         }
     }
 }
 
-/// The same ports under `--lifetimes`: the `enter data` / `exit data`
-/// spelling (and the `collapse(n)` clauses that ride with it) is pinned too.
+#[test]
+fn default_rewrites_are_byte_identical_to_goldens() {
+    single_file_rewrites_match_goldens(false);
+}
+
 #[test]
 fn lifetimes_rewrites_are_byte_identical_to_goldens() {
-    let tool = Ompdart::builder().lifetimes(true).build();
-    for (name, _, golden) in GOLDENS {
-        let bench = benchmarks::by_name(name).unwrap();
-        let analysis = tool
-            .analyze(&bench.unoptimized_file(), bench.unoptimized)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(
-            analysis.rewritten_source(),
-            golden,
-            "{name}: --lifetimes rewrite moved off its golden"
-        );
-    }
+    single_file_rewrites_match_goldens(true);
 }
 
 #[test]

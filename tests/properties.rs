@@ -12,7 +12,7 @@
 
 use ompdart_core::pipeline::Stage;
 use ompdart_core::plan::{
-    CollapseSpec, EnterDataSpec, ExitDataSpec, FirstPrivateSpec, MapSpec, MappingPlan, Placement,
+    diff_plans, CollapseSpec, DiffEntry, FirstPrivateSpec, MapSpec, MappingPlan, Placement,
     Provenance, ProvenanceFact, UpdateDirection, UpdateSpec,
 };
 use ompdart_core::Ompdart;
@@ -231,60 +231,6 @@ fn firstprivate_strategy() -> impl Strategy<Value = FirstPrivateSpec> {
     })
 }
 
-fn enter_spec_strategy() -> impl Strategy<Value = EnterDataSpec> {
-    (
-        (0u8..8),
-        (0u8..2),
-        (0u32..64),
-        (0u8..2),
-        section_strategy(),
-        provenance_strategy(),
-    )
-        .prop_map(
-            |(var, mt, anchor, place, section_length, provenance)| EnterDataSpec {
-                var: var_name(var),
-                map_type: if mt == 0 { MapType::To } else { MapType::Alloc },
-                anchor: NodeId(anchor),
-                placement: if place == 0 {
-                    Placement::Before
-                } else {
-                    Placement::After
-                },
-                section_length,
-                provenance,
-            },
-        )
-}
-
-fn exit_spec_strategy() -> impl Strategy<Value = ExitDataSpec> {
-    (
-        (0u8..8),
-        (0u8..3),
-        (0u32..64),
-        (0u8..2),
-        section_strategy(),
-        provenance_strategy(),
-    )
-        .prop_map(
-            |(var, mt, anchor, place, section_length, provenance)| ExitDataSpec {
-                var: var_name(var),
-                map_type: match mt {
-                    0 => MapType::From,
-                    1 => MapType::Delete,
-                    _ => MapType::Release,
-                },
-                anchor: NodeId(anchor),
-                placement: if place == 0 {
-                    Placement::Before
-                } else {
-                    Placement::After
-                },
-                section_length,
-                provenance,
-            },
-        )
-}
-
 fn collapse_spec_strategy() -> impl Strategy<Value = CollapseSpec> {
     ((0u32..64), (2u32..6), provenance_strategy()).prop_map(|(kernel, depth, provenance)| {
         CollapseSpec {
@@ -300,36 +246,86 @@ fn plan_strategy() -> impl Strategy<Value = MappingPlan> {
         proptest::collection::vec(map_spec_strategy(), 0..5),
         proptest::collection::vec(update_spec_strategy(), 0..5),
         proptest::collection::vec(firstprivate_strategy(), 0..4),
-        proptest::collection::vec(enter_spec_strategy(), 0..4),
-        proptest::collection::vec(exit_spec_strategy(), 0..4),
         proptest::collection::vec(collapse_spec_strategy(), 0..3),
-        (0u32..3, 0u32..200),
+        (0u32..3, 0u32..200, 0u8..2),
     )
         .prop_map(
-            |(maps, updates, firstprivate, enter_data, exit_data, collapses, (shape, base))| {
-                MappingPlan {
-                    function: format!("fn_{base}"),
-                    region_start: if shape == 0 { None } else { Some(NodeId(base)) },
-                    region_end: if shape == 0 {
-                        None
-                    } else {
-                        Some(NodeId(base + 9))
-                    },
-                    attach_to_kernel: if shape == 2 {
-                        Some(NodeId(base + 1))
-                    } else {
-                        None
-                    },
-                    kernels: (0..shape).map(|k| NodeId(base + k)).collect(),
-                    maps,
-                    updates,
-                    firstprivate,
-                    enter_data,
-                    exit_data,
-                    collapses,
-                }
+            |(maps, updates, firstprivate, collapses, (shape, base, unstructured))| MappingPlan {
+                function: format!("fn_{base}"),
+                region_start: if shape == 0 { None } else { Some(NodeId(base)) },
+                region_end: if shape == 0 {
+                    None
+                } else {
+                    Some(NodeId(base + 9))
+                },
+                attach_to_kernel: if shape == 2 {
+                    Some(NodeId(base + 1))
+                } else {
+                    None
+                },
+                unstructured: unstructured == 1,
+                kernels: (0..shape).map(|k| NodeId(base + k)).collect(),
+                maps,
+                updates,
+                firstprivate,
+                collapses,
             },
         )
+}
+
+/// One plan, two spellings: the plans of a `--lifetimes` run are the default
+/// run's plans plus the marker and the `collapse(n)` clauses, and `diff-plan`
+/// sees no other difference between the two.
+fn one_plan_two_spellings(
+    default: &[MappingPlan],
+    lifetimes: &[MappingPlan],
+) -> Result<(), String> {
+    let respelled: Vec<MappingPlan> = (lifetimes.iter())
+        .map(|plan| MappingPlan {
+            unstructured: false,
+            collapses: Vec::new(),
+            ..plan.clone()
+        })
+        .collect();
+    if !lifetimes.iter().all(|plan| plan.unstructured) || respelled != default {
+        return Err(format!(
+            "`--lifetimes` decided something else:\n{default:#?}\n{lifetimes:#?}"
+        ));
+    }
+    // The same through `diff-plan`, which compares decisions: the clauses
+    // one side added are all it reports.
+    let diff = diff_plans(default, lifetimes);
+    let collapses: usize = lifetimes.iter().map(|plan| plan.collapses.len()).sum();
+    let only_collapses = diff.entries.iter().all(|entry| {
+        matches!(entry, DiffEntry::OnlyRight { construct, .. } if construct.starts_with("collapse("))
+    });
+    match only_collapses && diff.divergences() == collapses {
+        true => Ok(()),
+        false => Err(format!("the two spellings diff: {:?}", diff.entries)),
+    }
+}
+
+/// The ten ports plan the same under both spellings.
+#[test]
+fn the_ports_plan_the_same_under_both_spellings() {
+    let (default, lifetimes) = (
+        Ompdart::builder().build(),
+        Ompdart::builder().lifetimes(true).build(),
+    );
+    for bench in ompdart_suite::all_benchmarks() {
+        let name = bench.unoptimized_file();
+        let plans = |tool: &Ompdart| tool.analyze(&name, bench.unoptimized).unwrap();
+        one_plan_two_spellings(plans(&default).plans(), plans(&lifetimes).plans())
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
+    let lulesh: Vec<(String, String)> = (ompdart_suite::lulesh_multifile().into_iter())
+        .map(|(name, source)| (name.to_string(), source.to_string()))
+        .collect();
+    let linked = |tool: &Ompdart| tool.analyze_program(&lulesh).unwrap();
+    for (default, lifetimes) in (linked(&default).units.iter()).zip(&linked(&lifetimes).units) {
+        one_plan_two_spellings(&default.plans.plans, &lifetimes.plans.plans)
+            .unwrap_or_else(|e| panic!("lulesh_mf: {e}"));
+    }
 }
 
 /// True when `needle` is a (byte-)subsequence of `haystack`: the pure
@@ -412,8 +408,9 @@ proptest! {
 
     /// Unstructured lifetimes: for arbitrary generated programs, planning
     /// with `--lifetimes` (enter/exit data at phase boundaries, collapse on
-    /// perfect nests) keeps the host-visible output byte-identical and
-    /// never moves more data than the implicit mappings.
+    /// perfect nests) decides what the default mode decides, keeps the
+    /// host-visible output byte-identical and never moves more data than
+    /// the implicit mappings.
     #[test]
     fn lifetimes_mode_preserves_semantics(pieces in proptest::collection::vec(piece_strategy(), 1..6)) {
         let src = render_program(&pieces);
@@ -426,13 +423,9 @@ proptest! {
         prop_assert!(reparsed.is_ok(), "transformed program failed to parse:\n{transformed}");
         prop_assert!(analysis.plans().iter().all(|p| p.fully_justified()),
             "unjustified lifetime construct in plans for:\n{src}");
-        // Lifetime placement is all-or-nothing per function: a plan that
-        // placed enter/exit specs holds no structured maps.
-        for plan in analysis.plans() {
-            if !plan.enter_data.is_empty() || !plan.exit_data.is_empty() {
-                prop_assert!(plan.maps.is_empty(),
-                    "plan mixes structured maps with lifetime specs:\n{plan:#?}");
-            }
+        let default = Ompdart::builder().build().analyze("lt.c", &src).unwrap();
+        if let Err(e) = one_plan_two_spellings(default.plans(), analysis.plans()) {
+            return Err(TestCaseError::fail(format!("{e}\n{src}")));
         }
         let before = simulate_source(&src, SimConfig::default()).expect("baseline failed");
         let after = simulate_source(transformed, SimConfig::default())
@@ -445,8 +438,8 @@ proptest! {
     }
 
     /// With lifetimes on, incremental re-analysis after a one-function edit
-    /// (which relocates enter/exit/collapse specs onto the fresh parse's
-    /// node ids) agrees byte for byte — rewrite and full plan set — with a
+    /// (which relocates the region anchors and collapse specs onto the fresh
+    /// parse's node ids) agrees byte for byte — rewrite and full plan set — with a
     /// cold analysis of the edited source.
     #[test]
     fn lifetimes_incremental_agrees_with_cold(
