@@ -69,20 +69,13 @@ fn carried_before(path: &str) -> String {
     "{}".to_string()
 }
 
-fn options_for(units: usize) -> OmpDartOptions {
-    // The sequential reference engine needs one pass per link of the
-    // corpus's depth-N call chain; the wavefront engine does not, but
-    // both run under the same budget so the comparison is fair.
-    OmpDartOptions {
-        max_interproc_passes: units + 8,
-        ..OmpDartOptions::default()
-    }
-}
-
 fn bench(c: &mut Criterion) {
     let n = corpus_units();
     let inputs = corpus::generate(n, 42);
-    let options = options_for(n);
+    let options = OmpDartOptions::default();
+    // The sequential reference engine needs one pass per link of the
+    // corpus's depth-N call chain; the wavefront engine does not.
+    let sequential_passes = n + 8;
     let threads = options.effective_link_threads();
 
     // --- Engine isolation: summarize once, converge twice. -------------
@@ -95,10 +88,12 @@ fn bench(c: &mut Criterion) {
     // Best of three for each engine: the first call pays one-off costs
     // (allocator warmup, thread spawn) that are not the fixed point.
     let mut sequential_ms = f64::INFINITY;
-    let mut sequential = Program::propagate_merged_sequential(&program.units, &options);
+    let mut sequential =
+        Program::propagate_merged_sequential(&program.units, &options, sequential_passes);
     for _ in 0..3 {
         let t = Instant::now();
-        sequential = Program::propagate_merged_sequential(&program.units, &options);
+        sequential =
+            Program::propagate_merged_sequential(&program.units, &options, sequential_passes);
         sequential_ms = sequential_ms.min(t.elapsed().as_secs_f64() * 1e3);
     }
     let mut parallel_ms = f64::INFINITY;
@@ -221,7 +216,7 @@ fn bench(c: &mut Criterion) {
         previous_width = workers;
         let sweep_options = OmpDartOptions {
             link_threads: t_count,
-            ..options_for(n)
+            ..options
         };
         let sweep_session = Arc::new(AnalysisSession::with_options(sweep_options));
         let sweep_driver =
@@ -300,6 +295,7 @@ fn bench(c: &mut Criterion) {
             black_box(Program::propagate_merged_sequential(
                 &program.units,
                 &options,
+                sequential_passes,
             ))
         })
     });

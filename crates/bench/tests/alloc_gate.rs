@@ -7,9 +7,8 @@
 //! wholesale return to per-token `String` churn should ever trip it.
 
 use ompdart_bench::alloc_counter;
-use ompdart_core::{AnalysisSession, OmpDartOptions, ProgramDriver};
+use ompdart_core::ProgramDriver;
 use ompdart_suite::corpus;
-use std::sync::Arc;
 
 #[global_allocator]
 static ALLOC: alloc_counter::CountingAllocator = alloc_counter::CountingAllocator;
@@ -23,12 +22,7 @@ const MAX_ALLOCS_PER_UNIT_COLD: f64 = 4000.0;
 fn cold_analysis_allocations_per_unit_stay_bounded() {
     let n = 100;
     let inputs = corpus::generate(n, 42);
-    let options = OmpDartOptions {
-        max_interproc_passes: n + 8,
-        ..OmpDartOptions::default()
-    };
-    let session = Arc::new(AnalysisSession::with_options(options));
-    let driver = ProgramDriver::with_session(Arc::clone(&session));
+    let driver = ProgramDriver::new();
 
     let before = alloc_counter::snapshot();
     let analysis = driver.analyze_program(&inputs).expect("cold analysis");

@@ -1144,7 +1144,7 @@ mod tests {
             all_acc.insert(f.name, FunctionAccesses::collect(f, &g.index, &sym));
             all_sym.insert(f.name, sym);
         }
-        let summaries = ProgramSummaries::compute(&unit, &all_acc, &all_sym, 8);
+        let summaries = ProgramSummaries::compute(&unit, &all_acc, &all_sym);
         let func = unit.function(func_name).unwrap();
         let mut acc = all_acc.get(&Symbol::intern(func_name)).unwrap().clone();
         augment_with_call_effects(&mut acc, &unit, &summaries, false);

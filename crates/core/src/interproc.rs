@@ -3,9 +3,9 @@
 //! For every function the analysis summarizes how it accesses data visible
 //! to its callers: data reached through pointer parameters and global
 //! variables, split by whether the access happens on the host or inside an
-//! offloaded region. Summaries are propagated through call sites with a
-//! fixed-point iteration bounded by the maximum call depth (with early
-//! termination once a pass makes no changes), and call sites are then
+//! offloaded region. Summaries are propagated through call sites to a
+//! fixed point (one visit for a function outside any recursion, until
+//! nothing changes for a recursive component), and call sites are then
 //! augmented with *maximally pessimistic* assumptions for callees whose
 //! definitions are not visible (external translation units), exactly as the
 //! paper prescribes: `const` pointer parameters are assumed read-only, other
@@ -529,7 +529,6 @@ impl ProgramSummaries {
         unit: &TranslationUnit,
         accesses: &HashMap<Symbol, FunctionAccesses>,
         symbols: &HashMap<Symbol, SymbolTable>,
-        max_passes: usize,
     ) -> ProgramSummaries {
         let mut seeds = HashMap::new();
         let mut nodes = Vec::new();
@@ -543,7 +542,7 @@ impl ProgramSummaries {
             seeds.insert(func.name, Arc::new(seed_summary(func, acc, sym)));
             nodes.push(PropagationNode::build(func.name, func, acc, sym, &[]));
         }
-        ProgramSummaries::propagate(&nodes, seeds, max_passes, false, 1)
+        ProgramSummaries::propagate(&nodes, seeds, false, 1)
     }
 
     /// Run the call-site propagation to a fixed point over pre-computed
@@ -570,15 +569,13 @@ impl ProgramSummaries {
     /// [`Self::propagate_sequential`] whenever the sequential sweep is
     /// given enough passes to converge.
     ///
-    /// `max_passes` bounds only the *inner* iteration of recursive
-    /// components (bounded by the component's size in practice); acyclic
-    /// components never consume more than one pass regardless, which is
-    /// what makes thousand-deep cross-unit call chains converge in one
-    /// wavefront sweep instead of a thousand whole-program passes.
+    /// Only a recursive component iterates, until nothing in it changes;
+    /// acyclic components never consume more than one pass, which is what
+    /// makes thousand-deep cross-unit call chains converge in one wavefront
+    /// sweep instead of a thousand whole-program passes.
     pub fn propagate(
         nodes: &[PropagationNode<'_>],
         seeds: HashMap<Symbol, Arc<FunctionSummary>>,
-        max_passes: usize,
         clobber_globals: bool,
         threads: usize,
     ) -> ProgramSummaries {
@@ -587,15 +584,16 @@ impl ProgramSummaries {
             base: None,
             passes: 0,
         };
-        result.run_wavefronts(nodes, max_passes, clobber_globals, threads);
+        result.run_wavefronts(nodes, clobber_globals, threads);
         result
     }
 
     /// The pre-condensation engine: a whole-program `while changed` sweep,
     /// kept as the executable reference the SCC-wavefront engine is pinned
     /// against (parity tests, the `link_scale` bench). Unlike
-    /// [`Self::propagate`], convergence on a call chain of depth
-    /// `d` needs `max_passes >= d` here.
+    /// [`Self::propagate`], it needs as many passes as the call graph is
+    /// deep, so whoever calls it says how many it may take: convergence on
+    /// a call chain of depth `d` needs `max_passes >= d` here.
     pub fn propagate_sequential(
         nodes: &[PropagationNode<'_>],
         seeds: &HashMap<Symbol, Arc<FunctionSummary>>,
@@ -634,7 +632,6 @@ impl ProgramSummaries {
         &mut self,
         cone: Vec<(Symbol, Option<Arc<FunctionSummary>>)>,
         nodes: &[PropagationNode<'_>],
-        max_passes: usize,
         clobber_globals: bool,
         threads: usize,
     ) -> Vec<Option<Arc<FunctionSummary>>> {
@@ -646,7 +643,7 @@ impl ProgramSummaries {
             })
             .collect();
         if !nodes.is_empty() {
-            self.run_wavefronts(nodes, max_passes, clobber_globals, threads);
+            self.run_wavefronts(nodes, clobber_globals, threads);
         }
         previous
     }
@@ -664,7 +661,6 @@ impl ProgramSummaries {
     fn run_wavefronts(
         &mut self,
         nodes: &[PropagationNode<'_>],
-        max_passes: usize,
         clobber_globals: bool,
         threads: usize,
     ) {
@@ -681,7 +677,6 @@ impl ProgramSummaries {
                         base,
                         &cond.members[c],
                         cond.cyclic[c],
-                        max_passes,
                         clobber_globals,
                     )
                 })
@@ -919,24 +914,25 @@ fn merge_unknown_call(
 ///
 /// An acyclic component's converged summary is its seed unioned with fixed
 /// (already converged) callee contributions; unions are idempotent and
-/// commutative, so a single visit reaches the fixed point. Recursive
-/// components iterate until no summary changes, bounded by `max_passes`.
+/// commutative, so a single visit reaches the fixed point. A recursive
+/// component iterates until no summary changes: merging only ever sets a
+/// may or exposed bit, clears an exit-current bit or adds a global, so
+/// every pass but the last moves at least one bit for good and the bits of
+/// the component's summaries bound the passes.
 fn converge_component(
     nodes: &[PropagationNode<'_>],
     base: &HashMap<Symbol, Arc<FunctionSummary>>,
     members: &[usize],
     cyclic: bool,
-    max_passes: usize,
     clobber_globals: bool,
 ) -> (Vec<(Symbol, FunctionSummary)>, usize) {
     // Working copies exist only for members whose summary actually changes;
     // unchanged members keep their `base` entry verbatim, so the common
     // acyclic component converges with zero summary clones.
     let mut local: HashMap<Symbol, FunctionSummary> = HashMap::new();
-    let inner_max = if cyclic { max_passes.max(1) } else { 1 };
     let mut passes = 0usize;
-    for pass in 0..inner_max {
-        passes = pass + 1;
+    loop {
+        passes += 1;
         let mut changed = false;
         for &v in members {
             let node = &nodes[v];
@@ -990,9 +986,22 @@ fn converge_component(
             }
             changed |= caller_changed;
         }
-        if !changed {
+        if !changed || !cyclic {
             break;
         }
+        let summaries = members.iter().filter_map(|&v| {
+            let name = &nodes[v].name;
+            local.get(name).or_else(|| base.get(name).map(|s| &**s))
+        });
+        let bits: usize = summaries
+            .map(|s| 1 + 8 * (s.param_effects.len() + s.global_effects.len()))
+            .sum();
+        assert!(
+            passes <= bits,
+            "a recursive component of {} function(s) still changes after {passes} passes \
+             over {bits} bits: merging is not monotone",
+            members.len()
+        );
     }
     if cyclic {
         for &v in members {
@@ -1253,7 +1262,7 @@ mod tests {
             accesses.insert(f.name, FunctionAccesses::collect(f, &g.index, &sym));
             symbols.insert(f.name, sym);
         }
-        let summaries = ProgramSummaries::compute(&unit, &accesses, &symbols, 8);
+        let summaries = ProgramSummaries::compute(&unit, &accesses, &symbols);
         (summaries, accesses, unit)
     }
 
@@ -1447,6 +1456,24 @@ void f() {
     const KERNEL: &str =
         "#pragma omp target teams distribute parallel for\n  for (int i = 0; i < 32; i++)";
 
+    /// What the sequential reference engine makes of `unit` in at most
+    /// `max_passes` sweeps.
+    fn sequential_reference(
+        unit: &ompdart_frontend::TranslationUnit,
+        accesses: &HashMap<Symbol, FunctionAccesses>,
+        max_passes: usize,
+    ) -> ProgramSummaries {
+        let mut seeds = HashMap::new();
+        let mut nodes = Vec::new();
+        for func in unit.functions() {
+            let sym = SymbolTable::build(unit, func);
+            let acc = &accesses[&func.name];
+            seeds.insert(func.name, Arc::new(seed_summary(func, acc, &sym)));
+            nodes.push(PropagationNode::build(func.name, func, acc, &sym, &[]));
+        }
+        ProgramSummaries::propagate_sequential(&nodes, &seeds, max_passes, false)
+    }
+
     fn global_effect(summaries: &ProgramSummaries, func: &str, var: &str) -> Effect {
         let summary = summaries.summary(func).unwrap();
         *summary.global_effects.get(&Symbol::intern(var)).unwrap()
@@ -1625,7 +1652,7 @@ void f(double *data, int n) {
         let globals = visible_globals(&unit);
         let node = PropagationNode::build(func.name, func, &acc, &sym, &globals);
         let seeds = HashMap::from([(func.name, seed)]);
-        let clobbered = ProgramSummaries::propagate(&[node], seeds, 8, true, 1);
+        let clobbered = ProgramSummaries::propagate(&[node], seeds, true, 1);
         assert_eq!(
             global_effect(&clobbered, "f", "g"),
             Effect::pessimistic_host()
@@ -1664,15 +1691,43 @@ void f(double *data, int n) {
         let t = seed.global_effects[&Symbol::intern("t")];
         assert!(!t.device_exposed() && t.device_current());
 
-        let mut seeds = HashMap::new();
-        let mut nodes = Vec::new();
-        for func in unit.functions() {
-            let sym = SymbolTable::build(&unit, func);
-            let acc = &accesses[&func.name];
-            seeds.insert(func.name, Arc::new(seed_summary(func, acc, &sym)));
-            nodes.push(PropagationNode::build(func.name, func, acc, &sym, &[]));
+        assert!(sequential_reference(&unit, &accesses, 8).same_summaries(&summaries));
+    }
+
+    /// A ring of mutually recursive functions, the last of which writes a
+    /// global: however long the ring and whichever way round it is defined,
+    /// the component iterates until the write has reached every member —
+    /// what the sequential reference finds when given the ring's length in
+    /// passes.
+    #[test]
+    fn a_long_recursive_ring_converges_whatever_its_length_and_order() {
+        for len in [20usize, 40] {
+            for reversed in [false, true] {
+                let define = |i: usize| match i + 1 == len {
+                    true => {
+                        format!("void f{i}(int n) {{\n  g[0] = n;\n  if (n > 0) f0(n - 1);\n}}\n")
+                    }
+                    false => format!("void f{i}(int n) {{\n  f{}(n);\n}}\n", i + 1),
+                };
+                let prototypes: String = (0..len).map(|i| format!("void f{i}(int n);\n")).collect();
+                let mut bodies: Vec<String> = (0..len).map(define).collect();
+                if reversed {
+                    bodies.reverse();
+                }
+                let src = format!("double g[8];\n{prototypes}{}", bodies.concat());
+                let (summaries, accesses, unit) = analyze(&src);
+                for i in 0..len {
+                    let g = global_effect(&summaries, &format!("f{i}"), "g");
+                    assert!(
+                        g.host_write(),
+                        "ring of {len}, reversed {reversed}: f{i} has {g:?}"
+                    );
+                }
+                assert!(
+                    sequential_reference(&unit, &accesses, len + 1).same_summaries(&summaries),
+                    "ring of {len}, reversed {reversed}"
+                );
+            }
         }
-        let sequential = ProgramSummaries::propagate_sequential(&nodes, &seeds, 8, false);
-        assert!(sequential.same_summaries(&summaries));
     }
 }

@@ -57,7 +57,6 @@ pub mod bounds;
 pub mod dataflow;
 pub mod interface;
 pub mod interproc;
-pub mod mapping;
 pub mod pipeline;
 pub mod plan;
 pub mod pool;
@@ -100,7 +99,6 @@ pub use verify::{verify_source, verify_unit, StaleRead, VerifyReport};
 use ompdart_frontend::ast::{StmtKind, TranslationUnit};
 use ompdart_frontend::diag::Diagnostics;
 use ompdart_frontend::source::SourceFile;
-use std::fmt;
 use std::sync::Arc;
 
 /// Configuration of the OMPDart pipeline.
@@ -111,9 +109,6 @@ pub struct OmpDartOptions {
     /// Run the interprocedural side-effect analysis (Section IV-C). When
     /// disabled, call sites fall back to maximally pessimistic assumptions.
     pub interprocedural: bool,
-    /// Upper bound on interprocedural propagation passes (the paper iterates
-    /// up to the maximum call depth with early termination).
-    pub max_interproc_passes: usize,
     /// Reject inputs that already contain `target data` / `target update`
     /// directives (the expected input contract of Section IV-A).
     pub reject_existing_mappings: bool,
@@ -158,39 +153,12 @@ impl Default for OmpDartOptions {
         OmpDartOptions {
             dataflow: DataflowOptions::default(),
             interprocedural: true,
-            max_interproc_passes: 16,
             reject_existing_mappings: true,
             pessimistic_globals: false,
             link_threads: 0,
         }
     }
 }
-
-/// Errors that abort the transformation entirely.
-#[derive(Debug)]
-pub enum OmpDartError {
-    /// The input failed to parse.
-    ParseFailed(Diagnostics),
-    /// The input already contains explicit data-mapping directives.
-    AlreadyMapped { function: String },
-}
-
-impl fmt::Display for OmpDartError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            OmpDartError::ParseFailed(d) => {
-                write!(f, "input failed to parse with {} error(s)", d.error_count())
-            }
-            OmpDartError::AlreadyMapped { function } => write!(
-                f,
-                "function `{function}` already contains target data/update directives; \
-                 OMPDart expects input without explicit data mappings"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for OmpDartError {}
 
 // ---------------------------------------------------------------------------
 // The Ompdart facade: builder -> tool -> Analysis handles
@@ -641,8 +609,6 @@ void f() {
 ";
         let err = analyze("mapped.c", src).unwrap_err();
         assert!(matches!(err, StageError::AlreadyMapped { .. }));
-        let legacy: OmpDartError = err.into();
-        assert!(matches!(legacy, OmpDartError::AlreadyMapped { .. }));
         // ...unless the caller opts out of the input contract.
         let lenient = Ompdart::builder().accept_existing_mappings().build();
         assert!(lenient.analyze("mapped.c", src).is_ok());

@@ -82,7 +82,7 @@ use crate::rewrite;
 use crate::shard::ShardMap;
 use crate::stats::{AtomicCacheStats, CacheStats, Counter};
 use crate::store::{self, ArtifactStore};
-use crate::{function_with_existing_mappings, OmpDartError, OmpDartOptions};
+use crate::{function_with_existing_mappings, OmpDartOptions};
 use ompdart_frontend::ast::TranslationUnit;
 use ompdart_frontend::diag::Diagnostics;
 use ompdart_frontend::parser::parse_str;
@@ -188,15 +188,6 @@ impl fmt::Display for StageError {
 
 impl std::error::Error for StageError {}
 
-impl From<StageError> for OmpDartError {
-    fn from(err: StageError) -> OmpDartError {
-        match err {
-            StageError::Parse { diagnostics, .. } => OmpDartError::ParseFailed(diagnostics),
-            StageError::AlreadyMapped { function } => OmpDartError::AlreadyMapped { function },
-        }
-    }
-}
-
 /// Wall-clock time spent in each pipeline stage, indexed by [`Stage`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StageTimings([Duration; Stage::ALL.len()]);
@@ -275,7 +266,6 @@ pub fn options_fingerprint(options: &OmpDartOptions) -> u64 {
         u8::from(options.pessimistic_globals),
         u8::from(options.dataflow.lifetimes),
     ]);
-    h.write_u64(options.max_interproc_passes as u64);
     h.finish()
 }
 
@@ -460,13 +450,8 @@ pub fn stage_summaries(
         seeds.insert(func.name, Arc::new(seed_summary(func, acc, sym)));
         nodes.push(PropagationNode::build(func.name, func, acc, sym, &globals));
     }
-    let summaries = ProgramSummaries::propagate(
-        &nodes,
-        seeds.clone(),
-        options.max_interproc_passes,
-        options.pessimistic_globals,
-        1,
-    );
+    let summaries =
+        ProgramSummaries::propagate(&nodes, seeds.clone(), options.pessimistic_globals, 1);
     SummariesArtifact {
         summaries: Arc::new(summaries),
         seeds,

@@ -487,7 +487,6 @@ impl Program {
         let before = summaries.propagate_incremental(
             seeds,
             &nodes,
-            options.max_interproc_passes,
             options.pessimistic_globals,
             options.effective_link_threads(),
         );
@@ -614,29 +613,24 @@ impl Program {
         threads: usize,
     ) -> ProgramSummaries {
         let (seeds, nodes) = merged_propagation_inputs(units);
-        ProgramSummaries::propagate(
-            &nodes,
-            seeds,
-            options.max_interproc_passes,
-            options.pessimistic_globals,
-            threads,
-        )
+        ProgramSummaries::propagate(&nodes, seeds, options.pessimistic_globals, threads)
     }
 
     /// [`Program::propagate_merged`] through the sequential reference
     /// engine (the pre-condensation whole-program sweep). Convergence on a
-    /// call chain of depth `d` requires `options.max_interproc_passes >= d`
-    /// here — the wavefront engine has no such requirement, which is the
-    /// asymptotic difference the `link_scale` bench measures.
+    /// call chain of depth `d` requires `max_passes >= d` here — the
+    /// wavefront engine has no such requirement, which is the asymptotic
+    /// difference the `link_scale` bench measures.
     pub fn propagate_merged_sequential(
         units: &[Arc<SummarizedUnit>],
         options: &crate::OmpDartOptions,
+        max_passes: usize,
     ) -> ProgramSummaries {
         let (seeds, nodes) = merged_propagation_inputs(units);
         ProgramSummaries::propagate_sequential(
             &nodes,
             &seeds,
-            options.max_interproc_passes,
+            max_passes,
             options.pessimistic_globals,
         )
     }

@@ -8,15 +8,22 @@
 //! walked twice so loop-carried dependencies show, and a write under a
 //! condition implies a read of its target.
 //!
-//! The walk has two users, which differ only in the entry state and in what
-//! a dependency *means* — the [`Transfers`] they plug in:
+//! The walk has three users, which differ only in the entry state and in
+//! what a dependency *means* — the [`Transfers`] they plug in:
 //!
 //! * the planner ([`crate::dataflow`]) starts from "the host is current"
 //!   and turns every dependency into a map clause or a `target update`;
 //! * the summariser ([`crate::interproc::seed_summary`]) starts from "nothing
 //!   is known" and records which reads observe the value the function was
 //!   *entered* with (its exposed reads) and which side is current on every
-//!   path out of it.
+//!   path out of it;
+//! * the checker ([`crate::verify`]) reads a program that already carries
+//!   its mappings: a dependency nothing in the program resolved is a stale
+//!   read. The first two read programs without data directives; the checker
+//!   applies the ones it meets through [`Transfers::enter`] and
+//!   [`Transfers::exit`] — the only places the walk hands out its state —
+//!   and, knowing what is present on the device, answers
+//!   [`Transfers::folds`] itself.
 //!
 //! A call site enters the walk as the access sequence its callee's summary
 //! stands for ([`crate::interproc::augment_with_call_effects`]): exposed
@@ -26,6 +33,7 @@
 use crate::access::{Access, AccessOrigin, FunctionAccesses};
 use ompdart_frontend::ast::{NodeId, Stmt, StmtKind};
 use ompdart_frontend::intern::FnvBuild;
+use ompdart_frontend::omp::OmpDirective;
 use ompdart_frontend::Symbol;
 use std::collections::HashMap;
 
@@ -88,6 +96,18 @@ pub(crate) trait Transfers {
     /// `read` found its side stale in `state`; after the call the walk
     /// considers that side current.
     fn need(&mut self, read: &Access, state: &VarState, at: Position<'_>);
+
+    /// The walk is about to enter the directive statement `stmt`.
+    fn enter(&mut self, _dir: &OmpDirective, _stmt: NodeId, _state: &mut States) {}
+
+    /// The walk has left the directive statement `stmt` and its body.
+    fn exit(&mut self, _dir: &OmpDirective, _stmt: NodeId, _state: &mut States) {}
+
+    /// True if a device access happens, to this function, on the host: the
+    /// fold rule of the walk's access processing.
+    fn folds(&mut self, access: &Access, in_region: bool) -> bool {
+        access.on_device && !in_region
+    }
 }
 
 pub(crate) struct Walker<'a, T> {
@@ -181,10 +201,12 @@ impl<'a, T: Transfers> Walker<'a, T> {
                 self.cond_depth -= 1;
             }
             StmtKind::Omp(dir) => {
+                self.transfers.enter(dir, stmt.id, &mut self.state);
                 self.process_accesses(stmt, None);
                 if let Some(body) = &dir.body {
                     self.walk_stmt(body);
                 }
+                self.transfers.exit(dir, stmt.id, &mut self.state);
             }
             StmtKind::Return(_) => {
                 self.process_accesses(stmt, None);
@@ -237,7 +259,7 @@ impl<'a, T: Transfers> Walker<'a, T> {
             // every escaping result is live). To this function the whole
             // effect happens on the host.
             let on_host;
-            let folded = access.on_device && !in_region;
+            let folded = self.transfers.folds(access, in_region);
             let access = match folded {
                 true => {
                     on_host = Access {

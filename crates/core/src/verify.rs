@@ -5,9 +5,27 @@
 //! it is to hand-write an *incorrect* mapping (Listing 3: an inner
 //! `map(from:)` nested in an enclosing region never copies because of the
 //! reference count). This module provides that complementary capability for
-//! the reproduction: given a program **with** explicit mappings, it re-runs
-//! the host/device validity analysis while honouring the declared clauses
-//! and reports every read that may observe stale data.
+//! the reproduction: given a program **with** explicit mappings, it reports
+//! every read that may observe stale data.
+//!
+//! It is the third reader of the planner's own validity walk
+//! (`core::validity`): the same statement traversal (branches met, loops
+//! walked twice, `return`s met at the exit, a write under a condition a read
+//! of its target), over the same accesses — the function's own plus, at each
+//! call site, what the callee's summary stands for — so the checker and the
+//! analysis it checks cannot disagree about what a program does. Where the
+//! planner would emit a transfer, the checker reports a [`StaleRead`].
+//!
+//! What stays its own is what the planner never meets, the directives of a
+//! mapped program: a present table of reference counts that `target data`,
+//! `enter data` / `exit data` and a kernel's `map` clauses move (a copy
+//! happens on 0 → 1 and 1 → 0 only), `target update` (a no-op on what is not
+//! present), and the implicit rules of a kernel — what nothing holds is
+//! mapped `tofrom` around it, a `firstprivate` scalar is passed the host's
+//! value. A function is checked as an outside caller enters it (nothing
+//! present, everything it can leave behind current on the host when it
+//! returns) and again under what each call site inside the unit holds for
+//! it, where its own clauses are present-table no-ops.
 //!
 //! It is intentionally conservative (whole-variable granularity, the same
 //! assumptions as the mapping generator) and is used by the test-suite to
@@ -15,13 +33,17 @@
 //! paper's Listing 3 bug is detected, and (c) everything OMPDart itself
 //! generates verifies cleanly.
 
-use crate::access::{FunctionAccesses, SymbolTable};
-use ompdart_frontend::ast::{NodeId, Stmt, StmtKind, TranslationUnit};
+use crate::access::{Access, AccessOrigin};
+use crate::interproc::augment_with_call_effects;
+use crate::pipeline::{stage_accesses, stage_graphs, stage_summaries};
+use crate::validity::{Position, States, Transfers, VarState, Walker};
+use crate::OmpDartOptions;
+use ompdart_frontend::ast::{NodeId, TranslationUnit};
 use ompdart_frontend::diag::{Diagnostic, Diagnostics};
 use ompdart_frontend::omp::{Clause, DirectiveKind, MapType, OmpDirective};
 use ompdart_frontend::parser::parse_str;
+use ompdart_frontend::source::Span;
 use ompdart_frontend::Symbol;
-use ompdart_graph::ProgramGraphs;
 use std::collections::HashMap;
 
 /// One potential stale-data read found by the verifier.
@@ -48,6 +70,33 @@ impl VerifyReport {
     pub fn is_clean(&self) -> bool {
         self.stale_reads.is_empty()
     }
+
+    /// Record a finding once, however many walks or loop passes meet it.
+    fn stale(&mut self, function: Symbol, var: Symbol, on_device: bool, stmt: NodeId, span: Span) {
+        let seen = |r: &StaleRead| {
+            r.stmt == stmt
+                && r.on_device == on_device
+                && var == r.variable
+                && function == r.function
+        };
+        if self.stale_reads.iter().any(seen) {
+            return;
+        }
+        self.stale_reads.push(StaleRead {
+            function: function.to_string(),
+            variable: var.to_string(),
+            on_device,
+            stmt,
+        });
+        let where_ = if on_device { "device" } else { "host" };
+        self.diagnostics.push(Diagnostic::warning(
+            span,
+            format!(
+                "`{var}` may be read on the {where_} while its latest value lives in the other \
+                 memory space (function `{function}`)"
+            ),
+        ));
+    }
 }
 
 /// Verify all functions of a source file.
@@ -59,314 +108,229 @@ pub fn verify_source(name: &str, source: &str) -> Result<VerifyReport, Diagnosti
     Ok(verify_unit(&parsed.unit))
 }
 
+/// A function and the variables, under its own names, that whoever calls it
+/// holds on the device.
+type Context = (Symbol, Vec<Symbol>);
+
 /// Verify a parsed translation unit.
 pub fn verify_unit(unit: &TranslationUnit) -> VerifyReport {
-    let graphs = ProgramGraphs::build(unit);
+    let graphs = stage_graphs(unit);
+    let accesses = stage_accesses(unit, &graphs);
+    let summaries = stage_summaries(unit, &accesses, &OmpDartOptions::default()).summaries;
     let mut report = VerifyReport::default();
-    for func in unit.functions() {
-        let Some(graph) = graphs.function(&func.name) else {
+    // Every function that launches a kernel, itself or through a callee, as
+    // an outside caller enters it; the walks add what call sites hold.
+    let mut contexts: Vec<Context> = (unit.functions())
+        .filter(|f| summaries.summary(f.name).is_some_and(|s| s.has_kernels))
+        .map(|f| (f.name, Vec::new()))
+        .collect();
+    let mut next = 0;
+    while let Some((name, held)) = contexts.get(next).cloned() {
+        next += 1;
+        let (Some(func), Some(symbols)) = (unit.function(&name), accesses.symbols.get(&name))
+        else {
             continue;
         };
-        if !graph.has_kernels() {
+        let (Some(body), Some(own)) = (&func.body, accesses.accesses.get(&name)) else {
             continue;
-        }
-        let symbols = SymbolTable::build(unit, func);
-        let accesses = FunctionAccesses::collect(func, &graph.index, &symbols);
-        let mut checker = Checker {
-            function: func.name.to_string(),
-            accesses: &accesses,
-            symbols: &symbols,
-            state: HashMap::new(),
-            mapped: HashMap::new(),
+        };
+        let mut acc = own.clone();
+        augment_with_call_effects(&mut acc, unit, &summaries, false);
+        let entry = |var| VarState {
+            dev_valid: held.contains(&var),
+            ..VarState::host_current()
+        };
+        let state: States = symbols.names().map(|var| (var, entry(var))).collect();
+        let checker = Checker {
+            function: name,
+            present: held.iter().map(|var| (*var, 1)).collect(),
+            in_kernel: false,
+            reached: Vec::new(),
             report: &mut report,
         };
-        if let Some(body) = &func.body {
-            checker.walk(body);
+        let mut walker = Walker::new(&acc, state, (body.id, body.id), checker);
+        walker.walk_stmt(body);
+        let mut reached = std::mem::take(&mut walker.transfers.reached);
+        // A caller that holds nothing takes the function's whole effect to
+        // have happened on the host, so what escapes it has to be current
+        // there on every path out. (Nothing runs after `main`.)
+        let exit = walker.exit_state();
+        let escaping = (unit.globals().map(|g| g.name)).chain(func.params.iter().map(|p| p.name));
+        for var in escaping.filter(|var| symbols.escapes(*var) && !held.contains(var)) {
+            if name != "main" && !exit[&var].host_valid {
+                report.stale(name, var, false, body.id, body.span);
+            }
+        }
+        // What each call site held while its callee reached the device, in
+        // the callee's names: its globals, and its parameters by position.
+        reached.sort_unstable();
+        reached.dedup();
+        for site in reached.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (callee, stmt, _) = site[0];
+            let (Some(def), Some(theirs)) = (unit.function(&callee), accesses.symbols.get(&callee))
+            else {
+                continue;
+            };
+            let held_here = |var: Symbol| site.iter().any(|(.., held)| *held == var);
+            let args = (acc.calls.iter())
+                .filter(|call| call.stmt == stmt && call.callee == callee)
+                .flat_map(|call| call.args.iter().zip(&def.params))
+                .filter(|(arg, _)| arg.by_ref && arg.base_var.is_some_and(held_here));
+            let globals = (site.iter().map(|(.., var)| *var))
+                .filter(|var| theirs.is_global(*var) && !theirs.is_param(*var));
+            let mut held: Vec<Symbol> = globals.chain(args.map(|(_, param)| param.name)).collect();
+            held.sort_unstable();
+            held.dedup();
+            if !contexts.contains(&(callee, held.clone())) {
+                contexts.push((callee, held));
+            }
         }
     }
     report
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct Validity {
-    host: bool,
-    dev: bool,
-}
-
+/// What the checker plugs into the validity walk: the present table, and
+/// the findings.
 struct Checker<'a> {
-    function: String,
-    accesses: &'a FunctionAccesses,
-    symbols: &'a SymbolTable,
-    /// Validity per variable. Variables start host-valid.
-    state: HashMap<String, Validity>,
-    /// Reference counts of explicitly mapped variables (present table).
-    mapped: HashMap<String, u32>,
+    function: Symbol,
+    /// Reference counts of the mapped variables (the present table).
+    present: HashMap<Symbol, u32>,
+    in_kernel: bool,
+    /// Callee, call statement and variable of every call-site effect that
+    /// reaches the device (a read its callee feeds itself is not replayed,
+    /// but is part of the effect) while the variable was present.
+    reached: Vec<(Symbol, NodeId, Symbol)>,
     report: &'a mut VerifyReport,
 }
 
 impl Checker<'_> {
-    fn validity(&mut self, var: &str) -> Validity {
-        *self.state.entry(var.to_string()).or_insert(Validity {
-            host: true,
-            dev: false,
-        })
+    fn is_present(&self, var: Symbol) -> bool {
+        self.present.get(&var).is_some_and(|count| *count > 0)
     }
 
-    fn set(&mut self, var: &str, v: Validity) {
-        self.state.insert(var.to_string(), v);
-    }
-
-    fn is_present(&self, var: &str) -> bool {
-        self.mapped.get(var).copied().unwrap_or(0) > 0
-    }
-
-    fn walk(&mut self, stmt: &Stmt) {
-        match &stmt.kind {
-            StmtKind::Compound(items) => {
-                for s in items {
-                    self.walk(s);
+    /// The `map` clauses of `dir` take a reference each; the first one
+    /// allocates, and copies in if its map type says so.
+    fn map_entries(&mut self, dir: &OmpDirective, state: &mut States) {
+        for (map_type, items) in dir.map_clauses() {
+            let copies = map_type.unwrap_or(MapType::ToFrom).copies_to_device();
+            for var in items.iter().map(|item| Symbol::intern(&item.var)) {
+                let count = self.present.entry(var).or_insert(0);
+                *count += 1;
+                if let (1, Some(st)) = (*count, state.get_mut(&var)) {
+                    st.dev_valid = copies && st.host_valid;
                 }
             }
-            StmtKind::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                self.check_stmt_accesses(stmt, false);
-                self.walk(then_branch);
-                if let Some(e) = else_branch {
-                    self.walk(e);
-                }
-            }
-            StmtKind::While { body, .. }
-            | StmtKind::DoWhile { body, .. }
-            | StmtKind::For { body, .. }
-            | StmtKind::Switch { body, .. } => {
-                self.check_stmt_accesses(stmt, false);
-                // Two passes expose loop-carried staleness.
-                for _ in 0..2 {
-                    self.walk(body);
-                    self.check_stmt_accesses(stmt, false);
-                }
-            }
-            StmtKind::Omp(dir) => self.walk_directive(dir, stmt),
-            _ => self.check_stmt_accesses(stmt, false),
         }
     }
+}
 
-    fn walk_directive(&mut self, dir: &OmpDirective, stmt: &Stmt) {
+impl Transfers for Checker<'_> {
+    fn need(&mut self, read: &Access, _state: &VarState, _at: Position<'_>) {
+        (self.report).stale(
+            self.function,
+            read.var,
+            read.on_device,
+            read.stmt,
+            read.span,
+        );
+    }
+
+    fn enter(&mut self, dir: &OmpDirective, stmt: NodeId, state: &mut States) {
         match &dir.kind {
             DirectiveKind::TargetUpdate => {
                 for clause in &dir.clauses {
-                    match clause {
-                        Clause::UpdateTo(items) => {
-                            for item in items {
-                                let mut v = self.validity(&item.var);
-                                v.dev = v.dev || v.host;
-                                self.set(&item.var, v);
+                    let (items, to_device) = match clause {
+                        Clause::UpdateTo(items) => (items, true),
+                        Clause::UpdateFrom(items) => (items, false),
+                        _ => continue,
+                    };
+                    for var in items.iter().map(|item| Symbol::intern(&item.var)) {
+                        // Nothing is copied to or from what is not present.
+                        if let (true, Some(st)) = (self.is_present(var), state.get_mut(&var)) {
+                            match to_device {
+                                true => st.dev_valid = st.host_valid,
+                                false => st.host_valid = st.dev_valid,
                             }
                         }
-                        Clause::UpdateFrom(items) => {
-                            for item in items {
-                                let mut v = self.validity(&item.var);
-                                if !v.dev {
-                                    self.stale(&item.var, false, stmt.id, dir.pragma_span);
-                                }
-                                v.host = true;
-                                self.set(&item.var, v);
-                            }
-                        }
-                        _ => {}
                     }
                 }
             }
             DirectiveKind::TargetData | DirectiveKind::TargetEnterData => {
-                self.apply_map_entries(dir);
-                if dir.kind == DirectiveKind::TargetData {
-                    if let Some(body) = &dir.body {
-                        self.walk(body);
-                    }
-                    self.apply_map_exits(dir, stmt);
-                }
+                self.map_entries(dir, state)
             }
-            DirectiveKind::TargetExitData => self.apply_map_exits(dir, stmt),
             kind if kind.is_offload_kernel() => {
-                // Kernel: explicit maps enter, implicit rules for the rest.
-                self.apply_map_entries(dir);
-                let fp = dir.firstprivate_vars();
-                let body_vars: Vec<Symbol> = dir
-                    .body
-                    .as_ref()
-                    .map(|b| kernel_vars(b, self.accesses))
-                    .unwrap_or_default();
-                // Implicitly mapped variables (not firstprivate, not in an
-                // enclosing device data environment): behave like tofrom.
-                for var in &body_vars {
-                    if fp.contains(&var.as_str()) {
-                        continue;
-                    }
-                    if explicitly_listed(dir, var) {
-                        continue;
-                    }
-                    if !self.is_present(var) {
-                        let mut v = self.validity(var);
-                        v.dev = v.dev || v.host;
-                        self.set(var, v);
-                    }
+                self.map_entries(dir, state);
+                self.in_kernel = true;
+                // What nothing holds the kernel maps `tofrom` (or passes by
+                // value): the device starts from the host's value.
+                for (_, st) in state.iter_mut().filter(|(var, _)| !self.is_present(**var)) {
+                    st.dev_valid = st.host_valid;
                 }
-                // firstprivate scalars are passed by value: the device sees
-                // the current host value, so a stale host value is a bug.
-                for var in &fp {
-                    let v = self.validity(var);
-                    if !v.host {
-                        self.stale(var, true, stmt.id, dir.pragma_span);
+                // A `firstprivate` scalar is passed by value: the device
+                // sees the current host value, so a stale one is a bug.
+                for var in dir.firstprivate_vars().into_iter().map(Symbol::intern) {
+                    if state.get(&var).is_some_and(|st| !st.host_valid) {
+                        (self.report).stale(self.function, var, true, stmt, dir.pragma_span);
                     }
-                }
-                if let Some(body) = &dir.body {
-                    self.check_device_body(body, stmt);
-                }
-                // Exit: implicit tofrom copies back; explicit maps honour the
-                // reference count.
-                for var in &body_vars {
-                    if fp.contains(&var.as_str()) || explicitly_listed(dir, var) {
-                        continue;
-                    }
-                    if !self.is_present(var) {
-                        let mut v = self.validity(var);
-                        v.host = v.host || v.dev;
-                        self.set(var, v);
-                    }
-                }
-                self.apply_map_exits(dir, stmt);
-            }
-            _ => {
-                if let Some(body) = &dir.body {
-                    self.walk(body);
                 }
             }
+            _ => {}
         }
     }
 
-    fn apply_map_entries(&mut self, dir: &OmpDirective) {
+    fn exit(&mut self, dir: &OmpDirective, _stmt: NodeId, state: &mut States) {
+        let kernel = dir.kind.is_offload_kernel();
+        if !kernel
+            && !matches!(
+                dir.kind,
+                DirectiveKind::TargetData | DirectiveKind::TargetExitData
+            )
+        {
+            return;
+        }
+        self.in_kernel &= !kernel;
+        // Every `map` clause drops its reference; the last one copies back
+        // if its map type says so.
+        let mut listed = Vec::new();
+        let mut copied_back = Vec::new();
         for (map_type, items) in dir.map_clauses() {
-            let mt = map_type.unwrap_or(MapType::ToFrom);
-            for item in items {
-                let count = self.mapped.entry(item.var.clone()).or_insert(0);
-                let first = *count == 0;
-                *count += 1;
-                if first && mt.copies_to_device() {
-                    let mut v = self.validity(&item.var);
-                    v.dev = v.dev || v.host;
-                    self.set(&item.var, v);
+            let copies = map_type.unwrap_or(MapType::ToFrom).copies_to_host();
+            for var in items.iter().map(|item| Symbol::intern(&item.var)) {
+                let count = self.present.entry(var).or_insert(0);
+                *count = count.saturating_sub(1);
+                listed.push(var);
+                if *count == 0 && copies {
+                    copied_back.push(var);
                 }
             }
         }
-    }
-
-    fn apply_map_exits(&mut self, dir: &OmpDirective, stmt: &Stmt) {
-        for (map_type, items) in dir.map_clauses() {
-            let mt = map_type.unwrap_or(MapType::ToFrom);
-            for item in items {
-                let count = self.mapped.entry(item.var.clone()).or_insert(0);
-                if *count > 0 {
-                    *count -= 1;
-                }
-                if *count == 0 && mt.copies_to_host() {
-                    let mut v = self.validity(&item.var);
-                    v.host = v.host || v.dev;
-                    self.set(&item.var, v);
-                }
+        // What is no longer present holds nothing on the device; what a
+        // kernel mapped implicitly it copied back first.
+        for (var, st) in state.iter_mut().filter(|(var, _)| !self.is_present(**var)) {
+            if copied_back.contains(var) || (kernel && !listed.contains(var)) {
+                st.host_valid |= st.dev_valid;
             }
-        }
-        let _ = stmt;
-    }
-
-    /// Check the statements of a kernel body: all accesses are device
-    /// accesses.
-    fn check_device_body(&mut self, body: &Stmt, _kernel: &Stmt) {
-        body.walk(&mut |s| {
-            // Collect accesses by statement; recursion handled by walk.
-            let accesses: Vec<_> = self.accesses.for_stmt(s.id).cloned().collect();
-            for access in accesses {
-                if !self.symbols.is_aggregate(access.var) && !self.symbols.is_scalar(access.var) {
-                    continue;
-                }
-                let mut v = self.validity(&access.var);
-                if access.kind.may_read() && !v.dev {
-                    // Only report variables that actually live across the
-                    // host/device boundary (declared outside the kernel).
-                    if self.symbols.is_global(access.var)
-                        || self.symbols.is_param(access.var)
-                        || self.is_present(&access.var)
-                    {
-                        self.stale(&access.var, true, s.id, access.span);
-                        v.dev = true;
-                    }
-                }
-                if access.kind.may_write() {
-                    v.dev = true;
-                    v.host = false;
-                }
-                self.set(&access.var, v);
-            }
-        });
-    }
-
-    fn check_stmt_accesses(&mut self, stmt: &Stmt, _device: bool) {
-        let accesses: Vec<_> = self.accesses.for_stmt(stmt.id).cloned().collect();
-        for access in accesses {
-            if access.on_device {
-                continue; // handled by check_device_body
-            }
-            let mut v = self.validity(&access.var);
-            if access.kind.may_read() && !v.host {
-                self.stale(&access.var, false, stmt.id, access.span);
-                v.host = true;
-            }
-            if access.kind.may_write() {
-                v.host = true;
-                v.dev = false;
-            }
-            self.set(&access.var, v);
+            st.dev_valid = false;
         }
     }
 
-    fn stale(&mut self, var: &str, on_device: bool, stmt: NodeId, span: ompdart_frontend::Span) {
-        let where_ = if on_device { "device" } else { "host" };
-        self.report.stale_reads.push(StaleRead {
-            function: self.function.clone(),
-            variable: var.to_string(),
-            on_device,
-            stmt,
-        });
-        self.report.diagnostics.push(Diagnostic::warning(
-            span,
-            format!(
-                "`{var}` may be read on the {where_} while its latest value lives in the other \
-                 memory space (function `{}`)",
-                self.function
-            ),
-        ));
-    }
-}
-
-/// Variables referenced by a kernel body that are not declared inside it.
-fn kernel_vars(body: &Stmt, accesses: &FunctionAccesses) -> Vec<Symbol> {
-    let mut out: Vec<Symbol> = Vec::new();
-    body.walk(&mut |s| {
-        for access in accesses.for_stmt(s.id) {
-            if access.on_device && !out.contains(&access.var) {
-                out.push(access.var);
-            }
+    /// A callee's device access reaches the device only while the variable
+    /// is present here (or the call is made inside a kernel); otherwise the
+    /// callee's own clauses do real copies and, to this function, the whole
+    /// effect happens on the host.
+    fn folds(&mut self, access: &Access, _in_region: bool) -> bool {
+        let AccessOrigin::Callee { callee, effect, .. } = &access.origin else {
+            return false;
+        };
+        if self.in_kernel {
+            return false;
         }
-    });
-    out
-}
-
-/// True if the directive explicitly lists the variable in a map clause.
-fn explicitly_listed(dir: &OmpDirective, var: &str) -> bool {
-    dir.map_clauses()
-        .any(|(_, items)| items.iter().any(|i| i.var == var))
+        let present = self.is_present(access.var);
+        if present && (effect.device_read() || effect.device_write()) {
+            self.reached.push((*callee, access.stmt, access.var));
+        }
+        access.on_device && !present
+    }
 }
 
 #[cfg(test)]
@@ -518,5 +482,109 @@ int main() {
     #[test]
     fn parse_errors_surface() {
         assert!(verify_source("broken.c", "int main( {").is_err());
+    }
+
+    fn findings(name: &str, src: &str) -> Vec<(String, String, bool)> {
+        let reads = verify_source(name, src).unwrap().stale_reads;
+        let key = |r: StaleRead| (r.function, r.variable, r.on_device);
+        reads.into_iter().map(key).collect()
+    }
+
+    /// Branches meet: written on the host on one path and in a kernel on the
+    /// other, `a` is current on neither side where they join.
+    #[test]
+    fn a_write_on_either_side_of_a_branch_leaves_neither_current() {
+        let src = "\
+#define N 16
+double a[N];
+double b[N];
+int main(int argc) {
+  #pragma omp target data map(tofrom: a) map(from: b)
+  {
+    if (argc > 1) {
+      for (int i = 0; i < N; i++) a[i] = 1.0;
+    } else {
+      #pragma omp target
+      for (int i = 0; i < N; i++) a[i] = 2.0;
+    }
+    #pragma omp target
+    for (int i = 0; i < N; i++) b[i] = a[i];
+  }
+  printf(\"%f\\n\", b[3]);
+  return 0;
+}
+";
+        let found = findings("branch.c", src);
+        assert!(
+            found.contains(&("main".into(), "a".into(), true)),
+            "{found:?}"
+        );
+        // With the host branch's value moved across, it is clean.
+        let fixed = src.replace(
+            "a[i] = 1.0;\n",
+            "a[i] = 1.0;\n      #pragma omp target update to(a)\n",
+        );
+        assert_eq!(findings("branch_fixed.c", &fixed), []);
+    }
+
+    /// The paths out of a function meet: one that returns past a kernel
+    /// write without the copy the fall-through path makes leaves the host
+    /// stale for whoever called.
+    #[test]
+    fn an_early_return_is_met_with_the_fall_through_path() {
+        let src = "\
+#define N 16
+double a[N];
+void fill(int quick) {
+  #pragma omp target enter data map(alloc: a)
+  #pragma omp target
+  for (int i = 0; i < N; i++) a[i] = i;
+  if (quick) {
+    return;
+  }
+  #pragma omp target exit data map(from: a)
+}
+int main() {
+  fill(0);
+  printf(\"%f\\n\", a[3]);
+  return 0;
+}
+";
+        let found = findings("early_return.c", src);
+        assert_eq!(found, [("fill".into(), "a".into(), false)]);
+        // Without the early return every path makes the copy.
+        let straight = src.replace("    return;\n", "");
+        assert_eq!(findings("no_early_return.c", &straight), []);
+    }
+
+    /// The shape of `lulesh_mf`: `main` holds `x` on the device around a
+    /// call whose callee writes it in a kernel, and reads it in a kernel of
+    /// its own. The call site stands for the callee's write; without that
+    /// write the kernel reads what nothing ever put on the device.
+    #[test]
+    fn a_call_site_replays_its_callee_under_the_callers_region() {
+        let src = "\
+#define N 16
+double x[N];
+double y[N];
+void produce() {
+  #pragma omp target
+  for (int i = 0; i < N; i++) x[i] = i;
+}
+int main() {
+  #pragma omp target data map(alloc: x) map(from: y)
+  {
+    produce();
+    #pragma omp target
+    for (int i = 0; i < N; i++) y[i] = x[i] + 1.0;
+  }
+  printf(\"%f\\n\", y[3]);
+  return 0;
+}
+";
+        assert_eq!(findings("held.c", src), []);
+        let unwritten = src.replace("x[i] = i;", "y[i] = i;");
+        let found = findings("held_unwritten.c", &unwritten);
+        assert_eq!(found, [("main".into(), "x".into(), true)]);
     }
 }

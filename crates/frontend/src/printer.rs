@@ -1,13 +1,11 @@
-//! Pretty-printer: renders AST nodes back to C source text.
+//! Renders expressions back to C source text.
 //!
-//! The OMPDart rewriter performs textual splicing on the original source and
-//! only needs expression rendering (for generated `map`/`update` clause
-//! arguments), but a full statement/declaration printer is provided as well;
-//! it is used by the simulator's tracing output, by tests that check
-//! round-tripping, and by the examples that show transformed programs.
+//! The OMPDart rewriter performs textual splicing on the original source, so
+//! expression rendering — for the array-section bounds of generated
+//! `map`/`update` clauses and for comparing an expert's sections with them —
+//! is all the printing there is.
 
 use crate::ast::*;
-use crate::omp::{Clause, MapItem, OmpDirective};
 
 /// Render an expression as C source.
 pub fn expr_to_c(expr: &Expr) -> String {
@@ -98,287 +96,6 @@ fn escape_str(s: &str) -> String {
         .collect()
 }
 
-/// Render a map item (with array sections) as OpenMP list-item text.
-pub fn map_item_to_c(item: &MapItem) -> String {
-    item.to_source(&|e| expr_to_c(e))
-}
-
-/// Render a clause as OpenMP source text.
-pub fn clause_to_c(clause: &Clause) -> String {
-    let items = |items: &[MapItem]| {
-        items
-            .iter()
-            .map(map_item_to_c)
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    match clause {
-        Clause::Map {
-            map_type,
-            items: list,
-        } => match map_type {
-            Some(mt) => format!("map({}: {})", mt.as_str(), items(list)),
-            None => format!("map({})", items(list)),
-        },
-        Clause::UpdateTo(list) => format!("to({})", items(list)),
-        Clause::UpdateFrom(list) => format!("from({})", items(list)),
-        Clause::FirstPrivate(list) => format!("firstprivate({})", items(list)),
-        Clause::Private(list) => format!("private({})", items(list)),
-        Clause::Shared(list) => format!("shared({})", items(list)),
-        Clause::Reduction { op, items: list } => format!("reduction({}: {})", op, items(list)),
-        Clause::NumTeams(e) => format!("num_teams({})", expr_to_c(e)),
-        Clause::NumThreads(e) => format!("num_threads({})", expr_to_c(e)),
-        Clause::ThreadLimit(e) => format!("thread_limit({})", expr_to_c(e)),
-        Clause::Collapse(e) => format!("collapse({})", expr_to_c(e)),
-        Clause::Device(e) => format!("device({})", expr_to_c(e)),
-        Clause::If(e) => format!("if({})", expr_to_c(e)),
-        Clause::Schedule(text) => format!("schedule({text})"),
-        Clause::DefaultMap(text) => format!("defaultmap({text})"),
-        Clause::Nowait => "nowait".to_string(),
-        Clause::Other { name, text } => {
-            if text.is_empty() {
-                name.clone()
-            } else {
-                format!("{name}({text})")
-            }
-        }
-    }
-}
-
-/// Render a full OpenMP directive line (without the trailing newline).
-pub fn directive_to_c(dir: &OmpDirective) -> String {
-    let mut s = format!("#pragma omp {}", dir.kind.directive_text());
-    for clause in &dir.clauses {
-        s.push(' ');
-        s.push_str(&clause_to_c(clause));
-    }
-    s
-}
-
-/// Pretty-printer for statements and whole translation units.
-pub struct Printer {
-    indent_width: usize,
-    out: String,
-}
-
-impl Default for Printer {
-    fn default() -> Self {
-        Printer {
-            indent_width: 2,
-            out: String::new(),
-        }
-    }
-}
-
-impl Printer {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Render a whole translation unit.
-    pub fn print_unit(mut self, unit: &TranslationUnit) -> String {
-        for item in &unit.items {
-            match item {
-                TopLevel::Function(f) => self.print_function(f, 0),
-                TopLevel::Globals(decls) => {
-                    for d in decls {
-                        let line = format!("{};\n", Self::var_decl_to_c(d));
-                        self.out.push_str(&line);
-                    }
-                }
-                TopLevel::Struct(s) => {
-                    self.out.push_str(&format!("struct {} {{\n", s.name));
-                    for field in &s.fields {
-                        self.out
-                            .push_str(&format!("  {};\n", Self::var_decl_to_c(field)));
-                    }
-                    self.out.push_str("};\n");
-                }
-                TopLevel::Typedef { name, ty, .. } => {
-                    self.out
-                        .push_str(&format!("typedef {} {};\n", ty.to_c_string(), name));
-                }
-            }
-            self.out.push('\n');
-        }
-        self.out
-    }
-
-    /// Render one statement (public for use in traces and tests).
-    pub fn print_stmt(stmt: &Stmt) -> String {
-        let mut p = Printer::new();
-        p.stmt(stmt, 0);
-        p.out
-    }
-
-    fn print_function(&mut self, f: &FunctionDef, level: usize) {
-        let params: Vec<String> = f
-            .params
-            .iter()
-            .map(|p| format!("{} {}", p.ty.to_c_string(), p.name))
-            .collect();
-        let mut sig = format!(
-            "{}{} {}({})",
-            if f.is_static { "static " } else { "" },
-            f.ret.to_c_string(),
-            f.name,
-            if params.is_empty() {
-                "void".to_string()
-            } else {
-                params.join(", ")
-            }
-        );
-        if f.is_variadic {
-            sig = sig.trim_end_matches(')').to_string() + ", ...)";
-        }
-        match &f.body {
-            Some(body) => {
-                self.out.push_str(&sig);
-                self.out.push(' ');
-                self.stmt(body, level);
-            }
-            None => {
-                self.out.push_str(&sig);
-                self.out.push_str(";\n");
-            }
-        }
-    }
-
-    fn pad(&mut self, level: usize) {
-        for _ in 0..level * self.indent_width {
-            self.out.push(' ');
-        }
-    }
-
-    fn var_decl_to_c(d: &VarDecl) -> String {
-        let mut prefix = String::new();
-        if d.is_extern {
-            prefix.push_str("extern ");
-        }
-        if d.is_static {
-            prefix.push_str("static ");
-        }
-        if d.is_const {
-            prefix.push_str("const ");
-        }
-        // Reconstruct array suffixes from the type.
-        let mut dims = Vec::new();
-        let mut ty = &d.ty;
-        while let Type::Array(inner, size) = ty {
-            dims.push(size.as_ref().map(|e| expr_to_c(e)).unwrap_or_default());
-            ty = inner;
-        }
-        let mut s = format!("{prefix}{} {}", ty.to_c_string(), d.name);
-        for dim in dims {
-            s.push_str(&format!("[{dim}]"));
-        }
-        if let Some(init) = &d.init {
-            s.push_str(" = ");
-            s.push_str(&Self::init_to_c(init));
-        }
-        s
-    }
-
-    fn init_to_c(init: &Init) -> String {
-        match init {
-            Init::Expr(e) => expr_to_c(e),
-            Init::List(items) => {
-                let inner: Vec<String> = items.iter().map(Self::init_to_c).collect();
-                format!("{{{}}}", inner.join(", "))
-            }
-        }
-    }
-
-    fn stmt(&mut self, stmt: &Stmt, level: usize) {
-        match &stmt.kind {
-            StmtKind::Compound(items) => {
-                self.out.push_str("{\n");
-                for s in items {
-                    self.pad(level + 1);
-                    self.stmt(s, level + 1);
-                }
-                self.pad(level);
-                self.out.push_str("}\n");
-            }
-            StmtKind::Expr(e) => {
-                self.out.push_str(&format!("{};\n", expr_to_c(e)));
-            }
-            StmtKind::Decl(decls) => {
-                let rendered: Vec<String> = decls.iter().map(Self::var_decl_to_c).collect();
-                self.out.push_str(&format!("{};\n", rendered.join(", ")));
-            }
-            StmtKind::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                self.out.push_str(&format!("if ({}) ", expr_to_c(cond)));
-                self.stmt(then_branch, level);
-                if let Some(e) = else_branch {
-                    self.pad(level);
-                    self.out.push_str("else ");
-                    self.stmt(e, level);
-                }
-            }
-            StmtKind::While { cond, body } => {
-                self.out.push_str(&format!("while ({}) ", expr_to_c(cond)));
-                self.stmt(body, level);
-            }
-            StmtKind::DoWhile { body, cond } => {
-                self.out.push_str("do ");
-                self.stmt(body, level);
-                self.pad(level);
-                self.out
-                    .push_str(&format!("while ({});\n", expr_to_c(cond)));
-            }
-            StmtKind::For {
-                init,
-                cond,
-                inc,
-                body,
-            } => {
-                let init_s = match init.as_deref() {
-                    Some(ForInit::Decl(decls)) => decls
-                        .iter()
-                        .map(Self::var_decl_to_c)
-                        .collect::<Vec<_>>()
-                        .join(", "),
-                    Some(ForInit::Expr(e)) => expr_to_c(e),
-                    None => String::new(),
-                };
-                let cond_s = cond.as_ref().map(expr_to_c).unwrap_or_default();
-                let inc_s = inc.as_ref().map(expr_to_c).unwrap_or_default();
-                self.out
-                    .push_str(&format!("for ({init_s}; {cond_s}; {inc_s}) "));
-                self.stmt(body, level);
-            }
-            StmtKind::Switch { cond, body } => {
-                self.out.push_str(&format!("switch ({}) ", expr_to_c(cond)));
-                self.stmt(body, level);
-            }
-            StmtKind::Case { value } => {
-                self.out.push_str(&format!("case {}:\n", expr_to_c(value)));
-            }
-            StmtKind::Default => self.out.push_str("default:\n"),
-            StmtKind::Return(e) => match e {
-                Some(e) => self.out.push_str(&format!("return {};\n", expr_to_c(e))),
-                None => self.out.push_str("return;\n"),
-            },
-            StmtKind::Break => self.out.push_str("break;\n"),
-            StmtKind::Continue => self.out.push_str("continue;\n"),
-            StmtKind::Empty => self.out.push_str(";\n"),
-            StmtKind::Omp(dir) => {
-                self.out.push_str(&directive_to_c(dir));
-                self.out.push('\n');
-                if let Some(body) = &dir.body {
-                    self.pad(level);
-                    self.stmt(body, level);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,51 +117,6 @@ mod tests {
     }
 
     #[test]
-    fn directive_rendering() {
-        let src = "\
-void f(double *a, int n) {
-  #pragma omp target teams distribute parallel for map(tofrom: a[0:n]) firstprivate(n)
-  for (int i = 0; i < n; i++) a[i] += 1.0;
-}
-";
-        let (_file, result) = parse_str("t.c", src);
-        assert!(result.is_ok());
-        let f = result.unit.function("f").unwrap();
-        let mut text = None;
-        f.body.as_ref().unwrap().walk(&mut |s| {
-            if let StmtKind::Omp(d) = &s.kind {
-                text = Some(directive_to_c(d));
-            }
-        });
-        let text = text.unwrap();
-        assert!(text.starts_with("#pragma omp target teams distribute parallel for"));
-        assert!(text.contains("map(tofrom: a[0:n])"));
-        assert!(text.contains("firstprivate(n)"));
-    }
-
-    #[test]
-    fn prints_whole_unit() {
-        let src = "\
-int counter;
-struct pt { double x; double y; };
-static double scale(const double *v, int n) {
-  double s = 0.0;
-  for (int i = 0; i < n; i++) {
-    s += v[i];
-  }
-  return s;
-}
-";
-        let (_file, result) = parse_str("t.c", src);
-        assert!(result.is_ok());
-        let printed = Printer::new().print_unit(&result.unit);
-        assert!(printed.contains("int counter;"));
-        assert!(printed.contains("struct pt {"));
-        assert!(printed.contains("static double scale"));
-        assert!(printed.contains("for (int i = 0; i < n; i++)"));
-    }
-
-    #[test]
     fn float_literals_keep_decimal_point() {
         let src = "double f() { return 2.0 + 1.5; }\n";
         let (_file, result) = parse_str("t.c", src);
@@ -456,26 +128,5 @@ static double scale(const double *v, int n) {
             }
         });
         assert_eq!(rendered.unwrap(), "2.0 + 1.5");
-    }
-
-    #[test]
-    fn printed_program_reparses() {
-        let src = "\
-int N;
-void axpy(double *x, double *y, double a, int n) {
-  for (int i = 0; i < n; i++) {
-    y[i] = a * x[i] + y[i];
-  }
-}
-";
-        let (_file, result) = parse_str("t.c", src);
-        assert!(result.is_ok());
-        let printed = Printer::new().print_unit(&result.unit);
-        let (_f2, second) = parse_str("printed.c", &printed);
-        assert!(
-            second.is_ok(),
-            "printed output failed to reparse:\n{printed}"
-        );
-        assert!(second.unit.function("axpy").is_some());
     }
 }

@@ -190,21 +190,8 @@ pub fn edit_one_function(units: &mut [(String, String)], unit_index: usize) -> S
 mod tests {
     use super::*;
     use ompdart_core::program::ProgramDriver;
-    use ompdart_core::{AnalysisSession, OmpDartOptions};
+    use ompdart_core::AnalysisSession;
     use std::sync::Arc;
-
-    fn options_with_passes(passes: usize) -> OmpDartOptions {
-        OmpDartOptions {
-            max_interproc_passes: passes,
-            ..OmpDartOptions::default()
-        }
-    }
-
-    fn driver_with_passes(passes: usize) -> ProgramDriver {
-        ProgramDriver::with_session(Arc::new(AnalysisSession::with_options(
-            options_with_passes(passes),
-        )))
-    }
 
     #[test]
     fn generation_is_deterministic_and_o_n_sized() {
@@ -224,15 +211,14 @@ mod tests {
     }
 
     /// The corpus links cleanly: every cross-unit call resolves (zero
-    /// pessimistic fallbacks), the deep chain needs as many sequential
-    /// passes as its depth but converges, and the recursion pairs are
-    /// genuinely cyclic.
+    /// pessimistic fallbacks), the deep chain converges, and the recursion
+    /// pairs are genuinely cyclic.
     #[test]
     fn corpus_links_with_zero_fallbacks() {
         let units = 120;
         let corpus = generate(units, 42);
         assert_eq!(corpus.len(), units);
-        let driver = driver_with_passes(units + 8);
+        let driver = ProgramDriver::new();
         let analysis = driver.analyze_program(&corpus).unwrap();
         let stats = analysis.stats();
         assert_eq!(
@@ -254,9 +240,7 @@ mod tests {
     fn one_function_edit_reseeds_only_the_dirty_cone() {
         let units = 60;
         let mut corpus = generate(units, 42);
-        let session = Arc::new(AnalysisSession::with_options(options_with_passes(
-            units + 8,
-        )));
+        let session = Arc::new(AnalysisSession::new());
         let driver = ProgramDriver::with_session(Arc::clone(&session));
         driver.analyze_program(&corpus).unwrap();
 
@@ -282,7 +266,7 @@ mod tests {
     fn concat_parses_and_edit_changes_the_stage() {
         let mut corpus = generate(60, 42);
         let single = concat(&corpus);
-        let driver = driver_with_passes(80);
+        let driver = ProgramDriver::new();
         driver
             .analyze_program(&[("all.c".to_string(), single)])
             .expect("concatenated corpus must be a valid translation unit");

@@ -3,11 +3,13 @@
 //! all through the `Ompdart` builder facade.
 
 use ompdart_core::plan::{justified_line_count, plans_from_json};
-use ompdart_core::{MappingConstruct, Ompdart};
+use ompdart_core::{verify_source, MappingConstruct, Ompdart};
 use ompdart_frontend::omp::DirectiveKind;
 use ompdart_sim::{simulate_source, CostModel, SimConfig};
 use ompdart_suite::experiment::{run_all, run_benchmark, ExperimentConfig};
-use ompdart_suite::{by_name, table4_rows};
+use ompdart_suite::{
+    all_benchmarks, by_name, lulesh_multifile, lulesh_multifile_expert_concat, table4_rows,
+};
 
 fn analyze(name: &str, src: &str) -> ompdart_core::Analysis {
     Ompdart::builder()
@@ -166,6 +168,43 @@ fn every_benchmark_plan_is_fully_explained() {
         let back = plans_from_json(&r.plans_json()).unwrap();
         assert_eq!(back, r.plans, "{}", r.name);
     }
+}
+
+/// What `core::verify`'s module documentation promises: every expert
+/// variant of the ten ports and everything the tool generates for them, in
+/// both spellings, verifies clean — `lulesh_mf` as the concatenation of its
+/// units in link order, where `main` holds the data around kernels that sit
+/// in functions of the other two.
+#[test]
+fn every_expert_and_generated_variant_of_the_ports_verifies_clean() {
+    let mut findings = Vec::new();
+    let mut clean = |what: String, source: &str| {
+        let report = verify_source(&what, source).unwrap_or_else(|e| panic!("{what}: {e:?}"));
+        for read in report.stale_reads {
+            findings.push(format!("{what}: {read:?}"));
+        }
+    };
+    for bench in all_benchmarks() {
+        clean(format!("{} expert", bench.name), bench.expert);
+    }
+    clean(
+        "lulesh_mf expert".to_string(),
+        &lulesh_multifile_expert_concat(),
+    );
+    for lifetimes in [false, true] {
+        let tool = Ompdart::builder().lifetimes(lifetimes).build();
+        let at = |name: &str| format!("{name} generated, lifetimes {lifetimes}");
+        for bench in all_benchmarks() {
+            let analysis = tool.analyze(bench.name, bench.unoptimized).unwrap();
+            clean(at(bench.name), analysis.rewritten_source());
+        }
+        let units: Vec<(String, String)> = (lulesh_multifile().into_iter())
+            .map(|(name, source)| (name.to_string(), source.to_string()))
+            .collect();
+        let program = tool.analyze_program(&units).unwrap();
+        clean(at("lulesh_mf"), &program.concatenated_rewrite());
+    }
+    assert!(findings.is_empty(), "{findings:#?}");
 }
 
 /// A focused subset of the benchmark suite (the full nine-benchmark run lives

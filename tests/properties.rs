@@ -868,8 +868,10 @@ proptest! {
         // counts) byte-identical to the sequential reference sweep.
         let options = ompdart_core::OmpDartOptions::default();
         let program = driver.link(&units).expect("relink of the same inputs");
+        // The reference sweep needs a pass per function of the longest
+        // call chain, twice over where a component takes its corner.
         let sequential =
-            ompdart_core::Program::propagate_merged_sequential(&program.units, &options);
+            ompdart_core::Program::propagate_merged_sequential(&program.units, &options, 2 * n);
         for threads in [1usize, 4] {
             let parallel =
                 ompdart_core::Program::propagate_merged(&program.units, &options, threads);
@@ -2069,6 +2071,13 @@ fn simulated(source: &str) -> Result<(Vec<String>, u64, u64), String> {
     Ok((run.output, profile.total_bytes(), profile.total_calls()))
 }
 
+/// `source` with its pragmas removed: what host-only execution runs.
+fn host_only(source: &str) -> String {
+    (source.split_inclusive('\n'))
+        .filter(|line| !line.trim_start().starts_with("#pragma omp"))
+        .collect()
+}
+
 /// A cache directory of this test's own, removed when dropped.
 struct ScratchDir(std::path::PathBuf);
 
@@ -2100,10 +2109,7 @@ impl Drop for ScratchDir {
 fn check_outlined(case: &Outlined) -> Result<(), String> {
     let units = case.units();
     let concat: String = units.iter().map(|(_, source)| source.as_str()).collect();
-    let host_only: String = (concat.split_inclusive('\n'))
-        .filter(|line| !line.trim_start().starts_with("#pragma omp"))
-        .collect();
-    let expected = simulated(&host_only)?.0;
+    let expected = simulated(&host_only(&concat))?.0;
     let (unmapped_output, unmapped_bytes, _) = simulated(&concat)?;
     if unmapped_output != expected {
         return Err(format!("the simulator disagrees with itself on\n{concat}"));
@@ -2231,4 +2237,130 @@ fn every_fn_variant_of_lulesh_and_ace_costs_what_its_port_costs() {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The checker against the simulator: a mutated mapping that changes the
+// output is flagged
+// ---------------------------------------------------------------------------
+
+/// Every single-edit mutant of a mapped program's text: one `target update`
+/// line dropped, one `map(tofrom:` made `to`, one `map(from:` made `alloc`
+/// (`release` on a `target exit data`, the same mistake in the other
+/// spelling).
+fn mapping_mutants(mapped: &str) -> Vec<String> {
+    let lines: Vec<&str> = mapped.split_inclusive('\n').collect();
+    let mut out = Vec::new();
+    for (at, line) in lines.iter().enumerate() {
+        let pragma = line.trim_start();
+        let mut with = |replacement: &str| {
+            out.push(
+                [
+                    &lines[..at].concat(),
+                    replacement,
+                    &lines[at + 1..].concat(),
+                ]
+                .concat(),
+            )
+        };
+        if pragma.starts_with("#pragma omp target update") {
+            with("");
+        }
+        let dropped = match pragma.starts_with("#pragma omp target exit data") {
+            true => "map(release:",
+            false => "map(alloc:",
+        };
+        for (from, to) in [("map(tofrom:", "map(to:"), ("map(from:", dropped)] {
+            if line.contains(from) {
+                with(&line.replacen(from, to, 1));
+            }
+        }
+    }
+    out
+}
+
+/// How the mutants of the programs seen so far fared.
+#[derive(Default)]
+struct MutantTally {
+    mutants: usize,
+    changed_output: usize,
+    changed_and_flagged: usize,
+    flagged_unchanged: usize,
+}
+
+/// `source` mapped under every option set verifies clean, and each mutant of
+/// the mapping that makes the simulator print something other than host-only
+/// execution does has at least one stale read reported.
+fn check_mutants(source: &str, tally: &mut MutantTally) -> Result<(), String> {
+    let expected = simulated(&host_only(source))?.0;
+    let verified = |text: &str| {
+        let report = ompdart_core::verify_source("mapped.c", text);
+        report.map_err(|e| format!("does not parse: {e:?}\n{text}"))
+    };
+    for lifetimes in [false, true] {
+        for pessimistic in [false, true] {
+            let at = format!("lifetimes {lifetimes}, pessimistic globals {pessimistic}");
+            let tool = (Ompdart::builder().lifetimes(lifetimes)).pessimistic_globals(pessimistic);
+            let analysis = tool.build().analyze("pieces.c", source);
+            let analysis = analysis.map_err(|e| format!("{at}: {e}\n{source}"))?;
+            let mapped = analysis.rewritten_source();
+            let report = verified(mapped)?;
+            if !report.is_clean() {
+                let reads = report.stale_reads;
+                return Err(format!(
+                    "{at}: the rewrite is flagged: {reads:#?}\n{mapped}"
+                ));
+            }
+            for mutant in mapping_mutants(mapped) {
+                // A read of device memory nothing was copied into may also
+                // stop the simulator: that is a changed output too.
+                let changed = simulated(&mutant).map_or(true, |run| run.0 != expected);
+                let flagged = !verified(&mutant)?.is_clean();
+                tally.mutants += 1;
+                tally.changed_output += usize::from(changed);
+                tally.changed_and_flagged += usize::from(changed && flagged);
+                tally.flagged_unchanged += usize::from(flagged && !changed);
+                if changed && !flagged {
+                    return Err(format!(
+                        "{at}: this mutant prints something else than {expected:?} and \
+                         verifies clean\n{mutant}\nits origin:\n{mapped}"
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// [`check_mutants`] over generated programs, inline and with a run of pieces
+/// outlined into `phase` (the two units concatenated in link order): the
+/// static checker has no false negative on the generator's language, with the
+/// simulator as the judge. Findings on a mutant whose output did not change
+/// (the mutated clause was dead, or the checker is conservative) are counted,
+/// not asserted.
+#[test]
+fn a_mutated_mapping_that_changes_the_output_is_flagged() {
+    let mut rng = proptest::test_runner::TestRng::deterministic("mutated_mappings");
+    let mut tally = MutantTally::default();
+    for case in 0..24 {
+        let outlined = outlined_strategy().generate(&mut rng);
+        let units = outlined.units();
+        let concat: String = units.iter().map(|(_, source)| source.as_str()).collect();
+        for source in [render_program(&outlined.pieces), concat] {
+            if let Err(failure) = check_mutants(&source, &mut tally) {
+                panic!("case {case}, {outlined:?}\n{failure}");
+            }
+        }
+    }
+    let MutantTally {
+        mutants,
+        changed_output,
+        changed_and_flagged,
+        flagged_unchanged,
+    } = tally;
+    println!(
+        "mapping mutants: {mutants} tried, {changed_output} changed the output, \
+         {changed_and_flagged} of those flagged, {flagged_unchanged} flagged without a changed output"
+    );
+    assert!(changed_output > 0, "no mutant changed any output");
 }

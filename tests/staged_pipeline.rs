@@ -203,17 +203,15 @@ fn batch_results_preserve_input_order_with_many_units() {
     }
 }
 
-/// Stage errors are typed, carry the failing stage, and convert into the
-/// stage-less `OmpDartError`.
+/// Stage errors are typed and carry the failing stage.
 #[test]
-fn typed_stage_errors_translate_to_legacy_errors() {
+fn stage_errors_are_typed_and_carry_their_stage() {
     let session = AnalysisSession::new();
     let err = session
         .analyze("broken.c", "int main( { return 0; }\n")
         .unwrap_err();
     assert_eq!(err.stage(), Stage::Parse);
-    let legacy: ompdart_core::OmpDartError = err.into();
-    assert!(matches!(legacy, ompdart_core::OmpDartError::ParseFailed(_)));
+    assert!(matches!(err, StageError::Parse { .. }));
 
     // The lenient option is honoured by the session exactly like the
     // facade's `accept_existing_mappings`.
