@@ -12,7 +12,7 @@
 //! * an [unstructured](MappingPlan::unstructured) plan spells the same maps,
 //!   in either case, as one `target enter data` before the region's first
 //!   statement and one `target exit data` after its last
-//!   ([`enter_exit_types`]);
+//!   (`enter_exit_types`);
 //! * `target update to/from` directives are inserted before/after their
 //!   anchor statements, consolidated so that each insertion point receives a
 //!   single directive per direction. An `update to` anchored before the

@@ -19,10 +19,6 @@ use std::fmt;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
-impl NodeId {
-    pub const DUMMY: NodeId = NodeId(u32::MAX);
-}
-
 impl fmt::Debug for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "#{}", self.0)
@@ -185,14 +181,6 @@ impl BinaryOp {
             LogicalAnd => "&&",
             LogicalOr => "||",
         }
-    }
-
-    /// True for comparison operators producing a boolean result.
-    pub fn is_comparison(&self) -> bool {
-        matches!(
-            self,
-            BinaryOp::Lt | BinaryOp::Gt | BinaryOp::Le | BinaryOp::Ge | BinaryOp::Eq | BinaryOp::Ne
-        )
     }
 }
 
@@ -444,18 +432,22 @@ impl Expr {
     }
 
     /// Attempt to evaluate the expression as an integer constant, looking up
-    /// unresolved identifiers through `lookup`.
+    /// unresolved identifiers through `lookup`. `None` is "unknown" (an
+    /// identifier `lookup` does not know, a call, a fractional float, a
+    /// division by zero); `&&`, `||` and `?:` short-circuit like C, so an
+    /// operand that decides the result does so even when the other is unknown.
     pub fn const_eval(&self, lookup: &dyn Fn(&str) -> Option<i64>) -> Option<i64> {
         match &self.kind {
             ExprKind::IntLit(v) => Some(*v),
             ExprKind::CharLit(c) => Some(*c as i64),
-            ExprKind::FloatLit(v) => Some(*v as i64),
+            // `0.5` is not the integer 0: truncating would flip its truth.
+            ExprKind::FloatLit(v) if v.fract() == 0.0 => Some(*v as i64),
             ExprKind::Ident(name) => lookup(name.as_str()),
             ExprKind::Paren(e) | ExprKind::Cast { expr: e, .. } => e.const_eval(lookup),
             ExprKind::Unary { op, operand, .. } => {
                 let v = operand.const_eval(lookup)?;
                 Some(match op {
-                    UnaryOp::Neg => -v,
+                    UnaryOp::Neg => v.wrapping_neg(),
                     UnaryOp::Plus => v,
                     UnaryOp::Not => i64::from(v == 0),
                     UnaryOp::BitNot => !v,
@@ -463,24 +455,24 @@ impl Expr {
                 })
             }
             ExprKind::Binary { op, lhs, rhs } => {
-                let a = lhs.const_eval(lookup)?;
-                let b = rhs.const_eval(lookup)?;
+                let (a, b) = (lhs.const_eval(lookup), rhs.const_eval(lookup));
+                // `0` decides `&&` and non-zero decides `||`, from either
+                // side and whatever the other side is.
+                match op {
+                    BinaryOp::LogicalAnd if a == Some(0) || b == Some(0) => return Some(0),
+                    BinaryOp::LogicalOr if a.unwrap_or(0) != 0 || b.unwrap_or(0) != 0 => {
+                        return Some(1)
+                    }
+                    _ => {}
+                }
+                let (a, b) = (a?, b?);
                 Some(match op {
                     BinaryOp::Add => a.wrapping_add(b),
                     BinaryOp::Sub => a.wrapping_sub(b),
                     BinaryOp::Mul => a.wrapping_mul(b),
-                    BinaryOp::Div => {
-                        if b == 0 {
-                            return None;
-                        }
-                        a / b
-                    }
-                    BinaryOp::Rem => {
-                        if b == 0 {
-                            return None;
-                        }
-                        a % b
-                    }
+                    // `None` for `/ 0` (and for `i64::MIN / -1`).
+                    BinaryOp::Div => a.checked_div(b)?,
+                    BinaryOp::Rem => a.checked_rem(b)?,
                     BinaryOp::Shl => a.wrapping_shl(b as u32),
                     BinaryOp::Shr => a.wrapping_shr(b as u32),
                     BinaryOp::Lt => i64::from(a < b),
@@ -890,11 +882,6 @@ impl TranslationUnit {
     pub fn int_constant(&self, name: &str) -> Option<i64> {
         self.constants.get(name).map(|v| *v as i64)
     }
-
-    /// Constant lookup closure suitable for [`Expr::const_eval`].
-    pub fn const_lookup(&self) -> impl Fn(&str) -> Option<i64> + '_ {
-        move |name| self.int_constant(name)
-    }
 }
 
 #[cfg(test)]
@@ -966,6 +953,81 @@ mod tests {
             rhs: Box::new(expr(ExprKind::IntLit(0))),
         });
         assert_eq!(z.const_eval(&|_| None), None);
+    }
+
+    /// `&&`, `||` and `?:` short-circuit like C: a known operand that decides
+    /// the result does so although the other is unknown or divides by zero.
+    #[test]
+    fn const_eval_short_circuits() {
+        let lit = |v| expr(ExprKind::IntLit(v));
+        let unknown = || expr(ExprKind::Ident("X".into()));
+        let div0 = || {
+            expr(ExprKind::Binary {
+                op: BinaryOp::Div,
+                lhs: Box::new(lit(1)),
+                rhs: Box::new(lit(0)),
+            })
+        };
+        let bin = |op, lhs, rhs| {
+            expr(ExprKind::Binary {
+                op,
+                lhs: Box::new(lhs),
+                rhs: Box::new(rhs),
+            })
+        };
+        let eval = |e: Expr| e.const_eval(&|_| None);
+        use BinaryOp::{LogicalAnd as And, LogicalOr as Or};
+        for (op, decisive, other) in [(And, 0, 1), (Or, 1, 0), (Or, 7, 0)] {
+            let decided = i64::from(decisive != 0);
+            assert_eq!(eval(bin(op, lit(decisive), unknown())), Some(decided));
+            assert_eq!(eval(bin(op, unknown(), lit(decisive))), Some(decided));
+            assert_eq!(eval(bin(op, lit(decisive), div0())), Some(decided));
+            assert_eq!(eval(bin(op, lit(other), lit(decisive))), Some(decided));
+            // The other value decides nothing on its own.
+            assert_eq!(eval(bin(op, lit(other), unknown())), None);
+            assert_eq!(eval(bin(op, div0(), lit(other))), None);
+            assert_eq!(eval(bin(op, unknown(), unknown())), None);
+            assert_eq!(eval(bin(op, lit(other), lit(other))), Some(1 - decided));
+        }
+        let cond = |c, t, e| {
+            expr(ExprKind::Conditional {
+                cond: Box::new(c),
+                then_expr: Box::new(t),
+                else_expr: Box::new(e),
+            })
+        };
+        assert_eq!(eval(cond(lit(1), lit(5), unknown())), Some(5));
+        assert_eq!(eval(cond(lit(0), div0(), lit(6))), Some(6));
+        assert_eq!(eval(cond(lit(0), lit(5), unknown())), None);
+        assert_eq!(eval(cond(unknown(), lit(5), lit(5))), None);
+    }
+
+    /// Unknown, not a wrong value and not a panic.
+    #[test]
+    fn const_eval_edge_values() {
+        let eval = |kind| expr(kind).const_eval(&|_| None);
+        assert_eq!(eval(ExprKind::FloatLit(0.5)), None);
+        assert_eq!(eval(ExprKind::FloatLit(4.0)), Some(4));
+        let min = || Box::new(expr(ExprKind::IntLit(i64::MIN)));
+        assert_eq!(
+            eval(ExprKind::Unary {
+                op: UnaryOp::Neg,
+                operand: min(),
+                postfix: false,
+            }),
+            Some(i64::MIN)
+        );
+        for op in [BinaryOp::Div, BinaryOp::Rem] {
+            let rhs = Box::new(expr(ExprKind::IntLit(-1)));
+            assert_eq!(
+                eval(ExprKind::Binary {
+                    op,
+                    lhs: min(),
+                    rhs
+                }),
+                None
+            );
+        }
     }
 
     #[test]

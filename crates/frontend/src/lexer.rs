@@ -308,7 +308,6 @@ impl<'a> Lexer<'a> {
             }
         }
         let text = std::str::from_utf8(&self.text[start..self.pos]).unwrap_or("0");
-        let span_end_before_suffix = self.pos;
         // suffixes
         if is_float {
             if matches!(
@@ -321,7 +320,6 @@ impl<'a> Lexer<'a> {
             self.consume_int_suffix();
         }
         let span = Span::new(self.abs(start), self.abs(self.pos));
-        let _ = span_end_before_suffix;
         if is_float {
             let value: f64 = text.parse().unwrap_or_else(|_| {
                 self.diags.error(span, "invalid floating-point literal");
@@ -329,8 +327,15 @@ impl<'a> Lexer<'a> {
             });
             Token::new(TokenKind::FloatLit(value), span)
         } else {
-            let value: i64 = text.parse().unwrap_or_else(|_| {
-                self.diags.error(span, "integer literal out of range");
+            // A leading `0` makes an integer literal octal.
+            let radix = if text.len() > 1 && text.starts_with('0') {
+                8
+            } else {
+                10
+            };
+            let value = i64::from_str_radix(text, radix).unwrap_or_else(|_| {
+                self.diags
+                    .error(span, "integer literal invalid or out of range");
                 0
             });
             Token::new(TokenKind::IntLit(value), span)
@@ -626,6 +631,17 @@ mod tests {
         assert!(k.contains(&TokenKind::FloatLit(2.0)));
         assert!(k.contains(&TokenKind::IntLit(10)));
         assert!(k.contains(&TokenKind::IntLit(31)));
+    }
+
+    #[test]
+    fn lexes_octal_literals() {
+        let k = kinds("int a = 010; int b = 0; int c = 0777L; double d = 010.5;");
+        assert!(k.contains(&TokenKind::IntLit(8)));
+        assert!(k.contains(&TokenKind::IntLit(0)));
+        assert!(k.contains(&TokenKind::IntLit(511)));
+        assert!(k.contains(&TokenKind::FloatLit(10.5)));
+        let f = SourceFile::new("t.c", "int a = 09;");
+        assert!(tokenize_file(&f).1.has_errors());
     }
 
     #[test]

@@ -34,7 +34,7 @@ impl ParseResult {
 pub fn parse_source(file: &SourceFile) -> ParseResult {
     let (tokens, mut diags) = tokenize_file(file);
     let pp = preprocess(tokens, &mut diags);
-    let mut parser = Parser::new(pp.tokens, file, diags);
+    let mut parser = Parser::new(pp.tokens, diags);
     let mut unit = parser.parse_translation_unit();
     unit.constants = pp.constants;
     ParseResult {
@@ -50,18 +50,17 @@ pub fn parse_str(name: &str, text: &str) -> (SourceFile, ParseResult) {
     (file, result)
 }
 
-pub(crate) struct Parser<'a> {
+pub(crate) struct Parser {
     tokens: Vec<Token>,
     pos: usize,
-    file: &'a SourceFile,
     pub(crate) diags: Diagnostics,
     next_id: u32,
     typedefs: HashSet<Symbol>,
     structs: HashSet<Symbol>,
 }
 
-impl<'a> Parser<'a> {
-    pub(crate) fn new(tokens: Vec<Token>, file: &'a SourceFile, diags: Diagnostics) -> Self {
+impl Parser {
+    pub(crate) fn new(tokens: Vec<Token>, diags: Diagnostics) -> Self {
         let mut typedefs = HashSet::new();
         for builtin in [
             "size_t",
@@ -87,7 +86,6 @@ impl<'a> Parser<'a> {
         Parser {
             tokens,
             pos: 0,
-            file,
             diags,
             next_id: 0,
             typedefs,
@@ -95,12 +93,13 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Create a sub-parser over a detached token slice (used by the pragma
-    /// parser for clause expressions). Node ids start high so they do not
-    /// collide with ids from the main parse in practice; collisions are
-    /// harmless because clause expressions are never indexed by id.
-    pub(crate) fn for_fragment(tokens: Vec<Token>, file: &'a SourceFile) -> Self {
-        let mut p = Parser::new(tokens, file, Diagnostics::new());
+    /// Create a sub-parser over a detached, `Eof`-terminated token vector
+    /// (clause expressions of a pragma, the condition of a `#if`). Node ids
+    /// start high so they do not collide with ids from the main parse in
+    /// practice; collisions are harmless because fragment expressions are
+    /// never indexed by id.
+    pub(crate) fn for_fragment(tokens: Vec<Token>) -> Self {
+        let mut p = Parser::new(tokens, Diagnostics::new());
         p.next_id = 1 << 24;
         p
     }
@@ -134,7 +133,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn at_eof(&self) -> bool {
+    pub(crate) fn at_eof(&self) -> bool {
         matches!(self.peek(), TokenKind::Eof)
     }
 
@@ -1447,13 +1446,6 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// The source file being parsed (returned with the parser's own lifetime
-    /// so fragment parsers can be constructed without holding a borrow of
-    /// `self`).
-    pub(crate) fn file(&self) -> &'a SourceFile {
-        self.file
-    }
-
     pub(crate) fn note_unknown_directive(&mut self, span: Span, text: &str) {
         self.diags.warning(
             span,
@@ -1471,7 +1463,7 @@ struct Qualifiers {
 
 /// Build an [`OmpDirective`] with fresh ids; exposed to the pragma parser.
 pub(crate) fn make_directive(
-    parser: &mut Parser<'_>,
+    parser: &mut Parser,
     kind: DirectiveKind,
     clauses: Vec<crate::omp::Clause>,
     pragma_span: Span,

@@ -14,12 +14,11 @@ use crate::token::{Token, TokenKind};
 /// Parse the text that follows `#pragma omp` into a directive (without an
 /// associated body; the statement parser attaches bodies afterwards).
 /// Returns `None` when the text is not a recognizable OpenMP directive.
-pub(crate) fn parse_omp_pragma<'a>(
-    parser: &mut Parser<'a>,
+pub(crate) fn parse_omp_pragma(
+    parser: &mut Parser,
     text: &str,
     pragma_span: Span,
 ) -> Option<OmpDirective> {
-    let file = parser.file();
     let (tokens, _lex_diags) = Lexer::with_base(text, pragma_span.start).tokenize();
 
     // 1. Collect the leading directive words (stop at the first clause that
@@ -74,9 +73,11 @@ pub(crate) fn parse_omp_pragma<'a>(
         };
         i += 1;
         if matches!(tokens.get(i).map(|t| &t.kind), Some(TokenKind::LParen)) {
-            let (args, next) = collect_paren_args(&tokens, i);
+            // An unclosed list runs to the end of the pragma.
+            let (args, next) = collect_paren_args(&tokens, i)
+                .unwrap_or((&tokens[i + 1..tokens.len() - 1], tokens.len()));
             i = next;
-            clauses.push(build_clause(parser, file, &kind, name, &args));
+            clauses.push(build_clause(parser, &kind, name, args));
         } else {
             clauses.push(bare_clause(name));
         }
@@ -110,60 +111,42 @@ fn bare_clause(name: &str) -> Clause {
     }
 }
 
-/// Collect the tokens between a balanced pair of parentheses starting at
-/// `open_idx` (which must point at the `(`). Returns the inner tokens and the
-/// index just past the closing `)`.
-fn collect_paren_args(tokens: &[Token], open_idx: usize) -> (Vec<Token>, usize) {
+/// The tokens between the `(` at `open_idx` and its matching `)`, and the
+/// index just past that `)`. `None` when the list is not closed before the
+/// tokens, the file or the line (a directive) end.
+pub(crate) fn collect_paren_args(tokens: &[Token], open_idx: usize) -> Option<(&[Token], usize)> {
     let mut depth = 0usize;
-    let mut args = Vec::new();
-    let mut i = open_idx;
-    while i < tokens.len() {
-        match &tokens[i].kind {
-            TokenKind::LParen => {
-                depth += 1;
-                if depth > 1 {
-                    args.push(tokens[i].clone());
-                }
-            }
-            TokenKind::RParen => {
-                depth -= 1;
-                if depth == 0 {
-                    return (args, i + 1);
-                }
-                args.push(tokens[i].clone());
-            }
-            TokenKind::Eof => break,
-            _ => {
-                if depth >= 1 {
-                    args.push(tokens[i].clone());
-                }
-            }
+    for (i, tok) in tokens.iter().enumerate().skip(open_idx) {
+        match tok.kind {
+            TokenKind::LParen => depth += 1,
+            TokenKind::RParen if depth <= 1 => return Some((&tokens[open_idx + 1..i], i + 1)),
+            TokenKind::RParen => depth -= 1,
+            TokenKind::Eof | TokenKind::HashDirective(_) | TokenKind::Pragma(_) => break,
+            _ => {}
         }
-        i += 1;
     }
-    (args, i)
+    None
 }
 
 fn build_clause(
-    parser: &mut Parser<'_>,
-    file: &crate::source::SourceFile,
+    parser: &mut Parser,
     directive: &DirectiveKind,
     name: &str,
     args: &[Token],
 ) -> Clause {
     match name {
-        "map" => parse_map_clause(file, args),
+        "map" => parse_map_clause(args),
         "to" if *directive == DirectiveKind::TargetUpdate => {
-            Clause::UpdateTo(parse_item_list(file, args))
+            Clause::UpdateTo(parse_item_list(args))
         }
         "from" if *directive == DirectiveKind::TargetUpdate => {
-            Clause::UpdateFrom(parse_item_list(file, args))
+            Clause::UpdateFrom(parse_item_list(args))
         }
-        "to" => Clause::UpdateTo(parse_item_list(file, args)),
-        "from" => Clause::UpdateFrom(parse_item_list(file, args)),
-        "firstprivate" => Clause::FirstPrivate(parse_item_list(file, args)),
-        "private" => Clause::Private(parse_item_list(file, args)),
-        "shared" => Clause::Shared(parse_item_list(file, args)),
+        "to" => Clause::UpdateTo(parse_item_list(args)),
+        "from" => Clause::UpdateFrom(parse_item_list(args)),
+        "firstprivate" => Clause::FirstPrivate(parse_item_list(args)),
+        "private" => Clause::Private(parse_item_list(args)),
+        "shared" => Clause::Shared(parse_item_list(args)),
         "reduction" => {
             let (op_tokens, rest) = split_at_colon(args);
             let op = op_tokens
@@ -173,11 +156,11 @@ fn build_clause(
                 .join("");
             Clause::Reduction {
                 op,
-                items: parse_item_list(file, &rest),
+                items: parse_item_list(&rest),
             }
         }
         "num_teams" | "num_threads" | "thread_limit" | "collapse" | "device" | "if" => {
-            let expr = parse_expr_fragment(file, args).unwrap_or_else(|| default_expr(parser));
+            let expr = parse_expr_fragment(args).unwrap_or_else(|| default_expr(parser));
             match name {
                 "num_teams" => Clause::NumTeams(expr),
                 "num_threads" => Clause::NumThreads(expr),
@@ -196,7 +179,7 @@ fn build_clause(
     }
 }
 
-fn default_expr(parser: &mut Parser<'_>) -> Expr {
+fn default_expr(parser: &mut Parser) -> Expr {
     Expr {
         id: parser.fresh_id(),
         span: Span::dummy(),
@@ -204,7 +187,7 @@ fn default_expr(parser: &mut Parser<'_>) -> Expr {
     }
 }
 
-fn parse_map_clause(file: &crate::source::SourceFile, args: &[Token]) -> Clause {
+fn parse_map_clause(args: &[Token]) -> Clause {
     // Strip map-type modifiers (`always`, `close`) and their commas.
     let mut rest: &[Token] = args;
     loop {
@@ -230,7 +213,7 @@ fn parse_map_clause(file: &crate::source::SourceFile, args: &[Token]) -> Clause 
     }
     Clause::Map {
         map_type,
-        items: parse_item_list(file, rest),
+        items: parse_item_list(rest),
     }
 }
 
@@ -252,7 +235,7 @@ fn split_at_colon(args: &[Token]) -> (Vec<Token>, Vec<Token>) {
 
 /// Parse a comma-separated list of map items, each `var` optionally followed
 /// by array sections `[lower:length]`.
-fn parse_item_list(file: &crate::source::SourceFile, args: &[Token]) -> Vec<MapItem> {
+fn parse_item_list(args: &[Token]) -> Vec<MapItem> {
     let mut items = Vec::new();
     for group in split_top_level_commas(args) {
         if group.is_empty() {
@@ -285,7 +268,7 @@ fn parse_item_list(file: &crate::source::SourceFile, args: &[Token]) -> Vec<MapI
                 j += 1;
             }
             let inner = &group[i + 1..j.min(group.len())];
-            sections.push(parse_section(file, inner));
+            sections.push(parse_section(inner));
             i = j + 1;
         }
         let span = group
@@ -301,7 +284,7 @@ fn parse_item_list(file: &crate::source::SourceFile, args: &[Token]) -> Vec<MapI
     items
 }
 
-fn parse_section(file: &crate::source::SourceFile, inner: &[Token]) -> ArraySection {
+fn parse_section(inner: &[Token]) -> ArraySection {
     // `lower : length`, either part optional.
     let mut depth = 0i32;
     let mut colon = None;
@@ -318,17 +301,18 @@ fn parse_section(file: &crate::source::SourceFile, inner: &[Token]) -> ArraySect
     }
     match colon {
         Some(i) => ArraySection {
-            lower: parse_expr_fragment(file, &inner[..i]),
-            length: parse_expr_fragment(file, &inner[i + 1..]),
+            lower: parse_expr_fragment(&inner[..i]),
+            length: parse_expr_fragment(&inner[i + 1..]),
         },
         None => ArraySection {
-            lower: parse_expr_fragment(file, inner),
+            lower: parse_expr_fragment(inner),
             length: None,
         },
     }
 }
 
-fn split_top_level_commas(args: &[Token]) -> Vec<Vec<Token>> {
+/// Split `args` at its commas outside any parentheses or brackets.
+pub(crate) fn split_top_level_commas(args: &[Token]) -> Vec<Vec<Token>> {
     let mut out = Vec::new();
     let mut cur = Vec::new();
     let mut depth = 0i32;
@@ -348,21 +332,22 @@ fn split_top_level_commas(args: &[Token]) -> Vec<Vec<Token>> {
             _ => cur.push(tok.clone()),
         }
     }
-    if !cur.is_empty() {
+    // `()` has no pieces; `(a,)` has two, the second empty.
+    if !(cur.is_empty() && out.is_empty()) {
         out.push(cur);
     }
     out
 }
 
 /// Parse an expression from a detached token slice.
-fn parse_expr_fragment(file: &crate::source::SourceFile, tokens: &[Token]) -> Option<Expr> {
+fn parse_expr_fragment(tokens: &[Token]) -> Option<Expr> {
     if tokens.is_empty() {
         return None;
     }
     let mut toks = tokens.to_vec();
     let end = toks.last().map(|t| t.span.end).unwrap_or(0);
     toks.push(Token::new(TokenKind::Eof, Span::point(end)));
-    let mut fragment = Parser::for_fragment(toks, file);
+    let mut fragment = Parser::for_fragment(toks);
     Some(fragment.parse_expr())
 }
 

@@ -1,47 +1,55 @@
 //! A deliberately small C preprocessor operating on the token stream.
 //!
+//! There is one of everything: the operand text of a directive is lexed by
+//! [`Lexer`], macros are expanded by one token-level expander (`Expander`)
+//! whether the use sits in code or in a condition, and a condition is parsed
+//! by the expression parser and evaluated by [`Expr::const_eval`].
+//!
+//! [`Expr::const_eval`]: crate::ast::Expr::const_eval
+//!
 //! Supported directives:
 //!
-//! * `#define NAME replacement` — object-like macros. Replacement tokens are
-//!   substituted at each use site; substituted tokens inherit the span of the
-//!   use site so the rewriter keeps working against the original source.
+//! * `#define NAME replacement` and `#define NAME(a, b) replacement` —
+//!   object-like and function-like macros, expanded at each use in code and
+//!   in conditions (nested calls, zero-parameter lists and arguments with
+//!   commas inside parentheses included). A function-like name not followed
+//!   by `(` is an ordinary identifier, and a macro is not re-expanded inside
+//!   its own replacement. Substituted tokens take the span of the use site
+//!   (the whole call, for a function-like macro) so the rewriter keeps
+//!   working against the original source. `#`, `##` and variadic parameter
+//!   lists are not supported.
 //! * `#undef NAME`
 //! * `#include ...` — ignored. Standard library functions used by the
 //!   benchmarks (`exp`, `sqrt`, `fabs`, `malloc`, `printf`, ...) are treated
 //!   as known external functions by the parser/semantics instead.
-//! * `#ifdef NAME` / `#ifndef NAME` / `#else` / `#endif` and the constant
-//!   forms `#if 0` / `#if 1` — conditional inclusion.
-//! * `#define NAME(args) body` — function-like macros are **accepted** and
-//!   expanded inside `#if`/`#elif` condition evaluation (nested calls
-//!   included); *using* one in the regular token stream is still rejected
-//!   with a diagnostic at the use site, because full call expansion in
-//!   code is not implemented.
+//! * `#ifdef NAME` / `#ifndef NAME` / `#if expr` / `#elif expr` / `#else` /
+//!   `#endif` — conditional inclusion. `expr` is any integer constant
+//!   expression of the MiniC grammar (literals in every base, character
+//!   literals, arithmetic, shifts, bitwise and logical operators,
+//!   comparisons, `?:`) over macros and `defined NAME` / `defined(NAME)`. A
+//!   condition with no integer value (an identifier that is not a macro, a
+//!   fractional float, an unknown call, a malformed macro call, a division
+//!   by zero) is warned about and assumed true, never silently decided.
+//! * `#error` — reported when active.
 
 use crate::diag::Diagnostics;
+use crate::intern::Symbol;
 use crate::lexer::Lexer;
+use crate::parser::Parser;
+use crate::pragma::{collect_paren_args, split_top_level_commas};
 use crate::source::Span;
-use crate::token::{Token, TokenKind};
+use crate::token::{keyword_from_str, Token, TokenKind};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
-/// An object-like macro definition.
+/// A macro definition.
 #[derive(Clone, Debug)]
 pub struct MacroDef {
-    pub name: String,
+    pub name: Symbol,
+    /// Parameter names in declaration order; `None` for an object-like macro.
+    pub params: Option<Vec<Symbol>>,
     /// Replacement tokens (spans point into the `#define` line).
     pub body: Vec<Token>,
-    /// Span of the defining directive.
-    pub span: Span,
-}
-
-/// A function-like macro definition (`#define SQ(x) ((x)*(x))`). Only
-/// expanded inside `#if`/`#elif` condition evaluation.
-#[derive(Clone, Debug)]
-pub struct FnMacroDef {
-    pub name: String,
-    /// Parameter names, in declaration order.
-    pub params: Vec<String>,
-    /// Replacement text (everything after the closing parenthesis).
-    pub body: String,
     /// Span of the defining directive.
     pub span: Span,
 }
@@ -50,22 +58,11 @@ pub struct FnMacroDef {
 #[derive(Debug, Default)]
 pub struct PreprocessOutput {
     pub tokens: Vec<Token>,
-    /// All object-like macros seen (last definition wins).
-    pub macros: HashMap<String, MacroDef>,
-    /// All function-like macros seen (last definition wins); consulted by
-    /// `#if`/`#elif` condition evaluation.
-    pub fn_macros: HashMap<String, FnMacroDef>,
+    /// All macros seen (last definition wins).
+    pub macros: HashMap<Symbol, MacroDef>,
     /// Macros whose replacement is a single numeric literal, exposed to later
     /// stages (pragma expression evaluation, loop-bound const evaluation).
     pub constants: HashMap<String, f64>,
-}
-
-impl PreprocessOutput {
-    /// True if `name` is defined as any kind of macro (`#ifdef`,
-    /// `defined(...)` semantics).
-    fn is_defined(&self, name: &str) -> bool {
-        self.macros.contains_key(name) || self.fn_macros.contains_key(name)
-    }
 }
 
 impl PreprocessOutput {
@@ -75,134 +72,90 @@ impl PreprocessOutput {
     }
 }
 
+/// How many macros may be open inside each other (a macro is never open
+/// twice, so this bounds chains of distinct macros, not recursion).
+const MAX_EXPANSION_DEPTH: usize = 16;
+/// How many replacement tokens one use in the source may rescan in all.
+const MAX_EXPANSION_TOKENS: usize = 1 << 16;
+
 /// Run the preprocessor over a lexed token stream.
 pub fn preprocess(tokens: Vec<Token>, diags: &mut Diagnostics) -> PreprocessOutput {
     let mut out = PreprocessOutput::default();
+    out.tokens.reserve(tokens.len());
     // Stack of conditional states: (currently_active, any_branch_taken).
     let mut cond_stack: Vec<(bool, bool)> = Vec::new();
     let active = |stack: &Vec<(bool, bool)>| stack.iter().all(|(a, _)| *a);
 
-    for tok in tokens {
-        match &tok.kind {
-            TokenKind::HashDirective(text) => {
-                let text = text.trim();
-                let (dir, rest) = split_directive(text);
-                match dir {
-                    "define" if active(&cond_stack) => {
-                        handle_define(rest, tok.span, &mut out, diags);
-                    }
-                    "undef" if active(&cond_stack) => {
-                        let name = rest.trim();
-                        out.macros.remove(name);
-                        out.fn_macros.remove(name);
-                        out.constants.remove(name);
-                    }
-                    "include" => { /* ignored: single translation unit model */ }
-                    "ifdef" => {
-                        let defined = out.is_defined(rest.trim());
-                        cond_stack.push((defined, defined));
-                    }
-                    "ifndef" => {
-                        let defined = out.is_defined(rest.trim());
-                        cond_stack.push((!defined, !defined));
-                    }
-                    "if" => {
-                        let value = eval_pp_condition(rest, &out);
-                        match value {
-                            Some(v) => cond_stack.push((v, v)),
-                            None => {
-                                diags.warning(tok.span, "unsupported #if condition; assuming true");
-                                cond_stack.push((true, true));
-                            }
-                        }
-                    }
-                    "elif" => {
-                        if let Some((act, taken)) = cond_stack.pop() {
-                            let _ = act;
-                            if taken {
-                                cond_stack.push((false, true));
-                            } else {
-                                // Same warn-on-unknown path as `#if`: an
-                                // unevaluable condition is assumed true
-                                // *loudly*, never silently.
-                                let v = match eval_pp_condition(rest, &out) {
-                                    Some(v) => v,
-                                    None => {
-                                        diags.warning(
-                                            tok.span,
-                                            "unsupported #elif condition; assuming true",
-                                        );
-                                        true
-                                    }
-                                };
-                                cond_stack.push((v, v));
-                            }
-                        } else {
-                            diags.error(tok.span, "#elif without matching #if");
-                        }
-                    }
-                    "else" => {
-                        if let Some((act, taken)) = cond_stack.pop() {
-                            let _ = act;
-                            cond_stack.push((!taken, true));
-                        } else {
-                            diags.error(tok.span, "#else without matching #if");
-                        }
-                    }
-                    "endif" => {
-                        let balanced = cond_stack.pop().is_some();
-                        if !balanced {
-                            diags.error(tok.span, "#endif without matching #if");
-                        }
-                    }
-                    "error" if active(&cond_stack) => {
-                        diags.error(tok.span, format!("#error {rest}"));
-                    }
-                    _ => {
-                        // Unknown or inactive directive: ignore.
-                    }
+    // The closing `Eof` is not code: it survives an inactive block.
+    let (eof, code) = match tokens.split_last() {
+        Some((last, code)) if last.is_eof() => (Some(last), code),
+        _ => (None, tokens.as_slice()),
+    };
+    // Code is expanded a run at a time: the tokens between two directives.
+    let mut run_start = 0;
+    for i in 0..=code.len() {
+        let (text, span) = match code.get(i) {
+            Some(Token {
+                kind: TokenKind::HashDirective(text),
+                span,
+            }) => (text.as_str(), *span),
+            Some(_) => continue,
+            None => ("", Span::dummy()), // the end of the last run
+        };
+        if active(&cond_stack) {
+            let run = &code[run_start..i];
+            Expander::new(&out.macros, diags).expand(run, None, &mut out.tokens);
+        }
+        run_start = i + 1;
+        let (dir, rest) = split_directive(text);
+        match dir {
+            "define" if active(&cond_stack) => handle_define(rest, span, &mut out, diags),
+            "undef" if active(&cond_stack) => {
+                if let Some(name) = directive_name(rest, span) {
+                    out.macros.remove(&name);
+                    out.constants.remove(name.as_str());
                 }
             }
-            TokenKind::Pragma(_) => {
-                if active(&cond_stack) {
-                    out.tokens.push(tok);
+            "include" => { /* ignored: single translation unit model */ }
+            "ifdef" | "ifndef" => {
+                let defined =
+                    directive_name(rest, span).is_some_and(|name| out.macros.contains_key(&name));
+                let take = defined == (dir == "ifdef");
+                cond_stack.push((take, take));
+            }
+            "if" => {
+                let take = condition(dir, rest, span, &out.macros, diags);
+                cond_stack.push((take, take));
+            }
+            "elif" => match cond_stack.pop() {
+                Some((_, true)) => cond_stack.push((false, true)),
+                Some((_, false)) => {
+                    let take = condition(dir, rest, span, &out.macros, diags);
+                    cond_stack.push((take, take));
+                }
+                None => diags.error(span, "#elif without matching #if"),
+            },
+            "else" => match cond_stack.pop() {
+                Some((_, taken)) => cond_stack.push((!taken, true)),
+                None => diags.error(span, "#else without matching #if"),
+            },
+            "endif" => {
+                let balanced = cond_stack.pop().is_some();
+                if !balanced {
+                    diags.error(span, "#endif without matching #if");
                 }
             }
-            TokenKind::Ident(name) => {
-                if !active(&cond_stack) {
-                    continue;
-                }
-                if out.macros.contains_key(name.as_str()) {
-                    let name = name.as_str();
-                    expand_macro(name, tok.span, &out.macros, &mut out.tokens, diags, 0);
-                } else if out.fn_macros.contains_key(name.as_str()) {
-                    // Accepted at definition, expanded in conditions — but
-                    // a call in the regular token stream would need full
-                    // argument substitution, which MiniC does not do yet.
-                    diags.error(
-                        tok.span,
-                        format!(
-                            "function-like macro `{name}` can only be expanded in #if/#elif \
-                             conditions; calls in code are not supported by the MiniC \
-                             preprocessor"
-                        ),
-                    );
-                } else {
-                    out.tokens.push(tok);
-                }
-            }
-            TokenKind::Eof => {
-                if !cond_stack.is_empty() {
-                    diags.error(tok.span, "unterminated #if/#ifdef block");
-                }
-                out.tokens.push(tok);
-            }
+            "error" if active(&cond_stack) => diags.error(span, format!("#error {rest}")),
             _ => {
-                if active(&cond_stack) {
-                    out.tokens.push(tok);
-                }
+                // Unknown or inactive directive: ignore.
             }
         }
+    }
+    if let Some(eof) = eof {
+        if !cond_stack.is_empty() {
+            diags.error(eof.span, "unterminated #if/#ifdef block");
+        }
+        out.tokens.push(eof.clone());
     }
     out
 }
@@ -215,77 +168,79 @@ fn split_directive(text: &str) -> (&str, &str) {
     }
 }
 
-fn handle_define(rest: &str, span: Span, out: &mut PreprocessOutput, diags: &mut Diagnostics) {
-    let rest = rest.trim();
-    let name_end = rest
-        .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-        .unwrap_or(rest.len());
-    let name = &rest[..name_end];
-    if name.is_empty() {
-        diags.error(span, "#define without a macro name");
-        return;
+/// Lex the operand text of the directive at `span` (without the closing
+/// `Eof`). The diagnostics are the lexer's: spans are only as good as the
+/// directive's start, so callers decide whether they matter.
+fn lex_operands(rest: &str, span: Span) -> (Vec<Token>, Diagnostics) {
+    let (mut tokens, problems) = Lexer::with_base(rest, span.start).tokenize();
+    tokens.pop();
+    (tokens, problems)
+}
+
+/// The macro name a `#ifdef` / `#ifndef` / `#undef` line starts with.
+fn directive_name(rest: &str, span: Span) -> Option<Symbol> {
+    match lex_operands(rest, span).0.first()?.kind {
+        TokenKind::Ident(name) => Some(name),
+        _ => None,
     }
-    let after = &rest[name_end..];
-    if after.starts_with('(') {
-        // Function-like macro: record name, parameters, and replacement
-        // text. Calls are expanded in #if/#elif condition evaluation.
-        let Some(close) = after.find(')') else {
-            diags.error(
+}
+
+fn handle_define(rest: &str, span: Span, out: &mut PreprocessOutput, diags: &mut Diagnostics) {
+    let (line, _) = lex_operands(rest, span);
+    let (name, name_end, mut body) = match line.as_slice() {
+        [Token {
+            kind: TokenKind::Ident(name),
+            span,
+        }, body @ ..] => (*name, span.end, body),
+        // `#define restrict __restrict__`: a keyword never reaches the
+        // expander, so there is nothing to record.
+        [keyword, ..] if keyword_from_str(keyword.kind.symbol_text()).is_some() => return,
+        _ => return diags.error(span, "#define without a macro name"),
+    };
+    // A `(` directly after the name (no space) opens a parameter list.
+    let mut params = None;
+    if matches!(body.first(), Some(t) if t.kind == TokenKind::LParen && t.span.start == name_end) {
+        let Some((list, next)) = collect_paren_args(body, 0) else {
+            return diags.error(
                 span,
                 format!("unterminated parameter list of macro `{name}`"),
             );
-            return;
         };
         // `()` declares zero parameters; otherwise every comma-separated
         // piece must be a plain identifier — `F(a,)` and `F(,)` are
         // malformed, not silently-dropped parameters.
-        let inner = after[1..close].trim();
-        let params: Vec<String> = if inner.is_empty() {
-            Vec::new()
-        } else {
-            inner.split(',').map(|p| p.trim().to_string()).collect()
-        };
-        if params.iter().any(|p| {
-            p.is_empty()
-                || !p.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-                || p.chars().next().is_some_and(|c| c.is_ascii_digit())
-        }) {
-            diags.error(
+        let names: Option<Vec<Symbol>> = split_top_level_commas(list)
+            .iter()
+            .map(|piece| match piece[..] {
+                [Token {
+                    kind: TokenKind::Ident(param),
+                    ..
+                }] => Some(param),
+                _ => None,
+            })
+            .collect();
+        let Some(names) = names else {
+            return diags.error(
                 span,
                 format!(
                     "unsupported parameter list of function-like macro `{name}` \
                      (only plain identifiers are supported)"
                 ),
             );
-            return;
-        }
-        out.fn_macros.insert(
-            name.to_string(),
-            FnMacroDef {
-                name: name.to_string(),
-                params,
-                body: after[close + 1..].trim().to_string(),
-                span,
-            },
-        );
-        out.macros.remove(name);
-        out.constants.remove(name);
-        return;
+        };
+        params = Some(names);
+        body = &body[next..];
     }
-    let replacement = after.trim();
-    let (body, lex_diags) = Lexer::with_base(replacement, span.start).tokenize();
-    let _ = lex_diags;
-    // Drop the trailing EOF token from the body.
-    let body: Vec<Token> = body.into_iter().filter(|t| !t.is_eof()).collect();
-    if let Some(value) = single_numeric_value(&body) {
+    out.constants.remove(name.as_str());
+    if let (None, Some(value)) = (&params, single_numeric_value(body)) {
         out.constants.insert(name.to_string(), value);
     }
-    out.fn_macros.remove(name);
     out.macros.insert(
-        name.to_string(),
+        name,
         MacroDef {
-            name: name.to_string(),
-            body,
+            name,
+            params,
+            body: body.to_vec(),
             span,
         },
     );
@@ -293,444 +248,217 @@ fn handle_define(rest: &str, span: Span, out: &mut PreprocessOutput, diags: &mut
 
 /// If the replacement is a single (possibly parenthesized, possibly negated)
 /// numeric literal, return its value.
-fn single_numeric_value(body: &[Token]) -> Option<f64> {
-    let mut toks: Vec<&TokenKind> = body.iter().map(|t| &t.kind).collect();
-    // strip balanced outer parens
-    while toks.len() >= 2
-        && matches!(toks.first(), Some(TokenKind::LParen))
-        && matches!(toks.last(), Some(TokenKind::RParen))
-    {
-        toks = toks[1..toks.len() - 1].to_vec();
+fn single_numeric_value(mut body: &[Token]) -> Option<f64> {
+    use TokenKind::{FloatLit, IntLit, LParen, Minus, RParen};
+    while let [Token { kind: LParen, .. }, inner @ .., Token { kind: RParen, .. }] = body {
+        body = inner;
     }
-    let mut neg = false;
-    if toks.len() == 2 && matches!(toks[0], TokenKind::Minus) {
-        neg = true;
-        toks = toks[1..].to_vec();
-    }
-    if toks.len() != 1 {
-        return None;
-    }
-    let v = match toks[0] {
-        TokenKind::IntLit(v) => *v as f64,
-        TokenKind::FloatLit(v) => *v,
+    let (sign, literal) = match body {
+        [Token { kind: Minus, .. }, literal] => (-1.0, literal),
+        [literal] => (1.0, literal),
         _ => return None,
     };
-    Some(if neg { -v } else { v })
-}
-
-/// Evaluate a `#if`/`#elif` condition over the known macro table.
-///
-/// Supported grammar (C preprocessor subset):
-///
-/// ```text
-/// or    := and ('||' and)*
-/// and   := cmp ('&&' cmp)*
-/// cmp   := add (('=='|'!='|'<='|'>='|'<'|'>') add)?
-/// add   := mul (('+'|'-') mul)*
-/// mul   := unary (('*'|'/'|'%') unary)*
-/// unary := ('!'|'-') unary | primary
-/// primary := integer | 'defined' '(' name ')' | 'defined' name
-///          | name | '(' or ')'
-/// ```
-///
-/// Identifiers resolve through the constant-macro table; an identifier with
-/// no known integer value makes its subexpression *unknown* (`None`).
-/// Unknowns propagate, except where `&&`/`||` can decide the result from
-/// the known side alone — mirroring how a real preprocessor would
-/// short-circuit. The caller warns and assumes true on `None`.
-fn eval_pp_condition(rest: &str, out: &PreprocessOutput) -> Option<bool> {
-    let tokens: Vec<PpTok> = pp_cond_tokens(rest)?;
-    // Pre-pass: expand function-like macro calls (nested calls included) by
-    // token splicing, exactly as a real preprocessor would, so the parser
-    // below only ever sees literals, object-like names, and operators.
-    let tokens = expand_fn_macros(&tokens, out, 0)?;
-    let mut p = PpCondParser {
-        tokens: &tokens,
-        pos: 0,
-        out,
-    };
-    let value = p.or_expr();
-    if p.pos != tokens.len() {
-        return None; // trailing garbage: unsupported condition
-    }
-    value.map(|v| v != 0)
-}
-
-/// Expand every known function-like macro call in `tokens` by splicing the
-/// substituted replacement tokens in place (recursively, so nested calls
-/// work). Names under `defined` are never expanded. Unknown function-like
-/// invocations are left untouched — the condition parser treats them as
-/// unknown operands, preserving short-circuit decidability. Returns `None`
-/// when expansion itself is malformed (unbalanced call, arity mismatch,
-/// unlexable body, runaway recursion): the caller then warns and assumes
-/// true, never mis-evaluates.
-fn expand_fn_macros(tokens: &[PpTok], out: &PreprocessOutput, depth: usize) -> Option<Vec<PpTok>> {
-    if depth > 16 {
-        return None; // recursive macro: unsupported condition
-    }
-    let mut result = Vec::with_capacity(tokens.len());
-    let mut i = 0usize;
-    while i < tokens.len() {
-        match &tokens[i] {
-            PpTok::Name(n) if n == "defined" => {
-                // Copy `defined NAME` / `defined ( NAME` verbatim: the
-                // operand of `defined` names a macro, it is not a call.
-                result.push(tokens[i].clone());
-                i += 1;
-                if matches!(tokens.get(i), Some(PpTok::Op("("))) {
-                    result.push(tokens[i].clone());
-                    i += 1;
-                }
-                if matches!(tokens.get(i), Some(PpTok::Name(_))) {
-                    result.push(tokens[i].clone());
-                    i += 1;
-                }
-            }
-            PpTok::Name(n)
-                if out.fn_macros.contains_key(n)
-                    && matches!(tokens.get(i + 1), Some(PpTok::Op("("))) =>
-            {
-                let def = &out.fn_macros[n];
-                // Collect the balanced argument list, split on top-level
-                // commas. `i + 2` points just past the opening paren.
-                let mut args: Vec<Vec<PpTok>> = vec![Vec::new()];
-                let mut depth_parens = 1usize;
-                let mut j = i + 2;
-                loop {
-                    let tok = tokens.get(j)?;
-                    match tok {
-                        PpTok::Op("(") => {
-                            depth_parens += 1;
-                            args.last_mut().unwrap().push(tok.clone());
-                        }
-                        PpTok::Op(")") => {
-                            depth_parens -= 1;
-                            if depth_parens == 0 {
-                                break;
-                            }
-                            args.last_mut().unwrap().push(tok.clone());
-                        }
-                        PpTok::Op(",") if depth_parens == 1 => args.push(Vec::new()),
-                        other => args.last_mut().unwrap().push(other.clone()),
-                    }
-                    j += 1;
-                }
-                if args.len() == 1 && args[0].is_empty() {
-                    args.clear(); // zero-argument call: `F()`
-                }
-                if args.len() != def.params.len() {
-                    return None; // arity mismatch: unsupported condition
-                }
-                // Substitute parameters in the (lazily lexed) body, then
-                // recursively expand the result so nested calls resolve.
-                let body = pp_cond_tokens(&def.body)?;
-                let mut substituted = Vec::with_capacity(body.len());
-                for tok in body {
-                    match &tok {
-                        PpTok::Name(p) => match def.params.iter().position(|param| param == p) {
-                            Some(idx) => substituted.extend(args[idx].iter().cloned()),
-                            None => substituted.push(tok),
-                        },
-                        _ => substituted.push(tok),
-                    }
-                }
-                result.extend(expand_fn_macros(&substituted, out, depth + 1)?);
-                i = j + 1;
-            }
-            other => {
-                result.push(other.clone());
-                i += 1;
-            }
-        }
-    }
-    Some(result)
-}
-
-/// A token of the `#if` condition grammar.
-#[derive(Clone, Debug, PartialEq)]
-enum PpTok {
-    Int(i64),
-    Name(String),
-    Op(&'static str),
-}
-
-fn pp_cond_tokens(text: &str) -> Option<Vec<PpTok>> {
-    let bytes = text.as_bytes();
-    let mut toks = Vec::new();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        let c = bytes[i];
-        match c {
-            b' ' | b'\t' => i += 1,
-            b'0'..=b'9' => {
-                let start = i;
-                while i < bytes.len() && bytes[i].is_ascii_digit() {
-                    i += 1;
-                }
-                // Skip integer suffixes (1L, 2u, ...).
-                while i < bytes.len() && matches!(bytes[i], b'l' | b'L' | b'u' | b'U') {
-                    i += 1;
-                }
-                let digits = &text[start..start + (i - start)];
-                let digits = digits.trim_end_matches(['l', 'L', 'u', 'U']);
-                toks.push(PpTok::Int(digits.parse().ok()?));
-            }
-            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
-                let start = i;
-                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
-                    i += 1;
-                }
-                toks.push(PpTok::Name(text[start..i].to_string()));
-            }
-            _ => {
-                let two = bytes.get(i..i + 2).unwrap_or(&[]);
-                let op = match two {
-                    b"&&" => Some("&&"),
-                    b"||" => Some("||"),
-                    b"==" => Some("=="),
-                    b"!=" => Some("!="),
-                    b"<=" => Some("<="),
-                    b">=" => Some(">="),
-                    _ => None,
-                };
-                if let Some(op) = op {
-                    toks.push(PpTok::Op(op));
-                    i += 2;
-                } else {
-                    let op = match c {
-                        b'!' => "!",
-                        b'<' => "<",
-                        b'>' => ">",
-                        b'(' => "(",
-                        b')' => ")",
-                        b'+' => "+",
-                        b'-' => "-",
-                        b'*' => "*",
-                        b'/' => "/",
-                        b'%' => "%",
-                        b',' => ",",
-                        _ => return None, // unsupported character
-                    };
-                    toks.push(PpTok::Op(op));
-                    i += 1;
-                }
-            }
-        }
-    }
-    Some(toks)
-}
-
-struct PpCondParser<'a> {
-    tokens: &'a [PpTok],
-    pos: usize,
-    out: &'a PreprocessOutput,
-}
-
-impl PpCondParser<'_> {
-    fn peek(&self) -> Option<&PpTok> {
-        self.tokens.get(self.pos)
-    }
-
-    fn eat_op(&mut self, op: &str) -> bool {
-        if matches!(self.peek(), Some(PpTok::Op(o)) if *o == op) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn or_expr(&mut self) -> Option<i64> {
-        let mut value = self.and_expr();
-        while self.eat_op("||") {
-            let rhs = self.and_expr();
-            // A side known non-zero decides `||` even if the other side is
-            // unknown.
-            value = match (value, rhs) {
-                (Some(a), Some(b)) => Some(i64::from(a != 0 || b != 0)),
-                (Some(a), None) if a != 0 => Some(1),
-                (None, Some(b)) if b != 0 => Some(1),
-                _ => None,
-            };
-        }
-        value
-    }
-
-    fn and_expr(&mut self) -> Option<i64> {
-        let mut value = self.cmp_expr();
-        while self.eat_op("&&") {
-            let rhs = self.cmp_expr();
-            // A side known zero decides `&&` even if the other is unknown.
-            value = match (value, rhs) {
-                (Some(a), Some(b)) => Some(i64::from(a != 0 && b != 0)),
-                (Some(0), None) | (None, Some(0)) => Some(0),
-                _ => None,
-            };
-        }
-        value
-    }
-
-    fn cmp_expr(&mut self) -> Option<i64> {
-        let lhs = self.add_expr();
-        for op in ["==", "!=", "<=", ">=", "<", ">"] {
-            if self.eat_op(op) {
-                let rhs = self.add_expr();
-                let (a, b) = (lhs?, rhs?);
-                return Some(i64::from(match op {
-                    "==" => a == b,
-                    "!=" => a != b,
-                    "<=" => a <= b,
-                    ">=" => a >= b,
-                    "<" => a < b,
-                    _ => a > b,
-                }));
-            }
-        }
-        lhs
-    }
-
-    fn add_expr(&mut self) -> Option<i64> {
-        let mut value = self.mul_expr();
-        loop {
-            if self.eat_op("+") {
-                value = value.zip(self.mul_expr()).map(|(a, b)| a.wrapping_add(b));
-            } else if self.eat_op("-") {
-                value = value.zip(self.mul_expr()).map(|(a, b)| a.wrapping_sub(b));
-            } else {
-                return value;
-            }
-        }
-    }
-
-    fn mul_expr(&mut self) -> Option<i64> {
-        let mut value = self.unary_expr();
-        loop {
-            if self.eat_op("*") {
-                value = value.zip(self.unary_expr()).map(|(a, b)| a.wrapping_mul(b));
-            } else if self.eat_op("/") {
-                value = value
-                    .zip(self.unary_expr())
-                    .and_then(|(a, b)| a.checked_div(b));
-            } else if self.eat_op("%") {
-                value = value
-                    .zip(self.unary_expr())
-                    .and_then(|(a, b)| a.checked_rem(b));
-            } else {
-                return value;
-            }
-        }
-    }
-
-    fn unary_expr(&mut self) -> Option<i64> {
-        if self.eat_op("!") {
-            return self.unary_expr().map(|v| i64::from(v == 0));
-        }
-        if self.eat_op("-") {
-            return self.unary_expr().map(i64::wrapping_neg);
-        }
-        self.primary()
-    }
-
-    fn primary(&mut self) -> Option<i64> {
-        match self.peek().cloned() {
-            Some(PpTok::Int(v)) => {
-                self.pos += 1;
-                Some(v)
-            }
-            Some(PpTok::Name(name)) if name == "defined" => {
-                self.pos += 1;
-                let parenthesized = self.eat_op("(");
-                let Some(PpTok::Name(target)) = self.peek().cloned() else {
-                    // Malformed `defined`: poison the whole condition by
-                    // consuming to the end.
-                    self.pos = self.tokens.len() + 1;
-                    return None;
-                };
-                self.pos += 1;
-                if parenthesized && !self.eat_op(")") {
-                    self.pos = self.tokens.len() + 1;
-                    return None;
-                }
-                Some(i64::from(self.out.is_defined(&target)))
-            }
-            Some(PpTok::Name(name)) => {
-                self.pos += 1;
-                // A function-like invocation (`MYSTERY(3)`) is an *unknown
-                // operand*, not a parse failure: consume the balanced
-                // argument list so a decided short-circuit on the other
-                // side of `&&`/`||` still wins instead of the leftover
-                // tokens poisoning the whole condition.
-                if matches!(self.peek(), Some(PpTok::Op("("))) {
-                    let mut depth = 0usize;
-                    while let Some(tok) = self.peek() {
-                        match tok {
-                            PpTok::Op("(") => depth += 1,
-                            PpTok::Op(")") => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    self.pos += 1;
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        self.pos += 1;
-                    }
-                    return None;
-                }
-                // Known integer-constant macro, or unknown (None). A
-                // float-valued macro must not silently truncate (0.5 would
-                // become 0 and flip truthiness): treat it as unknown so the
-                // caller warns and assumes true.
-                match self.out.constants.get(&name) {
-                    Some(v) if v.fract() == 0.0 => Some(*v as i64),
-                    _ => None,
-                }
-            }
-            Some(PpTok::Op("(")) => {
-                self.pos += 1;
-                let value = self.or_expr();
-                if !self.eat_op(")") {
-                    self.pos = self.tokens.len() + 1;
-                    return None;
-                }
-                value
-            }
-            _ => {
-                self.pos = self.tokens.len() + 1;
-                None
-            }
-        }
+    match literal.kind {
+        IntLit(v) => Some(sign * v as f64),
+        FloatLit(v) => Some(sign * v),
+        _ => None,
     }
 }
 
-fn expand_macro(
-    name: &str,
-    use_span: Span,
-    macros: &HashMap<String, MacroDef>,
-    out: &mut Vec<Token>,
+/// `#if` / `#elif`: the condition's value, or — when it has none — a warning
+/// and `true`: an unevaluable condition is assumed true *loudly*.
+fn condition(
+    dir: &str,
+    rest: &str,
+    span: Span,
+    macros: &HashMap<Symbol, MacroDef>,
     diags: &mut Diagnostics,
-    depth: usize,
-) {
-    if depth > 16 {
-        diags.error(
-            use_span,
-            format!("macro `{name}` expands too deeply (recursive?)"),
-        );
-        return;
-    }
-    let def = &macros[name];
-    for tok in &def.body {
-        match &tok.kind {
-            TokenKind::Ident(inner) if inner != name && macros.contains_key(inner.as_str()) => {
-                expand_macro(inner.as_str(), use_span, macros, out, diags, depth + 1);
+) -> bool {
+    eval_condition(rest, span, macros).unwrap_or_else(|| {
+        diags.warning(span, format!("unsupported #{dir} condition; assuming true"));
+        true
+    })
+}
+
+/// Evaluate a `#if`/`#elif` condition: lex, fold `defined`, expand macros,
+/// parse as an expression, evaluate as an integer constant. `None` when any
+/// of those steps objects or the expression has no integer value.
+fn eval_condition(rest: &str, span: Span, macros: &HashMap<Symbol, MacroDef>) -> Option<bool> {
+    let (line, mut problems) = lex_operands(rest, span);
+    // `defined NAME` / `defined(NAME)` become `0` / `1` before expansion: the
+    // operand names a macro, it is not a use of it.
+    let mut folded = Vec::with_capacity(line.len());
+    let mut rest = line.as_slice();
+    while let Some((tok, after)) = rest.split_first() {
+        rest = after;
+        if !matches!(tok.kind, TokenKind::Ident(word) if word == "defined") {
+            folded.push(tok.clone());
+            continue;
+        }
+        use TokenKind::{Ident, LParen, RParen};
+        let name = match after {
+            [Token {
+                kind: Ident(name), ..
+            }, after @ ..] => {
+                rest = after;
+                name
             }
-            kind => {
-                // Substituted tokens take the span of the use site so that
-                // rewriting decisions stay anchored to the original source.
-                out.push(Token::new(kind.clone(), use_span));
+            [Token { kind: LParen, .. }, Token {
+                kind: Ident(name), ..
+            }, Token { kind: RParen, .. }, after @ ..] => {
+                rest = after;
+                name
+            }
+            _ => return None,
+        };
+        let value = TokenKind::IntLit(i64::from(macros.contains_key(name)));
+        folded.push(Token::new(value, tok.span));
+    }
+    let mut expanded = Vec::with_capacity(folded.len() + 1);
+    Expander::new(macros, &mut problems).expand(&folded, None, &mut expanded);
+    expanded.push(Token::new(TokenKind::Eof, Span::point(span.end)));
+    let mut parser = Parser::for_fragment(expanded);
+    let expr = parser.parse_expr();
+    if !(problems.is_empty() && parser.diags.is_empty() && parser.at_eof()) {
+        return None;
+    }
+    expr.const_eval(&|_| None).map(|v| v != 0)
+}
+
+/// The one macro expander: the code stream and the operands of `#if` /
+/// `#elif` both go through [`Expander::expand`].
+struct Expander<'a> {
+    macros: &'a HashMap<Symbol, MacroDef>,
+    diags: &'a mut Diagnostics,
+    /// The macros being expanded, outermost first. C does not expand a macro
+    /// inside its own expansion, which is what ends recursive definitions.
+    active: Vec<Symbol>,
+    /// Replacement tokens rescanned for the current top-level use.
+    rescanned: usize,
+}
+
+impl<'a> Expander<'a> {
+    fn new(macros: &'a HashMap<Symbol, MacroDef>, diags: &'a mut Diagnostics) -> Self {
+        Expander {
+            macros,
+            diags,
+            active: Vec::new(),
+            rescanned: 0,
+        }
+    }
+
+    /// Append the macro expansion of `tokens` to `out`.
+    ///
+    /// `site` is `Some` inside an expansion, and every token produced there
+    /// takes that span — the use site in the original source — so rewriting
+    /// decisions stay anchored to text that exists. At the top level (`None`)
+    /// tokens keep their own spans and the site of a use is the span of the
+    /// use: the name, or the whole call of a function-like macro.
+    ///
+    /// A use that cannot be expanded (nested too deeply, too large, an
+    /// unclosed argument list, the wrong number of arguments) is reported
+    /// and stays in the output as written.
+    fn expand(&mut self, tokens: &[Token], site: Option<Span>, out: &mut Vec<Token>) {
+        let macros = self.macros;
+        let mut i = 0;
+        while let Some(tok) = tokens.get(i) {
+            i += 1;
+            let here = site.unwrap_or(tok.span);
+            let def = match tok.kind {
+                TokenKind::Ident(name) if !self.active.contains(&name) => macros.get(&name),
+                _ => None,
+            };
+            // A function-like name that is not called is an ordinary identifier.
+            let called = |def: &&MacroDef| {
+                def.params.is_none()
+                    || matches!(tokens.get(i), Some(t) if t.kind == TokenKind::LParen)
+            };
+            let verbatim = || Token::new(tok.kind.clone(), here);
+            let Some(def) = def.filter(called) else {
+                out.push(verbatim());
+                continue;
+            };
+            match self.replacement(def, tokens, i, site) {
+                Ok((body, next, site)) => {
+                    i = next;
+                    self.active.push(def.name);
+                    self.expand(&body, Some(site), out);
+                    self.active.pop();
+                }
+                Err(message) => {
+                    self.diags.error(here, message);
+                    out.push(verbatim());
+                }
             }
         }
+    }
+
+    /// The replacement list of the use of `def` named by `tokens[at - 1]` —
+    /// for a function-like macro, with the arguments in place of the
+    /// parameters — then the index just past the use, and its site.
+    fn replacement<'t>(
+        &mut self,
+        def: &'t MacroDef,
+        tokens: &[Token],
+        at: usize,
+        site: Option<Span>,
+    ) -> Result<(Cow<'t, [Token]>, usize, Span), String> {
+        let name = def.name;
+        if self.active.len() >= MAX_EXPANSION_DEPTH {
+            return Err(format!(
+                "macro `{name}` is nested too deeply in other macros"
+            ));
+        }
+        if site.is_none() {
+            self.rescanned = 0; // a use in the source: a fresh token budget
+        }
+        let head = tokens[at - 1].span;
+        let (body, next, site) = match &def.params {
+            None => (Cow::Borrowed(def.body.as_slice()), at, site.unwrap_or(head)),
+            Some(params) => {
+                let (list, next) = collect_paren_args(tokens, at)
+                    .ok_or_else(|| format!("unterminated argument list of macro `{name}`"))?;
+                let args = split_top_level_commas(list);
+                if args.len() != params.len() {
+                    let (want, given) = (params.len(), args.len());
+                    return Err(format!(
+                        "macro `{name}` takes {want} argument(s), {given} given"
+                    ));
+                }
+                let site = site.unwrap_or(head.to(tokens[next - 1].span));
+                // Arguments are expanded before substitution, as uses of this
+                // context: `SQ(SQ(2))` expands the inner call although `SQ`
+                // is not expanded again in its own replacement. (Tokens carry
+                // no "already refused" mark, so a name an argument's own
+                // expansion left alone — `#define X X + 1` — is looked at
+                // again on the rescan, where C would not.)
+                let args: Vec<Vec<Token>> = (args.iter())
+                    .map(|arg| {
+                        let mut expanded = Vec::with_capacity(arg.len());
+                        self.expand(arg, Some(site), &mut expanded);
+                        expanded
+                    })
+                    .collect();
+                let mut body = Vec::with_capacity(def.body.len());
+                for tok in &def.body {
+                    let param = match tok.kind {
+                        TokenKind::Ident(p) => params.iter().position(|q| *q == p),
+                        _ => None,
+                    };
+                    match param {
+                        Some(k) => body.extend_from_slice(&args[k]),
+                        None => body.push(tok.clone()),
+                    }
+                }
+                (Cow::Owned(body), next, site)
+            }
+        };
+        // Nested calls double their output at every level: bound the total.
+        self.rescanned += body.len();
+        if self.rescanned > MAX_EXPANSION_TOKENS {
+            return Err(format!("macro `{name}` expands to too many tokens"));
+        }
+        Ok((body, next, site))
     }
 }
 
@@ -832,32 +560,203 @@ mod tests {
         assert!(diags.has_errors());
     }
 
-    /// Defining a function-like macro is accepted; *calling* one in the
-    /// regular token stream is still rejected (at the use site), because
-    /// code-level call expansion is not implemented.
+    /// A macro-using source and its hand-expanded twin preprocess to the
+    /// same token kinds.
+    fn assert_expands_to(src: &str, twin: &str) {
+        let (out, diags) = run(src);
+        assert!(diags.is_empty(), "{src:?}: {diags:?}");
+        assert_eq!(kinds(&out), kinds(&run(twin).0), "{src:?}");
+    }
+
+    /// Function-like macros expand in code through the same expander as in
+    /// conditions.
     #[test]
-    fn function_like_macro_definition_accepted_use_in_code_rejected() {
-        let (out, diags) = run("#define SQ(x) ((x)*(x))\nint a;\n");
-        assert!(!diags.has_errors(), "{diags:?}");
-        assert!(out.fn_macros.contains_key("SQ"));
+    fn function_like_macros_expand_in_code() {
+        let defs = "#define N 8\n#define IDX(i, j) ((i) * N + (j))\n\
+                    #define MIN(a, b) ((a) < (b) ? (a) : (b))\n#define SQ(x) ((x)*(x))\n\
+                    #define ZERO() 0\n#define FIRST(a, b) a\n";
+        for (code, twin) in [
+            ("x = a[IDX(i, 0)];", "x = a[((i) * 8 + (0))];"),
+            // Nested calls, in an argument and of the macro itself.
+            (
+                "m = MIN(SQ(2), IDX(1, 2));",
+                "m = ((((2)*(2))) < (((1) * 8 + (2))) ? (((2)*(2))) : (((1) * 8 + (2))));",
+            ),
+            ("y = SQ(SQ(3));", "y = ((((3)*(3)))*(((3)*(3))));"),
+            // Zero arguments; a call spread over lines.
+            ("z = ZERO() + ZERO(\n);", "z = 0 + 0;"),
+            // Commas inside parentheses do not split an argument.
+            ("f = FIRST(g(1, 2), (3, 4));", "f = g(1, 2);"),
+            // A function-like name is a macro only when followed by `(`.
+            ("int SQ; SQ = SQ(SQ);", "int SQ; SQ = ((SQ)*(SQ));"),
+        ] {
+            assert_expands_to(&format!("{defs}{code}\n"), twin);
+        }
 
-        let (_out, diags) = run("#define SQ(x) ((x)*(x))\nint a = SQ(3);\n");
-        assert!(diags.has_errors());
-        assert!(diags
-            .iter()
-            .any(|d| d.message.contains("function-like macro `SQ`")));
+        // Every substituted token takes the span of the whole call.
+        let src = "#define SQ(x) ((x)*(x))\nint a = SQ(3) + 1;\n";
+        let f = SourceFile::new("t.c", src);
+        let (toks, mut diags) = tokenize_file(&f);
+        let out = preprocess(toks, &mut diags);
+        for tok in &out.tokens {
+            if matches!(tok.kind, TokenKind::Star | TokenKind::IntLit(3)) {
+                assert_eq!(f.snippet(tok.span), "SQ(3)");
+            }
+        }
 
-        // Malformed parameter lists are rejected at the definition, not
-        // silently collapsed to a smaller arity.
-        for bad in ["#define F(a,) x\n", "#define F(,) x\n", "#define F(1a) x\n"] {
+        // A redefinition replaces the macro, whatever its kind was.
+        assert_expands_to("#define F(x) x\n#define F 7\nint a = F;\n", "int a = 7;\n");
+        assert_expands_to(
+            "#define F 7\n#define F(x) x\nint a = F(1) + F;\n",
+            "int a = 1 + F;\n",
+        );
+        assert!(run("#define F 7\n#define F(x) x\n")
+            .0
+            .int_constant("F")
+            .is_none());
+    }
+
+    /// A call that cannot be expanded is an error at the use site, and a
+    /// malformed parameter list one at the definition — never a silently
+    /// smaller arity.
+    #[test]
+    fn malformed_function_like_macros_are_rejected() {
+        // Seventeen macros, each inside the next; one that doubles.
+        let mut defs =
+            String::from("#define SQ(x) ((x)*(x))\n#define TWICE(x) x x\n#define C0 0\n");
+        for k in 1..=16 {
+            defs.push_str(&format!("#define C{k} C{}\n", k - 1));
+        }
+        let doubling = format!("int a = {}1{};", "TWICE(".repeat(20), ")".repeat(20));
+        for (code, message) in [
+            ("int a = SQ(1, 2);", "takes 1 argument(s), 2 given"),
+            ("int a = SQ();", "takes 1 argument(s), 0 given"),
+            ("int a = SQ(1;", "unterminated argument list"),
+            (
+                "int a = SQ(1\n#define M 1\n);",
+                "unterminated argument list",
+            ),
+            ("int a = C16;", "nested too deeply"),
+            (doubling.as_str(), "too many tokens"),
+        ] {
+            let (_out, diags) = run(&format!("{defs}{code}\n"));
+            assert!(
+                diags.iter().any(|d| d.message.contains(message)),
+                "{code:?}: {diags:?}"
+            );
+        }
+        assert_expands_to(&format!("{defs}int a = C15;\n"), "int a = 0;\n");
+        // A macro is not expanded inside its own expansion, however it got
+        // there: recursion ends where C ends it.
+        assert_expands_to(
+            "#define PING(x) PONG(x) + 1\n#define PONG(x) PING(x) + 2\n#define SELF SELF\n\
+             #define A B + 3\n#define B A + 4\nint a = PING(SELF) + A;\n",
+            "int a = PING(SELF) + 2 + 1 + A + 4 + 3;\n",
+        );
+        for bad in [
+            "#define F(a,) x\n",
+            "#define F(,) x\n",
+            "#define F(1a) x\n",
+            "#define F(a b) x\n",
+            "#define F(a x\n",
+            "#define F(...) x\n",
+        ] {
             let (out, diags) = run(bad);
             assert!(diags.has_errors(), "{bad:?} must be rejected");
-            assert!(!out.fn_macros.contains_key("F"));
+            assert!(out.macros.is_empty());
         }
-        // `()` is a valid zero-parameter list.
-        let (out, diags) = run("#define Z() 7\n#if Z() == 7\nint z;\n#endif\n");
-        assert!(!diags.has_errors(), "{diags:?}");
-        assert!(out.fn_macros["Z"].params.is_empty());
+        // `()` is a valid zero-parameter list; a space before `(` makes the
+        // macro object-like.
+        let (out, diags) = run("#define Z() 7\n#define OBJ (x) 7\n");
+        assert!(diags.is_empty(), "{diags:?}");
+        assert_eq!(out.macros[&Symbol::intern("Z")].params, Some(Vec::new()));
+        assert_eq!(out.macros[&Symbol::intern("OBJ")].params, None);
+        // A keyword as the macro name is accepted and has no effect.
+        assert_expands_to(
+            "#define restrict __restrict__\nint *restrict p;\n",
+            "int *restrict p;\n",
+        );
+    }
+
+    /// What `#if` understands, pinned: a condition with a value is taken or
+    /// dropped without a word; one without is taken with exactly one warning.
+    #[test]
+    fn if_condition_table() {
+        let defs = "#define N 64\n#define HALF 0.5\n#define EMPTY\n#define SQ(x) ((x)*(x))\n\
+                    #define ADD(a, b) ((a)+(b))\n#define MAX(a, b) ((a) > (b) ? (a) : (b))\n\
+                    #define LOOP(x) LOOP(x)\n#define PING(x) PONG(x)\n#define PONG(x) PING(x)\n";
+        let table: &[(&str, Option<bool>)] = &[
+            ("0x0", Some(false)),
+            ("0x10 == 16 && 0XfF == 255", Some(true)),
+            ("010 == 8", Some(true)),
+            ("1UL && 2u == 2L", Some(true)),
+            ("(N >> 3) == 8", Some(true)),
+            ("(1 << 4) == 16", Some(true)),
+            ("(6 & 3) == 2 && (6 | 3) == 7 && (6 ^ 3) == 5", Some(true)),
+            ("~0 == -1", Some(true)),
+            ("'A' == 65 && '\\n' == 10", Some(true)),
+            ("N > 32 ? 0 : 1", Some(false)),
+            ("0 ? MYSTERY : 1", Some(true)),
+            ("MAX(SQ(2), ADD(1, 1)) == 4", Some(true)),
+            ("SQ(SQ(ADD(1, 1))) == 16", Some(true)),
+            (
+                "defined N && defined(SQ) && !defined(M) && !defined M",
+                Some(true),
+            ),
+            ("defined EMPTY", Some(true)),
+            ("0 && MYSTERY(3)", Some(false)),
+            ("MYSTERY(3) || 1", Some(true)),
+            ("1 || 1 / 0", Some(true)),
+            ("N /* not 0 */ == 64", Some(true)),
+            // No value: a float, unknown names and calls, malformed calls,
+            // recursion, unbalanced parentheses, trailing garbage, a
+            // malformed `defined`, `/ 0`, what the lexer or parser rejects.
+            ("HALF", None),
+            ("MYSTERY", None),
+            ("1 && MYSTERY(3)", None),
+            ("EMPTY", None),
+            ("SQ(1, 2)", None),
+            ("LOOP(1)", None),
+            ("PING(1)", None),
+            ("(1", None),
+            ("SQ(1", None),
+            ("1 )", None),
+            ("1 2", None),
+            ("N == 64 garbage", None),
+            ("defined(", None),
+            ("defined(N", None),
+            ("defined 3", None),
+            ("1 / 0", None),
+            ("N % (N - 64)", None),
+            ("99999999999999999999", None),
+            ("09", None),
+            ("1 @ 1", None),
+            ("\"text\"", None),
+            ("N = 64", None),
+            ("", None),
+        ];
+        let has_ident = |out: &PreprocessOutput, name: &str| {
+            kinds(out)
+                .iter()
+                .any(|t| matches!(t, TokenKind::Ident(s) if s == name))
+        };
+        for &(cond, value) in table {
+            for dir in ["if", "elif"] {
+                let open = if dir == "if" { "" } else { "#if 0\n" };
+                let src = format!("{defs}{open}#{dir} {cond}\nint yes;\n#else\nint no;\n#endif\n");
+                let (out, diags) = run(&src);
+                let messages: Vec<&str> = diags.iter().map(|d| d.message.as_str()).collect();
+                let warning = format!("unsupported #{dir} condition; assuming true");
+                match value {
+                    Some(_) => assert!(messages.is_empty(), "#{dir} {cond}: {diags:?}"),
+                    None => assert_eq!(messages, [warning.as_str()], "#{dir} {cond}"),
+                }
+                assert!(!diags.has_errors(), "#{dir} {cond}");
+                let taken = value.unwrap_or(true);
+                assert_eq!(has_ident(&out, "yes"), taken, "#{dir} {cond}");
+                assert_eq!(has_ident(&out, "no"), !taken, "#{dir} {cond}");
+            }
+        }
     }
 
     /// Function-like macros expand inside `#if`/`#elif` conditions: plain

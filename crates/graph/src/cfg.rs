@@ -142,11 +142,6 @@ impl Cfg {
         &self.pred_adj[self.pred_off[i] as usize..self.pred_off[i + 1] as usize]
     }
 
-    /// The CFG node (if any) associated with an AST statement id.
-    pub fn node_for_stmt(&self, stmt: NodeId) -> Option<&CfgNode> {
-        self.nodes.iter().find(|n| n.stmt == Some(stmt))
-    }
-
     /// All nodes that execute on the device.
     pub fn offloaded_nodes(&self) -> impl Iterator<Item = &CfgNode> {
         self.nodes.iter().filter(|n| n.offloaded)

@@ -188,11 +188,6 @@ impl Client {
         protocol::write_frame(&mut self.conn, payload)?;
         Ok(protocol::read_frame(&mut self.conn)?)
     }
-
-    /// The raw stream, for tests that need byte-level control.
-    pub fn conn_mut(&mut self) -> &mut Conn {
-        &mut self.conn
-    }
 }
 
 fn unwrap_response(response: Json) -> Result<Json, ClientError> {

@@ -302,11 +302,6 @@ impl DaemonHandle {
         &self.endpoint
     }
 
-    /// Ask the daemon to stop (same path as SIGTERM / `shutdown`).
-    pub fn request_shutdown(&self) {
-        self.token.request();
-    }
-
     /// Block until the daemon has fully shut down (drained + flushed).
     pub fn join(mut self) {
         if let Some(accept) = self.accept.take() {

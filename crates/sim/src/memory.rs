@@ -200,11 +200,6 @@ impl DeviceEnv {
         self.entries.get(&id).map(|e| e.ref_count).unwrap_or(0)
     }
 
-    /// Number of present objects.
-    pub fn present_count(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Enter a mapping for `id` with the given map type. `bytes` is the
     /// transfer size to account if a copy happens (the caller computes it
     /// from array sections). Data is physically copied whole-object to keep

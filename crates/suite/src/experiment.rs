@@ -152,13 +152,6 @@ impl BenchmarkResult {
             .transfer_improvement_over(&self.unoptimized.profile, cost)
     }
 
-    /// Factor by which OMPDart reduces the bytes moved versus the
-    /// unoptimized variant (the per-benchmark reductions quoted in §VI).
-    pub fn data_reduction_factor(&self) -> f64 {
-        let opt = self.ompdart.profile.total_bytes().max(1) as f64;
-        self.unoptimized.profile.total_bytes() as f64 / opt
-    }
-
     /// Bytes saved by OMPDart versus the unoptimized variant.
     pub fn bytes_saved(&self) -> u64 {
         self.unoptimized

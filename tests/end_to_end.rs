@@ -207,6 +207,101 @@ fn every_expert_and_generated_variant_of_the_ports_verifies_clean() {
     assert!(findings.is_empty(), "{findings:#?}");
 }
 
+/// The macro-twin oracle: a program that writes its subscripts, loop bounds
+/// and host code with function-like macros, and the same program with every
+/// call expanded by hand, are one program to the tool — same decisions, same
+/// transfers, same output — under both spellings of the mapping.
+#[test]
+fn a_function_like_macro_program_maps_like_its_hand_expanded_twin() {
+    let head = "\
+#define N 16
+#define M 8
+";
+    let macros = "\
+#define IDX(i, j) ((i) * M + (j))
+#define MIN(a, b) ((a) < (b) ? (a) : (b))
+";
+    let body = "\
+double grid[N * M];
+double row_sum[N];
+int main() {
+  for (int i = 0; i < N; i++)
+    for (int j = 0; j < M; j++)
+      grid[IDX(i, j)] = i + 0.5 * j;
+  for (int step = 0; step < 3; step++) {
+    #pragma omp target teams distribute parallel for
+    for (int i = 0; i < MIN(N, 12); i++) {
+      double s = 0.0;
+      for (int j = 0; j < M; j++) s += grid[IDX(i, j)];
+      row_sum[i] = s;
+    }
+    #pragma omp target teams distribute parallel for
+    for (int i = 0; i < N; i++)
+      grid[IDX(i, MIN(i, M - 1))] += row_sum[MIN(i, 11)];
+    grid[IDX(step, 0)] += 1.0;
+  }
+  double total = 0.0;
+  for (int i = 0; i < MIN(N, 12); i++) total += row_sum[i] + grid[IDX(i, 0)];
+  printf(\"%f\\n\", total);
+  return 0;
+}
+";
+    let with_macros = format!("{head}{macros}{body}");
+    let by_hand = format!("{head}{body}")
+        .replace("MIN(N, 12)", "((N) < (12) ? (N) : (12))")
+        .replace("MIN(i, 11)", "((i) < (11) ? (i) : (11))")
+        .replace("MIN(i, M - 1)", "((i) < (M - 1) ? (i) : (M - 1))")
+        .replace("IDX(i, j)", "((i) * M + (j))")
+        .replace("IDX(i, 0)", "((i) * M + (0))")
+        .replace("IDX(step, 0)", "((step) * M + (0))")
+        .replace(
+            "IDX(i, ((i) < (M - 1) ? (i) : (M - 1)))",
+            "((i) * M + (((i) < (M - 1) ? (i) : (M - 1))))",
+        );
+    assert!(!by_hand.contains("IDX") && !by_hand.contains("MIN"));
+
+    let unmapped = simulate_source(&with_macros, SimConfig::default()).unwrap();
+    for lifetimes in [false, true] {
+        let tool = Ompdart::builder().lifetimes(lifetimes).build();
+        let mut runs = Vec::new();
+        let mut decisions = Vec::new();
+        for (name, source) in [("macros.c", &with_macros), ("by_hand.c", &by_hand)] {
+            let at = format!("{name}, lifetimes {lifetimes}");
+            let analysis = tool
+                .analyze(name, source)
+                .unwrap_or_else(|e| panic!("{at}: {e}"));
+            assert!(analysis.diagnostics().is_empty(), "{at}");
+            let rewritten = analysis.rewritten_source();
+            // The rewrite re-parses, verifies clean and runs.
+            let report = verify_source(name, rewritten).unwrap_or_else(|e| panic!("{at}: {e:?}"));
+            assert!(report.stale_reads.is_empty(), "{at}: {report:?}");
+            let run = simulate_source(rewritten, SimConfig::default()).unwrap();
+            assert_eq!(run.output, unmapped.output, "{at}");
+            runs.push((run.profile.total_bytes(), run.profile.total_calls()));
+            // The decisions, up to spans: node ids number the same tree.
+            let plans: Vec<_> = (analysis.plans().iter())
+                .map(|plan| {
+                    let maps: Vec<_> = (plan.maps.iter())
+                        .map(|m| (m.var.clone(), m.map_type, m.section_length.clone()))
+                        .collect();
+                    let updates: Vec<_> = (plan.updates.iter())
+                        .map(|u| (u.var.clone(), u.direction, u.anchor, u.placement))
+                        .collect();
+                    (plan.function.clone(), plan.unstructured, maps, updates)
+                })
+                .collect();
+            decisions.push(plans);
+        }
+        assert_eq!(runs[0], runs[1], "lifetimes {lifetimes}");
+        assert_eq!(decisions[0], decisions[1], "lifetimes {lifetimes}");
+        assert!(
+            runs[0].0 < unmapped.profile.total_bytes(),
+            "the mapping moves less than the implicit one"
+        );
+        assert!(decisions[0].iter().any(|plan| !plan.2.is_empty()));
+    }
+}
+
 /// A focused subset of the benchmark suite (the full nine-benchmark run lives
 /// in `ompdart-suite`); checks the cross-crate plumbing with the default and
 /// a non-default cost model.

@@ -1916,7 +1916,100 @@ proptest! {
             }
         }
     }
+
+    /// Byte mutation of the directive slice of the frontend: edits,
+    /// truncations and splices of `#define` / `#if` / `#elif` / `#undef`
+    /// lines and of macro call sites never panic `parse_str`, and a `#if` /
+    /// `#elif` either has a value or is answered by exactly one warning.
+    #[test]
+    fn mutated_directive_lines_never_panic(seed in 1u64..u64::MAX) {
+        use ompdart_frontend::lexer::tokenize_file;
+        use ompdart_frontend::token::TokenKind;
+        use ompdart_frontend::{Severity, SourceFile};
+        let mut rng = seed;
+        let seed_lines: Vec<&str> = DIRECTIVE_SEED.lines().collect();
+        let targets: Vec<usize> = (0..seed_lines.len())
+            .filter(|&l| ["#", "IDX(", "MIN("].iter().any(|mark| seed_lines[l].contains(mark)))
+            .collect();
+        for _ in 0..16 {
+            let mut lines: Vec<Vec<u8>> = seed_lines.iter().map(|l| l.as_bytes().to_vec()).collect();
+            for _ in 0..1 + roll(&mut rng, 3) {
+                let line = &mut lines[targets[roll(&mut rng, targets.len())]];
+                if line.is_empty() {
+                    line.push(b'#');
+                }
+                let at = roll(&mut rng, line.len());
+                match roll(&mut rng, 5) {
+                    0 => line.truncate(at),
+                    1 => line[at] ^= 1 << roll(&mut rng, 8),
+                    2 => line[at] = b"()#,\\\"'/*?:~ 0x.\n"[roll(&mut rng, 17)],
+                    3 => line.insert(at, roll(&mut rng, 256) as u8),
+                    _ => {
+                        let donor = seed_lines[targets[roll(&mut rng, targets.len())]].as_bytes();
+                        let from = roll(&mut rng, donor.len());
+                        let piece = &donor[from..from + roll(&mut rng, donor.len() - from + 1)];
+                        line.splice(at..at, piece.iter().copied());
+                    }
+                }
+            }
+            let text = String::from_utf8_lossy(&lines.join(&b'\n')).into_owned();
+            let parsed = std::panic::catch_unwind(|| parse_str("mutant.c", &text));
+            prop_assert!(parsed.is_ok(), "seed {:#x} panicked on:\n{}", seed, text);
+            let diagnostics = parsed.unwrap().1.diagnostics;
+            let (tokens, _) = tokenize_file(&SourceFile::new("mutant.c", text.as_str()));
+            for token in &tokens {
+                let TokenKind::HashDirective(directive) = &token.kind else { continue };
+                let word = directive.split_whitespace().next().unwrap_or("");
+                if word != "if" && word != "elif" {
+                    continue;
+                }
+                let answers: Vec<_> = diagnostics.iter().filter(|d| d.span == token.span).collect();
+                let unsupported = format!("unsupported #{word} condition; assuming true");
+                let ok = match answers[..] {
+                    [] => true,
+                    [one] if one.message == unsupported => one.severity == Severity::Warning,
+                    [one] => word == "elif" && one.message == "#elif without matching #if",
+                    _ => false,
+                };
+                prop_assert!(ok, "seed {:#x}: `#{}` got {:?} in:\n{}", seed, directive, answers, text);
+            }
+        }
+    }
 }
+
+/// What `mutated_directive_lines_never_panic` damages: every directive the
+/// preprocessor evaluates, and function-like calls in subscripts, bounds and
+/// host code.
+const DIRECTIVE_SEED: &str = "\
+#include <stdio.h>
+#define N 64
+#define IDX(i, j) ((i) * 2 + (j))
+#define MIN(a, b) ((a) < (b) ? (a) : (b))
+#define EMPTY
+#if 0x0 || defined(EMPTY) && !defined NOPE
+#define LEN (N * 2)
+#elif (N >> 3) == 8 && MIN(IDX(1, 1), 4) == 3
+#define LEN 128
+#else
+#define LEN 4
+#endif
+#undef EMPTY
+#ifdef EMPTY
+#error unreachable
+#endif
+double a[LEN];
+int main() {
+  #pragma omp target teams distribute parallel for
+  for (int i = 0; i < MIN(N, 64); i++) {
+    a[IDX(i, 0)] = i * 2.0;
+    a[IDX(i, MIN(1, i + 1))] = i + 1.0;
+  }
+  double s = 0.0;
+  for (int i = 0; i < LEN; i++) s += a[MIN(i, LEN - 1)];
+  printf(\"%f\\n\", s);
+  return 0;
+}
+";
 
 /// Nesting exactly at the parser's depth cap parses, one level more is a
 /// syntax error (never a stack overflow) — for arrays, objects and a mix,
