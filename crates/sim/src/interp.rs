@@ -18,24 +18,19 @@ use ompdart_frontend::omp::{Clause, DirectiveKind, MapItem, MapType, OmpDirectiv
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-/// Simulator configuration.
+/// Simulator configuration. A run starts at `main`; a cost model is applied
+/// to the counters afterwards, where they are read.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
-    /// Cost model used to convert counters into wall-clock estimates.
-    pub cost: CostModel,
     /// Upper bound on executed abstract operations (guards against runaway
     /// loops in malformed inputs).
     pub max_ops: u64,
-    /// Name of the entry function.
-    pub entry: String,
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            cost: CostModel::default(),
             max_ops: 400_000_000,
-            entry: "main".to_string(),
         }
     }
 }
@@ -187,15 +182,11 @@ impl<'a> Interpreter<'a> {
         }
     }
 
-    /// Run the program from the configured entry function.
+    /// Run the program from `main`.
     pub fn run(mut self) -> Result<Outcome, SimError> {
         let start = std::time::Instant::now();
         self.init_globals()?;
-        if !self.functions.contains_key(&self.config.entry) {
-            return Err(SimError::MissingEntry(self.config.entry.clone()));
-        }
-        let entry = self.config.entry.clone();
-        let ret = self.call_function(&entry, Vec::new())?;
+        let ret = self.call_function("main", Vec::new())?;
         Ok(Outcome {
             profile: self.profile,
             output: self.output,
@@ -1740,10 +1731,7 @@ int main() {
 
     #[test]
     fn op_budget_guards_infinite_loops() {
-        let cfg = SimConfig {
-            max_ops: 10_000,
-            ..Default::default()
-        };
+        let cfg = SimConfig { max_ops: 10_000 };
         let err = simulate_source("int main() { while (1) { int x = 0; } return 0; }\n", cfg)
             .unwrap_err();
         assert!(matches!(err, SimError::OpBudgetExceeded(_)));

@@ -1,49 +1,55 @@
-//! The experiment harness: runs every benchmark in its three variants
-//! (Unoptimized / OMPDart / Expert), collects nsys-style transfer profiles
-//! from the offload simulator, checks output consistency, and derives every
-//! quantity reported in the paper's evaluation (Figures 3-6, Table V, and
-//! the geometric-mean summary of Section VI).
+//! The experiment harness: one table of ports and one measurement.
+//!
+//! A [`Port`] is a program of the paper's evaluation: the units the tool
+//! maps (one for each of the nine ports of Table III, three for the linked
+//! `lulesh_mf`) and the expert's hand-mapped program. [`map_and_simulate`]
+//! is the one measurement: it maps any list of units as one linked program
+//! (a single unit is the degenerate program) and runs the concatenated
+//! rewrite on the offload simulator. [`run_port`] takes it for the mapped
+//! and the `--lifetimes` variants and simulates the unoptimized and expert
+//! programs beside them; [`run_all`] runs the ten ports. Everything else —
+//! Figures 3-6, Table V, the Section VI geometric means — reads those
+//! results, applying a [`CostModel`] where it turns counters into time.
 
-use crate::benchmarks::{self, Benchmark};
-use ompdart_core::pipeline::StageTimings;
+use crate::benchmarks;
+use ompdart_core::pipeline::{stage_parse, StageTimings};
 use ompdart_core::plan::{diff_plans, extract_explicit_plans, plans_to_json, PlanDiff};
-use ompdart_core::{AnalysisSession, MappingPlan, OmpDartOptions, ProgramDriver};
+use ompdart_core::{MappingPlan, Ompdart, ProgramAnalysis};
 use ompdart_sim::{geometric_mean, simulate, CostModel, Outcome, SimConfig, TransferProfile};
 use std::fmt;
-use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Configuration of an experiment run.
-#[derive(Clone, Debug)]
-pub struct ExperimentConfig {
-    /// Cost model used to turn counters into wall-clock estimates.
-    pub cost: CostModel,
-    /// Operation budget per simulation (guards against runaway programs).
-    pub max_ops: u64,
-    /// OMPDart options (ablations flip these).
-    pub tool: OmpDartOptions,
-    /// Run the nine benchmarks on worker threads.
-    pub parallel: bool,
-    /// Also run each benchmark through the unstructured-lifetimes planner
-    /// (`--lifetimes`: `enter/exit data` + `collapse` instead of a
-    /// structured region) and record its transfer profile as a fourth
-    /// variant.
-    pub lifetimes: bool,
+/// One program of the evaluation.
+#[derive(Debug)]
+pub struct Port {
+    pub name: &'static str,
+    /// The unoptimized program as `(file name, source)` units in link
+    /// order; their concatenation is one translation unit.
+    pub units: Vec<(String, String)>,
+    /// The expert-mapped program as one translation unit.
+    pub expert: String,
 }
 
-impl Default for ExperimentConfig {
-    fn default() -> Self {
-        ExperimentConfig {
-            cost: CostModel::default(),
-            max_ops: 100_000_000,
-            tool: OmpDartOptions::default(),
-            parallel: true,
-            lifetimes: false,
-        }
-    }
+/// The nine ports of Table III, one unit each, then the linked `lulesh_mf`.
+pub fn ports() -> Vec<Port> {
+    let mut ports: Vec<Port> = (benchmarks::all().into_iter())
+        .map(|b| Port {
+            name: b.name,
+            units: vec![(b.unoptimized_file(), b.unoptimized.to_string())],
+            expert: b.expert.to_string(),
+        })
+        .collect();
+    ports.push(Port {
+        name: "lulesh_mf",
+        units: (benchmarks::lulesh_multifile().into_iter())
+            .map(|(name, source)| (name.to_string(), source.to_string()))
+            .collect(),
+        expert: benchmarks::lulesh_multifile_expert_concat(),
+    });
+    ports
 }
 
-/// Errors from running one benchmark.
+/// Errors from running one port.
 #[derive(Debug)]
 pub enum ExperimentError {
     Transform(String),
@@ -82,18 +88,59 @@ impl From<Outcome> for VariantResult {
     }
 }
 
-/// Full result for one benchmark.
+/// A program mapped by the tool and run on the simulator.
+#[derive(Debug)]
+pub struct MappedRun {
+    /// The linked analysis: per-unit plans, rewrites and stage timings.
+    pub analysis: ProgramAnalysis,
+    /// Wall time of the analysis (Table V).
+    pub tool_time: Duration,
+    /// The run of the concatenated rewrite.
+    pub run: VariantResult,
+}
+
+/// The one measurement: map `units` with `tool` as one linked program and
+/// run the concatenation of the rewritten units under
+/// `SimConfig::default()`.
+pub fn map_and_simulate(
+    tool: &Ompdart,
+    units: &[(String, String)],
+) -> Result<MappedRun, ExperimentError> {
+    let start = Instant::now();
+    let analysis =
+        (tool.analyze_program(units)).map_err(|e| ExperimentError::Transform(e.to_string()))?;
+    let tool_time = start.elapsed();
+    let run = simulate_variant("mapped", &analysis.concatenated_rewrite())?;
+    Ok(MappedRun {
+        analysis,
+        tool_time,
+        run,
+    })
+}
+
+/// Parse `source` and run it under `SimConfig::default()`.
+fn simulate_variant(variant: &'static str, source: &str) -> Result<VariantResult, ExperimentError> {
+    let fail = |message: String| ExperimentError::Simulation { variant, message };
+    let parsed = stage_parse(&format!("{variant}.c"), source).map_err(|e| fail(e.to_string()))?;
+    let outcome = simulate(&parsed.unit, SimConfig::default()).map_err(|e| fail(e.to_string()))?;
+    Ok(outcome.into())
+}
+
+/// Full result for one port.
 #[derive(Clone, Debug)]
 pub struct BenchmarkResult {
     pub name: String,
     pub unoptimized: VariantResult,
     pub ompdart: VariantResult,
     pub expert: VariantResult,
+    /// The same plan spelled with unstructured lifetimes (`--lifetimes`:
+    /// enter/exit data + collapse).
+    pub lifetimes: VariantResult,
     /// OMPDart analysis + rewrite time (Table V).
     pub tool_time: Duration,
-    /// Per-stage breakdown of the analysis pipeline for this benchmark.
+    /// Per-stage breakdown of the analysis pipeline, summed over units.
     pub stage_timings: StageTimings,
-    /// The source OMPDart produced.
+    /// The source OMPDart produced (the units' rewrites, concatenated).
     pub transformed_source: String,
     /// Number of constructs OMPDart inserted.
     pub constructs_inserted: usize,
@@ -101,9 +148,6 @@ pub struct BenchmarkResult {
     pub plans: Vec<MappingPlan>,
     /// Plans extracted from the expert variant's explicit directives.
     pub expert_plans: Vec<MappingPlan>,
-    /// The unstructured-lifetimes variant (enter/exit data + collapse),
-    /// present when [`ExperimentConfig::lifetimes`] was set.
-    pub lifetimes: Option<VariantResult>,
     /// Call sites the analysis could not resolve to a summary (0 = fully
     /// linked; the whole-program row must stay at 0).
     pub linked_fallbacks: usize,
@@ -172,274 +216,66 @@ impl BenchmarkResult {
     }
 
     /// Whether the unstructured-lifetimes variant moves strictly fewer
-    /// bytes than the expert mapping (`None` when it was not run).
-    pub fn lifetimes_below_expert(&self) -> Option<bool> {
-        self.lifetimes
-            .as_ref()
-            .map(|lt| lt.profile.total_bytes() < self.expert.profile.total_bytes())
-    }
-
-    /// Runtime speedup of the lifetimes variant over unoptimized.
-    pub fn speedup_lifetimes(&self, cost: &CostModel) -> Option<f64> {
-        self.lifetimes
-            .as_ref()
-            .map(|lt| lt.profile.speedup_over(&self.unoptimized.profile, cost))
-    }
-
-    /// Data-transfer wall-time improvement of the lifetimes variant.
-    pub fn transfer_time_improvement_lifetimes(&self, cost: &CostModel) -> Option<f64> {
-        self.lifetimes.as_ref().map(|lt| {
-            lt.profile
-                .transfer_improvement_over(&self.unoptimized.profile, cost)
-        })
+    /// bytes than the expert mapping.
+    pub fn lifetimes_below_expert(&self) -> bool {
+        self.lifetimes.profile.total_bytes() < self.expert.profile.total_bytes()
     }
 }
 
-/// Run one benchmark through all three variants on a fresh analysis
-/// session.
-pub fn run_benchmark(
-    bench: &Benchmark,
-    config: &ExperimentConfig,
-) -> Result<BenchmarkResult, ExperimentError> {
-    run_benchmark_with_session(bench, config, &AnalysisSession::with_options(config.tool))
-}
-
-/// Run one benchmark through all three variants, reusing a shared
-/// [`AnalysisSession`]: the OMPDart transform and every variant's parse are
-/// served from the session's artifact cache on repeated runs.
-pub fn run_benchmark_with_session(
-    bench: &Benchmark,
-    config: &ExperimentConfig,
-    session: &AnalysisSession,
-) -> Result<BenchmarkResult, ExperimentError> {
-    let start = std::time::Instant::now();
-    let analysis = session
-        .analyze(&bench.unoptimized_file(), bench.unoptimized)
-        .map_err(|e| ExperimentError::Transform(e.to_string()))?;
-    let tool_time = start.elapsed();
-    let transformed_source = analysis.rewrite.source.clone();
-
-    let sim =
-        |name: String, src: &str, variant: &'static str| -> Result<Outcome, ExperimentError> {
-            let parsed = session
-                .parse(&name, src)
-                .map_err(|e| ExperimentError::Simulation {
-                    variant,
-                    message: e.to_string(),
-                })?;
-            let cfg = SimConfig {
-                cost: config.cost,
-                max_ops: config.max_ops,
-                entry: "main".into(),
-            };
-            simulate(&parsed.unit, cfg).map_err(|e| ExperimentError::Simulation {
-                variant,
-                message: e.to_string(),
-            })
-        };
-
-    let unoptimized = sim(bench.unoptimized_file(), bench.unoptimized, "unoptimized")?;
-    let ompdart = sim(
-        format!("{}_ompdart.c", bench.name),
-        &transformed_source,
-        "ompdart",
-    )?;
-    let expert = sim(bench.expert_file(), bench.expert, "expert")?;
-
-    // The expert source was parsed (and cached) for the simulation above;
-    // its explicit directives become a comparable plan set. A parse failure
-    // here would mean the cached parse diverged — surface it, never return
-    // a silently empty expert side.
-    let expert_plans = session
-        .parse(&bench.expert_file(), bench.expert)
-        .map(|p| extract_explicit_plans(&p.unit))
-        .map_err(|e| ExperimentError::Transform(format!("expert variant: {e}")))?;
-
-    // The fourth variant: the same program planned with unstructured
-    // lifetimes. The option flips the plan fingerprint, so it needs its
-    // own session — the caches of the structured run never collide.
-    let lifetimes = if config.lifetimes {
-        let mut options = config.tool;
-        options.dataflow.lifetimes = true;
-        let lt_session = AnalysisSession::with_options(options);
-        let lt = lt_session
-            .analyze(&bench.unoptimized_file(), bench.unoptimized)
-            .map_err(|e| ExperimentError::Transform(format!("lifetimes variant: {e}")))?;
-        Some(
-            sim(
-                format!("{}_lifetimes.c", bench.name),
-                &lt.rewrite.source,
-                "lifetimes",
-            )?
-            .into(),
-        )
-    } else {
-        None
-    };
-
-    Ok(BenchmarkResult {
-        name: bench.name.to_string(),
-        unoptimized: unoptimized.into(),
-        ompdart: ompdart.into(),
-        expert: expert.into(),
-        tool_time,
-        stage_timings: analysis.timings(),
-        transformed_source,
-        constructs_inserted: analysis.plans.stats.total_constructs(),
-        linked_fallbacks: analysis.plans.stats.unknown_callee_fallbacks,
-        plans: analysis.plans.plans.clone(),
-        expert_plans,
-        lifetimes,
-    })
-}
-
-/// Run the **multi-file** lulesh benchmark (`lulesh_mf`): the three
-/// `lulesh_mf_*.c` units analyzed as one *linked* program via
-/// [`ProgramDriver`], simulated against the unoptimized and the expert
-/// (`lulesh_mf_main_expert.c`) concatenations. This is the whole-program
-/// row of the Figure 3-6 comparisons — the only one whose OMPDart variant
-/// exercises the cross-unit link stage rather than single-unit analysis.
-pub fn run_multifile_benchmark(
-    config: &ExperimentConfig,
-) -> Result<BenchmarkResult, ExperimentError> {
-    let session = Arc::new(AnalysisSession::with_options(config.tool));
-    run_multifile_benchmark_with_session(config, &session)
-}
-
-/// [`run_multifile_benchmark`] over an existing session (shares its
-/// caches, including the incremental link state).
-pub fn run_multifile_benchmark_with_session(
-    config: &ExperimentConfig,
-    session: &Arc<AnalysisSession>,
-) -> Result<BenchmarkResult, ExperimentError> {
-    let units: Vec<(String, String)> = benchmarks::lulesh_multifile()
-        .into_iter()
-        .map(|(n, s)| (n.to_string(), s.to_string()))
+/// Run one port: its units mapped by the tool in both spellings, and the
+/// unoptimized and expert programs, each on the simulator.
+pub fn run_port(port: &Port) -> Result<BenchmarkResult, ExperimentError> {
+    let mapped = map_and_simulate(&Ompdart::new(), &port.units)?;
+    let lifetimes = map_and_simulate(&Ompdart::builder().lifetimes(true).build(), &port.units)?;
+    let unoptimized: String = port
+        .units
+        .iter()
+        .map(|(_, source)| source.as_str())
         .collect();
-    let start = std::time::Instant::now();
-    let program = ProgramDriver::with_session(Arc::clone(session))
-        .analyze_program(&units)
-        .map_err(|e| ExperimentError::Transform(e.to_string()))?;
-    let tool_time = start.elapsed();
-    let transformed_source = program.concatenated_rewrite();
+    let expert_plans = stage_parse("expert.c", &port.expert)
+        .map(|parsed| extract_explicit_plans(&parsed.unit))
+        .map_err(|e| ExperimentError::Transform(format!("expert variant: {e}")))?;
+    let program = &mapped.analysis;
     let mut stage_timings = StageTimings::default();
     let mut plans = Vec::new();
     for unit in &program.units {
         stage_timings.merge(&unit.timings());
         plans.extend(unit.plans.plans.iter().cloned());
     }
-
-    let sim =
-        |name: String, src: &str, variant: &'static str| -> Result<Outcome, ExperimentError> {
-            let parsed = session
-                .parse(&name, src)
-                .map_err(|e| ExperimentError::Simulation {
-                    variant,
-                    message: e.to_string(),
-                })?;
-            let cfg = SimConfig {
-                cost: config.cost,
-                max_ops: config.max_ops,
-                entry: "main".into(),
-            };
-            simulate(&parsed.unit, cfg).map_err(|e| ExperimentError::Simulation {
-                variant,
-                message: e.to_string(),
-            })
-        };
-
-    let unopt_concat = benchmarks::lulesh_multifile_concat();
-    let expert_concat = benchmarks::lulesh_multifile_expert_concat();
-    let unoptimized = sim("lulesh_mf_concat.c".into(), &unopt_concat, "unoptimized")?;
-    let ompdart = sim("lulesh_mf_ompdart.c".into(), &transformed_source, "ompdart")?;
-    let expert = sim("lulesh_mf_expert.c".into(), &expert_concat, "expert")?;
-
-    let expert_plans = session
-        .parse("lulesh_mf_expert.c", &expert_concat)
-        .map(|p| extract_explicit_plans(&p.unit))
-        .map_err(|e| ExperimentError::Transform(format!("expert variant: {e}")))?;
-
-    // Lifetimes variant of the linked program: re-link the three units
-    // under a lifetimes-enabled session and simulate the concatenation.
-    let lifetimes = if config.lifetimes {
-        let mut options = config.tool;
-        options.dataflow.lifetimes = true;
-        let lt_session = Arc::new(AnalysisSession::with_options(options));
-        let lt_program = ProgramDriver::with_session(Arc::clone(&lt_session))
-            .analyze_program(&units)
-            .map_err(|e| ExperimentError::Transform(format!("lifetimes variant: {e}")))?;
-        Some(
-            sim(
-                "lulesh_mf_lifetimes.c".into(),
-                &lt_program.concatenated_rewrite(),
-                "lifetimes",
-            )?
-            .into(),
-        )
-    } else {
-        None
-    };
-
     Ok(BenchmarkResult {
-        name: "lulesh_mf".to_string(),
-        unoptimized: unoptimized.into(),
-        ompdart: ompdart.into(),
-        expert: expert.into(),
-        tool_time,
+        name: port.name.to_string(),
+        unoptimized: simulate_variant("unoptimized", &unoptimized)?,
+        expert: simulate_variant("expert", &port.expert)?,
+        tool_time: mapped.tool_time,
         stage_timings,
-        transformed_source,
+        transformed_source: program.concatenated_rewrite(),
         constructs_inserted: program.stats().total_constructs(),
         linked_fallbacks: program.stats().unknown_callee_fallbacks,
         plans,
         expert_plans,
-        lifetimes,
+        ompdart: mapped.run,
+        lifetimes: lifetimes.run,
     })
 }
 
-/// Run every benchmark over one shared analysis session. With
-/// `config.parallel` the nine benchmarks run on scoped worker threads.
-pub fn run_all(config: &ExperimentConfig) -> Vec<BenchmarkResult> {
-    let session = Arc::new(AnalysisSession::with_options(config.tool));
-    run_all_with_session(config, &session)
-}
-
-/// Run every benchmark, reusing the given session (and its caches) across
-/// benchmarks and runs.
-pub fn run_all_with_session(
-    config: &ExperimentConfig,
-    session: &Arc<AnalysisSession>,
-) -> Vec<BenchmarkResult> {
-    let benches = benchmarks::all();
-    if !config.parallel {
-        return benches
-            .iter()
-            .map(|b| {
-                run_benchmark_with_session(b, config, session)
-                    .unwrap_or_else(|e| panic!("{}: {e}", b.name))
-            })
-            .collect();
-    }
-    let mut results: Vec<Option<BenchmarkResult>> = Vec::new();
-    results.resize_with(benches.len(), || None);
+/// Run the ten [`ports`], one scoped thread each, in port order.
+///
+/// # Panics
+///
+/// Panics naming the port when one fails.
+pub fn run_all() -> Vec<BenchmarkResult> {
+    let ports = ports();
     std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (i, bench) in benches.iter().enumerate() {
-            let cfg = config.clone();
-            let session = Arc::clone(session);
-            handles.push((
-                i,
-                scope.spawn(move || run_benchmark_with_session(bench, &cfg, &session)),
-            ));
-        }
-        for (i, handle) in handles {
-            let result = handle.join().expect("benchmark worker panicked");
-            results[i] = Some(result.unwrap_or_else(|e| panic!("{}: {e}", benches[i].name)));
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("missing result"))
-        .collect()
+        let handles: Vec<_> = (ports.iter())
+            .map(|port| scope.spawn(move || run_port(port)))
+            .collect();
+        (handles.into_iter().zip(&ports))
+            .map(|(handle, port)| {
+                let result = handle.join().expect("port worker panicked");
+                result.unwrap_or_else(|e| panic!("{}: {e}", port.name))
+            })
+            .collect()
+    })
 }
 
 /// Geometric-mean summary of a full run (the headline numbers of Section VI).
@@ -505,22 +341,22 @@ pub fn summarize(results: &[BenchmarkResult], cost: &CostModel) -> Summary {
 mod tests {
     use super::*;
 
-    fn quick_config() -> ExperimentConfig {
-        ExperimentConfig {
-            parallel: true,
-            ..Default::default()
-        }
+    fn run(name: &str) -> BenchmarkResult {
+        let port = ports().into_iter().find(|p| p.name == name).unwrap();
+        run_port(&port).unwrap()
     }
 
-    /// One full evaluation run: every benchmark, all three variants. This is
-    /// the core reproduction test — correctness and the qualitative shape of
-    /// Figures 3-6 must hold.
+    /// One full evaluation run: every port, all four variants. This is the
+    /// core reproduction test — correctness and the qualitative shape of
+    /// Figures 3-6 must hold, on the linked `lulesh_mf` row as on the nine
+    /// single-file ones.
     #[test]
     fn full_evaluation_reproduces_paper_shape() {
-        let config = quick_config();
-        let results = run_all(&config);
-        assert_eq!(results.len(), 9);
-        let cost = config.cost;
+        let results = run_all();
+        let names: Vec<&str> = results.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ports().iter().map(|p| p.name).collect::<Vec<_>>());
+        assert_eq!(names.len(), 10);
+        let cost = CostModel::default();
 
         for r in &results {
             // Correctness: OMPDart's program computes what the expert program
@@ -556,23 +392,25 @@ mod tests {
                 r.name
             );
             assert!(r.constructs_inserted > 0, "{}: nothing inserted", r.name);
+            assert!(!r.expert_plans.is_empty(), "{}: no expert plans", r.name);
         }
 
-        // lulesh: OMPDart strictly beats the expert mapping (redundant
-        // updates removed) — the paper reports 1.6x and an 85% reduction.
-        let lulesh = results.iter().find(|r| r.name == "lulesh").unwrap();
-        let lulesh_vs_expert = lulesh
-            .ompdart
-            .profile
-            .speedup_over(&lulesh.expert.profile, &cost);
-        assert!(
-            lulesh_vs_expert > 1.2,
-            "lulesh: expected a clear win over the expert mapping, got {lulesh_vs_expert:.2}x"
-        );
-        assert!(
-            lulesh.ompdart.profile.total_bytes() * 2 < lulesh.expert.profile.total_bytes(),
-            "lulesh: expected a large transfer reduction vs expert"
-        );
+        // lulesh, single-file and linked: OMPDart strictly beats the expert
+        // mapping (redundant updates removed) — the paper reports 1.6x and
+        // an 85% reduction.
+        for r in results.iter().filter(|r| r.name.starts_with("lulesh")) {
+            let vs_expert = r.ompdart.profile.speedup_over(&r.expert.profile, &cost);
+            assert!(
+                vs_expert > 1.2,
+                "{}: expected a clear win over the expert mapping, got {vs_expert:.2}x",
+                r.name
+            );
+            assert!(
+                r.ompdart.profile.total_bytes() * 2 < r.expert.profile.total_bytes(),
+                "{}: expected a large transfer reduction vs expert",
+                r.name
+            );
+        }
 
         // Figure 4 shape: OMPDart issues fewer memcpy calls than the expert
         // mappings on several benchmarks (6 in the paper; the firstprivate
@@ -603,9 +441,7 @@ mod tests {
     /// stage.
     #[test]
     fn multifile_lulesh_row_reproduces_paper_shape() {
-        let config = quick_config();
-        let r = run_multifile_benchmark(&config).unwrap();
-        assert_eq!(r.name, "lulesh_mf");
+        let r = run("lulesh_mf");
         assert!(
             r.output_matches_expert(),
             "lulesh_mf: OMPDart output diverges from expert\nompdart: {:?}\nexpert: {:?}\n{}",
@@ -617,12 +453,13 @@ mod tests {
         assert!(r.constructs_inserted > 0);
         assert!(!r.expert_plans.is_empty(), "expert plans must be extracted");
         assert!(r.ompdart.profile.total_bytes() <= r.unoptimized.profile.total_bytes());
+        assert_eq!(r.linked_fallbacks, 0, "lulesh_mf must stay fully linked");
         // Like single-file lulesh: the expert's per-step updates are
         // redundant, so OMPDart clearly beats the expert mapping.
         let vs_expert = r
             .ompdart
             .profile
-            .speedup_over(&r.expert.profile, &config.cost);
+            .speedup_over(&r.expert.profile, &CostModel::default());
         assert!(
             vs_expert > 1.2,
             "lulesh_mf: expected a clear win over the expert mapping, got {vs_expert:.2}x"
@@ -631,24 +468,15 @@ mod tests {
     }
 
     /// The fourth variant: unstructured lifetimes. Host-visible output must
-    /// stay identical on every benchmark, and the simulated transfer volume
+    /// stay identical on every port, and the simulated transfer volume
     /// must beat the expert mapping on at least three of them (the
     /// acceptance bar of the lifetimes milestone).
     #[test]
     fn lifetimes_variant_is_correct_and_beats_expert_volume() {
-        let config = ExperimentConfig {
-            lifetimes: true,
-            ..quick_config()
-        };
-        let mut results = run_all(&config);
-        results.push(run_multifile_benchmark(&config).unwrap());
-
+        let results = run_all();
         let mut below = 0usize;
         for r in &results {
-            let lt = r
-                .lifetimes
-                .as_ref()
-                .unwrap_or_else(|| panic!("{}: lifetimes variant missing", r.name));
+            let lt = &r.lifetimes;
             assert_eq!(
                 lt.output, r.unoptimized.output,
                 "{}: lifetimes variant changes host-visible output",
@@ -674,56 +502,17 @@ mod tests {
             );
             assert!(lt.profile.enter_htod_bytes <= lt.profile.htod_bytes);
             assert!(lt.profile.exit_dtoh_bytes <= lt.profile.dtoh_bytes);
-            if r.lifetimes_below_expert() == Some(true) {
-                below += 1;
-            }
+            below += usize::from(r.lifetimes_below_expert());
         }
         assert!(
             below >= 3,
-            "lifetimes variant must beat the expert transfer volume on >=3 benchmarks, got {below}"
+            "lifetimes variant must beat the expert transfer volume on >=3 ports, got {below}"
         );
-        let mf = results.iter().find(|r| r.name == "lulesh_mf").unwrap();
-        assert_eq!(mf.linked_fallbacks, 0, "lulesh_mf must stay fully linked");
-    }
-
-    #[test]
-    fn serial_and_parallel_execution_agree() {
-        let bench = benchmarks::by_name("accuracy").unwrap();
-        let config = quick_config();
-        let a = run_benchmark(&bench, &config).unwrap();
-        let serial = ExperimentConfig {
-            parallel: false,
-            ..quick_config()
-        };
-        let b = run_benchmark(&bench, &serial).unwrap();
-        assert_eq!(a.ompdart.output, b.ompdart.output);
-        assert_eq!(a.ompdart.profile, b.ompdart.profile);
-    }
-
-    #[test]
-    fn shared_session_caches_across_runs() {
-        let bench = benchmarks::by_name("nw").unwrap();
-        let config = quick_config();
-        let session = AnalysisSession::with_options(config.tool);
-        let a = run_benchmark_with_session(&bench, &config, &session).unwrap();
-        let parses = session.cache_stats().parse_misses;
-        let b = run_benchmark_with_session(&bench, &config, &session).unwrap();
-        let stats = session.cache_stats();
-        assert_eq!(stats.analysis_hits, 1, "second run must reuse the analysis");
-        assert_eq!(stats.analysis_misses, 1, "second run must not plan again");
-        assert_eq!(
-            stats.parse_misses, parses,
-            "second run must not re-parse anything"
-        );
-        assert!(stats.parse_hits >= 2);
-        assert_eq!(a.ompdart.profile, b.ompdart.profile);
-        assert_eq!(a.ompdart.output, b.ompdart.output);
     }
 
     #[test]
     fn stage_timings_are_populated() {
-        let bench = benchmarks::by_name("ace").unwrap();
-        let r = run_benchmark(&bench, &quick_config()).unwrap();
+        let r = run("ace");
         assert!(r.stage_timings.total() > Duration::from_secs(0));
         assert!(r.stage_timings.of(ompdart_core::Stage::Parse) > Duration::from_secs(0));
     }
@@ -733,8 +522,7 @@ mod tests {
     /// extracted from the expert variant.
     #[test]
     fn plans_are_justified_serializable_and_diffable() {
-        let bench = benchmarks::by_name("backprop").unwrap();
-        let r = run_benchmark(&bench, &quick_config()).unwrap();
+        let r = run("backprop");
         assert!(!r.plans.is_empty());
         for plan in &r.plans {
             assert!(plan.fully_justified(), "{}: {plan:#?}", r.name);
@@ -754,8 +542,7 @@ mod tests {
 
     #[test]
     fn tool_time_is_reported() {
-        let bench = benchmarks::by_name("hotspot").unwrap();
-        let r = run_benchmark(&bench, &quick_config()).unwrap();
+        let r = run("hotspot");
         assert!(r.tool_time.as_secs_f64() > 0.0);
         assert!(r.tool_time.as_secs_f64() < 10.0);
     }

@@ -4,28 +4,29 @@
 //!
 //! This crate carries the nine HPC benchmark programs of the paper's
 //! evaluation (Table III), ported to MiniC in both the *unoptimized* and the
-//! *expert-optimized* variants, together with:
+//! *expert-optimized* variants, plus `lulesh` split into three linked units
+//! (`lulesh_mf`), together with:
 //!
 //! * [`complexity`] — the data-mapping complexity metrics of Table IV,
 //! * [`corpus`] — a seeded generator for ~1000-unit synthetic programs
 //!   that stress the whole-program link fixed point at scale,
-//! * [`experiment`] — the harness that transforms each unoptimized program
-//!   with OMPDart, simulates all three variants on the offload runtime
-//!   simulator, and derives Figures 3-6, Table V, and the Section VI
-//!   geometric-mean summary,
+//! * [`experiment`] — the ten ports as one table, and the one measurement
+//!   that maps a program's units and runs the rewrite on the offload
+//!   runtime simulator; every figure and table reads its results,
 //! * [`outline`] — moving statements of a port's `main` into a function, so
 //!   that "a call site costs what its body costs" is a property over every
 //!   kernel run of a port and not one hand-written multi-file port,
 //! * [`report`] — plain-text renderings of every table and figure.
 //!
 //! ```no_run
-//! use ompdart_suite::experiment::{run_all, ExperimentConfig};
+//! use ompdart_sim::CostModel;
+//! use ompdart_suite::experiment::run_all;
 //! use ompdart_suite::report;
 //!
-//! let config = ExperimentConfig::default();
-//! let results = run_all(&config);
-//! println!("{}", report::figure5(&results, &config.cost));
-//! println!("{}", report::summary(&results, &config.cost));
+//! let results = run_all();
+//! let cost = CostModel::default();
+//! println!("{}", report::figure5(&results, &cost));
+//! println!("{}", report::summary(&results, &cost));
 //! ```
 
 pub mod benchmarks;
@@ -42,8 +43,7 @@ pub use benchmarks::{
 pub use complexity::{complexity_of, table4_rows, ComplexityRow};
 pub use corpus::{concat as corpus_concat, edit_one_function, generate as generate_corpus};
 pub use experiment::{
-    run_all, run_all_with_session, run_benchmark, run_benchmark_with_session,
-    run_multifile_benchmark, run_multifile_benchmark_with_session, summarize, BenchmarkResult,
-    ExperimentConfig, Summary, VariantResult,
+    map_and_simulate, ports, run_all, run_port, summarize, BenchmarkResult, MappedRun, Port,
+    Summary, VariantResult,
 };
 pub use report::{plan_vs_expert, plans_json};

@@ -7,8 +7,9 @@
 //! that function into another unit — changes nothing a program does, so it
 //! must change nothing a mapping costs. [`outline_lines`] is the one
 //! transformation; [`kernel_run_variants`] applies it to every interior
-//! kernel run of a port, and the property tests apply it to generated
-//! programs.
+//! kernel run of a port, [`fully_outlined_lulesh`] puts every kernel of
+//! `lulesh` behind a call (the known gap: calls do not anchor regions), and
+//! the property tests apply it to generated programs.
 
 use ompdart_frontend::ast::{NodeId, Stmt, StmtKind};
 use ompdart_frontend::parser::parse_str;
@@ -116,6 +117,49 @@ pub fn kernel_run_variants(port: &str, source: &str) -> Vec<(String, String)> {
     variants
 }
 
+/// `lulesh` with every kernel behind a call: four functions hold the
+/// fifteen kernels (forces 1-4, motion 5-8, material 9-14, time step 15)
+/// and `main` is left with no kernel of its own.
+pub fn fully_outlined_lulesh() -> String {
+    let lulesh = crate::benchmarks::by_name("lulesh").expect("lulesh");
+    let mut source = lulesh.unoptimized.to_string();
+    // Back to front, so the kernel lines ahead keep their numbers.
+    let phases = [
+        ("time_step", 15, 15),
+        ("material", 9, 14),
+        ("motion", 5, 8),
+        ("forces", 1, 4),
+    ];
+    for (name, first, last) in phases {
+        // `main`'s kernels: the functions outlined so far sit ahead of it.
+        let pragmas: Vec<usize> = (source.lines().enumerate())
+            .skip_while(|(_, line)| !line.starts_with("int main("))
+            .filter(|(_, line)| line.trim_start().starts_with("#pragma omp target"))
+            .map(|(at, _)| at)
+            .collect();
+        let start = pragmas[first - 1];
+        // A kernel is its pragma line and the `for` statement after it, up
+        // to the line that closes the loop at the pragma's indentation.
+        let indent = source.lines().nth(pragmas[last - 1]).unwrap();
+        let indent = &indent[..indent.len() - indent.trim_start().len()];
+        let close = format!("{indent}}}");
+        let end = (source.lines().enumerate())
+            .skip(pragmas[last - 1])
+            .find(|(_, line)| *line == close)
+            .map(|(at, _)| at + 1)
+            .expect("the kernel's loop closes");
+        let (function, rest) = outline_lines(
+            &source,
+            start..end,
+            &format!("void {name}()"),
+            &format!("{name}();"),
+            &[],
+        );
+        source = same_unit(&function, &rest);
+    }
+    source
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,5 +214,25 @@ int main() {
             let bench = crate::benchmarks::by_name(port).unwrap();
             assert_eq!(kernel_run_variants(port, bench.unoptimized).len(), count);
         }
+    }
+
+    /// The known gap: only kernels anchor a region, so with every kernel of
+    /// `lulesh` behind a call `main` holds none and each call maps its own
+    /// data. ROADMAP item 1 brings the mapping down to what `lulesh` itself
+    /// moves (<= 73 600 B in 23 calls) and must lower this pin when it does.
+    #[test]
+    fn fully_outlined_lulesh_pins_the_calls_do_not_anchor_regions_gap() {
+        use ompdart_sim::{simulate_source, SimConfig};
+        let source = fully_outlined_lulesh();
+        let unmapped = simulate_source(&source, SimConfig::default()).unwrap();
+        let units = [("lulesh_outlined.c".to_string(), source)];
+        let mapped = crate::experiment::map_and_simulate(&ompdart_core::Ompdart::new(), &units)
+            .unwrap()
+            .run;
+        assert_eq!(mapped.output, unmapped.output);
+        let cost =
+            |profile: &ompdart_sim::TransferProfile| (profile.total_bytes(), profile.total_calls());
+        assert_eq!(cost(&unmapped.profile), (2_304_000, 720));
+        assert_eq!(cost(&mapped.profile), (921_600, 288));
     }
 }

@@ -139,18 +139,6 @@ pub fn figure3(results: &[BenchmarkResult]) -> String {
             format_bytes(r.expert.profile.htod_bytes),
             format_bytes(r.expert.profile.dtoh_bytes),
         ));
-        if let Some(lt) = &r.lifetimes {
-            out.push_str(&format!(
-                "{:<10} {:>14} {:>14} {:>14} {:>14} {:>14} {:>14}\n",
-                " enter/exit",
-                "-",
-                "-",
-                format_bytes(lt.profile.htod_bytes),
-                format_bytes(lt.profile.dtoh_bytes),
-                "-",
-                "-",
-            ));
-        }
     }
     out
 }
@@ -179,12 +167,6 @@ pub fn figure4(results: &[BenchmarkResult]) -> String {
             r.expert.profile.htod_calls,
             r.expert.profile.dtoh_calls,
         ));
-        if let Some(lt) = &r.lifetimes {
-            out.push_str(&format!(
-                "{:<10} {:>12} {:>12} {:>14} {:>14} {:>13} {:>13}\n",
-                " enter/exit", "-", "-", lt.profile.htod_calls, lt.profile.dtoh_calls, "-", "-",
-            ));
-        }
     }
     out
 }
@@ -203,9 +185,6 @@ pub fn figure5(results: &[BenchmarkResult], cost: &CostModel) -> String {
             r.speedup_ompdart(cost),
             r.speedup_expert(cost)
         ));
-        if let Some(lt) = r.speedup_lifetimes(cost) {
-            out.push_str(&format!("{:<10} {:>9.2}x {:>10}\n", " enter/exit", lt, "-"));
-        }
     }
     out
 }
@@ -224,9 +203,6 @@ pub fn figure6(results: &[BenchmarkResult], cost: &CostModel) -> String {
             r.transfer_time_improvement_ompdart(cost),
             r.transfer_time_improvement_expert(cost)
         ));
-        if let Some(lt) = r.transfer_time_improvement_lifetimes(cost) {
-            out.push_str(&format!("{:<10} {:>9.2}x {:>10}\n", " enter/exit", lt, "-"));
-        }
     }
     out
 }
@@ -234,32 +210,35 @@ pub fn figure6(results: &[BenchmarkResult], cost: &CostModel) -> String {
 /// Unstructured-lifetimes vs expert: simulated transfer volume of the
 /// `--lifetimes` variant (enter/exit data + collapse) per benchmark against
 /// the hand-written expert mapping, with the enter/exit share of its
-/// traffic broken out. Only rendered rows have a lifetimes variant.
+/// traffic broken out.
 pub fn lifetimes_vs_expert(results: &[BenchmarkResult]) -> String {
     let mut out = header("Unstructured lifetimes vs expert (simulated transfer volume)");
     out.push_str(&format!(
         "{:<10} {:>15} {:>13} {:>17} {:>13}\n",
         "Benchmark", "Lifetimes bytes", "Expert bytes", "Enter/exit bytes", "Below expert"
     ));
-    let (mut ran, mut below) = (0usize, 0usize);
     for r in results {
-        let Some(lt) = &r.lifetimes else { continue };
-        ran += 1;
-        let wins = r.lifetimes_below_expert() == Some(true);
-        if wins {
-            below += 1;
-        }
+        let lt = &r.lifetimes.profile;
         out.push_str(&format!(
             "{:<10} {:>15} {:>13} {:>17} {:>13}\n",
             r.name,
-            format_bytes(lt.profile.total_bytes()),
+            format_bytes(lt.total_bytes()),
             format_bytes(r.expert.profile.total_bytes()),
-            format_bytes(lt.profile.enter_htod_bytes + lt.profile.exit_dtoh_bytes),
-            if wins { "yes" } else { "no" },
+            format_bytes(lt.enter_htod_bytes + lt.exit_dtoh_bytes),
+            if r.lifetimes_below_expert() {
+                "yes"
+            } else {
+                "no"
+            },
         ));
     }
+    let below = results
+        .iter()
+        .filter(|r| r.lifetimes_below_expert())
+        .count();
     out.push_str(&format!(
-        "lifetimes transfer volume strictly below expert: {below}/{ran} benchmarks\n"
+        "lifetimes transfer volume strictly below expert: {below}/{} benchmarks\n",
+        results.len()
     ));
     if let Some(mf) = results.iter().find(|r| r.name == "lulesh_mf") {
         out.push_str(&format!(

@@ -7,15 +7,13 @@
 //! cargo run --release --example lulesh_case_study
 //! ```
 
-use ompdart_sim::format_bytes;
-use ompdart_suite::by_name;
-use ompdart_suite::experiment::{run_benchmark, ExperimentConfig};
+use ompdart_sim::{format_bytes, CostModel};
+use ompdart_suite::experiment::{ports, run_port};
 
 fn main() {
-    let bench = by_name("lulesh").expect("lulesh benchmark missing");
-    let config = ExperimentConfig::default();
-    let result = run_benchmark(&bench, &config).expect("lulesh run failed");
-    let cost = config.cost;
+    let lulesh = ports().into_iter().find(|p| p.name == "lulesh");
+    let result = run_port(&lulesh.expect("lulesh port missing")).expect("lulesh run failed");
+    let cost = CostModel::default();
 
     println!("LULESH 2.0 (reduced) — three variants\n");
     println!(

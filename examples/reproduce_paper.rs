@@ -9,22 +9,17 @@
 //! Accepted flags: `--table1` .. `--table5`, `--fig3` .. `--fig6`,
 //! `--summary`, `--timings`, `--plan-diff` (construct-level tool-vs-expert
 //! comparison), `--plans` (plan-JSON emission), `--explain` (justify every
-//! inserted construct), `--lifetimes` (run the unstructured
-//! `enter/exit data` variant as a fourth row and compare its transfer
-//! volume against the expert mapping). With no flags every tabular
-//! artifact — including the plan-vs-expert diff — is printed in order;
-//! the large `--plans` / `--explain` dumps and the extra `--lifetimes`
-//! run are opt-in. The nine benchmarks run concurrently
-//! over one shared `AnalysisSession`, so repeated artifacts reuse the
-//! cached analyses.
+//! inserted construct), `--lifetimes` (the transfer volume of the
+//! unstructured `enter/exit data` spelling against the expert mapping).
+//! With no flags every tabular artifact — including the plan-vs-expert
+//! diff — is printed in order; the large `--plans` / `--explain` dumps and
+//! the `--lifetimes` table are opt-in. Every artifact reads one
+//! `run_all()` over the ten ports, which run concurrently.
 
 use ompdart_core::plan::explain_plans;
-use ompdart_core::AnalysisSession;
-use ompdart_suite::experiment::{
-    run_all_with_session, run_multifile_benchmark_with_session, ExperimentConfig,
-};
+use ompdart_sim::CostModel;
+use ompdart_suite::experiment::run_all;
 use ompdart_suite::report;
-use std::sync::Arc;
 
 const FLAGS: [&str; 14] = [
     "--table1",
@@ -100,24 +95,12 @@ fn main() {
 
     eprintln!(
         "running the nine benchmarks plus the linked multi-file lulesh port \
-         (unoptimized / OMPDart / expert)..."
+         (unoptimized / OMPDart / lifetimes / expert)..."
     );
-    let config = ExperimentConfig {
-        // Opt-in fourth variant: every benchmark is re-planned with
-        // unstructured `enter/exit data` lifetimes and simulated alongside
-        // the three paper variants.
-        lifetimes: want("--lifetimes"),
-        ..ExperimentConfig::default()
-    };
-    let session = Arc::new(AnalysisSession::with_options(config.tool));
-    let mut results = run_all_with_session(&config, &session);
-    // The tenth row: the three-file lulesh port, analyzed as one *linked*
+    // The tenth row is the three-file lulesh port, analyzed as one *linked*
     // program and compared against its hand-mapped expert counterpart.
-    results.push(
-        run_multifile_benchmark_with_session(&config, &session)
-            .unwrap_or_else(|e| panic!("lulesh_mf: {e}")),
-    );
-    let results = results;
+    let results = run_all();
+    let cost = CostModel::default();
 
     if want("--table5") {
         println!("{}", report::table5(&results));
@@ -129,13 +112,13 @@ fn main() {
         println!("{}", report::figure4(&results));
     }
     if want("--fig5") {
-        println!("{}", report::figure5(&results, &config.cost));
+        println!("{}", report::figure5(&results, &cost));
     }
     if want("--fig6") {
-        println!("{}", report::figure6(&results, &config.cost));
+        println!("{}", report::figure6(&results, &cost));
     }
     if want("--summary") {
-        println!("{}", report::summary(&results, &config.cost));
+        println!("{}", report::summary(&results, &cost));
     }
     if want("--plan-diff") {
         println!("{}", report::plan_vs_expert(&results));
@@ -158,7 +141,5 @@ fn main() {
         for r in &results {
             println!("{:<10} {}", r.name, r.stage_timings);
         }
-        println!("{:<10} {}", "session", session.timings());
-        println!("cache: {}", session.cache_stats());
     }
 }

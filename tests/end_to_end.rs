@@ -2,11 +2,11 @@
 //! motivating examples of the paper and a subset of the benchmark suite,
 //! all through the `Ompdart` builder facade.
 
-use ompdart_core::plan::{justified_line_count, plans_from_json};
+use ompdart_core::plan::{justified_line_count, plans_from_json, plans_to_json};
 use ompdart_core::{verify_source, MappingConstruct, Ompdart};
 use ompdart_frontend::omp::DirectiveKind;
 use ompdart_sim::{simulate_source, CostModel, SimConfig};
-use ompdart_suite::experiment::{run_all, run_benchmark, ExperimentConfig};
+use ompdart_suite::experiment::{ports, run_port};
 use ompdart_suite::{
     all_benchmarks, by_name, lulesh_multifile, lulesh_multifile_expert_concat, table4_rows,
 };
@@ -128,45 +128,46 @@ int main() {
     }
 }
 
-/// Acceptance: for all nine benchmarks, every construct of every plan
-/// carries a non-default provenance, the explain rendering justifies each
-/// construct on its own line, and the plan JSON round-trips.
+/// Acceptance: for all ten ports (the linked `lulesh_mf` included), every
+/// construct of every plan carries a non-default provenance, the explain
+/// rendering justifies each construct on its own line, and the plan JSON
+/// round-trips.
 #[test]
 fn every_benchmark_plan_is_fully_explained() {
-    let results = run_all(&ExperimentConfig::default());
-    assert_eq!(results.len(), 9);
-    for r in &results {
-        assert!(!r.plans.is_empty(), "{}: no plans", r.name);
+    let tool = Ompdart::new();
+    for port in ports() {
+        let name = port.name;
+        let program = tool.analyze_program(&port.units).unwrap();
+        let plans: Vec<_> = (program.units.iter())
+            .flat_map(|unit| unit.plans.plans.iter().cloned())
+            .collect();
+        assert!(!plans.is_empty(), "{name}: no plans");
         let mut constructs = 0;
-        for plan in &r.plans {
+        for plan in &plans {
             constructs += plan.construct_count();
             for p in plan.provenances() {
+                let function = &plan.function;
                 assert!(
                     p.is_justified(),
-                    "{}: construct without provenance in `{}`",
-                    r.name,
-                    plan.function
+                    "{name}: construct without provenance in `{function}`"
                 );
                 assert!(
                     !p.detail.is_empty(),
-                    "{}: empty provenance detail in `{}`",
-                    r.name,
-                    plan.function
+                    "{name}: empty provenance detail in `{function}`"
                 );
             }
         }
-        assert!(constructs > 0, "{}: no constructs", r.name);
+        assert!(constructs > 0, "{name}: no constructs");
         // One justified line per construct.
-        let explained = ompdart_core::explain_plans(&r.plans, None);
+        let explained = ompdart_core::explain_plans(&plans, None);
         assert_eq!(
             justified_line_count(&explained),
             constructs,
-            "{}: explain must print one justified line per construct:\n{explained}",
-            r.name
+            "{name}: explain must print one justified line per construct:\n{explained}"
         );
         // The serialized IR is the identity under round-trip.
-        let back = plans_from_json(&r.plans_json()).unwrap();
-        assert_eq!(back, r.plans, "{}", r.name);
+        let back = plans_from_json(&plans_to_json(&plans)).unwrap();
+        assert_eq!(back, plans, "{name}");
     }
 }
 
@@ -302,22 +303,20 @@ int main() {
     }
 }
 
-/// A focused subset of the benchmark suite (the full nine-benchmark run lives
-/// in `ompdart-suite`); checks the cross-crate plumbing with the default and
-/// a non-default cost model.
+/// A focused subset of the ports (the full ten-port run lives in
+/// `ompdart-suite`), one-unit and linked; checks the cross-crate plumbing
+/// under a non-default cost model, which applies where results are read.
 #[test]
 fn benchmark_subset_end_to_end() {
-    let config = ExperimentConfig {
-        cost: CostModel::fast_interconnect(),
-        ..Default::default()
-    };
-    for name in ["backprop", "clenergy"] {
-        let bench = by_name(name).unwrap();
-        let result = run_benchmark(&bench, &config).unwrap();
+    let cost = CostModel::fast_interconnect();
+    let subset = ["backprop", "clenergy", "lulesh_mf"];
+    for port in ports().iter().filter(|p| subset.contains(&p.name)) {
+        let result = run_port(port).unwrap();
+        let name = port.name;
         assert!(result.output_matches_expert(), "{name}");
         assert!(result.output_matches_unoptimized(), "{name}");
         assert!(
-            result.speedup_ompdart(&config.cost) >= result.speedup_expert(&config.cost) * 0.95,
+            result.speedup_ompdart(&cost) >= result.speedup_expert(&cost) * 0.95,
             "{name}"
         );
     }
