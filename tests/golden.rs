@@ -8,9 +8,15 @@
 //! were recorded from the planner that still restated each `map` as an
 //! `enter data` / `exit data` spec pair, before that mode became a rendering
 //! of the structured plan. Neither set has moved since.
+//!
+//! Each port's default-mode plan document is pinned as well
+//! (`tests/golden/plans/*.plan.json`): plans serialise node ids, spans and
+//! provenance text, which a change to how the analysis addresses nodes could
+//! move without moving a single byte of the rewrite.
 
-use ompdart_core::{Ompdart, ProgramDriver};
+use ompdart_core::{Analysis, Ompdart, ProgramDriver};
 use ompdart_suite::benchmarks;
+use std::sync::Arc;
 
 /// `(port, default golden, --lifetimes golden)`.
 macro_rules! goldens {
@@ -32,6 +38,20 @@ const LINKED_GOLDENS: [(&str, &str, &str); 3] = goldens![
     "lulesh_mf/lulesh_mf_mesh",
     "lulesh_mf/lulesh_mf_eos",
 ];
+
+/// `(unit stem, default-mode plan JSON golden)`.
+macro_rules! plan_goldens {
+    ($($name:literal),* $(,)?) => {
+        [$(($name, include_str!(concat!("golden/plans/", $name, ".plan.json")))),*]
+    };
+}
+
+const PLAN_GOLDENS: [(&str, &str); 9] = plan_goldens![
+    "accuracy", "ace", "backprop", "bfs", "clenergy", "hotspot", "lulesh", "nw", "xsbench",
+];
+
+const LINKED_PLAN_GOLDENS: [(&str, &str); 3] =
+    plan_goldens!["lulesh_mf_main", "lulesh_mf_mesh", "lulesh_mf_eos"];
 
 /// Every single-file port in one mode: the rewrite is its golden, and the
 /// plan document round-trips with the mode's marker on every plan — the one
@@ -103,6 +123,38 @@ fn linked_multifile_rewrites_are_byte_identical_to_goldens() {
     }
 }
 
+/// The default-mode plan document of every port, node ids and provenance
+/// text included, is byte-identical to its golden: the nine single-file
+/// ports analysed alone, the three `lulesh_mf` units as one linked program.
+#[test]
+fn plan_json_is_byte_identical_to_goldens() {
+    let tool = Ompdart::builder().build();
+    for (name, golden) in PLAN_GOLDENS {
+        let bench = benchmarks::by_name(name).unwrap();
+        let analysis = tool
+            .analyze(&bench.unoptimized_file(), bench.unoptimized)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(analysis.plans_json(), golden, "{name}: plan JSON moved off its golden");
+    }
+
+    let units: Vec<(String, String)> = benchmarks::lulesh_multifile()
+        .into_iter()
+        .map(|(n, s)| (n.to_string(), s.to_string()))
+        .collect();
+    let program = tool.analyze_program(&units).unwrap();
+    for (stem, golden) in LINKED_PLAN_GOLDENS {
+        let unit = (program.units.iter().zip(&units))
+            .find(|(_, (n, _))| n.trim_end_matches(".c") == stem)
+            .map(|(u, _)| u)
+            .unwrap_or_else(|| panic!("{stem}: unit missing from linked program"));
+        assert_eq!(
+            Analysis::from_unit(Arc::clone(unit)).plans_json(),
+            golden,
+            "{stem}: linked plan JSON moved off its golden"
+        );
+    }
+}
+
 /// The cold-path overhaul (interning, CSR graphs, memoized link inputs)
 /// must never move a benchmark's output between rounds: on every
 /// benchmark, a warm second analysis over the same session rewrites
@@ -140,7 +192,7 @@ fn warm_rounds_and_thread_counts_keep_benchmarks_byte_identical() {
             .units
             .iter()
             .map(|u| {
-                let a = ompdart_core::Analysis::from_unit(std::sync::Arc::clone(u));
+                let a = Analysis::from_unit(Arc::clone(u));
                 (a.rewritten_source().to_string(), a.plans_json())
             })
             .collect()
