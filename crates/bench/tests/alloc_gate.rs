@@ -1,17 +1,32 @@
-//! Allocation-count regression gate.
+//! Allocation-count regression gates.
 //!
-//! Registers the counting allocator and asserts a cold whole-program
-//! analysis stays under a *generous* allocations-per-unit ceiling — an
-//! order-of-magnitude tripwire, not a precision benchmark. The interned
-//! frontend plus pre-sized plan buffers land far below the ceiling; only a
-//! wholesale return to per-token `String` churn should ever trip it.
+//! Registers the counting allocator and asserts two ceilings. A cold
+//! whole-program analysis stays under a *generous* allocations-per-unit
+//! ceiling — an order-of-magnitude tripwire, not a precision benchmark: the
+//! interned frontend plus pre-sized plan buffers land far below it; only a
+//! wholesale return to per-token `String` churn should ever trip it. And
+//! planning the nine single-file ports stays within a budget tight enough
+//! that a copy of the AST in the planner cannot come back unnoticed.
 
 use ompdart_bench::alloc_counter;
-use ompdart_core::ProgramDriver;
+use ompdart_core::pipeline::{
+    stage_accesses, stage_graphs, stage_parse, stage_plans, stage_summaries,
+};
+use ompdart_core::{OmpDartOptions, ProgramDriver};
 use ompdart_suite::corpus;
+use std::sync::Mutex;
 
 #[global_allocator]
 static ALLOC: alloc_counter::CountingAllocator = alloc_counter::CountingAllocator;
+
+/// The counters are process-wide: one measurement at a time.
+static MEASURING: Mutex<()> = Mutex::new(());
+
+/// `stage_plans` over the nine single-file ports, one thread. The planner
+/// reads the AST it is handed and per-node tables; it allocated 6 121 times
+/// here while it still cloned every loop subtree and walked `main` once per
+/// mapped global.
+const MAX_PLAN_ALLOCS_NINE_PORTS: u64 = 2500;
 
 /// Generous fixed ceiling: the measured figure on the 100-unit corpus is
 /// a few hundred allocations per unit; pre-interning it was several
@@ -20,6 +35,7 @@ const MAX_ALLOCS_PER_UNIT_COLD: f64 = 4000.0;
 
 #[test]
 fn cold_analysis_allocations_per_unit_stay_bounded() {
+    let _one_at_a_time = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
     let n = 100;
     let inputs = corpus::generate(n, 42);
     let driver = ProgramDriver::new();
@@ -39,5 +55,28 @@ fn cold_analysis_allocations_per_unit_stay_bounded() {
         "cold analysis allocated {per_unit:.0} times per unit \
          (ceiling {MAX_ALLOCS_PER_UNIT_COLD}): an order-of-magnitude \
          allocation regression"
+    );
+}
+
+#[test]
+fn planning_the_ports_stays_within_its_allocation_budget() {
+    let _one_at_a_time = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+    let options = OmpDartOptions::default();
+    let mut spent = 0;
+    for bench in ompdart_suite::all_benchmarks() {
+        let parsed = stage_parse(&bench.unoptimized_file(), bench.unoptimized).unwrap();
+        let graphs = stage_graphs(&parsed.unit);
+        let accesses = stage_accesses(&parsed.unit, &graphs);
+        let summaries = stage_summaries(&parsed.unit, &accesses, &options);
+        let before = alloc_counter::snapshot();
+        let plans = stage_plans(&parsed.unit, &graphs, &accesses, &summaries, &options, 1);
+        spent += alloc_counter::snapshot().since(&before).allocations;
+        assert!(!plans.plans.is_empty(), "{}", bench.name);
+    }
+    eprintln!("alloc_gate: stage_plans over the nine ports allocated {spent} times");
+    assert!(
+        spent <= MAX_PLAN_ALLOCS_NINE_PORTS,
+        "planning the nine ports allocated {spent} times \
+         (budget {MAX_PLAN_ALLOCS_NINE_PORTS})"
     );
 }

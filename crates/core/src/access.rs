@@ -11,7 +11,7 @@ use crate::interproc::Effect;
 use ompdart_frontend::ast::*;
 use ompdart_frontend::source::Span;
 use ompdart_frontend::Symbol;
-use ompdart_graph::StmtIndex;
+use ompdart_graph::{NodeTable, StmtIndex};
 use std::collections::{HashMap, HashSet};
 
 /// How a variable is accessed.
@@ -229,7 +229,9 @@ pub struct FunctionAccesses {
     pub function: Symbol,
     pub accesses: Vec<Access>,
     pub calls: Vec<CallSite>,
-    by_stmt: HashMap<NodeId, StmtIndices>,
+    /// Per statement, the positions of its accesses in `accesses`: a dense
+    /// table addressed by statement id.
+    by_stmt: NodeTable<StmtIndices>,
 }
 
 /// Access-index list of one statement: up to [`STMT_IDX_INLINE`] entries
@@ -298,6 +300,9 @@ impl FunctionAccesses {
         if let Some(body) = &func.body {
             body.walk(&mut |stmt| {
                 let on_device = index.info(stmt.id).map(|i| i.offloaded).unwrap_or(false);
+                // Initializer lists contain only constants in the
+                // benchmarks, so a declaration reads what its expression
+                // initializers read and nothing else.
                 for expr in stmt.direct_exprs() {
                     let mut ctx = Classifier {
                         out: &mut out,
@@ -307,19 +312,14 @@ impl FunctionAccesses {
                     };
                     ctx.classify(expr, false);
                 }
-                // Variable declarations with initializers read the initializer.
-                if let StmtKind::Decl(decls) = &stmt.kind {
-                    for d in decls {
-                        if let Some(Init::List(_)) = &d.init {
-                            // Initializer lists contain only constants in the
-                            // benchmarks; nothing to record.
-                        }
-                    }
-                }
             });
         }
+        out.by_stmt = NodeTable::spanning(out.accesses.iter().map(|a| a.stmt));
         for (i, access) in out.accesses.iter().enumerate() {
-            out.by_stmt.entry(access.stmt).or_default().push(i);
+            let indices = out
+                .by_stmt
+                .get_or_insert_with(access.stmt, StmtIndices::default);
+            indices.push(i);
         }
         out
     }
@@ -327,15 +327,17 @@ impl FunctionAccesses {
     /// Add a synthetic access (used by the interprocedural analysis to model
     /// callee side effects at call sites).
     pub fn add_synthetic(&mut self, access: Access) {
-        let idx = self.accesses.len();
-        self.by_stmt.entry(access.stmt).or_default().push(idx);
+        let indices = self
+            .by_stmt
+            .get_or_insert_with(access.stmt, StmtIndices::default);
+        indices.push(self.accesses.len());
         self.accesses.push(access);
     }
 
     /// Accesses performed by a specific statement.
     pub fn for_stmt(&self, id: NodeId) -> impl Iterator<Item = &Access> + '_ {
         self.by_stmt
-            .get(&id)
+            .get(id)
             .map(StmtIndices::as_slice)
             .unwrap_or(&[])
             .iter()

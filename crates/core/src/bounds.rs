@@ -228,15 +228,19 @@ pub fn find_update_insert_loc(
 }
 
 /// Render the accessed extent of a device array access as an array-section
-/// length, by matching the subscript's innermost loop bound. Returns `None`
-/// when the access pattern is too complex; callers then fall back to mapping
-/// the whole object.
-pub fn section_length_from_loops(indices: &[Expr], loops: &[(NodeId, &Stmt)]) -> Option<String> {
+/// length, by matching the subscript's innermost loop bound. `loops` are the
+/// loops enclosing the access, innermost first. Returns `None` when the
+/// access pattern is too complex; callers then fall back to mapping the
+/// whole object.
+pub fn section_length_from_loops<'a>(
+    indices: &[Expr],
+    loops: impl IntoIterator<Item = &'a Stmt>,
+) -> Option<String> {
     // Only handle the common `a[i]` / `a[i*stride + ...]` patterns where the
     // extent is governed by the innermost loop whose variable appears in the
     // subscript.
     let vars: Vec<String> = indices.iter().flat_map(|e| e.referenced_vars()).collect();
-    for (_, loop_stmt) in loops.iter().rev() {
+    for loop_stmt in loops {
         if let Some(bounds) = loop_bounds(loop_stmt) {
             if vars.contains(&bounds.var) && indices.len() == 1 {
                 // Direct indexing by the induction variable: the extent is the
@@ -385,7 +389,8 @@ void reduce(int hid, int num_blocks) {
         });
         let access_stmt = access_stmt.expect("host access not found");
         let enclosing: Vec<(NodeId, &Stmt)> = {
-            let ids = index.enclosing_loops(access_stmt).to_vec();
+            let mut ids: Vec<NodeId> = index.loops_outward(access_stmt).collect();
+            ids.reverse();
             ids.iter()
                 .map(|id| {
                     let stmt = loops.iter().find(|(lid, _)| lid == id).unwrap();
@@ -435,7 +440,8 @@ void f(int n) {
             }
         });
         let access_stmt = access_stmt.unwrap();
-        let ids = index.enclosing_loops(access_stmt).to_vec();
+        let mut ids: Vec<NodeId> = index.loops_outward(access_stmt).collect();
+        ids.reverse();
         let enclosing: Vec<(NodeId, &Stmt)> = ids
             .iter()
             .map(|id| (*id, &loops.iter().find(|(lid, _)| lid == id).unwrap().1))
@@ -466,7 +472,6 @@ void f(int n) {
             "void f(double *a, int n) { for (int i = 0; i < n; i++) { a[i] = i; } }\n",
         );
         let loops = loops_of(&func);
-        let refs: Vec<(NodeId, &Stmt)> = loops.iter().map(|(id, s)| (*id, s)).collect();
         // index expression is plain `i`
         let mut idx_expr = None;
         func.body.as_ref().unwrap().walk(&mut |s| {
@@ -478,7 +483,7 @@ void f(int n) {
                 });
             }
         });
-        let length = section_length_from_loops(&[idx_expr.unwrap()], &refs);
+        let length = section_length_from_loops(&[idx_expr.unwrap()], loops.iter().map(|(_, s)| s));
         assert_eq!(length.as_deref(), Some("n"));
     }
 }

@@ -18,7 +18,7 @@
 //!    by the host after the region (or escaping through globals / pointer
 //!    parameters) is mapped `from`.
 
-use crate::access::{Access, AccessOrigin, FunctionAccesses, SymbolTable};
+use crate::access::{Access, AccessOrigin, CallSite, FunctionAccesses, SymbolTable};
 use crate::bounds::section_length_from_loops;
 use crate::interproc::is_pure_builtin;
 use crate::pipeline::Stage;
@@ -29,11 +29,17 @@ use crate::plan::ir::{
 use crate::validity::{Position, Transfers, VarState, Walker};
 use ompdart_frontend::ast::*;
 use ompdart_frontend::diag::Diagnostics;
+use ompdart_frontend::intern::FnvBuild;
 use ompdart_frontend::omp::{Clause, MapType};
 use ompdart_frontend::source::Span;
 use ompdart_frontend::Symbol;
-use ompdart_graph::{AstCfg, StmtIndex};
+use ompdart_graph::{AstCfg, NodeTable, StmtIndex};
+use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
+
+/// Symbol-keyed maps and sets: interned names hash as integers.
+type SymbolMap<V> = HashMap<Symbol, V, FnvBuild>;
+type SymbolSet = HashSet<Symbol, FnvBuild>;
 
 /// Tunable analysis options (used by the ablation studies).
 #[derive(Clone, Copy, Debug)]
@@ -174,7 +180,7 @@ pub fn plan_function(
     diags: &mut Diagnostics,
 ) -> Option<MappingPlan> {
     let index = &graph.index;
-    let kernels: Vec<NodeId> = index.kernels().to_vec();
+    let kernels = index.kernels();
     if kernels.is_empty() {
         return None;
     }
@@ -196,9 +202,7 @@ pub fn plan_function(
     // The variables some statement of the region accesses on the device. A
     // call *outside* the region whose callee launches kernels is none of
     // this region's business: the callee's own region maps what it needs.
-    let decl_stmts = local_decl_stmts(body);
-    let kernel_local = kernel_local_decl_names(body, index);
-    let kernel_private = clause_private_vars(body);
+    let facts = BodyFacts::collect(body, index);
     let mut device_vars: Vec<Symbol> = Vec::new();
     for access in accesses.accesses.iter().filter(|a| a.on_device) {
         let var = access.var;
@@ -208,10 +212,10 @@ pub fn plan_function(
         if symbols.type_of(var).is_none() {
             continue; // macro constants and unknown identifiers
         }
-        if kernel_private.contains(var.as_str()) {
+        if facts.clause_private.contains(&var) {
             continue; // reduction/private clauses own the data movement
         }
-        if kernel_local.contains(&var) {
+        if facts.kernel_local.contains(&var) {
             continue; // declared inside a kernel: device-local
         }
         device_vars.push(var);
@@ -233,7 +237,7 @@ pub fn plan_function(
     if attach_to_kernel.is_none() {
         let region_info = index.info(region_start);
         for var in &mapped_vars {
-            if let (Some(decl), Some(region_info)) = (decl_stmts.get(var), region_info) {
+            if let (Some(decl), Some(region_info)) = (facts.first_decl.get(var), region_info) {
                 if let Some(decl_info) = index.info(*decl) {
                     if decl_info.order >= region_info.order {
                         diags.error_with_labels(
@@ -255,14 +259,13 @@ pub fn plan_function(
     }
 
     // ----- forward traversal -----------------------------------------------
-    let loop_map = loop_stmt_map(body);
     let transfers = PlanTransfers {
         index,
         options,
-        to_entry: HashMap::new(),
-        from_exit: HashMap::new(),
+        to_entry: SymbolMap::default(),
+        from_exit: SymbolMap::default(),
         updates: Vec::new(),
-        seen_updates: HashSet::new(),
+        seen_updates: HashSet::default(),
     };
     let entry = (mapped_vars.iter())
         .map(|v| (*v, VarState::host_current()))
@@ -278,12 +281,21 @@ pub fn plan_function(
     // host reads): their deciding statement is the device write that makes
     // the escaping data dirty. Demotions are recorded so the plan can
     // explain them (`DeadExitCopy`).
-    let mut escape_exit: HashMap<Symbol, Option<NodeId>> = HashMap::new();
-    let mut demoted: HashMap<Symbol, Option<NodeId>> = HashMap::new();
+    let mut escape_exit: SymbolMap<Option<NodeId>> = SymbolMap::default();
+    let mut demoted: SymbolMap<Option<NodeId>> = SymbolMap::default();
+    let aliased = OnceCell::new();
     for var in &mapped_vars {
         let st = &walker.state[var];
         if !st.host_valid && symbols.escapes(var) && !walker.transfers.from_exit.contains_key(var) {
-            let live = may_be_read_after_region(func, accesses, index, region_start, *var, symbols);
+            let live = may_be_read_after_region(
+                func,
+                accesses,
+                index,
+                region_start,
+                *var,
+                symbols,
+                &aliased,
+            );
             if live {
                 escape_exit.insert(*var, st.last_dev_writer);
             } else {
@@ -306,7 +318,7 @@ pub fn plan_function(
         region_start: Some(region_start),
         region_end: Some(region_end),
         attach_to_kernel,
-        kernels: kernels.clone(),
+        kernels: kernels.to_vec(),
         ..Default::default()
     };
 
@@ -399,7 +411,7 @@ pub fn plan_function(
             }
         };
         let section_length = if symbols.is_pointer(var) {
-            pointer_section_length(*var, accesses, index, &loop_map)
+            pointer_section_length(*var, accesses, index, &facts.loops)
         } else {
             None
         };
@@ -421,7 +433,7 @@ pub fn plan_function(
             fact,
         } = decision;
         let section_length = if symbols.is_pointer(var) {
-            pointer_section_length(var, accesses, index, &loop_map)
+            pointer_section_length(var, accesses, index, &facts.loops)
         } else {
             None
         };
@@ -483,7 +495,7 @@ pub fn plan_function(
                     anchor,
                     placement,
                     section_length: match symbols.is_pointer(var) {
-                        true => pointer_section_length(*var, accesses, index, &loop_map),
+                        true => pointer_section_length(*var, accesses, index, &facts.loops),
                         false => None,
                     },
                     provenance: Provenance::plan(ProvenanceFact::FlowWhenDataPresent, at, detail),
@@ -495,7 +507,7 @@ pub fn plan_function(
     // firstprivate clauses, one per kernel that references the scalar. The
     // read-only fact comes from the access-classification stage.
     for var in &firstprivate_vars {
-        for kernel in &kernels {
+        for kernel in kernels {
             let deciding = accesses
                 .accesses
                 .iter()
@@ -668,7 +680,8 @@ fn pick_unknown<'a>(a: Option<&'a Deciding>, b: Option<&'a Deciding>) -> Option<
 /// again and read the stale host copy before its region re-enters). `main`
 /// runs exactly once, so there a global is live only if `main` reads it on
 /// the host from the region on — itself or through a callee — or aliases
-/// it.
+/// it. `aliased` holds the function's [`aliasing_uses`], walked for the
+/// first variable that gets that far.
 fn may_be_read_after_region(
     func: &FunctionDef,
     accesses: &FunctionAccesses,
@@ -676,6 +689,7 @@ fn may_be_read_after_region(
     region_start: NodeId,
     var: Symbol,
     symbols: &SymbolTable,
+    aliased: &OnceCell<SymbolSet>,
 ) -> bool {
     if !symbols.is_global(var) || func.name != "main" {
         return true;
@@ -701,15 +715,10 @@ fn may_be_read_after_region(
     // `&var[0]`, `f(var)` for an `f` nothing is known about) can smuggle
     // reads past the name-based access check above, so it keeps the exit
     // copy.
-    let summarised: Vec<Symbol> = (accesses.calls.iter())
-        .filter(|call| call.summarised)
-        .map(|call| call.callee)
-        .collect();
     read_later_here
-        || func
-            .body
-            .as_ref()
-            .is_some_and(|b| stmt_has_aliasing_use(b, var, &summarised))
+        || (func.body.as_ref()).is_some_and(|body| {
+            (aliased.get_or_init(|| aliasing_uses(body, accesses))).contains(&var)
+        })
 }
 
 /// Why nothing reads a demoted variable after the region, for the
@@ -744,108 +753,119 @@ fn runs_after_region(
     )
 }
 
-/// True if `var` appears under `stmt` in a way that can create an alias or
-/// consume the whole object: any occurrence that is not the direct base of
-/// an element access (`var[i]...`) or member access (`var.field`) — nor an
-/// argument handed as it is to one of `summarised`, the callees whose
-/// summary says what they do with it (that effect is replayed at the call).
-fn stmt_has_aliasing_use(stmt: &Stmt, var: Symbol, summarised: &[Symbol]) -> bool {
-    fn init_has(init: &Init, var: Symbol, summarised: &[Symbol]) -> bool {
-        match init {
-            Init::Expr(e) => expr_has(e, var, summarised),
-            Init::List(items) => items.iter().any(|i| init_has(i, var, summarised)),
-        }
+/// The variables that appear under `body` in a way that can create an alias
+/// or consume the whole object: any occurrence that is not the direct base
+/// of an element access (`var[i]...`) or member access (`var.field`) — nor
+/// an argument handed as it is to a callee whose summary says what it does
+/// with it (that effect is replayed at the call).
+fn aliasing_uses(body: &Stmt, accesses: &FunctionAccesses) -> SymbolSet {
+    struct Uses<'a> {
+        calls: &'a [CallSite],
+        out: SymbolSet,
     }
-    fn expr_has(e: &Expr, var: Symbol, summarised: &[Symbol]) -> bool {
-        let has = |e: &Expr| expr_has(e, var, summarised);
-        match &e.kind {
-            ExprKind::Ident(name) => *name == var,
-            ExprKind::Index { base, index } => {
-                // `var[i]` touches an element, not the object as a whole;
-                // anything else in base position recurses normally.
-                let base_aliases = match &base.kind {
-                    ExprKind::Ident(_) => false,
-                    _ => has(base),
-                };
-                base_aliases || has(index)
+    impl Uses<'_> {
+        fn init(&mut self, init: &Init) {
+            match init {
+                Init::Expr(e) => self.expr(e),
+                Init::List(items) => items.iter().for_each(|i| self.init(i)),
             }
-            ExprKind::Member { base, .. } => match &base.kind {
-                ExprKind::Ident(_) => false,
-                _ => has(base),
-            },
-            ExprKind::Unary {
-                op: UnaryOp::AddrOf,
-                operand,
-                ..
-            } => operand.referenced_symbols().contains(&var),
-            ExprKind::Unary { operand, .. } => has(operand),
-            ExprKind::Binary { lhs, rhs, .. } | ExprKind::Assign { lhs, rhs, .. } => {
-                has(lhs) || has(rhs)
-            }
-            ExprKind::Conditional {
-                cond,
-                then_expr,
-                else_expr,
-            } => has(cond) || has(then_expr) || has(else_expr),
-            ExprKind::Call { callee, args, .. } => args.iter().any(|arg| match &arg.kind {
-                ExprKind::Ident(_) if summarised.contains(callee) => false,
-                _ => has(arg),
-            }),
-            ExprKind::Cast { expr, .. } | ExprKind::Paren(expr) => has(expr),
-            ExprKind::Comma(items) => items.iter().any(has),
-            ExprKind::SizeofExpr(_)
-            | ExprKind::SizeofType(_)
-            | ExprKind::IntLit(_)
-            | ExprKind::FloatLit(_)
-            | ExprKind::CharLit(_)
-            | ExprKind::StrLit(_) => false,
         }
-    }
-    let mut found = false;
-    stmt.walk(&mut |s| {
-        if found {
-            return;
-        }
-        let decl_hit = match &s.kind {
-            StmtKind::Decl(decls) => decls.iter().any(|d| {
-                d.init
-                    .as_ref()
-                    .is_some_and(|i| init_has(i, var, summarised))
-            }),
-            StmtKind::For { init: Some(fi), .. } => match fi.as_ref() {
-                ForInit::Decl(decls) => decls.iter().any(|d| {
-                    d.init
-                        .as_ref()
-                        .is_some_and(|i| init_has(i, var, summarised))
+        fn expr(&mut self, e: &Expr) {
+            match &e.kind {
+                ExprKind::Ident(name) => {
+                    self.out.insert(*name);
+                }
+                // `var[i]` touches an element and `var.f` a member, not the
+                // object as a whole; anything else in base position counts.
+                ExprKind::Index { base, index } => {
+                    if !matches!(base.kind, ExprKind::Ident(_)) {
+                        self.expr(base);
+                    }
+                    self.expr(index);
+                }
+                ExprKind::Member { base, .. } => {
+                    if !matches!(base.kind, ExprKind::Ident(_)) {
+                        self.expr(base);
+                    }
+                }
+                ExprKind::Unary {
+                    op: UnaryOp::AddrOf,
+                    operand,
+                    ..
+                } => operand.walk(&mut |e| {
+                    if let ExprKind::Ident(name) = e.kind {
+                        self.out.insert(name);
+                    }
                 }),
-                _ => false,
-            },
-            _ => false,
-        };
-        if decl_hit || (s.direct_exprs().iter()).any(|e| expr_has(e, var, summarised)) {
-            found = true;
+                ExprKind::Unary { operand, .. } => self.expr(operand),
+                ExprKind::Binary { lhs, rhs, .. } | ExprKind::Assign { lhs, rhs, .. } => {
+                    self.expr(lhs);
+                    self.expr(rhs);
+                }
+                ExprKind::Conditional {
+                    cond,
+                    then_expr,
+                    else_expr,
+                } => {
+                    self.expr(cond);
+                    self.expr(then_expr);
+                    self.expr(else_expr);
+                }
+                ExprKind::Call { callee, args, .. } => {
+                    let summarised =
+                        (self.calls.iter()).any(|call| call.summarised && call.callee == *callee);
+                    for arg in args {
+                        if !(summarised && matches!(arg.kind, ExprKind::Ident(_))) {
+                            self.expr(arg);
+                        }
+                    }
+                }
+                ExprKind::Cast { expr, .. } | ExprKind::Paren(expr) => self.expr(expr),
+                ExprKind::Comma(items) => items.iter().for_each(|e| self.expr(e)),
+                ExprKind::SizeofExpr(_)
+                | ExprKind::SizeofType(_)
+                | ExprKind::IntLit(_)
+                | ExprKind::FloatLit(_)
+                | ExprKind::CharLit(_)
+                | ExprKind::StrLit(_) => {}
+            }
+        }
+    }
+    let mut uses = Uses {
+        calls: &accesses.calls,
+        out: SymbolSet::default(),
+    };
+    body.walk(&mut |s| {
+        // Expression initializers are among the direct expressions.
+        for d in s.declared() {
+            if let Some(list @ Init::List(_)) = &d.init {
+                uses.init(list);
+            }
+        }
+        for e in s.direct_exprs() {
+            uses.expr(e);
         }
     });
-    found
+    uses.out
 }
 
 /// The outermost loop enclosing a statement, or the statement itself.
 fn outermost_loop_or_self(index: &StmtIndex, stmt: NodeId) -> NodeId {
-    index.enclosing_loops(stmt).first().copied().unwrap_or(stmt)
+    index.loops_outward(stmt).last().unwrap_or(stmt)
 }
 
 /// Where `stmt` lies relative to the region spanning the sibling statements
 /// `region.0 ..= region.1`: before it, within it (`Equal`), or after it.
+/// The region's statements and everything they contain are one run of
+/// source order, so the statement's position alone decides.
 fn side_of_region(index: &StmtIndex, region: (NodeId, NodeId), stmt: NodeId) -> std::cmp::Ordering {
     use std::cmp::Ordering;
-    let order = |id: NodeId| index.info(id).map(|info| info.order);
-    let container = index.info(region.0).and_then(|info| info.parent);
-    // The ancestor of `stmt` (or `stmt` itself) that is a sibling of the
-    // region's statements; outside their compound, source order decides.
-    let mut parents = std::iter::successors(Some(stmt), |id| index.info(*id)?.parent);
-    let sibling = parents.find(|id| index.info(*id).is_some_and(|i| i.parent == container));
-    let at = order(sibling.unwrap_or(stmt));
-    match (at < order(region.0), at > order(region.1)) {
+    let (Some(at), Some(start), Some(end)) =
+        (index.info(stmt), index.info(region.0), index.info(region.1))
+    else {
+        return Ordering::Less;
+    };
+    match (at.order < start.order, at.order >= end.end) {
         (true, _) => Ordering::Less,
         (_, true) => Ordering::Greater,
         _ => Ordering::Equal,
@@ -858,105 +878,66 @@ fn align_to_common_parent(index: &StmtIndex, a: NodeId, b: NodeId) -> (NodeId, N
     if a == b {
         return (a, b);
     }
-    let chain = |mut id: NodeId| {
-        let mut out = vec![id];
-        while let Some(info) = index.info(id) {
-            match info.parent {
-                Some(p) => {
-                    out.push(p);
-                    id = p;
+    let parent = |id: &NodeId| index.info(*id)?.parent;
+    let ancestors = |id: NodeId| std::iter::successors(Some(id), parent);
+    // Deepest ancestor of `a` (or `a` itself) that also encloses `b`.
+    let Some(lca) = ancestors(a).find(|id| *id == b || index.encloses(*id, b)) else {
+        return (a, b);
+    };
+    let child_of_lca = |id: NodeId| {
+        (ancestors(id).find(|id| *id == lca || parent(id) == Some(lca))).unwrap_or(lca)
+    };
+    (child_of_lca(a), child_of_lca(b))
+}
+
+/// What the planner needs of a function body besides its accesses,
+/// collected in one walk.
+struct BodyFacts<'a> {
+    /// Where each name is first declared.
+    first_decl: SymbolMap<NodeId>,
+    /// Names declared anywhere inside an offload kernel (loop counters and
+    /// temporaries): device-local, never mapped.
+    kernel_local: SymbolSet,
+    /// Names in `reduction` or `private` clauses, whose data movement those
+    /// clauses own.
+    clause_private: SymbolSet,
+    /// Every loop statement, borrowed and addressed by id.
+    loops: NodeTable<&'a Stmt>,
+}
+
+impl<'a> BodyFacts<'a> {
+    fn collect(body: &'a Stmt, index: &StmtIndex) -> BodyFacts<'a> {
+        let mut facts = BodyFacts {
+            first_decl: SymbolMap::default(),
+            kernel_local: SymbolSet::default(),
+            clause_private: SymbolSet::default(),
+            loops: NodeTable::spanning(index.loops().iter().copied()),
+        };
+        body.walk(&mut |s| {
+            let offloaded = index.info(s.id).is_some_and(|i| i.offloaded);
+            for d in s.declared() {
+                facts.first_decl.entry(d.name).or_insert(s.id);
+                if offloaded {
+                    facts.kernel_local.insert(d.name);
                 }
-                None => break,
             }
-        }
-        out
-    };
-    let chain_a = chain(a);
-    let chain_b = chain(b);
-    let set_b: HashSet<NodeId> = chain_b.iter().copied().collect();
-    // Deepest ancestor of `a` that also encloses `b`.
-    let lca = chain_a.iter().find(|id| set_b.contains(id)).copied();
-    let Some(lca) = lca else { return (a, b) };
-    let child_of_lca = |chain: &[NodeId]| {
-        let pos = chain.iter().position(|id| *id == lca).unwrap_or(0);
-        if pos == 0 {
-            lca
-        } else {
-            chain[pos - 1]
-        }
-    };
-    (child_of_lca(&chain_a), child_of_lca(&chain_b))
-}
-
-/// Names declared anywhere inside an offload kernel (loop counters and
-/// temporaries); these are device-local and never mapped.
-fn kernel_local_decl_names(body: &Stmt, index: &StmtIndex) -> HashSet<Symbol> {
-    let mut out = HashSet::new();
-    body.walk(&mut |s| {
-        let offloaded = index.info(s.id).map(|i| i.offloaded).unwrap_or(false);
-        if !offloaded {
-            return;
-        }
-        let decls: Vec<&VarDecl> = match &s.kind {
-            StmtKind::Decl(d) => d.iter().collect(),
-            StmtKind::For { init: Some(fi), .. } => match fi.as_ref() {
-                ForInit::Decl(d) => d.iter().collect(),
-                _ => Vec::new(),
-            },
-            _ => Vec::new(),
-        };
-        for d in decls {
-            out.insert(d.name);
-        }
-    });
-    out
-}
-
-/// Map from variable name to the statement where it is locally declared.
-fn local_decl_stmts(body: &Stmt) -> HashMap<Symbol, NodeId> {
-    let mut out = HashMap::new();
-    body.walk(&mut |s| {
-        let decls: Vec<&VarDecl> = match &s.kind {
-            StmtKind::Decl(d) => d.iter().collect(),
-            StmtKind::For { init: Some(fi), .. } => match fi.as_ref() {
-                ForInit::Decl(d) => d.iter().collect(),
-                _ => Vec::new(),
-            },
-            _ => Vec::new(),
-        };
-        for d in decls {
-            out.entry(d.name).or_insert(s.id);
-        }
-    });
-    out
-}
-
-/// Variables named in `reduction` or `private` clauses of kernels; their
-/// data movement is owned by those clauses.
-fn clause_private_vars(body: &Stmt) -> HashSet<String> {
-    let mut out = HashSet::new();
-    body.walk(&mut |s| {
-        if let StmtKind::Omp(dir) = &s.kind {
-            for v in dir.reduction_vars() {
-                out.insert(v.to_string());
+            match &s.kind {
+                StmtKind::Omp(dir) => {
+                    for clause in &dir.clauses {
+                        if let Clause::Private(items) | Clause::Reduction { items, .. } = clause {
+                            let names = items.iter().map(|item| Symbol::intern(&item.var));
+                            facts.clause_private.extend(names);
+                        }
+                    }
+                }
+                _ if s.is_loop() => {
+                    facts.loops.get_or_insert_with(s.id, || s);
+                }
+                _ => {}
             }
-            for v in dir.private_vars() {
-                out.insert(v.to_string());
-            }
-        }
-    });
-    out
-}
-
-/// Map from statement id to the loop statement AST node, for every loop.
-fn loop_stmt_map(body: &Stmt) -> HashMap<NodeId, Stmt> {
-    let mut out = HashMap::new();
-    body.walk(&mut |s| {
-        if s.is_loop() {
-            out.insert(s.id, s.clone());
-        }
-    });
-    out
+        });
+        facts
+    }
 }
 
 fn enclosing_kernel(index: &StmtIndex, stmt: NodeId) -> Option<NodeId> {
@@ -969,7 +950,7 @@ fn pointer_section_length(
     var: Symbol,
     accesses: &FunctionAccesses,
     index: &StmtIndex,
-    loop_map: &HashMap<NodeId, Stmt>,
+    loops: &NodeTable<&Stmt>,
 ) -> Option<String> {
     for access in accesses
         .accesses
@@ -979,12 +960,8 @@ fn pointer_section_length(
         if access.indices.is_empty() {
             continue;
         }
-        let loops: Vec<(NodeId, &Stmt)> = index
-            .enclosing_loops(access.stmt)
-            .iter()
-            .filter_map(|id| loop_map.get(id).map(|s| (*id, s)))
-            .collect();
-        if let Some(len) = section_length_from_loops(&access.indices, &loops) {
+        let enclosing = (index.loops_outward(access.stmt)).filter_map(|id| loops.get(id).copied());
+        if let Some(len) = section_length_from_loops(&access.indices, enclosing) {
             return Some(len);
         }
     }
@@ -997,11 +974,11 @@ struct PlanTransfers<'a> {
     index: &'a StmtIndex,
     options: &'a DataflowOptions,
     /// Variables copied in at region entry, with the deciding device read.
-    to_entry: HashMap<Symbol, Deciding>,
+    to_entry: SymbolMap<Deciding>,
     /// Variables copied out at region exit, with the deciding host read.
-    from_exit: HashMap<Symbol, Deciding>,
+    from_exit: SymbolMap<Deciding>,
     updates: Vec<UpdateDecision>,
-    seen_updates: HashSet<(Symbol, UpdateDirection, NodeId, Placement)>,
+    seen_updates: HashSet<(Symbol, UpdateDirection, NodeId, Placement), FnvBuild>,
 }
 
 impl Transfers for PlanTransfers<'_> {
@@ -1071,25 +1048,15 @@ impl PlanTransfers<'_> {
         if !self.options.hoist_updates {
             return need_at;
         }
-        let producer_loops: HashSet<NodeId> = producer
-            .map(|p| self.index.enclosing_loops(p).iter().copied().collect())
-            .unwrap_or_default();
-        // Enclosing loops of the need, outermost first; hoist to the
-        // outermost loop on the current walk stack that does not contain the
-        // producer.
-        for loop_id in self.index.enclosing_loops(need_at) {
-            if !loop_stack.contains(loop_id) {
-                // A loop that encloses the need in the AST but is not on the
-                // dynamic walk stack cannot happen for structured code; skip
-                // defensively.
-                continue;
-            }
-            if producer_loops.contains(loop_id) {
-                continue;
-            }
-            return *loop_id;
-        }
-        need_at
+        // Hoist to the outermost loop enclosing the need that is on the
+        // current walk stack and does not contain the producer. (A loop
+        // enclosing the need in the AST is always on the walk stack for
+        // structured code; the check is defensive.)
+        let contains_producer = |l: NodeId| producer.is_some_and(|p| self.index.encloses(l, p));
+        (self.index.loops_outward(need_at))
+            .filter(|l| loop_stack.contains(l) && !contains_producer(*l))
+            .last()
+            .unwrap_or(need_at)
     }
 
     fn push_update(

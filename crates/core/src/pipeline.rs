@@ -405,7 +405,7 @@ pub fn stage_accesses(unit: &TranslationUnit, graphs: &GraphsArtifact) -> Access
     let mut accesses = HashMap::new();
     for func in unit.functions() {
         let sym = SymbolTable::build(unit, func);
-        if let Some(graph) = graphs.graphs.function(&func.name) {
+        if let Some(graph) = graphs.graphs.function(func.name) {
             let collected = FunctionAccesses::collect(func, &graph.index, &sym);
             accesses.insert(func.name, collected);
         }
@@ -807,7 +807,7 @@ fn run_plan_stage(
         }
 
         let (analyzed, plan, diags, fallbacks) = (|| {
-            let Some(graph) = graphs.graphs.function(&func.name) else {
+            let Some(graph) = graphs.graphs.function(func.name) else {
                 return (false, None, Diagnostics::new(), 0u64);
             };
             let Some(mut acc) = accesses.accesses.get(&func.name).cloned() else {

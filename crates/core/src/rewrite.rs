@@ -258,13 +258,13 @@ fn render_map_clauses(maps: &[MapSpec], spell: impl Fn(MapType) -> MapType) -> S
 
 /// Index every OpenMP directive by the statement id of its `StmtKind::Omp`
 /// wrapper (needed to find pragma spans when appending clauses).
-fn collect_directives(unit: &TranslationUnit) -> BTreeMap<NodeId, OmpDirective> {
+fn collect_directives(unit: &TranslationUnit) -> BTreeMap<NodeId, &OmpDirective> {
     let mut out = BTreeMap::new();
     for func in unit.functions() {
         if let Some(body) = &func.body {
             body.walk(&mut |s| {
                 if let StmtKind::Omp(dir) = &s.kind {
-                    out.insert(s.id, dir.clone());
+                    out.insert(s.id, dir);
                 }
             });
         }
@@ -341,7 +341,7 @@ mod tests {
             symbols.insert(f.name, SymbolTable::build(&unit, f));
         }
         for f in unit.functions() {
-            let Some(g) = graphs.function(&f.name) else {
+            let Some(g) = graphs.function(f.name) else {
                 continue;
             };
             let acc = FunctionAccesses::collect(f, &g.index, &symbols[&f.name]);

@@ -686,8 +686,9 @@ impl Stmt {
     }
 
     /// Call `f` on this statement and all nested statements (pre-order). The
-    /// bodies of OpenMP directives are visited as well.
-    pub fn walk(&self, f: &mut dyn FnMut(&Stmt)) {
+    /// bodies of OpenMP directives are visited as well. `f` may keep the
+    /// references it is handed.
+    pub fn walk<'a>(&'a self, f: &mut dyn FnMut(&'a Stmt)) {
         f(self);
         match &self.kind {
             StmtKind::Compound(items) => {
@@ -718,50 +719,47 @@ impl Stmt {
         }
     }
 
-    /// All expressions evaluated directly by this statement (not including
-    /// nested statements).
-    pub fn direct_exprs(&self) -> Vec<&Expr> {
-        let mut out = Vec::new();
+    /// The declarators this statement declares: a declaration's, or a `for`
+    /// loop's init declaration's.
+    pub fn declared(&self) -> &[VarDecl] {
         match &self.kind {
-            StmtKind::Expr(e) => out.push(e),
-            StmtKind::Decl(decls) => {
-                for d in decls {
-                    if let Some(Init::Expr(e)) = &d.init {
-                        out.push(e);
-                    }
-                }
+            StmtKind::Decl(decls) => decls,
+            StmtKind::For { init: Some(fi), .. } => match fi.as_ref() {
+                ForInit::Decl(decls) => decls,
+                ForInit::Expr(_) => &[],
+            },
+            _ => &[],
+        }
+    }
+
+    /// All expressions evaluated directly by this statement (not including
+    /// nested statements), in evaluation order: declarator initializers, then
+    /// a `for` loop's init expression, condition and increment.
+    pub fn direct_exprs(&self) -> impl Iterator<Item = &Expr> + '_ {
+        let inits = self.declared().iter().filter_map(|d| match &d.init {
+            Some(Init::Expr(e)) => Some(e),
+            _ => None,
+        });
+        let (first, cond, inc) = match &self.kind {
+            StmtKind::Expr(e) | StmtKind::Case { value: e } | StmtKind::Return(Some(e)) => {
+                (Some(e), None, None)
             }
             StmtKind::If { cond, .. }
             | StmtKind::While { cond, .. }
             | StmtKind::DoWhile { cond, .. }
-            | StmtKind::Switch { cond, .. } => out.push(cond),
+            | StmtKind::Switch { cond, .. } => (Some(cond), None, None),
             StmtKind::For {
                 init, cond, inc, ..
             } => {
-                if let Some(fi) = init {
-                    match fi.as_ref() {
-                        ForInit::Expr(e) => out.push(e),
-                        ForInit::Decl(decls) => {
-                            for d in decls {
-                                if let Some(Init::Expr(e)) = &d.init {
-                                    out.push(e);
-                                }
-                            }
-                        }
-                    }
-                }
-                if let Some(c) = cond {
-                    out.push(c);
-                }
-                if let Some(i) = inc {
-                    out.push(i);
-                }
+                let init = match init.as_deref() {
+                    Some(ForInit::Expr(e)) => Some(e),
+                    _ => None,
+                };
+                (init, cond.as_ref(), inc.as_ref())
             }
-            StmtKind::Case { value } => out.push(value),
-            StmtKind::Return(Some(e)) => out.push(e),
-            _ => {}
-        }
-        out
+            _ => (None, None, None),
+        };
+        inits.chain(first).chain(cond).chain(inc)
     }
 }
 

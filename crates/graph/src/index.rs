@@ -6,15 +6,18 @@
 //! information (enclosing loops, array subscripts, loop bounds) on demand.
 //!
 //! [`StmtIndex`] is the AST side of that structure: for every statement it
-//! records the enclosing loop stack, the enclosing offload kernel and
-//! `target data` region (if any), the parent statement and a stable source
-//! order. [`AstCfg`] pairs it with the [`Cfg`] for the same function.
+//! records the innermost enclosing loop, the enclosing offload kernel and
+//! `target data` region (if any), the parent statement, a stable source
+//! order and the extent of the statement's subtree in that order, in a
+//! dense table addressed by statement id ([`NodeTable`]). [`AstCfg`] pairs
+//! it with the [`Cfg`] for the same function.
 
 use crate::cfg::Cfg;
+use crate::table::NodeTable;
 use ompdart_frontend::ast::{FunctionDef, NodeId, Stmt, StmtKind, TranslationUnit};
 use ompdart_frontend::omp::DirectiveKind;
 use ompdart_frontend::source::Span;
-use std::collections::HashMap;
+use ompdart_frontend::Symbol;
 
 /// Coarse classification of a statement, stored in the index so queries do
 /// not need access to the AST node itself.
@@ -84,8 +87,9 @@ pub struct StmtInfo {
     pub kind: StmtKindTag,
     /// Parent statement (None for the function body).
     pub parent: Option<NodeId>,
-    /// Enclosing loops, outermost first.
-    pub enclosing_loops: Vec<NodeId>,
+    /// The innermost loop enclosing the statement (never the statement
+    /// itself); the whole loop stack is [`StmtIndex::loops_outward`].
+    pub enclosing_loop: Option<NodeId>,
     /// The offload kernel directive statement this statement executes inside,
     /// if any.
     pub enclosing_kernel: Option<NodeId>,
@@ -95,13 +99,17 @@ pub struct StmtInfo {
     pub offloaded: bool,
     /// Pre-order position within the function (source order).
     pub order: usize,
+    /// One past the position of the statement's last descendant: the
+    /// statements it contains are exactly those at `order + 1 .. end`.
+    pub end: usize,
 }
 
-/// The AST-side index for a single function.
+/// The AST-side index for a single function: its statements' facts in a
+/// [`NodeTable`] addressed by statement id, stored in source order.
 #[derive(Clone, Debug, Default)]
 pub struct StmtIndex {
-    pub function: String,
-    stmts: HashMap<NodeId, StmtInfo>,
+    pub function: Symbol,
+    stmts: NodeTable<StmtInfo>,
     /// Offload kernel statements in source order.
     kernels: Vec<NodeId>,
     /// Loop statements in source order.
@@ -112,60 +120,70 @@ pub struct StmtIndex {
     updates: Vec<NodeId>,
 }
 
+/// What a statement's descendants inherit from it and its ancestors.
+#[derive(Clone, Copy, Default)]
+struct Scope {
+    parent: Option<NodeId>,
+    enclosing_loop: Option<NodeId>,
+    kernel: Option<NodeId>,
+    data_region: Option<NodeId>,
+}
+
 impl StmtIndex {
     /// Build the index for a function definition.
     pub fn build(func: &FunctionDef) -> StmtIndex {
         let mut index = StmtIndex {
-            function: func.name.to_string(),
+            function: func.name,
             ..Default::default()
         };
+        let mut stmts = Vec::new();
         if let Some(body) = &func.body {
-            let mut ctx = WalkCtx::default();
-            index.visit(body, &mut ctx);
+            index.visit(&mut stmts, body, Scope::default());
         }
+        index.stmts = NodeTable::from_values(stmts, |info| info.id);
         index
     }
 
-    fn visit(&mut self, stmt: &Stmt, ctx: &mut WalkCtx) {
+    fn visit(&mut self, stmts: &mut Vec<StmtInfo>, stmt: &Stmt, scope: Scope) {
         let kind = StmtKindTag::of(stmt);
-        let info = StmtInfo {
+        let order = stmts.len();
+        stmts.push(StmtInfo {
             id: stmt.id,
             span: stmt.span,
             kind,
-            parent: ctx.parents.last().copied(),
-            enclosing_loops: ctx.loops.clone(),
-            enclosing_kernel: ctx.kernel,
-            enclosing_data_region: ctx.data_region,
-            offloaded: ctx.kernel.is_some(),
-            order: self.stmts.len(),
+            parent: scope.parent,
+            enclosing_loop: scope.enclosing_loop,
+            enclosing_kernel: scope.kernel,
+            enclosing_data_region: scope.data_region,
+            offloaded: scope.kernel.is_some(),
+            order,
+            end: order + 1,
+        });
+        let mut inner = Scope {
+            parent: Some(stmt.id),
+            ..scope
         };
-        self.stmts.insert(stmt.id, info);
         match kind {
-            StmtKindTag::OmpKernel => self.kernels.push(stmt.id),
-            StmtKindTag::OmpTargetData => self.data_regions.push(stmt.id),
+            StmtKindTag::OmpKernel => {
+                self.kernels.push(stmt.id);
+                inner.kernel = Some(stmt.id);
+            }
+            StmtKindTag::OmpTargetData => {
+                self.data_regions.push(stmt.id);
+                inner.data_region = Some(stmt.id);
+            }
             StmtKindTag::OmpTargetUpdate => self.updates.push(stmt.id),
-            k if k.is_loop() => self.loops.push(stmt.id),
+            k if k.is_loop() => {
+                self.loops.push(stmt.id);
+                inner.enclosing_loop = Some(stmt.id);
+            }
             _ => {}
-        }
-
-        ctx.parents.push(stmt.id);
-        let entering_loop = kind.is_loop();
-        if entering_loop {
-            ctx.loops.push(stmt.id);
-        }
-        let prev_kernel = ctx.kernel;
-        let prev_region = ctx.data_region;
-        if kind == StmtKindTag::OmpKernel {
-            ctx.kernel = Some(stmt.id);
-        }
-        if kind == StmtKindTag::OmpTargetData {
-            ctx.data_region = Some(stmt.id);
         }
 
         match &stmt.kind {
             StmtKind::Compound(items) => {
                 for s in items {
-                    self.visit(s, ctx);
+                    self.visit(stmts, s, inner);
                 }
             }
             StmtKind::If {
@@ -173,36 +191,31 @@ impl StmtIndex {
                 else_branch,
                 ..
             } => {
-                self.visit(then_branch, ctx);
+                self.visit(stmts, then_branch, inner);
                 if let Some(e) = else_branch {
-                    self.visit(e, ctx);
+                    self.visit(stmts, e, inner);
                 }
             }
             StmtKind::While { body, .. }
             | StmtKind::DoWhile { body, .. }
             | StmtKind::For { body, .. }
             | StmtKind::Switch { body, .. } => {
-                self.visit(body, ctx);
+                self.visit(stmts, body, inner);
             }
             StmtKind::Omp(dir) => {
                 if let Some(body) = &dir.body {
-                    self.visit(body, ctx);
+                    self.visit(stmts, body, inner);
                 }
             }
             _ => {}
         }
-
-        if entering_loop {
-            ctx.loops.pop();
-        }
-        ctx.kernel = prev_kernel;
-        ctx.data_region = prev_region;
-        ctx.parents.pop();
+        stmts[order].end = stmts.len();
     }
 
-    /// Information about one statement.
+    /// Information about one statement: `None` for any other id, an
+    /// expression's or another function's included.
     pub fn info(&self, id: NodeId) -> Option<&StmtInfo> {
-        self.stmts.get(&id)
+        self.stmts.get(id)
     }
 
     /// Number of indexed statements.
@@ -234,29 +247,33 @@ impl StmtIndex {
         &self.updates
     }
 
-    /// The loop stack (outermost first) enclosing a statement.
-    pub fn enclosing_loops(&self, id: NodeId) -> &[NodeId] {
-        self.info(id)
-            .map(|i| i.enclosing_loops.as_slice())
-            .unwrap_or(&[])
+    /// The loops enclosing a statement, innermost first.
+    pub fn loops_outward(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let enclosing = |id: NodeId| self.info(id)?.enclosing_loop;
+        std::iter::successors(enclosing(id), move |l| enclosing(*l))
     }
 
-    /// The outermost loop that encloses `inner` but starts after (or at)
+    /// True if `inner` is one of the statements `outer` contains (not
+    /// `outer` itself).
+    pub fn encloses(&self, outer: NodeId, inner: NodeId) -> bool {
+        match (self.info(outer), self.info(inner)) {
+            (Some(o), Some(i)) => o.order < i.order && i.order < o.end,
+            _ => false,
+        }
+    }
+
+    /// The outermost loop that encloses `inner` but starts after
     /// `limit`'s position, mirroring the `locLim` parameter of the paper's
     /// Algorithm 1.
     pub fn outermost_loop_after(&self, inner: NodeId, limit: Option<NodeId>) -> Option<NodeId> {
         let limit_order = limit.and_then(|l| self.info(l)).map(|i| i.order);
-        let loops = self.enclosing_loops(inner);
-        for &loop_id in loops {
-            let order = self.info(loop_id)?.order;
-            if let Some(lim) = limit_order {
-                if order <= lim {
-                    continue;
-                }
-            }
-            return Some(loop_id);
-        }
-        None
+        let after_limit = |l: &NodeId| match (limit_order, self.info(*l)) {
+            (Some(lim), Some(info)) => info.order > lim,
+            (Some(_), None) => false,
+            (None, _) => true,
+        };
+        // Loops nest, so the ones after the limit are the innermost few.
+        self.loops_outward(inner).take_while(after_limit).last()
     }
 
     /// True if statement `a` appears before statement `b` in source order.
@@ -268,19 +285,9 @@ impl StmtIndex {
     }
 
     /// All statements, in source order.
-    pub fn stmts_in_order(&self) -> Vec<&StmtInfo> {
-        let mut v: Vec<&StmtInfo> = self.stmts.values().collect();
-        v.sort_by_key(|i| i.order);
-        v
+    pub fn stmts_in_order(&self) -> &[StmtInfo] {
+        self.stmts.values()
     }
-}
-
-#[derive(Default)]
-struct WalkCtx {
-    parents: Vec<NodeId>,
-    loops: Vec<NodeId>,
-    kernel: Option<NodeId>,
-    data_region: Option<NodeId>,
 }
 
 /// The hybrid AST-CFG for one function: the control-flow graph plus the
@@ -330,9 +337,11 @@ impl ProgramGraphs {
         ProgramGraphs { functions }
     }
 
-    /// The graph for a specific function.
-    pub fn function(&self, name: &str) -> Option<&AstCfg> {
-        self.functions.iter().find(|g| g.function() == name)
+    /// The graph for a specific function: interned names compare as
+    /// integers.
+    pub fn function(&self, name: impl Into<Symbol>) -> Option<&AstCfg> {
+        let name = name.into();
+        self.functions.iter().find(|g| g.index.function == name)
     }
 
     /// Total number of offload kernels across the program.
@@ -418,7 +427,8 @@ void compute(double *a, double *partial, int n, int m) {
             }
         });
         let target = target.unwrap();
-        let loops = g.index.enclosing_loops(target);
+        let mut loops: Vec<NodeId> = g.index.loops_outward(target).collect();
+        loops.reverse();
         assert_eq!(loops.len(), 2);
         // outermost (j loop) first
         assert!(g.index.is_before(loops[0], loops[1]));
@@ -458,16 +468,17 @@ void f(double *a, int n) {
             }
         });
         let host_read = host_read.unwrap();
+        let loops: Vec<NodeId> = g.index.loops_outward(host_read).collect();
         // Without a limit the outermost enclosing loop is the `it` loop...
         let unlimited = g.index.outermost_loop_after(host_read, None).unwrap();
-        assert_eq!(g.index.enclosing_loops(host_read)[0], unlimited);
+        assert_eq!(loops[1], unlimited);
         // ...but limited by the kernel's position (locLim) only the inner
         // summation loop qualifies.
         let limited = g
             .index
             .outermost_loop_after(host_read, Some(g.index.kernels()[0]))
             .unwrap();
-        assert_eq!(g.index.enclosing_loops(host_read)[1], limited);
+        assert_eq!(loops[0], limited);
     }
 
     #[test]
@@ -529,5 +540,59 @@ void f(double *a, int n) {
             assert_eq!(info.order, i);
         }
         assert_eq!(ordered.len(), g.index.len());
+    }
+
+    #[test]
+    fn expression_ids_and_other_functions_ids_have_no_info() {
+        let src = "int g(int x) { return x + 1; }\n".to_string() + NESTED;
+        let (_f, graphs, unit) = graphs(&src);
+        let g = graphs.function("compute").unwrap();
+        let func = unit.function("compute").unwrap();
+        let mut exprs = 0;
+        func.body.as_ref().unwrap().walk(&mut |s| {
+            for e in s.direct_exprs() {
+                e.walk(&mut |e| {
+                    assert!(g.index.info(e.id).is_none(), "expression {:?}", e.id);
+                    exprs += 1;
+                });
+            }
+        });
+        assert!(exprs > 10);
+        let other = unit.function("g").unwrap();
+        other.body.as_ref().unwrap().walk(&mut |s| {
+            assert!(g.index.info(s.id).is_none());
+            assert!(graphs.function("g").unwrap().index.info(s.id).is_some());
+        });
+        for id in [func.id, other.id, NodeId(0), NodeId(u32::MAX)] {
+            assert!(g.index.info(id).is_none(), "{id:?}");
+        }
+    }
+
+    #[test]
+    fn subtree_extents_follow_the_statement_nesting() {
+        let (_f, graphs, unit) = graphs(NESTED);
+        let g = graphs.function("compute").unwrap();
+        let body = unit.function("compute").unwrap().body.as_ref().unwrap();
+        assert_eq!(g.index.info(body.id).unwrap().end, g.index.len());
+        body.walk(&mut |s| {
+            let info = g.index.info(s.id).unwrap();
+            let mut inside = Vec::new();
+            s.walk(&mut |d| inside.push(d.id));
+            assert_eq!(info.end - info.order, inside.len());
+            for other in g.index.stmts_in_order() {
+                let contained = inside[1..].contains(&other.id);
+                assert_eq!(g.index.encloses(s.id, other.id), contained);
+            }
+            let loops: Vec<NodeId> = g.index.loops_outward(s.id).collect();
+            for l in &loops {
+                assert!(g.index.encloses(*l, s.id));
+            }
+            assert_eq!(
+                loops.len(),
+                (g.index.loops().iter())
+                    .filter(|l| g.index.encloses(**l, s.id))
+                    .count()
+            );
+        });
     }
 }

@@ -13,6 +13,8 @@
 //!   and offload-region marking,
 //! * [`index::StmtIndex`] — the AST-side index (enclosing loops, enclosing
 //!   kernel, enclosing `target data` region, source order),
+//! * [`table::NodeTable`] — the dense per-node table the index and the
+//!   analysis keep their per-statement facts in, addressed by node id,
 //! * [`index::AstCfg`] / [`index::ProgramGraphs`] — the combined hybrid
 //!   representation for a function / a whole translation unit.
 //!
@@ -35,6 +37,8 @@
 
 pub mod cfg;
 pub mod index;
+pub mod table;
 
 pub use cfg::{Cfg, CfgEdge, CfgNode, CfgNodeId, CfgNodeKind, EdgeKind};
 pub use index::{AstCfg, ProgramGraphs, StmtIndex, StmtInfo, StmtKindTag};
+pub use table::NodeTable;

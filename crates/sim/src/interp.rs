@@ -10,7 +10,7 @@
 //! metrics the paper reports (Figures 3-6) can be computed for any program
 //! variant.
 
-use crate::memory::{DeviceEnv, Memory, ObjectKind};
+use crate::memory::{DeviceEnv, Memory, ObjectKind, Section};
 use crate::profile::{CostModel, TransferProfile};
 use crate::value::{ObjectId, Pointer, Value};
 use ompdart_frontend::ast::*;
@@ -616,9 +616,9 @@ impl<'a> Interpreter<'a> {
             DirectiveKind::TargetEnterData => {
                 let actions = self.mapping_actions(dir)?;
                 let (calls, bytes_before) = (self.profile.htod_calls, self.profile.htod_bytes);
-                for (obj, map_type, bytes) in actions {
+                for (obj, map_type, section) in actions {
                     self.device
-                        .map_enter(&self.mem, obj, map_type, bytes, &mut self.profile);
+                        .map_enter(&self.mem, obj, map_type, section, &mut self.profile);
                 }
                 // Attribute the traffic this directive caused to the
                 // enter-data sub-counters (refcounting may have skipped some
@@ -630,9 +630,9 @@ impl<'a> Interpreter<'a> {
             DirectiveKind::TargetExitData => {
                 let actions = self.mapping_actions(dir)?;
                 let (calls, bytes_before) = (self.profile.dtoh_calls, self.profile.dtoh_bytes);
-                for (obj, map_type, bytes) in actions {
+                for (obj, map_type, section) in actions {
                     self.device
-                        .map_exit(&mut self.mem, obj, map_type, bytes, &mut self.profile);
+                        .map_exit(&mut self.mem, obj, map_type, section, &mut self.profile);
                 }
                 self.profile.exit_dtoh_calls += self.profile.dtoh_calls - calls;
                 self.profile.exit_dtoh_bytes += self.profile.dtoh_bytes - bytes_before;
@@ -655,17 +655,17 @@ impl<'a> Interpreter<'a> {
 
     fn exec_target_data(&mut self, dir: &OmpDirective) -> Result<Flow, SimError> {
         let actions = self.mapping_actions(dir)?;
-        for (obj, map_type, bytes) in &actions {
+        for (obj, map_type, section) in &actions {
             self.device
-                .map_enter(&self.mem, *obj, *map_type, *bytes, &mut self.profile);
+                .map_enter(&self.mem, *obj, *map_type, *section, &mut self.profile);
         }
         let flow = match &dir.body {
             Some(body) => self.exec_stmt(body)?,
             None => Flow::Normal,
         };
-        for (obj, map_type, bytes) in actions.iter().rev() {
+        for (obj, map_type, section) in actions.iter().rev() {
             self.device
-                .map_exit(&mut self.mem, *obj, *map_type, *bytes, &mut self.profile);
+                .map_exit(&mut self.mem, *obj, *map_type, *section, &mut self.profile);
         }
         Ok(flow)
     }
@@ -675,10 +675,10 @@ impl<'a> Interpreter<'a> {
             match clause {
                 Clause::UpdateTo(items) => {
                     for item in items {
-                        if let Some((obj, bytes)) = self.resolve_map_item(item)? {
+                        if let Some((obj, section)) = self.resolve_map_item(item)? {
                             if !self
                                 .device
-                                .update_to(&self.mem, obj, bytes, &mut self.profile)
+                                .update_to(&self.mem, obj, section, &mut self.profile)
                             {
                                 self.warn(format!(
                                     "target update to({}): not present, so by the \
@@ -691,11 +691,11 @@ impl<'a> Interpreter<'a> {
                 }
                 Clause::UpdateFrom(items) => {
                     for item in items {
-                        if let Some((obj, bytes)) = self.resolve_map_item(item)? {
+                        if let Some((obj, section)) = self.resolve_map_item(item)? {
                             if !self.device.update_from(
                                 &mut self.mem,
                                 obj,
-                                bytes,
+                                section,
                                 &mut self.profile,
                             ) {
                                 self.warn(format!(
@@ -713,49 +713,60 @@ impl<'a> Interpreter<'a> {
         Ok(())
     }
 
-    /// Resolve a map item to the object it maps and the byte count to
-    /// account for a transfer of it (array-section aware).
-    fn resolve_map_item(&mut self, item: &MapItem) -> Result<Option<(ObjectId, u64)>, SimError> {
+    /// Resolve a map item to the object it maps and the elements of it the
+    /// item names. A section of a pointer counts from where the pointer
+    /// points; the first subscript of a section of a multidimensional array
+    /// selects whole rows.
+    fn resolve_map_item(
+        &mut self,
+        item: &MapItem,
+    ) -> Result<Option<(ObjectId, Section)>, SimError> {
         let Some(var_obj) = self.lookup(&item.var) else {
             self.warn(format!("mapped variable `{}` is not in scope", item.var));
             return Ok(None);
         };
         // A pointer variable maps the data it points to.
-        let target = match self.mem.object(var_obj).kind {
+        let (target, offset) = match self.mem.object(var_obj).kind {
             ObjectKind::Scalar => match self.mem.read(var_obj, 0) {
-                Value::Ptr(p) => p.object,
-                _ => var_obj,
+                Value::Ptr(p) => (p.object, p.offset),
+                _ => (var_obj, 0),
             },
-            _ => var_obj,
+            _ => (var_obj, 0),
         };
-        let whole = self.mem.object(target).size_bytes();
-        let elem = self.mem.object(target).elem_bytes;
-        let bytes = match item.sections.first() {
-            Some(section) => {
-                let len = match &section.length {
-                    Some(e) => self.eval(e)?.as_i64().max(0) as u64,
-                    None => self.mem.object(target).len() as u64,
-                };
-                (len * elem).min(whole.max(elem * len))
-            }
-            None => whole,
+        let Some(section) = item.sections.first() else {
+            return Ok(Some((target, Section::whole(self.mem.object(target)))));
         };
-        Ok(Some((target, bytes)))
+        let row = self.mem.object(target).strides()[0].max(1);
+        let rows = (self.mem.object(target).len() / row) as i64;
+        let lb = match &section.lower {
+            Some(e) => self.eval(e)?.as_i64(),
+            None => 0,
+        };
+        let len = match &section.length {
+            Some(e) => self.eval(e)?.as_i64(),
+            None => rows.saturating_sub(lb),
+        };
+        let len = len.max(0) as u64;
+        let section = Section {
+            lb: offset.saturating_add(lb.saturating_mul(row as i64)),
+            len: len.saturating_mul(row as u64),
+        };
+        Ok(Some((target, section)))
     }
 
-    /// Expand the `map` clauses of a directive into (object, map type, bytes)
-    /// actions.
+    /// Expand the `map` clauses of a directive into (object, map type,
+    /// section) actions.
     fn mapping_actions(
         &mut self,
         dir: &OmpDirective,
-    ) -> Result<Vec<(ObjectId, MapType, u64)>, SimError> {
+    ) -> Result<Vec<(ObjectId, MapType, Section)>, SimError> {
         let mut actions = Vec::new();
         for clause in &dir.clauses {
             if let Clause::Map { map_type, items } = clause {
                 let mt = map_type.unwrap_or(MapType::ToFrom);
                 for item in items {
-                    if let Some((obj, bytes)) = self.resolve_map_item(item)? {
-                        actions.push((obj, mt, bytes));
+                    if let Some((obj, section)) = self.resolve_map_item(item)? {
+                        actions.push((obj, mt, section));
                     }
                 }
             }
@@ -765,7 +776,7 @@ impl<'a> Interpreter<'a> {
 
     fn exec_kernel(&mut self, dir: &OmpDirective) -> Result<Flow, SimError> {
         // 1. Explicit clauses.
-        let mut explicit: Vec<(ObjectId, MapType, u64)> = self.mapping_actions(dir)?;
+        let mut explicit: Vec<(ObjectId, MapType, Section)> = self.mapping_actions(dir)?;
         let firstprivate: Vec<String> = dir
             .firstprivate_vars()
             .iter()
@@ -790,8 +801,7 @@ impl<'a> Interpreter<'a> {
         // 3. Reduction variables behave like tofrom-mapped scalars.
         for name in &reductions {
             if let Some(obj) = self.lookup(name) {
-                let bytes = self.mem.object(obj).elem_bytes;
-                explicit.push((obj, MapType::ToFrom, bytes));
+                explicit.push((obj, MapType::ToFrom, Section::whole(self.mem.object(obj))));
             }
         }
 
@@ -804,7 +814,7 @@ impl<'a> Interpreter<'a> {
         //    the redundancy OMPDart's explicit `firstprivate`/`map` clauses
         //    remove.
         let implicit_firstprivate: Vec<String> = Vec::new();
-        let mut implicit: Vec<(ObjectId, MapType, u64)> = Vec::new();
+        let mut implicit: Vec<(ObjectId, MapType, Section)> = Vec::new();
         for name in &referenced {
             if explicitly_handled.contains(name)
                 || private.contains(name)
@@ -823,17 +833,17 @@ impl<'a> Interpreter<'a> {
                 _ => Some(obj),
             };
             if let Some(mapped) = target {
-                let bytes = self.mem.object(mapped).size_bytes();
-                implicit.push((mapped, MapType::ToFrom, bytes));
+                let whole = Section::whole(self.mem.object(mapped));
+                implicit.push((mapped, MapType::ToFrom, whole));
             }
         }
 
         // 5. Enter all mappings.
         let mut all_maps = explicit;
         all_maps.extend(implicit);
-        for (obj, map_type, bytes) in &all_maps {
+        for (obj, map_type, section) in &all_maps {
             self.device
-                .map_enter(&self.mem, *obj, *map_type, *bytes, &mut self.profile);
+                .map_enter(&self.mem, *obj, *map_type, *section, &mut self.profile);
         }
 
         // 6. Private copies (explicit firstprivate, implicit scalar
@@ -870,9 +880,9 @@ impl<'a> Interpreter<'a> {
         self.device_scopes.pop();
 
         // 8. Exit mappings (reverse order).
-        for (obj, map_type, bytes) in all_maps.iter().rev() {
+        for (obj, map_type, section) in all_maps.iter().rev() {
             self.device
-                .map_exit(&mut self.mem, *obj, *map_type, *bytes, &mut self.profile);
+                .map_exit(&mut self.mem, *obj, *map_type, *section, &mut self.profile);
         }
         match flow {
             Flow::Return(v) => Ok(Flow::Return(v)),
@@ -1653,6 +1663,30 @@ mod tests {
         assert_eq!(opt.profile.dtoh_calls, 1);
         assert_eq!(unopt.profile.htod_calls, 10);
         assert!(opt.profile.total_bytes() < unopt.profile.total_bytes());
+    }
+
+    /// A transfer moves exactly the section its clause names: a short
+    /// `update from` leaves the host's last element stale, so what the
+    /// program prints changes with the section, and the bytes follow it.
+    #[test]
+    fn a_short_section_leaves_the_rest_stale() {
+        let program = |update: &str| {
+            format!(
+                "#define N 8\ndouble a[N];\nint main() {{\nint n = N;\n\
+                 #pragma omp target data map(alloc: a[0:n])\n{{\n\
+                 #pragma omp target\nfor (int i = 0; i < n; i++) a[i] = i + 1.0;\n\
+                 #pragma omp target update from({update})\n\
+                 printf(\"%.1f %.1f\\n\", a[0], a[n - 1]);\n}}\nreturn 0; }}\n"
+            )
+        };
+        let full = run(&program("a[0:n]"));
+        assert_eq!(full.output, vec!["1.0 8.0"]);
+        let short = run(&program("a[0:n-1]"));
+        assert_eq!(short.output, vec!["1.0 0.0"]);
+        assert_eq!(full.profile.dtoh_bytes - short.profile.dtoh_bytes, 8);
+        // Shifted by one, the first element is the stale one.
+        let shifted = run(&program("a[1:n-1]"));
+        assert_eq!(shifted.output, vec!["0.0 8.0"]);
     }
 
     #[test]

@@ -47,6 +47,6 @@ pub use interp::{
     format_printf, referenced_outer_vars, simulate, simulate_source, Interpreter, Outcome,
     SimConfig, SimError,
 };
-pub use memory::{DeviceEntry, DeviceEnv, MemObject, Memory, ObjectKind};
+pub use memory::{DeviceEntry, DeviceEnv, MemObject, Memory, ObjectKind, Section};
 pub use profile::{format_bytes, geometric_mean, CostModel, TransferProfile};
 pub use value::{ObjectId, Pointer, Value};

@@ -172,6 +172,45 @@ impl Memory {
     }
 }
 
+/// The elements of an object one map item names, `[lb, lb + len)` in the
+/// object's flat storage. A transfer of it copies exactly those elements
+/// that lie inside the object and is accounted as `len` elements, as the
+/// clause says.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Section {
+    pub lb: i64,
+    pub len: u64,
+}
+
+impl Section {
+    /// The whole object.
+    pub fn whole(obj: &MemObject) -> Section {
+        Section {
+            lb: 0,
+            len: obj.len() as u64,
+        }
+    }
+
+    /// The elements of an object of `n` elements this section copies.
+    fn range(self, n: usize) -> std::ops::Range<usize> {
+        let clamp = |at: i64| at.clamp(0, n as i64) as usize;
+        let end = self.lb.saturating_add(self.len.min(i64::MAX as u64) as i64);
+        clamp(self.lb)..clamp(end)
+    }
+
+    /// The bytes a transfer of this section of `obj` accounts for.
+    fn bytes(self, obj: &MemObject) -> u64 {
+        self.len.saturating_mul(obj.elem_bytes)
+    }
+}
+
+/// Copy the elements of `section` from `src` to `dst` (two copies of one
+/// object).
+fn copy_section(dst: &mut [Value], src: &[Value], section: Section) {
+    let range = section.range(src.len().min(dst.len()));
+    dst[range.clone()].copy_from_slice(&src[range]);
+}
+
 /// One entry of the device present table.
 #[derive(Clone, Debug)]
 pub struct DeviceEntry {
@@ -200,41 +239,41 @@ impl DeviceEnv {
         self.entries.get(&id).map(|e| e.ref_count).unwrap_or(0)
     }
 
-    /// Enter a mapping for `id` with the given map type. `bytes` is the
-    /// transfer size to account if a copy happens (the caller computes it
-    /// from array sections). Data is physically copied whole-object to keep
-    /// the simulation simple; accounting uses `bytes`.
+    /// Enter a mapping of `section` of `id` with the given map type. The
+    /// device allocation always holds the whole object; a copy moves the
+    /// section only.
     pub fn map_enter(
         &mut self,
         host: &Memory,
         id: ObjectId,
         map_type: MapType,
-        bytes: u64,
+        section: Section,
         profile: &mut TransferProfile,
     ) {
-        let host_len = host.object(id).len();
+        let obj = host.object(id);
         let entry = self.entries.entry(id).or_insert_with(|| {
             profile.device_allocs += 1;
             DeviceEntry {
-                data: vec![Value::Unit; host_len],
+                data: vec![Value::Unit; obj.len()],
                 ref_count: 0,
             }
         });
         if entry.ref_count == 0 && map_type.copies_to_device() {
-            entry.data.clone_from(&host.object(id).data);
-            profile.record_htod(bytes);
+            copy_section(&mut entry.data, &obj.data, section);
+            profile.record_htod(section.bytes(obj));
         }
         entry.ref_count += 1;
     }
 
-    /// Exit a mapping for `id`. Copies back to the host only when the
-    /// reference count drops to zero and the map type requests it.
+    /// Exit a mapping of `section` of `id`. Copies the section back to the
+    /// host only when the reference count drops to zero and the map type
+    /// requests it.
     pub fn map_exit(
         &mut self,
         host: &mut Memory,
         id: ObjectId,
         map_type: MapType,
-        bytes: u64,
+        section: Section,
         profile: &mut TransferProfile,
     ) {
         let remove = if let Some(entry) = self.entries.get_mut(&id) {
@@ -243,8 +282,9 @@ impl DeviceEnv {
             }
             if entry.ref_count == 0 {
                 if map_type.copies_to_host() {
-                    host.object_mut(id).data.clone_from(&entry.data);
-                    profile.record_dtoh(bytes);
+                    let obj = host.object_mut(id);
+                    copy_section(&mut obj.data, &entry.data, section);
+                    profile.record_dtoh(section.bytes(obj));
                 }
                 true
             } else {
@@ -258,38 +298,41 @@ impl DeviceEnv {
         }
     }
 
-    /// `target update to(...)`: refresh the device copy from the host. The
-    /// update is unconditional whenever the object is present. Returns true
-    /// if the object was present.
+    /// `target update to(...)`: refresh `section` of the device copy from
+    /// the host. The update is unconditional whenever the object is present.
+    /// Returns true if the object was present.
     pub fn update_to(
         &mut self,
         host: &Memory,
         id: ObjectId,
-        bytes: u64,
+        section: Section,
         profile: &mut TransferProfile,
     ) -> bool {
         match self.entries.get_mut(&id) {
             Some(entry) => {
-                entry.data.clone_from(&host.object(id).data);
-                profile.record_htod(bytes);
+                let obj = host.object(id);
+                copy_section(&mut entry.data, &obj.data, section);
+                profile.record_htod(section.bytes(obj));
                 true
             }
             None => false,
         }
     }
 
-    /// `target update from(...)`: refresh the host copy from the device.
+    /// `target update from(...)`: refresh `section` of the host copy from
+    /// the device.
     pub fn update_from(
         &mut self,
         host: &mut Memory,
         id: ObjectId,
-        bytes: u64,
+        section: Section,
         profile: &mut TransferProfile,
     ) -> bool {
         match self.entries.get(&id) {
             Some(entry) => {
-                host.object_mut(id).data.clone_from(&entry.data);
-                profile.record_dtoh(bytes);
+                let obj = host.object_mut(id);
+                copy_section(&mut obj.data, &entry.data, section);
+                profile.record_dtoh(section.bytes(obj));
                 true
             }
             None => false,
@@ -373,14 +416,15 @@ mod tests {
     #[test]
     fn map_to_copies_once() {
         let (mem, id) = setup_array(8);
+        let whole = Section::whole(mem.object(id));
         let mut dev = DeviceEnv::new();
         let mut prof = TransferProfile::default();
-        dev.map_enter(&mem, id, MapType::To, 64, &mut prof);
+        dev.map_enter(&mem, id, MapType::To, whole, &mut prof);
         assert_eq!(prof.htod_calls, 1);
         assert_eq!(prof.htod_bytes, 64);
         assert!(dev.is_present(id));
         // Nested mapping: no additional copy.
-        dev.map_enter(&mem, id, MapType::To, 64, &mut prof);
+        dev.map_enter(&mem, id, MapType::To, whole, &mut prof);
         assert_eq!(prof.htod_calls, 1);
         assert_eq!(dev.ref_count(id), 2);
     }
@@ -390,18 +434,19 @@ mod tests {
         // Reproduces the Listing 3 trap: an inner `from` mapping nested in an
         // outer mapping does not copy anything until the outer region exits.
         let (mut mem, id) = setup_array(4);
+        let whole = Section::whole(mem.object(id));
         let mut dev = DeviceEnv::new();
         let mut prof = TransferProfile::default();
-        dev.map_enter(&mem, id, MapType::ToFrom, 32, &mut prof); // outer region
-        dev.map_enter(&mem, id, MapType::From, 32, &mut prof); // inner kernel
+        dev.map_enter(&mem, id, MapType::ToFrom, whole, &mut prof); // outer region
+        dev.map_enter(&mem, id, MapType::From, whole, &mut prof); // inner kernel
         dev.write(&mut mem, id, 0, Value::Double(99.0));
-        dev.map_exit(&mut mem, id, MapType::From, 32, &mut prof); // inner exit
+        dev.map_exit(&mut mem, id, MapType::From, whole, &mut prof); // inner exit
         assert_eq!(
             prof.dtoh_calls, 0,
             "inner exit must not copy while refcount > 0"
         );
         assert_eq!(mem.read(id, 0), Value::Double(0.0), "host still stale");
-        dev.map_exit(&mut mem, id, MapType::ToFrom, 32, &mut prof); // outer exit
+        dev.map_exit(&mut mem, id, MapType::ToFrom, whole, &mut prof); // outer exit
         assert_eq!(prof.dtoh_calls, 1);
         assert_eq!(mem.read(id, 0), Value::Double(99.0));
         assert!(!dev.is_present(id));
@@ -410,30 +455,32 @@ mod tests {
     #[test]
     fn alloc_map_does_not_transfer() {
         let (mut mem, id) = setup_array(4);
+        let whole = Section::whole(mem.object(id));
         let mut dev = DeviceEnv::new();
         let mut prof = TransferProfile::default();
-        dev.map_enter(&mem, id, MapType::Alloc, 32, &mut prof);
+        dev.map_enter(&mem, id, MapType::Alloc, whole, &mut prof);
         assert_eq!(prof.htod_calls, 0);
         assert_eq!(prof.device_allocs, 1);
-        dev.map_exit(&mut mem, id, MapType::Alloc, 32, &mut prof);
+        dev.map_exit(&mut mem, id, MapType::Alloc, whole, &mut prof);
         assert_eq!(prof.dtoh_calls, 0);
     }
 
     #[test]
     fn update_directions() {
         let (mut mem, id) = setup_array(4);
+        let whole = Section::whole(mem.object(id));
         let mut dev = DeviceEnv::new();
         let mut prof = TransferProfile::default();
-        dev.map_enter(&mem, id, MapType::Alloc, 32, &mut prof);
-        assert!(dev.update_to(&mem, id, 32, &mut prof));
+        dev.map_enter(&mem, id, MapType::Alloc, whole, &mut prof);
+        assert!(dev.update_to(&mem, id, whole, &mut prof));
         assert_eq!(prof.htod_calls, 1);
         dev.write(&mut mem, id, 1, Value::Double(-5.0));
-        assert!(dev.update_from(&mut mem, id, 32, &mut prof));
+        assert!(dev.update_from(&mut mem, id, whole, &mut prof));
         assert_eq!(prof.dtoh_calls, 1);
         assert_eq!(mem.read(id, 1), Value::Double(-5.0));
         // Updates on absent objects are no-ops reported to the caller.
         let other = mem.alloc("b", ObjectKind::Scalar, 8, true);
-        assert!(!dev.update_to(&mem, other, 8, &mut prof));
+        assert!(!dev.update_to(&mem, other, Section::whole(mem.object(other)), &mut prof));
     }
 
     #[test]
@@ -450,13 +497,48 @@ mod tests {
         // Device writes are invisible on the host until copied back: this is
         // exactly the bug class OMPDart must avoid introducing.
         let (mut mem, id) = setup_array(2);
+        let whole = Section::whole(mem.object(id));
         let mut dev = DeviceEnv::new();
         let mut prof = TransferProfile::default();
-        dev.map_enter(&mem, id, MapType::To, 16, &mut prof);
+        dev.map_enter(&mem, id, MapType::To, whole, &mut prof);
         dev.write(&mut mem, id, 0, Value::Double(42.0));
         assert_eq!(mem.read(id, 0), Value::Double(0.0));
-        dev.map_exit(&mut mem, id, MapType::To, 16, &mut prof);
+        dev.map_exit(&mut mem, id, MapType::To, whole, &mut prof);
         // `to` never copies back: the device result is lost.
         assert_eq!(mem.read(id, 0), Value::Double(0.0));
+    }
+
+    #[test]
+    fn a_section_copies_only_its_elements() {
+        let (mut mem, id) = setup_array(4);
+        let mut dev = DeviceEnv::new();
+        let mut prof = TransferProfile::default();
+        let shifted = Section { lb: 1, len: 2 };
+        dev.map_enter(&mem, id, MapType::To, shifted, &mut prof);
+        assert_eq!(prof.htod_bytes, 16);
+        // Allocated whole, copied in part.
+        let device: Vec<Value> = (0..4).map(|i| dev.read(&mem, id, i)).collect();
+        assert_eq!(device[0], Value::Unit);
+        assert_eq!(device[1..3], [Value::Double(1.0), Value::Double(2.0)]);
+        assert_eq!(device[3], Value::Unit);
+        for i in 0..4 {
+            dev.write(&mut mem, id, i, Value::Double(10.0 + i as f64));
+        }
+        // A section reaching past the object copies what lies inside it and
+        // accounts for what the clause says.
+        assert!(dev.update_from(&mut mem, id, Section { lb: 2, len: 5 }, &mut prof));
+        assert_eq!(prof.dtoh_bytes, 40);
+        let host: Vec<Value> = (0..4).map(|i| mem.read(id, i)).collect();
+        assert_eq!(
+            host,
+            [0.0, 1.0, 12.0, 13.0].map(Value::Double),
+            "elements outside the section keep the host's values"
+        );
+        assert!(dev.update_from(&mut mem, id, Section { lb: -3, len: 2 }, &mut prof));
+        assert_eq!(mem.read(id, 0), Value::Double(0.0));
+        dev.map_exit(&mut mem, id, MapType::From, shifted, &mut prof);
+        assert_eq!(mem.read(id, 1), Value::Double(11.0));
+        assert_eq!(mem.read(id, 0), Value::Double(0.0));
+        assert!(!dev.is_present(id));
     }
 }

@@ -41,15 +41,16 @@ fn main() {
     eprintln!("  kernels: {}", g.kernel_count());
     eprintln!("  loops:   {}", g.index.loops().len());
     for info in g.index.stmts_in_order() {
+        let depth = g.index.loops_outward(info.id).count();
         eprintln!(
             "  stmt #{:<3} {:?}{}{}",
             info.order,
             info.kind,
             if info.offloaded { "  [device]" } else { "" },
-            if info.enclosing_loops.is_empty() {
+            if depth == 0 {
                 String::new()
             } else {
-                format!("  (loop depth {})", info.enclosing_loops.len())
+                format!("  (loop depth {depth})")
             }
         );
     }

@@ -134,7 +134,11 @@ fn plan_json_is_byte_identical_to_goldens() {
         let analysis = tool
             .analyze(&bench.unoptimized_file(), bench.unoptimized)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(analysis.plans_json(), golden, "{name}: plan JSON moved off its golden");
+        assert_eq!(
+            analysis.plans_json(),
+            golden,
+            "{name}: plan JSON moved off its golden"
+        );
     }
 
     let units: Vec<(String, String)> = benchmarks::lulesh_multifile()

@@ -21,7 +21,7 @@ use ompdart_frontend::omp::MapType;
 use ompdart_frontend::parser::parse_str;
 use ompdart_frontend::source::Span;
 use ompdart_sim::{
-    simulate_source, DeviceEnv, Memory, ObjectKind, SimConfig, TransferProfile, Value,
+    simulate_source, DeviceEnv, Memory, ObjectKind, Section, SimConfig, TransferProfile, Value,
 };
 use proptest::prelude::*;
 
@@ -546,10 +546,11 @@ proptest! {
         let mut dev = DeviceEnv::new();
         let mut profile = TransferProfile::default();
         let kinds: Vec<MapType> = map_types.iter().map(|v| to_type(*v)).collect();
+        let whole = Section::whole(mem.object(obj));
 
         // Enter all mappings (nested), then exit in reverse order.
         for mt in &kinds {
-            dev.map_enter(&mem, obj, *mt, 128, &mut profile);
+            dev.map_enter(&mem, obj, *mt, whole, &mut profile);
         }
         prop_assert_eq!(dev.ref_count(obj), kinds.len() as u32);
         // At most one HtoD copy can have happened, and only if the OUTERMOST
@@ -558,7 +559,7 @@ proptest! {
         prop_assert_eq!(profile.htod_calls, expected_htod);
 
         for mt in kinds.iter().rev() {
-            dev.map_exit(&mut mem, obj, *mt, 128, &mut profile);
+            dev.map_exit(&mut mem, obj, *mt, whole, &mut profile);
         }
         prop_assert!(!dev.is_present(obj), "object must be released after balanced exits");
         // At most one DtoH copy, and only if the outermost mapping requests it.

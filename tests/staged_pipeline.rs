@@ -227,3 +227,65 @@ fn stage_errors_are_typed_and_carry_their_stage() {
     });
     assert!(lenient.analyze("ace_expert.c", mapped).is_ok());
 }
+
+/// The precondition of the analysis's dense per-node tables: within one
+/// parse, a function's statement ids occupy one contiguous range, numbered
+/// before the function's own id, that no other function's ids enter — on
+/// every port and on a generated corpus. The statement index answers `None`,
+/// and does not panic, for an expression's id and for any id outside the
+/// function.
+#[test]
+fn a_functions_statement_ids_are_one_range_of_its_own() {
+    let ports = ompdart_suite::all_benchmarks().into_iter();
+    let ports = ports.map(|b| (b.unoptimized_file(), b.unoptimized.to_string()));
+    let linked = ompdart_suite::benchmarks::lulesh_multifile().into_iter();
+    let linked = linked.map(|(name, src)| (name.to_string(), src.to_string()));
+    let units: Vec<(String, String)> = ports
+        .chain(linked)
+        .chain(ompdart_suite::corpus::generate(50, 7))
+        .collect();
+    let mut functions = 0;
+    for (name, source) in &units {
+        let parsed = stage_parse(name, source).unwrap();
+        let graphs = stage_graphs(&parsed.unit);
+        // Per function: its id, its statement ids and its expression ids.
+        let mut ids = Vec::new();
+        for func in parsed.unit.functions() {
+            let (mut stmts, mut exprs) = (Vec::new(), Vec::new());
+            func.body.as_ref().unwrap().walk(&mut |s| {
+                stmts.push(s.id);
+                for e in s.direct_exprs() {
+                    e.walk(&mut |e| exprs.push(e.id));
+                }
+            });
+            ids.push((func, stmts, exprs));
+        }
+        for (func, stmts, exprs) in &ids {
+            let (lo, hi) = (stmts.iter().min().unwrap(), stmts.iter().max().unwrap());
+            assert_eq!(*hi, func.body.as_ref().unwrap().id, "{name}: {}", func.name);
+            assert!(
+                hi.0 < func.id.0,
+                "{name}: `{}` is numbered before its body",
+                func.name
+            );
+            let index = &graphs.graphs.function(func.name).unwrap().index;
+            assert_eq!(index.len(), stmts.len(), "{name}: {}", func.name);
+            for (other, their_stmts, _) in ids.iter().filter(|(f, ..)| f.id != func.id) {
+                for id in their_stmts.iter().chain([&other.id]) {
+                    assert!(
+                        id < lo || id > hi,
+                        "{name}: {} inside {}",
+                        other.name,
+                        func.name
+                    );
+                    assert!(index.info(*id).is_none(), "{name}: {id:?}");
+                }
+            }
+            for id in exprs.iter().chain([&func.id]) {
+                assert!(index.info(*id).is_none(), "{name}: {}: {id:?}", func.name);
+            }
+            functions += 1;
+        }
+    }
+    assert!(functions > 60, "{functions}");
+}
