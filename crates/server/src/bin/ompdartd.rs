@@ -12,7 +12,8 @@ USAGE:
 OPTIONS:
   --socket PATH         Unix socket to listen on (default: ompdartd.sock)
   --tcp ADDR            Listen on a TCP address (e.g. 127.0.0.1:7171) instead
-  --workers N           Worker threads (default: machine parallelism)
+  --workers N           Width each program's analysis fans out over
+                        (default: auto, from the machine's parallelism)
   --cache-dir DIR       Persistent store root; each program gets its own
                         subdirectory and survives daemon restarts
   --cache-max-bytes N   LRU size cap per program store (supports k/m/g suffix)
@@ -22,9 +23,11 @@ OPTIONS:
   -h, --help            Show this help
 
 The daemon speaks length-prefixed JSON (see the README's \"Analysis as a
-service\" section) and shuts down gracefully on SIGINT/SIGTERM or a
-`shutdown` request: in-flight requests drain and every program's
-write-behind store buffer is flushed before exit.";
+service\" section), serves each request on its connection's thread (one
+connection's responses come back in request order), and shuts down
+gracefully on SIGINT/SIGTERM or a `shutdown` request: in-flight requests
+finish and every program's write-behind store buffer is flushed before
+exit.";
 
 fn fail(message: &str) -> ! {
     eprintln!("error: {message}");

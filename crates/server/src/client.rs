@@ -2,10 +2,10 @@
 //! client` CLI verbs, the integration tests, and CI's scripted drivers.
 //!
 //! The client sends one request per call and blocks for the matching
-//! response (matched by `id`; the daemon may interleave responses to
-//! *other* ids if the caller pipelines, so mismatched ids are skipped, not
-//! fatal). All analysis state lives daemon-side: a client is nothing but a
-//! connected stream and a request counter.
+//! response (matched by `id`; the daemon answers a connection's requests
+//! in order, so a response to an earlier request the caller left unread is
+//! skipped, not fatal). All analysis state lives daemon-side: a client is
+//! nothing but a connected stream and a request counter.
 
 use crate::daemon::{Conn, Endpoint};
 use crate::protocol::{self, FrameError, PROTOCOL_VERSION};

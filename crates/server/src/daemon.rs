@@ -2,36 +2,40 @@
 //!
 //! The daemon listens on a unix socket (or, opted in, a TCP address) and
 //! speaks the length-prefixed JSON protocol of [`crate::protocol`]. Each
-//! connection gets a reader thread that decodes frames and *immediately*
-//! hands analysis work to the shared [`WorkerPool`], keyed by program — so
-//! one client can pipeline requests for several programs, two clients
-//! editing the same program serialize on its warm session, and two clients
-//! editing different programs run fully in parallel, each against its own
-//! [`ProgramRegistry`] session (own link state, own counters, own store
-//! subdirectory). Responses are written back under a per-connection writer
-//! lock and matched by `id`, so they may legally arrive out of submission
-//! order.
+//! connection gets one thread that reads a request, serves it and writes
+//! its response before reading the next, so responses on a connection come
+//! back in request order, pipelined or not. A request runs against its
+//! program's [`ProgramRegistry`] session (own link state, own counters, own
+//! store subdirectory): two clients editing the same program serialize on
+//! that session's request lock, and two clients editing different programs
+//! run fully in parallel.
+//!
+//! Each request is served inside a panic boundary. A panic answers a
+//! structured `analysis` error carrying the request's `id`, drops the named
+//! program's session (the next request rebuilds it, warm from its store
+//! subdirectory) and counts in `stats`' `panics`; the connection and every
+//! other program keep working.
 //!
 //! Shutdown — SIGINT, SIGTERM, or a `shutdown` request — is graceful and
 //! durable: the accept loop stops, every connection's read half is shut
-//! down (in-flight responses still deliver), reader threads are joined,
-//! the pool drains every submitted job, and **every program session's
+//! down, the connection threads are joined (each finishes the request it
+//! is serving and writes its response), and **every program session's
 //! write-behind store buffer is flushed** before the socket file is
 //! removed. A daemon killed this way restarts warm from its store.
 
-use crate::pool::WorkerPool;
 use crate::protocol::{
     self, error_response, ok_response, ErrorKind, FrameError, RequestError, PROTOCOL_VERSION,
 };
 use crate::registry::{ProgramRegistry, ProgramSession, RegistryConfig};
 use crate::signal::{self, ShutdownToken};
-use ompdart_core::pipeline::UnitAnalysis;
+use ompdart_core::pipeline::{AnalysisSession, UnitAnalysis};
 use ompdart_core::plan::{write_json_string, Json};
 use ompdart_core::{Analysis, CacheStats, UnitServe};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -90,8 +94,8 @@ impl Conn {
         }
     }
 
-    /// Stop the peer's requests from arriving while letting queued
-    /// responses drain — the graceful-shutdown half-close.
+    /// Stop the peer's requests from arriving while the response in
+    /// flight still goes out — the graceful-shutdown half-close.
     fn shutdown_read(&self) {
         let _ = match self {
             Conn::Unix(s) => s.shutdown(Shutdown::Read),
@@ -159,10 +163,9 @@ impl Listener {
 pub struct DaemonConfig {
     /// Listen endpoint.
     pub endpoint: Endpoint,
-    /// Registry (per-program session) configuration.
+    /// Registry (per-program session) configuration; `--workers` sets its
+    /// `parallelism`.
     pub registry: RegistryConfig,
-    /// Worker-pool threads (0 = the machine's parallelism).
-    pub workers: usize,
     /// Suppress per-request log lines on stderr.
     pub quiet: bool,
 }
@@ -175,7 +178,6 @@ impl DaemonConfig {
         let mut config = DaemonConfig {
             endpoint: Endpoint::Unix("ompdartd.sock".into()),
             registry: RegistryConfig::default(),
-            workers: 0,
             quiet: false,
         };
         let mut it = args.iter();
@@ -189,7 +191,7 @@ impl DaemonConfig {
             match flag.as_str() {
                 "--socket" => config.endpoint = Endpoint::Unix(value("a path")?.into()),
                 "--tcp" => config.endpoint = Endpoint::Tcp(value("an address")?.clone()),
-                "--workers" => config.workers = number(value("a number")?)?,
+                "--workers" => config.registry.parallelism = number(value("a number")?)?,
                 "--cache-dir" => config.registry.cache_dir = Some(value("a directory")?.into()),
                 "--cache-max-bytes" => {
                     config.registry.cache_max_bytes = Some(parse_size(value("a size")?)?)
@@ -223,7 +225,11 @@ pub fn parse_size(text: &str) -> Result<u64, String> {
 
 struct Shared {
     registry: ProgramRegistry,
-    pool: WorkerPool,
+    /// The width each program's analysis fans out over, as `stats` reports
+    /// it.
+    workers: usize,
+    /// Requests whose serving panicked.
+    panics: AtomicU64,
     /// Read-half clones of live connections, for the shutdown half-close.
     conns: Mutex<HashMap<u64, Conn>>,
     quiet: bool,
@@ -248,6 +254,12 @@ impl DaemonHandle {
     /// Bind the endpoint and start serving. Fails only if the socket
     /// cannot be bound. A stale unix socket file is replaced.
     pub fn spawn(config: DaemonConfig) -> std::io::Result<DaemonHandle> {
+        DaemonHandle::start(config).map(|(handle, _)| handle)
+    }
+
+    /// [`DaemonHandle::spawn`], also handing back the state every
+    /// connection thread serves from.
+    fn start(config: DaemonConfig) -> std::io::Result<(DaemonHandle, Arc<Shared>)> {
         let token = signal::install();
         let (listener, endpoint) = match &config.endpoint {
             Endpoint::Unix(path) => {
@@ -271,13 +283,14 @@ impl DaemonHandle {
             }
         };
         listener.set_nonblocking()?;
-        let workers = match config.workers {
-            0 => ompdart_core::pool::available_width(),
+        let workers = match config.registry.parallelism {
+            0 => AnalysisSession::default().parallelism(),
             n => n,
         };
         let shared = Arc::new(Shared {
             registry: ProgramRegistry::new(config.registry),
-            pool: WorkerPool::new(workers),
+            workers,
+            panics: AtomicU64::new(0),
             conns: Mutex::new(HashMap::new()),
             quiet: config.quiet,
         });
@@ -290,11 +303,12 @@ impl DaemonHandle {
         let accept = std::thread::Builder::new()
             .name("ompdartd-accept".into())
             .spawn(move || accept_loop(listener, accept_endpoint, accept_shared, accept_token))?;
-        Ok(DaemonHandle {
+        let handle = DaemonHandle {
             endpoint,
             token,
             accept: Some(accept),
-        })
+        };
+        Ok((handle, shared))
     }
 
     /// The bound endpoint (with TCP port 0 resolved to the real port).
@@ -345,7 +359,8 @@ fn accept_loop(listener: Listener, endpoint: Endpoint, shared: Arc<Shared>, toke
         }
     }
     // Graceful shutdown: no new connections (listener drops below), no new
-    // requests (half-close every reader), then drain and flush.
+    // requests (half-close every reader), let every connection thread
+    // finish the request it is serving, then flush.
     drop(listener);
     for conn in shared.conns.lock().unwrap().values() {
         conn.shutdown_read();
@@ -353,7 +368,6 @@ fn accept_loop(listener: Listener, endpoint: Endpoint, shared: Arc<Shared>, toke
     for reader in readers {
         let _ = reader.join();
     }
-    shared.pool.drain();
     let flushed = shared.registry.flush_all();
     shared.log(format_args!(
         "graceful shutdown: drained in-flight requests, flushed {flushed} store entries"
@@ -363,59 +377,35 @@ fn accept_loop(listener: Listener, endpoint: Endpoint, shared: Arc<Shared>, toke
     }
 }
 
+/// Serve one connection: read a request, answer it, write the response,
+/// repeat — so responses leave in request order.
 fn connection_loop(id: u64, mut conn: Conn, shared: Arc<Shared>, token: ShutdownToken) {
-    let writer: Arc<Mutex<Conn>> = match conn.try_clone() {
-        Ok(clone) => Arc::new(Mutex::new(clone)),
-        Err(_) => {
-            shared.conns.lock().unwrap().remove(&id);
-            return;
-        }
-    };
     loop {
-        match protocol::read_frame(&mut conn) {
-            Ok(payload) => handle_payload(&payload, &shared, &token, &writer),
+        let response = match protocol::read_frame(&mut conn) {
+            Ok(payload) => handle_payload(&payload, &shared, &token),
             Err(FrameError::Closed) => break,
             Err(e) => {
                 // The stream cannot be re-synchronized after a framing
                 // violation: report and close.
                 let err = RequestError::new(ErrorKind::BadFrame, e.to_string());
-                respond(&writer, error_response(None, &err));
+                let _ = protocol::write_frame(&mut conn, &error_response(None, &err).render());
                 break;
             }
-        }
-        if token.is_shutdown() {
+        };
+        if protocol::write_frame(&mut conn, &response).is_err() || token.is_shutdown() {
             break;
         }
     }
     shared.conns.lock().unwrap().remove(&id);
 }
 
-fn respond(writer: &Arc<Mutex<Conn>>, response: Json) {
-    respond_rendered(writer, &response.render());
-}
-
-fn respond_rendered(writer: &Arc<Mutex<Conn>>, payload: &str) {
-    let mut writer = writer
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    let _ = protocol::write_frame(&mut *writer, payload);
-}
-
-/// Decode one request payload and dispatch it. Cheap requests answer
-/// inline on the reader thread; analysis runs on the pool under the
-/// program's shard key.
-fn handle_payload(
-    payload: &str,
-    shared: &Arc<Shared>,
-    token: &ShutdownToken,
-    writer: &Arc<Mutex<Conn>>,
-) {
+/// Decode one request payload and answer it: the rendered response.
+fn handle_payload(payload: &str, shared: &Shared, token: &ShutdownToken) -> String {
     let mut request = match Json::parse(payload) {
         Ok(value) => value,
         Err(e) => {
             let err = RequestError::new(ErrorKind::BadJson, format!("invalid JSON: {e}"));
-            respond(writer, error_response(None, &err));
-            return;
+            return error_response(None, &err).render();
         }
     };
     let id = request.get("id").and_then(Json::as_int);
@@ -428,47 +418,94 @@ fn handle_payload(
                 version
             ),
         );
-        respond(writer, error_response(id, &err));
-        return;
+        return error_response(id, &err).render();
     }
-    let kind = match request.get("request").and_then(Json::as_str) {
-        Some(kind) => kind.to_string(),
-        None => {
-            let err = RequestError::new(ErrorKind::BadRequest, "missing `request` field");
-            respond(writer, error_response(id, &err));
-            return;
+    let Some(kind) = request.get("request").and_then(Json::as_str) else {
+        let err = RequestError::new(ErrorKind::BadRequest, "missing `request` field");
+        return error_response(id, &err).render();
+    };
+    let kind = kind.to_string();
+    // The session a panic leaves suspect: the one the request works on.
+    let program = match kind.as_str() {
+        "analyze" | "explain" => Some(program_key(&request)),
+        "gc" => request
+            .get("program")
+            .and_then(Json::as_str)
+            .map(str::to_string),
+        _ => None,
+    };
+    guarded(shared, id, program.as_deref(), || {
+        dispatch(&kind, &mut request, id, shared, token)
+    })
+}
+
+/// The panic boundary every request is served in: the rendered response of
+/// `serve`, or of the error it answers. A panic answers a structured
+/// `analysis` error for `id`, counts in `stats`' `panics`, and drops
+/// `program`'s session, so the next request for it rebuilds the session
+/// (warm from its store subdirectory) instead of reusing state the panic
+/// may have left half-updated — which is what makes `AssertUnwindSafe`
+/// honest.
+fn guarded(
+    shared: &Shared,
+    id: Option<i64>,
+    program: Option<&str>,
+    serve: impl FnOnce() -> Result<String, RequestError>,
+) -> String {
+    let err = match std::panic::catch_unwind(AssertUnwindSafe(serve)) {
+        Ok(Ok(response)) => return response,
+        Ok(Err(err)) => err,
+        Err(payload) => {
+            shared.panics.fetch_add(1, Ordering::Relaxed);
+            if let Some(key) = program {
+                shared.registry.remove(key);
+            }
+            let message = (payload.downcast_ref::<&str>().copied())
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("no message");
+            shared.log(format_args!(
+                "request id={id:?} panicked: {message}; dropped the session of {program:?}"
+            ));
+            RequestError::new(
+                ErrorKind::Analysis,
+                format!("internal error while serving the request: {message}"),
+            )
         }
     };
-    let outcome = match kind.as_str() {
-        "analyze" => submit_analyze(&mut request, id, shared, writer),
-        "explain" => submit_explain(&mut request, id, shared, writer),
-        "stats" => {
-            respond(writer, ok_response(id, stats_result(shared)));
-            Ok(())
+    error_response(id, &err).render()
+}
+
+/// Serve one decoded request of kind `kind`: its rendered `ok` response.
+fn dispatch(
+    kind: &str,
+    request: &mut Json,
+    id: Option<i64>,
+    shared: &Shared,
+    token: &ShutdownToken,
+) -> Result<String, RequestError> {
+    let ok = |result: Json| ok_response(id, result).render();
+    match kind {
+        "analyze" => {
+            let units = decode_units(request)?;
+            let session = shared.registry.program(&program_key(request));
+            run_analyze(shared, &session, id, &units)
         }
-        "check_plans" => handle_check_plans(&request).map(|result| {
-            respond(writer, ok_response(id, result));
-        }),
-        "gc" => handle_gc(&request, id, shared, writer),
+        "explain" => handle_explain(request, shared).map(ok),
+        "stats" => Ok(ok(stats_result(shared))),
+        "check_plans" => handle_check_plans(request).map(ok),
+        "gc" => handle_gc(request, shared).map(ok),
         "shutdown" => {
             shared.log(format_args!("shutdown requested (id={id:?})"));
-            respond(
-                writer,
-                ok_response(
-                    id,
-                    Json::Object(vec![("stopping".into(), Json::Bool(true))]),
-                ),
-            );
             token.request();
-            Ok(())
+            Ok(ok(Json::Object(vec![(
+                "stopping".into(),
+                Json::Bool(true),
+            )])))
         }
         other => Err(RequestError::new(
             ErrorKind::BadRequest,
             format!("unknown request type `{other}`"),
         )),
-    };
-    if let Err(err) = outcome {
-        respond(writer, error_response(id, &err));
     }
 }
 
@@ -577,34 +614,6 @@ fn program_key(request: &Json) -> String {
         .and_then(Json::as_str)
         .unwrap_or("default")
         .to_string()
-}
-
-fn submit_analyze(
-    request: &mut Json,
-    id: Option<i64>,
-    shared: &Arc<Shared>,
-    writer: &Arc<Mutex<Conn>>,
-) -> Result<(), RequestError> {
-    let key = program_key(request);
-    let units = decode_units(request)?;
-    let shared_job = Arc::clone(shared);
-    let writer = Arc::clone(writer);
-    let job_key = key.clone();
-    let accepted = shared.pool.submit(&key, move || {
-        let session = shared_job.registry.program(&job_key);
-        match run_analyze(&shared_job, &session, id, &units) {
-            Ok(payload) => respond_rendered(&writer, &payload),
-            Err(err) => respond(&writer, error_response(id, &err)),
-        }
-    });
-    if accepted {
-        Ok(())
-    } else {
-        Err(RequestError::new(
-            ErrorKind::ShuttingDown,
-            "daemon is draining for shutdown",
-        ))
-    }
 }
 
 /// The analysis body of an `analyze` request, answered as the rendered
@@ -740,20 +749,16 @@ fn offset_of(source: &str, line: u32, col: u32) -> Option<u32> {
     None
 }
 
-fn submit_explain(
-    request: &mut Json,
-    id: Option<i64>,
-    shared: &Arc<Shared>,
-    writer: &Arc<Mutex<Conn>>,
-) -> Result<(), RequestError> {
-    let key = program_key(request);
+/// An `explain` request: the program's analysis of its one unit, read at
+/// the queried position.
+fn handle_explain(request: &mut Json, shared: &Shared) -> Result<Json, RequestError> {
     let units = decode_units(request)?;
-    if units.len() != 1 {
+    let [(name, source)] = &units[..] else {
         return Err(RequestError::new(
             ErrorKind::BadRequest,
             "`explain` takes exactly one unit",
         ));
-    }
+    };
     let line = request
         .get("line")
         .and_then(Json::as_int)
@@ -765,29 +770,17 @@ fn submit_explain(
             "`line` and `col` are 1-based",
         ));
     }
-    let shared_job = Arc::clone(shared);
-    let writer = Arc::clone(writer);
-    let job_key = key.clone();
-    let accepted = shared.pool.submit(&key, move || {
-        let session = shared_job.registry.program(&job_key);
-        let (name, source) = &units[0];
-        let response = match session.analyze_unit(name, source) {
-            Ok((analysis, _, _)) => {
-                let result = explain_result(&analysis, name, source, line as u32, col as u32);
-                ok_response(id, result)
-            }
-            Err(e) => error_response(id, &RequestError::new(ErrorKind::Analysis, e.to_string())),
-        };
-        respond(&writer, response);
-    });
-    if accepted {
-        Ok(())
-    } else {
-        Err(RequestError::new(
-            ErrorKind::ShuttingDown,
-            "daemon is draining for shutdown",
-        ))
-    }
+    let session = shared.registry.program(&program_key(request));
+    let (analysis, _, _) = session
+        .analyze_unit(name, source)
+        .map_err(|e| RequestError::new(ErrorKind::Analysis, e.to_string()))?;
+    Ok(explain_result(
+        &analysis,
+        name,
+        source,
+        line as u32,
+        col as u32,
+    ))
 }
 
 /// The hover payload: every provenance fact whose deciding span covers the
@@ -861,20 +854,15 @@ fn stats_result(shared: &Shared) -> Json {
         .collect();
     Json::Object(vec![
         ("programs".into(), Json::Array(programs)),
+        ("workers".into(), Json::Int(shared.workers as i64)),
         (
-            "pending_jobs".into(),
-            Json::Int(shared.pool.pending() as i64),
+            "panics".into(),
+            Json::Int(shared.panics.load(Ordering::Relaxed) as i64),
         ),
-        ("workers".into(), Json::Int(shared.pool.workers() as i64)),
     ])
 }
 
-fn handle_gc(
-    request: &Json,
-    id: Option<i64>,
-    shared: &Arc<Shared>,
-    writer: &Arc<Mutex<Conn>>,
-) -> Result<(), RequestError> {
+fn handle_gc(request: &Json, shared: &Shared) -> Result<Json, RequestError> {
     let max_bytes = request
         .get("max_bytes")
         .and_then(Json::as_int)
@@ -883,10 +871,10 @@ fn handle_gc(
             RequestError::new(ErrorKind::BadRequest, "missing `max_bytes` (non-negative)")
         })? as u64;
     let reports = match request.get("program").and_then(Json::as_str) {
-        Some(key) => shared
-            .registry
-            .program(key)
-            .gc(max_bytes)
+        // A key with no live session answers no report; looking it up
+        // creates neither a session nor a store subdirectory.
+        Some(key) => (shared.registry.get(key))
+            .and_then(|session| session.gc(max_bytes))
             .map(|report| vec![(key.to_string(), report)])
             .unwrap_or_default(),
         None => shared.registry.gc_all(max_bytes),
@@ -909,14 +897,10 @@ fn handle_gc(
             ])
         })
         .collect();
-    respond(
-        writer,
-        ok_response(
-            id,
-            Json::Object(vec![("programs".into(), Json::Array(programs))]),
-        ),
-    );
-    Ok(())
+    Ok(Json::Object(vec![(
+        "programs".into(),
+        Json::Array(programs),
+    )]))
 }
 
 #[cfg(test)]
@@ -958,7 +942,7 @@ mod tests {
         };
         let config = parse("").unwrap();
         assert_eq!(config.endpoint, Endpoint::Unix("ompdartd.sock".into()));
-        assert_eq!((config.workers, config.quiet), (0, false));
+        assert_eq!((config.registry.parallelism, config.quiet), (0, false));
 
         let config = parse(
             "--tcp 127.0.0.1:0 --workers 3 --cache-dir /tmp/c --cache-max-bytes 1m \
@@ -966,7 +950,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(config.endpoint, Endpoint::Tcp("127.0.0.1:0".into()));
-        assert_eq!((config.workers, config.quiet), (3, true));
+        assert_eq!((config.registry.parallelism, config.quiet), (3, true));
         assert_eq!(config.registry.cache_dir, Some(PathBuf::from("/tmp/c")));
         assert_eq!(config.registry.cache_max_bytes, Some(1 << 20));
         assert!(config.registry.pessimistic_globals);
@@ -992,5 +976,70 @@ mod tests {
         // is out of range.
         assert_eq!(offset_of(src, 1, 99), Some(6));
         assert_eq!(offset_of(src, 9, 1), None);
+    }
+
+    /// Fault injection: a panicking closure goes through the boundary real
+    /// requests are served in. It is answered, counted and its program's
+    /// session dropped; the next real request for that program, on the
+    /// same connection, rebuilds the session from its store; and shutdown
+    /// still completes and flushes.
+    #[test]
+    fn a_panicking_request_is_answered_and_its_session_rebuilt() {
+        let _serial = signal::serial();
+        let dir = std::env::temp_dir().join(format!("ompdartd-panic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (socket, cache) = (dir.join("d.sock"), dir.join("cache"));
+        let (handle, shared) = DaemonHandle::start(DaemonConfig {
+            endpoint: Endpoint::Unix(socket.clone()),
+            registry: RegistryConfig {
+                cache_dir: Some(cache.clone()),
+                ..RegistryConfig::default()
+            },
+            quiet: true,
+        })
+        .expect("bind");
+        let units = [(
+            "p.c".to_string(),
+            "#define N 16\ndouble a[N];\nint main() {\n  for (int it = 0; it < 2; it++) {\n    #pragma omp target teams distribute parallel for\n    for (int i = 0; i < N; i++) a[i] += 1.0;\n  }\n  printf(\"%f\\n\", a[0]);\n  return 0;\n}\n"
+                .to_string(),
+        )];
+        let serve = |result: &Json| {
+            let units = result.get("units").and_then(Json::as_array).expect("units");
+            units[0]
+                .get("serve")
+                .and_then(Json::as_str)
+                .map(str::to_string)
+        };
+        let mut client = crate::Client::connect(handle.endpoint()).expect("connect");
+        let cold = client.analyze_sources("p", &units).expect("cold");
+        assert!(serve(&cold).is_some_and(|s| s.starts_with("planned")));
+
+        let response = guarded(&shared, Some(41), Some("p"), || panic!("injected fault"));
+        let response = Json::parse(&response).expect("a JSON response");
+        assert_eq!(response.get("id").and_then(Json::as_int), Some(41));
+        assert_eq!(response.get("ok").and_then(Json::as_bool), Some(false));
+        let kind = response.get("error").and_then(|e| e.get("kind"));
+        assert_eq!(kind.and_then(Json::as_str), Some("analysis"));
+        assert!(shared.registry.keys().is_empty(), "the session must go");
+        let stats = client.stats().expect("stats");
+        assert_eq!(stats.get("panics").and_then(Json::as_int), Some(1));
+
+        let rebuilt = client.analyze_sources("p", &units).expect("answered");
+        assert_eq!(serve(&rebuilt).as_deref(), Some("store"));
+        assert_eq!(shared.registry.keys(), ["p"]);
+
+        client.shutdown().expect("shutdown");
+        handle.join();
+        assert!(!socket.exists(), "shutdown must complete");
+        let flushed = ProgramRegistry::new(RegistryConfig {
+            cache_dir: Some(cache),
+            ..RegistryConfig::default()
+        });
+        let (_, warm, _) = flushed
+            .program("p")
+            .analyze_unit("p.c", &units[0].1)
+            .unwrap();
+        assert_eq!(warm, UnitServe::Store);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

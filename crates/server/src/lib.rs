@@ -17,11 +17,10 @@
 //!   incremental link state, function-granular caches, counters, and
 //!   persistent store subdirectory, so interleaved clients never chill each
 //!   other's programs.
-//! * [`pool`] — the shard-stealing [`pool::WorkerPool`]: requests for one
-//!   program serialize in order, requests for different programs run in
-//!   parallel, and `drain()` underwrites graceful shutdown.
 //! * [`daemon`] — the [`daemon::DaemonHandle`] accept/dispatch machinery
-//!   over unix sockets (default) or TCP (opt-in).
+//!   over unix sockets (default) or TCP (opt-in): each request runs on its
+//!   connection's thread, under its program's request lock, inside a panic
+//!   boundary.
 //! * [`client`] — a synchronous [`client::Client`] for tests, CI drivers,
 //!   and the `ompdart client` CLI verbs.
 //! * [`watch`] — inotify-backed [`watch::DirWatcher`] wakeups for the
@@ -32,7 +31,6 @@
 
 pub mod client;
 pub mod daemon;
-pub mod pool;
 pub mod protocol;
 pub mod registry;
 pub mod signal;
@@ -40,7 +38,6 @@ pub mod watch;
 
 pub use client::{Client, ClientError};
 pub use daemon::{parse_size, serve_label, Conn, DaemonConfig, DaemonHandle, Endpoint};
-pub use pool::WorkerPool;
 pub use protocol::{
     error_response, ok_response, read_frame, write_frame, ErrorKind, FrameError, RequestError,
     MAX_FRAME_BYTES, PROTOCOL_VERSION,

@@ -141,12 +141,11 @@ pub enum ErrorKind {
     /// The request was well-formed JSON but semantically invalid: wrong
     /// protocol version, unknown request type, missing field.
     BadRequest,
-    /// The analysis itself failed (parse error, duplicate definitions).
+    /// The analysis itself failed (parse error, duplicate definitions), or
+    /// serving the request panicked.
     Analysis,
     /// Daemon-side I/O failed (e.g. a requested path could not be read).
     Io,
-    /// The daemon is draining for shutdown and no longer accepts work.
-    ShuttingDown,
 }
 
 impl ErrorKind {
@@ -158,7 +157,6 @@ impl ErrorKind {
             ErrorKind::BadRequest => "bad_request",
             ErrorKind::Analysis => "analysis",
             ErrorKind::Io => "io",
-            ErrorKind::ShuttingDown => "shutting_down",
         }
     }
 }

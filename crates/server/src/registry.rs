@@ -10,10 +10,10 @@
 //! subdirectory of the persistent store, so clients editing program A never
 //! evict or chill program B. A session's unit table keeps a constant number
 //! of versions per unit name, so a program's resident memory follows its
-//! unit count, not its request count. Requests for one program serialize on the session's request
-//! lock (the daemon's worker pool provides the same guarantee by sharding,
-//! but the registry does not rely on its callers for correctness), which is
-//! also what makes a request's stats — `after - before` of two [`CacheStats`]
+//! unit count, not its request count. Requests for one program serialize on
+//! the session's request lock (the daemon runs each request on its
+//! connection's thread and relies on this lock alone), which is also what
+//! makes a request's stats — `after - before` of two [`CacheStats`]
 //! snapshots — sound: no concurrent request can move this program's
 //! counters between the two reads.
 
@@ -38,7 +38,8 @@ pub struct RegistryConfig {
     pub pessimistic_globals: bool,
     /// Link-stage worker threads (0 = auto).
     pub link_threads: usize,
-    /// Per-session summarize/analyze worker threads (0 = auto).
+    /// The width each program's analysis fans out over (`--workers`;
+    /// 0 = auto).
     pub parallelism: usize,
 }
 
@@ -189,6 +190,17 @@ impl ProgramRegistry {
         });
         programs.insert(key.to_string(), Arc::clone(&session));
         session
+    }
+
+    /// The live session for `key`, if any; creates nothing.
+    pub(crate) fn get(&self, key: &str) -> Option<Arc<ProgramSession>> {
+        lock(&self.programs).get(key).cloned()
+    }
+
+    /// Forget the session for `key`: the next [`ProgramRegistry::program`]
+    /// call builds a fresh one (warm from its store subdirectory, if any).
+    pub(crate) fn remove(&self, key: &str) -> Option<Arc<ProgramSession>> {
+        lock(&self.programs).remove(key)
     }
 
     /// Keys of every live program, sorted.

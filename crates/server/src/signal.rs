@@ -97,12 +97,22 @@ impl ShutdownToken {
     }
 }
 
+/// Tests that deliver a signal or run a daemon take turns: a delivery
+/// shuts down every token of the process.
+#[cfg(test)]
+pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn token_sees_requests_and_signals() {
+        let _serial = serial();
         let token = install();
         assert!(!token.is_shutdown());
         let clone = token.clone();

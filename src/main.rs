@@ -128,9 +128,12 @@ SUBCOMMANDS:
                length-prefixed JSON requests (analyze, explain, stats,
                check_plans, gc, shutdown). Every program key gets its own warm
                incremental session; same-program requests serialize,
-               distinct programs run in parallel. Shutdown (signal or
-               request) drains in-flight work and flushes every
-               program's store. See README \"Analysis as a service\".
+               distinct programs run in parallel, and one connection's
+               responses come back in request order. --workers sets the
+               width each program's analysis fans out over (default:
+               auto). Shutdown (signal or request) finishes in-flight
+               requests and flushes every program's store. See README
+               \"Analysis as a service\".
     client     Drive a running daemon: `analyze` sends daemon-side
                paths (--out-dir writes the returned mapped sources),
                `explain` asks for the provenance facts governing a
@@ -1160,6 +1163,12 @@ fn cmd_client(args: &[String]) -> Result<ExitCode, String> {
                 .get("programs")
                 .and_then(Json::as_array)
                 .ok_or("malformed stats result")?;
+            let daemon = |f: &str| result.get(f).and_then(Json::as_int).unwrap_or(0);
+            println!(
+                "[client] daemon: workers {}, panics {}",
+                daemon("workers"),
+                daemon("panics")
+            );
             if programs.is_empty() {
                 println!("[client] no programs analyzed yet");
             }

@@ -10,6 +10,9 @@
 //!   request types, wrong versions, and truncated frames all produce
 //!   structured errors (or a clean connection close) without killing the
 //!   daemon or poisoning any program session;
+//! * ordering: requests written back to back on one connection are
+//!   answered in request order;
+//! * `gc` of a program the daemon has never seen creates nothing;
 //! * durable shutdown: a SIGTERM'd daemon drains, flushes its stores, and
 //!   a restart over the same cache directory starts warm.
 //!
@@ -50,7 +53,6 @@ fn spawn_daemon(socket: PathBuf, cache_dir: Option<PathBuf>) -> DaemonHandle {
             cache_dir,
             ..RegistryConfig::default()
         },
-        workers: 4,
         quiet: true,
     })
     .expect("daemon must bind its socket")
@@ -627,6 +629,95 @@ fn check_plans_reports_version_and_rejects_old_documents() {
     );
     let ok = client.check_plans(&doc).expect("connection still serves");
     assert_eq!(ok.get("valid").and_then(Json::as_bool), Some(true));
+
+    client.shutdown().expect("shutdown");
+    handle.join();
+}
+
+/// Requests written back to back on one connection, before any response is
+/// read, are answered in request order: an analysis of one program, a
+/// `stats`, an analysis of another.
+#[test]
+fn pipelined_requests_are_answered_in_request_order() {
+    let _guard = daemon_lock();
+    let dir = scratch("ordering");
+    let handle = spawn_daemon(dir.join("d.sock"), None);
+    let analyze = |id: i64, program: &str| {
+        let units = lulesh_units()
+            .into_iter()
+            .map(|(name, source)| {
+                Json::Object(vec![
+                    ("name".into(), Json::Str(name)),
+                    ("source".into(), Json::Str(source)),
+                ])
+            })
+            .collect();
+        let fields = vec![
+            ("program".into(), Json::Str(program.into())),
+            ("units".into(), Json::Array(units)),
+        ];
+        protocol::request(id, "analyze", fields)
+    };
+    let requests = [
+        analyze(1, "alpha"),
+        protocol::request(2, "stats", Vec::new()),
+        analyze(3, "beta"),
+    ];
+    let mut conn = handle.endpoint().connect().expect("connect");
+    for request in &requests {
+        protocol::write_frame(&mut conn, &request.render()).expect("write");
+    }
+    let ids: Vec<Option<i64>> = (0..requests.len())
+        .map(|_| {
+            let frame = protocol::read_frame(&mut conn).expect("a response");
+            let response = Json::parse(&frame).expect("JSON");
+            let ok = response.get("ok").and_then(Json::as_bool);
+            assert_eq!(ok, Some(true), "{frame}");
+            response.get("id").and_then(Json::as_int)
+        })
+        .collect();
+    assert_eq!(ids, [Some(1), Some(2), Some(3)]);
+    drop(conn);
+    let mut client = Client::connect(handle.endpoint()).expect("connect");
+    client.shutdown().expect("shutdown");
+    handle.join();
+}
+
+/// A `gc` naming a program the daemon has never seen answers no report and
+/// creates nothing: no resident session, no store subdirectory.
+#[test]
+fn gc_of_an_unknown_program_creates_no_session() {
+    let _guard = daemon_lock();
+    let dir = scratch("gc");
+    let cache = dir.join("cache");
+    let handle = spawn_daemon(dir.join("d.sock"), Some(cache.clone()));
+    let mut client = Client::connect(handle.endpoint()).expect("connect");
+    client
+        .analyze_sources("known", &lulesh_units())
+        .expect("analyze");
+    let programs = |client: &mut Client| -> Vec<String> {
+        let stats = client.stats().expect("stats");
+        let programs = stats.get("programs").and_then(Json::as_array).unwrap();
+        (programs.iter())
+            .filter_map(|p| p.get("program").and_then(Json::as_str))
+            .map(str::to_string)
+            .collect()
+    };
+    let reports = |result: &Json| {
+        result
+            .get("programs")
+            .and_then(Json::as_array)
+            .map(<[Json]>::len)
+    };
+    assert_eq!(programs(&mut client), ["known"]);
+
+    let unknown = client.gc(1 << 30, Some("never-seen")).expect("gc");
+    assert_eq!(reports(&unknown), Some(0), "{unknown:?}");
+    assert_eq!(programs(&mut client), ["known"]);
+    assert!(!cache.join("never-seen").exists());
+    // A live program's store is still collected.
+    let known = client.gc(1 << 30, Some("known")).expect("gc");
+    assert_eq!(reports(&known), Some(1), "{known:?}");
 
     client.shutdown().expect("shutdown");
     handle.join();
