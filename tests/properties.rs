@@ -1918,53 +1918,59 @@ proptest! {
         }
     }
 
-    /// Byte mutation of the directive slice of the frontend: edits,
-    /// truncations and splices of `#define` / `#if` / `#elif` / `#undef`
-    /// lines and of macro call sites never panic `parse_str`, and a `#if` /
+    /// Byte mutation anywhere in what the frontend reads: the ten ports'
+    /// units and expert programs, and a directive seed — code, pragma
+    /// bodies, literals, comments and `\` continuations. Edits, deletions,
+    /// truncations, insertions and splices land anywhere half the time and
+    /// on a byte that switches the lexer's state (`#`, quotes, comment and
+    /// continuation marks, brackets) the other half. No mutant panics
+    /// `parse_str` or the rendering of its diagnostics, and a `#if` /
     /// `#elif` either has a value or is answered by exactly one warning.
     #[test]
-    fn mutated_directive_lines_never_panic(seed in 1u64..u64::MAX) {
-        use ompdart_frontend::lexer::tokenize_file;
-        use ompdart_frontend::token::TokenKind;
-        use ompdart_frontend::{Severity, SourceFile};
+    fn mutated_sources_never_panic(seed in 1u64..u64::MAX) {
+        use ompdart_frontend::Severity;
         let mut rng = seed;
-        let seed_lines: Vec<&str> = DIRECTIVE_SEED.lines().collect();
-        let targets: Vec<usize> = (0..seed_lines.len())
-            .filter(|&l| ["#", "IDX(", "MIN("].iter().any(|mark| seed_lines[l].contains(mark)))
-            .collect();
+        let sources = mutation_seeds();
         for _ in 0..16 {
-            let mut lines: Vec<Vec<u8>> = seed_lines.iter().map(|l| l.as_bytes().to_vec()).collect();
+            let source = sources[roll(&mut rng, sources.len())].as_bytes();
+            let sites: Vec<usize> = (0..source.len())
+                .filter(|&i| b"#\"'/*\\()[],:\n".contains(&source[i]))
+                .collect();
+            let mut bytes = source.to_vec();
             for _ in 0..1 + roll(&mut rng, 3) {
-                let line = &mut lines[targets[roll(&mut rng, targets.len())]];
-                if line.is_empty() {
-                    line.push(b'#');
+                if bytes.is_empty() {
+                    bytes.push(b'#');
                 }
-                let at = roll(&mut rng, line.len());
-                match roll(&mut rng, 5) {
-                    0 => line.truncate(at),
-                    1 => line[at] ^= 1 << roll(&mut rng, 8),
-                    2 => line[at] = b"()#,\\\"'/*?:~ 0x.\n"[roll(&mut rng, 17)],
-                    3 => line.insert(at, roll(&mut rng, 256) as u8),
+                let at = match roll(&mut rng, 2) {
+                    0 => sites[roll(&mut rng, sites.len())].min(bytes.len() - 1),
+                    _ => roll(&mut rng, bytes.len()),
+                };
+                match roll(&mut rng, 6) {
+                    0 => bytes.truncate(at),
+                    1 => bytes[at] ^= 1 << roll(&mut rng, 8),
+                    2 => bytes[at] = b"()#,\\\"'/*?:~ 0x.\n\r[]{};"[roll(&mut rng, 23)],
+                    3 => bytes.insert(at, roll(&mut rng, 256) as u8),
+                    4 => {
+                        let end = (at + 1 + roll(&mut rng, 8)).min(bytes.len());
+                        bytes.drain(at..end);
+                    }
                     _ => {
-                        let donor = seed_lines[targets[roll(&mut rng, targets.len())]].as_bytes();
-                        let from = roll(&mut rng, donor.len());
-                        let piece = &donor[from..from + roll(&mut rng, donor.len() - from + 1)];
-                        line.splice(at..at, piece.iter().copied());
+                        let from = roll(&mut rng, source.len());
+                        let len = roll(&mut rng, (source.len() - from).min(80) + 1);
+                        bytes.splice(at..at, source[from..from + len].iter().copied());
                     }
                 }
             }
-            let text = String::from_utf8_lossy(&lines.join(&b'\n')).into_owned();
-            let parsed = std::panic::catch_unwind(|| parse_str("mutant.c", &text));
+            let text = String::from_utf8_lossy(&bytes).into_owned();
+            let parsed = std::panic::catch_unwind(|| {
+                let (file, result) = parse_str("mutant.c", &text);
+                result.diagnostics.render_all(&file);
+                result.diagnostics
+            });
             prop_assert!(parsed.is_ok(), "seed {:#x} panicked on:\n{}", seed, text);
-            let diagnostics = parsed.unwrap().1.diagnostics;
-            let (tokens, _) = tokenize_file(&SourceFile::new("mutant.c", text.as_str()));
-            for token in &tokens {
-                let TokenKind::HashDirective(directive) = &token.kind else { continue };
-                let word = directive.split_whitespace().next().unwrap_or("");
-                if word != "if" && word != "elif" {
-                    continue;
-                }
-                let answers: Vec<_> = diagnostics.iter().filter(|d| d.span == token.span).collect();
+            let diagnostics = parsed.unwrap();
+            for (span, word) in conditional_lines(&text) {
+                let answers: Vec<_> = diagnostics.iter().filter(|d| d.span == span).collect();
                 let unsupported = format!("unsupported #{word} condition; assuming true");
                 let ok = match answers[..] {
                     [] => true,
@@ -1972,13 +1978,55 @@ proptest! {
                     [one] => word == "elif" && one.message == "#elif without matching #if",
                     _ => false,
                 };
-                prop_assert!(ok, "seed {:#x}: `#{}` got {:?} in:\n{}", seed, directive, answers, text);
+                prop_assert!(ok, "seed {:#x}: `#{}` got {:?} in:\n{}", seed, word, answers, text);
             }
         }
     }
 }
 
-/// What `mutated_directive_lines_never_panic` damages: every directive the
+/// What `mutated_sources_never_panic` damages: every unit and expert
+/// program of the ten ports, and the directive seed.
+fn mutation_seeds() -> Vec<String> {
+    let mut seeds = vec![DIRECTIVE_SEED.to_string()];
+    for port in ompdart_suite::experiment::ports() {
+        seeds.extend(port.units.into_iter().map(|(_, source)| source));
+        seeds.push(port.expert);
+    }
+    seeds
+}
+
+/// The span and word of each line of `text` that starts (after blanks) with
+/// `#if` or `#elif`: from the `#` to the first newline no `\` continues.
+fn conditional_lines(text: &str) -> Vec<(Span, &'static str)> {
+    let bytes = text.as_bytes();
+    let mut lines = Vec::new();
+    for line in std::iter::once(0).chain((0..bytes.len()).filter(|&i| bytes[i] == b'\n').map(|i| i + 1)) {
+        let hash = line + bytes[line..].iter().take_while(|b| matches!(b, b' ' | b'\t')).count();
+        if bytes.get(hash) != Some(&b'#') {
+            continue;
+        }
+        let name = hash + 1 + bytes[hash + 1..].iter().take_while(|b| matches!(b, b' ' | b'\t')).count();
+        let len = bytes[name..].iter().take_while(|b| b.is_ascii_alphanumeric() || **b == b'_').count();
+        let word = match &bytes[name..name + len] {
+            b"if" => "if",
+            b"elif" => "elif",
+            _ => continue,
+        };
+        let mut end = name + len;
+        while end < bytes.len() {
+            match bytes[end] {
+                b'\\' if bytes.get(end + 1) == Some(&b'\n') => end += 2,
+                b'\\' if bytes[end + 1..].starts_with(b"\r\n") => end += 3,
+                b'\n' => break,
+                _ => end += 1,
+            }
+        }
+        lines.push((Span::new(hash as u32, end as u32), word));
+    }
+    lines
+}
+
+/// The directive seed of `mutated_sources_never_panic`: every directive the
 /// preprocessor evaluates, and function-like calls in subscripts, bounds and
 /// host code.
 const DIRECTIVE_SEED: &str = "\
