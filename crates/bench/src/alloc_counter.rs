@@ -19,6 +19,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static REALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// System-allocator wrapper that counts allocation calls and bytes.
@@ -43,6 +44,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
         // A realloc is one more allocator round-trip; count the grown
         // portion so `bytes` tracks total requested, not peak.
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        REALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(
             new_size.saturating_sub(layout.size()) as u64,
             Ordering::Relaxed,
@@ -60,6 +62,8 @@ unsafe impl GlobalAlloc for CountingAllocator {
 pub struct AllocSnapshot {
     /// Allocator calls (`alloc` + `alloc_zeroed` + `realloc`).
     pub allocations: u64,
+    /// The `realloc` calls among them: buffers that grew.
+    pub reallocations: u64,
     /// Bytes requested by those calls.
     pub bytes: u64,
 }
@@ -69,6 +73,7 @@ impl AllocSnapshot {
     pub fn since(&self, earlier: &AllocSnapshot) -> AllocSnapshot {
         AllocSnapshot {
             allocations: self.allocations - earlier.allocations,
+            reallocations: self.reallocations - earlier.reallocations,
             bytes: self.bytes - earlier.bytes,
         }
     }
@@ -79,6 +84,7 @@ impl AllocSnapshot {
 pub fn snapshot() -> AllocSnapshot {
     AllocSnapshot {
         allocations: ALLOCATIONS.load(Ordering::Relaxed),
+        reallocations: REALLOCATIONS.load(Ordering::Relaxed),
         bytes: BYTES.load(Ordering::Relaxed),
     }
 }

@@ -1,12 +1,13 @@
 //! Allocation-count regression gates.
 //!
-//! Registers the counting allocator and asserts two ceilings. A cold
+//! Registers the counting allocator and asserts three ceilings. A cold
 //! whole-program analysis stays under a *generous* allocations-per-unit
 //! ceiling — an order-of-magnitude tripwire, not a precision benchmark: the
 //! interned frontend plus pre-sized plan buffers land far below it; only a
-//! wholesale return to per-token `String` churn should ever trip it. And
-//! planning the nine single-file ports stays within a budget tight enough
-//! that a copy of the AST in the planner cannot come back unnoticed.
+//! wholesale return to per-token `String` churn should ever trip it.
+//! Parsing the port units and planning the nine single-file ports each stay
+//! within a budget tight enough that a per-token allocation in the frontend,
+//! or a copy of the AST in the planner, cannot come back unnoticed.
 
 use ompdart_bench::alloc_counter;
 use ompdart_core::pipeline::{
@@ -32,6 +33,44 @@ const MAX_PLAN_ALLOCS_NINE_PORTS: u64 = 2500;
 /// a few hundred allocations per unit; pre-interning it was several
 /// thousand. Trip only on order-of-magnitude regressions.
 const MAX_ALLOCS_PER_UNIT_COLD: f64 = 4000.0;
+
+/// `stage_parse` over the twelve port units (the nine single-file ports and
+/// `lulesh_mf`'s three), averaged per unit, on a thread that has parsed them
+/// once: 299 allocator calls, 10 of them reallocations, nine in ten of the
+/// rest the AST's. The lexer writes one token buffer per unit and the
+/// preprocessor filters it in place; with tokens that owned their strings,
+/// directive and clause text lexed again and a token vector per pragma
+/// clause and per `#if`, it was 352, 17 of them reallocations.
+const MAX_PARSE_ALLOCS_PER_UNIT: f64 = 330.0;
+
+#[test]
+fn parsing_the_port_units_stays_within_its_allocation_budget() {
+    let _one_at_a_time = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+    let units: Vec<(String, String)> = (ompdart_suite::experiment::ports().into_iter())
+        .flat_map(|port| port.units)
+        .collect();
+    assert_eq!(units.len(), 12);
+    let parse_all = || {
+        for (name, source) in &units {
+            stage_parse(name, source).expect("a port unit parses");
+        }
+    };
+    parse_all();
+    let before = alloc_counter::snapshot();
+    parse_all();
+    let spent = alloc_counter::snapshot().since(&before);
+    let per_unit = |count: u64| count as f64 / units.len() as f64;
+    let (allocations, reallocations) = (per_unit(spent.allocations), per_unit(spent.reallocations));
+    eprintln!(
+        "alloc_gate: stage_parse over the twelve port units: {allocations:.0} allocations \
+         per unit, {reallocations:.0} of them reallocations"
+    );
+    assert!(
+        allocations <= MAX_PARSE_ALLOCS_PER_UNIT,
+        "parsing a port unit took {allocations:.0} allocator calls \
+         (budget {MAX_PARSE_ALLOCS_PER_UNIT})"
+    );
+}
 
 #[test]
 fn cold_analysis_allocations_per_unit_stay_bounded() {

@@ -85,7 +85,7 @@ use crate::store::{self, ArtifactStore};
 use crate::{function_with_existing_mappings, OmpDartOptions};
 use ompdart_frontend::ast::TranslationUnit;
 use ompdart_frontend::diag::Diagnostics;
-use ompdart_frontend::parser::parse_str;
+use ompdart_frontend::parser::parse_source;
 use ompdart_frontend::source::SourceFile;
 use ompdart_frontend::Symbol;
 use ompdart_graph::ProgramGraphs;
@@ -361,8 +361,15 @@ pub struct RewriteOutput {
 
 /// Stage 1 — parse source text into a [`ParsedUnit`].
 pub fn stage_parse(name: &str, source: &str) -> Result<ParsedUnit, StageError> {
+    stage_parse_shared(name, Arc::new(source.to_string()))
+}
+
+/// [`stage_parse`] of text the caller keeps too: the unit's [`SourceFile`]
+/// shares it.
+fn stage_parse_shared(name: &str, source: Arc<String>) -> Result<ParsedUnit, StageError> {
     let start = Instant::now();
-    let (file, parse) = parse_str(name, source);
+    let file = SourceFile::shared(name, source);
+    let parse = parse_source(&file);
     if !parse.is_ok() {
         return Err(StageError::Parse {
             name: name.to_string(),
@@ -950,13 +957,13 @@ impl UnitBody {
     /// a restored unit nobody has looked at yet — nothing is recorded.
     fn build(
         name: &str,
-        source: &str,
+        source: &Arc<String>,
         options: &OmpDartOptions,
         session: Option<&AnalysisSession>,
     ) -> Result<UnitBody, StageError> {
         let parsed = match session {
-            Some(session) => session.parse(name, source)?,
-            None => Arc::new(stage_parse(name, source)?),
+            Some(session) => session.parse_text(name, source, Some(source))?,
+            None => Arc::new(stage_parse_shared(name, Arc::clone(source))?),
         };
         if options.reject_existing_mappings {
             check_input_contract(&parsed)?;
@@ -1546,17 +1553,29 @@ impl AnalysisSession {
     /// parsed; identical content always yields one `Arc` for as long as
     /// that version stays resident.
     pub fn parse(&self, name: &str, source: &str) -> Result<Arc<ParsedUnit>, StageError> {
+        self.parse_text(name, source, None)
+    }
+
+    /// [`Self::parse`]; a miss parses `shared`, when the caller holds the
+    /// text already, instead of a copy.
+    fn parse_text(
+        &self,
+        name: &str,
+        source: &str,
+        shared: Option<&Arc<String>>,
+    ) -> Result<Arc<ParsedUnit>, StageError> {
         let resident = |v: &mut UnitVersion| {
             // A restored unit whose body an accessor built has a parse too.
             let body = v.summarized.as_ref().and_then(|unit| unit.body_if_built());
             (v.parsed.clone()).or_else(|| body.map(|body| Arc::clone(&body.parsed)))
         };
-        if let Some(parsed) = self.resident(name, None, source, resident) {
+        if let Some(parsed) = self.resident(name, shared, source, resident) {
             self.counters.add(Counter::parse_hits, 1);
             return Ok(parsed);
         }
         self.counters.add(Counter::parse_misses, 1);
-        let parsed = Arc::new(stage_parse(name, source)?);
+        let text = shared.map_or_else(|| Arc::new(source.to_string()), Arc::clone);
+        let parsed = Arc::new(stage_parse_shared(name, text)?);
         self.add_time(Stage::Parse, parsed.elapsed);
         let admit = |slot: &mut UnitSlot| {
             let version = slot.version_or_admit(&parsed.file.shared_text());
@@ -1700,7 +1719,8 @@ impl AnalysisSession {
         let unit = match stored {
             Some(exports) => SummarizedUnit::restored(name, source, &self.options, exports),
             None => {
-                let body = UnitBody::build(name, source, &self.options, Some(self))?;
+                let text = Arc::new(source.to_string());
+                let body = UnitBody::build(name, &text, &self.options, Some(self))?;
                 let clean = body.parsed.diagnostics.is_empty();
                 let unit = SummarizedUnit::parsed_now(name, &self.options, body);
                 if let (Some((store, content)), true) = (keyed, clean) {

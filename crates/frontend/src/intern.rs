@@ -27,11 +27,11 @@
 //! link stage can key its fixed-point maps by `Symbol` without any
 //! per-unit remapping.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicPtr, Ordering};
-use std::sync::{Mutex, OnceLock, RwLock};
+use std::sync::{Mutex, OnceLock, PoisonError, RwLock};
 
 /// An interned string: a 4-byte handle resolving to `&'static str`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,6 +73,34 @@ impl Hasher for FnvHasher {
 
 /// `BuildHasher` for [`FnvHasher`]-keyed maps.
 pub type FnvBuild = BuildHasherDefault<FnvHasher>;
+
+/// Hashes a [`Symbol`] by its id, with one multiply: for the per-unit maps
+/// and sets keyed by symbols (typedef and struct names, macros). Ids are
+/// assigned in interning order, so they are dense and distinct.
+#[derive(Default)]
+pub struct SymbolHasher(u64);
+
+impl Hasher for SymbolHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b) ^ self.0 as u32);
+        }
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.0 = (self.0 ^ u64::from(id)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+/// `BuildHasher` for symbol-keyed maps.
+pub type SymbolBuild = BuildHasherDefault<SymbolHasher>;
+
+/// A set of symbols, hashed by id.
+pub type SymbolSet = HashSet<Symbol, SymbolBuild>;
 
 /// Bump arena for symbol bytes: chunks are leaked (process lifetime), so
 /// the strings they hold really are `'static`. Allocation count is
@@ -150,18 +178,25 @@ impl Interner {
         unsafe { *block.add(id as usize % BLOCK) }
     }
 
+    // The locks are taken through `PoisonError::into_inner`: a panic while
+    // one is held (the table-full assertion below) leaves the table valid —
+    // at worst an id is skipped before it was published — so the other
+    // threads of a long-lived process keep interning.
     fn intern(&self, s: &str) -> Symbol {
         let shard = &self.shards[(fnv(s) as usize) & (SHARDS - 1)];
-        if let Some(sym) = shard.read().unwrap().get(s) {
+        if let Some(sym) = shard.read().unwrap_or_else(PoisonError::into_inner).get(s) {
             return *sym;
         }
-        let mut insert = self.insert.lock().unwrap();
+        let mut insert = self.insert.lock().unwrap_or_else(PoisonError::into_inner);
         // Double-check: another thread may have interned `s` between the
         // shard read and taking the insert lock.
-        if let Some(sym) = shard.read().unwrap().get(s) {
+        if let Some(sym) = shard.read().unwrap_or_else(PoisonError::into_inner).get(s) {
             return *sym;
         }
         let id = insert.next;
+        // A process interns at most 4M distinct strings (a unit is a few
+        // thousand): past that the caller's request fails by this panic,
+        // which the daemon's request boundary answers as an error.
         assert!((id as usize) < BLOCK * BLOCKS, "symbol table full");
         insert.next += 1;
         let stored = insert.bump.alloc(s);
@@ -176,7 +211,7 @@ impl Interner {
         // reader can hold this id yet.
         unsafe { *block.add(id as usize % BLOCK) = stored };
         let sym = Symbol(id);
-        shard.write().unwrap().insert(stored, sym);
+        (shard.write().unwrap_or_else(PoisonError::into_inner)).insert(stored, sym);
         sym
     }
 }
@@ -194,7 +229,11 @@ impl Symbol {
     pub fn lookup(s: &str) -> Option<Symbol> {
         let t = table();
         let shard = &t.shards[(fnv(s) as usize) & (SHARDS - 1)];
-        shard.read().unwrap().get(s).copied()
+        shard
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(s)
+            .copied()
     }
 
     /// Resolve to the interned string. Lock-free; `&'static` because the
@@ -203,10 +242,16 @@ impl Symbol {
         table().resolve(self.0)
     }
 
-    /// The raw table index (diagnostics/tests only — ids are assigned in
-    /// interning order and are NOT stable across processes).
+    /// The raw table index (ids are assigned in interning order and are NOT
+    /// stable across processes).
     pub fn index(self) -> u32 {
         self.0
+    }
+
+    /// The symbol whose [`Self::index`] is `index`. Crate-private: only an
+    /// index taken from a symbol of this process may come back.
+    pub(crate) fn from_index(index: u32) -> Symbol {
+        Symbol(index)
     }
 
     /// True for the empty-string symbol.
@@ -216,8 +261,9 @@ impl Symbol {
 }
 
 impl Default for Symbol {
+    /// The empty string: the table interns it first, as id 0.
     fn default() -> Symbol {
-        Symbol::intern("")
+        Symbol(0)
     }
 }
 

@@ -1,87 +1,151 @@
 //! Lexer for the MiniC language.
 //!
-//! The lexer converts raw source text into a stream of [`Token`]s. It
-//! performs line splicing (backslash-newline), strips comments, and captures
-//! preprocessor lines as dedicated tokens:
+//! One pass over a unit's text writes its [`TokenBuffer`]. The lexer
+//! performs line splicing (backslash-newline), strips comments, and writes
+//! directive lines as ordinary tokens between an opener and an end marker:
 //!
-//! * `#pragma ...` lines become [`TokenKind::Pragma`] tokens whose span covers
-//!   the whole (possibly continued) directive, so the parser can associate
-//!   OpenMP directives with the statement that follows them and the rewriter
-//!   can reason about their exact source extent.
-//! * All other `#...` lines become [`TokenKind::HashDirective`] tokens that the
-//!   preprocessor consumes (`#define`, `#include`, `#ifdef`, ...).
+//! * a `#` first on its line opens a directive: [`TokenKind::Pragma`] for
+//!   `#pragma` (the word itself is not kept), [`TokenKind::Hash`] for any
+//!   other. The opener's span covers the whole logical line — to the first
+//!   newline no `\` continues, trailing comments included — so the parser can
+//!   attach OpenMP directives to the statement that follows them and the
+//!   rewriter can reason about their exact source extent;
+//! * the line's words follow, lexed like code except that nothing reads past
+//!   the end of the line and a `//` comment ends it;
+//! * a [`TokenKind::EndDirective`] closes the line. Problems met lexing the
+//!   line are counted on it rather than reported: a `#if` that has one has
+//!   no value, and the other directives read what they can.
 
 use crate::diag::Diagnostics;
-use crate::intern::{FnvBuild, Symbol};
+use crate::intern::Symbol;
 use crate::source::{SourceFile, Span};
-use crate::token::{keyword_from_str, Token, TokenKind};
-use std::collections::HashMap;
+use crate::token::{keyword_from_str, Literals, Token, TokenBuffer, TokenKind};
+use std::cell::RefCell;
+use std::sync::Arc;
 
-/// Streaming lexer over a source file (or a sub-range of one).
+/// What each word (identifier or keyword) lexes as, by its text: an
+/// open-addressing table whose hash the lexer computes while it scans the
+/// word, so a word seen before costs one probe and one short compare.
+#[derive(Default)]
+struct Words {
+    /// A power-of-two table, at most half full.
+    slots: Vec<Option<Word>>,
+    len: usize,
+}
+
+#[derive(Clone, Copy)]
+struct Word {
+    hash: u32,
+    /// The interned text: lives as long as the process.
+    text: &'static [u8],
+    kind: TokenKind,
+    payload: u32,
+}
+
+impl Words {
+    fn get(&self, hash: u32, text: &[u8]) -> Option<&Word> {
+        let mask = self.slots.len().checked_sub(1)?;
+        let mut i = hash as usize & mask;
+        loop {
+            match &self.slots[i] {
+                Some(word) if word.hash == hash && word.text == text => return Some(word),
+                Some(_) => i = (i + 1) & mask,
+                None => return None,
+            }
+        }
+    }
+
+    fn insert(&mut self, word: Word) {
+        if 2 * (self.len + 1) > self.slots.len() {
+            let grown = vec![None; (2 * self.slots.len()).max(256)];
+            let old = std::mem::replace(&mut self.slots, grown);
+            self.len = 0;
+            for word in old.into_iter().flatten() {
+                self.insert(word);
+            }
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = word.hash as usize & mask;
+        while self.slots[i].is_some() {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = Some(word);
+        self.len += 1;
+    }
+}
+
+/// The bytes a word continues with.
+static WORD_BYTE: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut c = 0;
+    while c < 256 {
+        table[c] = (c as u8).is_ascii_alphanumeric() || c == b'_' as usize;
+        c += 1;
+    }
+    table
+};
+
+thread_local! {
+    /// The words this thread has lexed. A word seen before, in this unit or
+    /// an earlier one, is one probe here and never touches the global symbol
+    /// table, so lexing costs no per-token allocation and O(new words)
+    /// interner calls. Bounded like the interner: by the distinct words.
+    static WORDS: RefCell<Words> = RefCell::new(Words::default());
+}
+
+/// Lexer over one source file.
 pub struct Lexer<'a> {
+    /// What is being lexed: the whole file, or — while a directive line is
+    /// lexed — the file up to the end of that line. Offsets are file offsets
+    /// either way.
     text: &'a [u8],
-    /// Current byte offset relative to `base`.
     pos: usize,
-    /// Offset added to all produced spans; lets a sub-range of a file be lexed
-    /// with spans that index into the full file (used for pragma bodies).
-    base: u32,
     diags: Diagnostics,
-    /// Per-unit interner cache: identifier byte-slices of *this* source →
-    /// their interned [`Symbol`]. Repeated occurrences of an identifier hit
-    /// this borrowed-slice map and never touch the global symbol table, so
-    /// lexing a unit costs O(distinct identifiers) table inserts and zero
-    /// per-token string allocations.
-    idents: HashMap<&'a [u8], Symbol, FnvBuild>,
+    /// Problems met on the directive line being lexed; `None` outside one.
+    directive_problems: Option<u32>,
+    /// This thread's [`WORDS`], held while the lexer runs.
+    words: Words,
+    tokens: Vec<Token>,
+    literals: Literals,
+    source: Arc<String>,
 }
 
 impl<'a> Lexer<'a> {
     /// Lex the full text of `file`.
     pub fn new(file: &'a SourceFile) -> Self {
+        let text = file.text().as_bytes();
         Lexer {
-            text: file.text().as_bytes(),
+            text,
             pos: 0,
-            base: 0,
             diags: Diagnostics::new(),
-            idents: HashMap::default(),
+            directive_problems: None,
+            words: Words::default(),
+            // One buffer for the whole text (a token per four bytes is more
+            // than C has) instead of a chain of doublings.
+            tokens: Vec::with_capacity(text.len() / 4 + 16),
+            literals: Literals::for_source(text.len()),
+            source: file.shared_text(),
         }
     }
 
-    /// Lex an arbitrary string whose first byte corresponds to absolute file
-    /// offset `base` (used to lex pragma bodies and macro replacement text).
-    pub fn with_base(text: &'a str, base: u32) -> Self {
-        Lexer {
-            text: text.as_bytes(),
-            pos: 0,
-            base,
-            diags: Diagnostics::new(),
-            idents: HashMap::default(),
-        }
+    /// Consume the lexer and return the unit's buffer — which always ends
+    /// with exactly one `Eof` token — and the diagnostics.
+    pub fn tokenize(mut self) -> (TokenBuffer, Diagnostics) {
+        self.words = WORDS.take();
+        self.lex_to_end();
+        WORDS.set(self.words);
+        let eof = Span::point(self.text.len() as u32);
+        self.tokens.push(Token::plain(TokenKind::Eof, eof));
+        let buffer = TokenBuffer {
+            tokens: self.tokens,
+            literals: self.literals,
+            text: self.source,
+        };
+        (buffer, self.diags)
     }
 
-    /// Diagnostics produced while lexing.
-    pub fn diagnostics(&self) -> &Diagnostics {
-        &self.diags
-    }
-
-    /// Consume the lexer and return (tokens, diagnostics). The token vector
-    /// always ends with exactly one `Eof` token.
-    pub fn tokenize(mut self) -> (Vec<Token>, Diagnostics) {
-        // One buffer for the whole text (a token per four bytes is more than
-        // C has) instead of a chain of doublings.
-        let mut out = Vec::with_capacity(self.text.len() / 4 + 1);
-        loop {
-            let tok = self.next_token();
-            let eof = tok.is_eof();
-            out.push(tok);
-            if eof {
-                break;
-            }
-        }
-        (out, self.diags)
-    }
-
-    fn abs(&self, rel: usize) -> u32 {
-        self.base + rel as u32
+    fn span_from(&self, start: usize) -> Span {
+        Span::new(start as u32, self.pos as u32)
     }
 
     fn peek(&self) -> Option<u8> {
@@ -100,168 +164,159 @@ impl<'a> Lexer<'a> {
         c
     }
 
+    /// An error in code; on a directive line, one more problem of the line.
+    fn problem(&mut self, span: Span, message: impl Into<String>) {
+        match &mut self.directive_problems {
+            Some(count) => *count += 1,
+            None => self.diags.error(span, message),
+        }
+    }
+
     /// True when positioned at the very start of a line (only whitespace
     /// precedes on this line).
     fn at_line_start(&self) -> bool {
-        let mut i = self.pos;
-        while i > 0 {
-            let c = self.text[i - 1];
-            if c == b'\n' {
-                return true;
-            }
-            if c != b' ' && c != b'\t' && c != b'\r' {
-                return false;
-            }
-            i -= 1;
+        let before = &self.text[..self.pos];
+        match before
+            .iter()
+            .rposition(|c| !matches!(c, b' ' | b'\t' | b'\r'))
+        {
+            Some(i) => before[i] == b'\n',
+            None => true,
         }
-        true
     }
 
     fn skip_trivia(&mut self) {
+        let text = self.text;
+        let mut pos = self.pos;
         loop {
-            match self.peek() {
-                Some(b' ') | Some(b'\t') | Some(b'\r') | Some(b'\n') => {
-                    self.pos += 1;
-                }
+            match text.get(pos) {
+                Some(b' ' | b'\t' | b'\r' | b'\n') => pos += 1,
                 // line splicing
-                Some(b'\\') if matches!(self.peek_at(1), Some(b'\n')) => {
-                    self.pos += 2;
-                }
-                Some(b'\\')
-                    if matches!(self.peek_at(1), Some(b'\r'))
-                        && matches!(self.peek_at(2), Some(b'\n')) =>
-                {
-                    self.pos += 3;
-                }
-                Some(b'/') if self.peek_at(1) == Some(b'/') => {
-                    while let Some(c) = self.peek() {
-                        if c == b'\n' {
-                            break;
+                Some(b'\\') if text.get(pos + 1) == Some(&b'\n') => pos += 2,
+                Some(b'\\') if text.get(pos + 1..pos + 3) == Some(b"\r\n") => pos += 3,
+                Some(b'/') => match text.get(pos + 1) {
+                    // On a directive line a `//` comment runs to the end of
+                    // the logical line, continuations included.
+                    Some(b'/') if self.directive_problems.is_some() => pos = text.len(),
+                    Some(b'/') => {
+                        let rest = &text[pos..];
+                        pos += rest.iter().position(|&c| c == b'\n').unwrap_or(rest.len());
+                    }
+                    Some(b'*') => match text[pos + 2..].windows(2).position(|w| w == b"*/") {
+                        Some(end) => pos += 2 + end + 2,
+                        None => {
+                            let start = pos;
+                            self.pos = text.len();
+                            self.problem(self.span_from(start), "unterminated block comment");
+                            return;
                         }
-                        self.pos += 1;
-                    }
-                }
-                Some(b'/') if self.peek_at(1) == Some(b'*') => {
-                    let start = self.pos;
-                    self.pos += 2;
-                    let mut closed = false;
-                    while self.pos < self.text.len() {
-                        if self.peek() == Some(b'*') && self.peek_at(1) == Some(b'/') {
-                            self.pos += 2;
-                            closed = true;
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    if !closed {
-                        self.diags.error(
-                            Span::new(self.abs(start), self.abs(self.pos)),
-                            "unterminated block comment",
-                        );
-                    }
-                }
+                    },
+                    _ => break,
+                },
                 _ => break,
             }
         }
+        self.pos = pos;
     }
 
-    fn next_token(&mut self) -> Token {
-        self.skip_trivia();
-        let start = self.pos;
-        let c = match self.peek() {
-            None => return Token::new(TokenKind::Eof, Span::point(self.abs(self.pos))),
-            Some(c) => c,
-        };
-
-        // Preprocessor directives (only at the start of a line).
-        if c == b'#' && self.at_line_start() {
-            return self.lex_directive(start);
-        }
-
-        if c.is_ascii_alphabetic() || c == b'_' {
-            return self.lex_ident(start);
-        }
-        if c.is_ascii_digit() || (c == b'.' && self.peek_at(1).is_some_and(|d| d.is_ascii_digit()))
-        {
-            return self.lex_number(start);
-        }
-        if c == b'\'' {
-            return self.lex_char(start);
-        }
-        if c == b'"' {
-            return self.lex_string(start);
-        }
-        self.lex_operator(start)
-    }
-
-    /// Lex a `#...` directive line, honoring backslash continuations.
-    fn lex_directive(&mut self, start: usize) -> Token {
-        // consume '#'
-        self.pos += 1;
-        // Collect until end of logical line.
-        let text_start = self.pos;
+    /// Lex tokens until the end of the text being lexed.
+    fn lex_to_end(&mut self) {
         loop {
-            match self.peek() {
-                None => break,
-                Some(b'\n') => break,
-                Some(b'\\') if self.peek_at(1) == Some(b'\n') => {
-                    self.pos += 2;
+            self.skip_trivia();
+            let start = self.pos;
+            let Some(c) = self.peek() else { return };
+            let tok = match c {
+                b'a'..=b'z' | b'A'..=b'Z' | b'_' => self.lex_word(start),
+                b'0'..=b'9' => self.lex_number(start),
+                b'.' if self.peek_at(1).is_some_and(|d| d.is_ascii_digit()) => {
+                    self.lex_number(start)
                 }
-                Some(b'\\') if self.peek_at(1) == Some(b'\r') && self.peek_at(2) == Some(b'\n') => {
-                    self.pos += 3;
+                b'\'' => self.lex_char(start),
+                b'"' => self.lex_string(start),
+                b'#' if self.directive_problems.is_none() && self.at_line_start() => {
+                    self.lex_directive(start);
+                    continue;
                 }
-                // comments terminate the directive body logically but we keep
-                // scanning so the span covers the full line
-                _ => {
-                    self.pos += 1;
-                }
-            }
-        }
-        // Normalize continuations and strip trailing comments for the stored
-        // text. The common case (no continuation) stays zero-copy until the
-        // single final allocation of the token payload.
-        let raw = String::from_utf8_lossy(&self.text[text_start..self.pos]);
-        let cleaned: std::borrow::Cow<'_, str> = if raw.contains('\\') {
-            std::borrow::Cow::Owned(raw.replace("\\\r\n", " ").replace("\\\n", " "))
-        } else {
-            raw
-        };
-        let mut body: &str = &cleaned;
-        if let Some(idx) = body.find("//") {
-            body = &body[..idx];
-        }
-        let body = body.trim();
-        let span = Span::new(self.abs(start), self.abs(self.pos));
-        if let Some(stripped) = body.strip_prefix("pragma") {
-            Token::new(TokenKind::Pragma(stripped.trim().to_string()), span)
-        } else {
-            Token::new(TokenKind::HashDirective(body.to_string()), span)
+                _ => match self.lex_operator(start) {
+                    Some(tok) => tok,
+                    None => continue,
+                },
+            };
+            self.tokens.push(tok);
         }
     }
 
-    fn lex_ident(&mut self, start: usize) -> Token {
-        while let Some(c) = self.peek() {
-            if c.is_ascii_alphanumeric() || c == b'_' {
-                self.pos += 1;
-            } else {
-                break;
+    /// Lex the directive line whose `#` is at `hash`: opener, words, end.
+    fn lex_directive(&mut self, hash: usize) {
+        // The logical line runs to the first newline no `\` continues.
+        let mut end = hash + 1;
+        loop {
+            match self.text.get(end) {
+                None | Some(b'\n') => break,
+                Some(b'\\') if self.text.get(end + 1) == Some(&b'\n') => end += 2,
+                Some(b'\\') if self.text[end + 1..].starts_with(b"\r\n") => end += 3,
+                _ => end += 1,
             }
         }
-        let bytes = &self.text[start..self.pos];
-        let span = Span::new(self.abs(start), self.abs(self.pos));
-        // Identifier characters are ASCII by construction, so the slice is
-        // valid UTF-8.
-        let s = std::str::from_utf8(bytes).unwrap_or("");
-        match keyword_from_str(s) {
-            Some(kw) => Token::new(kw, span),
+        let opener = self.tokens.len();
+        let line = Span::new(hash as u32, end as u32);
+        self.tokens.push(Token::plain(TokenKind::Hash, line));
+        let whole = self.text;
+        self.text = &whole[..end];
+        self.pos = hash + 1;
+        self.directive_problems = Some(0);
+        self.skip_trivia();
+        let word = &self.text[self.pos..];
+        let word_len = word
+            .iter()
+            .take_while(|c| c.is_ascii_alphanumeric() || **c == b'_')
+            .count();
+        if &word[..word_len] == b"pragma" {
+            self.tokens[opener].kind = TokenKind::Pragma;
+            self.pos += word_len;
+        }
+        self.lex_to_end();
+        let problems = self.directive_problems.take().unwrap_or(0);
+        let close = self.tokens.len();
+        let end_marker = Token::new(TokenKind::EndDirective, problems, Span::point(line.end));
+        self.tokens.push(end_marker);
+        self.tokens[opener].set_payload((close - opener) as u32);
+        self.text = whole;
+        self.pos = end;
+    }
+
+    /// An identifier or a keyword.
+    fn lex_word(&mut self, start: usize) -> Token {
+        let text = self.text;
+        let mut end = start;
+        // FNV-1a over the word's bytes, as they are scanned.
+        let mut hash: u32 = 0x811c_9dc5;
+        while let Some(&c) = text.get(end).filter(|c| WORD_BYTE[**c as usize]) {
+            hash = (hash ^ u32::from(c)).wrapping_mul(0x0100_0193);
+            end += 1;
+        }
+        self.pos = end;
+        let bytes = &text[start..end];
+        let (kind, payload) = match self.words.get(hash, bytes) {
+            Some(word) => (word.kind, word.payload),
             None => {
-                let sym = *self
-                    .idents
-                    .entry(bytes)
-                    .or_insert_with(|| Symbol::intern(s));
-                Token::new(TokenKind::Ident(sym), span)
+                // Word bytes are ASCII, so the slice is valid UTF-8.
+                let name = Symbol::intern(std::str::from_utf8(bytes).unwrap_or_default());
+                let (kind, payload) = match keyword_from_str(bytes) {
+                    Some(keyword) => (keyword, 0),
+                    None => (TokenKind::Ident, name.index()),
+                };
+                let text = name.as_str().as_bytes();
+                (self.words).insert(Word {
+                    hash,
+                    text,
+                    kind,
+                    payload,
+                });
+                (kind, payload)
             }
-        }
+        };
+        Token::new(kind, payload, self.span_from(start))
     }
 
     fn lex_number(&mut self, start: usize) -> Token {
@@ -269,26 +324,16 @@ impl<'a> Lexer<'a> {
         // hex
         if self.peek() == Some(b'0') && matches!(self.peek_at(1), Some(b'x') | Some(b'X')) {
             self.pos += 2;
-            while let Some(c) = self.peek() {
-                if c.is_ascii_hexdigit() {
-                    self.pos += 1;
-                } else {
-                    break;
-                }
+            while self.peek().is_some_and(|c| c.is_ascii_hexdigit()) {
+                self.pos += 1;
             }
             let text = std::str::from_utf8(&self.text[start + 2..self.pos]).unwrap_or("0");
             let value = i64::from_str_radix(text, 16).unwrap_or_else(|_| {
-                self.diags.error(
-                    Span::new(self.abs(start), self.abs(self.pos)),
-                    "hexadecimal literal out of range",
-                );
+                self.problem(self.span_from(start), "hexadecimal literal out of range");
                 0
             });
             self.consume_int_suffix();
-            return Token::new(
-                TokenKind::IntLit(value),
-                Span::new(self.abs(start), self.abs(self.pos)),
-            );
+            return self.literals.int_token(value, self.span_from(start));
         }
         while let Some(c) = self.peek() {
             if c.is_ascii_digit() {
@@ -319,13 +364,13 @@ impl<'a> Lexer<'a> {
         } else {
             self.consume_int_suffix();
         }
-        let span = Span::new(self.abs(start), self.abs(self.pos));
+        let span = self.span_from(start);
         if is_float {
             let value: f64 = text.parse().unwrap_or_else(|_| {
-                self.diags.error(span, "invalid floating-point literal");
+                self.problem(span, "invalid floating-point literal");
                 0.0
             });
-            Token::new(TokenKind::FloatLit(value), span)
+            self.literals.float_token(value, span)
         } else {
             // A leading `0` makes an integer literal octal.
             let radix = if text.len() > 1 && text.starts_with('0') {
@@ -333,12 +378,20 @@ impl<'a> Lexer<'a> {
             } else {
                 10
             };
-            let value = i64::from_str_radix(text, radix).unwrap_or_else(|_| {
-                self.diags
-                    .error(span, "integer literal invalid or out of range");
+            // What `i64::from_str_radix` reads, without its generality: the
+            // text is digits only.
+            let value = text.bytes().try_fold(0i64, |value, digit| {
+                let digit = i64::from(digit - b'0');
+                if digit >= radix {
+                    return None;
+                }
+                value.checked_mul(radix)?.checked_add(digit)
+            });
+            let value = value.unwrap_or_else(|| {
+                self.problem(span, "integer literal invalid or out of range");
                 0
             });
-            Token::new(TokenKind::IntLit(value), span)
+            self.literals.int_token(value, span)
         }
     }
 
@@ -360,59 +413,43 @@ impl<'a> Lexer<'a> {
                 value = unescape(esc);
             }
             Some(c) => value = c as char,
-            None => {
-                self.diags.error(
-                    Span::new(self.abs(start), self.abs(self.pos)),
-                    "unterminated character literal",
-                );
-            }
+            None => self.problem(self.span_from(start), "unterminated character literal"),
         }
         if self.peek() == Some(b'\'') {
             self.pos += 1;
         } else {
-            self.diags.error(
-                Span::new(self.abs(start), self.abs(self.pos)),
-                "unterminated character literal",
-            );
+            self.problem(self.span_from(start), "unterminated character literal");
         }
-        Token::new(
-            TokenKind::CharLit(value),
-            Span::new(self.abs(start), self.abs(self.pos)),
-        )
+        Token::new(TokenKind::CharLit, value as u32, self.span_from(start))
     }
 
     fn lex_string(&mut self, start: usize) -> Token {
         self.pos += 1; // opening quote
-        let mut value = String::new();
+        let value_start = self.literals.string_text().len();
         let mut closed = false;
         while let Some(c) = self.bump() {
-            match c {
+            let value = match c {
                 b'"' => {
                     closed = true;
                     break;
                 }
-                b'\\' => {
-                    let esc = self.bump().unwrap_or(b'"');
-                    value.push(unescape(esc));
-                }
-                other => value.push(other as char),
-            }
+                b'\\' => unescape(self.bump().unwrap_or(b'"')),
+                other => other as char,
+            };
+            self.literals.string_text().push(value);
         }
         if !closed {
-            self.diags.error(
-                Span::new(self.abs(start), self.abs(self.pos)),
-                "unterminated string literal",
-            );
+            self.problem(self.span_from(start), "unterminated string literal");
         }
-        Token::new(
-            TokenKind::StrLit(value),
-            Span::new(self.abs(start), self.abs(self.pos)),
-        )
+        self.literals.str_token(value_start, self.span_from(start))
     }
 
-    fn lex_operator(&mut self, start: usize) -> Token {
+    /// Punctuation or an operator; `None` (and a problem) for a byte that
+    /// starts no token.
+    fn lex_operator(&mut self, start: usize) -> Option<Token> {
         use TokenKind::*;
-        let c = self.bump().unwrap();
+        // `lex_to_end` calls this at a byte, never at the end.
+        let c = self.bump()?;
         let two = |l: &Lexer| l.peek();
         let kind = match c {
             b'(' => LParen,
@@ -557,15 +594,12 @@ impl<'a> Lexer<'a> {
                 _ => Gt,
             },
             other => {
-                self.diags.error(
-                    Span::new(self.abs(start), self.abs(self.pos)),
-                    format!("unexpected character `{}`", other as char),
-                );
-                // Skip it and return the next token instead.
-                return self.next_token();
+                let span = self.span_from(start);
+                self.problem(span, format!("unexpected character `{}`", other as char));
+                return None;
             }
         };
-        Token::new(kind, Span::new(self.abs(start), self.abs(self.pos)))
+        Some(Token::plain(kind, self.span_from(start)))
     }
 }
 
@@ -583,7 +617,7 @@ fn unescape(c: u8) -> char {
 }
 
 /// Convenience helper: lex a whole file.
-pub fn tokenize_file(file: &SourceFile) -> (Vec<Token>, Diagnostics) {
+pub fn tokenize_file(file: &SourceFile) -> (TokenBuffer, Diagnostics) {
     Lexer::new(file).tokenize()
 }
 
@@ -591,23 +625,47 @@ pub fn tokenize_file(file: &SourceFile) -> (Vec<Token>, Diagnostics) {
 mod tests {
     use super::*;
 
+    /// The tokens of `src`, each spelled as clause text spells it, with the
+    /// directive markers named.
+    fn spelled(src: &str) -> Vec<String> {
+        let f = SourceFile::new("t.c", src);
+        let (toks, diags) = tokenize_file(&f);
+        assert!(!diags.has_errors(), "{}", diags.render_all(&f));
+        spell_all(&toks)
+    }
+
+    fn spell_all(toks: &TokenBuffer) -> Vec<String> {
+        toks.iter()
+            .map(|t| match t.kind {
+                TokenKind::Hash => "<#>".to_string(),
+                TokenKind::Pragma => "<#pragma>".to_string(),
+                TokenKind::EndDirective => "<end>".to_string(),
+                TokenKind::Eof => "<eof>".to_string(),
+                _ => toks.literals().spell(t),
+            })
+            .collect()
+    }
+
     fn kinds(src: &str) -> Vec<TokenKind> {
         let f = SourceFile::new("t.c", src);
         let (toks, diags) = tokenize_file(&f);
         assert!(!diags.has_errors(), "{}", diags.render_all(&f));
-        toks.into_iter().map(|t| t.kind).collect()
+        toks.iter().map(|t| t.kind).collect()
     }
 
     #[test]
     fn lexes_simple_declaration() {
-        let k = kinds("int a = 42;");
         assert_eq!(
-            k,
+            spelled("int a = 42;"),
+            ["int", "a", "=", "42", ";", "<eof>"]
+        );
+        assert_eq!(
+            kinds("int a = 42;"),
             vec![
                 TokenKind::KwInt,
-                TokenKind::Ident("a".into()),
+                TokenKind::Ident,
                 TokenKind::Assign,
-                TokenKind::IntLit(42),
+                TokenKind::IntLit,
                 TokenKind::Semi,
                 TokenKind::Eof
             ]
@@ -626,94 +684,125 @@ mod tests {
 
     #[test]
     fn lexes_floats_and_suffixes() {
-        let k = kinds("double x = 1.5e-3; float y = 2.0f; long n = 10L; unsigned m = 0x1Fu;");
-        assert!(k.contains(&TokenKind::FloatLit(1.5e-3)));
-        assert!(k.contains(&TokenKind::FloatLit(2.0)));
-        assert!(k.contains(&TokenKind::IntLit(10)));
-        assert!(k.contains(&TokenKind::IntLit(31)));
+        let k = spelled("double x = 1.5e-3; float y = 2.0f; long n = 10L; unsigned m = 0x1Fu;");
+        for value in ["0.0015", "2", "10", "31"] {
+            assert!(k.iter().any(|s| s == value), "{value} in {k:?}");
+        }
+        let f = SourceFile::new("t.c", "float y = 2.0f;");
+        let toks = tokenize_file(&f).0;
+        assert_eq!(toks[3].kind, TokenKind::FloatLit);
+        assert_eq!(toks.literals().float(&toks[3]), 2.0);
     }
 
     #[test]
     fn lexes_octal_literals() {
-        let k = kinds("int a = 010; int b = 0; int c = 0777L; double d = 010.5;");
-        assert!(k.contains(&TokenKind::IntLit(8)));
-        assert!(k.contains(&TokenKind::IntLit(0)));
-        assert!(k.contains(&TokenKind::IntLit(511)));
-        assert!(k.contains(&TokenKind::FloatLit(10.5)));
+        let k = spelled("int a = 010; int b = 0; int c = 0777L; double d = 010.5;");
+        for value in ["8", "0", "511", "10.5"] {
+            assert!(k.iter().any(|s| s == value), "{value} in {k:?}");
+        }
         let f = SourceFile::new("t.c", "int a = 09;");
         assert!(tokenize_file(&f).1.has_errors());
     }
 
     #[test]
     fn skips_comments() {
-        let k = kinds("int a; // trailing\n/* block\n comment */ int b;");
         assert_eq!(
-            k,
-            vec![
-                TokenKind::KwInt,
-                TokenKind::Ident("a".into()),
-                TokenKind::Semi,
-                TokenKind::KwInt,
-                TokenKind::Ident("b".into()),
-                TokenKind::Semi,
-                TokenKind::Eof
-            ]
+            spelled("int a; // trailing\n/* block\n comment */ int b;"),
+            ["int", "a", ";", "int", "b", ";", "<eof>"]
         );
     }
 
+    /// A pragma line is its opener, its words and an end marker; the
+    /// opener's span covers both physical lines.
     #[test]
     fn captures_pragma_lines() {
         let src = "#pragma omp target teams distribute \\\n    parallel for\nfor (;;) {}\n";
         let f = SourceFile::new("t.c", src);
         let (toks, diags) = tokenize_file(&f);
         assert!(!diags.has_errors());
-        match &toks[0].kind {
-            TokenKind::Pragma(body) => {
-                assert!(body.starts_with("omp target teams distribute"));
-                assert!(body.contains("parallel for"));
-            }
-            other => panic!("expected pragma, got {other:?}"),
-        }
-        // Span covers the whole two physical lines of the directive.
+        assert_eq!(
+            spell_all(&toks)[..8],
+            [
+                "<#pragma>",
+                "omp",
+                "target",
+                "teams",
+                "distribute",
+                "parallel",
+                "for",
+                "<end>"
+            ]
+        );
+        assert_eq!(toks[0].directive_len(), 7);
         let text = f.snippet(toks[0].span);
         assert!(text.starts_with("#pragma"));
         assert!(text.ends_with("parallel for"));
+        assert_eq!(toks[7].span, Span::point(toks[0].span.end));
+        assert_eq!(toks[8].kind, TokenKind::KwFor);
     }
 
     #[test]
     fn captures_hash_directives() {
-        let k = kinds("#define N 100\nint a[N];\n");
-        match &k[0] {
-            TokenKind::HashDirective(text) => assert_eq!(text, "define N 100"),
-            other => panic!("expected hash directive, got {other:?}"),
-        }
+        assert_eq!(
+            spelled("#define N 100\nint a[N];\n"),
+            ["<#>", "define", "N", "100", "<end>", "int", "a", "[", "N", "]", ";", "<eof>"]
+        );
+    }
+
+    /// A directive line's problems are counted on its end marker, not
+    /// reported, and nothing on the line reads past its end.
+    #[test]
+    fn directive_problems_are_counted_on_the_line() {
+        let f = SourceFile::new("t.c", "#if 09 @ \"open\nint x;\n");
+        let (toks, diags) = tokenize_file(&f);
+        assert!(diags.is_empty(), "{diags:?}");
+        let end = toks[0].directive_len();
+        assert_eq!(toks[end].kind, TokenKind::EndDirective);
+        assert_eq!(toks[end].payload(), 3);
+        assert_eq!(toks[end + 1].kind, TokenKind::KwInt);
+    }
+
+    /// Tokens on a directive line carry the file offsets of their own bytes.
+    #[test]
+    fn directive_tokens_carry_file_spans() {
+        let src = "int x;\n  #  define  WIDTH \\\n (x + 1)\n";
+        let f = SourceFile::new("t.c", src);
+        let toks = tokenize_file(&f).0;
+        let snippets: Vec<&str> = toks[3..].iter().map(|t| f.snippet(t.span)).collect();
+        assert_eq!(
+            snippets,
+            [
+                "#  define  WIDTH \\\n (x + 1)",
+                "define",
+                "WIDTH",
+                "(",
+                "x",
+                "+",
+                "1",
+                ")",
+                "",
+                ""
+            ]
+        );
     }
 
     #[test]
     fn hash_inside_line_is_error_not_directive() {
         let f = SourceFile::new("t.c", "int a; #pragma omp target\n");
-        let (toks, _diags) = tokenize_file(&f);
-        // '#' not at line start (non-whitespace precedes) is still treated as
-        // a directive only if at line start; here it isn't, so the lexer
-        // reports an error and recovers.
+        let (toks, diags) = tokenize_file(&f);
+        // '#' not at line start (non-whitespace precedes) is not a
+        // directive: the lexer reports an error and recovers.
+        assert!(diags.has_errors());
         assert!(toks.iter().any(|t| matches!(t.kind, TokenKind::Semi)));
+        assert!(!toks.iter().any(|t| matches!(t.kind, TokenKind::Pragma)));
     }
 
     #[test]
     fn char_and_string_literals() {
-        let k = kinds("char c = 'x'; char n = '\\n'; const char *s = \"hi\\tthere\";");
-        assert!(k.contains(&TokenKind::CharLit('x')));
-        assert!(k.contains(&TokenKind::CharLit('\n')));
-        assert!(k.contains(&TokenKind::StrLit("hi\tthere".into())));
-    }
-
-    #[test]
-    fn base_offset_shifts_spans() {
-        let lx = Lexer::with_base("a + b", 100);
-        let (toks, _) = lx.tokenize();
-        assert_eq!(toks[0].span, Span::new(100, 101));
-        assert_eq!(toks[1].span, Span::new(102, 103));
-        assert_eq!(toks[2].span, Span::new(104, 105));
+        let k = spelled("char c = 'x'; char n = '\\n'; const char *s = \"hi\\tthere\";");
+        assert!(k.contains(&"'x'".to_string()));
+        assert!(k.contains(&"'\n'".to_string()));
+        assert!(k.contains(&"\"hi\tthere\"".to_string()));
     }
 
     #[test]
@@ -721,6 +810,17 @@ mod tests {
         let f = SourceFile::new("t.c", "const char *s = \"oops;\n");
         let (_toks, diags) = tokenize_file(&f);
         assert!(diags.has_errors());
+    }
+
+    /// A run of bytes that start no token is one error each, lexed in a
+    /// loop: a long run cannot exhaust the stack.
+    #[test]
+    fn unexpected_characters_are_skipped_one_by_one() {
+        let src = format!("int a;{}int b;", "@".repeat(200_000));
+        let f = SourceFile::new("t.c", src);
+        let (toks, diags) = tokenize_file(&f);
+        assert_eq!(diags.error_count(), 200_000);
+        assert_eq!(toks.len(), 7);
     }
 
     #[test]

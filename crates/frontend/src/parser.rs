@@ -1,20 +1,21 @@
 //! Recursive-descent parser for MiniC.
 //!
-//! The parser consumes the preprocessed token stream and produces a
+//! The parser reads the preprocessed token buffer by index and produces a
 //! [`TranslationUnit`]. OpenMP pragmas are attached to the statement that
 //! follows them (for non-standalone directives), mirroring how Clang
-//! represents `OMPExecutableDirective` nodes with captured statements.
+//! represents `OMPExecutableDirective` nodes with captured statements; their
+//! clauses are parsed from the pragma line's own tokens in the same buffer.
 
 use crate::ast::*;
 use crate::diag::Diagnostics;
-use crate::intern::Symbol;
+use crate::intern::{Symbol, SymbolSet};
 use crate::lexer::tokenize_file;
 use crate::omp::{DirectiveKind, OmpDirective};
 use crate::pragma::parse_omp_pragma;
-use crate::preprocess::preprocess;
+use crate::preprocess::{preprocess, PreprocessOutput};
 use crate::source::{SourceFile, Span};
-use crate::token::{Token, TokenKind};
-use std::collections::HashSet;
+use crate::token::{Literals, Token, TokenKind};
+use std::sync::OnceLock;
 
 /// Result of parsing a source file.
 #[derive(Debug)]
@@ -33,10 +34,12 @@ impl ParseResult {
 /// Parse a complete source file (lex + preprocess + parse).
 pub fn parse_source(file: &SourceFile) -> ParseResult {
     let (tokens, mut diags) = tokenize_file(file);
-    let pp = preprocess(tokens, &mut diags);
-    let mut parser = Parser::new(pp.tokens, diags);
+    let PreprocessOutput {
+        tokens, constants, ..
+    } = preprocess(tokens, &mut diags);
+    let mut parser = Parser::new(&tokens, tokens.literals(), diags);
     let mut unit = parser.parse_translation_unit();
-    unit.constants = pp.constants;
+    unit.constants = constants;
     ParseResult {
         unit,
         diagnostics: parser.diags,
@@ -50,19 +53,18 @@ pub fn parse_str(name: &str, text: &str) -> (SourceFile, ParseResult) {
     (file, result)
 }
 
-pub(crate) struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
-    pub(crate) diags: Diagnostics,
-    next_id: u32,
-    typedefs: HashSet<Symbol>,
-    structs: HashSet<Symbol>,
-}
+/// How many statements and expressions may be open inside each other. A
+/// parenthesized expression opens three (assignment, conditional, unary), so
+/// this admits well over the 63 levels of parentheses C guarantees; deeper
+/// input is an error rather than a stack overflow here or in a later walk
+/// over the tree.
+const MAX_NESTING: u32 = 256;
 
-impl Parser {
-    pub(crate) fn new(tokens: Vec<Token>, diags: Diagnostics) -> Self {
-        let mut typedefs = HashSet::new();
-        for builtin in [
+/// Type names every unit may use without declaring them.
+fn builtin_typedefs() -> &'static [Symbol] {
+    static BUILTIN: OnceLock<Vec<Symbol>> = OnceLock::new();
+    BUILTIN.get_or_init(|| {
+        [
             "size_t",
             "ssize_t",
             "ptrdiff_t",
@@ -80,26 +82,59 @@ impl Parser {
             "Real_t",
             "Index_t",
             "Int_t",
-        ] {
-            typedefs.insert(Symbol::intern(builtin));
-        }
+        ]
+        .into_iter()
+        .map(Symbol::intern)
+        .collect()
+    })
+}
+
+pub(crate) struct Parser<'t> {
+    tokens: &'t [Token],
+    literals: &'t Literals,
+    pos: usize,
+    /// What reading at or past the last token finds: an `Eof` at the end of
+    /// the last token (the buffer's own, for a whole unit).
+    eof: Token,
+    /// The span of the last token (or pragma line) consumed.
+    prev: Span,
+    pub(crate) diags: Diagnostics,
+    next_id: u32,
+    /// Typedef names the unit declared (the builtins are
+    /// [`builtin_typedefs`]) and struct tags.
+    typedefs: SymbolSet,
+    structs: SymbolSet,
+    /// Statements and expressions open around the current position.
+    depth: u32,
+    /// Set once the input nested deeper than [`MAX_NESTING`].
+    abandoned: bool,
+}
+
+impl<'t> Parser<'t> {
+    pub(crate) fn new(tokens: &'t [Token], literals: &'t Literals, diags: Diagnostics) -> Self {
+        let end = tokens.last().map_or(0, |t| t.span.end);
         Parser {
             tokens,
+            literals,
             pos: 0,
+            eof: Token::plain(TokenKind::Eof, Span::point(end)),
+            prev: Span::dummy(),
             diags,
             next_id: 0,
-            typedefs,
-            structs: HashSet::new(),
+            typedefs: SymbolSet::default(),
+            structs: SymbolSet::default(),
+            depth: 0,
+            abandoned: false,
         }
     }
 
-    /// Create a sub-parser over a detached, `Eof`-terminated token vector
-    /// (clause expressions of a pragma, the condition of a `#if`). Node ids
+    /// A sub-parser over a slice of tokens with no `Eof` of its own (clause
+    /// expressions of a pragma, the condition of a `#if`). Its node ids
     /// start high so they do not collide with ids from the main parse in
     /// practice; collisions are harmless because fragment expressions are
-    /// never indexed by id.
-    pub(crate) fn for_fragment(tokens: Vec<Token>) -> Self {
-        let mut p = Parser::new(tokens, Diagnostics::new());
+    /// never indexed by id. It knows only the builtin typedefs.
+    pub(crate) fn for_fragment(tokens: &'t [Token], literals: &'t Literals) -> Self {
+        let mut p = Parser::new(tokens, literals, Diagnostics::new());
         p.next_id = 1 << 24;
         p
     }
@@ -110,42 +145,60 @@ impl Parser {
         id
     }
 
-    // -- token helpers ------------------------------------------------------
-
-    fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)].kind
+    pub(crate) fn literals(&self) -> &'t Literals {
+        self.literals
     }
 
-    fn peek_at(&self, off: usize) -> &TokenKind {
-        let idx = (self.pos + off).min(self.tokens.len() - 1);
-        &self.tokens[idx].kind
+    // -- token helpers ------------------------------------------------------
+
+    fn tok(&self, index: usize) -> &Token {
+        self.tokens.get(index).unwrap_or(&self.eof)
+    }
+
+    fn peek(&self) -> TokenKind {
+        self.tok(self.pos).kind
+    }
+
+    fn peek_at(&self, off: usize) -> TokenKind {
+        self.tok(self.pos + off).kind
     }
 
     fn peek_span(&self) -> Span {
-        self.tokens[self.pos.min(self.tokens.len() - 1)].span
+        self.tok(self.pos).span
+    }
+
+    /// The identifier at the current position, if there is one.
+    fn peek_ident(&self) -> Option<Symbol> {
+        self.tok(self.pos).ident()
+    }
+
+    /// Name the current token, as parse errors do.
+    fn describe_current(&self) -> String {
+        self.literals.describe(self.tok(self.pos))
     }
 
     fn prev_span(&self) -> Span {
-        if self.pos == 0 {
-            Span::dummy()
-        } else {
-            self.tokens[self.pos - 1].span
-        }
+        self.prev
     }
 
     pub(crate) fn at_eof(&self) -> bool {
-        matches!(self.peek(), TokenKind::Eof)
+        self.peek() == TokenKind::Eof
     }
 
-    fn bump(&mut self) -> Token {
-        let tok = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
+    /// Consume the current token — a whole line, for a pragma — and return
+    /// its span. At the end of input nothing is consumed.
+    fn bump(&mut self) -> Span {
+        let tok = *self.tok(self.pos);
+        match tok.kind {
+            TokenKind::Eof => return tok.span,
+            TokenKind::Pragma => self.pos += tok.directive_len() + 1,
+            _ => self.pos += 1,
         }
-        tok
+        self.prev = tok.span;
+        tok.span
     }
 
-    fn eat(&mut self, kind: &TokenKind) -> bool {
+    fn eat(&mut self, kind: TokenKind) -> bool {
         if self.peek() == kind {
             self.bump();
             true
@@ -154,9 +207,9 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, kind: &TokenKind) -> Span {
+    fn expect(&mut self, kind: TokenKind) -> Span {
         if self.peek() == kind {
-            self.bump().span
+            self.bump()
         } else {
             let span = self.peek_span();
             self.diags.error(
@@ -164,7 +217,7 @@ impl Parser {
                 format!(
                     "expected {}, found {}",
                     kind.describe(),
-                    self.peek().describe()
+                    self.describe_current()
                 ),
             );
             span
@@ -175,21 +228,68 @@ impl Parser {
     /// recovery.
     fn recover_to(&mut self, sync: &[TokenKind]) {
         while !self.at_eof() {
-            if sync.contains(self.peek()) {
+            if sync.contains(&self.peek()) {
                 return;
             }
             self.bump();
         }
     }
 
+    /// Run `parse` one nesting level deeper. Past [`MAX_NESTING`] the parse
+    /// is abandoned instead — one error, and the rest of the input skipped
+    /// so that every open level unwinds at the end of file — and
+    /// `abandoned` builds the placeholder.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> T,
+        abandoned: impl FnOnce(&mut Self) -> T,
+    ) -> T {
+        if self.depth >= MAX_NESTING {
+            self.abandon();
+            return abandoned(self);
+        }
+        self.depth += 1;
+        let result = parse(self);
+        self.depth -= 1;
+        result
+    }
+
+    fn abandon(&mut self) {
+        if !self.abandoned {
+            self.abandoned = true;
+            let span = self.peek_span();
+            self.diags
+                .error(span, format!("nested more than {MAX_NESTING} levels deep"));
+        }
+        self.pos = self.tokens.len();
+    }
+
+    /// One more pointer or array level on a type being built: `false`, and
+    /// the parse abandoned, past [`MAX_NESTING`] levels.
+    fn type_level(&mut self, levels: &mut u32) -> bool {
+        *levels += 1;
+        if *levels > MAX_NESTING {
+            self.abandon();
+        }
+        *levels <= MAX_NESTING
+    }
+
+    fn error_expr(&mut self) -> Expr {
+        Expr {
+            id: self.fresh_id(),
+            span: self.peek_span(),
+            kind: ExprKind::IntLit(0),
+        }
+    }
+
     // -- type recognition ---------------------------------------------------
 
-    fn is_type_name(&self, kind: &TokenKind) -> bool {
-        match kind {
-            k if k.is_type_keyword() => true,
-            TokenKind::Ident(name) => self.typedefs.contains(name),
-            _ => false,
-        }
+    fn is_typedef(&self, name: Symbol) -> bool {
+        builtin_typedefs().contains(&name) || self.typedefs.contains(&name)
+    }
+
+    fn is_type_name(&self, tok: &Token) -> bool {
+        tok.kind.is_type_keyword() || tok.ident().is_some_and(|name| self.is_typedef(name))
     }
 
     /// True if a declaration starts at the current position.
@@ -201,14 +301,20 @@ impl Parser {
         if k.is_type_keyword() {
             return true;
         }
-        if let TokenKind::Ident(name) = k {
-            if self.typedefs.contains(name) {
-                // `size_t n`, `Real_t *x` — a type name followed by a
-                // declarator start.
-                return matches!(self.peek_at(1), TokenKind::Ident(_) | TokenKind::Star);
-            }
+        if self.peek_ident().is_some_and(|name| self.is_typedef(name)) {
+            // `size_t n`, `Real_t *x` — a type name followed by a
+            // declarator start.
+            return matches!(self.peek_at(1), TokenKind::Ident | TokenKind::Star);
         }
-        matches!(k, TokenKind::KwTypedef)
+        k == TokenKind::KwTypedef
+    }
+
+    /// The words of the pragma line opened at `at`: the tokens between its
+    /// opener and its end marker.
+    fn pragma_words(&self, at: usize) -> &'t [Token] {
+        let tokens = self.tokens;
+        let len = tokens.get(at).map_or(0, Token::directive_len);
+        tokens.get(at + 1..at + len).unwrap_or(&[])
     }
 
     // -- translation unit ---------------------------------------------------
@@ -216,17 +322,19 @@ impl Parser {
     pub(crate) fn parse_translation_unit(&mut self) -> TranslationUnit {
         let mut items = Vec::new();
         while !self.at_eof() {
-            match self.peek().clone() {
-                TokenKind::Pragma(text) => {
+            match self.peek() {
+                TokenKind::Pragma => {
                     // Top-level pragmas (`omp declare target`, `once`, ...) do
                     // not affect the data-mapping analysis; skip them.
                     let span = self.peek_span();
-                    if text.starts_with("omp") {
+                    let words = self.pragma_words(self.pos);
+                    if words
+                        .first()
+                        .and_then(Token::ident)
+                        .is_some_and(|w| w == "omp")
+                    {
                         self.diags.note(span, "ignoring file-scope OpenMP pragma");
                     }
-                    self.bump();
-                }
-                TokenKind::HashDirective(_) => {
                     self.bump();
                 }
                 TokenKind::Semi => {
@@ -238,8 +346,8 @@ impl Parser {
                     }
                 }
                 TokenKind::KwStruct
-                    if matches!(self.peek_at(1), TokenKind::Ident(_))
-                        && matches!(self.peek_at(2), TokenKind::LBrace) =>
+                    if self.peek_at(1) == TokenKind::Ident
+                        && self.peek_at(2) == TokenKind::LBrace =>
                 {
                     if let Some(item) = self.parse_struct_def() {
                         items.push(item);
@@ -262,61 +370,47 @@ impl Parser {
     }
 
     fn parse_typedef(&mut self) -> Option<TopLevel> {
-        let start = self.expect(&TokenKind::KwTypedef);
+        let start = self.expect(TokenKind::KwTypedef);
         // typedef struct [Name] { ... } Alias;
-        if matches!(self.peek(), TokenKind::KwStruct) {
+        if self.peek() == TokenKind::KwStruct {
             self.bump();
-            let tag = if let TokenKind::Ident(name) = self.peek().clone() {
+            let tag = self.peek_ident();
+            if tag.is_some() {
                 self.bump();
-                Some(name)
-            } else {
-                None
-            };
-            let fields = if matches!(self.peek(), TokenKind::LBrace) {
+            }
+            let fields = if self.peek() == TokenKind::LBrace {
                 self.parse_struct_fields()
             } else {
                 Vec::new()
             };
-            let alias = match self.peek().clone() {
-                TokenKind::Ident(name) => {
-                    self.bump();
-                    name
-                }
-                _ => {
-                    self.diags
-                        .error(self.peek_span(), "expected typedef alias name");
-                    self.recover_to(&[TokenKind::Semi]);
-                    self.eat(&TokenKind::Semi);
-                    return None;
-                }
+            let Some(alias) = self.peek_ident() else {
+                self.diags
+                    .error(self.peek_span(), "expected typedef alias name");
+                self.recover_to(&[TokenKind::Semi]);
+                self.eat(TokenKind::Semi);
+                return None;
             };
-            let end = self.expect(&TokenKind::Semi);
+            self.bump();
+            let end = self.expect(TokenKind::Semi);
             self.typedefs.insert(alias);
             let struct_name = tag.unwrap_or(alias);
             self.structs.insert(struct_name);
             self.typedefs.insert(struct_name);
-            let id = self.fresh_id();
+            // The alias's id: numbered as a typedef, represented by the
+            // struct definition it names.
+            let _alias_id = self.fresh_id();
             let sid = self.fresh_id();
             let span = start.to(end);
-            // Record the struct definition and alias it.
-            let struct_def = TopLevel::Struct(StructDef {
+            return Some(TopLevel::Struct(StructDef {
                 id: sid,
                 span,
                 name: struct_name,
                 fields,
-            });
-            // Represent the alias as a typedef to the struct type.
-            let _ = TopLevel::Typedef {
-                id,
-                span,
-                name: alias,
-                ty: Type::Struct(struct_name),
-            };
-            return Some(struct_def);
+            }));
         }
         let ty = self.parse_type_specifier()?;
         let (ty, name, _name_span) = self.parse_declarator(ty)?;
-        let end = self.expect(&TokenKind::Semi);
+        let end = self.expect(TokenKind::Semi);
         self.typedefs.insert(name);
         let id = self.fresh_id();
         Some(TopLevel::Typedef {
@@ -328,20 +422,15 @@ impl Parser {
     }
 
     fn parse_struct_def(&mut self) -> Option<TopLevel> {
-        let start = self.expect(&TokenKind::KwStruct);
-        let name = match self.peek().clone() {
-            TokenKind::Ident(name) => {
-                self.bump();
-                name
-            }
-            _ => {
-                self.diags.error(self.peek_span(), "expected struct name");
-                return None;
-            }
+        let start = self.expect(TokenKind::KwStruct);
+        let Some(name) = self.peek_ident() else {
+            self.diags.error(self.peek_span(), "expected struct name");
+            return None;
         };
+        self.bump();
         self.structs.insert(name);
         let fields = self.parse_struct_fields();
-        let end = self.expect(&TokenKind::Semi);
+        let end = self.expect(TokenKind::Semi);
         let id = self.fresh_id();
         Some(TopLevel::Struct(StructDef {
             id,
@@ -353,14 +442,14 @@ impl Parser {
 
     fn parse_struct_fields(&mut self) -> Vec<VarDecl> {
         let mut fields = Vec::new();
-        self.expect(&TokenKind::LBrace);
+        self.expect(TokenKind::LBrace);
         while !matches!(self.peek(), TokenKind::RBrace | TokenKind::Eof) {
             let quals = self.parse_qualifiers();
             let base = match self.parse_type_specifier() {
                 Some(t) => t,
                 None => {
                     self.recover_to(&[TokenKind::Semi, TokenKind::RBrace]);
-                    self.eat(&TokenKind::Semi);
+                    self.eat(TokenKind::Semi);
                     continue;
                 }
             };
@@ -376,13 +465,13 @@ impl Parser {
                     is_static: false,
                     is_extern: false,
                 });
-                if !self.eat(&TokenKind::Comma) {
+                if !self.eat(TokenKind::Comma) {
                     break;
                 }
             }
-            self.expect(&TokenKind::Semi);
+            self.expect(TokenKind::Semi);
         }
-        self.expect(&TokenKind::RBrace);
+        self.expect(TokenKind::RBrace);
         fields
     }
 
@@ -390,10 +479,10 @@ impl Parser {
         // `enum Name { A, B = 2, ... };` — record enumerators as constants is
         // unnecessary for the benchmarks; skip the definition entirely.
         self.bump();
-        if matches!(self.peek(), TokenKind::Ident(_)) {
+        if self.peek() == TokenKind::Ident {
             self.bump();
         }
-        if matches!(self.peek(), TokenKind::LBrace) {
+        if self.peek() == TokenKind::LBrace {
             let mut depth = 0usize;
             loop {
                 match self.peek() {
@@ -415,7 +504,7 @@ impl Parser {
                 }
             }
         }
-        self.eat(&TokenKind::Semi);
+        self.eat(TokenKind::Semi);
     }
 
     fn parse_function_or_global(&mut self) -> Option<TopLevel> {
@@ -426,20 +515,20 @@ impl Parser {
             None => {
                 self.diags.error(
                     self.peek_span(),
-                    format!("expected a declaration, found {}", self.peek().describe()),
+                    format!("expected a declaration, found {}", self.describe_current()),
                 );
                 self.bump();
                 self.recover_to(&[TokenKind::Semi, TokenKind::RBrace]);
-                self.eat(&TokenKind::Semi);
+                self.eat(TokenKind::Semi);
                 return None;
             }
         };
         let (ty, name, name_span) = self.parse_declarator(base.clone())?;
 
-        if matches!(self.peek(), TokenKind::LParen) {
+        if self.peek() == TokenKind::LParen {
             // Function definition or prototype.
             let (params, variadic) = self.parse_param_list();
-            if matches!(self.peek(), TokenKind::LBrace) {
+            if self.peek() == TokenKind::LBrace {
                 let body = self.parse_compound_stmt();
                 let id = self.fresh_id();
                 return Some(TopLevel::Function(FunctionDef {
@@ -453,7 +542,7 @@ impl Parser {
                     is_variadic: variadic,
                 }));
             }
-            let end = self.expect(&TokenKind::Semi);
+            let end = self.expect(TokenKind::Semi);
             let id = self.fresh_id();
             return Some(TopLevel::Function(FunctionDef {
                 id,
@@ -471,7 +560,7 @@ impl Parser {
         let mut decls = Vec::new();
         let mut cur = (ty, name, name_span);
         loop {
-            let init = if self.eat(&TokenKind::Assign) {
+            let init = if self.eat(TokenKind::Assign) {
                 Some(self.parse_initializer())
             } else {
                 None
@@ -487,7 +576,7 @@ impl Parser {
                 is_static: quals.is_static,
                 is_extern: quals.is_extern,
             });
-            if self.eat(&TokenKind::Comma) {
+            if self.eat(TokenKind::Comma) {
                 match self.parse_declarator(base.clone()) {
                     Some(next) => cur = next,
                     None => break,
@@ -496,7 +585,7 @@ impl Parser {
                 break;
             }
         }
-        self.expect(&TokenKind::Semi);
+        self.expect(TokenKind::Semi);
         Some(TopLevel::Globals(decls))
     }
 
@@ -535,7 +624,7 @@ impl Parser {
         let mut base: Option<Type> = None;
         let mut consumed_any = false;
         loop {
-            match self.peek().clone() {
+            match self.peek() {
                 TokenKind::KwConst | TokenKind::KwVolatile | TokenKind::KwRestrict => {
                     self.bump();
                 }
@@ -589,27 +678,27 @@ impl Parser {
                 }
                 TokenKind::KwStruct => {
                     self.bump();
-                    if let TokenKind::Ident(name) = self.peek().clone() {
-                        self.bump();
-                        self.structs.insert(name);
-                        base = Some(Type::Struct(name));
-                        consumed_any = true;
-                    } else {
+                    let Some(name) = self.peek_ident() else {
                         self.diags.error(self.peek_span(), "expected struct name");
                         return None;
-                    }
+                    };
+                    self.bump();
+                    self.structs.insert(name);
+                    base = Some(Type::Struct(name));
+                    consumed_any = true;
                 }
-                TokenKind::Ident(name) if base.is_none() && !consumed_any => {
-                    if self.typedefs.contains(&name) {
-                        self.bump();
-                        base = Some(if self.structs.contains(&name) {
-                            Type::Struct(name)
-                        } else {
-                            Type::Named(name)
-                        });
-                        consumed_any = true;
-                    } else {
-                        break;
+                TokenKind::Ident if base.is_none() && !consumed_any => {
+                    match self.peek_ident().filter(|name| self.is_typedef(*name)) {
+                        Some(name) => {
+                            self.bump();
+                            base = Some(if self.structs.contains(&name) {
+                                Type::Struct(name)
+                            } else {
+                                Type::Named(name)
+                            });
+                            consumed_any = true;
+                        }
+                        None => break,
                     }
                 }
                 _ => break,
@@ -648,9 +737,13 @@ impl Parser {
     /// Parse a declarator: pointers, a name, then array suffixes.
     /// Returns (full type, name, name span).
     fn parse_declarator(&mut self, mut base: Type) -> Option<(Type, Symbol, Span)> {
+        let mut levels = 0;
         loop {
             match self.peek() {
                 TokenKind::Star => {
+                    if !self.type_level(&mut levels) {
+                        return None;
+                    }
                     self.bump();
                     base = Type::Pointer(Box::new(base));
                 }
@@ -660,31 +753,26 @@ impl Parser {
                 _ => break,
             }
         }
-        let (name, name_span) = match self.peek().clone() {
-            TokenKind::Ident(name) => {
-                let span = self.peek_span();
-                self.bump();
-                (name, span)
-            }
-            _ => {
-                self.diags.error(
-                    self.peek_span(),
-                    format!(
-                        "expected identifier in declarator, found {}",
-                        self.peek().describe()
-                    ),
-                );
-                return None;
-            }
+        let Some(name) = self.peek_ident() else {
+            self.diags.error(
+                self.peek_span(),
+                format!(
+                    "expected identifier in declarator, found {}",
+                    self.describe_current()
+                ),
+            );
+            return None;
         };
+        let name_span = self.bump();
         // Array suffixes (innermost dimension last in source order).
         let mut dims: Vec<Option<Box<Expr>>> = Vec::new();
-        while self.eat(&TokenKind::LBracket) {
-            if self.eat(&TokenKind::RBracket) {
+        while self.peek() == TokenKind::LBracket && self.type_level(&mut levels) {
+            self.bump();
+            if self.eat(TokenKind::RBracket) {
                 dims.push(None);
             } else {
                 let size = self.parse_assignment_expr();
-                self.expect(&TokenKind::RBracket);
+                self.expect(TokenKind::RBracket);
                 dims.push(Some(Box::new(size)));
             }
         }
@@ -695,22 +783,31 @@ impl Parser {
         Some((ty, name, name_span))
     }
 
+    /// `*`s after a type name in a cast or `sizeof`: pointer levels on `ty`.
+    fn pointer_suffix(&mut self, mut ty: Type) -> Type {
+        let mut levels = 0;
+        while self.peek() == TokenKind::Star && self.type_level(&mut levels) {
+            self.bump();
+            ty = Type::Pointer(Box::new(ty));
+        }
+        ty
+    }
+
     fn parse_param_list(&mut self) -> (Vec<ParamDecl>, bool) {
-        self.expect(&TokenKind::LParen);
+        self.expect(TokenKind::LParen);
         let mut params = Vec::new();
         let mut variadic = false;
-        if self.eat(&TokenKind::RParen) {
+        if self.eat(TokenKind::RParen) {
             return (params, variadic);
         }
         // `(void)`
-        if matches!(self.peek(), TokenKind::KwVoid) && matches!(self.peek_at(1), TokenKind::RParen)
-        {
+        if self.peek() == TokenKind::KwVoid && self.peek_at(1) == TokenKind::RParen {
             self.bump();
             self.bump();
             return (params, variadic);
         }
         loop {
-            if self.eat(&TokenKind::Ellipsis) {
+            if self.eat(TokenKind::Ellipsis) {
                 variadic = true;
                 break;
             }
@@ -721,7 +818,7 @@ impl Parser {
                     self.diags
                         .error(self.peek_span(), "expected parameter type");
                     self.recover_to(&[TokenKind::Comma, TokenKind::RParen]);
-                    if self.eat(&TokenKind::Comma) {
+                    if self.eat(TokenKind::Comma) {
                         continue;
                     }
                     break;
@@ -744,29 +841,33 @@ impl Parser {
                     self.recover_to(&[TokenKind::Comma, TokenKind::RParen]);
                 }
             }
-            if !self.eat(&TokenKind::Comma) {
+            if !self.eat(TokenKind::Comma) {
                 break;
             }
         }
-        self.expect(&TokenKind::RParen);
+        self.expect(TokenKind::RParen);
         (params, variadic)
     }
 
     fn parse_initializer(&mut self) -> Init {
-        if self.eat(&TokenKind::LBrace) {
+        self.nested(Self::initializer, |p| Init::Expr(p.error_expr()))
+    }
+
+    fn initializer(&mut self) -> Init {
+        if self.eat(TokenKind::LBrace) {
             let mut items = Vec::new();
-            if !matches!(self.peek(), TokenKind::RBrace) {
+            if self.peek() != TokenKind::RBrace {
                 loop {
                     items.push(self.parse_initializer());
-                    if !self.eat(&TokenKind::Comma) {
+                    if !self.eat(TokenKind::Comma) {
                         break;
                     }
-                    if matches!(self.peek(), TokenKind::RBrace) {
+                    if self.peek() == TokenKind::RBrace {
                         break;
                     }
                 }
             }
-            self.expect(&TokenKind::RBrace);
+            self.expect(TokenKind::RBrace);
             Init::List(items)
         } else {
             Init::Expr(self.parse_assignment_expr())
@@ -776,12 +877,12 @@ impl Parser {
     // -- statements ---------------------------------------------------------
 
     pub(crate) fn parse_compound_stmt(&mut self) -> Stmt {
-        let start = self.expect(&TokenKind::LBrace);
+        let start = self.expect(TokenKind::LBrace);
         let mut items = Vec::new();
         while !matches!(self.peek(), TokenKind::RBrace | TokenKind::Eof) {
             items.push(self.parse_stmt());
         }
-        let end = self.expect(&TokenKind::RBrace);
+        let end = self.expect(TokenKind::RBrace);
         Stmt {
             id: self.fresh_id(),
             span: start.to(end),
@@ -790,8 +891,16 @@ impl Parser {
     }
 
     pub(crate) fn parse_stmt(&mut self) -> Stmt {
+        self.nested(Self::stmt, |p| Stmt {
+            id: p.fresh_id(),
+            span: p.peek_span(),
+            kind: StmtKind::Empty,
+        })
+    }
+
+    fn stmt(&mut self) -> Stmt {
         let start = self.peek_span();
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::LBrace => self.parse_compound_stmt(),
             TokenKind::Semi => {
                 self.bump();
@@ -809,7 +918,7 @@ impl Parser {
             TokenKind::KwCase => {
                 self.bump();
                 let value = self.parse_expr();
-                let end = self.expect(&TokenKind::Colon);
+                let end = self.expect(TokenKind::Colon);
                 Stmt {
                     id: self.fresh_id(),
                     span: start.to(end),
@@ -818,7 +927,7 @@ impl Parser {
             }
             TokenKind::KwDefault => {
                 self.bump();
-                let end = self.expect(&TokenKind::Colon);
+                let end = self.expect(TokenKind::Colon);
                 Stmt {
                     id: self.fresh_id(),
                     span: start.to(end),
@@ -827,12 +936,12 @@ impl Parser {
             }
             TokenKind::KwReturn => {
                 self.bump();
-                let value = if matches!(self.peek(), TokenKind::Semi) {
+                let value = if self.peek() == TokenKind::Semi {
                     None
                 } else {
                     Some(self.parse_expr())
                 };
-                let end = self.expect(&TokenKind::Semi);
+                let end = self.expect(TokenKind::Semi);
                 Stmt {
                     id: self.fresh_id(),
                     span: start.to(end),
@@ -841,7 +950,7 @@ impl Parser {
             }
             TokenKind::KwBreak => {
                 self.bump();
-                let end = self.expect(&TokenKind::Semi);
+                let end = self.expect(TokenKind::Semi);
                 Stmt {
                     id: self.fresh_id(),
                     span: start.to(end),
@@ -850,28 +959,20 @@ impl Parser {
             }
             TokenKind::KwContinue => {
                 self.bump();
-                let end = self.expect(&TokenKind::Semi);
+                let end = self.expect(TokenKind::Semi);
                 Stmt {
                     id: self.fresh_id(),
                     span: start.to(end),
                     kind: StmtKind::Continue,
                 }
             }
-            TokenKind::Pragma(text) => self.parse_pragma_stmt(&text),
-            TokenKind::HashDirective(_) => {
-                self.bump();
-                Stmt {
-                    id: self.fresh_id(),
-                    span: start,
-                    kind: StmtKind::Empty,
-                }
-            }
+            TokenKind::Pragma => self.parse_pragma_stmt(),
             _ => {
                 if self.at_declaration() {
                     self.parse_decl_stmt()
                 } else {
                     let expr = self.parse_expr();
-                    let end = self.expect(&TokenKind::Semi);
+                    let end = self.expect(TokenKind::Semi);
                     Stmt {
                         id: self.fresh_id(),
                         span: start.to(end),
@@ -882,44 +983,44 @@ impl Parser {
         }
     }
 
-    fn parse_pragma_stmt(&mut self, text: &str) -> Stmt {
-        let pragma_span = self.peek_span();
-        self.bump();
-        if let Some(stripped) = text.strip_prefix("omp") {
-            let directive = parse_omp_pragma(self, stripped, pragma_span);
-            match directive {
-                Some(mut dir) => {
-                    if !dir.kind.is_standalone() {
-                        let body = self.parse_stmt();
-                        dir.body = Some(Box::new(body));
+    fn parse_pragma_stmt(&mut self) -> Stmt {
+        let words = self.pragma_words(self.pos);
+        let pragma_span = self.bump();
+        match words.split_first() {
+            Some((omp, words)) if omp.ident().is_some_and(|w| w == "omp") => {
+                match parse_omp_pragma(self, words, pragma_span) {
+                    Some(mut dir) => {
+                        if !dir.kind.is_standalone() {
+                            let body = self.parse_stmt();
+                            dir.body = Some(Box::new(body));
+                        }
+                        let span = match &dir.body {
+                            Some(b) => pragma_span.to(b.span),
+                            None => pragma_span,
+                        };
+                        Stmt {
+                            id: self.fresh_id(),
+                            span,
+                            kind: StmtKind::Omp(dir),
+                        }
                     }
-                    let span = match &dir.body {
-                        Some(b) => pragma_span.to(b.span),
-                        None => pragma_span,
-                    };
-                    Stmt {
-                        id: self.fresh_id(),
-                        span,
-                        kind: StmtKind::Omp(dir),
-                    }
-                }
-                None => {
-                    self.diags
-                        .warning(pragma_span, "unrecognized OpenMP pragma ignored");
-                    Stmt {
-                        id: self.fresh_id(),
-                        span: pragma_span,
-                        kind: StmtKind::Empty,
+                    None => {
+                        self.diags
+                            .warning(pragma_span, "unrecognized OpenMP pragma ignored");
+                        Stmt {
+                            id: self.fresh_id(),
+                            span: pragma_span,
+                            kind: StmtKind::Empty,
+                        }
                     }
                 }
             }
-        } else {
             // Non-OpenMP pragma: ignore.
-            Stmt {
+            _ => Stmt {
                 id: self.fresh_id(),
                 span: pragma_span,
                 kind: StmtKind::Empty,
-            }
+            },
         }
     }
 
@@ -933,7 +1034,7 @@ impl Parser {
                     .error(self.peek_span(), "expected type in declaration");
                 self.recover_to(&[TokenKind::Semi]);
                 let end = self.prev_span();
-                self.eat(&TokenKind::Semi);
+                self.eat(TokenKind::Semi);
                 return Stmt {
                     id: self.fresh_id(),
                     span: start.to(end),
@@ -945,7 +1046,7 @@ impl Parser {
         loop {
             match self.parse_declarator(base.clone()) {
                 Some((ty, name, span)) => {
-                    let init = if self.eat(&TokenKind::Assign) {
+                    let init = if self.eat(TokenKind::Assign) {
                         Some(self.parse_initializer())
                     } else {
                         None
@@ -966,11 +1067,11 @@ impl Parser {
                     self.recover_to(&[TokenKind::Semi, TokenKind::Comma]);
                 }
             }
-            if !self.eat(&TokenKind::Comma) {
+            if !self.eat(TokenKind::Comma) {
                 break;
             }
         }
-        let end = self.expect(&TokenKind::Semi);
+        let end = self.expect(TokenKind::Semi);
         Stmt {
             id: self.fresh_id(),
             span: start.to(end),
@@ -979,12 +1080,12 @@ impl Parser {
     }
 
     fn parse_if_stmt(&mut self) -> Stmt {
-        let start = self.expect(&TokenKind::KwIf);
-        self.expect(&TokenKind::LParen);
+        let start = self.expect(TokenKind::KwIf);
+        self.expect(TokenKind::LParen);
         let cond = self.parse_expr();
-        self.expect(&TokenKind::RParen);
+        self.expect(TokenKind::RParen);
         let then_branch = Box::new(self.parse_stmt());
-        let (else_branch, end) = if self.eat(&TokenKind::KwElse) {
+        let (else_branch, end) = if self.eat(TokenKind::KwElse) {
             let e = self.parse_stmt();
             let span = e.span;
             (Some(Box::new(e)), span)
@@ -1003,10 +1104,10 @@ impl Parser {
     }
 
     fn parse_while_stmt(&mut self) -> Stmt {
-        let start = self.expect(&TokenKind::KwWhile);
-        self.expect(&TokenKind::LParen);
+        let start = self.expect(TokenKind::KwWhile);
+        self.expect(TokenKind::LParen);
         let cond = self.parse_expr();
-        self.expect(&TokenKind::RParen);
+        self.expect(TokenKind::RParen);
         let body = Box::new(self.parse_stmt());
         let end = body.span;
         Stmt {
@@ -1017,13 +1118,13 @@ impl Parser {
     }
 
     fn parse_do_stmt(&mut self) -> Stmt {
-        let start = self.expect(&TokenKind::KwDo);
+        let start = self.expect(TokenKind::KwDo);
         let body = Box::new(self.parse_stmt());
-        self.expect(&TokenKind::KwWhile);
-        self.expect(&TokenKind::LParen);
+        self.expect(TokenKind::KwWhile);
+        self.expect(TokenKind::LParen);
         let cond = self.parse_expr();
-        self.expect(&TokenKind::RParen);
-        let end = self.expect(&TokenKind::Semi);
+        self.expect(TokenKind::RParen);
+        let end = self.expect(TokenKind::Semi);
         Stmt {
             id: self.fresh_id(),
             span: start.to(end),
@@ -1032,9 +1133,9 @@ impl Parser {
     }
 
     fn parse_for_stmt(&mut self) -> Stmt {
-        let start = self.expect(&TokenKind::KwFor);
-        self.expect(&TokenKind::LParen);
-        let init = if self.eat(&TokenKind::Semi) {
+        let start = self.expect(TokenKind::KwFor);
+        self.expect(TokenKind::LParen);
+        let init = if self.eat(TokenKind::Semi) {
             None
         } else if self.at_declaration() {
             let stmt = self.parse_decl_stmt();
@@ -1044,21 +1145,21 @@ impl Parser {
             }
         } else {
             let e = self.parse_expr();
-            self.expect(&TokenKind::Semi);
+            self.expect(TokenKind::Semi);
             Some(Box::new(ForInit::Expr(e)))
         };
-        let cond = if matches!(self.peek(), TokenKind::Semi) {
+        let cond = if self.peek() == TokenKind::Semi {
             None
         } else {
             Some(self.parse_expr())
         };
-        self.expect(&TokenKind::Semi);
-        let inc = if matches!(self.peek(), TokenKind::RParen) {
+        self.expect(TokenKind::Semi);
+        let inc = if self.peek() == TokenKind::RParen {
             None
         } else {
             Some(self.parse_expr())
         };
-        self.expect(&TokenKind::RParen);
+        self.expect(TokenKind::RParen);
         let body = Box::new(self.parse_stmt());
         let end = body.span;
         Stmt {
@@ -1074,10 +1175,10 @@ impl Parser {
     }
 
     fn parse_switch_stmt(&mut self) -> Stmt {
-        let start = self.expect(&TokenKind::KwSwitch);
-        self.expect(&TokenKind::LParen);
+        let start = self.expect(TokenKind::KwSwitch);
+        self.expect(TokenKind::LParen);
         let cond = self.parse_expr();
-        self.expect(&TokenKind::RParen);
+        self.expect(TokenKind::RParen);
         let body = Box::new(self.parse_stmt());
         let end = body.span;
         Stmt {
@@ -1092,10 +1193,10 @@ impl Parser {
     /// Parse a full expression, including the comma operator.
     pub(crate) fn parse_expr(&mut self) -> Expr {
         let first = self.parse_assignment_expr();
-        if matches!(self.peek(), TokenKind::Comma) {
+        if self.peek() == TokenKind::Comma {
             let start = first.span;
             let mut items = vec![first];
-            while self.eat(&TokenKind::Comma) {
+            while self.eat(TokenKind::Comma) {
                 items.push(self.parse_assignment_expr());
             }
             let end = items.last().map(|e| e.span).unwrap_or(start);
@@ -1111,6 +1212,10 @@ impl Parser {
 
     /// Parse an assignment expression (no top-level comma).
     pub(crate) fn parse_assignment_expr(&mut self) -> Expr {
+        self.nested(Self::assignment_expr, Self::error_expr)
+    }
+
+    fn assignment_expr(&mut self) -> Expr {
         let lhs = self.parse_conditional_expr();
         let op = match self.peek() {
             TokenKind::Assign => AssignOp::Assign,
@@ -1141,10 +1246,14 @@ impl Parser {
     }
 
     fn parse_conditional_expr(&mut self) -> Expr {
+        self.nested(Self::conditional_expr, Self::error_expr)
+    }
+
+    fn conditional_expr(&mut self) -> Expr {
         let cond = self.parse_binary_expr(0);
-        if self.eat(&TokenKind::Question) {
+        if self.eat(TokenKind::Question) {
             let then_expr = self.parse_assignment_expr();
-            self.expect(&TokenKind::Colon);
+            self.expect(TokenKind::Colon);
             let else_expr = self.parse_conditional_expr();
             let span = cond.span.to(else_expr.span);
             Expr {
@@ -1161,7 +1270,7 @@ impl Parser {
         }
     }
 
-    fn binary_op_of(kind: &TokenKind) -> Option<(BinaryOp, u8)> {
+    fn binary_op_of(kind: TokenKind) -> Option<(BinaryOp, u8)> {
         use BinaryOp::*;
         Some(match kind {
             TokenKind::OrOr => (LogicalOr, 1),
@@ -1210,27 +1319,28 @@ impl Parser {
     }
 
     fn parse_unary_expr(&mut self) -> Expr {
+        self.nested(Self::unary_expr, Self::error_expr)
+    }
+
+    fn unary_expr(&mut self) -> Expr {
         let start = self.peek_span();
-        let (op, postfix_allowed) = match self.peek() {
-            TokenKind::PlusPlus => (Some(UnaryOp::Inc), false),
-            TokenKind::MinusMinus => (Some(UnaryOp::Dec), false),
-            TokenKind::Minus => (Some(UnaryOp::Neg), false),
-            TokenKind::Plus => (Some(UnaryOp::Plus), false),
-            TokenKind::Bang => (Some(UnaryOp::Not), false),
-            TokenKind::Tilde => (Some(UnaryOp::BitNot), false),
-            TokenKind::Star => (Some(UnaryOp::Deref), false),
-            TokenKind::Amp => (Some(UnaryOp::AddrOf), false),
+        let op = match self.peek() {
+            TokenKind::PlusPlus => UnaryOp::Inc,
+            TokenKind::MinusMinus => UnaryOp::Dec,
+            TokenKind::Minus => UnaryOp::Neg,
+            TokenKind::Plus => UnaryOp::Plus,
+            TokenKind::Bang => UnaryOp::Not,
+            TokenKind::Tilde => UnaryOp::BitNot,
+            TokenKind::Star => UnaryOp::Deref,
+            TokenKind::Amp => UnaryOp::AddrOf,
             TokenKind::KwSizeof => {
                 self.bump();
                 // sizeof(type) or sizeof expr
-                if matches!(self.peek(), TokenKind::LParen) && self.is_type_name(self.peek_at(1)) {
+                if self.peek() == TokenKind::LParen && self.is_type_name(self.tok(self.pos + 1)) {
                     self.bump();
                     let ty = self.parse_type_specifier().unwrap_or(Type::Int);
-                    let mut ty = ty;
-                    while self.eat(&TokenKind::Star) {
-                        ty = Type::Pointer(Box::new(ty));
-                    }
-                    let end = self.expect(&TokenKind::RParen);
+                    let ty = self.pointer_suffix(ty);
+                    let end = self.expect(TokenKind::RParen);
                     return Expr {
                         id: self.fresh_id(),
                         span: start.to(end),
@@ -1245,47 +1355,40 @@ impl Parser {
                     kind: ExprKind::SizeofExpr(Box::new(operand)),
                 };
             }
-            _ => (None, true),
-        };
-        let _ = postfix_allowed;
-        if let Some(op) = op {
-            self.bump();
-            let operand = self.parse_unary_expr();
-            let span = start.to(operand.span);
-            return Expr {
-                id: self.fresh_id(),
-                span,
-                kind: ExprKind::Unary {
-                    op,
-                    operand: Box::new(operand),
-                    postfix: false,
-                },
-            };
-        }
-        // Cast expression: `(type) unary-expr`
-        if matches!(self.peek(), TokenKind::LParen) && self.is_type_name(self.peek_at(1)) {
-            // Lookahead to distinguish `(int)x` from `(x + y)` when `x` could
-            // be a typedef used as a variable; the typedef set makes this
-            // unambiguous in MiniC.
-            self.bump();
-            let base = self.parse_type_specifier().unwrap_or(Type::Int);
-            let mut ty = base;
-            while self.eat(&TokenKind::Star) {
-                ty = Type::Pointer(Box::new(ty));
+            // Cast expression: `(type) unary-expr`
+            TokenKind::LParen if self.is_type_name(self.tok(self.pos + 1)) => {
+                // Lookahead to distinguish `(int)x` from `(x + y)` when `x`
+                // could be a typedef used as a variable; the typedef set makes
+                // this unambiguous in MiniC.
+                self.bump();
+                let base = self.parse_type_specifier().unwrap_or(Type::Int);
+                let ty = self.pointer_suffix(base);
+                self.expect(TokenKind::RParen);
+                let operand = self.parse_unary_expr();
+                let span = start.to(operand.span);
+                return Expr {
+                    id: self.fresh_id(),
+                    span,
+                    kind: ExprKind::Cast {
+                        ty,
+                        expr: Box::new(operand),
+                    },
+                };
             }
-            self.expect(&TokenKind::RParen);
-            let operand = self.parse_unary_expr();
-            let span = start.to(operand.span);
-            return Expr {
-                id: self.fresh_id(),
-                span,
-                kind: ExprKind::Cast {
-                    ty,
-                    expr: Box::new(operand),
-                },
-            };
+            _ => return self.parse_postfix_expr(),
+        };
+        self.bump();
+        let operand = self.parse_unary_expr();
+        let span = start.to(operand.span);
+        Expr {
+            id: self.fresh_id(),
+            span,
+            kind: ExprKind::Unary {
+                op,
+                operand: Box::new(operand),
+                postfix: false,
+            },
         }
-        self.parse_postfix_expr()
     }
 
     fn parse_postfix_expr(&mut self) -> Expr {
@@ -1295,7 +1398,7 @@ impl Parser {
                 TokenKind::LBracket => {
                     self.bump();
                     let index = self.parse_expr();
-                    let end = self.expect(&TokenKind::RBracket);
+                    let end = self.expect(TokenKind::RBracket);
                     let span = expr.span.to(end);
                     expr = Expr {
                         id: self.fresh_id(),
@@ -1307,15 +1410,11 @@ impl Parser {
                     };
                 }
                 TokenKind::Dot | TokenKind::Arrow => {
-                    let arrow = matches!(self.peek(), TokenKind::Arrow);
+                    let arrow = self.peek() == TokenKind::Arrow;
                     self.bump();
-                    let (field, fspan) = match self.peek().clone() {
-                        TokenKind::Ident(name) => {
-                            let s = self.peek_span();
-                            self.bump();
-                            (name, s)
-                        }
-                        _ => {
+                    let (field, fspan) = match self.peek_ident() {
+                        Some(name) => (name, self.bump()),
+                        None => {
                             self.diags.error(self.peek_span(), "expected member name");
                             (Symbol::intern("<error>"), self.peek_span())
                         }
@@ -1332,12 +1431,12 @@ impl Parser {
                     };
                 }
                 TokenKind::PlusPlus | TokenKind::MinusMinus => {
-                    let op = if matches!(self.peek(), TokenKind::PlusPlus) {
+                    let op = if self.peek() == TokenKind::PlusPlus {
                         UnaryOp::Inc
                     } else {
                         UnaryOp::Dec
                     };
-                    let end = self.bump().span;
+                    let end = self.bump();
                     let span = expr.span.to(end);
                     expr = Expr {
                         id: self.fresh_id(),
@@ -1356,93 +1455,68 @@ impl Parser {
     }
 
     fn parse_primary_expr(&mut self) -> Expr {
-        let span = self.peek_span();
-        match self.peek().clone() {
-            TokenKind::IntLit(v) => {
+        let tok = *self.tok(self.pos);
+        let span = tok.span;
+        let literals = self.literals;
+        let kind = match tok.kind {
+            TokenKind::IntLit => ExprKind::IntLit(literals.int(&tok)),
+            TokenKind::FloatLit => ExprKind::FloatLit(literals.float(&tok)),
+            TokenKind::CharLit => ExprKind::CharLit(literals.char(&tok)),
+            TokenKind::StrLit => ExprKind::StrLit(literals.str(&tok).to_string()),
+            TokenKind::Ident => {
+                let name = tok.ident().unwrap_or_default();
                 self.bump();
-                Expr {
-                    id: self.fresh_id(),
-                    span,
-                    kind: ExprKind::IntLit(v),
-                }
-            }
-            TokenKind::FloatLit(v) => {
-                self.bump();
-                Expr {
-                    id: self.fresh_id(),
-                    span,
-                    kind: ExprKind::FloatLit(v),
-                }
-            }
-            TokenKind::CharLit(c) => {
-                self.bump();
-                Expr {
-                    id: self.fresh_id(),
-                    span,
-                    kind: ExprKind::CharLit(c),
-                }
-            }
-            TokenKind::StrLit(s) => {
-                self.bump();
-                Expr {
-                    id: self.fresh_id(),
-                    span,
-                    kind: ExprKind::StrLit(s),
-                }
-            }
-            TokenKind::Ident(name) => {
-                self.bump();
-                if matches!(self.peek(), TokenKind::LParen) {
-                    self.bump();
-                    let mut args = Vec::new();
-                    if !matches!(self.peek(), TokenKind::RParen) {
-                        loop {
-                            args.push(self.parse_assignment_expr());
-                            if !self.eat(&TokenKind::Comma) {
-                                break;
-                            }
-                        }
-                    }
-                    let end = self.expect(&TokenKind::RParen);
-                    Expr {
-                        id: self.fresh_id(),
-                        span: span.to(end),
-                        kind: ExprKind::Call {
-                            callee: name,
-                            callee_span: span,
-                            args,
-                        },
-                    }
-                } else {
-                    Expr {
+                if self.peek() != TokenKind::LParen {
+                    return Expr {
                         id: self.fresh_id(),
                         span,
                         kind: ExprKind::Ident(name),
+                    };
+                }
+                self.bump();
+                let mut args = Vec::new();
+                if self.peek() != TokenKind::RParen {
+                    loop {
+                        args.push(self.parse_assignment_expr());
+                        if !self.eat(TokenKind::Comma) {
+                            break;
+                        }
                     }
                 }
+                let end = self.expect(TokenKind::RParen);
+                return Expr {
+                    id: self.fresh_id(),
+                    span: span.to(end),
+                    kind: ExprKind::Call {
+                        callee: name,
+                        callee_span: span,
+                        args,
+                    },
+                };
             }
             TokenKind::LParen => {
                 self.bump();
                 let inner = self.parse_expr();
-                let end = self.expect(&TokenKind::RParen);
-                Expr {
+                let end = self.expect(TokenKind::RParen);
+                return Expr {
                     id: self.fresh_id(),
                     span: span.to(end),
                     kind: ExprKind::Paren(Box::new(inner)),
-                }
+                };
             }
-            other => {
+            _ => {
                 self.diags.error(
                     span,
-                    format!("expected expression, found {}", other.describe()),
+                    format!("expected expression, found {}", self.describe_current()),
                 );
-                self.bump();
-                Expr {
-                    id: self.fresh_id(),
-                    span,
-                    kind: ExprKind::IntLit(0),
-                }
+                ExprKind::IntLit(0)
             }
+        };
+        self.bump();
+        Expr {
+            id: self.fresh_id(),
+            span,
+            kind,
         }
     }
 
@@ -1678,6 +1752,41 @@ float area(box_t *b) { return b->w * b->h; }
         let (_file, result) = parse_str("bad.c", "int f( { return 0; }\n");
         assert!(!result.is_ok());
         assert!(result.diagnostics.error_count() >= 1);
+    }
+
+    /// Input nested past the cap — expressions, statements, initializers,
+    /// declarator types — is one error, never a stack overflow; nesting
+    /// within it parses.
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        let deep = 100_000;
+        for src in [
+            format!("int x = {}1{};", "(".repeat(deep), ")".repeat(deep)),
+            format!("int x = {}1;", "-".repeat(deep)),
+            format!("int x = {}1;", "(int)".repeat(deep)),
+            format!("void f() {{ int y; {}0; }}", "y = ".repeat(deep)),
+            format!("int x = {}0;", "1 ? 1 : ".repeat(deep)),
+            format!("int x[1] = {}1{};", "{".repeat(deep), "}".repeat(deep)),
+            format!("void f() {}{}", "{".repeat(deep), "}".repeat(deep)),
+            format!("void f() {{ {}; }}", "if (1) ".repeat(deep)),
+            format!("int {}p;", "*".repeat(deep)),
+            format!("int p{};", "[1]".repeat(deep)),
+            format!("int x = sizeof(int {});", "*".repeat(deep)),
+        ] {
+            let (_f, result) = parse_str("deep.c", &src);
+            let too_deep = (result.diagnostics.iter())
+                .filter(|d| d.message == "nested more than 256 levels deep")
+                .count();
+            assert_eq!(too_deep, 1, "{}", &src[..40]);
+        }
+        let within = format!(
+            "int x = {}1{};\nvoid f() {}{}",
+            "(".repeat(60),
+            ")".repeat(60),
+            "{".repeat(100),
+            "}".repeat(100)
+        );
+        parse_ok(&within);
     }
 
     #[test]

@@ -1,50 +1,41 @@
-//! Parsing of `#pragma omp ...` directive text into [`OmpDirective`]s.
+//! Parsing of `#pragma omp ...` lines into [`OmpDirective`]s.
 //!
-//! The lexer captures each pragma as a single token holding the directive
-//! text; this module re-lexes that text, determines the directive kind
-//! (longest match against the Table I grammar), and parses the clause list.
+//! The lexer writes each pragma line into the unit's buffer as tokens; this
+//! module reads the words after `omp` there, determines the directive kind
+//! (longest match against the Table I grammar), and parses the clause list,
+//! each clause expression by a fragment parser over its own tokens.
 
 use crate::ast::Expr;
-use crate::lexer::Lexer;
 use crate::omp::{ArraySection, Clause, DirectiveKind, MapItem, MapType, OmpDirective};
 use crate::parser::{make_directive, Parser};
 use crate::source::Span;
-use crate::token::{Token, TokenKind};
+use crate::token::{Literals, Token, TokenKind};
 
-/// Parse the text that follows `#pragma omp` into a directive (without an
+/// Parse the words that follow `#pragma omp` into a directive (without an
 /// associated body; the statement parser attaches bodies afterwards).
-/// Returns `None` when the text is not a recognizable OpenMP directive.
+/// Returns `None` when the words are not a recognizable OpenMP directive.
 pub(crate) fn parse_omp_pragma(
     parser: &mut Parser,
-    text: &str,
+    tokens: &[Token],
     pragma_span: Span,
 ) -> Option<OmpDirective> {
-    let (tokens, _lex_diags) = Lexer::with_base(text, pragma_span.start).tokenize();
-
     // 1. Collect the leading directive words (stop at the first clause that
     //    carries parentheses).
     let mut idx = 0usize;
     let mut words: Vec<&'static str> = Vec::new();
-    let mut word_token_end = 0usize;
-    while idx < tokens.len() {
-        let Some(word) = word_of(&tokens[idx].kind) else {
-            break;
-        };
-        let next_is_paren = matches!(
-            tokens.get(idx + 1).map(|t| &t.kind),
-            Some(TokenKind::LParen)
-        );
-        if next_is_paren {
+    while let Some(word) = tokens.get(idx).and_then(Token::word) {
+        if tokens
+            .get(idx + 1)
+            .is_some_and(|t| t.kind == TokenKind::LParen)
+        {
             break;
         }
         words.push(word);
         idx += 1;
-        word_token_end = idx;
     }
-    if words.is_empty() && idx < tokens.len() {
-        // A pragma like `omp target map(...)` has "target" followed directly
-        // by a paren-clause; handle the degenerate case where even the first
-        // word owns parentheses (not valid OpenMP).
+    if words.is_empty() {
+        // Nothing names a directive: `omp` alone, or a first word that owns
+        // parentheses (not valid OpenMP).
         return None;
     }
 
@@ -61,21 +52,18 @@ pub(crate) fn parse_omp_pragma(
     }
 
     // 3. Parse the remaining `name(args)` / bare-name clause list.
-    let mut i = word_token_end.max(idx);
+    let mut i = idx;
     while i < tokens.len() {
-        let Some(name) = word_of(&tokens[i].kind) else {
-            if matches!(tokens[i].kind, TokenKind::Eof) {
-                break;
-            }
+        let Some(name) = tokens[i].word() else {
             // Unexpected token inside the pragma: skip it.
             i += 1;
             continue;
         };
         i += 1;
-        if matches!(tokens.get(i).map(|t| &t.kind), Some(TokenKind::LParen)) {
+        if tokens.get(i).is_some_and(|t| t.kind == TokenKind::LParen) {
             // An unclosed list runs to the end of the pragma.
-            let (args, next) = collect_paren_args(&tokens, i)
-                .unwrap_or((&tokens[i + 1..tokens.len() - 1], tokens.len()));
+            let (args, next) =
+                collect_paren_args(tokens, i).unwrap_or((&tokens[i + 1..], tokens.len()));
             i = next;
             clauses.push(build_clause(parser, &kind, name, args));
         } else {
@@ -84,21 +72,6 @@ pub(crate) fn parse_omp_pragma(
     }
 
     Some(make_directive(parser, kind, clauses, pragma_span))
-}
-
-/// The word form of a token usable in pragma directive/clause positions.
-/// Both interned identifiers and fixed keywords have `'static` text, so no
-/// allocation is needed here.
-fn word_of(kind: &TokenKind) -> Option<&'static str> {
-    match kind {
-        TokenKind::Ident(s) => Some(s.as_str()),
-        k if !k.symbol_text().is_empty()
-            && k.symbol_text().chars().all(|c| c.is_ascii_alphabetic()) =>
-        {
-            Some(k.symbol_text())
-        }
-        _ => None,
-    }
 }
 
 fn bare_clause(name: &str) -> Clause {
@@ -121,7 +94,7 @@ pub(crate) fn collect_paren_args(tokens: &[Token], open_idx: usize) -> Option<(&
             TokenKind::LParen => depth += 1,
             TokenKind::RParen if depth <= 1 => return Some((&tokens[open_idx + 1..i], i + 1)),
             TokenKind::RParen => depth -= 1,
-            TokenKind::Eof | TokenKind::HashDirective(_) | TokenKind::Pragma(_) => break,
+            TokenKind::Eof | TokenKind::Hash | TokenKind::Pragma | TokenKind::EndDirective => break,
             _ => {}
         }
     }
@@ -134,33 +107,30 @@ fn build_clause(
     name: &str,
     args: &[Token],
 ) -> Clause {
+    let literals = parser.literals();
     match name {
-        "map" => parse_map_clause(args),
+        "map" => parse_map_clause(args, literals),
         "to" if *directive == DirectiveKind::TargetUpdate => {
-            Clause::UpdateTo(parse_item_list(args))
+            Clause::UpdateTo(parse_item_list(args, literals))
         }
         "from" if *directive == DirectiveKind::TargetUpdate => {
-            Clause::UpdateFrom(parse_item_list(args))
+            Clause::UpdateFrom(parse_item_list(args, literals))
         }
-        "to" => Clause::UpdateTo(parse_item_list(args)),
-        "from" => Clause::UpdateFrom(parse_item_list(args)),
-        "firstprivate" => Clause::FirstPrivate(parse_item_list(args)),
-        "private" => Clause::Private(parse_item_list(args)),
-        "shared" => Clause::Shared(parse_item_list(args)),
+        "to" => Clause::UpdateTo(parse_item_list(args, literals)),
+        "from" => Clause::UpdateFrom(parse_item_list(args, literals)),
+        "firstprivate" => Clause::FirstPrivate(parse_item_list(args, literals)),
+        "private" => Clause::Private(parse_item_list(args, literals)),
+        "shared" => Clause::Shared(parse_item_list(args, literals)),
         "reduction" => {
             let (op_tokens, rest) = split_at_colon(args);
-            let op = op_tokens
-                .iter()
-                .map(render_token)
-                .collect::<Vec<_>>()
-                .join("");
+            let op = op_tokens.iter().map(|t| literals.spell(t)).collect();
             Clause::Reduction {
                 op,
-                items: parse_item_list(&rest),
+                items: parse_item_list(rest, literals),
             }
         }
         "num_teams" | "num_threads" | "thread_limit" | "collapse" | "device" | "if" => {
-            let expr = parse_expr_fragment(args).unwrap_or_else(|| default_expr(parser));
+            let expr = parse_expr_fragment(args, literals).unwrap_or_else(|| default_expr(parser));
             match name {
                 "num_teams" => Clause::NumTeams(expr),
                 "num_threads" => Clause::NumThreads(expr),
@@ -170,11 +140,11 @@ fn build_clause(
                 _ => Clause::If(expr),
             }
         }
-        "schedule" => Clause::Schedule(render_tokens(args)),
-        "defaultmap" => Clause::DefaultMap(render_tokens(args)),
+        "schedule" => Clause::Schedule(render_tokens(args, literals)),
+        "defaultmap" => Clause::DefaultMap(render_tokens(args, literals)),
         other => Clause::Other {
             name: other.to_string(),
-            text: render_tokens(args),
+            text: render_tokens(args, literals),
         },
     }
 }
@@ -187,70 +157,59 @@ fn default_expr(parser: &mut Parser) -> Expr {
     }
 }
 
-fn parse_map_clause(args: &[Token]) -> Clause {
+fn parse_map_clause(args: &[Token], literals: &Literals) -> Clause {
     // Strip map-type modifiers (`always`, `close`) and their commas.
     let mut rest: &[Token] = args;
-    loop {
-        match rest.first().map(|t| &t.kind) {
-            Some(TokenKind::Ident(s)) if s == "always" || s == "close" => {
-                rest = &rest[1..];
-                if matches!(rest.first().map(|t| &t.kind), Some(TokenKind::Comma)) {
-                    rest = &rest[1..];
-                }
-            }
-            _ => break,
+    while let Some((first, after)) = rest.split_first() {
+        if !first.ident().is_some_and(|s| s == "always" || s == "close") {
+            break;
         }
+        rest = match after.split_first() {
+            Some((comma, after)) if comma.kind == TokenKind::Comma => after,
+            _ => after,
+        };
     }
     // Optional `map-type :`
     let mut map_type = None;
-    if rest.len() >= 2 {
-        if let (TokenKind::Ident(ty), TokenKind::Colon) = (&rest[0].kind, &rest[1].kind) {
-            if let Some(mt) = MapType::from_str(ty) {
+    if let [ty, colon, after @ ..] = rest {
+        if colon.kind == TokenKind::Colon {
+            if let Some(mt) = ty.ident().and_then(|ty| MapType::from_str(&ty)) {
                 map_type = Some(mt);
-                rest = &rest[2..];
+                rest = after;
             }
         }
     }
     Clause::Map {
         map_type,
-        items: parse_item_list(rest),
+        items: parse_item_list(rest, literals),
     }
 }
 
 /// Split tokens at the first top-level colon (used for `reduction(op: list)`).
-fn split_at_colon(args: &[Token]) -> (Vec<Token>, Vec<Token>) {
+fn split_at_colon(args: &[Token]) -> (&[Token], &[Token]) {
     let mut depth = 0i32;
     for (i, tok) in args.iter().enumerate() {
         match tok.kind {
             TokenKind::LParen | TokenKind::LBracket => depth += 1,
             TokenKind::RParen | TokenKind::RBracket => depth -= 1,
-            TokenKind::Colon if depth == 0 => {
-                return (args[..i].to_vec(), args[i + 1..].to_vec());
-            }
+            TokenKind::Colon if depth == 0 => return (&args[..i], &args[i + 1..]),
             _ => {}
         }
     }
-    (Vec::new(), args.to_vec())
+    (&[], args)
 }
 
 /// Parse a comma-separated list of map items, each `var` optionally followed
 /// by array sections `[lower:length]`.
-fn parse_item_list(args: &[Token]) -> Vec<MapItem> {
+fn parse_item_list(args: &[Token], literals: &Literals) -> Vec<MapItem> {
     let mut items = Vec::new();
     for group in split_top_level_commas(args) {
-        if group.is_empty() {
+        let Some((var, var_span)) = group.first().and_then(|t| Some((t.ident()?, t.span))) else {
             continue;
-        }
-        let (var, var_span) = match &group[0].kind {
-            TokenKind::Ident(name) => (name.to_string(), group[0].span),
-            _ => continue,
         };
         let mut sections = Vec::new();
         let mut i = 1usize;
-        while i < group.len() {
-            if !matches!(group[i].kind, TokenKind::LBracket) {
-                break;
-            }
+        while group.get(i).is_some_and(|t| t.kind == TokenKind::LBracket) {
             // find matching RBracket
             let mut depth = 0i32;
             let mut j = i;
@@ -267,8 +226,7 @@ fn parse_item_list(args: &[Token]) -> Vec<MapItem> {
                 }
                 j += 1;
             }
-            let inner = &group[i + 1..j.min(group.len())];
-            sections.push(parse_section(inner));
+            sections.push(parse_section(&group[i + 1..j], literals));
             i = j + 1;
         }
         let span = group
@@ -276,7 +234,7 @@ fn parse_item_list(args: &[Token]) -> Vec<MapItem> {
             .map(|t| t.span)
             .fold(var_span, |acc, s| acc.to(s));
         items.push(MapItem {
-            var,
+            var: var.to_string(),
             span,
             sections,
         });
@@ -284,7 +242,7 @@ fn parse_item_list(args: &[Token]) -> Vec<MapItem> {
     items
 }
 
-fn parse_section(inner: &[Token]) -> ArraySection {
+fn parse_section(inner: &[Token], literals: &Literals) -> ArraySection {
     // `lower : length`, either part optional.
     let mut depth = 0i32;
     let mut colon = None;
@@ -301,69 +259,50 @@ fn parse_section(inner: &[Token]) -> ArraySection {
     }
     match colon {
         Some(i) => ArraySection {
-            lower: parse_expr_fragment(&inner[..i]),
-            length: parse_expr_fragment(&inner[i + 1..]),
+            lower: parse_expr_fragment(&inner[..i], literals),
+            length: parse_expr_fragment(&inner[i + 1..], literals),
         },
         None => ArraySection {
-            lower: parse_expr_fragment(inner),
+            lower: parse_expr_fragment(inner, literals),
             length: None,
         },
     }
 }
 
 /// Split `args` at its commas outside any parentheses or brackets.
-pub(crate) fn split_top_level_commas(args: &[Token]) -> Vec<Vec<Token>> {
+pub(crate) fn split_top_level_commas(args: &[Token]) -> Vec<&[Token]> {
     let mut out = Vec::new();
-    let mut cur = Vec::new();
+    let mut start = 0;
     let mut depth = 0i32;
-    for tok in args {
+    for (i, tok) in args.iter().enumerate() {
         match tok.kind {
-            TokenKind::LParen | TokenKind::LBracket => {
-                depth += 1;
-                cur.push(tok.clone());
-            }
-            TokenKind::RParen | TokenKind::RBracket => {
-                depth -= 1;
-                cur.push(tok.clone());
-            }
+            TokenKind::LParen | TokenKind::LBracket => depth += 1,
+            TokenKind::RParen | TokenKind::RBracket => depth -= 1,
             TokenKind::Comma if depth == 0 => {
-                out.push(std::mem::take(&mut cur));
+                out.push(&args[start..i]);
+                start = i + 1;
             }
-            _ => cur.push(tok.clone()),
+            _ => {}
         }
     }
     // `()` has no pieces; `(a,)` has two, the second empty.
-    if !(cur.is_empty() && out.is_empty()) {
-        out.push(cur);
+    if !(args.is_empty() && out.is_empty()) {
+        out.push(&args[start..]);
     }
     out
 }
 
-/// Parse an expression from a detached token slice.
-fn parse_expr_fragment(tokens: &[Token]) -> Option<Expr> {
+/// Parse an expression from a slice of the buffer.
+fn parse_expr_fragment(tokens: &[Token], literals: &Literals) -> Option<Expr> {
     if tokens.is_empty() {
         return None;
     }
-    let mut toks = tokens.to_vec();
-    let end = toks.last().map(|t| t.span.end).unwrap_or(0);
-    toks.push(Token::new(TokenKind::Eof, Span::point(end)));
-    let mut fragment = Parser::for_fragment(toks);
-    Some(fragment.parse_expr())
+    Some(Parser::for_fragment(tokens, literals).parse_expr())
 }
 
-fn render_token(tok: &Token) -> String {
-    match &tok.kind {
-        TokenKind::Ident(s) => s.to_string(),
-        TokenKind::IntLit(v) => v.to_string(),
-        TokenKind::FloatLit(v) => v.to_string(),
-        TokenKind::StrLit(s) => format!("\"{s}\""),
-        TokenKind::CharLit(c) => format!("'{c}'"),
-        other => other.symbol_text().to_string(),
-    }
-}
-
-fn render_tokens(args: &[Token]) -> String {
-    args.iter().map(render_token).collect::<Vec<_>>().join(" ")
+fn render_tokens(args: &[Token], literals: &Literals) -> String {
+    let spelled: Vec<String> = args.iter().map(|t| literals.spell(t)).collect();
+    spelled.join(" ")
 }
 
 #[cfg(test)]

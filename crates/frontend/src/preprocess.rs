@@ -1,7 +1,12 @@
-//! A deliberately small C preprocessor operating on the token stream.
+//! A deliberately small C preprocessor: a filter over the unit's token
+//! buffer.
 //!
-//! There is one of everything: the operand text of a directive is lexed by
-//! [`Lexer`], macros are expanded by one token-level expander (`Expander`)
+//! The lexer has already written every directive line into the buffer as
+//! tokens (see [`crate::token`]). [`preprocess`] walks the buffer once and
+//! compacts it in place: directive lines and the code of inactive blocks
+//! are dropped, a pragma line stays as written, and a macro use is replaced
+//! by its expansion. An identifier that is not a macro costs one bit test.
+//! There is one of everything behind that: one macro expander (`Expander`)
 //! whether the use sits in code or in a condition, and a condition is parsed
 //! by the expression parser and evaluated by [`Expr::const_eval`].
 //!
@@ -29,18 +34,22 @@
 //!   comparisons, `?:`) over macros and `defined NAME` / `defined(NAME)`. A
 //!   condition with no integer value (an identifier that is not a macro, a
 //!   fractional float, an unknown call, a malformed macro call, a division
-//!   by zero) is warned about and assumed true, never silently decided.
+//!   by zero, a line the lexer had a problem with) is warned about and
+//!   assumed true, never silently decided.
 //! * `#error` — reported when active.
+//!
+//! Macros are not expanded on a pragma line: its clauses name variables as
+//! written.
 
 use crate::diag::Diagnostics;
-use crate::intern::Symbol;
-use crate::lexer::Lexer;
+use crate::intern::{Symbol, SymbolBuild};
 use crate::parser::Parser;
 use crate::pragma::{collect_paren_args, split_top_level_commas};
 use crate::source::Span;
-use crate::token::{keyword_from_str, Token, TokenKind};
+use crate::token::{Literals, Token, TokenBuffer, TokenKind};
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A macro definition.
 #[derive(Clone, Debug)]
@@ -54,12 +63,13 @@ pub struct MacroDef {
     pub span: Span,
 }
 
-/// Result of preprocessing: the expanded token stream plus the macro table.
-#[derive(Debug, Default)]
+/// Result of preprocessing: the unit's buffer, filtered, plus the macro
+/// table.
+#[derive(Debug)]
 pub struct PreprocessOutput {
-    pub tokens: Vec<Token>,
+    pub tokens: TokenBuffer,
     /// All macros seen (last definition wins).
-    pub macros: HashMap<Symbol, MacroDef>,
+    pub macros: HashMap<Symbol, MacroDef, SymbolBuild>,
     /// Macros whose replacement is a single numeric literal, exposed to later
     /// stages (pragma expression evaluation, loop-bound const evaluation).
     pub constants: HashMap<String, f64>,
@@ -78,276 +88,398 @@ const MAX_EXPANSION_DEPTH: usize = 16;
 /// How many replacement tokens one use in the source may rescan in all.
 const MAX_EXPANSION_TOKENS: usize = 1 << 16;
 
-/// Run the preprocessor over a lexed token stream.
-pub fn preprocess(tokens: Vec<Token>, diags: &mut Diagnostics) -> PreprocessOutput {
-    let mut out = PreprocessOutput::default();
-    out.tokens.reserve(tokens.len());
-    // Stack of conditional states: (currently_active, any_branch_taken).
-    let mut cond_stack: Vec<(bool, bool)> = Vec::new();
-    let active = |stack: &Vec<(bool, bool)>| stack.iter().all(|(a, _)| *a);
+/// The macro table, with a bit per symbol id saying whether that name is a
+/// macro.
+#[derive(Default)]
+struct Macros {
+    defs: HashMap<Symbol, MacroDef, SymbolBuild>,
+    flags: Vec<u64>,
+}
 
-    // The closing `Eof` is not code: it survives an inactive block.
-    let (eof, code) = match tokens.split_last() {
-        Some((last, code)) if last.is_eof() => (Some(last), code),
-        _ => (None, tokens.as_slice()),
-    };
-    // Code is expanded a run at a time: the tokens between two directives.
-    let mut run_start = 0;
-    for i in 0..=code.len() {
-        let (text, span) = match code.get(i) {
-            Some(Token {
-                kind: TokenKind::HashDirective(text),
-                span,
-            }) => (text.as_str(), *span),
-            Some(_) => continue,
-            None => ("", Span::dummy()), // the end of the last run
-        };
-        if active(&cond_stack) {
-            let run = &code[run_start..i];
-            Expander::new(&out.macros, diags).expand(run, None, &mut out.tokens);
+impl Macros {
+    fn contains(&self, name: Symbol) -> bool {
+        let id = name.index() as usize;
+        self.flags
+            .get(id / 64)
+            .is_some_and(|word| word >> (id % 64) & 1 != 0)
+    }
+
+    fn get(&self, name: Symbol) -> Option<&MacroDef> {
+        match self.contains(name) {
+            true => self.defs.get(&name),
+            false => None,
         }
-        run_start = i + 1;
-        let (dir, rest) = split_directive(text);
-        match dir {
-            "define" if active(&cond_stack) => handle_define(rest, span, &mut out, diags),
-            "undef" if active(&cond_stack) => {
-                if let Some(name) = directive_name(rest, span) {
-                    out.macros.remove(&name);
-                    out.constants.remove(name.as_str());
+    }
+
+    fn insert(&mut self, def: MacroDef) {
+        if self.defs.capacity() == 0 {
+            // One allocation for the few macros a unit usually has.
+            self.defs.reserve(8);
+        }
+        let id = def.name.index() as usize;
+        if self.flags.len() <= id / 64 {
+            self.flags.resize(id / 64 + 1, 0);
+        }
+        self.flags[id / 64] |= 1 << (id % 64);
+        self.defs.insert(def.name, def);
+    }
+
+    fn remove(&mut self, name: Symbol) {
+        let id = name.index() as usize;
+        if let Some(word) = self.flags.get_mut(id / 64) {
+            *word &= !(1 << (id % 64));
+        }
+        self.defs.remove(&name);
+    }
+}
+
+/// Run the preprocessor over a unit's buffer, in place.
+pub fn preprocess(buffer: TokenBuffer, diags: &mut Diagnostics) -> PreprocessOutput {
+    let TokenBuffer {
+        mut tokens,
+        literals,
+        text,
+    } = buffer;
+    let mut pp = Preprocessor {
+        macros: Macros::default(),
+        cond_stack: Vec::new(),
+        literals,
+        text,
+        diags,
+    };
+    let mut active = true;
+    let mut expansion = Vec::new();
+    // Tokens before `write` are the output so far; `read` is the next input
+    // token. Dropping a line or a block leaves `write` behind `read`, and an
+    // expansion is written into the room that leaves.
+    let (mut read, mut write) = (0, 0);
+    // The lexer closes every buffer with an `Eof`, and every directive
+    // opener's length points at its line's `EndDirective`.
+    loop {
+        let tok = tokens[read];
+        match tok.kind {
+            TokenKind::Eof => break,
+            TokenKind::Hash => {
+                let end = read + tok.directive_len();
+                pp.directive(tok.span, &tokens[read + 1..end], tokens[end].payload());
+                active = pp.active();
+                read = end + 1;
+            }
+            TokenKind::Pragma => {
+                let end = read + tok.directive_len();
+                if active {
+                    tokens.copy_within(read..=end, write);
+                    write += end + 1 - read;
+                }
+                read = end + 1;
+            }
+            _ if !active => read += 1,
+            TokenKind::Ident if tok.ident().is_some_and(|name| pp.macros.contains(name)) => {
+                expansion.clear();
+                let mut next = Expander::new(&pp.macros, &mut *pp.diags).step(
+                    &tokens,
+                    read,
+                    None,
+                    &mut expansion,
+                );
+                let room = next - write;
+                if expansion.len() > room {
+                    // The expansion outgrew the room its use and the lines
+                    // dropped before it left: open a gap behind the use, wide
+                    // enough that this stays rare.
+                    let gap = (expansion.len() - room).max(tokens.len() / 8);
+                    tokens.splice(next..next, std::iter::repeat_n(tok, gap));
+                    next += gap;
+                }
+                tokens[write..write + expansion.len()].copy_from_slice(&expansion);
+                write += expansion.len();
+                read = next;
+            }
+            _ => {
+                tokens[write] = tok;
+                write += 1;
+                read += 1;
+            }
+        }
+    }
+    // The closing `Eof` is not code: it survives an inactive block.
+    if !pp.cond_stack.is_empty() {
+        pp.diags
+            .error(tokens[read].span, "unterminated #if/#ifdef block");
+    }
+    tokens[write] = tokens[read];
+    tokens.truncate(write + 1);
+    PreprocessOutput {
+        constants: constants(&pp.macros.defs, &pp.literals),
+        tokens: TokenBuffer {
+            tokens,
+            literals: pp.literals,
+            text: pp.text,
+        },
+        macros: pp.macros.defs,
+    }
+}
+
+/// The macros whose replacement is a single numeric literal, by name, with
+/// its value.
+fn constants(
+    macros: &HashMap<Symbol, MacroDef, SymbolBuild>,
+    literals: &Literals,
+) -> HashMap<String, f64> {
+    let values = (macros.values())
+        .filter(|def| def.params.is_none())
+        .filter_map(|def| {
+            Some((
+                def.name.to_string(),
+                single_numeric_value(&def.body, literals)?,
+            ))
+        });
+    values.collect()
+}
+
+/// What the walk over a buffer keeps besides the tokens.
+struct Preprocessor<'d> {
+    macros: Macros,
+    /// Conditional states, outermost first: (currently_active, any_branch_taken).
+    cond_stack: Vec<(bool, bool)>,
+    literals: Literals,
+    text: Arc<String>,
+    diags: &'d mut Diagnostics,
+}
+
+impl Preprocessor<'_> {
+    fn active(&self) -> bool {
+        self.cond_stack.iter().all(|(a, _)| *a)
+    }
+
+    /// Act on the directive line at `span`: its `words` (the name first) and
+    /// the count of problems the lexer had with it.
+    fn directive(&mut self, span: Span, words: &[Token], problems: u32) {
+        let Some((name_token, operands)) = words.split_first() else {
+            return;
+        };
+        let name = name_token.word().unwrap_or("");
+        let active = self.active();
+        match name {
+            "define" if active => self.define(operands, span),
+            "undef" if active => {
+                if let Some(name) = operands.first().and_then(Token::ident) {
+                    self.macros.remove(name);
                 }
             }
             "include" => { /* ignored: single translation unit model */ }
             "ifdef" | "ifndef" => {
-                let defined =
-                    directive_name(rest, span).is_some_and(|name| out.macros.contains_key(&name));
-                let take = defined == (dir == "ifdef");
-                cond_stack.push((take, take));
+                let defined = (operands.first().and_then(Token::ident))
+                    .is_some_and(|name| self.macros.contains(name));
+                let take = defined == (name == "ifdef");
+                self.cond_stack.push((take, take));
             }
             "if" => {
-                let take = condition(dir, rest, span, &out.macros, diags);
-                cond_stack.push((take, take));
+                let take = self.condition(name, operands, problems, span);
+                self.cond_stack.push((take, take));
             }
-            "elif" => match cond_stack.pop() {
-                Some((_, true)) => cond_stack.push((false, true)),
+            "elif" => match self.cond_stack.pop() {
+                Some((_, true)) => self.cond_stack.push((false, true)),
                 Some((_, false)) => {
-                    let take = condition(dir, rest, span, &out.macros, diags);
-                    cond_stack.push((take, take));
+                    let take = self.condition(name, operands, problems, span);
+                    self.cond_stack.push((take, take));
                 }
-                None => diags.error(span, "#elif without matching #if"),
+                None => self.diags.error(span, "#elif without matching #if"),
             },
-            "else" => match cond_stack.pop() {
-                Some((_, taken)) => cond_stack.push((!taken, true)),
-                None => diags.error(span, "#else without matching #if"),
+            "else" => match self.cond_stack.pop() {
+                Some((_, taken)) => self.cond_stack.push((!taken, true)),
+                None => self.diags.error(span, "#else without matching #if"),
             },
             "endif" => {
-                let balanced = cond_stack.pop().is_some();
+                let balanced = self.cond_stack.pop().is_some();
                 if !balanced {
-                    diags.error(span, "#endif without matching #if");
+                    self.diags.error(span, "#endif without matching #if");
                 }
             }
-            "error" if active(&cond_stack) => diags.error(span, format!("#error {rest}")),
+            "error" if active => {
+                let message = self.rest_of_line(name_token.span.end, span.end);
+                self.diags.error(span, format!("#error {message}"));
+            }
             _ => {
                 // Unknown or inactive directive: ignore.
             }
         }
     }
-    if let Some(eof) = eof {
-        if !cond_stack.is_empty() {
-            diags.error(eof.span, "unterminated #if/#ifdef block");
+
+    /// The source text of a directive line from `start` to `end`, as written
+    /// but with continuations as spaces and without a trailing comment.
+    fn rest_of_line(&self, start: u32, end: u32) -> String {
+        let raw = self.text.get(start as usize..end as usize).unwrap_or("");
+        let line = raw.replace("\\\r\n", " ").replace("\\\n", " ");
+        let line = line.split("//").next().unwrap_or("");
+        line.trim().to_string()
+    }
+
+    fn define(&mut self, line: &[Token], span: Span) {
+        let (name, name_end, mut body) = match line {
+            [first, body @ ..] if first.kind == TokenKind::Ident => match first.ident() {
+                Some(name) => (name, first.span.end, body),
+                None => return,
+            },
+            // `#define restrict __restrict__`: a keyword never reaches the
+            // expander, so there is nothing to record.
+            [keyword, ..] if keyword.kind.is_keyword() => return,
+            _ => return self.diags.error(span, "#define without a macro name"),
+        };
+        // A `(` directly after the name (no space) opens a parameter list.
+        let mut params = None;
+        if matches!(body.first(), Some(t) if t.kind == TokenKind::LParen && t.span.start == name_end)
+        {
+            let Some((list, next)) = collect_paren_args(body, 0) else {
+                return self.diags.error(
+                    span,
+                    format!("unterminated parameter list of macro `{name}`"),
+                );
+            };
+            // `()` declares zero parameters; otherwise every comma-separated
+            // piece must be a plain identifier — `F(a,)` and `F(,)` are
+            // malformed, not silently-dropped parameters.
+            let names: Option<Vec<Symbol>> = split_top_level_commas(list)
+                .iter()
+                .map(|piece| match piece {
+                    [param] => param.ident(),
+                    _ => None,
+                })
+                .collect();
+            let Some(names) = names else {
+                return self.diags.error(
+                    span,
+                    format!(
+                        "unsupported parameter list of function-like macro `{name}` \
+                         (only plain identifiers are supported)"
+                    ),
+                );
+            };
+            params = Some(names);
+            body = &body[next..];
         }
-        out.tokens.push(eof.clone());
-    }
-    out
-}
-
-fn split_directive(text: &str) -> (&str, &str) {
-    let text = text.trim();
-    match text.find(|c: char| c.is_whitespace()) {
-        Some(i) => (&text[..i], text[i..].trim_start()),
-        None => (text, ""),
-    }
-}
-
-/// Lex the operand text of the directive at `span` (without the closing
-/// `Eof`). The diagnostics are the lexer's: spans are only as good as the
-/// directive's start, so callers decide whether they matter.
-fn lex_operands(rest: &str, span: Span) -> (Vec<Token>, Diagnostics) {
-    let (mut tokens, problems) = Lexer::with_base(rest, span.start).tokenize();
-    tokens.pop();
-    (tokens, problems)
-}
-
-/// The macro name a `#ifdef` / `#ifndef` / `#undef` line starts with.
-fn directive_name(rest: &str, span: Span) -> Option<Symbol> {
-    match lex_operands(rest, span).0.first()?.kind {
-        TokenKind::Ident(name) => Some(name),
-        _ => None,
-    }
-}
-
-fn handle_define(rest: &str, span: Span, out: &mut PreprocessOutput, diags: &mut Diagnostics) {
-    let (line, _) = lex_operands(rest, span);
-    let (name, name_end, mut body) = match line.as_slice() {
-        [Token {
-            kind: TokenKind::Ident(name),
-            span,
-        }, body @ ..] => (*name, span.end, body),
-        // `#define restrict __restrict__`: a keyword never reaches the
-        // expander, so there is nothing to record.
-        [keyword, ..] if keyword_from_str(keyword.kind.symbol_text()).is_some() => return,
-        _ => return diags.error(span, "#define without a macro name"),
-    };
-    // A `(` directly after the name (no space) opens a parameter list.
-    let mut params = None;
-    if matches!(body.first(), Some(t) if t.kind == TokenKind::LParen && t.span.start == name_end) {
-        let Some((list, next)) = collect_paren_args(body, 0) else {
-            return diags.error(
-                span,
-                format!("unterminated parameter list of macro `{name}`"),
-            );
-        };
-        // `()` declares zero parameters; otherwise every comma-separated
-        // piece must be a plain identifier — `F(a,)` and `F(,)` are
-        // malformed, not silently-dropped parameters.
-        let names: Option<Vec<Symbol>> = split_top_level_commas(list)
-            .iter()
-            .map(|piece| match piece[..] {
-                [Token {
-                    kind: TokenKind::Ident(param),
-                    ..
-                }] => Some(param),
-                _ => None,
-            })
-            .collect();
-        let Some(names) = names else {
-            return diags.error(
-                span,
-                format!(
-                    "unsupported parameter list of function-like macro `{name}` \
-                     (only plain identifiers are supported)"
-                ),
-            );
-        };
-        params = Some(names);
-        body = &body[next..];
-    }
-    out.constants.remove(name.as_str());
-    if let (None, Some(value)) = (&params, single_numeric_value(body)) {
-        out.constants.insert(name.to_string(), value);
-    }
-    out.macros.insert(
-        name,
-        MacroDef {
+        self.macros.insert(MacroDef {
             name,
             params,
             body: body.to_vec(),
             span,
-        },
-    );
+        });
+    }
+
+    /// `#if` / `#elif`: the condition's value, or — when it has none — a
+    /// warning and `true`: an unevaluable condition is assumed true *loudly*.
+    fn condition(&mut self, dir: &str, line: &[Token], problems: u32, span: Span) -> bool {
+        self.eval_condition(line, problems).unwrap_or_else(|| {
+            (self.diags).warning(span, format!("unsupported #{dir} condition; assuming true"));
+            true
+        })
+    }
+
+    /// Evaluate a `#if`/`#elif` condition: fold `defined`, expand macros,
+    /// parse as an expression, evaluate as an integer constant. `None` when
+    /// the lexer had a problem with the line, when any of those steps
+    /// objects, or when the expression has no integer value.
+    fn eval_condition(&mut self, line: &[Token], problems: u32) -> Option<bool> {
+        if problems > 0 {
+            return None;
+        }
+        // `defined NAME` / `defined(NAME)` become `0` / `1` before expansion:
+        // the operand names a macro, it is not a use of it.
+        let mut folded = Vec::with_capacity(line.len());
+        let mut rest = line;
+        while let Some((tok, after)) = rest.split_first() {
+            rest = after;
+            if tok.ident().is_none_or(|word| word != "defined") {
+                folded.push(*tok);
+                continue;
+            }
+            use TokenKind::{LParen, RParen};
+            let name = match after {
+                [name, after @ ..] if name.ident().is_some() => {
+                    rest = after;
+                    name.ident()?
+                }
+                [open, name, close, after @ ..]
+                    if open.kind == LParen && name.ident().is_some() && close.kind == RParen =>
+                {
+                    rest = after;
+                    name.ident()?
+                }
+                _ => return None,
+            };
+            let value = i64::from(self.macros.contains(name));
+            folded.push(self.literals.int_token(value, tok.span));
+        }
+        let mut expanded = Vec::with_capacity(folded.len());
+        let mut problems = Diagnostics::new();
+        Expander::new(&self.macros, &mut problems).expand(&folded, None, &mut expanded);
+        let mut parser = Parser::for_fragment(&expanded, &self.literals);
+        let expr = parser.parse_expr();
+        if !(problems.is_empty() && parser.diags.is_empty() && parser.at_eof()) {
+            return None;
+        }
+        expr.const_eval(&|_| None).map(|v| v != 0)
+    }
 }
 
 /// If the replacement is a single (possibly parenthesized, possibly negated)
 /// numeric literal, return its value.
-fn single_numeric_value(mut body: &[Token]) -> Option<f64> {
+fn single_numeric_value(mut body: &[Token], literals: &Literals) -> Option<f64> {
     use TokenKind::{FloatLit, IntLit, LParen, Minus, RParen};
-    while let [Token { kind: LParen, .. }, inner @ .., Token { kind: RParen, .. }] = body {
+    while let [open, inner @ .., close] = body {
+        if !(open.kind == LParen && close.kind == RParen) {
+            break;
+        }
         body = inner;
     }
     let (sign, literal) = match body {
-        [Token { kind: Minus, .. }, literal] => (-1.0, literal),
+        [minus, literal] if minus.kind == Minus => (-1.0, literal),
         [literal] => (1.0, literal),
         _ => return None,
     };
     match literal.kind {
-        IntLit(v) => Some(sign * v as f64),
-        FloatLit(v) => Some(sign * v),
+        IntLit => Some(sign * literals.int(literal) as f64),
+        FloatLit => Some(sign * literals.float(literal)),
         _ => None,
     }
 }
 
-/// `#if` / `#elif`: the condition's value, or — when it has none — a warning
-/// and `true`: an unevaluable condition is assumed true *loudly*.
-fn condition(
-    dir: &str,
-    rest: &str,
-    span: Span,
-    macros: &HashMap<Symbol, MacroDef>,
-    diags: &mut Diagnostics,
-) -> bool {
-    eval_condition(rest, span, macros).unwrap_or_else(|| {
-        diags.warning(span, format!("unsupported #{dir} condition; assuming true"));
-        true
-    })
-}
-
-/// Evaluate a `#if`/`#elif` condition: lex, fold `defined`, expand macros,
-/// parse as an expression, evaluate as an integer constant. `None` when any
-/// of those steps objects or the expression has no integer value.
-fn eval_condition(rest: &str, span: Span, macros: &HashMap<Symbol, MacroDef>) -> Option<bool> {
-    let (line, mut problems) = lex_operands(rest, span);
-    // `defined NAME` / `defined(NAME)` become `0` / `1` before expansion: the
-    // operand names a macro, it is not a use of it.
-    let mut folded = Vec::with_capacity(line.len());
-    let mut rest = line.as_slice();
-    while let Some((tok, after)) = rest.split_first() {
-        rest = after;
-        if !matches!(tok.kind, TokenKind::Ident(word) if word == "defined") {
-            folded.push(tok.clone());
-            continue;
-        }
-        use TokenKind::{Ident, LParen, RParen};
-        let name = match after {
-            [Token {
-                kind: Ident(name), ..
-            }, after @ ..] => {
-                rest = after;
-                name
-            }
-            [Token { kind: LParen, .. }, Token {
-                kind: Ident(name), ..
-            }, Token { kind: RParen, .. }, after @ ..] => {
-                rest = after;
-                name
-            }
-            _ => return None,
-        };
-        let value = TokenKind::IntLit(i64::from(macros.contains_key(name)));
-        folded.push(Token::new(value, tok.span));
-    }
-    let mut expanded = Vec::with_capacity(folded.len() + 1);
-    Expander::new(macros, &mut problems).expand(&folded, None, &mut expanded);
-    expanded.push(Token::new(TokenKind::Eof, Span::point(span.end)));
-    let mut parser = Parser::for_fragment(expanded);
-    let expr = parser.parse_expr();
-    if !(problems.is_empty() && parser.diags.is_empty() && parser.at_eof()) {
-        return None;
-    }
-    expr.const_eval(&|_| None).map(|v| v != 0)
-}
-
 /// The one macro expander: the code stream and the operands of `#if` /
-/// `#elif` both go through [`Expander::expand`].
+/// `#elif` both go through [`Expander::step`].
 struct Expander<'a> {
-    macros: &'a HashMap<Symbol, MacroDef>,
+    macros: &'a Macros,
     diags: &'a mut Diagnostics,
-    /// The macros being expanded, outermost first. C does not expand a macro
-    /// inside its own expansion, which is what ends recursive definitions.
-    active: Vec<Symbol>,
+    /// The macros being expanded, outermost first: `active[..open]`. C does
+    /// not expand a macro inside its own expansion, which is what ends
+    /// recursive definitions.
+    active: [Symbol; MAX_EXPANSION_DEPTH],
+    open: usize,
     /// Replacement tokens rescanned for the current top-level use.
     rescanned: usize,
 }
 
 impl<'a> Expander<'a> {
-    fn new(macros: &'a HashMap<Symbol, MacroDef>, diags: &'a mut Diagnostics) -> Self {
+    fn new(macros: &'a Macros, diags: &'a mut Diagnostics) -> Self {
         Expander {
             macros,
             diags,
-            active: Vec::new(),
+            active: [Symbol::default(); MAX_EXPANSION_DEPTH],
+            open: 0,
             rescanned: 0,
         }
     }
 
     /// Append the macro expansion of `tokens` to `out`.
+    fn expand(&mut self, tokens: &[Token], site: Option<Span>, out: &mut Vec<Token>) {
+        let mut i = 0;
+        while i < tokens.len() {
+            i = self.step(tokens, i, site, out);
+        }
+    }
+
+    /// Append the expansion of `tokens[i]` to `out` — the replacement of a
+    /// macro use, arguments and all, or the token itself — and return the
+    /// index just past what it used.
     ///
     /// `site` is `Some` inside an expansion, and every token produced there
     /// takes that span — the use site in the original source — so rewriting
@@ -358,37 +490,40 @@ impl<'a> Expander<'a> {
     /// A use that cannot be expanded (nested too deeply, too large, an
     /// unclosed argument list, the wrong number of arguments) is reported
     /// and stays in the output as written.
-    fn expand(&mut self, tokens: &[Token], site: Option<Span>, out: &mut Vec<Token>) {
-        let macros = self.macros;
-        let mut i = 0;
-        while let Some(tok) = tokens.get(i) {
-            i += 1;
-            let here = site.unwrap_or(tok.span);
-            let def = match tok.kind {
-                TokenKind::Ident(name) if !self.active.contains(&name) => macros.get(&name),
-                _ => None,
-            };
-            // A function-like name that is not called is an ordinary identifier.
-            let called = |def: &&MacroDef| {
-                def.params.is_none()
-                    || matches!(tokens.get(i), Some(t) if t.kind == TokenKind::LParen)
-            };
-            let verbatim = || Token::new(tok.kind.clone(), here);
-            let Some(def) = def.filter(called) else {
-                out.push(verbatim());
-                continue;
-            };
-            match self.replacement(def, tokens, i, site) {
-                Ok((body, next, site)) => {
-                    i = next;
-                    self.active.push(def.name);
-                    self.expand(&body, Some(site), out);
-                    self.active.pop();
-                }
-                Err(message) => {
-                    self.diags.error(here, message);
-                    out.push(verbatim());
-                }
+    fn step(
+        &mut self,
+        tokens: &[Token],
+        i: usize,
+        site: Option<Span>,
+        out: &mut Vec<Token>,
+    ) -> usize {
+        let tok = tokens[i];
+        let verbatim = tok.at(site.unwrap_or(tok.span));
+        let def = (tok.ident())
+            .filter(|name| !self.active[..self.open].contains(name))
+            .and_then(|name| self.macros.get(name));
+        // A function-like name that is not called is an ordinary identifier.
+        let called = |def: &&MacroDef| {
+            def.params.is_none()
+                || matches!(tokens.get(i + 1), Some(t) if t.kind == TokenKind::LParen)
+        };
+        let Some(def) = def.filter(called) else {
+            out.push(verbatim);
+            return i + 1;
+        };
+        match self.replacement(def, tokens, i + 1, site) {
+            Ok((body, next, site)) => {
+                // `replacement` refuses a use nested deeper than `active`.
+                self.active[self.open] = def.name;
+                self.open += 1;
+                self.expand(&body, Some(site), out);
+                self.open -= 1;
+                next
+            }
+            Err(message) => {
+                self.diags.error(verbatim.span, message);
+                out.push(verbatim);
+                i + 1
             }
         }
     }
@@ -404,7 +539,7 @@ impl<'a> Expander<'a> {
         site: Option<Span>,
     ) -> Result<(Cow<'t, [Token]>, usize, Span), String> {
         let name = def.name;
-        if self.active.len() >= MAX_EXPANSION_DEPTH {
+        if self.open >= MAX_EXPANSION_DEPTH {
             return Err(format!(
                 "macro `{name}` is nested too deeply in other macros"
             ));
@@ -441,13 +576,10 @@ impl<'a> Expander<'a> {
                     .collect();
                 let mut body = Vec::with_capacity(def.body.len());
                 for tok in &def.body {
-                    let param = match tok.kind {
-                        TokenKind::Ident(p) => params.iter().position(|q| *q == p),
-                        _ => None,
-                    };
+                    let param = (tok.ident()).and_then(|p| params.iter().position(|q| *q == p));
                     match param {
                         Some(k) => body.extend_from_slice(&args[k]),
-                        None => body.push(tok.clone()),
+                        None => body.push(*tok),
                     }
                 }
                 (Cow::Owned(body), next, site)
@@ -475,8 +607,17 @@ mod tests {
         (out, diags)
     }
 
-    fn kinds(out: &PreprocessOutput) -> Vec<TokenKind> {
-        out.tokens.iter().map(|t| t.kind.clone()).collect()
+    /// Each token's kind and spelling.
+    fn kinds(out: &PreprocessOutput) -> Vec<(TokenKind, String)> {
+        let literals = out.tokens.literals();
+        out.tokens
+            .iter()
+            .map(|t| (t.kind, literals.spell(t)))
+            .collect()
+    }
+
+    fn token(kind: TokenKind, spelling: &str) -> (TokenKind, String) {
+        (kind, spelling.to_string())
     }
 
     #[test]
@@ -484,10 +625,8 @@ mod tests {
         let (out, diags) = run("#define N 100\nint a[N];\n");
         assert!(!diags.has_errors());
         let k = kinds(&out);
-        assert!(k.contains(&TokenKind::IntLit(100)));
-        assert!(!k
-            .iter()
-            .any(|t| matches!(t, TokenKind::Ident(s) if s == "N")));
+        assert!(k.contains(&token(TokenKind::IntLit, "100")));
+        assert!(!k.iter().any(|t| t.0 == TokenKind::Ident && t.1 == "N"));
         assert_eq!(out.int_constant("N"), Some(100));
     }
 
@@ -499,9 +638,9 @@ mod tests {
         let k = kinds(&out);
         // SIZE expands to ( ROWS * COLS ); ROWS/COLS were not yet defined when
         // SIZE was defined, but expansion happens at use time.
-        assert!(k.contains(&TokenKind::IntLit(8)));
-        assert!(k.contains(&TokenKind::IntLit(4)));
-        assert!(k.contains(&TokenKind::Star));
+        assert!(k.contains(&token(TokenKind::IntLit, "8")));
+        assert!(k.contains(&token(TokenKind::IntLit, "4")));
+        assert!(k.contains(&token(TokenKind::Star, "*")));
         assert_eq!(out.int_constant("ROWS"), Some(8));
         assert!(out.int_constant("SIZE").is_none());
     }
@@ -515,7 +654,7 @@ mod tests {
         let lit = out
             .tokens
             .iter()
-            .find(|t| matches!(t.kind, TokenKind::IntLit(16)))
+            .find(|t| t.kind == TokenKind::IntLit && out.tokens.literals().int(t) == 16)
             .unwrap();
         assert_eq!(f.snippet(lit.span), "N");
     }
@@ -533,12 +672,8 @@ mod tests {
             run("#define USE_GPU 1\n#ifdef USE_GPU\nint g;\n#else\nint c;\n#endif\n");
         assert!(!diags.has_errors());
         let k = kinds(&out);
-        assert!(k
-            .iter()
-            .any(|t| matches!(t, TokenKind::Ident(s) if s == "g")));
-        assert!(!k
-            .iter()
-            .any(|t| matches!(t, TokenKind::Ident(s) if s == "c")));
+        assert!(k.iter().any(|t| t.0 == TokenKind::Ident && t.1 == "g"));
+        assert!(!k.iter().any(|t| t.0 == TokenKind::Ident && t.1 == "c"));
     }
 
     #[test]
@@ -546,12 +681,8 @@ mod tests {
         let (out, diags) = run("#ifndef FOO\nint a;\n#endif\n#if 0\nint b;\n#endif\n");
         assert!(!diags.has_errors());
         let k = kinds(&out);
-        assert!(k
-            .iter()
-            .any(|t| matches!(t, TokenKind::Ident(s) if s == "a")));
-        assert!(!k
-            .iter()
-            .any(|t| matches!(t, TokenKind::Ident(s) if s == "b")));
+        assert!(k.iter().any(|t| t.0 == TokenKind::Ident && t.1 == "a"));
+        assert!(!k.iter().any(|t| t.0 == TokenKind::Ident && t.1 == "b"));
     }
 
     #[test]
@@ -598,8 +729,9 @@ mod tests {
         let f = SourceFile::new("t.c", src);
         let (toks, mut diags) = tokenize_file(&f);
         let out = preprocess(toks, &mut diags);
-        for tok in &out.tokens {
-            if matches!(tok.kind, TokenKind::Star | TokenKind::IntLit(3)) {
+        for tok in out.tokens.iter() {
+            let three = tok.kind == TokenKind::IntLit && out.tokens.literals().int(tok) == 3;
+            if tok.kind == TokenKind::Star || three {
                 assert_eq!(f.snippet(tok.span), "SQ(3)");
             }
         }
@@ -738,7 +870,7 @@ mod tests {
         let has_ident = |out: &PreprocessOutput, name: &str| {
             kinds(out)
                 .iter()
-                .any(|t| matches!(t, TokenKind::Ident(s) if s == name))
+                .any(|t| t.0 == TokenKind::Ident && t.1 == name)
         };
         for &(cond, value) in table {
             for dir in ["if", "elif"] {
@@ -767,7 +899,7 @@ mod tests {
         let has_ident = |out: &PreprocessOutput, name: &str| {
             kinds(out)
                 .iter()
-                .any(|t| matches!(t, TokenKind::Ident(s) if s == name))
+                .any(|t| t.0 == TokenKind::Ident && t.1 == name)
         };
 
         let (out, diags) = run("#define SQ(x) ((x)*(x))\n#if SQ(3) == 9\nint yes;\n#endif\n");
@@ -821,7 +953,7 @@ mod tests {
         let has_ident = |out: &PreprocessOutput, name: &str| {
             kinds(out)
                 .iter()
-                .any(|t| matches!(t, TokenKind::Ident(s) if s == name))
+                .any(|t| t.0 == TokenKind::Ident && t.1 == name)
         };
 
         // Unknown call on the undecided side of && with a known-false side.
@@ -850,9 +982,7 @@ mod tests {
         let (out, diags) = run("#define N 4\n#undef N\nint a[N];\n");
         assert!(!diags.has_errors());
         let k = kinds(&out);
-        assert!(k
-            .iter()
-            .any(|t| matches!(t, TokenKind::Ident(s) if s == "N")));
+        assert!(k.iter().any(|t| t.0 == TokenKind::Ident && t.1 == "N"));
         assert!(out.int_constant("N").is_none());
     }
 
@@ -867,7 +997,8 @@ mod tests {
     fn pragma_tokens_pass_through() {
         let (out, diags) = run("#pragma omp target\n{ }\n");
         assert!(!diags.has_errors());
-        assert!(matches!(out.tokens[0].kind, TokenKind::Pragma(_)));
+        assert_eq!(out.tokens[0].kind, TokenKind::Pragma);
+        assert_eq!(out.tokens[3].kind, TokenKind::EndDirective);
     }
 
     /// `#if` must evaluate negation, parentheses, comparisons and `&&`/`||`
@@ -878,7 +1009,7 @@ mod tests {
         let has_ident = |out: &PreprocessOutput, name: &str| {
             kinds(out)
                 .iter()
-                .any(|t| matches!(t, TokenKind::Ident(s) if s == name))
+                .any(|t| t.0 == TokenKind::Ident && t.1 == name)
         };
 
         // `!defined(X)` excludes when X is defined.
@@ -935,7 +1066,7 @@ mod tests {
         let has_ident = |out: &PreprocessOutput, name: &str| {
             kinds(out)
                 .iter()
-                .any(|t| matches!(t, TokenKind::Ident(s) if s == name))
+                .any(|t| t.0 == TokenKind::Ident && t.1 == name)
         };
 
         let (out, diags) = run(

@@ -8,7 +8,7 @@
 //! the macro *use site*.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A half-open byte range `[start, end)` into a source file.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -87,30 +87,42 @@ impl fmt::Display for LineCol {
     }
 }
 
-/// An input file: a name plus its full text and a precomputed line table.
+/// An input file: a name plus its full text, shared, and a line table built
+/// the first time a position is resolved to a line.
 #[derive(Debug, Clone)]
 pub struct SourceFile {
     name: String,
     text: Arc<String>,
     /// Byte offsets of the start of each line (line 1 starts at offset 0).
-    line_starts: Vec<u32>,
+    line_starts: OnceLock<Vec<u32>>,
 }
 
 impl SourceFile {
     /// Create a source file from a name and its contents.
     pub fn new(name: impl Into<String>, text: impl Into<String>) -> Self {
-        let text: String = text.into();
-        let mut line_starts = vec![0u32];
-        for (i, b) in text.bytes().enumerate() {
-            if b == b'\n' {
-                line_starts.push(i as u32 + 1);
-            }
-        }
+        SourceFile::shared(name, Arc::new(text.into()))
+    }
+
+    /// A source file over text someone else holds too: no copy.
+    pub fn shared(name: impl Into<String>, text: Arc<String>) -> Self {
         SourceFile {
             name: name.into(),
-            text: Arc::new(text),
-            line_starts,
+            text,
+            line_starts: OnceLock::new(),
         }
+    }
+
+    fn line_starts(&self) -> &[u32] {
+        self.line_starts.get_or_init(|| {
+            let newlines = self.text.bytes().filter(|b| *b == b'\n').count();
+            let mut starts = Vec::with_capacity(newlines + 1);
+            starts.push(0);
+            let after_newlines = (self.text.bytes().enumerate())
+                .filter(|(_, b)| *b == b'\n')
+                .map(|(i, _)| i as u32 + 1);
+            starts.extend(after_newlines);
+            starts
+        })
     }
 
     /// The file name supplied at construction.
@@ -147,7 +159,7 @@ impl SourceFile {
 
     /// Number of lines in the file (a trailing newline does not add a line).
     pub fn line_count(&self) -> u32 {
-        let mut n = self.line_starts.len() as u32;
+        let mut n = self.line_starts().len() as u32;
         if self.text.ends_with('\n') {
             n -= 1;
         }
@@ -157,11 +169,13 @@ impl SourceFile {
     /// Resolve a byte offset to a 1-based line/column pair.
     pub fn line_col(&self, pos: u32) -> LineCol {
         let pos = pos.min(self.len());
-        let line_idx = match self.line_starts.binary_search(&pos) {
+        let line_starts = self.line_starts();
+        // `line_starts[0]` is 0, so a miss is never before the first line.
+        let line_idx = match line_starts.binary_search(&pos) {
             Ok(i) => i,
             Err(i) => i - 1,
         };
-        let line_start = self.line_starts[line_idx];
+        let line_start = line_starts[line_idx];
         LineCol {
             line: line_idx as u32 + 1,
             col: pos - line_start + 1,
@@ -171,7 +185,7 @@ impl SourceFile {
     /// Byte offset of the start of the (1-based) line containing `pos`.
     pub fn line_start_of(&self, pos: u32) -> u32 {
         let lc = self.line_col(pos);
-        self.line_starts[(lc.line - 1) as usize]
+        self.line_starts()[(lc.line - 1) as usize]
     }
 
     /// Byte offset just past the end of the line containing `pos`
@@ -179,9 +193,10 @@ impl SourceFile {
     pub fn line_end_of(&self, pos: u32) -> u32 {
         let lc = self.line_col(pos);
         let idx = lc.line as usize;
-        if idx < self.line_starts.len() {
+        let line_starts = self.line_starts();
+        if idx < line_starts.len() {
             // subtract 1 to exclude the newline itself
-            self.line_starts[idx].saturating_sub(1)
+            line_starts[idx].saturating_sub(1)
         } else {
             self.len()
         }

@@ -55,7 +55,9 @@ fn without_spans(value: &impl std::fmt::Debug) -> String {
 }
 
 fn kernel(pragma: &str) -> String {
-    format!("void f(double *a, int n) {{\n  {pragma}\n  for (int i = 0; i < n; i++) a[i] = i;\n}}\n")
+    format!(
+        "void f(double *a, int n) {{\n  {pragma}\n  for (int i = 0; i < n; i++) a[i] = i;\n}}\n"
+    )
 }
 
 /// A `#pragma omp` line continued with `\` (LF or CRLF), or carrying a
@@ -186,4 +188,27 @@ fn a_line_comment_ends_a_define() {
         initializer("#define N 3 // three \\\n + 1\nint x = N;\n", "x"),
         "3"
     );
+}
+
+/// `//` inside a string or a block comment on a directive line is not a
+/// comment: the lexer reads the line's tokens, it does not cut its text at
+/// the first `//`.
+#[test]
+fn a_line_comment_marker_inside_a_string_or_comment_does_not_end_a_directive() {
+    assert_eq!(
+        initializer(
+            "#define URL \"http://example.org\" // site\nconst char *u = URL;\n",
+            "u"
+        ),
+        "string \"http://example.org\""
+    );
+    assert_eq!(
+        initializer("#define N 3 /* c // d */ + 1\nint x = N;\n", "x"),
+        "3 + 1"
+    );
+    let (directive, diagnostics) = the_directive(&kernel(
+        "#pragma omp target map(tofrom: a[0:n]) /* see http://x */ firstprivate(n)",
+    ));
+    assert!(diagnostics.is_empty(), "{diagnostics:?}");
+    assert_eq!(directive.firstprivate_vars(), ["n"]);
 }
