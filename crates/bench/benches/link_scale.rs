@@ -30,7 +30,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ompdart_bench::alloc_counter;
-use ompdart_core::{AnalysisSession, OmpDartOptions, Program, ProgramDriver, Stage};
+use ompdart_core::{oracle, AnalysisSession, OmpDartOptions, Program, ProgramDriver, Stage};
 use ompdart_suite::corpus;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -89,11 +89,11 @@ fn bench(c: &mut Criterion) {
     // (allocator warmup, thread spawn) that are not the fixed point.
     let mut sequential_ms = f64::INFINITY;
     let mut sequential =
-        Program::propagate_merged_sequential(&program.units, &options, sequential_passes);
+        oracle::propagate_merged_sequential(&program.units, &options, sequential_passes);
     for _ in 0..3 {
         let t = Instant::now();
         sequential =
-            Program::propagate_merged_sequential(&program.units, &options, sequential_passes);
+            oracle::propagate_merged_sequential(&program.units, &options, sequential_passes);
         sequential_ms = sequential_ms.min(t.elapsed().as_secs_f64() * 1e3);
     }
     let mut parallel_ms = f64::INFINITY;
@@ -292,7 +292,7 @@ fn bench(c: &mut Criterion) {
     });
     c.bench_function("link_scale/propagate_sequential", |b| {
         b.iter(|| {
-            black_box(Program::propagate_merged_sequential(
+            black_box(oracle::propagate_merged_sequential(
                 &program.units,
                 &options,
                 sequential_passes,

@@ -250,14 +250,14 @@ pub struct ProgramSummaries {
     /// One `Arc` per function: seeds flow from the summaries stage through
     /// the fixed point into every per-unit view as pointer copies,
     /// and cloning a whole converged set deep-copies nothing.
-    functions: HashMap<Symbol, Arc<FunctionSummary>>,
+    pub(crate) functions: HashMap<Symbol, Arc<FunctionSummary>>,
     /// Optional fall-through layer for [`Self::summary`] lookups: an
     /// [`Self::overlay`] view holds only its own (shadowing) entries and
     /// resolves everything else here, so building a per-unit view over a
     /// whole-program summary set costs the few shadowed entries instead of
     /// cloning every function's summary. Overlays are *lookup-only* views:
     /// `iter`/`len`/`is_empty`/`same_summaries` see just the own layer.
-    base: Option<Arc<ProgramSummaries>>,
+    pub(crate) base: Option<Arc<ProgramSummaries>>,
     /// Number of propagation passes performed before reaching a fixed point.
     pub passes: usize,
 }
@@ -565,9 +565,9 @@ impl ProgramSummaries {
     /// single visit once its callees are final, because its summary is a
     /// fixed union of already-converged values). Effects form a finite
     /// monotone lattice, so the least fixed point is unique: the result is
-    /// bitwise identical for every `threads` value and identical to
-    /// [`Self::propagate_sequential`] whenever the sequential sweep is
-    /// given enough passes to converge.
+    /// bitwise identical for every `threads` value and identical to the
+    /// sequential reference sweep (`oracle::propagate_sequential`) whenever
+    /// that is given enough passes to converge.
     ///
     /// Only a recursive component iterates, until nothing in it changes;
     /// acyclic components never consume more than one pass, which is what
@@ -585,27 +585,6 @@ impl ProgramSummaries {
             passes: 0,
         };
         result.run_wavefronts(nodes, clobber_globals, threads);
-        result
-    }
-
-    /// The pre-condensation engine: a whole-program `while changed` sweep,
-    /// kept as the executable reference the SCC-wavefront engine is pinned
-    /// against (parity tests, the `link_scale` bench). Unlike
-    /// [`Self::propagate`], it needs as many passes as the call graph is
-    /// deep, so whoever calls it says how many it may take: convergence on
-    /// a call chain of depth `d` needs `max_passes >= d` here.
-    pub fn propagate_sequential(
-        nodes: &[PropagationNode<'_>],
-        seeds: &HashMap<Symbol, Arc<FunctionSummary>>,
-        max_passes: usize,
-        clobber_globals: bool,
-    ) -> ProgramSummaries {
-        let mut result = ProgramSummaries {
-            functions: seeds.clone(),
-            base: None,
-            passes: 0,
-        };
-        result.run_passes(nodes, max_passes, clobber_globals);
         result
     }
 
@@ -691,74 +670,6 @@ impl ProgramSummaries {
         self.passes = deepest;
     }
 
-    /// The pre-condensation pass loop: a whole-program sweep until no
-    /// summary changes, backing [`Self::propagate_sequential`]. The members
-    /// of recursive components then take the conservative corner of the
-    /// order bits, as the wavefront engine makes them, and the sweep runs
-    /// again so their callers see it.
-    fn run_passes(
-        &mut self,
-        nodes: &[PropagationNode<'_>],
-        max_passes: usize,
-        clobber_globals: bool,
-    ) {
-        let cond = crate::scc::condense(&call_graph(nodes));
-        let recursive: Vec<Symbol> = (0..cond.len())
-            .filter(|&c| cond.cyclic[c])
-            .flat_map(|c| cond.members[c].iter().map(|&v| nodes[v].name))
-            .collect();
-        let mut passes = 0;
-        loop {
-            self.sweep(nodes, max_passes, clobber_globals);
-            passes += self.passes;
-            let mut cornered = false;
-            for name in &recursive {
-                if let Some(summary) = self.functions.get_mut(name) {
-                    cornered |= take_conservative_corner(Arc::make_mut(summary));
-                }
-            }
-            if !cornered {
-                break;
-            }
-        }
-        self.passes = passes;
-    }
-
-    fn sweep(&mut self, nodes: &[PropagationNode<'_>], max_passes: usize, clobber_globals: bool) {
-        let working = |functions: &HashMap<Symbol, Arc<FunctionSummary>>, name: Symbol| {
-            functions
-                .get(&name)
-                .map(|summary| FunctionSummary::clone(summary))
-                .unwrap_or_default()
-        };
-        for pass in 0..max_passes.max(1) {
-            self.passes = pass + 1;
-            let mut changed = false;
-            for node in nodes {
-                for call in node.calls.iter() {
-                    let Some(callee_summary) = self.functions.get(&call.callee).cloned() else {
-                        if clobber_globals && !is_pure_builtin(call.callee) {
-                            let mut caller = working(&self.functions, node.name);
-                            if merge_unknown_call(&mut caller, node, call.on_device) {
-                                self.functions.insert(node.name, Arc::new(caller));
-                                changed = true;
-                            }
-                        }
-                        continue;
-                    };
-                    let mut caller = working(&self.functions, node.name);
-                    if merge_known_call(&mut caller, call, &callee_summary) {
-                        self.functions.insert(node.name, Arc::new(caller));
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-    }
-
     /// A lookup-only view over `base`: [`Self::summary`] resolves names
     /// first in the view's `own` layer, then in `base`. The own layer
     /// shadows `base` without touching it — the link stage's per-unit
@@ -812,7 +723,7 @@ impl ProgramSummaries {
 
 /// The call graph among `nodes` as adjacency lists (calls leaving the node
 /// set are not edges).
-fn call_graph(nodes: &[PropagationNode<'_>]) -> Vec<Vec<usize>> {
+pub(crate) fn call_graph(nodes: &[PropagationNode<'_>]) -> Vec<Vec<usize>> {
     let index: HashMap<Symbol, usize> = nodes
         .iter()
         .enumerate()
@@ -834,7 +745,7 @@ fn call_graph(nodes: &[PropagationNode<'_>]) -> Vec<Vec<usize>> {
 /// position is only as good as the seeds, and a seed walked once says
 /// little about a body that re-enters itself. Returns true if anything
 /// changed.
-fn take_conservative_corner(summary: &mut FunctionSummary) -> bool {
+pub(crate) fn take_conservative_corner(summary: &mut FunctionSummary) -> bool {
     let effects = (summary.param_effects.iter_mut()).chain(summary.global_effects.values_mut());
     let mut changed = false;
     for effect in effects {
@@ -848,7 +759,7 @@ fn take_conservative_corner(summary: &mut FunctionSummary) -> bool {
 /// Merge one known callee's summary into `caller` across `call`. Returns
 /// true when anything changed. Shared verbatim by the sequential reference
 /// engine and the SCC-wavefront workers so the two cannot drift apart.
-fn merge_known_call(
+pub(crate) fn merge_known_call(
     caller: &mut FunctionSummary,
     call: &LinkCall,
     callee_summary: &FunctionSummary,
@@ -892,7 +803,7 @@ fn merge_known_call(
 /// `caller`: every global the caller can see becomes host read+written
 /// (device-shifted inside offloaded regions), so the clobber is part of
 /// the *summary* and propagates transitively to the caller's own callers.
-fn merge_unknown_call(
+pub(crate) fn merge_unknown_call(
     caller: &mut FunctionSummary,
     node: &PropagationNode<'_>,
     on_device: bool,
@@ -1471,7 +1382,7 @@ void f() {
             seeds.insert(func.name, Arc::new(seed_summary(func, acc, &sym)));
             nodes.push(PropagationNode::build(func.name, func, acc, &sym, &[]));
         }
-        ProgramSummaries::propagate_sequential(&nodes, &seeds, max_passes, false)
+        crate::oracle::propagate_sequential(&nodes, &seeds, max_passes, false)
     }
 
     fn global_effect(summaries: &ProgramSummaries, func: &str, var: &str) -> Effect {

@@ -57,6 +57,8 @@ pub mod bounds;
 pub mod dataflow;
 pub mod interface;
 pub mod interproc;
+#[cfg(any(test, feature = "oracle"))]
+pub mod oracle;
 pub mod pipeline;
 pub mod plan;
 pub mod pool;

@@ -615,25 +615,6 @@ impl Program {
         let (seeds, nodes) = merged_propagation_inputs(units);
         ProgramSummaries::propagate(&nodes, seeds, options.pessimistic_globals, threads)
     }
-
-    /// [`Program::propagate_merged`] through the sequential reference
-    /// engine (the pre-condensation whole-program sweep). Convergence on a
-    /// call chain of depth `d` requires `max_passes >= d` here — the
-    /// wavefront engine has no such requirement, which is the asymptotic
-    /// difference the `link_scale` bench measures.
-    pub fn propagate_merged_sequential(
-        units: &[Arc<SummarizedUnit>],
-        options: &crate::OmpDartOptions,
-        max_passes: usize,
-    ) -> ProgramSummaries {
-        let (seeds, nodes) = merged_propagation_inputs(units);
-        ProgramSummaries::propagate_sequential(
-            &nodes,
-            &seeds,
-            max_passes,
-            options.pessimistic_globals,
-        )
-    }
 }
 
 /// True when two unit lists name the same units position by position (a
@@ -655,7 +636,7 @@ fn linked_functions<'a>(
 
 /// Every unit's memoised seeds and propagation nodes under their
 /// link-resolved names (see [`LinkFunction`]): pointer copies and borrows.
-fn merged_propagation_inputs(
+pub(crate) fn merged_propagation_inputs(
     units: &[Arc<SummarizedUnit>],
 ) -> (
     HashMap<Symbol, Arc<FunctionSummary>>,

@@ -872,7 +872,7 @@ proptest! {
         // The reference sweep needs a pass per function of the longest
         // call chain, twice over where a component takes its corner.
         let sequential =
-            ompdart_core::Program::propagate_merged_sequential(&program.units, &options, 2 * n);
+            ompdart_core::oracle::propagate_merged_sequential(&program.units, &options, 2 * n);
         for threads in [1usize, 4] {
             let parallel =
                 ompdart_core::Program::propagate_merged(&program.units, &options, threads);
@@ -2000,13 +2000,29 @@ fn mutation_seeds() -> Vec<String> {
 fn conditional_lines(text: &str) -> Vec<(Span, &'static str)> {
     let bytes = text.as_bytes();
     let mut lines = Vec::new();
-    for line in std::iter::once(0).chain((0..bytes.len()).filter(|&i| bytes[i] == b'\n').map(|i| i + 1)) {
-        let hash = line + bytes[line..].iter().take_while(|b| matches!(b, b' ' | b'\t')).count();
+    for line in std::iter::once(0).chain(
+        (0..bytes.len())
+            .filter(|&i| bytes[i] == b'\n')
+            .map(|i| i + 1),
+    ) {
+        let hash = line
+            + bytes[line..]
+                .iter()
+                .take_while(|b| matches!(b, b' ' | b'\t'))
+                .count();
         if bytes.get(hash) != Some(&b'#') {
             continue;
         }
-        let name = hash + 1 + bytes[hash + 1..].iter().take_while(|b| matches!(b, b' ' | b'\t')).count();
-        let len = bytes[name..].iter().take_while(|b| b.is_ascii_alphanumeric() || **b == b'_').count();
+        let name = hash
+            + 1
+            + bytes[hash + 1..]
+                .iter()
+                .take_while(|b| matches!(b, b' ' | b'\t'))
+                .count();
+        let len = bytes[name..]
+            .iter()
+            .take_while(|b| b.is_ascii_alphanumeric() || **b == b'_')
+            .count();
         let word = match &bytes[name..name + len] {
             b"if" => "if",
             b"elif" => "elif",
@@ -2105,6 +2121,31 @@ fn nesting_at_and_past_the_depth_cap() {
         assert!(Json::parse(&far_past).is_err());
         assert_eq!(drain_frames(frame_of(&far_past)), 1);
     }
+}
+
+/// A kernel nested almost as deep as the parser allows — blocks in `main`,
+/// parentheses in a subscript — is analysed, rewritten and simulated on a
+/// test thread's stack with its output preserved; one level of blocks more
+/// than the parser allows is a parse error.
+#[test]
+fn source_nested_near_the_parsers_cap_is_analysed() {
+    let program = |blocks: usize| {
+        format!(
+            "double a[8];\nint main() {{\n{}\n  #pragma omp target teams distribute parallel for\n  \
+             for (int i = 0; i < 8; i++) a[{}i{}] = i;\n{}\n  printf(\"%f\\n\", a[3]);\n  \
+             return 0;\n}}\n",
+            "{".repeat(blocks),
+            "(".repeat(20),
+            ")".repeat(20),
+            "}".repeat(blocks)
+        )
+    };
+    let src = program(180);
+    let analysis = Ompdart::new().analyze("deep.c", &src).expect("analysed");
+    let before = simulate_source(&src, SimConfig::default()).unwrap();
+    let after = simulate_source(analysis.rewritten_source(), SimConfig::default()).unwrap();
+    assert_eq!(before.output, after.output);
+    assert!(Ompdart::new().analyze("deeper.c", &program(256)).is_err());
 }
 
 // ---------------------------------------------------------------------------
