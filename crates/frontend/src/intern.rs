@@ -27,7 +27,7 @@
 //! link stage can key its fixed-point maps by `Symbol` without any
 //! per-unit remapping.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicPtr, Ordering};
@@ -47,8 +47,8 @@ const CHUNK: usize = 4 << 10;
 const SHARDS: usize = 16;
 
 /// FNV-1a: tiny, fast for short identifier keys, and deterministic (the
-/// per-unit lexer cache and the interner shards do not need DoS-resistant
-/// hashing — keys come from source text we already fully control here).
+/// interner shards and the per-unit symbol sets — typedef names, macros,
+/// hashed by id — do not need DoS-resistant hashing).
 #[derive(Default)]
 pub struct FnvHasher(u64);
 
@@ -73,34 +73,6 @@ impl Hasher for FnvHasher {
 
 /// `BuildHasher` for [`FnvHasher`]-keyed maps.
 pub type FnvBuild = BuildHasherDefault<FnvHasher>;
-
-/// Hashes a [`Symbol`] by its id, with one multiply: for the per-unit maps
-/// and sets keyed by symbols (typedef and struct names, macros). Ids are
-/// assigned in interning order, so they are dense and distinct.
-#[derive(Default)]
-pub struct SymbolHasher(u64);
-
-impl Hasher for SymbolHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u32(u32::from(b) ^ self.0 as u32);
-        }
-    }
-
-    fn write_u32(&mut self, id: u32) {
-        self.0 = (self.0 ^ u64::from(id)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-}
-
-/// `BuildHasher` for symbol-keyed maps.
-pub type SymbolBuild = BuildHasherDefault<SymbolHasher>;
-
-/// A set of symbols, hashed by id.
-pub type SymbolSet = HashSet<Symbol, SymbolBuild>;
 
 /// Bump arena for symbol bytes: chunks are leaked (process lifetime), so
 /// the strings they hold really are `'static`. Allocation count is

@@ -120,8 +120,9 @@ impl<'a> Lexer<'a> {
             diags: Diagnostics::new(),
             directive_problems: None,
             words: Words::default(),
-            // One buffer for the whole text (a token per four bytes is more
-            // than C has) instead of a chain of doublings.
+            // One buffer for the whole text (C runs about a token per four
+            // bytes, directive lines included) instead of a chain of
+            // doublings.
             tokens: Vec::with_capacity(text.len() / 4 + 16),
             literals: Literals::for_source(text.len()),
             source: file.shared_text(),

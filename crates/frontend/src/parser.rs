@@ -8,13 +8,14 @@
 
 use crate::ast::*;
 use crate::diag::Diagnostics;
-use crate::intern::{Symbol, SymbolSet};
+use crate::intern::{FnvBuild, Symbol};
 use crate::lexer::tokenize_file;
 use crate::omp::{DirectiveKind, OmpDirective};
 use crate::pragma::parse_omp_pragma;
 use crate::preprocess::{preprocess, PreprocessOutput};
 use crate::source::{SourceFile, Span};
 use crate::token::{Literals, Token, TokenKind};
+use std::collections::HashSet;
 use std::sync::OnceLock;
 
 /// Result of parsing a source file.
@@ -102,8 +103,8 @@ pub(crate) struct Parser<'t> {
     next_id: u32,
     /// Typedef names the unit declared (the builtins are
     /// [`builtin_typedefs`]) and struct tags.
-    typedefs: SymbolSet,
-    structs: SymbolSet,
+    typedefs: HashSet<Symbol, FnvBuild>,
+    structs: HashSet<Symbol, FnvBuild>,
     /// Statements and expressions open around the current position.
     depth: u32,
     /// Set once the input nested deeper than [`MAX_NESTING`].
@@ -121,8 +122,8 @@ impl<'t> Parser<'t> {
             prev: Span::dummy(),
             diags,
             next_id: 0,
-            typedefs: SymbolSet::default(),
-            structs: SymbolSet::default(),
+            typedefs: HashSet::default(),
+            structs: HashSet::default(),
             depth: 0,
             abandoned: false,
         }
@@ -175,10 +176,6 @@ impl<'t> Parser<'t> {
     /// Name the current token, as parse errors do.
     fn describe_current(&self) -> String {
         self.literals.describe(self.tok(self.pos))
-    }
-
-    fn prev_span(&self) -> Span {
-        self.prev
     }
 
     pub(crate) fn at_eof(&self) -> bool {
@@ -1033,7 +1030,7 @@ impl<'t> Parser<'t> {
                 self.diags
                     .error(self.peek_span(), "expected type in declaration");
                 self.recover_to(&[TokenKind::Semi]);
-                let end = self.prev_span();
+                let end = self.prev;
                 self.eat(TokenKind::Semi);
                 return Stmt {
                     id: self.fresh_id(),

@@ -42,7 +42,7 @@
 //! written.
 
 use crate::diag::Diagnostics;
-use crate::intern::{Symbol, SymbolBuild};
+use crate::intern::{FnvBuild, Symbol};
 use crate::parser::Parser;
 use crate::pragma::{collect_paren_args, split_top_level_commas};
 use crate::source::Span;
@@ -69,7 +69,7 @@ pub struct MacroDef {
 pub struct PreprocessOutput {
     pub tokens: TokenBuffer,
     /// All macros seen (last definition wins).
-    pub macros: HashMap<Symbol, MacroDef, SymbolBuild>,
+    pub macros: HashMap<Symbol, MacroDef, FnvBuild>,
     /// Macros whose replacement is a single numeric literal, exposed to later
     /// stages (pragma expression evaluation, loop-bound const evaluation).
     pub constants: HashMap<String, f64>,
@@ -92,7 +92,7 @@ const MAX_EXPANSION_TOKENS: usize = 1 << 16;
 /// macro.
 #[derive(Default)]
 struct Macros {
-    defs: HashMap<Symbol, MacroDef, SymbolBuild>,
+    defs: HashMap<Symbol, MacroDef, FnvBuild>,
     flags: Vec<u64>,
 }
 
@@ -196,9 +196,18 @@ pub fn preprocess(buffer: TokenBuffer, diags: &mut Diagnostics) -> PreprocessOut
                 read = next;
             }
             _ => {
-                tokens[write] = tok;
-                write += 1;
-                read += 1;
+                // A run of code with nothing to expand moves as one block.
+                let run = tokens[read..]
+                    .iter()
+                    .position(|t| match t.kind {
+                        TokenKind::Eof | TokenKind::Hash | TokenKind::Pragma => true,
+                        TokenKind::Ident => t.ident().is_some_and(|name| pp.macros.contains(name)),
+                        _ => false,
+                    })
+                    .unwrap_or(tokens.len() - read);
+                tokens.copy_within(read..read + run, write);
+                write += run;
+                read += run;
             }
         }
     }
@@ -223,7 +232,7 @@ pub fn preprocess(buffer: TokenBuffer, diags: &mut Diagnostics) -> PreprocessOut
 /// The macros whose replacement is a single numeric literal, by name, with
 /// its value.
 fn constants(
-    macros: &HashMap<Symbol, MacroDef, SymbolBuild>,
+    macros: &HashMap<Symbol, MacroDef, FnvBuild>,
     literals: &Literals,
 ) -> HashMap<String, f64> {
     let values = (macros.values())

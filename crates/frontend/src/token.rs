@@ -332,11 +332,6 @@ impl Token {
     pub(crate) fn directive_len(&self) -> usize {
         self.payload as usize
     }
-
-    /// True if the token is the end-of-file marker.
-    pub fn is_eof(&self) -> bool {
-        self.kind == TokenKind::Eof
-    }
 }
 
 /// The values of a unit's number and string literals, which their tokens
