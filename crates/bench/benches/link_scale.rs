@@ -76,10 +76,10 @@ fn bench(c: &mut Criterion) {
     // The sequential reference engine needs one pass per link of the
     // corpus's depth-N call chain; the wavefront engine does not.
     let sequential_passes = n + 8;
-    let threads = options.effective_link_threads();
 
     // --- Engine isolation: summarize once, converge twice. -------------
     let session = Arc::new(AnalysisSession::with_options(options));
+    let threads = session.parallelism();
     let driver = ProgramDriver::with_session(Arc::clone(&session));
     let t = Instant::now();
     let program = driver.link(&inputs).unwrap();
@@ -214,11 +214,7 @@ fn bench(c: &mut Criterion) {
             continue;
         }
         previous_width = workers;
-        let sweep_options = OmpDartOptions {
-            link_threads: t_count,
-            ..options
-        };
-        let sweep_session = Arc::new(AnalysisSession::with_options(sweep_options));
+        let sweep_session = Arc::new(AnalysisSession::with_options(options));
         let sweep_driver =
             ProgramDriver::with_session(Arc::clone(&sweep_session)).with_threads(t_count);
 

@@ -1085,8 +1085,9 @@ impl PlanTransfers<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::{FunctionAccesses, SymbolTable};
-    use crate::interproc::{augment_with_call_effects, ProgramSummaries};
+    use crate::interproc::augment_with_call_effects;
+    use crate::pipeline::{closed_world_of, stage_accesses, stage_graphs, stage_summaries};
+    use crate::OmpDartOptions;
     use ompdart_frontend::parser::parse_str;
     use ompdart_graph::ProgramGraphs;
 
@@ -1102,25 +1103,21 @@ mod tests {
         let (_file, result) = parse_str("t.c", src);
         assert!(result.is_ok(), "{:?}", result.diagnostics);
         let unit = result.unit;
-        let graphs = ProgramGraphs::build(&unit);
-        let mut all_acc = HashMap::new();
-        let mut all_sym = HashMap::new();
-        for f in unit.functions() {
-            let sym = SymbolTable::build(&unit, f);
-            let g = graphs.function(f.name.as_str()).unwrap();
-            all_acc.insert(f.name, FunctionAccesses::collect(f, &g.index, &sym));
-            all_sym.insert(f.name, sym);
-        }
-        let summaries = ProgramSummaries::compute(&unit, &all_acc, &all_sym);
+        let graphs = stage_graphs(&unit);
+        let accesses = stage_accesses(&unit, &graphs);
+        let ip = OmpDartOptions::default();
+        let seeds = stage_summaries(&unit, &accesses, &ip);
+        let (_, link) = closed_world_of(&unit, &accesses, &seeds, &ip, 1);
         let func = unit.function(func_name).unwrap();
-        let mut acc = all_acc.get(&Symbol::intern(func_name)).unwrap().clone();
-        augment_with_call_effects(&mut acc, &unit, &summaries, false);
+        let name = Symbol::intern(func_name);
+        let mut acc = accesses.accesses[&name].clone();
+        augment_with_call_effects(&mut acc, &unit, &link.summaries, false);
         let mut diags = Diagnostics::new();
         let plan = plan_function(
             func,
-            graphs.function(func_name).unwrap(),
+            graphs.graphs.function(func_name).unwrap(),
             &acc,
-            all_sym.get(&Symbol::intern(func_name)).unwrap(),
+            &accesses.symbols[&name],
             &options,
             &mut diags,
         )

@@ -1,12 +1,13 @@
 //! A unit's **interface**: everything the rest of a program reads of it.
 //!
 //! A translation unit has two halves. Its *body* — the AST, the graphs, the
-//! classified accesses, the unit-local summaries ([`crate::pipeline::UnitBody`])
+//! classified accesses, the seed summaries ([`crate::pipeline::UnitBody`])
 //! — is large, derived from the source text, and needed only to *plan* the
-//! unit. Its *interface* — [`UnitExports`] — is what every other unit's
-//! analysis reads: per defined function its name, its seed summary, its call
-//! sites as the fixed point reads them ([`LinkCall`]) and the callees its
-//! plans depend on. It is small, holds no
+//! unit. Its *interface* — [`UnitExports`] — is what the link reads of it,
+//! linked with other units or alone (its closed world): per defined
+//! function its name, its seed summary, its call sites as the fixed point
+//! reads them ([`LinkCall`]) and the callees its plans depend on. It is
+//! small, holds no
 //! node id, span or symbol table, and is a pure function of the unit's bytes
 //! and the analysis options, so it is persisted ([`UnitExports::encode`],
 //! the store's interface record) and a restart links a program from
@@ -23,11 +24,13 @@
 use crate::interproc::{
     visible_globals, ArgTarget, Effect, FunctionSummary, LinkArg, LinkCall, PropagationNode,
 };
-use crate::pipeline::{callee_keys, summary_fingerprint, CalleeKey, Fnv, UnitBody};
+use crate::pipeline::{
+    callee_keys, summary_fingerprint, AccessArtifact, CalleeKey, Fnv, SummariesArtifact,
+};
 use crate::OmpDartOptions;
+use ompdart_frontend::ast::TranslationUnit;
 use ompdart_frontend::intern::FnvBuild;
 use ompdart_frontend::Symbol;
-use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -42,59 +45,6 @@ fn mangle_static(name: &str, unit: &str) -> String {
 /// True for the link-resolved name of a `static` function.
 pub(crate) fn is_mangled(resolved: Symbol) -> bool {
     resolved.contains('@')
-}
-
-/// What one translation unit exports to the rest of the program: for every
-/// defined function its prototype shape and its *local* interprocedural
-/// summary. The [`ExportedInterface::fingerprint`] is stable across
-/// edits that do not change any of those facts — which is precisely when
-/// other units' cached plans remain valid.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ExportedInterface {
-    /// The unit's name (diagnostics file name).
-    pub unit: String,
-    /// Names of the functions the unit defines, in source order.
-    pub functions: Vec<String>,
-    /// Stable fingerprint of the exported surface: function prototypes and
-    /// local summaries.
-    pub fingerprint: u64,
-}
-
-impl ExportedInterface {
-    /// The exported interface of one summarized unit.
-    pub fn of(unit: &crate::pipeline::SummarizedUnit) -> ExportedInterface {
-        ExportedInterface::clone(&unit.exports().interface)
-    }
-}
-
-/// The fingerprint of a parsed unit's exported surface.
-fn surface_fingerprint(body: &UnitBody) -> u64 {
-    // Hash in name order so the fingerprint is insensitive to function
-    // reordering that changes nothing observable.
-    let mut sorted: Vec<&ompdart_frontend::ast::FunctionDef> =
-        body.parsed.unit.functions().collect();
-    sorted.sort_by_key(|a| a.name);
-    let mut h = Fnv::new();
-    for f in sorted {
-        h.write_str(&f.name);
-        h.write_u64(f.params.len() as u64);
-        for p in &f.params {
-            h.write(&[u8::from(p.is_const_pointee)]);
-        }
-        h.write(&[u8::from(f.is_variadic)]);
-        // A `static` function links under a unit-private name, so the
-        // storage class is part of the surface.
-        h.write(&[u8::from(f.is_static)]);
-        match body.summaries.summaries.summary(f.name) {
-            Some(s) => {
-                h.write(&[1]);
-                h.write_u64(summary_fingerprint(s));
-            }
-            None => h.write(&[0]),
-        }
-        h.write(&[0xfe]);
-    }
-    h.finish()
 }
 
 /// One function's propagation inputs, resolved once per unit *content*:
@@ -127,8 +77,7 @@ pub(crate) struct ExportedFunction {
     /// summaries.
     pub(crate) callees: Vec<CalleeKey>,
     /// The propagation inputs; `None` when the interprocedural analysis is
-    /// off (the linked summaries are then empty, as every unit-local
-    /// summary set already is).
+    /// off (the linked summaries are then empty).
     pub(crate) link: Option<LinkFunction>,
 }
 
@@ -141,7 +90,7 @@ impl ExportedFunction {
     ) -> PropagationNode<'a> {
         PropagationNode {
             name: self.resolved,
-            calls: Cow::Borrowed(&link.calls),
+            calls: &link.calls,
             globals,
         }
     }
@@ -165,8 +114,6 @@ pub(crate) struct FunctionParts {
 /// from the store, they do not run at all.
 #[derive(Debug, PartialEq)]
 pub struct UnitExports {
-    /// The unit's exported interface (prototypes, summaries).
-    pub(crate) interface: Arc<ExportedInterface>,
     /// Every defined function, in source order.
     pub(crate) functions: Vec<ExportedFunction>,
     /// `(source, mangled)` for the unit's `static` functions (the
@@ -179,37 +126,40 @@ pub struct UnitExports {
 }
 
 impl UnitExports {
-    /// The interface of a unit parsed this run.
-    pub(crate) fn of(unit: &str, body: &UnitBody, options: &OmpDartOptions) -> UnitExports {
-        let ast = &body.parsed.unit;
-        let fingerprint = surface_fingerprint(body);
+    /// The interface of the unit called `unit`, from its stage artifacts.
+    pub(crate) fn of(
+        unit: &str,
+        ast: &TranslationUnit,
+        accesses: &AccessArtifact,
+        summaries: &SummariesArtifact,
+        options: &OmpDartOptions,
+    ) -> UnitExports {
         let globals = match options.pessimistic_globals {
             true => visible_globals(ast),
             false => Vec::new(),
         };
         let functions = ast.functions().map(|f| {
             let link = || {
-                let seed = body.summaries.seeds.get(&f.name)?;
-                let acc = body.accesses.accesses.get(&f.name)?;
-                let sym = body.accesses.symbols.get(&f.name)?;
+                let seed = summaries.seeds.get(&f.name)?;
+                let acc = accesses.accesses.get(&f.name)?;
+                let sym = accesses.symbols.get(&f.name)?;
                 let calls = acc.calls.iter().map(|call| LinkCall::of(call, f, sym));
                 Some((Arc::clone(seed), calls.collect()))
             };
             FunctionParts {
                 name: f.name,
                 is_static: f.is_static,
-                callees: callee_keys(f.name, &body.accesses, ast),
+                callees: callee_keys(f.name, accesses, ast),
                 link: link(),
             }
         });
-        UnitExports::assemble(unit, fingerprint, globals, functions.collect())
+        UnitExports::assemble(unit, globals, functions.collect())
     }
 
     /// The one constructor: resolve `functions`' names for the unit called
     /// `unit` and derive the indexes and fingerprints the link stage reads.
     pub(crate) fn assemble(
         unit: &str,
-        fingerprint: u64,
         globals: Vec<Symbol>,
         functions: Vec<FunctionParts>,
     ) -> UnitExports {
@@ -225,11 +175,6 @@ impl UnitExports {
                 None => name,
             }
         };
-        let interface = Arc::new(ExportedInterface {
-            unit: unit.to_string(),
-            functions: functions.iter().map(|f| f.name.to_string()).collect(),
-            fingerprint,
-        });
         let functions: Vec<ExportedFunction> = (functions.into_iter())
             .map(|f| {
                 let resolved = resolve(f.name);
@@ -259,7 +204,6 @@ impl UnitExports {
             })
             .collect();
         UnitExports {
-            interface,
             functions,
             statics_mangled,
             globals,
@@ -319,8 +263,7 @@ impl UnitExports {
             out.extend_from_slice(&digits[at..]);
         }
         let effect = |e: &Effect| usize::from(e.byte());
-        out.extend_from_slice(format!("{:x}", self.interface.fingerprint).as_bytes());
-        number(out, self.functions.len());
+        out.extend_from_slice(self.functions.len().to_string().as_bytes());
         number(out, self.globals.len());
         for global in &self.globals {
             name(out, global)?;
@@ -397,7 +340,6 @@ impl UnitExports {
             }
         }
         let effect = |token: Option<&str>| number::<u8>(token).map(Effect::from_byte);
-        let fingerprint = u64::from_str_radix(token()?, 16).ok()?;
         let function_count: usize = number(token())?;
         let global_count: usize = number(token())?;
         let globals = (0..global_count)
@@ -473,7 +415,15 @@ impl UnitExports {
         if token().is_some() {
             return None;
         }
-        Some(UnitExports::assemble(unit, fingerprint, globals, functions))
+        let exports = UnitExports::assemble(unit, globals, functions);
+        // As in a unit that parsed, no name is defined twice, so the unit
+        // links, alone or with others that do not define it.
+        let mut resolved: Vec<Symbol> = exports.functions.iter().map(|f| f.resolved).collect();
+        resolved.sort_unstable();
+        resolved
+            .windows(2)
+            .all(|pair| pair[0] != pair[1])
+            .then_some(exports)
     }
 }
 

@@ -11,20 +11,21 @@
 //! paper prescribes: `const` pointer parameters are assumed read-only, other
 //! pointers read-write.
 //!
-//! One engine serves every fixed point: [`ProgramSummaries::propagate`]
-//! converges a whole node set from its seeds (a unit's own functions in the
-//! summarize stage, a cold link's whole program), and
-//! [`ProgramSummaries::propagate_incremental`] re-converges, in place, just
-//! the caller-closed cone the link stage hands it — condensing only the
-//! cone's subgraph, with every converged summary held behind its own `Arc`
-//! so that starting from a previous fixed point copies pointers.
+//! One engine serves the one fixed point, the link's
+//! ([`crate::program::Program::relink`], for a unit alone as for a
+//! program): [`ProgramSummaries::propagate_incremental`] re-converges, in
+//! place, just the caller-closed cone the link hands it — condensing only
+//! the cone's subgraph, with every converged summary held behind its own
+//! `Arc` so that starting from a previous fixed point copies pointers. A
+//! cold link's cone is every function. [`ProgramSummaries::propagate`]
+//! converges a whole node set from its seeds with the same engine, for
+//! [`crate::program::Program::propagate_merged`], which times it alone.
 
 use crate::access::{Access, AccessKind, AccessOrigin, CallSite, FunctionAccesses, SymbolTable};
 use crate::validity::{Position, States, Transfers, VarState, Walker};
 use ompdart_frontend::ast::{FunctionDef, ParamDecl, TranslationUnit};
 use ompdart_frontend::intern::FnvBuild;
 use ompdart_frontend::Symbol;
-use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -486,31 +487,13 @@ pub struct PropagationNode<'a> {
     /// keyed — for cross-unit `static` functions this is the mangled
     /// unit-private symbol, not the source-level name.
     pub name: Symbol,
-    /// The function's call sites, callee names fully resolved. Borrowed
-    /// when the caller memoized the resolved list (the link stage does, per
-    /// unit content), owned when built fresh.
-    pub calls: Cow<'a, [LinkCall]>,
+    /// The function's call sites, callee names fully resolved: borrowed
+    /// from the unit's interface, which memoises the resolved list per unit
+    /// content.
+    pub calls: &'a [LinkCall],
     /// The globals the function can see — what a call to an unknown callee
     /// clobbers in pessimistic-globals mode. Empty when that mode is off.
     pub globals: &'a [Symbol],
-}
-
-impl<'a> PropagationNode<'a> {
-    /// Build the node for one function from its per-unit artifacts.
-    pub fn build(
-        name: Symbol,
-        func: &FunctionDef,
-        acc: &FunctionAccesses,
-        sym: &SymbolTable,
-        globals: &'a [Symbol],
-    ) -> PropagationNode<'a> {
-        let calls = acc.calls.iter().map(|call| LinkCall::of(call, func, sym));
-        PropagationNode {
-            name,
-            calls: Cow::Owned(calls.collect()),
-            globals,
-        }
-    }
 }
 
 /// The globals a function of `unit` can see, sorted: every global the unit
@@ -524,27 +507,6 @@ pub fn visible_globals(unit: &TranslationUnit) -> Vec<Symbol> {
 }
 
 impl ProgramSummaries {
-    /// Compute summaries by fixed-point iteration over the call graph.
-    pub fn compute(
-        unit: &TranslationUnit,
-        accesses: &HashMap<Symbol, FunctionAccesses>,
-        symbols: &HashMap<Symbol, SymbolTable>,
-    ) -> ProgramSummaries {
-        let mut seeds = HashMap::new();
-        let mut nodes = Vec::new();
-        for func in unit.functions() {
-            let Some(acc) = accesses.get(&func.name) else {
-                continue;
-            };
-            let Some(sym) = symbols.get(&func.name) else {
-                continue;
-            };
-            seeds.insert(func.name, Arc::new(seed_summary(func, acc, sym)));
-            nodes.push(PropagationNode::build(func.name, func, acc, sym, &[]));
-        }
-        ProgramSummaries::propagate(&nodes, seeds, false, 1)
-    }
-
     /// Run the call-site propagation to a fixed point over pre-computed
     /// per-function seeds (consumed: the converged result is built in
     /// place) — the SCC-wavefront engine with up to `threads` workers.
@@ -1151,30 +1113,49 @@ fn push_effect_accesses(
 mod tests {
     use super::*;
     use crate::access::{FunctionAccesses, SymbolTable};
+    use crate::pipeline::{closed_world_of, stage_accesses, stage_graphs, stage_summaries};
+    use crate::pipeline::{AccessArtifact, SummarizedUnit};
+    use crate::program::LinkContext;
+    use crate::OmpDartOptions;
     use ompdart_frontend::parser::parse_str;
-    use ompdart_graph::ProgramGraphs;
+
+    /// The closed world of `src` — the unit linked alone — as the pipeline's
+    /// stage functions leave it.
+    fn linked_alone(
+        src: &str,
+        pessimistic_globals: bool,
+    ) -> (
+        Arc<SummarizedUnit>,
+        LinkContext,
+        AccessArtifact,
+        TranslationUnit,
+    ) {
+        let (_file, result) = parse_str("t.c", src);
+        assert!(result.is_ok(), "{:?}", result.diagnostics);
+        let unit = result.unit;
+        let options = OmpDartOptions {
+            pessimistic_globals,
+            ..OmpDartOptions::default()
+        };
+        let accesses = stage_accesses(&unit, &stage_graphs(&unit));
+        let seeds = stage_summaries(&unit, &accesses, &options);
+        let (alone, link) = closed_world_of(&unit, &accesses, &seeds, &options, 1);
+        (alone, link, accesses, unit)
+    }
 
     fn analyze(
         src: &str,
     ) -> (
         ProgramSummaries,
         HashMap<Symbol, FunctionAccesses>,
-        ompdart_frontend::TranslationUnit,
+        TranslationUnit,
     ) {
-        let (_file, result) = parse_str("t.c", src);
-        assert!(result.is_ok(), "{:?}", result.diagnostics);
-        let unit = result.unit;
-        let graphs = ProgramGraphs::build(&unit);
-        let mut accesses = HashMap::new();
-        let mut symbols = HashMap::new();
-        for f in unit.functions() {
-            let sym = SymbolTable::build(&unit, f);
-            let g = graphs.function(f.name.as_str()).unwrap();
-            accesses.insert(f.name, FunctionAccesses::collect(f, &g.index, &sym));
-            symbols.insert(f.name, sym);
-        }
-        let summaries = ProgramSummaries::compute(&unit, &accesses, &symbols);
-        (summaries, accesses, unit)
+        let (_, link, accesses, unit) = linked_alone(src, false);
+        (
+            ProgramSummaries::clone(&link.summaries),
+            accesses.accesses,
+            unit,
+        )
     }
 
     const LAYERED: &str = "\
@@ -1367,22 +1348,12 @@ void f() {
     const KERNEL: &str =
         "#pragma omp target teams distribute parallel for\n  for (int i = 0; i < 32; i++)";
 
-    /// What the sequential reference engine makes of `unit` in at most
+    /// What the sequential reference engine makes of `src` in at most
     /// `max_passes` sweeps.
-    fn sequential_reference(
-        unit: &ompdart_frontend::TranslationUnit,
-        accesses: &HashMap<Symbol, FunctionAccesses>,
-        max_passes: usize,
-    ) -> ProgramSummaries {
-        let mut seeds = HashMap::new();
-        let mut nodes = Vec::new();
-        for func in unit.functions() {
-            let sym = SymbolTable::build(unit, func);
-            let acc = &accesses[&func.name];
-            seeds.insert(func.name, Arc::new(seed_summary(func, acc, &sym)));
-            nodes.push(PropagationNode::build(func.name, func, acc, &sym, &[]));
-        }
-        crate::oracle::propagate_sequential(&nodes, &seeds, max_passes, false)
+    fn sequential_reference(src: &str, max_passes: usize) -> ProgramSummaries {
+        let (alone, ..) = linked_alone(src, false);
+        let options = OmpDartOptions::default();
+        crate::oracle::propagate_merged_sequential(&[alone], &options, max_passes)
     }
 
     fn global_effect(summaries: &ProgramSummaries, func: &str, var: &str) -> Effect {
@@ -1555,17 +1526,9 @@ void f(double *data, int n) {
             [AccessKind::ReadWrite, AccessKind::ReadWrite]
         );
         // The clobber is part of the caller's summary too.
-        let graphs = ProgramGraphs::build(&unit);
-        let func = unit.function("f").unwrap();
-        let sym = SymbolTable::build(&unit, func);
-        let acc = FunctionAccesses::collect(func, &graphs.function("f").unwrap().index, &sym);
-        let seed = Arc::new(seed_summary(func, &acc, &sym));
-        let globals = visible_globals(&unit);
-        let node = PropagationNode::build(func.name, func, &acc, &sym, &globals);
-        let seeds = HashMap::from([(func.name, seed)]);
-        let clobbered = ProgramSummaries::propagate(&[node], seeds, true, 1);
+        let (_, clobbered, ..) = linked_alone(src, true);
         assert_eq!(
-            global_effect(&clobbered, "f", "g"),
+            global_effect(&clobbered.summaries, "f", "g"),
             Effect::pessimistic_host()
         );
     }
@@ -1602,7 +1565,7 @@ void f(double *data, int n) {
         let t = seed.global_effects[&Symbol::intern("t")];
         assert!(!t.device_exposed() && t.device_current());
 
-        assert!(sequential_reference(&unit, &accesses, 8).same_summaries(&summaries));
+        assert!(sequential_reference(&src, 8).same_summaries(&summaries));
     }
 
     /// A ring of mutually recursive functions, the last of which writes a
@@ -1626,7 +1589,7 @@ void f(double *data, int n) {
                     bodies.reverse();
                 }
                 let src = format!("double g[8];\n{prototypes}{}", bodies.concat());
-                let (summaries, accesses, unit) = analyze(&src);
+                let (summaries, ..) = analyze(&src);
                 for i in 0..len {
                     let g = global_effect(&summaries, &format!("f{i}"), "g");
                     assert!(
@@ -1635,7 +1598,7 @@ void f(double *data, int n) {
                     );
                 }
                 assert!(
-                    sequential_reference(&unit, &accesses, len + 1).same_summaries(&summaries),
+                    sequential_reference(&src, len + 1).same_summaries(&summaries),
                     "ring of {len}, reversed {reversed}"
                 );
             }

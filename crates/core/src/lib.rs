@@ -90,8 +90,8 @@ pub use plan::{
     ProvenanceFact, UpdateDirection, UpdateSpec, PLAN_FORMAT_VERSION,
 };
 pub use program::{
-    DriverProfile, ExportedInterface, LinkContext, LinkState, LinkedSummaries, Program,
-    ProgramAnalysis, ProgramDriver, ProgramError, UnitExports, UnitServe, UNLINKED,
+    DriverProfile, LinkContext, LinkState, LinkedSummaries, Program, ProgramAnalysis,
+    ProgramDriver, ProgramError, UnitExports, UnitServe, UNLINKED,
 };
 pub use rewrite::apply_plans;
 pub use stats::CacheStats;
@@ -121,14 +121,6 @@ pub struct OmpDartOptions {
     /// synthesized accesses are explained with the
     /// `unknown_callee_pessimistic` provenance at the call site.
     pub pessimistic_globals: bool,
-    /// Worker threads for the cross-unit link fixed point's SCC wavefronts
-    /// (`--link-threads` on the CLI). `0` — the default — picks the
-    /// machine's parallelism automatically. The thread count can never
-    /// change results (the wavefront engine is deterministic by
-    /// construction), so this knob deliberately stays **out of**
-    /// [`OmpDartOptions::fingerprint`]: plans computed under any thread
-    /// count are interchangeable.
-    pub link_threads: usize,
 }
 
 impl OmpDartOptions {
@@ -139,14 +131,11 @@ impl OmpDartOptions {
         pipeline::options_fingerprint(self)
     }
 
-    /// The resolved link-stage worker count: `link_threads`, or the
-    /// machine's parallelism when the knob is 0 (auto).
+    /// The machine's default worker width, which [`Program::link`] runs its
+    /// wavefronts at. Kept for the benchmark harness, its only caller; the
+    /// width of a session's link is its [`AnalysisSession::parallelism`].
     pub fn effective_link_threads(&self) -> usize {
-        if self.link_threads == 0 {
-            pipeline::default_parallelism()
-        } else {
-            self.link_threads
-        }
+        pipeline::default_parallelism()
     }
 }
 
@@ -157,7 +146,6 @@ impl Default for OmpDartOptions {
             interprocedural: true,
             reject_existing_mappings: true,
             pessimistic_globals: false,
-            link_threads: 0,
         }
     }
 }
@@ -228,16 +216,11 @@ impl OmpdartBuilder {
         self
     }
 
-    /// Worker-thread fan-out of the planning stage (and batch analyses).
+    /// Worker-thread fan-out of every parallel phase — summarize, the
+    /// link's wavefronts, planning — and of batch analyses. Never affects
+    /// results, so it is part of no cache key.
     pub fn parallelism(mut self, workers: usize) -> OmpdartBuilder {
         self.parallelism = Some(workers.max(1));
-        self
-    }
-
-    /// Worker threads for the cross-unit link fixed point (0 = auto). Never
-    /// affects results — see [`OmpDartOptions::link_threads`].
-    pub fn link_threads(mut self, threads: usize) -> OmpdartBuilder {
-        self.options.link_threads = threads;
         self
     }
 

@@ -9,7 +9,9 @@
 //! * [`ParsedUnit`] — frontend output (source file + AST + diagnostics),
 //! * [`GraphsArtifact`] — per-function CFGs / hybrid AST-CFG,
 //! * [`AccessArtifact`] — classified accesses and symbol tables,
-//! * [`SummariesArtifact`] — interprocedural side-effect summaries,
+//! * [`SummariesArtifact`] — every function's *seed* side-effect summary,
+//!   what its own statements do; converging seeds over call sites is the
+//!   link's work ([`crate::program`]), for a unit alone as for a program,
 //! * [`PlansArtifact`] — per-function [`MappingPlan`]s plus statistics,
 //! * [`RewriteOutput`] — the transformed source.
 //!
@@ -19,18 +21,18 @@
 //!
 //! An [`AnalysisSession`] drives the stages along **one path**:
 //! [`AnalysisSession::summarize`] yields a unit as the link stage consumes
-//! it — a [`SummarizedUnit`]: its *interface* (what other units read of it)
+//! it — a [`SummarizedUnit`]: its *interface* (what the link reads of it)
 //! and, behind a `OnceLock`, its *body* ([`UnitBody`]: parse → graphs →
-//! accesses → summaries), built at once for a unit that has to be parsed
+//! accesses → seeds), built at once for a unit that has to be parsed
 //! and on demand for one whose interface the persistent store held — and
 //! [`AnalysisSession::analyze_linked`] plans and rewrites it under a
 //! [`LinkContext`], or loads plans and rewrite from the store without
 //! touching the body. A whole program gets its contexts from the link
 //! stage ([`crate::program`]); a single unit is the *closed-world program*
-//! — its context is its own converged summaries and nothing imported
-//! ([`LinkContext::closed_world`]) — so [`AnalysisSession::analyze`] is
-//! summarize → `analyze_linked` → flush, and there is one unit table, one
-//! store probe and one planning call for both. Finished artifacts live in
+//! — the unit linked alone, so a call into another file has no summary —
+//! and [`AnalysisSession::analyze`] is summarize → `analyze_linked` →
+//! flush: there is one fixed point, one unit table, one store probe and one
+//! planning call for both. Finished artifacts live in
 //! the session's unit table, indexed by unit name and verified against the
 //! source bytes, so repeated analysis of unchanged sources is near-free, and
 //! the planning stage fans out per function over the session's worker pool.
@@ -69,10 +71,7 @@
 use crate::access::{FunctionAccesses, SymbolTable};
 use crate::dataflow::{plan_collapses, plan_function};
 use crate::interface::UnitExports;
-use crate::interproc::{
-    augment_with_call_effects, seed_summary, visible_globals, FunctionSummary, ProgramSummaries,
-    PropagationNode,
-};
+use crate::interproc::{augment_with_call_effects, seed_summary, FunctionSummary};
 use crate::plan::explain::explain_plans;
 use crate::plan::ir::{AnalysisStats, MappingPlan};
 use crate::plan::json::{plans_to_json, plans_to_json_value, write_json_string};
@@ -318,17 +317,13 @@ pub struct AccessArtifact {
     pub elapsed: Duration,
 }
 
-/// Interprocedural artifact: per-function side-effect summaries.
+/// Interprocedural artifact: per-function seed summaries.
 #[derive(Debug)]
 pub struct SummariesArtifact {
-    /// The unit-local converged summaries. `Arc`'d so the unit's
-    /// closed-world [`LinkContext`] shares them instead of cloning.
-    pub summaries: Arc<ProgramSummaries>,
-    /// The per-function *local* (direct-effect) seeds the fixed point ran
-    /// over, keyed by function name. The link stage re-converges these
-    /// across units, incrementally. `Arc`'d: a seed is shared by this map,
-    /// the unit-local fixed point and the link stage without ever being
-    /// deep-copied.
+    /// The per-function *local* (direct-effect) seeds, keyed by function
+    /// name: what the link's fixed point converges, for the unit alone or
+    /// across a program. `Arc`'d: a seed is shared by this map, the unit's
+    /// interface and the link without ever being deep-copied.
     pub seeds: HashMap<Symbol, Arc<FunctionSummary>>,
     pub elapsed: Duration,
 }
@@ -426,28 +421,17 @@ pub fn stage_accesses(unit: &TranslationUnit, graphs: &GraphsArtifact) -> Access
 }
 
 /// Stage 4 — interprocedural side-effect summaries (Section IV-C): every
-/// function's *local* (direct-effect) seed, then the call-site fixed point
-/// over them.
+/// function's *local* (direct-effect) seed. The call-site fixed point over
+/// them is the link's ([`crate::program::Program::link`]); a unit analyzed
+/// on its own is linked alone.
 pub fn stage_summaries(
     unit: &TranslationUnit,
     accesses: &AccessArtifact,
     options: &OmpDartOptions,
 ) -> SummariesArtifact {
     let start = Instant::now();
-    if !options.interprocedural {
-        return SummariesArtifact {
-            summaries: Arc::default(),
-            seeds: HashMap::new(),
-            elapsed: start.elapsed(),
-        };
-    }
     let mut seeds = HashMap::new();
-    let mut nodes = Vec::new();
-    let globals = match options.pessimistic_globals {
-        true => visible_globals(unit),
-        false => Vec::new(),
-    };
-    for func in unit.functions() {
+    for func in unit.functions().filter(|_| options.interprocedural) {
         let Some(acc) = accesses.accesses.get(&func.name) else {
             continue;
         };
@@ -455,15 +439,29 @@ pub fn stage_summaries(
             continue;
         };
         seeds.insert(func.name, Arc::new(seed_summary(func, acc, sym)));
-        nodes.push(PropagationNode::build(func.name, func, acc, sym, &globals));
     }
-    let summaries =
-        ProgramSummaries::propagate(&nodes, seeds.clone(), options.pessimistic_globals, 1);
     SummariesArtifact {
-        summaries: Arc::new(summaries),
         seeds,
         elapsed: start.elapsed(),
     }
+}
+
+/// The closed world of a unit known by its stage artifacts: the unit
+/// (interface only — it is never planned through) and the context of it
+/// linked alone on `threads` workers. What the pure stage functions plan
+/// and verify under.
+pub(crate) fn closed_world_of(
+    unit: &TranslationUnit,
+    accesses: &AccessArtifact,
+    summaries: &SummariesArtifact,
+    options: &OmpDartOptions,
+    threads: usize,
+) -> (Arc<SummarizedUnit>, LinkContext) {
+    // The name only tells the unit's `static` functions from others'.
+    let exports = UnitExports::of("", unit, accesses, summaries, options);
+    let alone = Arc::new(SummarizedUnit::restored("", "", options, exports));
+    let link = LinkContext::closed_world(&alone, options, threads);
+    (alone, link)
 }
 
 // ---------------------------------------------------------------------------
@@ -678,10 +676,10 @@ pub(crate) fn callees_fingerprint(
     h.finish()
 }
 
-/// Stage 5 — host/device data-flow planning, fanned out per function over
-/// scoped worker threads when `parallelism > 1`. The produced plans and
-/// diagnostics are merged back in source order, so the result is identical
-/// to a serial run.
+/// Stage 5 — host/device data-flow planning of the unit's closed world (the
+/// unit linked alone on `parallelism` workers), fanned out per function
+/// over the same workers. The produced plans and diagnostics are merged
+/// back in source order, so the result is identical to a serial run.
 pub fn stage_plans(
     unit: &TranslationUnit,
     graphs: &GraphsArtifact,
@@ -690,54 +688,46 @@ pub fn stage_plans(
     options: &OmpDartOptions,
     parallelism: usize,
 ) -> PlansArtifact {
+    let (alone, link) = closed_world_of(unit, accesses, summaries, options, parallelism);
+    let exports = alone.exports();
     run_plan_stage(
         unit,
         graphs,
         accesses,
-        summaries,
         options,
         parallelism,
         None,
-        None,
-        None,
+        &link,
+        exports,
     )
 }
 
 /// The one planning stage behind [`stage_plans`] and
 /// [`AnalysisSession::analyze_linked`].
 ///
-/// With `incremental` set, functions whose key (source text, environment,
-/// callee summaries, options) is unchanged re-use their cached plan —
-/// relocated to the current node ids and byte offsets — instead of
-/// re-running the data-flow analysis. With `link` set, callee effects
-/// resolve against the context's summaries (cross-unit callees included);
-/// the cache keys incorporate those facts, so an edit in another unit
+/// Callee effects resolve against the `link` context's summaries
+/// (cross-unit callees included), and each function's callee list is read
+/// from `exports`, the unit's interface. With `incremental` set, functions
+/// whose key (source text, environment, callee summaries, options) is
+/// unchanged re-use their cached plan — relocated to the current node ids
+/// and byte offsets — instead of re-running the data-flow analysis; the
+/// keys incorporate the context's facts, so an edit in another unit
 /// re-plans functions here only when the summary of a callee they name
-/// actually changed. With `exports` set —
-/// the unit's interface, where it has been computed — a function's callee
-/// list is read from it instead of derived again.
+/// actually changed.
 #[allow(clippy::too_many_arguments)]
 fn run_plan_stage(
     unit: &TranslationUnit,
     graphs: &GraphsArtifact,
     accesses: &AccessArtifact,
-    summaries: &SummariesArtifact,
     options: &OmpDartOptions,
     parallelism: usize,
     incremental: Option<(&ParsedUnit, &FunctionPlanCache)>,
-    link: Option<&LinkContext>,
-    exports: Option<&UnitExports>,
+    link: &LinkContext,
+    exports: &UnitExports,
 ) -> PlansArtifact {
     let start = Instant::now();
     let funcs: Vec<_> = unit.functions().collect();
     let workers = parallelism.clamp(1, funcs.len().max(1));
-
-    // Effective interprocedural facts: the linked whole-program summaries
-    // when a link context is present, the unit-local ones otherwise.
-    let effective_summaries: &ProgramSummaries = match link {
-        Some(link) => &link.summaries,
-        None => &summaries.summaries,
-    };
 
     // Unit-wide key components, computed once and shared by every worker.
     let shared = incremental.map(|(parsed, cache)| {
@@ -759,27 +749,18 @@ fn run_plan_stage(
         u64,
         Option<FunctionKeySnapshot>,
     );
-    // The fingerprint of the summary a callee resolves to: the link's
-    // memo in a linked program, hashed here in a closed world.
-    let summary_fp = |callee: Symbol| match link {
-        Some(link) => link.summary_fingerprint(callee),
-        None => effective_summaries.summary(callee).map(summary_fingerprint),
-    };
     let plan_one = |idx: usize| -> Slot {
         let func = funcs[idx];
-        let callees = || match exports.map(|exports| &exports.functions[idx]) {
-            Some(exported) => {
-                debug_assert_eq!(exported.source, func.name, "interface out of step");
-                callees_fingerprint(&exported.callees, summary_fp)
-            }
-            None => callees_fingerprint(&callee_keys(func.name, accesses, unit), summary_fp),
-        };
+        let exported = &exports.functions[idx];
+        debug_assert_eq!(exported.source, func.name, "interface out of step");
         let key = shared
             .as_ref()
             .map(|(parsed, _, env_hash, options_hash)| FunctionPlanKey {
                 snippet: parsed.file.snippet(func.span).to_string(),
                 env_hash: *env_hash,
-                callees_hash: callees(),
+                callees_hash: callees_fingerprint(&exported.callees, |callee| {
+                    link.summary_fingerprint(callee)
+                }),
                 options_hash: *options_hash,
             });
         let snapshot = |key: &FunctionPlanKey, analyzed: bool, has_plan: bool, fallbacks: u64| {
@@ -823,7 +804,7 @@ fn run_plan_stage(
             let fallbacks = augment_with_call_effects(
                 &mut acc,
                 unit,
-                effective_summaries,
+                &link.summaries,
                 options.pessimistic_globals,
             ) as u64;
             let mut diags = Diagnostics::new();
@@ -935,16 +916,15 @@ pub fn stage_rewrite(
 // ---------------------------------------------------------------------------
 
 /// The **body** of a unit: every artifact derived from parsing it, up to
-/// (and including) the unit-local interprocedural summaries. Large, and
-/// needed only to *plan* the unit (or to look at it: `explain`, a plan-JSON
-/// dump), so it is built on demand — see [`SummarizedUnit`].
+/// (and including) the seed summaries. Large, and needed only to *plan* the
+/// unit (or to look at it: `explain`, a plan-JSON dump), so it is built on
+/// demand — see [`SummarizedUnit`].
 #[derive(Debug)]
 pub struct UnitBody {
     pub parsed: Arc<ParsedUnit>,
     pub graphs: Arc<GraphsArtifact>,
     pub accesses: Arc<AccessArtifact>,
-    /// The *unit-local* summaries (closed-world fixed point). The link
-    /// stage re-converges their seeds across units.
+    /// The seed summaries, which the link converges.
     pub summaries: Arc<SummariesArtifact>,
 }
 
@@ -1057,8 +1037,11 @@ impl SummarizedUnit {
     /// The unit's interface, computed from the body on first use unless it
     /// was restored.
     pub fn exports(&self) -> &UnitExports {
-        self.exports
-            .get_or_init(|| UnitExports::of(&self.name, self.body(), &self.options))
+        self.exports.get_or_init(|| {
+            let body = self.body();
+            let (unit, accesses) = (&body.parsed.unit, &body.accesses);
+            UnitExports::of(&self.name, unit, accesses, &body.summaries, &self.options)
+        })
     }
 
     /// The body, if it has been built: a parsed unit's, or a restored
@@ -1099,7 +1082,7 @@ impl SummarizedUnit {
         &self.body().accesses
     }
 
-    /// The unit-local summaries (builds the body on first use).
+    /// The seed summaries (builds the body on first use).
     pub fn summaries(&self) -> &Arc<SummariesArtifact> {
         &self.body().summaries
     }
@@ -1155,7 +1138,7 @@ impl UnitAnalysis {
         self.unit.accesses()
     }
 
-    /// The unit-local summaries (builds the body on first use).
+    /// The seed summaries (builds the body on first use).
     pub fn summaries(&self) -> &Arc<SummariesArtifact> {
         self.unit.summaries()
     }
@@ -1427,7 +1410,9 @@ impl AnalysisSession {
         }
     }
 
-    /// Override the per-function fan-out width of the planning stage.
+    /// Override the fan-out width of the session's link and planning stages
+    /// (and the default width of a [`crate::program::ProgramDriver`] over
+    /// it).
     pub fn with_parallelism(mut self, workers: usize) -> AnalysisSession {
         self.parallelism = workers.max(1);
         self
@@ -1592,18 +1577,17 @@ impl AnalysisSession {
         &self,
         body: &UnitBody,
         link: &LinkContext,
-        exports: Option<&UnitExports>,
+        exports: &UnitExports,
     ) -> Arc<PlansArtifact> {
         self.seed_function_plans(&body.parsed.name);
         let artifact = Arc::new(run_plan_stage(
             &body.parsed.unit,
             &body.graphs,
             &body.accesses,
-            &body.summaries,
             &self.options,
             self.parallelism,
             Some((&body.parsed, &self.function_plans)),
-            Some(link),
+            link,
             exports,
         ));
         self.counters.add_all(artifact.counted);
@@ -1624,13 +1608,13 @@ impl AnalysisSession {
     /// only sound when requests cannot interleave.
     ///
     /// A single unit is the closed-world program: summarize, plan under
-    /// [`LinkContext::closed_world`], flush — and that context, which reads
-    /// the unit's body, is only assembled once the unit table and the store
-    /// have both missed under [`UNLINKED`]. This deliberately does not go
-    /// through [`crate::program::ProgramDriver`] — a one-unit request must
-    /// leave the session's link state alone, or interleaving it with
-    /// whole-program requests on one session would evict their incremental
-    /// relink and round-level fast path.
+    /// [`LinkContext::closed_world`] — the unit linked alone — and flush;
+    /// that link only runs once the unit table and the store have both
+    /// missed under [`UNLINKED`], so a warm hit builds nothing. This
+    /// deliberately does not go through [`crate::program::ProgramDriver`] —
+    /// a one-unit request must leave the session's link state alone, or
+    /// interleaving it with whole-program requests on one session would
+    /// evict their incremental relink and round-level fast path.
     pub fn analyze_served(
         &self,
         name: &str,
@@ -1856,11 +1840,11 @@ impl AnalysisSession {
         let link = match link {
             Some(link) => link,
             None => {
-                closed_world = LinkContext::closed_world(unit);
+                closed_world = LinkContext::closed_world(unit, &self.options, self.parallelism);
                 &closed_world
             }
         };
-        let plans = self.plan_under(body, link, unit.exports.get());
+        let plans = self.plan_under(body, link, unit.exports());
         let start = Instant::now();
         let edits = rewrite::plan_edits(
             &body.parsed.file,
@@ -1895,7 +1879,7 @@ fn spliced(edits: &rewrite::EditSet, source: &str, since: Instant) -> RewriteOut
 }
 
 /// Worker count used by default for batch, per-function and link-wavefront
-/// fan-out (see [`crate::OmpDartOptions::effective_link_threads`]).
+/// fan-out: a session's [`AnalysisSession::parallelism`] unless overridden.
 pub(crate) fn default_parallelism() -> usize {
     crate::pool::available_width().min(8)
 }

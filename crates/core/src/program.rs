@@ -2,19 +2,19 @@
 //! two-phase [`ProgramDriver`].
 //!
 //! Every unit is planned under a [`LinkContext`] — the interprocedural
-//! summaries its call sites resolve against. A unit analyzed on its own gets
-//! the *closed-world* context ([`LinkContext::closed_world`]): its own
-//! converged summaries and nothing imported, so a call into another file has no
-//! summary, [`crate::interproc::augment_with_call_effects`] falls back to
-//! the maximally pessimistic host read+write assumption, and every
-//! cross-file call forces conservative `tofrom` mappings. This module
-//! builds the richer contexts of a *linked* program, between the Summaries
-//! and Plans stages:
+//! summaries its call sites resolve against — and the link is the only code
+//! that converges summaries. A unit analyzed on its own is a one-unit
+//! program: its *closed-world* context ([`LinkContext::closed_world`]) is
+//! that of the unit linked alone, by the same code, from the same
+//! interface, so a call into another file has no summary,
+//! [`crate::interproc::augment_with_call_effects`] falls back to the
+//! maximally pessimistic host read+write assumption, and every cross-file
+//! call forces conservative `tofrom` mappings. Between the Summaries and
+//! Plans stages:
 //!
 //! 1. **Export** — each unit's interface ([`UnitExports`],
 //!    [`crate::interface`]) collects the seed summaries and call sites of
-//!    its defined functions, plus a stable fingerprint of the exported
-//!    surface ([`ExportedInterface`]). It is
+//!    its defined functions. It is
 //!    computed from a unit parsed this run, or restored from the
 //!    persistent store without parsing anything.
 //! 2. **Link** — [`Program::link`] merges every unit's call graph and
@@ -36,17 +36,18 @@
 //!    dropped across files as they are within one.
 //!
 //! [`ProgramDriver`] packages the three phases as *parallel summarize →
-//! sequential link → parallel plan* over one shared
-//! [`AnalysisSession`]. Planning is the same call either way —
-//! [`AnalysisSession::analyze_linked`] — so a single-unit program produces
-//! byte-identical output to [`AnalysisSession::analyze`]. The defining
+//! link → parallel plan* over one shared [`AnalysisSession`], every phase
+//! at the driver's width. Linking and planning are the same calls either
+//! way — [`Program::relink`], [`AnalysisSession::analyze_linked`] — so a
+//! single-unit program produces byte-identical output to
+//! [`AnalysisSession::analyze`]. The defining
 //! golden property, pinned by `tests/whole_program.rs` and the split
 //! proptest: analyzing `k` units as one linked program rewrites each unit
 //! byte-identically to analyzing the concatenation of all `k` unit sources
 //! as a single translation unit.
 
+pub use crate::interface::UnitExports;
 use crate::interface::{is_mangled, ExportedFunction, LinkFunction};
-pub use crate::interface::{ExportedInterface, UnitExports};
 use crate::interproc::{FunctionSummary, ProgramSummaries, PropagationNode};
 use crate::pipeline::{
     callees_fingerprint, summary_fingerprint, AnalysisSession, Fnv, StageError, SummarizedUnit,
@@ -98,32 +99,37 @@ pub struct LinkContext {
     /// The link's memoised fingerprint of every converged summary — the
     /// program's function table and this unit's static views, both shared,
     /// neither copied — so planning a function hashes none of its callees'
-    /// summaries again. `None` for a closed world, which links nothing.
-    fingerprints: Option<(Arc<FunctionTable>, Arc<[StaticView]>)>,
+    /// summaries again.
+    fingerprints: (Arc<FunctionTable>, Arc<[StaticView]>),
 }
 
 impl LinkContext {
     /// The context of a unit analyzed on its own — the closed-world
-    /// program: call sites resolve against the unit's own converged
-    /// summaries (which builds the unit's body), no function is defined
-    /// elsewhere, and the imports fingerprint is [`UNLINKED`] (the
-    /// unit-table and store key of stand-alone analyses).
-    pub fn closed_world(unit: &SummarizedUnit) -> LinkContext {
+    /// program: the unit linked alone ([`Program::relink`] of the empty
+    /// state, on `threads` workers), which reads its interface and nothing
+    /// else, under the imports fingerprint [`UNLINKED`] (the unit-table and
+    /// store key of stand-alone analyses).
+    pub fn closed_world(
+        unit: &Arc<SummarizedUnit>,
+        options: &crate::OmpDartOptions,
+        threads: usize,
+    ) -> LinkContext {
+        let alone = vec![Arc::clone(unit)];
+        // A unit defines each function once: the parser rejects a second
+        // definition, and the store's decoder an interface naming one.
+        let program = Program::relink(alone, options, threads, &mut LinkState::default())
+            .expect("a unit links alone");
         LinkContext {
-            summaries: Arc::clone(&unit.summaries().summaries),
             imports_fingerprint: UNLINKED,
-            fingerprints: None,
+            ..program.link_context(0)
         }
     }
 
     /// [`summary_fingerprint`] of the summary `callee` resolves to under
-    /// this context ([`Self::summaries`]), from the link's memo where there
-    /// is one.
+    /// this context ([`Self::summaries`]), from the link's memo.
     pub(crate) fn summary_fingerprint(&self, callee: Symbol) -> Option<u64> {
-        match &self.fingerprints {
-            Some((functions, statics)) => memoised_fingerprint(statics, functions, callee),
-            None => self.summaries.summary(callee).map(summary_fingerprint),
-        }
+        let (functions, statics) = &self.fingerprints;
+        memoised_fingerprint(statics, functions, callee)
     }
 }
 
@@ -145,16 +151,14 @@ fn memoised_fingerprint(
 // Program: the linked whole-program view
 // ---------------------------------------------------------------------------
 
-/// A linked program: every unit's summarize-phase artifacts, the exported
-/// interfaces, and the converged cross-unit summaries. Cloning one copies
-/// pointers only — [`Program::relink`] hands out clones of the program its
-/// [`LinkState`] keeps.
+/// A linked program: every unit's summarize-phase artifacts and the
+/// converged cross-unit summaries. Cloning one copies pointers only —
+/// [`Program::relink`] hands out clones of the program its [`LinkState`]
+/// keeps.
 #[derive(Clone, Debug)]
 pub struct Program {
     /// The summarized units, in input order.
     pub units: Vec<Arc<SummarizedUnit>>,
-    /// Per-unit exported interfaces (same order as `units`).
-    pub interfaces: Vec<Arc<ExportedInterface>>,
     /// The cross-unit link fixed point. Unit-private `static` functions
     /// appear under their mangled `name@unit` symbols here; per-unit
     /// [`LinkContext`]s expose them under their source-level names again.
@@ -232,7 +236,6 @@ impl Default for LinkState {
         LinkState {
             program: Program {
                 units: Vec::new(),
-                interfaces: Vec::new(),
                 linked: LinkedSummaries {
                     summaries: Arc::default(),
                     defined_in: HashMap::new(),
@@ -282,23 +285,26 @@ impl Program {
     /// Link already-summarized units into one program: export interfaces,
     /// merge the call graphs, and run the interprocedural fixed point to
     /// convergence across unit boundaries — [`Program::relink`] of the
-    /// empty [`LinkState`], in which every unit is a changed one.
+    /// empty [`LinkState`], in which every unit is a changed one, at the
+    /// machine's width.
     ///
-    /// The fixed point is computed by the exact algorithm the summarize
-    /// stage runs per unit ([`ProgramSummaries::propagate`]) over the merged view,
-    /// which is what makes a linked multi-unit analysis provably equal to a
-    /// single-unit analysis of the concatenated sources.
+    /// A unit analyzed alone is linked by this very code (its closed world,
+    /// [`LinkContext::closed_world`]), which is what makes a linked
+    /// multi-unit analysis provably equal to a single-unit analysis of the
+    /// concatenated sources.
     pub fn link(
         units: Vec<Arc<SummarizedUnit>>,
         options: &crate::OmpDartOptions,
     ) -> Result<Program, ProgramError> {
-        Program::relink(units, options, &mut LinkState::default())
+        let threads = crate::pipeline::default_parallelism();
+        Program::relink(units, options, threads, &mut LinkState::default())
     }
 
     /// Link `units` by *patching* `state`, the persistent form of the
-    /// previous link, and return (a pointer-copy of) the patched program.
-    /// The one link path; its cost is O(changed units + dirty cone +
-    /// importers of moved summaries), plus pointer copies per unit:
+    /// previous link, and return (a pointer-copy of) the patched program;
+    /// the fixed point's wavefronts run on `threads` workers. The one link
+    /// path; its cost is O(changed units + dirty cone + importers of moved
+    /// summaries), plus pointer copies per unit:
     ///
     /// 1. **Diff.** Units are matched to the state's by name — the one
     ///    by-name diff of a round — and a unit is *changed* unless it is its
@@ -333,6 +339,7 @@ impl Program {
     pub fn relink(
         units: Vec<Arc<SummarizedUnit>>,
         options: &crate::OmpDartOptions,
+        threads: usize,
         state: &mut LinkState,
     ) -> Result<Program, ProgramError> {
         let LinkState {
@@ -344,7 +351,6 @@ impl Program {
         } = state;
         let Program {
             units: was,
-            interfaces,
             linked,
             import_fps,
             unit_statics,
@@ -484,12 +490,8 @@ impl Program {
             })
             .collect();
         let summaries = Arc::make_mut(&mut linked.summaries);
-        let before = summaries.propagate_incremental(
-            seeds,
-            &nodes,
-            options.pessimistic_globals,
-            options.effective_link_threads(),
-        );
+        let before =
+            summaries.propagate_incremental(seeds, &nodes, options.pessimistic_globals, threads);
         linked.passes = summaries.passes;
 
         // --- 4. Refresh what observes a moved summary. -------------------
@@ -564,9 +566,6 @@ impl Program {
             import_fps[i] = h.finish();
         }
 
-        *interfaces = (units.iter())
-            .map(|unit| Arc::clone(&unit.exports().interface))
-            .collect();
         *was = units;
         Ok(program.clone())
     }
@@ -597,7 +596,7 @@ impl Program {
         LinkContext {
             summaries,
             imports_fingerprint: self.import_fps[index],
-            fingerprints: Some((Arc::clone(&self.functions), Arc::clone(statics))),
+            fingerprints: (Arc::clone(&self.functions), Arc::clone(statics)),
         }
     }
 
@@ -625,7 +624,7 @@ fn same_names(a: &[Arc<SummarizedUnit>], b: &[Arc<SummarizedUnit>]) -> bool {
 
 /// A unit's functions of the fixed point under `options`: none at all when
 /// the interprocedural analysis is off (the linked summaries are then
-/// empty, as every unit-local summary set already is).
+/// empty).
 fn linked_functions<'a>(
     unit: &'a SummarizedUnit,
     options: &crate::OmpDartOptions,
@@ -672,13 +671,11 @@ pub enum UnitServe {
 }
 
 /// One whole-program analysis: every unit's full artifact bundle (input
-/// order), the exported interfaces, and how each unit was served.
+/// order) and how each unit was served.
 #[derive(Debug)]
 pub struct ProgramAnalysis {
     /// Per-unit analyses, in input order.
     pub units: Vec<Arc<UnitAnalysis>>,
-    /// Per-unit exported interfaces, in input order.
-    pub interfaces: Vec<Arc<ExportedInterface>>,
     /// How each unit was served, in input order.
     pub served: Vec<UnitServe>,
     /// Propagation passes of the cross-unit fixed point.
@@ -719,7 +716,7 @@ pub struct DriverProfile {
     /// earlier run, `warm_units > 0` with `edit_path == false` is the
     /// store-served warm start.
     pub warm_units: usize,
-    /// Units whose body — AST, graphs, accesses, unit-local summaries — was
+    /// Units whose body — AST, graphs, accesses, seed summaries — was
     /// built this round: the units that ran the frontend. On a restart over
     /// a populated store this is the number of units the change reached,
     /// zero when nothing changed.
@@ -828,7 +825,7 @@ fn percentile(sorted: &[Duration], pct: usize) -> Duration {
 }
 
 /// Analyzes many translation units as *one linked program* over a shared
-/// [`AnalysisSession`]: parallel summarize → sequential link → parallel
+/// [`AnalysisSession`]: parallel summarize → link → parallel
 /// plan. Contrast with [`crate::Ompdart::analyze_batch`], which analyzes
 /// units independently (each a closed world).
 #[derive(Debug)]
@@ -908,14 +905,14 @@ impl ProgramDriver {
         units: Vec<Arc<SummarizedUnit>>,
         state: &mut LinkState,
     ) -> Result<Program, ProgramError> {
-        let program = Program::relink(units, self.session.options(), state);
+        let program = Program::relink(units, self.session.options(), self.threads, state);
         let counters = self.session.counters();
         counters.add(Counter::relink_reseeded_functions, state.reseeded);
         counters.add(Counter::relink_touched_units, state.touched_units);
         program
     }
 
-    /// The full two-phase pipeline: parallel summarize, sequential link,
+    /// The full two-phase pipeline: parallel summarize, link,
     /// parallel plan+rewrite. Results preserve input order.
     pub fn analyze_program(
         &self,
@@ -986,7 +983,6 @@ impl ProgramDriver {
             count_fast_path(units.len());
             let analysis = ProgramAnalysis {
                 units: state.analyses.clone(),
-                interfaces: state.program.interfaces.clone(),
                 served: vec![UnitServe::Cached; units.len()],
                 link_passes: state.program.linked.passes,
             };
@@ -1078,7 +1074,6 @@ impl ProgramDriver {
         Ok((
             ProgramAnalysis {
                 units,
-                interfaces: program.interfaces,
                 served,
                 link_passes: program.linked.passes,
             },

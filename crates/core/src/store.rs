@@ -110,11 +110,13 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Version of the pack format; a record of any other store or plan version
-/// is never read, and leaves with the next compaction. v8 is v7's pack with
-/// version-3 plan documents in the unit records (the `unstructured` marker
-/// instead of enter-data / exit-data lists); v3's `unit-*`, `fn-*` and
-/// `ref-*` files are ignored, and removed by [`ArtifactStore::gc`].
-pub const STORE_FORMAT_VERSION: u32 = 8;
+/// is never read, and leaves with the next compaction. v9 is v8's pack
+/// with interface records that no longer open with a fingerprint of the
+/// unit's surface; v8 had version-3 plan documents in the unit records (the
+/// `unstructured` marker instead of enter-data / exit-data lists); v3's
+/// `unit-*`, `fn-*` and `ref-*` files are ignored, and removed by
+/// [`ArtifactStore::gc`].
+pub const STORE_FORMAT_VERSION: u32 = 9;
 
 const PACK_FILE: &str = "ompdart.pack";
 /// Starts every record. Payloads are UTF-8, which never holds `0xff`, so the
@@ -955,14 +957,21 @@ mod tests {
         std::fs::write(&path, &future).unwrap();
         assert!(load().is_none());
 
-        // Nor is anything a previous version wrote (no legacy reader): a v7
+        // Nor is anything a previous version wrote (no legacy reader): a v8
+        // interface record (whose payload opened with a fingerprint), a v7
         // pack — whose unit records hold version-2 plan documents this
         // version has no reader for — with a unit and an interface record,
         // and a v5 interface record (kind 3 then) behind them. Nothing is
-        // read, and all three are gone from the pack once a compaction has
+        // read, and all four are gone from the pack once a compaction has
         // passed over it.
         let mut previous = Vec::new();
-        for (version, kind) in [(7u8, UNIT as u8), (7, INTERFACE as u8), (5, 3)] {
+        let older = [
+            (8u8, INTERFACE as u8),
+            (7, UNIT as u8),
+            (7, INTERFACE as u8),
+            (5, 3),
+        ];
+        for (version, kind) in older {
             let mut other = intact.clone();
             reheader(&mut other, |head| (head[6], head[8]) = (version, kind));
             previous.extend_from_slice(&other);
@@ -973,10 +982,10 @@ mod tests {
         assert_eq!(
             upgraded.loaded().records.len(),
             0,
-            "nothing of v7 or v5 is indexed"
+            "nothing of v8, v7 or v5 is indexed"
         );
         save(&upgraded, "y.c", "void g() {}", &options, UNLINKED);
-        assert_eq!(upgraded.total_bytes(), 4 * intact.len() as u64);
+        assert_eq!(upgraded.total_bytes(), 5 * intact.len() as u64);
         upgraded.gc(u64::MAX);
         assert_eq!(upgraded.total_bytes(), intact.len() as u64);
         assert!(upgraded.load("void g() {}", &options, UNLINKED).is_some());
@@ -1393,6 +1402,18 @@ mod tests {
         let mut out = Vec::new();
         assert!(exports.encode(&mut out));
         String::from_utf8(out).unwrap()
+    }
+
+    /// A unit that parsed defines each name once, and so does every
+    /// interface record the store decodes: one naming a function twice is
+    /// not read, so its unit is parsed instead of linked.
+    #[test]
+    fn an_interface_defining_a_name_twice_is_not_decoded() {
+        let payload = encoded(&interface_of("a.c", &interface_source(0)));
+        assert!(UnitExports::decode("a.c", &payload).is_some());
+        assert!(payload.contains(" entry_0 "), "{payload}");
+        let twice = payload.replace(" entry_0 ", " local_0 ");
+        assert!(UnitExports::decode("a.c", &twice).is_none(), "{twice}");
     }
 
     /// Three flushes into `dir`: unit and interface records interleaved,

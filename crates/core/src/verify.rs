@@ -35,7 +35,7 @@
 
 use crate::access::{Access, AccessOrigin};
 use crate::interproc::augment_with_call_effects;
-use crate::pipeline::{stage_accesses, stage_graphs, stage_summaries};
+use crate::pipeline::{closed_world_of, stage_accesses, stage_graphs, stage_summaries};
 use crate::validity::{Position, States, Transfers, VarState, Walker};
 use crate::OmpDartOptions;
 use ompdart_frontend::ast::{NodeId, TranslationUnit};
@@ -116,7 +116,11 @@ type Context = (Symbol, Vec<Symbol>);
 pub fn verify_unit(unit: &TranslationUnit) -> VerifyReport {
     let graphs = stage_graphs(unit);
     let accesses = stage_accesses(unit, &graphs);
-    let summaries = stage_summaries(unit, &accesses, &OmpDartOptions::default()).summaries;
+    let options = OmpDartOptions::default();
+    let seeds = stage_summaries(unit, &accesses, &options);
+    // The unit's closed world: call sites resolve as its planner's do.
+    let (_, link) = closed_world_of(unit, &accesses, &seeds, &options, 1);
+    let summaries = &link.summaries;
     let mut report = VerifyReport::default();
     // Every function that launches a kernel, itself or through a callee, as
     // an outside caller enters it; the walks add what call sites hold.
@@ -135,7 +139,7 @@ pub fn verify_unit(unit: &TranslationUnit) -> VerifyReport {
             continue;
         };
         let mut acc = own.clone();
-        augment_with_call_effects(&mut acc, unit, &summaries, false);
+        augment_with_call_effects(&mut acc, unit, summaries, false);
         let entry = |var| VarState {
             dev_valid: held.contains(&var),
             ..VarState::host_current()

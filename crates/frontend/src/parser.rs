@@ -318,6 +318,9 @@ impl<'t> Parser<'t> {
 
     pub(crate) fn parse_translation_unit(&mut self) -> TranslationUnit {
         let mut items = Vec::new();
+        // Names of the functions defined so far: C allows one definition
+        // per unit, so a later one is an error and is left out of the AST.
+        let mut defined: HashSet<Symbol, FnvBuild> = HashSet::default();
         while !self.at_eof() {
             match self.peek() {
                 TokenKind::Pragma => {
@@ -353,11 +356,14 @@ impl<'t> Parser<'t> {
                 TokenKind::KwEnum => {
                     self.skip_enum();
                 }
-                _ => {
-                    if let Some(item) = self.parse_function_or_global() {
-                        items.push(item);
+                _ => match self.parse_function_or_global() {
+                    Some(TopLevel::Function(f)) if f.body.is_some() && !defined.insert(f.name) => {
+                        self.diags
+                            .error(f.span, format!("redefinition of `{}`", f.name));
                     }
-                }
+                    Some(item) => items.push(item),
+                    None => {}
+                },
             }
         }
         TranslationUnit {

@@ -18,7 +18,6 @@ OPTIONS:
                         subdirectory and survives daemon restarts
   --cache-max-bytes N   LRU size cap per program store (supports k/m/g suffix)
   --pessimistic-globals Assume unknown extern callees touch every global
-  --link-threads N      Link-stage worker threads (default: auto)
   --quiet               Suppress per-request log lines
   -h, --help            Show this help
 

@@ -197,7 +197,6 @@ impl DaemonConfig {
                     config.registry.cache_max_bytes = Some(parse_size(value("a size")?)?)
                 }
                 "--pessimistic-globals" => config.registry.pessimistic_globals = true,
-                "--link-threads" => config.registry.link_threads = number(value("a number")?)?,
                 "--quiet" => config.quiet = true,
                 other => return Err(format!("unknown flag `{other}`")),
             }
@@ -946,7 +945,7 @@ mod tests {
 
         let config = parse(
             "--tcp 127.0.0.1:0 --workers 3 --cache-dir /tmp/c --cache-max-bytes 1m \
-             --pessimistic-globals --link-threads 2 --quiet",
+             --pessimistic-globals --quiet",
         )
         .unwrap();
         assert_eq!(config.endpoint, Endpoint::Tcp("127.0.0.1:0".into()));
@@ -954,13 +953,13 @@ mod tests {
         assert_eq!(config.registry.cache_dir, Some(PathBuf::from("/tmp/c")));
         assert_eq!(config.registry.cache_max_bytes, Some(1 << 20));
         assert!(config.registry.pessimistic_globals);
-        assert_eq!(config.registry.link_threads, 2);
 
         for bad in [
             "--workers",
             "--workers many",
             "--cache-max-bytes 99999999999g",
             "--frobnicate",
+            "--link-threads 2",
         ] {
             assert!(parse(bad).is_err(), "{bad:?}");
         }

@@ -36,10 +36,8 @@ pub struct RegistryConfig {
     pub cache_max_bytes: Option<u64>,
     /// Pessimistic treatment of unknown extern callees' global effects.
     pub pessimistic_globals: bool,
-    /// Link-stage worker threads (0 = auto).
-    pub link_threads: usize,
-    /// The width each program's analysis fans out over (`--workers`;
-    /// 0 = auto).
+    /// The width each program's analysis — summarize, link and plan — fans
+    /// out over (`--workers`; 0 = auto).
     pub parallelism: usize,
 }
 
@@ -169,9 +167,7 @@ impl ProgramRegistry {
         if let Some(session) = programs.get(key) {
             return Arc::clone(session);
         }
-        let mut builder = Ompdart::builder()
-            .pessimistic_globals(self.config.pessimistic_globals)
-            .link_threads(self.config.link_threads);
+        let mut builder = Ompdart::builder().pessimistic_globals(self.config.pessimistic_globals);
         if self.config.parallelism > 0 {
             builder = builder.parallelism(self.config.parallelism);
         }

@@ -3,12 +3,12 @@
 //!
 //! ```text
 //! ompdart analyze <input.c> [-o <out.c>] [--plan-json <path|->] [--timings] [--simulate] [--cache-dir DIR]
-//! ompdart analyze <a.c> <b.c>... [--out-dir DIR] [--timings] [--link-threads N] [--cache-dir DIR]   # linked whole program
+//! ompdart analyze <a.c> <b.c>... [--out-dir DIR] [--timings] [--cache-dir DIR]   # linked whole program
 //! ompdart explain <input.c>
 //! ompdart diff-plan <left> <right>        # each side: plan .json or a .c source
 //! ompdart batch <input.c>... [--threads N] [--out-dir DIR]
 //! ompdart watch <dir> [--out-dir DIR] [--cache-dir DIR] [--cache-max-bytes N[k|m|g]] [--pessimistic-globals]
-//!               [--interval-ms N] [--iterations N] [--once] [--link-threads N] [--poll]
+//!               [--interval-ms N] [--iterations N] [--once] [--poll]
 //! ompdart daemon [--socket PATH | --tcp ADDR] [--cache-dir DIR] [--workers N]
 //! ompdart client [--socket PATH | --tcp ADDR] <analyze|explain|stats|gc|shutdown> ...
 //! ompdart cache gc <dir> [--max-bytes N[k|m|g]]
@@ -48,17 +48,15 @@ USAGE:
     ompdart analyze <input.c> [-o <out.c>] [--plan-json <path|->] [--timings] [--simulate]
                     [--pessimistic-globals] [--lifetimes] [--cache-dir <dir>]
     ompdart analyze <a.c> <b.c>... [--out-dir <dir>] [--timings] [--pessimistic-globals]
-                    [--lifetimes] [--link-threads <N>] [--profile-json <path|->]
-                    [--cache-dir <dir>]
+                    [--lifetimes] [--profile-json <path|->] [--cache-dir <dir>]
     ompdart explain <input.c> [--lifetimes]
     ompdart diff-plan <left> <right>
     ompdart batch <input.c>... [--threads <N>] [--out-dir <dir>] [--pessimistic-globals]
     ompdart watch <dir> [--out-dir <dir>] [--cache-dir <dir>] [--cache-max-bytes <N[k|m|g]>]
                   [--pessimistic-globals] [--interval-ms <N>] [--iterations <N>] [--once]
-                  [--link-threads <N>] [--poll]
+                  [--poll]
     ompdart daemon [--socket <path> | --tcp <addr>] [--workers <N>] [--cache-dir <dir>]
-                   [--cache-max-bytes <N[k|m|g]>] [--pessimistic-globals]
-                   [--link-threads <N>] [--quiet]
+                   [--cache-max-bytes <N[k|m|g]>] [--pessimistic-globals] [--quiet]
     ompdart client [--socket <path> | --tcp <addr>] [--program <key>] <verb> ...
                    verbs: analyze <file.c>... [--out-dir <dir>]
                           explain <file.c> <line> [<col>]
@@ -84,9 +82,7 @@ SUBCOMMANDS:
                `target exit data` pair at its boundaries instead of a
                `target data` region (same decisions, same construct
                count, same bytes moved), and perfect offload loop
-               nests gain `collapse(n)`. --link-threads caps
-               the link-stage wavefront workers (0 = auto); results are
-               byte-identical at every worker count. --profile-json
+               nests gain `collapse(n)`. --profile-json
                (multi-input) emits a driver profile — per-phase wall
                time, per-unit plan percentiles, identity-fast-path unit
                counts, pool and shard-lock counters — to a file or `-`.
@@ -211,7 +207,6 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
     let mut simulate = false;
     let mut pessimistic_globals = false;
     let mut lifetimes = false;
-    let mut link_threads = 0usize;
     let mut profile_json: Option<&str> = None;
     let mut cache_dir: Option<&str> = None;
     let mut it = args.iter();
@@ -242,13 +237,6 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
             "--simulate" => simulate = true,
             "--pessimistic-globals" => pessimistic_globals = true,
             "--lifetimes" => lifetimes = true,
-            "--link-threads" => {
-                link_threads = it
-                    .next()
-                    .ok_or("`--link-threads` expects a number")?
-                    .parse::<usize>()
-                    .map_err(|_| "`--link-threads` expects a number".to_string())?;
-            }
             flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
             path => inputs.push(path),
         }
@@ -268,13 +256,9 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
             timings,
             pessimistic_globals,
             lifetimes,
-            link_threads,
             profile_json,
             cache_dir,
         );
-    }
-    if link_threads != 0 {
-        return Err("`--link-threads` applies to multi-input (linked) analyze".into());
     }
     if profile_json.is_some() {
         return Err("`--profile-json` applies to multi-input (linked) analyze".into());
@@ -395,7 +379,6 @@ fn cmd_analyze_program(
     timings: bool,
     pessimistic_globals: bool,
     lifetimes: bool,
-    link_threads: usize,
     profile_json: Option<&str>,
     cache_dir: Option<&str>,
 ) -> Result<ExitCode, String> {
@@ -408,8 +391,7 @@ fn cmd_analyze_program(
     }
     let mut builder = Ompdart::builder()
         .pessimistic_globals(pessimistic_globals)
-        .lifetimes(lifetimes)
-        .link_threads(link_threads);
+        .lifetimes(lifetimes);
     if let Some(dir) = cache_dir {
         // A persistent store makes a repeat invocation a warm start: the
         // profile then reports it (`warm_units` > 0) and its phase
@@ -847,14 +829,6 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
             "--once" => once = true,
             "--poll" => force_poll = true,
             "--pessimistic-globals" => builder = builder.pessimistic_globals(true),
-            "--link-threads" => {
-                builder = builder.link_threads(
-                    it.next()
-                        .ok_or("`--link-threads` expects a number")?
-                        .parse()
-                        .map_err(|_| "`--link-threads` expects a number".to_string())?,
-                );
-            }
             flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
             path if dir.is_none() => dir = Some(path),
             extra => return Err(format!("unexpected argument `{extra}`")),

@@ -889,3 +889,68 @@ fn warm_rounds_report_fast_path_hits_over_the_wire() {
     client.shutdown().expect("shutdown");
     handle.join();
 }
+
+/// A unit that defines one function twice is rejected when it is parsed, as
+/// C rejects it, on every path that reads a unit: a closed-world `analyze`,
+/// a one-unit program, `verify_source` and a daemon `analyze`. None of them
+/// panics, and the daemon serves the same unit once it is fixed.
+#[test]
+fn a_function_defined_twice_is_rejected_on_every_path() {
+    let twice = "\
+double a[8];
+void f(void) { a[0] = 1.0; }
+void f(void) {
+  #pragma omp target teams distribute parallel for
+  for (int i = 0; i < 8; i++) a[i] += 2.0;
+}
+int main() { f(); printf(\"%f\\n\", a[1]); return 0; }
+";
+    let units = vec![("twice.c".to_string(), twice.to_string())];
+    let redefinition = |diagnostics: &ompdart_frontend::diag::Diagnostics| {
+        let rendered = format!("{diagnostics:?}");
+        assert!(
+            rendered.contains("redefinition of `f`"),
+            "no redefinition error in {rendered}"
+        );
+    };
+    match Ompdart::builder().build().analyze("twice.c", twice) {
+        Err(ompdart_core::StageError::Parse { diagnostics, .. }) => redefinition(&diagnostics),
+        other => panic!("analyze accepted a redefinition: {:?}", other.map(|_| ())),
+    }
+    match Ompdart::builder().build().analyze_program(&units) {
+        Err(ompdart_core::ProgramError::Unit {
+            error: ompdart_core::StageError::Parse { diagnostics, .. },
+            ..
+        }) => redefinition(&diagnostics),
+        other => panic!(
+            "a one-unit program accepted a redefinition: {:?}",
+            other.map(|_| ())
+        ),
+    }
+    match ompdart_core::verify_source("twice.c", twice) {
+        Err(diagnostics) => redefinition(&diagnostics),
+        Ok(report) => panic!("verify accepted a redefinition: {report:?}"),
+    }
+
+    let _guard = daemon_lock();
+    let dir = scratch("twice");
+    let handle = spawn_daemon(dir.join("d.sock"), None);
+    let mut client = Client::connect(handle.endpoint()).expect("connect");
+    match client.analyze_sources("twice", &units) {
+        Err(ClientError::Remote { kind, message }) => {
+            assert_eq!(kind, "analysis");
+            assert!(message.contains("failed to parse"), "{message}");
+        }
+        other => panic!("the daemon accepted a redefinition: {other:?}"),
+    }
+    let fixed = vec![(
+        "twice.c".to_string(),
+        twice.replacen("void f(void) { a[0] = 1.0; }\n", "", 1),
+    )];
+    let served = client
+        .analyze_sources("twice", &fixed)
+        .expect("the fixed unit analyzes");
+    assert!(serves(&served)[0].starts_with("planned"), "{served:?}");
+    client.shutdown().expect("shutdown");
+    handle.join();
+}

@@ -319,8 +319,8 @@ fn a_store_served_analysis_builds_its_body_on_demand() {
     assert!(served.diagnostics().is_empty());
     assert_eq!(served.timings().of(Stage::Parse), Duration::ZERO);
     assert_eq!(
-        ompdart_core::ExportedInterface::of(served.artifacts().unit()),
-        ompdart_core::ExportedInterface::of(parsed.artifacts().unit())
+        served.artifacts().unit().exports(),
+        parsed.artifacts().unit().exports()
     );
     assert!(!built(), "nothing above reads the body");
 

@@ -170,19 +170,69 @@ fn lulesh_multifile_golden() {
     assert!(solo.plans.stats.unknown_callee_fallbacks > 0);
 }
 
-/// A one-unit program is the degenerate case: byte-identical to the plain
-/// single-unit session path.
+/// A one-unit program is the degenerate case: a unit analyzed alone is the
+/// unit linked alone, so `analyze` and a one-unit `analyze_program` agree on
+/// everything they produce — rewrite, plans, statistics, diagnostics and
+/// `explain` — for every single-unit port, every `lulesh_mf` unit and a
+/// sample of the generated corpus, under every option set that moves a plan.
 #[test]
 fn single_unit_program_is_degenerate() {
-    let (name, source) = ("only.c".to_string(), unit_main());
-    let driver = ProgramDriver::new();
-    let program = driver
-        .analyze_program(&[(name.clone(), source.clone())])
-        .expect("link failed");
-    let plain = AnalysisSession::new().analyze(&name, &source).unwrap();
-    assert_eq!(program.units[0].rewrite.source, plain.rewrite.source);
-    assert_eq!(program.units[0].plans.stats, plain.plans.stats);
-    assert_eq!(program.units[0].plans.plans, plain.plans.plans);
+    use ompdart_core::{DataflowOptions, OmpDartOptions};
+    let mut inputs: Vec<(String, String)> = (ompdart_suite::all_benchmarks().into_iter())
+        .map(|bench| (bench.unoptimized_file(), bench.unoptimized.to_string()))
+        .collect();
+    inputs.extend(owned(&lulesh_multifile()));
+    inputs.extend(
+        ompdart_suite::corpus::generate(30, 7)
+            .into_iter()
+            .step_by(3),
+    );
+    inputs.push(("only.c".to_string(), unit_main()));
+    let default = OmpDartOptions::default();
+    let dataflow = |dataflow: DataflowOptions| OmpDartOptions {
+        dataflow,
+        ..default
+    };
+    let option_sets = [
+        default,
+        OmpDartOptions {
+            interprocedural: false,
+            ..default
+        },
+        OmpDartOptions {
+            pessimistic_globals: true,
+            ..default
+        },
+        dataflow(DataflowOptions {
+            lifetimes: true,
+            ..default.dataflow
+        }),
+        dataflow(DataflowOptions {
+            hoist_updates: false,
+            firstprivate_optimization: false,
+            ..default.dataflow
+        }),
+    ];
+    for options in option_sets {
+        for (name, source) in &inputs {
+            let at = format!("`{name}` under {options:?}");
+            // Two tools: neither may serve the other's plans.
+            let tool = || Ompdart::builder().options(options).build();
+            let alone = tool().analyze(name, source).unwrap();
+            let alone = alone.artifacts();
+            let program = tool().analyze_program(&[(name.clone(), source.clone())]);
+            let linked = &program.unwrap().units[0];
+            assert_eq!(linked.rewrite.source, alone.rewrite.source, "{at}");
+            assert_eq!(linked.plans.plans, alone.plans.plans, "{at}");
+            assert_eq!(linked.plans.stats, alone.plans.stats, "{at}");
+            assert_eq!(
+                format!("{:?}", linked.diagnostics()),
+                format!("{:?}", alone.diagnostics()),
+                "{at}"
+            );
+            assert_eq!(linked.explain(), alone.explain(), "{at}");
+        }
+    }
 }
 
 /// An interface-preserving edit to one unit re-plans only the edited
@@ -1348,7 +1398,7 @@ fn lulesh_mf_costs_what_lulesh_costs() {
     for lifetimes in [false, true] {
         let tool = |threads: usize| {
             (Ompdart::builder().lifetimes(lifetimes))
-                .link_threads(threads)
+                .parallelism(threads)
                 .build()
         };
         let concat = tool(1)
@@ -1453,8 +1503,11 @@ fn a_reordered_callee_replans_its_caller_once_and_a_mention_replans_nothing() {
         "read first: `t` is copied in now\n{}",
         swapped.units[2].rewrite.source
     );
-    let fingerprint = |program: &ompdart_core::ProgramAnalysis| program.interfaces[0].fingerprint;
-    assert_ne!(fingerprint(&cold), fingerprint(&swapped));
+    assert_ne!(
+        cold.units[0].unit().exports(),
+        swapped.units[0].unit().exports(),
+        "the reordered unit exports another interface"
+    );
     let (again, _) = planned(&units(false, "1.0"));
     assert_eq!(again, 0, "once");
 
