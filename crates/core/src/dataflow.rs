@@ -17,6 +17,10 @@
 //! 4. solves the exit-liveness problem: data written on the device and read
 //!    by the host after the region (or escaping through globals / pointer
 //!    parameters) is mapped `from`.
+//!
+//! [`plan_function`] takes no options: hoisting and the `firstprivate` rule
+//! always apply. `--lifetimes` is a respelling the plan stage applies to
+//! the finished plan, with [`plan_collapses`] beside it.
 
 use crate::access::{Access, AccessOrigin, CallSite, FunctionAccesses, SymbolTable};
 use crate::bounds::section_length_from_loops;
@@ -40,35 +44,6 @@ use std::collections::{HashMap, HashSet};
 /// Symbol-keyed maps and sets: interned names hash as integers.
 type SymbolMap<V> = HashMap<Symbol, V, FnvBuild>;
 type SymbolSet = HashSet<Symbol, FnvBuild>;
-
-/// Tunable analysis options (used by the ablation studies).
-#[derive(Clone, Copy, Debug)]
-pub struct DataflowOptions {
-    /// Use `firstprivate` for read-only scalars instead of mapping them
-    /// (Section IV-D's specialized optimization).
-    pub firstprivate_optimization: bool,
-    /// Hoist `target update` directives out of loops that do not carry the
-    /// dependency (Section IV-E / Algorithm 1). Disabling this reproduces
-    /// the naive in-loop placement the paper reports as 14x slower on
-    /// backprop.
-    pub hoist_updates: bool,
-    /// Unstructured device lifetimes: the same mapping decisions, spelled
-    /// as one `target enter data` / `target exit data` pair at the region's
-    /// boundaries ([`MappingPlan::unstructured`]), plus `collapse(n)` on
-    /// perfectly nested offload loops ([`plan_collapses`]). The plan stage
-    /// reads it; [`plan_function`] does not. Off by default.
-    pub lifetimes: bool,
-}
-
-impl Default for DataflowOptions {
-    fn default() -> Self {
-        DataflowOptions {
-            firstprivate_optimization: true,
-            hoist_updates: true,
-            lifetimes: false,
-        }
-    }
-}
 
 /// The access that forced a mapping decision: the statement, the source
 /// span, and where the access record came from (observed directly, or
@@ -176,7 +151,6 @@ pub fn plan_function(
     graph: &AstCfg,
     accesses: &FunctionAccesses,
     symbols: &SymbolTable,
-    options: &DataflowOptions,
     diags: &mut Diagnostics,
 ) -> Option<MappingPlan> {
     let index = &graph.index;
@@ -226,7 +200,7 @@ pub fn plan_function(
     let mut mapped_vars: Vec<Symbol> = Vec::new();
     for var in &device_vars {
         let scalar = symbols.is_scalar(var);
-        if scalar && accesses.device_read_only(var.as_str()) && options.firstprivate_optimization {
+        if scalar && accesses.device_read_only(var.as_str()) {
             firstprivate_vars.push(*var);
         } else {
             mapped_vars.push(*var);
@@ -261,7 +235,6 @@ pub fn plan_function(
     // ----- forward traversal -----------------------------------------------
     let transfers = PlanTransfers {
         index,
-        options,
         to_entry: SymbolMap::default(),
         from_exit: SymbolMap::default(),
         updates: Vec::new(),
@@ -972,7 +945,6 @@ fn pointer_section_length(
 /// resolves it.
 struct PlanTransfers<'a> {
     index: &'a StmtIndex,
-    options: &'a DataflowOptions,
     /// Variables copied in at region entry, with the deciding device read.
     to_entry: SymbolMap<Deciding>,
     /// Variables copied out at region exit, with the deciding host read.
@@ -1045,9 +1017,6 @@ impl PlanTransfers<'_> {
         producer: Option<NodeId>,
         loop_stack: &[NodeId],
     ) -> NodeId {
-        if !self.options.hoist_updates {
-            return need_at;
-        }
         // Hoist to the outermost loop enclosing the need that is on the
         // current walk stack and does not contain the producer. (A loop
         // enclosing the need in the AST is always on the walk stack for
@@ -1092,22 +1061,14 @@ mod tests {
     use ompdart_graph::ProgramGraphs;
 
     fn plan_for(src: &str, func_name: &str) -> (MappingPlan, ompdart_frontend::TranslationUnit) {
-        plan_with_options(src, func_name, DataflowOptions::default())
-    }
-
-    fn plan_with_options(
-        src: &str,
-        func_name: &str,
-        options: DataflowOptions,
-    ) -> (MappingPlan, ompdart_frontend::TranslationUnit) {
         let (_file, result) = parse_str("t.c", src);
         assert!(result.is_ok(), "{:?}", result.diagnostics);
         let unit = result.unit;
         let graphs = stage_graphs(&unit);
         let accesses = stage_accesses(&unit, &graphs);
-        let ip = OmpDartOptions::default();
-        let seeds = stage_summaries(&unit, &accesses, &ip);
-        let (_, link) = closed_world_of(&unit, &accesses, &seeds, &ip, 1);
+        let options = OmpDartOptions::default();
+        let seeds = stage_summaries(&unit, &accesses, &options);
+        let (_, link) = closed_world_of(&unit, &accesses, &seeds, &options, 1);
         let func = unit.function(func_name).unwrap();
         let name = Symbol::intern(func_name);
         let mut acc = accesses.accesses[&name].clone();
@@ -1118,7 +1079,6 @@ mod tests {
             graphs.graphs.function(func_name).unwrap(),
             &acc,
             &accesses.symbols[&name],
-            &options,
             &mut diags,
         )
         .expect("function should produce a plan");
@@ -1277,42 +1237,6 @@ void forward(int hid, int num_blocks) {
         assert_ne!(ps.map_type, MapType::ToFrom);
     }
 
-    /// Without hoisting (ablation), the update lands at the innermost access.
-    #[test]
-    fn hoisting_can_be_disabled() {
-        let src = "\
-#define NB 16
-#define HID 8
-double partial_sum[NB * HID];
-double hidden_units[HID + 1];
-void forward(int hid, int num_blocks) {
-  #pragma omp target teams distribute parallel for
-  for (int t = 0; t < NB * HID; t++) partial_sum[t] = t * 0.5;
-  for (int j = 1; j <= hid; j++) {
-    for (int k = 0; k < num_blocks; k++) {
-      hidden_units[j] += partial_sum[k * hid + j - 1];
-    }
-  }
-  #pragma omp target teams distribute parallel for
-  for (int t = 0; t < NB * HID; t++) partial_sum[t] += 1.0;
-}
-";
-        let (hoisted, _) = plan_for(src, "forward");
-        let (unhoisted, _) = plan_with_options(
-            src,
-            "forward",
-            DataflowOptions {
-                hoist_updates: false,
-                ..Default::default()
-            },
-        );
-        let h = hoisted.updates_for("partial_sum");
-        let u = unhoisted.updates_for("partial_sum");
-        assert_eq!(h.len(), 1);
-        assert!(!u.is_empty());
-        assert_ne!(h[0].anchor, u[0].anchor, "hoisting must change the anchor");
-    }
-
     /// Read-only scalars become firstprivate; scalars written on the device
     /// (bfs's stop flag) are mapped and synchronized with updates.
     #[test]
@@ -1358,32 +1282,6 @@ int main() {
             "stop needs an update from after the kernel: {:?}",
             plan.updates
         );
-    }
-
-    /// The firstprivate optimization can be disabled (ablation), in which
-    /// case read-only scalars are mapped instead.
-    #[test]
-    fn firstprivate_optimization_toggle() {
-        let src = "\
-#define N 32
-double a[N];
-void f(double scale) {
-  #pragma omp target teams distribute parallel for
-  for (int i = 0; i < N; i++) a[i] = scale * i;
-}
-";
-        let (with_fp, _) = plan_for(src, "f");
-        assert!(with_fp.is_firstprivate("scale"));
-        let (without_fp, _) = plan_with_options(
-            src,
-            "f",
-            DataflowOptions {
-                firstprivate_optimization: false,
-                ..Default::default()
-            },
-        );
-        assert!(!without_fp.is_firstprivate("scale"));
-        assert!(without_fp.map_for("scale").is_some());
     }
 
     /// Arrays only written on the device and read back on the host afterwards
@@ -1482,7 +1380,6 @@ int main() {
             graphs.function("main").unwrap(),
             &acc,
             &sym,
-            &DataflowOptions::default(),
             &mut diags,
         );
         assert!(
@@ -1750,7 +1647,6 @@ void f() {
             graphs.function("add").unwrap(),
             &acc,
             &sym,
-            &DataflowOptions::default(),
             &mut diags,
         );
         assert!(plan.is_none());

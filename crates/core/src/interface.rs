@@ -76,21 +76,16 @@ pub(crate) struct ExportedFunction {
     /// and the function's own plan key, hash against the converged
     /// summaries.
     pub(crate) callees: Vec<CalleeKey>,
-    /// The propagation inputs; `None` when the interprocedural analysis is
-    /// off (the linked summaries are then empty).
-    pub(crate) link: Option<LinkFunction>,
+    /// The propagation inputs.
+    pub(crate) link: LinkFunction,
 }
 
 impl ExportedFunction {
-    /// The propagation node of this function (which has `link`).
-    pub(crate) fn node<'a>(
-        &'a self,
-        link: &'a LinkFunction,
-        globals: &'a [Symbol],
-    ) -> PropagationNode<'a> {
+    /// The propagation node of this function.
+    pub(crate) fn node<'a>(&'a self, globals: &'a [Symbol]) -> PropagationNode<'a> {
         PropagationNode {
             name: self.resolved,
-            calls: &link.calls,
+            calls: &self.link.calls,
             globals,
         }
     }
@@ -103,7 +98,7 @@ pub(crate) struct FunctionParts {
     pub(crate) is_static: bool,
     pub(crate) callees: Vec<CalleeKey>,
     /// Seed summary and call sites, under source-level names.
-    pub(crate) link: Option<(Arc<FunctionSummary>, Vec<LinkCall>)>,
+    pub(crate) link: (Arc<FunctionSummary>, Vec<LinkCall>),
 }
 
 /// A unit's interface (see the module docs). Memoized on the
@@ -138,19 +133,17 @@ impl UnitExports {
             true => visible_globals(ast),
             false => Vec::new(),
         };
+        // Every defined function has a graph, so accesses, symbols and a seed.
         let functions = ast.functions().map(|f| {
-            let link = || {
-                let seed = summaries.seeds.get(&f.name)?;
-                let acc = accesses.accesses.get(&f.name)?;
-                let sym = accesses.symbols.get(&f.name)?;
-                let calls = acc.calls.iter().map(|call| LinkCall::of(call, f, sym));
-                Some((Arc::clone(seed), calls.collect()))
-            };
+            let sym = &accesses.symbols[&f.name];
+            let calls = (accesses.accesses[&f.name].calls.iter())
+                .map(|call| LinkCall::of(call, f, sym))
+                .collect();
             FunctionParts {
                 name: f.name,
                 is_static: f.is_static,
                 callees: callee_keys(f.name, accesses, ast),
-                link: link(),
+                link: (Arc::clone(&summaries.seeds[&f.name]), calls),
             }
         });
         UnitExports::assemble(unit, globals, functions.collect())
@@ -178,28 +171,26 @@ impl UnitExports {
         let functions: Vec<ExportedFunction> = (functions.into_iter())
             .map(|f| {
                 let resolved = resolve(f.name);
-                let link = f.link.map(|(seed, mut calls)| {
-                    for call in &mut calls {
-                        call.callee = resolve(call.callee);
-                    }
-                    let seed = if resolved == f.name {
-                        seed
-                    } else {
-                        let mut seed = Arc::unwrap_or_clone(seed);
-                        seed.name = resolved;
-                        Arc::new(seed)
-                    };
-                    LinkFunction {
-                        local_fp: local_fingerprint(&seed, &calls, &globals),
-                        calls,
-                        seed,
-                    }
-                });
+                let (seed, mut calls) = f.link;
+                for call in &mut calls {
+                    call.callee = resolve(call.callee);
+                }
+                let seed = if resolved == f.name {
+                    seed
+                } else {
+                    let mut seed = Arc::unwrap_or_clone(seed);
+                    seed.name = resolved;
+                    Arc::new(seed)
+                };
                 ExportedFunction {
                     source: f.name,
                     resolved,
                     callees: f.callees,
-                    link,
+                    link: LinkFunction {
+                        local_fp: local_fingerprint(&seed, &calls, &globals),
+                        calls,
+                        seed,
+                    },
                 }
             })
             .collect();
@@ -208,12 +199,6 @@ impl UnitExports {
             statics_mangled,
             globals,
         }
-    }
-
-    /// The functions of the fixed point: index into [`Self::functions`],
-    /// the function, its propagation inputs.
-    pub(crate) fn linked(&self) -> impl Iterator<Item = (usize, &ExportedFunction, &LinkFunction)> {
-        (self.functions.iter().enumerate()).filter_map(|(i, f)| Some((i, f, f.link.as_ref()?)))
     }
 
     /// Append the interface's encoding to `out`: text, one line for the
@@ -269,8 +254,8 @@ impl UnitExports {
             name(out, global)?;
         }
         for f in &self.functions {
-            let flags = u8::from(f.source != f.resolved) | u8::from(f.link.is_some()) << 1;
-            out.extend_from_slice(&[b'\n', b'0' + flags]);
+            let is_static = f.source != f.resolved;
+            out.extend_from_slice(&[b'\n', b'0' + u8::from(is_static)]);
             name(out, &f.source)?;
             number(out, f.callees.len());
             for callee in &f.callees {
@@ -281,9 +266,7 @@ impl UnitExports {
                     out.extend_from_slice(&[hex(byte >> 4), hex(byte & 15)]);
                 }
             }
-            let Some(link) = &f.link else {
-                continue;
-            };
+            let link = &f.link;
             let seed = &link.seed;
             number(out, usize::from(seed.has_kernels));
             number(out, seed.param_effects.len());
@@ -347,7 +330,7 @@ impl UnitExports {
             .collect::<Option<Vec<Symbol>>>()?;
         let mut functions = Vec::new();
         for _ in 0..function_count {
-            let flags: u8 = number(token()).filter(|flags| *flags < 4)?;
+            let is_static = flag(token())?;
             let name = symbol(token())?;
             let callee_count: usize = number(token())?;
             let mut callees = Vec::new();
@@ -359,57 +342,53 @@ impl UnitExports {
                     .collect::<Option<Vec<u8>>>()?;
                 callees.push(CalleeKey { name, proto });
             }
-            let mut link = None;
-            if flags & 2 != 0 {
-                let has_kernels = flag(token())?;
-                let param_count: usize = number(token())?;
-                let param_effects = (0..param_count)
-                    .map(|_| effect(token()))
-                    .collect::<Option<Vec<Effect>>>()?;
-                let global_count: usize = number(token())?;
-                let mut global_effects = BTreeMap::new();
-                for _ in 0..global_count {
-                    global_effects.insert(symbol(token())?, effect(token())?);
-                }
-                let call_count: usize = number(token())?;
-                let mut calls = Vec::new();
-                for _ in 0..call_count {
-                    let callee = symbol(token())?;
-                    let on_device = flag(token())?;
-                    let arg_count: usize = number(token())?;
-                    let mut args = Vec::new();
-                    for _ in 0..arg_count {
-                        let position: u32 = number(token())?;
-                        let target = match token()? {
-                            // The fixed point indexes the caller's
-                            // parameter effects with it.
-                            "p" => ArgTarget::Param(
-                                number(token()).filter(|at| (*at as usize) < param_count)?,
-                            ),
-                            "g" => ArgTarget::Global(symbol(token())?),
-                            _ => return None,
-                        };
-                        args.push(LinkArg { position, target });
-                    }
-                    calls.push(LinkCall {
-                        callee,
-                        on_device,
-                        args,
-                    });
-                }
-                let seed = FunctionSummary {
-                    name,
-                    param_effects,
-                    global_effects,
-                    has_kernels,
-                };
-                link = Some((Arc::new(seed), calls));
+            let has_kernels = flag(token())?;
+            let param_count: usize = number(token())?;
+            let param_effects = (0..param_count)
+                .map(|_| effect(token()))
+                .collect::<Option<Vec<Effect>>>()?;
+            let global_count: usize = number(token())?;
+            let mut global_effects = BTreeMap::new();
+            for _ in 0..global_count {
+                global_effects.insert(symbol(token())?, effect(token())?);
             }
+            let call_count: usize = number(token())?;
+            let mut calls = Vec::new();
+            for _ in 0..call_count {
+                let callee = symbol(token())?;
+                let on_device = flag(token())?;
+                let arg_count: usize = number(token())?;
+                let mut args = Vec::new();
+                for _ in 0..arg_count {
+                    let position: u32 = number(token())?;
+                    let target = match token()? {
+                        // The fixed point indexes the caller's parameter
+                        // effects with it.
+                        "p" => ArgTarget::Param(
+                            number(token()).filter(|at| (*at as usize) < param_count)?,
+                        ),
+                        "g" => ArgTarget::Global(symbol(token())?),
+                        _ => return None,
+                    };
+                    args.push(LinkArg { position, target });
+                }
+                calls.push(LinkCall {
+                    callee,
+                    on_device,
+                    args,
+                });
+            }
+            let seed = FunctionSummary {
+                name,
+                param_effects,
+                global_effects,
+                has_kernels,
+            };
             functions.push(FunctionParts {
                 name,
-                is_static: flags & 1 != 0,
+                is_static,
                 callees,
-                link,
+                link: (Arc::new(seed), calls),
             });
         }
         if token().is_some() {

@@ -74,7 +74,7 @@ pub mod verify;
 
 pub use access::{Access, AccessKind, AccessOrigin, FunctionAccesses, SymbolTable};
 pub use bounds::{find_update_insert_loc, loop_bounds, LoopBounds};
-pub use dataflow::{plan_function, DataflowOptions};
+pub use dataflow::plan_function;
 pub use interproc::{
     augment_with_call_effects, seed_summary, ArgTarget, Effect, FunctionSummary, LinkArg, LinkCall,
     ProgramSummaries, PropagationNode,
@@ -103,17 +103,18 @@ use ompdart_frontend::diag::Diagnostics;
 use ompdart_frontend::source::SourceFile;
 use std::sync::Arc;
 
-/// Configuration of the OMPDart pipeline.
-#[derive(Clone, Copy, Debug)]
+/// Configuration of the OMPDart pipeline: the two choices a caller makes.
+/// Everything the paper describes — interprocedural summaries, the
+/// `firstprivate` rule for read-only scalars, update hoisting and the
+/// input contract — always runs.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct OmpDartOptions {
-    /// Data-flow analysis knobs (firstprivate optimization, update hoisting).
-    pub dataflow: DataflowOptions,
-    /// Run the interprocedural side-effect analysis (Section IV-C). When
-    /// disabled, call sites fall back to maximally pessimistic assumptions.
-    pub interprocedural: bool,
-    /// Reject inputs that already contain `target data` / `target update`
-    /// directives (the expected input contract of Section IV-A).
-    pub reject_existing_mappings: bool,
+    /// Unstructured device lifetimes: the same mapping decisions, spelled
+    /// as one `target enter data` / `target exit data` pair at each
+    /// region's boundaries ([`MappingPlan::unstructured`]), plus
+    /// `collapse(n)` on perfectly nested offload loops
+    /// ([`dataflow::plan_collapses`]). Surfaced as `--lifetimes`.
+    pub lifetimes: bool,
     /// Opt-in: assume an unknown extern callee reads and writes **every
     /// global variable** on the host at the call site, not only the data
     /// reached through its non-`const` pointer arguments (the default
@@ -126,7 +127,7 @@ pub struct OmpDartOptions {
 impl OmpDartOptions {
     /// Stable fingerprint of this option set, part of every plan cache key
     /// (in memory and in the persistent store): plans produced under
-    /// different analysis knobs are never interchangeable.
+    /// different options are never interchangeable.
     pub fn fingerprint(&self) -> u64 {
         pipeline::options_fingerprint(self)
     }
@@ -139,17 +140,6 @@ impl OmpDartOptions {
     }
 }
 
-impl Default for OmpDartOptions {
-    fn default() -> Self {
-        OmpDartOptions {
-            dataflow: DataflowOptions::default(),
-            interprocedural: true,
-            reject_existing_mappings: true,
-            pessimistic_globals: false,
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The Ompdart facade: builder -> tool -> Analysis handles
 // ---------------------------------------------------------------------------
@@ -157,14 +147,14 @@ impl Default for OmpDartOptions {
 /// Builder for the [`Ompdart`] facade.
 ///
 /// ```
-/// use ompdart_core::{DataflowOptions, Ompdart};
+/// use ompdart_core::Ompdart;
 ///
 /// let tool = Ompdart::builder()
-///     .dataflow(DataflowOptions { hoist_updates: false, ..Default::default() })
-///     .interprocedural(true)
+///     .lifetimes(true)
+///     .pessimistic_globals(true)
 ///     .parallelism(4)
 ///     .build();
-/// assert!(!tool.options().dataflow.hoist_updates);
+/// assert!(tool.options().lifetimes && tool.options().pessimistic_globals);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct OmpdartBuilder {
@@ -175,30 +165,6 @@ pub struct OmpdartBuilder {
 }
 
 impl OmpdartBuilder {
-    /// Replace the whole option set.
-    pub fn options(mut self, options: OmpDartOptions) -> OmpdartBuilder {
-        self.options = options;
-        self
-    }
-
-    /// Set the data-flow analysis knobs (ablations flip these).
-    pub fn dataflow(mut self, dataflow: DataflowOptions) -> OmpdartBuilder {
-        self.options.dataflow = dataflow;
-        self
-    }
-
-    /// Enable or disable the interprocedural side-effect analysis.
-    pub fn interprocedural(mut self, enabled: bool) -> OmpdartBuilder {
-        self.options.interprocedural = enabled;
-        self
-    }
-
-    /// Accept inputs that already carry explicit data mappings.
-    pub fn accept_existing_mappings(mut self) -> OmpdartBuilder {
-        self.options.reject_existing_mappings = false;
-        self
-    }
-
     /// Opt into pessimistic-globals mode: unknown extern callees are
     /// assumed to read and write every global on the host (see
     /// [`OmpDartOptions::pessimistic_globals`]).
@@ -210,9 +176,9 @@ impl OmpdartBuilder {
     /// Spell each region's maps as a `target enter data` /
     /// `target exit data` pair at its boundaries instead of a `target data`
     /// region — the same plan otherwise — and give perfectly nested offload
-    /// loops `collapse(n)` (see [`DataflowOptions::lifetimes`]).
+    /// loops `collapse(n)` (see [`OmpDartOptions::lifetimes`]).
     pub fn lifetimes(mut self, enabled: bool) -> OmpdartBuilder {
-        self.options.dataflow.lifetimes = enabled;
+        self.options.lifetimes = enabled;
         self
     }
 
@@ -594,9 +560,6 @@ void f() {
 ";
         let err = analyze("mapped.c", src).unwrap_err();
         assert!(matches!(err, StageError::AlreadyMapped { .. }));
-        // ...unless the caller opts out of the input contract.
-        let lenient = Ompdart::builder().accept_existing_mappings().build();
-        assert!(lenient.analyze("mapped.c", src).is_ok());
     }
 
     #[test]
@@ -634,10 +597,10 @@ void axpy(double alpha) {
         );
     }
 
-    /// The interprocedural analysis can be disabled; the tool then makes
-    /// pessimistic assumptions but still produces a correct program.
+    /// A host-only callee that rewrites a kernel's array between kernels
+    /// keeps the program's output.
     #[test]
-    fn interprocedural_toggle_still_correct() {
+    fn host_callee_between_kernels_keeps_the_output() {
         let src = "\
 #define N 64
 double field[N];
@@ -655,18 +618,15 @@ int main() {
   return 0;
 }
 ";
-        for interprocedural in [true, false] {
-            let tool = Ompdart::builder().interprocedural(interprocedural).build();
-            let analysis = tool.analyze("ip.c", src).unwrap();
-            let before = simulate_source(src, SimConfig::default()).unwrap();
-            let after = simulate_source(analysis.rewritten_source(), SimConfig::default()).unwrap();
-            assert_eq!(
-                before.output,
-                after.output,
-                "interprocedural={interprocedural}\n{}",
-                analysis.rewritten_source()
-            );
-        }
+        let analysis = analyze("ip.c", src).unwrap();
+        let before = simulate_source(src, SimConfig::default()).unwrap();
+        let after = simulate_source(analysis.rewritten_source(), SimConfig::default()).unwrap();
+        assert_eq!(
+            before.output,
+            after.output,
+            "{}",
+            analysis.rewritten_source()
+        );
     }
 
     /// Regression: a device-written global that the host only reads through

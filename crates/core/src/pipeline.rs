@@ -254,17 +254,15 @@ impl Fnv {
 
 /// Stable fingerprint of an [`OmpDartOptions`] value. Part of every plan
 /// cache key (in memory and on disk): plans produced under different
-/// analysis knobs are never interchangeable.
+/// options are never interchangeable. The destructuring names every field,
+/// so a new option cannot be left out of the keys.
 pub fn options_fingerprint(options: &OmpDartOptions) -> u64 {
+    let OmpDartOptions {
+        lifetimes,
+        pessimistic_globals,
+    } = *options;
     let mut h = Fnv::new();
-    h.write(&[
-        u8::from(options.dataflow.firstprivate_optimization),
-        u8::from(options.dataflow.hoist_updates),
-        u8::from(options.interprocedural),
-        u8::from(options.reject_existing_mappings),
-        u8::from(options.pessimistic_globals),
-        u8::from(options.dataflow.lifetimes),
-    ]);
+    h.write(&[u8::from(pessimistic_globals), u8::from(lifetimes)]);
     h.finish()
 }
 
@@ -423,23 +421,23 @@ pub fn stage_accesses(unit: &TranslationUnit, graphs: &GraphsArtifact) -> Access
 /// Stage 4 — interprocedural side-effect summaries (Section IV-C): every
 /// function's *local* (direct-effect) seed. The call-site fixed point over
 /// them is the link's ([`crate::program::Program::link`]); a unit analyzed
-/// on its own is linked alone.
+/// on its own is linked alone. No option changes a seed; `_options` stays
+/// in the signature because the ledger benchmark calls it.
 pub fn stage_summaries(
     unit: &TranslationUnit,
     accesses: &AccessArtifact,
-    options: &OmpDartOptions,
+    _options: &OmpDartOptions,
 ) -> SummariesArtifact {
     let start = Instant::now();
-    let mut seeds = HashMap::new();
-    for func in unit.functions().filter(|_| options.interprocedural) {
-        let Some(acc) = accesses.accesses.get(&func.name) else {
-            continue;
-        };
-        let Some(sym) = accesses.symbols.get(&func.name) else {
-            continue;
-        };
-        seeds.insert(func.name, Arc::new(seed_summary(func, acc, sym)));
-    }
+    // Every defined function has a graph (`AstCfg::build` fails only
+    // without a body), so accesses, symbols and a seed.
+    let seeds = (unit.functions())
+        .map(|func| {
+            let acc = &accesses.accesses[&func.name];
+            let seed = seed_summary(func, acc, &accesses.symbols[&func.name]);
+            (func.name, Arc::new(seed))
+        })
+        .collect();
     SummariesArtifact {
         seeds,
         elapsed: start.elapsed(),
@@ -808,17 +806,11 @@ fn run_plan_stage(
                 options.pessimistic_globals,
             ) as u64;
             let mut diags = Diagnostics::new();
-            let mut plan = plan_function(
-                func,
-                graph,
-                &acc,
-                &accesses.symbols[&func.name],
-                &options.dataflow,
-                &mut diags,
-            );
+            let symbols = &accesses.symbols[&func.name];
+            let mut plan = plan_function(func, graph, &acc, symbols, &mut diags);
             // `--lifetimes` is the same plan under another spelling, plus
             // the collapse clauses that ride with it.
-            if let (true, Some(plan)) = (options.dataflow.lifetimes, &mut plan) {
+            if let (true, Some(plan)) = (options.lifetimes, &mut plan) {
                 plan.unstructured = true;
                 plan.collapses = plan_collapses(func, &plan.kernels);
             }
@@ -945,9 +937,7 @@ impl UnitBody {
             Some(session) => session.parse_text(name, source, Some(source))?,
             None => Arc::new(stage_parse_shared(name, Arc::clone(source))?),
         };
-        if options.reject_existing_mappings {
-            check_input_contract(&parsed)?;
-        }
+        check_input_contract(&parsed)?;
         let graphs = Arc::new(stage_graphs(&parsed.unit));
         let accesses = Arc::new(stage_accesses(&parsed.unit, &graphs));
         let summaries = Arc::new(stage_summaries(&parsed.unit, &accesses, options));
@@ -1915,6 +1905,25 @@ int main() {
         assert_eq!(one_shot.rewrite.source, rewrite.source);
         assert_eq!(one_shot.plans.stats, plans.stats);
         assert_eq!(one_shot.plans.plans, plans.plans);
+    }
+
+    /// Every option combination keys its own plans.
+    #[test]
+    fn each_option_combination_has_its_own_fingerprint() {
+        let mut fingerprints: Vec<u64> = [false, true]
+            .into_iter()
+            .flat_map(|lifetimes| {
+                [false, true].map(|pessimistic_globals| {
+                    options_fingerprint(&OmpDartOptions {
+                        lifetimes,
+                        pessimistic_globals,
+                    })
+                })
+            })
+            .collect();
+        fingerprints.sort_unstable();
+        fingerprints.dedup();
+        assert_eq!(fingerprints.len(), 4);
     }
 
     #[test]

@@ -46,8 +46,8 @@
 //! byte-identically to analyzing the concatenation of all `k` unit sources
 //! as a single translation unit.
 
+use crate::interface::is_mangled;
 pub use crate::interface::UnitExports;
-use crate::interface::{is_mangled, ExportedFunction, LinkFunction};
 use crate::interproc::{FunctionSummary, ProgramSummaries, PropagationNode};
 use crate::pipeline::{
     callees_fingerprint, summary_fingerprint, AnalysisSession, Fnv, StageError, SummarizedUnit,
@@ -411,15 +411,12 @@ impl Program {
             if survives(j).is_some() {
                 continue;
             }
-            let exports = unit.exports();
-            for f in &exports.functions {
+            for f in &unit.exports().functions {
                 linked.defined_in.remove(&f.resolved);
-            }
-            for (_, f, lf) in linked_functions(unit, options) {
                 if let Some(was) = functions.remove(&f.resolved) {
-                    gone.insert(f.resolved, (lf.local_fp, was.summary_fp));
+                    gone.insert(f.resolved, (f.link.local_fp, was.summary_fp));
                 }
-                for call in &lf.calls {
+                for call in &f.link.calls {
                     if let Some(list) = callers.get_mut(&call.callee) {
                         if let Some(at) = list.iter().position(|&c| c == f.resolved) {
                             list.swap_remove(at);
@@ -444,14 +441,14 @@ impl Program {
             if kept(i).is_some() {
                 continue;
             }
-            for (index, f, lf) in linked_functions(unit, options) {
+            for (index, f) in exports.functions.iter().enumerate() {
                 let had = gone.remove(&f.resolved);
-                if had.map(|(local_fp, _)| local_fp) != Some(lf.local_fp) {
+                if had.map(|(local_fp, _)| local_fp) != Some(f.link.local_fp) {
                     cone.push(f.resolved);
                 }
                 let summary_fp = had.map_or(0, |(_, summary_fp)| summary_fp);
                 functions.insert(f.resolved, LinkedFunction { index, summary_fp });
-                for call in &lf.calls {
+                for call in &f.link.calls {
                     callers.entry(call.callee).or_default().push(f.resolved);
                 }
             }
@@ -476,15 +473,14 @@ impl Program {
         let link_func = |name: &Symbol| {
             let index = functions.get(name)?.index;
             let exports = units[linked.defined_in[name]].exports();
-            let function = &exports.functions[index];
-            Some((function, function.link.as_ref()?, &exports.globals[..]))
+            Some((&exports.functions[index], &exports.globals[..]))
         };
         let mut nodes: Vec<PropagationNode<'_>> = Vec::with_capacity(cone.len());
         let seeds = (cone.iter())
             .map(|name| {
-                let function = link_func(name).map(|(f, lf, globals)| {
-                    nodes.push(f.node(lf, globals));
-                    Arc::clone(&lf.seed)
+                let function = link_func(name).map(|(f, globals)| {
+                    nodes.push(f.node(globals));
+                    Arc::clone(&f.link.seed)
                 });
                 (*name, function)
             })
@@ -622,19 +618,9 @@ fn same_names(a: &[Arc<SummarizedUnit>], b: &[Arc<SummarizedUnit>]) -> bool {
     a.len() == b.len() && (a.iter().zip(b)).all(|(a, b)| Arc::ptr_eq(a, b) || a.name() == b.name())
 }
 
-/// A unit's functions of the fixed point under `options`: none at all when
-/// the interprocedural analysis is off (the linked summaries are then
-/// empty).
-fn linked_functions<'a>(
-    unit: &'a SummarizedUnit,
-    options: &crate::OmpDartOptions,
-) -> impl Iterator<Item = (usize, &'a ExportedFunction, &'a LinkFunction)> {
-    let interprocedural = options.interprocedural;
-    (unit.exports().linked()).filter(move |_| interprocedural)
-}
-
 /// Every unit's memoised seeds and propagation nodes under their
-/// link-resolved names (see [`LinkFunction`]): pointer copies and borrows.
+/// link-resolved names (see [`crate::interface::LinkFunction`]): pointer
+/// copies and borrows.
 pub(crate) fn merged_propagation_inputs(
     units: &[Arc<SummarizedUnit>],
 ) -> (
@@ -644,13 +630,13 @@ pub(crate) fn merged_propagation_inputs(
     let functions = || {
         units.iter().flat_map(|unit| {
             let exports = unit.exports();
-            (exports.linked()).map(move |(_, f, lf)| (f, lf, &exports.globals[..]))
+            (exports.functions.iter()).map(move |f| (f, &exports.globals[..]))
         })
     };
     let seeds = functions()
-        .map(|(f, lf, _)| (f.resolved, Arc::clone(&lf.seed)))
+        .map(|(f, _)| (f.resolved, Arc::clone(&f.link.seed)))
         .collect();
-    let nodes = functions().map(|(f, lf, globals)| f.node(lf, globals));
+    let nodes = functions().map(|(f, globals)| f.node(globals));
     (seeds, nodes.collect())
 }
 

@@ -320,16 +320,16 @@ impl EditSet {
 mod tests {
     use super::*;
     use crate::access::{FunctionAccesses, SymbolTable};
-    use crate::dataflow::{plan_collapses, plan_function, DataflowOptions};
+    use crate::dataflow::{plan_collapses, plan_function};
     use ompdart_frontend::diag::Diagnostics;
     use ompdart_frontend::parser::parse_str;
     use std::collections::HashMap;
 
     fn transform(src: &str) -> String {
-        transform_with(src, DataflowOptions::default())
+        transform_with(src, false)
     }
 
-    fn transform_with(src: &str, options: DataflowOptions) -> String {
+    fn transform_with(src: &str, lifetimes: bool) -> String {
         let (file, result) = parse_str("t.c", src);
         assert!(result.is_ok(), "{:?}", result.diagnostics);
         let unit = result.unit;
@@ -345,10 +345,10 @@ mod tests {
                 continue;
             };
             let acc = FunctionAccesses::collect(f, &g.index, &symbols[&f.name]);
-            let plan = plan_function(f, g, &acc, &symbols[&f.name], &options, &mut diags);
+            let plan = plan_function(f, g, &acc, &symbols[&f.name], &mut diags);
             if let Some(mut plan) = plan {
                 // What the plan stage adds under `--lifetimes`.
-                if options.lifetimes {
+                if lifetimes {
                     plan.unstructured = true;
                     plan.collapses = plan_collapses(f, &plan.kernels);
                 }
@@ -523,11 +523,7 @@ int main() {
   return 0;
 }
 ";
-        let lifetimes = DataflowOptions {
-            lifetimes: true,
-            ..Default::default()
-        };
-        let out = transform_with(src, lifetimes);
+        let out = transform_with(src, true);
         assert!(
             !out.contains("#pragma omp target data"),
             "no structured region expected:\n{out}"
@@ -548,12 +544,7 @@ int main() {
         assert!(enter_pos < loop_pos && loop_pos < exit_pos, "{out}");
         let (_f2, reparsed) = parse_str("out.c", &out);
         assert!(reparsed.is_ok(), "{out}\n{:?}", reparsed.diagnostics);
-        // With lifetimes off the same source keeps the structured region,
-        // byte for byte.
-        assert_eq!(
-            transform(src),
-            transform_with(src, DataflowOptions::default())
-        );
+        // With lifetimes off the same source keeps the structured region.
         assert!(transform(src).contains("#pragma omp target data"));
     }
 
@@ -590,11 +581,7 @@ int main() {
             ),
             "{structured}"
         );
-        let lifetimes = DataflowOptions {
-            lifetimes: true,
-            ..Default::default()
-        };
-        let out = transform_with(src, lifetimes);
+        let out = transform_with(src, true);
         let enter =
             "  #pragma omp target enter data map(to: input, both) map(alloc: scratch, output)\n  \
                      #pragma omp target teams distribute parallel for\n";

@@ -110,13 +110,15 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Version of the pack format; a record of any other store or plan version
-/// is never read, and leaves with the next compaction. v9 is v8's pack
-/// with interface records that no longer open with a fingerprint of the
-/// unit's surface; v8 had version-3 plan documents in the unit records (the
-/// `unstructured` marker instead of enter-data / exit-data lists); v3's
+/// is never read, and leaves with the next compaction. v10 is v9's pack
+/// with interface records in which every function carries its seed and
+/// call sites (no "has propagation inputs" flag bit); v9's interface
+/// records no longer opened with a fingerprint of the unit's surface; v8
+/// had version-3 plan documents in the unit records (the `unstructured`
+/// marker instead of enter-data / exit-data lists); v3's
 /// `unit-*`, `fn-*` and `ref-*` files are ignored, and removed by
 /// [`ArtifactStore::gc`].
-pub const STORE_FORMAT_VERSION: u32 = 9;
+pub const STORE_FORMAT_VERSION: u32 = 10;
 
 const PACK_FILE: &str = "ompdart.pack";
 /// Starts every record. Payloads are UTF-8, which never holds `0xff`, so the
@@ -885,7 +887,7 @@ mod tests {
             // Different source, options, or link fingerprint must miss.
             assert!(store.load("int main() { }", &options, UNLINKED).is_none());
             let other_options = OmpDartOptions {
-                interprocedural: false,
+                pessimistic_globals: true,
                 ..OmpDartOptions::default()
             };
             assert!(store
@@ -957,16 +959,18 @@ mod tests {
         std::fs::write(&path, &future).unwrap();
         assert!(load().is_none());
 
-        // Nor is anything a previous version wrote (no legacy reader): a v8
-        // interface record (whose payload opened with a fingerprint), a v7
-        // pack — whose unit records hold version-2 plan documents this
+        // Nor is anything a previous version wrote (no legacy reader): a v9
+        // interface record (whose functions could lack propagation inputs),
+        // a v8 interface record (whose payload opened with a fingerprint), a
+        // v7 pack — whose unit records hold version-2 plan documents this
         // version has no reader for — with a unit and an interface record,
         // and a v5 interface record (kind 3 then) behind them. Nothing is
-        // read, and all four are gone from the pack once a compaction has
+        // read, and all five are gone from the pack once a compaction has
         // passed over it.
         let mut previous = Vec::new();
         let older = [
-            (8u8, INTERFACE as u8),
+            (9u8, INTERFACE as u8),
+            (8, INTERFACE as u8),
             (7, UNIT as u8),
             (7, INTERFACE as u8),
             (5, 3),
@@ -982,10 +986,10 @@ mod tests {
         assert_eq!(
             upgraded.loaded().records.len(),
             0,
-            "nothing of v8, v7 or v5 is indexed"
+            "nothing of v9, v8, v7 or v5 is indexed"
         );
         save(&upgraded, "y.c", "void g() {}", &options, UNLINKED);
-        assert_eq!(upgraded.total_bytes(), 5 * intact.len() as u64);
+        assert_eq!(upgraded.total_bytes(), 6 * intact.len() as u64);
         upgraded.gc(u64::MAX);
         assert_eq!(upgraded.total_bytes(), intact.len() as u64);
         assert!(upgraded.load("void g() {}", &options, UNLINKED).is_some());
@@ -1052,15 +1056,15 @@ mod tests {
     fn options_variants_coexist_and_superseded_versions_are_pruned() {
         let store = temp_store("prune");
         let defaults = OmpDartOptions::default();
-        let no_ip = OmpDartOptions {
-            interprocedural: false,
+        let pessimistic = OmpDartOptions {
+            pessimistic_globals: true,
             ..OmpDartOptions::default()
         };
         save(&store, "a.c", "v1", &defaults, UNLINKED);
-        save(&store, "a.c", "v1", &no_ip, UNLINKED);
+        save(&store, "a.c", "v1", &pessimistic, UNLINKED);
         assert_eq!(store.entry_count(), 2, "options variants must coexist");
         assert!(store.load("v1", &defaults, UNLINKED).is_some());
-        assert!(store.load("v1", &no_ip, UNLINKED).is_some());
+        assert!(store.load("v1", &pessimistic, UNLINKED).is_some());
 
         // New content for the default options: the old default record is
         // dead (until compacted it still answers — a revert would hit), the
@@ -1071,7 +1075,7 @@ mod tests {
         store.gc(u64::MAX);
         assert!(store.load("v1", &defaults, UNLINKED).is_none());
         assert!(store.load("v2", &defaults, UNLINKED).is_some());
-        assert!(store.load("v1", &no_ip, UNLINKED).is_some());
+        assert!(store.load("v1", &pessimistic, UNLINKED).is_some());
 
         // Other units are untouched by pruning.
         save(&store, "b.c", "w1", &defaults, UNLINKED);

@@ -14,7 +14,7 @@
 //! `reproduce_paper` — finishes by running the result through `explain()`
 //! so every inserted construct justifies itself.
 
-use ompdart_core::{OmpDartOptions, Ompdart};
+use ompdart_core::Ompdart;
 use ompdart_suite::by_name;
 use std::error::Error;
 
@@ -37,9 +37,7 @@ fn run() -> Result<(), Box<dyn Error>> {
     };
 
     // The builder facade: configure once, analyze into a typed handle.
-    let tool = Ompdart::builder()
-        .options(OmpDartOptions::default())
-        .build();
+    let tool = Ompdart::builder().build();
     let analysis = tool.analyze(&name, &source)?;
 
     let stats = analysis.stats();

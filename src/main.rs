@@ -1,18 +1,6 @@
 //! The `ompdart` command-line facade: the paper's LibTooling-style tool as
-//! a binary over the `Ompdart` builder API.
-//!
-//! ```text
-//! ompdart analyze <input.c> [-o <out.c>] [--plan-json <path|->] [--timings] [--simulate] [--cache-dir DIR]
-//! ompdart analyze <a.c> <b.c>... [--out-dir DIR] [--timings] [--cache-dir DIR]   # linked whole program
-//! ompdart explain <input.c>
-//! ompdart diff-plan <left> <right>        # each side: plan .json or a .c source
-//! ompdart batch <input.c>... [--threads N] [--out-dir DIR]
-//! ompdart watch <dir> [--out-dir DIR] [--cache-dir DIR] [--cache-max-bytes N[k|m|g]] [--pessimistic-globals]
-//!               [--interval-ms N] [--iterations N] [--once] [--poll]
-//! ompdart daemon [--socket PATH | --tcp ADDR] [--cache-dir DIR] [--workers N]
-//! ompdart client [--socket PATH | --tcp ADDR] <analyze|explain|stats|gc|shutdown> ...
-//! ompdart cache gc <dir> [--max-bytes N[k|m|g]]
-//! ```
+//! a binary over the `Ompdart` builder API. The synopsis of every
+//! subcommand and flag is `USAGE` below (`ompdart help`).
 //!
 //! `analyze` rewrites one translation unit and can emit the versioned plan
 //! JSON — or, given several inputs, links them as **one whole program**
@@ -70,7 +58,8 @@ SUBCOMMANDS:
                transformed source to stdout (or -o FILE); --plan-json
                additionally emits the versioned Mapping IR (`-` for
                stdout); --simulate compares transfer profiles
-               before/after on the offload simulator. Several inputs:
+               before/after on the offload simulator and exits 1 if
+               the program's output changed. Several inputs:
                links them as ONE whole program (cross-unit summaries,
                program-level liveness) and writes each unit's
                `<stem>.mapped.c` (next to the input, or into --out-dir).
@@ -315,6 +304,7 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
         }
         None => {}
     }
+    let mut preserved = true;
     if simulate {
         // Simulate the exact text that was analyzed, not a re-read of the
         // file (which may have changed since).
@@ -324,9 +314,10 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
             .map_err(|e| format!("simulation of the transformed source failed: {e}"))?;
         eprintln!("before: {}", before.profile.summary());
         eprintln!("after:  {}", after.profile.summary());
+        preserved = before.output == after.output;
         eprintln!(
             "output preserved: {}",
-            if before.output == after.output {
+            if preserved {
                 "yes"
             } else {
                 "NO — please report this"
@@ -343,7 +334,12 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
         );
         return Ok(ExitCode::FAILURE);
     }
-    Ok(ExitCode::SUCCESS)
+    // A mapping that changes the simulated output is broken: fail the run.
+    Ok(if preserved {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    })
 }
 
 /// Render a [`ProgramError`] with the failing unit's diagnostics attached.

@@ -446,8 +446,10 @@ proptest! {
         pieces in proptest::collection::vec(piece_strategy(), 1..5),
         extra in 1u8..4,
     ) {
-        let mut options = ompdart_core::OmpDartOptions::default();
-        options.dataflow.lifetimes = true;
+        let options = ompdart_core::OmpDartOptions {
+            lifetimes: true,
+            ..Default::default()
+        };
         let src = render_program(&pieces);
         let session = ompdart_core::AnalysisSession::with_options(options);
         if session.analyze("lt_inc.c", &src).is_err() {
@@ -1404,8 +1406,10 @@ fn one_run(
     lifetimes: bool,
     cache_dir: Option<&std::path::Path>,
 ) -> ompdart_core::ProgramDriver {
-    let mut options = ompdart_core::OmpDartOptions::default();
-    options.dataflow.lifetimes = lifetimes;
+    let options = ompdart_core::OmpDartOptions {
+        lifetimes,
+        ..Default::default()
+    };
     let mut session = ompdart_core::AnalysisSession::with_options(options);
     if let Some(dir) = cache_dir {
         session = session.with_cache_dir(dir);

@@ -213,19 +213,11 @@ fn stage_errors_are_typed_and_carry_their_stage() {
     assert_eq!(err.stage(), Stage::Parse);
     assert!(matches!(err, StageError::Parse { .. }));
 
-    // The lenient option is honoured by the session exactly like the
-    // facade's `accept_existing_mappings`.
+    // Already-mapped input breaks the input contract.
     let mapped = ompdart_suite::by_name("ace").unwrap().expert;
-    let strict = AnalysisSession::new();
-    assert!(matches!(
-        strict.analyze("ace_expert.c", mapped),
-        Err(StageError::AlreadyMapped { .. })
-    ));
-    let lenient = AnalysisSession::with_options(OmpDartOptions {
-        reject_existing_mappings: false,
-        ..OmpDartOptions::default()
-    });
-    assert!(lenient.analyze("ace_expert.c", mapped).is_ok());
+    let err = session.analyze("ace_expert.c", mapped).unwrap_err();
+    assert_eq!(err.stage(), Stage::Parse);
+    assert!(matches!(err, StageError::AlreadyMapped { .. }));
 }
 
 /// The precondition of the analysis's dense per-node tables: within one

@@ -174,10 +174,9 @@ fn lulesh_multifile_golden() {
 /// unit linked alone, so `analyze` and a one-unit `analyze_program` agree on
 /// everything they produce — rewrite, plans, statistics, diagnostics and
 /// `explain` — for every single-unit port, every `lulesh_mf` unit and a
-/// sample of the generated corpus, under every option set that moves a plan.
+/// sample of the generated corpus, under every option combination.
 #[test]
 fn single_unit_program_is_degenerate() {
-    use ompdart_core::{DataflowOptions, OmpDartOptions};
     let mut inputs: Vec<(String, String)> = (ompdart_suite::all_benchmarks().into_iter())
         .map(|bench| (bench.unoptimized_file(), bench.unoptimized.to_string()))
         .collect();
@@ -188,36 +187,19 @@ fn single_unit_program_is_degenerate() {
             .step_by(3),
     );
     inputs.push(("only.c".to_string(), unit_main()));
-    let default = OmpDartOptions::default();
-    let dataflow = |dataflow: DataflowOptions| OmpDartOptions {
-        dataflow,
-        ..default
-    };
-    let option_sets = [
-        default,
-        OmpDartOptions {
-            interprocedural: false,
-            ..default
-        },
-        OmpDartOptions {
-            pessimistic_globals: true,
-            ..default
-        },
-        dataflow(DataflowOptions {
-            lifetimes: true,
-            ..default.dataflow
-        }),
-        dataflow(DataflowOptions {
-            hoist_updates: false,
-            firstprivate_optimization: false,
-            ..default.dataflow
-        }),
-    ];
-    for options in option_sets {
+    for (lifetimes, pessimistic_globals) in
+        [(false, false), (false, true), (true, false), (true, true)]
+    {
         for (name, source) in &inputs {
-            let at = format!("`{name}` under {options:?}");
+            let at = format!(
+                "`{name}` under lifetimes={lifetimes} pessimistic_globals={pessimistic_globals}"
+            );
             // Two tools: neither may serve the other's plans.
-            let tool = || Ompdart::builder().options(options).build();
+            let tool = || {
+                (Ompdart::builder().lifetimes(lifetimes))
+                    .pessimistic_globals(pessimistic_globals)
+                    .build()
+            };
             let alone = tool().analyze(name, source).unwrap();
             let alone = alone.artifacts();
             let program = tool().analyze_program(&[(name.clone(), source.clone())]);
