@@ -12,12 +12,13 @@
 //!   edited stage plus its transitive callers), and the same edit at the
 //!   head of the chain, whose cone — and `relink_touched_units` — is a
 //!   handful whatever the corpus size;
-//! * **thread sweep** — the same cold/warm/one-edit trajectory at 1, 2,
-//!   4, and 8 requested workers, each point's rewrites asserted
-//!   byte-identical to the sequential reference. Every point reports the
-//!   width it effectively ran at (the pool is capped at the machine's
-//!   parallelism), and a point whose effective width repeats the previous
-//!   one is skipped: it would measure noise, not scaling;
+//! * **thread sweep** — the same cold/warm/one-edit trajectory over
+//!   sessions of parallelism 1, 2, 4 and 8 (every phase of a round, each
+//!   unit's function fan-out included, runs at it), each point's rewrites
+//!   asserted byte-identical to the sequential reference. Every point
+//!   reports the width it effectively ran at (the pool is capped at the
+//!   machine's parallelism), and a point whose effective width repeats the
+//!   previous one is skipped: it would measure noise, not scaling;
 //! * **quality** — `linked_fallbacks == 0`: every cross-unit call in the
 //!   corpus resolves.
 //!
@@ -28,11 +29,9 @@
 //! `BENCH_link_scale.json` at the repo root, the perf trajectory the CI
 //! `link-scale` job snapshots.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use ompdart_bench::alloc_counter;
 use ompdart_core::{oracle, AnalysisSession, OmpDartOptions, Program, ProgramDriver, Stage};
 use ompdart_suite::corpus;
-use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -69,7 +68,7 @@ fn carried_before(path: &str) -> String {
     "{}".to_string()
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let n = corpus_units();
     let inputs = corpus::generate(n, 42);
     let options = OmpDartOptions::default();
@@ -204,8 +203,8 @@ fn bench(c: &mut Criterion) {
         "re-seeding must stay inside the dirty cone: {reseeded} > {cone_bound}"
     );
 
-    // --- Thread sweep: the same trajectory at 1, 2, 4, and 8 requested ---
-    // workers, each point byte-identical to the trajectory above.
+    // --- Thread sweep: the same trajectory at sessions of parallelism 1, ---
+    // 2, 4 and 8, each point byte-identical to the trajectory above.
     let mut sweep_json = String::new();
     let mut previous_width = 0;
     for t_count in [1usize, 2, 4, 8] {
@@ -214,9 +213,8 @@ fn bench(c: &mut Criterion) {
             continue;
         }
         previous_width = workers;
-        let sweep_session = Arc::new(AnalysisSession::with_options(options));
-        let sweep_driver =
-            ProgramDriver::with_session(Arc::clone(&sweep_session)).with_threads(t_count);
+        let sweep_session = AnalysisSession::with_options(options).with_parallelism(t_count);
+        let sweep_driver = ProgramDriver::with_session(Arc::new(sweep_session));
 
         let t = Instant::now();
         let sweep_cold = sweep_driver.analyze_program(&inputs).unwrap();
@@ -281,25 +279,4 @@ fn bench(c: &mut Criterion) {
         carried_before(path)
     );
     std::fs::write(path, json).expect("write BENCH_link_scale.json");
-
-    // Criterion samples of the isolated engines, for trend tracking.
-    c.bench_function("link_scale/propagate_parallel", |b| {
-        b.iter(|| black_box(Program::propagate_merged(&program.units, &options, threads)))
-    });
-    c.bench_function("link_scale/propagate_sequential", |b| {
-        b.iter(|| {
-            black_box(oracle::propagate_merged_sequential(
-                &program.units,
-                &options,
-                sequential_passes,
-            ))
-        })
-    });
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench
-}
-criterion_main!(benches);

@@ -1,18 +1,16 @@
-//! Array access-pattern and loop-bounds analysis (Section IV-E of the
-//! paper).
+//! Loop-bounds analysis (Section IV-E of the paper): the bounds of a
+//! canonical `for` loop, and from them the array-section length of an
+//! access indexed directly by the loop's induction variable
+//! ([`section_length_from_loops`]).
 //!
-//! OMPDart extends the compile-time bounds analysis of Guo et al. to nested
-//! loops and multidimensional arrays, and uses it to place `target update`
-//! directives: an update needed for an array access deep inside a loop nest
-//! should be hoisted out of every loop that does not affect the array's
-//! indexing (the Listing 6 / backprop example, worth 14x in the paper), but
-//! never above `locLim` — the end of the preceding kernel's scope.
-//! [`find_update_insert_loc`] is a faithful implementation of the paper's
-//! Algorithm 1.
+//! Where a `target update` goes is decided by the planner, not here:
+//! `PlanTransfers::hoist_anchor` in [`crate::dataflow`] hoists an update out
+//! of every enclosing loop that does not contain the statement which
+//! produced the data, so it never rises above the kernel (or host write)
+//! it depends on.
 
 use ompdart_frontend::ast::*;
 use ompdart_frontend::printer::expr_to_c;
-use ompdart_graph::StmtIndex;
 
 /// Bounds of a canonical `for` loop.
 #[derive(Clone, Debug)]
@@ -31,23 +29,6 @@ pub struct LoopBounds {
 }
 
 impl LoopBounds {
-    /// The number of iterations, when all bound expressions are constants.
-    pub fn trip_count(&self, lookup: &dyn Fn(&str) -> Option<i64>) -> Option<i64> {
-        let lower = self.lower.as_ref()?.const_eval(lookup)?;
-        let upper = self.upper.as_ref()?.const_eval(lookup)?;
-        let step = if self.step == 0 { 1 } else { self.step.abs() };
-        let span = if self.step >= 0 {
-            upper - lower
-        } else {
-            lower - upper
-        };
-        let span = span + i64::from(self.inclusive);
-        if span <= 0 {
-            return Some(0);
-        }
-        Some((span + step - 1) / step)
-    }
-
     /// The (exclusive) extent of the iteration space rendered as C source,
     /// usable as an array-section length for accesses indexed directly by
     /// the induction variable.
@@ -174,59 +155,6 @@ fn step_of(expr: &Expr, var: &str) -> Option<i64> {
     }
 }
 
-/// The induction variable of a `for` loop, when it can be determined (the
-/// `findIndexingVar` helper of Algorithm 1).
-pub fn indexing_var(stmt: &Stmt) -> Option<String> {
-    loop_bounds(stmt).map(|b| b.var)
-}
-
-/// Faithful implementation of the paper's **Algorithm 1**: determine the
-/// statement a `target update to/from()` directive should precede (or
-/// follow) for an array access nested inside loops of arbitrary depth.
-///
-/// * `access_stmt` — the statement containing the array access `a`.
-/// * `indices` — the subscript expressions of the access.
-/// * `loops` — the enclosing loops (outermost first) paired with their AST
-///   statements; the algorithm pops from the innermost end.
-/// * `loc_lim` — a statement the directive must not precede (typically the
-///   end of the preceding target kernel's scope).
-pub fn find_update_insert_loc(
-    access_stmt: NodeId,
-    indices: &[Expr],
-    loops: &[(NodeId, &Stmt)],
-    loc_lim: Option<NodeId>,
-    index: &StmtIndex,
-) -> NodeId {
-    // indexingVars <- getReferencedVars(idxExpr)
-    let mut indexing_vars: Vec<String> = Vec::new();
-    for idx in indices {
-        for v in idx.referenced_vars() {
-            if !indexing_vars.contains(&v) {
-                indexing_vars.push(v);
-            }
-        }
-    }
-    let mut pos = access_stmt;
-    // The stack's top is the innermost loop.
-    let mut stack: Vec<&(NodeId, &Stmt)> = loops.iter().collect();
-    while let Some((loop_id, loop_stmt)) = stack.pop() {
-        // if forStmt is before locLim in file then break
-        if let Some(limit) = loc_lim {
-            if index.is_before(*loop_id, limit) {
-                break;
-            }
-        }
-        // forIdxVar <- findIndexingVar(forStmt); skip when indeterminate
-        let Some(loop_var) = indexing_var(loop_stmt) else {
-            continue;
-        };
-        if indexing_vars.contains(&loop_var) {
-            pos = *loop_id;
-        }
-    }
-    pos
-}
-
 /// Render the accessed extent of a device array access as an array-section
 /// length, by matching the subscript's innermost loop bound. `loops` are the
 /// loops enclosing the access, innermost first. Returns `None` when the
@@ -260,14 +188,12 @@ pub fn section_length_from_loops<'a>(
 mod tests {
     use super::*;
     use ompdart_frontend::parser::parse_str;
-    use ompdart_graph::StmtIndex;
 
-    fn first_function(src: &str) -> (ompdart_frontend::ast::FunctionDef, StmtIndex) {
+    fn first_function(src: &str) -> ompdart_frontend::ast::FunctionDef {
         let (_f, result) = parse_str("t.c", src);
         assert!(result.is_ok(), "{:?}", result.diagnostics);
-        let func = result.unit.functions().next().unwrap().clone();
-        let index = StmtIndex::build(&func);
-        (func, index)
+        let mut functions = result.unit.functions();
+        functions.next().unwrap().clone()
     }
 
     fn loops_of(func: &ompdart_frontend::ast::FunctionDef) -> Vec<(NodeId, Stmt)> {
@@ -282,8 +208,7 @@ mod tests {
 
     #[test]
     fn canonical_for_bounds() {
-        let (func, _) =
-            first_function("void f(int n) { for (int i = 0; i < n; i++) { int x = i; } }\n");
+        let func = first_function("void f(int n) { for (int i = 0; i < n; i++) { int x = i; } }\n");
         let loops = loops_of(&func);
         let b = loop_bounds(&loops[0].1).unwrap();
         assert_eq!(b.var, "i");
@@ -295,35 +220,43 @@ mod tests {
 
     #[test]
     fn bounds_with_division_like_listing_4() {
-        // The paper's Listing 4/5 example: upper bound 100/2, trip count 50.
-        let (func, _) = first_function(
+        // The paper's Listing 4/5 example: upper bound 100/2, a section of
+        // 50 elements.
+        let func = first_function(
             "#define N 100\nvoid f() { int a[N]; for (int i = 0; i < N/2; i++) { a[i] = i; } }\n",
         );
         let loops = loops_of(&func);
         let b = loop_bounds(&loops[0].1).unwrap();
-        assert_eq!(b.trip_count(&|_| None), Some(50));
+        assert_eq!(b.lower.as_ref().unwrap().const_eval(&|_| None), Some(0));
+        assert_eq!(b.upper.as_ref().unwrap().const_eval(&|_| None), Some(50));
+        assert_eq!((b.step, b.inclusive), (1, false));
+        assert_eq!(b.extent_source().unwrap(), "100 / 2");
     }
 
     #[test]
     fn inclusive_and_decreasing_loops() {
-        let (func, _) = first_function(
+        let func = first_function(
             "void f(int n) { for (int j = 1; j <= n; j++) {} for (int k = n; k > 0; k--) {} for (int m = 0; m < n; m += 4) {} }\n",
         );
         let loops = loops_of(&func);
+        let n = |name: &str| (name == "n").then_some(10);
+        let fields = |b: &LoopBounds| {
+            let lower = b.lower.as_ref().and_then(|e| e.const_eval(&n));
+            let upper = b.upper.as_ref().and_then(|e| e.const_eval(&n));
+            (lower, upper, b.step, b.inclusive)
+        };
         let b0 = loop_bounds(&loops[0].1).unwrap();
-        assert!(b0.inclusive);
-        assert_eq!(b0.trip_count(&|name| (name == "n").then_some(10)), Some(10));
+        assert_eq!(fields(&b0), (Some(1), Some(10), 1, true));
+        assert_eq!(b0.extent_source().unwrap(), "n + 1");
         let b1 = loop_bounds(&loops[1].1).unwrap();
-        assert_eq!(b1.step, -1);
-        assert_eq!(b1.trip_count(&|name| (name == "n").then_some(10)), Some(10));
+        assert_eq!(fields(&b1), (Some(10), Some(0), -1, false));
         let b2 = loop_bounds(&loops[2].1).unwrap();
-        assert_eq!(b2.step, 4);
-        assert_eq!(b2.trip_count(&|name| (name == "n").then_some(10)), Some(3));
+        assert_eq!(fields(&b2), (Some(0), Some(10), 4, false));
     }
 
     #[test]
     fn non_canonical_loops_are_rejected() {
-        let (func, _) = first_function(
+        let func = first_function(
             "void f(int n) { int i = 0; for (; i < n; i++) {} for (int j = 0; check(j); j++) {} }\n",
         );
         let loops = loops_of(&func);
@@ -335,140 +268,14 @@ mod tests {
 
     #[test]
     fn while_loops_have_no_bounds() {
-        let (func, _) = first_function("void f(int n) { int i = 0; while (i < n) { i++; } }\n");
+        let func = first_function("void f(int n) { int i = 0; while (i < n) { i++; } }\n");
         let loops = loops_of(&func);
         assert!(loop_bounds(&loops[0].1).is_none());
-        assert!(indexing_var(&loops[0].1).is_none());
-    }
-
-    /// The backprop / Listing 6 scenario: a host summation over
-    /// `partial_sum[k * hid + j - 1]` nested in two loops; the update must be
-    /// hoisted before the outermost (j) loop.
-    const LISTING6: &str = "\
-#define HID 16
-#define NB 64
-double partial_sum[NB * HID];
-double hidden_units[HID + 1];
-double input_weights[HID + 1];
-void reduce(int hid, int num_blocks) {
-  #pragma omp target teams distribute parallel for
-  for (int t = 0; t < NB * HID; t++) {
-    partial_sum[t] = t * 0.5;
-  }
-  for (int j = 1; j <= hid; j++) {
-    double sum = 0.0;
-    for (int k = 0; k < num_blocks; k++) {
-      sum += partial_sum[k * hid + j - 1];
-    }
-    sum += input_weights[j];
-    hidden_units[j] = 1.0 / (1.0 + exp(-sum));
-  }
-}
-";
-
-    #[test]
-    fn algorithm1_hoists_out_of_both_loops() {
-        let (func, index) = first_function(LISTING6);
-        let loops = loops_of(&func);
-        // Find the host access statement and its enclosing loops (j, k).
-        let mut access_stmt = None;
-        let mut indices = Vec::new();
-        func.body.as_ref().unwrap().walk(&mut |s| {
-            if let StmtKind::Expr(e) = &s.kind {
-                if e.referenced_vars().contains(&"partial_sum".to_string())
-                    && !index.info(s.id).unwrap().offloaded
-                {
-                    access_stmt = Some(s.id);
-                    e.walk(&mut |sub| {
-                        if let ExprKind::Index { index: idx, .. } = &sub.kind {
-                            indices.push((**idx).clone());
-                        }
-                    });
-                }
-            }
-        });
-        let access_stmt = access_stmt.expect("host access not found");
-        let enclosing: Vec<(NodeId, &Stmt)> = {
-            let mut ids: Vec<NodeId> = index.loops_outward(access_stmt).collect();
-            ids.reverse();
-            ids.iter()
-                .map(|id| {
-                    let stmt = loops.iter().find(|(lid, _)| lid == id).unwrap();
-                    (*id, &stmt.1)
-                })
-                .collect()
-        };
-        assert_eq!(enclosing.len(), 2);
-        let kernel = index.kernels()[0];
-        let pos = find_update_insert_loc(access_stmt, &indices, &enclosing, Some(kernel), &index);
-        // Both loop variables (j through `j - 1`, k through `k * hid`) appear
-        // in the subscript, so the insert location is the *outermost* loop.
-        assert_eq!(pos, enclosing[0].0);
-    }
-
-    #[test]
-    fn algorithm1_respects_loc_lim() {
-        // When the kernel lives *inside* the outer loop, the directive must
-        // not be hoisted above it.
-        let src = "\
-#define N 32
-double a[N];
-void f(int n) {
-  for (int it = 0; it < 10; it++) {
-    #pragma omp target teams distribute parallel for
-    for (int i = 0; i < n; i++) a[i] += 1.0;
-    double s = 0.0;
-    for (int i = 0; i < n; i++) s += a[i];
-  }
-}
-";
-        let (func, index) = first_function(src);
-        let loops = loops_of(&func);
-        let mut access_stmt = None;
-        let mut indices = Vec::new();
-        func.body.as_ref().unwrap().walk(&mut |s| {
-            if let StmtKind::Expr(e) = &s.kind {
-                let vars = e.referenced_vars();
-                if vars.contains(&"s".to_string()) && vars.contains(&"a".to_string()) {
-                    access_stmt = Some(s.id);
-                    e.walk(&mut |sub| {
-                        if let ExprKind::Index { index: idx, .. } = &sub.kind {
-                            indices.push((**idx).clone());
-                        }
-                    });
-                }
-            }
-        });
-        let access_stmt = access_stmt.unwrap();
-        let mut ids: Vec<NodeId> = index.loops_outward(access_stmt).collect();
-        ids.reverse();
-        let enclosing: Vec<(NodeId, &Stmt)> = ids
-            .iter()
-            .map(|id| (*id, &loops.iter().find(|(lid, _)| lid == id).unwrap().1))
-            .collect();
-        let kernel = index.kernels()[0];
-        let pos = find_update_insert_loc(access_stmt, &indices, &enclosing, Some(kernel), &index);
-        // The outer `it` loop precedes the kernel (locLim), so the insertion
-        // point stays at the inner summation loop.
-        assert_eq!(pos, *ids.last().unwrap());
-    }
-
-    #[test]
-    fn algorithm1_without_loops_returns_access() {
-        let (func, index) = first_function("double a[4];\nvoid f() { a[0] = 1.0; }\n");
-        let mut stmt = None;
-        func.body.as_ref().unwrap().walk(&mut |s| {
-            if matches!(s.kind, StmtKind::Expr(_)) {
-                stmt = Some(s.id);
-            }
-        });
-        let s = stmt.unwrap();
-        assert_eq!(find_update_insert_loc(s, &[], &[], None, &index), s);
     }
 
     #[test]
     fn section_length_for_simple_indexing() {
-        let (func, _) = first_function(
+        let func = first_function(
             "void f(double *a, int n) { for (int i = 0; i < n; i++) { a[i] = i; } }\n",
         );
         let loops = loops_of(&func);

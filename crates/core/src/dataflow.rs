@@ -11,9 +11,10 @@
 //!    which memory space each variable's data is currently valid; every true
 //!    (read-after-write) dependency between spaces is resolved by the
 //!    cheapest sufficient construct: a `map(to/from/tofrom/alloc:)` clause on
-//!    the region, a `target update to/from` hoisted as far out of loop nests
-//!    as data validity allows (Algorithm 1 / Section IV-E), or a
-//!    `firstprivate` clause for read-only scalars,
+//!    the region, a `target update to/from` hoisted out of every enclosing
+//!    loop that does not contain the statement which produced the data
+//!    (`PlanTransfers::hoist_anchor`, Section IV-E), or a `firstprivate`
+//!    clause for read-only scalars,
 //! 4. solves the exit-liveness problem: data written on the device and read
 //!    by the host after the region (or escaping through globals / pointer
 //!    parameters) is mapped `from`.

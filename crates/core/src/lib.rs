@@ -20,11 +20,12 @@
 //! 6. source rewriting ([`rewrite`]).
 //!
 //! The public entry point is the [`Ompdart`] facade: build one with
-//! [`Ompdart::builder`], then [`Ompdart::analyze`] sources into [`Analysis`]
-//! handles. An analysis exposes the rewritten source, the
-//! provenance-carrying [`MappingPlan`]s of the [`plan`] IR — serializable
-//! via [`MappingPlan::to_json`] and explainable via [`Analysis::explain`] —
-//! plus per-stage timings from the underlying [`pipeline::AnalysisSession`].
+//! [`Ompdart::builder`], then [`Ompdart::analyze`] sources into shared
+//! [`UnitAnalysis`] values, the same ones a linked program's
+//! [`ProgramAnalysis::units`] holds. An analysis exposes the rewritten
+//! source, the provenance-carrying [`MappingPlan`]s of the [`plan`] IR —
+//! serializable via [`MappingPlan::to_json`] and explainable via
+//! [`UnitAnalysis::explain`] — plus per-stage timings.
 //!
 //! ```
 //! use ompdart_core::Ompdart;
@@ -73,7 +74,7 @@ mod validity;
 pub mod verify;
 
 pub use access::{Access, AccessKind, AccessOrigin, FunctionAccesses, SymbolTable};
-pub use bounds::{find_update_insert_loc, loop_bounds, LoopBounds};
+pub use bounds::{loop_bounds, LoopBounds};
 pub use dataflow::plan_function;
 pub use interproc::{
     augment_with_call_effects, seed_summary, ArgTarget, Effect, FunctionSummary, LinkArg, LinkCall,
@@ -99,8 +100,6 @@ pub use store::{ArtifactStore, GcReport, StoredUnit, STORE_FORMAT_VERSION};
 pub use verify::{verify_source, verify_unit, StaleRead, VerifyReport};
 
 use ompdart_frontend::ast::{StmtKind, TranslationUnit};
-use ompdart_frontend::diag::Diagnostics;
-use ompdart_frontend::source::SourceFile;
 use std::sync::Arc;
 
 /// Configuration of the OMPDart pipeline: the two choices a caller makes.
@@ -141,7 +140,7 @@ impl OmpDartOptions {
 }
 
 // ---------------------------------------------------------------------------
-// The Ompdart facade: builder -> tool -> Analysis handles
+// The Ompdart facade: builder -> tool -> unit analyses
 // ---------------------------------------------------------------------------
 
 /// Builder for the [`Ompdart`] facade.
@@ -264,27 +263,9 @@ impl Ompdart {
     }
 
     /// Analyze one source: runs (or fetches from the cache) the complete
-    /// pipeline and returns a typed [`Analysis`] handle.
-    pub fn analyze(&self, name: &str, source: &str) -> Result<Analysis, StageError> {
-        Ok(Analysis {
-            unit: self.session.analyze(name, source)?,
-        })
-    }
-
-    /// [`Ompdart::analyze`] plus a per-request [`UnitServe`] report: how
-    /// *this* call was served (in-memory cache, persistent store, or
-    /// planned with `reused`/`replanned` function-plan counts), derived
-    /// from the request's own lookups rather than deltas of the
-    /// session-global counters — sound even when many requests interleave
-    /// on one shared session.
-    pub fn analyze_with_serve(
-        &self,
-        name: &str,
-        source: &str,
-    ) -> Result<(Analysis, UnitServe), StageError> {
-        self.session
-            .analyze_served(name, source)
-            .map(|(unit, serve)| (Analysis { unit }, serve))
+    /// pipeline and returns the unit's [`UnitAnalysis`].
+    pub fn analyze(&self, name: &str, source: &str) -> Result<Arc<UnitAnalysis>, StageError> {
+        self.session.analyze(name, source)
     }
 
     /// Analyze many `(name, source)` pairs concurrently over this tool's
@@ -294,7 +275,10 @@ impl Ompdart {
     /// Each unit is a *closed world* here: calls into other units fall back
     /// to pessimistic assumptions. Use [`Ompdart::analyze_program`] to link
     /// the inputs into one whole program instead.
-    pub fn analyze_batch(&self, inputs: &[(String, String)]) -> Vec<Result<Analysis, StageError>> {
+    pub fn analyze_batch(
+        &self,
+        inputs: &[(String, String)],
+    ) -> Vec<Result<Arc<UnitAnalysis>, StageError>> {
         pipeline::parallel_map_indexed(self.session.parallelism(), inputs.len(), |i| {
             let (name, source) = &inputs[i];
             self.analyze(name, source)
@@ -323,93 +307,7 @@ impl Ompdart {
         &self,
         inputs: &[(String, String)],
     ) -> Result<(ProgramAnalysis, DriverProfile), ProgramError> {
-        ProgramDriver::with_session(Arc::clone(&self.session))
-            .with_threads(self.session.parallelism())
-            .analyze_program_profiled(inputs)
-    }
-}
-
-/// A fully analyzed translation unit: the typed handle returned by
-/// [`Ompdart::analyze`].
-///
-/// The handle is a cheap `Arc` view over the pipeline's
-/// [`UnitAnalysis`] artifacts; cloning it does not re-run anything.
-#[derive(Clone, Debug)]
-pub struct Analysis {
-    unit: Arc<UnitAnalysis>,
-}
-
-impl Analysis {
-    /// Wrap a raw pipeline artifact bundle (e.g. one unit of a
-    /// [`ProgramAnalysis`]) in the typed handle.
-    pub fn from_unit(unit: Arc<UnitAnalysis>) -> Analysis {
-        Analysis { unit }
-    }
-
-    /// The rewritten source with data-mapping directives inserted.
-    pub fn rewritten_source(&self) -> &str {
-        &self.unit.rewrite.source
-    }
-
-    /// The provenance-carrying mapping plans, one per kernel-launching
-    /// function.
-    pub fn plans(&self) -> &[MappingPlan] {
-        &self.unit.plans.plans
-    }
-
-    /// The plan for a given function.
-    pub fn plan_for(&self, function: &str) -> Option<&MappingPlan> {
-        self.plans().iter().find(|p| p.function == function)
-    }
-
-    /// Aggregate statistics (kernels, mapped variables, constructs).
-    pub fn stats(&self) -> AnalysisStats {
-        self.unit.plans.stats
-    }
-
-    /// Parse- and analysis-time diagnostics, merged.
-    pub fn diagnostics(&self) -> Diagnostics {
-        self.unit.diagnostics()
-    }
-
-    /// Per-stage wall-clock timings of this analysis.
-    pub fn timings(&self) -> StageTimings {
-        self.unit.timings()
-    }
-
-    /// The parsed translation unit (AST). An analysis served from the
-    /// persistent store is parsed on the first call.
-    pub fn translation_unit(&self) -> &TranslationUnit {
-        &self.unit.parsed().unit
-    }
-
-    /// The input source file (spans in plans and diagnostics point into
-    /// it). An analysis served from the persistent store is parsed on the
-    /// first call; [`Self::source_text`] is the text alone.
-    pub fn source_file(&self) -> &SourceFile {
-        &self.unit.parsed().file
-    }
-
-    /// The source text that was analyzed.
-    pub fn source_text(&self) -> &str {
-        self.unit.source()
-    }
-
-    /// Human-readable justification of every mapping decision: one line per
-    /// construct with the dataflow fact and the deciding source location.
-    pub fn explain(&self) -> String {
-        self.unit.explain()
-    }
-
-    /// The versioned plan-JSON document for this unit
-    /// (see [`plan::json`]).
-    pub fn plans_json(&self) -> String {
-        self.unit.plans_json()
-    }
-
-    /// The raw staged artifacts (graphs, accesses, summaries, ...).
-    pub fn artifacts(&self) -> &Arc<UnitAnalysis> {
-        &self.unit
+        ProgramDriver::with_session(Arc::clone(&self.session)).analyze_program_profiled(inputs)
     }
 }
 
@@ -443,7 +341,7 @@ mod tests {
     use super::*;
     use ompdart_sim::{simulate_source, SimConfig};
 
-    fn analyze(name: &str, src: &str) -> Result<Analysis, StageError> {
+    fn analyze(name: &str, src: &str) -> Result<Arc<UnitAnalysis>, StageError> {
         Ompdart::builder().build().analyze(name, src)
     }
 
@@ -587,7 +485,7 @@ void axpy(double alpha) {
         assert_eq!(stats.firstprivate_clauses, 1);
         assert!(stats.total_constructs() >= 3);
         assert!(analysis.timings().total().as_secs_f64() < 5.0);
-        assert!(analysis.plan_for("axpy").is_some());
+        assert!(analysis.plans().iter().any(|p| p.function == "axpy"));
         // The explain rendering justifies each construct on its own line.
         let explained = analysis.explain();
         assert_eq!(
@@ -707,7 +605,10 @@ int main() {
         assert_eq!(results.len(), 4);
         for (i, result) in results.iter().enumerate() {
             let analysis = result.as_ref().expect("unit failed");
-            assert!(analysis.plan_for(&format!("f{i}")).is_some());
+            assert!(analysis
+                .plans()
+                .iter()
+                .any(|p| p.function == format!("f{i}")));
         }
     }
 }

@@ -962,10 +962,9 @@ impl UnitBody {
 ///
 /// A unit parsed this run has its body from the start and computes its
 /// interface from it on first use. A unit *restored* from the persistent
-/// store has its interface from the start and no body: the accessors
-/// ([`Self::parsed`], [`Self::graphs`], [`Self::accesses`],
-/// [`Self::summaries`]) build it on first use, which a restart whose plans
-/// are all in the store never asks for.
+/// store has its interface from the start and no body: [`Self::body`]
+/// builds it on first use, which a restart whose plans are all in the store
+/// never asks for.
 #[derive(Debug)]
 pub struct SummarizedUnit {
     name: String,
@@ -1057,26 +1056,6 @@ impl SummarizedUnit {
         })
     }
 
-    /// The parse (builds the body on first use).
-    pub fn parsed(&self) -> &Arc<ParsedUnit> {
-        &self.body().parsed
-    }
-
-    /// The graphs (builds the body on first use).
-    pub fn graphs(&self) -> &Arc<GraphsArtifact> {
-        &self.body().graphs
-    }
-
-    /// The classified accesses (builds the body on first use).
-    pub fn accesses(&self) -> &Arc<AccessArtifact> {
-        &self.body().accesses
-    }
-
-    /// The seed summaries (builds the body on first use).
-    pub fn summaries(&self) -> &Arc<SummariesArtifact> {
-        &self.body().summaries
-    }
-
     /// The store's content hashes of the source.
     fn content(&self) -> store::ContentKey {
         *(self.content).get_or_init(|| store::content_key(&self.source))
@@ -1086,8 +1065,7 @@ impl SummarizedUnit {
 /// A fully analyzed translation unit: the summarized unit, its plans and
 /// its rewrite. Plans, statistics and the rewritten source are held
 /// eagerly — they are what every consumer reads; the body stays behind the
-/// unit's `OnceLock`, shared with it, and is reached through the same
-/// accessors.
+/// unit's `OnceLock`, shared with it, and is reached as `unit().body()`.
 #[derive(Debug)]
 pub struct UnitAnalysis {
     unit: Arc<SummarizedUnit>,
@@ -1108,29 +1086,26 @@ impl UnitAnalysis {
         &self.unit
     }
 
-    /// The source text that was analyzed.
-    pub fn source(&self) -> &str {
-        self.unit.source()
+    /// The rewritten source with data-mapping directives inserted.
+    pub fn rewritten_source(&self) -> &str {
+        &self.rewrite.source
     }
 
-    /// The parse (builds the body on first use).
-    pub fn parsed(&self) -> &Arc<ParsedUnit> {
-        self.unit.parsed()
+    /// The provenance-carrying mapping plans, one per kernel-launching
+    /// function.
+    pub fn plans(&self) -> &[MappingPlan] {
+        &self.plans.plans
     }
 
-    /// The graphs (builds the body on first use).
-    pub fn graphs(&self) -> &Arc<GraphsArtifact> {
-        self.unit.graphs()
+    /// Aggregate statistics (kernels, mapped variables, constructs).
+    pub fn stats(&self) -> AnalysisStats {
+        self.plans.stats
     }
 
-    /// The classified accesses (builds the body on first use).
-    pub fn accesses(&self) -> &Arc<AccessArtifact> {
-        self.unit.accesses()
-    }
-
-    /// The seed summaries (builds the body on first use).
-    pub fn summaries(&self) -> &Arc<SummariesArtifact> {
-        self.unit.summaries()
+    /// The input source file, which spans in plans and diagnostics point
+    /// into (builds the body on first use).
+    pub fn source_file(&self) -> &SourceFile {
+        &self.unit.body().parsed.file
     }
 
     /// Parse- and planning-time diagnostics, merged. Builds nothing: a
@@ -1166,7 +1141,7 @@ impl UnitAnalysis {
     /// construct, with the deciding source location (from the parse: builds
     /// the body on first use).
     pub fn explain(&self) -> String {
-        explain_plans(&self.plans.plans, Some(&self.parsed().file))
+        explain_plans(&self.plans.plans, Some(self.source_file()))
     }
 
     /// The versioned plan-JSON document for this unit's plans.
@@ -2015,8 +1990,8 @@ int main() { f(); g(); printf(\"%f %f\\n\", a[1], b[1]); return 0; }
         let results = tool.analyze_batch(&inputs);
         assert_eq!(results.len(), 6);
         for (i, result) in results.iter().enumerate() {
-            let analysis = result.as_ref().expect("unit failed").artifacts();
-            assert_eq!(analysis.parsed().name, format!("unit{i}.c"));
+            let analysis = result.as_ref().expect("unit failed");
+            assert_eq!(analysis.unit().name(), format!("unit{i}.c"));
             assert!(analysis.rewrite.source.contains("#pragma omp target data"));
         }
         assert_eq!(tool.session().cache_stats().analysis_misses, 6);
@@ -2025,10 +2000,7 @@ int main() { f(); g(); printf(\"%f %f\\n\", a[1], b[1]); return 0; }
         let again = tool.analyze_batch(&inputs);
         assert_eq!(tool.session().cache_stats().analysis_hits, 6);
         for (a, b) in results.iter().zip(&again) {
-            assert!(Arc::ptr_eq(
-                a.as_ref().unwrap().artifacts(),
-                b.as_ref().unwrap().artifacts()
-            ));
+            assert!(Arc::ptr_eq(a.as_ref().unwrap(), b.as_ref().unwrap()));
         }
     }
 
@@ -2140,16 +2112,16 @@ void driver() {
         // Same content, other name: its own parse, its own diagnostics name.
         let renamed = session.analyze("y.c", TWO_FUNCS).unwrap();
         assert!(!Arc::ptr_eq(&a, &renamed));
-        assert_eq!(renamed.parsed().name, "y.c");
+        assert_eq!(renamed.unit().body().parsed.name, "y.c");
         // Same name, other content: the resident version must be skipped.
         let other = session.analyze("x.c", DEMO).unwrap();
-        assert_eq!(other.parsed().file.text(), DEMO);
+        assert_eq!(other.source_file().text(), DEMO);
         assert_eq!(session.cache_stats().analysis_misses, 3);
         // Both versions of `x.c` are resident, each under its own bytes.
         let again = session.analyze("x.c", TWO_FUNCS).unwrap();
         assert!(Arc::ptr_eq(&a, &again));
         let reparsed = session.parse("x.c", DEMO).unwrap();
-        assert!(Arc::ptr_eq(&reparsed, other.parsed()));
+        assert!(Arc::ptr_eq(&reparsed, &other.unit().body().parsed));
         assert_eq!(session.cache_stats().analysis_misses, 3);
     }
 
@@ -2318,9 +2290,8 @@ static void touch_shared(void) {
             ("b.c".to_string(), unit("b_entry")),
         ];
         let run = |session: AnalysisSession| {
-            let session = Arc::new(session);
-            let driver =
-                crate::program::ProgramDriver::with_session(Arc::clone(&session)).with_threads(1);
+            let session = Arc::new(session.with_parallelism(1));
+            let driver = crate::program::ProgramDriver::with_session(Arc::clone(&session));
             let analysis = driver.analyze_program(&inputs).unwrap();
             let rewrites: Vec<String> = (analysis.units.iter())
                 .map(|unit| unit.rewrite.source.clone())

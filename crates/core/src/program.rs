@@ -729,8 +729,8 @@ pub struct DriverProfile {
     pub unit_p50: Duration,
     /// 99th-percentile per-unit latency inside the plan fan-out.
     pub unit_p99: Duration,
-    /// Worker count the parallel phases actually ran at: the driver's
-    /// requested thread count capped at the machine's available
+    /// Worker count the parallel phases actually ran at: the session's
+    /// [`AnalysisSession::parallelism`] capped at the machine's available
     /// parallelism ([`crate::pool::effective_width`]).
     pub pool_workers: usize,
     /// This and the fields below: the movement of the process-wide
@@ -817,7 +817,6 @@ fn percentile(sorted: &[Duration], pct: usize) -> Duration {
 #[derive(Debug)]
 pub struct ProgramDriver {
     session: Arc<AnalysisSession>,
-    threads: usize,
 }
 
 impl ProgramDriver {
@@ -826,16 +825,11 @@ impl ProgramDriver {
         ProgramDriver::with_session(Arc::new(AnalysisSession::new()))
     }
 
-    /// A driver over an existing session (shares all of its caches).
+    /// A driver over an existing session (shares all of its caches). Every
+    /// phase of a round runs at the session's
+    /// [`AnalysisSession::parallelism`].
     pub fn with_session(session: Arc<AnalysisSession>) -> ProgramDriver {
-        let threads = session.parallelism();
-        ProgramDriver { session, threads }
-    }
-
-    /// Override the number of worker threads for the parallel phases.
-    pub fn with_threads(mut self, threads: usize) -> ProgramDriver {
-        self.threads = threads.max(1);
-        self
+        ProgramDriver { session }
     }
 
     /// The underlying session.
@@ -865,7 +859,8 @@ impl ProgramDriver {
         &self,
         inputs: &[(String, String)],
     ) -> Result<Vec<Arc<SummarizedUnit>>, ProgramError> {
-        let summarized = crate::pipeline::parallel_map_indexed(self.threads, inputs.len(), |i| {
+        let threads = self.session.parallelism();
+        let summarized = crate::pipeline::parallel_map_indexed(threads, inputs.len(), |i| {
             let (name, source) = &inputs[i];
             let unit = self.session.summarize(name, source);
             let ready = unit.inspect(|unit| {
@@ -891,7 +886,8 @@ impl ProgramDriver {
         units: Vec<Arc<SummarizedUnit>>,
         state: &mut LinkState,
     ) -> Result<Program, ProgramError> {
-        let program = Program::relink(units, self.session.options(), self.threads, state);
+        let threads = self.session.parallelism();
+        let program = Program::relink(units, self.session.options(), threads, state);
         let counters = self.session.counters();
         counters.add(Counter::relink_reseeded_functions, state.reseeded);
         counters.add(Counter::relink_touched_units, state.touched_units);
@@ -942,7 +938,7 @@ impl ProgramDriver {
         let process_before = crate::stats::PROCESS.snapshot();
         let parsed_before = self.session.cache_stats().parse_misses;
         let finish_profile = |mut profile: DriverProfile| {
-            profile.pool_workers = crate::pool::effective_width(self.threads);
+            profile.pool_workers = crate::pool::effective_width(self.session.parallelism());
             profile.set_rows(crate::stats::PROCESS.snapshot() - process_before);
             let parsed = self.session.cache_stats().parse_misses - parsed_before;
             profile.parsed_units = parsed as usize;
@@ -1011,7 +1007,8 @@ impl ProgramDriver {
         let contexts_elapsed = phase.elapsed();
 
         let phase = Instant::now();
-        let planned = crate::pipeline::parallel_map_indexed(self.threads, todo.len(), |slot| {
+        let threads = self.session.parallelism();
+        let planned = crate::pipeline::parallel_map_indexed(threads, todo.len(), |slot| {
             let unit_start = Instant::now();
             let (i, context) = &todo[slot];
             let (analysis, serve) = self.session.analyze_linked(&program.units[*i], context);

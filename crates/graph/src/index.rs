@@ -262,28 +262,6 @@ impl StmtIndex {
         }
     }
 
-    /// The outermost loop that encloses `inner` but starts after
-    /// `limit`'s position, mirroring the `locLim` parameter of the paper's
-    /// Algorithm 1.
-    pub fn outermost_loop_after(&self, inner: NodeId, limit: Option<NodeId>) -> Option<NodeId> {
-        let limit_order = limit.and_then(|l| self.info(l)).map(|i| i.order);
-        let after_limit = |l: &NodeId| match (limit_order, self.info(*l)) {
-            (Some(lim), Some(info)) => info.order > lim,
-            (Some(_), None) => false,
-            (None, _) => true,
-        };
-        // Loops nest, so the ones after the limit are the innermost few.
-        self.loops_outward(inner).take_while(after_limit).last()
-    }
-
-    /// True if statement `a` appears before statement `b` in source order.
-    pub fn is_before(&self, a: NodeId, b: NodeId) -> bool {
-        match (self.info(a), self.info(b)) {
-            (Some(ia), Some(ib)) => ia.order < ib.order,
-            _ => false,
-        }
-    }
-
     /// All statements, in source order.
     pub fn stmts_in_order(&self) -> &[StmtInfo] {
         self.stmts.values()
@@ -386,9 +364,8 @@ void compute(double *a, double *partial, int n, int m) {
         assert_eq!(g.index.loops().len(), 3);
         assert_eq!(graphs.total_kernels(), 1);
         // kernels() precede the host loops in source order
-        let kernel = g.index.kernels()[0];
-        let first_host_loop = g.index.loops()[1];
-        assert!(g.index.is_before(kernel, first_host_loop));
+        let order = |id| g.index.info(id).unwrap().order;
+        assert!(order(g.index.kernels()[0]) < order(g.index.loops()[1]));
     }
 
     #[test]
@@ -430,55 +407,8 @@ void compute(double *a, double *partial, int n, int m) {
         let mut loops: Vec<NodeId> = g.index.loops_outward(target).collect();
         loops.reverse();
         assert_eq!(loops.len(), 2);
-        // outermost (j loop) first
-        assert!(g.index.is_before(loops[0], loops[1]));
-        // The outermost loop enclosing this access is the j loop; the kernel
-        // statement precedes it so it is a valid hoist target.
-        let outer = g
-            .index
-            .outermost_loop_after(target, Some(g.index.kernels()[0]));
-        assert_eq!(outer, Some(loops[0]));
-    }
-
-    #[test]
-    fn loop_limit_prevents_hoisting_past_kernel() {
-        let src = "\
-void f(double *a, int n) {
-  for (int it = 0; it < 10; it++) {
-    #pragma omp target teams distribute parallel for
-    for (int i = 0; i < n; i++) a[i] += 1.0;
-    double s = 0.0;
-    for (int i = 0; i < n; i++) s += a[i];
-  }
-}
-";
-        let (_f, graphs, unit) = graphs(src);
-        let g = graphs.function("f").unwrap();
-        let func = unit.function("f").unwrap();
-        let mut host_read = None;
-        func.body.as_ref().unwrap().walk(&mut |s| {
-            if let StmtKind::Expr(e) = &s.kind {
-                let vars = e.referenced_vars();
-                if vars.contains(&"s".to_string()) && vars.contains(&"a".to_string()) {
-                    let info = g.index.info(s.id).unwrap();
-                    if !info.offloaded {
-                        host_read = Some(s.id);
-                    }
-                }
-            }
-        });
-        let host_read = host_read.unwrap();
-        let loops: Vec<NodeId> = g.index.loops_outward(host_read).collect();
-        // Without a limit the outermost enclosing loop is the `it` loop...
-        let unlimited = g.index.outermost_loop_after(host_read, None).unwrap();
-        assert_eq!(loops[1], unlimited);
-        // ...but limited by the kernel's position (locLim) only the inner
-        // summation loop qualifies.
-        let limited = g
-            .index
-            .outermost_loop_after(host_read, Some(g.index.kernels()[0]))
-            .unwrap();
-        assert_eq!(loops[0], limited);
+        // outermost (j loop) first, and it encloses the k loop
+        assert!(g.index.encloses(loops[0], loops[1]));
     }
 
     #[test]

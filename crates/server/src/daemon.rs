@@ -30,7 +30,7 @@ use crate::registry::{ProgramRegistry, ProgramSession, RegistryConfig};
 use crate::signal::{self, ShutdownToken};
 use ompdart_core::pipeline::{AnalysisSession, UnitAnalysis};
 use ompdart_core::plan::{write_json_string, Json};
-use ompdart_core::{Analysis, CacheStats, UnitServe};
+use ompdart_core::{CacheStats, UnitServe};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -629,12 +629,7 @@ fn run_analyze(
         let (analysis, serve, stats) = session
             .analyze_unit(name, source)
             .map_err(|e| RequestError::new(ErrorKind::Analysis, e.to_string()))?;
-        (
-            vec![Arc::clone(analysis.artifacts())],
-            vec![serve],
-            stats,
-            0,
-        )
+        (vec![analysis], vec![serve], stats, 0)
     } else {
         let (program, stats) = session
             .analyze_program(units)
@@ -657,7 +652,7 @@ fn run_analyze(
     ))
 }
 
-/// Human-readable serve verdict, shared wording with the CLI.
+/// Human-readable serve verdict, as the daemon logs and answers it.
 pub fn serve_label(serve: &UnitServe) -> String {
     match serve {
         UnitServe::Cached => "cached".to_string(),
@@ -748,8 +743,11 @@ fn offset_of(source: &str, line: u32, col: u32) -> Option<u32> {
     None
 }
 
-/// An `explain` request: the program's analysis of its one unit, read at
-/// the queried position.
+/// An `explain` request: its one unit analyzed alone
+/// ([`ProgramSession::analyze_unit`], which sees no other unit of the
+/// program), read at the queried position. A unit whose calls reach into
+/// its siblings can be planned differently here than in the linked plan a
+/// whole-program `analyze` returned.
 fn handle_explain(request: &mut Json, shared: &Shared) -> Result<Json, RequestError> {
     let units = decode_units(request)?;
     let [(name, source)] = &units[..] else {
@@ -763,28 +761,22 @@ fn handle_explain(request: &mut Json, shared: &Shared) -> Result<Json, RequestEr
         .and_then(Json::as_int)
         .ok_or_else(|| RequestError::new(ErrorKind::BadRequest, "missing `line` (1-based int)"))?;
     let col = request.get("col").and_then(Json::as_int).unwrap_or(1);
-    if line < 1 || col < 1 {
+    let (Ok(line @ 1..), Ok(col @ 1..)) = (u32::try_from(line), u32::try_from(col)) else {
         return Err(RequestError::new(
             ErrorKind::BadRequest,
-            "`line` and `col` are 1-based",
+            "`line` and `col` are 1-based and at most 4294967295",
         ));
-    }
+    };
     let session = shared.registry.program(&program_key(request));
     let (analysis, _, _) = session
         .analyze_unit(name, source)
         .map_err(|e| RequestError::new(ErrorKind::Analysis, e.to_string()))?;
-    Ok(explain_result(
-        &analysis,
-        name,
-        source,
-        line as u32,
-        col as u32,
-    ))
+    Ok(explain_result(&analysis, name, source, line, col))
 }
 
 /// The hover payload: every provenance fact whose deciding span covers the
 /// queried position, LSP-style.
-fn explain_result(analysis: &Analysis, name: &str, source: &str, line: u32, col: u32) -> Json {
+fn explain_result(analysis: &UnitAnalysis, name: &str, source: &str, line: u32, col: u32) -> Json {
     let mut facts = Vec::new();
     let mut hovered_line = Json::Null;
     if let Some(offset) = offset_of(source, line, col) {

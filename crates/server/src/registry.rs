@@ -18,8 +18,8 @@
 //! counters between the two reads.
 
 use ompdart_core::{
-    Analysis, CacheStats, DriverProfile, GcReport, Ompdart, ProgramAnalysis, ProgramError,
-    StageError, UnitServe,
+    CacheStats, DriverProfile, GcReport, Ompdart, ProgramAnalysis, ProgramError, StageError,
+    UnitAnalysis, UnitServe,
 };
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -110,10 +110,10 @@ impl ProgramSession {
         &self,
         name: &str,
         source: &str,
-    ) -> Result<(Analysis, UnitServe, CacheStats), StageError> {
+    ) -> Result<(Arc<UnitAnalysis>, UnitServe, CacheStats), StageError> {
         let _guard = lock(&self.requests);
         let before = self.tool.session().cache_stats();
-        let (analysis, serve) = self.tool.analyze_with_serve(name, source)?;
+        let (analysis, serve) = self.tool.session().analyze_served(name, source)?;
         let after = self.tool.session().cache_stats();
         Ok((analysis, serve, after - before))
     }
@@ -307,7 +307,7 @@ int main() {
         // same artifacts — and the per-request delta proves it.
         let (again, serve, stats_a2) = a.analyze_unit("a.c", UNIT_A).unwrap();
         assert_eq!(serve, UnitServe::Cached);
-        assert!(Arc::ptr_eq(first.artifacts(), again.artifacts()));
+        assert!(Arc::ptr_eq(&first, &again));
         assert_eq!(stats_a2.function_plan_misses, 0);
         assert_eq!(stats_a2.analysis_hits, 1);
         assert_eq!(stats_a2.analysis_misses, 0);

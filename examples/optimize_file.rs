@@ -36,7 +36,7 @@ fn run() -> Result<(), Box<dyn Error>> {
         }
     };
 
-    // The builder facade: configure once, analyze into a typed handle.
+    // The builder facade: configure once, analyze into the unit's analysis.
     let tool = Ompdart::builder().build();
     let analysis = tool.analyze(&name, &source)?;
 

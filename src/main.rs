@@ -20,13 +20,14 @@
 //! session — and `client` drives it.
 
 use ompdart_core::plan::{diff_plans, extract_explicit_plans, Json, MappingPlan};
-use ompdart_core::{Analysis, ArtifactStore, Ompdart, ProgramError, StageError, UnitServe};
+use ompdart_core::{ArtifactStore, Ompdart, ProgramError, StageError, UnitAnalysis, UnitServe};
 use ompdart_server::daemon::{DaemonConfig, DaemonHandle, Endpoint};
 use ompdart_server::watch::make_watcher;
 use ompdart_server::{parse_size, signal, Client};
 use ompdart_sim::{simulate_source, SimConfig};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Instant;
 
 const USAGE: &str = "\
@@ -169,7 +170,7 @@ fn read_source(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
 }
 
-fn analyze_file(tool: &Ompdart, path: &str) -> Result<Analysis, String> {
+fn analyze_file(tool: &Ompdart, path: &str) -> Result<Arc<UnitAnalysis>, String> {
     let source = read_source(path)?;
     tool.analyze(path, &source)
         .map_err(|e| render_stage_error(path, &source, e))
@@ -308,7 +309,7 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
     if simulate {
         // Simulate the exact text that was analyzed, not a re-read of the
         // file (which may have changed since).
-        let before = simulate_source(analysis.source_text(), SimConfig::default())
+        let before = simulate_source(analysis.unit().source(), SimConfig::default())
             .map_err(|e| format!("simulation of the input failed: {e}"))?;
         let after = simulate_source(analysis.rewritten_source(), SimConfig::default())
             .map_err(|e| format!("simulation of the transformed source failed: {e}"))?;
@@ -411,8 +412,7 @@ fn cmd_analyze_program(
 
     let mut failures = 0usize;
     let mut used_names: std::collections::HashSet<String> = std::collections::HashSet::new();
-    for ((path, _), unit) in pairs.iter().zip(&program.units) {
-        let analysis = Analysis::from_unit(std::sync::Arc::clone(unit));
+    for ((path, _), analysis) in pairs.iter().zip(&program.units) {
         let stats = analysis.stats();
         let diagnostics = analysis.diagnostics();
         for diag in diagnostics.iter() {
@@ -753,7 +753,7 @@ fn emit_one(tool: &Ompdart, path: &Path, source: &str, out_path: &Path) {
     // The serve verdict is part of the analysis result itself — not a
     // before/after subtraction of the session's global counters, which
     // other requests interleaving on the same session would contaminate.
-    match tool.analyze_with_serve(&display, source) {
+    match tool.session().analyze_served(&display, source) {
         Ok((analysis, serve)) => {
             let elapsed = start.elapsed();
             if let Err(e) = write_mapped(out_path, analysis.rewritten_source()) {

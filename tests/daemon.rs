@@ -7,7 +7,8 @@
 //!   *different* programs stay warm — every warm round re-plans exactly
 //!   the edited function and never cold-relinks;
 //! * protocol robustness: oversized prefixes, invalid JSON, unknown
-//!   request types, wrong versions, and truncated frames all produce
+//!   request types, wrong versions, out-of-range `explain` positions and
+//!   truncated frames all produce
 //!   structured errors (or a clean connection close) without killing the
 //!   daemon or poisoning any program session;
 //! * ordering: requests written back to back on one connection are
@@ -222,12 +223,7 @@ fn spliced_analyze_response_equals_the_tree_oracle_byte_for_byte() {
         for (round, units) in [&base, &base, &edited, &base].into_iter().enumerate() {
             let (analyses, serves, stats, link_passes) = if let [(name, source)] = &units[..] {
                 let (analysis, serve, stats) = session.analyze_unit(name, source).expect("unit");
-                (
-                    vec![Arc::clone(analysis.artifacts())],
-                    vec![serve],
-                    stats,
-                    0,
-                )
+                (vec![analysis], vec![serve], stats, 0)
             } else {
                 let (program, stats) = session.analyze_program(units).expect("program");
                 (program.units, program.served, stats, program.link_passes)
@@ -513,6 +509,39 @@ fn malformed_frames_and_requests_do_not_kill_the_daemon() {
             .and_then(Json::as_str),
         Some("bad_request")
     );
+
+    // An `explain` position past `u32::MAX`: bad_request, not a wrapped
+    // line 1.
+    let (name, source) = &unit[0];
+    let explain = protocol::request(
+        11,
+        "explain",
+        vec![
+            ("program".into(), Json::Str("robust".into())),
+            (
+                "units".into(),
+                Json::Array(vec![Json::Object(vec![
+                    ("name".into(), Json::Str(name.clone())),
+                    ("source".into(), Json::Str(source.clone())),
+                ])]),
+            ),
+            ("line".into(), Json::Int(i64::from(u32::MAX) + 2)),
+            ("col".into(), Json::Int(1)),
+        ],
+    );
+    let raw = client
+        .raw_round_trip(&explain.render())
+        .expect("round trip");
+    let response = Json::parse(&raw).unwrap();
+    assert_eq!(
+        response
+            .get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(Json::as_str),
+        Some("bad_request"),
+        "{raw}"
+    );
+    assert_eq!(response.get("id").and_then(Json::as_int), Some(11));
 
     // Oversized length prefix: structured bad_frame, then a hard close
     // (the stream cannot be re-synchronized).

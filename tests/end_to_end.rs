@@ -11,7 +11,7 @@ use ompdart_suite::{
     all_benchmarks, lulesh_multifile, lulesh_multifile_expert_concat, table4_rows,
 };
 
-fn analyze(name: &str, src: &str) -> ompdart_core::Analysis {
+fn analyze(name: &str, src: &str) -> std::sync::Arc<ompdart_core::UnitAnalysis> {
     Ompdart::builder()
         .build()
         .analyze(name, src)

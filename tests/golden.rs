@@ -14,7 +14,7 @@
 //! provenance text, which a change to how the analysis addresses nodes could
 //! move without moving a single byte of the rewrite.
 
-use ompdart_core::{Analysis, Ompdart, ProgramDriver};
+use ompdart_core::{AnalysisSession, Ompdart, ProgramDriver};
 use ompdart_suite::benchmarks;
 use std::sync::Arc;
 
@@ -152,7 +152,7 @@ fn plan_json_is_byte_identical_to_goldens() {
             .map(|(u, _)| u)
             .unwrap_or_else(|| panic!("{stem}: unit missing from linked program"));
         assert_eq!(
-            Analysis::from_unit(Arc::clone(unit)).plans_json(),
+            unit.plans_json(),
             golden,
             "{stem}: linked plan JSON moved off its golden"
         );
@@ -195,13 +195,13 @@ fn warm_rounds_and_thread_counts_keep_benchmarks_byte_identical() {
         program
             .units
             .iter()
-            .map(|u| {
-                let a = Analysis::from_unit(Arc::clone(u));
-                (a.rewritten_source().to_string(), a.plans_json())
-            })
+            .map(|u| (u.rewritten_source().to_string(), u.plans_json()))
             .collect()
     };
-    let driver = ProgramDriver::new().with_threads(1);
+    let driver_at = |threads: usize| {
+        ProgramDriver::with_session(Arc::new(AnalysisSession::new().with_parallelism(threads)))
+    };
+    let driver = driver_at(1);
     let baseline = outputs(&driver.analyze_program(&units).unwrap());
     assert_eq!(
         outputs(&driver.analyze_program(&units).unwrap()),
@@ -209,10 +209,7 @@ fn warm_rounds_and_thread_counts_keep_benchmarks_byte_identical() {
         "lulesh_mf: warm linked round moved"
     );
     for threads in [2, 4, 8] {
-        let program = ProgramDriver::new()
-            .with_threads(threads)
-            .analyze_program(&units)
-            .unwrap();
+        let program = driver_at(threads).analyze_program(&units).unwrap();
         assert_eq!(
             outputs(&program),
             baseline,

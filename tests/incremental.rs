@@ -52,7 +52,7 @@ fn incremental_reanalysis_matches_cold_analysis_on_all_benchmarks() {
             "{name}: relocated plans must equal freshly computed plans"
         );
 
-        let functions = fresh.parsed().unit.functions().count();
+        let functions = fresh.unit().body().parsed.unit.functions().count();
         let hits = after.function_plan_hits - before.function_plan_hits;
         let misses = after.function_plan_misses - before.function_plan_misses;
         assert_eq!(
@@ -157,7 +157,7 @@ fn one_function_edit_replans_one_function_on_all_benchmarks() {
         let incremental = session.analyze(&name, &edited).unwrap();
         let moved = session.cache_stats() - before;
 
-        let functions = incremental.parsed().unit.functions().count() as u64;
+        let functions = incremental.unit().body().parsed.unit.functions().count() as u64;
         assert_eq!(moved.parse_misses, 1, "{name}");
         assert_eq!(
             moved.function_plan_misses, 1,
@@ -230,12 +230,13 @@ fn store_analysis_cache_and_function_cache_compose() {
     let stats = session.cache_stats();
     assert_eq!(stats.store_hits, 1);
     assert_eq!(stats.function_plan_misses, 0, "a store hit plans nothing");
-    // The store replaces parsing and planning; the body the accessors
-    // build on demand is the unit's own, and the output is byte-equal to
+    // The store replaces parsing and planning; the body `unit().body()`
+    // builds on demand is the unit's own, and the output is byte-equal to
     // the cold analysis.
-    let functions = served.parsed().unit.functions().count();
-    assert_eq!(served.accesses().accesses.len(), functions);
-    assert_eq!(served.summaries().seeds.len(), functions);
+    let body = served.unit().body();
+    let functions = body.parsed.unit.functions().count();
+    assert_eq!(body.accesses.accesses.len(), functions);
+    assert_eq!(body.summaries.seeds.len(), functions);
     assert_eq!(served.rewrite.source, cold.rewrite.source);
     assert_eq!(served.plans_json(), cold.plans_json());
     // Same content again: the in-memory cache answers, not the store.
@@ -296,7 +297,7 @@ fn a_store_served_analysis_builds_its_body_on_demand() {
     );
 
     let tool = Ompdart::builder().cache_dir(&dir).build();
-    let (served, serve) = tool.analyze_with_serve("demo.c", demo).unwrap();
+    let (served, serve) = tool.session().analyze_served("demo.c", demo).unwrap();
     assert_eq!(serve, UnitServe::Store);
     let stats = tool.session().cache_stats();
     assert_eq!(
@@ -308,27 +309,24 @@ fn a_store_served_analysis_builds_its_body_on_demand() {
         (0, 1, 1),
         "{stats}"
     );
-    let built = || served.artifacts().unit().body_if_built().is_some();
+    let built = || served.unit().body_if_built().is_some();
 
     // What every consumer reads is there without the body.
     assert_eq!(served.rewritten_source(), parsed.rewritten_source());
     assert_eq!(served.plans(), parsed.plans());
     assert_eq!(served.plans_json(), parsed.plans_json());
     assert_eq!(served.stats(), parsed.stats());
-    assert_eq!(served.source_text(), demo);
+    assert_eq!(served.unit().source(), demo);
     assert!(served.diagnostics().is_empty());
     assert_eq!(served.timings().of(Stage::Parse), Duration::ZERO);
-    assert_eq!(
-        served.artifacts().unit().exports(),
-        parsed.artifacts().unit().exports()
-    );
+    assert_eq!(served.unit().exports(), parsed.unit().exports());
     assert!(!built(), "nothing above reads the body");
 
     // `explain` reads the parse: it builds the body, once.
     assert_eq!(served.explain(), parsed.explain());
     assert!(built());
-    let body = Arc::clone(served.artifacts().parsed());
-    assert!(Arc::ptr_eq(&body, served.artifacts().parsed()));
+    let body = Arc::clone(&served.unit().body().parsed);
+    assert!(Arc::ptr_eq(&body, &served.unit().body().parsed));
     assert!(served.timings().of(Stage::Parse) > Duration::ZERO);
     let stages = |timings: ompdart_core::StageTimings| {
         Stage::ALL.map(|stage| (stage, timings.of(stage) > Duration::ZERO))
@@ -337,10 +335,11 @@ fn a_store_served_analysis_builds_its_body_on_demand() {
     let mut expected = stages(parsed.timings());
     expected[Stage::Plan as usize].1 = false;
     assert_eq!(stages(served.timings()), expected);
-    let functions = parsed.translation_unit().functions().count();
-    assert_eq!(served.translation_unit().functions().count(), functions);
-    assert_eq!(served.artifacts().accesses().accesses.len(), functions);
-    assert_eq!(served.artifacts().summaries().seeds.len(), functions);
+    let functions = parsed.unit().body().parsed.unit.functions().count();
+    let body = served.unit().body();
+    assert_eq!(body.parsed.unit.functions().count(), functions);
+    assert_eq!(body.accesses.accesses.len(), functions);
+    assert_eq!(body.summaries.seeds.len(), functions);
     assert_eq!(served.source_file().name(), "demo.c");
     assert_eq!(served.source_file().text(), demo);
     let _ = std::fs::remove_dir_all(&dir);
@@ -371,7 +370,7 @@ int main() {
     let cache = dir.join("cache");
     for run in 0..3 {
         let tool = Ompdart::builder().cache_dir(&cache).build();
-        let (analysis, serve) = tool.analyze_with_serve("warn.c", source).unwrap();
+        let (analysis, serve) = tool.session().analyze_served("warn.c", source).unwrap();
         let diagnostics = analysis.diagnostics();
         assert!(
             diagnostics.iter().any(|d| d.message.contains(warning)),

@@ -926,14 +926,15 @@ proptest! {
             program
                 .units
                 .iter()
-                .map(|u| {
-                    let a = ompdart_core::Analysis::from_unit(std::sync::Arc::clone(u));
-                    (a.rewritten_source().to_string(), a.plans_json())
-                })
+                .map(|u| (u.rewritten_source().to_string(), u.plans_json()))
                 .collect()
         };
 
-        let driver = ompdart_core::ProgramDriver::new().with_threads(threads);
+        let driver_at = |threads: usize| {
+            let session = ompdart_core::AnalysisSession::new().with_parallelism(threads);
+            ompdart_core::ProgramDriver::with_session(std::sync::Arc::new(session))
+        };
+        let driver = driver_at(threads);
         let cold = match driver.analyze_program(&units) {
             Ok(p) => p,
             Err(e) => return Err(TestCaseError::fail(format!("cold link failed: {e}"))),
@@ -945,10 +946,7 @@ proptest! {
         prop_assert_eq!(&outputs(&warm), &cold_out, "warm round moved the output");
 
         // Single-threaded oracle for the same inputs.
-        let oracle = ompdart_core::ProgramDriver::new()
-            .with_threads(1)
-            .analyze_program(&units)
-            .unwrap();
+        let oracle = driver_at(1).analyze_program(&units).unwrap();
         prop_assert_eq!(&outputs(&oracle), &cold_out, "thread count moved the output");
 
         // Edit one unit's body, re-analyze warm (dirty-cone edit path),
@@ -957,10 +955,7 @@ proptest! {
         let last = edited.len() - 1;
         edited[last].1.push_str("void gen_extra() { acc = acc + 1.0; }\n");
         let warm_edit = driver.analyze_program(&edited).unwrap();
-        let cold_edit = ompdart_core::ProgramDriver::new()
-            .with_threads(threads)
-            .analyze_program(&edited)
-            .unwrap();
+        let cold_edit = driver_at(threads).analyze_program(&edited).unwrap();
         prop_assert_eq!(
             &outputs(&warm_edit), &outputs(&cold_edit),
             "edit round disagrees with cold analysis of the edited program"
@@ -1123,9 +1118,9 @@ proptest! {
             ..ompdart_core::OmpDartOptions::default()
         };
         let driver_under = |threads: usize| {
-            let session = ompdart_core::AnalysisSession::with_options(options);
-            let driver = ompdart_core::ProgramDriver::with_session(std::sync::Arc::new(session));
-            (threads, driver.with_threads(threads))
+            let session =
+                ompdart_core::AnalysisSession::with_options(options).with_parallelism(threads);
+            (threads, ompdart_core::ProgramDriver::with_session(std::sync::Arc::new(session)))
         };
         let drivers: Vec<(usize, ompdart_core::ProgramDriver)> =
             [1usize, 2, 8].into_iter().map(driver_under).collect();
@@ -1199,9 +1194,9 @@ fn assert_interfaces_carry_the_link(inputs: &[(String, String)], what: &str) {
                 pessimistic_globals,
                 ..OmpDartOptions::default()
             };
-            let session = ompdart_core::AnalysisSession::with_options(options);
+            let session =
+                ompdart_core::AnalysisSession::with_options(options).with_parallelism(threads);
             let parsed = ProgramDriver::with_session(Arc::new(session))
-                .with_threads(threads)
                 .link(inputs)
                 .expect("the program links");
             let restored: Vec<Arc<SummarizedUnit>> = (parsed.units.iter())
@@ -1293,13 +1288,7 @@ fn a_program_links_from_decoded_interfaces_as_from_parsed_units() {
 /// Every unit's rewritten source and plan JSON, in unit order.
 fn unit_outputs(program: &ompdart_core::ProgramAnalysis) -> Vec<(String, String)> {
     (program.units.iter())
-        .map(|unit| {
-            let analysis = ompdart_core::Analysis::from_unit(std::sync::Arc::clone(unit));
-            (
-                analysis.rewritten_source().to_string(),
-                analysis.plans_json(),
-            )
-        })
+        .map(|unit| (unit.rewritten_source().to_string(), unit.plans_json()))
         .collect()
 }
 
@@ -1357,7 +1346,7 @@ proptest! {
                 let alone = driver.session().analyze(alone_name, alone_source).unwrap();
                 prop_assert_eq!(
                     (&alone.rewrite.source, alone.plans_json()),
-                    (&fresh_alone.artifacts().rewrite.source, fresh_alone.plans_json()),
+                    (&fresh_alone.rewrite.source, fresh_alone.plans_json()),
                     "`{}` analyzed alone differs at {}", alone_name, at
                 );
                 let stats = driver.session().cache_stats();
@@ -1410,11 +1399,12 @@ fn one_run(
         lifetimes,
         ..Default::default()
     };
-    let mut session = ompdart_core::AnalysisSession::with_options(options);
+    let mut session =
+        ompdart_core::AnalysisSession::with_options(options).with_parallelism(threads);
     if let Some(dir) = cache_dir {
         session = session.with_cache_dir(dir);
     }
-    ompdart_core::ProgramDriver::with_session(std::sync::Arc::new(session)).with_threads(threads)
+    ompdart_core::ProgramDriver::with_session(std::sync::Arc::new(session))
 }
 
 /// `units` with a comment no earlier edit made put into the first function

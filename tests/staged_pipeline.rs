@@ -141,7 +141,7 @@ fn batch_driver_matches_sequential_analyses() {
 
     for ((name, source), result) in inputs.iter().zip(&batch) {
         let analysis = result.as_ref().expect("batch unit failed");
-        assert_eq!(&analysis.artifacts().parsed().name, name);
+        assert_eq!(analysis.unit().name(), name);
         let sequential = Ompdart::builder().build().analyze(name, source).unwrap();
         assert_eq!(
             sequential.rewritten_source(),

@@ -201,7 +201,6 @@ fn single_unit_program_is_degenerate() {
                     .build()
             };
             let alone = tool().analyze(name, source).unwrap();
-            let alone = alone.artifacts();
             let program = tool().analyze_program(&[(name.clone(), source.clone())]);
             let linked = &program.unwrap().units[0];
             assert_eq!(linked.rewrite.source, alone.rewrite.source, "{at}");
@@ -713,7 +712,7 @@ fn unknown_callee_pessimism_is_explained() {
             p.detail
         );
         let span = p.span.expect("call-site span must be recorded");
-        let snippet = analysis.parsed().file.snippet(span);
+        let snippet = analysis.source_file().snippet(span);
         assert!(
             snippet.contains("scale") || snippet.contains("checksum"),
             "span must point at the call site, got `{snippet}`"
@@ -1013,12 +1012,14 @@ fn one_unit_analysis_between_rounds_keeps_the_round_fast_path() {
 #[test]
 fn results_are_byte_identical_at_every_thread_count() {
     let inputs = owned(&lulesh_multifile());
-    let reference = ProgramDriver::new()
-        .with_threads(1)
+    let driver_at = |threads: usize| {
+        ProgramDriver::with_session(Arc::new(AnalysisSession::new().with_parallelism(threads)))
+    };
+    let reference = driver_at(1)
         .analyze_program(&inputs)
         .expect("reference link failed");
     for threads in [2usize, 4, 8] {
-        let driver = ProgramDriver::new().with_threads(threads);
+        let driver = driver_at(threads);
         let cold = driver.analyze_program(&inputs).expect("cold link failed");
         assert_eq!(
             cold.concatenated_rewrite(),
