@@ -33,7 +33,7 @@ use ompdart_bench::alloc_counter;
 use ompdart_core::{oracle, AnalysisSession, OmpDartOptions, Program, ProgramDriver, Stage};
 use ompdart_suite::corpus;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 // Count every allocator call the whole run makes; the cold round is
 // bracketed with snapshots to report `allocs_per_unit_cold`.
@@ -111,7 +111,6 @@ fn main() {
     // --- Driver trajectory: cold, warm, one-function edit. -------------
     let session = Arc::new(AnalysisSession::with_options(options));
     let driver = ProgramDriver::with_session(Arc::clone(&session));
-    let stage_before = session.timings();
     let alloc_before = alloc_counter::snapshot();
     let t = Instant::now();
     let (cold, cold_profile) = driver.analyze_program_profiled(&inputs).unwrap();
@@ -119,10 +118,12 @@ fn main() {
     let cold_allocs = alloc_counter::snapshot().since(&alloc_before);
     let allocs_per_unit_cold = cold_allocs.allocations as f64 / n as f64;
     let alloc_kb_per_unit_cold = cold_allocs.bytes as f64 / 1024.0 / n as f64;
-    // Per-phase cold breakdown: parse from the session's per-stage
-    // accumulator (CPU time summed over units), the rest from the driver
-    // profile (wall time of each phase).
-    let cold_parse = session.timings().of(Stage::Parse) - stage_before.of(Stage::Parse);
+    // Per-phase cold breakdown: parse from the units' own stage timings
+    // (CPU time summed over units), the rest from the driver profile (wall
+    // time of each phase).
+    let cold_parse: Duration = (cold.units.iter())
+        .map(|unit| unit.timings().of(Stage::Parse))
+        .sum();
     let cold_parse_ms = cold_parse.as_secs_f64() * 1e3;
     let linked_fallbacks = cold.stats().unknown_callee_fallbacks;
     let cold_rewrite = cold.concatenated_rewrite();

@@ -611,7 +611,7 @@ impl ProgramSummaries {
         for wavefront in &cond.wavefronts {
             let results = {
                 let base = &self.functions;
-                crate::pipeline::parallel_map_indexed(threads, wavefront.len(), |slot| {
+                crate::pool::pool_map(threads, wavefront.len(), |slot| {
                     let c = wavefront[slot];
                     converge_component(
                         nodes,

@@ -182,7 +182,8 @@ impl OmpdartBuilder {
     }
 
     /// Worker-thread fan-out of every parallel phase — summarize, the
-    /// link's wavefronts, planning — and of batch analyses. Never affects
+    /// link's wavefronts, planning — and of batch analyses, capped at the
+    /// pool's width when it runs ([`pool::effective_width`]). Never affects
     /// results, so it is part of no cache key.
     pub fn parallelism(mut self, workers: usize) -> OmpdartBuilder {
         self.parallelism = Some(workers.max(1));
@@ -279,7 +280,7 @@ impl Ompdart {
         &self,
         inputs: &[(String, String)],
     ) -> Vec<Result<Arc<UnitAnalysis>, StageError>> {
-        pipeline::parallel_map_indexed(self.session.parallelism(), inputs.len(), |i| {
+        pool::pool_map(self.session.parallelism(), inputs.len(), |i| {
             let (name, source) = &inputs[i];
             self.analyze(name, source)
         })

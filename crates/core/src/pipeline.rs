@@ -90,7 +90,6 @@ use ompdart_frontend::Symbol;
 use ompdart_graph::ProgramGraphs;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -833,7 +832,7 @@ fn run_plan_stage(
         (analyzed, plan, diags, false, fallbacks, snap)
     };
 
-    let slots = parallel_map_indexed(workers, funcs.len(), plan_one);
+    let slots = crate::pool::pool_map(workers, funcs.len(), plan_one);
 
     let mut plans = Vec::new();
     let mut stats = AnalysisStats::default();
@@ -874,21 +873,6 @@ fn run_plan_stage(
     }
 }
 
-/// Order-preserving parallel map over indices `0..len`, executed on the
-/// session's persistent worker pool ([`crate::pool`]): indices are pulled
-/// from a shared claim cursor into pre-sized result slots — no per-call
-/// thread spawn, no per-slot lock. With one worker (or one item) the map
-/// runs inline, the deterministic-debugging escape hatch. Shared by the
-/// per-function plan fan-out, the whole-program driver, the link
-/// wavefronts and [`crate::Ompdart::analyze_batch`].
-pub(crate) fn parallel_map_indexed<T, F>(workers: usize, len: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    crate::pool::pool_map(workers, len, f)
-}
-
 /// Stage 6 — source-to-source rewriting.
 pub fn stage_rewrite(
     parsed: &ParsedUnit,
@@ -921,31 +905,19 @@ pub struct UnitBody {
 }
 
 impl UnitBody {
-    /// The one body constructor: parse → input contract → graphs →
-    /// accesses → summaries, by the pure stage functions. A `session` only
-    /// keeps the books: the parse goes through its unit table (and parse
-    /// counters), and each artifact's own `elapsed` is added to its
-    /// cumulative timings. Without one — an accessor building the body of
-    /// a restored unit nobody has looked at yet — nothing is recorded.
+    /// The one body constructor, the plain stage chain: parse → input
+    /// contract → graphs → accesses → summaries. Each artifact records its
+    /// own `elapsed`; the body is the one place a unit's parse lives.
     fn build(
         name: &str,
-        source: &Arc<String>,
+        source: Arc<String>,
         options: &OmpDartOptions,
-        session: Option<&AnalysisSession>,
     ) -> Result<UnitBody, StageError> {
-        let parsed = match session {
-            Some(session) => session.parse_text(name, source, Some(source))?,
-            None => Arc::new(stage_parse_shared(name, Arc::clone(source))?),
-        };
+        let parsed = Arc::new(stage_parse_shared(name, source)?);
         check_input_contract(&parsed)?;
         let graphs = Arc::new(stage_graphs(&parsed.unit));
         let accesses = Arc::new(stage_accesses(&parsed.unit, &graphs));
         let summaries = Arc::new(stage_summaries(&parsed.unit, &accesses, options));
-        if let Some(session) = session {
-            session.add_time(Stage::Graphs, graphs.elapsed);
-            session.add_time(Stage::Accesses, accesses.elapsed);
-            session.add_time(Stage::Summaries, summaries.elapsed);
-        }
         Ok(UnitBody {
             parsed,
             graphs,
@@ -968,9 +940,8 @@ impl UnitBody {
 #[derive(Debug)]
 pub struct SummarizedUnit {
     name: String,
-    /// The source text. Shared with the unit table's version (a resident
-    /// unit is recognised by this pointer) and, for a parsed unit, with the
-    /// body's [`SourceFile`].
+    /// The source text. A resident unit is recognised by this pointer, and
+    /// a parsed unit's body's [`SourceFile`] shares it.
     source: Arc<String>,
     /// The options the body is built under, when it is built on demand.
     options: OmpDartOptions,
@@ -1044,14 +1015,17 @@ impl SummarizedUnit {
         self.body_through(None)
     }
 
-    /// [`Self::body`], built through `session`'s caches and counters if
-    /// there is one.
+    /// [`Self::body`]; one built now is counted in `session`'s
+    /// `parse_misses` if there is one.
     fn body_through(&self, session: Option<&AnalysisSession>) -> &UnitBody {
         // Only a restored unit gets here without a body, and its interface
         // record was written by a run that parsed these very bytes, under
         // these options, without a diagnostic.
         self.body.get_or_init(|| {
-            UnitBody::build(&self.name, &self.source, &self.options, session)
+            if let Some(session) = session {
+                session.counters.add(Counter::parse_misses, 1);
+            }
+            UnitBody::build(&self.name, Arc::clone(&self.source), &self.options)
                 .expect("a unit with a stored interface parsed before")
         })
     }
@@ -1206,19 +1180,14 @@ fn admit<T>(list: &mut Vec<T>, entry: T, bound: usize) {
     list.insert(0, entry);
 }
 
-/// One resident content version of a unit: its source, its parse (where
-/// something parsed it), the summarized unit once
-/// [`AnalysisSession::summarize`] has run on it, and the analyses planned
-/// from that.
+/// One resident content version of a unit: the summarized unit (whose body
+/// holds its parse once built) and the analyses planned from it.
 #[derive(Debug)]
 struct UnitVersion {
-    /// The source every hit is verified against.
+    /// The source every hit is verified against: the unit's own text, held
+    /// here too so that a probe reads it without loading the unit.
     source: Arc<String>,
-    /// `None` while nothing has parsed the version: it was restored from
-    /// the store, and no plan of it has been missed yet.
-    parsed: Option<Arc<ParsedUnit>>,
-    /// `None` while the version has only been parsed.
-    summarized: Option<Arc<SummarizedUnit>>,
+    unit: Arc<SummarizedUnit>,
     /// `(imports fingerprint, analysis)`, most recently used first, at
     /// most [`ANALYSES_PER_VERSION`]. The same content planned under
     /// different link surroundings yields different plans.
@@ -1250,16 +1219,15 @@ impl UnitSlot {
         })
     }
 
-    /// [`Self::version`] of `source`, admitted (around that very text) when
-    /// it is not resident. A concurrent call that raced to the same content
+    /// [`Self::version`] of `unit`'s source, admitted around `unit` when it
+    /// is not resident. A concurrent call that raced to the same content
     /// finds the first writer's version, so every caller observes one set
     /// of `Arc`s (the duplicated work is benign).
-    fn version_or_admit(&mut self, source: &Arc<String>) -> &mut UnitVersion {
-        if self.version(Some(source), source).is_none() {
+    fn version_or_admit(&mut self, unit: &Arc<SummarizedUnit>) -> &mut UnitVersion {
+        if self.version(Some(&unit.source), &unit.source).is_none() {
             let version = UnitVersion {
-                source: Arc::clone(source),
-                parsed: None,
-                summarized: None,
+                source: Arc::clone(&unit.source),
+                unit: Arc::clone(unit),
                 analyses: Vec::new(),
             };
             admit(&mut self.versions, version, VERSIONS_PER_UNIT);
@@ -1273,9 +1241,9 @@ impl UnitSlot {
 /// Every unit the session has seen has **one home**: its slot in the unit
 /// table, indexed by unit name. A slot holds the unit's current content
 /// version and the one before it (`VERSIONS_PER_UNIT`), and a version holds
-/// its source, its [`SummarizedUnit`] — interface, and body once built —
-/// and the few most recent [`UnitAnalysis`] bundles planned from it, one per
-/// imports fingerprint (`ANALYSES_PER_VERSION`). A lookup is a name probe
+/// its [`SummarizedUnit`] — source, interface, and body (the one home of
+/// its parse) once built — and the few most recent [`UnitAnalysis`] bundles
+/// planned from it, one per imports fingerprint (`ANALYSES_PER_VERSION`). A lookup is a name probe
 /// plus a byte compare of the source — never a content hash, and never
 /// another file's artifacts — and a slot never grows past those two bounds, so a
 /// long-lived session (`ompdart watch`, the daemon) stays bounded by the
@@ -1324,10 +1292,6 @@ pub struct AnalysisSession {
     /// until then.
     unseeded: Mutex<HashMap<String, Unseeded>>,
     counters: AtomicCacheStats,
-    /// Cumulative per-stage wall time in nanoseconds, indexed by [`Stage`]:
-    /// relaxed atomics, so concurrent stage calls accumulate without a
-    /// shared lock.
-    cumulative: [AtomicU64; Stage::ALL.len()],
 }
 
 /// What a store hit leaves for [`AnalysisSession::seed_function_plans`]: the
@@ -1371,7 +1335,6 @@ impl AnalysisSession {
             store: None,
             unseeded: Mutex::default(),
             counters: AtomicCacheStats::default(),
-            cumulative: Default::default(),
         }
     }
 
@@ -1487,53 +1450,6 @@ impl AnalysisSession {
         self.counters.snapshot()
     }
 
-    /// Cumulative per-stage wall-clock time spent by this session (cache
-    /// hits add nothing — that is the point).
-    pub fn timings(&self) -> StageTimings {
-        let ns = |i: usize| self.cumulative[i].load(Ordering::Relaxed);
-        StageTimings(std::array::from_fn(|i| Duration::from_nanos(ns(i))))
-    }
-
-    fn add_time(&self, stage: Stage, elapsed: Duration) {
-        self.cumulative[stage as usize].fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Stage 1, cached: parse source text. A hit is a resident version of
-    /// `name` whose source matches byte for byte and which something has
-    /// parsed; identical content always yields one `Arc` for as long as
-    /// that version stays resident.
-    pub fn parse(&self, name: &str, source: &str) -> Result<Arc<ParsedUnit>, StageError> {
-        self.parse_text(name, source, None)
-    }
-
-    /// [`Self::parse`]; a miss parses `shared`, when the caller holds the
-    /// text already, instead of a copy.
-    fn parse_text(
-        &self,
-        name: &str,
-        source: &str,
-        shared: Option<&Arc<String>>,
-    ) -> Result<Arc<ParsedUnit>, StageError> {
-        let resident = |v: &mut UnitVersion| {
-            // A restored unit whose body an accessor built has a parse too.
-            let body = v.summarized.as_ref().and_then(|unit| unit.body_if_built());
-            (v.parsed.clone()).or_else(|| body.map(|body| Arc::clone(&body.parsed)))
-        };
-        if let Some(parsed) = self.resident(name, shared, source, resident) {
-            self.counters.add(Counter::parse_hits, 1);
-            return Ok(parsed);
-        }
-        self.counters.add(Counter::parse_misses, 1);
-        let text = shared.map_or_else(|| Arc::new(source.to_string()), Arc::clone);
-        let parsed = Arc::new(stage_parse_shared(name, text)?);
-        self.add_time(Stage::Parse, parsed.elapsed);
-        let admit = |slot: &mut UnitSlot| {
-            let version = slot.version_or_admit(&parsed.file.shared_text());
-            Arc::clone(version.parsed.get_or_insert(parsed))
-        };
-        Ok(self.units.update(name.to_string(), admit))
-    }
-
     /// The session's one planning call: [`run_plan_stage`] over the
     /// function-plan cache — functions whose key is unchanged since a
     /// previous analysis of this session are served by relocation instead
@@ -1556,7 +1472,6 @@ impl AnalysisSession {
             exports,
         ));
         self.counters.add_all(artifact.counted);
-        self.add_time(Stage::Plan, artifact.elapsed);
         artifact
     }
 
@@ -1642,15 +1557,15 @@ impl AnalysisSession {
     }
 
     /// Phase 1, cached: one unit as the link stage consumes it. Lookup
-    /// order: the unit table, under [`Self::parse`]'s full-source
-    /// verification; then — when a `cache_dir` is attached — the store's
-    /// interface record for this content, which yields the unit without
-    /// parsing anything; then the frontend: parse → graphs → accesses →
-    /// summaries, after which the interface is computed and queued for the
-    /// store (unless the parse produced a diagnostic: such a unit is parsed
-    /// on every start, so its warnings reappear).
+    /// order: the unit table, verified against the full source; then — when
+    /// a `cache_dir` is attached — the store's interface record for this
+    /// content, which yields the unit without parsing anything; then the
+    /// body's stage chain, counted in `parse_misses`, after which the
+    /// interface is computed and queued for the store (unless the parse
+    /// produced a diagnostic: such a unit is parsed on every start, so its
+    /// warnings reappear).
     pub fn summarize(&self, name: &str, source: &str) -> Result<Arc<SummarizedUnit>, StageError> {
-        if let Some(unit) = self.resident(name, None, source, |v| v.summarized.clone()) {
+        if let Some(unit) = self.resident(name, None, source, |v| Some(Arc::clone(&v.unit))) {
             self.counters.add(Counter::summarize_hits, 1);
             return Ok(unit);
         }
@@ -1668,8 +1583,9 @@ impl AnalysisSession {
         let unit = match stored {
             Some(exports) => SummarizedUnit::restored(name, source, &self.options, exports),
             None => {
+                self.counters.add(Counter::parse_misses, 1);
                 let text = Arc::new(source.to_string());
-                let body = UnitBody::build(name, &text, &self.options, Some(self))?;
+                let body = UnitBody::build(name, text, &self.options)?;
                 let clean = body.parsed.diagnostics.is_empty();
                 let unit = SummarizedUnit::parsed_now(name, &self.options, body);
                 if let (Some((store, content)), true) = (keyed, clean) {
@@ -1683,15 +1599,7 @@ impl AnalysisSession {
             let _ = unit.content.set(content);
         }
         let unit = Arc::new(unit);
-        let admit = |slot: &mut UnitSlot| {
-            let version = slot.version_or_admit(&unit.source);
-            if version.summarized.is_none() {
-                // The version is recognised by the unit's own text from now
-                // on (it may have been admitted around a parse's copy).
-                version.source = Arc::clone(&unit.source);
-            }
-            Arc::clone(version.summarized.get_or_insert(unit))
-        };
+        let admit = |slot: &mut UnitSlot| Arc::clone(&slot.version_or_admit(&unit).unit);
         Ok(self.units.update(name.to_string(), admit))
     }
 
@@ -1729,7 +1637,6 @@ impl AnalysisSession {
         // analysis of the same content is admitted first — the duplicated
         // work really happened.
         let (plans, rewrite, served) = self.plan_or_load(unit, imports_fingerprint, link);
-        self.add_time(Stage::Rewrite, rewrite.elapsed);
         let analysis = Arc::new(UnitAnalysis {
             unit: Arc::clone(unit),
             plans,
@@ -1737,8 +1644,7 @@ impl AnalysisSession {
             wire: OnceLock::new(),
         });
         let admit_analysis = |slot: &mut UnitSlot| {
-            let version = slot.version_or_admit(&unit.source);
-            version.summarized.get_or_insert_with(|| Arc::clone(unit));
+            let version = slot.version_or_admit(unit);
             version.analysis(imports_fingerprint).unwrap_or_else(|| {
                 let entry = (imports_fingerprint, Arc::clone(&analysis));
                 admit(&mut version.analyses, entry, ANALYSES_PER_VERSION);
@@ -1905,22 +1811,21 @@ int main() {
     fn cache_hits_skip_every_stage() {
         let session = AnalysisSession::new();
         let first = session.analyze("demo.c", DEMO).unwrap();
-        let before = session.timings();
+        let before = session.cache_stats();
         let second = session.analyze("demo.c", DEMO).unwrap();
-        let after = session.timings();
         assert!(
             Arc::ptr_eq(&first, &second),
             "cache hit must return the same artifacts"
         );
+        let moved = session.cache_stats() - before;
         assert_eq!(
-            before.total(),
-            after.total(),
-            "a cache hit must not spend stage time"
+            (moved.summarize_hits, moved.analysis_hits),
+            (1, 1),
+            "{moved:?}"
         );
-        let stats = session.cache_stats();
-        assert_eq!(stats.analysis_hits, 1);
-        assert_eq!(stats.analysis_misses, 1);
-        assert_eq!(stats.parse_misses, 1);
+        let ran = moved.parse_misses + moved.summarize_misses + moved.analysis_misses;
+        assert_eq!(ran, 0, "a cache hit must not run a stage: {moved:?}");
+        assert_eq!(session.cache_stats().parse_misses, 1);
     }
 
     #[test]
@@ -2120,9 +2025,10 @@ void driver() {
         // Both versions of `x.c` are resident, each under its own bytes.
         let again = session.analyze("x.c", TWO_FUNCS).unwrap();
         assert!(Arc::ptr_eq(&a, &again));
-        let reparsed = session.parse("x.c", DEMO).unwrap();
-        assert!(Arc::ptr_eq(&reparsed, &other.unit().body().parsed));
+        let resummarized = session.summarize("x.c", DEMO).unwrap();
+        assert!(Arc::ptr_eq(&resummarized, other.unit()));
         assert_eq!(session.cache_stats().analysis_misses, 3);
+        assert_eq!(session.cache_stats().parse_misses, 3);
     }
 
     /// Ledger finding 4: a long-lived session is bounded by construction.
@@ -2330,20 +2236,12 @@ static void touch_shared(void) {
 
     #[test]
     fn timings_cover_every_stage() {
-        let session = AnalysisSession::new();
-        let analysis = session.analyze("demo.c", DEMO).unwrap();
+        let analysis = AnalysisSession::new().analyze("demo.c", DEMO).unwrap();
         let timings = analysis.timings();
         assert!(timings.total() > Duration::ZERO);
         let rendered = format!("{timings}");
         for stage in Stage::ALL {
             assert!(rendered.contains(stage.name()), "{rendered}");
-        }
-        // The session's cumulative timings moved for all six stages: the
-        // body's four are added from the artifacts' own `elapsed`.
-        let cumulative = session.timings();
-        for stage in Stage::ALL {
-            assert!(cumulative.of(stage) > Duration::ZERO, "{stage}");
-            assert!(cumulative.of(stage) >= timings.of(stage), "{stage}");
         }
     }
 }

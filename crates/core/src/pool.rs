@@ -1,18 +1,17 @@
-//! The session's persistent worker pool.
+//! The session's persistent worker pool: the one fan-out engine.
 //!
-//! `crate::pipeline::parallel_map_indexed` used to spawn fresh scoped
-//! threads and allocate a `Vec<Mutex<Option<T>>>` on *every* call — and the
-//! whole-program driver calls it once per phase, the plan stage once per
-//! unit, the wavefront engine once per level. This module replaces that
-//! with one lazily-spawned, process-wide pool of workers that pull indices
-//! from a shared claim cursor and write results into pre-sized slots:
+//! Every index-parallel map of the analysis — the per-unit summarize and
+//! plan fan-outs of a program round, the per-function plan fan-out, the link
+//! wavefronts and [`crate::Ompdart::analyze_batch`] — goes through
+//! [`pool_map`]: one lazily-spawned, process-wide pool of workers that pull
+//! indices from a shared claim cursor and write results into pre-sized
+//! slots.
 //!
 //! * **One job at a time.** The pool runs a single index-parallel job; the
 //!   submitting thread participates in the claim loop, so even a pool with
 //!   zero workers (single-core hosts) makes progress. A second concurrent
-//!   submitter finds the pool busy and falls back to classic scoped
-//!   threads — same claim-cursor scheme, fresh threads — so independent
-//!   programs (the daemon's per-program sessions) still overlap.
+//!   submitter finds the pool busy and runs its job on its own thread: the
+//!   job in flight already owns the hardware.
 //! * **Nested fan-outs run inline.** A pool task that itself calls
 //!   `pool_map` (the per-function plan fan-out inside the per-unit program
 //!   fan-out) executes sequentially on its own thread instead of spawning
@@ -24,10 +23,11 @@
 //!
 //! Results are bitwise independent of worker count by construction: the
 //! claim order affects only *which thread* computes an index, never which
-//! value lands in its slot.
+//! value lands in its slot. A panicking task's own payload reaches the
+//! submitter, on every path.
 //!
-//! The pool counts jobs, items, inline/fallback splits, and the
-//! submitter's wait time on job retirement into the process-wide
+//! The pool counts jobs, items, inline/busy splits, and the submitter's
+//! wait time on job retirement into the process-wide
 //! [`crate::stats::ProcessStats`] table.
 
 use crate::stats::{ProcessCounter, PROCESS};
@@ -78,8 +78,6 @@ struct Pool {
     spawned: OnceLock<usize>,
 }
 
-struct PoolBusy;
-
 fn global() -> &'static Pool {
     static POOL: OnceLock<Pool> = OnceLock::new();
     POOL.get_or_init(|| Pool {
@@ -105,9 +103,10 @@ pub fn available_width() -> usize {
 }
 
 /// The width `pool_map` will actually run a large job at for a requested
-/// width: the request capped at the machine's available parallelism.
+/// width: the request capped at the pool's width — the machine's available
+/// parallelism, at most 8.
 pub fn effective_width(requested: usize) -> usize {
-    requested.max(1).min(available_width())
+    requested.clamp(1, crate::pipeline::default_parallelism())
 }
 
 impl Pool {
@@ -154,14 +153,9 @@ impl Pool {
     }
 
     /// Run `task` over indices `0..len` with up to `width` concurrent
-    /// threads (submitter included). Fails fast when another job is in
-    /// flight — the caller falls back to scoped threads.
-    fn run(
-        &'static self,
-        width: usize,
-        len: usize,
-        task: &(dyn Fn(usize) + Sync),
-    ) -> Result<(), PoolBusy> {
+    /// threads (submitter included). Returns `false`, having run nothing,
+    /// when another job is in flight.
+    fn run(&'static self, width: usize, len: usize, task: &(dyn Fn(usize) + Sync)) -> bool {
         self.ensure_workers();
         // SAFETY: lifetime erasure; validity until return is guaranteed by
         // the retirement handshake documented on `JobCore`.
@@ -177,7 +171,7 @@ impl Pool {
         {
             let mut st = self.state.lock().unwrap();
             if st.job.is_some() || st.active > 0 {
-                return Err(PoolBusy);
+                return false;
             }
             st.job = Some(Arc::clone(&core));
         }
@@ -204,7 +198,7 @@ impl Pool {
         if let Some(payload) = core.panic.lock().unwrap().take() {
             std::panic::resume_unwind(payload);
         }
-        Ok(())
+        true
     }
 }
 
@@ -266,47 +260,21 @@ impl<T> Slots<T> {
     }
 }
 
-/// Scoped-thread fallback with the same claim-cursor scheme (used when the
-/// pool is busy with another submitter's job).
-fn scoped_claim_run(workers: usize, len: usize, task: &(dyn Fn(usize) + Sync)) {
-    let next = AtomicUsize::new(0);
-    let claim_loop = || {
-        // Mark fallback threads too, so fan-outs nested under them run
-        // inline instead of stacking yet another layer of threads.
-        IN_POOL_TASK.with(|flag| flag.set(true));
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= len {
-                break;
-            }
-            task(i);
-        }
-        IN_POOL_TASK.with(|flag| flag.set(false));
-    };
-    std::thread::scope(|scope| {
-        for _ in 0..workers.saturating_sub(1) {
-            scope.spawn(claim_loop);
-        }
-        claim_loop();
-    });
-}
-
-/// Order-preserving parallel map over indices `0..len`, the engine behind
-/// [`crate::pipeline::parallel_map_indexed`]. `workers <= 1` (or a single
-/// item) runs inline — the deterministic-debugging escape hatch. Nested
-/// calls from inside a pool task run inline too. Everything else goes
-/// through the persistent pool, falling back to scoped threads when the
-/// pool is already running another job.
-pub(crate) fn pool_map<T, F>(workers: usize, len: usize, f: F) -> Vec<T>
+/// Order-preserving parallel map over indices `0..len` on the persistent
+/// pool, at most [`effective_width`]`(workers)` wide. `workers <= 1` (or a
+/// single item) runs inline — the deterministic-debugging escape hatch —
+/// and so does a fan-out nested in a pool task, or one that finds the pool
+/// busy with another submitter's job.
+pub fn pool_map<T, F>(workers: usize, len: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    // Cap at the machine's parallelism before the item clamp: a width-8
-    // request on a 2-core box runs 2 wide, and on a 1-core box runs
-    // inline — byte-identical results either way (order is positional),
-    // just without the useless submit/wake overhead.
-    let workers = workers.min(available_width()).clamp(1, len.max(1));
+    // Cap at the pool's width before the item clamp: a width-8 request on
+    // a 2-core box runs 2 wide, and on a 1-core box runs inline —
+    // byte-identical results either way (order is positional), just
+    // without the useless submit/wake overhead.
+    let workers = effective_width(workers).min(len);
     if workers <= 1 {
         return (0..len).map(f).collect();
     }
@@ -319,13 +287,13 @@ where
         // SAFETY: each index is claimed exactly once by the claim cursor.
         unsafe { slots.write(i, f(i)) };
     };
-    if global().run(workers, len, &task).is_err() {
+    if !global().run(workers, len, &task) {
         PROCESS.add(ProcessCounter::pool_fallback_jobs, 1);
-        scoped_claim_run(workers, len, &task);
+        return (0..len).map(f).collect();
     }
-    // SAFETY: both paths returned normally, so every index finished and
-    // every cell is initialized (a task panic propagates above and skips
-    // this — initialized cells leak, which is safe).
+    // SAFETY: the job retired normally, so every index finished and every
+    // cell is initialized (a task panic propagates above and skips this —
+    // initialized cells leak, which is safe).
     unsafe { slots.into_vec() }
 }
 
@@ -360,8 +328,9 @@ mod tests {
 
     #[test]
     fn concurrent_submitters_all_complete() {
-        // Two threads submitting simultaneously: one gets the pool, the
-        // other takes the scoped fallback. Both must produce full results.
+        // Four threads submitting at once: one gets the pool, the others
+        // find it busy and run their job on their own thread. All must
+        // produce full results.
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
                 .map(|t| {

@@ -730,8 +730,8 @@ pub struct DriverProfile {
     /// 99th-percentile per-unit latency inside the plan fan-out.
     pub unit_p99: Duration,
     /// Worker count the parallel phases actually ran at: the session's
-    /// [`AnalysisSession::parallelism`] capped at the machine's available
-    /// parallelism ([`crate::pool::effective_width`]).
+    /// [`AnalysisSession::parallelism`] capped at the pool's width
+    /// ([`crate::pool::effective_width`]).
     pub pool_workers: usize,
     /// This and the fields below: the movement of the process-wide
     /// [`crate::stats::ProcessStats`] row of the same name over the call.
@@ -860,7 +860,7 @@ impl ProgramDriver {
         inputs: &[(String, String)],
     ) -> Result<Vec<Arc<SummarizedUnit>>, ProgramError> {
         let threads = self.session.parallelism();
-        let summarized = crate::pipeline::parallel_map_indexed(threads, inputs.len(), |i| {
+        let summarized = crate::pool::pool_map(threads, inputs.len(), |i| {
             let (name, source) = &inputs[i];
             let unit = self.session.summarize(name, source);
             let ready = unit.inspect(|unit| {
@@ -1008,7 +1008,7 @@ impl ProgramDriver {
 
         let phase = Instant::now();
         let threads = self.session.parallelism();
-        let planned = crate::pipeline::parallel_map_indexed(threads, todo.len(), |slot| {
+        let planned = crate::pool::pool_map(threads, todo.len(), |slot| {
             let unit_start = Instant::now();
             let (i, context) = &todo[slot];
             let (analysis, serve) = self.session.analyze_linked(&program.units[*i], context);
@@ -1108,5 +1108,20 @@ mod tests {
              \"pool_fallback_jobs\":0,\"pool_wait_ns\":0,\"lock_wait_ns\":0,\
              \"lock_contentions\":7}"
         );
+    }
+
+    /// A width wider than the pool is reported as the width the pool runs:
+    /// the machine's parallelism, at most 8.
+    #[test]
+    fn a_wider_request_reports_the_pools_width() {
+        let session = AnalysisSession::new().with_parallelism(64);
+        let driver = ProgramDriver::with_session(Arc::new(session));
+        let unit = (
+            "w.c".to_string(),
+            "double a[4];\nvoid f(void) { a[0] = 1.0; }\n".to_string(),
+        );
+        let (_, profile) = driver.analyze_program_profiled(&[unit]).unwrap();
+        let width = crate::pool::available_width().min(8);
+        assert_eq!(profile.pool_workers, width, "{profile:?}");
     }
 }

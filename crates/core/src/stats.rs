@@ -192,10 +192,8 @@ stats_table! {
     /// Cache hit/miss counters of an
     /// [`AnalysisSession`](crate::pipeline::AnalysisSession).
     pub struct CacheStats: u64, counted by Counter in AtomicCacheStats {
-        /// `parse` calls served a resident version's parse from the unit
-        /// table.
-        parse_hits,
-        /// `parse` calls that ran the frontend.
+        /// Unit bodies the session built: units that ran the frontend
+        /// (parse → graphs → accesses → seeds).
         parse_misses,
         /// Unit analyses (`analyze_linked`, and therefore every `analyze`
         /// call and every non-fast-path unit of a program round) served
@@ -258,8 +256,7 @@ stats_table! {
         pool_items,
         /// Nested fan-outs that ran inline on a pool task's thread.
         pool_inline_jobs,
-        /// Fan-outs that found the pool busy and used the scoped-thread
-        /// fallback.
+        /// Jobs that found the pool busy and ran on the submitting thread.
         pool_fallback_jobs,
         /// Nanoseconds submitters spent blocked waiting for the last
         /// worker to finish after their own claim loop ran dry (pool tail
@@ -304,14 +301,14 @@ mod tests {
                 scope.spawn(|| {
                     start.wait();
                     for _ in 0..ADDS {
-                        counters.add(Counter::parse_hits, 1);
+                        counters.add(Counter::parse_misses, 1);
                         counters.add(Counter::fast_path_hits, 2);
                     }
                 });
             }
         });
         let after = counters.snapshot();
-        assert_eq!(after.parse_hits, THREADS * ADDS);
+        assert_eq!(after.parse_misses, THREADS * ADDS);
         assert_eq!(after.fast_path_hits, 2 * THREADS * ADDS);
         assert_eq!(after.store_hits, 7);
 
@@ -329,7 +326,7 @@ mod tests {
         assert_eq!(CacheStats::from_json(&after.to_json()), Ok(after));
         let shown = after.to_string();
         assert!(
-            shown.starts_with("parse_hits=4000 parse_misses=0 "),
+            shown.starts_with("parse_misses=4000 analysis_hits=0 "),
             "{shown}"
         );
         assert!(shown.ends_with(" fast_path_hits=8000"), "{shown}");

@@ -13,7 +13,8 @@ OPTIONS:
   --socket PATH         Unix socket to listen on (default: ompdartd.sock)
   --tcp ADDR            Listen on a TCP address (e.g. 127.0.0.1:7171) instead
   --workers N           Width each program's analysis fans out over
-                        (default: auto, from the machine's parallelism)
+                        (default: auto, from the machine's parallelism;
+                        a larger N is capped at that, at most 8)
   --cache-dir DIR       Persistent store root; each program gets its own
                         subdirectory and survives daemon restarts
   --cache-max-bytes N   LRU size cap per program store (supports k/m/g suffix)

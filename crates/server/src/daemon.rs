@@ -672,7 +672,7 @@ pub type AnalyzedUnit<'a> = (&'a str, UnitServe, &'a UnitAnalysis);
 /// parts — each unit's rewritten source and plan document — are the
 /// analysis's own memoised renderings, so an unchanged unit costs a copy.
 /// `stats` is the request's own movement of the program's counters; its
-/// fifteen integers alone go through [`CacheStats::to_json`], the one
+/// fourteen integers alone go through [`CacheStats::to_json`], the one
 /// place that object's format lives.
 pub fn analyze_response(
     id: Option<i64>,

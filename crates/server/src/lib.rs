@@ -24,8 +24,8 @@
 //! * [`client`] — a synchronous [`client::Client`] for tests, CI drivers,
 //!   and the `ompdart client` CLI verbs.
 //! * [`watch`] — inotify-backed [`watch::DirWatcher`] wakeups for the
-//!   rebuilt `ompdart watch` (with the classic polling loop as `--poll`
-//!   fallback).
+//!   rebuilt `ompdart watch` (with the classic polling loop as the
+//!   fallback where inotify is unavailable).
 //! * [`signal`] — SIGINT/SIGTERM tokens that turn process death into a
 //!   drain-and-flush instead of a lost write-behind buffer.
 

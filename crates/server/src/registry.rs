@@ -37,7 +37,8 @@ pub struct RegistryConfig {
     /// Pessimistic treatment of unknown extern callees' global effects.
     pub pessimistic_globals: bool,
     /// The width each program's analysis — summarize, link and plan — fans
-    /// out over (`--workers`; 0 = auto).
+    /// out over (`--workers`; 0 = auto). Runs are capped at the pool's
+    /// width ([`ompdart_core::pool::effective_width`]).
     pub parallelism: usize,
 }
 

@@ -13,7 +13,7 @@
 //!
 //! The inotify binding is a direct libc FFI (`inotify_init1`/
 //! `inotify_add_watch`/`poll`/`read`) — no external crates. When inotify
-//! is unavailable (exotic filesystems, non-Linux hosts, `--poll`), the
+//! is unavailable (exotic filesystems, non-Linux hosts), the
 //! [`PollWatcher`] degrades to the plain timeout sleep that drives the
 //! classic content-hash re-scan.
 
@@ -54,15 +54,13 @@ impl DirWatcher for PollWatcher {
     }
 }
 
-/// Build the best available watcher for `dir`: inotify on Linux unless
-/// `force_poll`, the polling fallback otherwise (and whenever inotify
-/// setup fails — the watcher must never be the reason watch cannot run).
-pub fn make_watcher(dir: &Path, force_poll: bool) -> Box<dyn DirWatcher> {
-    if !force_poll {
-        #[cfg(target_os = "linux")]
-        if let Some(watcher) = inotify::InotifyWatcher::new(dir) {
-            return Box::new(watcher);
-        }
+/// Build the best available watcher for `dir`: inotify on Linux, the
+/// polling fallback otherwise (and whenever inotify setup fails — the
+/// watcher must never be the reason watch cannot run).
+pub fn make_watcher(dir: &Path) -> Box<dyn DirWatcher> {
+    #[cfg(target_os = "linux")]
+    if let Some(watcher) = inotify::InotifyWatcher::new(dir) {
+        return Box::new(watcher);
     }
     let _ = dir;
     Box::new(PollWatcher)
@@ -195,15 +193,13 @@ mod tests {
     fn inotify_watcher_wakes_on_writes_and_times_out_when_idle() {
         let dir = std::env::temp_dir().join(format!("ompdart-watch-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let mut watcher = make_watcher(&dir, false);
+        let mut watcher = make_watcher(&dir);
         assert_eq!(watcher.backend(), "inotify");
         // Idle: times out.
         assert_eq!(watcher.wait(Duration::from_millis(30)), WatchWake::Timeout);
         // A write wakes it up well before the timeout.
         std::fs::write(dir.join("x.c"), "int main() { return 0; }\n").unwrap();
         assert_eq!(watcher.wait(Duration::from_secs(5)), WatchWake::Changed);
-        // Forced polling really is polling.
-        assert_eq!(make_watcher(&dir, true).backend(), "poll");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -812,8 +812,7 @@ impl<'a> Interpreter<'a> {
         //    and `defaultmap(tofrom: scalar)` compilers): every referenced
         //    variable is copied in on entry and out on exit, which is exactly
         //    the redundancy OMPDart's explicit `firstprivate`/`map` clauses
-        //    remove.
-        let implicit_firstprivate: Vec<String> = Vec::new();
+        //    remove. A scalar holding a pointer maps its pointee instead.
         let mut implicit: Vec<(ObjectId, MapType, Section)> = Vec::new();
         for name in &referenced {
             if explicitly_handled.contains(name)
@@ -825,17 +824,15 @@ impl<'a> Interpreter<'a> {
             let Some(obj) = self.lookup(name) else {
                 continue;
             };
-            let target = match self.mem.object(obj).kind {
+            let mapped = match self.mem.object(obj).kind {
                 ObjectKind::Scalar => match self.mem.read(obj, 0) {
-                    Value::Ptr(p) => Some(p.object),
-                    _ => Some(obj),
+                    Value::Ptr(p) => p.object,
+                    _ => obj,
                 },
-                _ => Some(obj),
+                _ => obj,
             };
-            if let Some(mapped) = target {
-                let whole = Section::whole(self.mem.object(mapped));
-                implicit.push((mapped, MapType::ToFrom, whole));
-            }
+            let whole = Section::whole(self.mem.object(mapped));
+            implicit.push((mapped, MapType::ToFrom, whole));
         }
 
         // 5. Enter all mappings.
@@ -846,10 +843,9 @@ impl<'a> Interpreter<'a> {
                 .map_enter(&self.mem, *obj, *map_type, *section, &mut self.profile);
         }
 
-        // 6. Private copies (explicit firstprivate, implicit scalar
-        //    firstprivate, explicit private).
+        // 6. Private copies (explicit firstprivate, explicit private).
         let mut scope = HashMap::new();
-        for name in firstprivate.iter().chain(implicit_firstprivate.iter()) {
+        for name in &firstprivate {
             if let Some(obj) = self.lookup(name) {
                 let value = self.mem.read(obj, 0);
                 let elem = self.mem.object(obj).elem_bytes;

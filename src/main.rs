@@ -19,7 +19,8 @@
 //! clients, many programs, each program on its own warm incremental
 //! session — and `client` drives it.
 
-use ompdart_core::plan::{diff_plans, extract_explicit_plans, Json, MappingPlan};
+use ompdart_core::pipeline::stage_parse;
+use ompdart_core::plan::{diff_plans, extract_explicit_plans, plans_from_json, Json, MappingPlan};
 use ompdart_core::{ArtifactStore, Ompdart, ProgramError, StageError, UnitAnalysis, UnitServe};
 use ompdart_server::daemon::{DaemonConfig, DaemonHandle, Endpoint};
 use ompdart_server::watch::make_watcher;
@@ -43,7 +44,6 @@ USAGE:
     ompdart batch <input.c>... [--threads <N>] [--out-dir <dir>] [--pessimistic-globals]
     ompdart watch <dir> [--out-dir <dir>] [--cache-dir <dir>] [--cache-max-bytes <N[k|m|g]>]
                   [--pessimistic-globals] [--interval-ms <N>] [--iterations <N>] [--once]
-                  [--poll]
     ompdart daemon [--socket <path> | --tcp <addr>] [--workers <N>] [--cache-dir <dir>]
                    [--cache-max-bytes <N[k|m|g]>] [--pessimistic-globals] [--quiet]
     ompdart client [--socket <path> | --tcp <addr>] [--program <key>] <verb> ...
@@ -106,9 +106,9 @@ SUBCOMMANDS:
                `analyze`; --interval-ms bounds the wait between scans
                (default 500); --iterations exits after N scan cycles;
                --once scans a single time.
-               Wakeups come from inotify where available; --poll forces
-               the classic fixed-interval re-scan. SIGINT/SIGTERM flush
-               the persistent store before exit.
+               Wakeups come from inotify where available, and from the
+               classic fixed-interval re-scan elsewhere. SIGINT/SIGTERM
+               flush the persistent store before exit.
     daemon     Run ompdartd: analysis as a service on a unix socket
                (default ompdartd.sock) or --tcp ADDR, speaking
                length-prefixed JSON requests (analyze, explain, stats,
@@ -117,7 +117,8 @@ SUBCOMMANDS:
                distinct programs run in parallel, and one connection's
                responses come back in request order. --workers sets the
                width each program's analysis fans out over (default:
-               auto). Shutdown (signal or request) finishes in-flight
+               auto, the machine's cores up to 8; a larger N is capped
+               at that). Shutdown (signal or request) finishes in-flight
                requests and flushes every program's store. See README
                \"Analysis as a service\".
     client     Drive a running daemon: `analyze` sends daemon-side
@@ -519,29 +520,14 @@ fn cmd_explain(args: &[String]) -> Result<ExitCode, String> {
 fn load_plans(path: &str) -> Result<Vec<MappingPlan>, String> {
     let content = read_source(path)?;
     if Path::new(path).extension().is_some_and(|e| e == "json") {
-        // A document with a `plans` array is a multi-plan dump; anything
-        // else is treated as a single serialized plan. Deciding the shape
-        // on the parsed value keeps error messages pointing at the real
-        // problem without re-parsing the text.
+        // A document with a `plans` field is a `{version, plans}` dump;
+        // anything else is one serialized plan.
         let doc = Json::parse(&content).map_err(|e| format!("`{path}`: {e}"))?;
-        return match doc.get("plans").and_then(Json::as_array) {
-            Some(items) => {
-                let version = doc.get("version").and_then(Json::as_int);
-                if version != Some(i64::from(ompdart_core::PLAN_FORMAT_VERSION)) {
-                    return Err(format!(
-                        "`{path}`: unsupported or missing plan document version {version:?}"
-                    ));
-                }
-                items
-                    .iter()
-                    .map(MappingPlan::from_json_value)
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(|e| format!("`{path}`: {e}"))
-            }
-            None => MappingPlan::from_json_value(&doc)
-                .map(|p| vec![p])
-                .map_err(|e| format!("`{path}`: {e}")),
+        let plans = match doc.get("plans") {
+            Some(_) => plans_from_json(&content),
+            None => MappingPlan::from_json(&content).map(|plan| vec![plan]),
         };
+        return plans.map_err(|e| format!("`{path}`: {e}"));
     }
     let tool = Ompdart::builder().build();
     match tool.analyze(path, &content) {
@@ -556,12 +542,8 @@ fn load_plans(path: &str) -> Result<Vec<MappingPlan>, String> {
             Ok(analysis.plans().to_vec())
         }
         Err(StageError::AlreadyMapped { .. }) => {
-            // The session's unit table already holds this parse (the
-            // contract check runs after parsing), so this does not re-parse.
-            let parsed = tool
-                .session()
-                .parse(path, &content)
-                .map_err(|e| render_stage_error(path, &content, e))?;
+            let parsed =
+                stage_parse(path, &content).map_err(|e| render_stage_error(path, &content, e))?;
             Ok(extract_explicit_plans(&parsed.unit))
         }
         Err(e) => Err(render_stage_error(path, &content, e)),
@@ -790,7 +772,6 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
     let mut interval_ms: u64 = 500;
     let mut iterations: Option<u64> = None;
     let mut once = false;
-    let mut force_poll = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -823,7 +804,6 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
                 );
             }
             "--once" => once = true,
-            "--poll" => force_poll = true,
             "--pessimistic-globals" => builder = builder.pessimistic_globals(true),
             flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
             path if dir.is_none() => dir = Some(path),
@@ -840,7 +820,7 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
     let shutdown = signal::install();
     // inotify (when available) turns the fixed-interval poll into real
     // wakeups; the interval remains the upper bound between scans.
-    let mut watcher = make_watcher(dir, force_poll);
+    let mut watcher = make_watcher(dir);
     println!(
         "[watch] watching {} via {} (scan bound {interval_ms}ms){}",
         dir.display(),

@@ -77,8 +77,8 @@ fn plan_json_round_trip_rewrites_byte_identically() {
 }
 
 /// The cache returns identical plans for identical source content and skips
-/// every stage: counters prove the second run did not re-parse, and the
-/// cumulative stage timings do not advance on a hit.
+/// every stage: counters prove the second run did not re-parse, and the hit
+/// is the first run's analysis itself, stage timings included.
 #[test]
 fn artifact_cache_returns_identical_plans_without_reparsing() {
     let bench = ompdart_suite::by_name("backprop").unwrap();
@@ -91,8 +91,7 @@ fn artifact_cache_returns_identical_plans_without_reparsing() {
     assert_eq!(stats.analysis_misses, 1);
     assert_eq!(stats.analysis_hits, 0);
     assert_eq!(stats.parse_misses, 1);
-    let spent = session.timings().total();
-    assert!(spent > Duration::ZERO);
+    assert!(first.timings().total() > Duration::ZERO);
 
     let second = session
         .analyze(&bench.unoptimized_file(), bench.unoptimized)
@@ -104,11 +103,6 @@ fn artifact_cache_returns_identical_plans_without_reparsing() {
     );
     assert_eq!(stats.analysis_misses, 1, "a hit must not plan again");
     assert_eq!(stats.parse_misses, 1, "the cache hit must skip re-parsing");
-    assert_eq!(
-        session.timings().total(),
-        spent,
-        "a cache hit must not spend any stage time"
-    );
     assert!(Arc::ptr_eq(&first, &second));
     assert_eq!(first.plans.plans.len(), second.plans.plans.len());
     assert_eq!(first.rewrite.source, second.rewrite.source);
