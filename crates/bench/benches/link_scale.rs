@@ -12,6 +12,11 @@
 //!   edited stage plus its transitive callers), and the same edit at the
 //!   head of the chain, whose cone — and `relink_touched_units` — is a
 //!   handful whatever the corpus size;
+//! * **relink alone** — best-of-[`RELINK_RUNS`] wall times of
+//!   `Program::relink` on one persistent `LinkState` for the mid-chain
+//!   edit, its revert and the head edit, the time and allocator calls per
+//!   re-seeded function of the mid-chain edit, and the best-of-[`COLD_RUNS`]
+//!   cold `Program::link` of the corpus;
 //! * **thread sweep** — the same cold/warm/one-edit trajectory over
 //!   sessions of parallelism 1, 2, 4 and 8 (every phase of a round, each
 //!   unit's function fan-out included, runs at it), each point's rewrites
@@ -30,7 +35,10 @@
 //! `link-scale` job snapshots.
 
 use ompdart_bench::alloc_counter;
-use ompdart_core::{oracle, AnalysisSession, OmpDartOptions, Program, ProgramDriver, Stage};
+use ompdart_core::{
+    oracle, AnalysisSession, LinkState, OmpDartOptions, Program, ProgramDriver, Stage,
+    SummarizedUnit,
+};
 use ompdart_suite::corpus;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -39,6 +47,12 @@ use std::time::{Duration, Instant};
 // bracketed with snapshots to report `allocs_per_unit_cold`.
 #[global_allocator]
 static ALLOC: alloc_counter::CountingAllocator = alloc_counter::CountingAllocator;
+
+/// Relinks timed per edit in the relink block; the best run is reported.
+const RELINK_RUNS: usize = 400;
+
+/// Cold links timed in the relink block; the best run is reported.
+const COLD_RUNS: usize = 20;
 
 fn corpus_units() -> usize {
     std::env::var("LINK_SCALE_UNITS")
@@ -204,6 +218,8 @@ fn main() {
         "re-seeding must stay inside the dirty cone: {reseeded} > {cone_bound}"
     );
 
+    let relink_json = relink_block(&[&inputs, &edited, &head_edited], &options, threads);
+
     // --- Thread sweep: the same trajectory at sessions of parallelism 1, ---
     // 2, 4 and 8, each point byte-identical to the trajectory above.
     let mut sweep_json = String::new();
@@ -272,6 +288,7 @@ fn main() {
          \"relink_reseeded_functions\": {reseeded},\n    \
          \"dirty_cone_bound\": {cone_bound},\n    \
          \"linked_fallbacks\": {linked_fallbacks}\n  }},\n  \
+         \"relink\": {relink_json},\n  \
          \"warm_profile\": {},\n  \"sweep\": [\n{sweep_json}\n  ],\n  \"before\": {}\n}}\n",
         cold_profile.pool_workers,
         cold_profile.to_json(),
@@ -280,4 +297,82 @@ fn main() {
         carried_before(path)
     );
     std::fs::write(path, json).expect("write BENCH_link_scale.json");
+}
+
+/// `Program::relink` alone, on one persistent [`LinkState`] over the
+/// corpus: `programs` is the corpus, its mid-chain edit and its head edit.
+/// Each run relinks the mid-chain edit, reverts it, relinks the head edit
+/// and reverts that; the best of [`RELINK_RUNS`] is reported per step, with
+/// what the mid-chain edit re-seeds, its time and allocator calls per
+/// re-seeded function, and the best of [`COLD_RUNS`] cold `Program::link`s.
+/// Prints a `link_scale_relink:` line and returns the JSON object.
+fn relink_block(
+    programs: &[&Vec<(String, String)>; 3],
+    options: &OmpDartOptions,
+    threads: usize,
+) -> String {
+    let session = AnalysisSession::with_options(*options);
+    // Interfaces are memoised on first use: export them up front, as the
+    // driver's summarize phase does.
+    let summarize = |inputs: &Vec<(String, String)>| -> Vec<Arc<SummarizedUnit>> {
+        let unit = |(name, source): &(String, String)| {
+            let unit = session
+                .summarize(name, source)
+                .expect("a corpus unit summarizes");
+            unit.exports();
+            unit
+        };
+        inputs.iter().map(unit).collect()
+    };
+    let [base, mid, head] = programs.map(summarize);
+    let timed = |units: &Vec<Arc<SummarizedUnit>>, state: &mut LinkState| {
+        let units = units.clone();
+        let t = Instant::now();
+        let program = Program::relink(units, options, threads, state);
+        let elapsed = t.elapsed().as_secs_f64() * 1e3;
+        program.expect("the corpus links");
+        elapsed
+    };
+
+    let mut cold_link_ms = f64::INFINITY;
+    for _ in 0..COLD_RUNS {
+        cold_link_ms = cold_link_ms.min(timed(&base, &mut LinkState::default()));
+    }
+    let before = alloc_counter::snapshot();
+    timed(&base, &mut LinkState::default());
+    let cold_allocs = alloc_counter::snapshot().since(&before).allocations;
+
+    let mut state = LinkState::default();
+    timed(&base, &mut state);
+    let [mut mid_ms, mut revert_ms, mut head_ms] = [f64::INFINITY; 3];
+    let mut reseeded = 0;
+    for _ in 0..RELINK_RUNS {
+        mid_ms = mid_ms.min(timed(&mid, &mut state));
+        reseeded = state.reseeded();
+        revert_ms = revert_ms.min(timed(&base, &mut state));
+        head_ms = head_ms.min(timed(&head, &mut state));
+        timed(&base, &mut state);
+    }
+    let before = alloc_counter::snapshot();
+    timed(&mid, &mut state);
+    let mid_allocs = alloc_counter::snapshot().since(&before).allocations;
+    timed(&base, &mut state);
+
+    let ns_per_reseeded = mid_ms * 1e6 / reseeded.max(1) as f64;
+    let allocs_per_reseeded = mid_allocs as f64 / reseeded.max(1) as f64;
+    eprintln!(
+        "link_scale_relink: mid_edit={mid_ms:.3}ms revert={revert_ms:.3}ms \
+         head_edit={head_ms:.3}ms reseeded={reseeded} \
+         ns_per_reseeded_function={ns_per_reseeded:.0} \
+         allocs_per_reseeded_function={allocs_per_reseeded:.2} \
+         cold_link={cold_link_ms:.3}ms cold_link_allocs={cold_allocs}"
+    );
+    format!(
+        "{{\"runs\": {RELINK_RUNS}, \"mid_edit_ms\": {mid_ms:.3}, \
+         \"mid_revert_ms\": {revert_ms:.3}, \"head_edit_ms\": {head_ms:.3}, \
+         \"reseeded_functions\": {reseeded}, \
+         \"ns_per_reseeded_function\": {ns_per_reseeded:.0}, \
+         \"allocs_per_reseeded_function\": {allocs_per_reseeded:.2}, \
+         \"cold_link_ms\": {cold_link_ms:.3}, \"cold_link_allocs\": {cold_allocs}}}"
+    )
 }

@@ -1,21 +1,25 @@
 //! Allocation-count regression gates.
 //!
-//! Registers the counting allocator and asserts three ceilings. A cold
+//! Registers the counting allocator and asserts four ceilings. A cold
 //! whole-program analysis stays under a *generous* allocations-per-unit
 //! ceiling — an order-of-magnitude tripwire, not a precision benchmark: the
 //! interned frontend plus pre-sized plan buffers land far below it; only a
 //! wholesale return to per-token `String` churn should ever trip it.
 //! Parsing the port units and planning the nine single-file ports each stay
 //! within a budget tight enough that a per-token allocation in the frontend,
-//! or a copy of the AST in the planner, cannot come back unnoticed.
+//! or a copy of the AST in the planner, cannot come back unnoticed. A
+//! mid-chain relink allocates per re-converged function only the summary
+//! it converged to.
 
 use ompdart_bench::alloc_counter;
 use ompdart_core::pipeline::{
     stage_accesses, stage_graphs, stage_parse, stage_plans, stage_summaries,
 };
-use ompdart_core::{OmpDartOptions, ProgramDriver};
+use ompdart_core::{
+    AnalysisSession, LinkState, OmpDartOptions, Program, ProgramDriver, SummarizedUnit,
+};
 use ompdart_suite::corpus;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 #[global_allocator]
 static ALLOC: alloc_counter::CountingAllocator = alloc_counter::CountingAllocator;
@@ -42,6 +46,73 @@ const MAX_ALLOCS_PER_UNIT_COLD: f64 = 4000.0;
 /// directive and clause text lexed again and a token vector per pragma
 /// clause and per `#if`, it was 352, 17 of them reallocations.
 const MAX_PARSE_ALLOCS_PER_UNIT: f64 = 330.0;
+
+/// Allocator calls per function a mid-chain relink re-seeds. A function
+/// whose summary moves costs a copy of its summary (the node of its global
+/// effects) and the `Arc` it is stored behind; the walk, the cone's
+/// condensation and the refresh of what observes the moved summaries cost a
+/// fixed handful of vectors for the whole round. Over `Symbol`-keyed maps,
+/// with a hash map and a result vector per component and a vector per
+/// wavefront, the same relink allocated 4 064 times for its 501 functions,
+/// about 8 per function, and failed this gate; it now allocates about 2
+/// per function.
+const MAX_RELINK_ALLOCS_PER_RESEEDED: f64 = 3.0;
+
+#[test]
+fn a_mid_chain_relink_stays_within_its_allocation_budget() {
+    let _one_at_a_time = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+    let options = OmpDartOptions::default();
+    let session = AnalysisSession::with_options(options);
+    let threads = session.parallelism();
+    // Interfaces are memoised on first use: summarize and export up front,
+    // as the driver's summarize phase does.
+    let summarize = |inputs: &[(String, String)]| -> Vec<Arc<SummarizedUnit>> {
+        let unit = |(name, source): &(String, String)| {
+            let unit = session
+                .summarize(name, source)
+                .expect("a corpus unit summarizes");
+            unit.exports();
+            unit
+        };
+        inputs.iter().map(unit).collect()
+    };
+    let base = corpus::generate(1000, 42);
+    let mut edited = base.clone();
+    corpus::edit_one_function(&mut edited, 500);
+    let (base, edited) = (summarize(&base), summarize(&edited));
+
+    let before = alloc_counter::snapshot();
+    let cold = Program::link(base.clone(), &options).expect("the corpus links");
+    let cold_spent = alloc_counter::snapshot().since(&before);
+    drop(cold);
+
+    let mut state = LinkState::default();
+    for units in [&base, &edited, &base] {
+        Program::relink(units.clone(), &options, threads, &mut state).expect("the corpus links");
+    }
+    let units = edited.clone();
+    let before = alloc_counter::snapshot();
+    let relinked = Program::relink(units, &options, threads, &mut state);
+    let spent = alloc_counter::snapshot().since(&before);
+    relinked.expect("the corpus links");
+    let reseeded = state.reseeded();
+    assert!(reseeded >= 500, "the cone of stage_500 re-seeds {reseeded}");
+    let per_function = spent.allocations as f64 / reseeded as f64;
+    eprintln!(
+        "alloc_gate: a mid-chain relink re-seeded {reseeded} functions with {} allocator \
+         calls ({per_function:.2} per function, {} KB); a cold Program::link of the \
+         corpus: {} calls, {} KB",
+        spent.allocations,
+        spent.bytes / 1024,
+        cold_spent.allocations,
+        cold_spent.bytes / 1024
+    );
+    assert!(
+        per_function <= MAX_RELINK_ALLOCS_PER_RESEEDED,
+        "a mid-chain relink allocated {per_function:.2} times per re-seeded function \
+         (budget {MAX_RELINK_ALLOCS_PER_RESEEDED})"
+    );
+}
 
 #[test]
 fn parsing_the_port_units_stays_within_its_allocation_budget() {

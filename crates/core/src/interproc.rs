@@ -13,15 +13,19 @@
 //!
 //! One engine serves the one fixed point, the link's
 //! ([`crate::program::Program::relink`], for a unit alone as for a
-//! program): [`ProgramSummaries::propagate_incremental`] re-converges, in
-//! place, just the caller-closed cone the link hands it — condensing only
-//! the cone's subgraph, with every converged summary held behind its own
-//! `Arc` so that starting from a previous fixed point copies pointers. A
-//! cold link's cone is every function. [`ProgramSummaries::propagate`]
-//! converges a whole node set from its seeds with the same engine, for
-//! [`crate::program::Program::propagate_merged`], which times it alone.
+//! program). The link keeps one table of functions, [`ProgramSummaries`]:
+//! every resolved name it defines or calls has a dense `FuncId`, the
+//! index of its `Slot` — where the function is defined, its converged
+//! summary behind its own `Arc` and that summary's fingerprint, its callers
+//! and its call sites resolved to ids. `ProgramSummaries::converge`
+//! re-converges, in place, just the caller-closed cone the link hands it,
+//! reading and writing summaries by id: it condenses only the cone's
+//! subgraph, and starting from a previous fixed point copies pointers. A
+//! cold link's cone is every function. An FNV name → id index serves
+//! lookups by name ([`ProgramSummaries::summary`]).
 
 use crate::access::{Access, AccessKind, AccessOrigin, CallSite, FunctionAccesses, SymbolTable};
+use crate::scc::{condense, Condensation};
 use crate::validity::{Position, States, Transfers, VarState, Walker};
 use ompdart_frontend::ast::{FunctionDef, ParamDecl, TranslationUnit};
 use ompdart_frontend::intern::FnvBuild;
@@ -245,13 +249,63 @@ pub struct FunctionSummary {
     pub has_kernels: bool,
 }
 
-/// Summaries for every function definition in the translation unit.
+/// A function's dense index into a [`ProgramSummaries`] table: given the
+/// first time its resolved name is defined or called, and handed to
+/// another name once nothing defines or calls this one any more.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct FuncId(u32);
+
+impl FuncId {
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// One function of the table, by id.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Slot {
+    /// The resolved name (statics mangled).
+    pub(crate) name: Symbol,
+    /// The definition: the defining unit's index in the program and the
+    /// function's index in that unit's
+    /// [`UnitExports::functions`](crate::interface::UnitExports). `None`
+    /// for a name that is only called.
+    pub(crate) def: Option<(usize, usize)>,
+    /// The definition's local fingerprint, kept when its unit leaves so a
+    /// namesake that arrives in the same relink can be compared with it.
+    pub(crate) local_fp: u64,
+    /// The converged summary; `None` while nothing defines the name.
+    pub(crate) summary: Option<Arc<FunctionSummary>>,
+    /// `summary_fingerprint` of `summary`: re-hashed only when a relink
+    /// moves the summary.
+    pub(crate) summary_fp: u64,
+    /// The defined functions calling this one, once per call site.
+    pub(crate) callers: Vec<FuncId>,
+    /// The definition's callees, one per call site, in the order of its
+    /// [`PropagationNode::calls`].
+    pub(crate) calls: Vec<FuncId>,
+    /// Scratch of the latest walk to stamp the slot (see
+    /// [`ProgramSummaries::next_epoch`]): `mark` is that walk's epoch, `pos`
+    /// what the walk keeps per function. A walk tests membership by
+    /// comparing `mark` with its own epoch, so nothing is ever cleared.
+    pub(crate) mark: u32,
+    pub(crate) pos: usize,
+}
+
+/// Summaries of functions — the link's table of every function it defines
+/// or calls, indexed by `FuncId`, or a lookup-only view over one.
 #[derive(Clone, Debug, Default)]
 pub struct ProgramSummaries {
-    /// One `Arc` per function: seeds flow from the summaries stage through
-    /// the fixed point into every per-unit view as pointer copies,
-    /// and cloning a whole converged set deep-copies nothing.
-    pub(crate) functions: HashMap<Symbol, Arc<FunctionSummary>>,
+    /// The slots, by id; a retired id's slot waits in `free`.
+    pub(crate) slots: Vec<Slot>,
+    /// Resolved name → id, for every live id. FNV is safe here: a
+    /// `Symbol` hashes as the number the interner gave it, in order of
+    /// first sight, not as text the input could choose to collide.
+    ids: HashMap<Symbol, FuncId, FnvBuild>,
+    /// Retired ids, handed out again before the table grows.
+    free: Vec<FuncId>,
+    /// The epoch of the latest walk (see [`Slot::mark`]).
+    epoch: u32,
     /// Optional fall-through layer for [`Self::summary`] lookups: an
     /// [`Self::overlay`] view holds only its own (shadowing) entries and
     /// resolves everything else here, so building a per-unit view over a
@@ -507,11 +561,104 @@ pub fn visible_globals(unit: &TranslationUnit) -> Vec<Symbol> {
 }
 
 impl ProgramSummaries {
-    /// Run the call-site propagation to a fixed point over pre-computed
-    /// per-function seeds (consumed: the converged result is built in
-    /// place) — the SCC-wavefront engine with up to `threads` workers.
-    /// Seeds can come from a cache, and the link stage feeds it nodes
-    /// spanning several translation units.
+    /// A table holding `summaries`, each under its name.
+    pub(crate) fn of(
+        summaries: impl IntoIterator<Item = (Symbol, Arc<FunctionSummary>)>,
+    ) -> ProgramSummaries {
+        let mut table = ProgramSummaries::default();
+        for (name, summary) in summaries {
+            let id = table.intern(name);
+            table.slot_mut(id).summary = Some(summary);
+        }
+        table
+    }
+
+    /// The id of `name`, if the table holds it.
+    pub(crate) fn id(&self, name: Symbol) -> Option<FuncId> {
+        self.ids.get(&name).copied()
+    }
+
+    /// The id of `name`, given a fresh slot — a retired id's first — if the
+    /// table does not hold it yet.
+    pub(crate) fn intern(&mut self, name: Symbol) -> FuncId {
+        if let Some(id) = self.id(name) {
+            return id;
+        }
+        let id = self.free.pop().unwrap_or_else(|| {
+            let id = u32::try_from(self.slots.len()).expect("fewer than 2^32 functions");
+            self.slots.push(Slot::default());
+            FuncId(id)
+        });
+        self.slot_mut(id).name = name;
+        self.ids.insert(name, id);
+        id
+    }
+
+    /// Retire `id` if nothing defines or calls its name any more: the name
+    /// leaves the index and the id waits for the next [`Self::intern`].
+    /// Retiring an id twice is retiring it once.
+    pub(crate) fn retire_if_unused(&mut self, id: FuncId) {
+        let slot = &self.slots[id.index()];
+        if slot.def.is_some() || !slot.callers.is_empty() || self.id(slot.name) != Some(id) {
+            return;
+        }
+        self.ids.remove(&slot.name);
+        // The empty lists keep their capacity for the next name.
+        let slot = self.slot_mut(id);
+        *slot = Slot {
+            callers: std::mem::take(&mut slot.callers),
+            calls: std::mem::take(&mut slot.calls),
+            ..Slot::default()
+        };
+        self.free.push(id);
+    }
+
+    /// Number of live ids: the names the table's program defines or calls.
+    #[cfg(test)]
+    pub(crate) fn live_ids(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Number of slots, live and retired: the most ids ever live at once.
+    #[cfg(test)]
+    pub(crate) fn slot_count(&self) -> usize {
+        self.slots.len()
+    }
+
+    pub(crate) fn slot(&self, id: FuncId) -> &Slot {
+        &self.slots[id.index()]
+    }
+
+    pub(crate) fn slot_mut(&mut self, id: FuncId) -> &mut Slot {
+        &mut self.slots[id.index()]
+    }
+
+    /// The summary of the function `id`, if it has one.
+    fn summary_of(&self, id: FuncId) -> Option<&FunctionSummary> {
+        self.slot(id).summary.as_deref()
+    }
+
+    /// A fresh epoch to stamp slots with: greater than every
+    /// [`Slot::mark`] in the table.
+    pub(crate) fn next_epoch(&mut self) -> u32 {
+        if self.epoch == u32::MAX {
+            for slot in &mut self.slots {
+                slot.mark = 0;
+            }
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.epoch
+    }
+
+    /// Converge the functions `ids`, defined as `nodes` (one node per id)
+    /// and each starting from the summary its slot holds, in place, with
+    /// up to `threads` workers — the SCC-wavefront engine. The callees of
+    /// the functions outside `ids` are read, never updated, so `ids` must
+    /// be closed under "is called by" or their summaries already converged
+    /// against `ids`' old ones: the link hands it the cone of every dirty
+    /// function plus its transitive callers, with each reset to its seed,
+    /// and a cold link every function.
     ///
     /// When `clobber_globals` is set (the opt-in pessimistic-globals mode),
     /// a call to a function with no summary (and not a pure builtin) merges
@@ -520,116 +667,94 @@ impl ProgramSummaries {
     /// function that calls an unknown extern see the globals clobbered too,
     /// not just the direct call site.
     ///
-    /// The call graph is condensed into strongly connected components
-    /// ([`crate::scc::condense`]); components within one wavefront share no
-    /// edges and converge in parallel, and only genuinely recursive
-    /// components iterate internally (an acyclic component converges in a
-    /// single visit once its callees are final, because its summary is a
-    /// fixed union of already-converged values). Effects form a finite
-    /// monotone lattice, so the least fixed point is unique: the result is
-    /// bitwise identical for every `threads` value and identical to the
-    /// sequential reference sweep (`oracle::propagate_sequential`) whenever
-    /// that is given enough passes to converge.
-    ///
-    /// Only a recursive component iterates, until nothing in it changes;
-    /// acyclic components never consume more than one pass, which is what
+    /// The call graph among `ids` is condensed into strongly connected
+    /// components ([`crate::scc::condense`]); every strongly connected
+    /// component is a set of mutual transitive callers, so a cone covers
+    /// whole components and condensing its own subgraph yields exactly the
+    /// components (and callee-before-caller order) a whole-program
+    /// condensation would, at the cone's cost. Wavefront levels are
+    /// processed in ascending order; within one level the components share
+    /// no edges, so up to `threads` workers converge them concurrently
+    /// against the table as the previous levels left it, and a wavefront of
+    /// one component converges on the calling thread. Only a recursive
+    /// component iterates, until nothing in it changes; an acyclic one
+    /// converges in a single visit once its callees are final, because its
+    /// summary is a fixed union of already-converged values — which is what
     /// makes thousand-deep cross-unit call chains converge in one wavefront
-    /// sweep instead of a thousand whole-program passes.
-    pub fn propagate(
-        nodes: &[PropagationNode<'_>],
-        seeds: HashMap<Symbol, Arc<FunctionSummary>>,
-        clobber_globals: bool,
-        threads: usize,
-    ) -> ProgramSummaries {
-        let mut result = ProgramSummaries {
-            functions: seeds,
-            base: None,
-            passes: 0,
-        };
-        result.run_wavefronts(nodes, clobber_globals, threads);
-        result
-    }
-
-    /// Incremental propagation, in place: `self` is a *previously
-    /// converged* summary set and `cone` a set of functions closed under
-    /// "is called by" — every dirty function plus its transitive callers,
-    /// the only summaries that can depend on a dirty one (the link stage
-    /// keeps the reverse call graph that yields it). Each cone entry is
-    /// reset to its fresh seed, or dropped when the function no longer
-    /// exists (`None`) — a shrunk seed must not keep stale effects alive —
-    /// and `nodes`, the cone's surviving functions, are re-converged
-    /// against the stable out-of-cone values with up to `threads` workers.
-    /// Returns what each cone entry held before, in `cone` order.
-    ///
-    /// Because the out-of-cone summaries depend only on out-of-cone seeds
-    /// (no transitive call reaches a dirty function), they are already at
-    /// the least fixed point and the result is identical to a cold
-    /// [`Self::propagate`] over all nodes. Every strongly connected
-    /// component is a set of mutual transitive callers, so the cone always
-    /// covers whole components: condensing the cone's own subgraph yields
-    /// exactly the components (and callee-before-caller order) a
-    /// whole-program condensation would, at the cone's cost.
-    pub fn propagate_incremental(
+    /// sweep instead of a thousand whole-program passes. Effects form a
+    /// finite monotone lattice, so the least fixed point is unique: the
+    /// result is bitwise identical for every `threads` value and identical
+    /// to the sequential reference sweep (`oracle::propagate_sequential`)
+    /// whenever that is given enough passes to converge. `passes` reports
+    /// the deepest inner iteration any single component needed.
+    pub(crate) fn converge(
         &mut self,
-        cone: Vec<(Symbol, Option<Arc<FunctionSummary>>)>,
-        nodes: &[PropagationNode<'_>],
-        clobber_globals: bool,
-        threads: usize,
-    ) -> Vec<Option<Arc<FunctionSummary>>> {
-        let previous = cone
-            .into_iter()
-            .map(|(name, seed)| match seed {
-                Some(seed) => self.functions.insert(name, seed),
-                None => self.functions.remove(&name),
-            })
-            .collect();
-        if !nodes.is_empty() {
-            self.run_wavefronts(nodes, clobber_globals, threads);
-        }
-        previous
-    }
-
-    /// The SCC-wavefront engine shared by the cold and incremental fixed
-    /// points: converges exactly `nodes`, reading (never updating) the
-    /// summary of any callee outside them.
-    ///
-    /// Wavefront levels are processed in ascending order; within one level
-    /// the components share no edges, so up to `threads` workers converge
-    /// them concurrently against an immutable snapshot of the summaries and
-    /// their (disjoint) results are merged back between levels. `passes`
-    /// reports the deepest inner iteration any single component needed —
-    /// the wavefront analogue of the old whole-program pass count.
-    fn run_wavefronts(
-        &mut self,
+        ids: &[FuncId],
         nodes: &[PropagationNode<'_>],
         clobber_globals: bool,
         threads: usize,
     ) {
-        let cond = crate::scc::condense(&call_graph(nodes));
+        debug_assert_eq!(ids.len(), nodes.len());
+        // Stamp the node set: a callee is a node when its mark is this
+        // epoch, and `pos` is then its node index.
+        let epoch = self.next_epoch();
+        for (pos, &id) in ids.iter().enumerate() {
+            let slot = self.slot_mut(id);
+            (slot.mark, slot.pos) = (epoch, pos);
+        }
+        // The node set's call graph, flat: node `v`'s callees are
+        // `targets[starts[v]..starts[v + 1]]`.
+        let mut starts = Vec::with_capacity(ids.len() + 1);
+        let mut targets = Vec::new();
+        starts.push(0);
+        for &id in ids {
+            targets.extend(self.slot(id).calls.iter().filter_map(|&callee| {
+                let callee = self.slot(callee);
+                (callee.mark == epoch).then_some(callee.pos)
+            }));
+            starts.push(targets.len());
+        }
+        let cond = condense(ids.len(), |v| &targets[starts[v]..starts[v + 1]]);
 
+        let engine = Engine {
+            ids,
+            nodes,
+            cond: &cond,
+            epoch,
+            clobber_globals,
+        };
+        let width = crate::pool::effective_width(threads);
         let mut deepest = 0usize;
-        for wavefront in &cond.wavefronts {
-            let results = {
-                let base = &self.functions;
-                crate::pool::pool_map(threads, wavefront.len(), |slot| {
-                    let c = wavefront[slot];
-                    converge_component(
-                        nodes,
-                        base,
-                        &cond.members[c],
-                        cond.cyclic[c],
-                        clobber_globals,
-                    )
-                })
-            };
-            for (updates, inner) in results {
-                deepest = deepest.max(inner);
-                for (name, summary) in updates {
-                    self.functions.insert(name, Arc::new(summary));
+        let mut updates = Vec::new();
+        for wavefront in cond.wavefronts() {
+            if width <= 1 || wavefront.len() == 1 {
+                // Components of one wavefront read none of each other's
+                // summaries: each is stored as soon as it converged.
+                for &c in wavefront {
+                    deepest = deepest.max(engine.component(self, c, &mut updates));
+                    self.store(&mut updates);
                 }
+                continue;
+            }
+            let table = &*self;
+            let results = crate::pool::pool_map(threads, wavefront.len(), |k| {
+                let mut updates = Vec::new();
+                let inner = engine.component(table, wavefront[k], &mut updates);
+                (updates, inner)
+            });
+            for (mut converged, inner) in results {
+                deepest = deepest.max(inner);
+                self.store(&mut converged);
             }
         }
         self.passes = deepest;
+    }
+
+    /// Put each converged summary of `updates` behind its own `Arc`.
+    fn store(&mut self, updates: &mut Vec<(FuncId, FunctionSummary)>) {
+        for (id, summary) in updates.drain(..) {
+            self.slot_mut(id).summary = Some(Arc::new(summary));
+        }
     }
 
     /// A lookup-only view over `base`: [`Self::summary`] resolves names
@@ -642,9 +767,9 @@ impl ProgramSummaries {
         own: impl IntoIterator<Item = (Symbol, Arc<FunctionSummary>)>,
     ) -> ProgramSummaries {
         ProgramSummaries {
-            functions: own.into_iter().collect(),
             passes: base.passes,
             base: Some(base),
+            ..ProgramSummaries::of(own)
         }
     }
 
@@ -655,51 +780,188 @@ impl ProgramSummaries {
     }
 
     fn summary_sym(&self, name: Symbol) -> Option<&FunctionSummary> {
-        match self.functions.get(&name) {
+        match self.own_summary(name) {
             Some(summary) => Some(summary),
             None => self.base.as_ref().and_then(|base| base.summary_sym(name)),
         }
     }
 
+    /// The summary of `name` in this table, not its base.
+    fn own_summary(&self, name: Symbol) -> Option<&FunctionSummary> {
+        self.summary_of(self.id(name)?)
+    }
+
     /// Iterate all summaries (unspecified order).
     pub fn iter(&self) -> impl Iterator<Item = (&Symbol, &FunctionSummary)> {
-        self.functions.iter().map(|(name, s)| (name, &**s))
+        (self.slots.iter()).filter_map(|slot| Some((&slot.name, slot.summary.as_deref()?)))
     }
 
     /// Number of summarized functions.
     pub fn len(&self) -> usize {
-        self.functions.len()
+        self.iter().count()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.functions.is_empty()
+        self.iter().next().is_none()
     }
 
-    /// True when both sides converged to identical summaries. `passes` — a
+    /// True when both sides converged to identical summaries, name by name
+    /// (two tables number the same functions differently). `passes` — a
     /// diagnostic count whose value depends on the engine — is ignored;
     /// every effect, parameter slot, and global entry must match exactly.
     pub fn same_summaries(&self, other: &ProgramSummaries) -> bool {
-        self.functions == other.functions
+        self.len() == other.len()
+            && (self.iter()).all(|(&name, summary)| other.own_summary(name) == Some(summary))
     }
 }
 
-/// The call graph among `nodes` as adjacency lists (calls leaving the node
-/// set are not edges).
-pub(crate) fn call_graph(nodes: &[PropagationNode<'_>]) -> Vec<Vec<usize>> {
-    let index: HashMap<Symbol, usize> = nodes
-        .iter()
-        .enumerate()
-        .map(|(i, node)| (node.name, i))
-        .collect();
-    nodes
-        .iter()
-        .map(|node| {
-            node.calls
-                .iter()
-                .filter_map(|call| index.get(&call.callee).copied())
-                .collect()
-        })
-        .collect()
+/// The node set [`ProgramSummaries::converge`] converges, read by every
+/// component against the table as the previous wavefronts left it.
+struct Engine<'a> {
+    /// The node set's ids, by node index.
+    ids: &'a [FuncId],
+    nodes: &'a [PropagationNode<'a>],
+    cond: &'a Condensation,
+    /// The epoch the node set is stamped with.
+    epoch: u32,
+    clobber_globals: bool,
+}
+
+impl Engine<'_> {
+    /// Converge component `c`, pushing the summaries that changed onto
+    /// `updates`; returns the number of inner passes it took.
+    ///
+    /// An acyclic component's converged summary is its seed unioned with
+    /// fixed (already converged) callee contributions; unions are
+    /// idempotent and commutative, so a single visit reaches the fixed
+    /// point. A recursive component iterates until no summary changes:
+    /// merging only ever sets a may or exposed bit, clears an exit-current
+    /// bit or adds a global, so every pass but the last moves at least one
+    /// bit for good and the bits of the component's summaries bound the
+    /// passes.
+    fn component(
+        &self,
+        table: &ProgramSummaries,
+        c: usize,
+        updates: &mut Vec<(FuncId, FunctionSummary)>,
+    ) -> usize {
+        let members = self.cond.members(c);
+        if !self.cond.cyclic[c] {
+            // One member and no self-call: every callee is final.
+            let v = members[0];
+            let id = self.ids[v];
+            if self.nodes[v].calls.is_empty() {
+                return 1;
+            }
+            let mut caller = table.summary_of(id).cloned().unwrap_or_default();
+            if self.visit(table, v, &mut caller, |callee| table.summary_of(callee)) {
+                updates.push((id, caller));
+            }
+            return 1;
+        }
+        // Working copies, by member, exist only for members whose summary
+        // actually changes; the others keep their slot's `Arc`.
+        let mut local: Vec<Option<FunctionSummary>> = vec![None; members.len()];
+        let member = |callee: FuncId| {
+            let slot = table.slot(callee);
+            let pos = slot.pos;
+            let inside = slot.mark == self.epoch && self.cond.comp[pos] == c;
+            inside.then(|| {
+                members
+                    .binary_search(&pos)
+                    .expect("a member of its component")
+            })
+        };
+        let mut passes = 0usize;
+        loop {
+            passes += 1;
+            let mut changed = false;
+            for (m, &v) in members.iter().enumerate() {
+                let id = self.ids[v];
+                if self.nodes[v].calls.is_empty() {
+                    continue;
+                }
+                // Hoist the member's working summary out once per visit
+                // instead of cloning it per call edge; it goes back only
+                // if this visit (or an earlier pass) changed it.
+                let (mut caller, was_local) = match local[m].take() {
+                    Some(summary) => (summary, true),
+                    None => (table.summary_of(id).cloned().unwrap_or_default(), false),
+                };
+                // In-component callees live in `local` (and shadow their
+                // stale slot); everything else is final in the table.
+                let caller_changed = self.visit(table, v, &mut caller, |callee| {
+                    let working = member(callee).and_then(|k| local[k].as_ref());
+                    working.or_else(|| table.summary_of(callee))
+                });
+                if caller_changed || was_local {
+                    local[m] = Some(caller);
+                }
+                changed |= caller_changed;
+            }
+            if !changed {
+                break;
+            }
+            let summaries = (members.iter().enumerate())
+                .filter_map(|(m, &v)| local[m].as_ref().or_else(|| table.summary_of(self.ids[v])));
+            let bits: usize = summaries
+                .map(|s| 1 + 8 * (s.param_effects.len() + s.global_effects.len()))
+                .sum();
+            assert!(
+                passes <= bits,
+                "a recursive component of {} function(s) still changes after {passes} passes \
+                 over {bits} bits: merging is not monotone",
+                members.len()
+            );
+        }
+        for (m, &v) in members.iter().enumerate() {
+            let (mut summary, was_local) = match local[m].take() {
+                Some(summary) => (summary, true),
+                None => match table.summary_of(self.ids[v]) {
+                    Some(summary) => (summary.clone(), false),
+                    None => continue,
+                },
+            };
+            if take_conservative_corner(&mut summary) || was_local {
+                updates.push((self.ids[v], summary));
+            }
+        }
+        passes
+    }
+
+    /// One visit of node `v`: merge each of its call sites into `caller`,
+    /// reading a callee's summary through `callee`. Returns true when
+    /// anything changed.
+    fn visit<'s>(
+        &self,
+        table: &ProgramSummaries,
+        v: usize,
+        caller: &mut FunctionSummary,
+        callee: impl Fn(FuncId) -> Option<&'s FunctionSummary>,
+    ) -> bool {
+        let (id, node) = (self.ids[v], &self.nodes[v]);
+        let callees = &table.slot(id).calls;
+        debug_assert_eq!(node.calls.len(), callees.len());
+        let mut changed = false;
+        for (call, &callee_id) in node.calls.iter().zip(callees) {
+            if callee_id == id {
+                // A self-recursive edge reads the caller while mutating
+                // it; merge against a snapshot.
+                let snapshot = caller.clone();
+                changed |= merge_known_call(caller, call, &snapshot);
+                continue;
+            }
+            changed |= match callee(callee_id) {
+                Some(summary) => merge_known_call(caller, call, summary),
+                None => {
+                    self.clobber_globals
+                        && !is_pure_builtin(call.callee)
+                        && merge_unknown_call(caller, node, call.on_device)
+                }
+            };
+        }
+        changed
+    }
 }
 
 /// Put every effect of a recursive function's converged summary into the
@@ -779,119 +1041,6 @@ pub(crate) fn merge_unknown_call(
         local_changed |= caller.global_effects.entry(var).or_default().merge(effect);
     }
     local_changed
-}
-
-/// Converge one strongly connected component against an immutable snapshot
-/// of every previously converged summary. Returns the component's updated
-/// entries plus the number of inner passes it took.
-///
-/// An acyclic component's converged summary is its seed unioned with fixed
-/// (already converged) callee contributions; unions are idempotent and
-/// commutative, so a single visit reaches the fixed point. A recursive
-/// component iterates until no summary changes: merging only ever sets a
-/// may or exposed bit, clears an exit-current bit or adds a global, so
-/// every pass but the last moves at least one bit for good and the bits of
-/// the component's summaries bound the passes.
-fn converge_component(
-    nodes: &[PropagationNode<'_>],
-    base: &HashMap<Symbol, Arc<FunctionSummary>>,
-    members: &[usize],
-    cyclic: bool,
-    clobber_globals: bool,
-) -> (Vec<(Symbol, FunctionSummary)>, usize) {
-    // Working copies exist only for members whose summary actually changes;
-    // unchanged members keep their `base` entry verbatim, so the common
-    // acyclic component converges with zero summary clones.
-    let mut local: HashMap<Symbol, FunctionSummary> = HashMap::new();
-    let mut passes = 0usize;
-    loop {
-        passes += 1;
-        let mut changed = false;
-        for &v in members {
-            let node = &nodes[v];
-            if node.calls.is_empty() {
-                continue;
-            }
-            // Hoist the caller's working summary out of the maps once per
-            // visit instead of cloning it per call edge; it goes back only
-            // if this visit (or an earlier pass) changed it.
-            let (mut caller, was_local) = match local.remove(&node.name) {
-                Some(summary) => (summary, true),
-                None => {
-                    let summary = base.get(&node.name).map(|s| FunctionSummary::clone(s));
-                    (summary.unwrap_or_default(), false)
-                }
-            };
-            let mut caller_changed = false;
-            for call in node.calls.iter() {
-                if call.callee == node.name {
-                    // A self-recursive edge reads the caller while mutating
-                    // it; merge against a snapshot.
-                    let snapshot = caller.clone();
-                    if merge_known_call(&mut caller, call, &snapshot) {
-                        caller_changed = true;
-                    }
-                    continue;
-                }
-                // In-component callees live in `local` (and shadow their
-                // stale `base` snapshot); everything else is final in `base`.
-                let callee = local
-                    .get(&call.callee)
-                    .or_else(|| base.get(&call.callee).map(|s| &**s));
-                match callee {
-                    Some(callee_summary) => {
-                        if merge_known_call(&mut caller, call, callee_summary) {
-                            caller_changed = true;
-                        }
-                    }
-                    None => {
-                        if clobber_globals
-                            && !is_pure_builtin(call.callee)
-                            && merge_unknown_call(&mut caller, node, call.on_device)
-                        {
-                            caller_changed = true;
-                        }
-                    }
-                }
-            }
-            if caller_changed || was_local {
-                local.insert(node.name, caller);
-            }
-            changed |= caller_changed;
-        }
-        if !changed || !cyclic {
-            break;
-        }
-        let summaries = members.iter().filter_map(|&v| {
-            let name = &nodes[v].name;
-            local.get(name).or_else(|| base.get(name).map(|s| &**s))
-        });
-        let bits: usize = summaries
-            .map(|s| 1 + 8 * (s.param_effects.len() + s.global_effects.len()))
-            .sum();
-        assert!(
-            passes <= bits,
-            "a recursive component of {} function(s) still changes after {passes} passes \
-             over {bits} bits: merging is not monotone",
-            members.len()
-        );
-    }
-    if cyclic {
-        for &v in members {
-            let name = nodes[v].name;
-            let (mut summary, was_local) = match local.remove(&name) {
-                Some(summary) => (summary, true),
-                None => match base.get(&name) {
-                    Some(summary) => (FunctionSummary::clone(summary), false),
-                    None => continue,
-                },
-            };
-            if take_conservative_corner(&mut summary) || was_local {
-                local.insert(name, summary);
-            }
-        }
-    }
-    (local.into_iter().collect(), passes)
 }
 
 /// Move every host effect to the device (used when the call site itself

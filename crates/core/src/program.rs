@@ -25,10 +25,15 @@
 //!    artifact, no symbol table — so it is the same code over the same
 //!    input whether a unit was parsed or restored. There is one link path,
 //!    [`Program::relink`], and it *patches* a persistent [`LinkState`] —
-//!    the latest program plus the indexes a link derives — by the units
+//!    the latest program and its one table of functions — by the units
 //!    that changed, at a cost of O(changed units + dirty cone + importers
 //!    of moved summaries); a cold link is the patch of the empty state, in
-//!    which every unit is a changed one.
+//!    which every unit is a changed one. The table
+//!    ([`ProgramSummaries`]) gives every resolved name the program defines
+//!    or calls a dense id the first time it appears and holds, by id, its
+//!    definition, converged summary and summary fingerprint, callers and
+//!    resolved call sites, so the relink walks and re-converges a cone by
+//!    index; ids of names nothing defines or calls any more are reused.
 //! 3. **Plan** — each unit is planned against the linked summaries: a call
 //!    site stands in its caller's data flow for the access sequence its
 //!    callee's summary carries, wherever the callee is defined, so a copy-in
@@ -46,9 +51,9 @@
 //! byte-identically to analyzing the concatenation of all `k` unit sources
 //! as a single translation unit.
 
-use crate::interface::is_mangled;
 pub use crate::interface::UnitExports;
-use crate::interproc::{FunctionSummary, ProgramSummaries, PropagationNode};
+use crate::interface::{is_mangled, ExportedFunction};
+use crate::interproc::{FuncId, FunctionSummary, ProgramSummaries};
 use crate::pipeline::{
     callees_fingerprint, summary_fingerprint, AnalysisSession, Fnv, StageError, SummarizedUnit,
     UnitAnalysis,
@@ -56,7 +61,7 @@ use crate::pipeline::{
 use crate::plan::json::Json;
 use crate::stats::{Counter, Value};
 use ompdart_frontend::Symbol;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -70,18 +75,28 @@ pub const UNLINKED: u64 = 0;
 // ---------------------------------------------------------------------------
 
 /// The output of the link fixed point: whole-program interprocedural
-/// summaries (every cross-unit callee resolved to its real effects) plus
-/// the map from function name to defining unit.
+/// summaries (every cross-unit callee resolved to its real effects), in
+/// the link's table of functions, which also knows each function's
+/// defining unit.
 #[derive(Clone, Debug)]
 pub struct LinkedSummaries {
-    /// Merged summaries, converged across unit boundaries. Unit-private
-    /// `static` functions are keyed by their mangled `name@unit` symbol.
+    /// Merged summaries, converged across unit boundaries: the link's
+    /// function table. Unit-private `static` functions are named by their
+    /// mangled `name@unit` symbol.
     pub summaries: Arc<ProgramSummaries>,
-    /// Resolved function name (statics mangled) → index (into the
-    /// program's unit list) of the defining unit.
-    pub defined_in: HashMap<Symbol, usize>,
     /// Propagation passes the cross-unit fixed point took.
     pub passes: usize,
+}
+
+impl LinkedSummaries {
+    /// Resolved function name (statics mangled) → index (into the
+    /// program's unit list) of the defining unit, read off the table.
+    pub fn defined_in(&self) -> HashMap<Symbol, usize> {
+        let slots = self.summaries.slots.iter();
+        slots
+            .filter_map(|slot| Some((slot.name, slot.def?.0)))
+            .collect()
+    }
 }
 
 /// Everything the planning stage of *one unit* needs from the link layer.
@@ -100,7 +115,7 @@ pub struct LinkContext {
     /// program's function table and this unit's static views, both shared,
     /// neither copied — so planning a function hashes none of its callees'
     /// summaries again.
-    fingerprints: (Arc<FunctionTable>, Arc<[StaticView]>),
+    fingerprints: (Arc<ProgramSummaries>, Arc<[StaticView]>),
 }
 
 impl LinkContext {
@@ -138,12 +153,15 @@ impl LinkContext {
 /// same-named external symbol as C scoping does, else the program's.
 fn memoised_fingerprint(
     statics: &[StaticView],
-    functions: &FunctionTable,
+    table: &ProgramSummaries,
     callee: Symbol,
 ) -> Option<u64> {
     match statics.iter().find(|view| view.source == callee) {
         Some(view) => Some(view.fingerprint),
-        None => functions.get(&callee).map(|f| f.summary_fp),
+        None => {
+            let slot = table.slot(table.id(callee)?);
+            slot.def.map(|_| slot.summary_fp)
+        }
     }
 }
 
@@ -159,7 +177,9 @@ fn memoised_fingerprint(
 pub struct Program {
     /// The summarized units, in input order.
     pub units: Vec<Arc<SummarizedUnit>>,
-    /// The cross-unit link fixed point. Unit-private `static` functions
+    /// The cross-unit link fixed point, in the function table the
+    /// [`LinkContext`]s share, so a relink patches it in place once the
+    /// previous round's contexts are gone. Unit-private `static` functions
     /// appear under their mangled `name@unit` symbols here; per-unit
     /// [`LinkContext`]s expose them under their source-level names again.
     pub linked: LinkedSummaries,
@@ -173,15 +193,7 @@ pub struct Program {
     /// scoping does. [`Program::link_context`] lays these few entries over
     /// the shared linked summaries ([`ProgramSummaries::overlay`]).
     unit_statics: Vec<Arc<[StaticView]>>,
-    /// Every function of the fixed point, by resolved name. Shared with
-    /// the [`LinkContext`]s, so a relink patches it in place once the
-    /// previous round's contexts are gone.
-    functions: Arc<FunctionTable>,
 }
-
-/// Resolved function name → where its propagation inputs live, and the
-/// fingerprint of its converged summary.
-type FunctionTable = HashMap<Symbol, LinkedFunction>;
 
 /// One unit-private `static` function as its own unit names it.
 #[derive(Debug)]
@@ -194,23 +206,11 @@ struct StaticView {
     fingerprint: u64,
 }
 
-/// Where a linked function's propagation inputs live, plus the memoised
-/// fingerprint of its converged summary.
-#[derive(Clone, Copy, Debug)]
-struct LinkedFunction {
-    /// Index into the defining unit's [`UnitExports::functions`].
-    index: usize,
-    /// [`summary_fingerprint`] of the converged summary: re-hashed only
-    /// when a relink moves the summary.
-    summary_fp: u64,
-}
-
 /// The persistent, owned form of everything a whole-program link derives,
-/// kept by the [`AnalysisSession`] between links: the latest [`Program`]
-/// plus the index that lets [`Program::relink`] *patch* it — the reverse
-/// call graph, which also answers "which units import this function" (the
-/// function table and the fingerprint per converged summary live in the
-/// program itself) — and, once
+/// kept by the [`AnalysisSession`] between links: the latest [`Program`] —
+/// whose function table holds, by id, what lets [`Program::relink`]
+/// *patch* it: each function's definition, callers and resolved call
+/// sites, and the fingerprint of its converged summary — and, once
 /// [`ProgramDriver`] has planned that program, its analyses. The default
 /// state is the empty program; patching it is a cold link. A state belongs
 /// to one set of analysis options: every relink of it must pass the same.
@@ -221,14 +221,21 @@ pub struct LinkState {
     /// a round over the very same units returns again. Empty when the
     /// program was linked but not planned: a relink clears it.
     analyses: Vec<Arc<UnitAnalysis>>,
-    /// Called name (defined in the program or not) → the functions calling
-    /// it, once per call site.
-    callers: HashMap<Symbol, Vec<Symbol>>,
     /// Functions the latest relink re-derived from their seeds.
     pub(crate) reseeded: u64,
     /// Units whose view or imports fingerprint the latest relink
     /// recomputed.
     pub(crate) touched_units: u64,
+}
+
+impl LinkState {
+    /// Functions the latest relink re-derived from their seeds: the cone's
+    /// functions that held a summary before this relink. A departed
+    /// function counts, a newly arrived one does not, and a cold link
+    /// reports 0.
+    pub fn reseeded(&self) -> u64 {
+        self.reseeded
+    }
 }
 
 impl Default for LinkState {
@@ -238,15 +245,12 @@ impl Default for LinkState {
                 units: Vec::new(),
                 linked: LinkedSummaries {
                     summaries: Arc::default(),
-                    defined_in: HashMap::new(),
                     passes: 0,
                 },
                 import_fps: Vec::new(),
                 unit_statics: Vec::new(),
-                functions: Arc::default(),
             },
             analyses: Vec::new(),
-            callers: HashMap::new(),
             reseeded: 0,
             touched_units: 0,
         }
@@ -315,16 +319,18 @@ impl Program {
     ///    fingerprints then find nothing dirty. Added, removed, reordered
     ///    and renamed units are just changed units without a predecessor or
     ///    successor.
-    /// 2. **Patch the indexes.** Only changed units' definitions leave and
-    ///    enter `defined_in`, the function table and the reverse call
-    ///    graph. A function is *dirty* when its memoised
-    ///    local fingerprint differs from its namesake's, or it appeared or
-    ///    disappeared.
+    /// 2. **Patch the table.** Only changed units' definitions leave and
+    ///    enter the function table: a function whose unit left loses its
+    ///    definition and its call sites, one that arrives gets an id (its
+    ///    namesake's, if it had one) and its call sites resolved to ids once.
+    ///    A function is *dirty* when its memoised local fingerprint differs
+    ///    from its namesake's, or it appeared or disappeared.
     /// 3. **Re-converge the cone.** The dirty functions' transitive
-    ///    callers — read off the reverse call graph — are reset to their
-    ///    seeds and re-converged in place
-    ///    ([`ProgramSummaries::propagate_incremental`]); everything else
-    ///    keeps its converged `Arc`.
+    ///    callers — read off the table's callers, stamped with the walk's
+    ///    epoch — are reset to their seeds and re-converged in place
+    ///    (`ProgramSummaries::converge`); everything else keeps its
+    ///    converged `Arc`. Ids nothing defines or calls any more are retired
+    ///    for the next names to reuse.
     /// 4. **Refresh what observes a moved summary.** Static views and
     ///    imports fingerprints are recomputed for changed units and for
     ///    units that name a function whose converged summary actually
@@ -332,9 +338,10 @@ impl Program {
     ///
     /// The result is identical to a cold link of the same units (pinned by
     /// tests at every worker count), `linked.passes` aside — a diagnostic
-    /// that reports the deepest component iteration of *this* link's cone.
-    /// On an error `state` is left as it was. The counts of the relink are
-    /// left in `state` (`reseeded`, `touched_units`); the previous program's
+    /// that reports the deepest component iteration of *this* link's cone —
+    /// and the ids, which depend on the order names arrived in. On an error
+    /// `state` is left as it was. The counts of the relink are left in
+    /// `state` (`reseeded`, `touched_units`); the previous program's
     /// analyses are not carried over.
     pub fn relink(
         units: Vec<Arc<SummarizedUnit>>,
@@ -345,7 +352,6 @@ impl Program {
         let LinkState {
             program,
             analyses,
-            callers,
             reseeded,
             touched_units,
         } = state;
@@ -354,10 +360,9 @@ impl Program {
             linked,
             import_fps,
             unit_statics,
-            functions,
         } = program;
         (*reseeded, *touched_units) = (0, 0);
-        let functions = Arc::make_mut(functions);
+        let table = Arc::make_mut(&mut linked.summaries);
 
         // --- 1. Diff: predecessor by name, kept when pointer-equal. ------
         let predecessor: Vec<Option<usize>> = if same_names(&units, was) {
@@ -386,13 +391,24 @@ impl Program {
         // different units coexist instead of colliding (two statics with
         // one name inside the same unit still collide, as in C). Only a
         // changed unit can introduce one, against another changed unit or
-        // a surviving definition.
-        let mut fresh: HashMap<Symbol, usize> = HashMap::new();
+        // a surviving definition. Each arriving function gets its id here,
+        // stamped with the unit that claims it.
+        let claim = table.next_epoch();
+        let mut arriving: Vec<FuncId> = Vec::new();
         for &i in &changed {
             for f in &units[i].exports().functions {
-                let other = (fresh.insert(f.resolved, i))
-                    .or_else(|| survives(*linked.defined_in.get(&f.resolved)?));
+                let id = table.intern(f.resolved);
+                arriving.push(id);
+                let slot = table.slot_mut(id);
+                let other = match slot.mark == claim {
+                    true => Some(slot.pos),
+                    false => slot.def.and_then(|(j, _)| survives(j)),
+                };
+                (slot.mark, slot.pos) = (claim, i);
                 if let Some(other) = other {
+                    for &id in &arriving {
+                        table.retire_if_unused(id);
+                    }
                     let unit = |i: usize| units[i].name().to_string();
                     return Err(ProgramError::DuplicateFunction {
                         function: f.source.to_string(),
@@ -402,93 +418,109 @@ impl Program {
             }
         }
 
-        // --- 2. Patch the indexes: retire what left, admit what came. ----
+        // --- 2. Patch the table: retire what left, admit what came. ------
         analyses.clear();
-        // What a retired function had: its local fingerprint, and the
-        // fingerprint of its converged summary (carried over to a namesake).
-        let mut gone: HashMap<Symbol, (u64, u64)> = HashMap::new();
+        // A function whose unit left is stamped `left`; it keeps its local
+        // fingerprint, converged summary and summary fingerprint for a
+        // namesake to carry over.
+        let left = table.next_epoch();
+        let mut departed: Vec<FuncId> = Vec::new();
+        // Callees that lost their last caller: retired at the end unless
+        // someone calls or defines them again.
+        let mut uncalled: Vec<FuncId> = Vec::new();
         for (j, unit) in was.iter().enumerate() {
             if survives(j).is_some() {
                 continue;
             }
             for f in &unit.exports().functions {
-                linked.defined_in.remove(&f.resolved);
-                if let Some(was) = functions.remove(&f.resolved) {
-                    gone.insert(f.resolved, (f.link.local_fp, was.summary_fp));
-                }
-                for call in &f.link.calls {
-                    if let Some(list) = callers.get_mut(&call.callee) {
-                        if let Some(at) = list.iter().position(|&c| c == f.resolved) {
-                            list.swap_remove(at);
-                        }
-                        if list.is_empty() {
-                            callers.remove(&call.callee);
-                        }
+                let id = table.id(f.resolved).expect("a linked function has an id");
+                let slot = table.slot_mut(id);
+                (slot.def, slot.mark) = (None, left);
+                let mut calls = std::mem::take(&mut slot.calls);
+                for &callee in &calls {
+                    let callers = &mut table.slot_mut(callee).callers;
+                    if let Some(at) = callers.iter().position(|&c| c == id) {
+                        callers.swap_remove(at);
+                    }
+                    if callers.is_empty() {
+                        uncalled.push(callee);
                     }
                 }
+                calls.clear();
+                table.slot_mut(id).calls = calls;
+                departed.push(id);
             }
         }
         // The dirty functions: the seed of the cone, each named once.
-        let mut cone: Vec<Symbol> = Vec::new();
+        let mut cone: Vec<FuncId> = Vec::new();
+        let mut arriving = arriving.into_iter();
         for (i, unit) in units.iter().enumerate() {
             let exports = unit.exports();
-            if kept(i) != Some(i) {
-                // New here, or a kept unit that changed position.
-                for f in &exports.functions {
-                    linked.defined_in.insert(f.resolved, i);
-                }
-            }
             if kept(i).is_some() {
+                if kept(i) != Some(i) {
+                    // A kept unit that changed position.
+                    for (index, f) in exports.functions.iter().enumerate() {
+                        let id = table.id(f.resolved).expect("a linked function has an id");
+                        table.slot_mut(id).def = Some((i, index));
+                    }
+                }
                 continue;
             }
             for (index, f) in exports.functions.iter().enumerate() {
-                let had = gone.remove(&f.resolved);
-                if had.map(|(local_fp, _)| local_fp) != Some(f.link.local_fp) {
-                    cone.push(f.resolved);
+                let id = arriving.next().expect("every arriving function has an id");
+                let slot = table.slot(id);
+                if slot.mark != left || slot.local_fp != f.link.local_fp {
+                    cone.push(id);
                 }
-                let summary_fp = had.map_or(0, |(_, summary_fp)| summary_fp);
-                functions.insert(f.resolved, LinkedFunction { index, summary_fp });
-                for call in &f.link.calls {
-                    callers.entry(call.callee).or_default().push(f.resolved);
-                }
+                define(table, id, (i, index), f);
             }
         }
-        cone.extend(gone.into_keys());
+        // The functions that left without a namesake.
+        cone.extend((departed.iter().copied()).filter(|&id| table.slot(id).def.is_none()));
 
         // --- 3. Re-converge the dirty cone, in place. --------------------
         // Summaries flow from callee to caller, so only transitive callers
         // of a dirty function can observe the change; a function that no
         // longer exists is still named by its callers' call sites. The
         // worklist is the cone: O(cone + its in-edges).
-        let mut in_cone: HashSet<Symbol> = cone.iter().copied().collect();
+        let walk = table.next_epoch();
+        for &id in &cone {
+            table.slot_mut(id).mark = walk;
+        }
         let mut next = 0;
-        while let Some(&name) = cone.get(next) {
+        while let Some(&id) = cone.get(next) {
             next += 1;
-            for &caller in callers.get(&name).into_iter().flatten() {
-                if in_cone.insert(caller) {
+            for k in 0..table.slot(id).callers.len() {
+                let caller = table.slot(id).callers[k];
+                let slot = table.slot_mut(caller);
+                if slot.mark != walk {
+                    slot.mark = walk;
                     cone.push(caller);
                 }
             }
         }
-        let link_func = |name: &Symbol| {
-            let index = functions.get(name)?.index;
-            let exports = units[linked.defined_in[name]].exports();
-            Some((&exports.functions[index], &exports.globals[..]))
-        };
-        let mut nodes: Vec<PropagationNode<'_>> = Vec::with_capacity(cone.len());
-        let seeds = (cone.iter())
-            .map(|name| {
-                let function = link_func(name).map(|(f, globals)| {
-                    nodes.push(f.node(globals));
-                    Arc::clone(&f.link.seed)
-                });
-                (*name, function)
-            })
-            .collect();
-        let summaries = Arc::make_mut(&mut linked.summaries);
-        let before =
-            summaries.propagate_incremental(seeds, &nodes, options.pessimistic_globals, threads);
-        linked.passes = summaries.passes;
+        // Reset every cone function to its seed, or to nothing when it left.
+        let mut ids = Vec::with_capacity(cone.len());
+        let mut nodes = Vec::with_capacity(cone.len());
+        let mut before: Vec<Option<Arc<FunctionSummary>>> = Vec::with_capacity(cone.len());
+        for &id in &cone {
+            let slot = table.slot_mut(id);
+            let seed = slot.def.map(|(i, index)| {
+                let exports = units[i].exports();
+                let f = &exports.functions[index];
+                ids.push(id);
+                nodes.push(f.node(&exports.globals));
+                Arc::clone(&f.link.seed)
+            });
+            if seed.is_none() {
+                slot.summary_fp = 0;
+            }
+            before.push(std::mem::replace(&mut slot.summary, seed));
+        }
+        if !nodes.is_empty() {
+            table.converge(&ids, &nodes, options.pessimistic_globals, threads);
+        }
+        linked.passes = table.passes;
 
         // --- 4. Refresh what observes a moved summary. -------------------
         // Changed units, the unit owning a moved static (its view renames
@@ -499,35 +531,45 @@ impl Program {
         }
         let mut restatic = touched.clone();
         // Once every unit is touched (a cold link) there is nobody left to
-        // find through the reverse call graph.
+        // find through the callers.
         let mut untouched = units.len() - changed.len();
-        for (name, before) in cone.iter().zip(&before) {
+        for (&id, before) in cone.iter().zip(&before) {
             *reseeded += u64::from(before.is_some());
-            let now = summaries.summary(*name);
-            if now == before.as_deref() {
+            let slot = table.slot(id);
+            if slot.summary == *before {
                 continue;
             }
-            if let (Some(now), Some(f)) = (now, functions.get_mut(name)) {
-                f.summary_fp = summary_fingerprint(now);
-                restatic[linked.defined_in[name]] |= is_mangled(*name);
+            if let (Some(now), Some((unit, _))) = (&slot.summary, slot.def) {
+                restatic[unit] |= is_mangled(slot.name);
+                table.slot_mut(id).summary_fp = summary_fingerprint(now);
             }
             if untouched > 0 {
-                for caller in callers.get(name).into_iter().flatten() {
-                    let importer = &mut touched[linked.defined_in[caller]];
+                for &caller in &table.slot(id).callers {
+                    let (unit, _) = table.slot(caller).def.expect("a caller is defined");
+                    let importer = &mut touched[unit];
                     untouched -= usize::from(!*importer);
                     *importer = true;
                 }
             }
         }
+        // Ids nothing defines or calls any more go to the next names.
+        for id in departed.into_iter().chain(uncalled) {
+            table.retire_if_unused(id);
+        }
+        // A unit's view and imports fingerprint move with it; a changed
+        // unit's are recomputed below.
         let none: Arc<[StaticView]> = Arc::new([]);
         *unit_statics = (0..units.len())
             .map(|i| Arc::clone(kept(i).map_or(&none, |j| &unit_statics[j])))
+            .collect();
+        *import_fps = (0..units.len())
+            .map(|i| kept(i).map_or(0, |j| import_fps[j]))
             .collect();
         for (i, unit) in units.iter().enumerate().filter(|(i, _)| restatic[*i]) {
             touched[i] = true;
             unit_statics[i] = (unit.exports().statics_mangled.iter())
                 .filter_map(|&(source, mangled)| {
-                    let mut summary = summaries.summary(mangled)?.clone();
+                    let mut summary = table.summary(mangled)?.clone();
                     summary.name = source;
                     Some(StaticView {
                         source,
@@ -546,13 +588,10 @@ impl Program {
         // edit in unit A moves unit B's fingerprint only when a summary B
         // actually reads changed: the edit path re-plans the import cone,
         // not the program.
-        *import_fps = (0..units.len())
-            .map(|i| kept(i).map_or(0, |j| import_fps[j]))
-            .collect();
         for (i, unit) in units.iter().enumerate().filter(|(i, _)| touched[*i]) {
             *touched_units += 1;
             let exports = unit.exports();
-            let summary_fp = |callee| memoised_fingerprint(&unit_statics[i], functions, callee);
+            let summary_fp = |callee| memoised_fingerprint(&unit_statics[i], table, callee);
             let mut h = Fnv::new();
             for f in &exports.functions {
                 h.write_str(&f.source);
@@ -592,23 +631,36 @@ impl Program {
         LinkContext {
             summaries,
             imports_fingerprint: self.import_fps[index],
-            fingerprints: (Arc::clone(&self.functions), Arc::clone(statics)),
+            fingerprints: (Arc::clone(&self.linked.summaries), Arc::clone(statics)),
         }
     }
 
-    /// The cross-unit interprocedural fixed point **alone**: seeds and call
-    /// graphs merged exactly as [`Program::relink`] merges them (statics
-    /// mangled), converged with the SCC-wavefront engine on `threads`
-    /// workers. No interface export or planning happens —
-    /// parity tests and the `link_scale` bench use this to isolate the
-    /// link fixed point from the rest of the pipeline.
+    /// The cross-unit interprocedural fixed point **alone**: a function
+    /// table built from every unit's interface exactly as
+    /// [`Program::relink`] builds it (statics mangled), converged with the
+    /// SCC-wavefront engine on `threads` workers. No interface export or
+    /// planning happens — parity tests and the `link_scale` bench use this
+    /// to isolate the link fixed point from the rest of the pipeline. The
+    /// units must link: no function may be defined twice.
     pub fn propagate_merged(
         units: &[Arc<SummarizedUnit>],
         options: &crate::OmpDartOptions,
         threads: usize,
     ) -> ProgramSummaries {
-        let (seeds, nodes) = merged_propagation_inputs(units);
-        ProgramSummaries::propagate(&nodes, seeds, options.pessimistic_globals, threads)
+        let mut table = ProgramSummaries::default();
+        let (mut ids, mut nodes) = (Vec::new(), Vec::new());
+        for (i, unit) in units.iter().enumerate() {
+            let exports = unit.exports();
+            for (index, f) in exports.functions.iter().enumerate() {
+                let id = table.intern(f.resolved);
+                define(&mut table, id, (i, index), f);
+                table.slot_mut(id).summary = Some(Arc::clone(&f.link.seed));
+                ids.push(id);
+                nodes.push(f.node(&exports.globals));
+            }
+        }
+        table.converge(&ids, &nodes, options.pessimistic_globals, threads);
+        table
     }
 }
 
@@ -618,26 +670,19 @@ fn same_names(a: &[Arc<SummarizedUnit>], b: &[Arc<SummarizedUnit>]) -> bool {
     a.len() == b.len() && (a.iter().zip(b)).all(|(a, b)| Arc::ptr_eq(a, b) || a.name() == b.name())
 }
 
-/// Every unit's memoised seeds and propagation nodes under their
-/// link-resolved names (see [`crate::interface::LinkFunction`]): pointer
-/// copies and borrows.
-pub(crate) fn merged_propagation_inputs(
-    units: &[Arc<SummarizedUnit>],
-) -> (
-    HashMap<Symbol, Arc<FunctionSummary>>,
-    Vec<PropagationNode<'_>>,
-) {
-    let functions = || {
-        units.iter().flat_map(|unit| {
-            let exports = unit.exports();
-            (exports.functions.iter()).map(move |f| (f, &exports.globals[..]))
-        })
-    };
-    let seeds = functions()
-        .map(|(f, _)| (f.resolved, Arc::clone(&f.link.seed)))
-        .collect();
-    let nodes = functions().map(|(f, globals)| f.node(globals));
-    (seeds, nodes.collect())
+/// Make `id` the function `f`, defined at `(unit, index)` — its unit's index
+/// in the program and its index in that unit's exports: record the
+/// definition and its local fingerprint, and resolve its call sites to ids,
+/// each callee gaining it as a caller.
+fn define(table: &mut ProgramSummaries, id: FuncId, at: (usize, usize), f: &ExportedFunction) {
+    let slot = table.slot_mut(id);
+    slot.def = Some(at);
+    slot.local_fp = f.link.local_fp;
+    for call in &f.link.calls {
+        let callee = table.intern(call.callee);
+        table.slot_mut(callee).callers.push(id);
+        table.slot_mut(id).calls.push(callee);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1108,6 +1153,116 @@ mod tests {
              \"pool_fallback_jobs\":0,\"pool_wait_ns\":0,\"lock_wait_ns\":0,\
              \"lock_contentions\":7}"
         );
+    }
+
+    /// One link state follows 200 rounds of units being added, removed,
+    /// renamed, edited and added back — each defines a `static` and a global
+    /// function, calls the next unit's (defined or not), and one calls a
+    /// name no unit ever defines — and after every round the patched link is
+    /// a cold one: summaries, definitions by name, imports fingerprints.
+    /// Ids are retired with the last definition or call of their name and
+    /// reused: the table holds an id for exactly the names the live program
+    /// defines or calls, and never more slots than the names of two
+    /// consecutive programs.
+    #[test]
+    fn ids_follow_the_live_program_through_unit_churn() {
+        let source = |k: usize, version: usize| {
+            let write = match version % 2 {
+                0 => format!("g{k}[0] += 1.0;"),
+                _ => format!(
+                    "\n  #pragma omp target teams distribute parallel for\n  \
+                     for (int i = 0; i < 8; i++) g{k}[i] = i;"
+                ),
+            };
+            let sink = if k == 0 { "  external_sink(g0);\n" } else { "" };
+            format!(
+                "double g{k}[8];\nstatic void helper(void) {{ {write} }}\n\
+                 void f{k}(void) {{\n  helper();\n  f{}();\n{sink}}}\n",
+                k + 1
+            )
+        };
+        let mut rng = 0x5eed_u64;
+        let mut roll = |n: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % n as u64) as usize
+        };
+        for pessimistic_globals in [false, true] {
+            let options = crate::OmpDartOptions {
+                pessimistic_globals,
+                ..crate::OmpDartOptions::default()
+            };
+            let session = AnalysisSession::with_options(options);
+            let mut state = LinkState::default();
+            // (name, template, version) of every unit present.
+            let mut present: Vec<(String, usize, usize)> = Vec::new();
+            // The most names two consecutive programs had together.
+            let mut peak = 0;
+            let mut previous: Vec<Symbol> = Vec::new();
+            for round in 0..200 {
+                let absent: Vec<usize> = (0..6)
+                    .filter(|k| present.iter().all(|(_, t, _)| t != k))
+                    .collect();
+                match roll(4) {
+                    0 | 1 if !absent.is_empty() => {
+                        let k = absent[roll(absent.len())];
+                        let at = roll(present.len() + 1);
+                        present.insert(at, (format!("u{k}.c"), k, roll(2)));
+                    }
+                    0 if !present.is_empty() => {
+                        present.remove(roll(present.len()));
+                    }
+                    2 if !present.is_empty() => {
+                        let at = roll(present.len());
+                        present[at].0 = format!("u{}_{round}.c", present[at].1);
+                    }
+                    _ if !present.is_empty() => {
+                        let at = roll(present.len());
+                        present[at].2 += 1;
+                    }
+                    _ => {}
+                }
+                let units: Vec<Arc<SummarizedUnit>> = (present.iter())
+                    .map(|(name, k, version)| {
+                        let unit = session.summarize(name, &source(*k, *version));
+                        unit.expect("a churn unit summarizes")
+                    })
+                    .collect();
+                let patched = Program::relink(units.clone(), &options, 1, &mut state)
+                    .expect("a churn program links");
+                let cold = Program::link(units, &options).expect("a churn program links");
+                let at = format!("round {round}, pessimistic {pessimistic_globals}: {present:?}");
+                let (table, summaries) = (&patched.linked.summaries, &cold.linked.summaries);
+                assert!(table.same_summaries(summaries), "{at}");
+                assert_eq!(
+                    patched.linked.defined_in(),
+                    cold.linked.defined_in(),
+                    "{at}"
+                );
+                for i in 0..patched.len() {
+                    let (was, now) = (patched.link_context(i), cold.link_context(i));
+                    assert_eq!(was.imports_fingerprint, now.imports_fingerprint, "{at}");
+                }
+                let mut names: Vec<Symbol> = (patched.units.iter())
+                    .flat_map(|unit| &unit.exports().functions)
+                    .flat_map(|f| {
+                        let calls = f.link.calls.iter().map(|call| call.callee);
+                        std::iter::once(f.resolved).chain(calls)
+                    })
+                    .collect();
+                names.sort_unstable();
+                names.dedup();
+                assert_eq!(table.live_ids(), names.len(), "{at}");
+                // A relink admits the new names before it retires the old.
+                let mut both = [&names[..], &previous[..]].concat();
+                both.sort_unstable();
+                both.dedup();
+                peak = peak.max(both.len());
+                assert!(table.slot_count() <= peak, "{at}");
+                previous = names;
+            }
+        }
     }
 
     /// A width wider than the pool is reported as the width the pool runs:

@@ -1151,7 +1151,7 @@ proptest! {
                     "summaries differ at {}", at
                 );
                 prop_assert_eq!(
-                    &patched.linked.defined_in, &cold.linked.defined_in,
+                    &patched.linked.defined_in(), &cold.linked.defined_in(),
                     "defined_in differs at {}", at
                 );
                 for unit in 0..patched.len() {
@@ -1231,7 +1231,11 @@ fn assert_interfaces_carry_the_link(inputs: &[(String, String)], what: &str) {
                     .same_summaries(&parsed.linked.summaries),
                 "{at}: summaries differ"
             );
-            assert_eq!(relinked.linked.defined_in, parsed.linked.defined_in, "{at}");
+            assert_eq!(
+                relinked.linked.defined_in(),
+                parsed.linked.defined_in(),
+                "{at}"
+            );
             for unit in 0..parsed.len() {
                 let (was, now) = (parsed.link_context(unit), relinked.link_context(unit));
                 assert_eq!(
