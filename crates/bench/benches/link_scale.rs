@@ -9,9 +9,11 @@
 //!   unchanged corpus (the identity fast path), a semantic one-function
 //!   edit in the middle of the call chain, asserting
 //!   `relink_reseeded_functions` stays inside the edit's dirty cone (the
-//!   edited stage plus its transitive callers), and the same edit at the
-//!   head of the chain, whose cone — and `relink_touched_units` — is a
-//!   handful whatever the corpus size;
+//!   edited stage plus its transitive callers) and reporting the functions
+//!   it re-planned (`replanned_functions`: the edit adds a host-only
+//!   effect no plan can read, so the edited function alone), and the same
+//!   edit at the head of the chain, whose cone — and
+//!   `relink_touched_units` — is a handful whatever the corpus size;
 //! * **relink alone** — best-of-[`RELINK_RUNS`] wall times of
 //!   `Program::relink` on one persistent `LinkState` for the mid-chain
 //!   edit, its revert and the head edit, the time and allocator calls per
@@ -165,7 +167,8 @@ fn main() {
     let t = Instant::now();
     let (edit_round, edit_profile) = driver.analyze_program_profiled(&edited).unwrap();
     let edit_ms = t.elapsed().as_secs_f64() * 1e3;
-    let reseeded = (session.cache_stats() - before).relink_reseeded_functions;
+    let moved = session.cache_stats() - before;
+    let (reseeded, replanned) = (moved.relink_reseeded_functions, moved.function_plan_misses);
     let cone_bound = (edit_at + 1) as u64;
     let edit_rewrite = edit_round.concatenated_rewrite();
 
@@ -198,7 +201,7 @@ fn main() {
          engine_par={parallel_ms:.3}ms speedup={speedup:.2}x identical=true \
          cold_link={cold_link_ms:.3}ms cold={cold_ms:.3}ms warm_relink={warm_ms:.3}ms \
          one_edit={edit_ms:.3}ms edited_fn={edited_fn} \
-         relink_reseeded={reseeded} cone_bound={cone_bound} \
+         relink_reseeded={reseeded} cone_bound={cone_bound} replanned={replanned} \
          linked_fallbacks={linked_fallbacks} fast_path_units={} \
          allocs_per_unit_cold={allocs_per_unit_cold:.0} \
          pool_workers={}",
@@ -286,6 +289,7 @@ fn main() {
          \"cold_phases\": {},\n    \
          \"one_edit_phases\": {},\n    \
          \"relink_reseeded_functions\": {reseeded},\n    \
+         \"replanned_functions\": {replanned},\n    \
          \"dirty_cone_bound\": {cone_bound},\n    \
          \"linked_fallbacks\": {linked_fallbacks}\n  }},\n  \
          \"relink\": {relink_json},\n  \

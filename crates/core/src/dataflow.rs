@@ -1055,11 +1055,12 @@ impl PlanTransfers<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interproc::augment_with_call_effects;
+    use crate::interproc::{augment_with_call_effects, Effect, ProgramSummaries};
     use crate::pipeline::{closed_world_of, stage_accesses, stage_graphs, stage_summaries};
     use crate::OmpDartOptions;
     use ompdart_frontend::parser::parse_str;
     use ompdart_graph::ProgramGraphs;
+    use std::sync::Arc;
 
     fn plan_for(src: &str, func_name: &str) -> (MappingPlan, ompdart_frontend::TranslationUnit) {
         let (_file, result) = parse_str("t.c", src);
@@ -1630,6 +1631,90 @@ void f() {
         let declared = perfect.replace("parallel for", "parallel for collapse(2)");
         let (collapses, _) = collapses_of(&declared);
         assert!(collapses.is_empty(), "{collapses:?}");
+    }
+
+    /// What the projected plan keys rest on: a plan reads a callee's
+    /// effects only on the variables its region touches on the device, so
+    /// replaying more host-only accesses of a global outside the program's
+    /// device names at every call leaves the plan, its provenance and its
+    /// diagnostics byte for byte as they were.
+    #[test]
+    fn host_only_effects_on_other_globals_cannot_move_a_plan() {
+        let src = "\
+#define N 64
+double a[N];
+double b[N];
+double log_buf[N];
+double trace_buf[N];
+void step(double *p) {
+  for (int i = 0; i < N; i++) p[i] = p[i] * 0.5;
+  log_buf[0] += 1.0;
+}
+void report(void) { printf(\"%f\\n\", b[1]); }
+int main() {
+  #pragma omp target teams distribute parallel for
+  for (int i = 0; i < N; i++) a[i] = i;
+  step(a);
+  #pragma omp target teams distribute parallel for
+  for (int i = 0; i < N; i++) b[i] = a[i] + 1.0;
+  report();
+  return 0;
+}
+";
+        let (_file, result) = parse_str("t.c", src);
+        let unit = result.unit;
+        let graphs = stage_graphs(&unit);
+        let accesses = stage_accesses(&unit, &graphs);
+        let options = OmpDartOptions::default();
+        let seeds = stage_summaries(&unit, &accesses, &options);
+        let (_, link) = closed_world_of(&unit, &accesses, &seeds, &options, 1);
+        let device = &link.summaries.device;
+        assert!(device.contains(Symbol::intern("a")) && device.contains(Symbol::intern("b")));
+        let others = ["log_buf", "trace_buf"].map(Symbol::intern);
+        assert!(others.iter().all(|&global| !device.contains(global)));
+
+        // Every callee also reads and writes both other globals on the host.
+        let widened = ["step", "report"].map(|callee| {
+            let mut summary = link.summaries.summary(callee).unwrap().clone();
+            for global in others {
+                summary
+                    .global_effects
+                    .insert(global, Effect::pessimistic_host());
+            }
+            (Symbol::intern(callee), Arc::new(summary))
+        });
+        let widened = ProgramSummaries::overlay(Arc::clone(&link.summaries), widened);
+
+        let main = Symbol::intern("main");
+        let plan_under = |summaries: &ProgramSummaries| {
+            let mut acc = accesses.accesses[&main].clone();
+            augment_with_call_effects(&mut acc, &unit, summaries, false);
+            let mut diags = Diagnostics::new();
+            let plan = plan_function(
+                unit.function("main").unwrap(),
+                graphs.graphs.function("main").unwrap(),
+                &acc,
+                &accesses.symbols[&main],
+                &mut diags,
+            );
+            (
+                acc.accesses.len(),
+                format!("{plan:#?}"),
+                format!("{diags:#?}"),
+            )
+        };
+        let (replayed, plan, diags) = plan_under(&link.summaries);
+        let (widened_replayed, widened_plan, widened_diags) = plan_under(&widened);
+        assert!(
+            widened_replayed > replayed,
+            "the host-only accesses were replayed"
+        );
+        assert!(
+            plan.contains("UpdateSpec {"),
+            "the plan moves data around the calls: {plan}"
+        );
+        assert_eq!(plan, widened_plan);
+        assert_eq!(diags, widened_diags);
     }
 
     /// Functions without kernels produce no plan.

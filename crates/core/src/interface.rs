@@ -118,6 +118,11 @@ pub struct UnitExports {
     /// unknown callee clobbers in pessimistic-globals mode, and empty when
     /// that mode is off.
     pub(crate) globals: Vec<Symbol>,
+    /// The names a plan of the unit can map whether or not a summary
+    /// records them, sorted: every variable its functions touch on the
+    /// device and every variable they hand by reference at a call site
+    /// (see [`UnitExports::device_names_of`]).
+    pub(crate) device_names: Vec<Symbol>,
 }
 
 impl UnitExports {
@@ -146,7 +151,32 @@ impl UnitExports {
                 link: (Arc::clone(&summaries.seeds[&f.name]), calls),
             }
         });
-        UnitExports::assemble(unit, globals, functions.collect())
+        let device_names = Self::device_names_of(ast, accesses);
+        UnitExports::assemble(unit, globals, device_names, functions.collect())
+    }
+
+    /// The names a plan of `ast` can map that no converged summary need
+    /// record, sorted and de-duplicated: every variable its functions touch
+    /// on the device, and every variable they hand by reference at a call
+    /// site, where a callee's parameter effects — or, for a callee without
+    /// a summary, a pessimistic fallback — are replayed onto it. A local
+    /// or a parameter is in no summary, yet the planner matches variables
+    /// by name, so a callee's effect on a same-named global of another unit
+    /// lands on it; the link counts these names among the program's
+    /// [`crate::interproc::DeviceNames`] so that effect stays in the plan
+    /// keys.
+    fn device_names_of(ast: &TranslationUnit, accesses: &AccessArtifact) -> Vec<Symbol> {
+        let mut names = Vec::new();
+        for f in ast.functions() {
+            let acc = &accesses.accesses[&f.name];
+            let touched = acc.accesses.iter().filter(|a| a.on_device).map(|a| a.var);
+            let args = acc.calls.iter().flat_map(|call| &call.args);
+            let handed = args.filter(|arg| arg.by_ref).filter_map(|arg| arg.base_var);
+            names.extend(touched.chain(handed));
+        }
+        names.sort_unstable();
+        names.dedup();
+        names
     }
 
     /// The one constructor: resolve `functions`' names for the unit called
@@ -154,6 +184,7 @@ impl UnitExports {
     pub(crate) fn assemble(
         unit: &str,
         globals: Vec<Symbol>,
+        device_names: Vec<Symbol>,
         functions: Vec<FunctionParts>,
     ) -> UnitExports {
         let mut statics_mangled: Vec<(Symbol, Symbol)> = (functions.iter())
@@ -198,6 +229,7 @@ impl UnitExports {
             functions,
             statics_mangled,
             globals,
+            device_names,
         }
     }
 
@@ -252,6 +284,10 @@ impl UnitExports {
         number(out, self.globals.len());
         for global in &self.globals {
             name(out, global)?;
+        }
+        number(out, self.device_names.len());
+        for device_name in &self.device_names {
+            name(out, device_name)?;
         }
         for f in &self.functions {
             let is_static = f.source != f.resolved;
@@ -328,6 +364,10 @@ impl UnitExports {
         let globals = (0..global_count)
             .map(|_| symbol(token()))
             .collect::<Option<Vec<Symbol>>>()?;
+        let device_name_count: usize = number(token())?;
+        let device_names = (0..device_name_count)
+            .map(|_| symbol(token()))
+            .collect::<Option<Vec<Symbol>>>()?;
         let mut functions = Vec::new();
         for _ in 0..function_count {
             let is_static = flag(token())?;
@@ -394,7 +434,7 @@ impl UnitExports {
         if token().is_some() {
             return None;
         }
-        let exports = UnitExports::assemble(unit, globals, functions);
+        let exports = UnitExports::assemble(unit, globals, device_names, functions);
         // As in a unit that parsed, no name is defined twice, so the unit
         // links, alone or with others that do not define it.
         let mut resolved: Vec<Symbol> = exports.functions.iter().map(|f| f.resolved).collect();

@@ -16,8 +16,10 @@
 //! program). The link keeps one table of functions, [`ProgramSummaries`]:
 //! every resolved name it defines or calls has a dense `FuncId`, the
 //! index of its `Slot` — where the function is defined, its converged
-//! summary behind its own `Arc` and that summary's fingerprint, its callers
-//! and its call sites resolved to ids. `ProgramSummaries::converge`
+//! summary behind its own `Arc` and the fingerprint of what a caller's plan
+//! can read of it, its callers and its call sites resolved to ids. The
+//! table also counts the names some plan can map (`DeviceNames`): the
+//! globals those fingerprints cover. `ProgramSummaries::converge`
 //! re-converges, in place, just the caller-closed cone the link hands it,
 //! reading and writing summaries by id: it condenses only the cone's
 //! subgraph, and starting from a previous fixed point copies pointers. A
@@ -276,9 +278,11 @@ pub(crate) struct Slot {
     pub(crate) local_fp: u64,
     /// The converged summary; `None` while nothing defines the name.
     pub(crate) summary: Option<Arc<FunctionSummary>>,
-    /// `summary_fingerprint` of `summary`: re-hashed only when a relink
-    /// moves the summary.
-    pub(crate) summary_fp: u64,
+    /// `projected_fingerprint` of `summary` under the table's
+    /// [`DeviceNames`]: what a caller's plan can read of it. Re-hashed
+    /// when a relink moves the summary, and for every slot when the device
+    /// names gain or lose a member.
+    pub(crate) projected_fp: u64,
     /// The defined functions calling this one, once per call site.
     pub(crate) callers: Vec<FuncId>,
     /// The definition's callees, one per call site, in the order of its
@@ -313,8 +317,102 @@ pub struct ProgramSummaries {
     /// cloning every function's summary. Overlays are *lookup-only* views:
     /// `iter`/`len`/`is_empty`/`same_summaries` see just the own layer.
     pub(crate) base: Option<Arc<ProgramSummaries>>,
+    /// The names some plan of the program can map.
+    pub(crate) device: DeviceNames,
     /// Number of propagation passes performed before reaching a fixed point.
     pub passes: usize,
+}
+
+/// The program's *device names*: every name some plan can map. They are
+/// the globals some converged summary reads or writes on the device, and
+/// the names each unit's plans can map that no summary need record — the
+/// variables its functions touch on the device or hand by reference at a
+/// call site (`UnitExports::device_names`) — each with the number of
+/// summaries and units that do. A plan maps only variables some statement
+/// of its region touches on the device: a function's own access, or one
+/// replayed at a call site onto an argument or onto a global the callee's
+/// converged summary touches on the device. The planner matches variables
+/// by name, so a callee's effect on a global reaches a same-named local or
+/// parameter of its caller too; every mapped name is one of these either
+/// way, so a callee's effects on a global outside the set cannot move a
+/// caller's plan: the plan keys hash summaries projected onto this set
+/// (`pipeline::projected_fingerprint`).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct DeviceNames {
+    /// Per member: the summaries and units touching it on the device, and
+    /// the patch that added it. A name leaves when its count reaches zero.
+    /// FNV is safe for the reason it is in the id index: a `Symbol` hashes
+    /// as its interned number.
+    counts: HashMap<Symbol, (u32, u64), FnvBuild>,
+    /// Patches so far: stamps a member with the patch that added it.
+    patches: u64,
+}
+
+impl DeviceNames {
+    /// True if some plan can map a variable called `name`.
+    pub(crate) fn contains(&self, name: Symbol) -> bool {
+        self.counts.contains_key(&name)
+    }
+
+    /// Move the counts by a relink's `moves` — each cone function's summary
+    /// before and after (`None`: it had or has none) — and by the device
+    /// names of the units that `arrived` and `left`, and return true when
+    /// the set gained or lost a member. Walks the globals of the moved
+    /// summaries and allocates only when the map grows. Every increment
+    /// goes first, so a name absent at its increment had no count before
+    /// the patch, and one reaching zero at a decrement has none after it: a
+    /// name that does both came and went, and moves nothing.
+    pub(crate) fn patch<'s, I>(
+        &mut self,
+        moves: I,
+        arrived: impl Iterator<Item = Symbol>,
+        left: impl Iterator<Item = Symbol>,
+    ) -> bool
+    where
+        I: Iterator<Item = (Option<&'s FunctionSummary>, Option<&'s FunctionSummary>)> + Clone,
+    {
+        self.patches += 1;
+        let patch = self.patches;
+        let (mut grown, mut shrunk) = (0usize, 0usize);
+        let gains = (moves.clone()).flat_map(|(before, after)| device_only_in(after, before));
+        for name in gains.chain(arrived) {
+            let (count, _) = self.counts.entry(name).or_insert_with(|| {
+                grown += 1;
+                (0, patch)
+            });
+            *count += 1;
+        }
+        let losses = moves.flat_map(|(before, after)| device_only_in(before, after));
+        for name in losses.chain(left) {
+            let (count, added) = self.counts.get_mut(&name).expect("a counted name");
+            *count -= 1;
+            if *count == 0 {
+                match *added == patch {
+                    true => grown -= 1,
+                    false => shrunk += 1,
+                }
+                self.counts.remove(&name);
+            }
+        }
+        grown + shrunk > 0
+    }
+}
+
+/// True if `effect` reads or writes on the device.
+fn touches_device(effect: Effect) -> bool {
+    effect.device_read() || effect.device_write()
+}
+
+/// The globals `summary` touches on the device and `other` does not.
+fn device_only_in<'s>(
+    summary: Option<&'s FunctionSummary>,
+    other: Option<&'s FunctionSummary>,
+) -> impl Iterator<Item = Symbol> + 's {
+    let globals = summary.into_iter().flat_map(|s| &s.global_effects);
+    globals.filter_map(move |(&global, &effect)| {
+        let elsewhere = other.and_then(|o| o.global_effects.get(&global).copied());
+        (touches_device(effect) && !elsewhere.is_some_and(touches_device)).then_some(global)
+    })
 }
 
 /// Functions from the C standard library (and the OpenMP runtime) that are

@@ -71,7 +71,7 @@
 use crate::access::{FunctionAccesses, SymbolTable};
 use crate::dataflow::{plan_collapses, plan_function};
 use crate::interface::UnitExports;
-use crate::interproc::{augment_with_call_effects, seed_summary, FunctionSummary};
+use crate::interproc::{augment_with_call_effects, seed_summary, DeviceNames, FunctionSummary};
 use crate::plan::explain::explain_plans;
 use crate::plan::ir::{AnalysisStats, MappingPlan};
 use crate::plan::json::{plans_to_json, plans_to_json_value, write_json_string};
@@ -476,12 +476,18 @@ pub(crate) fn closed_world_of(
 ///   definitions, global declarations, prototypes, typedefs): macros expand
 ///   into function bodies and globals drive symbol resolution, so any
 ///   environment edit invalidates every function;
-/// * `callees_hash` — the interprocedural summaries (or visible-prototype
-///   `const` qualifiers) of the function's direct callees, so editing a
-///   callee's effects — which accesses it may make, and in which order —
-///   re-plans its callers. It is everything a plan reads of any other
-///   function: `main`'s exit liveness included, which asks what the calls
-///   after its region read;
+/// * `callees_hash` — what the plan can read of the function's direct
+///   callees: each one's converged summary projected onto the program's
+///   device names ([`projected_fingerprint`]: name, `has_kernels`, every
+///   parameter effect, and the effects on globals whose name some plan can
+///   map), or, for a callee without a summary, its visible prototype's
+///   `const` qualifiers. Editing a callee's effect on data a plan can map
+///   — which accesses it may make, and in which order — re-plans its
+///   callers; a host-only effect on a global whose name no plan can map
+///   does not, since no region maps it. It is
+///   everything a plan reads of any other function: `main`'s exit liveness
+///   included, which asks what the calls after its region read of the
+///   variables it maps;
 /// * `options_hash` — the [`OmpDartOptions`] fingerprint.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct FunctionPlanKey {
@@ -514,6 +520,9 @@ struct CachedFunctionPlan {
 /// first edit after a warm start is already incremental. The snippet itself
 /// is not stored — a store hit verified the full source, so the snippet is
 /// recovered from `[base_pos, base_pos + snippet_len)` of that source.
+/// `callees_hash` is the key's: callee summaries projected onto the device
+/// names (store format 11; a pack of an earlier format, keyed by whole
+/// summaries, is never read).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FunctionKeySnapshot {
     pub function: Symbol,
@@ -593,7 +602,24 @@ pub(crate) fn environment_hash(file: &SourceFile, unit: &TranslationUnit) -> u64
     h.finish()
 }
 
+/// Fingerprint of a whole summary: what the link's dirty check compares
+/// (a function's local fingerprint hashes its seed's).
 pub(crate) fn summary_fingerprint(s: &FunctionSummary) -> u64 {
+    fingerprint_where(s, |_| true)
+}
+
+/// Fingerprint of what a caller's plan can read of summary `s`: its name,
+/// `has_kernels`, every parameter effect, and its effects on globals named
+/// in the program's device names — none on any other global. A plan maps
+/// only variables its region touches on the device, each of them a device
+/// name, and reads nothing of a callee's effect on anything else
+/// ([`crate::interproc::DeviceNames`]).
+pub(crate) fn projected_fingerprint(s: &FunctionSummary, device: &DeviceNames) -> u64 {
+    fingerprint_where(s, |global| device.contains(global))
+}
+
+/// The fingerprint of `s` with only the global effects `keep` holds.
+fn fingerprint_where(s: &FunctionSummary, keep: impl Fn(Symbol) -> bool) -> u64 {
     let mut h = Fnv::new();
     h.write_str(&s.name);
     h.write(&[u8::from(s.has_kernels)]);
@@ -601,7 +627,7 @@ pub(crate) fn summary_fingerprint(s: &FunctionSummary) -> u64 {
         h.write(&[e.byte()]);
     }
     // `BTreeMap<Symbol>` iterates in resolved-string order already.
-    for (name, e) in s.global_effects.iter() {
+    for (name, e) in s.global_effects.iter().filter(|(name, _)| keep(**name)) {
         h.write_str(name);
         h.write(&[e.byte()]);
     }
@@ -647,19 +673,20 @@ pub(crate) fn callee_keys(
 }
 
 /// Fingerprint of the interprocedural facts a function's plan consumes: the
-/// summary fingerprint (`summary_fp`) of every direct callee, or — for
-/// callees without a summary — the shape of the visible prototype. In a
-/// linked program the summaries are the *whole-program* ones, so a callee
-/// edited in another unit invalidates its callers here exactly when its
-/// converged summary changed.
+/// projected summary fingerprint (`projected_fp`, [`projected_fingerprint`])
+/// of every direct callee, or — for callees without a summary — the shape
+/// of the visible prototype. In a linked program the summaries are the
+/// *whole-program* ones, so a callee edited in another unit invalidates its
+/// callers here exactly when its converged summary moved on a global in
+/// the device names, its parameters or its kernels.
 pub(crate) fn callees_fingerprint(
     callees: &[CalleeKey],
-    summary_fp: impl Fn(Symbol) -> Option<u64>,
+    projected_fp: impl Fn(Symbol) -> Option<u64>,
 ) -> u64 {
     let mut h = Fnv::new();
     for callee in callees {
         h.write_str(&callee.name);
-        match summary_fp(callee.name) {
+        match projected_fp(callee.name) {
             Some(fingerprint) => {
                 h.write(&[1]);
                 h.write_u64(fingerprint);
@@ -756,7 +783,7 @@ fn run_plan_stage(
                 snippet: parsed.file.snippet(func.span).to_string(),
                 env_hash: *env_hash,
                 callees_hash: callees_fingerprint(&exported.callees, |callee| {
-                    link.summary_fingerprint(callee)
+                    link.projected_fingerprint(callee)
                 }),
                 options_hash: *options_hash,
             });
@@ -2041,13 +2068,15 @@ void driver() {
     /// that version's interface.
     #[test]
     fn superseded_versions_are_released_while_reverts_stay_cached() {
-        // Version `k` of the edited unit also touches a global of its own,
-        // so `fill`'s summary — and with it the importing unit's imports
-        // fingerprint — is different in every version.
+        // Version `k` of the edited unit also touches a global of its own on
+        // the device, so `fill`'s summary moves on a device global — and with
+        // it the importing unit's imports fingerprint — in every version.
         let helper = |k: usize| {
             format!(
                 "extern double field[64];\ndouble seen_{k};\n\
-                 void fill(int n) {{\n  seen_{k} += 1.0;\n\
+                 void fill(int n) {{\n\
+                 \x20 #pragma omp target teams distribute parallel for\n\
+                 \x20 for (int i = 0; i < 1; i++) seen_{k} += 1.0;\n\
                  \x20 for (int i = 0; i < n; i++) field[i] = {k}.0 * i;\n}}\n"
             )
         };

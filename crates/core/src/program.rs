@@ -31,9 +31,10 @@
 //!    which every unit is a changed one. The table
 //!    ([`ProgramSummaries`]) gives every resolved name the program defines
 //!    or calls a dense id the first time it appears and holds, by id, its
-//!    definition, converged summary and summary fingerprint, callers and
-//!    resolved call sites, so the relink walks and re-converges a cone by
-//!    index; ids of names nothing defines or calls any more are reused.
+//!    definition, converged summary, the fingerprint of what a caller's
+//!    plan can read of that summary, callers and resolved call sites, so
+//!    the relink walks and re-converges a cone by index; ids of names
+//!    nothing defines or calls any more are reused.
 //! 3. **Plan** — each unit is planned against the linked summaries: a call
 //!    site stands in its caller's data flow for the access sequence its
 //!    callee's summary carries, wherever the callee is defined, so a copy-in
@@ -55,7 +56,7 @@ pub use crate::interface::UnitExports;
 use crate::interface::{is_mangled, ExportedFunction};
 use crate::interproc::{FuncId, FunctionSummary, ProgramSummaries};
 use crate::pipeline::{
-    callees_fingerprint, summary_fingerprint, AnalysisSession, Fnv, StageError, SummarizedUnit,
+    callees_fingerprint, projected_fingerprint, AnalysisSession, Fnv, StageError, SummarizedUnit,
     UnitAnalysis,
 };
 use crate::plan::json::Json;
@@ -104,17 +105,20 @@ impl LinkedSummaries {
 pub struct LinkContext {
     /// Whole-program summaries (shared across all units of the program).
     pub summaries: Arc<ProgramSummaries>,
-    /// Fingerprint of the unit's *observed* imported surface: the
-    /// converged summary of every callee its functions name (through the
-    /// unit's static-shadowing view). Threaded through the unit table and the persistent store
-    /// key: editing one file invalidates another unit's stored plans
-    /// only when a fact that unit actually *reads* changed — an edit round
-    /// re-plans the import cone, not the whole program.
+    /// Fingerprint of the unit's *observed* imported surface: of every
+    /// callee its functions name (through the unit's static-shadowing
+    /// view), what a plan can read of its converged summary — the summary
+    /// projected onto the program's device names
+    /// (`pipeline::projected_fingerprint`). Threaded through the
+    /// unit table and the persistent store key: editing one file
+    /// invalidates another unit's plans only when a fact that unit's plans
+    /// can actually *read* changed — an edit round re-plans the units whose
+    /// callees moved on data a region can map, not the whole import cone.
     pub imports_fingerprint: u64,
-    /// The link's memoised fingerprint of every converged summary — the
-    /// program's function table and this unit's static views, both shared,
-    /// neither copied — so planning a function hashes none of its callees'
-    /// summaries again.
+    /// The link's memoised projected fingerprint of every converged
+    /// summary — the program's function table and this unit's static
+    /// views, both shared, neither copied — so planning a function hashes
+    /// none of its callees' summaries again.
     fingerprints: (Arc<ProgramSummaries>, Arc<[StaticView]>),
 }
 
@@ -140,17 +144,18 @@ impl LinkContext {
         }
     }
 
-    /// [`summary_fingerprint`] of the summary `callee` resolves to under
+    /// [`projected_fingerprint`] of the summary `callee` resolves to under
     /// this context ([`Self::summaries`]), from the link's memo.
-    pub(crate) fn summary_fingerprint(&self, callee: Symbol) -> Option<u64> {
+    pub(crate) fn projected_fingerprint(&self, callee: Symbol) -> Option<u64> {
         let (functions, statics) = &self.fingerprints;
         memoised_fingerprint(statics, functions, callee)
     }
 }
 
-/// The memoised fingerprint of the summary a unit with the static views
-/// `statics` sees under the name `callee`: its own static's, shadowing any
-/// same-named external symbol as C scoping does, else the program's.
+/// The memoised projected fingerprint of the summary a unit with the
+/// static views `statics` sees under the name `callee`: its own static's,
+/// shadowing any same-named external symbol as C scoping does, else the
+/// program's.
 fn memoised_fingerprint(
     statics: &[StaticView],
     table: &ProgramSummaries,
@@ -160,7 +165,7 @@ fn memoised_fingerprint(
         Some(view) => Some(view.fingerprint),
         None => {
             let slot = table.slot(table.id(callee)?);
-            slot.def.map(|_| slot.summary_fp)
+            slot.def.map(|_| slot.projected_fp)
         }
     }
 }
@@ -185,8 +190,8 @@ pub struct Program {
     pub linked: LinkedSummaries,
     /// Per-unit imported-surface fingerprints (see
     /// [`LinkContext::imports_fingerprint`]). Dependency-aware: unit `i`'s
-    /// entry hashes the converged summaries of exactly the callees unit
-    /// `i` names, so it moves only when a fact unit `i` observes changed.
+    /// entry hashes the projected summaries of exactly the callees unit `i`
+    /// names, so it moves only when a fact unit `i`'s plans read changed.
     import_fps: Vec<u64>,
     /// Per unit, its own statics as the unit sees them — under their
     /// source-level names, shadowing any same-named external symbol as C
@@ -202,7 +207,7 @@ struct StaticView {
     source: Symbol,
     /// The converged summary of the mangled symbol, renamed to `source`.
     summary: Arc<FunctionSummary>,
-    /// [`summary_fingerprint`] of `summary`.
+    /// [`projected_fingerprint`] of `summary`.
     fingerprint: u64,
 }
 
@@ -210,10 +215,11 @@ struct StaticView {
 /// kept by the [`AnalysisSession`] between links: the latest [`Program`] —
 /// whose function table holds, by id, what lets [`Program::relink`]
 /// *patch* it: each function's definition, callers and resolved call
-/// sites, and the fingerprint of its converged summary — and, once
-/// [`ProgramDriver`] has planned that program, its analyses. The default
-/// state is the empty program; patching it is a cold link. A state belongs
-/// to one set of analysis options: every relink of it must pass the same.
+/// sites and the projected fingerprint of its converged summary, and the
+/// program's device names — and, once [`ProgramDriver`] has planned that
+/// program, its analyses. The default state is the empty program; patching
+/// it is a cold link. A state belongs to one set of analysis options: every
+/// relink of it must pass the same.
 #[derive(Debug)]
 pub struct LinkState {
     program: Program,
@@ -331,10 +337,14 @@ impl Program {
     ///    (`ProgramSummaries::converge`); everything else keeps its
     ///    converged `Arc`. Ids nothing defines or calls any more are retired
     ///    for the next names to reuse.
-    /// 4. **Refresh what observes a moved summary.** Static views and
-    ///    imports fingerprints are recomputed for changed units and for
-    ///    units that name a function whose converged summary actually
-    ///    moved, from memoised per-summary fingerprints.
+    /// 4. **Refresh what observes a moved summary.** The device names are
+    ///    patched from the cone's summaries before and after and from the
+    ///    units that came and went. Static views are recomputed for changed
+    ///    units and units owning a moved static, and imports fingerprints
+    ///    for those and for units that name a function whose *projected*
+    ///    fingerprint moved, from memoised per-summary fingerprints. When
+    ///    the device names gained or lost a member, every projected
+    ///    fingerprint is re-derived and every unit refreshed.
     ///
     /// The result is identical to a cold link of the same units (pinned by
     /// tests at every worker count), `linked.passes` aside — a diagnostic
@@ -513,7 +523,7 @@ impl Program {
                 Arc::clone(&f.link.seed)
             });
             if seed.is_none() {
-                slot.summary_fp = 0;
+                slot.projected_fp = 0;
             }
             before.push(std::mem::replace(&mut slot.summary, seed));
         }
@@ -523,27 +533,52 @@ impl Program {
         linked.passes = table.passes;
 
         // --- 4. Refresh what observes a moved summary. -------------------
+        // The device names follow the cone's summaries and the device names
+        // of the units that came and went; when they gain or lose a member,
+        // every projected fingerprint may move.
+        let mut device = std::mem::take(&mut table.device);
+        let cone_moves = (cone.iter().zip(&before))
+            .map(|(&id, before)| (before.as_deref(), table.slot(id).summary.as_deref()));
+        let arrived = changed
+            .iter()
+            .flat_map(|&i| units[i].exports().device_names.iter().copied());
+        let left = (0..was.len()).filter(|&j| survives(j).is_none());
+        let left = left.flat_map(|j| was[j].exports().device_names.iter().copied());
+        let reproject = device.patch(cone_moves, arrived, left);
+        table.device = device;
         // Changed units, the unit owning a moved static (its view renames
-        // the summary) and the units calling a moved function.
-        let mut touched = vec![false; units.len()];
+        // the summary) and the units calling a function whose projected
+        // fingerprint moved — or every unit, after a reprojection.
+        let mut touched = vec![reproject; units.len()];
         for &i in &changed {
             touched[i] = true;
         }
         let mut restatic = touched.clone();
+        if reproject {
+            let device = &table.device;
+            for slot in &mut table.slots {
+                if let Some(summary) = &slot.summary {
+                    slot.projected_fp = projected_fingerprint(summary, device);
+                }
+            }
+        }
         // Once every unit is touched (a cold link) there is nobody left to
         // find through the callers.
-        let mut untouched = units.len() - changed.len();
+        let mut untouched = touched.iter().filter(|touched| !**touched).count();
         for (&id, before) in cone.iter().zip(&before) {
             *reseeded += u64::from(before.is_some());
             let slot = table.slot(id);
-            if slot.summary == *before {
+            if slot.summary == *before || reproject {
                 continue;
             }
+            let mut moved = slot.summary.is_some() != before.is_some();
             if let (Some(now), Some((unit, _))) = (&slot.summary, slot.def) {
                 restatic[unit] |= is_mangled(slot.name);
-                table.slot_mut(id).summary_fp = summary_fingerprint(now);
+                let fingerprint = projected_fingerprint(now, &table.device);
+                moved |= fingerprint != slot.projected_fp;
+                table.slot_mut(id).projected_fp = fingerprint;
             }
-            if untouched > 0 {
+            if moved && untouched > 0 {
                 for &caller in &table.slot(id).callers {
                     let (unit, _) = table.slot(caller).def.expect("a caller is defined");
                     let importer = &mut touched[unit];
@@ -573,7 +608,7 @@ impl Program {
                     summary.name = source;
                     Some(StaticView {
                         source,
-                        fingerprint: summary_fingerprint(&summary),
+                        fingerprint: projected_fingerprint(&summary, &table.device),
                         summary: Arc::new(summary),
                     })
                 })
@@ -581,21 +616,24 @@ impl Program {
         }
 
         // Dependency-aware imported-surface fingerprints, derived from the
-        // *converged* fixed point: for each unit, hash the summary of
-        // every callee its functions name — resolved through the unit's
-        // static-shadowing view, exactly as planning resolves them. These
-        // cover every cross-unit fact `analyze_linked` can observe, so an
-        // edit in unit A moves unit B's fingerprint only when a summary B
-        // actually reads changed: the edit path re-plans the import cone,
-        // not the program.
+        // *converged* fixed point: for each unit, hash the projected
+        // fingerprint of every callee its functions name — resolved through
+        // the unit's static-shadowing view, exactly as planning resolves
+        // them. These cover every cross-unit fact a plan of
+        // `analyze_linked` can read — callee names, whether each has a
+        // summary, its parameter effects, kernels and effects on globals
+        // in the device names — so an edit in unit A moves unit B's
+        // fingerprint only when one of those moved: a host-only effect on a
+        // global no region can map re-plans the edited unit alone, not its
+        // import cone.
         for (i, unit) in units.iter().enumerate().filter(|(i, _)| touched[*i]) {
             *touched_units += 1;
             let exports = unit.exports();
-            let summary_fp = |callee| memoised_fingerprint(&unit_statics[i], table, callee);
+            let projected_fp = |callee| memoised_fingerprint(&unit_statics[i], table, callee);
             let mut h = Fnv::new();
             for f in &exports.functions {
                 h.write_str(&f.source);
-                h.write_u64(callees_fingerprint(&f.callees, summary_fp));
+                h.write_u64(callees_fingerprint(&f.callees, projected_fp));
                 h.write(&[0xee]);
             }
             import_fps[i] = h.finish();

@@ -16,8 +16,9 @@
 //!   the mapped program) and per-function key snapshots
 //!   ([`FunctionKeySnapshot`], so the first *edit* after a warm start
 //!   re-plans only the edited function). Its key adds the fingerprint of what
-//!   the unit imports from the rest of its program, so an edit to one unit
-//!   leaves the others' records valid unless an interface they import moved.
+//!   the unit imports from the rest of its program — what its plans can read
+//!   of the summaries of the functions it calls — so an edit to one unit
+//!   leaves the others' records valid unless such a fact moved.
 //!   A hit is served without the unit's AST: the rewrite is a splice of the
 //!   stored insertions into the bytes just read, never a re-derivation.
 //!
@@ -110,15 +111,20 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Version of the pack format; a record of any other store or plan version
-/// is never read, and leaves with the next compaction. v10 is v9's pack
-/// with interface records in which every function carries its seed and
-/// call sites (no "has propagation inputs" flag bit); v9's interface
+/// is never read, and leaves with the next compaction. v11 is v10's pack
+/// under other keys: a unit record's imports fingerprint and its
+/// functions' `callees_hash` hash callee summaries projected onto the
+/// program's device names, where v10 hashed whole summaries, so a v10
+/// key means something else even where its bits match; and its interface
+/// records list, after the unit's globals, the unit's device names. v10 is
+/// v9's pack with interface records in which every function carries its
+/// seed and call sites (no "has propagation inputs" flag bit); v9's interface
 /// records no longer opened with a fingerprint of the unit's surface; v8
 /// had version-3 plan documents in the unit records (the `unstructured`
 /// marker instead of enter-data / exit-data lists); v3's
 /// `unit-*`, `fn-*` and `ref-*` files are ignored, and removed by
 /// [`ArtifactStore::gc`].
-pub const STORE_FORMAT_VERSION: u32 = 10;
+pub const STORE_FORMAT_VERSION: u32 = 11;
 
 const PACK_FILE: &str = "ompdart.pack";
 /// Starts every record. Payloads are UTF-8, which never holds `0xff`, so the
@@ -959,17 +965,27 @@ mod tests {
         std::fs::write(&path, &future).unwrap();
         assert!(load().is_none());
 
-        // Nor is anything a previous version wrote (no legacy reader): a v9
-        // interface record (whose functions could lack propagation inputs),
-        // a v8 interface record (whose payload opened with a fingerprint), a
-        // v7 pack — whose unit records hold version-2 plan documents this
+        // A format-10 pack: its imports fingerprints and plan keys hashed
+        // whole callee summaries, which the projected keys of this version
+        // do not cover. A miss, though the record is otherwise intact.
+        let mut v10 = intact.clone();
+        reheader(&mut v10, |head| head[6] = 10);
+        std::fs::write(&path, &v10).unwrap();
+        assert!(load().is_none());
+
+        // Nor is anything a previous version wrote (no legacy reader): a v10
+        // unit record (keyed by whole-summary fingerprints), a v9 interface
+        // record (whose functions could lack propagation inputs), a v8
+        // interface record (whose payload opened with a fingerprint), a v7
+        // pack — whose unit records hold version-2 plan documents this
         // version has no reader for — with a unit and an interface record,
         // and a v5 interface record (kind 3 then) behind them. Nothing is
-        // read, and all five are gone from the pack once a compaction has
+        // read, and all six are gone from the pack once a compaction has
         // passed over it.
         let mut previous = Vec::new();
         let older = [
-            (9u8, INTERFACE as u8),
+            (10u8, UNIT as u8),
+            (9, INTERFACE as u8),
             (8, INTERFACE as u8),
             (7, UNIT as u8),
             (7, INTERFACE as u8),
@@ -986,10 +1002,10 @@ mod tests {
         assert_eq!(
             upgraded.loaded().records.len(),
             0,
-            "nothing of v9, v8, v7 or v5 is indexed"
+            "nothing of v10, v9, v8, v7 or v5 is indexed"
         );
         save(&upgraded, "y.c", "void g() {}", &options, UNLINKED);
-        assert_eq!(upgraded.total_bytes(), 6 * intact.len() as u64);
+        assert_eq!(upgraded.total_bytes(), 7 * intact.len() as u64);
         upgraded.gc(u64::MAX);
         assert_eq!(upgraded.total_bytes(), intact.len() as u64);
         assert!(upgraded.load("void g() {}", &options, UNLINKED).is_some());

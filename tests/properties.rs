@@ -1389,6 +1389,187 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Projected plan keys: device names that come and go
+// ---------------------------------------------------------------------------
+
+/// Names of the device-names model — the globals `g0..g3` every unit
+/// declares and `gl`, a global only the last stage's unit defines — and its
+/// functions: `main` and the chain `s1..s3`, one to a unit.
+const DEVICE_MODEL_NAMES: usize = 5;
+const DEVICE_MODEL_FUNCTIONS: usize = 4;
+
+/// Per function, per name: 0 untouched, 1 touched on the host, 2 in a
+/// kernel, 3 handed by reference to an unknown callee in a kernel (a device
+/// access no summary records). In `main`, `s1` and `s2`, whose units do not
+/// declare `gl`, a nonzero `gl` cell is a *local* array of that name: the
+/// planner matches variables by name, so the callee global's effects
+/// replayed at the function's call land on it.
+type DeviceModel = [[u8; DEVICE_MODEL_NAMES]; DEVICE_MODEL_FUNCTIONS];
+
+/// `main` brackets its call into the chain with kernels on `gm`, so its
+/// region holds the chain's replayed effects; each stage touches `g0`, `g1`
+/// before its call and `g2`, `g3` after it, and the last calls a function
+/// nobody defines (a clobber of every global under pessimistic globals). A
+/// local `gl` is touched on both sides of its function's call, so a kernel
+/// on it puts the call inside the function's region.
+fn render_device_model(model: &DeviceModel) -> Vec<(String, String)> {
+    let header = "#ifndef DEV_H\n#define DEV_H\n#define N 16\nextern double gm[N];\n\
+                  extern double g0[N];\nextern double g1[N];\n\
+                  extern double g2[N];\nextern double g3[N];\n#endif\n";
+    let name = |j: usize| match j {
+        4 => "gl".to_string(),
+        _ => format!("g{j}"),
+    };
+    let touch_one = |f: usize, j: usize| -> String {
+        let g = name(j);
+        match model[f][j] {
+            1 => format!("  {g}[{f}] += 1.0;\n"),
+            2 => format!(
+                "  #pragma omp target teams distribute parallel for\n  \
+                 for (int i = 0; i < N; i++) {g}[i] += {f}.0;\n"
+            ),
+            3 => format!(
+                "  #pragma omp target teams distribute parallel for\n  \
+                 for (int i = 0; i < N; i++) {{ ext_use({g}); }}\n"
+            ),
+            _ => String::new(),
+        }
+    };
+    let last = DEVICE_MODEL_FUNCTIONS - 1;
+    // What function `f` does before its call and after it, and the local
+    // `gl` it declares.
+    let touch = |f: usize, globals: std::ops::Range<usize>| -> String {
+        let local = (f < last).then_some(4);
+        (globals.chain(local)).map(|j| touch_one(f, j)).collect()
+    };
+    let local = |f: usize| match f < last && model[f][4] != 0 {
+        true => "  double gl[N];\n",
+        false => "",
+    };
+    let main = format!(
+        "{header}double gm[N];\ndouble g0[N];\ndouble g1[N];\ndouble g2[N];\ndouble g3[N];\n\
+         int main() {{\n{}{}  #pragma omp target teams distribute parallel for\n  \
+         for (int i = 0; i < N; i++) gm[i] = i;\n  s1();\n  \
+         #pragma omp target teams distribute parallel for\n  \
+         for (int i = 0; i < N; i++) gm[i] += 1.0;\n{}  \
+         printf(\"%f %f %f %f %f\\n\", gm[1], g0[1], g1[2], g2[3], g3[1]);\n  return 0;\n}}\n",
+        local(0),
+        touch(0, 0..2),
+        touch(0, 2..4),
+    );
+    let mut units = vec![("dev_0.c".to_string(), main)];
+    for f in 1..DEVICE_MODEL_FUNCTIONS {
+        let (call, defined) = match f < last {
+            true => (format!("  s{}();\n", f + 1), ""),
+            false => ("  ext_log();\n".to_string(), "double gl[N];\n"),
+        };
+        let (before, after) = match f < last {
+            true => (touch(f, 0..2), touch(f, 2..4)),
+            false => (touch(f, 0..2), touch(f, 2..5)),
+        };
+        let body = format!("{}{before}{call}{after}", local(f));
+        units.push((
+            format!("dev_{f}.c"),
+            format!("{header}{defined}void s{f}(void) {{\n{body}}}\n"),
+        ));
+    }
+    units
+}
+
+/// One edit of the device-names model, of the kind `kind` names when the
+/// model allows it (else a random one): 0 adds a host-only effect, 1 the
+/// first device access of a name, direct or through an unknown callee (the
+/// device names grow), 2 removes the last device access of one (they
+/// shrink).
+fn edit_device_model(model: &mut DeviceModel, rng: &mut u64, kind: usize) {
+    let devices = |model: &DeviceModel, j: usize| model.iter().filter(|f| f[j] >= 2).count();
+    let pick = |rng: &mut u64, cells: Vec<(usize, usize)>| {
+        (!cells.is_empty()).then(|| cells[roll(rng, cells.len())])
+    };
+    let cells = |keep: &dyn Fn(usize, usize) -> bool| -> Vec<(usize, usize)> {
+        (0..DEVICE_MODEL_FUNCTIONS)
+            .flat_map(|f| (0..DEVICE_MODEL_NAMES).map(move |j| (f, j)))
+            .filter(|&(f, j)| keep(f, j))
+            .collect()
+    };
+    let chosen = match kind {
+        0 => pick(rng, cells(&|f, j| model[f][j] == 0)).map(|cell| (cell, 1)),
+        1 => pick(rng, cells(&|_, j| devices(model, j) == 0))
+            .map(|cell| (cell, 2 + roll(rng, 2) as u8)),
+        2 => pick(
+            rng,
+            cells(&|f, j| model[f][j] >= 2 && devices(model, j) == 1),
+        )
+        .map(|cell| (cell, roll(rng, 2) as u8)),
+        _ => None,
+    };
+    let ((f, j), state) = chosen.unwrap_or_else(|| {
+        let f = roll(rng, DEVICE_MODEL_FUNCTIONS);
+        ((f, roll(rng, DEVICE_MODEL_NAMES)), roll(rng, 4) as u8)
+    });
+    model[f][j] = state;
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, .. ProptestConfig::default() })]
+
+    /// Plan keys project callee summaries onto the device names, so a
+    /// script that adds host-only effects, gives a name its first device
+    /// access — in a kernel, or handed to an unknown callee inside one, on a
+    /// global or on a caller's local named like another unit's global — and
+    /// takes the last one away must never serve a plan that a cold analysis
+    /// would not make. One long-lived session per option
+    /// combination (`{lifetimes} × {pessimistic_globals}`) follows the
+    /// script; after every step each unit's rewrite and plan JSON are a
+    /// cold analysis's, and the patched link's imports fingerprints a cold
+    /// link's.
+    #[test]
+    fn projected_plan_keys_agree_with_a_cold_analysis_as_device_names_move(
+        seed in 1u64..u64::MAX,
+        steps in 6usize..12,
+    ) {
+        let mut rng = seed;
+        let mut model: DeviceModel = [[0; DEVICE_MODEL_NAMES]; DEVICE_MODEL_FUNCTIONS];
+        for _ in 0..4 {
+            let kind = roll(&mut rng, 4);
+            edit_device_model(&mut model, &mut rng, kind);
+        }
+        let combos = [(false, false), (true, false), (false, true), (true, true)].map(
+            |(lifetimes, pessimistic_globals)| ompdart_core::OmpDartOptions {
+                lifetimes,
+                pessimistic_globals,
+            },
+        );
+        let driver_under = |options: ompdart_core::OmpDartOptions| {
+            let session = ompdart_core::AnalysisSession::with_options(options);
+            ompdart_core::ProgramDriver::with_session(std::sync::Arc::new(session))
+        };
+        let drivers = combos.map(driver_under);
+        let offset = roll(&mut rng, 4);
+        for step in 0..=steps {
+            let inputs = render_device_model(&model);
+            for (options, driver) in combos.iter().zip(&drivers) {
+                let at = format!("step {step}, {options:?}, seed {seed:#x}\n{model:?}");
+                let warm = driver.analyze_program(&inputs).expect("the model links");
+                let cold = driver_under(*options).analyze_program(&inputs).expect("the model links");
+                prop_assert_eq!(unit_outputs(&warm), unit_outputs(&cold), "outputs differ at {}", at);
+                let patched = driver.link(&inputs).expect("the round above linked");
+                let relinked = ompdart_core::Program::link(patched.units.clone(), options)
+                    .expect("the round above linked");
+                for unit in 0..patched.len() {
+                    prop_assert_eq!(
+                        patched.link_context(unit).imports_fingerprint,
+                        relinked.link_context(unit).imports_fingerprint,
+                        "unit {}'s imports fingerprint differs at {}", unit, at
+                    );
+                }
+            }
+            edit_device_model(&mut model, &mut rng, (step + offset) % 4);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // The persistent store: a restart at every step answers like a fresh session
 // ---------------------------------------------------------------------------
 

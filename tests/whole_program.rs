@@ -1173,6 +1173,159 @@ fn relink_touches_follow_the_cone_on_the_thousand_unit_corpus() {
     assert!(moved.relink_touched_units <= 501 + 1 + 8, "{moved}");
 }
 
+/// A plan is keyed by what it can read: the corpus's mid-chain edit adds a
+/// host-only `syn_extra` effect that reaches every summary in its cone, but
+/// no kernel touches `syn_extra`, so no caller's plan can read it. The
+/// first time the session sees the edit, one function is planned (the
+/// edited one) and every other unit is served from memory. Keyed on whole
+/// callee summaries, as before the keys were projected onto the device
+/// names, the same edit re-planned `stage_1..stage_29` and `main` — one
+/// function in each of 30 more units — and this test failed.
+///
+/// Then a kernel on `syn_extra` in another stage makes it a device global:
+/// every fingerprint is re-derived, the units whose callees now move on it
+/// are re-planned, the units below the edit stay cached, and the round
+/// equals a cold analysis.
+#[test]
+fn a_host_only_edit_replans_its_function_and_a_new_device_global_its_callers() {
+    let base = ompdart_suite::corpus::generate(60, 42);
+    let driver = ProgramDriver::new();
+    let session = Arc::clone(driver.session());
+    driver.analyze_program(&base).expect("cold round failed");
+    driver.analyze_program(&base).expect("warm round failed");
+
+    let mut host_only = base.clone();
+    ompdart_suite::corpus::edit_one_function(&mut host_only, 30);
+    let before = session.cache_stats();
+    let (moved, round) = warm_round(&driver, &host_only);
+    assert_eq!(moved.function_plan_misses, 1, "{moved}");
+    assert!(
+        moved.relink_reseeded_functions >= 31,
+        "the summaries of the whole cone moved: {moved}"
+    );
+    assert_eq!(delta(before, session.cache_stats()).0, 1);
+    for (i, served) in round.served.iter().enumerate() {
+        match i {
+            30 => assert!(
+                matches!(served, UnitServe::Planned { replanned: 1, .. }),
+                "{served:?}"
+            ),
+            _ => assert_eq!(*served, UnitServe::Cached, "unit {i}"),
+        }
+    }
+
+    // `syn_extra` becomes a device global: stage_45 writes it in a kernel.
+    let mut device = host_only.clone();
+    let marker = "void stage_45(void) {\n";
+    let source = &mut device[45].1;
+    let at = source.find(marker).expect("the corpus defines stage_45") + marker.len();
+    source.insert_str(
+        at,
+        "  #pragma omp target teams distribute parallel for\n  \
+         for (int i = 0; i < SYN_N; i++) syn_extra[i] += 1.0;\n",
+    );
+    let (moved, round) = warm_round(&driver, &device);
+    assert_eq!(
+        moved.relink_touched_units, 60,
+        "a new device global touches every unit"
+    );
+    for (i, served) in round.served.iter().enumerate() {
+        match i {
+            // `main` and stage_1..stage_44 call a function whose summary
+            // now moves on a device global; stage_45 was edited.
+            0..=45 => assert!(
+                matches!(served, UnitServe::Planned { replanned: 1, .. }),
+                "unit {i}: {served:?}"
+            ),
+            _ => assert_eq!(*served, UnitServe::Cached, "unit {i}"),
+        }
+    }
+    assert_eq!(moved.function_plan_misses, 46, "{moved}");
+}
+
+/// A global handed by reference to a callee with no summary inside a kernel
+/// is touched on the device by the caller's plan (the fallback replays a
+/// device read and write), though no summary records it: the device names
+/// count it all the same, so an edit to another callee's host effect on it
+/// re-plans the caller.
+#[test]
+fn a_global_passed_to_an_unknown_callee_in_a_kernel_is_a_device_global() {
+    let main = "\
+#define N 16
+double g[N];
+void ext(double *p);
+void h(void);
+int main() {
+  #pragma omp target teams distribute parallel for
+  for (int i = 0; i < N; i++) { ext(g); }
+  h();
+  #pragma omp target teams distribute parallel for
+  for (int i = 0; i < N; i++) { ext(g); }
+  printf(\"%f\\n\", g[0]);
+  return 0;
+}
+";
+    let helper =
+        |body: &str| format!("#define N 16\nextern double g[N];\nvoid h(void) {{ {body} }}\n");
+    let program = |body: &str| owned(&[("main.c", main), ("h.c", &helper(body))]);
+    let driver = ProgramDriver::new();
+    driver
+        .analyze_program(&program("g[1] = 2.0;"))
+        .expect("cold round failed");
+    let (moved, round) = warm_round(&driver, &program("double t = 0.0; t += 1.0;"));
+    assert!(
+        matches!(round.served[0], UnitServe::Planned { replanned: 1, .. }),
+        "{moved}"
+    );
+}
+
+/// The planner matches variables by name, so a callee's effect on a global
+/// is replayed onto a caller's *local* of the same name: here `c` writes
+/// the global `tmp` of `c.c` on the host, and `main`'s plan updates its own
+/// local `tmp` after the call. No summary records that local, yet the
+/// device names count it, so dropping `c`'s host write moves `c`'s
+/// projected fingerprint and re-plans `main`. With only the globals some
+/// summary touches on the device counted, `main` was served its old plan,
+/// update and all, and the round differed from a cold analysis.
+#[test]
+fn a_callee_global_with_a_caller_local_name_stays_in_the_plan_key() {
+    let main = "\
+#define N 16
+void c(void);
+int main() {
+  double tmp[N];
+  #pragma omp target teams distribute parallel for
+  for (int i = 0; i < N; i++) tmp[i] = i;
+  c();
+  #pragma omp target teams distribute parallel for
+  for (int i = 0; i < N; i++) tmp[i] += 1.0;
+  printf(\"%f\\n\", tmp[0]);
+  return 0;
+}
+";
+    let callee = |body: &str| format!("#define N 16\ndouble tmp[N];\nvoid c(void) {{ {body} }}\n");
+    let program = |body: &str| owned(&[("main.c", main), ("c.c", &callee(body))]);
+    let driver = ProgramDriver::new();
+    let writes = driver
+        .analyze_program(&program("tmp[0] = 1.0;"))
+        .expect("cold round failed");
+    assert!(
+        writes.units[0]
+            .rewrite
+            .source
+            .contains("target update to(tmp"),
+        "the replayed host write needs an update: {}",
+        writes.units[0].rewrite.source
+    );
+    let (moved, round) = warm_round(&driver, &program("double t = 0.0; t += 1.0;"));
+    assert!(
+        matches!(round.served[0], UnitServe::Planned { replanned: 1, .. }),
+        "{moved}: {:?}",
+        round.served
+    );
+    assert!(!round.units[0].rewrite.source.contains("target update"));
+}
+
 // ---------------------------------------------------------------------------
 // Ordered summaries: a call site costs what its body costs
 // ---------------------------------------------------------------------------
