@@ -132,7 +132,6 @@ pub struct CallArg {
 pub struct SymbolTable {
     vars: HashMap<Symbol, Type>,
     params: HashSet<Symbol>,
-    const_pointee_params: HashSet<Symbol>,
     globals: HashSet<Symbol>,
 }
 
@@ -147,9 +146,6 @@ impl SymbolTable {
         for p in &func.params {
             table.vars.insert(p.name, p.ty.clone());
             table.params.insert(p.name);
-            if p.is_const_pointee {
-                table.const_pointee_params.insert(p.name);
-            }
         }
         if let Some(body) = &func.body {
             body.walk(&mut |s| {
@@ -196,11 +192,6 @@ impl SymbolTable {
     /// True if the variable is a function parameter.
     pub fn is_param(&self, name: impl Into<Symbol>) -> bool {
         self.params.contains(&name.into())
-    }
-
-    /// True if the parameter points to `const` data.
-    pub fn is_const_pointee_param(&self, name: impl Into<Symbol>) -> bool {
-        self.const_pointee_params.contains(&name.into())
     }
 
     /// True if the variable is a global.
@@ -769,8 +760,6 @@ struct item { int v; };
         assert!(sym.is_pointer("output"));
         assert!(!sym.is_pointer("grid"));
         assert!(sym.is_param("input"));
-        assert!(sym.is_const_pointee_param("input"));
-        assert!(!sym.is_const_pointee_param("output"));
         assert!(sym.is_global("grid"));
         assert!(sym.escapes("grid"));
         assert!(sym.escapes("output"));

@@ -207,7 +207,8 @@ impl OmpdartBuilder {
         self
     }
 
-    /// Build the tool (one cached [`AnalysisSession`] behind an `Arc`).
+    /// Build the tool (one cached [`AnalysisSession`] and the two
+    /// [`ProgramDriver`]s over it).
     pub fn build(self) -> Ompdart {
         let mut session = AnalysisSession::with_options(self.options);
         if let Some(workers) = self.parallelism {
@@ -220,20 +221,31 @@ impl OmpdartBuilder {
             }
             session = session.with_store(store);
         }
+        let session = Arc::new(session);
+        let driver = || Arc::new(ProgramDriver::with_session(Arc::clone(&session)));
         Ompdart {
-            session: Arc::new(session),
+            program: driver(),
+            unit: driver(),
         }
     }
 }
 
 /// The OMPDart tool: the builder-style facade over the staged pipeline.
 ///
-/// One `Ompdart` owns one cached [`AnalysisSession`]; analyzing the same
-/// content twice is served from the artifact cache. Clones share the
-/// session (and its cache).
+/// One `Ompdart` owns one cached [`AnalysisSession`] and two
+/// [`ProgramDriver`]s over it: every analysis — one unit or many — is a
+/// driver round, so analyzing the same content twice is served from the
+/// artifact cache and an edit relinks only what it reached. Clones share
+/// the session and the drivers.
 #[derive(Clone, Debug)]
 pub struct Ompdart {
-    session: Arc<AnalysisSession>,
+    /// Rounds of [`Ompdart::analyze_program`]: the program's link state.
+    program: Arc<ProgramDriver>,
+    /// Rounds of [`Ompdart::analyze`], one-unit programs with a link state
+    /// of their own: a unit analyzed between two rounds of a program (the
+    /// daemon's `explain` between `analyze` requests) leaves the program's
+    /// incremental relink and round-level fast path alone.
+    unit: Arc<ProgramDriver>,
 }
 
 impl Default for Ompdart {
@@ -255,32 +267,41 @@ impl Ompdart {
 
     /// The active options.
     pub fn options(&self) -> &OmpDartOptions {
-        self.session.options()
+        self.session().options()
     }
 
     /// The underlying session (stage-by-stage driving, cache statistics).
     pub fn session(&self) -> &Arc<AnalysisSession> {
-        &self.session
+        self.program.session()
     }
 
-    /// Analyze one source: runs (or fetches from the cache) the complete
-    /// pipeline and returns the unit's [`UnitAnalysis`].
+    /// Analyze one source as a one-unit program: runs (or fetches from the
+    /// cache) the complete pipeline and returns the unit's
+    /// [`UnitAnalysis`]. A call into a function the unit does not define
+    /// falls back to pessimistic assumptions.
     pub fn analyze(&self, name: &str, source: &str) -> Result<Arc<UnitAnalysis>, StageError> {
-        self.session.analyze(name, source)
+        match self.unit.round(&[(name, source)]) {
+            Ok((mut program, _)) => Ok(program.units.remove(0)),
+            Err(ProgramError::Unit { error, .. }) => Err(error),
+            // A unit defines each function once: the parser rejects a second
+            // definition.
+            Err(error) => unreachable!("a unit links alone: {error}"),
+        }
     }
 
     /// Analyze many `(name, source)` pairs concurrently over this tool's
     /// shared session, preserving input order. The builder's `parallelism`
     /// governs the batch worker count as well as the per-function fan-out.
     ///
-    /// Each unit is a *closed world* here: calls into other units fall back
-    /// to pessimistic assumptions. Use [`Ompdart::analyze_program`] to link
-    /// the inputs into one whole program instead.
+    /// Each unit is a *one-unit program* here ([`Ompdart::analyze`]): calls
+    /// into other units fall back to pessimistic assumptions. Use
+    /// [`Ompdart::analyze_program`] to link the inputs into one whole
+    /// program instead.
     pub fn analyze_batch(
         &self,
         inputs: &[(String, String)],
     ) -> Vec<Result<Arc<UnitAnalysis>, StageError>> {
-        pool::pool_map(self.session.parallelism(), inputs.len(), |i| {
+        pool::pool_map(self.session().parallelism(), inputs.len(), |i| {
             let (name, source) = &inputs[i];
             self.analyze(name, source)
         })
@@ -308,7 +329,7 @@ impl Ompdart {
         &self,
         inputs: &[(String, String)],
     ) -> Result<(ProgramAnalysis, DriverProfile), ProgramError> {
-        ProgramDriver::with_session(Arc::clone(&self.session)).analyze_program_profiled(inputs)
+        self.program.analyze_program_profiled(inputs)
     }
 }
 

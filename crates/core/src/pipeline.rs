@@ -27,12 +27,11 @@
 //! and on demand for one whose interface the persistent store held — and
 //! [`AnalysisSession::analyze_linked`] plans and rewrites it under a
 //! [`LinkContext`], or loads plans and rewrite from the store without
-//! touching the body. A whole program gets its contexts from the link
-//! stage ([`crate::program`]); a single unit is the *closed-world program*
-//! — the unit linked alone, so a call into another file has no summary —
-//! and [`AnalysisSession::analyze`] is summarize → `analyze_linked` →
-//! flush: there is one fixed point, one unit table, one store probe and one
-//! planning call for both. Finished artifacts live in
+//! touching the body. Every analysis gets its contexts from the link stage
+//! ([`crate::program`]) through a [`crate::program::ProgramDriver`] round —
+//! a single unit is a one-unit program, so a call into another file has no
+//! summary: there is one fixed point, one unit table, one store probe and
+//! one planning call for every analysis. Finished artifacts live in
 //! the session's unit table, indexed by unit name and verified against the
 //! source bytes, so repeated analysis of unchanged sources is near-free, and
 //! the planning stage fans out per function over the session's worker pool.
@@ -44,6 +43,8 @@
 //!
 //! ```
 //! use ompdart_core::pipeline::AnalysisSession;
+//! use ompdart_core::ProgramDriver;
+//! use std::sync::Arc;
 //!
 //! let src = "\
 //! #define N 64
@@ -57,14 +58,16 @@
 //!   return 0;
 //! }
 //! ";
-//! let session = AnalysisSession::new();
-//! let analysis = session.analyze("demo.c", src).unwrap();
+//! let session = Arc::new(AnalysisSession::new());
+//! let driver = ProgramDriver::with_session(Arc::clone(&session));
+//! let unit = [("demo.c".to_string(), src.to_string())];
+//! let analysis = driver.analyze_program(&unit).unwrap().units.remove(0);
 //! assert!(analysis.rewrite.source.contains("#pragma omp target data"));
-//! // The second analysis of identical content is served from the cache:
-//! // same artifacts, no stage re-run.
-//! let again = session.analyze("demo.c", src).unwrap();
-//! assert!(std::sync::Arc::ptr_eq(&analysis, &again));
-//! assert_eq!(session.cache_stats().analysis_hits, 1);
+//! // The second round over identical content is the first one's: same
+//! // artifacts, no stage re-run, not even a link.
+//! let again = driver.analyze_program(&unit).unwrap().units.remove(0);
+//! assert!(Arc::ptr_eq(&analysis, &again));
+//! assert_eq!(session.cache_stats().fast_path_hits, 1);
 //! assert_eq!(session.cache_stats().analysis_misses, 1);
 //! ```
 
@@ -75,7 +78,7 @@ use crate::interproc::{augment_with_call_effects, seed_summary, DeviceNames, Fun
 use crate::plan::explain::explain_plans;
 use crate::plan::ir::{AnalysisStats, MappingPlan};
 use crate::plan::json::{plans_to_json, plans_to_json_value, write_json_string};
-use crate::program::{LinkContext, LinkState, UnitServe, UNLINKED};
+use crate::program::{LinkContext, LinkState, Program, UnitServe};
 use crate::relocate::{relocate_diagnostics, relocate_plan};
 use crate::rewrite;
 use crate::shard::ShardMap;
@@ -443,10 +446,10 @@ pub fn stage_summaries(
     }
 }
 
-/// The closed world of a unit known by its stage artifacts: the unit
-/// (interface only — it is never planned through) and the context of it
-/// linked alone on `threads` workers. What the pure stage functions plan
-/// and verify under.
+/// The closed world of a unit known by its stage artifacts — the one-unit
+/// program: the unit (interface only — it is never planned through) and
+/// the context of it linked alone on `threads` workers. What the pure stage
+/// functions plan and verify under.
 pub(crate) fn closed_world_of(
     unit: &TranslationUnit,
     accesses: &AccessArtifact,
@@ -457,8 +460,16 @@ pub(crate) fn closed_world_of(
     // The name only tells the unit's `static` functions from others'.
     let exports = UnitExports::of("", unit, accesses, summaries, options);
     let alone = Arc::new(SummarizedUnit::restored("", "", options, exports));
-    let link = LinkContext::closed_world(&alone, options, threads);
-    (alone, link)
+    // A unit defines each function once: the parser rejects a second
+    // definition.
+    let program = Program::relink(
+        vec![Arc::clone(&alone)],
+        options,
+        threads,
+        &mut LinkState::default(),
+    )
+    .expect("a unit links alone");
+    (alone, program.link_context(0))
 }
 
 // ---------------------------------------------------------------------------
@@ -1186,11 +1197,10 @@ impl UnitAnalysis {
 const VERSIONS_PER_UNIT: usize = 2;
 
 /// How many analyses of one version stay resident, each under the imports
-/// fingerprint it was planned for: the closed-world one
-/// ([`crate::UNLINKED`] — what `explain` and single-unit requests ask for)
-/// and the two most recent linked ones, so a *neighbour's* edit → revert,
-/// which moves this unit's imports fingerprint and moves it back, stays warm
-/// too.
+/// fingerprint it was planned for: the unit as a one-unit program's (what
+/// `explain` and single-unit requests ask for) and the two most recent
+/// ones of a larger program, so a *neighbour's* edit → revert, which moves
+/// this unit's imports fingerprint and moves it back, stays warm too.
 const ANALYSES_PER_VERSION: usize = 3;
 
 /// Most-recently-used lookup: the entry `is` accepts, moved to the front.
@@ -1292,10 +1302,9 @@ impl UnitSlot {
 ///   and written back after every miss, so a fresh process starts warm and
 ///   parses only the units a change reached.
 ///
-/// [`Self::analyze`] (one unit, a closed world) and
-/// [`crate::program::ProgramDriver`] (many units, linked) both run
-/// [`Self::summarize`] → [`Self::analyze_linked`]. To run the pipeline step
-/// by step, call the pure stage functions ([`stage_parse`] …
+/// A [`crate::program::ProgramDriver`] round — of many units, or of one —
+/// runs [`Self::summarize`] → link → [`Self::analyze_linked`]. To run the
+/// pipeline step by step, call the pure stage functions ([`stage_parse`] …
 /// [`stage_rewrite`]): they are what the session runs.
 #[derive(Debug)]
 pub struct AnalysisSession {
@@ -1304,11 +1313,6 @@ pub struct AnalysisSession {
     /// The unit table: unit name → its resident versions.
     units: ShardMap<String, UnitSlot>,
     function_plans: FunctionPlanCache,
-    /// The persistent whole-program link state: the latest linked program,
-    /// its analyses, and the indexes [`crate::program::Program::relink`]
-    /// patches, so the next link touches only the units that changed and
-    /// what their re-derived summaries reach. Empty until the first link.
-    link_state: Mutex<LinkState>,
     /// The persistent store. Write-backs are queued in it while planning and
     /// [`AnalysisSession::flush_store_writes`] appends the whole round's at
     /// once.
@@ -1358,7 +1362,6 @@ impl AnalysisSession {
             parallelism: default_parallelism(),
             units: ShardMap::new(),
             function_plans: FunctionPlanCache::default(),
-            link_state: Mutex::default(),
             store: None,
             unseeded: Mutex::default(),
             counters: AtomicCacheStats::default(),
@@ -1397,27 +1400,14 @@ impl AnalysisSession {
 
     /// Append the store write-backs queued since the last flush to the pack,
     /// in one write. Returns the number of records written. Called once per
-    /// [`Self::analyze`] and once per whole-program analysis by
-    /// [`crate::program::ProgramDriver::analyze_program`]; dropping the
+    /// planning round by [`crate::program::ProgramDriver::analyze_program`];
+    /// dropping the
     /// session flushes any stragglers, so callers driving
     /// [`Self::analyze_linked`] by hand lose nothing. Best effort: records
     /// that cannot be written are a later miss.
     pub fn flush_store_writes(&self) -> usize {
         let flushed = self.store.as_ref().map(ArtifactStore::flush);
         flushed.and_then(Result::ok).unwrap_or(0)
-    }
-
-    /// Take the persistent link state out of the session (leaving the empty
-    /// state, whose patch is a cold link) for
-    /// [`crate::program::ProgramDriver`] to read and patch;
-    /// [`Self::put_link_state`] puts it back.
-    pub(crate) fn take_link_state(&self) -> LinkState {
-        std::mem::take(&mut *self.link_state.lock().expect("link state lock poisoned"))
-    }
-
-    /// Put the link state back.
-    pub(crate) fn put_link_state(&self, state: LinkState) {
-        *self.link_state.lock().expect("link state lock poisoned") = state;
     }
 
     /// The session's counters, for what the driver counts itself (relink
@@ -1500,37 +1490,6 @@ impl AnalysisSession {
         ));
         self.counters.add_all(artifact.counted);
         artifact
-    }
-
-    /// Run (or fetch from the cache) the complete pipeline for one source,
-    /// analyzed as a closed world: calls into functions the unit does not
-    /// define fall back to pessimistic assumptions.
-    pub fn analyze(&self, name: &str, source: &str) -> Result<Arc<UnitAnalysis>, StageError> {
-        self.analyze_served(name, source).map(|(unit, _)| unit)
-    }
-
-    /// [`Self::analyze`] plus a *per-request* [`UnitServe`] report derived
-    /// from this call's own cache lookups and planning artifacts — never
-    /// from before/after deltas of the session-global counters, which are
-    /// only sound when requests cannot interleave.
-    ///
-    /// A single unit is the closed-world program: summarize, plan under
-    /// [`LinkContext::closed_world`] — the unit linked alone — and flush;
-    /// that link only runs once the unit table and the store have both
-    /// missed under [`UNLINKED`], so a warm hit builds nothing. This
-    /// deliberately does not go through [`crate::program::ProgramDriver`] —
-    /// a one-unit request must leave the session's link state alone, or
-    /// interleaving it with whole-program requests on one session would
-    /// evict their incremental relink and round-level fast path.
-    pub fn analyze_served(
-        &self,
-        name: &str,
-        source: &str,
-    ) -> Result<(Arc<UnitAnalysis>, UnitServe), StageError> {
-        let unit = self.summarize(name, source)?;
-        let served = self.analyze_under(&unit, UNLINKED, None);
-        self.flush_store_writes();
-        Ok(served)
     }
 
     /// Before `name` is planned: if its last analysis came from the store,
@@ -1643,18 +1602,7 @@ impl AnalysisSession {
         unit: &Arc<SummarizedUnit>,
         link: &LinkContext,
     ) -> (Arc<UnitAnalysis>, UnitServe) {
-        self.analyze_under(unit, link.imports_fingerprint, Some(link))
-    }
-
-    /// [`Self::analyze_linked`] under `imports_fingerprint`; without a
-    /// `link`, the unit's closed world, assembled only if it has to be
-    /// planned.
-    fn analyze_under(
-        &self,
-        unit: &Arc<SummarizedUnit>,
-        imports_fingerprint: u64,
-        link: Option<&LinkContext>,
-    ) -> (Arc<UnitAnalysis>, UnitServe) {
+        let imports_fingerprint = link.imports_fingerprint;
         if let Some(analysis) = self.resident_analysis(unit, imports_fingerprint) {
             self.counters.add(Counter::analysis_hits, 1);
             return (analysis, UnitServe::Cached);
@@ -1663,7 +1611,7 @@ impl AnalysisSession {
         // The serve report stays this request's own even when a concurrent
         // analysis of the same content is admitted first — the duplicated
         // work really happened.
-        let (plans, rewrite, served) = self.plan_or_load(unit, imports_fingerprint, link);
+        let (plans, rewrite, served) = self.plan_or_load(unit, link);
         let analysis = Arc::new(UnitAnalysis {
             unit: Arc::clone(unit),
             plans,
@@ -1688,15 +1636,12 @@ impl AnalysisSession {
     fn plan_or_load(
         &self,
         unit: &Arc<SummarizedUnit>,
-        imports_fingerprint: u64,
-        link: Option<&LinkContext>,
+        link: &LinkContext,
     ) -> (Arc<PlansArtifact>, RewriteOutput, UnitServe) {
         // One hash of the source serves every lookup and write-back.
         let store = (self.store.as_ref()).map(|store| {
-            (
-                store,
-                unit.content().unit(&self.options, imports_fingerprint),
-            )
+            let key = unit.content().unit(&self.options, link.imports_fingerprint);
+            (store, key)
         });
         let stored = store.as_ref().and_then(|(store, key)| {
             let hit = store.load_unit(key);
@@ -1734,14 +1679,6 @@ impl AnalysisSession {
             return (plans, rewrite, UnitServe::Store);
         }
         let body = unit.body_through(Some(self));
-        let closed_world;
-        let link = match link {
-            Some(link) => link,
-            None => {
-                closed_world = LinkContext::closed_world(unit, &self.options, self.parallelism);
-                &closed_world
-            }
-        };
         let plans = self.plan_under(body, link, unit.exports());
         let start = Instant::now();
         let edits = rewrite::plan_edits(
@@ -1809,7 +1746,7 @@ int main() {
         let plans = stage_plans(&parsed.unit, &graphs, &accesses, &summaries, &options, 1);
         let rewrite = stage_rewrite(&parsed, &graphs, &plans);
 
-        let one_shot = AnalysisSession::new().analyze("demo.c", DEMO).unwrap();
+        let one_shot = crate::Ompdart::new().analyze("demo.c", DEMO).unwrap();
         assert_eq!(one_shot.rewrite.source, rewrite.source);
         assert_eq!(one_shot.plans.stats, plans.stats);
         assert_eq!(one_shot.plans.plans, plans.plans);
@@ -1836,17 +1773,18 @@ int main() {
 
     #[test]
     fn cache_hits_skip_every_stage() {
-        let session = AnalysisSession::new();
-        let first = session.analyze("demo.c", DEMO).unwrap();
+        let tool = crate::Ompdart::new();
+        let session = tool.session();
+        let first = tool.analyze("demo.c", DEMO).unwrap();
         let before = session.cache_stats();
-        let second = session.analyze("demo.c", DEMO).unwrap();
+        let second = tool.analyze("demo.c", DEMO).unwrap();
         assert!(
             Arc::ptr_eq(&first, &second),
             "cache hit must return the same artifacts"
         );
         let moved = session.cache_stats() - before;
         assert_eq!(
-            (moved.summarize_hits, moved.analysis_hits),
+            (moved.summarize_hits, moved.fast_path_hits),
             (1, 1),
             "{moved:?}"
         );
@@ -1857,8 +1795,8 @@ int main() {
 
     #[test]
     fn stage_errors_are_typed() {
-        let session = AnalysisSession::new();
-        let err = session
+        let tool = crate::Ompdart::new();
+        let err = tool
             .analyze("broken.c", "int main( { return 0; }\n")
             .unwrap_err();
         assert!(matches!(err, StageError::Parse { .. }));
@@ -1875,7 +1813,7 @@ void f() {
   }
 }
 ";
-        let err = session.analyze("mapped.c", mapped).unwrap_err();
+        let err = tool.analyze("mapped.c", mapped).unwrap_err();
         assert!(matches!(err, StageError::AlreadyMapped { .. }));
     }
 
@@ -1895,8 +1833,8 @@ void g() {
 }
 int main() { f(); g(); printf(\"%f %f\\n\", a[1], b[1]); return 0; }
 ";
-        let serial = AnalysisSession::new().with_parallelism(1);
-        let parallel = AnalysisSession::new().with_parallelism(4);
+        let serial = crate::Ompdart::builder().parallelism(1).build();
+        let parallel = crate::Ompdart::builder().parallelism(4).build();
         let a = serial.analyze("fg.c", src).unwrap();
         let b = parallel.analyze("fg.c", src).unwrap();
         assert_eq!(a.rewrite.source, b.rewrite.source);
@@ -1928,9 +1866,11 @@ int main() { f(); g(); printf(\"%f %f\\n\", a[1], b[1]); return 0; }
         }
         assert_eq!(tool.session().cache_stats().analysis_misses, 6);
 
-        // Re-running the same corpus is served from the cache.
+        // Re-running the same corpus is served from the cache: each unit's
+        // one-unit program finds its analysis resident.
         let again = tool.analyze_batch(&inputs);
-        assert_eq!(tool.session().cache_stats().analysis_hits, 6);
+        let stats = tool.session().cache_stats();
+        assert_eq!((stats.fast_path_hits, stats.analysis_misses), (6, 6));
         for (a, b) in results.iter().zip(&again) {
             assert!(Arc::ptr_eq(a.as_ref().unwrap(), b.as_ref().unwrap()));
         }
@@ -1957,8 +1897,9 @@ int main() { fa(); fb(); printf(\"%f %f\\n\", a[1], b[1]); return 0; }
     /// source — plans (node ids, spans), stats, and rewrite bytes.
     #[test]
     fn one_function_edit_replans_only_that_function() {
-        let session = AnalysisSession::new();
-        session.analyze("two.c", TWO_FUNCS).unwrap();
+        let tool = crate::Ompdart::new();
+        let session = tool.session();
+        tool.analyze("two.c", TWO_FUNCS).unwrap();
         let stats = session.cache_stats();
         assert_eq!(stats.function_plan_hits, 0);
         assert_eq!(stats.function_plan_misses, 3);
@@ -1967,7 +1908,7 @@ int main() { fa(); fb(); printf(\"%f %f\\n\", a[1], b[1]); return 0; }
         // and node ids, exercising the relocation path.
         let edited = TWO_FUNCS.replace("a[i] = i;", "a[i] = i + 1.0;");
         assert_ne!(edited, TWO_FUNCS);
-        let incremental = session.analyze("two.c", &edited).unwrap();
+        let incremental = tool.analyze("two.c", &edited).unwrap();
         let stats = session.cache_stats();
         assert_eq!(
             stats.function_plan_misses, 4,
@@ -1975,8 +1916,7 @@ int main() { fa(); fb(); printf(\"%f %f\\n\", a[1], b[1]); return 0; }
         );
         assert_eq!(stats.function_plan_hits, 2, "fb and main must be served");
 
-        let cold = AnalysisSession::new();
-        let fresh = cold.analyze("two.c", &edited).unwrap();
+        let fresh = crate::Ompdart::new().analyze("two.c", &edited).unwrap();
         assert_eq!(fresh.rewrite.source, incremental.rewrite.source);
         assert_eq!(fresh.plans.stats, incremental.plans.stats);
         assert_eq!(fresh.plans.plans, incremental.plans.plans);
@@ -1986,14 +1926,14 @@ int main() { fa(); fb(); printf(\"%f %f\\n\", a[1], b[1]); return 0; }
     /// function: macros expand into bodies, so no cached plan may survive.
     #[test]
     fn environment_edit_invalidates_every_function() {
-        let session = AnalysisSession::new();
-        session.analyze("two.c", TWO_FUNCS).unwrap();
+        let tool = crate::Ompdart::new();
+        tool.analyze("two.c", TWO_FUNCS).unwrap();
         let edited = TWO_FUNCS.replace("#define N 24", "#define N 48");
-        let incremental = session.analyze("two.c", &edited).unwrap();
-        let stats = session.cache_stats();
+        let incremental = tool.analyze("two.c", &edited).unwrap();
+        let stats = tool.session().cache_stats();
         assert_eq!(stats.function_plan_hits, 0);
         assert_eq!(stats.function_plan_misses, 6);
-        let cold = AnalysisSession::new().analyze("two.c", &edited).unwrap();
+        let cold = crate::Ompdart::new().analyze("two.c", &edited).unwrap();
         assert_eq!(cold.rewrite.source, incremental.rewrite.source);
     }
 
@@ -2016,20 +1956,20 @@ void driver() {
   }
 }
 ";
-        let session = AnalysisSession::new();
-        session.analyze("ip.c", src).unwrap();
+        let tool = crate::Ompdart::new();
+        tool.analyze("ip.c", src).unwrap();
         // helper turns from a reader into a writer of its parameter:
         // driver's plan must be recomputed even though its body text is
         // unchanged (same length, same node count).
         let edited = src.replace("sink = sink + p[i];", "p[i] = sink + 0.25;");
         assert_eq!(edited.len(), src.len());
-        let incremental = session.analyze("ip.c", &edited).unwrap();
-        let stats = session.cache_stats();
+        let incremental = tool.analyze("ip.c", &edited).unwrap();
+        let stats = tool.session().cache_stats();
         assert_eq!(
             stats.function_plan_misses, 4,
             "both helper and driver must be re-planned"
         );
-        let cold = AnalysisSession::new().analyze("ip.c", &edited).unwrap();
+        let cold = crate::Ompdart::new().analyze("ip.c", &edited).unwrap();
         assert_eq!(cold.rewrite.source, incremental.rewrite.source);
         assert_eq!(cold.plans.plans, incremental.plans.plans);
     }
@@ -2039,18 +1979,19 @@ void driver() {
     /// name, is a different unit — never another file's artifacts.
     #[test]
     fn cache_hits_verify_full_key() {
-        let session = AnalysisSession::new();
-        let a = session.analyze("x.c", TWO_FUNCS).unwrap();
+        let tool = crate::Ompdart::new();
+        let session = tool.session();
+        let a = tool.analyze("x.c", TWO_FUNCS).unwrap();
         // Same content, other name: its own parse, its own diagnostics name.
-        let renamed = session.analyze("y.c", TWO_FUNCS).unwrap();
+        let renamed = tool.analyze("y.c", TWO_FUNCS).unwrap();
         assert!(!Arc::ptr_eq(&a, &renamed));
         assert_eq!(renamed.unit().body().parsed.name, "y.c");
         // Same name, other content: the resident version must be skipped.
-        let other = session.analyze("x.c", DEMO).unwrap();
+        let other = tool.analyze("x.c", DEMO).unwrap();
         assert_eq!(other.source_file().text(), DEMO);
         assert_eq!(session.cache_stats().analysis_misses, 3);
         // Both versions of `x.c` are resident, each under its own bytes.
-        let again = session.analyze("x.c", TWO_FUNCS).unwrap();
+        let again = tool.analyze("x.c", TWO_FUNCS).unwrap();
         assert!(Arc::ptr_eq(&a, &again));
         let resummarized = session.summarize("x.c", DEMO).unwrap();
         assert!(Arc::ptr_eq(&resummarized, other.unit()));
@@ -2060,9 +2001,9 @@ void driver() {
 
     /// Ledger finding 4: a long-lived session is bounded by construction.
     /// One unit of a three-unit program goes through 100 distinct versions,
-    /// each followed by its revert and a closed-world request for the same
-    /// unit. Nothing evicts by hand; every revert round and every
-    /// closed-world request after the first is served from memory; and once
+    /// each followed by its revert and a one-unit request for the same unit
+    /// on a driver of its own. Nothing evicts by hand; every revert round and
+    /// every one-unit request after the first is served from memory; and once
     /// version k+2 has been analyzed nothing of version k is alive — not
     /// the edited unit's artifacts, not the analysis its importer got under
     /// that version's interface.
@@ -2109,8 +2050,9 @@ void bump(void);
         ];
         let session = Arc::new(AnalysisSession::new());
         let driver = crate::program::ProgramDriver::with_session(Arc::clone(&session));
+        let alone = crate::program::ProgramDriver::with_session(Arc::clone(&session));
         driver.analyze_program(&base).unwrap();
-        session.analyze_served("helper.c", &base[0].1).unwrap();
+        alone.analyze_program(&base[..1]).unwrap();
 
         // Per version: the edited unit's summarized artifacts and analysis,
         // and the importer's analysis under that version's interface.
@@ -2140,8 +2082,8 @@ void bump(void);
                 "revert of version {k}: {:?}",
                 reverted.served
             );
-            let (_, alone) = session.analyze_served("helper.c", &base[0].1).unwrap();
-            assert_eq!(alone, UnitServe::Cached, "closed-world request after {k}");
+            let served = alone.analyze_program(&base[..1]).unwrap().served;
+            assert_eq!(served, [UnitServe::Cached], "one-unit request after {k}");
 
             if k >= 2 {
                 let (unit, analysis, importer) = &handles[k - 2];
@@ -2175,16 +2117,17 @@ void bump(void);
             std::env::temp_dir().join(format!("ompdart-pipeline-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
 
-        let first = AnalysisSession::new().with_cache_dir(&dir);
+        let first = crate::Ompdart::builder().cache_dir(&dir).build();
         let cold = first.analyze("two.c", TWO_FUNCS).unwrap();
-        let stats = first.cache_stats();
+        let stats = first.session().cache_stats();
         assert_eq!(stats.store_hits, 0);
         assert_eq!(stats.store_misses, 1);
-        assert_eq!(first.artifact_store().unwrap().entry_count(), 1);
+        let store = first.session().artifact_store().unwrap();
+        assert_eq!(store.entry_count(), 1);
 
-        let second = AnalysisSession::new().with_cache_dir(&dir);
+        let second = crate::Ompdart::builder().cache_dir(&dir).build();
         let warm = second.analyze("two.c", TWO_FUNCS).unwrap();
-        let stats = second.cache_stats();
+        let stats = second.session().cache_stats();
         assert_eq!(stats.store_hits, 1);
         assert_eq!(stats.store_misses, 0);
         assert_eq!(
@@ -2265,7 +2208,7 @@ static void touch_shared(void) {
 
     #[test]
     fn timings_cover_every_stage() {
-        let analysis = AnalysisSession::new().analyze("demo.c", DEMO).unwrap();
+        let analysis = crate::Ompdart::new().analyze("demo.c", DEMO).unwrap();
         let timings = analysis.timings();
         assert!(timings.total() > Duration::ZERO);
         let rendered = format!("{timings}");

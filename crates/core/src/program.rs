@@ -3,14 +3,13 @@
 //!
 //! Every unit is planned under a [`LinkContext`] — the interprocedural
 //! summaries its call sites resolve against — and the link is the only code
-//! that converges summaries. A unit analyzed on its own is a one-unit
-//! program: its *closed-world* context ([`LinkContext::closed_world`]) is
-//! that of the unit linked alone, by the same code, from the same
-//! interface, so a call into another file has no summary,
-//! [`crate::interproc::augment_with_call_effects`] falls back to the
-//! maximally pessimistic host read+write assumption, and every cross-file
-//! call forces conservative `tofrom` mappings. Between the Summaries and
-//! Plans stages:
+//! that converges summaries. Every analysis is a program round of a
+//! [`ProgramDriver`]: a unit analyzed on its own is a one-unit program,
+//! linked by the same code from the same interface, so a call into another
+//! file has no summary, [`crate::interproc::augment_with_call_effects`]
+//! falls back to the maximally pessimistic host read+write assumption, and
+//! every cross-file call forces conservative `tofrom` mappings. Between the
+//! Summaries and Plans stages:
 //!
 //! 1. **Export** — each unit's interface ([`UnitExports`],
 //!    [`crate::interface`]) collects the seed summaries and call sites of
@@ -43,12 +42,9 @@
 //!
 //! [`ProgramDriver`] packages the three phases as *parallel summarize →
 //! link → parallel plan* over one shared [`AnalysisSession`], every phase
-//! at the driver's width. Linking and planning are the same calls either
-//! way — [`Program::relink`], [`AnalysisSession::analyze_linked`] — so a
-//! single-unit program produces byte-identical output to
-//! [`AnalysisSession::analyze`]. The defining
-//! golden property, pinned by `tests/whole_program.rs` and the split
-//! proptest: analyzing `k` units as one linked program rewrites each unit
+//! at the session's width, and keeps its program's [`LinkState`] between
+//! rounds. The defining golden property, pinned by `tests/whole_program.rs`
+//! and the split proptest: analyzing `k` units as one linked program rewrites each unit
 //! byte-identically to analyzing the concatenation of all `k` unit sources
 //! as a single translation unit.
 
@@ -64,11 +60,13 @@ use crate::stats::{Counter, Value};
 use ompdart_frontend::Symbol;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// The link-fingerprint value of analyses that are not part of any linked
-/// program (a unit analyzed as a closed world).
+/// A link fingerprint no analysis is keyed by: every unit is planned inside
+/// a linked program, under the imports fingerprint its link gave it. Kept
+/// exported only because the benchmark harness (`ledger/src/layers.rs`)
+/// still names it for its store probe.
 pub const UNLINKED: u64 = 0;
 
 // ---------------------------------------------------------------------------
@@ -123,27 +121,6 @@ pub struct LinkContext {
 }
 
 impl LinkContext {
-    /// The context of a unit analyzed on its own — the closed-world
-    /// program: the unit linked alone ([`Program::relink`] of the empty
-    /// state, on `threads` workers), which reads its interface and nothing
-    /// else, under the imports fingerprint [`UNLINKED`] (the unit-table and
-    /// store key of stand-alone analyses).
-    pub fn closed_world(
-        unit: &Arc<SummarizedUnit>,
-        options: &crate::OmpDartOptions,
-        threads: usize,
-    ) -> LinkContext {
-        let alone = vec![Arc::clone(unit)];
-        // A unit defines each function once: the parser rejects a second
-        // definition, and the store's decoder an interface naming one.
-        let program = Program::relink(alone, options, threads, &mut LinkState::default())
-            .expect("a unit links alone");
-        LinkContext {
-            imports_fingerprint: UNLINKED,
-            ..program.link_context(0)
-        }
-    }
-
     /// [`projected_fingerprint`] of the summary `callee` resolves to under
     /// this context ([`Self::summaries`]), from the link's memo.
     pub(crate) fn projected_fingerprint(&self, callee: Symbol) -> Option<u64> {
@@ -212,8 +189,8 @@ struct StaticView {
 }
 
 /// The persistent, owned form of everything a whole-program link derives,
-/// kept by the [`AnalysisSession`] between links: the latest [`Program`] —
-/// whose function table holds, by id, what lets [`Program::relink`]
+/// kept by the program's [`ProgramDriver`] between rounds: the latest
+/// [`Program`] — whose function table holds, by id, what lets [`Program::relink`]
 /// *patch* it: each function's definition, callers and resolved call
 /// sites and the projected fingerprint of its converged summary, and the
 /// program's device names — and, once [`ProgramDriver`] has planned that
@@ -298,10 +275,9 @@ impl Program {
     /// empty [`LinkState`], in which every unit is a changed one, at the
     /// machine's width.
     ///
-    /// A unit analyzed alone is linked by this very code (its closed world,
-    /// [`LinkContext::closed_world`]), which is what makes a linked
-    /// multi-unit analysis provably equal to a single-unit analysis of the
-    /// concatenated sources.
+    /// A unit analyzed alone is a one-unit program linked by this very
+    /// code, which is what makes a linked multi-unit analysis provably
+    /// equal to a single-unit analysis of the concatenated sources.
     pub fn link(
         units: Vec<Arc<SummarizedUnit>>,
         options: &crate::OmpDartOptions,
@@ -791,7 +767,7 @@ pub struct DriverProfile {
     /// zero when nothing changed.
     pub parsed_units: usize,
     /// True when the round rode link state an earlier round left in this
-    /// session (an edit round): the per-phase breakdown below is then a
+    /// driver (an edit round): the per-phase breakdown below is then a
     /// one-edit profile, not a cold-start one.
     pub edit_path: bool,
     /// Wall time of the parallel summarize phase.
@@ -893,13 +869,23 @@ fn percentile(sorted: &[Duration], pct: usize) -> Duration {
     sorted[(sorted.len() - 1) * pct / 100]
 }
 
-/// Analyzes many translation units as *one linked program* over a shared
-/// [`AnalysisSession`]: parallel summarize → link → parallel
-/// plan. Contrast with [`crate::Ompdart::analyze_batch`], which analyzes
-/// units independently (each a closed world).
+/// The one analysis driver: analyzes translation units as *one linked
+/// program* over a shared [`AnalysisSession`] — parallel summarize → link →
+/// parallel plan — and a single unit as a one-unit program.
+///
+/// A driver owns its program's [`LinkState`], so each round relinks only
+/// what changed since the driver's previous round. Drivers over one session
+/// share its unit table, plan cache, store and counters, but never each
+/// other's link state: a tool's one-unit analyses
+/// ([`crate::Ompdart::analyze`]) run on a driver of their own and leave its
+/// program driver's incremental relink and round-level fast path alone.
 #[derive(Debug)]
 pub struct ProgramDriver {
     session: Arc<AnalysisSession>,
+    /// The latest linked program and its analyses. Empty until the first
+    /// round; taken out for the length of a round (see
+    /// [`Self::analyze_program_profiled`]).
+    state: Mutex<LinkState>,
 }
 
 impl ProgramDriver {
@@ -912,7 +898,10 @@ impl ProgramDriver {
     /// phase of a round runs at the session's
     /// [`AnalysisSession::parallelism`].
     pub fn with_session(session: Arc<AnalysisSession>) -> ProgramDriver {
-        ProgramDriver { session }
+        ProgramDriver {
+            session,
+            state: Mutex::default(),
+        }
     }
 
     /// The underlying session.
@@ -921,36 +910,46 @@ impl ProgramDriver {
     }
 
     /// Phase 1+2 only: summarize every unit in parallel and link them.
-    /// The link is *incremental* across calls on one session: the fixed
+    /// The link is *incremental* across calls on one driver: the fixed
     /// point starts from the previously converged summaries and re-seeds
     /// only the edited functions' call-graph cone (the session's
     /// [`CacheStats`](crate::stats::CacheStats) prove it), byte-identical to
     /// a cold link.
     pub fn link(&self, inputs: &[(String, String)]) -> Result<Program, ProgramError> {
         let units = self.summarize_all(inputs)?;
-        let mut state = self.session.take_link_state();
+        let mut state = self.take_state();
         let program = self.relink(units, &mut state);
-        self.session.put_link_state(state);
+        self.put_state(state);
         program
+    }
+
+    /// Take the link state out of the driver, leaving the empty state,
+    /// whose patch is a cold link; [`Self::put_state`] puts it back.
+    fn take_state(&self) -> LinkState {
+        std::mem::take(&mut *self.state.lock().expect("link state lock poisoned"))
+    }
+
+    fn put_state(&self, state: LinkState) {
+        *self.state.lock().expect("link state lock poisoned") = state;
     }
 
     /// Phase 1: summarize every unit in parallel (input order preserved).
     /// A unit's interface is what the link reads of it, so the worker that
     /// summarized a unit also computes its interface: the sequential link
     /// finds every one ready.
-    fn summarize_all(
+    fn summarize_all<N: AsRef<str> + Sync, S: AsRef<str> + Sync>(
         &self,
-        inputs: &[(String, String)],
+        inputs: &[(N, S)],
     ) -> Result<Vec<Arc<SummarizedUnit>>, ProgramError> {
         let threads = self.session.parallelism();
         let summarized = crate::pool::pool_map(threads, inputs.len(), |i| {
-            let (name, source) = &inputs[i];
+            let (name, source) = (inputs[i].0.as_ref(), inputs[i].1.as_ref());
             let unit = self.session.summarize(name, source);
             let ready = unit.inspect(|unit| {
                 unit.exports();
             });
             ready.map_err(|error| ProgramError::Unit {
-                name: name.clone(),
+                name: name.to_string(),
                 error,
             })
         });
@@ -962,7 +961,7 @@ impl ProgramDriver {
     }
 
     /// Phase 2: link already-summarized units by patching `state`, the
-    /// session's persistent link state, and count what the relink re-seeded
+    /// driver's persistent link state, and count what the relink re-seeded
     /// and touched.
     fn relink(
         &self,
@@ -994,7 +993,7 @@ impl ProgramDriver {
     /// changed:
     ///
     /// * **Round level** — when every unit's summarized `Arc` matches,
-    ///   position-wise, the program the session's [`LinkState`] holds, the
+    ///   position-wise, the program the driver's [`LinkState`] holds, the
     ///   whole round is that program's: its analyses are returned with no
     ///   link, no contexts, no planning, no flush. A warm re-analysis of an
     ///   unchanged program is N unit-table probes plus N pointer
@@ -1017,6 +1016,15 @@ impl ProgramDriver {
         &self,
         inputs: &[(String, String)],
     ) -> Result<(ProgramAnalysis, DriverProfile), ProgramError> {
+        self.round(inputs)
+    }
+
+    /// One round over `(name, source)` pairs of any string type, so a
+    /// one-unit round ([`crate::Ompdart::analyze`]) copies no source.
+    pub(crate) fn round<N: AsRef<str> + Sync, S: AsRef<str> + Sync>(
+        &self,
+        inputs: &[(N, S)],
+    ) -> Result<(ProgramAnalysis, DriverProfile), ProgramError> {
         let total_start = Instant::now();
         let process_before = crate::stats::PROCESS.snapshot();
         let parsed_before = self.session.cache_stats().parse_misses;
@@ -1036,8 +1044,8 @@ impl ProgramDriver {
         let summarize = phase.elapsed();
 
         // Held until the round's analyses are in it: a concurrent round on
-        // this session meanwhile links cold, from the empty state.
-        let mut state = self.session.take_link_state();
+        // this driver meanwhile links cold, from the empty state.
+        let mut state = self.take_state();
         let edit_path = !state.program.is_empty();
 
         // Round-level identity fast path: the whole program is the one the
@@ -1051,7 +1059,7 @@ impl ProgramDriver {
                 served: vec![UnitServe::Cached; units.len()],
                 link_passes: state.program.linked.passes,
             };
-            self.session.put_link_state(state);
+            self.put_state(state);
             let profile = finish_profile(DriverProfile {
                 units: units.len(),
                 fast_path_units: units.len(),
@@ -1067,7 +1075,7 @@ impl ProgramDriver {
         let program = match self.relink(units, &mut state) {
             Ok(program) => program,
             Err(error) => {
-                self.session.put_link_state(state);
+                self.put_state(state);
                 return Err(error);
             }
         };
@@ -1116,7 +1124,7 @@ impl ProgramDriver {
 
         // The next round's round-level fast path reads these.
         state.analyses = units.clone();
-        self.session.put_link_state(state);
+        self.put_state(state);
 
         durations.sort_unstable();
         let warm_units = served

@@ -58,14 +58,14 @@
 //! lines of compact JSON from [`crate::plan::json`]; an interface's is the
 //! token lines [`UnitExports::encode`] writes straight into the queue,
 //! without a document tree in between. Every payload is UTF-8. `slot` hashes
-//! *who* wrote the record as *what* — `(unit name, options, alone or
-//! linked)`, or `(unit name, options)` for its interface — which makes
+//! *who* wrote the record as *what* — `(unit name, options)` and the
+//! record's kind, plans or interface — which makes
 //! "superseded" a fact of the index instead of an unlink: a record is
 //! **live** while it is the latest of its slot, dead once the same name
 //! saved something newer, and still answers lookups when dead (a reverted
-//! edit hits) until a compaction drops it. A unit has one slot alone and one
-//! in its program, not one per link fingerprint: those move with every
-//! neighbour's interface, and a slot nobody writes again never dies.
+//! edit hits) until a compaction drops it. A unit has one slot of plans, not
+//! one per link fingerprint: those move with every neighbour's interface,
+//! and a slot nobody writes again never dies.
 //!
 //! *Writing.* Nothing is written while planning: records are encoded where
 //! they are produced and queued, and a flush appends the whole queue with
@@ -111,20 +111,22 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Version of the pack format; a record of any other store or plan version
-/// is never read, and leaves with the next compaction. v11 is v10's pack
-/// under other keys: a unit record's imports fingerprint and its
-/// functions' `callees_hash` hash callee summaries projected onto the
-/// program's device names, where v10 hashed whole summaries, so a v10
-/// key means something else even where its bits match; and its interface
-/// records list, after the unit's globals, the unit's device names. v10 is
-/// v9's pack with interface records in which every function carries its
-/// seed and call sites (no "has propagation inputs" flag bit); v9's interface
-/// records no longer opened with a fingerprint of the unit's surface; v8
-/// had version-3 plan documents in the unit records (the `unstructured`
-/// marker instead of enter-data / exit-data lists); v3's
-/// `unit-*`, `fn-*` and `ref-*` files are ignored, and removed by
-/// [`ArtifactStore::gc`].
-pub const STORE_FORMAT_VERSION: u32 = 11;
+/// is never read, and leaves with the next compaction. v12 is v11's pack
+/// with one slot of plans per `(unit, options)`, where v11 kept a second one
+/// for a unit analyzed outside any program (a v11 record there would never
+/// be superseded). v11 is v10's pack under other keys: a unit record's
+/// imports fingerprint and its functions' `callees_hash` hash callee
+/// summaries projected onto the program's device names, where v10 hashed
+/// whole summaries, so a v10 key means something else even where its bits
+/// match; and its interface records list, after the unit's globals, the
+/// unit's device names. v10 is v9's pack with interface records in which
+/// every function carries its seed and call sites (no "has propagation
+/// inputs" flag bit); v9's interface records no longer opened with a
+/// fingerprint of the unit's surface; v8 had version-3 plan documents in the
+/// unit records (the `unstructured` marker instead of enter-data / exit-data
+/// lists); v3's `unit-*`, `fn-*` and `ref-*` files are ignored, and removed
+/// by [`ArtifactStore::gc`].
+pub const STORE_FORMAT_VERSION: u32 = 12;
 
 const PACK_FILE: &str = "ompdart.pack";
 /// Starts every record. Payloads are UTF-8, which never holds `0xff`, so the
@@ -611,9 +613,8 @@ impl ArtifactStore {
             );
         }
         payload.push(']');
-        let linked = u64::from(key[5] != crate::program::UNLINKED);
         // Rendered above, outside the lock; copied into the queue under it.
-        self.enqueue(key, slot(UNIT, name, [key[4], linked]), |queue| {
+        self.enqueue(key, slot(UNIT, name, [key[4], 0]), |queue| {
             queue.extend_from_slice(payload.as_bytes());
             true
         });
@@ -965,6 +966,14 @@ mod tests {
         std::fs::write(&path, &future).unwrap();
         assert!(load().is_none());
 
+        // A format-11 pack: its unit records were slotted by whether the
+        // unit was analyzed inside a program, a slot this version never
+        // writes again. A miss, though the record is otherwise intact.
+        let mut v11 = intact.clone();
+        reheader(&mut v11, |head| head[6] = 11);
+        std::fs::write(&path, &v11).unwrap();
+        assert!(load().is_none());
+
         // A format-10 pack: its imports fingerprints and plan keys hashed
         // whole callee summaries, which the projected keys of this version
         // do not cover. A miss, though the record is otherwise intact.
@@ -973,18 +982,20 @@ mod tests {
         std::fs::write(&path, &v10).unwrap();
         assert!(load().is_none());
 
-        // Nor is anything a previous version wrote (no legacy reader): a v10
-        // unit record (keyed by whole-summary fingerprints), a v9 interface
+        // Nor is anything a previous version wrote (no legacy reader): a v11
+        // unit record (in a slot of its own), a v10 unit record (keyed by
+        // whole-summary fingerprints), a v9 interface
         // record (whose functions could lack propagation inputs), a v8
         // interface record (whose payload opened with a fingerprint), a v7
         // pack — whose unit records hold version-2 plan documents this
         // version has no reader for — with a unit and an interface record,
         // and a v5 interface record (kind 3 then) behind them. Nothing is
-        // read, and all six are gone from the pack once a compaction has
+        // read, and all seven are gone from the pack once a compaction has
         // passed over it.
         let mut previous = Vec::new();
         let older = [
-            (10u8, UNIT as u8),
+            (11u8, UNIT as u8),
+            (10, UNIT as u8),
             (9, INTERFACE as u8),
             (8, INTERFACE as u8),
             (7, UNIT as u8),
@@ -1002,10 +1013,10 @@ mod tests {
         assert_eq!(
             upgraded.loaded().records.len(),
             0,
-            "nothing of v10, v9, v8, v7 or v5 is indexed"
+            "nothing of v11, v10, v9, v8, v7 or v5 is indexed"
         );
         save(&upgraded, "y.c", "void g() {}", &options, UNLINKED);
-        assert_eq!(upgraded.total_bytes(), 7 * intact.len() as u64);
+        assert_eq!(upgraded.total_bytes(), 8 * intact.len() as u64);
         upgraded.gc(u64::MAX);
         assert_eq!(upgraded.total_bytes(), intact.len() as u64);
         assert!(upgraded.load("void g() {}", &options, UNLINKED).is_some());
@@ -1103,24 +1114,25 @@ mod tests {
         let _ = std::fs::remove_dir_all(&store.dir);
     }
 
-    /// Records for the same unit under different *link* surroundings
-    /// coexist (a unit analyzed stand-alone and inside a program shares one
-    /// cache dir without thrashing), while superseded content under the
-    /// *same* link is dead and leaves with the next compaction.
+    /// A unit has one slot of plans per option set, whatever program it
+    /// was linked in: a record under another link fingerprint supersedes
+    /// the unit's previous one, which still answers until a compaction
+    /// drops it.
     #[test]
-    fn link_variants_coexist_and_superseded_content_is_pruned() {
+    fn a_units_plans_have_one_slot_whatever_the_link() {
         let store = temp_store("linkprune");
         let options = OmpDartOptions::default();
-        let linked = 0xabcd_u64;
-        save(&store, "u.c", "v1", &options, UNLINKED);
+        let (alone, linked) = (0x1234_u64, 0xabcd_u64);
+        save(&store, "u.c", "v1", &options, alone);
         save(&store, "u.c", "v1", &options, linked);
-        assert_eq!(store.entry_count(), 2, "link variants must coexist");
+        assert_eq!(store.entry_count(), 1, "one live record per unit");
+        assert!(store.load("v1", &options, alone).is_some());
 
         save(&store, "u.c", "v2", &options, linked);
-        assert_eq!(store.entry_count(), 2);
+        assert_eq!(store.entry_count(), 1);
         let report = store.gc(u64::MAX);
-        assert_eq!(report.entries_evicted, 1);
-        assert!(store.load("v1", &options, UNLINKED).is_some());
+        assert_eq!(report.entries_evicted, 2);
+        assert!(store.load("v1", &options, alone).is_none());
         assert!(store.load("v1", &options, linked).is_none());
         assert!(store.load("v2", &options, linked).is_some());
         let _ = std::fs::remove_dir_all(&store.dir);

@@ -504,17 +504,6 @@ impl Expr {
         }
     }
 
-    /// True if the expression contains any function call.
-    pub fn contains_call(&self) -> bool {
-        let mut found = false;
-        self.walk(&mut |e| {
-            if matches!(e.kind, ExprKind::Call { .. }) {
-                found = true;
-            }
-        });
-        found
-    }
-
     /// Call `f` on this expression and every sub-expression (pre-order).
     pub fn walk(&self, f: &mut dyn FnMut(&Expr)) {
         f(self);
@@ -1052,21 +1041,5 @@ mod tests {
         assert_eq!(AssignOp::Add.binary_op(), Some(BinaryOp::Add));
         assert_eq!(AssignOp::Assign.binary_op(), None);
         assert_eq!(AssignOp::Shl.symbol(), "<<=");
-    }
-
-    #[test]
-    fn contains_call_detection() {
-        let call = expr(ExprKind::Call {
-            callee: "exp".into(),
-            callee_span: Span::dummy(),
-            args: vec![expr(ExprKind::Ident("x".into()))],
-        });
-        let sum = expr(ExprKind::Binary {
-            op: BinaryOp::Add,
-            lhs: Box::new(expr(ExprKind::IntLit(1))),
-            rhs: Box::new(call),
-        });
-        assert!(sum.contains_call());
-        assert!(!expr(ExprKind::IntLit(3)).contains_call());
     }
 }

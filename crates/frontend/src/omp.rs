@@ -321,23 +321,6 @@ impl MapItem {
             sections: Vec::new(),
         }
     }
-
-    /// Render this item as OpenMP list-item source text.
-    pub fn to_source(&self, render_expr: &dyn Fn(&Expr) -> String) -> String {
-        let mut s = self.var.clone();
-        for sec in &self.sections {
-            s.push('[');
-            if let Some(lo) = &sec.lower {
-                s.push_str(&render_expr(lo));
-            }
-            s.push(':');
-            if let Some(len) = &sec.length {
-                s.push_str(&render_expr(len));
-            }
-            s.push(']');
-        }
-        s
-    }
 }
 
 /// A clause attached to an OpenMP directive.
@@ -557,21 +540,5 @@ mod tests {
             assert_eq!(parsed, kind);
             assert_eq!(consumed, words.len());
         }
-    }
-
-    #[test]
-    fn map_item_rendering() {
-        let item = MapItem {
-            var: "a".into(),
-            span: Span::dummy(),
-            sections: vec![ArraySection {
-                lower: None,
-                length: None,
-            }],
-        };
-        let rendered = item.to_source(&|_| "N".into());
-        assert_eq!(rendered, "a[:]");
-        let whole = MapItem::whole("b", Span::dummy());
-        assert_eq!(whole.to_source(&|_| String::new()), "b");
     }
 }

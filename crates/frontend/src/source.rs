@@ -157,15 +157,6 @@ impl SourceFile {
         &self.text[start..end]
     }
 
-    /// Number of lines in the file (a trailing newline does not add a line).
-    pub fn line_count(&self) -> u32 {
-        let mut n = self.line_starts().len() as u32;
-        if self.text.ends_with('\n') {
-            n -= 1;
-        }
-        n.max(1)
-    }
-
     /// Resolve a byte offset to a 1-based line/column pair.
     pub fn line_col(&self, pos: u32) -> LineCol {
         let pos = pos.min(self.len());
@@ -251,7 +242,6 @@ mod tests {
         assert_eq!(f.line_col(4), LineCol { line: 1, col: 5 });
         assert_eq!(f.line_col(7), LineCol { line: 2, col: 1 });
         assert_eq!(f.line_col(16), LineCol { line: 3, col: 3 });
-        assert_eq!(f.line_count(), 3);
     }
 
     #[test]
@@ -275,7 +265,6 @@ mod tests {
     fn empty_file() {
         let f = SourceFile::new("e.c", "");
         assert!(f.is_empty());
-        assert_eq!(f.line_count(), 1);
         assert_eq!(f.line_col(0), LineCol { line: 1, col: 1 });
     }
 }

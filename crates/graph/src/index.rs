@@ -114,8 +114,6 @@ pub struct StmtIndex {
     kernels: Vec<NodeId>,
     /// Loop statements in source order.
     loops: Vec<NodeId>,
-    /// `target data` regions in source order.
-    data_regions: Vec<NodeId>,
     /// `target update` directives in source order.
     updates: Vec<NodeId>,
 }
@@ -168,10 +166,7 @@ impl StmtIndex {
                 self.kernels.push(stmt.id);
                 inner.kernel = Some(stmt.id);
             }
-            StmtKindTag::OmpTargetData => {
-                self.data_regions.push(stmt.id);
-                inner.data_region = Some(stmt.id);
-            }
+            StmtKindTag::OmpTargetData => inner.data_region = Some(stmt.id),
             StmtKindTag::OmpTargetUpdate => self.updates.push(stmt.id),
             k if k.is_loop() => {
                 self.loops.push(stmt.id);
@@ -235,11 +230,6 @@ impl StmtIndex {
     /// Loops in source order.
     pub fn loops(&self) -> &[NodeId] {
         &self.loops
-    }
-
-    /// `target data` regions in source order.
-    pub fn data_regions(&self) -> &[NodeId] {
-        &self.data_regions
     }
 
     /// `target update` directives in source order.
@@ -425,13 +415,13 @@ void f(double *a, int n) {
 ";
         let (_f, graphs, _unit) = graphs(src);
         let g = graphs.function("f").unwrap();
-        assert_eq!(g.index.data_regions().len(), 1);
         assert_eq!(g.index.updates().len(), 1);
         // the update is inside the data region
         let upd = g.index.updates()[0];
+        let region = g.index.info(upd).unwrap().enclosing_data_region.unwrap();
         assert_eq!(
-            g.index.info(upd).unwrap().enclosing_data_region,
-            Some(g.index.data_regions()[0])
+            g.index.info(region).unwrap().kind,
+            StmtKindTag::OmpTargetData
         );
     }
 

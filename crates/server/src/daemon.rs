@@ -616,39 +616,30 @@ fn program_key(request: &Json) -> String {
 }
 
 /// The analysis body of an `analyze` request, answered as the rendered
-/// response: a single unit is analyzed as a closed world (leaving the
-/// program's link state untouched), multi-unit requests go through
-/// whole-program link.
+/// response: the request's units — one or many — are the program, linked
+/// by the program's driver.
 fn run_analyze(
     shared: &Shared,
     session: &ProgramSession,
     id: Option<i64>,
     units: &[(String, String)],
 ) -> Result<String, RequestError> {
-    let (analyses, serves, stats, link_passes) = if let [(name, source)] = units {
-        let (analysis, serve, stats) = session
-            .analyze_unit(name, source)
-            .map_err(|e| RequestError::new(ErrorKind::Analysis, e.to_string()))?;
-        (vec![analysis], vec![serve], stats, 0)
-    } else {
-        let (program, stats) = session
-            .analyze_program(units)
-            .map_err(|e| RequestError::new(ErrorKind::Analysis, e.to_string()))?;
-        (program.units, program.served, stats, program.link_passes)
-    };
-    log_analyze(shared, session.key(), &serves, &stats);
-    let units: Vec<AnalyzedUnit<'_>> = units
+    let (program, stats) = session
+        .analyze_program(units)
+        .map_err(|e| RequestError::new(ErrorKind::Analysis, e.to_string()))?;
+    log_analyze(shared, session.key(), &program.served, &stats);
+    let rows: Vec<AnalyzedUnit<'_>> = units
         .iter()
-        .zip(&serves)
-        .zip(&analyses)
+        .zip(&program.served)
+        .zip(&program.units)
         .map(|(((name, _), serve), analysis)| (name.as_str(), *serve, &**analysis))
         .collect();
     Ok(analyze_response(
         id,
         session.key(),
-        &units,
+        &rows,
         &stats,
-        link_passes,
+        program.link_passes,
     ))
 }
 
@@ -743,11 +734,12 @@ fn offset_of(source: &str, line: u32, col: u32) -> Option<u32> {
     None
 }
 
-/// An `explain` request: its one unit analyzed alone
-/// ([`ProgramSession::analyze_unit`], which sees no other unit of the
-/// program), read at the queried position. A unit whose calls reach into
-/// its siblings can be planned differently here than in the linked plan a
-/// whole-program `analyze` returned.
+/// An `explain` request: its one unit analyzed as a one-unit program
+/// ([`ProgramSession::explained`], which sees no other unit of the program
+/// and leaves the program's link state alone), read at the queried
+/// position. A unit whose calls reach into its siblings can be planned
+/// differently here than in the linked plan a whole-program `analyze`
+/// returned.
 fn handle_explain(request: &mut Json, shared: &Shared) -> Result<Json, RequestError> {
     let units = decode_units(request)?;
     let [(name, source)] = &units[..] else {
@@ -768,8 +760,8 @@ fn handle_explain(request: &mut Json, shared: &Shared) -> Result<Json, RequestEr
         ));
     };
     let session = shared.registry.program(&program_key(request));
-    let (analysis, _, _) = session
-        .analyze_unit(name, source)
+    let analysis = session
+        .explained(name, source)
         .map_err(|e| RequestError::new(ErrorKind::Analysis, e.to_string()))?;
     Ok(explain_result(&analysis, name, source, line, col))
 }
@@ -824,7 +816,7 @@ fn stats_result(shared: &Shared) -> Json {
                 ("program".into(), Json::Str(session.key().to_string())),
                 ("stats".into(), session.stats().to_json()),
                 // Additive in protocol v1: `null` until the program's
-                // first whole-program request completes.
+                // first `analyze` request completes.
                 (
                     "profile".into(),
                     session
@@ -1026,11 +1018,8 @@ mod tests {
             cache_dir: Some(cache),
             ..RegistryConfig::default()
         });
-        let (_, warm, _) = flushed
-            .program("p")
-            .analyze_unit("p.c", &units[0].1)
-            .unwrap();
-        assert_eq!(warm, UnitServe::Store);
+        let (warm, _) = flushed.program("p").analyze_program(&units).unwrap();
+        assert_eq!(warm.served, [UnitServe::Store]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,12 +1,12 @@
 //! The [`ProgramRegistry`]: one warm analysis session per program key.
 //!
-//! An [`ompdart_core::pipeline::AnalysisSession`] keeps exactly one
-//! incremental [`ompdart_core::LinkState`], so interleaving requests for
-//! *different* programs through a single session would cold-relink on every
-//! switch and the cache counters of concurrent requests would bleed into
-//! each other. The registry fixes both: every program key owns its own
-//! [`ompdart_core::Ompdart`] tool (own session → own unit table, link
-//! state, function caches, and counters) and its own per-program
+//! An [`ompdart_core::ProgramDriver`] keeps exactly one incremental
+//! [`ompdart_core::LinkState`], so interleaving requests for *different*
+//! programs through a single driver would cold-relink on every switch and
+//! the cache counters of concurrent requests would bleed into each other.
+//! The registry fixes both: every program key owns its own
+//! [`ompdart_core::Ompdart`] tool (own session and drivers → own unit table,
+//! link state, function caches, and counters) and its own per-program
 //! subdirectory of the persistent store, so clients editing program A never
 //! evict or chill program B. A session's unit table keeps a constant number
 //! of versions per unit name, so a program's resident memory follows its
@@ -19,7 +19,7 @@
 
 use ompdart_core::{
     CacheStats, DriverProfile, GcReport, Ompdart, ProgramAnalysis, ProgramError, StageError,
-    UnitAnalysis, UnitServe,
+    UnitAnalysis,
 };
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -50,17 +50,19 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// One program's warm state: its own tool (session, link state, caches)
-/// plus the request lock that serializes analyses against this program.
+/// One program's warm state: its own tool (session, caches, the program's
+/// driver and link state, and the tool's one-unit driver, which `explain`
+/// requests run on) plus the request lock that serializes analyses against
+/// this program.
 #[derive(Debug)]
 pub struct ProgramSession {
     key: String,
     tool: Ompdart,
     requests: Mutex<()>,
-    /// Driver profile of the most recent whole-program request, surfaced
+    /// Driver profile of the most recent `analyze` request, surfaced
     /// through the daemon's `stats` verb.
     last_profile: Mutex<Option<DriverProfile>>,
-    /// Driver profile of the most recent *edit* round (a whole-program
+    /// Driver profile of the most recent *edit* round (an `analyze`
     /// request that rode previously recorded link state), so `stats` can
     /// report one-edit phase timings separately from the latest round.
     last_edit_profile: Mutex<Option<DriverProfile>>,
@@ -72,14 +74,15 @@ impl ProgramSession {
         &self.key
     }
 
-    /// The underlying tool (test and `explain` access; analyses should go
-    /// through [`ProgramSession::analyze_program`] /
-    /// [`ProgramSession::analyze_unit`] so stats snapshots stay sound).
+    /// The underlying tool (test access; analyses should go through
+    /// [`ProgramSession::analyze_program`] / [`ProgramSession::explained`]
+    /// so stats snapshots stay sound).
     pub fn tool(&self) -> &Ompdart {
         &self.tool
     }
 
-    /// Whole-program analysis plus the request's own counter movement.
+    /// Analysis of the program the request's units are — one unit or many —
+    /// on the program's driver, plus the request's own counter movement.
     pub fn analyze_program(
         &self,
         units: &[(String, String)],
@@ -95,7 +98,7 @@ impl ProgramSession {
         Ok((analysis, after - before))
     }
 
-    /// The driver profile of the most recent whole-program request, if any.
+    /// The driver profile of the most recent `analyze` request, if any.
     pub fn last_profile(&self) -> Option<DriverProfile> {
         *lock(&self.last_profile)
     }
@@ -105,18 +108,12 @@ impl ProgramSession {
         *lock(&self.last_edit_profile)
     }
 
-    /// Single-unit analysis with the per-request [`UnitServe`] verdict and
-    /// counter movement.
-    pub fn analyze_unit(
-        &self,
-        name: &str,
-        source: &str,
-    ) -> Result<(Arc<UnitAnalysis>, UnitServe, CacheStats), StageError> {
+    /// The analysis an `explain` of a unit reads: the unit as a one-unit
+    /// program ([`Ompdart::analyze`]), whose driver is not the program's, so
+    /// the program's link state stays as its last round left it.
+    pub fn explained(&self, name: &str, source: &str) -> Result<Arc<UnitAnalysis>, StageError> {
         let _guard = lock(&self.requests);
-        let before = self.tool.session().cache_stats();
-        let (analysis, serve) = self.tool.session().analyze_served(name, source)?;
-        let after = self.tool.session().cache_stats();
-        Ok((analysis, serve, after - before))
+        self.tool.analyze(name, source)
     }
 
     /// Cumulative counters for this program's session.
@@ -256,6 +253,11 @@ fn sanitize_key(key: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ompdart_core::UnitServe;
+
+    fn one(name: &str, source: &str) -> [(String, String); 1] {
+        [(name.to_string(), source.to_string())]
+    }
 
     const UNIT_A: &str = r#"
 #define N 64
@@ -298,7 +300,7 @@ int main() {
         assert!(!Arc::ptr_eq(&a, &b));
         assert!(Arc::ptr_eq(&a, &registry.program("alpha")));
 
-        let (first, _, stats_a) = a.analyze_unit("a.c", UNIT_A).unwrap();
+        let (first, stats_a) = a.analyze_program(&one("a.c", UNIT_A)).unwrap();
         assert!(stats_a.function_plan_misses > 0);
         assert_eq!(stats_a.analysis_misses, 1);
         // Program beta's counters are untouched by alpha's request.
@@ -306,14 +308,14 @@ int main() {
 
         // A repeat of the same content is served from alpha's cache — the
         // same artifacts — and the per-request delta proves it.
-        let (again, serve, stats_a2) = a.analyze_unit("a.c", UNIT_A).unwrap();
-        assert_eq!(serve, UnitServe::Cached);
-        assert!(Arc::ptr_eq(&first, &again));
+        let (again, stats_a2) = a.analyze_program(&one("a.c", UNIT_A)).unwrap();
+        assert_eq!(again.served, [UnitServe::Cached]);
+        assert!(Arc::ptr_eq(&first.units[0], &again.units[0]));
         assert_eq!(stats_a2.function_plan_misses, 0);
-        assert_eq!(stats_a2.analysis_hits, 1);
+        assert_eq!(stats_a2.fast_path_hits, 1);
         assert_eq!(stats_a2.analysis_misses, 0);
 
-        let (_, _, stats_b) = b.analyze_unit("b.c", UNIT_B).unwrap();
+        let (_, stats_b) = b.analyze_program(&one("b.c", UNIT_B)).unwrap();
         assert!(stats_b.function_plan_misses > 0);
         assert_eq!(registry.keys(), vec!["alpha".to_string(), "beta".into()]);
     }
@@ -326,15 +328,13 @@ int main() {
             cache_dir: Some(root.clone()),
             ..RegistryConfig::default()
         });
-        registry
-            .program("alpha")
-            .analyze_unit("a.c", UNIT_A)
+        (registry.program("alpha"))
+            .analyze_program(&one("a.c", UNIT_A))
             .unwrap();
-        registry
-            .program("beta")
-            .analyze_unit("b.c", UNIT_B)
+        (registry.program("beta"))
+            .analyze_program(&one("b.c", UNIT_B))
             .unwrap();
-        // Single-unit analyses flush their own write-back.
+        // Every round flushes its own write-back.
         assert_eq!(registry.flush_all(), 0);
         assert!(root.join("alpha").is_dir());
         assert!(root.join("beta").is_dir());
@@ -344,8 +344,9 @@ int main() {
             cache_dir: Some(root.clone()),
             ..RegistryConfig::default()
         });
-        let (_, serve, stats) = fresh.program("alpha").analyze_unit("a.c", UNIT_A).unwrap();
-        assert_eq!(serve, UnitServe::Store);
+        let alpha = fresh.program("alpha");
+        let (warm, stats) = alpha.analyze_program(&one("a.c", UNIT_A)).unwrap();
+        assert_eq!(warm.served, [UnitServe::Store]);
         assert_eq!(stats.store_hits, 1);
         assert_eq!(stats.function_plan_misses, 0);
         std::fs::remove_dir_all(&root).ok();

@@ -185,16 +185,6 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// A cost model with a slower interconnect (e.g. PCIe 3.0), useful for
-    /// sensitivity/ablation studies.
-    pub fn slow_interconnect() -> Self {
-        CostModel {
-            bandwidth_bytes_per_s: 8e9,
-            transfer_latency_s: 15e-6,
-            ..Default::default()
-        }
-    }
-
     /// A cost model with a fast NVLink-class interconnect.
     pub fn fast_interconnect() -> Self {
         CostModel {
@@ -356,7 +346,7 @@ mod tests {
 
     #[test]
     fn cost_model_variants() {
-        let slow = CostModel::slow_interconnect();
+        let slow = CostModel::default();
         let fast = CostModel::fast_interconnect();
         assert!(slow.bandwidth_bytes_per_s < fast.bandwidth_bytes_per_s);
         let mut p = TransferProfile::default();

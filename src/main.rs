@@ -8,7 +8,8 @@
 //! mapped output; `explain` prints one justified line per inserted
 //! construct; `diff-plan` compares two mappings (generated, serialized, or
 //! extracted from an already-mapped source); `batch` fans a corpus out over
-//! worker threads with one shared artifact cache, each file a closed world.
+//! worker threads with one shared artifact cache, each file a one-unit
+//! program.
 //! `watch` keeps one long-lived session hot — it links the watched
 //! directory as one program, re-planning only the functions an edit
 //! actually invalidated (across files) and, with `--cache-dir`, starting
@@ -91,7 +92,7 @@ SUBCOMMANDS:
                or a C source (analyzed when unmapped, its explicit
                directives extracted when already mapped).
     batch      Analyze many files concurrently over one shared artifact
-               cache — each file a closed world (use multi-input
+               cache — each file a one-unit program (use multi-input
                `analyze` for linked whole-program analysis); --out-dir
                writes each `<name>.mapped.c`.
     watch      Keep one long-lived session over every `.c` file in a
@@ -735,8 +736,9 @@ fn emit_one(tool: &Ompdart, path: &Path, source: &str, out_path: &Path) {
     // The serve verdict is part of the analysis result itself — not a
     // before/after subtraction of the session's global counters, which
     // other requests interleaving on the same session would contaminate.
-    match tool.session().analyze_served(&display, source) {
-        Ok((analysis, serve)) => {
+    match tool.analyze_program(&[(display.clone(), source.to_string())]) {
+        Ok(program) => {
+            let (analysis, serve) = (&program.units[0], program.served[0]);
             let elapsed = start.elapsed();
             if let Err(e) = write_mapped(out_path, analysis.rewritten_source()) {
                 println!(
@@ -753,7 +755,10 @@ fn emit_one(tool: &Ompdart, path: &Path, source: &str, out_path: &Path) {
             );
         }
         Err(e) => {
-            let line = render_stage_error(&display, source, e);
+            let line = match e {
+                ProgramError::Unit { error, .. } => render_stage_error(&display, source, error),
+                other => other.to_string(),
+            };
             println!(
                 "[watch] {display}: FAILED — {}",
                 line.lines().next().unwrap_or("unknown error")

@@ -221,13 +221,12 @@ fn spliced_analyze_response_equals_the_tree_oracle_byte_for_byte() {
         let edited = edit_of(&base);
         let mut rounds: Vec<Vec<Arc<UnitAnalysis>>> = Vec::new();
         for (round, units) in [&base, &base, &edited, &base].into_iter().enumerate() {
-            let (analyses, serves, stats, link_passes) = if let [(name, source)] = &units[..] {
-                let (analysis, serve, stats) = session.analyze_unit(name, source).expect("unit");
-                (vec![analysis], vec![serve], stats, 0)
-            } else {
-                let (program, stats) = session.analyze_program(units).expect("program");
-                (program.units, program.served, stats, program.link_passes)
-            };
+            let (program, stats) = session.analyze_program(units).expect("program");
+            let (analyses, serves, link_passes) =
+                (program.units, program.served, program.link_passes);
+            // A one-unit program reports its own link's passes, as any
+            // program does.
+            assert!(link_passes > 0, "{key} round {round}");
             let rows: Vec<AnalyzedUnit<'_>> = units
                 .iter()
                 .zip(&serves)
@@ -919,8 +918,73 @@ fn warm_rounds_report_fast_path_hits_over_the_wire() {
     handle.join();
 }
 
+/// An `explain` between two unchanged `analyze` requests of a program runs
+/// its unit as a one-unit program on a driver that is not the program's:
+/// the second `analyze` is still served wholesale by the round-level fast
+/// path, with no relink, and the `explain` answers the facts of the unit
+/// analyzed alone.
+#[test]
+fn an_explain_between_unchanged_rounds_keeps_the_round_fast_path() {
+    let _guard = daemon_lock();
+    let dir = scratch("explainfast");
+    let handle = spawn_daemon(dir.join("d.sock"), None);
+    let units = lulesh_units();
+    let mut client = Client::connect(handle.endpoint()).expect("connect");
+    client.analyze_sources("lulesh", &units).expect("cold");
+    let warm = client.analyze_sources("lulesh", &units).expect("warm");
+    assert_eq!(stat(&warm, "fast_path_hits"), units.len() as i64);
+
+    let (name, source) = &units[2];
+    let line = source
+        .lines()
+        .position(|l| l.contains("xd[i] += xdd[i] * 0.01;"))
+        .expect("the driver unit has the integration kernel")
+        + 1;
+    let hover = client
+        .explain("lulesh", name, source, line as u32, 8)
+        .expect("explain");
+    let answered: Vec<(String, String, String)> = (hover.get("facts"))
+        .and_then(Json::as_array)
+        .expect("facts")
+        .iter()
+        .map(|fact| {
+            let field = |key: &str| fact.get(key).and_then(Json::as_str).unwrap().to_string();
+            (field("function"), field("fact"), field("detail"))
+        })
+        .collect();
+    let alone = Ompdart::new().analyze(name, source).expect("alone");
+    let offset = source
+        .lines()
+        .take(line - 1)
+        .map(|l| l.len() + 1)
+        .sum::<usize>()
+        + 7;
+    let expected: Vec<(String, String, String)> = (alone.plans().iter())
+        .flat_map(|plan| plan.provenances().into_iter().map(move |p| (plan, p)))
+        .filter(|(_, p)| p.span.is_some_and(|span| span.contains_pos(offset as u32)))
+        .map(|(plan, p)| (plan.function.clone(), p.fact.key().into(), p.detail.clone()))
+        .collect();
+    assert!(!expected.is_empty(), "no fact at {name}:{line}:8");
+    assert_eq!(answered, expected);
+
+    let again = client
+        .analyze_sources("lulesh", &units)
+        .expect("warm again");
+    assert_eq!(
+        stat(&again, "fast_path_hits"),
+        units.len() as i64,
+        "the explain evicted the program's round: {again:?}"
+    );
+    for counter in ["relink_reseeded_functions", "relink_touched_units"] {
+        assert_eq!(stat(&again, counter), 0, "{counter}: {again:?}");
+    }
+    assert!(serves(&again).iter().all(|s| s == "cached"), "{again:?}");
+    client.shutdown().expect("shutdown");
+    handle.join();
+}
+
 /// A unit that defines one function twice is rejected when it is parsed, as
-/// C rejects it, on every path that reads a unit: a closed-world `analyze`,
+/// C rejects it, on every path that reads a unit: `Ompdart::analyze`,
 /// a one-unit program, `verify_source` and a daemon `analyze`. None of them
 /// panics, and the daemon serves the same unit once it is fixed.
 #[test]

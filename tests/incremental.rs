@@ -10,7 +10,7 @@
 //!   rewrite byte-identically from disk without planning a single
 //!   function.
 
-use ompdart_core::{AnalysisSession, Ompdart, Stage, UnitServe};
+use ompdart_core::{Ompdart, Stage, UnitServe};
 use ompdart_suite::{all_benchmarks, incremental_demo, one_function_edit};
 use std::sync::Arc;
 use std::time::Duration;
@@ -31,17 +31,16 @@ fn corpus() -> Vec<(String, String)> {
 #[test]
 fn incremental_reanalysis_matches_cold_analysis_on_all_benchmarks() {
     for (name, source) in corpus() {
-        let session = AnalysisSession::new();
-        session.analyze(&name, &source).unwrap();
+        let tool = Ompdart::new();
+        tool.analyze(&name, &source).unwrap();
 
         let (edited, edited_func) = one_function_edit(&name, &source)
             .unwrap_or_else(|| panic!("{name}: no editable function"));
-        let before = session.cache_stats();
-        let incremental = session.analyze(&name, &edited).unwrap();
-        let after = session.cache_stats();
+        let before = tool.session().cache_stats();
+        let incremental = tool.analyze(&name, &edited).unwrap();
+        let after = tool.session().cache_stats();
 
-        let cold = AnalysisSession::new();
-        let fresh = cold.analyze(&name, &edited).unwrap();
+        let fresh = Ompdart::new().analyze(&name, &edited).unwrap();
         assert_eq!(
             fresh.rewrite.source, incremental.rewrite.source,
             "{name}: incremental rewrite diverges from cold analysis"
@@ -75,8 +74,8 @@ fn incremental_reanalysis_matches_cold_analysis_on_all_benchmarks() {
 #[test]
 fn incremental_reanalysis_survives_offset_and_node_id_shifts() {
     let demo = incremental_demo();
-    let session = AnalysisSession::new();
-    session.analyze("demo.c", demo).unwrap();
+    let tool = Ompdart::new();
+    tool.analyze("demo.c", demo).unwrap();
 
     // Grow the *first* function body with real statements (not just a
     // comment): node ids and byte offsets of all later functions shift.
@@ -86,11 +85,11 @@ fn incremental_reanalysis_survives_offset_and_node_id_shifts() {
         1,
     );
     assert_ne!(edited, demo);
-    let incremental = session.analyze("demo.c", &edited).unwrap();
-    let cold = AnalysisSession::new().analyze("demo.c", &edited).unwrap();
+    let incremental = tool.analyze("demo.c", &edited).unwrap();
+    let cold = Ompdart::new().analyze("demo.c", &edited).unwrap();
     assert_eq!(cold.rewrite.source, incremental.rewrite.source);
     assert_eq!(cold.plans.plans, incremental.plans.plans);
-    let stats = session.cache_stats();
+    let stats = tool.session().cache_stats();
     assert!(
         stats.function_plan_hits >= 3,
         "unchanged kernel functions must be relocated, not re-planned: {stats:?}"
@@ -148,14 +147,14 @@ fn persistent_store_reproduces_corpus_across_restart() {
 #[test]
 fn one_function_edit_replans_one_function_on_all_benchmarks() {
     for (name, source) in corpus() {
-        let session = AnalysisSession::new();
-        session.analyze(&name, &source).unwrap();
+        let tool = Ompdart::new();
+        tool.analyze(&name, &source).unwrap();
 
         let (edited, edited_func) = one_function_edit(&name, &source)
             .unwrap_or_else(|| panic!("{name}: no editable function"));
-        let before = session.cache_stats();
-        let incremental = session.analyze(&name, &edited).unwrap();
-        let moved = session.cache_stats() - before;
+        let before = tool.session().cache_stats();
+        let incremental = tool.analyze(&name, &edited).unwrap();
+        let moved = tool.session().cache_stats() - before;
 
         let functions = incremental.unit().body().parsed.unit.functions().count() as u64;
         assert_eq!(moved.parse_misses, 1, "{name}");
@@ -165,7 +164,7 @@ fn one_function_edit_replans_one_function_on_all_benchmarks() {
         );
         assert_eq!(moved.function_plan_hits, functions - 1, "{name}");
 
-        let fresh = AnalysisSession::new().analyze(&name, &edited).unwrap();
+        let fresh = Ompdart::new().analyze(&name, &edited).unwrap();
         assert_eq!(incremental.rewrite.source, fresh.rewrite.source, "{name}");
         assert_eq!(incremental.plans_json(), fresh.plans_json(), "{name}");
     }
@@ -222,11 +221,12 @@ fn store_analysis_cache_and_function_cache_compose() {
     let _ = std::fs::remove_dir_all(&dir);
     let demo = incremental_demo();
 
-    let warmup = AnalysisSession::new().with_cache_dir(&dir);
+    let warmup = Ompdart::builder().cache_dir(&dir).build();
     let cold = warmup.analyze("demo.c", demo).unwrap();
 
-    let session = AnalysisSession::new().with_cache_dir(&dir);
-    let served = session.analyze("demo.c", demo).unwrap();
+    let tool = Ompdart::builder().cache_dir(&dir).build();
+    let session = tool.session();
+    let served = tool.analyze("demo.c", demo).unwrap();
     let stats = session.cache_stats();
     assert_eq!(stats.store_hits, 1);
     assert_eq!(stats.function_plan_misses, 0, "a store hit plans nothing");
@@ -240,10 +240,10 @@ fn store_analysis_cache_and_function_cache_compose() {
     assert_eq!(served.rewrite.source, cold.rewrite.source);
     assert_eq!(served.plans_json(), cold.plans_json());
     // Same content again: the in-memory cache answers, not the store.
-    let again = session.analyze("demo.c", demo).unwrap();
+    let again = tool.analyze("demo.c", demo).unwrap();
     assert!(Arc::ptr_eq(&served, &again));
     let stats = session.cache_stats();
-    assert_eq!(stats.analysis_hits, 1);
+    assert_eq!(stats.fast_path_hits, 1);
     assert_eq!(stats.analysis_misses, 1);
     assert_eq!(stats.store_hits, 1, "the store must not be consulted twice");
     assert_eq!(stats.store_misses, 0);
@@ -253,7 +253,7 @@ fn store_analysis_cache_and_function_cache_compose() {
     // the first edit after a warm start re-plans only the edited function.
     let functions = functions as u64;
     let (edited, _) = one_function_edit("demo.c", demo).unwrap();
-    session.analyze("demo.c", &edited).unwrap();
+    tool.analyze("demo.c", &edited).unwrap();
     let stats = session.cache_stats();
     assert_eq!(stats.store_misses, 1);
     assert_eq!(
@@ -264,7 +264,7 @@ fn store_analysis_cache_and_function_cache_compose() {
     let edited2 = edited.replacen("0.001 * i", "0.001 * i + 0.0", 1);
     assert_ne!(edited2, edited);
     let before = session.cache_stats();
-    session.analyze("demo.c", &edited2).unwrap();
+    tool.analyze("demo.c", &edited2).unwrap();
     let after = session.cache_stats();
     assert_eq!(
         after.function_plan_hits - before.function_plan_hits,
@@ -297,8 +297,10 @@ fn a_store_served_analysis_builds_its_body_on_demand() {
     );
 
     let tool = Ompdart::builder().cache_dir(&dir).build();
-    let (served, serve) = tool.session().analyze_served("demo.c", demo).unwrap();
-    assert_eq!(serve, UnitServe::Store);
+    let unit = [("demo.c".to_string(), demo.to_string())];
+    let round = tool.analyze_program(&unit).unwrap();
+    assert_eq!(round.served, [UnitServe::Store]);
+    let served = &round.units[0];
     let stats = tool.session().cache_stats();
     assert_eq!(
         (
@@ -370,7 +372,9 @@ int main() {
     let cache = dir.join("cache");
     for run in 0..3 {
         let tool = Ompdart::builder().cache_dir(&cache).build();
-        let (analysis, serve) = tool.session().analyze_served("warn.c", source).unwrap();
+        let unit = [("warn.c".to_string(), source.to_string())];
+        let round = tool.analyze_program(&unit).unwrap();
+        let (analysis, serve) = (&round.units[0], round.served[0]);
         let diagnostics = analysis.diagnostics();
         assert!(
             diagnostics.iter().any(|d| d.message.contains(warning)),

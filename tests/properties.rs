@@ -383,8 +383,8 @@ proptest! {
         extra in 1u8..4,
     ) {
         let src = render_program(&pieces);
-        let session = ompdart_core::AnalysisSession::new();
-        if session.analyze("inc.c", &src).is_err() {
+        let tool = Ompdart::new();
+        if tool.analyze("inc.c", &src).is_err() {
             return Err(TestCaseError::reject("base program failed to analyze"));
         }
         // Edit main's body by appending more kernel work.
@@ -396,12 +396,11 @@ proptest! {
             1,
         );
         prop_assert!(edited != src);
-        let incremental = match session.analyze("inc.c", &edited) {
+        let incremental = match tool.analyze("inc.c", &edited) {
             Ok(a) => a,
             Err(e) => return Err(TestCaseError::fail(format!("incremental analysis failed: {e}\n{edited}"))),
         };
-        let cold = ompdart_core::AnalysisSession::new();
-        let fresh = cold.analyze("inc.c", &edited).unwrap();
+        let fresh = Ompdart::new().analyze("inc.c", &edited).unwrap();
         prop_assert_eq!(&fresh.rewrite.source, &incremental.rewrite.source);
         prop_assert_eq!(&fresh.plans.plans, &incremental.plans.plans);
     }
@@ -446,13 +445,10 @@ proptest! {
         pieces in proptest::collection::vec(piece_strategy(), 1..5),
         extra in 1u8..4,
     ) {
-        let options = ompdart_core::OmpDartOptions {
-            lifetimes: true,
-            ..Default::default()
-        };
+        let lifetimes = || Ompdart::builder().lifetimes(true).build();
         let src = render_program(&pieces);
-        let session = ompdart_core::AnalysisSession::with_options(options);
-        if session.analyze("lt_inc.c", &src).is_err() {
+        let tool = lifetimes();
+        if tool.analyze("lt_inc.c", &src).is_err() {
             return Err(TestCaseError::reject("base program failed to analyze"));
         }
         let edited = src.replacen(
@@ -463,12 +459,11 @@ proptest! {
             1,
         );
         prop_assert!(edited != src);
-        let incremental = match session.analyze("lt_inc.c", &edited) {
+        let incremental = match tool.analyze("lt_inc.c", &edited) {
             Ok(a) => a,
             Err(e) => return Err(TestCaseError::fail(format!("incremental lifetimes analysis failed: {e}\n{edited}"))),
         };
-        let cold = ompdart_core::AnalysisSession::with_options(options);
-        let fresh = cold.analyze("lt_inc.c", &edited).unwrap();
+        let fresh = lifetimes().analyze("lt_inc.c", &edited).unwrap();
         prop_assert_eq!(&fresh.rewrite.source, &incremental.rewrite.source);
         prop_assert_eq!(&fresh.plans.plans, &incremental.plans.plans);
     }
@@ -724,7 +719,7 @@ proptest! {
             Ok(p) => p,
             Err(e) => return Err(TestCaseError::fail(format!("link failed: {e}\n{concat}"))),
         };
-        let cold = match ompdart_core::AnalysisSession::new().analyze("gen_concat.c", &concat) {
+        let cold = match Ompdart::new().analyze("gen_concat.c", &concat) {
             Ok(a) => a,
             Err(e) => return Err(TestCaseError::fail(format!("concat analysis failed: {e}\n{concat}"))),
         };
@@ -848,7 +843,7 @@ proptest! {
             Ok(p) => p,
             Err(e) => return Err(TestCaseError::fail(format!("link failed: {e}\n{concat}"))),
         };
-        let cold = match ompdart_core::AnalysisSession::new().analyze("scc_concat.c", &concat) {
+        let cold = match Ompdart::new().analyze("scc_concat.c", &concat) {
             Ok(a) => a,
             Err(e) => {
                 return Err(TestCaseError::fail(format!(
@@ -1303,11 +1298,11 @@ proptest! {
     /// the six-name model: the model's own edits (bodies, calls, functions
     /// and units added, removed and reordered), a unit renamed, the previous
     /// program brought back (A→B→A, which the table keeps warm) and an older
-    /// one (A→B→C→A, which overflows its version bound), with closed-world
-    /// requests for single units in between. After every step each unit's
-    /// rewritten source and plan JSON are a fresh session's, byte for byte,
-    /// and the hit and miss rows of each lookup kind add up to the lookups
-    /// made.
+    /// one (A→B→C→A, which overflows its version bound), with one-unit
+    /// requests for single units in between, on a second driver of each
+    /// session. After every step each unit's rewritten source and plan JSON
+    /// are a fresh session's, byte for byte, and the hit and miss rows of
+    /// each lookup kind add up to the lookups made.
     #[test]
     fn a_long_lived_session_agrees_with_a_fresh_one_after_every_step(
         seed in 1u64..u64::MAX,
@@ -1319,11 +1314,12 @@ proptest! {
         for _ in 0..8 {
             edit_model(&mut model, &mut rng, &mut next_file);
         }
-        let drivers: Vec<ompdart_core::ProgramDriver> = [1usize, 2, 8]
+        let drivers: Vec<[ompdart_core::ProgramDriver; 2]> = [1usize, 2, 8]
             .into_iter()
             .map(|threads| {
                 let session = ompdart_core::AnalysisSession::new().with_parallelism(threads);
-                ompdart_core::ProgramDriver::with_session(std::sync::Arc::new(session))
+                let session = std::sync::Arc::new(session);
+                [(); 2].map(|_| ompdart_core::ProgramDriver::with_session(session.clone()))
             })
             .collect();
         // Lookups made so far on each session (they all see the same script).
@@ -1336,18 +1332,19 @@ proptest! {
                 .expect("the model stays linkable");
             let fresh_out = unit_outputs(&fresh);
             // One unit of the program, also asked for on its own.
-            let (alone_name, alone_source) = &inputs[roll(&mut rng, inputs.len())];
-            let fresh_alone = Ompdart::builder().build().analyze(alone_name, alone_source).unwrap();
+            let alone_unit = &inputs[roll(&mut rng, inputs.len())..][..1];
+            let alone_name = &alone_unit[0].0;
+            let fresh_alone = Ompdart::new().analyze(alone_name, &alone_unit[0].1).unwrap();
             summarize_lookups += inputs.len() as u64 + 1;
             analysis_lookups += inputs.len() as u64 + 1;
-            for driver in &drivers {
+            for [driver, alone_driver] in &drivers {
                 let at = format!(
                     "step {step}, {} thread(s), seed {seed:#x}\n{inputs:#?}",
                     driver.session().parallelism()
                 );
                 let warm = driver.analyze_program(&inputs).expect("the model stays linkable");
                 prop_assert_eq!(&unit_outputs(&warm), &fresh_out, "outputs differ at {}", at);
-                let alone = driver.session().analyze(alone_name, alone_source).unwrap();
+                let alone = &alone_driver.analyze_program(alone_unit).unwrap().units[0];
                 prop_assert_eq!(
                     (&alone.rewrite.source, alone.plans_json()),
                     (&fresh_alone.rewrite.source, fresh_alone.plans_json()),

@@ -10,7 +10,7 @@ use ompdart_core::pipeline::{
     stage_accesses, stage_graphs, stage_parse, stage_plans, stage_rewrite, stage_summaries, Stage,
 };
 use ompdart_core::plan::plans_from_json;
-use ompdart_core::{apply_plans, AnalysisSession, OmpDartOptions, Ompdart, StageError};
+use ompdart_core::{apply_plans, OmpDartOptions, Ompdart, StageError};
 use ompdart_sim::{simulate_source, SimConfig};
 use std::sync::Arc;
 use std::time::Duration;
@@ -82,9 +82,10 @@ fn plan_json_round_trip_rewrites_byte_identically() {
 #[test]
 fn artifact_cache_returns_identical_plans_without_reparsing() {
     let bench = ompdart_suite::by_name("backprop").unwrap();
-    let session = AnalysisSession::new();
+    let tool = Ompdart::new();
+    let session = tool.session();
 
-    let first = session
+    let first = tool
         .analyze(&bench.unoptimized_file(), bench.unoptimized)
         .unwrap();
     let stats = session.cache_stats();
@@ -93,12 +94,12 @@ fn artifact_cache_returns_identical_plans_without_reparsing() {
     assert_eq!(stats.parse_misses, 1);
     assert!(first.timings().total() > Duration::ZERO);
 
-    let second = session
+    let second = tool
         .analyze(&bench.unoptimized_file(), bench.unoptimized)
         .unwrap();
     let stats = session.cache_stats();
     assert_eq!(
-        stats.analysis_hits, 1,
+        stats.fast_path_hits, 1,
         "identical content must hit the cache"
     );
     assert_eq!(stats.analysis_misses, 1, "a hit must not plan again");
@@ -109,8 +110,7 @@ fn artifact_cache_returns_identical_plans_without_reparsing() {
 
     // Different content (same name) misses the cache.
     let other = ompdart_suite::by_name("nw").unwrap();
-    session
-        .analyze(&bench.unoptimized_file(), other.unoptimized)
+    tool.analyze(&bench.unoptimized_file(), other.unoptimized)
         .unwrap();
     assert_eq!(session.cache_stats().analysis_misses, 2);
 }
@@ -200,8 +200,8 @@ fn batch_results_preserve_input_order_with_many_units() {
 /// Stage errors are typed and carry the failing stage.
 #[test]
 fn stage_errors_are_typed_and_carry_their_stage() {
-    let session = AnalysisSession::new();
-    let err = session
+    let tool = Ompdart::new();
+    let err = tool
         .analyze("broken.c", "int main( { return 0; }\n")
         .unwrap_err();
     assert_eq!(err.stage(), Stage::Parse);
@@ -209,7 +209,7 @@ fn stage_errors_are_typed_and_carry_their_stage() {
 
     // Already-mapped input breaks the input contract.
     let mapped = ompdart_suite::by_name("ace").unwrap().expert;
-    let err = session.analyze("ace_expert.c", mapped).unwrap_err();
+    let err = tool.analyze("ace_expert.c", mapped).unwrap_err();
     assert_eq!(err.stage(), Stage::Parse);
     assert!(matches!(err, StageError::AlreadyMapped { .. }));
 }

@@ -95,7 +95,7 @@ fn linked_program_matches_concatenated_single_unit() {
     let program = driver.analyze_program(&inputs).expect("link failed");
 
     let concat_src: String = inputs.iter().map(|(_, s)| s.as_str()).collect();
-    let single = AnalysisSession::new();
+    let single = Ompdart::new();
     let cold = single
         .analyze("concat.c", &concat_src)
         .expect("concat failed");
@@ -108,14 +108,14 @@ fn linked_program_matches_concatenated_single_unit() {
 
     // Every intra-program call resolved to a real summary.
     assert_eq!(program.stats().unknown_callee_fallbacks, 0);
-    // ...while the same units analyzed as closed worlds fall back.
-    let closed = AnalysisSession::new();
-    let solo = closed
+    // ...while the same units analyzed alone fall back.
+    let alone = Ompdart::new();
+    let solo = alone
         .analyze(&inputs[0].0, &inputs[0].1)
         .expect("solo failed");
     assert!(
         solo.plans.stats.unknown_callee_fallbacks > 0,
-        "the closed-world analysis of the main unit must hit the fallback"
+        "the main unit analyzed alone must hit the fallback"
     );
     assert_ne!(
         solo.rewrite.source, program.units[0].rewrite.source,
@@ -133,7 +133,7 @@ fn lulesh_multifile_golden() {
     let program = driver.analyze_program(&inputs).expect("link failed");
 
     let concat = lulesh_multifile_concat();
-    let cold = AnalysisSession::new()
+    let cold = Ompdart::new()
         .analyze("lulesh_mf_concat.c", &concat)
         .expect("concat analysis failed");
     assert_eq!(
@@ -163,10 +163,8 @@ fn lulesh_multifile_golden() {
         main_unit.explain()
     );
 
-    // Closed-world analysis of the driver unit alone hits the fallback.
-    let solo = AnalysisSession::new()
-        .analyze(&inputs[2].0, &inputs[2].1)
-        .unwrap();
+    // The driver unit analyzed alone hits the fallback.
+    let solo = Ompdart::new().analyze(&inputs[2].0, &inputs[2].1).unwrap();
     assert!(solo.plans.stats.unknown_callee_fallbacks > 0);
 }
 
@@ -214,6 +212,39 @@ fn single_unit_program_is_degenerate() {
             assert_eq!(linked.explain(), alone.explain(), "{at}");
         }
     }
+}
+
+/// A warm repeat of `Ompdart::analyze` on one unit is the round-level fast
+/// path of its one-unit program: the same analysis back, one fast-path hit,
+/// no unit-table analysis lookup and no relink.
+#[test]
+fn a_warm_one_unit_analysis_is_the_round_fast_path() {
+    let tool = Ompdart::new();
+    let source = unit_main();
+    let cold = tool.analyze("only.c", &source).unwrap();
+    let before = tool.session().cache_stats();
+    let warm = tool.analyze("only.c", &source).unwrap();
+    let moved = tool.session().cache_stats() - before;
+    assert!(Arc::ptr_eq(&cold, &warm));
+    assert_eq!(
+        (
+            moved.fast_path_hits,
+            moved.analysis_hits,
+            moved.analysis_misses
+        ),
+        (1, 0, 0),
+        "{moved:?}"
+    );
+    assert_eq!(
+        (moved.relink_reseeded_functions, moved.relink_touched_units),
+        (0, 0),
+        "{moved:?}"
+    );
+    assert_eq!(
+        moved.parse_misses + moved.function_plan_misses,
+        0,
+        "{moved:?}"
+    );
 }
 
 /// An interface-preserving edit to one unit re-plans only the edited
@@ -686,9 +717,8 @@ fn a_new_global_reconverges_the_functions_that_clobber_it() {
 /// the call site instead of silently inheriting the pessimistic effect.
 #[test]
 fn unknown_callee_pessimism_is_explained() {
-    let session = AnalysisSession::new();
     let source = unit_main();
-    let analysis = session.analyze("prog_main.c", &source).unwrap();
+    let analysis = Ompdart::new().analyze("prog_main.c", &source).unwrap();
     let plan = analysis
         .plans
         .plans
@@ -968,9 +998,10 @@ fn identity_fast_path_reuses_untouched_units_on_edit_rounds() {
 }
 
 /// A one-unit analysis interleaved between two rounds of the same program
-/// on one session (the daemon's `explain` between `analyze` requests) is a
-/// closed world of its own: it neither records a round nor takes the link
-/// state, so the next program round still rides the round-level fast path.
+/// on one tool (the daemon's `explain` between `analyze` requests) is a
+/// one-unit program on the tool's other driver: it neither records a round
+/// in the program's driver nor takes its link state, so the next program
+/// round still rides the round-level fast path.
 #[test]
 fn one_unit_analysis_between_rounds_keeps_the_round_fast_path() {
     let inputs = owned(&lulesh_multifile());
