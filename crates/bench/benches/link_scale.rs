@@ -11,7 +11,8 @@
 //!   `relink_reseeded_functions` stays inside the edit's dirty cone (the
 //!   edited stage plus its transitive callers) and reporting the functions
 //!   it re-planned (`replanned_functions`: the edit adds a host-only
-//!   effect no plan can read, so the edited function alone), and the same
+//!   effect no plan can read, so the edited unit alone, every function of
+//!   it), and the same
 //!   edit at the head of the chain, whose cone — and
 //!   `relink_touched_units` — is a handful whatever the corpus size;
 //! * **relink alone** — best-of-[`RELINK_RUNS`] wall times of

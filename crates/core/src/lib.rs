@@ -64,7 +64,6 @@ pub mod pipeline;
 pub mod plan;
 pub mod pool;
 pub mod program;
-pub mod relocate;
 pub mod rewrite;
 pub mod scc;
 pub mod shard;
@@ -124,9 +123,9 @@ pub struct OmpDartOptions {
 }
 
 impl OmpDartOptions {
-    /// Stable fingerprint of this option set, part of every plan cache key
-    /// (in memory and in the persistent store): plans produced under
-    /// different options are never interchangeable.
+    /// Stable fingerprint of this option set, part of every persistent
+    /// store key: plans produced under different options are never
+    /// interchangeable.
     pub fn fingerprint(&self) -> u64 {
         pipeline::options_fingerprint(self)
     }
@@ -280,7 +279,7 @@ impl Ompdart {
     /// [`UnitAnalysis`]. A call into a function the unit does not define
     /// falls back to pessimistic assumptions.
     pub fn analyze(&self, name: &str, source: &str) -> Result<Arc<UnitAnalysis>, StageError> {
-        match self.unit.round(&[(name, source)]) {
+        match self.unit.round(&[(name, source)], false) {
             Ok((mut program, _)) => Ok(program.units.remove(0)),
             Err(ProgramError::Unit { error, .. }) => Err(error),
             // A unit defines each function once: the parser rejects a second
@@ -318,8 +317,7 @@ impl Ompdart {
         &self,
         inputs: &[(String, String)],
     ) -> Result<ProgramAnalysis, ProgramError> {
-        self.analyze_program_profiled(inputs)
-            .map(|(analysis, _)| analysis)
+        self.program.analyze_program(inputs)
     }
 
     /// [`Ompdart::analyze_program`] plus a [`DriverProfile`]: per-phase

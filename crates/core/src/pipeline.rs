@@ -35,11 +35,11 @@
 //! the session's unit table, indexed by unit name and verified against the
 //! source bytes, so repeated analysis of unchanged sources is near-free, and
 //! the planning stage fans out per function over the session's worker pool.
-//! An *edited* unit re-runs parse → summaries whole, by the pure `stage_*`
-//! functions below — the session has no second flavour of them — and
-//! re-plans only the functions whose plan key moved: plans are the one
-//! function-granular cache, because planning is the one stage that costs
-//! more than keying, cloning and relocating its result.
+//! An *edited* unit runs every stage whole, by the pure `stage_*` functions
+//! below — the session has no second flavour of them: nothing finer than a
+//! unit is cached, and a unit's plans are keyed by its content and by what
+//! they can read of the rest of the program
+//! ([`LinkContext::imports_fingerprint`]).
 //!
 //! ```
 //! use ompdart_core::pipeline::AnalysisSession;
@@ -79,7 +79,6 @@ use crate::plan::explain::explain_plans;
 use crate::plan::ir::{AnalysisStats, MappingPlan};
 use crate::plan::json::{plans_to_json, plans_to_json_value, write_json_string};
 use crate::program::{LinkContext, LinkState, Program, UnitServe};
-use crate::relocate::{relocate_diagnostics, relocate_plan};
 use crate::rewrite;
 use crate::shard::ShardMap;
 use crate::stats::{AtomicCacheStats, CacheStats, Counter};
@@ -93,7 +92,7 @@ use ompdart_frontend::Symbol;
 use ompdart_graph::ProgramGraphs;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
@@ -254,9 +253,9 @@ impl Fnv {
     }
 }
 
-/// Stable fingerprint of an [`OmpDartOptions`] value. Part of every plan
-/// cache key (in memory and on disk): plans produced under different
-/// options are never interchangeable. The destructuring names every field,
+/// Stable fingerprint of an [`OmpDartOptions`] value. Part of every
+/// persistent store key: plans produced under different options are never
+/// interchangeable. The destructuring names every field,
 /// so a new option cannot be left out of the keys.
 pub fn options_fingerprint(options: &OmpDartOptions) -> u64 {
     let OmpDartOptions {
@@ -285,21 +284,6 @@ pub struct ParsedUnit {
     pub diagnostics: Diagnostics,
     /// Wall-clock time of the parse stage.
     pub elapsed: Duration,
-    /// Lazily computed hash of everything outside function bodies (part of
-    /// every function's plan-cache key, so one parse scans the source for
-    /// it at most once).
-    env_hash: std::sync::OnceLock<u64>,
-}
-
-impl ParsedUnit {
-    /// The environment hash (everything outside function definitions),
-    /// computed once per parse and shared by every function's plan-cache
-    /// key.
-    pub fn environment_hash(&self) -> u64 {
-        *self
-            .env_hash
-            .get_or_init(|| environment_hash(&self.file, &self.unit))
-    }
 }
 
 /// Graph artifact: per-function CFGs and the hybrid AST-CFG.
@@ -335,17 +319,18 @@ pub struct PlansArtifact {
     pub stats: AnalysisStats,
     /// Diagnostics produced by the data-flow analysis.
     pub diagnostics: Diagnostics,
-    /// The function-plan-cache rows this stage call moved. All zero when no
-    /// cache was consulted.
-    pub counted: CacheStats,
-    /// Per-function plan-cache key snapshots (source order), populated when
-    /// the function-granular cache was consulted. The persistent store
-    /// saves these alongside the plans so a later process can re-seed its
-    /// cache from a store hit. Empty for plans that came *from* the store:
-    /// there they stay encoded until the unit is planned again.
+    /// Always empty: see [`FunctionKeySnapshot`].
     pub function_keys: Vec<FunctionKeySnapshot>,
     pub elapsed: Duration,
 }
+
+/// The interface of the retired function-granular plan cache. Nothing has
+/// one — the enum has no variant, and [`PlansArtifact::function_keys`] and
+/// [`crate::store::PendingUnitSave::functions`] stay empty: a unit is planned
+/// whole. Kept only because the benchmark harness (`ledger/src/layers.rs`)
+/// still names those two fields for its store probe.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum FunctionKeySnapshot {}
 
 /// Rewrite artifact: the transformed source text.
 #[derive(Debug)]
@@ -377,7 +362,6 @@ fn stage_parse_shared(name: &str, source: Arc<String>) -> Result<ParsedUnit, Sta
         unit: parse.unit,
         diagnostics: parse.diagnostics,
         elapsed: start.elapsed(),
-        env_hash: std::sync::OnceLock::new(),
     })
 }
 
@@ -473,145 +457,8 @@ pub(crate) fn closed_world_of(
 }
 
 // ---------------------------------------------------------------------------
-// Function-granular incremental planning
+// Summary fingerprints and the plan key
 // ---------------------------------------------------------------------------
-
-/// The complete set of inputs that determine one function's mapping plan.
-///
-/// Two analyses may share a cached plan only when every component matches:
-///
-/// * `snippet` — the exact source text of the function (signature + body),
-///   compared byte for byte, so the dominant variable-length component of
-///   the key is verified in full rather than trusted to a hash;
-/// * `env_hash` — everything *outside* function definitions (macro
-///   definitions, global declarations, prototypes, typedefs): macros expand
-///   into function bodies and globals drive symbol resolution, so any
-///   environment edit invalidates every function;
-/// * `callees_hash` — what the plan can read of the function's direct
-///   callees: each one's converged summary projected onto the program's
-///   device names ([`projected_fingerprint`]: name, `has_kernels`, every
-///   parameter effect, and the effects on globals whose name some plan can
-///   map), or, for a callee without a summary, its visible prototype's
-///   `const` qualifiers. Editing a callee's effect on data a plan can map
-///   — which accesses it may make, and in which order — re-plans its
-///   callers; a host-only effect on a global whose name no plan can map
-///   does not, since no region maps it. It is
-///   everything a plan reads of any other function: `main`'s exit liveness
-///   included, which asks what the calls after its region read of the
-///   variables it maps;
-/// * `options_hash` — the [`OmpDartOptions`] fingerprint.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct FunctionPlanKey {
-    snippet: String,
-    env_hash: u64,
-    callees_hash: u64,
-    options_hash: u64,
-}
-
-/// A cached per-function planning result, stored in the coordinates
-/// (node ids, byte offsets) of the parse that produced it and relocated on
-/// every hit.
-#[derive(Clone, Debug)]
-struct CachedFunctionPlan {
-    /// `func.id` at cache time (node-id relocation base).
-    base_id: u32,
-    /// `func.span.start` at cache time (byte-offset relocation base).
-    base_pos: u32,
-    /// Whether the function counted towards `functions_analyzed`.
-    analyzed: bool,
-    /// Unknown-callee pessimistic fallbacks the function's planning hit
-    /// (re-counted into the stats on every cache hit).
-    fallbacks: u64,
-    plan: Option<MappingPlan>,
-    diagnostics: Diagnostics,
-}
-
-/// The persisted form of one function's plan-cache key: everything needed
-/// to re-seed the in-memory function-plan cache from a store hit, so the
-/// first edit after a warm start is already incremental. The snippet itself
-/// is not stored — a store hit verified the full source, so the snippet is
-/// recovered from `[base_pos, base_pos + snippet_len)` of that source.
-/// `callees_hash` is the key's: callee summaries projected onto the device
-/// names (store format 11; a pack of an earlier format, keyed by whole
-/// summaries, is never read).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FunctionKeySnapshot {
-    pub function: Symbol,
-    pub base_id: u32,
-    pub base_pos: u32,
-    pub snippet_len: u32,
-    pub env_hash: u64,
-    pub callees_hash: u64,
-    pub options_hash: u64,
-    pub analyzed: bool,
-    pub has_plan: bool,
-    pub fallbacks: u64,
-}
-
-/// The session-lifetime cache of per-function planning results — the one
-/// function-granular cache: entries are indexed by `(unit name, function
-/// name)` and verified against the full [`FunctionPlanKey`] on every hit —
-/// the function snippet inside it is compared byte for byte, never trusted
-/// to a hash.
-///
-/// Because node ids are assigned by one sequential counter and spans are
-/// plain byte offsets, a function whose own tokens are unchanged keeps the
-/// same ids and offsets *relative to its definition* even when surrounding
-/// code moves it — a hit therefore *relocates* the plan by the id/offset
-/// delta instead of re-running the data-flow analysis (see
-/// [`crate::relocate`]). The stages before planning are not cached per
-/// function: measured, collecting a function's accesses and seeding its
-/// summary again costs less than keying, cloning and relocating them.
-#[derive(Debug, Default)]
-struct FunctionPlanCache {
-    entries: ShardMap<(Symbol, Symbol), (FunctionPlanKey, CachedFunctionPlan)>,
-}
-
-impl FunctionPlanCache {
-    fn lookup(
-        &self,
-        unit: &str,
-        func: Symbol,
-        key: &FunctionPlanKey,
-    ) -> Option<CachedFunctionPlan> {
-        // Non-inserting name resolution: a unit never stored never interned.
-        let unit = Symbol::lookup(unit)?;
-        self.entries.read(&(unit, func), |entry| {
-            entry.and_then(|(stored_key, value)| (stored_key == key).then(|| value.clone()))
-        })
-    }
-
-    fn store(&self, unit: Symbol, func: Symbol, key: FunctionPlanKey, value: CachedFunctionPlan) {
-        self.entries.insert((unit, func), (key, value));
-    }
-}
-
-/// Hash of the translation-unit environment: every byte of the source that
-/// lies outside a function definition. See [`FunctionPlanKey::env_hash`].
-pub(crate) fn environment_hash(file: &SourceFile, unit: &TranslationUnit) -> u64 {
-    let text = file.text().as_bytes();
-    let mut spans: Vec<(usize, usize)> = unit
-        .functions()
-        .map(|f| (f.span.start as usize, f.span.end as usize))
-        .collect();
-    spans.sort_unstable();
-    let mut h = Fnv::new();
-    let mut pos = 0usize;
-    for (start, end) in spans {
-        let start = start.min(text.len());
-        if start > pos {
-            h.write(&text[pos..start]);
-        }
-        // Separator: deleting the gap between two functions must still
-        // change the environment hash.
-        h.write(&[0]);
-        pos = pos.max(end.min(text.len()));
-    }
-    if pos < text.len() {
-        h.write(&text[pos..]);
-    }
-    h.finish()
-}
 
 /// Fingerprint of a whole summary: what the link's dirty check compares
 /// (a function's local fingerprint hashes its seed's).
@@ -686,10 +533,11 @@ pub(crate) fn callee_keys(
 /// Fingerprint of the interprocedural facts a function's plan consumes: the
 /// projected summary fingerprint (`projected_fp`, [`projected_fingerprint`])
 /// of every direct callee, or — for callees without a summary — the shape
-/// of the visible prototype. In a linked program the summaries are the
-/// *whole-program* ones, so a callee edited in another unit invalidates its
-/// callers here exactly when its converged summary moved on a global in
-/// the device names, its parameters or its kernels.
+/// of the visible prototype: one function's share of its unit's imports
+/// fingerprint. In a linked program the summaries are the *whole-program*
+/// ones, so a callee edited in another unit moves it exactly when its
+/// converged summary moved on a global in the device names, its parameters
+/// or its kernels.
 pub(crate) fn callees_fingerprint(
     callees: &[CalleeKey],
     projected_fp: impl Fn(Symbol) -> Option<u64>,
@@ -723,151 +571,48 @@ pub fn stage_plans(
     options: &OmpDartOptions,
     parallelism: usize,
 ) -> PlansArtifact {
-    let (alone, link) = closed_world_of(unit, accesses, summaries, options, parallelism);
-    let exports = alone.exports();
-    run_plan_stage(
-        unit,
-        graphs,
-        accesses,
-        options,
-        parallelism,
-        None,
-        &link,
-        exports,
-    )
+    let (_, link) = closed_world_of(unit, accesses, summaries, options, parallelism);
+    run_plan_stage(unit, graphs, accesses, options, parallelism, &link)
 }
 
 /// The one planning stage behind [`stage_plans`] and
-/// [`AnalysisSession::analyze_linked`].
-///
-/// Callee effects resolve against the `link` context's summaries
-/// (cross-unit callees included), and each function's callee list is read
-/// from `exports`, the unit's interface. With `incremental` set, functions
-/// whose key (source text, environment, callee summaries, options) is
-/// unchanged re-use their cached plan — relocated to the current node ids
-/// and byte offsets — instead of re-running the data-flow analysis; the
-/// keys incorporate the context's facts, so an edit in another unit
-/// re-plans functions here only when the summary of a callee they name
-/// actually changed.
-#[allow(clippy::too_many_arguments)]
+/// [`AnalysisSession::analyze_linked`]: every function of the unit is
+/// planned, fanned out over `parallelism` workers, its callee effects
+/// resolved against the `link` context's summaries (cross-unit callees
+/// included).
 fn run_plan_stage(
     unit: &TranslationUnit,
     graphs: &GraphsArtifact,
     accesses: &AccessArtifact,
     options: &OmpDartOptions,
     parallelism: usize,
-    incremental: Option<(&ParsedUnit, &FunctionPlanCache)>,
     link: &LinkContext,
-    exports: &UnitExports,
 ) -> PlansArtifact {
     let start = Instant::now();
     let funcs: Vec<_> = unit.functions().collect();
     let workers = parallelism.clamp(1, funcs.len().max(1));
 
-    // Unit-wide key components, computed once and shared by every worker.
-    let shared = incremental.map(|(parsed, cache)| {
-        (
-            parsed,
-            cache,
-            parsed.environment_hash(),
-            options_fingerprint(options),
-        )
-    });
-
-    // One slot per function: (analyzed, plan, diagnostics, served from the
-    // function-plan cache, fallbacks, key snapshot).
-    type Slot = (
-        bool,
-        Option<MappingPlan>,
-        Diagnostics,
-        bool,
-        u64,
-        Option<FunctionKeySnapshot>,
-    );
-    let plan_one = |idx: usize| -> Slot {
+    // One slot per function: (analyzed, plan, diagnostics, fallbacks).
+    let plan_one = |idx: usize| {
         let func = funcs[idx];
-        let exported = &exports.functions[idx];
-        debug_assert_eq!(exported.source, func.name, "interface out of step");
-        let key = shared
-            .as_ref()
-            .map(|(parsed, _, env_hash, options_hash)| FunctionPlanKey {
-                snippet: parsed.file.snippet(func.span).to_string(),
-                env_hash: *env_hash,
-                callees_hash: callees_fingerprint(&exported.callees, |callee| {
-                    link.projected_fingerprint(callee)
-                }),
-                options_hash: *options_hash,
-            });
-        let snapshot = |key: &FunctionPlanKey, analyzed: bool, has_plan: bool, fallbacks: u64| {
-            FunctionKeySnapshot {
-                function: func.name,
-                base_id: func.id.0,
-                base_pos: func.span.start,
-                snippet_len: key.snippet.len() as u32,
-                env_hash: key.env_hash,
-                callees_hash: key.callees_hash,
-                options_hash: key.options_hash,
-                analyzed,
-                has_plan,
-                fallbacks,
-            }
+        let Some(graph) = graphs.graphs.function(func.name) else {
+            return (false, None, Diagnostics::new(), 0);
         };
-        if let (Some(key), Some((parsed, cache, ..))) = (&key, shared.as_ref()) {
-            if let Some(entry) = cache.lookup(&parsed.name, func.name, key) {
-                let did = i64::from(func.id.0) - i64::from(entry.base_id);
-                let dpos = i64::from(func.span.start) - i64::from(entry.base_pos);
-                let plan = entry.plan.as_ref().map(|p| relocate_plan(p, did, dpos));
-                let snap = snapshot(key, entry.analyzed, plan.is_some(), entry.fallbacks);
-                return (
-                    entry.analyzed,
-                    plan,
-                    relocate_diagnostics(&entry.diagnostics, dpos),
-                    true,
-                    entry.fallbacks,
-                    Some(snap),
-                );
-            }
+        let Some(mut acc) = accesses.accesses.get(&func.name).cloned() else {
+            return (true, None, Diagnostics::new(), 0);
+        };
+        let fallbacks =
+            augment_with_call_effects(&mut acc, unit, &link.summaries, options.pessimistic_globals);
+        let mut diags = Diagnostics::new();
+        let symbols = &accesses.symbols[&func.name];
+        let mut plan = plan_function(func, graph, &acc, symbols, &mut diags);
+        // `--lifetimes` is the same plan under another spelling, plus the
+        // collapse clauses that ride with it.
+        if let (true, Some(plan)) = (options.lifetimes, &mut plan) {
+            plan.unstructured = true;
+            plan.collapses = plan_collapses(func, &plan.kernels);
         }
-
-        let (analyzed, plan, diags, fallbacks) = (|| {
-            let Some(graph) = graphs.graphs.function(func.name) else {
-                return (false, None, Diagnostics::new(), 0u64);
-            };
-            let Some(mut acc) = accesses.accesses.get(&func.name).cloned() else {
-                return (true, None, Diagnostics::new(), 0u64);
-            };
-            let fallbacks = augment_with_call_effects(
-                &mut acc,
-                unit,
-                &link.summaries,
-                options.pessimistic_globals,
-            ) as u64;
-            let mut diags = Diagnostics::new();
-            let symbols = &accesses.symbols[&func.name];
-            let mut plan = plan_function(func, graph, &acc, symbols, &mut diags);
-            // `--lifetimes` is the same plan under another spelling, plus
-            // the collapse clauses that ride with it.
-            if let (true, Some(plan)) = (options.lifetimes, &mut plan) {
-                plan.unstructured = true;
-                plan.collapses = plan_collapses(func, &plan.kernels);
-            }
-            (true, plan, diags, fallbacks)
-        })();
-        let snap = key
-            .as_ref()
-            .map(|key| snapshot(key, analyzed, plan.is_some(), fallbacks));
-        if let (Some(key), Some((parsed, cache, ..))) = (key, shared.as_ref()) {
-            let cached = CachedFunctionPlan {
-                base_id: func.id.0,
-                base_pos: func.span.start,
-                analyzed,
-                fallbacks,
-                plan: plan.clone(),
-                diagnostics: diags.clone(),
-            };
-            cache.store(Symbol::intern(&parsed.name), func.name, key, cached);
-        }
-        (analyzed, plan, diags, false, fallbacks, snap)
+        (true, plan, diags, fallbacks)
     };
 
     let slots = crate::pool::pool_map(workers, funcs.len(), plan_one);
@@ -875,22 +620,12 @@ fn run_plan_stage(
     let mut plans = Vec::new();
     let mut stats = AnalysisStats::default();
     let mut diagnostics = Diagnostics::new();
-    let mut counted = CacheStats::default();
-    let mut function_keys = Vec::new();
-    for slot in slots {
-        let (analyzed, plan, diags, hit, fallbacks, snap) = slot;
-        if shared.is_some() {
-            counted.function_plan_hits += u64::from(hit);
-            counted.function_plan_misses += u64::from(!hit);
-        }
+    for (analyzed, plan, diags, fallbacks) in slots {
         if analyzed {
             stats.functions_analyzed += 1;
         }
-        stats.unknown_callee_fallbacks += fallbacks as usize;
+        stats.unknown_callee_fallbacks += fallbacks;
         diagnostics.extend(diags);
-        if let Some(snap) = snap {
-            function_keys.push(snap);
-        }
         if let Some(plan) = plan {
             stats.functions_with_kernels += 1;
             stats.kernels += plan.kernels.len();
@@ -905,8 +640,7 @@ fn run_plan_stage(
         plans,
         stats,
         diagnostics,
-        counted,
-        function_keys,
+        function_keys: Vec::new(),
         elapsed: start.elapsed(),
     }
 }
@@ -1286,21 +1020,16 @@ impl UnitSlot {
 /// long-lived session (`ompdart watch`, the daemon) stays bounded by the
 /// number of unit names it has seen, not by the number of saves. A
 /// superseded version is released as soon as two newer ones have been
-/// analyzed; recomputing it later is an ordinary edit. On top of the table
-/// sit two incremental layers:
-///
-/// * a function-plan cache — the one function-granular cache: an edited
-///   source is parsed, graphed, access-classified and summarized whole
-///   (whole-unit work of the *edited* unit only; identical content never
-///   gets past the table), but only functions whose key (own text,
-///   environment, callee summaries) changed are re-planned; unchanged
-///   functions re-use their plan, relocated to the new node ids and byte
-///   offsets ([`Self::cache_stats`] proves it);
-/// * an optional persistent [`ArtifactStore`]
-///   ([`AnalysisSession::with_cache_dir`]): a unit's interface, its plans
-///   and the edits that rewrite it are loaded from disk on a content match
-///   and written back after every miss, so a fresh process starts warm and
-///   parses only the units a change reached.
+/// analyzed; recomputing it later is an ordinary edit. Below the table sits
+/// an optional persistent [`ArtifactStore`]
+/// ([`AnalysisSession::with_cache_dir`]): a unit's interface, its plans and
+/// the edits that rewrite it are loaded from disk on a content match and
+/// written back after every miss, so a fresh process starts warm and parses
+/// only the units a change reached. Both are keyed by a whole unit — its
+/// content and the imports fingerprint of its link — and a unit that misses
+/// both is planned whole: an edited source is parsed, graphed,
+/// access-classified, summarized and planned, every function of it, and no
+/// other unit is unless its imports fingerprint moved.
 ///
 /// A [`crate::program::ProgramDriver`] round — of many units, or of one —
 /// runs [`Self::summarize`] → link → [`Self::analyze_linked`]. To run the
@@ -1312,26 +1041,11 @@ pub struct AnalysisSession {
     parallelism: usize,
     /// The unit table: unit name → its resident versions.
     units: ShardMap<String, UnitSlot>,
-    function_plans: FunctionPlanCache,
     /// The persistent store. Write-backs are queued in it while planning and
     /// [`AnalysisSession::flush_store_writes`] appends the whole round's at
     /// once.
     store: Option<ArtifactStore>,
-    /// Store-served units whose persisted function keys have not been put
-    /// into `function_plans` yet, by unit name: that is only worth its
-    /// decoding and clones if the name is ever planned again, so it waits
-    /// until then.
-    unseeded: Mutex<HashMap<String, Unseeded>>,
     counters: AtomicCacheStats,
-}
-
-/// What a store hit leaves for [`AnalysisSession::seed_function_plans`]: the
-/// unit as served, and its per-function key snapshots, still encoded.
-#[derive(Debug)]
-struct Unseeded {
-    unit: Arc<SummarizedUnit>,
-    plans: Arc<PlansArtifact>,
-    snapshots: String,
 }
 
 impl Default for AnalysisSession {
@@ -1361,9 +1075,7 @@ impl AnalysisSession {
             options,
             parallelism: default_parallelism(),
             units: ShardMap::new(),
-            function_plans: FunctionPlanCache::default(),
             store: None,
-            unseeded: Mutex::default(),
             counters: AtomicCacheStats::default(),
         }
     }
@@ -1431,7 +1143,7 @@ impl AnalysisSession {
 
     /// The identity fast path of a program round: the analysis of `unit`
     /// under `imports_fingerprint`, if the unit table holds one — no
-    /// context is assembled, nothing is hashed, relocated or planned.
+    /// context is assembled, nothing is hashed or planned.
     pub(crate) fn resident_analysis(
         &self,
         unit: &SummarizedUnit,
@@ -1467,79 +1179,20 @@ impl AnalysisSession {
         self.counters.snapshot()
     }
 
-    /// The session's one planning call: [`run_plan_stage`] over the
-    /// function-plan cache — functions whose key is unchanged since a
-    /// previous analysis of this session are served by relocation instead
-    /// of re-analysis — counted into the session's statistics.
-    fn plan_under(
-        &self,
-        body: &UnitBody,
-        link: &LinkContext,
-        exports: &UnitExports,
-    ) -> Arc<PlansArtifact> {
-        self.seed_function_plans(&body.parsed.name);
-        let artifact = Arc::new(run_plan_stage(
-            &body.parsed.unit,
+    /// The session's one planning call: [`run_plan_stage`] of the whole
+    /// unit, its functions counted in `function_plan_misses`.
+    fn plan_under(&self, body: &UnitBody, link: &LinkContext) -> Arc<PlansArtifact> {
+        let unit = &body.parsed.unit;
+        let functions = unit.functions().count() as u64;
+        self.counters.add(Counter::function_plan_misses, functions);
+        Arc::new(run_plan_stage(
+            unit,
             &body.graphs,
             &body.accesses,
             &self.options,
             self.parallelism,
-            Some((&body.parsed, &self.function_plans)),
             link,
-            exports,
-        ));
-        self.counters.add_all(artifact.counted);
-        artifact
-    }
-
-    /// Before `name` is planned: if its last analysis came from the store,
-    /// put that record's per-function keys and plans into the function-plan
-    /// cache, so the first *edit* after a warm start re-plans only what
-    /// changed. Snippets are recovered from the verified source; a key whose
-    /// byte range or plan does not fit is skipped, never trusted.
-    fn seed_function_plans(&self, name: &str) {
-        if self.store.is_none() {
-            // Only a store hit leaves anything to seed from.
-            return;
-        }
-        let mut waiting = self.unseeded.lock().expect("seed lock poisoned");
-        let Some(served) = waiting.remove(name) else {
-            return;
-        };
-        drop(waiting);
-        let (source, stored) = (served.unit.source(), &served.plans);
-        for key in &store::decode_snapshots(&served.snapshots).unwrap_or_default() {
-            let start = key.base_pos as usize;
-            let Some(snippet) = source.get(start..start.saturating_add(key.snippet_len as usize))
-            else {
-                continue;
-            };
-            let named = |plan: &&MappingPlan| plan.function == key.function.as_str();
-            let plan = stored.plans.iter().find(named).cloned();
-            if plan.is_some() != key.has_plan {
-                continue;
-            }
-            self.function_plans.store(
-                Symbol::intern(name),
-                key.function,
-                FunctionPlanKey {
-                    snippet: snippet.to_string(),
-                    env_hash: key.env_hash,
-                    callees_hash: key.callees_hash,
-                    options_hash: key.options_hash,
-                },
-                CachedFunctionPlan {
-                    base_id: key.base_id,
-                    base_pos: key.base_pos,
-                    analyzed: key.analyzed,
-                    fallbacks: key.fallbacks,
-                    plan,
-                    // Only units without planning diagnostics are persisted,
-                    // so the seeded entries legitimately carry none.
-                    diagnostics: Diagnostics::new(),
-                },
-            );
-        }
+        ))
     }
 
     /// Phase 1, cached: one unit as the link stage consumes it. Lookup
@@ -1595,8 +1248,7 @@ impl AnalysisSession {
     /// attached — the persistent store under the same link key (plans and
     /// the rewrite's edits loaded from disk: a splice into the source, the
     /// unit's body is not touched), then the planning stage, which builds
-    /// the body if the unit was restored and whose function-granular cache
-    /// keys incorporate the context's facts.
+    /// the body if the unit was restored and plans every function of it.
     pub fn analyze_linked(
         &self,
         unit: &Arc<SummarizedUnit>,
@@ -1657,7 +1309,6 @@ impl AnalysisSession {
                 plans: stored.plans,
                 stats: stored.stats,
                 diagnostics: Diagnostics::new(),
-                counted: CacheStats::default(),
                 function_keys: Vec::new(),
                 elapsed: Duration::ZERO,
             });
@@ -1669,17 +1320,10 @@ impl AnalysisSession {
                     stage_rewrite(&body.parsed, &body.graphs, &plans)
                 }
             };
-            let seed = Unseeded {
-                unit: Arc::clone(unit),
-                plans: Arc::clone(&plans),
-                snapshots: stored.snapshots,
-            };
-            let mut waiting = self.unseeded.lock().expect("seed lock poisoned");
-            waiting.insert(unit.name.clone(), seed);
             return (plans, rewrite, UnitServe::Store);
         }
         let body = unit.body_through(Some(self));
-        let plans = self.plan_under(body, link, unit.exports());
+        let plans = self.plan_under(body, link);
         let start = Instant::now();
         let edits = rewrite::plan_edits(
             &body.parsed.file,
@@ -1693,14 +1337,9 @@ impl AnalysisSession {
             // [`Self::flush_store_writes`]. Units with planning diagnostics
             // are not persisted: the warnings would be lost on a later
             // store hit.
-            let (stats, keys) = (&plans.stats, &plans.function_keys);
-            store.queue_unit(&unit.name, key, &plans.plans, stats, keys, Some(&edits));
+            store.queue_unit(&unit.name, key, &plans.plans, &plans.stats, Some(&edits));
         }
-        let served = UnitServe::Planned {
-            reused: plans.counted.function_plan_hits,
-            replanned: plans.counted.function_plan_misses,
-        };
-        (plans, rewrite, served)
+        (plans, rewrite, UnitServe::Planned)
     }
 }
 
@@ -1891,30 +1530,28 @@ void fb() {
 int main() { fa(); fb(); printf(\"%f %f\\n\", a[1], b[1]); return 0; }
 ";
 
-    /// Editing one function's body re-plans only that function: the other
-    /// functions are served from the function-granular plan cache, and the
-    /// incremental result is identical to a cold analysis of the edited
-    /// source — plans (node ids, spans), stats, and rewrite bytes.
+    /// Editing one function's body re-plans its unit — one analysis, every
+    /// function of it — and the result is identical to a cold analysis of
+    /// the edited source: plans (node ids, spans), stats, and rewrite bytes.
     #[test]
     fn one_function_edit_replans_only_that_function() {
         let tool = crate::Ompdart::new();
         let session = tool.session();
         tool.analyze("two.c", TWO_FUNCS).unwrap();
         let stats = session.cache_stats();
-        assert_eq!(stats.function_plan_hits, 0);
-        assert_eq!(stats.function_plan_misses, 3);
+        assert_eq!((stats.analysis_misses, stats.function_plan_misses), (1, 3));
 
         // Grow fa's body: every later function moves in both byte offsets
-        // and node ids, exercising the relocation path.
+        // and node ids.
         let edited = TWO_FUNCS.replace("a[i] = i;", "a[i] = i + 1.0;");
         assert_ne!(edited, TWO_FUNCS);
         let incremental = tool.analyze("two.c", &edited).unwrap();
-        let stats = session.cache_stats();
+        let moved = session.cache_stats() - stats;
         assert_eq!(
-            stats.function_plan_misses, 4,
-            "only the edited function may be re-planned"
+            (moved.analysis_misses, moved.function_plan_misses),
+            (1, 3),
+            "the edited unit is planned whole, once: {moved:?}"
         );
-        assert_eq!(stats.function_plan_hits, 2, "fb and main must be served");
 
         let fresh = crate::Ompdart::new().analyze("two.c", &edited).unwrap();
         assert_eq!(fresh.rewrite.source, incremental.rewrite.source);
@@ -1931,8 +1568,7 @@ int main() { fa(); fb(); printf(\"%f %f\\n\", a[1], b[1]); return 0; }
         let edited = TWO_FUNCS.replace("#define N 24", "#define N 48");
         let incremental = tool.analyze("two.c", &edited).unwrap();
         let stats = tool.session().cache_stats();
-        assert_eq!(stats.function_plan_hits, 0);
-        assert_eq!(stats.function_plan_misses, 6);
+        assert_eq!((stats.analysis_misses, stats.function_plan_misses), (2, 6));
         let cold = crate::Ompdart::new().analyze("two.c", &edited).unwrap();
         assert_eq!(cold.rewrite.source, incremental.rewrite.source);
     }
@@ -1966,7 +1602,8 @@ void driver() {
         let incremental = tool.analyze("ip.c", &edited).unwrap();
         let stats = tool.session().cache_stats();
         assert_eq!(
-            stats.function_plan_misses, 4,
+            (stats.analysis_misses, stats.function_plan_misses),
+            (2, 4),
             "both helper and driver must be re-planned"
         );
         let cold = crate::Ompdart::new().analyze("ip.c", &edited).unwrap();
@@ -2066,9 +1703,9 @@ void bump(void);
             let mut edited = base.clone();
             edited[0].1 = helper(k + 1);
             let round = driver.analyze_program(&edited).unwrap();
-            assert!(matches!(round.served[0], UnitServe::Planned { .. }));
+            assert_eq!(round.served[0], UnitServe::Planned);
             assert_eq!(round.served[1], UnitServe::Cached);
-            assert!(matches!(round.served[2], UnitServe::Planned { .. }));
+            assert_eq!(round.served[2], UnitServe::Planned);
             handles.push((
                 Arc::downgrade(&session.summarize("helper.c", &edited[0].1).unwrap()),
                 Arc::downgrade(&round.units[0]),
@@ -2142,7 +1779,7 @@ void bump(void);
 
     /// Two units carrying one header-defined `static` kernel function,
     /// through one cache directory: each unit plans its own copy (nothing
-    /// finer than a unit is stored, so the copies do not warm each other),
+    /// finer than a unit is cached, so the copies do not warm each other),
     /// both rewrite exactly as they do without a store, a second process is
     /// served both from their unit records without planning a function, and
     /// the pack indexes unit and interface records only.
@@ -2182,8 +1819,8 @@ static void touch_shared(void) {
         assert_eq!(populated, plain, "a store must not change a rewrite");
         let stats = first.cache_stats();
         assert_eq!(
-            (stats.function_plan_misses, stats.function_plan_hits),
-            (4, 0),
+            (stats.analysis_misses, stats.function_plan_misses),
+            (2, 4),
             "each unit plans its own copy of the shared static: {stats:?}"
         );
         // `analyze_program` flushed the write-behind queue: two unit and

@@ -113,20 +113,6 @@ pub struct LinkContext {
     /// can actually *read* changed — an edit round re-plans the units whose
     /// callees moved on data a region can map, not the whole import cone.
     pub imports_fingerprint: u64,
-    /// The link's memoised projected fingerprint of every converged
-    /// summary — the program's function table and this unit's static
-    /// views, both shared, neither copied — so planning a function hashes
-    /// none of its callees' summaries again.
-    fingerprints: (Arc<ProgramSummaries>, Arc<[StaticView]>),
-}
-
-impl LinkContext {
-    /// [`projected_fingerprint`] of the summary `callee` resolves to under
-    /// this context ([`Self::summaries`]), from the link's memo.
-    pub(crate) fn projected_fingerprint(&self, callee: Symbol) -> Option<u64> {
-        let (functions, statics) = &self.fingerprints;
-        memoised_fingerprint(statics, functions, callee)
-    }
 }
 
 /// The memoised projected fingerprint of the summary a unit with the
@@ -645,7 +631,6 @@ impl Program {
         LinkContext {
             summaries,
             imports_fingerprint: self.import_fps[index],
-            fingerprints: (Arc::clone(&self.linked.summaries), Arc::clone(statics)),
         }
     }
 
@@ -710,9 +695,8 @@ pub enum UnitServe {
     Cached,
     /// Plans were loaded from the persistent artifact store.
     Store,
-    /// The unit was planned this run; `reused`/`replanned` split the
-    /// function-granular plan cache outcome.
-    Planned { reused: u64, replanned: u64 },
+    /// The unit was planned this run, every function of it.
+    Planned,
 }
 
 /// One whole-program analysis: every unit's full artifact bundle (input
@@ -875,7 +859,7 @@ fn percentile(sorted: &[Duration], pct: usize) -> Duration {
 ///
 /// A driver owns its program's [`LinkState`], so each round relinks only
 /// what changed since the driver's previous round. Drivers over one session
-/// share its unit table, plan cache, store and counters, but never each
+/// share its unit table, store and counters, but never each
 /// other's link state: a tool's one-unit analyses
 /// ([`crate::Ompdart::analyze`]) run on a driver of their own and leave its
 /// program driver's incremental relink and round-level fast path alone.
@@ -982,8 +966,7 @@ impl ProgramDriver {
         &self,
         inputs: &[(String, String)],
     ) -> Result<ProgramAnalysis, ProgramError> {
-        self.analyze_program_profiled(inputs)
-            .map(|(analysis, _)| analysis)
+        self.round(inputs, false).map(|(analysis, _)| analysis)
     }
 
     /// [`Self::analyze_program`] plus a [`DriverProfile`] of where the call
@@ -1016,50 +999,55 @@ impl ProgramDriver {
         &self,
         inputs: &[(String, String)],
     ) -> Result<(ProgramAnalysis, DriverProfile), ProgramError> {
-        self.round(inputs)
+        let (analysis, profile) = self.round(inputs, true)?;
+        Ok((analysis, profile.expect("a profiled round")))
     }
 
     /// One round over `(name, source)` pairs of any string type, so a
-    /// one-unit round ([`crate::Ompdart::analyze`]) copies no source.
+    /// one-unit round ([`crate::Ompdart::analyze`]) copies no source. Only
+    /// a `profiled` round reads a clock or a counter for its
+    /// [`DriverProfile`].
     pub(crate) fn round<N: AsRef<str> + Sync, S: AsRef<str> + Sync>(
         &self,
         inputs: &[(N, S)],
-    ) -> Result<(ProgramAnalysis, DriverProfile), ProgramError> {
-        let total_start = Instant::now();
-        let process_before = crate::stats::PROCESS.snapshot();
-        let parsed_before = self.session.cache_stats().parse_misses;
+        profiled: bool,
+    ) -> Result<(ProgramAnalysis, Option<DriverProfile>), ProgramError> {
+        let clock = || profiled.then(Instant::now);
+        let since = |start: Option<Instant>| start.map_or(Duration::ZERO, |at| at.elapsed());
+        let before = profiled.then(|| {
+            let parsed = self.session.cache_stats().parse_misses;
+            (Instant::now(), crate::stats::PROCESS.snapshot(), parsed)
+        });
         let finish_profile = |mut profile: DriverProfile| {
+            let (total_start, process_before, parsed_before) = before?;
             profile.pool_workers = crate::pool::effective_width(self.session.parallelism());
             profile.set_rows(crate::stats::PROCESS.snapshot() - process_before);
             let parsed = self.session.cache_stats().parse_misses - parsed_before;
             profile.parsed_units = parsed as usize;
             profile.total = total_start.elapsed();
-            profile
+            Some(profile)
         };
         let count_fast_path =
             |units: usize| (self.session.counters()).add(Counter::fast_path_hits, units as u64);
 
-        let phase = Instant::now();
+        let phase = clock();
         let units = self.summarize_all(inputs)?;
-        let summarize = phase.elapsed();
-
-        // Held until the round's analyses are in it: a concurrent round on
-        // this driver meanwhile links cold, from the empty state.
-        let mut state = self.take_state();
-        let edit_path = !state.program.is_empty();
+        let summarize = since(phase);
 
         // Round-level identity fast path: the whole program is the one the
-        // link state holds, analyses included.
-        let unchanged = state.analyses.len() == units.len()
-            && (units.iter().zip(&state.program.units)).all(|(now, was)| Arc::ptr_eq(now, was));
-        if unchanged {
-            count_fast_path(units.len());
-            let analysis = ProgramAnalysis {
+        // link state holds, analyses included. Read in place, under the lock.
+        let fast = {
+            let state = self.state.lock().expect("link state lock poisoned");
+            let unchanged = state.analyses.len() == units.len()
+                && (units.iter().zip(&state.program.units)).all(|(now, was)| Arc::ptr_eq(now, was));
+            unchanged.then(|| ProgramAnalysis {
                 units: state.analyses.clone(),
                 served: vec![UnitServe::Cached; units.len()],
                 link_passes: state.program.linked.passes,
-            };
-            self.put_state(state);
+            })
+        };
+        if let Some(analysis) = fast {
+            count_fast_path(units.len());
             let profile = finish_profile(DriverProfile {
                 units: units.len(),
                 fast_path_units: units.len(),
@@ -1071,7 +1059,12 @@ impl ProgramDriver {
             return Ok((analysis, profile));
         }
 
-        let phase = Instant::now();
+        // Held until the round's analyses are in it: a concurrent round on
+        // this driver meanwhile links cold, from the empty state.
+        let mut state = self.take_state();
+        let edit_path = !state.program.is_empty();
+
+        let phase = clock();
         let program = match self.relink(units, &mut state) {
             Ok(program) => program,
             Err(error) => {
@@ -1079,11 +1072,11 @@ impl ProgramDriver {
                 return Err(error);
             }
         };
-        let link = phase.elapsed();
+        let link = since(phase);
 
         // Unit-level identity fast path: the unit table already holds this
         // version's analysis under this imports fingerprint.
-        let phase = Instant::now();
+        let phase = clock();
         let resident =
             |i: usize| (self.session).resident_analysis(&program.units[i], program.import_fps[i]);
         let mut units: Vec<Option<Arc<UnitAnalysis>>> = (0..program.len()).map(resident).collect();
@@ -1095,24 +1088,24 @@ impl ProgramDriver {
             .filter(|&i| units[i].is_none())
             .map(|i| (i, program.link_context(i)))
             .collect();
-        let contexts_elapsed = phase.elapsed();
+        let contexts_elapsed = since(phase);
 
-        let phase = Instant::now();
+        let phase = clock();
         let threads = self.session.parallelism();
         let planned = crate::pool::pool_map(threads, todo.len(), |slot| {
-            let unit_start = Instant::now();
+            let unit_start = clock();
             let (i, context) = &todo[slot];
             let (analysis, serve) = self.session.analyze_linked(&program.units[*i], context);
-            (analysis, serve, unit_start.elapsed())
+            (analysis, serve, since(unit_start))
         });
-        let plan = phase.elapsed();
+        let plan = since(phase);
 
         // One batched store flush for the whole program: the per-unit
         // write-backs queued by `analyze_linked` land on disk through one
         // pool-parallel batch (one gc pass).
-        let phase = Instant::now();
+        let phase = clock();
         self.session.flush_store_writes();
-        let flush = phase.elapsed();
+        let flush = since(phase);
 
         let mut durations = Vec::with_capacity(planned.len());
         for ((i, _), (analysis, serve, elapsed)) in todo.iter().zip(planned) {

@@ -201,11 +201,12 @@ stats_table! {
         analysis_hits,
         /// Unit analyses that ran planning (or hit the store).
         analysis_misses,
-        /// Functions whose plan was served (relocated) from the
-        /// function-granular plan cache instead of re-running the
-        /// data-flow analysis.
+        /// Always 0: a unit is planned whole, and no plan finer than a
+        /// unit's is cached. Kept because the benchmark harness
+        /// (`ledger/src/layers.rs`) still reads the row.
         function_plan_hits,
-        /// Functions that were actually planned.
+        /// Functions that were planned: every function of every unit that
+        /// missed the unit table and the store.
         function_plan_misses,
         /// Functions the incremental link fixed point re-derived from
         /// their seeds (the reverse call-graph cone of the edited
@@ -239,7 +240,7 @@ stats_table! {
         /// matched an analysis already resident — the whole previous
         /// program's, or this unit's slot of the unit table — so the prior
         /// linked analysis was returned without content hashing, context
-        /// assembly, relocation or re-planning.
+        /// assembly or re-planning.
         fast_path_hits,
     }
 }

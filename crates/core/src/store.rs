@@ -11,20 +11,17 @@
 //!   and two independent hashes of its text plus the [`OmpDartOptions`]
 //!   fingerprint. It is what lets a restart *link* a program without parsing
 //!   it: the link stage reads interfaces and nothing else of a unit.
-//! * A *unit* record holds one unit's plans, statistics, the **edit list** of
-//!   its rewrite (the `(position, text)` insertions that turn the source into
-//!   the mapped program) and per-function key snapshots
-//!   ([`FunctionKeySnapshot`], so the first *edit* after a warm start
-//!   re-plans only the edited function). Its key adds the fingerprint of what
-//!   the unit imports from the rest of its program — what its plans can read
-//!   of the summaries of the functions it calls — so an edit to one unit
-//!   leaves the others' records valid unless such a fact moved.
-//!   A hit is served without the unit's AST: the rewrite is a splice of the
-//!   stored insertions into the bytes just read, never a re-derivation.
+//! * A *unit* record holds one unit's plans, statistics and the **edit list**
+//!   of its rewrite (the `(position, text)` insertions that turn the source
+//!   into the mapped program). Its key adds the fingerprint of what the unit
+//!   imports from the rest of its program — what its plans can read of the
+//!   summaries of the functions it calls — so an edit to one unit leaves the
+//!   others' records valid unless such a fact moved. A hit is served without
+//!   the unit's AST: the rewrite is a splice of the stored insertions into
+//!   the bytes just read, never a re-derivation.
 //!
 //! Nothing finer than a unit is stored: a function's plan lives in its
-//! unit's record, and the in-memory function-plan cache is re-seeded from
-//! that record's key snapshots.
+//! unit's record, and a unit that misses is planned whole.
 //!
 //! Both halves of a warm unit are pure functions of its bytes and the
 //! options, and parsing is deterministic — the node ids in a stored plan fit
@@ -111,7 +108,10 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Version of the pack format; a record of any other store or plan version
-/// is never read, and leaves with the next compaction. v12 is v11's pack
+/// is never read, and leaves with the next compaction. v13 is v12's pack
+/// with three lines to a unit record: v12 ended it with a fourth, the
+/// per-function plan-cache key snapshots, which nothing reads since a unit
+/// is planned whole. v12 is v11's pack
 /// with one slot of plans per `(unit, options)`, where v11 kept a second one
 /// for a unit analyzed outside any program (a v11 record there would never
 /// be superseded). v11 is v10's pack under other keys: a unit record's
@@ -126,7 +126,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// unit records (the `unstructured` marker instead of enter-data / exit-data
 /// lists); v3's `unit-*`, `fn-*` and `ref-*` files are ignored, and removed
 /// by [`ArtifactStore::gc`].
-pub const STORE_FORMAT_VERSION: u32 = 12;
+pub const STORE_FORMAT_VERSION: u32 = 13;
 
 const PACK_FILE: &str = "ompdart.pack";
 /// Starts every record. Payloads are UTF-8, which never holds `0xff`, so the
@@ -377,21 +377,10 @@ pub struct StoredUnit {
     pub plans: Vec<MappingPlan>,
     /// The aggregate statistics recorded when the plans were produced.
     pub stats: AnalysisStats,
-    /// [`Self::functions`], still encoded: more bytes than the plans, and
-    /// only read by a session that plans the unit again.
-    pub(crate) snapshots: String,
     /// The insertions that rewrite the unit's source under these plans;
     /// `None` for a record saved without them ([`ArtifactStore::save_many`]),
     /// whose rewrite is derived from the plans again.
     pub(crate) edits: Option<EditSet>,
-}
-
-impl StoredUnit {
-    /// Per-function plan-cache key snapshots (source order), which re-seed
-    /// the in-memory function-plan cache after a hit.
-    pub fn functions(&self) -> Vec<FunctionKeySnapshot> {
-        decode_snapshots(&self.snapshots).unwrap_or_default()
-    }
 }
 
 /// One unit's write-back, as taken by [`ArtifactStore::save_many`].
@@ -402,6 +391,7 @@ pub struct PendingUnitSave {
     pub link: u64,
     pub plans: Vec<MappingPlan>,
     pub stats: AnalysisStats,
+    /// Always empty, and never written: see [`FunctionKeySnapshot`].
     pub functions: Vec<FunctionKeySnapshot>,
 }
 
@@ -509,12 +499,11 @@ impl ArtifactStore {
 
     pub(crate) fn load_unit(&self, key: &RecordKey) -> Option<StoredUnit> {
         self.read(key, |payload| {
-            let mut lines = payload.splitn(4, '\n');
+            let mut lines = payload.splitn(3, '\n');
             Some(StoredUnit {
                 plans: plans_from_json(lines.next()?).ok()?,
                 stats: AnalysisStats::from_json(&Json::parse(lines.next()?).ok()?).ok()?,
                 edits: decode_edits(lines.next()?)?,
-                snapshots: lines.next()?.to_string(),
             })
         })
     }
@@ -569,17 +558,15 @@ impl ArtifactStore {
     }
 
     /// Queue the plans of the unit called `name` (which only says whose save
-    /// this supersedes) for the next [`Self::flush`], as four lines: the
+    /// this supersedes) for the next [`Self::flush`], as three lines: the
     /// compact plan document, the statistics, the rewrite's insertions
-    /// (`[position, text, ...]`, or `null` without `edits`), the key
-    /// snapshots.
+    /// (`[position, text, ...]`, or `null` without `edits`).
     pub(crate) fn queue_unit(
         &self,
         name: &str,
         key: RecordKey,
         plans: &[MappingPlan],
         stats: &AnalysisStats,
-        functions: &[FunctionKeySnapshot],
         edits: Option<&EditSet>,
     ) {
         let mut payload = plans_to_json_value(plans).render();
@@ -597,22 +584,6 @@ impl ArtifactStore {
             }
             None => payload.push_str("null"),
         }
-        payload.push_str("\n[");
-        for (i, s) in functions.iter().enumerate() {
-            payload.push_str(if i > 0 { ",[" } else { "[" });
-            write_json_string(&mut payload, s.function.as_str());
-            // Hashes are written as the integers they are (reinterpreted as
-            // `i64`), so reading one back allocates nothing.
-            let [env, callees] = [s.env_hash, s.callees_hash].map(|h| h as i64);
-            let (options, fallbacks) = (s.options_hash as i64, s.fallbacks as i64);
-            let (id, pos, len, analyzed, has) =
-                (s.base_id, s.base_pos, s.snippet_len, s.analyzed, s.has_plan);
-            let _ = write!(
-                payload,
-                ",{id},{pos},{len},{env},{callees},{options},{analyzed},{has},{fallbacks}]"
-            );
-        }
-        payload.push(']');
         // Rendered above, outside the lock; copied into the queue under it.
         self.enqueue(key, slot(UNIT, name, [key[4], 0]), |queue| {
             queue.extend_from_slice(payload.as_bytes());
@@ -629,8 +600,7 @@ impl ArtifactStore {
     ) -> io::Result<Vec<PathBuf>> {
         for save in saves {
             let key = content_key(&save.source).unit(options, save.link);
-            let (stats, functions) = (&save.stats, &save.functions);
-            self.queue_unit(&save.name, key, &save.plans, stats, functions, None);
+            self.queue_unit(&save.name, key, &save.plans, &save.stats, None);
         }
         let written = self.flush()?;
         Ok(Vec::from_iter((written > 0).then(|| self.pack_path())))
@@ -763,31 +733,6 @@ fn decode_edits(text: &str) -> Option<Option<EditSet>> {
     Some(Some(edits))
 }
 
-/// The inverse of the last line [`ArtifactStore::queue_unit`] writes.
-pub(crate) fn decode_snapshots(text: &str) -> Option<Vec<FunctionKeySnapshot>> {
-    let small = |value: &Json| u32::try_from(value.as_int()?).ok();
-    let hash = |value: &Json| value.as_int().map(|n| n as u64);
-    let decode = |value: &Json| match value.as_array()? {
-        [function, id, pos, len, env, callees, options, analyzed, has_plan, fallbacks] => {
-            Some(FunctionKeySnapshot {
-                function: ompdart_frontend::Symbol::intern(function.as_str()?),
-                base_id: small(id)?,
-                base_pos: small(pos)?,
-                snippet_len: small(len)?,
-                env_hash: hash(env)?,
-                callees_hash: hash(callees)?,
-                options_hash: hash(options)?,
-                analyzed: analyzed.as_bool()?,
-                has_plan: has_plan.as_bool()?,
-                fallbacks: hash(fallbacks)?,
-            })
-        }
-        _ => None,
-    };
-    let document = Json::parse(text).ok()?;
-    document.as_array()?.iter().map(decode).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -826,21 +771,6 @@ mod tests {
         plans_of("a")
     }
 
-    fn sample_keys() -> Vec<FunctionKeySnapshot> {
-        vec![FunctionKeySnapshot {
-            function: "main".into(),
-            base_id: 3,
-            base_pos: 14,
-            snippet_len: 25,
-            env_hash: 0x1111,
-            callees_hash: 0xffff_ffff_ffff_2222,
-            options_hash: 0x4444,
-            analyzed: true,
-            has_plan: true,
-            fallbacks: 1,
-        }]
-    }
-
     fn pending(name: &str, source: &str, link: u64, plans: &[MappingPlan]) -> PendingUnitSave {
         PendingUnitSave {
             name: name.to_string(),
@@ -848,7 +778,7 @@ mod tests {
             link,
             plans: plans.to_vec(),
             stats: AnalysisStats::default(),
-            functions: sample_keys(),
+            functions: Vec::new(),
         }
     }
 
@@ -889,7 +819,6 @@ mod tests {
             let hit = store.load("int main() {}", &options, UNLINKED).unwrap();
             assert_eq!(hit.plans, sample_plans());
             assert_eq!(hit.stats, stats);
-            assert_eq!(hit.functions(), sample_keys());
 
             // Different source, options, or link fingerprint must miss.
             assert!(store.load("int main() { }", &options, UNLINKED).is_none());
@@ -966,6 +895,14 @@ mod tests {
         std::fs::write(&path, &future).unwrap();
         assert!(load().is_none());
 
+        // A format-12 pack: its unit records end with a fourth line, the
+        // per-function plan-cache key snapshots this version no longer
+        // writes. A miss, though the record is otherwise intact.
+        let mut v12 = intact.clone();
+        reheader(&mut v12, |head| head[6] = 12);
+        std::fs::write(&path, &v12).unwrap();
+        assert!(load().is_none());
+
         // A format-11 pack: its unit records were slotted by whether the
         // unit was analyzed inside a program, a slot this version never
         // writes again. A miss, though the record is otherwise intact.
@@ -982,7 +919,8 @@ mod tests {
         std::fs::write(&path, &v10).unwrap();
         assert!(load().is_none());
 
-        // Nor is anything a previous version wrote (no legacy reader): a v11
+        // Nor is anything a previous version wrote (no legacy reader): a v12
+        // unit record (with key snapshots), a v11
         // unit record (in a slot of its own), a v10 unit record (keyed by
         // whole-summary fingerprints), a v9 interface
         // record (whose functions could lack propagation inputs), a v8
@@ -990,11 +928,12 @@ mod tests {
         // pack — whose unit records hold version-2 plan documents this
         // version has no reader for — with a unit and an interface record,
         // and a v5 interface record (kind 3 then) behind them. Nothing is
-        // read, and all seven are gone from the pack once a compaction has
+        // read, and all eight are gone from the pack once a compaction has
         // passed over it.
         let mut previous = Vec::new();
         let older = [
-            (11u8, UNIT as u8),
+            (12u8, UNIT as u8),
+            (11, UNIT as u8),
             (10, UNIT as u8),
             (9, INTERFACE as u8),
             (8, INTERFACE as u8),
@@ -1013,10 +952,10 @@ mod tests {
         assert_eq!(
             upgraded.loaded().records.len(),
             0,
-            "nothing of v11, v10, v9, v8, v7 or v5 is indexed"
+            "nothing of v12, v11, v10, v9, v8, v7 or v5 is indexed"
         );
         save(&upgraded, "y.c", "void g() {}", &options, UNLINKED);
-        assert_eq!(upgraded.total_bytes(), 8 * intact.len() as u64);
+        assert_eq!(upgraded.total_bytes(), 9 * intact.len() as u64);
         upgraded.gc(u64::MAX);
         assert_eq!(upgraded.total_bytes(), intact.len() as u64);
         assert!(upgraded.load("void g() {}", &options, UNLINKED).is_some());
@@ -1330,14 +1269,7 @@ mod tests {
         let plans = sample_plans();
         for (name, source) in [("a.c", "s1"), ("b.c", "s2"), ("c.c", "s3")] {
             let key = unit_key(source, &options, UNLINKED);
-            store.queue_unit(
-                name,
-                key,
-                &plans,
-                &AnalysisStats::default(),
-                &sample_keys(),
-                None,
-            );
+            store.queue_unit(name, key, &plans, &AnalysisStats::default(), None);
         }
         let source = interface_source(0);
         let exports = interface_of("a.c", &source);
@@ -1470,7 +1402,6 @@ mod tests {
                         unit_key("old", &options, UNLINKED),
                         &plans,
                         &AnalysisStats::default(),
-                        &[],
                         None,
                     );
                 }
@@ -1479,7 +1410,6 @@ mod tests {
                     key,
                     &plans,
                     &AnalysisStats::default(),
-                    &sample_keys(),
                     Some(&edits_of(n)),
                 );
                 saved.units.push((source, plans_to_json(&plans)));
@@ -1549,11 +1479,6 @@ mod tests {
                     "wrong plans for `{source}`"
                 );
                 assert_eq!(unit.stats, AnalysisStats::default());
-                assert_eq!(
-                    unit.functions(),
-                    sample_keys(),
-                    "wrong snapshots for `{source}`"
-                );
                 // The rewrite a hit makes is the one the saved edits make.
                 let n = hits.len();
                 let rewritten = unit.edits.as_ref().map(|edits| edits.apply(source));

@@ -643,14 +643,13 @@ fn run_analyze(
     ))
 }
 
-/// Human-readable serve verdict, as the daemon logs and answers it.
-pub fn serve_label(serve: &UnitServe) -> String {
+/// Human-readable serve verdict, as the daemon logs and answers it and the
+/// CLI prints it.
+pub fn serve_label(serve: &UnitServe) -> &'static str {
     match serve {
-        UnitServe::Cached => "cached".to_string(),
-        UnitServe::Store => "store".to_string(),
-        UnitServe::Planned { reused, replanned } => {
-            format!("planned(reused={reused}, replanned={replanned})")
-        }
+        UnitServe::Cached => "cached",
+        UnitServe::Store => "store",
+        UnitServe::Planned => "planned",
     }
 }
 
@@ -693,7 +692,7 @@ pub fn analyze_response(
         out.push_str("{\"name\":");
         write_json_string(&mut out, name);
         out.push_str(",\"serve\":");
-        write_json_string(&mut out, &serve_label(serve));
+        write_json_string(&mut out, serve_label(serve));
         out.push_str(",\"rewritten_source\":");
         out.push_str(unit.rewritten_source_json());
         out.push_str(",\"plans\":");
@@ -710,7 +709,7 @@ fn log_analyze(shared: &Shared, key: &str, serves: &[UnitServe], stats: &CacheSt
     if shared.quiet {
         return;
     }
-    let serves: Vec<String> = serves.iter().map(serve_label).collect();
+    let serves: Vec<&str> = serves.iter().map(serve_label).collect();
     shared.log(format_args!(
         "analyze program={key} units={} serves=[{}] {stats}",
         serves.len(),

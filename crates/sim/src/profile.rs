@@ -184,17 +184,6 @@ impl Default for CostModel {
     }
 }
 
-impl CostModel {
-    /// A cost model with a fast NVLink-class interconnect.
-    pub fn fast_interconnect() -> Self {
-        CostModel {
-            bandwidth_bytes_per_s: 60e9,
-            transfer_latency_s: 5e-6,
-            ..Default::default()
-        }
-    }
-}
-
 /// Pretty formatting of byte quantities (matches how the paper labels its
 /// figures: MB/GB).
 pub fn format_bytes(bytes: u64) -> String {
@@ -347,7 +336,12 @@ mod tests {
     #[test]
     fn cost_model_variants() {
         let slow = CostModel::default();
-        let fast = CostModel::fast_interconnect();
+        // An NVLink-class interconnect.
+        let fast = CostModel {
+            bandwidth_bytes_per_s: 60e9,
+            transfer_latency_s: 5e-6,
+            ..Default::default()
+        };
         assert!(slow.bandwidth_bytes_per_s < fast.bandwidth_bytes_per_s);
         let mut p = TransferProfile::default();
         p.record_htod(1 << 30);

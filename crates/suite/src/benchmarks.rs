@@ -240,8 +240,8 @@ pub fn incremental_demo() -> &'static str {
 /// definition to edit.
 ///
 /// The edited function is the *first* defined function, so in
-/// multi-function programs every function behind it is displaced and an
-/// incremental re-analysis must relocate their cached plans.
+/// multi-function programs every function behind it is displaced in node
+/// ids and byte offsets.
 pub fn one_function_edit(name: &str, source: &str) -> Option<(String, String)> {
     let parsed = ompdart_core::pipeline::stage_parse(name, source).ok()?;
     let func = parsed.unit.functions().next()?;

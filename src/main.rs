@@ -25,7 +25,7 @@ use ompdart_core::plan::{diff_plans, extract_explicit_plans, plans_from_json, Js
 use ompdart_core::{ArtifactStore, Ompdart, ProgramError, StageError, UnitAnalysis, UnitServe};
 use ompdart_server::daemon::{DaemonConfig, DaemonHandle, Endpoint};
 use ompdart_server::watch::make_watcher;
-use ompdart_server::{parse_size, signal, Client};
+use ompdart_server::{parse_size, serve_label, signal, Client};
 use ompdart_sim::{simulate_source, SimConfig};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -354,18 +354,6 @@ fn render_program_error(inputs: &[(String, String)], err: &ProgramError) -> Stri
             .map(|(n, src)| render_stage_error(n, src, error.clone()))
             .unwrap_or_else(|| err.to_string()),
         _ => err.to_string(),
-    }
-}
-
-/// How one unit of a program analysis was served, for log lines.
-fn serve_label(serve: &UnitServe) -> String {
-    match serve {
-        UnitServe::Cached => "cached".to_string(),
-        UnitServe::Store => "store, function plans: 0 reused / 0 replanned".to_string(),
-        UnitServe::Planned { reused, replanned } => {
-            let mode = if *reused > 0 { "incremental" } else { "cold" };
-            format!("{mode}, function plans: {reused} reused / {replanned} replanned")
-        }
     }
 }
 
@@ -887,10 +875,9 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
     }
     let stats = tool.session().cache_stats();
     println!(
-        "[watch] done after {cycles} scan(s): function plans {} reused / {} replanned, \
+        "[watch] done after {cycles} scan(s): {} function(s) planned, \
          relink re-seeded {} function(s), store {} unit / {} interface hit(s), \
          {} unit(s) parsed",
-        stats.function_plan_hits,
         stats.function_plan_misses,
         stats.relink_reseeded_functions,
         stats.store_hits,
@@ -935,13 +922,8 @@ fn watch_program_scan(
                 if unchanged {
                     // Nothing new on disk; still report re-planning work so
                     // cross-file invalidation is observable.
-                    if let UnitServe::Planned { reused, replanned } = serve {
-                        if *replanned > 0 {
-                            println!(
-                                "[watch] {}: output unchanged (function plans: {reused} reused / {replanned} replanned)",
-                                path.display()
-                            );
-                        }
+                    if *serve == UnitServe::Planned {
+                        println!("[watch] {}: output unchanged (planned)", path.display());
                     }
                     continue;
                 }
@@ -1067,8 +1049,7 @@ fn cmd_client(args: &[String]) -> Result<ExitCode, String> {
             if let Some(stats) = result.get("request_stats") {
                 let get = |f: &str| stats.get(f).and_then(Json::as_int).unwrap_or(0);
                 println!(
-                    "[client] request: plan_hits={} plan_misses={} reseeded={} link_passes={}",
-                    get("function_plan_hits"),
+                    "[client] request: plan_misses={} reseeded={} link_passes={}",
                     get("function_plan_misses"),
                     get("relink_reseeded_functions"),
                     result
@@ -1137,11 +1118,10 @@ fn cmd_client(args: &[String]) -> Result<ExitCode, String> {
                         .unwrap_or(0)
                 };
                 println!(
-                    "[client] {key}: analyses {} hit / {} miss, function plans {} reused / {} replanned, \
+                    "[client] {key}: analyses {} hit / {} miss, {} function(s) planned, \
                      relink re-seeded {}, store {} hit / {} miss, fast path {}",
                     get("analysis_hits"),
                     get("analysis_misses"),
-                    get("function_plan_hits"),
                     get("function_plan_misses"),
                     get("relink_reseeded_functions"),
                     get("store_hits"),

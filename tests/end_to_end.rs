@@ -308,7 +308,12 @@ int main() {
 /// under a non-default cost model, which applies where results are read.
 #[test]
 fn benchmark_subset_end_to_end() {
-    let cost = CostModel::fast_interconnect();
+    // An NVLink-class interconnect.
+    let cost = CostModel {
+        bandwidth_bytes_per_s: 60e9,
+        transfer_latency_s: 5e-6,
+        ..Default::default()
+    };
     let subset = ["backprop", "clenergy", "lulesh_mf"];
     for port in ports().iter().filter(|p| subset.contains(&p.name)) {
         let result = run_port(port).unwrap();

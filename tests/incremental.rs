@@ -1,10 +1,9 @@
 //! Golden tests for the incremental analysis engine.
 //!
 //! * **Incremental == cold**: after a one-function edit, re-analysis in a
-//!   warm session — where unchanged functions are served by plan
-//!   relocation — must produce byte-identical output (and identical plans
-//!   and stats) to a cold analysis of the edited source, across the whole
-//!   corpus.
+//!   warm session — which plans the edited unit whole — must produce
+//!   byte-identical output (and identical plans and stats) to a cold
+//!   analysis of the edited source, across the whole corpus.
 //! * **Persistent store == cold**: a second session over the same
 //!   `cache_dir` (a simulated process restart) must reproduce every
 //!   rewrite byte-identically from disk without planning a single
@@ -26,8 +25,8 @@ fn corpus() -> Vec<(String, String)> {
 }
 
 /// Acceptance golden: incremental re-analysis after a one-function edit is
-/// byte-identical to a cold analysis on every corpus unit, and the
-/// multi-function unit re-plans *only* the edited function.
+/// byte-identical to a cold analysis on every corpus unit, and re-plans the
+/// edited unit, every function of it, once.
 #[test]
 fn incremental_reanalysis_matches_cold_analysis_on_all_benchmarks() {
     for (name, source) in corpus() {
@@ -48,29 +47,22 @@ fn incremental_reanalysis_matches_cold_analysis_on_all_benchmarks() {
         assert_eq!(fresh.plans.stats, incremental.plans.stats, "{name}");
         assert_eq!(
             fresh.plans.plans, incremental.plans.plans,
-            "{name}: relocated plans must equal freshly computed plans"
+            "{name}: incremental plans must equal freshly computed plans"
         );
 
-        let functions = fresh.unit().body().parsed.unit.functions().count();
-        let hits = after.function_plan_hits - before.function_plan_hits;
-        let misses = after.function_plan_misses - before.function_plan_misses;
+        let functions = fresh.unit().body().parsed.unit.functions().count() as u64;
+        let moved = after - before;
         assert_eq!(
-            hits + misses,
-            functions as u64,
-            "{name}: every function must be accounted for"
+            (moved.analysis_misses, moved.function_plan_misses),
+            (1, functions),
+            "{name}: editing `{edited_func}` plans its unit whole, once"
         );
-        if functions > 1 {
-            assert_eq!(
-                misses, 1,
-                "{name}: only the edited function (`{edited_func}`) may be re-planned"
-            );
-            assert_eq!(hits, functions as u64 - 1, "{name}");
-        }
     }
 }
 
-/// A *growing* edit displaces every function behind the edited one: the
-/// relocated plans must still land the directives at the right places.
+/// A *growing* edit displaces every function behind the edited one in node
+/// ids and byte offsets: the re-planned unit must still land the directives
+/// at the right places.
 #[test]
 fn incremental_reanalysis_survives_offset_and_node_id_shifts() {
     let demo = incremental_demo();
@@ -90,9 +82,11 @@ fn incremental_reanalysis_survives_offset_and_node_id_shifts() {
     assert_eq!(cold.rewrite.source, incremental.rewrite.source);
     assert_eq!(cold.plans.plans, incremental.plans.plans);
     let stats = tool.session().cache_stats();
-    assert!(
-        stats.function_plan_hits >= 3,
-        "unchanged kernel functions must be relocated, not re-planned: {stats:?}"
+    let functions = cold.unit().body().parsed.unit.functions().count() as u64;
+    assert_eq!(
+        (stats.analysis_misses, stats.function_plan_misses),
+        (2, 2 * functions),
+        "the original and the edit, each planned whole: {stats:?}"
     );
 }
 
@@ -139,11 +133,10 @@ fn persistent_store_reproduces_corpus_across_restart() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Planning is the function-granular stage: on every corpus unit a
-/// one-function edit in a live session parses the unit again, re-plans the
-/// edited function only and serves every other function's plan (relocated)
-/// from the function-plan cache — and the result is byte-identical to a
-/// fresh session's, rewrite and plan JSON.
+/// A unit is planned whole: on every corpus unit a one-function edit in a
+/// live session parses the unit again and re-plans it — one analysis, every
+/// function of it, none served from a finer cache — and the result is
+/// byte-identical to a fresh session's, rewrite and plan JSON.
 #[test]
 fn one_function_edit_replans_one_function_on_all_benchmarks() {
     for (name, source) in corpus() {
@@ -159,10 +152,10 @@ fn one_function_edit_replans_one_function_on_all_benchmarks() {
         let functions = incremental.unit().body().parsed.unit.functions().count() as u64;
         assert_eq!(moved.parse_misses, 1, "{name}");
         assert_eq!(
-            moved.function_plan_misses, 1,
-            "{name}: only `{edited_func}` may be re-planned"
+            (moved.analysis_misses, moved.function_plan_misses),
+            (1, functions),
+            "{name}: editing `{edited_func}` re-plans its unit"
         );
-        assert_eq!(moved.function_plan_hits, functions - 1, "{name}");
 
         let fresh = Ompdart::new().analyze(&name, &edited).unwrap();
         assert_eq!(incremental.rewrite.source, fresh.rewrite.source, "{name}");
@@ -198,23 +191,26 @@ fn renamed_file_starts_warm_from_the_content_addressed_store() {
     assert_eq!(warm.plans(), cold.plans());
     assert_eq!(warm.source_file().name(), "renamed_copy.c");
 
-    // The warm start seeded the function-plan cache, so the first edit
-    // under the *new* name is already incremental.
+    // The first edit under the *new* name re-plans that unit, once.
     let (edited, _) = one_function_edit("renamed_copy.c", demo).unwrap();
-    second.analyze("renamed_copy.c", &edited).unwrap();
-    let stats = second.session().cache_stats();
+    let incremental = second.analyze("renamed_copy.c", &edited).unwrap();
+    let moved = second.session().cache_stats() - stats;
+    let functions = warm.unit().body().parsed.unit.functions().count() as u64;
     assert_eq!(
-        stats.function_plan_misses, 1,
-        "the renamed file's first edit must re-plan one function: {stats:?}"
+        (moved.analysis_misses, moved.function_plan_misses),
+        (1, functions),
+        "the renamed file's first edit re-plans its unit: {moved:?}"
     );
+    let fresh = Ompdart::new().analyze("renamed_copy.c", &edited).unwrap();
+    assert_eq!(incremental.rewritten_source(), fresh.rewritten_source());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The persistent store and the in-memory caches compose: within one
 /// session the unit-analysis cache wins, across sessions the store wins —
 /// a store-served analysis still carries every staged artifact and is
-/// byte-equal to the cold one — and an edit falls back to incremental
-/// planning.
+/// byte-equal to the cold one — and an edit misses both and plans its unit
+/// whole.
 #[test]
 fn store_analysis_cache_and_function_cache_compose() {
     let dir = std::env::temp_dir().join(format!("ompdart-store-compose-{}", std::process::id()));
@@ -248,29 +244,31 @@ fn store_analysis_cache_and_function_cache_compose() {
     assert_eq!(stats.store_hits, 1, "the store must not be consulted twice");
     assert_eq!(stats.store_misses, 0);
 
-    // An edit misses the store, but the store hit above *seeded* the
-    // function-plan cache from the persisted per-function keys — so even
-    // the first edit after a warm start re-plans only the edited function.
+    // An edit misses both the unit table and the store: the first edit
+    // after a warm start plans its unit, every function of it, and so does
+    // the next one.
     let functions = functions as u64;
     let (edited, _) = one_function_edit("demo.c", demo).unwrap();
     tool.analyze("demo.c", &edited).unwrap();
     let stats = session.cache_stats();
     assert_eq!(stats.store_misses, 1);
     assert_eq!(
-        stats.function_plan_misses, 1,
-        "the warm-started first edit must already be incremental: {stats:?}"
+        (stats.analysis_misses, stats.function_plan_misses),
+        (2, functions),
+        "the warm-started first edit plans its unit: {stats:?}"
     );
-    assert_eq!(stats.function_plan_hits, functions - 1);
     let edited2 = edited.replacen("0.001 * i", "0.001 * i + 0.0", 1);
     assert_ne!(edited2, edited);
     let before = session.cache_stats();
-    tool.analyze("demo.c", &edited2).unwrap();
-    let after = session.cache_stats();
+    let second = tool.analyze("demo.c", &edited2).unwrap();
+    let moved = session.cache_stats() - before;
     assert_eq!(
-        after.function_plan_hits - before.function_plan_hits,
-        functions - 1,
-        "second edit must reuse all unchanged functions"
+        (moved.analysis_misses, moved.function_plan_misses),
+        (1, functions),
+        "{moved:?}"
     );
+    let fresh = Ompdart::new().analyze("demo.c", &edited2).unwrap();
+    assert_eq!(second.rewrite.source, fresh.rewrite.source);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

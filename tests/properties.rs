@@ -437,9 +437,9 @@ proptest! {
     }
 
     /// With lifetimes on, incremental re-analysis after a one-function edit
-    /// (which relocates the region anchors and collapse specs onto the fresh
-    /// parse's node ids) agrees byte for byte — rewrite and full plan set — with a
-    /// cold analysis of the edited source.
+    /// (region anchors and collapse specs on the fresh parse's node ids)
+    /// agrees byte for byte — rewrite and full plan set — with a cold
+    /// analysis of the edited source.
     #[test]
     fn lifetimes_incremental_agrees_with_cold(
         pieces in proptest::collection::vec(piece_strategy(), 1..5),
@@ -1635,9 +1635,8 @@ proptest! {
     /// source and plan JSON are a store-less fresh session's, byte for byte;
     /// every unit the table did not hold went to the store exactly once; the
     /// directory holds the pack and nothing else; and an edit made right
-    /// after a restart re-plans exactly the one function it touched, as it
-    /// does in a long-lived store-less session — so the persisted function
-    /// keys reach the plan cache however late they are decoded. And a
+    /// after a restart re-plans exactly the one unit it touched, as it does
+    /// in a long-lived store-less session. And a
     /// restart parses what changed: the frontend ran for exactly the units
     /// that were planned or carry a diagnostic (whose warnings must be seen
     /// again) — for none at all when nothing changed.
@@ -1723,11 +1722,17 @@ proptest! {
                 let moved = again.session().cache_stats() - before;
                 let oracle_moved = oracle.session().cache_stats() - oracle_before;
                 prop_assert_eq!(
-                    (moved.function_plan_misses, moved.function_plan_hits),
-                    (oracle_moved.function_plan_misses, oracle_moved.function_plan_hits),
+                    (moved.analysis_misses, moved.function_plan_misses),
+                    (oracle_moved.analysis_misses, oracle_moved.function_plan_misses),
                     "the edit after a restart moves {} at {}", moved, at
                 );
-                prop_assert_eq!(moved.function_plan_misses, 1, "one body moved at {}", at);
+                let touched = (0..inputs.len()).find(|&i| edited[i] != inputs[i]);
+                let unit = after_edit.units[touched.expect("one body moved")].unit();
+                let functions = unit.body().parsed.unit.functions().count() as u64;
+                prop_assert_eq!(
+                    (moved.analysis_misses, moved.function_plan_misses), (1, functions),
+                    "one unit moved at {}", at
+                );
                 prop_assert_eq!(parsed, 0, "a restart that changed nothing parsed at {}", at);
             }
             history.push(model.clone());

@@ -5,11 +5,9 @@
 //! concatenation of all `k` unit sources as a single translation unit —
 //! with zero pessimistic unknown-callee fallbacks for intra-program calls.
 //! On top of that sit the invalidation guarantees: an interface-preserving
-//! edit to one unit re-plans only that unit's edited function, an
-//! interface-*changing* edit re-plans exactly the dependent functions in
-//! other units, and a persistent-store warm start re-seeds the
-//! function-plan cache so the first edit after a restart is already
-//! incremental.
+//! edit to one unit re-plans only that unit, an interface-*changing* edit
+//! re-plans exactly the units whose plans can read the change, and the first
+//! edit after a persistent-store warm start re-plans the edited unit alone.
 
 use ompdart_core::{
     AnalysisSession, Ompdart, ProgramDriver, ProgramError, ProvenanceFact, UnitServe,
@@ -247,9 +245,9 @@ fn a_warm_one_unit_analysis_is_the_round_fast_path() {
     );
 }
 
-/// An interface-preserving edit to one unit re-plans only the edited
-/// function of that unit; every other unit is served from the linked cache
-/// without planning anything.
+/// An interface-preserving edit to one unit re-plans that unit (its two
+/// functions); every other unit is served from the linked cache without
+/// planning anything.
 #[test]
 fn interface_preserving_edit_replans_only_the_edited_unit() {
     let inputs = owned(&lulesh_multifile());
@@ -271,10 +269,11 @@ fn interface_preserving_edit_replans_only_the_edited_unit() {
     let program = driver.analyze_program(&edited).expect("warm link failed");
     let after = session.cache_stats();
 
+    let moved = after - before;
     assert_eq!(
-        after.function_plan_misses - before.function_plan_misses,
-        1,
-        "only `update_eos` may be re-planned"
+        (moved.analysis_misses, moved.function_plan_misses),
+        (1, 2),
+        "only the EOS unit may be re-planned: {moved:?}"
     );
     assert_eq!(program.served[0], UnitServe::Cached, "mesh unit untouched");
     assert_eq!(
@@ -282,13 +281,7 @@ fn interface_preserving_edit_replans_only_the_edited_unit() {
         UnitServe::Cached,
         "driver unit untouched"
     );
-    assert!(matches!(
-        program.served[1],
-        UnitServe::Planned {
-            replanned: 1,
-            reused: 1
-        }
-    ));
+    assert_eq!(program.served[1], UnitServe::Planned);
 
     // The incremental result equals a cold analysis of the edited program.
     let cold = ProgramDriver::new().analyze_program(&edited).unwrap();
@@ -296,7 +289,7 @@ fn interface_preserving_edit_replans_only_the_edited_unit() {
 }
 
 /// An interface-*changing* edit (the helper turns from reader into writer)
-/// re-plans the dependent function in the other unit — exactly once — while
+/// re-plans the dependent unit — exactly once — while
 /// units that never call into the edited unit keep their whole analyses:
 /// the imports fingerprint is dependency-aware, so only the import cone
 /// even re-probes the caches.
@@ -321,19 +314,18 @@ fn interface_change_replans_dependents_in_other_units() {
     let program = driver.analyze_program(&edited).expect("warm link failed");
     let after = session.cache_stats();
 
-    // Re-planned: `reduce_dtc` (edited) and `main` (its caller in another
-    // unit). The mesh unit names no EOS-unit callee, so its imported
-    // surface is unchanged and the whole unit rides the identity fast
-    // path — it never touches the plan cache at all.
+    // Re-planned: the EOS unit (edited: `reduce_dtc` and `update_eos`)
+    // and the driver unit (`main`, the caller in another unit). The mesh
+    // unit names no EOS-unit callee, so its imported surface is unchanged
+    // and the whole unit rides the identity fast path.
+    let moved = after - before;
     assert_eq!(
-        after.function_plan_misses - before.function_plan_misses,
-        2,
-        "exactly the edited function and its cross-unit caller re-plan"
+        (moved.analysis_misses, moved.function_plan_misses),
+        (2, 3),
+        "exactly the edited unit and its cross-unit caller's re-plan: {moved:?}"
     );
-    assert!(matches!(
-        program.served[2],
-        UnitServe::Planned { replanned: 1, .. }
-    ));
+    assert_eq!(program.served[1], UnitServe::Planned);
+    assert_eq!(program.served[2], UnitServe::Planned);
     assert_eq!(
         program.served[0],
         UnitServe::Cached,
@@ -344,11 +336,11 @@ fn interface_change_replans_dependents_in_other_units() {
     assert_eq!(program.concatenated_rewrite(), cold.concatenated_rewrite());
 }
 
-/// The function-granular incremental core, end to end on a three-unit
-/// program: a one-function edit re-plans **exactly one function**, the
-/// incremental relink re-seeds only that function's call-graph cone (here:
-/// just `main`, which nobody calls), and the result is byte-identical to a
-/// cold link of the edited program.
+/// The incremental core, end to end on a three-unit program: a
+/// one-function edit re-plans **exactly its unit** (here the one-function
+/// driver unit), the incremental relink re-seeds only that function's
+/// call-graph cone (here: just `main`, which nobody calls), and the result
+/// is byte-identical to a cold link of the edited program.
 #[test]
 fn one_function_edit_misses_one_plan_and_reseeds_its_cone() {
     let inputs = owned(&lulesh_multifile());
@@ -371,7 +363,11 @@ fn one_function_edit_misses_one_plan_and_reseeds_its_cone() {
     let program = driver.analyze_program(&edited).expect("warm link failed");
     let after = session.cache_stats();
     let (plan_misses, reseeded) = delta(before, after);
-    assert_eq!(plan_misses, 1, "only the edited function re-plans");
+    assert_eq!((after - before).analysis_misses, 1, "only the edited unit");
+    assert_eq!(
+        plan_misses, 1,
+        "only the edited unit's one function re-plans"
+    );
     assert_eq!(
         reseeded, 1,
         "the relink must re-seed exactly main's call-graph cone (main alone)"
@@ -398,7 +394,8 @@ fn one_function_edit_misses_one_plan_and_reseeds_its_cone() {
     let program = driver.analyze_program(&commented).expect("relink failed");
     let after = session.cache_stats();
     let (plan_misses, reseeded) = delta(before, after);
-    assert_eq!(plan_misses, 1);
+    assert_eq!((after - before).analysis_misses, 1);
+    assert_eq!(plan_misses, 2, "the EOS unit's two functions");
     assert_eq!(
         reseeded, 0,
         "a value-preserving edit must not re-seed the fixed point"
@@ -754,8 +751,8 @@ fn unknown_callee_pessimism_is_explained() {
 
 /// Whole-program analyses warm-start from the persistent store: a second
 /// driver over the same cache dir rewrites byte-identically with zero
-/// planned functions, and the *first edit after the restart* is already
-/// incremental thanks to the persisted function-plan keys.
+/// planned functions, and the *first edit after the restart* re-plans the
+/// edited unit alone: the others keep the analyses the store served them.
 #[test]
 fn program_store_warm_start_and_seeded_first_edit() {
     let dir = std::env::temp_dir().join(format!("ompdart-wp-store-{}", std::process::id()));
@@ -764,10 +761,7 @@ fn program_store_warm_start_and_seeded_first_edit() {
 
     let first = Ompdart::builder().cache_dir(&dir).build();
     let cold = first.analyze_program(&inputs).expect("cold run failed");
-    assert!(cold
-        .served
-        .iter()
-        .all(|s| matches!(s, UnitServe::Planned { .. })));
+    assert!(cold.served.iter().all(|s| *s == UnitServe::Planned));
 
     // "Process restart": fresh session, same cache dir.
     let second = Ompdart::builder().cache_dir(&dir).build();
@@ -785,8 +779,7 @@ fn program_store_warm_start_and_seeded_first_edit() {
     let stats = second.session().cache_stats();
     assert_eq!(stats.function_plan_misses, 0, "{stats:?}");
 
-    // First edit after the warm start: the persisted per-function keys
-    // seeded the plan cache, so only the edited function re-plans.
+    // First edit after the warm start: only the edited unit re-plans.
     let mut edited = inputs.clone();
     edited[1].1 = edited[1].1.replacen(
         "e[i] += (p[i] + q[i])",
@@ -794,18 +787,18 @@ fn program_store_warm_start_and_seeded_first_edit() {
         1,
     );
     let program = second.analyze_program(&edited).expect("edit run failed");
-    let stats = second.session().cache_stats();
+    let moved = second.session().cache_stats() - stats;
     assert_eq!(
-        stats.function_plan_misses, 1,
-        "the warm-started first edit must already be incremental: {stats:?}"
+        (moved.analysis_misses, moved.function_plan_misses),
+        (1, 2),
+        "the warm-started first edit re-plans the EOS unit alone: {moved:?}"
     );
-    assert!(matches!(
-        program.served[1],
-        UnitServe::Planned {
-            replanned: 1,
-            reused: 1
-        }
-    ));
+    assert_eq!(
+        program.served,
+        [UnitServe::Cached, UnitServe::Planned, UnitServe::Cached]
+    );
+    let cold = ProgramDriver::new().analyze_program(&edited).unwrap();
+    assert_eq!(program.concatenated_rewrite(), cold.concatenated_rewrite());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -909,7 +902,7 @@ fn linked_lulesh_preserves_program_output() {
 
 /// The round-level identity fast path: re-analyzing a byte-identical
 /// program serves every unit from the previous round — zero function-plan
-/// misses, zero relocations (all units `Cached`), `fast_path_hits == N` —
+/// misses, all units `Cached`, `fast_path_hits == N` —
 /// and the rewrites are byte-identical to the cold round.
 #[test]
 fn identity_fast_path_serves_unchanged_rounds_wholesale() {
@@ -936,7 +929,7 @@ fn identity_fast_path_serves_unchanged_rounds_wholesale() {
     );
     assert!(
         warm.served.iter().all(|s| *s == UnitServe::Cached),
-        "a warm round must relocate nothing: {:?}",
+        "a warm round must plan nothing: {:?}",
         warm.served
     );
     assert_eq!(profile.units, inputs.len());
@@ -991,7 +984,7 @@ fn identity_fast_path_reuses_untouched_units_on_edit_rounds() {
     assert_eq!(profile.fast_path_units, inputs.len() - 1);
     assert_eq!(program.served[0], UnitServe::Cached);
     assert_eq!(program.served[2], UnitServe::Cached);
-    assert!(matches!(program.served[1], UnitServe::Planned { .. }));
+    assert_eq!(program.served[1], UnitServe::Planned);
 
     let cold = ProgramDriver::new().analyze_program(&edited).unwrap();
     assert_eq!(program.concatenated_rewrite(), cold.concatenated_rewrite());
@@ -1109,7 +1102,7 @@ fn unit_set_changes_relink_inside_the_cone() {
         "the leaf alone: no unit reads anything of a function it does not call"
     );
     assert_eq!(moved.fast_path_hits, base.len() as u64);
-    assert!(matches!(round.served[3], UnitServe::Planned { .. }));
+    assert_eq!(round.served[3], UnitServe::Planned);
 
     // Reorder: the same units in another order change nothing at all.
     let mut reordered = added.clone();
@@ -1204,14 +1197,21 @@ fn relink_touches_follow_the_cone_on_the_thousand_unit_corpus() {
     assert!(moved.relink_touched_units <= 501 + 1 + 8, "{moved}");
 }
 
+/// How many functions `source` defines: what planning its unit costs in
+/// `function_plan_misses`.
+fn functions_in(source: &str) -> u64 {
+    let parsed = ompdart_core::pipeline::stage_parse("count.c", source).unwrap();
+    parsed.unit.functions().count() as u64
+}
+
 /// A plan is keyed by what it can read: the corpus's mid-chain edit adds a
 /// host-only `syn_extra` effect that reaches every summary in its cone, but
 /// no kernel touches `syn_extra`, so no caller's plan can read it. The
-/// first time the session sees the edit, one function is planned (the
-/// edited one) and every other unit is served from memory. Keyed on whole
-/// callee summaries, as before the keys were projected onto the device
-/// names, the same edit re-planned `stage_1..stage_29` and `main` — one
-/// function in each of 30 more units — and this test failed.
+/// first time the session sees the edit, one unit is planned (the edited
+/// one) and every other unit is served from memory. Keyed on whole callee
+/// summaries, as before the keys were projected onto the device names, the
+/// same edit re-planned the units of `stage_1..stage_29` and `main` — 30
+/// more units — and this test failed.
 ///
 /// Then a kernel on `syn_extra` in another stage makes it a device global:
 /// every fingerprint is re-derived, the units whose callees now move on it
@@ -1229,18 +1229,17 @@ fn a_host_only_edit_replans_its_function_and_a_new_device_global_its_callers() {
     ompdart_suite::corpus::edit_one_function(&mut host_only, 30);
     let before = session.cache_stats();
     let (moved, round) = warm_round(&driver, &host_only);
-    assert_eq!(moved.function_plan_misses, 1, "{moved}");
+    let edited_unit = functions_in(&host_only[30].1);
+    assert_eq!(moved.analysis_misses, 1, "{moved}");
+    assert_eq!(moved.function_plan_misses, edited_unit, "{moved}");
     assert!(
         moved.relink_reseeded_functions >= 31,
         "the summaries of the whole cone moved: {moved}"
     );
-    assert_eq!(delta(before, session.cache_stats()).0, 1);
+    assert_eq!(delta(before, session.cache_stats()).0, edited_unit);
     for (i, served) in round.served.iter().enumerate() {
         match i {
-            30 => assert!(
-                matches!(served, UnitServe::Planned { replanned: 1, .. }),
-                "{served:?}"
-            ),
+            30 => assert_eq!(*served, UnitServe::Planned),
             _ => assert_eq!(*served, UnitServe::Cached, "unit {i}"),
         }
     }
@@ -1264,14 +1263,13 @@ fn a_host_only_edit_replans_its_function_and_a_new_device_global_its_callers() {
         match i {
             // `main` and stage_1..stage_44 call a function whose summary
             // now moves on a device global; stage_45 was edited.
-            0..=45 => assert!(
-                matches!(served, UnitServe::Planned { replanned: 1, .. }),
-                "unit {i}: {served:?}"
-            ),
+            0..=45 => assert_eq!(*served, UnitServe::Planned, "unit {i}"),
             _ => assert_eq!(*served, UnitServe::Cached, "unit {i}"),
         }
     }
-    assert_eq!(moved.function_plan_misses, 46, "{moved}");
+    let replanned: u64 = device[..=45].iter().map(|(_, s)| functions_in(s)).sum();
+    assert_eq!(moved.analysis_misses, 46, "{moved}");
+    assert_eq!(moved.function_plan_misses, replanned, "{moved}");
 }
 
 /// A global handed by reference to a callee with no summary inside a kernel
@@ -1304,10 +1302,8 @@ int main() {
         .analyze_program(&program("g[1] = 2.0;"))
         .expect("cold round failed");
     let (moved, round) = warm_round(&driver, &program("double t = 0.0; t += 1.0;"));
-    assert!(
-        matches!(round.served[0], UnitServe::Planned { replanned: 1, .. }),
-        "{moved}"
-    );
+    assert_eq!(round.served[0], UnitServe::Planned, "{moved}");
+    assert_eq!(moved.analysis_misses, 2, "{moved}");
 }
 
 /// The planner matches variables by name, so a callee's effect on a global
@@ -1349,11 +1345,8 @@ int main() {
         writes.units[0].rewrite.source
     );
     let (moved, round) = warm_round(&driver, &program("double t = 0.0; t += 1.0;"));
-    assert!(
-        matches!(round.served[0], UnitServe::Planned { replanned: 1, .. }),
-        "{moved}: {:?}",
-        round.served
-    );
+    assert_eq!(round.served[0], UnitServe::Planned, "{moved}");
+    assert_eq!(moved.analysis_misses, 2, "{moved}");
     assert!(!round.units[0].rewrite.source.contains("target update"));
 }
 
@@ -1615,11 +1608,10 @@ fn lulesh_mf_costs_what_lulesh_costs() {
 
 /// The order of a callee's accesses is part of its summary: swapping a
 /// kernel write and a kernel read of a global keeps the four may bits and
-/// moves the fingerprint, so the caller in another unit is planned again —
-/// once. Which globals a function nothing calls *mentions* is part of
-/// nothing (it used to keep `main`'s exit copies alive, so it was part of
-/// `main`'s plan key): an edit that changes only that plans the edited
-/// function and no other.
+/// moves the fingerprint, so the caller's unit is planned again — once.
+/// Which globals a function nothing calls *mentions* is part of nothing (it
+/// used to keep `main`'s exit copies alive, so it was part of `main`'s plan
+/// key): an edit that changes only that plans the edited unit and no other.
 #[test]
 fn a_reordered_callee_replans_its_caller_once_and_a_mention_replans_nothing() {
     let header = "#ifndef SWAP_H\n#define SWAP_H\n#define N 32\n\
@@ -1652,18 +1644,21 @@ fn a_reordered_callee_replans_its_caller_once_and_a_mention_replans_nothing() {
     };
     let tool = Ompdart::builder().build();
     let session = Arc::clone(tool.session());
+    // Every unit here defines one function: units planned, functions
+    // planned.
     let planned = |inputs: &[(String, String)]| {
         let before = session.cache_stats();
         let program = tool.analyze_program(inputs).unwrap();
-        let (planned, _) = delta(before, session.cache_stats());
-        (planned, program)
+        let moved = session.cache_stats() - before;
+        assert_eq!(moved.analysis_misses, moved.function_plan_misses);
+        (moved.analysis_misses, program)
     };
     let (_, cold) = planned(&units(true, "1.0"));
     assert!(cold.units[2].rewrite.source.contains("map(alloc: t)"));
 
     // Same accesses, other order: `stage` and its caller `main`, nothing else.
     let (replanned, swapped) = planned(&units(false, "1.0"));
-    assert_eq!(replanned, 2, "the edited function and its one caller");
+    assert_eq!(replanned, 2, "the edited unit and its one caller's");
     assert!(matches!(swapped.served[1], UnitServe::Cached));
     assert!(
         swapped.units[2].rewrite.source.contains("map(to: t)"),
@@ -1681,7 +1676,7 @@ fn a_reordered_callee_replans_its_caller_once_and_a_mention_replans_nothing() {
     // The far unit starts mentioning `t` and `out`: its own function is
     // planned again, `main` — which used to key on every mention — is not.
     let (replanned, mentioned) = planned(&units(false, "t[0] + out[0]"));
-    assert_eq!(replanned, 1, "only the edited function");
+    assert_eq!(replanned, 1, "only the edited unit");
     assert!(matches!(mentioned.served[2], UnitServe::Cached));
     assert_eq!(
         mentioned.units[2].rewrite.source,
