@@ -1057,6 +1057,7 @@ mod tests {
     use super::*;
     use crate::interproc::{augment_with_call_effects, Effect, ProgramSummaries};
     use crate::pipeline::{closed_world_of, stage_accesses, stage_graphs, stage_summaries};
+    use crate::program::LinkContext;
     use crate::OmpDartOptions;
     use ompdart_frontend::parser::parse_str;
     use ompdart_graph::ProgramGraphs;
@@ -1074,7 +1075,7 @@ mod tests {
         let func = unit.function(func_name).unwrap();
         let name = Symbol::intern(func_name);
         let mut acc = accesses.accesses[&name].clone();
-        augment_with_call_effects(&mut acc, &unit, &link.summaries, false);
+        augment_with_call_effects(&mut acc, &unit, &link, false);
         let mut diags = Diagnostics::new();
         let plan = plan_function(
             func,
@@ -1674,21 +1675,25 @@ int main() {
         assert!(others.iter().all(|&global| !device.contains(global)));
 
         // Every callee also reads and writes both other globals on the host.
-        let widened = ["step", "report"].map(|callee| {
-            let mut summary = link.summaries.summary(callee).unwrap().clone();
+        let mut table = ProgramSummaries::clone(&link.summaries);
+        for callee in ["step", "report"] {
+            let id = table.id(Symbol::intern(callee)).unwrap();
+            let summary = Arc::make_mut(table.slot_mut(id).summary.as_mut().unwrap());
             for global in others {
                 summary
                     .global_effects
                     .insert(global, Effect::pessimistic_host());
             }
-            (Symbol::intern(callee), Arc::new(summary))
-        });
-        let widened = ProgramSummaries::overlay(Arc::clone(&link.summaries), widened);
+        }
+        let widened = LinkContext {
+            summaries: Arc::new(table),
+            ..link.clone()
+        };
 
         let main = Symbol::intern("main");
-        let plan_under = |summaries: &ProgramSummaries| {
+        let plan_under = |link: &LinkContext| {
             let mut acc = accesses.accesses[&main].clone();
-            augment_with_call_effects(&mut acc, &unit, summaries, false);
+            augment_with_call_effects(&mut acc, &unit, link, false);
             let mut diags = Diagnostics::new();
             let plan = plan_function(
                 unit.function("main").unwrap(),
@@ -1703,7 +1708,7 @@ int main() {
                 format!("{diags:#?}"),
             )
         };
-        let (replayed, plan, diags) = plan_under(&link.summaries);
+        let (replayed, plan, diags) = plan_under(&link);
         let (widened_replayed, widened_plan, widened_diags) = plan_under(&widened);
         assert!(
             widened_replayed > replayed,

@@ -42,9 +42,20 @@ fn mangle_static(name: &str, unit: &str) -> String {
     format!("{name}@{unit}")
 }
 
-/// True for the link-resolved name of a `static` function.
-pub(crate) fn is_mangled(resolved: Symbol) -> bool {
-    resolved.contains('@')
+/// The source-level name of a link-resolved name: the part of a static's
+/// `name@unit` symbol before the `@`, any other name itself.
+pub(crate) fn source_name(resolved: &str) -> &str {
+    resolved.split('@').next().unwrap_or(resolved)
+}
+
+/// The link-resolved name of `name` as a unit with the `(source, mangled)`
+/// statics `statics` spells it: its own static's mangled symbol, shadowing
+/// any same-named external function as C scoping does, else `name` itself.
+pub(crate) fn resolve(statics: &[(Symbol, Symbol)], name: Symbol) -> Symbol {
+    match statics.iter().find(|(source, _)| *source == name) {
+        Some(&(_, mangled)) => mangled,
+        None => name,
+    }
 }
 
 /// One function's propagation inputs, resolved once per unit *content*:
@@ -111,9 +122,10 @@ pub(crate) struct FunctionParts {
 pub struct UnitExports {
     /// Every defined function, in source order.
     pub(crate) functions: Vec<ExportedFunction>,
-    /// `(source, mangled)` for the unit's `static` functions (the
-    /// static-shadowing summary views read these).
-    pub(crate) statics_mangled: Vec<(Symbol, Symbol)>,
+    /// `(source, mangled)` for the unit's `static` functions, sorted: how
+    /// the unit's names resolve in the program's one summary table (its
+    /// [`crate::program::LinkContext`] shares this list).
+    pub(crate) statics_mangled: Arc<[(Symbol, Symbol)]>,
     /// The globals every function of the unit can see, sorted; what an
     /// unknown callee clobbers in pessimistic-globals mode, and empty when
     /// that mode is off.
@@ -193,12 +205,7 @@ impl UnitExports {
             .collect();
         statics_mangled.sort_unstable();
         statics_mangled.dedup();
-        let resolve = |name: Symbol| -> Symbol {
-            match statics_mangled.iter().find(|(s, _)| *s == name) {
-                Some(&(_, mangled)) => mangled,
-                None => name,
-            }
-        };
+        let resolve = |name: Symbol| resolve(&statics_mangled, name);
         let functions: Vec<ExportedFunction> = (functions.into_iter())
             .map(|f| {
                 let resolved = resolve(f.name);
@@ -227,7 +234,7 @@ impl UnitExports {
             .collect();
         UnitExports {
             functions,
-            statics_mangled,
+            statics_mangled: statics_mangled.into(),
             globals,
             device_names,
         }

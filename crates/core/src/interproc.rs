@@ -24,9 +24,12 @@
 //! reading and writing summaries by id: it condenses only the cone's
 //! subgraph, and starting from a previous fixed point copies pointers. A
 //! cold link's cone is every function. An FNV name → id index serves
-//! lookups by name ([`ProgramSummaries::summary`]).
+//! lookups by name ([`ProgramSummaries::summary`]); a unit's plans look
+//! their callees up through its [`LinkContext`], which resolves the unit's
+//! own `static`s to their mangled symbols first.
 
 use crate::access::{Access, AccessKind, AccessOrigin, CallSite, FunctionAccesses, SymbolTable};
+use crate::program::LinkContext;
 use crate::scc::{condense, Condensation};
 use crate::validity::{Position, States, Transfers, VarState, Walker};
 use ompdart_frontend::ast::{FunctionDef, ParamDecl, TranslationUnit};
@@ -297,7 +300,10 @@ pub(crate) struct Slot {
 }
 
 /// Summaries of functions — the link's table of every function it defines
-/// or calls, indexed by `FuncId`, or a lookup-only view over one.
+/// or calls, indexed by `FuncId`. A program has one, which every unit reads
+/// through its [`LinkContext`]: a unit-private `static` is here under its
+/// mangled `name@unit` symbol only, and the context resolves the unit's
+/// source-level name to it.
 #[derive(Clone, Debug, Default)]
 pub struct ProgramSummaries {
     /// The slots, by id; a retired id's slot waits in `free`.
@@ -310,13 +316,6 @@ pub struct ProgramSummaries {
     free: Vec<FuncId>,
     /// The epoch of the latest walk (see [`Slot::mark`]).
     epoch: u32,
-    /// Optional fall-through layer for [`Self::summary`] lookups: an
-    /// [`Self::overlay`] view holds only its own (shadowing) entries and
-    /// resolves everything else here, so building a per-unit view over a
-    /// whole-program summary set costs the few shadowed entries instead of
-    /// cloning every function's summary. Overlays are *lookup-only* views:
-    /// `iter`/`len`/`is_empty`/`same_summaries` see just the own layer.
-    pub(crate) base: Option<Arc<ProgramSummaries>>,
     /// The names some plan of the program can map.
     pub(crate) device: DeviceNames,
     /// Number of propagation passes performed before reaching a fixed point.
@@ -659,18 +658,6 @@ pub fn visible_globals(unit: &TranslationUnit) -> Vec<Symbol> {
 }
 
 impl ProgramSummaries {
-    /// A table holding `summaries`, each under its name.
-    pub(crate) fn of(
-        summaries: impl IntoIterator<Item = (Symbol, Arc<FunctionSummary>)>,
-    ) -> ProgramSummaries {
-        let mut table = ProgramSummaries::default();
-        for (name, summary) in summaries {
-            let id = table.intern(name);
-            table.slot_mut(id).summary = Some(summary);
-        }
-        table
-    }
-
     /// The id of `name`, if the table holds it.
     pub(crate) fn id(&self, name: Symbol) -> Option<FuncId> {
         self.ids.get(&name).copied()
@@ -855,38 +842,18 @@ impl ProgramSummaries {
         }
     }
 
-    /// A lookup-only view over `base`: [`Self::summary`] resolves names
-    /// first in the view's `own` layer, then in `base`. The own layer
-    /// shadows `base` without touching it — the link stage's per-unit
-    /// static views cost the few shadowed `static` entries (pointer
-    /// copies) instead of a full clone of the whole-program summary set.
-    pub fn overlay(
-        base: Arc<ProgramSummaries>,
-        own: impl IntoIterator<Item = (Symbol, Arc<FunctionSummary>)>,
-    ) -> ProgramSummaries {
-        ProgramSummaries {
-            passes: base.passes,
-            base: Some(base),
-            ..ProgramSummaries::of(own)
-        }
-    }
-
-    /// The summary for a function, if it was analyzed. Overlay views fall
-    /// through to their base layer for names they do not shadow.
+    /// The summary for a function, if it was analyzed, by its resolved
+    /// name (a `static` under its mangled `name@unit` symbol).
     pub fn summary(&self, name: impl Into<Symbol>) -> Option<&FunctionSummary> {
-        self.summary_sym(name.into())
+        self.summary_of(self.id(name.into())?)
     }
 
-    fn summary_sym(&self, name: Symbol) -> Option<&FunctionSummary> {
-        match self.own_summary(name) {
-            Some(summary) => Some(summary),
-            None => self.base.as_ref().and_then(|base| base.summary_sym(name)),
-        }
-    }
-
-    /// The summary of `name` in this table, not its base.
-    fn own_summary(&self, name: Symbol) -> Option<&FunctionSummary> {
-        self.summary_of(self.id(name)?)
+    /// Resolved function name (statics mangled) → index (into the
+    /// program's unit list) of the defining unit.
+    pub fn defined_in(&self) -> HashMap<Symbol, usize> {
+        (self.slots.iter())
+            .filter_map(|slot| Some((slot.name, slot.def?.0)))
+            .collect()
     }
 
     /// Iterate all summaries (unspecified order).
@@ -909,7 +876,7 @@ impl ProgramSummaries {
     /// every effect, parameter slot, and global entry must match exactly.
     pub fn same_summaries(&self, other: &ProgramSummaries) -> bool {
         self.len() == other.len()
-            && (self.iter()).all(|(&name, summary)| other.own_summary(name) == Some(summary))
+            && (self.iter()).all(|(&name, summary)| other.summary(name) == Some(summary))
     }
 }
 
@@ -1196,7 +1163,7 @@ fn param_index(func: &FunctionDef, var: Symbol) -> Option<usize> {
 pub fn augment_with_call_effects(
     acc: &mut FunctionAccesses,
     unit: &TranslationUnit,
-    summaries: &ProgramSummaries,
+    link: &LinkContext,
     clobber_globals: bool,
 ) -> usize {
     // Detach the call list while synthesizing accesses (which only appends
@@ -1204,12 +1171,13 @@ pub fn augment_with_call_effects(
     let mut calls: Vec<CallSite> = std::mem::take(&mut acc.calls);
     let mut fallbacks = 0usize;
     for call in &mut calls {
-        call.summarised = summaries.summary(call.callee).is_some() || is_pure_builtin(call.callee);
+        let known = link.summary(call.callee);
+        call.summarised = known.is_some() || is_pure_builtin(call.callee);
         let call = &*call;
         // Known callee with a body: apply its summary. The summary may come
         // from this unit or — in a linked whole-program analysis — from
         // another translation unit; record which.
-        if let Some(summary) = summaries.summary(call.callee) {
+        if let Some(summary) = known {
             let cross_unit = !unit.functions().any(|f| f.name == call.callee);
             let origin = |effect| AccessOrigin::Callee {
                 callee: call.callee,
@@ -1362,7 +1330,6 @@ mod tests {
     use crate::access::{FunctionAccesses, SymbolTable};
     use crate::pipeline::{closed_world_of, stage_accesses, stage_graphs, stage_summaries};
     use crate::pipeline::{AccessArtifact, SummarizedUnit};
-    use crate::program::LinkContext;
     use crate::OmpDartOptions;
     use ompdart_frontend::parser::parse_str;
 
@@ -1393,16 +1360,12 @@ mod tests {
     fn analyze(
         src: &str,
     ) -> (
-        ProgramSummaries,
+        LinkContext,
         HashMap<Symbol, FunctionAccesses>,
         TranslationUnit,
     ) {
         let (_, link, accesses, unit) = linked_alone(src, false);
-        (
-            ProgramSummaries::clone(&link.summaries),
-            accesses.accesses,
-            unit,
-        )
+        (link, accesses.accesses, unit)
     }
 
     const LAYERED: &str = "\
@@ -1425,11 +1388,11 @@ void top(double *data, int n) {
 
     #[test]
     fn direct_param_effects() {
-        let (summaries, _acc, _unit) = analyze(LAYERED);
-        let s = summaries.summary("scale_buffer").unwrap();
+        let (link, _acc, _unit) = analyze(LAYERED);
+        let s = link.summary("scale_buffer").unwrap();
         assert!(s.param_effects[0].host_read());
         assert!(s.param_effects[0].host_write());
-        let r = summaries.summary("read_weights").unwrap();
+        let r = link.summary("read_weights").unwrap();
         assert!(r.param_effects[0].host_read());
         assert!(!r.param_effects[0].host_write());
         assert!(r.param_effects[1].host_write());
@@ -1437,9 +1400,9 @@ void top(double *data, int n) {
 
     #[test]
     fn effects_propagate_transitively() {
-        let (summaries, _acc, _unit) = analyze(LAYERED);
+        let (link, _acc, _unit) = analyze(LAYERED);
         // `outer` writes its param through scale_buffer and read_weights.
-        let o = summaries.summary("outer").unwrap();
+        let o = link.summary("outer").unwrap();
         assert!(o.param_effects[0].host_write());
         assert!(o.param_effects[0].host_read());
         // ...and reads/writes the global `weights` both directly and through
@@ -1448,7 +1411,7 @@ void top(double *data, int n) {
         assert!(o.global_effects.get(&weights).unwrap().host_read());
         assert!(o.global_effects.get(&weights).unwrap().host_write());
         // `top` inherits everything through one more level of calls.
-        let t = summaries.summary("top").unwrap();
+        let t = link.summary("top").unwrap();
         assert!(t.param_effects[0].host_write());
         assert!(t
             .global_effects
@@ -1459,13 +1422,13 @@ void top(double *data, int n) {
 
     #[test]
     fn fixed_point_terminates_early() {
-        let (summaries, _acc, _unit) = analyze(LAYERED);
+        let (link, _acc, _unit) = analyze(LAYERED);
         assert!(
-            summaries.passes <= 4,
+            link.summaries.passes <= 4,
             "expected early termination, took {}",
-            summaries.passes
+            link.summaries.passes
         );
-        assert_eq!(summaries.len(), 4);
+        assert_eq!(link.summaries.len(), 4);
     }
 
     #[test]
@@ -1480,19 +1443,19 @@ void driver(int n) {
   launch(field, n);
 }
 ";
-        let (summaries, _acc, _unit) = analyze(src);
-        assert!(summaries.summary("launch").unwrap().has_kernels);
-        assert!(summaries.summary("driver").unwrap().has_kernels);
+        let (link, _acc, _unit) = analyze(src);
+        assert!(link.summary("launch").unwrap().has_kernels);
+        assert!(link.summary("driver").unwrap().has_kernels);
         // The kernel access is a device write of the parameter.
-        assert!(summaries.summary("launch").unwrap().param_effects[0].device_write());
+        assert!(link.summary("launch").unwrap().param_effects[0].device_write());
     }
 
     #[test]
     fn augmentation_applies_summary_at_call_site() {
-        let (summaries, mut accesses, unit) = analyze(LAYERED);
+        let (link, mut accesses, unit) = analyze(LAYERED);
         let outer = accesses.get_mut(&Symbol::intern("outer")).unwrap();
         let before = outer.accesses.len();
-        augment_with_call_effects(outer, &unit, &summaries, false);
+        augment_with_call_effects(outer, &unit, &link, false);
         assert!(outer.accesses.len() > before);
         // After augmentation, `outer` has a write access to `data` at the
         // scale_buffer call site.
@@ -1512,9 +1475,9 @@ void f(double *data, int n) {
   external_inspect(data, n);
 }
 ";
-        let (summaries, mut accesses, unit) = analyze(src);
+        let (link, mut accesses, unit) = analyze(src);
         let f = accesses.get_mut(&Symbol::intern("f")).unwrap();
-        augment_with_call_effects(f, &unit, &summaries, false);
+        augment_with_call_effects(f, &unit, &link, false);
         let writes: Vec<_> = f
             .accesses
             .iter()
@@ -1538,9 +1501,9 @@ void f() {
   printf(\"%f\\n\", buf[0]);
 }
 ";
-        let (summaries, mut accesses, unit) = analyze(src);
+        let (link, mut accesses, unit) = analyze(src);
         let f = accesses.get_mut(&Symbol::intern("f")).unwrap();
-        augment_with_call_effects(f, &unit, &summaries, false);
+        augment_with_call_effects(f, &unit, &link, false);
         assert!(!f
             .accesses
             .iter()
@@ -1603,8 +1566,8 @@ void f() {
         crate::oracle::propagate_merged_sequential(&[alone], &options, max_passes)
     }
 
-    fn global_effect(summaries: &ProgramSummaries, func: &str, var: &str) -> Effect {
-        let summary = summaries.summary(func).unwrap();
+    fn global_effect(link: &LinkContext, func: &str, var: &str) -> Effect {
+        let summary = link.summary(func).unwrap();
         *summary.global_effects.get(&Symbol::intern(var)).unwrap()
     }
 
@@ -1617,9 +1580,9 @@ void f() {
              void write_first() {{\n  {KERNEL} t[i] = i;\n  {KERNEL} out[i] = t[i];\n}}\n\
              void read_first() {{\n  {KERNEL} out[i] = t[i];\n  {KERNEL} t[i] = i;\n}}\n"
         );
-        let (summaries, _, _) = analyze(&src);
-        let write_first = global_effect(&summaries, "write_first", "t");
-        let read_first = global_effect(&summaries, "read_first", "t");
+        let (link, _, _) = analyze(&src);
+        let write_first = global_effect(&link, "write_first", "t");
+        let read_first = global_effect(&link, "read_first", "t");
         for e in [write_first, read_first] {
             assert!(e.device_read() && e.device_write() && !e.host_read() && !e.host_write());
             assert!(e.device_current() && !e.host_current());
@@ -1627,8 +1590,8 @@ void f() {
         assert!(!write_first.device_exposed());
         assert!(read_first.device_exposed());
         assert_ne!(
-            crate::pipeline::summary_fingerprint(summaries.summary("write_first").unwrap()),
-            crate::pipeline::summary_fingerprint(summaries.summary("read_first").unwrap()),
+            crate::pipeline::summary_fingerprint(link.summary("write_first").unwrap()),
+            crate::pipeline::summary_fingerprint(link.summary("read_first").unwrap()),
         );
     }
 
@@ -1642,15 +1605,15 @@ void f() {
              void host_then_kernel(int s) {{\n  for (int i = 0; i < 32; i++) x[i] = i + s;\n  {KERNEL} y[i] = x[i];\n}}\n\
              double kernel_then_host() {{\n  double t = 0.0;\n  {KERNEL} y[i] = x[i];\n  for (int i = 0; i < 32; i++) t += y[i];\n  return t;\n}}\n"
         );
-        let (summaries, _, _) = analyze(&src);
-        let x = global_effect(&summaries, "host_then_kernel", "x");
+        let (link, _, _) = analyze(&src);
+        let x = global_effect(&link, "host_then_kernel", "x");
         assert!(x.host_write() && x.device_read() && !x.device_exposed() && !x.host_exposed());
         assert!(x.host_current() && x.device_current());
-        let y = global_effect(&summaries, "kernel_then_host", "y");
+        let y = global_effect(&link, "kernel_then_host", "y");
         assert!(y.device_write() && y.host_read() && !y.host_exposed() && !y.device_exposed());
         assert!(y.host_current() && y.device_current());
         // The kernel's read of `x` there is of the value it was entered with.
-        let x = global_effect(&summaries, "kernel_then_host", "x");
+        let x = global_effect(&link, "kernel_then_host", "x");
         assert!(x.device_exposed() && x.device_current() && !x.host_current());
     }
 
@@ -1670,11 +1633,11 @@ void always() {
   for (int i = 0; i < 32; i++) x[i] = 0.0;
 }
 ";
-        let (summaries, _, _) = analyze(src);
-        let maybe = global_effect(&summaries, "maybe", "x");
+        let (link, _, _) = analyze(src);
+        let maybe = global_effect(&link, "maybe", "x");
         assert!(maybe.host_write() && !maybe.host_read());
         assert!(maybe.host_exposed() && !maybe.host_current());
-        let always = global_effect(&summaries, "always", "x");
+        let always = global_effect(&link, "always", "x");
         assert!(always.host_write() && !always.host_exposed() && always.host_current());
     }
 
@@ -1689,11 +1652,11 @@ void always() {
              void produce_consume() {{\n  for (int it = 0; it < 4; it++) {{\n    {KERNEL} t[i] = it;\n    {KERNEL} a[i] = t[i];\n  }}\n}}\n\
              void consume_produce() {{\n  for (int it = 0; it < 4; it++) {{\n    {KERNEL} a[i] = t[i];\n    {KERNEL} t[i] = it;\n  }}\n}}\n"
         );
-        let (summaries, _, _) = analyze(&src);
-        let in_place = global_effect(&summaries, "in_place", "a");
+        let (link, _, _) = analyze(&src);
+        let in_place = global_effect(&link, "in_place", "a");
         assert!(in_place.device_exposed() && in_place.device_current());
-        assert!(!global_effect(&summaries, "produce_consume", "t").device_exposed());
-        assert!(global_effect(&summaries, "consume_produce", "t").device_exposed());
+        assert!(!global_effect(&link, "produce_consume", "t").device_exposed());
+        assert!(global_effect(&link, "consume_produce", "t").device_exposed());
     }
 
     /// A call inside a kernel does on the device whatever its callee does.
@@ -1714,18 +1677,18 @@ void always() {
              void bump(double *p, int i) {{\n  p[i] = p[i] + 1.0;\n}}\n\
              void driver() {{\n  {KERNEL} bump(a, i);\n}}\n"
         );
-        let (summaries, mut accesses, unit) = analyze(&src);
-        let bump = summaries.summary("bump").unwrap().param_effects[0];
+        let (link, mut accesses, unit) = analyze(&src);
+        let bump = link.summary("bump").unwrap().param_effects[0];
         assert!(
             bump.host_read() && bump.host_write() && bump.host_exposed() && bump.host_current()
         );
-        let a = global_effect(&summaries, "driver", "a");
+        let a = global_effect(&link, "driver", "a");
         assert!(a.device_read() && a.device_write() && a.device_exposed());
         assert!(!a.host_read() && !a.host_write() && !a.host_exposed());
         // Replayed at the call: an exposed device read, then a device write
         // — one read-write access, nothing in between.
         let driver = accesses.get_mut(&Symbol::intern("driver")).unwrap();
-        augment_with_call_effects(driver, &unit, &summaries, false);
+        augment_with_call_effects(driver, &unit, &link, false);
         let replayed: Vec<_> = (driver.accesses.iter())
             .filter(|access| access.var == "a" && access.origin != AccessOrigin::Direct)
             .map(|access| (access.kind, access.on_device))
@@ -1756,10 +1719,10 @@ void f(double *data, int n) {
   inspect(data, n);
 }
 ";
-        let (summaries, accesses, unit) = analyze(src);
+        let (link, accesses, unit) = analyze(src);
         let replay = |clobber: bool, var: &str| -> Vec<AccessKind> {
             let mut f = accesses[&Symbol::intern("f")].clone();
-            augment_with_call_effects(&mut f, &unit, &summaries, clobber);
+            augment_with_call_effects(&mut f, &unit, &link, clobber);
             let synthetic = f.accesses.iter().filter(|access| access.var == var);
             synthetic.map(|access| access.kind).collect()
         };
@@ -1775,7 +1738,7 @@ void f(double *data, int n) {
         // The clobber is part of the caller's summary too.
         let (_, clobbered, ..) = linked_alone(src, true);
         assert_eq!(
-            global_effect(&clobbered.summaries, "f", "g"),
+            global_effect(&clobbered, "f", "g"),
             Effect::pessimistic_host()
         );
     }
@@ -1792,10 +1755,14 @@ void f(double *data, int n) {
              void pong(int n) {{\n  {KERNEL} out[i] = t[i];\n  if (n > 0) ping(n - 1);\n}}\n\
              void top() {{\n  ping(3);\n}}\n"
         );
-        let (summaries, accesses, unit) = analyze(&src);
-        assert!(summaries.passes <= 4, "took {} passes", summaries.passes);
+        let (link, accesses, unit) = analyze(&src);
+        assert!(
+            link.summaries.passes <= 4,
+            "took {} passes",
+            link.summaries.passes
+        );
         for func in ["ping", "pong"] {
-            let t = global_effect(&summaries, func, "t");
+            let t = global_effect(&link, func, "t");
             assert!(t.device_read() && t.device_write(), "{func}: {t:?}");
             assert!(t.device_exposed(), "{func}: every read may be exposed");
             assert!(
@@ -1804,7 +1771,7 @@ void f(double *data, int n) {
             );
         }
         // The caller outside the component sees the cornered summary.
-        assert!(global_effect(&summaries, "top", "t").device_exposed());
+        assert!(global_effect(&link, "top", "t").device_exposed());
         // Alone, `ping` writes `t` before anything reads it.
         let ping = unit.function("ping").unwrap();
         let sym = SymbolTable::build(&unit, ping);
@@ -1812,7 +1779,7 @@ void f(double *data, int n) {
         let t = seed.global_effects[&Symbol::intern("t")];
         assert!(!t.device_exposed() && t.device_current());
 
-        assert!(sequential_reference(&src, 8).same_summaries(&summaries));
+        assert!(sequential_reference(&src, 8).same_summaries(&link.summaries));
     }
 
     /// A ring of mutually recursive functions, the last of which writes a
@@ -1836,16 +1803,16 @@ void f(double *data, int n) {
                     bodies.reverse();
                 }
                 let src = format!("double g[8];\n{prototypes}{}", bodies.concat());
-                let (summaries, ..) = analyze(&src);
+                let (link, ..) = analyze(&src);
                 for i in 0..len {
-                    let g = global_effect(&summaries, &format!("f{i}"), "g");
+                    let g = global_effect(&link, &format!("f{i}"), "g");
                     assert!(
                         g.host_write(),
                         "ring of {len}, reversed {reversed}: f{i} has {g:?}"
                     );
                 }
                 assert!(
-                    sequential_reference(&src, len + 1).same_summaries(&summaries),
+                    sequential_reference(&src, len + 1).same_summaries(&link.summaries),
                     "ring of {len}, reversed {reversed}"
                 );
             }

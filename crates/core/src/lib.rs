@@ -90,8 +90,8 @@ pub use plan::{
     ProvenanceFact, UpdateDirection, UpdateSpec, PLAN_FORMAT_VERSION,
 };
 pub use program::{
-    DriverProfile, LinkContext, LinkState, LinkedSummaries, Program, ProgramAnalysis,
-    ProgramDriver, ProgramError, UnitExports, UnitServe, UNLINKED,
+    DriverProfile, LinkContext, LinkState, Program, ProgramAnalysis, ProgramDriver, ProgramError,
+    UnitExports, UnitServe, UNLINKED,
 };
 pub use rewrite::apply_plans;
 pub use stats::CacheStats;

@@ -35,7 +35,11 @@ pub fn propagate_sequential(
 ) -> ProgramSummaries {
     let mut functions = seeds.clone();
     let passes = run_passes(&mut functions, nodes, max_passes, clobber_globals);
-    let mut summaries = ProgramSummaries::of(functions);
+    let mut summaries = ProgramSummaries::default();
+    for (name, summary) in functions {
+        let id = summaries.intern(name);
+        summaries.slot_mut(id).summary = Some(summary);
+    }
     summaries.passes = passes;
     summaries
 }

@@ -73,7 +73,7 @@
 
 use crate::access::{FunctionAccesses, SymbolTable};
 use crate::dataflow::{plan_collapses, plan_function};
-use crate::interface::UnitExports;
+use crate::interface::{source_name, UnitExports};
 use crate::interproc::{augment_with_call_effects, seed_summary, DeviceNames, FunctionSummary};
 use crate::plan::explain::explain_plans;
 use crate::plan::ir::{AnalysisStats, MappingPlan};
@@ -463,23 +463,25 @@ pub(crate) fn closed_world_of(
 /// Fingerprint of a whole summary: what the link's dirty check compares
 /// (a function's local fingerprint hashes its seed's).
 pub(crate) fn summary_fingerprint(s: &FunctionSummary) -> u64 {
-    fingerprint_where(s, |_| true)
+    fingerprint_where(s, &s.name, |_| true)
 }
 
-/// Fingerprint of what a caller's plan can read of summary `s`: its name,
-/// `has_kernels`, every parameter effect, and its effects on globals named
-/// in the program's device names — none on any other global. A plan maps
-/// only variables its region touches on the device, each of them a device
-/// name, and reads nothing of a callee's effect on anything else
-/// ([`crate::interproc::DeviceNames`]).
+/// Fingerprint of what a caller's plan can read of summary `s`: its name as
+/// its callers spell it (for a `static`, the part of its `name@unit` symbol
+/// before the `@`), `has_kernels`, every parameter effect, and its effects
+/// on globals named in the program's device names — none on any other
+/// global. A plan maps only variables its region touches on the device,
+/// each of them a device name, and reads nothing of a callee's effect on
+/// anything else ([`crate::interproc::DeviceNames`]).
 pub(crate) fn projected_fingerprint(s: &FunctionSummary, device: &DeviceNames) -> u64 {
-    fingerprint_where(s, |global| device.contains(global))
+    fingerprint_where(s, source_name(&s.name), |global| device.contains(global))
 }
 
-/// The fingerprint of `s` with only the global effects `keep` holds.
-fn fingerprint_where(s: &FunctionSummary, keep: impl Fn(Symbol) -> bool) -> u64 {
+/// The fingerprint of `s`, named `name`, with only the global effects
+/// `keep` holds.
+fn fingerprint_where(s: &FunctionSummary, name: &str, keep: impl Fn(Symbol) -> bool) -> u64 {
     let mut h = Fnv::new();
-    h.write_str(&s.name);
+    h.write_str(name);
     h.write(&[u8::from(s.has_kernels)]);
     for e in &s.param_effects {
         h.write(&[e.byte()]);
@@ -602,7 +604,7 @@ fn run_plan_stage(
             return (true, None, Diagnostics::new(), 0);
         };
         let fallbacks =
-            augment_with_call_effects(&mut acc, unit, &link.summaries, options.pessimistic_globals);
+            augment_with_call_effects(&mut acc, unit, link, options.pessimistic_globals);
         let mut diags = Diagnostics::new();
         let symbols = &accesses.symbols[&func.name];
         let mut plan = plan_function(func, graph, &acc, symbols, &mut diags);

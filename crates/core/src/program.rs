@@ -18,7 +18,7 @@
 //!    persistent store without parsing anything.
 //! 2. **Link** — [`Program::link`] merges every unit's call graph and
 //!    runs the interprocedural fixed point to convergence *across* units
-//!    ([`LinkedSummaries`]), so a callee defined in another file resolves
+//!    ([`Program::linked`]), so a callee defined in another file resolves
 //!    to its real summary. The link reads **interfaces only**: of a unit
 //!    nothing but its name and its [`UnitExports`] — no AST, no access
 //!    artifact, no symbol table — so it is the same code over the same
@@ -49,7 +49,7 @@
 //! as a single translation unit.
 
 pub use crate::interface::UnitExports;
-use crate::interface::{is_mangled, ExportedFunction};
+use crate::interface::{resolve, ExportedFunction};
 use crate::interproc::{FuncId, FunctionSummary, ProgramSummaries};
 use crate::pipeline::{
     callees_fingerprint, projected_fingerprint, AnalysisSession, Fnv, StageError, SummarizedUnit,
@@ -70,42 +70,24 @@ use std::time::{Duration, Instant};
 pub const UNLINKED: u64 = 0;
 
 // ---------------------------------------------------------------------------
-// LinkedSummaries and LinkContext
+// LinkContext
 // ---------------------------------------------------------------------------
 
-/// The output of the link fixed point: whole-program interprocedural
-/// summaries (every cross-unit callee resolved to its real effects), in
-/// the link's table of functions, which also knows each function's
-/// defining unit.
-#[derive(Clone, Debug)]
-pub struct LinkedSummaries {
-    /// Merged summaries, converged across unit boundaries: the link's
-    /// function table. Unit-private `static` functions are named by their
-    /// mangled `name@unit` symbol.
-    pub summaries: Arc<ProgramSummaries>,
-    /// Propagation passes the cross-unit fixed point took.
-    pub passes: usize,
-}
-
-impl LinkedSummaries {
-    /// Resolved function name (statics mangled) → index (into the
-    /// program's unit list) of the defining unit, read off the table.
-    pub fn defined_in(&self) -> HashMap<Symbol, usize> {
-        let slots = self.summaries.slots.iter();
-        slots
-            .filter_map(|slot| Some((slot.name, slot.def?.0)))
-            .collect()
-    }
-}
-
-/// Everything the planning stage of *one unit* needs from the link layer.
+/// Everything the planning stage of *one unit* needs from the link layer:
+/// the program's one summary table, read under the unit's own names, and
+/// the unit's imports fingerprint. Every callee summary a plan or the
+/// checker reads is looked up through [`Self::summary`].
 #[derive(Clone, Debug)]
 pub struct LinkContext {
-    /// Whole-program summaries (shared across all units of the program).
-    pub summaries: Arc<ProgramSummaries>,
+    /// The program's function table, shared by every unit's context. A
+    /// unit-private `static` is in it under its mangled `name@unit` symbol.
+    pub(crate) summaries: Arc<ProgramSummaries>,
+    /// The unit's `(source, mangled)` statics, shared with its
+    /// [`UnitExports`]: how the unit's names resolve in the table.
+    pub(crate) statics: Arc<[(Symbol, Symbol)]>,
     /// Fingerprint of the unit's *observed* imported surface: of every
-    /// callee its functions name (through the unit's static-shadowing
-    /// view), what a plan can read of its converged summary — the summary
+    /// callee its functions name (resolved as [`Self::summary`] resolves
+    /// it), what a plan can read of its converged summary — the summary
     /// projected onto the program's device names
     /// (`pipeline::projected_fingerprint`). Threaded through the
     /// unit table and the persistent store key: editing one file
@@ -115,22 +97,25 @@ pub struct LinkContext {
     pub imports_fingerprint: u64,
 }
 
-/// The memoised projected fingerprint of the summary a unit with the
-/// static views `statics` sees under the name `callee`: its own static's,
-/// shadowing any same-named external symbol as C scoping does, else the
-/// program's.
+impl LinkContext {
+    /// The converged summary of the function the unit calls `name`: its own
+    /// `static` of that name, shadowing any same-named external function as
+    /// C scoping does, else the program's.
+    pub fn summary(&self, name: impl Into<Symbol>) -> Option<&FunctionSummary> {
+        self.summaries.summary(resolve(&self.statics, name.into()))
+    }
+}
+
+/// The memoised projected fingerprint of the function a unit with the
+/// statics `statics` calls `callee`, resolved as [`LinkContext::summary`]
+/// resolves it, when something defines it.
 fn memoised_fingerprint(
-    statics: &[StaticView],
+    statics: &[(Symbol, Symbol)],
     table: &ProgramSummaries,
     callee: Symbol,
 ) -> Option<u64> {
-    match statics.iter().find(|view| view.source == callee) {
-        Some(view) => Some(view.fingerprint),
-        None => {
-            let slot = table.slot(table.id(callee)?);
-            slot.def.map(|_| slot.projected_fp)
-        }
-    }
+    let slot = table.slot(table.id(resolve(statics, callee))?);
+    slot.def.map(|_| slot.projected_fp)
 }
 
 // ---------------------------------------------------------------------------
@@ -145,33 +130,19 @@ fn memoised_fingerprint(
 pub struct Program {
     /// The summarized units, in input order.
     pub units: Vec<Arc<SummarizedUnit>>,
-    /// The cross-unit link fixed point, in the function table the
-    /// [`LinkContext`]s share, so a relink patches it in place once the
+    /// The cross-unit link fixed point: the program's one function table,
+    /// whole-program summaries with every cross-unit callee resolved to its
+    /// real effects, and the `passes` the fixed point took. The
+    /// [`LinkContext`]s share it, so a relink patches it in place once the
     /// previous round's contexts are gone. Unit-private `static` functions
-    /// appear under their mangled `name@unit` symbols here; per-unit
-    /// [`LinkContext`]s expose them under their source-level names again.
-    pub linked: LinkedSummaries,
+    /// appear under their mangled `name@unit` symbols here; a unit's
+    /// [`LinkContext`] resolves its source-level names to them.
+    pub linked: Arc<ProgramSummaries>,
     /// Per-unit imported-surface fingerprints (see
     /// [`LinkContext::imports_fingerprint`]). Dependency-aware: unit `i`'s
     /// entry hashes the projected summaries of exactly the callees unit `i`
     /// names, so it moves only when a fact unit `i`'s plans read changed.
     import_fps: Vec<u64>,
-    /// Per unit, its own statics as the unit sees them — under their
-    /// source-level names, shadowing any same-named external symbol as C
-    /// scoping does. [`Program::link_context`] lays these few entries over
-    /// the shared linked summaries ([`ProgramSummaries::overlay`]).
-    unit_statics: Vec<Arc<[StaticView]>>,
-}
-
-/// One unit-private `static` function as its own unit names it.
-#[derive(Debug)]
-struct StaticView {
-    /// The source-level name.
-    source: Symbol,
-    /// The converged summary of the mangled symbol, renamed to `source`.
-    summary: Arc<FunctionSummary>,
-    /// [`projected_fingerprint`] of `summary`.
-    fingerprint: u64,
 }
 
 /// The persistent, owned form of everything a whole-program link derives,
@@ -192,8 +163,7 @@ pub struct LinkState {
     analyses: Vec<Arc<UnitAnalysis>>,
     /// Functions the latest relink re-derived from their seeds.
     pub(crate) reseeded: u64,
-    /// Units whose view or imports fingerprint the latest relink
-    /// recomputed.
+    /// Units whose imports fingerprint the latest relink recomputed.
     pub(crate) touched_units: u64,
 }
 
@@ -212,12 +182,8 @@ impl Default for LinkState {
         LinkState {
             program: Program {
                 units: Vec::new(),
-                linked: LinkedSummaries {
-                    summaries: Arc::default(),
-                    passes: 0,
-                },
+                linked: Arc::default(),
                 import_fps: Vec::new(),
-                unit_statics: Vec::new(),
             },
             analyses: Vec::new(),
             reseeded: 0,
@@ -301,12 +267,11 @@ impl Program {
     ///    for the next names to reuse.
     /// 4. **Refresh what observes a moved summary.** The device names are
     ///    patched from the cone's summaries before and after and from the
-    ///    units that came and went. Static views are recomputed for changed
-    ///    units and units owning a moved static, and imports fingerprints
-    ///    for those and for units that name a function whose *projected*
-    ///    fingerprint moved, from memoised per-summary fingerprints. When
-    ///    the device names gained or lost a member, every projected
-    ///    fingerprint is re-derived and every unit refreshed.
+    ///    units that came and went. Imports fingerprints are recomputed for
+    ///    changed units and for units that name a function whose
+    ///    *projected* fingerprint moved, from memoised per-summary
+    ///    fingerprints. When the device names gained or lost a member, every
+    ///    projected fingerprint is re-derived and every unit refreshed.
     ///
     /// The result is identical to a cold link of the same units (pinned by
     /// tests at every worker count), `linked.passes` aside — a diagnostic
@@ -331,10 +296,9 @@ impl Program {
             units: was,
             linked,
             import_fps,
-            unit_statics,
         } = program;
         (*reseeded, *touched_units) = (0, 0);
-        let table = Arc::make_mut(&mut linked.summaries);
+        let table = Arc::make_mut(linked);
 
         // --- 1. Diff: predecessor by name, kept when pointer-equal. ------
         let predecessor: Vec<Option<usize>> = if same_names(&units, was) {
@@ -492,7 +456,6 @@ impl Program {
         if !nodes.is_empty() {
             table.converge(&ids, &nodes, options.pessimistic_globals, threads);
         }
-        linked.passes = table.passes;
 
         // --- 4. Refresh what observes a moved summary. -------------------
         // The device names follow the cone's summaries and the device names
@@ -508,14 +471,12 @@ impl Program {
         let left = left.flat_map(|j| was[j].exports().device_names.iter().copied());
         let reproject = device.patch(cone_moves, arrived, left);
         table.device = device;
-        // Changed units, the unit owning a moved static (its view renames
-        // the summary) and the units calling a function whose projected
+        // Changed units and the units calling a function whose projected
         // fingerprint moved — or every unit, after a reprojection.
         let mut touched = vec![reproject; units.len()];
         for &i in &changed {
             touched[i] = true;
         }
-        let mut restatic = touched.clone();
         if reproject {
             let device = &table.device;
             for slot in &mut table.slots {
@@ -534,8 +495,7 @@ impl Program {
                 continue;
             }
             let mut moved = slot.summary.is_some() != before.is_some();
-            if let (Some(now), Some((unit, _))) = (&slot.summary, slot.def) {
-                restatic[unit] |= is_mangled(slot.name);
+            if let (Some(now), Some(_)) = (&slot.summary, slot.def) {
                 let fingerprint = projected_fingerprint(now, &table.device);
                 moved |= fingerprint != slot.projected_fp;
                 table.slot_mut(id).projected_fp = fingerprint;
@@ -553,45 +513,27 @@ impl Program {
         for id in departed.into_iter().chain(uncalled) {
             table.retire_if_unused(id);
         }
-        // A unit's view and imports fingerprint move with it; a changed
-        // unit's are recomputed below.
-        let none: Arc<[StaticView]> = Arc::new([]);
-        *unit_statics = (0..units.len())
-            .map(|i| Arc::clone(kept(i).map_or(&none, |j| &unit_statics[j])))
-            .collect();
+        // A unit's imports fingerprint moves with it; a changed unit's is
+        // recomputed below.
         *import_fps = (0..units.len())
             .map(|i| kept(i).map_or(0, |j| import_fps[j]))
             .collect();
-        for (i, unit) in units.iter().enumerate().filter(|(i, _)| restatic[*i]) {
-            touched[i] = true;
-            unit_statics[i] = (unit.exports().statics_mangled.iter())
-                .filter_map(|&(source, mangled)| {
-                    let mut summary = table.summary(mangled)?.clone();
-                    summary.name = source;
-                    Some(StaticView {
-                        source,
-                        fingerprint: projected_fingerprint(&summary, &table.device),
-                        summary: Arc::new(summary),
-                    })
-                })
-                .collect();
-        }
 
         // Dependency-aware imported-surface fingerprints, derived from the
         // *converged* fixed point: for each unit, hash the projected
         // fingerprint of every callee its functions name — resolved through
-        // the unit's static-shadowing view, exactly as planning resolves
-        // them. These cover every cross-unit fact a plan of
-        // `analyze_linked` can read — callee names, whether each has a
-        // summary, its parameter effects, kernels and effects on globals
-        // in the device names — so an edit in unit A moves unit B's
-        // fingerprint only when one of those moved: a host-only effect on a
-        // global no region can map re-plans the edited unit alone, not its
-        // import cone.
+        // the unit's statics, exactly as its `LinkContext` resolves them.
+        // These cover every cross-unit fact a plan of `analyze_linked` can
+        // read — callee names, whether each has a summary, its parameter
+        // effects, kernels and effects on globals in the device names — so
+        // an edit in unit A moves unit B's fingerprint only when one of
+        // those moved: a host-only effect on a global no region can map
+        // re-plans the edited unit alone, not its import cone.
         for (i, unit) in units.iter().enumerate().filter(|(i, _)| touched[*i]) {
             *touched_units += 1;
             let exports = unit.exports();
-            let projected_fp = |callee| memoised_fingerprint(&unit_statics[i], table, callee);
+            let statics = &exports.statics_mangled;
+            let projected_fp = |callee| memoised_fingerprint(statics, table, callee);
             let mut h = Fnv::new();
             for f in &exports.functions {
                 h.write_str(&f.source);
@@ -615,21 +557,13 @@ impl Program {
         self.units.is_empty()
     }
 
-    /// The [`LinkContext`] for the unit at `index`, assembled from
-    /// program-wide pieces: the linked summaries (under the unit's
-    /// static-shadowing view, when it defines statics) and the unit's
+    /// The [`LinkContext`] for the unit at `index`: pointer copies of the
+    /// program's table and of the unit's statics, and the unit's
     /// dependency-aware imports fingerprint.
     pub fn link_context(&self, index: usize) -> LinkContext {
-        let statics = &self.unit_statics[index];
-        let summaries = match statics.is_empty() {
-            true => Arc::clone(&self.linked.summaries),
-            false => Arc::new(ProgramSummaries::overlay(
-                Arc::clone(&self.linked.summaries),
-                (statics.iter()).map(|view| (view.source, Arc::clone(&view.summary))),
-            )),
-        };
         LinkContext {
-            summaries,
+            summaries: Arc::clone(&self.linked),
+            statics: Arc::clone(&self.units[index].exports().statics_mangled),
             imports_fingerprint: self.import_fps[index],
         }
     }
@@ -1272,13 +1206,9 @@ mod tests {
                     .expect("a churn program links");
                 let cold = Program::link(units, &options).expect("a churn program links");
                 let at = format!("round {round}, pessimistic {pessimistic_globals}: {present:?}");
-                let (table, summaries) = (&patched.linked.summaries, &cold.linked.summaries);
-                assert!(table.same_summaries(summaries), "{at}");
-                assert_eq!(
-                    patched.linked.defined_in(),
-                    cold.linked.defined_in(),
-                    "{at}"
-                );
+                let table = &patched.linked;
+                assert!(table.same_summaries(&cold.linked), "{at}");
+                assert_eq!(table.defined_in(), cold.linked.defined_in(), "{at}");
                 for i in 0..patched.len() {
                     let (was, now) = (patched.link_context(i), cold.link_context(i));
                     assert_eq!(was.imports_fingerprint, now.imports_fingerprint, "{at}");

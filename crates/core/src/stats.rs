@@ -119,15 +119,6 @@ macro_rules! stats_table {
                 self.0[row as usize].fetch_add(n, std::sync::atomic::Ordering::Relaxed);
             }
 
-            /// Add a movement counted elsewhere, row by row.
-            pub fn add_all(&self, rows: $name) {
-                for (cell, n) in self.0.iter().zip(rows.values()) {
-                    if n > 0 {
-                        cell.fetch_add(n, std::sync::atomic::Ordering::Relaxed);
-                    }
-                }
-            }
-
             /// The current value of every row.
             pub fn snapshot(&self) -> $name {
                 $name::from_values(std::array::from_fn(|i| {
@@ -195,9 +186,10 @@ stats_table! {
         /// Unit bodies the session built: units that ran the frontend
         /// (parse → graphs → accesses → seeds).
         parse_misses,
-        /// Unit analyses (`analyze_linked`, and therefore every `analyze`
-        /// call and every non-fast-path unit of a program round) served
-        /// entirely from the unit table.
+        /// Unit analyses `analyze_linked` served entirely from the unit
+        /// table: units of a program round, one unit or many, that missed
+        /// its fast paths. A warm repeat of a round, a warm `analyze`
+        /// included, counts in `fast_path_hits` instead.
         analysis_hits,
         /// Unit analyses that ran planning (or hit the store).
         analysis_misses,
@@ -213,10 +205,11 @@ stats_table! {
         /// functions). Cold links — where no previous converged state
         /// exists — add nothing here; an unchanged relink adds zero.
         relink_reseeded_functions,
-        /// Units whose static-shadowing view or imports fingerprint a
-        /// relink recomputed: the units that changed plus the units naming
-        /// a function whose converged summary moved. A cold link computes
-        /// every unit's; an unchanged relink adds zero.
+        /// Units whose imports fingerprint a relink recomputed: the units
+        /// that changed plus the units naming a function whose projected
+        /// summary moved (every unit when the device names gained or lost
+        /// a member). A cold link computes every unit's; an unchanged
+        /// relink adds zero.
         relink_touched_units,
         /// Unit analyses whose plans were served from the persistent
         /// artifact store (when a `cache_dir` is configured).

@@ -120,12 +120,11 @@ pub fn verify_unit(unit: &TranslationUnit) -> VerifyReport {
     let seeds = stage_summaries(unit, &accesses, &options);
     // The unit's closed world: call sites resolve as its planner's do.
     let (_, link) = closed_world_of(unit, &accesses, &seeds, &options, 1);
-    let summaries = &link.summaries;
     let mut report = VerifyReport::default();
     // Every function that launches a kernel, itself or through a callee, as
     // an outside caller enters it; the walks add what call sites hold.
     let mut contexts: Vec<Context> = (unit.functions())
-        .filter(|f| summaries.summary(f.name).is_some_and(|s| s.has_kernels))
+        .filter(|f| link.summary(f.name).is_some_and(|s| s.has_kernels))
         .map(|f| (f.name, Vec::new()))
         .collect();
     let mut next = 0;
@@ -139,7 +138,7 @@ pub fn verify_unit(unit: &TranslationUnit) -> VerifyReport {
             continue;
         };
         let mut acc = own.clone();
-        augment_with_call_effects(&mut acc, unit, summaries, false);
+        augment_with_call_effects(&mut acc, unit, &link, false);
         let entry = |var| VarState {
             dev_valid: held.contains(&var),
             ..VarState::host_current()

@@ -56,11 +56,6 @@ impl Benchmark {
     pub fn unoptimized_file(&self) -> String {
         format!("{}_unoptimized.c", self.name)
     }
-
-    /// File name used when reporting diagnostics for the expert source.
-    pub fn expert_file(&self) -> String {
-        format!("{}_expert.c", self.name)
-    }
 }
 
 /// All nine benchmarks in the order the paper lists them (Table III).

@@ -824,13 +824,13 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
         }
     );
 
-    // Re-emit on *content* change, not mtime: editors and CI touch files
-    // in too many ways to trust timestamps. The full previous source is
-    // kept (not just a hash) so change detection can never be fooled by a
-    // hash collision — the same standard the session caches hold. All
-    // watched files are linked as ONE whole program: an edit in one file
-    // re-plans functions in other files exactly when the edited file's
-    // exported interface changed.
+    // Re-emit on *content* change (a deleted file included), not mtime:
+    // editors and CI touch files in too many ways to trust timestamps. The
+    // full previous source is kept (not just a hash) so change detection
+    // can never be fooled by a hash collision — the same standard the
+    // session caches hold. All watched files are linked as ONE whole
+    // program: an edit in one file re-plans functions in other files
+    // exactly when the edited file's exported interface changed.
     let mut seen: std::collections::HashMap<PathBuf, String> = std::collections::HashMap::new();
     let mut last_emitted: std::collections::HashMap<PathBuf, String> =
         std::collections::HashMap::new();
@@ -842,11 +842,11 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
                     .into_iter()
                     .filter_map(|p| std::fs::read_to_string(&p).ok().map(|s| (p, s)))
                     .collect();
-                let changed: Vec<&(PathBuf, String)> = units
-                    .iter()
-                    .filter(|(p, s)| seen.get(p) != Some(s))
-                    .collect();
-                if !changed.is_empty() {
+                if needs_rescan(&seen, &units) {
+                    let changed: Vec<&(PathBuf, String)> = units
+                        .iter()
+                        .filter(|(p, s)| seen.get(p) != Some(s))
+                        .collect();
                     watch_program_scan(&tool, out_dir, &units, &changed, &mut last_emitted);
                     seen = units.into_iter().collect();
                 }
@@ -885,6 +885,16 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
         stats.parse_misses
     );
     Ok(ExitCode::SUCCESS)
+}
+
+/// True when a scan that read `units` has to analyze the directory again:
+/// some file's content differs from what the previous scan saw, or a file
+/// it saw is gone — a deleted unit changes what the others link against.
+fn needs_rescan(
+    seen: &std::collections::HashMap<PathBuf, String>,
+    units: &[(PathBuf, String)],
+) -> bool {
+    seen.len() != units.len() || (units.iter()).any(|(path, source)| seen.get(path) != Some(source))
 }
 
 /// One watch scan over the linked program. Falls back to independent
@@ -1197,6 +1207,36 @@ fn cmd_client(args: &[String]) -> Result<ExitCode, String> {
 mod tests {
     use super::*;
     use std::time::{Duration, SystemTime};
+
+    /// A watch scan re-analyzes the directory when a file's content moved,
+    /// when a file appeared, and when a file was deleted; an identical scan
+    /// does nothing.
+    #[test]
+    fn a_deleted_file_rescans_the_watched_directory() {
+        let unit = |name: &str, source: &str| (PathBuf::from(name), source.to_string());
+        let both = [
+            unit("helpers.c", "void scale(void) {}\n"),
+            unit("driver.c", "int main() {}\n"),
+        ];
+        let seen: std::collections::HashMap<PathBuf, String> = both.iter().cloned().collect();
+        assert!(!needs_rescan(&seen, &both));
+        assert!(needs_rescan(&seen, &both[1..]), "a deleted file");
+        let edited = [
+            both[0].clone(),
+            unit("driver.c", "int main() { return 0; }\n"),
+        ];
+        assert!(needs_rescan(&seen, &edited), "an edited file");
+        let added = [
+            both[0].clone(),
+            both[1].clone(),
+            unit("extra.c", "int x;\n"),
+        ];
+        assert!(needs_rescan(&seen, &added), "an added file");
+        assert!(
+            needs_rescan(&std::collections::HashMap::new(), &both),
+            "the first scan"
+        );
+    }
 
     /// Every `<stem>.mapped.c` goes through `write_mapped`: the same bytes
     /// again leave the file — its modification time, its inode — alone, a

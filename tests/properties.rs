@@ -1089,11 +1089,11 @@ proptest! {
     /// every step its patched link state is the one a cold `Program::link`
     /// of the same units builds: converged summaries — the order bits of
     /// every effect included, `same_summaries` compares whole effects —
-    /// `defined_in`, every unit's static view and imports fingerprint, and
-    /// the rewrites planned under them. Half the scripts run in
-    /// pessimistic-globals mode, where a call to a name nobody defines
-    /// clobbers every global its caller can see — so the script also
-    /// declares new globals, which move no function's text.
+    /// `defined_in`, every name as each unit resolves it, every imports
+    /// fingerprint, and the rewrites planned under them. Half the scripts
+    /// run in pessimistic-globals mode, where a call to a name nobody
+    /// defines clobbers every global its caller can see — so the script
+    /// also declares new globals, which move no function's text.
     #[test]
     fn patched_relink_agrees_with_a_cold_link_after_every_edit(
         seed in 1u64..u64::MAX,
@@ -1142,7 +1142,7 @@ proptest! {
                 let cold = ompdart_core::Program::link(patched.units.clone(), &options)
                     .expect("the round above linked");
                 prop_assert!(
-                    patched.linked.summaries.same_summaries(&cold.linked.summaries),
+                    patched.linked.same_summaries(&cold.linked),
                     "summaries differ at {}", at
                 );
                 prop_assert_eq!(
@@ -1156,8 +1156,8 @@ proptest! {
                         "unit {}'s imports fingerprint differs at {}", unit, at
                     );
                     prop_assert!(
-                        was.summaries.same_summaries(&now.summaries),
-                        "unit {}'s view differs at {}", unit, at
+                        resolves_alike(&patched, &was, &now),
+                        "unit {}'s names resolve differently at {}", unit, at
                     );
                 }
             }
@@ -1173,12 +1173,26 @@ proptest! {
 // Interfaces: the encoding holds everything the link reads of a unit
 // ---------------------------------------------------------------------------
 
+/// True when every function of `program`, called by its source-level name
+/// (a `static`'s `name@unit` symbol before the `@`), resolves to the same
+/// summary, or to none, in the unit contexts `was` and `now`.
+fn resolves_alike(
+    program: &ompdart_core::Program,
+    was: &ompdart_core::LinkContext,
+    now: &ompdart_core::LinkContext,
+) -> bool {
+    (program.linked.iter()).all(|(name, _)| {
+        let source = name.split('@').next().unwrap_or_default();
+        was.summary(source) == now.summary(source)
+    })
+}
+
 /// Link `inputs` from parsed units, encode and decode every unit's interface,
 /// and link again from the decoded interfaces alone — with the parsed link
 /// at 1, 2 and 8 threads, with pessimistic globals on and off. The decoded interface is
 /// the parsed unit's, field for field; the second link converges to the same
-/// summaries, definitions, per-unit views and fingerprints as the first; and
-/// nothing of a restored unit was parsed to get there.
+/// summaries, definitions, per-unit name resolutions and fingerprints as the
+/// first; and nothing of a restored unit was parsed to get there.
 fn assert_interfaces_carry_the_link(inputs: &[(String, String)], what: &str) {
     use ompdart_core::{OmpDartOptions, Program, ProgramDriver, SummarizedUnit, UnitExports};
     use std::sync::Arc;
@@ -1220,10 +1234,7 @@ fn assert_interfaces_carry_the_link(inputs: &[(String, String)], what: &str) {
                 .collect();
             let relinked = Program::link(restored, &options).expect("the program links");
             assert!(
-                relinked
-                    .linked
-                    .summaries
-                    .same_summaries(&parsed.linked.summaries),
+                relinked.linked.same_summaries(&parsed.linked),
                 "{at}: summaries differ"
             );
             assert_eq!(
@@ -1238,8 +1249,8 @@ fn assert_interfaces_carry_the_link(inputs: &[(String, String)], what: &str) {
                     "{at}: unit {unit}'s imports fingerprint differs"
                 );
                 assert!(
-                    was.summaries.same_summaries(&now.summaries),
-                    "{at}: unit {unit}'s view differs"
+                    resolves_alike(&parsed, &was, &now),
+                    "{at}: unit {unit}'s names resolve differently"
                 );
                 assert!(
                     relinked.units[unit].body_if_built().is_none(),

@@ -495,14 +495,12 @@ void run_b() {{
     // Independent summaries under unit-private symbols.
     let a = program
         .linked
-        .summaries
         .summary("helper@sa.c")
         .expect("sa.c's static must be summarized");
     assert!(a.param_effects[0].host_write(), "sa.c's helper writes");
     assert!(!a.param_effects[0].host_read(), "sa.c's helper never reads");
     let b = program
         .linked
-        .summaries
         .summary("helper@sb.c")
         .expect("sb.c's static must be summarized");
     assert!(b.param_effects[0].host_read(), "sb.c's helper reads");
@@ -511,7 +509,7 @@ void run_b() {{
         "sb.c's helper never writes"
     );
     assert!(
-        program.linked.summaries.summary("helper").is_none(),
+        program.linked.summary("helper").is_none(),
         "no unit may export a plain `helper` symbol"
     );
 
@@ -544,6 +542,122 @@ void run_b() {{
         ProgramDriver::new().analyze_program(&clash),
         Err(ProgramError::DuplicateFunction { .. })
     ));
+}
+
+/// A unit's `static` shadows a same-named external function another unit
+/// defines, as C scoping does: the owner's calls resolve to its static, a
+/// third unit's to the external function, through the one summary table.
+/// An edit that moves only the external function's projection moves the
+/// third unit's imports fingerprint and re-plans it; the owner keeps its
+/// fingerprint and its analysis.
+#[test]
+fn a_static_shadows_a_same_named_external_function() {
+    let header = "\
+#ifndef SH_H
+#define SH_H
+#define N 32
+extern double obuf[N];
+extern double tbuf[N];
+void run_own();
+void run_third();
+#endif
+";
+    let own = format!(
+        "{header}double obuf[N];
+static void scale(double *p, int n) {{
+  for (int i = 0; i < n; i++) p[i] = 0.5;
+}}
+void run_own() {{
+  for (int it = 0; it < 3; it++) {{
+    #pragma omp target teams distribute parallel for
+    for (int i = 0; i < N; i++) obuf[i] += 1.0;
+    scale(obuf, N);
+  }}
+}}
+"
+    );
+    let external = |body: &str| {
+        format!(
+            "{header}double total;
+void scale(double *p, int n) {{
+  for (int i = 0; i < n; i++) {body}
+}}
+"
+        )
+    };
+    let third = format!(
+        "{header}double tbuf[N];
+void scale(double *p, int n);
+void run_third() {{
+  for (int it = 0; it < 3; it++) {{
+    #pragma omp target teams distribute parallel for
+    for (int i = 0; i < N; i++) tbuf[i] += 2.0;
+    scale(tbuf, N);
+  }}
+}}
+"
+    );
+    let program_with = |body: &str| {
+        owned(&[
+            ("own.c", &own),
+            ("ext.c", &external(body)),
+            ("third.c", &third),
+        ])
+    };
+    let inputs = program_with("total = total + p[i];");
+
+    let driver = ProgramDriver::new();
+    let before = driver
+        .link(&inputs)
+        .expect("a static beside an external links");
+    let (own_ctx, third_ctx) = (before.link_context(0), before.link_context(2));
+    let static_scale = own_ctx.summary("scale").expect("the owner sees its static");
+    assert_eq!(Some(static_scale), before.linked.summary("scale@own.c"));
+    assert!(static_scale.param_effects[0].host_write());
+    assert!(!static_scale.param_effects[0].host_read());
+    let external_scale = third_ctx
+        .summary("scale")
+        .expect("the third unit sees the external");
+    assert_eq!(Some(external_scale), before.linked.summary("scale"));
+    assert!(external_scale.param_effects[0].host_read());
+    assert!(!external_scale.param_effects[0].host_write());
+
+    // The plans follow: the write-only static needs the device refreshed
+    // after the call, the read-only external a copy-out before it.
+    let analysis = driver.analyze_program(&inputs).expect("analyze failed");
+    assert_eq!(analysis.stats().unknown_callee_fallbacks, 0);
+    let own_rewrite = &analysis.units[0].rewrite.source;
+    let third_rewrite = &analysis.units[2].rewrite.source;
+    assert!(
+        own_rewrite.contains("target update to(obuf"),
+        "own.c plans against its static:\n{own_rewrite}"
+    );
+    assert!(
+        third_rewrite.contains("target update from(tbuf"),
+        "third.c plans against the external function:\n{third_rewrite}"
+    );
+
+    // The external function now writes its argument too: its projection
+    // moves, the static's does not.
+    let edited = program_with("p[i] = p[i] + total;");
+    let analysis = driver.analyze_program(&edited).expect("analyze failed");
+    assert_eq!(
+        analysis.served,
+        [UnitServe::Cached, UnitServe::Planned, UnitServe::Planned]
+    );
+    let after = driver.link(&edited).expect("the edit links");
+    assert_eq!(
+        before.link_context(0).imports_fingerprint,
+        after.link_context(0).imports_fingerprint,
+        "the owner's imports fingerprint must not move"
+    );
+    assert_ne!(
+        before.link_context(2).imports_fingerprint,
+        after.link_context(2).imports_fingerprint,
+        "the third unit's imports fingerprint must move"
+    );
+    let moved = after.link_context(2);
+    assert!(moved.summary("scale").unwrap().param_effects[0].host_write());
 }
 
 /// The opt-in pessimistic-globals mode: an unknown extern callee is
