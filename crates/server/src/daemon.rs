@@ -52,13 +52,15 @@ pub enum Endpoint {
 }
 
 impl Endpoint {
-    /// Parse a CLI spec: `tcp:ADDR` selects TCP, anything else is a unix
-    /// socket path.
-    pub fn parse(spec: &str) -> Endpoint {
-        match spec.strip_prefix("tcp:") {
-            Some(addr) => Endpoint::Tcp(addr.to_string()),
-            None => Endpoint::Unix(PathBuf::from(spec)),
-        }
+    /// The endpoint `--socket PATH` or `--tcp ADDR` names (the later one
+    /// when both are given), else the unix socket `ompdartd.sock`.
+    pub fn from_flags(flags: &Flags) -> Endpoint {
+        let named = (flags.given.iter().rev()).find_map(|(name, value)| match (*name, value) {
+            ("--socket", Some(path)) => Some(Endpoint::Unix(path.into())),
+            ("--tcp", Some(addr)) => Some(Endpoint::Tcp(addr.clone())),
+            _ => None,
+        });
+        named.unwrap_or_else(|| Endpoint::Unix("ompdartd.sock".into()))
     }
 
     /// Connect a client stream to this endpoint.
@@ -175,33 +177,106 @@ impl DaemonConfig {
     /// `ompdartd` and `ompdart daemon`. Without `--socket`/`--tcp` the
     /// daemon listens on the unix socket `ompdartd.sock`.
     pub fn from_args(args: &[String]) -> Result<DaemonConfig, String> {
-        let mut config = DaemonConfig {
-            endpoint: Endpoint::Unix("ompdartd.sock".into()),
-            registry: RegistryConfig::default(),
-            quiet: false,
-        };
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            let mut value =
-                |what: &str| it.next().ok_or_else(|| format!("`{flag}` expects {what}"));
-            let number = |text: &String| {
-                text.parse::<usize>()
-                    .map_err(|_| format!("`{flag}` expects a number"))
-            };
-            match flag.as_str() {
-                "--socket" => config.endpoint = Endpoint::Unix(value("a path")?.into()),
-                "--tcp" => config.endpoint = Endpoint::Tcp(value("an address")?.clone()),
-                "--workers" => config.registry.parallelism = number(value("a number")?)?,
-                "--cache-dir" => config.registry.cache_dir = Some(value("a directory")?.into()),
-                "--cache-max-bytes" => {
-                    config.registry.cache_max_bytes = Some(parse_size(value("a size")?)?)
-                }
-                "--pessimistic-globals" => config.registry.pessimistic_globals = true,
-                "--quiet" => config.quiet = true,
-                other => return Err(format!("unknown flag `{other}`")),
-            }
+        let flags = Flags::read(
+            args,
+            &[
+                "--socket=a path",
+                "--tcp=an address",
+                "--workers=a number",
+                "--cache-dir=a directory",
+                "--cache-max-bytes=a size",
+                "--pessimistic-globals",
+                "--quiet",
+            ],
+        )?;
+        if let Some(other) = flags.positional.first() {
+            return Err(format!("unknown flag `{other}`"));
         }
-        Ok(config)
+        Ok(DaemonConfig {
+            endpoint: Endpoint::from_flags(&flags),
+            registry: RegistryConfig {
+                cache_dir: flags.value("--cache-dir").map(PathBuf::from),
+                cache_max_bytes: flags.size("--cache-max-bytes")?,
+                pessimistic_globals: flags.has("--pessimistic-globals"),
+                parallelism: flags.number("--workers")?.unwrap_or(0),
+            },
+            quiet: flags.has("--quiet"),
+        })
+    }
+}
+
+/// A command line read against the flags its verb declares: the one flag
+/// reader behind every `ompdart` verb and [`DaemonConfig::from_args`].
+///
+/// A declaration names a flag (`"-o|--output"` for two spellings) and, for
+/// a flag that takes a value, what the value is: given alone, `"--out-dir=a
+/// directory"` is the error "`--out-dir` expects a directory". Any other
+/// argument starting with `-` is an unknown flag; the rest are positional.
+#[derive(Debug, Default)]
+pub struct Flags {
+    pub positional: Vec<String>,
+    /// Each flag given, under its first declared name, and its value.
+    given: Vec<(&'static str, Option<String>)>,
+}
+
+impl Flags {
+    /// Read `args` against the `declared` flags.
+    pub fn read(args: &[String], declared: &[&'static str]) -> Result<Flags, String> {
+        let mut flags = Flags::default();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            if !arg.starts_with('-') {
+                flags.positional.push(arg.clone());
+                continue;
+            }
+            let (names, what) = declared
+                .iter()
+                .map(|spec| {
+                    spec.split_once('=')
+                        .map_or((*spec, None), |(n, w)| (n, Some(w)))
+                })
+                .find(|(names, _)| names.split('|').any(|name| name == arg))
+                .ok_or_else(|| format!("unknown flag `{arg}`"))?;
+            let expects = |what| format!("`{arg}` expects {what}");
+            let value = what.map(|what| it.next().cloned().ok_or_else(|| expects(what)));
+            let value = value.transpose()?;
+            let name = names.split('|').next().unwrap_or(names);
+            flags.given.push((name, value));
+        }
+        Ok(flags)
+    }
+
+    /// Whether `flag` (its first declared name) was given.
+    pub fn has(&self, flag: &str) -> bool {
+        self.given.iter().any(|(name, _)| *name == flag)
+    }
+
+    /// The value of `flag`; given more than once, the last one.
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        let (_, value) = self.given.iter().rev().find(|(name, _)| *name == flag)?;
+        value.as_deref()
+    }
+
+    /// The value of `flag` as a number: "`--x` expects a number" when it is
+    /// not one.
+    pub fn number<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        (self.value(flag).map(str::parse).transpose())
+            .map_err(|_| format!("`{flag}` expects a number"))
+    }
+
+    /// The value of `flag` as a [`parse_size`] size.
+    pub fn size(&self, flag: &str) -> Result<Option<u64>, String> {
+        self.value(flag).map(parse_size).transpose()
+    }
+
+    /// The one positional argument (`missing` is the error without it); a
+    /// second is an "unexpected argument".
+    pub fn only_positional(&self, missing: &str) -> Result<&str, String> {
+        match &self.positional[..] {
+            [] => Err(missing.to_string()),
+            [one] => Ok(one),
+            [_, extra, ..] => Err(format!("unexpected argument `{extra}`")),
+        }
     }
 }
 
@@ -410,17 +485,14 @@ fn handle_payload(payload: &str, shared: &Shared, token: &ShutdownToken) -> Stri
     let id = request.get("id").and_then(Json::as_int);
     let version = request.get("version").and_then(Json::as_int);
     if version != Some(i64::from(PROTOCOL_VERSION)) {
-        let err = RequestError::new(
-            ErrorKind::BadRequest,
-            format!(
-                "unsupported protocol version {:?} (daemon speaks {PROTOCOL_VERSION})",
-                version
-            ),
-        );
+        let err = bad_request(format!(
+            "unsupported protocol version {:?} (daemon speaks {PROTOCOL_VERSION})",
+            version
+        ));
         return error_response(id, &err).render();
     }
     let Some(kind) = request.get("request").and_then(Json::as_str) else {
-        let err = RequestError::new(ErrorKind::BadRequest, "missing `request` field");
+        let err = bad_request("missing `request` field");
         return error_response(id, &err).render();
     };
     let kind = kind.to_string();
@@ -501,10 +573,7 @@ fn dispatch(
                 Json::Bool(true),
             )])))
         }
-        other => Err(RequestError::new(
-            ErrorKind::BadRequest,
-            format!("unknown request type `{other}`"),
-        )),
+        other => Err(bad_request(format!("unknown request type `{other}`"))),
     }
 }
 
@@ -528,24 +597,16 @@ fn take_str(object: &mut Json, key: &str) -> Option<String> {
 /// out of the parsed request, not copied.
 fn decode_units(request: &mut Json) -> Result<Vec<(String, String)>, RequestError> {
     let Some(Json::Array(units)) = field_mut(request, "units") else {
-        return Err(RequestError::new(
-            ErrorKind::BadRequest,
-            "missing `units` array",
-        ));
+        return Err(bad_request("missing `units` array"));
     };
     if units.is_empty() {
-        return Err(RequestError::new(
-            ErrorKind::BadRequest,
-            "`units` must not be empty",
-        ));
+        return Err(bad_request("`units` must not be empty"));
     }
     let mut decoded = Vec::with_capacity(units.len());
     for (i, unit) in units.iter_mut().enumerate() {
         let name = take_str(unit, "name");
         if let Some(source) = take_str(unit, "source") {
-            let name = name.ok_or_else(|| {
-                RequestError::new(ErrorKind::BadRequest, format!("units[{i}] missing `name`"))
-            })?;
+            let name = name.ok_or_else(|| bad_request(format!("units[{i}] missing `name`")))?;
             decoded.push((name, source));
         } else if let Some(path) = take_str(unit, "path") {
             let source = std::fs::read_to_string(&path).map_err(|e| {
@@ -563,10 +624,7 @@ fn decode_units(request: &mut Json) -> Result<Vec<(String, String)>, RequestErro
                 .unwrap_or(path);
             decoded.push((name, source));
         } else {
-            return Err(RequestError::new(
-                ErrorKind::BadRequest,
-                format!("units[{i}] needs `source` or `path`"),
-            ));
+            return Err(bad_request(format!("units[{i}] needs `source` or `path`")));
         }
     }
     Ok(decoded)
@@ -581,8 +639,7 @@ fn handle_check_plans(request: &Json) -> Result<Json, RequestError> {
         Some(Json::Str(text)) => text.clone(),
         Some(value) => value.render(),
         None => {
-            return Err(RequestError::new(
-                ErrorKind::BadRequest,
+            return Err(bad_request(
                 "missing `plans` field (a plan-JSON document, as a string or embedded value)",
             ))
         }
@@ -600,11 +657,13 @@ fn handle_check_plans(request: &Json) -> Result<Json, RequestError> {
                 Json::Int(plans.iter().map(|p| p.construct_count()).sum::<usize>() as i64),
             ),
         ])),
-        Err(e) => Err(RequestError::new(
-            ErrorKind::BadRequest,
-            format!("plan document rejected: {e}"),
-        )),
+        Err(e) => Err(bad_request(format!("plan document rejected: {e}"))),
     }
+}
+
+/// A `bad_request` error: the request itself is malformed.
+fn bad_request(message: impl Into<String>) -> RequestError {
+    RequestError::new(ErrorKind::BadRequest, message)
 }
 
 fn program_key(request: &Json) -> String {
@@ -742,19 +801,15 @@ fn offset_of(source: &str, line: u32, col: u32) -> Option<u32> {
 fn handle_explain(request: &mut Json, shared: &Shared) -> Result<Json, RequestError> {
     let units = decode_units(request)?;
     let [(name, source)] = &units[..] else {
-        return Err(RequestError::new(
-            ErrorKind::BadRequest,
-            "`explain` takes exactly one unit",
-        ));
+        return Err(bad_request("`explain` takes exactly one unit"));
     };
     let line = request
         .get("line")
         .and_then(Json::as_int)
-        .ok_or_else(|| RequestError::new(ErrorKind::BadRequest, "missing `line` (1-based int)"))?;
+        .ok_or_else(|| bad_request("missing `line` (1-based int)"))?;
     let col = request.get("col").and_then(Json::as_int).unwrap_or(1);
     let (Ok(line @ 1..), Ok(col @ 1..)) = (u32::try_from(line), u32::try_from(col)) else {
-        return Err(RequestError::new(
-            ErrorKind::BadRequest,
+        return Err(bad_request(
             "`line` and `col` are 1-based and at most 4294967295",
         ));
     };
@@ -849,9 +904,8 @@ fn handle_gc(request: &Json, shared: &Shared) -> Result<Json, RequestError> {
         .get("max_bytes")
         .and_then(Json::as_int)
         .filter(|&n| n >= 0)
-        .ok_or_else(|| {
-            RequestError::new(ErrorKind::BadRequest, "missing `max_bytes` (non-negative)")
-        })? as u64;
+        .ok_or_else(|| bad_request("missing `max_bytes` (non-negative)"))?
+        as u64;
     let reports = match request.get("program").and_then(Json::as_str) {
         // A key with no live session answers no report; looking it up
         // creates neither a session nor a store subdirectory.
@@ -889,15 +943,28 @@ fn handle_gc(request: &Json, shared: &Shared) -> Result<Json, RequestError> {
 mod tests {
     use super::*;
 
+    /// `--socket PATH` and `--tcp ADDR` name the endpoint, the later one
+    /// when both are given; without either it is `ompdartd.sock`.
     #[test]
     fn endpoint_parse_and_display() {
+        let parse = |line: &str| {
+            let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+            Endpoint::from_flags(
+                &Flags::read(&args, &["--socket=a path", "--tcp=an address"]).unwrap(),
+            )
+        };
+        assert_eq!(parse(""), Endpoint::Unix(PathBuf::from("ompdartd.sock")));
         assert_eq!(
-            Endpoint::parse("/tmp/d.sock"),
+            parse("--socket /tmp/d.sock"),
             Endpoint::Unix(PathBuf::from("/tmp/d.sock"))
         );
         assert_eq!(
-            Endpoint::parse("tcp:127.0.0.1:0"),
+            parse("--socket /tmp/d.sock --tcp 127.0.0.1:0"),
             Endpoint::Tcp("127.0.0.1:0".into())
+        );
+        assert_eq!(
+            parse("--tcp 127.0.0.1:0 --socket /tmp/d.sock"),
+            Endpoint::Unix(PathBuf::from("/tmp/d.sock"))
         );
         assert_eq!(
             Endpoint::Tcp("127.0.0.1:9".into()).to_string(),

@@ -37,7 +37,7 @@ pub mod signal;
 pub mod watch;
 
 pub use client::{Client, ClientError};
-pub use daemon::{parse_size, serve_label, Conn, DaemonConfig, DaemonHandle, Endpoint};
+pub use daemon::{parse_size, serve_label, Conn, DaemonConfig, DaemonHandle, Endpoint, Flags};
 pub use protocol::{
     error_response, ok_response, read_frame, write_frame, ErrorKind, FrameError, RequestError,
     MAX_FRAME_BYTES, PROTOCOL_VERSION,

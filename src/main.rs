@@ -2,31 +2,26 @@
 //! a binary over the `Ompdart` builder API. The synopsis of every
 //! subcommand and flag is `USAGE` below (`ompdart help`).
 //!
-//! `analyze` rewrites one translation unit and can emit the versioned plan
-//! JSON — or, given several inputs, links them as **one whole program**
-//! (cross-unit summaries, program-level liveness) and writes each unit's
-//! mapped output; `explain` prints one justified line per inserted
-//! construct; `diff-plan` compares two mappings (generated, serialized, or
-//! extracted from an already-mapped source); `batch` fans a corpus out over
-//! worker threads with one shared artifact cache, each file a one-unit
-//! program.
-//! `watch` keeps one long-lived session hot — it links the watched
-//! directory as one program, re-planning only the functions an edit
-//! actually invalidated (across files) and, with `--cache-dir`, starting
-//! warm from the persistent artifact store (a restart parses only the units
-//! a change reached); `cache gc` compacts the store
-//! down to a size cap, least-recently-used records first. `daemon` runs
-//! `ompdartd` — analysis as a service over a unix socket (or TCP): many
-//! clients, many programs, each program on its own warm incremental
-//! session — and `client` drives it.
+//! Every verb is one flag read ([`Flags`], against the flags the verb
+//! declares; [`tool`] builds the `Ompdart` they configure), one analysis
+//! call and one emit ([`Outputs::emit`] writes every `<stem>.mapped.c`).
+//! `analyze` links its inputs, one or several, as one whole program;
+//! `batch` analyzes each file as a program of its own; `watch` keeps one
+//! session hot over a directory, falling back to a batch of the changed
+//! files when the directory does not link; `daemon` runs `ompdartd`,
+//! analysis as a service, and `client` drives it.
 
 use ompdart_core::pipeline::stage_parse;
 use ompdart_core::plan::{diff_plans, extract_explicit_plans, plans_from_json, Json, MappingPlan};
-use ompdart_core::{ArtifactStore, Ompdart, ProgramError, StageError, UnitAnalysis, UnitServe};
+use ompdart_core::{
+    AnalysisStats, ArtifactStore, Ompdart, ProgramError, StageError, UnitAnalysis, UnitServe,
+};
+use ompdart_frontend::Diagnostics;
 use ompdart_server::daemon::{DaemonConfig, DaemonHandle, Endpoint};
 use ompdart_server::watch::make_watcher;
-use ompdart_server::{parse_size, serve_label, signal, Client};
+use ompdart_server::{serve_label, signal, Client, Flags};
 use ompdart_sim::{simulate_source, SimConfig};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -36,10 +31,9 @@ const USAGE: &str = "\
 ompdart — static generation of efficient OpenMP offload data mappings
 
 USAGE:
-    ompdart analyze <input.c> [-o <out.c>] [--plan-json <path|->] [--timings] [--simulate]
+    ompdart analyze <input.c>... [-o <out.c> | --out-dir <dir>] [--plan-json <path|->]
+                    [--simulate] [--profile-json <path|->] [--timings]
                     [--pessimistic-globals] [--lifetimes] [--cache-dir <dir>]
-    ompdart analyze <a.c> <b.c>... [--out-dir <dir>] [--timings] [--pessimistic-globals]
-                    [--lifetimes] [--profile-json <path|->] [--cache-dir <dir>]
     ompdart explain <input.c> [--lifetimes]
     ompdart diff-plan <left> <right>
     ompdart batch <input.c>... [--threads <N>] [--out-dir <dir>] [--pessimistic-globals]
@@ -55,16 +49,22 @@ USAGE:
     ompdart cache gc <dir> [--max-bytes <N[k|m|g]>]
     ompdart help
 
+WHERE OUTPUT GOES:
+    One rule for every verb: a unit's rewrite is written to
+    `<stem>.mapped.c`, in --out-dir when given, else next to its input
+    (`analyze`, `watch`) or not at all (`batch`, `client analyze`). The
+    one exception is `analyze` of a single input without --out-dir: it
+    writes to stdout, or to -o FILE. -o, --plan-json and --simulate take
+    one input; --out-dir and --profile-json take any number.
+
 SUBCOMMANDS:
-    analyze    Insert data-mapping constructs. One input: writes the
-               transformed source to stdout (or -o FILE); --plan-json
+    analyze    Insert data-mapping constructs. The inputs — one or
+               several — are linked as ONE whole program (cross-unit
+               summaries, program-level liveness). --plan-json
                additionally emits the versioned Mapping IR (`-` for
                stdout); --simulate compares transfer profiles
                before/after on the offload simulator and exits 1 if
-               the program's output changed. Several inputs:
-               links them as ONE whole program (cross-unit summaries,
-               program-level liveness) and writes each unit's
-               `<stem>.mapped.c` (next to the input, or into --out-dir).
+               the program's output changed.
                --pessimistic-globals opts into assuming unknown extern
                callees clobber every global (default: they only touch
                their non-const pointer arguments). --lifetimes spells
@@ -73,17 +73,17 @@ SUBCOMMANDS:
                `target exit data` pair at its boundaries instead of a
                `target data` region (same decisions, same construct
                count, same bytes moved), and perfect offload loop
-               nests gain `collapse(n)`. --profile-json
-               (multi-input) emits a driver profile — per-phase wall
-               time, per-unit plan percentiles, identity-fast-path unit
-               counts, pool and shard-lock counters — to a file or `-`.
-               --cache-dir (one input or several) keeps each unit's link
-               interface, plans and rewrite edits in a pack file in that
-               directory: a repeat run parses and plans only the units a
-               change reached (none, over unchanged sources), with the
-               same output byte for byte. A `<stem>.mapped.c` that
-               already holds exactly the new bytes is left untouched,
-               modification time included.
+               nests gain `collapse(n)`. --profile-json emits a driver
+               profile — per-phase wall time, per-unit plan
+               percentiles, identity-fast-path unit counts, pool and
+               shard-lock counters — to a file or `-`.
+               --cache-dir keeps each unit's link interface, plans and
+               rewrite edits in a pack file in that directory: a repeat
+               run parses and plans only the units a change reached
+               (none, over unchanged sources), with the same output
+               byte for byte. A `<stem>.mapped.c` that already holds
+               exactly the new bytes is left untouched, modification
+               time included.
     explain    Print one justified line per mapping construct: the
                OpenMP syntax, the dataflow fact that forced it, the
                deciding pipeline stage and source location.
@@ -99,8 +99,10 @@ SUBCOMMANDS:
                directory, linked as one whole program: re-analyze on
                change, re-planning only the functions the edit actually
                invalidated (across files), and re-emit `<name>.mapped.c`.
-               Falls back to independent per-file analysis when the
-               directory holds unrelated programs (duplicate `main`).
+               A deleted input's output is removed, unless it was edited
+               since it was written. When the directory holds unrelated
+               programs (duplicate `main`) the changed files are analyzed
+               independently, as a `batch` would.
                --cache-dir persists plans across restarts and
                --cache-max-bytes caps the pack there (least recently
                used records go first); --pessimistic-globals as for
@@ -168,14 +170,41 @@ fn main() -> ExitCode {
     }
 }
 
+fn exit_code(success: bool) -> ExitCode {
+    match success {
+        true => ExitCode::SUCCESS,
+        false => ExitCode::FAILURE,
+    }
+}
+
 fn read_source(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
 }
 
-fn analyze_file(tool: &Ompdart, path: &str) -> Result<Arc<UnitAnalysis>, String> {
-    let source = read_source(path)?;
-    tool.analyze(path, &source)
-        .map_err(|e| render_stage_error(path, &source, e))
+/// The `(path, source)` pair of each path, in order.
+fn read_sources(paths: &[String]) -> Result<Vec<(String, String)>, String> {
+    (paths.iter())
+        .map(|path| read_source(path).map(|source| (path.clone(), source)))
+        .collect()
+}
+
+/// The tool the verb's tool flags configure: whichever of `--lifetimes`,
+/// `--pessimistic-globals`, `--cache-dir`, `--cache-max-bytes` and
+/// `--threads` it declares.
+fn tool(flags: &Flags) -> Result<Ompdart, String> {
+    let mut builder = Ompdart::builder()
+        .lifetimes(flags.has("--lifetimes"))
+        .pessimistic_globals(flags.has("--pessimistic-globals"));
+    if let Some(dir) = flags.value("--cache-dir") {
+        builder = builder.cache_dir(dir);
+    }
+    if let Some(max_bytes) = flags.size("--cache-max-bytes")? {
+        builder = builder.cache_max_bytes(max_bytes);
+    }
+    if let Some(threads) = flags.number::<usize>("--threads")? {
+        builder = builder.parallelism(threads.max(1));
+    }
+    Ok(builder.build())
 }
 
 /// Render a stage error with its diagnostics (parse failures show the
@@ -190,263 +219,186 @@ fn render_stage_error(path: &str, source: &str, err: StageError) -> String {
     }
 }
 
+/// A stage error on one line, for one-line reports.
+fn stage_failure(err: StageError) -> String {
+    let text = err.to_string();
+    text.lines().next().unwrap_or("unknown error").to_string()
+}
+
+/// Render a [`ProgramError`] with the failing unit's diagnostics attached.
+fn render_program_error(inputs: &[(String, String)], err: &ProgramError) -> String {
+    if let ProgramError::Unit { name, error } = err {
+        if let Some((name, source)) = inputs.iter().find(|(n, _)| n == name) {
+            return render_stage_error(name, source, error.clone());
+        }
+    }
+    err.to_string()
+}
+
+/// Render `unit`'s diagnostics on stderr, and hand them back.
+fn render_diagnostics(unit: &UnitAnalysis) -> Diagnostics {
+    let diagnostics = unit.diagnostics();
+    for diag in diagnostics.iter() {
+        eprintln!("{}", diag.render(unit.source_file()));
+    }
+    diagnostics
+}
+
+/// Why a unit's mapping is not usable as-is: error-severity diagnostics
+/// mean it is unsound (e.g. a declaration inside the region extent).
+fn unsound(diagnostics: &Diagnostics) -> Option<String> {
+    let errors = diagnostics.error_count();
+    (errors > 0).then(|| format!("analysis reported {errors} error diagnostic(s)"))
+}
+
+/// Put a report on stdout (`-`) or in the file `dest`.
+fn put_report(dest: &str, text: &str, what: &str) -> Result<(), String> {
+    match dest {
+        "-" => println!("{}", text.strip_suffix('\n').unwrap_or(text)),
+        path => {
+            std::fs::write(path, text).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+            eprintln!("wrote {what} to {path}");
+        }
+    }
+    Ok(())
+}
+
+/// What `analyze` reports of a unit, or of the program.
+fn counts(stats: &AnalysisStats) -> String {
+    let (kernels, constructs) = (stats.kernels, stats.total_constructs());
+    let fallbacks = stats.unknown_callee_fallbacks;
+    format!(
+        "{kernels} kernel(s), {constructs} construct(s), {fallbacks} unknown-callee fallback(s)"
+    )
+}
+
 fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
-    let mut inputs: Vec<&str> = Vec::new();
-    let mut output: Option<&str> = None;
-    let mut out_dir: Option<&str> = None;
-    let mut plan_json: Option<&str> = None;
-    let mut timings = false;
-    let mut simulate = false;
-    let mut pessimistic_globals = false;
-    let mut lifetimes = false;
-    let mut profile_json: Option<&str> = None;
-    let mut cache_dir: Option<&str> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "-o" | "--output" => {
-                output = Some(it.next().ok_or_else(|| format!("`{arg}` expects a path"))?);
-            }
-            "--profile-json" => {
-                profile_json = Some(
-                    it.next()
-                        .ok_or_else(|| format!("`{arg}` expects a path or `-`"))?,
-                );
-            }
-            "--out-dir" => {
-                out_dir = Some(it.next().ok_or("`--out-dir` expects a directory")?);
-            }
-            "--cache-dir" => {
-                cache_dir = Some(it.next().ok_or("`--cache-dir` expects a directory")?);
-            }
-            "--plan-json" => {
-                plan_json = Some(
-                    it.next()
-                        .ok_or_else(|| format!("`{arg}` expects a path or `-`"))?,
-                );
-            }
-            "--timings" => timings = true,
-            "--simulate" => simulate = true,
-            "--pessimistic-globals" => pessimistic_globals = true,
-            "--lifetimes" => lifetimes = true,
-            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
-            path => inputs.push(path),
-        }
+    let flags = Flags::read(
+        args,
+        &[
+            "-o|--output=a path",
+            "--out-dir=a directory",
+            "--plan-json=a path or `-`",
+            "--profile-json=a path or `-`",
+            "--timings",
+            "--simulate",
+            "--pessimistic-globals",
+            "--lifetimes",
+            "--cache-dir=a directory",
+        ],
+    )?;
+    let inputs = &flags.positional;
+    let (output, out_dir) = (flags.value("-o"), flags.value("--out-dir"));
+    let simulate = flags.has("--simulate");
+    if inputs.is_empty() {
+        return Err("`analyze` expects an input file".into());
     }
-    if inputs.len() > 1 {
-        if output.is_some() || plan_json.is_some() || simulate {
-            return Err(
-                "`-o`, `--plan-json` and `--simulate` apply to single-input analyze; \
-                 multi-input analyze links the files as one program and writes each \
-                 `<stem>.mapped.c` (use `--out-dir` to redirect them)"
-                    .into(),
-            );
-        }
-        return cmd_analyze_program(
-            &inputs,
-            out_dir,
-            timings,
-            pessimistic_globals,
-            lifetimes,
-            profile_json,
-            cache_dir,
-        );
-    }
-    if profile_json.is_some() {
-        return Err("`--profile-json` applies to multi-input (linked) analyze".into());
-    }
-    if out_dir.is_some() {
-        return Err("`--out-dir` applies to multi-input analyze; use `-o <out.c>`".into());
-    }
-    let input = *inputs.first().ok_or("`analyze` expects an input file")?;
-    if plan_json == Some("-") && output.is_none() {
+    if inputs.len() > 1 && (output.is_some() || flags.has("--plan-json") || simulate) {
         return Err(
-            "`--plan-json -` would interleave the plan JSON with the transformed source on \
-             stdout; pass `-o <out.c>` to redirect the source"
+            "`-o`, `--plan-json` and `--simulate` apply to single-input analyze; \
+             multi-input analyze links the files as one program and writes each \
+             `<stem>.mapped.c` (use `--out-dir` to redirect them)"
                 .into(),
         );
     }
-
-    let mut builder = Ompdart::builder()
-        .pessimistic_globals(pessimistic_globals)
-        .lifetimes(lifetimes);
-    if let Some(dir) = cache_dir {
-        builder = builder.cache_dir(dir);
+    if output.is_some() && out_dir.is_some() {
+        return Err("pass `-o <out.c>` or `--out-dir <dir>`, not both".into());
     }
-    let analysis = analyze_file(&builder.build(), input)?;
-
-    let stats = analysis.stats();
-    eprintln!(
-        "{input}: {} kernel(s), {} mapped variable(s), {} construct(s) inserted",
-        stats.kernels,
-        stats.mapped_variables,
-        stats.total_constructs()
-    );
-    let diagnostics = analysis.diagnostics();
-    for diag in diagnostics.iter() {
-        eprintln!("{}", diag.render(analysis.source_file()));
-    }
-    if timings {
-        eprintln!("stage timings: {}", analysis.timings());
-    }
-
-    match output {
-        Some(path) => {
-            std::fs::write(path, analysis.rewritten_source())
-                .map_err(|e| format!("cannot write `{path}`: {e}"))?;
-            eprintln!("wrote {path}");
+    let to_stdout = inputs.len() == 1 && output.is_none() && out_dir.is_none();
+    for (flag, what) in [
+        ("--plan-json", "plan JSON"),
+        ("--profile-json", "driver profile"),
+    ] {
+        if to_stdout && flags.value(flag) == Some("-") {
+            return Err(format!(
+                "`{flag} -` would interleave the {what} with the transformed source on \
+                 stdout; pass `-o <out.c>` to redirect the source"
+            ));
         }
-        None => print!("{}", analysis.rewritten_source()),
     }
-    match plan_json {
-        Some("-") => print!("{}", analysis.plans_json()),
-        Some(path) => {
-            std::fs::write(path, analysis.plans_json())
-                .map_err(|e| format!("cannot write `{path}`: {e}"))?;
-            eprintln!("wrote plan JSON to {path}");
+
+    let tool = tool(&flags)?;
+    let pairs = read_sources(inputs)?;
+    let start = Instant::now();
+    let (program, profile) = tool
+        .analyze_program_profiled(&pairs)
+        .map_err(|e| render_program_error(&pairs, &e))?;
+    if let Some(dest) = flags.value("--profile-json") {
+        put_report(dest, &profile.to_json(), "driver profile")?;
+    }
+
+    let mut outputs = Outputs::new(out_dir, true)?;
+    let mut failures = 0usize;
+    for ((path, _), unit) in pairs.iter().zip(&program.units) {
+        let written = match output {
+            None if !to_stdout => (outputs.emit(path, unit, None))
+                .map(|out| out.map_or_else(String::new, |out| out.display().to_string())),
+            // The one input's named output is written even when the
+            // mapping is unsound, for inspection; the run still fails.
+            named => {
+                let diagnostics = render_diagnostics(unit);
+                match named {
+                    Some(file) => std::fs::write(file, unit.rewritten_source())
+                        .map_err(|e| format!("cannot write `{file}`: {e}"))?,
+                    None => print!("{}", unit.rewritten_source()),
+                }
+                let dest = named.unwrap_or("stdout");
+                match unsound(&diagnostics) {
+                    Some(why) => Err(format!("{why}; written to {dest} for inspection")),
+                    None => Ok(dest.to_string()),
+                }
+            }
+        };
+        match written {
+            Ok(dest) => eprintln!("{path}: {} -> {dest}", counts(&unit.stats())),
+            Err(why) => {
+                failures += 1;
+                eprintln!("{path}: FAILED — {why}");
+            }
         }
-        None => {}
+        if flags.has("--timings") {
+            eprintln!("{path}: stage timings: {}", unit.timings());
+        }
+    }
+    let elapsed = start.elapsed();
+    if let Some(dest) = flags.value("--plan-json") {
+        put_report(dest, &program.units[0].plans_json(), "plan JSON")?;
     }
     let mut preserved = true;
     if simulate {
         // Simulate the exact text that was analyzed, not a re-read of the
         // file (which may have changed since).
-        let before = simulate_source(analysis.unit().source(), SimConfig::default())
-            .map_err(|e| format!("simulation of the input failed: {e}"))?;
-        let after = simulate_source(analysis.rewritten_source(), SimConfig::default())
-            .map_err(|e| format!("simulation of the transformed source failed: {e}"))?;
+        let unit = &program.units[0];
+        let run = |source: &str, what: &str| {
+            simulate_source(source, SimConfig::default())
+                .map_err(|e| format!("simulation of the {what} failed: {e}"))
+        };
+        let before = run(unit.unit().source(), "input")?;
+        let after = run(unit.rewritten_source(), "transformed source")?;
         eprintln!("before: {}", before.profile.summary());
         eprintln!("after:  {}", after.profile.summary());
         preserved = before.output == after.output;
-        eprintln!(
-            "output preserved: {}",
-            if preserved {
-                "yes"
-            } else {
-                "NO — please report this"
-            }
-        );
+        let verdict = match preserved {
+            true => "yes",
+            false => "NO — please report this",
+        };
+        eprintln!("output preserved: {verdict}");
     }
-    // Error-severity diagnostics mean the produced mapping is unsound
-    // (e.g. a declaration inside the region extent): the output is still
-    // written for inspection, but the run must not look clean.
-    if diagnostics.has_errors() {
-        eprintln!(
-            "error: analysis reported {} error(s); the produced mapping is not usable as-is",
-            diagnostics.error_count()
-        );
-        return Ok(ExitCode::FAILURE);
-    }
-    // A mapping that changes the simulated output is broken: fail the run.
-    Ok(if preserved {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
-}
-
-/// Render a [`ProgramError`] with the failing unit's diagnostics attached.
-fn render_program_error(inputs: &[(String, String)], err: &ProgramError) -> String {
-    match err {
-        ProgramError::Unit { name, error } => inputs
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(n, src)| render_stage_error(n, src, error.clone()))
-            .unwrap_or_else(|| err.to_string()),
-        _ => err.to_string(),
-    }
-}
-
-/// Multi-input `analyze`: link every input as one whole program and write
-/// each unit's mapped output.
-#[allow(clippy::too_many_arguments)]
-fn cmd_analyze_program(
-    inputs: &[&str],
-    out_dir: Option<&str>,
-    timings: bool,
-    pessimistic_globals: bool,
-    lifetimes: bool,
-    profile_json: Option<&str>,
-    cache_dir: Option<&str>,
-) -> Result<ExitCode, String> {
-    let pairs: Vec<(String, String)> = inputs
-        .iter()
-        .map(|path| read_source(path).map(|src| (path.to_string(), src)))
-        .collect::<Result<_, _>>()?;
-    if let Some(dir) = out_dir {
-        std::fs::create_dir_all(dir).map_err(|e| format!("cannot create `{dir}`: {e}"))?;
-    }
-    let mut builder = Ompdart::builder()
-        .pessimistic_globals(pessimistic_globals)
-        .lifetimes(lifetimes);
-    if let Some(dir) = cache_dir {
-        // A persistent store makes a repeat invocation a warm start: the
-        // profile then reports it (`warm_units` > 0) and its phase
-        // breakdown is the edit-path profile.
-        builder = builder.cache_dir(dir);
-    }
-    let tool = builder.build();
-    let start = Instant::now();
-    let (program, profile) = tool
-        .analyze_program_profiled(&pairs)
-        .map_err(|e| render_program_error(&pairs, &e))?;
-    match profile_json {
-        Some("-") => println!("{}", profile.to_json()),
-        Some(path) => {
-            std::fs::write(path, profile.to_json())
-                .map_err(|e| format!("cannot write `{path}`: {e}"))?;
-            eprintln!("wrote driver profile to {path}");
-        }
-        None => {}
-    }
-
-    let mut failures = 0usize;
-    let mut used_names: std::collections::HashSet<String> = std::collections::HashSet::new();
-    for ((path, _), analysis) in pairs.iter().zip(&program.units) {
-        let stats = analysis.stats();
-        let diagnostics = analysis.diagnostics();
-        for diag in diagnostics.iter() {
-            eprintln!("{}", diag.render(analysis.source_file()));
-        }
-        if diagnostics.has_errors() {
-            failures += 1;
-            eprintln!(
-                "{path}: FAILED — analysis reported {} error diagnostic(s)",
-                diagnostics.error_count()
-            );
-            continue;
-        }
-        let out_path = mapped_path(Path::new(path), out_dir, &mut used_names);
-        write_mapped(&out_path, analysis.rewritten_source())
-            .map_err(|e| format!("cannot write `{}`: {e}", out_path.display()))?;
-        eprintln!(
-            "{path}: {} kernel(s), {} construct(s), {} unknown-callee fallback(s) -> {}",
-            stats.kernels,
-            stats.total_constructs(),
-            stats.unknown_callee_fallbacks,
-            out_path.display()
-        );
-    }
-    let total = program.stats();
     eprintln!(
-        "linked {} unit(s) as one program: {} kernel(s), {} construct(s), {} unknown-callee fallback(s), link passes {}",
+        "linked {} unit(s) as one program: {}, link passes {}",
         program.units.len(),
-        total.kernels,
-        total.total_constructs(),
-        total.unknown_callee_fallbacks,
+        counts(&program.stats()),
         program.link_passes
     );
-    if timings {
+    if flags.has("--timings") {
         eprintln!(
             "whole-program wall clock: {:.3}ms",
-            start.elapsed().as_secs_f64() * 1e3
+            elapsed.as_secs_f64() * 1e3
         );
     }
-    Ok(if failures == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    // An unsound mapping, or one that changes the simulated output, fails
+    // the run.
+    Ok(exit_code(failures == 0 && preserved))
 }
 
 fn cmd_cache(args: &[String]) -> Result<ExitCode, String> {
@@ -455,22 +407,10 @@ fn cmd_cache(args: &[String]) -> Result<ExitCode, String> {
             "`cache` expects the `gc` subcommand: ompdart cache gc <dir> [--max-bytes N]".into(),
         );
     };
-    let mut dir: Option<&str> = None;
-    let mut max_bytes: u64 = 256 << 20;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--max-bytes" => {
-                max_bytes = parse_size(it.next().ok_or("`--max-bytes` expects a size")?)?;
-            }
-            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
-            path if dir.is_none() => dir = Some(path),
-            extra => return Err(format!("unexpected argument `{extra}`")),
-        }
-    }
-    let dir = dir.ok_or("`cache gc` expects the cache directory")?;
-    let store = ArtifactStore::open(dir);
-    let report = store.gc(max_bytes);
+    let flags = Flags::read(rest, &["--max-bytes=a size"])?;
+    let dir = flags.only_positional("`cache gc` expects the cache directory")?;
+    let max_bytes = flags.size("--max-bytes")?.unwrap_or(256 << 20);
+    let report = ArtifactStore::open(dir).gc(max_bytes);
     println!(
         "[cache] {dir}: {} entr(ies) before, evicted {} ({} bytes freed), {} bytes kept (cap {max_bytes})",
         report.entries_before, report.entries_evicted, report.bytes_freed, report.bytes_kept
@@ -479,29 +419,20 @@ fn cmd_cache(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_explain(args: &[String]) -> Result<ExitCode, String> {
-    let mut lifetimes = false;
-    let mut inputs: Vec<&String> = Vec::new();
-    for arg in args {
-        match arg.as_str() {
-            "--lifetimes" => lifetimes = true,
-            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
-            _ => inputs.push(arg),
-        }
-    }
-    let [input] = inputs[..] else {
+    let flags = Flags::read(args, &["--lifetimes"])?;
+    let [input] = &flags.positional[..] else {
         return Err("`explain` expects exactly one input file".into());
     };
-    let tool = Ompdart::builder().lifetimes(lifetimes).build();
-    let analysis = analyze_file(&tool, input)?;
+    let source = read_source(input)?;
+    let analysis = tool(&flags)?
+        .analyze(input, &source)
+        .map_err(|e| render_stage_error(input, &source, e))?;
     print!("{}", analysis.explain());
-    let diagnostics = analysis.diagnostics();
-    if diagnostics.has_errors() {
-        for diag in diagnostics.iter() {
-            eprintln!("{}", diag.render(analysis.source_file()));
-        }
-        return Ok(ExitCode::FAILURE);
+    if !analysis.diagnostics().has_errors() {
+        return Ok(ExitCode::SUCCESS);
     }
-    Ok(ExitCode::SUCCESS)
+    render_diagnostics(&analysis);
+    Ok(ExitCode::FAILURE)
 }
 
 /// Load one side of a `diff-plan`: plan JSON, an unmapped source (analyzed),
@@ -518,8 +449,7 @@ fn load_plans(path: &str) -> Result<Vec<MappingPlan>, String> {
         };
         return plans.map_err(|e| format!("`{path}`: {e}"));
     }
-    let tool = Ompdart::builder().build();
-    match tool.analyze(path, &content) {
+    match Ompdart::new().analyze(path, &content) {
         Ok(analysis) => {
             let diagnostics = analysis.diagnostics();
             if diagnostics.has_errors() {
@@ -557,127 +487,113 @@ fn cmd_diff_plan(args: &[String]) -> Result<ExitCode, String> {
     };
     let diff = diff_plans(&left_plans, &right_plans);
     print!("{}", diff.render(left, right));
-    Ok(if diff.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(exit_code(diff.is_empty()))
 }
 
 fn cmd_batch(args: &[String]) -> Result<ExitCode, String> {
-    let mut inputs: Vec<&str> = Vec::new();
-    let mut threads: Option<usize> = None;
-    let mut out_dir: Option<&str> = None;
-    let mut pessimistic_globals = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--pessimistic-globals" => pessimistic_globals = true,
-            "--threads" => {
-                let value = it
-                    .next()
-                    .ok_or("`--threads` expects a number")?
-                    .parse::<usize>()
-                    .map_err(|_| "`--threads` expects a number".to_string())?;
-                threads = Some(value.max(1));
-            }
-            "--out-dir" => {
-                out_dir = Some(it.next().ok_or("`--out-dir` expects a directory")?);
-            }
-            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
-            path => inputs.push(path),
-        }
-    }
-    if inputs.is_empty() {
+    let flags = Flags::read(
+        args,
+        &[
+            "--threads=a number",
+            "--out-dir=a directory",
+            "--pessimistic-globals",
+        ],
+    )?;
+    if flags.positional.is_empty() {
         return Err("`batch` expects at least one input file".into());
     }
-    let mut builder = Ompdart::builder().pessimistic_globals(pessimistic_globals);
-    if let Some(threads) = threads {
-        builder = builder.parallelism(threads);
-    }
-    let tool = builder.build();
-    let pairs: Vec<(String, String)> = inputs
-        .iter()
-        .map(|path| read_source(path).map(|src| (path.to_string(), src)))
-        .collect::<Result<_, _>>()?;
+    let tool = tool(&flags)?;
+    let pairs = read_sources(&flags.positional)?;
     let results = tool.analyze_batch(&pairs);
 
-    if let Some(dir) = out_dir {
-        std::fs::create_dir_all(dir).map_err(|e| format!("cannot create `{dir}`: {e}"))?;
-    }
+    let mut outputs = Outputs::new(flags.value("--out-dir"), false)?;
     let mut failures = 0usize;
-    let mut used_names: std::collections::HashSet<String> = std::collections::HashSet::new();
-    for ((path, source), result) in pairs.iter().zip(&results) {
-        match result {
-            Ok(analysis) => {
-                let diagnostics = analysis.diagnostics();
-                if diagnostics.has_errors() {
-                    failures += 1;
-                    println!(
-                        "{path}: FAILED — analysis reported {} error diagnostic(s)",
-                        diagnostics.error_count()
-                    );
-                    continue;
-                }
-                let stats = analysis.stats();
-                println!(
-                    "{path}: ok — {} kernel(s), {} construct(s)",
-                    stats.kernels,
-                    stats.total_constructs()
-                );
-                if out_dir.is_some() {
-                    let out_path = mapped_path(Path::new(path), out_dir, &mut used_names);
-                    write_mapped(&out_path, analysis.rewritten_source())
-                        .map_err(|e| format!("cannot write `{}`: {e}", out_path.display()))?;
-                }
-            }
-            Err(e) => {
+    for ((path, _), result) in pairs.iter().zip(results) {
+        let emitted = (result.map_err(stage_failure))
+            .and_then(|unit| outputs.emit(path, &unit, None).map(|_| unit.stats()));
+        match emitted {
+            Ok(stats) => println!(
+                "{path}: ok — {} kernel(s), {} construct(s)",
+                stats.kernels,
+                stats.total_constructs()
+            ),
+            Err(why) => {
                 failures += 1;
-                println!(
-                    "{path}: FAILED — {}",
-                    render_stage_error(path, source, e.clone())
-                        .lines()
-                        .next()
-                        .unwrap_or("unknown error")
-                );
+                println!("{path}: FAILED — {why}");
             }
         }
     }
     println!(
         "{}/{} unit(s) analyzed successfully",
-        results.len() - failures,
-        results.len()
+        pairs.len() - failures,
+        pairs.len()
     );
-    Ok(if failures == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    Ok(exit_code(failures == 0))
 }
 
 // ---------------------------------------------------------------------------
-// watch: the long-lived incremental front door
+// The emit step every verb shares
 // ---------------------------------------------------------------------------
 
-/// Where the rewritten source of `input` is emitted: `<stem>.mapped.c`, in
-/// `out_dir` or next to the input. Inputs from different directories may
-/// share a stem; a name already in `used` (the names handed out so far this
-/// run) gets a numeric infix instead of silently overwriting that output.
-fn mapped_path(
-    input: &Path,
-    out_dir: Option<&str>,
-    used: &mut std::collections::HashSet<String>,
-) -> PathBuf {
-    let stem = input.file_stem().and_then(|s| s.to_str()).unwrap_or("unit");
-    let mut name = format!("{stem}.mapped.c");
-    let mut suffix = 1usize;
-    while !used.insert(name.clone()) {
-        name = format!("{stem}.{suffix}.mapped.c");
-        suffix += 1;
+/// Where a run's `<stem>.mapped.c` outputs go: into `dir`, else next to
+/// their inputs when `beside` (`analyze`, `watch`) or nowhere (`batch`,
+/// `client analyze`). Inputs may share a stem: a name already `used` gets a
+/// numeric infix instead of overwriting that output.
+struct Outputs<'a> {
+    dir: Option<&'a str>,
+    beside: bool,
+    used: HashSet<String>,
+}
+
+impl<'a> Outputs<'a> {
+    fn new(dir: Option<&'a str>, beside: bool) -> Result<Outputs<'a>, String> {
+        if let Some(dir) = dir {
+            std::fs::create_dir_all(dir).map_err(|e| format!("cannot create `{dir}`: {e}"))?;
+        }
+        let used = HashSet::new();
+        Ok(Outputs { dir, beside, used })
     }
-    match out_dir {
-        Some(dir) => Path::new(dir).join(name),
-        None => input.with_file_name(name),
+
+    /// Emit one analyzed unit: render its diagnostics, refuse it when one is
+    /// an error, and [`Outputs::write`] its rewrite unless it is `held`, the
+    /// text an earlier emit wrote (`watch`). Returns the output written, if
+    /// any, or why the unit failed.
+    fn emit(
+        &mut self,
+        input: &str,
+        unit: &UnitAnalysis,
+        held: Option<&str>,
+    ) -> Result<Option<PathBuf>, String> {
+        if held == Some(unit.rewritten_source()) && !unit.diagnostics().has_errors() {
+            return Ok(None);
+        }
+        if let Some(why) = unsound(&render_diagnostics(unit)) {
+            return Err(why);
+        }
+        self.write(input, unit.rewritten_source())
+    }
+
+    /// Write `rewritten` to `input`'s `<stem>.mapped.c`, if this run writes
+    /// outputs: the one writer of those files.
+    fn write(&mut self, input: &str, rewritten: &str) -> Result<Option<PathBuf>, String> {
+        if self.dir.is_none() && !self.beside {
+            return Ok(None);
+        }
+        let input = Path::new(input);
+        let stem = input.file_stem().and_then(|s| s.to_str()).unwrap_or("unit");
+        let mut name = format!("{stem}.mapped.c");
+        let mut suffix = 1usize;
+        while !self.used.insert(name.clone()) {
+            name = format!("{stem}.{suffix}.mapped.c");
+            suffix += 1;
+        }
+        let path = match self.dir {
+            Some(dir) => Path::new(dir).join(name),
+            None => input.with_file_name(name),
+        };
+        write_mapped(&path, rewritten)
+            .map_err(|e| format!("cannot write `{}`: {e}", path.display()))?;
+        Ok(Some(path))
     }
 }
 
@@ -686,128 +602,62 @@ fn mapped_path(
 /// rule that depends on it does not fire again, and the file is not
 /// truncated and rewritten for nothing.
 fn write_mapped(path: &Path, contents: &str) -> std::io::Result<()> {
-    let held = |len: u64| len == contents.len() as u64;
-    let unchanged = std::fs::metadata(path).is_ok_and(|meta| held(meta.len()))
-        && std::fs::read(path).is_ok_and(|bytes| bytes == contents.as_bytes());
-    match unchanged {
+    match holds(path, contents) {
         true => Ok(()),
         false => std::fs::write(path, contents),
     }
 }
 
+/// Whether the file at `path` holds exactly `contents`.
+fn holds(path: &Path, contents: &str) -> bool {
+    std::fs::metadata(path).is_ok_and(|meta| meta.len() == contents.len() as u64)
+        && std::fs::read(path).is_ok_and(|bytes| bytes == contents.as_bytes())
+}
+
+// ---------------------------------------------------------------------------
+// watch: the long-lived incremental front door
+// ---------------------------------------------------------------------------
+
+/// A watched input: its path, which names it in the analysis, and source.
+type Unit = (String, String);
+
 /// The `.c` inputs under `dir` (excluding our own `.mapped.c` outputs),
 /// sorted for deterministic emit order.
-fn scan_c_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
+fn read_c_files(dir: &Path) -> Result<Vec<Unit>, String> {
     let entries =
         std::fs::read_dir(dir).map_err(|e| format!("cannot read `{}`: {e}", dir.display()))?;
-    let mut out: Vec<PathBuf> = entries
+    let mut out: Vec<Unit> = entries
         .filter_map(Result::ok)
         .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.ends_with(".c") && !n.ends_with(".mapped.c"))
-        })
+        .filter(|p| (p.to_str()).is_some_and(|p| p.ends_with(".c") && !p.ends_with(".mapped.c")))
+        .filter_map(|p| Some((p.display().to_string(), std::fs::read_to_string(&p).ok()?)))
         .collect();
     out.sort();
     Ok(out)
 }
 
-/// Analyze `source` (already read from `path`) over the shared hot session
-/// and re-emit its mapped output to `out_path`, reporting how the caches
-/// served the run. Taking the source instead of re-reading keeps the
-/// recorded content hash and the analyzed text in lockstep even when a
-/// save lands mid-scan.
-fn emit_one(tool: &Ompdart, path: &Path, source: &str, out_path: &Path) {
-    let display = path.display().to_string();
-    let start = Instant::now();
-    // The serve verdict is part of the analysis result itself — not a
-    // before/after subtraction of the session's global counters, which
-    // other requests interleaving on the same session would contaminate.
-    match tool.analyze_program(&[(display.clone(), source.to_string())]) {
-        Ok(program) => {
-            let (analysis, serve) = (&program.units[0], program.served[0]);
-            let elapsed = start.elapsed();
-            if let Err(e) = write_mapped(out_path, analysis.rewritten_source()) {
-                println!(
-                    "[watch] {display}: FAILED — cannot write {}: {e}",
-                    out_path.display()
-                );
-                return;
-            }
-            println!(
-                "[watch] {display}: re-emitted {} ({}, {:.1}ms)",
-                out_path.display(),
-                serve_label(&serve),
-                elapsed.as_secs_f64() * 1e3
-            );
-        }
-        Err(e) => {
-            let line = match e {
-                ProgramError::Unit { error, .. } => render_stage_error(&display, source, error),
-                other => other.to_string(),
-            };
-            println!(
-                "[watch] {display}: FAILED — {}",
-                line.lines().next().unwrap_or("unknown error")
-            );
-        }
-    }
-    use std::io::Write;
-    let _ = std::io::stdout().flush();
-}
+/// Per watched input, the output last written for it and what was written.
+type Emitted = BTreeMap<String, (PathBuf, String)>;
 
 fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
-    let mut dir: Option<&str> = None;
-    let mut out_dir: Option<&str> = None;
-    let mut cache_dir: Option<&str> = None;
-    let mut builder = Ompdart::builder();
-    let mut interval_ms: u64 = 500;
-    let mut iterations: Option<u64> = None;
-    let mut once = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out-dir" => {
-                out_dir = Some(it.next().ok_or("`--out-dir` expects a directory")?);
-            }
-            "--cache-dir" => {
-                let dir = it.next().ok_or("`--cache-dir` expects a directory")?;
-                cache_dir = Some(dir);
-                builder = builder.cache_dir(dir);
-            }
-            "--cache-max-bytes" => {
-                builder = builder.cache_max_bytes(parse_size(
-                    it.next().ok_or("`--cache-max-bytes` expects a size")?,
-                )?);
-            }
-            "--interval-ms" => {
-                interval_ms = it
-                    .next()
-                    .ok_or("`--interval-ms` expects a number")?
-                    .parse()
-                    .map_err(|_| "`--interval-ms` expects a number".to_string())?;
-            }
-            "--iterations" => {
-                iterations = Some(
-                    it.next()
-                        .ok_or("`--iterations` expects a number")?
-                        .parse()
-                        .map_err(|_| "`--iterations` expects a number".to_string())?,
-                );
-            }
-            "--once" => once = true,
-            "--pessimistic-globals" => builder = builder.pessimistic_globals(true),
-            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
-            path if dir.is_none() => dir = Some(path),
-            extra => return Err(format!("unexpected argument `{extra}`")),
-        }
-    }
-    let dir = Path::new(dir.ok_or("`watch` expects a directory")?);
-    if let Some(out) = out_dir {
-        std::fs::create_dir_all(out).map_err(|e| format!("cannot create `{out}`: {e}"))?;
-    }
-    let tool = builder.build();
+    let flags = Flags::read(
+        args,
+        &[
+            "--out-dir=a directory",
+            "--cache-dir=a directory",
+            "--cache-max-bytes=a size",
+            "--interval-ms=a number",
+            "--iterations=a number",
+            "--once",
+            "--pessimistic-globals",
+        ],
+    )?;
+    let dir = Path::new(flags.only_positional("`watch` expects a directory")?);
+    let interval_ms: u64 = flags.number("--interval-ms")?.unwrap_or(500);
+    let iterations: Option<u64> = flags.number("--iterations")?;
+    let once = flags.has("--once");
+    let tool = tool(&flags)?;
+    let mut outputs = Outputs::new(flags.value("--out-dir"), true)?;
     // SIGINT/SIGTERM end the loop cleanly so the persistent store's
     // write-behind buffer is flushed — not lost in process teardown.
     let shutdown = signal::install();
@@ -818,10 +668,8 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
         "[watch] watching {} via {} (scan bound {interval_ms}ms){}",
         dir.display(),
         watcher.backend(),
-        match cache_dir {
-            Some(cd) => format!(", persistent cache at {cd}"),
-            None => String::new(),
-        }
+        (flags.value("--cache-dir"))
+            .map_or(String::new(), |cd| format!(", persistent cache at {cd}"))
     );
 
     // Re-emit on *content* change (a deleted file included), not mtime:
@@ -831,23 +679,14 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
     // session caches hold. All watched files are linked as ONE whole
     // program: an edit in one file re-plans functions in other files
     // exactly when the edited file's exported interface changed.
-    let mut seen: std::collections::HashMap<PathBuf, String> = std::collections::HashMap::new();
-    let mut last_emitted: std::collections::HashMap<PathBuf, String> =
-        std::collections::HashMap::new();
+    let mut seen: HashMap<String, String> = HashMap::new();
+    let mut last_emitted = Emitted::new();
     let mut cycles: u64 = 0;
     loop {
-        match scan_c_files(dir) {
-            Ok(paths) => {
-                let units: Vec<(PathBuf, String)> = paths
-                    .into_iter()
-                    .filter_map(|p| std::fs::read_to_string(&p).ok().map(|s| (p, s)))
-                    .collect();
+        match read_c_files(dir) {
+            Ok(units) => {
                 if needs_rescan(&seen, &units) {
-                    let changed: Vec<&(PathBuf, String)> = units
-                        .iter()
-                        .filter(|(p, s)| seen.get(p) != Some(s))
-                        .collect();
-                    watch_program_scan(&tool, out_dir, &units, &changed, &mut last_emitted);
+                    watch_program_scan(&tool, &mut outputs, &units, &seen, &mut last_emitted);
                     seen = units.into_iter().collect();
                 }
             }
@@ -890,81 +729,83 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
 /// True when a scan that read `units` has to analyze the directory again:
 /// some file's content differs from what the previous scan saw, or a file
 /// it saw is gone — a deleted unit changes what the others link against.
-fn needs_rescan(
-    seen: &std::collections::HashMap<PathBuf, String>,
-    units: &[(PathBuf, String)],
-) -> bool {
+fn needs_rescan(seen: &HashMap<String, String>, units: &[Unit]) -> bool {
     seen.len() != units.len() || (units.iter()).any(|(path, source)| seen.get(path) != Some(source))
 }
 
-/// One watch scan over the linked program. Falls back to independent
-/// per-file analysis when the directory does not form one program
-/// (duplicate `main`s, a unit that fails to parse).
+/// One watch scan over the linked program. When the directory does not
+/// link (duplicate `main`s, a unit that fails to parse), the files changed
+/// since the `seen` scan are analyzed as a batch on the tool's one-unit
+/// driver, which leaves the program's link state to the next scan that
+/// links.
 fn watch_program_scan(
     tool: &Ompdart,
-    out_dir: Option<&str>,
-    units: &[(PathBuf, String)],
-    changed: &[&(PathBuf, String)],
-    last_emitted: &mut std::collections::HashMap<PathBuf, String>,
+    outputs: &mut Outputs,
+    units: &[Unit],
+    seen: &HashMap<String, String>,
+    last_emitted: &mut Emitted,
 ) {
-    let pairs: Vec<(String, String)> = units
-        .iter()
-        .map(|(p, s)| (p.display().to_string(), s.clone()))
-        .collect();
-    let mut used_names = std::collections::HashSet::new();
-    match tool.analyze_program(&pairs) {
+    // An input keeps its output name from scan to scan.
+    outputs.used.clear();
+    remove_deleted_outputs(units, last_emitted);
+    match tool.analyze_program(units) {
         Ok(program) => {
-            for (idx, (path, _)) in units.iter().enumerate() {
-                let unit = &program.units[idx];
-                let serve = &program.served[idx];
-                let diagnostics = &unit.plans.diagnostics;
-                if diagnostics.has_errors() {
-                    println!(
-                        "[watch] {}: FAILED — analysis reported {} error diagnostic(s)",
-                        path.display(),
-                        diagnostics.error_count()
-                    );
-                    continue;
-                }
-                let rewritten = unit.rewrite.source.as_str();
-                let out_path = mapped_path(path, out_dir, &mut used_names);
-                let unchanged = last_emitted.get(path).is_some_and(|prev| prev == rewritten);
-                if unchanged {
-                    // Nothing new on disk; still report re-planning work so
-                    // cross-file invalidation is observable.
-                    if *serve == UnitServe::Planned {
-                        println!("[watch] {}: output unchanged (planned)", path.display());
-                    }
-                    continue;
-                }
-                if let Err(e) = write_mapped(&out_path, rewritten) {
-                    println!(
-                        "[watch] {}: FAILED — cannot write {}: {e}",
-                        path.display(),
-                        out_path.display()
-                    );
-                    continue;
-                }
-                println!(
-                    "[watch] {}: re-emitted {} ({})",
-                    path.display(),
-                    out_path.display(),
-                    serve_label(serve)
-                );
-                last_emitted.insert(path.clone(), rewritten.to_string());
+            let served = program.served.iter().map(serve_label);
+            for (((input, _), unit), label) in units.iter().zip(program.units).zip(served) {
+                watch_emit(outputs, last_emitted, input, Ok(unit), label);
             }
         }
         Err(err) => {
             println!("[watch] not linkable as one program ({err}); analyzing files independently");
-            for (path, source) in changed {
-                let out_path = mapped_path(path, out_dir, &mut used_names);
-                emit_one(tool, path, source, &out_path);
-                last_emitted.remove(path.as_path());
+            let changed: Vec<Unit> = (units.iter())
+                .filter(|(input, source)| seen.get(input) != Some(source))
+                .cloned()
+                .collect();
+            for ((input, _), result) in changed.iter().zip(tool.analyze_batch(&changed)) {
+                watch_emit(outputs, last_emitted, input, result, "unlinked");
             }
         }
     }
-    use std::io::Write;
-    let _ = std::io::stdout().flush();
+}
+
+/// Emit one unit of a watch scan, served as `label` says, and report it.
+fn watch_emit(
+    outputs: &mut Outputs,
+    last_emitted: &mut Emitted,
+    input: &str,
+    analyzed: Result<Arc<UnitAnalysis>, StageError>,
+    label: &str,
+) {
+    let held = last_emitted.get(input).map(|(_, text)| text.as_str());
+    let analyzed = analyzed.map_err(stage_failure);
+    match analyzed.and_then(|unit| Ok((outputs.emit(input, &unit, held)?, unit))) {
+        Ok((Some(out), unit)) => {
+            println!("[watch] {input}: re-emitted {} ({label})", out.display());
+            let text = unit.rewritten_source().to_string();
+            last_emitted.insert(input.to_string(), (out, text));
+        }
+        // Nothing new on disk; still report re-planning work so cross-file
+        // invalidation is observable.
+        Ok((None, _)) if label == serve_label(&UnitServe::Planned) => {
+            println!("[watch] {input}: output unchanged (planned)");
+        }
+        Ok((None, _)) => {}
+        Err(why) => println!("[watch] {input}: FAILED — {why}"),
+    }
+}
+
+/// Forget the outputs of inputs a scan no longer lists, removing each that
+/// still holds what was written to it (an edited one is left alone).
+fn remove_deleted_outputs(units: &[Unit], last_emitted: &mut Emitted) {
+    let listed: HashSet<&str> = units.iter().map(|(input, _)| input.as_str()).collect();
+    // In input order: `retain` visits a `BTreeMap` by ascending key.
+    last_emitted.retain(|input, (out, text)| {
+        let gone = !listed.contains(input.as_str());
+        if gone && holds(out, text) && std::fs::remove_file(&*out).is_ok() {
+            println!("[watch] {input}: removed {}", out.display());
+        }
+        !gone
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -982,167 +823,130 @@ fn cmd_daemon(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
+/// A field of a daemon response: an integer (0 when absent) or a string
+/// (`?` when absent).
+fn int(json: &Json, field: &str) -> i64 {
+    json.get(field).and_then(Json::as_int).unwrap_or(0)
+}
+
+fn text<'a>(json: &'a Json, field: &str) -> &'a str {
+    json.get(field).and_then(Json::as_str).unwrap_or("?")
+}
+
+/// The array field of a `verb` response.
+fn items<'a>(json: &'a Json, field: &str, verb: &str) -> Result<&'a [Json], String> {
+    (json.get(field).and_then(Json::as_array)).ok_or_else(|| format!("malformed {verb} result"))
+}
+
 /// `ompdart client`: one connection, one verb, structured output.
 fn cmd_client(args: &[String]) -> Result<ExitCode, String> {
-    let mut endpoint = Endpoint::Unix("ompdartd.sock".into());
-    let mut program = "default".to_string();
-    let mut out_dir: Option<String> = None;
-    let mut max_bytes: Option<u64> = None;
-    let mut positional: Vec<&str> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--socket" => {
-                endpoint = Endpoint::Unix(it.next().ok_or("`--socket` expects a path")?.into());
-            }
-            "--tcp" => {
-                endpoint =
-                    Endpoint::Tcp(it.next().ok_or("`--tcp` expects an address")?.to_string());
-            }
-            "--program" => {
-                program = it.next().ok_or("`--program` expects a key")?.to_string();
-            }
-            "--out-dir" => {
-                out_dir = Some(
-                    it.next()
-                        .ok_or("`--out-dir` expects a directory")?
-                        .to_string(),
-                );
-            }
-            "--max-bytes" => {
-                max_bytes = Some(parse_size(
-                    it.next().ok_or("`--max-bytes` expects a size")?,
-                )?);
-            }
-            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
-            word => positional.push(word),
-        }
-    }
-    let Some((&verb, rest)) = positional.split_first() else {
+    let flags = Flags::read(
+        args,
+        &[
+            "--socket=a path",
+            "--tcp=an address",
+            "--program=a key",
+            "--out-dir=a directory",
+            "--max-bytes=a size",
+        ],
+    )?;
+    let endpoint = Endpoint::from_flags(&flags);
+    let program = flags.value("--program").unwrap_or("default");
+    let max_bytes = flags.size("--max-bytes")?;
+    let Some((verb, rest)) = flags.positional.split_first() else {
         return Err(
             "`client` expects a verb: analyze, explain, stats, check_plans, gc, shutdown".into(),
         );
     };
     let mut client = Client::connect(&endpoint)
         .map_err(|e| format!("cannot connect to daemon at {endpoint}: {e}"))?;
-    match verb {
+    match verb.as_str() {
         "analyze" => {
             if rest.is_empty() {
                 return Err("`client analyze` expects at least one file".into());
             }
-            let paths: Vec<String> = rest.iter().map(|s| s.to_string()).collect();
             let result = client
-                .analyze_paths(&program, &paths)
+                .analyze_paths(program, rest)
                 .map_err(|e| e.to_string())?;
-            if let Some(dir) = &out_dir {
-                std::fs::create_dir_all(dir).map_err(|e| format!("cannot create `{dir}`: {e}"))?;
-            }
-            let units = result
-                .get("units")
-                .and_then(Json::as_array)
-                .ok_or("malformed analyze result")?;
-            let mut used_names = std::collections::HashSet::new();
-            for unit in units {
-                let name = unit.get("name").and_then(Json::as_str).unwrap_or("?");
-                let serve = unit.get("serve").and_then(Json::as_str).unwrap_or("?");
-                println!("[client] {program}/{name}: serve={serve}");
-                if let (Some(dir), Some(rewritten)) = (
-                    &out_dir,
-                    unit.get("rewritten_source").and_then(Json::as_str),
-                ) {
-                    let out = mapped_path(Path::new(name), Some(dir), &mut used_names);
-                    write_mapped(&out, rewritten)
-                        .map_err(|e| format!("cannot write `{}`: {e}", out.display()))?;
+            let mut outputs = Outputs::new(flags.value("--out-dir"), false)?;
+            for unit in items(&result, "units", "analyze")? {
+                let name = text(unit, "name");
+                println!("[client] {program}/{name}: serve={}", text(unit, "serve"));
+                let Some(rewritten) = unit.get("rewritten_source").and_then(Json::as_str) else {
+                    continue;
+                };
+                if let Some(out) = outputs.write(name, rewritten)? {
                     println!("[client] wrote {}", out.display());
                 }
             }
             if let Some(stats) = result.get("request_stats") {
-                let get = |f: &str| stats.get(f).and_then(Json::as_int).unwrap_or(0);
                 println!(
                     "[client] request: plan_misses={} reseeded={} link_passes={}",
-                    get("function_plan_misses"),
-                    get("relink_reseeded_functions"),
-                    result
-                        .get("link_passes")
-                        .and_then(Json::as_int)
-                        .unwrap_or(0)
+                    int(stats, "function_plan_misses"),
+                    int(stats, "relink_reseeded_functions"),
+                    int(&result, "link_passes")
                 );
             }
         }
         "explain" => {
             let (path, line, col) = match rest {
-                [path, line] => (path, line, &"1"),
-                [path, line, col] => (path, line, col),
+                [path, line] => (path, line, "1"),
+                [path, line, col] => (path, line, col.as_str()),
                 _ => return Err("`client explain` expects <file.c> <line> [<col>]".into()),
             };
-            let line: u32 = line
-                .parse()
-                .map_err(|_| "`explain` line must be a 1-based number".to_string())?;
-            let col: u32 = col
-                .parse()
-                .map_err(|_| "`explain` col must be a 1-based number".to_string())?;
+            let number = |text: &str, what: &str| {
+                (text.parse::<u32>())
+                    .map_err(|_| format!("`explain` {what} must be a 1-based number"))
+            };
+            let (line, col) = (number(line, "line")?, number(col, "col")?);
             let source = read_source(path)?;
             let result = client
-                .explain(&program, path, &source, line, col)
+                .explain(program, path, &source, line, col)
                 .map_err(|e| e.to_string())?;
-            let facts = result
-                .get("facts")
-                .and_then(Json::as_array)
-                .ok_or("malformed explain result")?;
+            let facts = items(&result, "facts", "explain")?;
             if facts.is_empty() {
                 println!("[client] {path}:{line}:{col}: no mapping decision anchors here");
             }
             for fact in facts {
-                let get = |f: &str| fact.get(f).and_then(Json::as_str).unwrap_or("?");
                 println!(
                     "[client] {path}:{line}:{col}: {} [{} / {}] {}",
-                    get("function"),
-                    get("stage"),
-                    get("fact"),
-                    get("detail")
+                    text(fact, "function"),
+                    text(fact, "stage"),
+                    text(fact, "fact"),
+                    text(fact, "detail")
                 );
             }
         }
         "stats" => {
             let result = client.stats().map_err(|e| e.to_string())?;
-            let programs = result
-                .get("programs")
-                .and_then(Json::as_array)
-                .ok_or("malformed stats result")?;
-            let daemon = |f: &str| result.get(f).and_then(Json::as_int).unwrap_or(0);
+            let programs = items(&result, "programs", "stats")?;
             println!(
                 "[client] daemon: workers {}, panics {}",
-                daemon("workers"),
-                daemon("panics")
+                int(&result, "workers"),
+                int(&result, "panics")
             );
             if programs.is_empty() {
                 println!("[client] no programs analyzed yet");
             }
             for entry in programs {
-                let key = entry.get("program").and_then(Json::as_str).unwrap_or("?");
-                let stats = entry.get("stats");
-                let get = |f: &str| {
-                    stats
-                        .and_then(|s| s.get(f))
-                        .and_then(Json::as_int)
-                        .unwrap_or(0)
-                };
+                let key = text(entry, "program");
+                let stats = entry.get("stats").unwrap_or(&Json::Null);
                 println!(
                     "[client] {key}: analyses {} hit / {} miss, {} function(s) planned, \
                      relink re-seeded {}, store {} hit / {} miss, fast path {}",
-                    get("analysis_hits"),
-                    get("analysis_misses"),
-                    get("function_plan_misses"),
-                    get("relink_reseeded_functions"),
-                    get("store_hits"),
-                    get("store_misses"),
-                    get("fast_path_hits")
+                    int(stats, "analysis_hits"),
+                    int(stats, "analysis_misses"),
+                    int(stats, "function_plan_misses"),
+                    int(stats, "relink_reseeded_functions"),
+                    int(stats, "store_hits"),
+                    int(stats, "store_misses"),
+                    int(stats, "fast_path_hits")
                 );
                 for (field, label) in [("profile", "last round"), ("edit_profile", "one_edit")] {
                     let Some(profile) = entry.get(field).filter(|p| **p != Json::Null) else {
                         continue;
                     };
-                    let count = |f: &str| profile.get(f).and_then(Json::as_int).unwrap_or(0);
+                    let count = |f: &str| int(profile, f);
                     let us = |f: &str| count(f) as f64 / 1e3;
                     println!(
                         "[client] {key}: {label}: {} unit(s) ({} fast-pathed, {} warm) in {:.3}ms \
@@ -1163,34 +967,24 @@ fn cmd_client(args: &[String]) -> Result<ExitCode, String> {
             let [path] = rest else {
                 return Err("`client check_plans` expects one plan-JSON file".into());
             };
-            let doc =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-            let result = client.check_plans(&doc).map_err(|e| e.to_string())?;
-            let version = result
-                .get("format_version")
-                .and_then(Json::as_int)
-                .unwrap_or(0);
-            let plans = result.get("plans").and_then(Json::as_int).unwrap_or(0);
+            let result = (client.check_plans(&read_source(path)?)).map_err(|e| e.to_string())?;
             println!(
-                "[client] {path}: valid plan document, format version {version}, {plans} plan(s)"
+                "[client] {path}: valid plan document, format version {}, {} plan(s)",
+                int(&result, "format_version"),
+                int(&result, "plans")
             );
         }
         "gc" => {
             let max = max_bytes.ok_or("`client gc` expects `--max-bytes <N[k|m|g]>`")?;
             let result = client.gc(max, None).map_err(|e| e.to_string())?;
-            let programs = result
-                .get("programs")
-                .and_then(Json::as_array)
-                .ok_or("malformed gc result")?;
-            for entry in programs {
-                let key = entry.get("program").and_then(Json::as_str).unwrap_or("?");
-                let get = |f: &str| entry.get(f).and_then(Json::as_int).unwrap_or(0);
+            for entry in items(&result, "programs", "gc")? {
                 println!(
-                    "[client] {key}: evicted {} of {} entr(ies), {} bytes freed, {} kept",
-                    get("entries_evicted"),
-                    get("entries_before"),
-                    get("bytes_freed"),
-                    get("bytes_kept")
+                    "[client] {}: evicted {} of {} entr(ies), {} bytes freed, {} kept",
+                    text(entry, "program"),
+                    int(entry, "entries_evicted"),
+                    int(entry, "entries_before"),
+                    int(entry, "bytes_freed"),
+                    int(entry, "bytes_kept")
                 );
             }
         }
@@ -1213,12 +1007,12 @@ mod tests {
     /// does nothing.
     #[test]
     fn a_deleted_file_rescans_the_watched_directory() {
-        let unit = |name: &str, source: &str| (PathBuf::from(name), source.to_string());
+        let unit = |name: &str, source: &str| (name.to_string(), source.to_string());
         let both = [
             unit("helpers.c", "void scale(void) {}\n"),
             unit("driver.c", "int main() {}\n"),
         ];
-        let seen: std::collections::HashMap<PathBuf, String> = both.iter().cloned().collect();
+        let seen: HashMap<String, String> = both.iter().cloned().collect();
         assert!(!needs_rescan(&seen, &both));
         assert!(needs_rescan(&seen, &both[1..]), "a deleted file");
         let edited = [
@@ -1232,10 +1026,99 @@ mod tests {
             unit("extra.c", "int x;\n"),
         ];
         assert!(needs_rescan(&seen, &added), "an added file");
-        assert!(
-            needs_rescan(&std::collections::HashMap::new(), &both),
-            "the first scan"
+        assert!(needs_rescan(&HashMap::new(), &both), "the first scan");
+    }
+
+    /// A two-file program for the watch tests: `driver.c`'s kernel loop
+    /// calls `helpers.c`'s `smooth`.
+    const HELPERS: &str = "#define N 64\ndouble buf[N];\nvoid smooth(double *p, int n) {\n  for (int i = 1; i < n - 1; i++) p[i] = p[i] * 0.5;\n}\n";
+    const DRIVER: &str = "#define N 64\nextern double buf[N];\nvoid smooth(double *p, int n);\nint main() {\n  for (int s = 0; s < 4; s++) {\n    #pragma omp target teams distribute parallel for\n    for (int i = 0; i < N; i++) buf[i] += 1.0;\n    smooth(buf, N);\n  }\n  return 0;\n}\n";
+
+    /// A watched directory driven scan by scan, as `cmd_watch` drives it.
+    struct Watched {
+        dir: PathBuf,
+        tool: Ompdart,
+        seen: HashMap<String, String>,
+        last_emitted: Emitted,
+    }
+
+    impl Watched {
+        fn new(test: &str) -> Watched {
+            let dir = std::env::temp_dir().join(format!("ompdart-{test}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let (tool, seen, last_emitted) = (Ompdart::new(), HashMap::new(), Emitted::new());
+            Watched {
+                dir,
+                tool,
+                seen,
+                last_emitted,
+            }
+        }
+
+        fn scan(&mut self) {
+            let units = read_c_files(&self.dir).unwrap();
+            let mut outputs = Outputs::new(None, true).unwrap();
+            let last_emitted = &mut self.last_emitted;
+            watch_program_scan(&self.tool, &mut outputs, &units, &self.seen, last_emitted);
+            self.seen = units.into_iter().collect();
+        }
+    }
+
+    /// A deleted input takes its output with it — unless someone edited
+    /// that output since it was written.
+    #[test]
+    fn a_deleted_input_takes_its_output_with_it() {
+        let mut watched = Watched::new("watch-delete");
+        let dir = watched.dir.clone();
+        std::fs::write(dir.join("helpers.c"), HELPERS).unwrap();
+        std::fs::write(dir.join("driver.c"), DRIVER).unwrap();
+        std::fs::write(dir.join("util.c"), "int twice(int x) { return 2 * x; }\n").unwrap();
+        watched.scan();
+        for stem in ["helpers", "driver", "util"] {
+            assert!(dir.join(format!("{stem}.mapped.c")).exists(), "{stem}");
+        }
+        assert_eq!(watched.last_emitted.len(), 3);
+
+        std::fs::write(dir.join("util.mapped.c"), "/* edited by hand */\n").unwrap();
+        std::fs::remove_file(dir.join("helpers.c")).unwrap();
+        std::fs::remove_file(dir.join("util.c")).unwrap();
+        watched.scan();
+        assert!(!dir.join("helpers.mapped.c").exists(), "the output goes");
+        assert_eq!(
+            std::fs::read_to_string(dir.join("util.mapped.c")).unwrap(),
+            "/* edited by hand */\n",
+            "an edited output stays"
         );
+        assert!(dir.join("driver.mapped.c").exists());
+        let inputs: Vec<&String> = watched.last_emitted.keys().collect();
+        assert_eq!(inputs, [&dir.join("driver.c").display().to_string()]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A directory that stops linking (a second `main`) is analyzed as a
+    /// batch on the tool's one-unit driver, so the program's link state
+    /// is the linked one still: once the stray file goes, the next scan
+    /// is served by the round-level fast path without a relink.
+    #[test]
+    fn the_fallback_leaves_the_program_link_state_alone() {
+        let mut watched = Watched::new("watch-fallback");
+        let dir = watched.dir.clone();
+        std::fs::write(dir.join("helpers.c"), HELPERS).unwrap();
+        std::fs::write(dir.join("driver.c"), DRIVER).unwrap();
+        watched.scan();
+        std::fs::write(dir.join("other.c"), "int main() { return 0; }\n").unwrap();
+        watched.scan();
+        assert!(dir.join("other.mapped.c").exists(), "the fallback emits");
+
+        std::fs::remove_file(dir.join("other.c")).unwrap();
+        let before = watched.tool.session().cache_stats();
+        watched.scan();
+        let after = watched.tool.session().cache_stats();
+        assert_eq!(after.fast_path_hits - before.fast_path_hits, 2, "{after}");
+        assert_eq!(after.relink_touched_units, before.relink_touched_units);
+        assert!(!dir.join("other.mapped.c").exists());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Every `<stem>.mapped.c` goes through `write_mapped`: the same bytes
