@@ -128,11 +128,31 @@ pub struct CallArg {
 }
 
 /// Lightweight per-function symbol table (parameters, locals, globals).
+///
+/// Names are resolved at function scope: a parameter or a local declared in
+/// the body's outermost block hides a global of the same name for the whole
+/// function. A declaration in a nested block that hides an outer one is
+/// recorded as a [`Shadow`]: the planner maps names, so it refuses such a
+/// name once the device or a callee's effect touches it.
 #[derive(Clone, Debug, Default)]
 pub struct SymbolTable {
     vars: HashMap<Symbol, Type>,
     params: HashSet<Symbol>,
+    /// The globals this function's names resolve to: every global of the
+    /// unit no parameter or outermost local hides.
     globals: HashSet<Symbol>,
+    shadows: Vec<Shadow>,
+}
+
+/// A block declaration that hides an outer local, parameter or global of
+/// the same name: one name, two variables.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Shadow {
+    pub name: Symbol,
+    /// The inner declaration.
+    pub inner: Span,
+    /// The declaration it hides.
+    pub outer: Span,
 }
 
 impl SymbolTable {
@@ -143,26 +163,120 @@ impl SymbolTable {
             table.vars.insert(g.name, g.ty.clone());
             table.globals.insert(g.name);
         }
+        // Parameters and the body's outermost declarations share one scope.
+        let mut visible: Vec<(Symbol, Span)> = Vec::new();
         for p in &func.params {
             table.vars.insert(p.name, p.ty.clone());
             table.params.insert(p.name);
+            table.globals.remove(&p.name);
+            visible.push((p.name, p.span));
         }
-        if let Some(body) = &func.body {
-            body.walk(&mut |s| {
-                let decls: Vec<&VarDecl> = match &s.kind {
-                    StmtKind::Decl(d) => d.iter().collect(),
-                    StmtKind::For { init: Some(fi), .. } => match fi.as_ref() {
-                        ForInit::Decl(d) => d.iter().collect(),
-                        _ => Vec::new(),
-                    },
-                    _ => Vec::new(),
-                };
-                for d in decls {
-                    table.vars.entry(d.name).or_insert_with(|| d.ty.clone());
-                }
-            });
+        if let Some(StmtKind::Compound(items)) = func.body.as_ref().map(|b| &b.kind) {
+            for item in items {
+                table.scan(unit, item, &mut visible, None);
+            }
         }
         table
+    }
+
+    /// Record the declarations of `stmt` and its nested blocks. `visible`
+    /// holds the declarations in scope, innermost last; those of the
+    /// innermost nested block start at `block` (`None` in the function's
+    /// outermost scope).
+    fn scan(
+        &mut self,
+        unit: &TranslationUnit,
+        stmt: &Stmt,
+        visible: &mut Vec<(Symbol, Span)>,
+        block: Option<usize>,
+    ) {
+        let nested = visible.len();
+        match &stmt.kind {
+            StmtKind::Decl(decls) => {
+                for d in decls {
+                    self.declare(unit, d, visible, block);
+                }
+            }
+            StmtKind::Compound(items) => {
+                for item in items {
+                    self.scan(unit, item, visible, Some(nested));
+                }
+                visible.truncate(nested);
+            }
+            StmtKind::For { init, body, .. } => {
+                if let Some(ForInit::Decl(decls)) = init.as_deref() {
+                    for d in decls {
+                        self.declare(unit, d, visible, Some(nested));
+                    }
+                }
+                self.scan(unit, body, visible, Some(nested));
+                visible.truncate(nested);
+            }
+            StmtKind::If {
+                then_branch,
+                else_branch,
+                ..
+            } => {
+                self.scan(unit, then_branch, visible, block);
+                if let Some(e) = else_branch {
+                    self.scan(unit, e, visible, block);
+                }
+            }
+            StmtKind::While { body, .. }
+            | StmtKind::DoWhile { body, .. }
+            | StmtKind::Switch { body, .. } => self.scan(unit, body, visible, block),
+            StmtKind::Omp(dir) => {
+                if let Some(body) = &dir.body {
+                    self.scan(unit, body, visible, block);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Declare `d` in the innermost scope (see [`Self::scan`]).
+    fn declare(
+        &mut self,
+        unit: &TranslationUnit,
+        d: &VarDecl,
+        visible: &mut Vec<(Symbol, Span)>,
+        block: Option<usize>,
+    ) {
+        if let Some(block) = block {
+            self.vars.entry(d.name).or_insert_with(|| d.ty.clone());
+            let is_global = self.globals.contains(&d.name);
+            let hidden = (visible[..block].iter().rev())
+                .find(|(name, _)| *name == d.name)
+                .map(|(_, span)| *span)
+                .or_else(|| unit.global(&d.name).filter(|_| is_global).map(|g| g.span));
+            if let Some(outer) = hidden {
+                self.shadows.push(Shadow {
+                    name: d.name,
+                    inner: d.span,
+                    outer,
+                });
+            }
+        } else {
+            // The function's outermost scope: the name is this local for
+            // the whole function.
+            self.vars.insert(d.name, d.ty.clone());
+            self.globals.remove(&d.name);
+        }
+        visible.push((d.name, d.span));
+    }
+
+    /// The block declarations that hide an outer one, in source order.
+    pub fn shadows(&self) -> &[Shadow] {
+        &self.shadows
+    }
+
+    /// True if a callee's effect on the global `name` is this function's
+    /// business: its `name` is that global, or it declares no `name` at all
+    /// (then nothing here maps it). A parameter or local of that name is
+    /// another variable.
+    pub fn sees_global(&self, name: impl Into<Symbol>) -> bool {
+        let name = name.into();
+        self.is_global(name) || self.type_of(name).is_none()
     }
 
     /// The declared type of a variable, if known.
@@ -194,7 +308,8 @@ impl SymbolTable {
         self.params.contains(&name.into())
     }
 
-    /// True if the variable is a global.
+    /// True if the function's `name` is a global: no parameter or outermost
+    /// local hides it.
     pub fn is_global(&self, name: impl Into<Symbol>) -> bool {
         self.globals.contains(&name.into())
     }
@@ -619,8 +734,7 @@ mod tests {
         let graphs = ProgramGraphs::build(&result.unit);
         let f = result.unit.function(func).unwrap();
         let symbols = SymbolTable::build(&result.unit, f);
-        let accesses =
-            FunctionAccesses::collect(f, &graphs.function(func).unwrap().index.clone(), &symbols);
+        let accesses = FunctionAccesses::collect(f, graphs.function(func).unwrap(), &symbols);
         (accesses, symbols)
     }
 
@@ -764,6 +878,47 @@ struct item { int v; };
         assert!(sym.escapes("grid"));
         assert!(sym.escapes("output"));
         assert!(!sym.escapes("local"));
+    }
+
+    #[test]
+    fn names_resolve_at_function_scope_and_nested_blocks_shadow() {
+        let src = "\
+double tmp[4];
+double grid[4];
+double g[4];
+int i;
+void f(double *g, int n) {
+  double tmp[4];
+  for (int i = 0; i < n; i++) tmp[i] = 0.0;
+  for (int i = 0; i < n; i++) { double t = tmp[i]; grid[i] = t; }
+  {
+    double t = 1.0;
+    double grid[4];
+    grid[0] = t;
+  }
+  {
+    double t = 2.0;
+  }
+}
+";
+        let (_acc, sym) = collect(src, "f");
+        // A parameter and an outermost local hide the globals `g` and
+        // `tmp` for the whole function, so their effects are not `f`'s.
+        assert!(!sym.is_global("tmp") && !sym.sees_global("tmp"));
+        assert!(!sym.is_global("g") && !sym.sees_global("g") && sym.is_pointer("g"));
+        assert!(sym.is_global("grid") && sym.sees_global("grid"));
+        assert!(
+            sym.sees_global("elsewhere"),
+            "an undeclared name is nobody's"
+        );
+        assert!(!sym.escapes("tmp"));
+        // Each `for (int i …)` hides the global `i`, and the block's `grid`
+        // the global one; the sibling `t`s hide nothing.
+        let shadows: Vec<(&str, usize)> = (sym.shadows().iter())
+            .map(|s| (s.name.as_str(), s.outer.start as usize))
+            .collect();
+        let (i, grid) = (src.find("i;").unwrap(), src.find("grid[4]").unwrap());
+        assert_eq!(shadows, [("i", i), ("i", i), ("grid", grid)]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! 2. chooses the extent of the single per-function `target data` region —
 //!    from the first kernel to the last, extended outward past any loop that
 //!    captures them,
-//! 3. walks the function forward (the hybrid AST-CFG traversal), tracking in
+//! 3. walks the function's AST forward (the `validity` walk), tracking in
 //!    which memory space each variable's data is currently valid; every true
 //!    (read-after-write) dependency between spaces is resolved by the
 //!    cheapest sufficient construct: a `map(to/from/tofrom/alloc:)` clause on
@@ -38,7 +38,7 @@ use ompdart_frontend::intern::FnvBuild;
 use ompdart_frontend::omp::{Clause, MapType};
 use ompdart_frontend::source::Span;
 use ompdart_frontend::Symbol;
-use ompdart_graph::{AstCfg, NodeTable, StmtIndex};
+use ompdart_graph::{NodeTable, StmtIndex};
 use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 
@@ -137,6 +137,34 @@ struct UpdateDecision {
     fact: ProvenanceFact,
 }
 
+/// A plan names variables, so a name that denotes two of them — a block
+/// declaration hiding an outer one — cannot be planned once the device or a
+/// callee's replayed effect touches it: each such shadow is an error.
+fn refuse_shadows(
+    func: &FunctionDef,
+    accesses: &FunctionAccesses,
+    symbols: &SymbolTable,
+    diags: &mut Diagnostics,
+) {
+    for shadow in symbols.shadows() {
+        let touched = (accesses.accesses.iter()).any(|a| {
+            a.var == shadow.name && (a.on_device || !matches!(a.origin, AccessOrigin::Direct))
+        });
+        if touched {
+            let name = shadow.name;
+            diags.error_with_labels(
+                shadow.inner,
+                format!(
+                    "`{name}` names two variables in `{}`: this declaration hides another, and \
+                     OMPDart maps variables by name; rename one of them",
+                    func.name
+                ),
+                [(shadow.outer, format!("the hidden declaration of `{name}`"))],
+            );
+        }
+    }
+}
+
 /// Compute the mapping plan for one function. Returns `None` when the
 /// function launches no kernels. Every construct of the produced plan
 /// carries a [`Provenance`] naming the dataflow fact and the deciding
@@ -149,17 +177,17 @@ struct UpdateDecision {
 /// functions or units is read here.
 pub fn plan_function(
     func: &FunctionDef,
-    graph: &AstCfg,
+    index: &StmtIndex,
     accesses: &FunctionAccesses,
     symbols: &SymbolTable,
     diags: &mut Diagnostics,
 ) -> Option<MappingPlan> {
-    let index = &graph.index;
     let kernels = index.kernels();
     if kernels.is_empty() {
         return None;
     }
     let body = func.body.as_ref()?;
+    refuse_shadows(func, accesses, symbols, diags);
 
     // ----- region extent ----------------------------------------------------
     let first_anchor = outermost_loop_or_self(index, kernels[0]);
@@ -1075,7 +1103,7 @@ mod tests {
         let func = unit.function(func_name).unwrap();
         let name = Symbol::intern(func_name);
         let mut acc = accesses.accesses[&name].clone();
-        augment_with_call_effects(&mut acc, &unit, &link, false);
+        augment_with_call_effects(&mut acc, &accesses.symbols[&name], &unit, &link, false);
         let mut diags = Diagnostics::new();
         let plan = plan_function(
             func,
@@ -1376,7 +1404,7 @@ int main() {
         let graphs = ProgramGraphs::build(&unit);
         let func = unit.function("main").unwrap();
         let sym = SymbolTable::build(&unit, func);
-        let acc = FunctionAccesses::collect(func, &graphs.function("main").unwrap().index, &sym);
+        let acc = FunctionAccesses::collect(func, graphs.function("main").unwrap(), &sym);
         let mut diags = Diagnostics::new();
         let _ = plan_function(
             func,
@@ -1693,7 +1721,7 @@ int main() {
         let main = Symbol::intern("main");
         let plan_under = |link: &LinkContext| {
             let mut acc = accesses.accesses[&main].clone();
-            augment_with_call_effects(&mut acc, &unit, link, false);
+            augment_with_call_effects(&mut acc, &accesses.symbols[&main], &unit, link, false);
             let mut diags = Diagnostics::new();
             let plan = plan_function(
                 unit.function("main").unwrap(),
@@ -1731,7 +1759,7 @@ int main() {
         let graphs = ProgramGraphs::build(&unit);
         let func = unit.function("add").unwrap();
         let sym = SymbolTable::build(&unit, func);
-        let acc = FunctionAccesses::collect(func, &graphs.function("add").unwrap().index, &sym);
+        let acc = FunctionAccesses::collect(func, graphs.function("add").unwrap(), &sym);
         let mut diags = Diagnostics::new();
         let plan = plan_function(
             func,

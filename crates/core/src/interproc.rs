@@ -648,8 +648,8 @@ pub struct PropagationNode<'a> {
 }
 
 /// The globals a function of `unit` can see, sorted: every global the unit
-/// declares (a parameter or local of the same name does not hide one from
-/// [`SymbolTable::is_global`]).
+/// declares. A caller whose parameter or local hides one takes no effect
+/// on it at its call sites ([`SymbolTable::sees_global`]).
 pub fn visible_globals(unit: &TranslationUnit) -> Vec<Symbol> {
     let mut globals: Vec<Symbol> = unit.globals().map(|g| g.name).collect();
     globals.sort_unstable();
@@ -1162,6 +1162,7 @@ fn param_index(func: &FunctionDef, var: Symbol) -> Option<usize> {
 /// `unknown_callee_pessimistic` provenance explains them at the call site).
 pub fn augment_with_call_effects(
     acc: &mut FunctionAccesses,
+    symbols: &SymbolTable,
     unit: &TranslationUnit,
     link: &LinkContext,
     clobber_globals: bool,
@@ -1200,7 +1201,10 @@ pub fn augment_with_call_effects(
             // mapped-variable order of the caller's plan, so iterate the
             // globals sorted — never in HashMap order. (`BTreeMap<Symbol>`
             // orders by resolved string, same as the old `String` keys.)
-            for (global, effect) in summary.global_effects.iter() {
+            // An effect on a global lands on the caller's name only where
+            // that name is the global.
+            let global_effects = summary.global_effects.iter();
+            for (global, effect) in global_effects.filter(|(g, _)| symbols.sees_global(**g)) {
                 push_effect_accesses(acc, *global, *effect, call, origin);
             }
             continue;
@@ -1251,7 +1255,8 @@ pub fn augment_with_call_effects(
         // Opt-in: the unknown callee may also touch any global it can name,
         // not just the data it was handed a pointer to.
         if clobber_globals {
-            let globals = visible_globals(unit);
+            let mut globals = visible_globals(unit);
+            globals.retain(|g| symbols.sees_global(*g));
             if !globals.is_empty() {
                 fell_back = true;
                 for global in globals {
@@ -1368,6 +1373,11 @@ mod tests {
         (link, accesses.accesses, unit)
     }
 
+    /// The symbol table of `unit`'s function `name`.
+    fn table(unit: &TranslationUnit, name: &str) -> SymbolTable {
+        SymbolTable::build(unit, unit.function(name).unwrap())
+    }
+
     const LAYERED: &str = "\
 double weights[64];
 void scale_buffer(double *buf, int n) {
@@ -1455,7 +1465,7 @@ void driver(int n) {
         let (link, mut accesses, unit) = analyze(LAYERED);
         let outer = accesses.get_mut(&Symbol::intern("outer")).unwrap();
         let before = outer.accesses.len();
-        augment_with_call_effects(outer, &unit, &link, false);
+        augment_with_call_effects(outer, &table(&unit, "outer"), &unit, &link, false);
         assert!(outer.accesses.len() > before);
         // After augmentation, `outer` has a write access to `data` at the
         // scale_buffer call site.
@@ -1477,7 +1487,7 @@ void f(double *data, int n) {
 ";
         let (link, mut accesses, unit) = analyze(src);
         let f = accesses.get_mut(&Symbol::intern("f")).unwrap();
-        augment_with_call_effects(f, &unit, &link, false);
+        augment_with_call_effects(f, &table(&unit, "f"), &unit, &link, false);
         let writes: Vec<_> = f
             .accesses
             .iter()
@@ -1503,7 +1513,7 @@ void f() {
 ";
         let (link, mut accesses, unit) = analyze(src);
         let f = accesses.get_mut(&Symbol::intern("f")).unwrap();
-        augment_with_call_effects(f, &unit, &link, false);
+        augment_with_call_effects(f, &table(&unit, "f"), &unit, &link, false);
         assert!(!f
             .accesses
             .iter()
@@ -1688,7 +1698,7 @@ void always() {
         // Replayed at the call: an exposed device read, then a device write
         // — one read-write access, nothing in between.
         let driver = accesses.get_mut(&Symbol::intern("driver")).unwrap();
-        augment_with_call_effects(driver, &unit, &link, false);
+        augment_with_call_effects(driver, &table(&unit, "driver"), &unit, &link, false);
         let replayed: Vec<_> = (driver.accesses.iter())
             .filter(|access| access.var == "a" && access.origin != AccessOrigin::Direct)
             .map(|access| (access.kind, access.on_device))
@@ -1699,7 +1709,8 @@ void always() {
     /// The corners that know nothing about order: an unknown callee reads,
     /// then writes, on the host and proves nothing; a `const` pointee is an
     /// exposed host read; pessimistic globals put the same read-then-write
-    /// on every global, in the summary and at the call site.
+    /// on every global, in the summary and at the call site — but not on a
+    /// local that hides one.
     #[test]
     fn unknown_callee_const_pointee_and_pessimistic_globals_corners() {
         assert_eq!(
@@ -1712,9 +1723,11 @@ void always() {
         );
         let src = "\
 double g[32];
+double h[32];
 void opaque(double *buf, int n);
 void inspect(const double *buf, int n);
 void f(double *data, int n) {
+  double h[4];
   opaque(data, n);
   inspect(data, n);
 }
@@ -1722,7 +1735,7 @@ void f(double *data, int n) {
         let (link, accesses, unit) = analyze(src);
         let replay = |clobber: bool, var: &str| -> Vec<AccessKind> {
             let mut f = accesses[&Symbol::intern("f")].clone();
-            augment_with_call_effects(&mut f, &unit, &link, clobber);
+            augment_with_call_effects(&mut f, &table(&unit, "f"), &unit, &link, clobber);
             let synthetic = f.accesses.iter().filter(|access| access.var == var);
             synthetic.map(|access| access.kind).collect()
         };
@@ -1735,6 +1748,7 @@ void f(double *data, int n) {
             replay(true, "g"),
             [AccessKind::ReadWrite, AccessKind::ReadWrite]
         );
+        assert!(replay(true, "h").is_empty());
         // The clobber is part of the caller's summary too.
         let (_, clobbered, ..) = linked_alone(src, true);
         assert_eq!(

@@ -13,7 +13,8 @@
 //! The pipeline follows the paper's workflow (Figure 1):
 //!
 //! 1. parse (`ompdart-frontend`),
-//! 2. build per-function CFGs and the hybrid AST-CFG (`ompdart-graph`),
+//! 2. index every function's statements (`ompdart-graph`; control flow is
+//!    read from the AST, where the paper builds a hybrid AST-CFG),
 //! 3. classify memory accesses ([`access`]),
 //! 4. interprocedural side-effect analysis ([`interproc`]),
 //! 5. host/device data-flow analysis and mapping decisions ([`dataflow`], [`bounds`]),

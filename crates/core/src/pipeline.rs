@@ -1,13 +1,15 @@
 //! The staged analysis pipeline behind OMPDart.
 //!
 //! The paper's workflow (Figure 1) is an explicit multi-stage pipeline:
-//! parse, hybrid AST-CFG construction, memory-access classification,
+//! parse, graph construction, memory-access classification,
 //! interprocedural summaries, host/device data-flow planning, and source
 //! rewriting. This module models each of those stages as a first-class,
 //! independently runnable artifact:
 //!
 //! * [`ParsedUnit`] — frontend output (source file + AST + diagnostics),
-//! * [`GraphsArtifact`] — per-function CFGs / hybrid AST-CFG,
+//! * [`GraphsArtifact`] — per-function statement indexes (this planner's
+//!   stand-in for the paper's hybrid AST-CFG: it reads control flow from
+//!   the AST),
 //! * [`AccessArtifact`] — classified accesses and symbol tables,
 //! * [`SummariesArtifact`] — every function's *seed* side-effect summary,
 //!   what its own statements do; converging seeds over call sites is the
@@ -286,7 +288,7 @@ pub struct ParsedUnit {
     pub elapsed: Duration,
 }
 
-/// Graph artifact: per-function CFGs and the hybrid AST-CFG.
+/// Graph artifact: the statement index of every function.
 #[derive(Debug)]
 pub struct GraphsArtifact {
     pub graphs: ProgramGraphs,
@@ -374,7 +376,7 @@ pub fn check_input_contract(parsed: &ParsedUnit) -> Result<(), StageError> {
     }
 }
 
-/// Stage 2 — build per-function CFGs and the hybrid AST-CFG.
+/// Stage 2 — index every function's statements.
 pub fn stage_graphs(unit: &TranslationUnit) -> GraphsArtifact {
     let start = Instant::now();
     let graphs = ProgramGraphs::build(unit);
@@ -391,8 +393,8 @@ pub fn stage_accesses(unit: &TranslationUnit, graphs: &GraphsArtifact) -> Access
     let mut accesses = HashMap::new();
     for func in unit.functions() {
         let sym = SymbolTable::build(unit, func);
-        if let Some(graph) = graphs.graphs.function(func.name) {
-            let collected = FunctionAccesses::collect(func, &graph.index, &sym);
+        if let Some(index) = graphs.graphs.function(func.name) {
+            let collected = FunctionAccesses::collect(func, index, &sym);
             accesses.insert(func.name, collected);
         }
         symbols.insert(func.name, sym);
@@ -415,8 +417,8 @@ pub fn stage_summaries(
     _options: &OmpDartOptions,
 ) -> SummariesArtifact {
     let start = Instant::now();
-    // Every defined function has a graph (`AstCfg::build` fails only
-    // without a body), so accesses, symbols and a seed.
+    // Every defined function has a statement index, so accesses, symbols
+    // and a seed.
     let seeds = (unit.functions())
         .map(|func| {
             let acc = &accesses.accesses[&func.name];
@@ -597,17 +599,17 @@ fn run_plan_stage(
     // One slot per function: (analyzed, plan, diagnostics, fallbacks).
     let plan_one = |idx: usize| {
         let func = funcs[idx];
-        let Some(graph) = graphs.graphs.function(func.name) else {
+        let Some(index) = graphs.graphs.function(func.name) else {
             return (false, None, Diagnostics::new(), 0);
         };
         let Some(mut acc) = accesses.accesses.get(&func.name).cloned() else {
             return (true, None, Diagnostics::new(), 0);
         };
-        let fallbacks =
-            augment_with_call_effects(&mut acc, unit, link, options.pessimistic_globals);
-        let mut diags = Diagnostics::new();
         let symbols = &accesses.symbols[&func.name];
-        let mut plan = plan_function(func, graph, &acc, symbols, &mut diags);
+        let fallbacks =
+            augment_with_call_effects(&mut acc, symbols, unit, link, options.pessimistic_globals);
+        let mut diags = Diagnostics::new();
+        let mut plan = plan_function(func, index, &acc, symbols, &mut diags);
         // `--lifetimes` is the same plan under another spelling, plus the
         // collapse clauses that ride with it.
         if let (true, Some(plan)) = (options.lifetimes, &mut plan) {

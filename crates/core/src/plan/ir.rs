@@ -585,11 +585,6 @@ impl MappingPlan {
         self.firstprivate.iter().any(|f| f.var == var)
     }
 
-    /// The `collapse(n)` spec for a kernel, if any.
-    pub fn collapse_for(&self, kernel: NodeId) -> Option<&CollapseSpec> {
-        self.collapses.iter().find(|c| c.kernel == kernel)
-    }
-
     /// Variables covered by any construct in the plan.
     pub fn mapped_variables(&self) -> Vec<String> {
         let mut vars: Vec<String> = Vec::new();
@@ -793,8 +788,9 @@ mod tests {
         assert_eq!(plan.construct_count(), 2);
         assert_eq!(plan.provenances().len(), 2);
         assert_eq!(plan.mapped_variables(), vec!["a"]);
-        assert!(plan.collapse_for(NodeId(5)).is_some());
-        assert!(plan.collapse_for(NodeId(6)).is_none());
+        let collapse_for = |kernel| plan.collapses.iter().find(|c| c.kernel == kernel);
+        assert!(collapse_for(NodeId(5)).is_some());
+        assert!(collapse_for(NodeId(6)).is_none());
         // Unjustified hand-built specs fail the acceptance bar...
         assert!(!plan.fully_justified());
         for m in &mut plan.maps {

@@ -53,10 +53,9 @@ pub(crate) fn plan_edits(
     let mut edits = EditSet::default();
     let directives = collect_directives(unit);
     for plan in plans {
-        let Some(graph) = graphs.function(&plan.function) else {
+        let Some(index) = graphs.function(&plan.function) else {
             continue;
         };
-        let index = &graph.index;
         let span_of = |id: NodeId| index.info(id).map(|i| i.span);
 
         update_edits(&mut edits, file, index, plan, Side::Before);
@@ -344,7 +343,7 @@ mod tests {
             let Some(g) = graphs.function(f.name) else {
                 continue;
             };
-            let acc = FunctionAccesses::collect(f, &g.index, &symbols[&f.name]);
+            let acc = FunctionAccesses::collect(f, g, &symbols[&f.name]);
             let plan = plan_function(f, g, &acc, &symbols[&f.name], &mut diags);
             if let Some(mut plan) = plan {
                 // What the plan stage adds under `--lifetimes`.

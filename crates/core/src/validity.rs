@@ -1,7 +1,7 @@
 //! The host/device validity state machine.
 //!
-//! One forward walk over a function body (the hybrid AST-CFG traversal of
-//! Section IV-D) tracks, per variable, which memory space holds its current
+//! One forward walk over a function's AST (it stands in for the paper's
+//! hybrid AST-CFG traversal of Section IV-D) tracks, per variable, which memory space holds its current
 //! value: a write makes its side current and the other side stale, a read
 //! of a stale side is a cross-space dependency somebody has to resolve.
 //! Branches meet by ∧ on validity ([`merge_states`]), loop bodies are

@@ -138,7 +138,7 @@ pub fn verify_unit(unit: &TranslationUnit) -> VerifyReport {
             continue;
         };
         let mut acc = own.clone();
-        augment_with_call_effects(&mut acc, unit, &link, false);
+        augment_with_call_effects(&mut acc, symbols, unit, &link, false);
         let entry = |var| VarState {
             dev_valid: held.contains(&var),
             ..VarState::host_current()
@@ -179,8 +179,7 @@ pub fn verify_unit(unit: &TranslationUnit) -> VerifyReport {
                 .filter(|call| call.stmt == stmt && call.callee == callee)
                 .flat_map(|call| call.args.iter().zip(&def.params))
                 .filter(|(arg, _)| arg.by_ref && arg.base_var.is_some_and(held_here));
-            let globals = (site.iter().map(|(.., var)| *var))
-                .filter(|var| theirs.is_global(*var) && !theirs.is_param(*var));
+            let globals = (site.iter().map(|(.., var)| *var)).filter(|var| theirs.is_global(*var));
             let mut held: Vec<Symbol> = globals.chain(args.map(|(_, param)| param.name)).collect();
             held.sort_unstable();
             held.dedup();

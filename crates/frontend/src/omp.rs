@@ -453,18 +453,6 @@ impl OmpDirective {
             .flatten()
             .collect()
     }
-
-    /// True if the directive carries any explicit `map`, update-`to`/`from`
-    /// data-motion clause (used to validate the "no explicit mappings" input
-    /// expectation of OMPDart).
-    pub fn has_explicit_data_motion(&self) -> bool {
-        self.clauses.iter().any(|c| {
-            matches!(
-                c,
-                Clause::Map { .. } | Clause::UpdateTo(_) | Clause::UpdateFrom(_)
-            )
-        })
-    }
 }
 
 #[cfg(test)]

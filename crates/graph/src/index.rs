@@ -1,18 +1,15 @@
-//! Statement index and the hybrid AST-CFG.
+//! The statement index: the one per-function graph.
 //!
-//! The paper combines the Clang AST with the per-function CFG into a hybrid
-//! "AST-CFG" (Section IV-B, Figure 2): CFG nodes are linked to the AST nodes
-//! they execute so that data-flow traversals can consult structural
-//! information (enclosing loops, array subscripts, loop bounds) on demand.
-//!
-//! [`StmtIndex`] is the AST side of that structure: for every statement it
-//! records the innermost enclosing loop, the enclosing offload kernel and
-//! `target data` region (if any), the parent statement, a stable source
-//! order and the extent of the statement's subtree in that order, in a
-//! dense table addressed by statement id ([`NodeTable`]). [`AstCfg`] pairs
-//! it with the [`Cfg`] for the same function.
+//! The paper combines the Clang AST with a per-function CFG into a hybrid
+//! "AST-CFG" (Section IV-B, Figure 2). This planner reads control flow
+//! structurally instead: the planner and `verify` walk the AST through
+//! `ompdart_core::validity::Walker`, and consult [`StmtIndex`] for the
+//! structural facts. For every statement the index records the innermost
+//! enclosing loop, the enclosing offload kernel and `target data` region (if
+//! any), the parent statement, a stable source order and the extent of the
+//! statement's subtree in that order, in a dense table addressed by
+//! statement id ([`NodeTable`]).
 
-use crate::cfg::Cfg;
 use crate::table::NodeTable;
 use ompdart_frontend::ast::{FunctionDef, NodeId, Stmt, StmtKind, TranslationUnit};
 use ompdart_frontend::omp::DirectiveKind;
@@ -258,63 +255,55 @@ impl StmtIndex {
     }
 }
 
-/// The hybrid AST-CFG for one function: the control-flow graph plus the
-/// statement index that links graph nodes back to structural AST facts.
+/// The graphs of one function: its statement index. `cfg` is a stub that
+/// stays only because the benchmark harness (`ledger/src/layers.rs`) still
+/// counts its nodes and edges for the `graph.cfg_*` rows, which read 0.
 #[derive(Clone, Debug)]
 pub struct AstCfg {
-    pub cfg: Cfg,
+    pub cfg: NoCfg,
     pub index: StmtIndex,
 }
 
-impl AstCfg {
-    /// Build the hybrid representation for a function definition.
-    pub fn build(func: &FunctionDef) -> Option<AstCfg> {
-        let body = func.body.as_ref()?;
-        Some(AstCfg {
-            cfg: Cfg::build(&func.name, body),
-            index: StmtIndex::build(func),
-        })
+/// No control-flow graph: nothing in the planner reads one (see the module
+/// docs). [`NoCfg::nodes`] and [`NoCfg::edges`] are always empty.
+#[derive(Clone, Copy, Debug)]
+pub struct NoCfg;
+
+impl NoCfg {
+    pub fn nodes(&self) -> &[()] {
+        &[]
     }
 
-    /// The function name.
-    pub fn function(&self) -> &str {
-        &self.cfg.function
-    }
-
-    /// Number of offload kernels in the function.
-    pub fn kernel_count(&self) -> usize {
-        self.index.kernels().len()
-    }
-
-    /// True if the function contains at least one offload kernel.
-    pub fn has_kernels(&self) -> bool {
-        self.kernel_count() > 0
+    pub fn edges(&self) -> &[()] {
+        &[]
     }
 }
 
-/// Hybrid AST-CFGs for every function definition in a translation unit.
+/// The statement index of every function definition in a translation unit.
 #[derive(Clone, Debug, Default)]
 pub struct ProgramGraphs {
     pub functions: Vec<AstCfg>,
 }
 
 impl ProgramGraphs {
-    /// Build graphs for every function with a body.
+    /// Index every function definition.
     pub fn build(unit: &TranslationUnit) -> ProgramGraphs {
-        let functions = unit.functions().filter_map(AstCfg::build).collect();
+        let functions = (unit.functions())
+            .map(|func| AstCfg {
+                cfg: NoCfg,
+                index: StmtIndex::build(func),
+            })
+            .collect();
         ProgramGraphs { functions }
     }
 
-    /// The graph for a specific function: interned names compare as
-    /// integers.
-    pub fn function(&self, name: impl Into<Symbol>) -> Option<&AstCfg> {
+    /// The statement index of a specific function: interned names compare
+    /// as integers.
+    pub fn function(&self, name: impl Into<Symbol>) -> Option<&StmtIndex> {
         let name = name.into();
-        self.functions.iter().find(|g| g.index.function == name)
-    }
-
-    /// Total number of offload kernels across the program.
-    pub fn total_kernels(&self) -> usize {
-        self.functions.iter().map(|g| g.kernel_count()).sum()
+        (self.functions.iter())
+            .map(|g| &g.index)
+            .find(|index| index.function == name)
     }
 }
 
@@ -350,12 +339,11 @@ void compute(double *a, double *partial, int n, int m) {
     fn kernels_and_loops_indexed_in_order() {
         let (_f, graphs, _unit) = graphs(NESTED);
         let g = graphs.function("compute").unwrap();
-        assert_eq!(g.kernel_count(), 1);
-        assert_eq!(g.index.loops().len(), 3);
-        assert_eq!(graphs.total_kernels(), 1);
+        assert_eq!(g.kernels().len(), 1);
+        assert_eq!(g.loops().len(), 3);
         // kernels() precede the host loops in source order
-        let order = |id| g.index.info(id).unwrap().order;
-        assert!(order(g.index.kernels()[0]) < order(g.index.loops()[1]));
+        let order = |id| g.info(id).unwrap().order;
+        assert!(order(g.kernels()[0]) < order(g.loops()[1]));
     }
 
     #[test]
@@ -367,7 +355,7 @@ void compute(double *a, double *partial, int n, int m) {
         let mut host_exprs = 0;
         func.body.as_ref().unwrap().walk(&mut |s| {
             if matches!(s.kind, StmtKind::Expr(_)) {
-                let info = g.index.info(s.id).unwrap();
+                let info = g.info(s.id).unwrap();
                 if info.offloaded {
                     offloaded_exprs += 1;
                 } else {
@@ -394,11 +382,11 @@ void compute(double *a, double *partial, int n, int m) {
             }
         });
         let target = target.unwrap();
-        let mut loops: Vec<NodeId> = g.index.loops_outward(target).collect();
+        let mut loops: Vec<NodeId> = g.loops_outward(target).collect();
         loops.reverse();
         assert_eq!(loops.len(), 2);
         // outermost (j loop) first, and it encloses the k loop
-        assert!(g.index.encloses(loops[0], loops[1]));
+        assert!(g.encloses(loops[0], loops[1]));
     }
 
     #[test]
@@ -415,14 +403,11 @@ void f(double *a, int n) {
 ";
         let (_f, graphs, _unit) = graphs(src);
         let g = graphs.function("f").unwrap();
-        assert_eq!(g.index.updates().len(), 1);
+        assert_eq!(g.updates().len(), 1);
         // the update is inside the data region
-        let upd = g.index.updates()[0];
-        let region = g.index.info(upd).unwrap().enclosing_data_region.unwrap();
-        assert_eq!(
-            g.index.info(region).unwrap().kind,
-            StmtKindTag::OmpTargetData
-        );
+        let upd = g.updates()[0];
+        let region = g.info(upd).unwrap().enclosing_data_region.unwrap();
+        assert_eq!(g.info(region).unwrap().kind, StmtKindTag::OmpTargetData);
     }
 
     #[test]
@@ -432,11 +417,11 @@ void f(double *a, int n) {
         let func = unit.function("compute").unwrap();
         let body = func.body.as_ref().unwrap();
         // The function body has no parent; everything else does.
-        assert!(g.index.info(body.id).unwrap().parent.is_none());
+        assert!(g.info(body.id).unwrap().parent.is_none());
         let mut checked = 0;
         body.walk(&mut |s| {
             if s.id != body.id {
-                assert!(g.index.info(s.id).unwrap().parent.is_some());
+                assert!(g.info(s.id).unwrap().parent.is_some());
                 checked += 1;
             }
         });
@@ -455,11 +440,11 @@ void f(double *a, int n) {
     fn stmts_in_order_is_stable() {
         let (_f, graphs, _unit) = graphs(NESTED);
         let g = graphs.function("compute").unwrap();
-        let ordered = g.index.stmts_in_order();
+        let ordered = g.stmts_in_order();
         for (i, info) in ordered.iter().enumerate() {
             assert_eq!(info.order, i);
         }
-        assert_eq!(ordered.len(), g.index.len());
+        assert_eq!(ordered.len(), g.len());
     }
 
     #[test]
@@ -472,7 +457,7 @@ void f(double *a, int n) {
         func.body.as_ref().unwrap().walk(&mut |s| {
             for e in s.direct_exprs() {
                 e.walk(&mut |e| {
-                    assert!(g.index.info(e.id).is_none(), "expression {:?}", e.id);
+                    assert!(g.info(e.id).is_none(), "expression {:?}", e.id);
                     exprs += 1;
                 });
             }
@@ -480,11 +465,11 @@ void f(double *a, int n) {
         assert!(exprs > 10);
         let other = unit.function("g").unwrap();
         other.body.as_ref().unwrap().walk(&mut |s| {
-            assert!(g.index.info(s.id).is_none());
-            assert!(graphs.function("g").unwrap().index.info(s.id).is_some());
+            assert!(g.info(s.id).is_none());
+            assert!(graphs.function("g").unwrap().info(s.id).is_some());
         });
         for id in [func.id, other.id, NodeId(0), NodeId(u32::MAX)] {
-            assert!(g.index.info(id).is_none(), "{id:?}");
+            assert!(g.info(id).is_none(), "{id:?}");
         }
     }
 
@@ -493,26 +478,240 @@ void f(double *a, int n) {
         let (_f, graphs, unit) = graphs(NESTED);
         let g = graphs.function("compute").unwrap();
         let body = unit.function("compute").unwrap().body.as_ref().unwrap();
-        assert_eq!(g.index.info(body.id).unwrap().end, g.index.len());
+        assert_eq!(g.info(body.id).unwrap().end, g.len());
         body.walk(&mut |s| {
-            let info = g.index.info(s.id).unwrap();
+            let info = g.info(s.id).unwrap();
             let mut inside = Vec::new();
             s.walk(&mut |d| inside.push(d.id));
             assert_eq!(info.end - info.order, inside.len());
-            for other in g.index.stmts_in_order() {
+            for other in g.stmts_in_order() {
                 let contained = inside[1..].contains(&other.id);
-                assert_eq!(g.index.encloses(s.id, other.id), contained);
+                assert_eq!(g.encloses(s.id, other.id), contained);
             }
-            let loops: Vec<NodeId> = g.index.loops_outward(s.id).collect();
+            let loops: Vec<NodeId> = g.loops_outward(s.id).collect();
             for l in &loops {
-                assert!(g.index.encloses(*l, s.id));
+                assert!(g.encloses(*l, s.id));
             }
             assert_eq!(
                 loops.len(),
-                (g.index.loops().iter())
-                    .filter(|l| g.index.encloses(**l, s.id))
-                    .count()
+                (g.loops().iter()).filter(|l| g.encloses(**l, s.id)).count()
             );
         });
+    }
+
+    /// The index of `f` in `src`, with its statements' kind tags in source
+    /// order and each statement's loop depth.
+    fn indexed(src: &str) -> (StmtIndex, Vec<StmtKindTag>, Vec<usize>) {
+        let (_f, graphs, _unit) = graphs(src);
+        let g = graphs.function("f").unwrap().clone();
+        let tags = g.stmts_in_order().iter().map(|s| s.kind).collect();
+        let depths = (g.stmts_in_order().iter())
+            .map(|s| g.loops_outward(s.id).count())
+            .collect();
+        (g, tags, depths)
+    }
+
+    /// The statements of one kind, in source order.
+    fn of_kind(g: &StmtIndex, kind: StmtKindTag) -> Vec<&StmtInfo> {
+        (g.stmts_in_order().iter())
+            .filter(|s| s.kind == kind)
+            .collect()
+    }
+
+    use StmtKindTag::*;
+
+    #[test]
+    fn straight_line_code_has_no_loops_or_kernels() {
+        let (g, tags, depths) = indexed("int f() { int a = 1; a += 2; return a; }\n");
+        assert_eq!(tags, [Compound, Decl, Expr, Return]);
+        assert_eq!(depths, [0; 4]);
+        assert!(g.loops().is_empty() && g.kernels().is_empty() && g.updates().is_empty());
+        assert!(g.stmts_in_order().iter().all(|s| !s.offloaded));
+    }
+
+    #[test]
+    fn if_else_branches_are_children_of_the_if() {
+        let (g, tags, depths) = indexed(
+            "int f(int x) { int r = 0; if (x > 0) { r = 1; } else { r = 2; } return r; }\n",
+        );
+        assert_eq!(
+            tags,
+            [Compound, Decl, If, Compound, Expr, Compound, Expr, Return]
+        );
+        assert_eq!(depths, [0; 8]);
+        let branch = of_kind(&g, If)[0];
+        assert_eq!(branch.end - branch.order, 5);
+        for arm in of_kind(&g, Compound).into_iter().skip(1) {
+            assert_eq!(arm.parent, Some(branch.id));
+        }
+        let body = g.stmts_in_order()[0].id;
+        assert_eq!(of_kind(&g, Return)[0].parent, Some(body));
+    }
+
+    #[test]
+    fn for_loop_body_is_one_loop_deep() {
+        let (g, tags, depths) = indexed(
+            "int f(int n) { int s = 0; for (int i = 0; i < n; i++) { s += i; } return s; }\n",
+        );
+        assert_eq!(tags, [Compound, Decl, ForLoop, Compound, Expr, Return]);
+        assert_eq!(depths, [0, 0, 0, 1, 1, 0]);
+        assert_eq!(g.loops(), [of_kind(&g, ForLoop)[0].id]);
+        assert_eq!(of_kind(&g, Expr)[0].enclosing_loop, Some(g.loops()[0]));
+    }
+
+    #[test]
+    fn nested_loops_track_depth() {
+        let (g, tags, depths) = indexed(
+            "void f(int n) { for (int i = 0; i < n; i++) { for (int j = 0; j < n; j++) { int x = i * j; } } }\n",
+        );
+        assert_eq!(tags, [Compound, ForLoop, Compound, ForLoop, Compound, Decl]);
+        assert_eq!(depths, [0, 0, 1, 1, 2, 2]);
+        let decl = of_kind(&g, Decl)[0].id;
+        let outward: Vec<NodeId> = g.loops_outward(decl).collect();
+        assert_eq!(outward, [g.loops()[1], g.loops()[0]]);
+    }
+
+    #[test]
+    fn while_and_do_while() {
+        let (g, tags, depths) = indexed(
+            "void f(int n) { int i = 0; while (i < n) { i++; } do { i--; } while (i > 0); }\n",
+        );
+        assert_eq!(
+            tags,
+            [
+                Compound,
+                Decl,
+                WhileLoop,
+                Compound,
+                Expr,
+                DoWhileLoop,
+                Compound,
+                Expr
+            ]
+        );
+        assert_eq!(depths, [0, 0, 0, 1, 1, 0, 1, 1]);
+        let (w, d) = (of_kind(&g, WhileLoop)[0].id, of_kind(&g, DoWhileLoop)[0].id);
+        assert_eq!(g.loops(), [w, d]);
+        assert!(WhileLoop.is_loop() && DoWhileLoop.is_loop());
+        let exprs = of_kind(&g, Expr);
+        assert_eq!(exprs[0].enclosing_loop, Some(w));
+        assert_eq!(exprs[1].enclosing_loop, Some(d));
+    }
+
+    #[test]
+    fn break_and_continue_inside_nested_loops() {
+        let (g, tags, depths) = indexed(
+            "void f(int n) { for (int i = 0; i < n; i++) { while (n > i) { \
+             if (i == 3) break; if (i % 2) continue; n--; } int y = i; } }\n",
+        );
+        assert_eq!(
+            tags,
+            [
+                Compound, ForLoop, Compound, WhileLoop, Compound, If, Break, If, Continue, Expr,
+                Decl
+            ]
+        );
+        assert_eq!(depths, [0, 0, 1, 1, 2, 2, 2, 2, 2, 2, 1]);
+        let inner = of_kind(&g, WhileLoop)[0].id;
+        let jumps = [of_kind(&g, Break)[0], of_kind(&g, Continue)[0]];
+        for jump in jumps {
+            assert_eq!(jump.enclosing_loop, Some(inner));
+            assert_eq!(g.info(jump.parent.unwrap()).unwrap().kind, If);
+        }
+    }
+
+    #[test]
+    fn early_return_inside_nested_loops() {
+        let (g, tags, depths) = indexed(
+            "int f(int n) { for (int i = 0; i < n; i++) { for (int j = 0; j < n; j++) { \
+             if (i * j > 4) return 1; } } return 0; }\n",
+        );
+        assert_eq!(
+            tags,
+            [Compound, ForLoop, Compound, ForLoop, Compound, If, Return, Return]
+        );
+        assert_eq!(depths, [0, 0, 1, 1, 2, 2, 2, 0]);
+        let returns = of_kind(&g, Return);
+        let outward: Vec<NodeId> = g.loops_outward(returns[0].id).collect();
+        assert_eq!(outward, [g.loops()[1], g.loops()[0]]);
+        assert_eq!(returns[1].parent, Some(g.stmts_in_order()[0].id));
+    }
+
+    #[test]
+    fn switch_statement_branches() {
+        let (g, tags, depths) = indexed(
+            "int f(int x) { int r = 0; switch (x) { case 1: r = 1; break; \
+             case 2: r = 2; break; default: r = 3; } return r; }\n",
+        );
+        assert_eq!(
+            tags,
+            [
+                Compound, Decl, Switch, Compound, Other, Expr, Break, Other, Expr, Break, Other,
+                Expr, Return
+            ]
+        );
+        // A switch is no loop: its `break`s leave no loop behind.
+        assert_eq!(depths, [0; 13]);
+        assert!(g.loops().is_empty() && !Switch.is_loop());
+        let switch = of_kind(&g, Switch)[0];
+        assert_eq!(switch.end - switch.order, 10);
+    }
+
+    #[test]
+    fn kernel_statements_are_marked_offloaded() {
+        let (g, tags, depths) = indexed(
+            "void f(double *a, int n) {
+  #pragma omp target teams distribute parallel for
+  for (int i = 0; i < n; i++) a[i] = 2.0 * a[i];
+  for (int i = 0; i < n; i++) a[i] += 1.0;
+}
+",
+        );
+        assert_eq!(tags, [Compound, OmpKernel, ForLoop, Expr, ForLoop, Expr]);
+        assert_eq!(depths, [0, 0, 0, 1, 0, 1]);
+        let kernel = g.kernels()[0];
+        let offloaded: Vec<StmtKindTag> = (g.stmts_in_order().iter())
+            .filter(|s| s.offloaded)
+            .map(|s| s.kind)
+            .collect();
+        assert_eq!(offloaded, [ForLoop, Expr]);
+        for s in g.stmts_in_order().iter().filter(|s| s.offloaded) {
+            assert_eq!(s.enclosing_kernel, Some(kernel));
+        }
+        assert!(!g.info(g.loops()[1]).unwrap().offloaded);
+    }
+
+    #[test]
+    fn target_data_region_encloses_its_kernel_and_update() {
+        let (g, tags, depths) = indexed(
+            "void f(double *a, int n) {
+  #pragma omp target data map(tofrom: a[0:n])
+  {
+    #pragma omp target
+    for (int i = 0; i < n; i++) a[i] += 1.0;
+    #pragma omp target update from(a[0:n])
+  }
+}
+",
+        );
+        assert_eq!(
+            tags,
+            [
+                Compound,
+                OmpTargetData,
+                Compound,
+                OmpKernel,
+                ForLoop,
+                Expr,
+                OmpTargetUpdate
+            ]
+        );
+        assert_eq!(depths, [0, 0, 0, 0, 0, 1, 0]);
+        let region = of_kind(&g, OmpTargetData)[0].id;
+        for id in [g.kernels()[0], g.updates()[0]] {
+            assert!(g.encloses(region, id));
+            assert_eq!(g.info(id).unwrap().enclosing_data_region, Some(region));
+        }
+        assert!(!g.info(g.updates()[0]).unwrap().offloaded);
     }
 }

@@ -1,22 +1,19 @@
 //! # ompdart-graph
 //!
-//! Control-flow graphs and the hybrid **AST-CFG** representation used by the
-//! OMPDart reproduction.
+//! The per-function statement index of the OMPDart reproduction.
 //!
-//! The paper (Section IV-B) constructs a CFG for every function and links
-//! each CFG node to its AST node, forming a hybrid structure that supports
-//! both flow-sensitive traversal (validity/liveness of data in each memory
-//! space) and structural queries (enclosing loops, loop bounds, array
-//! subscripts). This crate provides:
+//! The paper (Section IV-B) builds a hybrid AST-CFG for every function. This
+//! planner reads control flow structurally instead: the planner and `verify`
+//! walk the AST through `ompdart_core::validity::Walker` and consult the
+//! statement index for enclosing loops, kernels and regions, not a CFG. This
+//! crate provides:
 //!
-//! * [`cfg::Cfg`] — per-function control-flow graphs with branch/back edges
-//!   and offload-region marking,
 //! * [`index::StmtIndex`] — the AST-side index (enclosing loops, enclosing
 //!   kernel, enclosing `target data` region, source order),
 //! * [`table::NodeTable`] — the dense per-node table the index and the
 //!   analysis keep their per-statement facts in, addressed by node id,
-//! * [`index::AstCfg`] / [`index::ProgramGraphs`] — the combined hybrid
-//!   representation for a function / a whole translation unit.
+//! * [`index::ProgramGraphs`] — the index of every function of a
+//!   translation unit.
 //!
 //! ```
 //! use ompdart_frontend::parser::parse_str;
@@ -30,15 +27,13 @@
 //! "#;
 //! let (_file, result) = parse_str("step.c", src);
 //! let graphs = ProgramGraphs::build(&result.unit);
-//! assert_eq!(graphs.total_kernels(), 1);
-//! let g = graphs.function("step").unwrap();
-//! assert!(g.cfg.all_reachable());
+//! let index = graphs.function("step").unwrap();
+//! assert_eq!(index.kernels().len(), 1);
+//! assert_eq!(index.loops().len(), 1);
 //! ```
 
-pub mod cfg;
 pub mod index;
 pub mod table;
 
-pub use cfg::{Cfg, CfgEdge, CfgNode, CfgNodeId, CfgNodeKind, EdgeKind};
-pub use index::{AstCfg, ProgramGraphs, StmtIndex, StmtInfo, StmtKindTag};
+pub use index::{AstCfg, NoCfg, ProgramGraphs, StmtIndex, StmtInfo, StmtKindTag};
 pub use table::NodeTable;

@@ -331,13 +331,20 @@ mod tests {
     #[test]
     fn unoptimized_variants_have_no_explicit_mappings() {
         use ompdart_frontend::ast::StmtKind;
+        use ompdart_frontend::omp::Clause;
         for bench in all() {
             let (_f, result) = parse_str("b.c", bench.unoptimized);
             for f in result.unit.functions() {
                 f.body.as_ref().unwrap().walk(&mut |s| {
                     if let StmtKind::Omp(d) = &s.kind {
+                        let data_motion = d.clauses.iter().any(|c| {
+                            matches!(
+                                c,
+                                Clause::Map { .. } | Clause::UpdateTo(_) | Clause::UpdateFrom(_)
+                            )
+                        });
                         assert!(
-                            !d.kind.is_data_directive() && !d.has_explicit_data_motion(),
+                            !d.kind.is_data_directive() && !data_motion,
                             "{}: unoptimized variant contains explicit mappings",
                             bench.name
                         );

@@ -254,7 +254,7 @@ fn a_functions_statement_ids_are_one_range_of_its_own() {
                 "{name}: `{}` is numbered before its body",
                 func.name
             );
-            let index = &graphs.graphs.function(func.name).unwrap().index;
+            let index = graphs.graphs.function(func.name).unwrap();
             assert_eq!(index.len(), stmts.len(), "{name}: {}", func.name);
             for (other, their_stmts, _) in ids.iter().filter(|(f, ..)| f.id != func.id) {
                 for id in their_stmts.iter().chain([&other.id]) {

@@ -1420,16 +1420,16 @@ int main() {
     assert_eq!(moved.analysis_misses, 2, "{moved}");
 }
 
-/// The planner matches variables by name, so a callee's effect on a global
-/// is replayed onto a caller's *local* of the same name: here `c` writes
-/// the global `tmp` of `c.c` on the host, and `main`'s plan updates its own
-/// local `tmp` after the call. No summary records that local, yet the
-/// device names count it, so dropping `c`'s host write moves `c`'s
-/// projected fingerprint and re-plans `main`. With only the globals some
-/// summary touches on the device counted, `main` was served its old plan,
-/// update and all, and the round differed from a cold analysis.
+/// A callee's effect on a global lands only on that global: `c` writes the
+/// global `tmp` of `c.c` on the host, and `main.c` declares only a local
+/// `tmp`, which the call leaves alone. So `main`'s plan holds no update of
+/// its own `tmp` after the call (one that did copied the stale host copy
+/// over the kernel's values), whatever `c` does. The device names still
+/// count `main`'s local, so dropping `c`'s host write still re-plans
+/// `main`, and the warm round is a cold analysis's.
 #[test]
 fn a_callee_global_with_a_caller_local_name_stays_in_the_plan_key() {
+    use ompdart_sim::{simulate_source, SimConfig};
     let main = "\
 #define N 16
 void c(void);
@@ -1451,13 +1451,17 @@ int main() {
         .analyze_program(&program("tmp[0] = 1.0;"))
         .expect("cold round failed");
     assert!(
-        writes.units[0]
-            .rewrite
-            .source
-            .contains("target update to(tmp"),
-        "the replayed host write needs an update: {}",
+        !writes.units[0].rewrite.source.contains("target update"),
+        "`c`'s global is not `main`'s local: {}",
         writes.units[0].rewrite.source
     );
+    let concat: String = program("tmp[0] = 1.0;")
+        .into_iter()
+        .map(|(_, text)| text)
+        .collect();
+    let unmapped = simulate_source(&concat, SimConfig::default()).unwrap();
+    let mapped = simulate_source(&writes.concatenated_rewrite(), SimConfig::default()).unwrap();
+    assert_eq!(mapped.output, unmapped.output);
     let (moved, round) = warm_round(&driver, &program("double t = 0.0; t += 1.0;"));
     assert_eq!(round.served[0], UnitServe::Planned, "{moved}");
     assert_eq!(moved.analysis_misses, 2, "{moved}");
@@ -1826,4 +1830,136 @@ fn a_nested_callees_device_write_is_not_a_host_write_of_its_caller() {
     for mapped in mapped_both_ways(&units) {
         assert!(!mapped.contains("#pragma omp target update"), "{mapped}");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Names are declarations: a name that denotes two variables gets no shared plan
+// ---------------------------------------------------------------------------
+
+/// `g` writes the global `tmp` in a kernel.
+const TMP_WRITER: &str = "\
+double tmp[4];
+void g(void) {
+  #pragma omp target teams distribute parallel for
+  for (int i = 0; i < 4; i++) tmp[i] = 9.0;
+}
+";
+
+/// `main`'s own local `tmp`, which `g` cannot reach, read on the host after
+/// `g` runs between two kernels on `a`.
+const LOCAL_TMP_MAIN: &str = "\
+void g(void);
+int main() {
+  double a[4];
+  double tmp[4];
+  for (int i = 0; i < 4; i++) { a[i] = 1.0; tmp[i] = 5.0; }
+  #pragma omp target teams distribute parallel for
+  for (int i = 0; i < 4; i++) a[i] = 2.0;
+  g();
+  #pragma omp target teams distribute parallel for
+  for (int i = 0; i < 4; i++) a[i] += 1.0;
+  printf(\"%f %f\\n\", a[0], tmp[0]);
+  return 0;
+}
+";
+
+/// Map `units` as one program under all four option combinations and
+/// return the analyses after checking that each has no diagnostic and that
+/// each mapped program prints what the unmapped one prints.
+fn mapped_under_every_option(units: &[(String, String)]) -> Vec<ompdart_core::ProgramAnalysis> {
+    use ompdart_sim::{simulate_source, SimConfig};
+    let concat: String = units.iter().map(|(_, source)| source.as_str()).collect();
+    let unmapped = simulate_source(&concat, SimConfig::default()).expect("unmapped program runs");
+    let combos = [(false, false), (true, false), (false, true), (true, true)];
+    (combos.into_iter())
+        .map(|(lifetimes, pessimistic)| {
+            let tool = Ompdart::builder()
+                .lifetimes(lifetimes)
+                .pessimistic_globals(pessimistic)
+                .build();
+            let mapped = ompdart_suite::map_and_simulate(&tool, units).expect("maps and runs");
+            for unit in &mapped.analysis.units {
+                assert!(unit.diagnostics().is_empty(), "{:?}", unit.diagnostics());
+            }
+            assert_eq!(
+                mapped.run.output,
+                unmapped.output,
+                "lifetimes {lifetimes}, pessimistic globals {pessimistic}: the mapping changed \
+                 what the program prints:\n{}",
+                mapped.analysis.concatenated_rewrite()
+            );
+            mapped.analysis
+        })
+        .collect()
+}
+
+/// A callee's effect on the global `tmp` is replayed by name, so it used to
+/// land on `main`'s local `tmp` too: `map(from: a, tmp)` copied the device
+/// copy of the local, which nothing wrote, over its 5.0.
+#[test]
+fn a_callee_global_effect_skips_a_local_of_the_same_name() {
+    let units = owned(&[("shadow.c", &format!("{TMP_WRITER}{LOCAL_TMP_MAIN}"))]);
+    for analysis in mapped_under_every_option(&units) {
+        assert!(!analysis
+            .concatenated_rewrite()
+            .contains("map(from: a, tmp)"));
+    }
+}
+
+/// The same across units: `c.c` defines `tmp` and `g`, `main.c` has only its
+/// local `tmp`.
+#[test]
+fn a_callee_global_effect_skips_a_local_of_the_same_name_across_units() {
+    let units = owned(&[("c.c", TMP_WRITER), ("main.c", LOCAL_TMP_MAIN)]);
+    for analysis in mapped_under_every_option(&units) {
+        let main = analysis.units[1].rewritten_source();
+        assert!(!main.contains("tmp)"), "{main}");
+    }
+}
+
+/// A block's `a` hides the outer `a` the kernels work on. The planner maps
+/// names, so it put `target update to(a)` after the block and the outer
+/// `a`'s stale host copy over the device's: the program is refused, with
+/// both declarations named. Sibling `for (int i …)` loops are not
+/// shadowing, and the same program without the block plans cleanly.
+#[test]
+fn a_block_that_shadows_a_device_array_is_refused() {
+    let program = |block: &str| {
+        format!(
+            "int main() {{\n  double a[4];\n  for (int i = 0; i < 4; i++) a[i] = 1.0;\n  \
+             #pragma omp target teams distribute parallel for\n  \
+             for (int i = 0; i < 4; i++) a[i] = 2.0;\n{block}  \
+             #pragma omp target teams distribute parallel for\n  \
+             for (int i = 0; i < 4; i++) a[i] += 1.0;\n  printf(\"%f\\n\", a[0]);\n  \
+             return 0;\n}}\n"
+        )
+    };
+    let shadowing = program(
+        "  {\n    double a[4];\n    for (int i = 0; i < 4; i++) a[i] = 7.0;\n    \
+         printf(\"%f\\n\", a[0]);\n  }\n",
+    );
+    let analysis = Ompdart::new()
+        .analyze("shadow.c", &shadowing)
+        .expect("the unit parses");
+    let diagnostics = analysis.diagnostics();
+    let errors: Vec<_> = (diagnostics.iter())
+        .filter(|d| d.severity == ompdart_frontend::diag::Severity::Error)
+        .collect();
+    assert_eq!(errors.len(), 1, "{diagnostics:?}");
+    let text = analysis.source_file().text();
+    let at = |span: ompdart_frontend::source::Span| &text[span.start as usize..];
+    assert!(errors[0]
+        .message
+        .contains("`a` names two variables in `main`"));
+    assert!(
+        at(errors[0].span).starts_with("a[4];\n    for"),
+        "the inner `a`"
+    );
+    assert_eq!(errors[0].labels.len(), 1);
+    assert!(
+        at(errors[0].labels[0].span).starts_with("a[4];\n  for"),
+        "the outer `a`"
+    );
+
+    mapped_under_every_option(&owned(&[("plain.c", &program(""))]));
 }
