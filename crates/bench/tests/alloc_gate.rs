@@ -16,7 +16,8 @@ use ompdart_core::pipeline::{
     stage_accesses, stage_graphs, stage_parse, stage_plans, stage_summaries,
 };
 use ompdart_core::{
-    AnalysisSession, LinkState, OmpDartOptions, Program, ProgramDriver, SummarizedUnit,
+    release_bodies, AnalysisSession, LinkState, OmpDartOptions, Program, ProgramDriver,
+    SummarizedUnit,
 };
 use ompdart_suite::corpus;
 use std::sync::{Arc, Mutex};
@@ -57,6 +58,48 @@ const MAX_PARSE_ALLOCS_PER_UNIT: f64 = 330.0;
 /// about 8 per function, and failed this gate; it now allocates about 2
 /// per function.
 const MAX_RELINK_ALLOCS_PER_RESEEDED: f64 = 3.0;
+
+/// Live bytes per unit that a session over the 200-unit corpus holds once
+/// it has answered and released its units' bodies: each unit's source,
+/// interface and content key, its analysis (plans, rewrite) and the
+/// driver's link state — what a store hit holds. It holds 4.4 KB per unit
+/// released, 17.2 KB with every body resident.
+const MAX_RELEASED_BYTES_PER_UNIT: f64 = 8.0 * 1024.0;
+
+#[test]
+fn a_released_session_holds_what_the_store_keeps() {
+    let _one_at_a_time = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+    let n = 200;
+    let inputs = corpus::generate(n, 42);
+    // The process-wide pool starts outside the window.
+    ProgramDriver::new()
+        .analyze_program(&corpus::generate(4, 7))
+        .expect("a small corpus analyzes");
+    let before = alloc_counter::snapshot();
+    let driver = ProgramDriver::new();
+    let cold = driver.analyze_program(&inputs).expect("cold analysis");
+    let resident = alloc_counter::snapshot().since(&before).live;
+    assert_eq!(release_bodies(&cold.units), n);
+    drop(cold);
+    let held = alloc_counter::snapshot().since(&before).live;
+    // An unchanged round rides the fast path: nothing built, nothing to
+    // release.
+    let warm = driver.analyze_program(&inputs).expect("warm analysis");
+    assert_eq!(release_bodies(&warm.units), 0);
+    let kb_per_unit = |bytes: i64| bytes as f64 / n as f64 / 1024.0;
+    eprintln!(
+        "alloc_gate: a session over {n} corpus units holds {:.1} KB per unit, {:.1} KB once \
+         its bodies are released",
+        kb_per_unit(resident),
+        kb_per_unit(held)
+    );
+    assert!(
+        held as f64 / n as f64 <= MAX_RELEASED_BYTES_PER_UNIT,
+        "a released session holds {:.1} KB per unit (budget {:.0} KB)",
+        kb_per_unit(held),
+        MAX_RELEASED_BYTES_PER_UNIT / 1024.0
+    );
+}
 
 #[test]
 fn a_mid_chain_relink_stays_within_its_allocation_budget() {

@@ -140,7 +140,7 @@ struct UpdateDecision {
 /// A plan names variables, so a name that denotes two of them — a block
 /// declaration hiding an outer one — cannot be planned once the device or a
 /// callee's replayed effect touches it: each such shadow is an error.
-fn refuse_shadows(
+pub(crate) fn refuse_shadows(
     func: &FunctionDef,
     accesses: &FunctionAccesses,
     symbols: &SymbolTable,

@@ -81,8 +81,8 @@ pub use interproc::{
     ProgramSummaries, PropagationNode,
 };
 pub use pipeline::{
-    AnalysisSession, FunctionKeySnapshot, Stage, StageError, StageTimings, SummarizedUnit,
-    UnitAnalysis, UnitBody,
+    release_bodies, AnalysisSession, FunctionKeySnapshot, Stage, StageError, StageTimings,
+    SummarizedUnit, UnitAnalysis, UnitBody,
 };
 pub use plan::{
     diff_plans, explain_plan, explain_plans, extract_explicit_plans, plans_from_json,

@@ -24,9 +24,10 @@
 //! An [`AnalysisSession`] drives the stages along **one path**:
 //! [`AnalysisSession::summarize`] yields a unit as the link stage consumes
 //! it — a [`SummarizedUnit`]: its *interface* (what the link reads of it)
-//! and, behind a `OnceLock`, its *body* ([`UnitBody`]: parse → graphs →
+//! and, in a releasable cell, its *body* ([`UnitBody`]: parse → graphs →
 //! accesses → seeds), built at once for a unit that has to be parsed
-//! and on demand for one whose interface the persistent store held — and
+//! and on demand for one whose interface the persistent store held (or
+//! whose body [`release_bodies`] dropped) — and
 //! [`AnalysisSession::analyze_linked`] plans and rewrites it under a
 //! [`LinkContext`], or loads plans and rewrite from the store without
 //! touching the body. Every analysis gets its contexts from the link stage
@@ -94,7 +95,7 @@ use ompdart_frontend::Symbol;
 use ompdart_graph::ProgramGraphs;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
@@ -669,8 +670,9 @@ pub fn stage_rewrite(
 
 /// The **body** of a unit: every artifact derived from parsing it, up to
 /// (and including) the seed summaries. Large, and needed only to *plan* the
-/// unit (or to look at it: `explain`, a plan-JSON dump), so it is built on
-/// demand — see [`SummarizedUnit`].
+/// unit (or to look at it: a plan-JSON dump, a stage's timings), so it is
+/// built on demand and may be dropped again once the unit is planned — see
+/// [`SummarizedUnit`].
 #[derive(Debug)]
 pub struct UnitBody {
     pub parsed: Arc<ParsedUnit>,
@@ -703,25 +705,38 @@ impl UnitBody {
     }
 }
 
+/// Lock `mutex`, recovering the guard if a holder panicked: a body cell
+/// is valid at every step.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// One translation unit as the whole-program pipeline's first phase leaves
-/// it, and the link stage consumes it: its name, its source text and its
-/// **interface** ([`UnitExports`] — what the rest of the program reads of
-/// it), with its **body** ([`UnitBody`]) behind a `OnceLock`.
+/// it, and the link stage consumes it: its source file (name and text) and
+/// its **interface** ([`UnitExports`] — what the rest of the program reads
+/// of it), with its **body** ([`UnitBody`]) in a cell that can be emptied.
 ///
 /// A unit parsed this run has its body from the start and computes its
 /// interface from it on first use. A unit *restored* from the persistent
 /// store has its interface from the start and no body: [`Self::body`]
 /// builds it on first use, which a restart whose plans are all in the store
-/// never asks for.
+/// never asks for. Once its interface is computed, a unit whose parse left
+/// no diagnostic can drop its body again ([`release_bodies`]): it then
+/// holds what a store hit holds — name, source, interface and content key
+/// — and the analyses planned from it keep their plans, rewrite and wire
+/// renderings.
 #[derive(Debug)]
 pub struct SummarizedUnit {
-    name: String,
-    /// The source text. A resident unit is recognised by this pointer, and
-    /// a parsed unit's body's [`SourceFile`] shares it.
-    source: Arc<String>,
+    /// The unit's name and source text. A resident unit is recognised by
+    /// the text's pointer, and a parsed unit's body's [`SourceFile`] shares
+    /// it. Spans in plans and diagnostics resolve against this file, so
+    /// reading them never needs the body.
+    file: SourceFile,
     /// The options the body is built under, when it is built on demand.
     options: OmpDartOptions,
-    body: OnceLock<UnitBody>,
+    body: Mutex<Option<Arc<UnitBody>>>,
     exports: OnceLock<UnitExports>,
     /// The store's two content hashes of `source`, computed once per unit:
     /// the interface record and every plan record are keyed by them.
@@ -730,12 +745,12 @@ pub struct SummarizedUnit {
 
 impl SummarizedUnit {
     /// A unit parsed this run, around its body.
-    fn parsed_now(name: &str, options: &OmpDartOptions, body: UnitBody) -> SummarizedUnit {
+    fn parsed_now(options: &OmpDartOptions, body: UnitBody) -> SummarizedUnit {
+        let file = &body.parsed.file;
         SummarizedUnit {
-            name: name.to_string(),
-            source: body.parsed.file.shared_text(),
+            file: SourceFile::shared(file.name(), Arc::clone(file.shared_text())),
             options: *options,
-            body: OnceLock::from(body),
+            body: Mutex::new(Some(Arc::new(body))),
             exports: OnceLock::new(),
             content: OnceLock::new(),
         }
@@ -751,10 +766,9 @@ impl SummarizedUnit {
         exports: UnitExports,
     ) -> SummarizedUnit {
         SummarizedUnit {
-            name: name.to_string(),
-            source: Arc::new(source.to_string()),
+            file: SourceFile::new(name, source),
             options: *options,
-            body: OnceLock::new(),
+            body: Mutex::new(None),
             exports: OnceLock::from(exports),
             content: OnceLock::new(),
         }
@@ -762,12 +776,23 @@ impl SummarizedUnit {
 
     /// The unit's name (diagnostics file name).
     pub fn name(&self) -> &str {
-        &self.name
+        self.file.name()
     }
 
     /// The unit's source text.
     pub fn source(&self) -> &str {
-        &self.source
+        self.file.text()
+    }
+
+    /// The unit's source file: what spans in its plans and diagnostics
+    /// point into. Held by the unit itself, body or no body.
+    pub fn source_file(&self) -> &SourceFile {
+        &self.file
+    }
+
+    /// The source text, as the unit and its body share it.
+    fn text(&self) -> &Arc<String> {
+        self.file.shared_text()
     }
 
     /// The unit's interface, computed from the body on first use unless it
@@ -776,46 +801,71 @@ impl SummarizedUnit {
         self.exports.get_or_init(|| {
             let body = self.body();
             let (unit, accesses) = (&body.parsed.unit, &body.accesses);
-            UnitExports::of(&self.name, unit, accesses, &body.summaries, &self.options)
+            UnitExports::of(self.name(), unit, accesses, &body.summaries, &self.options)
         })
     }
 
-    /// The body, if it has been built: a parsed unit's, or a restored
-    /// unit's once something asked for it.
-    pub fn body_if_built(&self) -> Option<&UnitBody> {
-        self.body.get()
+    /// The body, if the unit holds one: a parsed unit's until it is
+    /// released, or a restored unit's once something asked for it.
+    pub fn body_if_built(&self) -> Option<Arc<UnitBody>> {
+        lock(&self.body).clone()
     }
 
-    /// The body, built now (by the pure stage functions) if it has not been.
-    pub fn body(&self) -> &UnitBody {
+    /// The body, built now (by the pure stage functions) if the unit holds
+    /// none.
+    pub fn body(&self) -> Arc<UnitBody> {
         self.body_through(None)
     }
 
     /// [`Self::body`]; one built now is counted in `session`'s
     /// `parse_misses` if there is one.
-    fn body_through(&self, session: Option<&AnalysisSession>) -> &UnitBody {
-        // Only a restored unit gets here without a body, and its interface
-        // record was written by a run that parsed these very bytes, under
-        // these options, without a diagnostic.
-        self.body.get_or_init(|| {
-            if let Some(session) = session {
-                session.counters.add(Counter::parse_misses, 1);
-            }
-            UnitBody::build(&self.name, Arc::clone(&self.source), &self.options)
-                .expect("a unit with a stored interface parsed before")
-        })
+    fn body_through(&self, session: Option<&AnalysisSession>) -> Arc<UnitBody> {
+        let mut cell = lock(&self.body);
+        if let Some(body) = &*cell {
+            return Arc::clone(body);
+        }
+        // Only a restored or released unit gets here, and its interface
+        // was computed from a parse of these very bytes, under these
+        // options, without a diagnostic.
+        if let Some(session) = session {
+            session.counters.add(Counter::parse_misses, 1);
+        }
+        let body = UnitBody::build(self.name(), Arc::clone(self.text()), &self.options)
+            .expect("a unit with an interface parsed before");
+        let body = Arc::new(body);
+        *cell = Some(Arc::clone(&body));
+        body
+    }
+
+    /// Drop the body if the unit can be served without it: its interface
+    /// is computed and its parse left no diagnostic (those are shown from
+    /// the body, and a store never holds such a unit). Whether it dropped
+    /// one.
+    fn release_body(&self) -> bool {
+        if self.exports.get().is_none() {
+            return false;
+        }
+        let mut cell = lock(&self.body);
+        let clean = cell
+            .as_ref()
+            .is_some_and(|b| b.parsed.diagnostics.is_empty());
+        if clean {
+            *cell = None;
+        }
+        clean
     }
 
     /// The store's content hashes of the source.
     fn content(&self) -> store::ContentKey {
-        *(self.content).get_or_init(|| store::content_key(&self.source))
+        *(self.content).get_or_init(|| store::content_key(self.source()))
     }
 }
 
 /// A fully analyzed translation unit: the summarized unit, its plans and
 /// its rewrite. Plans, statistics and the rewritten source are held
-/// eagerly — they are what every consumer reads; the body stays behind the
-/// unit's `OnceLock`, shared with it, and is reached as `unit().body()`.
+/// eagerly — they are what every consumer reads; the body is the unit's,
+/// reached as `unit().body()`, and an analysis stays whole after its unit
+/// released it.
 #[derive(Debug)]
 pub struct UnitAnalysis {
     unit: Arc<SummarizedUnit>,
@@ -853,29 +903,27 @@ impl UnitAnalysis {
     }
 
     /// The input source file, which spans in plans and diagnostics point
-    /// into (builds the body on first use).
+    /// into: the unit's own, so this builds nothing.
     pub fn source_file(&self) -> &SourceFile {
-        &self.unit.body().parsed.file
+        self.unit.source_file()
     }
 
     /// Parse- and planning-time diagnostics, merged. Builds nothing: a
     /// unit whose parse produced a diagnostic is never served without its
     /// body, so a unit without one has none to show.
     pub fn diagnostics(&self) -> Diagnostics {
-        let parse = self
-            .unit
-            .body_if_built()
-            .map(|body| &body.parsed.diagnostics);
-        let mut diagnostics = parse.cloned().unwrap_or_default();
+        let parse = self.unit.body_if_built();
+        let mut diagnostics = parse.map_or_else(Diagnostics::new, |b| b.parsed.diagnostics.clone());
         diagnostics.extend(self.plans.diagnostics.clone());
         diagnostics
     }
 
     /// Per-stage timings of this analysis: the stages that ran for it.
-    /// The body's four read zero while it has not been built.
+    /// The body's four read zero while the unit holds no body.
     pub fn timings(&self) -> StageTimings {
         let body = self.unit.body_if_built();
-        let of = |elapsed: fn(&UnitBody) -> Duration| body.map_or(Duration::ZERO, elapsed);
+        let of =
+            |elapsed: fn(&UnitBody) -> Duration| body.as_deref().map_or(Duration::ZERO, elapsed);
         // In `Stage` order.
         StageTimings([
             of(|body| body.parsed.elapsed),
@@ -888,8 +936,7 @@ impl UnitAnalysis {
     }
 
     /// Human-readable justification of every mapping decision: one line per
-    /// construct, with the deciding source location (from the parse: builds
-    /// the body on first use).
+    /// construct, with the deciding source location.
     pub fn explain(&self) -> String {
         explain_plans(&self.plans.plans, Some(self.source_file()))
     }
@@ -924,6 +971,25 @@ impl UnitAnalysis {
     }
 }
 
+/// Drop the body of each analysis's unit that can be served without it —
+/// its interface is computed and its parse left no diagnostic (those are
+/// shown from the body) — and return how many were dropped. The unit then
+/// holds what a store hit holds — name, source, interface, content key —
+/// and its analyses keep their plans, rewrite and wire renderings; a later
+/// round that has to plan it again rebuilds the body, counted in
+/// `parse_misses`.
+///
+/// A long-lived host calls this on the analyses it has answered with (the
+/// daemon once a connection has written its next `analyze` or `explain`
+/// answer, `ompdart watch` after each scan), so a resident unit costs what
+/// a stored one does. A release is real work — the allocator takes back the
+/// parse — so nothing that times a round calls it; a unit without a body
+/// costs a lock.
+pub fn release_bodies<'a>(analyses: impl IntoIterator<Item = &'a Arc<UnitAnalysis>>) -> usize {
+    let released = analyses.into_iter().filter(|a| a.unit.release_body());
+    released.count()
+}
+
 // ---------------------------------------------------------------------------
 // AnalysisSession: cached, reusable pipeline driver
 // ---------------------------------------------------------------------------
@@ -956,7 +1022,8 @@ fn admit<T>(list: &mut Vec<T>, entry: T, bound: usize) {
 }
 
 /// One resident content version of a unit: the summarized unit (whose body
-/// holds its parse once built) and the analyses planned from it.
+/// holds its parse while built and not released) and the analyses planned
+/// from it.
 #[derive(Debug)]
 struct UnitVersion {
     /// The source every hit is verified against: the unit's own text, held
@@ -999,9 +1066,9 @@ impl UnitSlot {
     /// finds the first writer's version, so every caller observes one set
     /// of `Arc`s (the duplicated work is benign).
     fn version_or_admit(&mut self, unit: &Arc<SummarizedUnit>) -> &mut UnitVersion {
-        if self.version(Some(&unit.source), &unit.source).is_none() {
+        if self.version(Some(unit.text()), unit.source()).is_none() {
             let version = UnitVersion {
-                source: Arc::clone(&unit.source),
+                source: Arc::clone(unit.text()),
                 unit: Arc::clone(unit),
                 analyses: Vec::new(),
             };
@@ -1017,8 +1084,9 @@ impl UnitSlot {
 /// table, indexed by unit name. A slot holds the unit's current content
 /// version and the one before it (`VERSIONS_PER_UNIT`), and a version holds
 /// its [`SummarizedUnit`] — source, interface, and body (the one home of
-/// its parse) once built — and the few most recent [`UnitAnalysis`] bundles
-/// planned from it, one per imports fingerprint (`ANALYSES_PER_VERSION`). A lookup is a name probe
+/// its parse) while built and not released ([`release_bodies`]) —
+/// and the few most recent [`UnitAnalysis`] bundles planned from it, one
+/// per imports fingerprint (`ANALYSES_PER_VERSION`). A lookup is a name probe
 /// plus a byte compare of the source — never a content hash, and never
 /// another file's artifacts — and a slot never grows past those two bounds, so a
 /// long-lived session (`ompdart watch`, the daemon) stays bounded by the
@@ -1153,7 +1221,7 @@ impl AnalysisSession {
         unit: &SummarizedUnit,
         imports_fingerprint: u64,
     ) -> Option<Arc<UnitAnalysis>> {
-        self.resident(&unit.name, Some(&unit.source), &unit.source, |version| {
+        self.resident(unit.name(), Some(unit.text()), unit.source(), |version| {
             version.analysis(imports_fingerprint)
         })
     }
@@ -1230,7 +1298,7 @@ impl AnalysisSession {
                 let text = Arc::new(source.to_string());
                 let body = UnitBody::build(name, text, &self.options)?;
                 let clean = body.parsed.diagnostics.is_empty();
-                let unit = SummarizedUnit::parsed_now(name, &self.options, body);
+                let unit = SummarizedUnit::parsed_now(&self.options, body);
                 if let (Some((store, content)), true) = (keyed, clean) {
                     store.queue_interface(name, content, &self.options, unit.exports());
                 }
@@ -1282,7 +1350,10 @@ impl AnalysisSession {
                 analysis
             })
         };
-        (self.units.update(unit.name.clone(), admit_analysis), served)
+        (
+            self.units.update(unit.name().to_string(), admit_analysis),
+            served,
+        )
     }
 
     /// The plans and the rewrite of a unit the table holds no analysis of:
@@ -1327,7 +1398,7 @@ impl AnalysisSession {
             return (plans, rewrite, UnitServe::Store);
         }
         let body = unit.body_through(Some(self));
-        let plans = self.plan_under(body, link);
+        let plans = self.plan_under(&body, link);
         let start = Instant::now();
         let edits = rewrite::plan_edits(
             &body.parsed.file,
@@ -1341,7 +1412,7 @@ impl AnalysisSession {
             // [`Self::flush_store_writes`]. Units with planning diagnostics
             // are not persisted: the warnings would be lost on a later
             // store hit.
-            store.queue_unit(&unit.name, key, &plans.plans, &plans.stats, Some(&edits));
+            store.queue_unit(unit.name(), key, &plans.plans, &plans.stats, Some(&edits));
         }
         (plans, rewrite, UnitServe::Planned)
     }
@@ -1638,6 +1709,47 @@ void driver() {
         assert!(Arc::ptr_eq(&resummarized, other.unit()));
         assert_eq!(session.cache_stats().analysis_misses, 3);
         assert_eq!(session.cache_stats().parse_misses, 3);
+    }
+
+    /// `release_bodies` drops the body of each unit it is given and
+    /// nothing else: an analysis answers as before from its unit (rewrite,
+    /// `explain`, diagnostics), a warm repeat parses nothing, planning
+    /// rebuilds the body once, and a unit whose parse warned keeps its
+    /// body, so the warning is still shown.
+    #[test]
+    fn a_release_drops_the_answered_bodies() {
+        let tool = crate::Ompdart::new();
+        let session = tool.session();
+        let analysis = tool.analyze("demo.c", DEMO).unwrap();
+        let explained = analysis.explain();
+        assert_eq!(release_bodies([&analysis]), 1);
+        assert!(analysis.unit().body_if_built().is_none());
+        assert_eq!(release_bodies([&analysis]), 0, "nothing left to drop");
+        assert_eq!(analysis.explain(), explained);
+        assert!(analysis.diagnostics().is_empty());
+        let before = session.cache_stats();
+        assert!(Arc::ptr_eq(
+            &analysis,
+            &tool.analyze("demo.c", DEMO).unwrap()
+        ));
+        assert_eq!((session.cache_stats() - before).parse_misses, 0);
+        assert!(analysis.unit().body_if_built().is_none());
+
+        // A round that has to plan the unit again rebuilds its body, once.
+        let body = analysis.unit().body_through(Some(session));
+        assert!(Arc::ptr_eq(&body, &analysis.unit().body()));
+        assert_eq!((session.cache_stats() - before).parse_misses, 1);
+        assert_eq!(
+            stage_rewrite(&body.parsed, &body.graphs, &analysis.plans).source,
+            analysis.rewrite.source
+        );
+
+        let warned = format!("#if MYSTERY\n#endif\n{DEMO}");
+        let analysis = tool.analyze("warned.c", &warned).unwrap();
+        assert_eq!(analysis.diagnostics().len(), 1);
+        assert_eq!(release_bodies([&analysis]), 0);
+        assert!(analysis.unit().body_if_built().is_some());
+        assert_eq!(analysis.diagnostics().len(), 1);
     }
 
     /// Ledger finding 4: a long-lived session is bounded by construction.

@@ -34,6 +34,7 @@
 //! generates verifies cleanly.
 
 use crate::access::{Access, AccessOrigin};
+use crate::dataflow::refuse_shadows;
 use crate::interproc::augment_with_call_effects;
 use crate::pipeline::{closed_world_of, stage_accesses, stage_graphs, stage_summaries};
 use crate::validity::{Position, States, Transfers, VarState, Walker};
@@ -66,9 +67,10 @@ pub struct VerifyReport {
 }
 
 impl VerifyReport {
-    /// True when no potential stale read was found.
+    /// True when no potential stale read was found and nothing was refused
+    /// (a name that denotes two variables the device touches).
     pub fn is_clean(&self) -> bool {
-        self.stale_reads.is_empty()
+        self.stale_reads.is_empty() && !self.diagnostics.has_errors()
     }
 
     /// Record a finding once, however many walks or loop passes meet it.
@@ -139,6 +141,13 @@ pub fn verify_unit(unit: &TranslationUnit) -> VerifyReport {
         };
         let mut acc = own.clone();
         augment_with_call_effects(&mut acc, symbols, unit, &link, false);
+        // What the planner refuses is refused here too, once per function.
+        if !contexts[..next - 1]
+            .iter()
+            .any(|(walked, _)| *walked == name)
+        {
+            refuse_shadows(func, &acc, symbols, &mut report.diagnostics);
+        }
         let entry = |var| VarState {
             dev_valid: held.contains(&var),
             ..VarState::host_current()
@@ -306,10 +315,14 @@ impl Transfers for Checker<'_> {
                 }
             }
         }
-        // What is no longer present holds nothing on the device; what a
-        // kernel mapped implicitly it copied back first.
+        // What is no longer present holds nothing on the device. A copy
+        // back makes the host hold what the device held, stale or not. What
+        // a kernel mapped implicitly came in from the host at its start, so
+        // its copy back loses nothing the host held.
         for (var, st) in state.iter_mut().filter(|(var, _)| !self.is_present(**var)) {
-            if copied_back.contains(var) || (kernel && !listed.contains(var)) {
+            if copied_back.contains(var) {
+                st.host_valid = st.dev_valid;
+            } else if kernel && !listed.contains(var) {
                 st.host_valid |= st.dev_valid;
             }
             st.dev_valid = false;

@@ -125,7 +125,7 @@ impl<'a> Lexer<'a> {
             // doublings.
             tokens: Vec::with_capacity(text.len() / 4 + 16),
             literals: Literals::for_source(text.len()),
-            source: file.shared_text(),
+            source: Arc::clone(file.shared_text()),
         }
     }
 

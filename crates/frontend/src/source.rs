@@ -135,9 +135,10 @@ impl SourceFile {
         &self.text
     }
 
-    /// The complete source text, as the file shares it: a pointer copy.
-    pub fn shared_text(&self) -> Arc<String> {
-        Arc::clone(&self.text)
+    /// The complete source text, as the file shares it: clone the `Arc`
+    /// for a pointer copy.
+    pub fn shared_text(&self) -> &Arc<String> {
+        &self.text
     }
 
     /// Length of the file in bytes.

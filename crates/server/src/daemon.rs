@@ -30,7 +30,7 @@ use crate::registry::{ProgramRegistry, ProgramSession, RegistryConfig};
 use crate::signal::{self, ShutdownToken};
 use ompdart_core::pipeline::{AnalysisSession, UnitAnalysis};
 use ompdart_core::plan::{write_json_string, Json};
-use ompdart_core::{CacheStats, UnitServe};
+use ompdart_core::{release_bodies, CacheStats, UnitServe};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -453,9 +453,20 @@ fn accept_loop(listener: Listener, endpoint: Endpoint, shared: Arc<Shared>, toke
 
 /// Serve one connection: read a request, answer it, write the response,
 /// repeat — so responses leave in request order.
+///
+/// Once an `analyze` or `explain` answer is written, the units the
+/// connection's answer of those two kinds *before* it held drop their
+/// parse ([`release_bodies`]), and the last one's do when the connection
+/// closes: between requests a unit holds what its store record holds,
+/// except for the one answer a client is most likely to follow up on — an
+/// `explain` of the unit a save just re-analyzed still finds the body that
+/// `analyze` built. The body cells are locks of their own, so a release
+/// holds no program's request lock; it runs before the connection reads
+/// its next request.
 fn connection_loop(id: u64, mut conn: Conn, shared: Arc<Shared>, token: ShutdownToken) {
+    let mut previous = Vec::new();
     loop {
-        let response = match protocol::read_frame(&mut conn) {
+        let (response, answered) = match protocol::read_frame(&mut conn) {
             Ok(payload) => handle_payload(&payload, &shared, &token),
             Err(FrameError::Closed) => break,
             Err(e) => {
@@ -466,20 +477,29 @@ fn connection_loop(id: u64, mut conn: Conn, shared: Arc<Shared>, token: Shutdown
                 break;
             }
         };
-        if protocol::write_frame(&mut conn, &response).is_err() || token.is_shutdown() {
+        let written = protocol::write_frame(&mut conn, &response);
+        if !answered.is_empty() {
+            release_bodies(&std::mem::replace(&mut previous, answered));
+        }
+        if written.is_err() || token.is_shutdown() {
             break;
         }
     }
+    release_bodies(&previous);
     shared.conns.lock().unwrap().remove(&id);
 }
 
-/// Decode one request payload and answer it: the rendered response.
-fn handle_payload(payload: &str, shared: &Shared, token: &ShutdownToken) -> String {
+/// A request's rendered response, and the analyses it answered with: an
+/// `analyze`'s units, an `explain`'s unit, none for another request.
+type Answer = (String, Vec<Arc<UnitAnalysis>>);
+
+/// Decode one request payload and answer it.
+fn handle_payload(payload: &str, shared: &Shared, token: &ShutdownToken) -> Answer {
     let mut request = match Json::parse(payload) {
         Ok(value) => value,
         Err(e) => {
             let err = RequestError::new(ErrorKind::BadJson, format!("invalid JSON: {e}"));
-            return error_response(None, &err).render();
+            return (error_response(None, &err).render(), Vec::new());
         }
     };
     let id = request.get("id").and_then(Json::as_int);
@@ -489,11 +509,11 @@ fn handle_payload(payload: &str, shared: &Shared, token: &ShutdownToken) -> Stri
             "unsupported protocol version {:?} (daemon speaks {PROTOCOL_VERSION})",
             version
         ));
-        return error_response(id, &err).render();
+        return (error_response(id, &err).render(), Vec::new());
     }
     let Some(kind) = request.get("request").and_then(Json::as_str) else {
         let err = bad_request("missing `request` field");
-        return error_response(id, &err).render();
+        return (error_response(id, &err).render(), Vec::new());
     };
     let kind = kind.to_string();
     // The session a panic leaves suspect: the one the request works on.
@@ -521,8 +541,8 @@ fn guarded(
     shared: &Shared,
     id: Option<i64>,
     program: Option<&str>,
-    serve: impl FnOnce() -> Result<String, RequestError>,
-) -> String {
+    serve: impl FnOnce() -> Result<Answer, RequestError>,
+) -> Answer {
     let err = match std::panic::catch_unwind(AssertUnwindSafe(serve)) {
         Ok(Ok(response)) => return response,
         Ok(Err(err)) => err,
@@ -543,25 +563,28 @@ fn guarded(
             )
         }
     };
-    error_response(id, &err).render()
+    (error_response(id, &err).render(), Vec::new())
 }
 
-/// Serve one decoded request of kind `kind`: its rendered `ok` response.
+/// Serve one decoded request of kind `kind`: its answer.
 fn dispatch(
     kind: &str,
     request: &mut Json,
     id: Option<i64>,
     shared: &Shared,
     token: &ShutdownToken,
-) -> Result<String, RequestError> {
-    let ok = |result: Json| ok_response(id, result).render();
+) -> Result<Answer, RequestError> {
+    let ok = |result: Json| (ok_response(id, result).render(), Vec::new());
     match kind {
         "analyze" => {
             let units = decode_units(request)?;
             let session = shared.registry.program(&program_key(request));
             run_analyze(shared, &session, id, &units)
         }
-        "explain" => handle_explain(request, shared).map(ok),
+        "explain" => {
+            let (result, analysis) = handle_explain(request, shared)?;
+            Ok((ok_response(id, result).render(), vec![analysis]))
+        }
         "stats" => Ok(ok(stats_result(shared))),
         "check_plans" => handle_check_plans(request).map(ok),
         "gc" => handle_gc(request, shared).map(ok),
@@ -682,7 +705,7 @@ fn run_analyze(
     session: &ProgramSession,
     id: Option<i64>,
     units: &[(String, String)],
-) -> Result<String, RequestError> {
+) -> Result<Answer, RequestError> {
     let (program, stats) = session
         .analyze_program(units)
         .map_err(|e| RequestError::new(ErrorKind::Analysis, e.to_string()))?;
@@ -693,13 +716,8 @@ fn run_analyze(
         .zip(&program.units)
         .map(|(((name, _), serve), analysis)| (name.as_str(), *serve, &**analysis))
         .collect();
-    Ok(analyze_response(
-        id,
-        session.key(),
-        &rows,
-        &stats,
-        program.link_passes,
-    ))
+    let response = analyze_response(id, session.key(), &rows, &stats, program.link_passes);
+    Ok((response, program.units))
 }
 
 /// Human-readable serve verdict, as the daemon logs and answers it and the
@@ -798,7 +816,10 @@ fn offset_of(source: &str, line: u32, col: u32) -> Option<u32> {
 /// position. A unit whose calls reach into its siblings can be planned
 /// differently here than in the linked plan a whole-program `analyze`
 /// returned.
-fn handle_explain(request: &mut Json, shared: &Shared) -> Result<Json, RequestError> {
+fn handle_explain(
+    request: &mut Json,
+    shared: &Shared,
+) -> Result<(Json, Arc<UnitAnalysis>), RequestError> {
     let units = decode_units(request)?;
     let [(name, source)] = &units[..] else {
         return Err(bad_request("`explain` takes exactly one unit"));
@@ -817,12 +838,19 @@ fn handle_explain(request: &mut Json, shared: &Shared) -> Result<Json, RequestEr
     let analysis = session
         .explained(name, source)
         .map_err(|e| RequestError::new(ErrorKind::Analysis, e.to_string()))?;
-    Ok(explain_result(&analysis, name, source, line, col))
+    let result = explain_result(&analysis, name, source, line, col);
+    Ok((result, analysis))
 }
 
 /// The hover payload: every provenance fact whose deciding span covers the
 /// queried position, LSP-style.
-fn explain_result(analysis: &UnitAnalysis, name: &str, source: &str, line: u32, col: u32) -> Json {
+pub fn explain_result(
+    analysis: &UnitAnalysis,
+    name: &str,
+    source: &str,
+    line: u32,
+    col: u32,
+) -> Json {
     let mut facts = Vec::new();
     let mut hovered_line = Json::Null;
     if let Some(offset) = offset_of(source, line, col) {
@@ -1063,7 +1091,9 @@ mod tests {
         let cold = client.analyze_sources("p", &units).expect("cold");
         assert!(serve(&cold).is_some_and(|s| s.starts_with("planned")));
 
-        let response = guarded(&shared, Some(41), Some("p"), || panic!("injected fault"));
+        let (response, answered) =
+            guarded(&shared, Some(41), Some("p"), || panic!("injected fault"));
+        assert!(answered.is_empty());
         let response = Json::parse(&response).expect("a JSON response");
         assert_eq!(response.get("id").and_then(Json::as_int), Some(41));
         assert_eq!(response.get("ok").and_then(Json::as_bool), Some(false));

@@ -10,12 +10,15 @@
 //! subdirectory of the persistent store, so clients editing program A never
 //! evict or chill program B. A session's unit table keeps a constant number
 //! of versions per unit name, so a program's resident memory follows its
-//! unit count, not its request count. Requests for one program serialize on
-//! the session's request lock (the daemon runs each request on its
-//! connection's thread and relies on this lock alone), which is also what
-//! makes a request's stats — `after - before` of two [`CacheStats`]
-//! snapshots — sound: no concurrent request can move this program's
-//! counters between the two reads.
+//! unit count, not its request count; and the daemon drops the parse of
+//! every unit an answer held once the connection has answered again
+//! ([`ompdart_core::release_bodies`]), so a resident unit holds what the
+//! store keeps of it — name, source, interface — beside its analyses.
+//! Requests for one program serialize on the session's request lock (the
+//! daemon runs each request on its connection's thread and relies on this
+//! lock alone), which is also what makes a request's stats — `after -
+//! before` of two [`CacheStats`] snapshots — sound: no concurrent request
+//! can move this program's counters between the two reads.
 
 use ompdart_core::{
     CacheStats, DriverProfile, GcReport, Ompdart, ProgramAnalysis, ProgramError, StageError,

@@ -14,7 +14,8 @@
 use ompdart_core::pipeline::stage_parse;
 use ompdart_core::plan::{diff_plans, extract_explicit_plans, plans_from_json, Json, MappingPlan};
 use ompdart_core::{
-    AnalysisStats, ArtifactStore, Ompdart, ProgramError, StageError, UnitAnalysis, UnitServe,
+    release_bodies, AnalysisStats, ArtifactStore, Ompdart, ProgramError, StageError, UnitAnalysis,
+    UnitServe,
 };
 use ompdart_frontend::Diagnostics;
 use ompdart_server::daemon::{DaemonConfig, DaemonHandle, Endpoint};
@@ -737,7 +738,9 @@ fn needs_rescan(seen: &HashMap<String, String>, units: &[Unit]) -> bool {
 /// link (duplicate `main`s, a unit that fails to parse), the files changed
 /// since the `seen` scan are analyzed as a batch on the tool's one-unit
 /// driver, which leaves the program's link state to the next scan that
-/// links.
+/// links. Once the scan has emitted, it drops the parse of every unit it
+/// analyzed ([`release_bodies`]): between scans a unit costs what its store
+/// record does.
 fn watch_program_scan(
     tool: &Ompdart,
     outputs: &mut Outputs,
@@ -748,12 +751,13 @@ fn watch_program_scan(
     // An input keeps its output name from scan to scan.
     outputs.used.clear();
     remove_deleted_outputs(units, last_emitted);
-    match tool.analyze_program(units) {
+    let answered = match tool.analyze_program(units) {
         Ok(program) => {
             let served = program.served.iter().map(serve_label);
-            for (((input, _), unit), label) in units.iter().zip(program.units).zip(served) {
-                watch_emit(outputs, last_emitted, input, Ok(unit), label);
+            for (((input, _), unit), label) in units.iter().zip(&program.units).zip(served) {
+                watch_emit(outputs, last_emitted, input, Ok(Arc::clone(unit)), label);
             }
+            program.units
         }
         Err(err) => {
             println!("[watch] not linkable as one program ({err}); analyzing files independently");
@@ -761,11 +765,15 @@ fn watch_program_scan(
                 .filter(|(input, source)| seen.get(input) != Some(source))
                 .cloned()
                 .collect();
-            for ((input, _), result) in changed.iter().zip(tool.analyze_batch(&changed)) {
+            let results = tool.analyze_batch(&changed);
+            let analyzed = results.iter().flatten().cloned().collect();
+            for ((input, _), result) in changed.iter().zip(results) {
                 watch_emit(outputs, last_emitted, input, result, "unlinked");
             }
+            analyzed
         }
-    }
+    };
+    release_bodies(&answered);
 }
 
 /// Emit one unit of a watch scan, served as `label` says, and report it.

@@ -239,3 +239,63 @@ fn a_bad_command_line_exits_1_with_its_message() {
         );
     }
 }
+
+/// A cache directory of store-format-3 files is not read: the run plans
+/// (no `plan=0.000ms` under `--timings`) and writes a pack beside them, and
+/// `cache gc` counts the pack's two records (the unit's plans and its
+/// interface) and the three v3 files, evicts the v3 files and leaves the
+/// pack alone.
+#[test]
+fn v3_store_files_are_not_read_and_leave_through_gc() {
+    let dir = scratch("v3-store");
+    let cache = dir.join("cache");
+    std::fs::create_dir_all(&cache).unwrap();
+    let h = "00000000000000aa";
+    let v3 = [
+        (
+            format!("unit-{h}-{h}-{h}-{h}.json"),
+            "{\"store_version\": 3}\n",
+        ),
+        (format!("fn-{h}-{h}-{h}.json"), "{\"store_version\": 3}\n"),
+        (
+            format!("ref-{h}-{h}-{h}.ref"),
+            &*format!("unit-{h}-{h}-{h}-{h}.json\n"),
+        ),
+    ];
+    for (file, text) in &v3 {
+        std::fs::write(cache.join(file), text).unwrap();
+    }
+    let out = dir.join("v3-out.c");
+    let run = ompdart([
+        "analyze".as_ref(),
+        asset("hotspot_unoptimized.c").as_os_str(),
+        "-o".as_ref(),
+        out.as_os_str(),
+        "--cache-dir".as_ref(),
+        cache.as_os_str(),
+        "--timings".as_ref(),
+    ]);
+    assert!(run.status.success(), "{run:?}");
+    let printed = format!("{}{}", stdout(&run), stderr(&run));
+    assert!(printed.contains("plan="), "no timings: {printed}");
+    assert!(!printed.contains("plan=0.000ms"), "{printed}");
+    let entries = || -> Vec<String> {
+        let listed = std::fs::read_dir(&cache).unwrap();
+        let mut names: Vec<String> = (listed.map(|e| e.unwrap().file_name()))
+            .map(|name| name.to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    };
+    assert_eq!(entries().len(), 4, "{:?}", entries());
+
+    let gc = ompdart(["cache".as_ref(), "gc".as_ref(), cache.as_os_str()]);
+    assert!(gc.status.success(), "{gc:?}");
+    assert!(
+        stdout(&gc).contains("5 entr(ies) before, evicted 3 "),
+        "{}",
+        stdout(&gc)
+    );
+    assert_eq!(entries(), ["ompdart.pack"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}

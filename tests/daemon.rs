@@ -15,7 +15,10 @@
 //!   answered in request order;
 //! * `gc` of a program the daemon has never seen creates nothing;
 //! * durable shutdown: a SIGTERM'd daemon drains, flushes its stores, and
-//!   a restart over the same cache directory starts warm.
+//!   a restart over the same cache directory starts warm;
+//! * released bodies: a daemon that drops the parse of what it answered
+//!   with, one answer later, answers as a session that keeps it does, and
+//!   parses again only what it has to plan.
 //!
 //! Signal state is process-global, and the daemon binds real sockets, so
 //! every test serializes on [`daemon_lock`].
@@ -24,11 +27,12 @@ use ompdart_core::pipeline::UnitAnalysis;
 use ompdart_core::plan::{plans_to_json_value, Json};
 use ompdart_core::{CacheStats, Ompdart, UnitServe};
 use ompdart_server::daemon::{
-    analyze_response, serve_label, AnalyzedUnit, DaemonConfig, DaemonHandle, Endpoint,
+    analyze_response, explain_result, serve_label, AnalyzedUnit, DaemonConfig, DaemonHandle,
+    Endpoint,
 };
 use ompdart_server::registry::{ProgramRegistry, RegistryConfig};
 use ompdart_server::{protocol, signal, Client, ClientError};
-use ompdart_suite::lulesh_multifile;
+use ompdart_suite::{corpus, lulesh_multifile};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
@@ -1052,6 +1056,151 @@ int main() { f(); printf(\"%f\\n\", a[1]); return 0; }
         .analyze_sources("twice", &fixed)
         .expect("the fixed unit analyzes");
     assert!(serves(&served)[0].starts_with("planned"), "{served:?}");
+    client.shutdown().expect("shutdown");
+    handle.join();
+}
+
+/// The `units` field of a request.
+fn units_field(units: &[(String, String)]) -> Json {
+    let unit = |(name, source): &(String, String)| {
+        Json::Object(vec![
+            ("name".into(), Json::Str(name.clone())),
+            ("source".into(), Json::Str(source.clone())),
+        ])
+    };
+    Json::Array(units.iter().map(unit).collect())
+}
+
+/// A program's cumulative `parse_misses`, as the daemon's `stats` reports
+/// it (0 before its first request).
+fn parse_misses(client: &mut Client, key: &str) -> i64 {
+    let stats = client.stats().expect("stats");
+    let programs = stats.get("programs").and_then(Json::as_array).unwrap();
+    (programs.iter())
+        .find(|program| program.get("program").and_then(Json::as_str) == Some(key))
+        .and_then(|program| program.get("stats")?.get("parse_misses")?.as_int())
+        .unwrap_or(0)
+}
+
+/// The daemon drops the bodies of the units an `analyze` or `explain` answer
+/// held once it has written the connection's next answer of those two
+/// kinds (the `stats` reads between them do not count), and that changes no byte of
+/// what it answers: every response to cold → warm → edit → revert of
+/// `lulesh_mf`, three `explain` positions in one of its units, a save of
+/// that unit followed by an `explain` of it, and cold → edit → revert of the
+/// 200-unit corpus equals the response of an in-process session that never
+/// releases. A body comes back only to be planned: each new-content edit
+/// parses its one unit; a revert, a second `explain` of the same unit, and
+/// an `explain` right after the save of its unit parse nothing.
+#[test]
+fn released_bodies_change_no_response_and_come_back_only_to_plan() {
+    const SMALL: &str = "lulesh_mf";
+    const BIG: &str = "corpus200";
+    let small = lulesh_units();
+    let mut small_edit = small.clone();
+    small_edit[0].1.push_str("/* an edit */\n");
+    let explained = small.len() - 1;
+    let mut small_saved = small.clone();
+    small_saved[explained].1.push_str("/* a save */\n");
+    let big = corpus::generate(200, 42);
+    let mut big_edit = big.clone();
+    corpus::edit_one_function(&mut big_edit, 100);
+    let (name, source) = &small[explained];
+    let alone = Ompdart::new().analyze(name, source).expect("alone");
+    let mut positions: Vec<(u32, u32)> = (alone.plans().iter())
+        .flat_map(|plan| plan.provenances())
+        .filter_map(|provenance| provenance.span)
+        .map(|span| alone.source_file().line_col(span.start))
+        .map(|at| (at.line, at.col))
+        .collect();
+    positions.sort_unstable();
+    positions.dedup();
+    assert!(positions.len() >= 3, "{positions:?}");
+
+    enum Step<'a> {
+        Analyze(&'a str, &'a [(String, String)]),
+        Explain(&'a (String, String), u32, u32),
+    }
+    let mut steps = vec![
+        ("cold", Step::Analyze(SMALL, &small)),
+        ("warm", Step::Analyze(SMALL, &small)),
+        ("edit", Step::Analyze(SMALL, &small_edit)),
+        ("revert", Step::Analyze(SMALL, &small)),
+    ];
+    let explains = positions[..3]
+        .iter()
+        .map(|&(line, col)| ("explain", Step::Explain(&small[explained], line, col)));
+    steps.extend(explains);
+    let (line, col) = positions[0];
+    steps.extend([
+        ("save", Step::Analyze(SMALL, &small_saved)),
+        ("hover", Step::Explain(&small_saved[explained], line, col)),
+        ("big cold", Step::Analyze(BIG, &big)),
+        ("big edit", Step::Analyze(BIG, &big_edit)),
+        ("big revert", Step::Analyze(BIG, &big)),
+    ]);
+
+    let _guard = daemon_lock();
+    let dir = scratch("release");
+    let handle = spawn_daemon(dir.join("d.sock"), None);
+    let mut client = Client::connect(handle.endpoint()).expect("connect");
+    let keeps = ProgramRegistry::new(RegistryConfig::default());
+    let mut parsed = Vec::new();
+    for (id, (label, step)) in steps.iter().enumerate() {
+        let id = id as i64;
+        let (key, request, expected) = match step {
+            Step::Analyze(key, units) => {
+                let (program, stats) = keeps.program(key).analyze_program(units).expect(label);
+                let rows: Vec<AnalyzedUnit<'_>> = (units.iter().zip(&program.served))
+                    .zip(&program.units)
+                    .map(|(((name, _), serve), unit)| (name.as_str(), *serve, &**unit))
+                    .collect();
+                let fields = vec![
+                    ("program".into(), Json::Str(key.to_string())),
+                    ("units".into(), units_field(units)),
+                ];
+                let expected = analyze_response(Some(id), key, &rows, &stats, program.link_passes);
+                (*key, protocol::request(id, "analyze", fields), expected)
+            }
+            Step::Explain(unit, line, col) => {
+                let (name, source) = unit;
+                let analysis = keeps.program(SMALL).explained(name, source).expect(label);
+                let result = explain_result(&analysis, name, source, *line, *col);
+                let fields = vec![
+                    ("program".into(), Json::Str(SMALL.into())),
+                    ("units".into(), units_field(std::slice::from_ref(*unit))),
+                    ("line".into(), Json::Int(i64::from(*line))),
+                    ("col".into(), Json::Int(i64::from(*col))),
+                ];
+                let expected = protocol::ok_response(Some(id), result).render();
+                (SMALL, protocol::request(id, "explain", fields), expected)
+            }
+        };
+        let before = parse_misses(&mut client, key);
+        let answered = client.raw_round_trip(&request.render()).expect(label);
+        assert_eq!(answered, expected, "{label} (request {id})");
+        parsed.push((*label, parse_misses(&mut client, key) - before));
+    }
+    // The first `explain` plans its unit alone, from a body released after
+    // the `analyze` that built it was followed by another; the two after it
+    // find that analysis resident. The `hover` plans the saved unit alone
+    // from the body its `save` built, which no `analyze` or `explain`
+    // answer since has released.
+    let expected = [
+        ("cold", 3),
+        ("warm", 0),
+        ("edit", 1),
+        ("revert", 0),
+        ("explain", 1),
+        ("explain", 0),
+        ("explain", 0),
+        ("save", 1),
+        ("hover", 0),
+        ("big cold", 200),
+        ("big edit", 1),
+        ("big revert", 0),
+    ];
+    assert_eq!(parsed, expected);
     client.shutdown().expect("shutdown");
     handle.join();
 }

@@ -273,9 +273,9 @@ fn store_analysis_cache_and_function_cache_compose() {
 }
 
 /// A restart serves a unit from the store without parsing it — interface,
-/// plans and rewrite are all on disk — and everything that does need the
-/// body builds it on first use and then answers exactly as the analysis of a
-/// parsed unit does.
+/// plans and rewrite are all on disk, and `explain` reads the unit's own
+/// source file — and everything that does need the body builds it on first
+/// use and then answers exactly as the analysis of a parsed unit does.
 #[test]
 fn a_store_served_analysis_builds_its_body_on_demand() {
     let dir = std::env::temp_dir().join(format!("ompdart-store-body-{}", std::process::id()));
@@ -322,10 +322,12 @@ fn a_store_served_analysis_builds_its_body_on_demand() {
     assert_eq!(served.unit().exports(), parsed.unit().exports());
     assert!(!built(), "nothing above reads the body");
 
-    // `explain` reads the parse: it builds the body, once.
+    // `explain` resolves spans in the unit's own source file.
     assert_eq!(served.explain(), parsed.explain());
-    assert!(built());
+    assert!(!built(), "`explain` reads no body");
+    // The body is built on first use, once.
     let body = Arc::clone(&served.unit().body().parsed);
+    assert!(built());
     assert!(Arc::ptr_eq(&body, &served.unit().body().parsed));
     assert!(served.timings().of(Stage::Parse) > Duration::ZERO);
     let stages = |timings: ompdart_core::StageTimings| {

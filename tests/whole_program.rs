@@ -1963,3 +1963,88 @@ fn a_block_that_shadows_a_device_array_is_refused() {
 
     mapped_under_every_option(&owned(&[("plain.c", &program(""))]));
 }
+
+/// What `program` prints under the simulator, line by line.
+fn printed(program: &str) -> Vec<String> {
+    let run = ompdart_sim::simulate_source(program, ompdart_sim::SimConfig::default());
+    run.expect("the program runs").output
+}
+
+/// The mapping the planner gave [`LOCAL_TMP_MAIN`] beside [`TMP_WRITER`]
+/// while a callee's effect still landed on a caller's local by name: `main`'s
+/// local `tmp` is copied back from a device copy nothing wrote. `verify`
+/// reads the copy back as what it is, the host taking the device's stale
+/// value, and flags the host read of `tmp`.
+#[test]
+fn verify_flags_a_copy_back_over_a_newer_host_value() {
+    let mapped = "\
+double tmp[4];
+void g(void) {
+  #pragma omp target teams distribute parallel for map(from: tmp)
+  for (int i = 0; i < 4; i++) tmp[i] = 9.0;
+}
+void g(void);
+int main() {
+  double a[4];
+  double tmp[4];
+  for (int i = 0; i < 4; i++) { a[i] = 1.0; tmp[i] = 5.0; }
+  #pragma omp target data map(from: a, tmp)
+  {
+  #pragma omp target teams distribute parallel for
+  for (int i = 0; i < 4; i++) a[i] = 2.0;
+  g();
+  #pragma omp target teams distribute parallel for
+  for (int i = 0; i < 4; i++) a[i] += 1.0;
+  }
+  printf(\"%f %f\\n\", a[0], tmp[0]);
+  return 0;
+}
+";
+    let unmapped = format!("{TMP_WRITER}{LOCAL_TMP_MAIN}");
+    assert_eq!(printed(&unmapped), ["3.000000 5.000000"]);
+    assert_eq!(printed(mapped), ["3.000000 0.000000"]);
+    let report = ompdart_core::verify_source("shadow.c", mapped).expect("parses");
+    assert!(!report.is_clean());
+    let found: Vec<_> = (report.stale_reads.iter())
+        .map(|r| (r.function.as_str(), r.variable.as_str(), r.on_device))
+        .collect();
+    assert!(found.contains(&("main", "tmp", false)), "{found:?}");
+}
+
+/// The mapping the planner gave the shadowing-block program of
+/// [`a_block_that_shadows_a_device_array_is_refused`] while it mapped by
+/// name alone: `target update to(a)` after the block copies the outer `a`'s
+/// stale host copy over the device's. `verify` refuses the program as the
+/// planner now does, with one error naming both declarations.
+#[test]
+fn verify_refuses_a_block_that_shadows_a_device_array() {
+    let block = "  {\n    double a[4];\n    for (int i = 0; i < 4; i++) a[i] = 7.0;\n    \
+                 printf(\"%f\\n\", a[0]);\n  }\n";
+    let program = |open: &str, update: &str, close: &str| {
+        format!(
+            "int main() {{\n  double a[4];\n  for (int i = 0; i < 4; i++) a[i] = 1.0;\n{open}  \
+             #pragma omp target teams distribute parallel for\n  \
+             for (int i = 0; i < 4; i++) a[i] = 2.0;\n{block}{update}  \
+             #pragma omp target teams distribute parallel for\n  \
+             for (int i = 0; i < 4; i++) a[i] += 1.0;\n{close}  printf(\"%f\\n\", a[0]);\n  \
+             return 0;\n}}\n"
+        )
+    };
+    let mapped = program(
+        "  #pragma omp target data map(from: a)\n  {\n",
+        "  #pragma omp target update to(a)\n",
+        "  }\n",
+    );
+    assert_eq!(printed(&program("", "", "")), ["7.000000", "3.000000"]);
+    assert_eq!(printed(&mapped), ["7.000000", "2.000000"]);
+    let report = ompdart_core::verify_source("shadow.c", &mapped).expect("parses");
+    assert!(!report.is_clean());
+    let errors: Vec<_> = (report.diagnostics.iter())
+        .filter(|d| d.severity == ompdart_frontend::diag::Severity::Error)
+        .collect();
+    assert_eq!(errors.len(), 1, "{:?}", report.diagnostics);
+    assert!(errors[0]
+        .message
+        .contains("`a` names two variables in `main`"));
+    assert_eq!(errors[0].labels.len(), 1);
+}
