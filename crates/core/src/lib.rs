@@ -86,7 +86,7 @@ pub use pipeline::{
 };
 pub use plan::{
     diff_plans, explain_plan, explain_plans, extract_explicit_plans, plans_from_json,
-    plans_to_json, plans_to_json_value, AnalysisStats, CollapseSpec, DiffEntry, FirstPrivateSpec,
+    plans_to_json, plans_to_json_compact, AnalysisStats, CollapseSpec, DiffEntry, FirstPrivateSpec,
     MapSpec, MappingConstruct, MappingPlan, Placement, PlanDiff, PlanJsonError, Provenance,
     ProvenanceFact, UpdateDirection, UpdateSpec, PLAN_FORMAT_VERSION,
 };

@@ -80,7 +80,7 @@ use crate::interface::{source_name, UnitExports};
 use crate::interproc::{augment_with_call_effects, seed_summary, DeviceNames, FunctionSummary};
 use crate::plan::explain::explain_plans;
 use crate::plan::ir::{AnalysisStats, MappingPlan};
-use crate::plan::json::{plans_to_json, plans_to_json_value, write_json_string};
+use crate::plan::json::{plans_to_json, plans_to_json_compact, write_json_string};
 use crate::program::{LinkContext, LinkState, Program, UnitServe};
 use crate::rewrite;
 use crate::shard::ShardMap;
@@ -941,7 +941,9 @@ impl UnitAnalysis {
         explain_plans(&self.plans.plans, Some(self.source_file()))
     }
 
-    /// The versioned plan-JSON document for this unit's plans.
+    /// The versioned plan-JSON document for this unit's plans, pretty:
+    /// written by the plan encoder straight from the plans, in a buffer of
+    /// its own length.
     pub fn plans_json(&self) -> String {
         plans_to_json(&self.plans.plans)
     }
@@ -950,12 +952,10 @@ impl UnitAnalysis {
         self.wire.get_or_init(|| {
             let mut source = String::new();
             write_json_string(&mut source, &self.rewrite.source);
-            let mut plans = plans_to_json_value(&self.plans.plans).render();
-            // Held for as long as the analysis is: give back the writers'
-            // growth slack (up to half of each buffer).
+            // Held for as long as the analysis is: give back the writer's
+            // growth slack (up to half of the buffer).
             source.shrink_to_fit();
-            plans.shrink_to_fit();
-            (source, plans)
+            (source, plans_to_json_compact(&self.plans.plans))
         })
     }
 
@@ -964,8 +964,8 @@ impl UnitAnalysis {
         &self.wire().0
     }
 
-    /// [`Self::plans_json`] rendered compactly (memoised): the same
-    /// document value, without insignificant whitespace.
+    /// [`Self::plans_json`] written compactly by the same encoder
+    /// (memoised): the same document, without insignificant whitespace.
     pub fn plans_json_compact(&self) -> &str {
         &self.wire().1
     }

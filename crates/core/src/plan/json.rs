@@ -1,11 +1,23 @@
 //! Versioned, serde-free JSON serialization of the Mapping IR.
 //!
 //! The serializer is hand-rolled so the crate stays dependency-free and
-//! offline-friendly: a tiny [`Json`] value tree, a strict writer with
-//! deterministic key order, and a recursive-descent parser. The format is
-//! versioned via [`PLAN_FORMAT_VERSION`];
-//! [`MappingPlan::from_json`] rejects documents written by an incompatible
-//! future version instead of mis-reading them.
+//! offline-friendly: one [`JsonWriter`] that appends compact or two-space
+//! pretty JSON to a caller's `String`, a tiny [`Json`] value tree, and a
+//! recursive-descent parser. The format is versioned via
+//! [`PLAN_FORMAT_VERSION`]; [`MappingPlan::from_json`] rejects documents
+//! written by an incompatible future version instead of mis-reading them.
+//!
+//! Plan documents are written, not built: the plan encoder
+//! ([`MappingPlan::write_json`], and `write_plans_json` around it) walks
+//! the plans and hands each field to the writer, so no value tree stands
+//! between the IR and its bytes. Every producer of plan JSON — [`plans_to_json`] and
+//! [`MappingPlan::to_json`] (pretty), the daemon's memoised rendering and
+//! the store's unit records ([`plans_to_json_compact`], compact) and the
+//! suite's all-benchmarks report — goes through it. The [`Json`] tree
+//! remains for what is read (decoding, [`plans_from_json`] included, is
+//! tree-based) and for small documents built by hand (daemon responses,
+//! statistics); [`Json::render`] goes through the same writer, so
+//! separators and indentation are decided in one place.
 //!
 //! The same kernel carries every store document and every daemon frame, so
 //! its two hot loops — writing and reading a string — move bytes in runs:
@@ -103,7 +115,7 @@ impl Json {
     /// Render compactly into a caller-owned buffer, appending.
     pub fn render_into(&self, out: &mut String) {
         out.reserve(self.rendered_size_hint(None));
-        self.write(out, None, 0);
+        self.write(&mut JsonWriter::compact(out));
     }
 
     /// Render with two-space indentation.
@@ -120,7 +132,7 @@ impl Json {
     /// the doubling schedule every time.
     pub fn render_pretty_into(&self, out: &mut String) {
         out.reserve(self.rendered_size_hint(Some(2)));
-        self.write(out, Some(2), 0);
+        self.write(&mut JsonWriter::pretty(out));
         out.push('\n');
     }
 
@@ -154,58 +166,26 @@ impl Json {
         }
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        // Indentation is pushed directly (no per-node pad `String`s): the
-        // writer allocates nothing beyond the output buffer itself.
-        let pad = |out: &mut String, levels: usize| {
-            if let Some(w) = indent {
-                out.push('\n');
-                for _ in 0..w * levels {
-                    out.push(' ');
-                }
-            }
-        };
+    /// This value as the writer's next item.
+    fn write(&self, w: &mut JsonWriter<'_>) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(n) => write_json_int(out, *n),
-            Json::Str(s) => write_json_string(out, s),
+            Json::Null => w.null(),
+            Json::Bool(b) => w.bool(*b),
+            Json::Int(n) => w.int(*n),
+            Json::Str(s) => w.string(s),
             Json::Array(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
+                w.begin_array();
+                for item in items {
+                    item.write(w);
                 }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    pad(out, depth + 1);
-                    item.write(out, indent, depth + 1);
-                }
-                pad(out, depth);
-                out.push(']');
+                w.end_array();
             }
             Json::Object(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
+                w.begin_object();
+                for (key, value) in fields {
+                    value.write(w.key(key));
                 }
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    pad(out, depth + 1);
-                    write_json_string(out, key);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    value.write(out, indent, depth + 1);
-                }
-                pad(out, depth);
-                out.push('}');
+                w.end_object();
             }
         }
     }
@@ -228,16 +208,186 @@ impl Json {
     }
 }
 
-/// Append an integer without the `to_string` round-trip allocation.
-fn write_json_int(out: &mut String, n: i64) {
-    use std::fmt::Write as _;
-    let _ = write!(out, "{n}");
+// ---------------------------------------------------------------------------
+// The writer
+// ---------------------------------------------------------------------------
+
+/// A comma, a newline and the indentation of up to 32 levels: what comes
+/// before a pretty item is one slice of it.
+const SEPARATOR: &str = concat!(
+    ",\n",
+    "                                ",
+    "                                "
+);
+
+/// Appends one JSON document to a caller's `String`, compact or indented
+/// by two spaces per level. It is the only place separators and
+/// indentation are decided: [`Json::render`] renders a tree through it, and
+/// the plan encoder ([`MappingPlan::write_json`]) writes the Mapping IR
+/// through it field by field, with no tree between.
+///
+/// The caller drives the nesting: inside an object a [`Self::key`] comes
+/// before each value; inside an array values follow one another. A
+/// container left empty is written `{}` or `[]` in either layout.
+pub struct JsonWriter<'a> {
+    out: &'a mut String,
+    pretty: bool,
+    /// Containers open around the next item.
+    depth: usize,
+    /// The innermost open container has no item yet.
+    empty: bool,
+    /// A key was just written: the value that follows it is not an item of
+    /// its own.
+    after_key: bool,
+}
+
+impl<'a> JsonWriter<'a> {
+    /// A writer appending without insignificant whitespace.
+    pub fn compact(out: &'a mut String) -> JsonWriter<'a> {
+        JsonWriter::new(out, false)
+    }
+
+    /// A writer appending with two-space indentation. The trailing newline
+    /// of a pretty document is the caller's to add.
+    pub fn pretty(out: &'a mut String) -> JsonWriter<'a> {
+        JsonWriter::new(out, true)
+    }
+
+    fn new(out: &'a mut String, pretty: bool) -> JsonWriter<'a> {
+        JsonWriter {
+            out,
+            pretty,
+            depth: 0,
+            empty: true,
+            after_key: false,
+        }
+    }
+
+    /// Separate the next item from the one before it and indent it.
+    #[inline]
+    fn item(&mut self) {
+        if std::mem::take(&mut self.after_key) || self.depth == 0 {
+            return;
+        }
+        let comma = !std::mem::take(&mut self.empty);
+        if self.pretty {
+            self.newline(comma, self.depth);
+        } else if comma {
+            self.out.push(',');
+        }
+    }
+
+    /// A pretty line break, after a comma or not, to `levels` levels.
+    #[inline]
+    fn newline(&mut self, comma: bool, levels: usize) {
+        let (start, end) = (usize::from(!comma), 2 + 2 * levels);
+        match SEPARATOR.get(start..end) {
+            Some(separator) => self.out.push_str(separator),
+            None => {
+                self.out.push_str(&SEPARATOR[start..]);
+                self.out.extend((SEPARATOR.len()..end).map(|_| ' '));
+            }
+        }
+    }
+
+    #[inline]
+    fn open(&mut self, bracket: char) {
+        self.item();
+        self.out.push(bracket);
+        self.depth += 1;
+        self.empty = true;
+    }
+
+    #[inline]
+    fn close(&mut self, bracket: char) {
+        self.depth -= 1;
+        if !std::mem::replace(&mut self.empty, false) && self.pretty {
+            self.newline(false, self.depth);
+        }
+        self.out.push(bracket);
+    }
+
+    #[inline]
+    pub fn begin_object(&mut self) {
+        self.open('{');
+    }
+
+    #[inline]
+    pub fn end_object(&mut self) {
+        self.close('}');
+    }
+
+    #[inline]
+    pub fn begin_array(&mut self) {
+        self.open('[');
+    }
+
+    #[inline]
+    pub fn end_array(&mut self) {
+        self.close(']');
+    }
+
+    /// The key of the object member whose value is written next, by the
+    /// writer this returns: `w.key("depth").int(2)`.
+    #[inline]
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.item();
+        write_json_string(self.out, key);
+        if self.pretty {
+            self.out.push_str(": ");
+        } else {
+            self.out.push(':');
+        }
+        self.after_key = true;
+        self
+    }
+
+    #[inline]
+    pub fn string(&mut self, s: &str) {
+        self.item();
+        write_json_string(self.out, s);
+    }
+
+    /// An integer, formatted without `fmt`'s machinery.
+    #[inline]
+    pub fn int(&mut self, n: i64) {
+        self.item();
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        let mut rest = n.unsigned_abs();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        if n < 0 {
+            self.out.push('-');
+        }
+        self.out
+            .push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+    }
+
+    #[inline]
+    pub fn bool(&mut self, b: bool) {
+        self.item();
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    #[inline]
+    pub fn null(&mut self) {
+        self.item();
+        self.out.push_str("null");
+    }
 }
 
 /// Append `s` as a JSON string literal. Bytes move in runs: everything up
 /// to the next byte that needs an escape (`"`, `\`, or a control byte) is
 /// copied by one `push_str`. Such a byte is ASCII, so both ends of a run
 /// are character boundaries.
+#[inline]
 pub fn write_json_string(out: &mut String, s: &str) {
     use std::fmt::Write as _;
     out.reserve(s.len() + 2);
@@ -583,10 +733,10 @@ impl std::error::Error for PlanJsonError {}
 // Plan <-> Json conversion
 // ---------------------------------------------------------------------------
 
-fn node_to_json(id: Option<NodeId>) -> Json {
+fn write_node(w: &mut JsonWriter<'_>, id: Option<NodeId>) {
     match id {
-        Some(NodeId(n)) => Json::Int(i64::from(n)),
-        None => Json::Null,
+        Some(NodeId(n)) => w.int(i64::from(n)),
+        None => w.null(),
     }
 }
 
@@ -627,20 +777,30 @@ fn array_field<'a>(obj: &'a Json, key: &str) -> Result<&'a [Json], PlanJsonError
         .ok_or_else(|| PlanJsonError::schema(format!("missing array field `{key}`")))
 }
 
-fn provenance_to_json(p: &Provenance) -> Json {
-    let span = match p.span {
-        Some(span) => Json::Object(vec![
-            ("start".into(), Json::Int(i64::from(span.start))),
-            ("end".into(), Json::Int(i64::from(span.end))),
-        ]),
-        None => Json::Null,
-    };
-    Json::Object(vec![
-        ("stage".into(), Json::Str(p.stage.name().into())),
-        ("fact".into(), Json::Str(p.fact.key().into())),
-        ("span".into(), span),
-        ("detail".into(), Json::Str(p.detail.clone())),
-    ])
+fn write_provenance(w: &mut JsonWriter<'_>, p: &Provenance) {
+    w.begin_object();
+    w.key("stage").string(p.stage.name());
+    w.key("fact").string(p.fact.key());
+    w.key("span");
+    match p.span {
+        Some(span) => {
+            w.begin_object();
+            w.key("start").int(i64::from(span.start));
+            w.key("end").int(i64::from(span.end));
+            w.end_object();
+        }
+        None => w.null(),
+    }
+    w.key("detail").string(&p.detail);
+    w.end_object();
+}
+
+/// A section length, or `null` without one.
+fn write_section(w: &mut JsonWriter<'_>, length: Option<&str>) {
+    match length {
+        Some(length) => w.string(length),
+        None => w.null(),
+    }
 }
 
 fn provenance_from_json(value: &Json) -> Result<Provenance, PlanJsonError> {
@@ -676,19 +836,13 @@ fn provenance_from_json(value: &Json) -> Result<Provenance, PlanJsonError> {
     })
 }
 
-fn map_spec_to_json(m: &MapSpec) -> Json {
-    Json::Object(vec![
-        ("var".into(), Json::Str(m.var.clone())),
-        ("map_type".into(), Json::Str(m.map_type.as_str().into())),
-        (
-            "section_length".into(),
-            match &m.section_length {
-                Some(len) => Json::Str(len.clone()),
-                None => Json::Null,
-            },
-        ),
-        ("provenance".into(), provenance_to_json(&m.provenance)),
-    ])
+fn write_map_spec(w: &mut JsonWriter<'_>, m: &MapSpec) {
+    w.begin_object();
+    w.key("var").string(&m.var);
+    w.key("map_type").string(m.map_type.as_str());
+    write_section(w.key("section_length"), m.section_length.as_deref());
+    write_provenance(w.key("provenance"), &m.provenance);
+    w.end_object();
 }
 
 fn map_spec_from_json(value: &Json) -> Result<MapSpec, PlanJsonError> {
@@ -707,24 +861,15 @@ fn map_spec_from_json(value: &Json) -> Result<MapSpec, PlanJsonError> {
     })
 }
 
-fn update_spec_to_json(u: &UpdateSpec) -> Json {
-    Json::Object(vec![
-        ("var".into(), Json::Str(u.var.clone())),
-        (
-            "direction".into(),
-            Json::Str(u.direction.clause_keyword().into()),
-        ),
-        ("anchor".into(), node_to_json(Some(u.anchor))),
-        ("placement".into(), Json::Str(u.placement.keyword().into())),
-        (
-            "section_length".into(),
-            match &u.section_length {
-                Some(len) => Json::Str(len.clone()),
-                None => Json::Null,
-            },
-        ),
-        ("provenance".into(), provenance_to_json(&u.provenance)),
-    ])
+fn write_update_spec(w: &mut JsonWriter<'_>, u: &UpdateSpec) {
+    w.begin_object();
+    w.key("var").string(&u.var);
+    w.key("direction").string(u.direction.clause_keyword());
+    write_node(w.key("anchor"), Some(u.anchor));
+    w.key("placement").string(u.placement.keyword());
+    write_section(w.key("section_length"), u.section_length.as_deref());
+    write_provenance(w.key("provenance"), &u.provenance);
+    w.end_object();
 }
 
 fn update_spec_from_json(value: &Json) -> Result<UpdateSpec, PlanJsonError> {
@@ -754,12 +899,12 @@ fn update_spec_from_json(value: &Json) -> Result<UpdateSpec, PlanJsonError> {
     })
 }
 
-fn firstprivate_spec_to_json(f: &FirstPrivateSpec) -> Json {
-    Json::Object(vec![
-        ("kernel".into(), node_to_json(Some(f.kernel))),
-        ("var".into(), Json::Str(f.var.clone())),
-        ("provenance".into(), provenance_to_json(&f.provenance)),
-    ])
+fn write_firstprivate_spec(w: &mut JsonWriter<'_>, f: &FirstPrivateSpec) {
+    w.begin_object();
+    write_node(w.key("kernel"), Some(f.kernel));
+    w.key("var").string(&f.var);
+    write_provenance(w.key("provenance"), &f.provenance);
+    w.end_object();
 }
 
 fn firstprivate_spec_from_json(value: &Json) -> Result<FirstPrivateSpec, PlanJsonError> {
@@ -779,12 +924,12 @@ fn firstprivate_spec_from_json(value: &Json) -> Result<FirstPrivateSpec, PlanJso
     })
 }
 
-fn collapse_spec_to_json(c: &CollapseSpec) -> Json {
-    Json::Object(vec![
-        ("kernel".into(), node_to_json(Some(c.kernel))),
-        ("depth".into(), Json::Int(i64::from(c.depth))),
-        ("provenance".into(), provenance_to_json(&c.provenance)),
-    ])
+fn write_collapse_spec(w: &mut JsonWriter<'_>, c: &CollapseSpec) {
+    w.begin_object();
+    write_node(w.key("kernel"), Some(c.kernel));
+    w.key("depth").int(i64::from(c.depth));
+    write_provenance(w.key("provenance"), &c.provenance);
+    w.end_object();
 }
 
 fn collapse_spec_from_json(value: &Json) -> Result<CollapseSpec, PlanJsonError> {
@@ -825,54 +970,44 @@ fn check_version(obj: &Json) -> Result<(), PlanJsonError> {
 }
 
 impl MappingPlan {
-    /// The JSON value of this plan (versioned).
-    pub fn to_json_value(&self) -> Json {
-        Json::Object(vec![
-            ("version".into(), Json::Int(i64::from(PLAN_FORMAT_VERSION))),
-            ("function".into(), Json::Str(self.function.clone())),
-            ("region_start".into(), node_to_json(self.region_start)),
-            ("region_end".into(), node_to_json(self.region_end)),
-            (
-                "attach_to_kernel".into(),
-                node_to_json(self.attach_to_kernel),
-            ),
-            ("unstructured".into(), Json::Bool(self.unstructured)),
-            (
-                "kernels".into(),
-                Json::Array(
-                    self.kernels
-                        .iter()
-                        .map(|k| node_to_json(Some(*k)))
-                        .collect(),
-                ),
-            ),
-            (
-                "maps".into(),
-                Json::Array(self.maps.iter().map(map_spec_to_json).collect()),
-            ),
-            (
-                "updates".into(),
-                Json::Array(self.updates.iter().map(update_spec_to_json).collect()),
-            ),
-            (
-                "firstprivate".into(),
-                Json::Array(
-                    self.firstprivate
-                        .iter()
-                        .map(firstprivate_spec_to_json)
-                        .collect(),
-                ),
-            ),
-            (
-                "collapses".into(),
-                Json::Array(self.collapses.iter().map(collapse_spec_to_json).collect()),
-            ),
-        ])
+    /// Write this plan (versioned) as the writer's next item.
+    pub fn write_json(&self, w: &mut JsonWriter<'_>) {
+        /// One array member of the plan: `key`, then each item.
+        fn array<T>(
+            w: &mut JsonWriter<'_>,
+            key: &str,
+            items: &[T],
+            write: fn(&mut JsonWriter<'_>, &T),
+        ) {
+            w.key(key).begin_array();
+            for item in items {
+                write(w, item);
+            }
+            w.end_array();
+        }
+        w.begin_object();
+        w.key("version").int(i64::from(PLAN_FORMAT_VERSION));
+        w.key("function").string(&self.function);
+        write_node(w.key("region_start"), self.region_start);
+        write_node(w.key("region_end"), self.region_end);
+        write_node(w.key("attach_to_kernel"), self.attach_to_kernel);
+        w.key("unstructured").bool(self.unstructured);
+        array(w, "kernels", &self.kernels, |w, k| write_node(w, Some(*k)));
+        array(w, "maps", &self.maps, write_map_spec);
+        array(w, "updates", &self.updates, write_update_spec);
+        array(
+            w,
+            "firstprivate",
+            &self.firstprivate,
+            write_firstprivate_spec,
+        );
+        array(w, "collapses", &self.collapses, write_collapse_spec);
+        w.end_object();
     }
 
     /// Serialize this plan as pretty-printed, versioned JSON.
     pub fn to_json(&self) -> String {
-        self.to_json_value().render_pretty()
+        pretty_document(std::slice::from_ref(self), |w| self.write_json(w))
     }
 
     /// Rebuild a plan from a JSON value (already version-checked or not).
@@ -921,22 +1056,74 @@ impl MappingPlan {
     }
 }
 
-/// A whole translation unit's plans as one versioned document value — what
-/// a caller embedding the document in a larger one (the daemon's `analyze`
-/// response) wants instead of rendered text.
-pub fn plans_to_json_value(plans: &[MappingPlan]) -> Json {
-    Json::Object(vec![
-        ("version".into(), Json::Int(i64::from(PLAN_FORMAT_VERSION))),
-        (
-            "plans".into(),
-            Json::Array(plans.iter().map(MappingPlan::to_json_value).collect()),
-        ),
-    ])
+/// Write a whole translation unit's plans as one versioned document — the
+/// writer's next item, so a caller can embed it in a larger document.
+pub(crate) fn write_plans_json(w: &mut JsonWriter<'_>, plans: &[MappingPlan]) {
+    w.begin_object();
+    w.key("version").int(i64::from(PLAN_FORMAT_VERSION));
+    w.key("plans").begin_array();
+    for plan in plans {
+        plan.write_json(w);
+    }
+    w.end_array();
+    w.end_object();
 }
 
-/// Serialize a whole translation unit's plans as one versioned document.
+/// Serialize a whole translation unit's plans as one versioned document,
+/// pretty-printed.
 pub fn plans_to_json(plans: &[MappingPlan]) -> String {
-    plans_to_json_value(plans).render_pretty()
+    pretty_document(plans, |w| write_plans_json(w, plans))
+}
+
+/// [`plans_to_json`] without insignificant whitespace: the same document
+/// as the daemon splices it into responses and the store packs it.
+pub fn plans_to_json_compact(plans: &[MappingPlan]) -> String {
+    let mut out = String::with_capacity(encoded_size_hint(plans, false));
+    write_plans_json(&mut JsonWriter::compact(&mut out), plans);
+    out.shrink_to_fit();
+    out
+}
+
+/// A pretty document about `plans`, written by `write`, in a buffer of its
+/// own length: the caller keeps it, so it keeps no growth slack.
+fn pretty_document(plans: &[MappingPlan], write: impl FnOnce(&mut JsonWriter<'_>)) -> String {
+    let mut out = String::with_capacity(encoded_size_hint(plans, true));
+    write(&mut JsonWriter::pretty(&mut out));
+    out.push('\n');
+    out.shrink_to_fit();
+    out
+}
+
+/// A little over the encoded size of `plans` as a document: fixed bytes
+/// per plan, kernel and spec (pretty at a plan document's own depths), plus
+/// every string's length. Escapes can push past it; then the buffer grows.
+pub(crate) fn encoded_size_hint(plans: &[MappingPlan], pretty: bool) -> usize {
+    let (per_plan, per_kernel, per_spec) = if pretty {
+        (320, 16, 370)
+    } else {
+        (200, 10, 170)
+    };
+    let spec = |var: &str, section: &Option<String>, provenance: &Provenance| {
+        per_spec + var.len() + section.as_ref().map_or(0, String::len) + provenance.detail.len()
+    };
+    let plan = |plan: &MappingPlan| {
+        per_plan
+            + plan.function.len()
+            + per_kernel * plan.kernels.len()
+            + (plan.maps.iter())
+                .map(|m| spec(&m.var, &m.section_length, &m.provenance))
+                .sum::<usize>()
+            + (plan.updates.iter())
+                .map(|u| spec(&u.var, &u.section_length, &u.provenance))
+                .sum::<usize>()
+            + (plan.firstprivate.iter())
+                .map(|f| spec(&f.var, &None, &f.provenance))
+                .sum::<usize>()
+            + (plan.collapses.iter())
+                .map(|c| spec("", &None, &c.provenance))
+                .sum::<usize>()
+    };
+    64 + plans.iter().map(plan).sum::<usize>()
 }
 
 /// Parse a document produced by [`plans_to_json`].
@@ -1198,6 +1385,32 @@ mod tests {
         assert!(AnalysisStats::from_json(&Json::Object(vec![])).is_err());
         let negative = Json::Object(vec![("functions_analyzed".into(), Json::Int(-1))]);
         assert!(AnalysisStats::from_json(&negative).is_err());
+    }
+
+    /// Indentation deeper than the writer's one-slice separator (32
+    /// levels) is padded out to the same bytes.
+    #[test]
+    fn pretty_indentation_past_the_separator() {
+        let depth = 40;
+        let mut value = Json::Int(1);
+        for _ in 0..depth {
+            value = Json::Array(vec![value]);
+        }
+        let mut expected = String::new();
+        for level in 0..depth {
+            expected.push('[');
+            expected.push('\n');
+            expected.push_str(&" ".repeat(2 * (level + 1)));
+        }
+        expected.push('1');
+        for level in (0..depth).rev() {
+            expected.push('\n');
+            expected.push_str(&" ".repeat(2 * level));
+            expected.push(']');
+        }
+        expected.push('\n');
+        assert_eq!(value.render_pretty(), expected);
+        assert_eq!(Json::parse(&expected), Ok(value));
     }
 
     /// Adversarial nesting must fail with a syntax error, never overflow

@@ -23,5 +23,6 @@ pub use ir::{
     Placement, Provenance, ProvenanceFact, UpdateDirection, UpdateSpec, PLAN_FORMAT_VERSION,
 };
 pub use json::{
-    plans_from_json, plans_to_json, plans_to_json_value, write_json_string, Json, PlanJsonError,
+    plans_from_json, plans_to_json, plans_to_json_compact, write_json_string, Json, JsonWriter,
+    PlanJsonError,
 };

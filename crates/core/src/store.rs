@@ -98,7 +98,9 @@
 use crate::interface::UnitExports;
 use crate::pipeline::FunctionKeySnapshot;
 use crate::plan::ir::{AnalysisStats, MappingPlan, PLAN_FORMAT_VERSION};
-use crate::plan::json::{plans_from_json, plans_to_json_value, write_json_string, Json};
+use crate::plan::json::{
+    encoded_size_hint, plans_from_json, write_json_string, write_plans_json, Json, JsonWriter,
+};
 use crate::rewrite::EditSet;
 use crate::OmpDartOptions;
 use std::collections::HashMap;
@@ -559,8 +561,9 @@ impl ArtifactStore {
 
     /// Queue the plans of the unit called `name` (which only says whose save
     /// this supersedes) for the next [`Self::flush`], as three lines: the
-    /// compact plan document, the statistics, the rewrite's insertions
-    /// (`[position, text, ...]`, or `null` without `edits`).
+    /// compact plan document, written by the plan encoder straight from
+    /// `plans`, the statistics, the rewrite's insertions (`[position, text,
+    /// ...]`, or `null` without `edits`).
     pub(crate) fn queue_unit(
         &self,
         name: &str,
@@ -569,7 +572,8 @@ impl ArtifactStore {
         stats: &AnalysisStats,
         edits: Option<&EditSet>,
     ) {
-        let mut payload = plans_to_json_value(plans).render();
+        let mut payload = String::with_capacity(encoded_size_hint(plans, false));
+        write_plans_json(&mut JsonWriter::compact(&mut payload), plans);
         payload.push('\n');
         stats.to_json().render_into(&mut payload);
         payload.push('\n');

@@ -658,16 +658,20 @@ fn decode_units(request: &mut Json) -> Result<Vec<(String, String)>, RequestErro
 /// `PLAN_FORMAT_VERSION` answers a structured `bad_request` carrying the
 /// core error text instead of being half-read (or panicking a session).
 fn handle_check_plans(request: &Json) -> Result<Json, RequestError> {
+    let rendered;
     let doc = match request.get("plans") {
-        Some(Json::Str(text)) => text.clone(),
-        Some(value) => value.render(),
+        Some(Json::Str(text)) => text.as_str(),
+        Some(value) => {
+            rendered = value.render();
+            rendered.as_str()
+        }
         None => {
             return Err(bad_request(
                 "missing `plans` field (a plan-JSON document, as a string or embedded value)",
             ))
         }
     };
-    match ompdart_core::plan::plans_from_json(&doc) {
+    match ompdart_core::plan::plans_from_json(doc) {
         Ok(plans) => Ok(Json::Object(vec![
             ("valid".into(), Json::Bool(true)),
             (

@@ -18,8 +18,7 @@
 use crate::benchmarks;
 use crate::complexity::table4_rows;
 use crate::experiment::{summarize, BenchmarkResult};
-use ompdart_core::plan::{Json, MappingConstruct, PLAN_FORMAT_VERSION};
-use ompdart_core::MappingPlan;
+use ompdart_core::plan::{JsonWriter, MappingConstruct, PLAN_FORMAT_VERSION};
 use ompdart_frontend::omp::DirectiveKind;
 use ompdart_sim::{format_bytes, CostModel};
 
@@ -292,29 +291,25 @@ pub fn summary(results: &[BenchmarkResult], cost: &CostModel) -> String {
 /// the machine-readable counterpart of the tables above, for offline
 /// comparison against expert mappings.
 pub fn plans_json(results: &[BenchmarkResult]) -> String {
-    Json::Object(vec![
-        ("version".into(), Json::Int(i64::from(PLAN_FORMAT_VERSION))),
-        (
-            "benchmarks".into(),
-            Json::Array(
-                results
-                    .iter()
-                    .map(|r| {
-                        Json::Object(vec![
-                            ("name".into(), Json::Str(r.name.clone())),
-                            (
-                                "plans".into(),
-                                Json::Array(
-                                    r.plans.iter().map(MappingPlan::to_json_value).collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-    .render_pretty()
+    let mut out = String::new();
+    let w = &mut JsonWriter::pretty(&mut out);
+    w.begin_object();
+    w.key("version").int(i64::from(PLAN_FORMAT_VERSION));
+    w.key("benchmarks").begin_array();
+    for r in results {
+        w.begin_object();
+        w.key("name").string(&r.name);
+        w.key("plans").begin_array();
+        for plan in &r.plans {
+            plan.write_json(w);
+        }
+        w.end_array();
+        w.end_object();
+    }
+    w.end_array();
+    w.end_object();
+    out.push('\n');
+    out
 }
 
 /// Construct-level comparison of OMPDart's plans against the mappings the

@@ -24,7 +24,7 @@
 //! every test serializes on [`daemon_lock`].
 
 use ompdart_core::pipeline::UnitAnalysis;
-use ompdart_core::plan::{plans_to_json_value, Json};
+use ompdart_core::plan::{plans_to_json, Json};
 use ompdart_core::{CacheStats, Ompdart, UnitServe};
 use ompdart_server::daemon::{
     analyze_response, explain_result, serve_label, AnalyzedUnit, DaemonConfig, DaemonHandle,
@@ -165,6 +165,8 @@ fn daemon_analyze_matches_one_shot_api_byte_for_byte() {
 /// The tree oracle of an `analyze` response: the `Json` value the daemon
 /// used to build (and re-build, and re-render) for every request. Product
 /// code now writes the same bytes without it; this is what "the same" means.
+/// Each unit's plans are its pretty document parsed back, so the compact
+/// encoding the daemon splices is checked against the other layout too.
 fn analyze_response_oracle(
     id: Option<i64>,
     key: &str,
@@ -182,7 +184,10 @@ fn analyze_response_oracle(
                     "rewritten_source".into(),
                     Json::Str(unit.rewrite.source.clone()),
                 ),
-                ("plans".into(), plans_to_json_value(&unit.plans.plans)),
+                (
+                    "plans".into(),
+                    Json::parse(&plans_to_json(&unit.plans.plans)).expect("a plan document"),
+                ),
             ])
         })
         .collect();

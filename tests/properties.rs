@@ -2063,9 +2063,9 @@ proptest! {
         plans in proptest::collection::vec(plan_strategy(), 1..3),
         seed in 1u64..u64::MAX,
     ) {
-        use ompdart_core::plan::{plans_from_json, plans_to_json, plans_to_json_value, Json};
+        use ompdart_core::plan::{plans_from_json, plans_to_json, plans_to_json_compact, Json};
         let mut rng = seed;
-        let documents = [plans_to_json(&plans), plans_to_json_value(&plans).render()];
+        let documents = [plans_to_json(&plans), plans_to_json_compact(&plans)];
         for document in &documents {
             for _ in 0..24 {
                 let mut bytes = document.clone().into_bytes();
@@ -2161,6 +2161,156 @@ proptest! {
             }
         }
     }
+}
+
+/// A plan whose strings come from [`arbitrary_text`] (quotes, backslashes,
+/// control bytes, non-ASCII) and whose node ids and span bounds reach
+/// `u32::MAX`; every vector may be empty, every option `None`.
+fn arbitrary_plan(rng: &mut u64) -> MappingPlan {
+    fn id(rng: &mut u64) -> NodeId {
+        NodeId([0, roll(rng, 1000) as u32, u32::MAX][roll(rng, 3)])
+    }
+    fn maybe<T>(rng: &mut u64, some: impl FnOnce(&mut u64) -> T) -> Option<T> {
+        (roll(rng, 2) == 1).then(|| some(rng))
+    }
+    fn provenance(rng: &mut u64) -> Provenance {
+        let span = maybe(rng, |rng| {
+            let end = [roll(rng, 1000) as u32, u32::MAX][roll(rng, 2)];
+            Span::new([0, end / 2, end][roll(rng, 3)], end)
+        });
+        Provenance {
+            stage: Stage::ALL[roll(rng, Stage::ALL.len())],
+            fact: ProvenanceFact::all()[roll(rng, ProvenanceFact::all().len())],
+            span,
+            detail: arbitrary_text(rng),
+        }
+    }
+    fn specs<T>(rng: &mut u64, spec: fn(&mut u64) -> T) -> Vec<T> {
+        (0..roll(rng, 3)).map(|_| spec(rng)).collect()
+    }
+    const MAP_TYPES: [MapType; 4] = [MapType::To, MapType::From, MapType::ToFrom, MapType::Alloc];
+    MappingPlan {
+        function: arbitrary_text(rng),
+        region_start: maybe(rng, id),
+        region_end: maybe(rng, id),
+        attach_to_kernel: maybe(rng, id),
+        unstructured: roll(rng, 2) == 1,
+        kernels: specs(rng, id),
+        maps: specs(rng, |rng| MapSpec {
+            var: arbitrary_text(rng),
+            map_type: MAP_TYPES[roll(rng, 4)],
+            section_length: maybe(rng, arbitrary_text),
+            provenance: provenance(rng),
+        }),
+        updates: specs(rng, |rng| UpdateSpec {
+            var: arbitrary_text(rng),
+            direction: [UpdateDirection::To, UpdateDirection::From][roll(rng, 2)],
+            anchor: id(rng),
+            placement: [Placement::Before, Placement::After][roll(rng, 2)],
+            section_length: maybe(rng, arbitrary_text),
+            provenance: provenance(rng),
+        }),
+        firstprivate: specs(rng, |rng| FirstPrivateSpec {
+            kernel: id(rng),
+            var: arbitrary_text(rng),
+            provenance: provenance(rng),
+        }),
+        collapses: specs(rng, |rng| CollapseSpec {
+            kernel: id(rng),
+            depth: [2, 3, u32::MAX][roll(rng, 3)],
+            provenance: provenance(rng),
+        }),
+    }
+}
+
+/// The plan encoder writes what the `Json` tree renders from the same
+/// document, byte for byte, in both layouts, and what it writes reads back
+/// as `plans`: the pretty document equals its parse rendered pretty, the
+/// compact one that parse rendered compactly, and both decode to `plans`.
+/// Each plan on its own (`MappingPlan::to_json`) holds the same.
+fn check_plan_documents(plans: &[MappingPlan]) -> Result<(), String> {
+    use ompdart_core::plan::{plans_from_json, plans_to_json, plans_to_json_compact, Json};
+    let (pretty, compact) = (plans_to_json(plans), plans_to_json_compact(plans));
+    let tree = Json::parse(&pretty).map_err(|e| format!("{e}\n{pretty}"))?;
+    if pretty != tree.render_pretty() {
+        return Err(format!(
+            "pretty document differs from the tree's:\n{pretty}"
+        ));
+    }
+    if compact != tree.render() {
+        return Err(format!(
+            "compact document differs from the tree's:\n{compact}"
+        ));
+    }
+    for document in [&pretty, &compact] {
+        if plans_from_json(document).as_deref() != Ok(plans) {
+            return Err(format!(
+                "document does not decode to its plans:\n{document}"
+            ));
+        }
+    }
+    for plan in plans {
+        let json = plan.to_json();
+        let tree = Json::parse(&json).map_err(|e| format!("{e}\n{json}"))?;
+        if json != tree.render_pretty() || MappingPlan::from_json(&json).as_ref() != Ok(plan) {
+            return Err(format!("plan document diverged:\n{json}"));
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, .. ProptestConfig::default() })]
+
+    /// The plan encoder agrees with the tree and round-trips on plans with
+    /// hostile strings and extreme ids.
+    #[test]
+    fn plan_writer_matches_the_tree_and_round_trips(seed in 1u64..u64::MAX) {
+        let mut rng = seed;
+        let plans: Vec<MappingPlan> = (0..roll(&mut rng, 4)).map(|_| arbitrary_plan(&mut rng)).collect();
+        if let Err(e) = check_plan_documents(&plans) {
+            return Err(TestCaseError::fail(format!("seed {seed:#x}: {e}")));
+        }
+    }
+}
+
+/// The same over real plans: every unit of the ten ports and of a
+/// 200-unit corpus, in both planner modes, through the analyses' own
+/// renderings (`plans_json`, and `plans_json_compact` as the daemon splices
+/// it) as well.
+#[test]
+fn plan_writer_matches_the_tree_on_ports_and_corpus() {
+    use ompdart_core::plan::Json;
+    let programs = (ompdart_suite::experiment::ports().into_iter())
+        .map(|port| port.units)
+        .chain([ompdart_suite::corpus::generate(200, 42)]);
+    let mut documents = 0;
+    for units in programs.collect::<Vec<_>>() {
+        for lifetimes in [false, true] {
+            let tool = Ompdart::builder().lifetimes(lifetimes).build();
+            let program = tool.analyze_program(&units).expect("analysis");
+            for unit in &program.units {
+                let plans = &unit.plans.plans;
+                check_plan_documents(plans)
+                    .unwrap_or_else(|e| panic!("{}: {e}", unit.unit().name()));
+                let tree = Json::parse(&unit.plans_json()).unwrap();
+                assert_eq!(
+                    unit.plans_json(),
+                    tree.render_pretty(),
+                    "{}",
+                    unit.unit().name()
+                );
+                assert_eq!(
+                    unit.plans_json_compact(),
+                    tree.render(),
+                    "{}",
+                    unit.unit().name()
+                );
+                documents += 1;
+            }
+        }
+    }
+    assert_eq!(documents, 424);
 }
 
 /// What `mutated_sources_never_panic` damages: every unit and expert
