@@ -117,7 +117,10 @@ pub(crate) struct FunctionParts {
 /// for as long as its content stays resident in the session's unit table —
 /// so the AST walks, name mangling, call resolution and fingerprinting
 /// behind it run once per resident version, not once per relink; restored
-/// from the store, they do not run at all.
+/// from the store, they do not run at all. It names no variable of the
+/// unit's own beyond its functions' seeds and call sites: what another
+/// unit's plan can read of it is in the converged summaries alone
+/// (`interproc::DeviceNames`).
 #[derive(Debug, PartialEq)]
 pub struct UnitExports {
     /// Every defined function, in source order.
@@ -130,11 +133,6 @@ pub struct UnitExports {
     /// unknown callee clobbers in pessimistic-globals mode, and empty when
     /// that mode is off.
     pub(crate) globals: Vec<Symbol>,
-    /// The names a plan of the unit can map whether or not a summary
-    /// records them, sorted: every variable its functions touch on the
-    /// device and every variable they hand by reference at a call site
-    /// (see [`UnitExports::device_names_of`]).
-    pub(crate) device_names: Vec<Symbol>,
 }
 
 impl UnitExports {
@@ -153,42 +151,22 @@ impl UnitExports {
         // Every defined function has a graph, so accesses, symbols and a seed.
         let functions = ast.functions().map(|f| {
             let sym = &accesses.symbols[&f.name];
+            let callees = callee_keys(f.name, accesses, ast);
+            let key = |callee: Symbol| {
+                let at = callees.binary_search_by(|key| key.name.cmp(&callee));
+                &callees[at.expect("every callee has a key")]
+            };
             let calls = (accesses.accesses[&f.name].calls.iter())
-                .map(|call| LinkCall::of(call, f, sym))
+                .map(|call| LinkCall::of(call, f, sym, key(call.callee)))
                 .collect();
             FunctionParts {
                 name: f.name,
                 is_static: f.is_static,
-                callees: callee_keys(f.name, accesses, ast),
+                callees,
                 link: (Arc::clone(&summaries.seeds[&f.name]), calls),
             }
         });
-        let device_names = Self::device_names_of(ast, accesses);
-        UnitExports::assemble(unit, globals, device_names, functions.collect())
-    }
-
-    /// The names a plan of `ast` can map that no converged summary need
-    /// record, sorted and de-duplicated: every variable its functions touch
-    /// on the device, and every variable they hand by reference at a call
-    /// site, where a callee's parameter effects — or, for a callee without
-    /// a summary, a pessimistic fallback — are replayed onto it. A local
-    /// or a parameter is in no summary, yet the planner matches variables
-    /// by name, so a callee's effect on a same-named global of another unit
-    /// lands on it; the link counts these names among the program's
-    /// [`crate::interproc::DeviceNames`] so that effect stays in the plan
-    /// keys.
-    fn device_names_of(ast: &TranslationUnit, accesses: &AccessArtifact) -> Vec<Symbol> {
-        let mut names = Vec::new();
-        for f in ast.functions() {
-            let acc = &accesses.accesses[&f.name];
-            let touched = acc.accesses.iter().filter(|a| a.on_device).map(|a| a.var);
-            let args = acc.calls.iter().flat_map(|call| &call.args);
-            let handed = args.filter(|arg| arg.by_ref).filter_map(|arg| arg.base_var);
-            names.extend(touched.chain(handed));
-        }
-        names.sort_unstable();
-        names.dedup();
-        names
+        UnitExports::assemble(unit, globals, functions.collect())
     }
 
     /// The one constructor: resolve `functions`' names for the unit called
@@ -196,7 +174,6 @@ impl UnitExports {
     pub(crate) fn assemble(
         unit: &str,
         globals: Vec<Symbol>,
-        device_names: Vec<Symbol>,
         functions: Vec<FunctionParts>,
     ) -> UnitExports {
         let mut statics_mangled: Vec<(Symbol, Symbol)> = (functions.iter())
@@ -236,7 +213,6 @@ impl UnitExports {
             functions,
             statics_mangled: statics_mangled.into(),
             globals,
-            device_names,
         }
     }
 
@@ -292,10 +268,6 @@ impl UnitExports {
         for global in &self.globals {
             name(out, global)?;
         }
-        number(out, self.device_names.len());
-        for device_name in &self.device_names {
-            name(out, device_name)?;
-        }
         for f in &self.functions {
             let is_static = f.source != f.resolved;
             out.extend_from_slice(&[b'\n', b'0' + u8::from(is_static)]);
@@ -328,13 +300,18 @@ impl UnitExports {
                 number(out, call.args.len());
                 for arg in &call.args {
                     number(out, arg.position as usize);
+                    // A `const` pointee spells its target in capitals.
+                    let [param, global] = match arg.const_pointee {
+                        true => *b"PG",
+                        false => *b"pg",
+                    };
                     match arg.target {
                         ArgTarget::Param(at) => {
-                            out.extend_from_slice(b" p");
+                            out.extend_from_slice(&[b' ', param]);
                             number(out, at as usize);
                         }
                         ArgTarget::Global(var) => {
-                            out.extend_from_slice(b" g");
+                            out.extend_from_slice(&[b' ', global]);
                             name(out, &var)?;
                         }
                     }
@@ -371,10 +348,6 @@ impl UnitExports {
         let globals = (0..global_count)
             .map(|_| symbol(token()))
             .collect::<Option<Vec<Symbol>>>()?;
-        let device_name_count: usize = number(token())?;
-        let device_names = (0..device_name_count)
-            .map(|_| symbol(token()))
-            .collect::<Option<Vec<Symbol>>>()?;
         let mut functions = Vec::new();
         for _ in 0..function_count {
             let is_static = flag(token())?;
@@ -408,16 +381,21 @@ impl UnitExports {
                 let mut args = Vec::new();
                 for _ in 0..arg_count {
                     let position: u32 = number(token())?;
-                    let target = match token()? {
+                    let spelled = token()?;
+                    let target = match spelled {
                         // The fixed point indexes the caller's parameter
                         // effects with it.
-                        "p" => ArgTarget::Param(
+                        "p" | "P" => ArgTarget::Param(
                             number(token()).filter(|at| (*at as usize) < param_count)?,
                         ),
-                        "g" => ArgTarget::Global(symbol(token())?),
+                        "g" | "G" => ArgTarget::Global(symbol(token())?),
                         _ => return None,
                     };
-                    args.push(LinkArg { position, target });
+                    args.push(LinkArg {
+                        position,
+                        target,
+                        const_pointee: matches!(spelled, "P" | "G"),
+                    });
                 }
                 calls.push(LinkCall {
                     callee,
@@ -441,7 +419,7 @@ impl UnitExports {
         if token().is_some() {
             return None;
         }
-        let exports = UnitExports::assemble(unit, globals, device_names, functions);
+        let exports = UnitExports::assemble(unit, globals, functions);
         // As in a unit that parsed, no name is defined twice, so the unit
         // links, alone or with others that do not define it.
         let mut resolved: Vec<Symbol> = exports.functions.iter().map(|f| f.resolved).collect();
@@ -456,9 +434,10 @@ impl UnitExports {
 /// Fingerprint of everything the cross-unit propagation reads from one
 /// function's caller side: its local seed summary, every call site — the
 /// resolved callee, the execution space, where each by-reference argument
-/// lands — and the globals an unknown callee would clobber. Two links in
-/// which every function's local fingerprint matches converge to identical
-/// summaries — which is what lets the incremental relink skip them.
+/// lands and whether its pointee is `const` — and the globals an unknown
+/// callee would clobber. Two links in which every function's local
+/// fingerprint matches converge to identical summaries — which is what
+/// lets the incremental relink skip them.
 fn local_fingerprint(seed: &FunctionSummary, calls: &[LinkCall], globals: &[Symbol]) -> u64 {
     let mut h = Fnv::new();
     h.write_u64(summary_fingerprint(seed));
@@ -467,6 +446,7 @@ fn local_fingerprint(seed: &FunctionSummary, calls: &[LinkCall], globals: &[Symb
         h.write(&[u8::from(call.on_device)]);
         for arg in &call.args {
             h.write_u64(u64::from(arg.position));
+            h.write(&[u8::from(arg.const_pointee)]);
             match arg.target {
                 ArgTarget::Param(at) => {
                     h.write(&[1]);

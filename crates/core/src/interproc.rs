@@ -5,11 +5,11 @@
 //! variables, split by whether the access happens on the host or inside an
 //! offloaded region. Summaries are propagated through call sites to a
 //! fixed point (one visit for a function outside any recursion, until
-//! nothing changes for a recursive component), and call sites are then
-//! augmented with *maximally pessimistic* assumptions for callees whose
-//! definitions are not visible (external translation units), exactly as the
-//! paper prescribes: `const` pointer parameters are assumed read-only, other
-//! pointers read-write.
+//! nothing changes for a recursive component). A call to a callee whose
+//! definition is not visible (external translation units) carries
+//! *maximally pessimistic* assumptions, in the caller's summary as at the
+//! call site, exactly as the paper prescribes: `const` pointer parameters
+//! are assumed read-only, other pointers read-write.
 //!
 //! One engine serves the one fixed point, the link's
 //! ([`crate::program::Program::relink`], for a unit alone as for a
@@ -18,8 +18,8 @@
 //! index of its `Slot` — where the function is defined, its converged
 //! summary behind its own `Arc` and the fingerprint of what a caller's plan
 //! can read of it, its callers and its call sites resolved to ids. The
-//! table also counts the names some plan can map (`DeviceNames`): the
-//! globals those fingerprints cover. `ProgramSummaries::converge`
+//! table also counts the globals some summary touches on the device
+//! (`DeviceNames`): the globals those fingerprints cover. `ProgramSummaries::converge`
 //! re-converges, in place, just the caller-closed cone the link hands it,
 //! reading and writing summaries by id: it condenses only the cone's
 //! subgraph, and starting from a previous fixed point copies pointers. A
@@ -29,6 +29,7 @@
 //! own `static`s to their mangled symbols first.
 
 use crate::access::{Access, AccessKind, AccessOrigin, CallSite, FunctionAccesses, SymbolTable};
+use crate::pipeline::CalleeKey;
 use crate::program::LinkContext;
 use crate::scc::{condense, Condensation};
 use crate::validity::{Position, States, Transfers, VarState, Walker};
@@ -282,9 +283,10 @@ pub(crate) struct Slot {
     /// The converged summary; `None` while nothing defines the name.
     pub(crate) summary: Option<Arc<FunctionSummary>>,
     /// `projected_fingerprint` of `summary` under the table's
-    /// [`DeviceNames`]: what a caller's plan can read of it. Re-hashed
-    /// when a relink moves the summary, and for every slot when the device
-    /// names gain or lose a member.
+    /// [`DeviceNames`] — the globals some converged summary touches on the
+    /// device: what a caller's plan can read of it. Re-hashed when a relink
+    /// moves the summary, and for every slot when the device names gain or
+    /// lose a member.
     pub(crate) projected_fp: u64,
     /// The defined functions calling this one, once per call site.
     pub(crate) callers: Vec<FuncId>,
@@ -316,57 +318,44 @@ pub struct ProgramSummaries {
     free: Vec<FuncId>,
     /// The epoch of the latest walk (see [`Slot::mark`]).
     epoch: u32,
-    /// The names some plan of the program can map.
+    /// The globals some plan of the program can map.
     pub(crate) device: DeviceNames,
     /// Number of propagation passes performed before reaching a fixed point.
     pub passes: usize,
 }
 
-/// The program's *device names*: every name some plan can map. They are
-/// the globals some converged summary reads or writes on the device, and
-/// the names each unit's plans can map that no summary need record — the
-/// variables its functions touch on the device or hand by reference at a
-/// call site (`UnitExports::device_names`) — each with the number of
-/// summaries and units that do. A plan maps only variables some statement
-/// of its region touches on the device: a function's own access, or one
-/// replayed at a call site onto an argument or onto a global the callee's
-/// converged summary touches on the device. The planner matches variables
-/// by name, so a callee's effect on a global reaches a same-named local or
-/// parameter of its caller too; every mapped name is one of these either
-/// way, so a callee's effects on a global outside the set cannot move a
-/// caller's plan: the plan keys hash summaries projected onto this set
-/// (`pipeline::projected_fingerprint`).
+/// The program's *device names*: the globals some converged summary reads
+/// or writes on the device, each with the number of summaries that do. A
+/// callee's effect reaches a caller's plan through an argument, by the
+/// parameter effects every projection hashes, or on a global, which the
+/// plan maps only where the device touches it — and then the caller's own
+/// converged summary touches it on the device too. So the plan keys hash
+/// summaries projected onto this set (`pipeline::projected_fingerprint`).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct DeviceNames {
-    /// Per member: the summaries and units touching it on the device, and
-    /// the patch that added it. A name leaves when its count reaches zero.
-    /// FNV is safe for the reason it is in the id index: a `Symbol` hashes
-    /// as its interned number.
+    /// Per member: the summaries touching it on the device, and the patch
+    /// that added it. A name leaves when its count reaches zero. FNV is safe
+    /// for the reason it is in the id index: a `Symbol` hashes as its
+    /// interned number.
     counts: HashMap<Symbol, (u32, u64), FnvBuild>,
     /// Patches so far: stamps a member with the patch that added it.
     patches: u64,
 }
 
 impl DeviceNames {
-    /// True if some plan can map a variable called `name`.
+    /// True if some plan can map a global called `name`.
     pub(crate) fn contains(&self, name: Symbol) -> bool {
         self.counts.contains_key(&name)
     }
 
     /// Move the counts by a relink's `moves` — each cone function's summary
-    /// before and after (`None`: it had or has none) — and by the device
-    /// names of the units that `arrived` and `left`, and return true when
+    /// before and after (`None`: it had or has none) — and return true when
     /// the set gained or lost a member. Walks the globals of the moved
     /// summaries and allocates only when the map grows. Every increment
     /// goes first, so a name absent at its increment had no count before
     /// the patch, and one reaching zero at a decrement has none after it: a
     /// name that does both came and went, and moves nothing.
-    pub(crate) fn patch<'s, I>(
-        &mut self,
-        moves: I,
-        arrived: impl Iterator<Item = Symbol>,
-        left: impl Iterator<Item = Symbol>,
-    ) -> bool
+    pub(crate) fn patch<'s, I>(&mut self, moves: I) -> bool
     where
         I: Iterator<Item = (Option<&'s FunctionSummary>, Option<&'s FunctionSummary>)> + Clone,
     {
@@ -374,7 +363,7 @@ impl DeviceNames {
         let patch = self.patches;
         let (mut grown, mut shrunk) = (0usize, 0usize);
         let gains = (moves.clone()).flat_map(|(before, after)| device_only_in(after, before));
-        for name in gains.chain(arrived) {
+        for name in gains {
             let (count, _) = self.counts.entry(name).or_insert_with(|| {
                 grown += 1;
                 (0, patch)
@@ -382,7 +371,7 @@ impl DeviceNames {
             *count += 1;
         }
         let losses = moves.flat_map(|(before, after)| device_only_in(before, after));
-        for name in losses.chain(left) {
+        for name in losses {
             let (count, added) = self.counts.get_mut(&name).expect("a counted name");
             *count -= 1;
             if *count == 0 {
@@ -592,6 +581,9 @@ pub struct LinkArg {
     /// effect flows through it.
     pub position: u32,
     pub target: ArgTarget,
+    /// The caller's prototype of the callee makes the pointee `const`
+    /// (`fallback_effect` reads it when the callee has no summary).
+    pub const_pointee: bool,
 }
 
 /// One call site as the call-site propagation reads it.
@@ -604,8 +596,14 @@ pub struct LinkCall {
 
 impl LinkCall {
     /// The propagation's view of `call`, made in a function with parameters
-    /// `func.params` and symbol table `sym`.
-    pub fn of(call: &CallSite, func: &FunctionDef, sym: &SymbolTable) -> LinkCall {
+    /// `func.params` and symbol table `sym`, the callee's visible prototype
+    /// read off its `callee` key.
+    pub(crate) fn of(
+        call: &CallSite,
+        func: &FunctionDef,
+        sym: &SymbolTable,
+        callee: &CalleeKey,
+    ) -> LinkCall {
         let target = |var: Symbol| match param_index(func, var) {
             Some(position) => sym
                 .is_aggregate(var)
@@ -617,6 +615,7 @@ impl LinkCall {
             Some(LinkArg {
                 position: position as u32,
                 target,
+                const_pointee: callee.const_pointee(position),
             })
         });
         LinkCall {
@@ -745,12 +744,13 @@ impl ProgramSummaries {
     /// function plus its transitive callers, with each reset to its seed,
     /// and a cold link every function.
     ///
-    /// When `clobber_globals` is set (the opt-in pessimistic-globals mode),
-    /// a call to a function with no summary (and not a pure builtin) merges
-    /// a pessimistic host read+write of every visible global into the
-    /// *caller's* summary, so the clobber is transitive — callers of a
-    /// function that calls an unknown extern see the globals clobbered too,
-    /// not just the direct call site.
+    /// A call to a function with no summary merges what the planner replays
+    /// there into the *caller's* summary ([`merge_unknown_call`]): the
+    /// fallback on its by-reference arguments, and, when `clobber_globals`
+    /// is set (the opt-in pessimistic-globals mode), a host read+write of
+    /// every visible global. So the fallback is transitive — callers of a
+    /// function that calls an unknown extern see its effects too, not just
+    /// the direct call site.
     ///
     /// The call graph among `ids` is condensed into strongly connected
     /// components ([`crate::scc::condense`]); every strongly connected
@@ -1018,11 +1018,7 @@ impl Engine<'_> {
             }
             changed |= match callee(callee_id) {
                 Some(summary) => merge_known_call(caller, call, summary),
-                None => {
-                    self.clobber_globals
-                        && !is_pure_builtin(call.callee)
-                        && merge_unknown_call(caller, node, call.on_device)
-                }
+                None => merge_unknown_call(caller, call, node.globals, self.clobber_globals),
             };
         }
         changed
@@ -1060,52 +1056,80 @@ pub(crate) fn merge_known_call(
     }
     // Parameter effects flow to the caller's own params/globals.
     for arg in &call.args {
-        let mut effect = callee_summary
+        let effect = callee_summary
             .param_effects
             .get(arg.position as usize)
             .copied()
             .unwrap_or_default();
-        if call.on_device {
-            effect = device_shifted(effect);
-        }
-        local_changed |= match arg.target {
-            ArgTarget::Param(position) => caller.param_effects[position as usize].merge(effect),
-            ArgTarget::Global(var) => caller.global_effects.entry(var).or_default().merge(effect),
-        };
+        local_changed |= effect_on(caller, arg.target).merge(placed(effect, call.on_device));
     }
     // Global effects propagate directly.
     for (global, effect) in &callee_summary.global_effects {
-        let mut effect = *effect;
-        if call.on_device {
-            effect = device_shifted(effect);
-        }
         local_changed |= caller
             .global_effects
             .entry(*global)
             .or_default()
-            .merge(effect);
+            .merge(placed(*effect, call.on_device));
     }
     local_changed
 }
 
-/// Merge the pessimistic-globals clobber of an unknown callee into
-/// `caller`: every global the caller can see becomes host read+written
-/// (device-shifted inside offloaded regions), so the clobber is part of
-/// the *summary* and propagates transitively to the caller's own callers.
+/// Merge into `caller` what the planner replays at `call`, whose callee
+/// has no summary: [`fallback_effect`] on every by-reference argument the
+/// caller's callers can see and — when `clobber_globals` is set (the opt-in
+/// pessimistic-globals mode) and the callee is not a pure builtin — a host
+/// read+write of every global in `globals`; device-shifted inside offloaded
+/// regions. So the fallback is part of the *summary* and reaches the
+/// caller's own callers, through any number of wrappers. Returns true when
+/// anything changed. Shared by the sequential reference engine and the
+/// SCC-wavefront workers.
 pub(crate) fn merge_unknown_call(
     caller: &mut FunctionSummary,
-    node: &PropagationNode<'_>,
-    on_device: bool,
+    call: &LinkCall,
+    globals: &[Symbol],
+    clobber_globals: bool,
 ) -> bool {
-    let mut effect = Effect::pessimistic_host();
-    if on_device {
-        effect = device_shifted(effect);
-    }
     let mut local_changed = false;
-    for &var in node.globals {
-        local_changed |= caller.global_effects.entry(var).or_default().merge(effect);
+    for arg in &call.args {
+        let effect = fallback_effect(call.callee, arg.const_pointee);
+        local_changed |= effect_on(caller, arg.target).merge(placed(effect, call.on_device));
+    }
+    if clobber_globals && !is_pure_builtin(call.callee) {
+        let effect = placed(Effect::pessimistic_host(), call.on_device);
+        for &var in globals {
+            local_changed |= caller.global_effects.entry(var).or_default().merge(effect);
+        }
     }
     local_changed
+}
+
+/// The effect slot of `caller` a by-reference argument landing on `target`
+/// merges into.
+fn effect_on(caller: &mut FunctionSummary, target: ArgTarget) -> &mut Effect {
+    match target {
+        ArgTarget::Param(position) => &mut caller.param_effects[position as usize],
+        ArgTarget::Global(var) => caller.global_effects.entry(var).or_default(),
+    }
+}
+
+/// What a call to `callee`, which has no summary, is assumed to do to the
+/// data one by-reference argument reaches: read it on the host for a pure
+/// builtin or a `const` pointee of the visible prototype, read and write it
+/// there otherwise.
+pub(crate) fn fallback_effect(callee: Symbol, const_pointee: bool) -> Effect {
+    match const_pointee || is_pure_builtin(callee) {
+        true => Effect::read_only_host(),
+        false => Effect::pessimistic_host(),
+    }
+}
+
+/// `effect` as a call site placed `on_device` or not does it: device-shifted
+/// inside an offloaded region.
+fn placed(effect: Effect, on_device: bool) -> Effect {
+    match on_device {
+        true => device_shifted(effect),
+        false => effect,
+    }
 }
 
 /// Move every host effect to the device (used when the call site itself
@@ -1209,52 +1233,41 @@ pub fn augment_with_call_effects(
             }
             continue;
         }
-        // Pure/standard library functions: reads only.
-        if is_pure_builtin(call.callee) {
-            let origin = |effect| AccessOrigin::Callee {
-                callee: call.callee,
-                cross_unit: false,
-                effect,
-            };
-            for arg in &call.args {
-                if arg.by_ref {
-                    if let Some(var) = &arg.base_var {
-                        push_effect_accesses(acc, *var, Effect::read_only_host(), call, origin);
-                    }
-                }
-            }
-            continue;
-        }
-        // Unknown external function: maximally pessimistic assumptions,
-        // refined by `const` pointer parameters on a visible prototype.
-        let proto = unit.all_functions().find(|f| f.name == call.callee);
+        // No summary: the fallback on every by-reference argument, as the
+        // link merges it into the caller's summary (`merge_unknown_call`).
+        // A pure library function's reads are a callee's; anything else is
+        // an unknown extern, refined by `const` pointees of a visible
+        // prototype.
+        let builtin = is_pure_builtin(call.callee);
+        let proto = (!builtin)
+            .then(|| unit.all_functions().find(|f| f.name == call.callee))
+            .flatten();
         let origin = |clobbers_global| {
-            move |_| AccessOrigin::UnknownCallee {
-                callee: call.callee,
-                clobbers_global,
+            move |effect| match builtin {
+                true => AccessOrigin::Callee {
+                    callee: call.callee,
+                    cross_unit: false,
+                    effect,
+                },
+                false => AccessOrigin::UnknownCallee {
+                    callee: call.callee,
+                    clobbers_global,
+                },
             }
         };
         let mut fell_back = false;
         for (arg_idx, arg) in call.args.iter().enumerate() {
-            if !arg.by_ref {
+            let Some(var) = arg.base_var.filter(|_| arg.by_ref) else {
                 continue;
-            }
-            let Some(var) = &arg.base_var else { continue };
-            let is_const = proto
-                .and_then(|p| p.params.get(arg_idx))
-                .map(|p| p.is_const_pointee)
-                .unwrap_or(false);
-            let effect = if is_const {
-                Effect::read_only_host()
-            } else {
-                fell_back = true;
-                Effect::pessimistic_host()
             };
-            push_effect_accesses(acc, *var, effect, call, origin(false));
+            let param = proto.and_then(|p| p.params.get(arg_idx));
+            let effect = fallback_effect(call.callee, param.is_some_and(|p| p.is_const_pointee));
+            fell_back |= effect.host_write();
+            push_effect_accesses(acc, var, effect, call, origin(false));
         }
         // Opt-in: the unknown callee may also touch any global it can name,
         // not just the data it was handed a pointer to.
-        if clobber_globals {
+        if clobber_globals && !builtin {
             let mut globals = visible_globals(unit);
             globals.retain(|g| symbols.sees_global(*g));
             if !globals.is_empty() {
@@ -1284,10 +1297,7 @@ fn push_effect_accesses(
     call: &CallSite,
     origin: impl Fn(Effect) -> AccessOrigin,
 ) {
-    let mut effect = effect;
-    if call.on_device {
-        effect = device_shifted(effect);
-    }
+    let effect = placed(effect, call.on_device);
     let host_then_device = [
         (effect.host_exposed(), effect.host_write(), false),
         (effect.device_exposed(), effect.device_write(), true),
@@ -1708,9 +1718,10 @@ void always() {
 
     /// The corners that know nothing about order: an unknown callee reads,
     /// then writes, on the host and proves nothing; a `const` pointee is an
-    /// exposed host read; pessimistic globals put the same read-then-write
-    /// on every global, in the summary and at the call site — but not on a
-    /// local that hides one.
+    /// exposed host read — at the call site and in the caller's summary
+    /// alike, so a wrapper's callers see them; pessimistic globals put the
+    /// same read-then-write on every global, in the summary and at the call
+    /// site — but not on a local that hides one.
     #[test]
     fn unknown_callee_const_pointee_and_pessimistic_globals_corners() {
         assert_eq!(
@@ -1731,8 +1742,15 @@ void f(double *data, int n) {
   opaque(data, n);
   inspect(data, n);
 }
+void look(double *data, int n) {
+  inspect(data, n);
+}
 ";
         let (link, accesses, unit) = analyze(src);
+        let param = |func: &str| link.summary(func).unwrap().param_effects[0];
+        assert_eq!(param("f"), Effect::pessimistic_host());
+        assert_eq!(param("look"), Effect::read_only_host());
+        assert!(link.summary("f").unwrap().global_effects.is_empty());
         let replay = |clobber: bool, var: &str| -> Vec<AccessKind> {
             let mut f = accesses[&Symbol::intern("f")].clone();
             augment_with_call_effects(&mut f, &table(&unit, "f"), &unit, &link, clobber);

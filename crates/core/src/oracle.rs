@@ -12,8 +12,8 @@
 //! measures.
 
 use crate::interproc::{
-    is_pure_builtin, merge_known_call, merge_unknown_call, take_conservative_corner,
-    FunctionSummary, ProgramSummaries, PropagationNode,
+    merge_known_call, merge_unknown_call, take_conservative_corner, FunctionSummary,
+    ProgramSummaries, PropagationNode,
 };
 use crate::pipeline::SummarizedUnit;
 use crate::scc::condense;
@@ -120,18 +120,12 @@ fn sweep(
         let mut changed = false;
         for node in nodes {
             for call in node.calls.iter() {
-                let Some(callee_summary) = functions.get(&call.callee).cloned() else {
-                    if clobber_globals && !is_pure_builtin(call.callee) {
-                        let mut caller = working(functions, node.name);
-                        if merge_unknown_call(&mut caller, node, call.on_device) {
-                            functions.insert(node.name, Arc::new(caller));
-                            changed = true;
-                        }
-                    }
-                    continue;
-                };
                 let mut caller = working(functions, node.name);
-                if merge_known_call(&mut caller, call, &callee_summary) {
+                let merged = match functions.get(&call.callee) {
+                    Some(callee) => merge_known_call(&mut caller, call, callee),
+                    None => merge_unknown_call(&mut caller, call, node.globals, clobber_globals),
+                };
+                if merged {
                     functions.insert(node.name, Arc::new(caller));
                     changed = true;
                 }

@@ -473,9 +473,10 @@ pub(crate) fn summary_fingerprint(s: &FunctionSummary) -> u64 {
 /// its callers spell it (for a `static`, the part of its `name@unit` symbol
 /// before the `@`), `has_kernels`, every parameter effect, and its effects
 /// on globals named in the program's device names — none on any other
-/// global. A plan maps only variables its region touches on the device,
-/// each of them a device name, and reads nothing of a callee's effect on
-/// anything else ([`crate::interproc::DeviceNames`]).
+/// global. A plan maps only variables its region touches on the device, and
+/// a callee's effect on a global reaches it only where some converged
+/// summary touches that global on the device
+/// ([`crate::interproc::DeviceNames`]).
 pub(crate) fn projected_fingerprint(s: &FunctionSummary, device: &DeviceNames) -> u64 {
     fingerprint_where(s, source_name(&s.name), |global| device.contains(global))
 }
@@ -506,6 +507,14 @@ fn fingerprint_where(s: &FunctionSummary, name: &str, keep: impl Fn(Symbol) -> b
 pub(crate) struct CalleeKey {
     pub(crate) name: Symbol,
     pub(crate) proto: Vec<u8>,
+}
+
+impl CalleeKey {
+    /// True if the visible prototype declares parameter `position`'s
+    /// pointee `const` (`proto`: count, a byte per parameter, variadic).
+    pub(crate) fn const_pointee(&self, position: usize) -> bool {
+        self.proto.len() > 9 + position && self.proto[8 + position] == 1
+    }
 }
 
 /// The direct callees of `func_name`, sorted by name and de-duplicated:

@@ -266,12 +266,12 @@ impl Program {
     ///    converged `Arc`. Ids nothing defines or calls any more are retired
     ///    for the next names to reuse.
     /// 4. **Refresh what observes a moved summary.** The device names are
-    ///    patched from the cone's summaries before and after and from the
-    ///    units that came and went. Imports fingerprints are recomputed for
-    ///    changed units and for units that name a function whose
-    ///    *projected* fingerprint moved, from memoised per-summary
-    ///    fingerprints. When the device names gained or lost a member, every
-    ///    projected fingerprint is re-derived and every unit refreshed.
+    ///    patched from the cone's summaries before and after. Imports
+    ///    fingerprints are recomputed for changed units and for units that
+    ///    name a function whose *projected* fingerprint moved, from
+    ///    memoised per-summary fingerprints. When the device names gained
+    ///    or lost a member, every projected fingerprint is re-derived and
+    ///    every unit refreshed.
     ///
     /// The result is identical to a cold link of the same units (pinned by
     /// tests at every worker count), `linked.passes` aside — a diagnostic
@@ -458,18 +458,12 @@ impl Program {
         }
 
         // --- 4. Refresh what observes a moved summary. -------------------
-        // The device names follow the cone's summaries and the device names
-        // of the units that came and went; when they gain or lose a member,
-        // every projected fingerprint may move.
+        // The device names follow the cone's summaries; when they gain or
+        // lose a member, every projected fingerprint may move.
         let mut device = std::mem::take(&mut table.device);
         let cone_moves = (cone.iter().zip(&before))
             .map(|(&id, before)| (before.as_deref(), table.slot(id).summary.as_deref()));
-        let arrived = changed
-            .iter()
-            .flat_map(|&i| units[i].exports().device_names.iter().copied());
-        let left = (0..was.len()).filter(|&j| survives(j).is_none());
-        let left = left.flat_map(|j| was[j].exports().device_names.iter().copied());
-        let reproject = device.patch(cone_moves, arrived, left);
+        let reproject = device.patch(cone_moves);
         table.device = device;
         // Changed units and the units calling a function whose projected
         // fingerprint moved — or every unit, after a reprojection.

@@ -110,7 +110,9 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Version of the pack format; a record of any other store or plan version
-/// is never read, and leaves with the next compaction. v13 is v12's pack
+/// is never read, and leaves with the next compaction. v14's interface
+/// records list no device names and mark `const` pointees, and its keys
+/// hash summaries that carry the unknown-callee fallback. v13 is v12's pack
 /// with three lines to a unit record: v12 ended it with a fourth, the
 /// per-function plan-cache key snapshots, which nothing reads since a unit
 /// is planned whole. v12 is v11's pack
@@ -128,7 +130,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// unit records (the `unstructured` marker instead of enter-data / exit-data
 /// lists); v3's `unit-*`, `fn-*` and `ref-*` files are ignored, and removed
 /// by [`ArtifactStore::gc`].
-pub const STORE_FORMAT_VERSION: u32 = 13;
+pub const STORE_FORMAT_VERSION: u32 = 14;
 
 const PACK_FILE: &str = "ompdart.pack";
 /// Starts every record. Payloads are UTF-8, which never holds `0xff`, so the

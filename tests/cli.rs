@@ -299,3 +299,105 @@ fn v3_store_files_are_not_read_and_leave_through_gc() {
     assert_eq!(entries(), ["ompdart.pack"]);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The four option combinations: `OmpDartOptions { lifetimes,
+/// pessimistic_globals }` on the command line.
+const OPTION_COMBINATIONS: [&[&str]; 4] = [
+    &[],
+    &["--lifetimes"],
+    &["--pessimistic-globals"],
+    &["--lifetimes", "--pessimistic-globals"],
+];
+
+/// `ompdart analyze <input> -o <out> --simulate` under `flags`: exit 0 and
+/// `output preserved: yes` on stderr, or the test fails with what it
+/// printed.
+fn assert_simulate_preserves_output(input: &Path, out: &Path, flags: &[&str]) {
+    let mut args: Vec<&std::ffi::OsStr> = vec![
+        "analyze".as_ref(),
+        input.as_os_str(),
+        "-o".as_ref(),
+        out.as_os_str(),
+        "--simulate".as_ref(),
+    ];
+    args.extend(flags.iter().map(std::ffi::OsStr::new));
+    let run = ompdart(args);
+    assert!(
+        run.status.success() && stderr(&run).contains("output preserved: yes"),
+        "{} {flags:?}:\n{}",
+        input.display(),
+        stderr(&run)
+    );
+}
+
+/// Nine ports × four option combinations: `--simulate` runs the input and
+/// its rewrite, and exits 1 when their outputs differ. The 36 runs share up
+/// to four worker threads: two ports' simulations take seconds each.
+#[test]
+fn every_port_keeps_its_output_under_every_option_combination() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let dir = scratch("combinations");
+    let listed = std::fs::read_dir(asset("")).unwrap();
+    let mut ports: Vec<PathBuf> = (listed.map(|entry| entry.unwrap().path()))
+        .filter(|path| path.to_string_lossy().ends_with("_unoptimized.c"))
+        .collect();
+    ports.sort();
+    let runs: Vec<(&Path, &[&str])> = (ports.iter())
+        .flat_map(|port| OPTION_COMBINATIONS.map(|flags| (port.as_path(), flags)))
+        .collect();
+    let (next, passed) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
+    std::thread::scope(|scope| {
+        for worker in 0..workers {
+            let out = dir.join(format!("combo-{worker}.c"));
+            let (runs, next, passed) = (&runs, &next, &passed);
+            scope.spawn(move || {
+                while let Some(&(port, flags)) = runs.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    assert_simulate_preserves_output(port, &out, flags);
+                    passed.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        }
+    });
+    assert_eq!(passed.into_inner(), 36);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A wrapper that hands data to a callee with no summary, between two
+/// kernels: a global, a parameter, and the parameter with the wrapper in
+/// another unit. The first two run under `--simulate`; the linked program's
+/// rewrites, concatenated, must print what its sources print.
+#[test]
+fn a_wrapper_around_an_unknown_callee_keeps_its_output_under_every_option_combination() {
+    let dir = scratch("wrappers");
+    let wrappers = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/wrappers");
+    let out = dir.join("combo.c");
+    for flags in OPTION_COMBINATIONS {
+        for program in ["clear_global.c", "clear_param.c"] {
+            assert_simulate_preserves_output(&wrappers.join(program), &out, flags);
+        }
+        let units = ["main", "clear"];
+        let mut args = vec!["analyze".into(), "--out-dir".into(), dir.clone()];
+        args.extend(
+            units
+                .iter()
+                .map(|unit| wrappers.join(format!("linked/{unit}.c"))),
+        );
+        args.extend(flags.iter().map(PathBuf::from));
+        let run = ompdart(&args);
+        assert!(run.status.success(), "{flags:?}: {run:?}");
+        let concat = |suffix: &str, dir: &Path| -> String {
+            (units.iter())
+                .map(|unit| read(&dir.join(format!("{unit}{suffix}"))))
+                .collect()
+        };
+        let printed = |program: &str| {
+            let run = ompdart_sim::simulate_source(program, ompdart_sim::SimConfig::default());
+            run.expect("the program runs").output
+        };
+        let sources = concat(".c", &wrappers.join("linked"));
+        let mapped = concat(".mapped.c", &dir);
+        assert_eq!(printed(&mapped), printed(&sources), "{flags:?}:\n{mapped}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1407,23 +1407,30 @@ const DEVICE_MODEL_NAMES: usize = 5;
 const DEVICE_MODEL_FUNCTIONS: usize = 4;
 
 /// Per function, per name: 0 untouched, 1 touched on the host, 2 in a
-/// kernel, 3 handed by reference to an unknown callee in a kernel (a device
-/// access no summary records). In `main`, `s1` and `s2`, whose units do not
-/// declare `gl`, a nonzero `gl` cell is a *local* array of that name: the
-/// planner matches variables by name, so the callee global's effects
-/// replayed at the function's call land on it.
+/// kernel, 3 handed by reference to an unknown callee in a kernel, 4 handed
+/// to `wrap` on the host and 5 in a kernel — `wrap` hands its parameter to
+/// the unknown callee, so only its summary tells its callers. In `main`,
+/// `s1` and `s2`, whose units do not declare `gl`, a nonzero `gl` cell is a
+/// *local* array of that name, which a callee's effect on the global `gl`
+/// does not reach.
 type DeviceModel = [[u8; DEVICE_MODEL_NAMES]; DEVICE_MODEL_FUNCTIONS];
+
+/// True for a state of [`DeviceModel`] that touches its name on the device.
+fn on_device(state: u8) -> bool {
+    matches!(state, 2 | 3 | 5)
+}
 
 /// `main` brackets its call into the chain with kernels on `gm`, so its
 /// region holds the chain's replayed effects; each stage touches `g0`, `g1`
 /// before its call and `g2`, `g3` after it, and the last calls a function
-/// nobody defines (a clobber of every global under pessimistic globals). A
-/// local `gl` is touched on both sides of its function's call, so a kernel
-/// on it puts the call inside the function's region.
+/// nobody defines (a clobber of every global under pessimistic globals) and
+/// defines `wrap`. A local `gl` is touched on both sides of its function's
+/// call, so a kernel on it puts the call inside the function's region.
 fn render_device_model(model: &DeviceModel) -> Vec<(String, String)> {
     let header = "#ifndef DEV_H\n#define DEV_H\n#define N 16\nextern double gm[N];\n\
                   extern double g0[N];\nextern double g1[N];\n\
-                  extern double g2[N];\nextern double g3[N];\n#endif\n";
+                  extern double g2[N];\nextern double g3[N];\n\
+                  void wrap(double *p);\n#endif\n";
     let name = |j: usize| match j {
         4 => "gl".to_string(),
         _ => format!("g{j}"),
@@ -1439,6 +1446,11 @@ fn render_device_model(model: &DeviceModel) -> Vec<(String, String)> {
             3 => format!(
                 "  #pragma omp target teams distribute parallel for\n  \
                  for (int i = 0; i < N; i++) {{ ext_use({g}); }}\n"
+            ),
+            4 => format!("  wrap({g});\n"),
+            5 => format!(
+                "  #pragma omp target teams distribute parallel for\n  \
+                 for (int i = 0; i < N; i++) {{ wrap({g}); }}\n"
             ),
             _ => String::new(),
         }
@@ -1469,7 +1481,10 @@ fn render_device_model(model: &DeviceModel) -> Vec<(String, String)> {
     for f in 1..DEVICE_MODEL_FUNCTIONS {
         let (call, defined) = match f < last {
             true => (format!("  s{}();\n", f + 1), ""),
-            false => ("  ext_log();\n".to_string(), "double gl[N];\n"),
+            false => (
+                "  ext_log();\n".to_string(),
+                "double gl[N];\nvoid wrap(double *p) { ext_use(p); }\n",
+            ),
         };
         let (before, after) = match f < last {
             true => (touch(f, 0..2), touch(f, 2..4)),
@@ -1486,11 +1501,12 @@ fn render_device_model(model: &DeviceModel) -> Vec<(String, String)> {
 
 /// One edit of the device-names model, of the kind `kind` names when the
 /// model allows it (else a random one): 0 adds a host-only effect, 1 the
-/// first device access of a name, direct or through an unknown callee (the
-/// device names grow), 2 removes the last device access of one (they
-/// shrink).
+/// first device access of a name, direct or through an unknown callee, with
+/// or without a wrapper (the device names grow), 2 removes the last device
+/// access of one (they shrink).
 fn edit_device_model(model: &mut DeviceModel, rng: &mut u64, kind: usize) {
-    let devices = |model: &DeviceModel, j: usize| model.iter().filter(|f| f[j] >= 2).count();
+    let devices = |model: &DeviceModel, j: usize| model.iter().filter(|f| on_device(f[j])).count();
+    let one_of = |rng: &mut u64, states: &[u8]| states[roll(rng, states.len())];
     let pick = |rng: &mut u64, cells: Vec<(usize, usize)>| {
         (!cells.is_empty()).then(|| cells[roll(rng, cells.len())])
     };
@@ -1501,19 +1517,19 @@ fn edit_device_model(model: &mut DeviceModel, rng: &mut u64, kind: usize) {
             .collect()
     };
     let chosen = match kind {
-        0 => pick(rng, cells(&|f, j| model[f][j] == 0)).map(|cell| (cell, 1)),
+        0 => pick(rng, cells(&|f, j| model[f][j] == 0)).map(|cell| (cell, one_of(rng, &[1, 4]))),
         1 => pick(rng, cells(&|_, j| devices(model, j) == 0))
-            .map(|cell| (cell, 2 + roll(rng, 2) as u8)),
+            .map(|cell| (cell, one_of(rng, &[2, 3, 5]))),
         2 => pick(
             rng,
-            cells(&|f, j| model[f][j] >= 2 && devices(model, j) == 1),
+            cells(&|f, j| on_device(model[f][j]) && devices(model, j) == 1),
         )
-        .map(|cell| (cell, roll(rng, 2) as u8)),
+        .map(|cell| (cell, one_of(rng, &[0, 1, 4]))),
         _ => None,
     };
     let ((f, j), state) = chosen.unwrap_or_else(|| {
         let f = roll(rng, DEVICE_MODEL_FUNCTIONS);
-        ((f, roll(rng, DEVICE_MODEL_NAMES)), roll(rng, 4) as u8)
+        ((f, roll(rng, DEVICE_MODEL_NAMES)), roll(rng, 6) as u8)
     });
     model[f][j] = state;
 }
@@ -1523,10 +1539,11 @@ proptest! {
 
     /// Plan keys project callee summaries onto the device names, so a
     /// script that adds host-only effects, gives a name its first device
-    /// access — in a kernel, or handed to an unknown callee inside one, on a
-    /// global or on a caller's local named like another unit's global — and
-    /// takes the last one away must never serve a plan that a cold analysis
-    /// would not make. One long-lived session per option
+    /// access — in a kernel, or handed to an unknown callee inside one or
+    /// through a wrapper on the host or in a kernel, on a global or on a
+    /// caller's local named like another unit's global — and takes the last
+    /// one away must never serve a plan that a cold analysis would not
+    /// make. One long-lived session per option
     /// combination (`{lifetimes} × {pessimistic_globals}`) follows the
     /// script; after every step each unit's rewrite and plan JSON are a
     /// cold analysis's, and the patched link's imports fingerprints a cold

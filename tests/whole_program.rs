@@ -1388,9 +1388,9 @@ fn a_host_only_edit_replans_its_function_and_a_new_device_global_its_callers() {
 
 /// A global handed by reference to a callee with no summary inside a kernel
 /// is touched on the device by the caller's plan (the fallback replays a
-/// device read and write), though no summary records it: the device names
-/// count it all the same, so an edit to another callee's host effect on it
-/// re-plans the caller.
+/// device read and write), and `main`'s summary records that global on the
+/// device: it is a device name, so an edit to another callee's host effect
+/// on it re-plans the caller.
 #[test]
 fn a_global_passed_to_an_unknown_callee_in_a_kernel_is_a_device_global() {
     let main = "\
@@ -1424,11 +1424,12 @@ int main() {
 /// global `tmp` of `c.c` on the host, and `main.c` declares only a local
 /// `tmp`, which the call leaves alone. So `main`'s plan holds no update of
 /// its own `tmp` after the call (one that did copied the stale host copy
-/// over the kernel's values), whatever `c` does. The device names still
-/// count `main`'s local, so dropping `c`'s host write still re-plans
-/// `main`, and the warm round is a cold analysis's.
+/// over the kernel's values), whatever `c` does. No summary touches a `tmp`
+/// on the device, so `c`'s host write is not in `main`'s plan key: dropping
+/// it serves `main.c` from the fast path, and the warm round is a cold
+/// analysis's.
 #[test]
-fn a_callee_global_with_a_caller_local_name_stays_in_the_plan_key() {
+fn a_callee_global_with_a_caller_local_name_is_not_in_the_plan_key() {
     use ompdart_sim::{simulate_source, SimConfig};
     let main = "\
 #define N 16
@@ -1463,8 +1464,8 @@ int main() {
     let mapped = simulate_source(&writes.concatenated_rewrite(), SimConfig::default()).unwrap();
     assert_eq!(mapped.output, unmapped.output);
     let (moved, round) = warm_round(&driver, &program("double t = 0.0; t += 1.0;"));
-    assert_eq!(round.served[0], UnitServe::Planned, "{moved}");
-    assert_eq!(moved.analysis_misses, 2, "{moved}");
+    assert_eq!(round.served[0], UnitServe::Cached, "{moved}");
+    assert_eq!(moved.analysis_misses, 1, "{moved}");
     assert!(!round.units[0].rewrite.source.contains("target update"));
 }
 
@@ -2047,4 +2048,98 @@ fn verify_refuses_a_block_that_shadows_a_device_array() {
         .message
         .contains("`a` names two variables in `main`"));
     assert_eq!(errors[0].labels.len(), 1);
+}
+
+// ---------------------------------------------------------------------------
+// Unknown callees behind a wrapper
+// ---------------------------------------------------------------------------
+
+/// `clear` zeroes the global `a` through `memset`, which has no summary,
+/// between two of `main`'s kernels.
+const CLEARS_A_GLOBAL: &str = include_str!("wrappers/clear_global.c");
+
+/// The same through a parameter: `main` hands its local `a` to `clear`.
+const CLEARS_A_PARAM: &str = include_str!("wrappers/clear_param.c");
+
+/// [`CLEARS_A_PARAM`] as two units: `main.c` sees only `clear`'s prototype.
+fn clears_a_param_linked() -> Vec<(String, String)> {
+    owned(&[
+        ("main.c", include_str!("wrappers/linked/main.c")),
+        ("clear.c", include_str!("wrappers/linked/clear.c")),
+    ])
+}
+
+/// A wrapper's summary carries what the planner replays at its call to a
+/// callee with no summary, so `main` brings `a` home before `clear()` and
+/// sends it back after: the mapped program prints what the program prints,
+/// under every option combination.
+#[test]
+fn an_unknown_callee_behind_a_wrapper_clears_a_global() {
+    let units = owned(&[("clear_global.c", CLEARS_A_GLOBAL)]);
+    for analysis in mapped_under_every_option(&units) {
+        let main = analysis.units[0].rewritten_source();
+        assert!(main.contains("target update from(a)\n  clear();"), "{main}");
+    }
+}
+
+/// The same for the data a wrapper's parameter reaches.
+#[test]
+fn an_unknown_callee_behind_a_wrapper_clears_a_parameter() {
+    let units = owned(&[("clear_param.c", CLEARS_A_PARAM)]);
+    for analysis in mapped_under_every_option(&units) {
+        let main = analysis.units[0].rewritten_source();
+        assert!(
+            main.contains("target update from(a)\n  clear(a);"),
+            "{main}"
+        );
+    }
+}
+
+/// The same with the wrapper in another unit: its summary comes through the
+/// link.
+#[test]
+fn an_unknown_callee_behind_a_wrapper_in_another_unit_clears_a_parameter() {
+    for analysis in mapped_under_every_option(&clears_a_param_linked()) {
+        let main = analysis.units[0].rewritten_source();
+        assert!(
+            main.contains("target update from(a)\n  clear(a);"),
+            "{main}"
+        );
+    }
+}
+
+/// `program` as the planner mapped it while a wrapper's summary dropped the
+/// unknown-callee fallback: one region around both kernels, no update at
+/// the call.
+fn mapped_without_the_fallback(program: &str) -> String {
+    let region = program
+        .replacen(
+            "  #pragma omp target teams",
+            "  #pragma omp target data map(tofrom: a)\n  {\n  #pragma omp target teams",
+            1,
+        )
+        .replacen("  printf(", "  }\n  printf(", 1);
+    assert_eq!(region.matches("target data").count(), 1);
+    region
+}
+
+/// `verify` flags those rewrites: after the call, the host reads `a` (in
+/// `memset`, at `clear()`) and the next kernel reads it, each a stale copy.
+#[test]
+fn verify_flags_a_wrapper_rewrite_without_the_fallback() {
+    for program in [CLEARS_A_GLOBAL, CLEARS_A_PARAM] {
+        let mapped = mapped_without_the_fallback(program);
+        assert_eq!(printed(program), ["1.000000"]);
+        assert_eq!(printed(&mapped), ["2.000000"]);
+        let report = ompdart_core::verify_source("wrapper.c", &mapped).expect("parses");
+        assert!(!report.is_clean());
+        let found: Vec<_> = (report.stale_reads.iter())
+            .map(|r| (r.function.as_str(), r.variable.as_str(), r.on_device))
+            .collect();
+        assert_eq!(
+            found,
+            [("main", "a", false), ("main", "a", true)],
+            "{mapped}"
+        );
+    }
 }
