@@ -20,16 +20,15 @@
 //!    parameters) is mapped `from`.
 //!
 //! [`plan_function`] takes no options: hoisting and the `firstprivate` rule
-//! always apply. `--lifetimes` is a respelling the plan stage applies to
-//! the finished plan, with [`plan_collapses`] beside it.
+//! always apply.
 
 use crate::access::{Access, AccessOrigin, CallSite, FunctionAccesses, SymbolTable};
 use crate::bounds::section_length_from_loops;
 use crate::interproc::is_pure_builtin;
 use crate::pipeline::Stage;
 use crate::plan::ir::{
-    CollapseSpec, FirstPrivateSpec, MapSpec, MappingPlan, Placement, Provenance, ProvenanceFact,
-    UpdateDirection, UpdateSpec,
+    FirstPrivateSpec, MapSpec, MappingPlan, Placement, Provenance, ProvenanceFact, UpdateDirection,
+    UpdateSpec,
 };
 use crate::validity::{Position, Transfers, VarState, Walker};
 use ompdart_frontend::ast::*;
@@ -535,120 +534,6 @@ pub fn plan_function(
     }
 
     Some(plan)
-}
-
-/// The `collapse(n)` clauses of a function's perfectly nested offload loops
-/// (the `--lifetimes` mode's second half): one per kernel of `kernels` that
-/// does not already carry a `collapse` clause and whose nest is perfect with
-/// rectangular bounds — each inner loop is the sole statement of its
-/// parent's body and its header never references an outer induction
-/// variable.
-pub fn plan_collapses(func: &FunctionDef, kernels: &[NodeId]) -> Vec<CollapseSpec> {
-    let mut collapses = Vec::new();
-    let Some(body) = &func.body else {
-        return collapses;
-    };
-    body.walk(&mut |s| {
-        let StmtKind::Omp(dir) = &s.kind else { return };
-        if !kernels.contains(&s.id) {
-            return;
-        }
-        if dir.clauses.iter().any(|c| matches!(c, Clause::Collapse(_))) {
-            return;
-        }
-        let Some(kernel_loop) = dir.body.as_deref() else {
-            return;
-        };
-        let depth = perfect_nest_depth(kernel_loop);
-        if depth >= 2 {
-            collapses.push(CollapseSpec {
-                kernel: s.id,
-                depth,
-                provenance: Provenance::plan(
-                    ProvenanceFact::PerfectNestCollapsed,
-                    Some(kernel_loop.span),
-                    format!(
-                        "the offload loop nest is perfectly nested {depth} deep with \
-                         rectangular bounds; `collapse({depth})` exposes the full \
-                         iteration space to the device"
-                    ),
-                ),
-            });
-        }
-    });
-    collapses
-}
-
-/// The number of perfectly nested `for` loops starting at `kernel_loop`:
-/// each inner loop must be the sole statement of its parent's body and its
-/// header (init/cond/inc) must not reference any outer induction variable,
-/// so the combined iteration space is rectangular and `collapse(n)` is
-/// legal.
-fn perfect_nest_depth(kernel_loop: &Stmt) -> u32 {
-    if !matches!(kernel_loop.kind, StmtKind::For { .. }) {
-        return 0;
-    }
-    let Some(first_var) = induction_var(kernel_loop) else {
-        return 1;
-    };
-    let mut outer_vars = vec![first_var];
-    let mut depth = 1u32;
-    let mut cur = kernel_loop;
-    while let StmtKind::For { body, .. } = &cur.kind {
-        let Some(inner) = sole_inner_for(body) else {
-            break;
-        };
-        let header = for_header_vars(inner);
-        if outer_vars.iter().any(|v| header.contains(v)) {
-            break;
-        }
-        let Some(v) = induction_var(inner) else {
-            break;
-        };
-        depth += 1;
-        outer_vars.push(v);
-        cur = inner;
-    }
-    depth
-}
-
-/// The sole statement of a loop body, if it is itself a `for` loop.
-fn sole_inner_for(body: &Stmt) -> Option<&Stmt> {
-    let inner = match &body.kind {
-        StmtKind::Compound(items) if items.len() == 1 => &items[0],
-        StmtKind::Compound(_) => return None,
-        _ => body,
-    };
-    matches!(inner.kind, StmtKind::For { .. }).then_some(inner)
-}
-
-/// The induction variable of a `for` loop, from its init clause.
-fn induction_var(stmt: &Stmt) -> Option<Symbol> {
-    let StmtKind::For { init: Some(fi), .. } = &stmt.kind else {
-        return None;
-    };
-    match fi.as_ref() {
-        ForInit::Decl(decls) => decls.first().map(|d| d.name),
-        ForInit::Expr(e) => match &e.kind {
-            ExprKind::Assign { lhs, .. } => match &lhs.kind {
-                ExprKind::Ident(name) => Some(*name),
-                _ => None,
-            },
-            _ => None,
-        },
-    }
-}
-
-/// Every variable referenced in a `for` loop's header (init, condition,
-/// increment).
-fn for_header_vars(stmt: &Stmt) -> HashSet<Symbol> {
-    let mut out = HashSet::new();
-    if matches!(stmt.kind, StmtKind::For { .. }) {
-        for e in stmt.direct_exprs() {
-            out.extend(e.referenced_symbols());
-        }
-    }
-    out
 }
 
 /// Prefer the deciding access that best explains a conservative decision:
@@ -1589,77 +1474,6 @@ int main() {
         );
         assert!(updates[0].provenance.span.is_some());
         assert!(updates[0].provenance.detail.contains("`a`"));
-    }
-
-    /// Perfectly nested rectangular offload loops gain `collapse(n)` in
-    /// lifetimes mode; triangular nests, nests with interleaved statements
-    /// and kernels that already carry the clause are refused.
-    #[test]
-    fn lifetimes_mode_collapses_perfect_nests_only() {
-        let collapses_of = |src: &str| {
-            let (plan, unit) = plan_for(src, "f");
-            // Planning itself never collapses: that is the plan stage's call.
-            assert!(plan.collapses.is_empty() && !plan.unstructured);
-            (
-                plan_collapses(unit.function("f").unwrap(), &plan.kernels),
-                plan,
-            )
-        };
-        let perfect = "\
-#define N 16
-double a[N * N];
-void f() {
-  #pragma omp target teams distribute parallel for
-  for (int i = 0; i < N; i++)
-    for (int j = 0; j < N; j++)
-      a[i * N + j] = i + j;
-}
-";
-        let (collapses, plan) = collapses_of(perfect);
-        assert_eq!(collapses.len(), 1, "{collapses:?}");
-        assert_eq!(collapses[0].depth, 2);
-        assert_eq!(
-            collapses[0].provenance.fact,
-            ProvenanceFact::PerfectNestCollapsed
-        );
-        assert_eq!(collapses[0].kernel, plan.kernels[0]);
-
-        // Triangular nest: the inner bound references the outer induction
-        // variable, so collapse is illegal.
-        let triangular = "\
-#define N 16
-double a[N * N];
-void f() {
-  #pragma omp target teams distribute parallel for
-  for (int i = 0; i < N; i++)
-    for (int j = 0; j < i; j++)
-      a[i * N + j] = i + j;
-}
-";
-        let (collapses, _) = collapses_of(triangular);
-        assert!(collapses.is_empty(), "{collapses:?}");
-
-        // A statement between the loops breaks perfect nesting.
-        let imperfect = "\
-#define N 16
-double a[N * N];
-double row[N];
-void f() {
-  #pragma omp target teams distribute parallel for
-  for (int i = 0; i < N; i++) {
-    row[i] = 0.0;
-    for (int j = 0; j < N; j++)
-      a[i * N + j] = i + j;
-  }
-}
-";
-        let (collapses, _) = collapses_of(imperfect);
-        assert!(collapses.is_empty(), "{collapses:?}");
-
-        // The source already says it.
-        let declared = perfect.replace("parallel for", "parallel for collapse(2)");
-        let (collapses, _) = collapses_of(&declared);
-        assert!(collapses.is_empty(), "{collapses:?}");
     }
 
     /// What the projected plan keys rest on: a plan reads a callee's

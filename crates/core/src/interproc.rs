@@ -1364,7 +1364,6 @@ mod tests {
         let unit = result.unit;
         let options = OmpDartOptions {
             pessimistic_globals,
-            ..OmpDartOptions::default()
         };
         let accesses = stage_accesses(&unit, &stage_graphs(&unit));
         let seeds = stage_summaries(&unit, &accesses, &options);

@@ -86,9 +86,9 @@ pub use pipeline::{
 };
 pub use plan::{
     diff_plans, explain_plan, explain_plans, extract_explicit_plans, plans_from_json,
-    plans_to_json, plans_to_json_compact, AnalysisStats, CollapseSpec, DiffEntry, FirstPrivateSpec,
-    MapSpec, MappingConstruct, MappingPlan, Placement, PlanDiff, PlanJsonError, Provenance,
-    ProvenanceFact, UpdateDirection, UpdateSpec, PLAN_FORMAT_VERSION,
+    plans_to_json, plans_to_json_compact, AnalysisStats, DiffEntry, FirstPrivateSpec, MapSpec,
+    MappingConstruct, MappingPlan, Placement, PlanDiff, PlanJsonError, Provenance, ProvenanceFact,
+    UpdateDirection, UpdateSpec, PLAN_FORMAT_VERSION,
 };
 pub use program::{
     DriverProfile, LinkContext, LinkState, Program, ProgramAnalysis, ProgramDriver, ProgramError,
@@ -102,18 +102,12 @@ pub use verify::{verify_source, verify_unit, StaleRead, VerifyReport};
 use ompdart_frontend::ast::{StmtKind, TranslationUnit};
 use std::sync::Arc;
 
-/// Configuration of the OMPDart pipeline: the two choices a caller makes.
+/// Configuration of the OMPDart pipeline: the one choice a caller makes.
 /// Everything the paper describes — interprocedural summaries, the
 /// `firstprivate` rule for read-only scalars, update hoisting and the
 /// input contract — always runs.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct OmpDartOptions {
-    /// Unstructured device lifetimes: the same mapping decisions, spelled
-    /// as one `target enter data` / `target exit data` pair at each
-    /// region's boundaries ([`MappingPlan::unstructured`]), plus
-    /// `collapse(n)` on perfectly nested offload loops
-    /// ([`dataflow::plan_collapses`]). Surfaced as `--lifetimes`.
-    pub lifetimes: bool,
     /// Opt-in: assume an unknown extern callee reads and writes **every
     /// global variable** on the host at the call site, not only the data
     /// reached through its non-`const` pointer arguments (the default
@@ -149,11 +143,10 @@ impl OmpDartOptions {
 /// use ompdart_core::Ompdart;
 ///
 /// let tool = Ompdart::builder()
-///     .lifetimes(true)
 ///     .pessimistic_globals(true)
 ///     .parallelism(4)
 ///     .build();
-/// assert!(tool.options().lifetimes && tool.options().pessimistic_globals);
+/// assert!(tool.options().pessimistic_globals);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct OmpdartBuilder {
@@ -172,12 +165,11 @@ impl OmpdartBuilder {
         self
     }
 
-    /// Spell each region's maps as a `target enter data` /
-    /// `target exit data` pair at its boundaries instead of a `target data`
-    /// region — the same plan otherwise — and give perfectly nested offload
-    /// loops `collapse(n)` (see [`OmpDartOptions::lifetimes`]).
-    pub fn lifetimes(mut self, enabled: bool) -> OmpdartBuilder {
-        self.options.lifetimes = enabled;
+    /// Ignores its argument: every plan is spelled as a structured
+    /// `target data` region. Kept for the benchmark harness, its only
+    /// caller.
+    #[doc(hidden)]
+    pub fn lifetimes(self, _enabled: bool) -> OmpdartBuilder {
         self
     }
 

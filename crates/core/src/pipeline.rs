@@ -75,7 +75,7 @@
 //! ```
 
 use crate::access::{FunctionAccesses, SymbolTable};
-use crate::dataflow::{plan_collapses, plan_function};
+use crate::dataflow::plan_function;
 use crate::interface::{source_name, UnitExports};
 use crate::interproc::{augment_with_call_effects, seed_summary, DeviceNames, FunctionSummary};
 use crate::plan::explain::explain_plans;
@@ -262,11 +262,10 @@ impl Fnv {
 /// so a new option cannot be left out of the keys.
 pub fn options_fingerprint(options: &OmpDartOptions) -> u64 {
     let OmpDartOptions {
-        lifetimes,
         pessimistic_globals,
     } = *options;
     let mut h = Fnv::new();
-    h.write(&[u8::from(pessimistic_globals), u8::from(lifetimes)]);
+    h.write(&[u8::from(pessimistic_globals)]);
     h.finish()
 }
 
@@ -619,13 +618,7 @@ fn run_plan_stage(
         let fallbacks =
             augment_with_call_effects(&mut acc, symbols, unit, link, options.pessimistic_globals);
         let mut diags = Diagnostics::new();
-        let mut plan = plan_function(func, index, &acc, symbols, &mut diags);
-        // `--lifetimes` is the same plan under another spelling, plus the
-        // collapse clauses that ride with it.
-        if let (true, Some(plan)) = (options.lifetimes, &mut plan) {
-            plan.unstructured = true;
-            plan.collapses = plan_collapses(func, &plan.kernels);
-        }
+        let plan = plan_function(func, index, &acc, symbols, &mut diags);
         (true, plan, diags, fallbacks)
     };
 
@@ -1479,19 +1472,15 @@ int main() {
     #[test]
     fn each_option_combination_has_its_own_fingerprint() {
         let mut fingerprints: Vec<u64> = [false, true]
-            .into_iter()
-            .flat_map(|lifetimes| {
-                [false, true].map(|pessimistic_globals| {
-                    options_fingerprint(&OmpDartOptions {
-                        lifetimes,
-                        pessimistic_globals,
-                    })
+            .map(|pessimistic_globals| {
+                options_fingerprint(&OmpDartOptions {
+                    pessimistic_globals,
                 })
             })
-            .collect();
+            .to_vec();
         fingerprints.sort_unstable();
         fingerprints.dedup();
-        assert_eq!(fingerprints.len(), 4);
+        assert_eq!(fingerprints.len(), 2);
     }
 
     #[test]

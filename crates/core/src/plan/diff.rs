@@ -8,7 +8,8 @@
 //!   benchmark variants, whose `map`/`update`/`firstprivate` clauses become
 //!   a [`MappingPlan`] with [`ProvenanceFact::DeclaredInSource`] provenance.
 //!   A mapping spelled `target enter data` … `target exit data` is read back
-//!   as the one decision per variable it stands for.
+//!   as the one decision per variable it stands for; `collapse` clauses are
+//!   loop scheduling, not data mapping, and are not read.
 //!
 //! [`diff_plans`] then reports, per function and variable, which constructs
 //! only one side emits and where the two sides chose different map types —
@@ -17,10 +18,10 @@
 
 use crate::pipeline::Stage;
 use crate::plan::ir::{
-    CollapseSpec, FirstPrivateSpec, MapSpec, MappingPlan, Placement, Provenance, ProvenanceFact,
-    UpdateDirection, UpdateSpec,
+    FirstPrivateSpec, MapSpec, MappingPlan, Placement, Provenance, ProvenanceFact, UpdateDirection,
+    UpdateSpec,
 };
-use ompdart_frontend::ast::{ExprKind, StmtKind, TranslationUnit};
+use ompdart_frontend::ast::{StmtKind, TranslationUnit};
 use ompdart_frontend::omp::{Clause, DirectiveKind, MapItem, MapType};
 use ompdart_frontend::printer::expr_to_c;
 use std::collections::BTreeMap;
@@ -37,8 +38,8 @@ fn section_length_of(item: &MapItem) -> Option<String> {
         .map(expr_to_c)
 }
 
-/// The map type a `target enter data` … `target exit data` pair stands for:
-/// the inverse of the rewriter's four-row table (`to + release → to`,
+/// The map type a `target enter data` … `target exit data` pair stands for,
+/// by the present table's reference counts (`to + release → to`,
 /// `to + from → tofrom`, `alloc + from → from`, `alloc + delete → alloc`). An
 /// exit that copies nothing back leaves the enter's type as the decision.
 fn fold_exit(enter: MapType, exit: MapType) -> MapType {
@@ -84,7 +85,6 @@ pub fn extract_explicit_plans(unit: &TranslationUnit) -> Vec<MappingPlan> {
                             dir.kind == DirectiveKind::TargetEnterData,
                             dir.kind == DirectiveKind::TargetExitData,
                         );
-                        plan.unstructured |= enters || exits;
                         for item in items {
                             // An exit closes the lifetime its enter opened:
                             // together they are one decision.
@@ -116,25 +116,6 @@ pub fn extract_explicit_plans(unit: &TranslationUnit) -> Vec<MappingPlan> {
                                 section_length: section_length_of(item),
                                 provenance: declared(item),
                             });
-                        }
-                    }
-                    Clause::Collapse(depth_expr) if dir.kind.is_offload_kernel() => {
-                        if let ExprKind::IntLit(n) = &depth_expr.kind {
-                            if *n >= 2 {
-                                plan.collapses.push(CollapseSpec {
-                                    kernel: s.id,
-                                    depth: *n as u32,
-                                    provenance: Provenance::at_stage(
-                                        Stage::Parse,
-                                        ProvenanceFact::DeclaredInSource,
-                                        Some(depth_expr.span),
-                                        format!(
-                                            "declared on `#pragma omp {}`",
-                                            dir.kind.directive_text()
-                                        ),
-                                    ),
-                                });
-                            }
                         }
                     }
                     Clause::UpdateTo(items) | Clause::UpdateFrom(items) => {
@@ -375,36 +356,6 @@ pub fn diff_plans(left: &[MappingPlan], right: &[MappingPlan]) -> PlanDiff {
                 });
             }
         }
-
-        // --- collapse clauses, keyed by depth with multiplicity -----------
-        let collapse_counts = |plan: &MappingPlan| -> BTreeMap<u32, usize> {
-            let mut counts = BTreeMap::new();
-            for c in &plan.collapses {
-                *counts.entry(c.depth).or_insert(0) += 1;
-            }
-            counts
-        };
-        let lc = collapse_counts(l);
-        let rc = collapse_counts(r);
-        for (depth, lcount) in &lc {
-            let rcount = rc.get(depth).copied().unwrap_or(0);
-            diff.agreements += (*lcount).min(rcount);
-            for _ in rcount..*lcount {
-                diff.entries.push(DiffEntry::OnlyLeft {
-                    function: function.to_string(),
-                    construct: format!("collapse({depth})"),
-                });
-            }
-        }
-        for (depth, rcount) in &rc {
-            let lcount = lc.get(depth).copied().unwrap_or(0);
-            for _ in lcount..*rcount {
-                diff.entries.push(DiffEntry::OnlyRight {
-                    function: function.to_string(),
-                    construct: format!("collapse({depth})"),
-                });
-            }
-        }
     }
     diff
 }
@@ -464,9 +415,22 @@ mod tests {
 
     /// `diff-plan` compares decisions, not spellings: the devito-style
     /// expert idiom — unstructured enter/exit pairs around a collapsed
-    /// kernel — is read back as the structured mapping it stands for.
+    /// kernel — is read back as the structured mapping it stands for, which
+    /// is how the tool spells it, with no `collapse` clause.
     #[test]
     fn lifetime_plans_are_extracted_and_diffed() {
+        // The four rows of the pair table, plus an exit that copies nothing
+        // back, which leaves the enter's decision.
+        for (enter, exit, decision) in [
+            (MapType::To, MapType::Release, MapType::To),
+            (MapType::To, MapType::From, MapType::ToFrom),
+            (MapType::Alloc, MapType::From, MapType::From),
+            (MapType::Alloc, MapType::Delete, MapType::Alloc),
+            (MapType::ToFrom, MapType::Release, MapType::ToFrom),
+        ] {
+            assert_eq!(fold_exit(enter, exit), decision, "{enter:?} + {exit:?}");
+        }
+
         let kernel = "\
   #pragma omp target teams distribute parallel for collapse(2)
   for (int i = 0; i < N; i++)
@@ -476,7 +440,7 @@ mod tests {
       v[i] = scratch[i];
     }
 ";
-        let program = |before: &str, after: &str| {
+        let program = |before: &str, kernel: &str, after: &str| {
             let src = format!(
                 "#define N 8\ndouble u[N], v[N], w[N], scratch[N];\nvoid step() {{\n{before}{kernel}{after}}}\n"
             );
@@ -486,11 +450,12 @@ mod tests {
         };
         let unstructured = program(
             "  #pragma omp target enter data map(to: u, w) map(alloc: v, scratch)\n",
+            kernel,
             "  #pragma omp target exit data map(from: u, v) map(delete: scratch) map(release: w)\n",
         );
         assert_eq!(unstructured.len(), 1);
         let plan = &unstructured[0];
-        assert!(plan.unstructured);
+        // Each enter/exit pair folds into one map decision.
         let types: Vec<_> = (plan.maps.iter())
             .map(|m| (m.var.as_str(), m.map_type))
             .collect();
@@ -501,27 +466,28 @@ mod tests {
             ("scratch", MapType::Alloc),
         ];
         assert_eq!(types, folded);
-        assert_eq!(plan.collapses.len(), 1);
-        assert_eq!(plan.collapses[0].depth, 2);
+        assert_eq!(plan.construct_count(), folded.len());
         for p in plan.provenances() {
             assert_eq!(p.fact, ProvenanceFact::DeclaredInSource);
         }
 
-        // Against the same mapping written as a structured region the diff is
-        // empty.
+        // Against the same mapping written as a structured region, without
+        // the collapse, the diff is empty.
         let structured = program(
             "  #pragma omp target data map(tofrom: u) map(to: w) map(from: v) map(alloc: scratch)\n  {\n",
+            &kernel.replace(" collapse(2)", ""),
             "  }\n",
         );
-        assert!(!structured[0].unstructured);
         let diff = diff_plans(&structured, &unstructured);
         assert!(diff.is_empty(), "{:?}", diff.entries);
         assert_eq!(diff.agreements, plan.construct_count());
+        assert!(diff.render("l", "r").contains("mappings are equivalent"));
 
         // A dropped exit copy and a retyped enter are retyped decisions; an
         // exit nothing opened keeps its own type.
         let other = program(
             "  #pragma omp target enter data map(to: u) map(alloc: w, scratch)\n",
+            kernel,
             "  #pragma omp target exit data map(delete: scratch, v) map(release: w)\n",
         );
         let diff = diff_plans(&unstructured, &other);

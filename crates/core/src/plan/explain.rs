@@ -36,12 +36,10 @@ fn construct_line(rendered: &str, p: &Provenance, file: Option<&SourceFile>) -> 
 /// the separator `" — "` between the construct and its justification.
 pub fn explain_plan(plan: &MappingPlan, file: Option<&SourceFile>) -> String {
     let mut out = String::new();
-    let region = if plan.unstructured {
-        "maps spelled as one `target enter data`/`target exit data` pair".to_string()
-    } else if plan.attach_to_kernel.is_some() {
-        "clauses attached to the single kernel directive".to_string()
+    let region = if plan.attach_to_kernel.is_some() {
+        "clauses attached to the single kernel directive"
     } else {
-        "one `target data` region".to_string()
+        "one `target data` region"
     };
     out.push_str(&format!(
         "function `{}`: {} kernel(s), {} construct(s), {}\n",
@@ -65,10 +63,6 @@ pub fn explain_plan(plan: &MappingPlan, file: Option<&SourceFile>) -> String {
     for fp in &plan.firstprivate {
         let rendered = format!("firstprivate({})", fp.var);
         out.push_str(&construct_line(&rendered, &fp.provenance, file));
-    }
-    for c in &plan.collapses {
-        let rendered = format!("collapse({})", c.depth);
-        out.push_str(&construct_line(&rendered, &c.provenance, file));
     }
     out
 }
@@ -144,36 +138,37 @@ mod tests {
         );
     }
 
+    /// An expert's unstructured lifetime reads back as one decision per
+    /// variable, each explained once; its `collapse` clause is scheduling,
+    /// not mapping, and gets no line.
     #[test]
     fn lifetime_constructs_get_one_justified_line_each() {
-        use crate::plan::ir::CollapseSpec;
-        let mut plan = MappingPlan {
-            function: "main".into(),
-            kernels: vec![NodeId(3)],
-            unstructured: true,
-            ..Default::default()
-        };
-        plan.maps.push(MapSpec {
-            provenance: Provenance::plan(ProvenanceFact::ReadAndLiveAfterRegion, None, ""),
-            ..MapSpec::new("a", MapType::ToFrom)
-        });
-        plan.collapses.push(CollapseSpec {
-            provenance: Provenance::plan(ProvenanceFact::PerfectNestCollapsed, None, ""),
-            ..CollapseSpec::new(NodeId(3), 2)
-        });
-
-        // The spelling is named once, in the header; the decisions read as
-        // they do for a structured region.
-        let rendered = explain_plan(&plan, None);
-        assert_eq!(justified_line_count(&rendered), plan.construct_count());
+        let src = "\
+double a[8], b[8];
+void f() {
+  #pragma omp target enter data map(to: a) map(alloc: b)
+  #pragma omp target teams distribute parallel for collapse(2)
+  for (int i = 0; i < 8; i++)
+    for (int j = 0; j < 8; j++) b[i] = a[i] + j;
+  #pragma omp target exit data map(from: b) map(release: a)
+}
+";
+        let (file, result) = ompdart_frontend::parser::parse_str("expert.c", src);
+        assert!(result.is_ok(), "{:?}", result.diagnostics);
+        let plans = crate::plan::diff::extract_explicit_plans(&result.unit);
+        let rendered = explain_plans(&plans, Some(&file));
+        assert_eq!(justified_line_count(&rendered), 2, "{rendered}");
         assert!(
-            rendered.contains("2 construct(s), maps spelled as one `target enter data`"),
+            rendered.contains("2 construct(s), one `target data` region"),
             "{rendered}"
         );
-        assert!(rendered.contains("  map(tofrom: a) — "), "{rendered}");
-        assert!(rendered.contains("collapse(2)"), "{rendered}");
-        assert!(
-            rendered.contains("fact=perfect_nest_collapsed"),
+        assert!(rendered.contains("  map(to: a) — "), "{rendered}");
+        assert!(rendered.contains("  map(from: b) — "), "{rendered}");
+        assert!(rendered.contains("at expert.c:3:"), "{rendered}");
+        assert!(!rendered.contains("collapse"), "{rendered}");
+        assert_eq!(
+            rendered.matches("fact=declared_in_source").count(),
+            2,
             "{rendered}"
         );
     }

@@ -20,10 +20,10 @@ use std::fmt;
 
 /// Version of the serialized [`MappingPlan`] format. Bumped whenever the
 /// JSON schema changes incompatibly; `from_json` rejects other versions.
-/// Version 3 replaced version 2's enter-data / exit-data spec lists with
-/// the `unstructured` marker (the lists restated `maps`); older documents
-/// are rejected with a clear error.
-pub const PLAN_FORMAT_VERSION: u32 = 3;
+/// Version 4 dropped version 3's `unstructured` marker and `collapses`
+/// list: every plan is spelled as a structured `target data` region.
+/// Older documents are rejected with a clear error.
+pub const PLAN_FORMAT_VERSION: u32 = 4;
 
 /// The OpenMP constructs OMPDart inserts (Table II of the paper).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -210,9 +210,6 @@ pub enum ProvenanceFact {
     /// The construct was not decided by the analysis: it was declared
     /// explicitly in the input source (used when extracting expert plans).
     DeclaredInSource,
-    /// The kernel's loop nest is perfectly nested to this depth, so the
-    /// offload directive gains a `collapse(n)` clause.
-    PerfectNestCollapsed,
     /// A function's own cross-space flow — a host write it makes before a
     /// kernel of its reads the value, or a host read it makes of what a
     /// kernel of its wrote — crosses its region's boundary, where the map
@@ -224,7 +221,7 @@ pub enum ProvenanceFact {
 
 impl ProvenanceFact {
     /// All facts, for enumeration in tests and generators.
-    pub fn all() -> [ProvenanceFact; 14] {
+    pub fn all() -> [ProvenanceFact; 13] {
         [
             ProvenanceFact::Unspecified,
             ProvenanceFact::ReadBeforeWriteOnDevice,
@@ -238,7 +235,6 @@ impl ProvenanceFact {
             ProvenanceFact::LoopBoundaryHostRead,
             ProvenanceFact::UnknownCalleePessimistic,
             ProvenanceFact::DeclaredInSource,
-            ProvenanceFact::PerfectNestCollapsed,
             ProvenanceFact::FlowWhenDataPresent,
         ]
     }
@@ -258,7 +254,6 @@ impl ProvenanceFact {
             ProvenanceFact::LoopBoundaryHostRead => "loop_boundary_host_read",
             ProvenanceFact::UnknownCalleePessimistic => "unknown_callee_pessimistic",
             ProvenanceFact::DeclaredInSource => "declared_in_source",
-            ProvenanceFact::PerfectNestCollapsed => "perfect_nest_collapsed",
             ProvenanceFact::FlowWhenDataPresent => "flow_when_data_present",
         }
     }
@@ -304,9 +299,6 @@ impl ProvenanceFact {
             }
             ProvenanceFact::DeclaredInSource => {
                 "the construct was declared explicitly in the input source"
-            }
-            ProvenanceFact::PerfectNestCollapsed => {
-                "the offload loop nest is perfectly nested, so its iteration spaces collapse into one"
             }
             ProvenanceFact::FlowWhenDataPresent => {
                 "the function's own host/device flow crosses its region boundary, where the map clause does nothing if a caller already holds the data"
@@ -509,29 +501,6 @@ impl FirstPrivateSpec {
     }
 }
 
-/// A planned `collapse(n)` clause on an offload-kernel directive: the
-/// kernel's loop nest is perfectly nested to `depth` levels.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CollapseSpec {
-    /// The kernel directive statement to augment.
-    pub kernel: NodeId,
-    /// Number of perfectly nested loops to collapse (>= 2).
-    pub depth: u32,
-    /// Why this clause exists (perfect-nest fact).
-    pub provenance: Provenance,
-}
-
-impl CollapseSpec {
-    /// A spec without provenance (hand-built plans and tests).
-    pub fn new(kernel: NodeId, depth: u32) -> CollapseSpec {
-        CollapseSpec {
-            kernel,
-            depth,
-            provenance: Provenance::default(),
-        }
-    }
-}
-
 /// All data-mapping decisions for one function: the versioned, serializable,
 /// explainable Mapping IR.
 ///
@@ -552,14 +521,6 @@ pub struct MappingPlan {
     pub maps: Vec<MapSpec>,
     pub updates: Vec<UpdateSpec>,
     pub firstprivate: Vec<FirstPrivateSpec>,
-    /// How `maps` is spelled, not what it decides: when set (the
-    /// `--lifetimes` mode, or a source that was written that way) the
-    /// rewriter emits one `target enter data` / `target exit data` pair at
-    /// `region_start` / `region_end` instead of a structured `target data`
-    /// region.
-    pub unstructured: bool,
-    /// `collapse(n)` clauses for perfectly nested offload loops.
-    pub collapses: Vec<CollapseSpec>,
     /// Kernels found in this function (source order).
     pub kernels: Vec<NodeId>,
 }
@@ -567,7 +528,7 @@ pub struct MappingPlan {
 impl MappingPlan {
     /// Total number of constructs this plan will insert.
     pub fn construct_count(&self) -> usize {
-        self.maps.len() + self.updates.len() + self.firstprivate.len() + self.collapses.len()
+        self.maps.len() + self.updates.len() + self.firstprivate.len()
     }
 
     /// The map specification for a variable, if any.
@@ -606,14 +567,13 @@ impl MappingPlan {
     }
 
     /// Every construct's provenance, in plan order (maps, updates,
-    /// firstprivate, collapses).
+    /// firstprivate).
     pub fn provenances(&self) -> Vec<&Provenance> {
         self.maps
             .iter()
             .map(|m| &m.provenance)
             .chain(self.updates.iter().map(|u| &u.provenance))
             .chain(self.firstprivate.iter().map(|f| &f.provenance))
-            .chain(self.collapses.iter().map(|c| &c.provenance))
             .collect()
     }
 
@@ -775,30 +735,36 @@ mod tests {
         assert!(plan.fully_justified());
     }
 
+    /// A plan read from an expert's unstructured lifetime answers the plan
+    /// queries as the structured region it stands for: one map per
+    /// variable, each justified by its declaration, and the kernel's
+    /// `collapse` is no construct.
     #[test]
     fn lifetime_specs_participate_in_plan_queries() {
-        let mut plan = MappingPlan {
-            function: "f".into(),
-            unstructured: true,
-            ..Default::default()
+        let src = "\
+double a[8], b[8];
+int n;
+void f() {
+  #pragma omp target enter data map(to: a) map(alloc: b)
+  #pragma omp target teams distribute parallel for collapse(2) firstprivate(n)
+  for (int i = 0; i < 8; i++)
+    for (int j = 0; j < 8; j++) b[i] = a[i] + j + n;
+  #pragma omp target exit data map(from: b) map(release: a)
+}
+";
+        let (_file, result) = ompdart_frontend::parser::parse_str("expert.c", src);
+        assert!(result.is_ok(), "{:?}", result.diagnostics);
+        let plans = crate::plan::diff::extract_explicit_plans(&result.unit);
+        let [plan] = &plans[..] else {
+            panic!("{plans:?}")
         };
-        plan.maps.push(MapSpec::new("a", MapType::ToFrom));
-        plan.collapses.push(CollapseSpec::new(NodeId(5), 2));
-        // The marker is a spelling, not a construct.
-        assert_eq!(plan.construct_count(), 2);
-        assert_eq!(plan.provenances().len(), 2);
-        assert_eq!(plan.mapped_variables(), vec!["a"]);
-        let collapse_for = |kernel| plan.collapses.iter().find(|c| c.kernel == kernel);
-        assert!(collapse_for(NodeId(5)).is_some());
-        assert!(collapse_for(NodeId(6)).is_none());
-        // Unjustified hand-built specs fail the acceptance bar...
-        assert!(!plan.fully_justified());
-        for m in &mut plan.maps {
-            m.provenance = Provenance::plan(ProvenanceFact::ReadAndLiveAfterRegion, None, "");
-        }
-        for c in &mut plan.collapses {
-            c.provenance = Provenance::plan(ProvenanceFact::PerfectNestCollapsed, None, "");
-        }
+        assert_eq!(plan.construct_count(), 3);
+        assert_eq!(plan.provenances().len(), 3);
+        assert_eq!(plan.mapped_variables(), vec!["a", "b", "n"]);
+        assert_eq!(plan.map_for("a").map(|m| m.map_type), Some(MapType::To));
+        assert_eq!(plan.map_for("b").map(|m| m.map_type), Some(MapType::From));
+        assert!(plan.is_firstprivate("n"));
+        assert_eq!(plan.kernels.len(), 1);
         assert!(plan.fully_justified());
     }
 

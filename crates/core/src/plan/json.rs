@@ -39,8 +39,8 @@
 
 use crate::pipeline::Stage;
 use crate::plan::ir::{
-    CollapseSpec, FirstPrivateSpec, MapSpec, MappingPlan, Placement, Provenance, ProvenanceFact,
-    UpdateDirection, UpdateSpec, PLAN_FORMAT_VERSION,
+    FirstPrivateSpec, MapSpec, MappingPlan, Placement, Provenance, ProvenanceFact, UpdateDirection,
+    UpdateSpec, PLAN_FORMAT_VERSION,
 };
 use ompdart_frontend::ast::NodeId;
 use ompdart_frontend::omp::MapType;
@@ -924,40 +924,6 @@ fn firstprivate_spec_from_json(value: &Json) -> Result<FirstPrivateSpec, PlanJso
     })
 }
 
-fn write_collapse_spec(w: &mut JsonWriter<'_>, c: &CollapseSpec) {
-    w.begin_object();
-    write_node(w.key("kernel"), Some(c.kernel));
-    w.key("depth").int(i64::from(c.depth));
-    write_provenance(w.key("provenance"), &c.provenance);
-    w.end_object();
-}
-
-fn collapse_spec_from_json(value: &Json) -> Result<CollapseSpec, PlanJsonError> {
-    let depth = value
-        .get("depth")
-        .and_then(Json::as_int)
-        .ok_or_else(|| PlanJsonError::schema("collapse spec is missing `depth`"))?;
-    if !(2..=i64::from(u32::MAX)).contains(&depth) {
-        return Err(PlanJsonError::schema(
-            "collapse `depth` must be an integer >= 2",
-        ));
-    }
-    Ok(CollapseSpec {
-        kernel: require_node(
-            value
-                .get("kernel")
-                .ok_or_else(|| PlanJsonError::schema("collapse spec is missing `kernel`"))?,
-            "kernel",
-        )?,
-        depth: depth as u32,
-        provenance: provenance_from_json(
-            value
-                .get("provenance")
-                .ok_or_else(|| PlanJsonError::schema("collapse spec is missing `provenance`"))?,
-        )?,
-    })
-}
-
 fn check_version(obj: &Json) -> Result<(), PlanJsonError> {
     let version = obj
         .get("version")
@@ -991,7 +957,6 @@ impl MappingPlan {
         write_node(w.key("region_start"), self.region_start);
         write_node(w.key("region_end"), self.region_end);
         write_node(w.key("attach_to_kernel"), self.attach_to_kernel);
-        w.key("unstructured").bool(self.unstructured);
         array(w, "kernels", &self.kernels, |w, k| write_node(w, Some(*k)));
         array(w, "maps", &self.maps, write_map_spec);
         array(w, "updates", &self.updates, write_update_spec);
@@ -1001,7 +966,6 @@ impl MappingPlan {
             &self.firstprivate,
             write_firstprivate_spec,
         );
-        array(w, "collapses", &self.collapses, write_collapse_spec);
         w.end_object();
     }
 
@@ -1027,8 +991,6 @@ impl MappingPlan {
                 value.get("attach_to_kernel").unwrap_or(&Json::Null),
                 "attach_to_kernel",
             )?,
-            unstructured: (value.get("unstructured").and_then(Json::as_bool))
-                .ok_or_else(|| PlanJsonError::schema("missing boolean field `unstructured`"))?,
             ..Default::default()
         };
         for k in array_field(value, "kernels")? {
@@ -1042,9 +1004,6 @@ impl MappingPlan {
         }
         for f in array_field(value, "firstprivate")? {
             plan.firstprivate.push(firstprivate_spec_from_json(f)?);
-        }
-        for c in array_field(value, "collapses")? {
-            plan.collapses.push(collapse_spec_from_json(c)?);
         }
         Ok(plan)
     }
@@ -1119,9 +1078,6 @@ pub(crate) fn encoded_size_hint(plans: &[MappingPlan], pretty: bool) -> usize {
             + (plan.firstprivate.iter())
                 .map(|f| spec(&f.var, &None, &f.provenance))
                 .sum::<usize>()
-            + (plan.collapses.iter())
-                .map(|c| spec("", &None, &c.provenance))
-                .sum::<usize>()
     };
     64 + plans.iter().map(plan).sum::<usize>()
 }
@@ -1147,7 +1103,6 @@ mod tests {
             region_start: Some(NodeId(4)),
             region_end: Some(NodeId(19)),
             attach_to_kernel: None,
-            unstructured: true,
             kernels: vec![NodeId(7), NodeId(12)],
             ..Default::default()
         };
@@ -1181,14 +1136,6 @@ mod tests {
             ),
             ..FirstPrivateSpec::new(NodeId(7), "n")
         });
-        plan.collapses.push(CollapseSpec {
-            provenance: Provenance::plan(
-                ProvenanceFact::PerfectNestCollapsed,
-                Some(Span::new(30, 90)),
-                "2-deep perfect nest",
-            ),
-            ..CollapseSpec::new(NodeId(7), 2)
-        });
         plan
     }
 
@@ -1213,7 +1160,7 @@ mod tests {
     #[test]
     fn version_is_enforced() {
         let mut json = sample_plan().to_json();
-        json = json.replacen("\"version\": 3", "\"version\": 99", 1);
+        json = json.replacen("\"version\": 4", "\"version\": 99", 1);
         assert_eq!(
             MappingPlan::from_json(&json),
             Err(PlanJsonError::UnsupportedVersion(99))
@@ -1221,13 +1168,14 @@ mod tests {
     }
 
     /// Documents of an older version (1: pre-lifetime schema; 2: lifetimes
-    /// as enter-data / exit-data spec lists) are rejected with the clear
-    /// unsupported-version error, not mis-read as plans without lifetimes.
+    /// as enter-data / exit-data spec lists; 3: the `unstructured` marker
+    /// and `collapses`) are rejected with the clear unsupported-version
+    /// error, not mis-read as structured plans.
     #[test]
     fn previous_version_is_rejected() {
-        for old in [1, 2] {
+        for old in [1, 2, 3] {
             let downgrade =
-                |json: String| json.replacen("\"version\": 3", &format!("\"version\": {old}"), 1);
+                |json: String| json.replacen("\"version\": 4", &format!("\"version\": {old}"), 1);
             let err = MappingPlan::from_json(&downgrade(sample_plan().to_json())).unwrap_err();
             assert_eq!(err, PlanJsonError::UnsupportedVersion(old));
             let message = err.to_string();
@@ -1241,30 +1189,32 @@ mod tests {
         }
     }
 
-    /// The spelling marker is required at version 3 and the collapse depth
-    /// is range-checked.
+    /// A version-3 plan spelled as an unstructured lifetime, with a
+    /// collapse clause, is refused by its version before any field is read:
+    /// version 4 has no way to say either, so it must not be read as the
+    /// structured plan it resembles.
     #[test]
     fn lifetime_schema_is_validated() {
         let json = sample_plan().to_json();
-        assert!(json.contains("\"unstructured\": true"), "{json}");
-        for bad_marker in ["\"unstructured\": 1", "\"structured\": true"] {
-            assert!(matches!(
-                MappingPlan::from_json(&json.replacen("\"unstructured\": true", bad_marker, 1)),
-                Err(PlanJsonError::Schema(_))
-            ));
-        }
-        // collapse depth must be >= 2.
-        let bad_depth = json.replacen("\"depth\": 2", "\"depth\": 1", 1);
-        assert!(matches!(
-            MappingPlan::from_json(&bad_depth),
-            Err(PlanJsonError::Schema(_))
-        ));
+        assert!(
+            !json.contains("unstructured") && !json.contains("collapses"),
+            "{json}"
+        );
+        let v3 = json.replacen("\"version\": 4", "\"version\": 3", 1).replacen(
+            "\"kernels\"",
+            "\"unstructured\": true,\n  \"collapses\": [{\"kernel\": 7, \"depth\": 2}],\n  \"kernels\"",
+            1,
+        );
+        assert_eq!(
+            MappingPlan::from_json(&v3),
+            Err(PlanJsonError::UnsupportedVersion(3))
+        );
     }
 
     #[test]
     fn schema_violations_are_reported() {
         assert!(matches!(
-            MappingPlan::from_json("{\"version\": 3}"),
+            MappingPlan::from_json("{\"version\": 4}"),
             Err(PlanJsonError::Schema(_))
         ));
         assert!(matches!(

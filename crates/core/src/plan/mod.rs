@@ -19,8 +19,8 @@ pub mod json;
 pub use diff::{diff_plans, extract_explicit_plans, DiffEntry, PlanDiff};
 pub use explain::{explain_plan, explain_plans, justified_line_count};
 pub use ir::{
-    AnalysisStats, CollapseSpec, FirstPrivateSpec, MapSpec, MappingConstruct, MappingPlan,
-    Placement, Provenance, ProvenanceFact, UpdateDirection, UpdateSpec, PLAN_FORMAT_VERSION,
+    AnalysisStats, FirstPrivateSpec, MapSpec, MappingConstruct, MappingPlan, Placement, Provenance,
+    ProvenanceFact, UpdateDirection, UpdateSpec, PLAN_FORMAT_VERSION,
 };
 pub use json::{
     plans_from_json, plans_to_json, plans_to_json_compact, write_json_string, Json, JsonWriter,

@@ -1158,7 +1158,6 @@ mod tests {
         for pessimistic_globals in [false, true] {
             let options = crate::OmpDartOptions {
                 pessimistic_globals,
-                ..crate::OmpDartOptions::default()
             };
             let session = AnalysisSession::with_options(options);
             let mut state = LinkState::default();

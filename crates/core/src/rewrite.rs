@@ -9,18 +9,13 @@
 //!   ...` line;
 //! * otherwise a new `#pragma omp target data` directive (plus a braced
 //!   block) is wrapped around the region extent;
-//! * an [unstructured](MappingPlan::unstructured) plan spells the same maps,
-//!   in either case, as one `target enter data` before the region's first
-//!   statement and one `target exit data` after its last
-//!   (`enter_exit_types`);
 //! * `target update to/from` directives are inserted before/after their
 //!   anchor statements, consolidated so that each insertion point receives a
 //!   single directive per direction. An `update to` anchored before the
 //!   region's first statement, and an `update from` anchored after its last,
-//!   go *outside* the region (and outside its `enter data`/`exit data`
-//!   pair): inside, right after the data was mapped or right before it is
-//!   unmapped, they could only repeat the clause; outside they are what
-//!   moves the data when a caller already holds it.
+//!   go *outside* the region: inside, right after the data was mapped or
+//!   right before it is unmapped, they could only repeat the clause; outside
+//!   they are what moves the data when a caller already holds it.
 
 use crate::plan::ir::{MapSpec, MappingPlan, Placement, UpdateDirection, UpdateSpec};
 use ompdart_frontend::ast::{NodeId, StmtKind, TranslationUnit};
@@ -63,15 +58,13 @@ pub(crate) fn plan_edits(
         // --- map clauses -----------------------------------------------------
         let region_spans = plan.region_start.zip(plan.region_end);
         let region_spans = region_spans.and_then(|(start, end)| span_of(start).zip(span_of(end)));
-        // With nothing mapped there is no pair to spell.
-        let unstructured = plan.unstructured && !plan.maps.is_empty();
-        let structured_clauses = || render_map_clauses(&plan.maps, |map_type| map_type);
         match (plan.attach_to_kernel, region_spans) {
-            // The pair is emitted below, after the updates within the region.
-            _ if unstructured => {}
             (Some(kernel), _) => {
                 if let (Some(dir), false) = (directives.get(&kernel), plan.maps.is_empty()) {
-                    edits.insert(dir.pragma_span.end, format!(" {}", structured_clauses()));
+                    edits.insert(
+                        dir.pragma_span.end,
+                        format!(" {}", render_map_clauses(&plan.maps)),
+                    );
                 }
             }
             (None, Some((start_span, end_span))) => {
@@ -80,7 +73,7 @@ pub(crate) fn plan_edits(
                 let mut open_text = format!("{indent}#pragma omp target data");
                 if !plan.maps.is_empty() {
                     open_text.push(' ');
-                    open_text.push_str(&structured_clauses());
+                    open_text.push_str(&render_map_clauses(&plan.maps));
                 }
                 open_text.push('\n');
                 open_text.push_str(&format!("{indent}{{\n"));
@@ -110,34 +103,7 @@ pub(crate) fn plan_edits(
             }
         }
 
-        // --- collapse clauses --------------------------------------------------
-        for c in &plan.collapses {
-            if let Some(dir) = directives.get(&c.kernel) {
-                edits.insert(dir.pragma_span.end, format!(" collapse({})", c.depth));
-            }
-        }
-
         update_edits(&mut edits, file, index, plan, Side::Within);
-
-        // --- the unstructured spelling of the maps -----------------------------
-        if let (true, Some((start_span, end_span))) = (unstructured, region_spans) {
-            edits.insert(
-                file.line_start_of(start_span.start),
-                format!(
-                    "{}#pragma omp target enter data {}\n",
-                    file.indentation_at(start_span.start),
-                    render_map_clauses(&plan.maps, |map_type| enter_exit_types(map_type).0)
-                ),
-            );
-            edits.insert(
-                after_line_pos(file, end_span.end),
-                format!(
-                    "{}#pragma omp target exit data {}\n",
-                    file.indentation_at(end_span.start),
-                    render_map_clauses(&plan.maps, |map_type| enter_exit_types(map_type).1)
-                ),
-            );
-        }
         update_edits(&mut edits, file, index, plan, Side::After);
     }
     edits
@@ -217,34 +183,14 @@ fn after_line_pos(file: &SourceFile, pos: u32) -> u32 {
     (line_end + 1).min(file.len())
 }
 
-/// How a region's map type is spelled as an unstructured pair: the type of
-/// its `target enter data` clause and of its `target exit data` clause. Under
-/// the present table's reference counts the pair moves exactly what the
-/// structured clause does, and every enter is balanced by an exit — a phase
-/// that runs once per timestep must leave the count where it found it, or an
-/// enclosing phase's `exit data map(from:)` never reaches zero and never
-/// copies back. ([`crate::plan::diff::extract_explicit_plans`] holds the
-/// inverse.)
-fn enter_exit_types(map_type: MapType) -> (MapType, MapType) {
-    match map_type {
-        MapType::To => (MapType::To, MapType::Release),
-        MapType::ToFrom => (MapType::To, MapType::From),
-        MapType::From => (MapType::Alloc, MapType::From),
-        MapType::Alloc => (MapType::Alloc, MapType::Delete),
-        // Already an exit type (hand-built plans only): nothing to copy in.
-        MapType::Release | MapType::Delete => (MapType::Alloc, map_type),
-    }
-}
-
-/// Render the consolidated `map(...)` clauses of one directive over `maps`,
-/// each under the map type `spell` gives it there: one clause per type, in
-/// a fixed order.
-fn render_map_clauses(maps: &[MapSpec], spell: impl Fn(MapType) -> MapType) -> String {
+/// Render the consolidated `map(...)` clauses of one directive over `maps`:
+/// one clause per map type, in a fixed order.
+fn render_map_clauses(maps: &[MapSpec]) -> String {
     use MapType::*;
     let mut clauses = Vec::new();
     for map_type in [To, From, ToFrom, Alloc, Delete, Release] {
         let items: Vec<String> = (maps.iter())
-            .filter(|m| spell(m.map_type) == map_type)
+            .filter(|m| m.map_type == map_type)
             .map(MapSpec::to_list_item)
             .collect();
         if !items.is_empty() {
@@ -319,16 +265,12 @@ impl EditSet {
 mod tests {
     use super::*;
     use crate::access::{FunctionAccesses, SymbolTable};
-    use crate::dataflow::{plan_collapses, plan_function};
+    use crate::dataflow::plan_function;
     use ompdart_frontend::diag::Diagnostics;
     use ompdart_frontend::parser::parse_str;
     use std::collections::HashMap;
 
     fn transform(src: &str) -> String {
-        transform_with(src, false)
-    }
-
-    fn transform_with(src: &str, lifetimes: bool) -> String {
         let (file, result) = parse_str("t.c", src);
         assert!(result.is_ok(), "{:?}", result.diagnostics);
         let unit = result.unit;
@@ -344,15 +286,7 @@ mod tests {
                 continue;
             };
             let acc = FunctionAccesses::collect(f, g, &symbols[&f.name]);
-            let plan = plan_function(f, g, &acc, &symbols[&f.name], &mut diags);
-            if let Some(mut plan) = plan {
-                // What the plan stage adds under `--lifetimes`.
-                if lifetimes {
-                    plan.unstructured = true;
-                    plan.collapses = plan_collapses(f, &plan.kernels);
-                }
-                plans.push(plan);
-            }
+            plans.extend(plan_function(f, g, &acc, &symbols[&f.name], &mut diags));
         }
         apply_plans(&file, &unit, &graphs, &plans)
     }
@@ -497,100 +431,6 @@ void f() {
         // x is read-only (to); y is read+written and escapes (tofrom).
         assert!(out.contains("map(to: x)"), "{out}");
         assert!(out.contains("map(tofrom: y)"), "{out}");
-    }
-
-    /// Lifetimes mode replaces the structured region with a consolidated
-    /// `enter data`/`exit data` pair at the phase boundaries, appends
-    /// `collapse(n)` to perfectly nested kernels, and the result reparses.
-    #[test]
-    fn lifetimes_mode_emits_unstructured_directives() {
-        let src = "\
-#define N 16
-double input[N * N];
-double output[N * N];
-int main() {
-  for (int i = 0; i < N * N; i++) input[i] = i;
-  for (int it = 0; it < 4; ++it) {
-    #pragma omp target teams distribute parallel for
-    for (int i = 0; i < N; i++)
-      for (int j = 0; j < N; j++)
-        output[i * N + j] = input[i * N + j] + it;
-  }
-  double s = 0.0;
-  for (int i = 0; i < N * N; i++) s += output[i];
-  printf(\"%f\\n\", s);
-  return 0;
-}
-";
-        let out = transform_with(src, true);
-        assert!(
-            !out.contains("#pragma omp target data"),
-            "no structured region expected:\n{out}"
-        );
-        assert!(
-            out.contains("#pragma omp target enter data map(to: input)"),
-            "{out}"
-        );
-        assert!(
-            out.contains("#pragma omp target exit data map(from: output)"),
-            "{out}"
-        );
-        assert!(out.contains("collapse(2)"), "{out}");
-        // enter before the phase, exit after it.
-        let enter_pos = out.find("enter data").unwrap();
-        let exit_pos = out.find("exit data").unwrap();
-        let loop_pos = out.find("for (int it").unwrap();
-        assert!(enter_pos < loop_pos && loop_pos < exit_pos, "{out}");
-        let (_f2, reparsed) = parse_str("out.c", &out);
-        assert!(reparsed.is_ok(), "{out}\n{:?}", reparsed.diagnostics);
-        // With lifetimes off the same source keeps the structured region.
-        assert!(transform(src).contains("#pragma omp target data"));
-    }
-
-    /// The four-row table: every structured map type becomes its refcounted
-    /// enter/exit split, consolidated into one pair at the region's
-    /// boundaries — also when the structured plan would have attached its
-    /// clauses to the single kernel.
-    #[test]
-    fn lifetimes_mode_spells_maps_as_enter_exit_pairs() {
-        let src = "\
-#define N 64
-double input[N];
-double both[N];
-double output[N];
-double scratch[N];
-int main() {
-  for (int i = 0; i < N; i++) { input[i] = i; both[i] = i; }
-  #pragma omp target teams distribute parallel for
-  for (int i = 0; i < N; i++) {
-    scratch[i] = input[i] * 2.0;
-    both[i] += scratch[i];
-    output[i] = scratch[i] + 1.0;
-  }
-  double s = 0.0;
-  for (int i = 0; i < N; i++) s += output[i] + both[i];
-  printf(\"%f\\n\", s);
-  return 0;
-}
-";
-        let structured = transform(src);
-        assert!(
-            structured.contains(
-                "parallel for map(to: input) map(from: output) map(tofrom: both) map(alloc: scratch)\n"
-            ),
-            "{structured}"
-        );
-        let out = transform_with(src, true);
-        let enter =
-            "  #pragma omp target enter data map(to: input, both) map(alloc: scratch, output)\n  \
-                     #pragma omp target teams distribute parallel for\n";
-        let exit =
-            "  }\n  #pragma omp target exit data map(from: both, output) map(delete: scratch) \
-                    map(release: input)\n";
-        assert!(out.contains(enter), "{out}");
-        assert!(out.contains(exit), "{out}");
-        // Apart from those two lines and the kernel's clauses the texts agree.
-        assert_eq!(out.lines().count(), structured.lines().count() + 2);
     }
 
     #[test]

@@ -110,7 +110,9 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Version of the pack format; a record of any other store or plan version
-/// is never read, and leaves with the next compaction. v14's interface
+/// is never read, and leaves with the next compaction. v15 is v14's pack
+/// with version-4 plan documents (no `unstructured` marker, no `collapses`)
+/// and options keys that hash `pessimistic_globals` alone. v14's interface
 /// records list no device names and mark `const` pointees, and its keys
 /// hash summaries that carry the unknown-callee fallback. v13 is v12's pack
 /// with three lines to a unit record: v12 ended it with a fourth, the
@@ -130,7 +132,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// unit records (the `unstructured` marker instead of enter-data / exit-data
 /// lists); v3's `unit-*`, `fn-*` and `ref-*` files are ignored, and removed
 /// by [`ArtifactStore::gc`].
-pub const STORE_FORMAT_VERSION: u32 = 14;
+pub const STORE_FORMAT_VERSION: u32 = 15;
 
 const PACK_FILE: &str = "ompdart.pack";
 /// Starts every record. Payloads are UTF-8, which never holds `0xff`, so the
@@ -830,7 +832,6 @@ mod tests {
             assert!(store.load("int main() { }", &options, UNLINKED).is_none());
             let other_options = OmpDartOptions {
                 pessimistic_globals: true,
-                ..OmpDartOptions::default()
             };
             assert!(store
                 .load("int main() {}", &other_options, UNLINKED)
@@ -1030,7 +1031,6 @@ mod tests {
         let defaults = OmpDartOptions::default();
         let pessimistic = OmpDartOptions {
             pessimistic_globals: true,
-            ..OmpDartOptions::default()
         };
         save(&store, "a.c", "v1", &defaults, UNLINKED);
         save(&store, "a.c", "v1", &pessimistic, UNLINKED);

@@ -1,8 +1,8 @@
 //! The notify watch backend: inotify-driven directory wakeups with a
 //! polling fallback.
 //!
-//! `ompdart watch` (and the daemon's `watch` subscriptions) historically
-//! slept a fixed interval and re-hashed every file's content each cycle.
+//! `ompdart watch` historically slept a fixed interval and re-hashed every
+//! file's content each cycle.
 //! [`DirWatcher`] replaces the *wakeup* side: on Linux an inotify watch on
 //! the directory blocks until something actually changes (bounded by the
 //! caller's timeout, so liveness checks still run), and only then does the

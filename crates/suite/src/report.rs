@@ -206,48 +206,6 @@ pub fn figure6(results: &[BenchmarkResult], cost: &CostModel) -> String {
     out
 }
 
-/// Unstructured-lifetimes vs expert: simulated transfer volume of the
-/// `--lifetimes` variant (enter/exit data + collapse) per benchmark against
-/// the hand-written expert mapping, with the enter/exit share of its
-/// traffic broken out.
-pub fn lifetimes_vs_expert(results: &[BenchmarkResult]) -> String {
-    let mut out = header("Unstructured lifetimes vs expert (simulated transfer volume)");
-    out.push_str(&format!(
-        "{:<10} {:>15} {:>13} {:>17} {:>13}\n",
-        "Benchmark", "Lifetimes bytes", "Expert bytes", "Enter/exit bytes", "Below expert"
-    ));
-    for r in results {
-        let lt = &r.lifetimes.profile;
-        out.push_str(&format!(
-            "{:<10} {:>15} {:>13} {:>17} {:>13}\n",
-            r.name,
-            format_bytes(lt.total_bytes()),
-            format_bytes(r.expert.profile.total_bytes()),
-            format_bytes(lt.enter_htod_bytes + lt.exit_dtoh_bytes),
-            if r.lifetimes_below_expert() {
-                "yes"
-            } else {
-                "no"
-            },
-        ));
-    }
-    let below = results
-        .iter()
-        .filter(|r| r.lifetimes_below_expert())
-        .count();
-    out.push_str(&format!(
-        "lifetimes transfer volume strictly below expert: {below}/{} benchmarks\n",
-        results.len()
-    ));
-    if let Some(mf) = results.iter().find(|r| r.name == "lulesh_mf") {
-        out.push_str(&format!(
-            "lulesh_mf whole-program link: linked_fallbacks={}\n",
-            mf.linked_fallbacks
-        ));
-    }
-    out
-}
-
 /// The Section VI geometric-mean summary.
 pub fn summary(results: &[BenchmarkResult], cost: &CostModel) -> String {
     let s = summarize(results, cost);

@@ -2,8 +2,8 @@
 //! `BENCH_quality.json` records per PR.
 //!
 //! Per port (the nine paper ports and the linked `lulesh_mf`): bytes, memcpy
-//! calls and simulated seconds of the unmapped program, the tool's mapping,
-//! the expert's, and the `--lifetimes` mapping. Then the metamorphic ports:
+//! calls and simulated seconds of the unmapped program, the tool's mapping
+//! and the expert's. Then the metamorphic ports:
 //! every `_fn` variant of `lulesh` and `ace` (an interior kernel run moved
 //! into a function — it must cost what its port costs), and `lulesh` with
 //! *all* its kernels behind calls, the driver that holds no region because
@@ -33,12 +33,11 @@ fn main() {
     let ports: Vec<String> = (results.iter())
         .map(|r| {
             format!(
-                "    {{\"port\":\"{}\",\"unoptimized\":{},\"mapped\":{},\"expert\":{},\"lifetimes\":{}}}",
+                "    {{\"port\":\"{}\",\"unoptimized\":{},\"mapped\":{},\"expert\":{}}}",
                 r.name,
                 cost_json(&r.unoptimized.profile),
                 cost_json(&r.ompdart.profile),
                 cost_json(&r.expert.profile),
-                cost_json(&r.lifetimes.profile),
             )
         })
         .collect();

@@ -9,11 +9,9 @@
 //! Accepted flags: `--table1` .. `--table5`, `--fig3` .. `--fig6`,
 //! `--summary`, `--timings`, `--plan-diff` (construct-level tool-vs-expert
 //! comparison), `--plans` (plan-JSON emission), `--explain` (justify every
-//! inserted construct), `--lifetimes` (the transfer volume of the
-//! unstructured `enter/exit data` spelling against the expert mapping).
-//! With no flags every tabular artifact — including the plan-vs-expert
-//! diff — is printed in order; the large `--plans` / `--explain` dumps and
-//! the `--lifetimes` table are opt-in. Every artifact reads one
+//! inserted construct). With no flags every tabular artifact — including
+//! the plan-vs-expert diff — is printed in order; the large `--plans` /
+//! `--explain` dumps are opt-in. Every artifact reads one
 //! `run_all()` over the ten ports, which run concurrently.
 
 use ompdart_core::plan::explain_plans;
@@ -21,7 +19,7 @@ use ompdart_sim::CostModel;
 use ompdart_suite::experiment::run_all;
 use ompdart_suite::report;
 
-const FLAGS: [&str; 14] = [
+const FLAGS: [&str; 13] = [
     "--table1",
     "--table2",
     "--table3",
@@ -35,7 +33,6 @@ const FLAGS: [&str; 14] = [
     "--plans",
     "--plan-diff",
     "--explain",
-    "--lifetimes",
 ];
 
 fn main() {
@@ -53,7 +50,7 @@ fn main() {
     // large, so they are opt-in; every tabular artifact (the plan-vs-expert
     // diff included) prints by default.
     let want = |flag: &str| {
-        if matches!(flag, "--plans" | "--explain" | "--lifetimes") {
+        if matches!(flag, "--plans" | "--explain") {
             args.iter().any(|a| a == flag)
         } else {
             args.is_empty() || args.iter().any(|a| a == flag)
@@ -85,7 +82,6 @@ fn main() {
         "--plans",
         "--plan-diff",
         "--explain",
-        "--lifetimes",
     ]
     .iter()
     .any(|f| want(f));
@@ -95,7 +91,7 @@ fn main() {
 
     eprintln!(
         "running the nine benchmarks plus the linked multi-file lulesh port \
-         (unoptimized / OMPDart / lifetimes / expert)..."
+         (unoptimized / OMPDart / expert)..."
     );
     // The tenth row is the three-file lulesh port, analyzed as one *linked*
     // program and compared against its hand-mapped expert counterpart.
@@ -122,9 +118,6 @@ fn main() {
     }
     if want("--plan-diff") {
         println!("{}", report::plan_vs_expert(&results));
-    }
-    if want("--lifetimes") {
-        println!("{}", report::lifetimes_vs_expert(&results));
     }
     if want("--plans") {
         println!("{}", report::plans_json(&results));

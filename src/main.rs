@@ -34,8 +34,8 @@ ompdart — static generation of efficient OpenMP offload data mappings
 USAGE:
     ompdart analyze <input.c>... [-o <out.c> | --out-dir <dir>] [--plan-json <path|->]
                     [--simulate] [--profile-json <path|->] [--timings]
-                    [--pessimistic-globals] [--lifetimes] [--cache-dir <dir>]
-    ompdart explain <input.c> [--lifetimes]
+                    [--pessimistic-globals] [--cache-dir <dir>]
+    ompdart explain <input.c>
     ompdart diff-plan <left> <right>
     ompdart batch <input.c>... [--threads <N>] [--out-dir <dir>] [--pessimistic-globals]
     ompdart watch <dir> [--out-dir <dir>] [--cache-dir <dir>] [--cache-max-bytes <N[k|m|g]>]
@@ -68,16 +68,12 @@ SUBCOMMANDS:
                the program's output changed.
                --pessimistic-globals opts into assuming unknown extern
                callees clobber every global (default: they only touch
-               their non-const pointer arguments). --lifetimes spells
-               the same plan as unstructured device lifetimes: each
-               region's maps become one `target enter data` /
-               `target exit data` pair at its boundaries instead of a
-               `target data` region (same decisions, same construct
-               count, same bytes moved), and perfect offload loop
-               nests gain `collapse(n)`. --profile-json emits a driver
-               profile — per-phase wall time, per-unit plan
-               percentiles, identity-fast-path unit counts, pool and
-               shard-lock counters — to a file or `-`.
+               their non-const pointer arguments). Every mapping is
+               spelled as one structured `target data` region per
+               function (or clauses on its single kernel).
+               --profile-json emits a driver profile — per-phase wall
+               time, per-unit plan percentiles, identity-fast-path unit
+               counts, pool and shard-lock counters — to a file or `-`.
                --cache-dir keeps each unit's link interface, plans and
                rewrite edits in a pack file in that directory: a repeat
                run parses and plans only the units a change reached
@@ -189,13 +185,11 @@ fn read_sources(paths: &[String]) -> Result<Vec<(String, String)>, String> {
         .collect()
 }
 
-/// The tool the verb's tool flags configure: whichever of `--lifetimes`,
+/// The tool the verb's tool flags configure: whichever of
 /// `--pessimistic-globals`, `--cache-dir`, `--cache-max-bytes` and
 /// `--threads` it declares.
 fn tool(flags: &Flags) -> Result<Ompdart, String> {
-    let mut builder = Ompdart::builder()
-        .lifetimes(flags.has("--lifetimes"))
-        .pessimistic_globals(flags.has("--pessimistic-globals"));
+    let mut builder = Ompdart::builder().pessimistic_globals(flags.has("--pessimistic-globals"));
     if let Some(dir) = flags.value("--cache-dir") {
         builder = builder.cache_dir(dir);
     }
@@ -284,7 +278,6 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, String> {
             "--timings",
             "--simulate",
             "--pessimistic-globals",
-            "--lifetimes",
             "--cache-dir=a directory",
         ],
     )?;
@@ -420,7 +413,7 @@ fn cmd_cache(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn cmd_explain(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::read(args, &["--lifetimes"])?;
+    let flags = Flags::read(args, &[])?;
     let [input] = &flags.positional[..] else {
         return Err("`explain` expects exactly one input file".into());
     };
@@ -1173,7 +1166,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// `diff-plan` refuses a plan document of the previous format version —
+    /// `diff-plan` refuses a plan document of an older format version —
     /// whole or a single plan — and says which version it was.
     #[test]
     fn load_plans_refuses_a_version_2_document() {
@@ -1193,12 +1186,15 @@ mod tests {
             let path = path.to_str().unwrap();
             std::fs::write(path, current).unwrap();
             assert_eq!(load_plans(path), Ok(vec![plan.clone()]));
-            std::fs::write(path, current.replace("\"version\": 3", "\"version\": 2")).unwrap();
-            let refused = load_plans(path).unwrap_err();
-            assert!(
-                refused.contains("version") && refused.contains('2'),
-                "{refused}"
-            );
+            for old in ['2', '3'] {
+                let downgraded = current.replace("\"version\": 4", &format!("\"version\": {old}"));
+                std::fs::write(path, downgraded).unwrap();
+                let refused = load_plans(path).unwrap_err();
+                assert!(
+                    refused.contains("version") && refused.contains(old),
+                    "{refused}"
+                );
+            }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -94,7 +94,7 @@ fn plan_json_on_stdout_needs_the_rewrite_elsewhere() {
         "-".as_ref(),
     ]);
     assert!(planned.status.success(), "{planned:?}");
-    assert!(stdout(&planned).contains("\"version\": 3"));
+    assert!(stdout(&planned).contains("\"version\": 4"));
     assert!(read(&file).contains("#pragma omp target data"));
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -216,6 +216,14 @@ fn a_bad_command_line_exits_1_with_its_message() {
             vec!["explain", "--pessimistic-globals"],
             "error: unknown flag `--pessimistic-globals`",
         ),
+        (
+            vec!["analyze", "--lifetimes"],
+            "error: unknown flag `--lifetimes`",
+        ),
+        (
+            vec!["explain", "--lifetimes"],
+            "error: unknown flag `--lifetimes`",
+        ),
         (vec!["watch", "a", "b"], "error: unexpected argument `b`"),
         (
             vec!["cache", "gc", "--max-bytes"],
@@ -300,14 +308,9 @@ fn v3_store_files_are_not_read_and_leave_through_gc() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The four option combinations: `OmpDartOptions { lifetimes,
-/// pessimistic_globals }` on the command line.
-const OPTION_COMBINATIONS: [&[&str]; 4] = [
-    &[],
-    &["--lifetimes"],
-    &["--pessimistic-globals"],
-    &["--lifetimes", "--pessimistic-globals"],
-];
+/// The two option combinations: `OmpDartOptions { pessimistic_globals }`
+/// on the command line.
+const OPTION_COMBINATIONS: [&[&str]; 2] = [&[], &["--pessimistic-globals"]];
 
 /// `ompdart analyze <input> -o <out> --simulate` under `flags`: exit 0 and
 /// `output preserved: yes` on stderr, or the test fails with what it
@@ -330,8 +333,8 @@ fn assert_simulate_preserves_output(input: &Path, out: &Path, flags: &[&str]) {
     );
 }
 
-/// Nine ports × four option combinations: `--simulate` runs the input and
-/// its rewrite, and exits 1 when their outputs differ. The 36 runs share up
+/// Nine ports × two option combinations: `--simulate` runs the input and
+/// its rewrite, and exits 1 when their outputs differ. The 18 runs share up
 /// to four worker threads: two ports' simulations take seconds each.
 #[test]
 fn every_port_keeps_its_output_under_every_option_combination() {
@@ -359,7 +362,7 @@ fn every_port_keeps_its_output_under_every_option_combination() {
             });
         }
     });
-    assert_eq!(passed.into_inner(), 36);
+    assert_eq!(passed.into_inner(), 18);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

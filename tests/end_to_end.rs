@@ -172,8 +172,8 @@ fn every_benchmark_plan_is_fully_explained() {
 }
 
 /// What `core::verify`'s module documentation promises: every expert
-/// variant of the ten ports and everything the tool generates for them, in
-/// both spellings, verifies clean — `lulesh_mf` as the concatenation of its
+/// variant of the ten ports and everything the tool generates for them
+/// verifies clean — `lulesh_mf` as the concatenation of its
 /// units in link order, where `main` holds the data around kernels that sit
 /// in functions of the other two.
 #[test]
@@ -192,26 +192,24 @@ fn every_expert_and_generated_variant_of_the_ports_verifies_clean() {
         "lulesh_mf expert".to_string(),
         &lulesh_multifile_expert_concat(),
     );
-    for lifetimes in [false, true] {
-        let tool = Ompdart::builder().lifetimes(lifetimes).build();
-        let at = |name: &str| format!("{name} generated, lifetimes {lifetimes}");
-        for bench in all_benchmarks() {
-            let analysis = tool.analyze(bench.name, bench.unoptimized).unwrap();
-            clean(at(bench.name), analysis.rewritten_source());
-        }
-        let units: Vec<(String, String)> = (lulesh_multifile().into_iter())
-            .map(|(name, source)| (name.to_string(), source.to_string()))
-            .collect();
-        let program = tool.analyze_program(&units).unwrap();
-        clean(at("lulesh_mf"), &program.concatenated_rewrite());
+    let tool = Ompdart::new();
+    let at = |name: &str| format!("{name} generated");
+    for bench in all_benchmarks() {
+        let analysis = tool.analyze(bench.name, bench.unoptimized).unwrap();
+        clean(at(bench.name), analysis.rewritten_source());
     }
+    let units: Vec<(String, String)> = (lulesh_multifile().into_iter())
+        .map(|(name, source)| (name.to_string(), source.to_string()))
+        .collect();
+    let program = tool.analyze_program(&units).unwrap();
+    clean(at("lulesh_mf"), &program.concatenated_rewrite());
     assert!(findings.is_empty(), "{findings:#?}");
 }
 
 /// The macro-twin oracle: a program that writes its subscripts, loop bounds
 /// and host code with function-like macros, and the same program with every
 /// call expanded by hand, are one program to the tool — same decisions, same
-/// transfers, same output — under both spellings of the mapping.
+/// transfers, same output.
 #[test]
 fn a_function_like_macro_program_maps_like_its_hand_expanded_twin() {
     let head = "\
@@ -262,45 +260,42 @@ int main() {
     assert!(!by_hand.contains("IDX") && !by_hand.contains("MIN"));
 
     let unmapped = simulate_source(&with_macros, SimConfig::default()).unwrap();
-    for lifetimes in [false, true] {
-        let tool = Ompdart::builder().lifetimes(lifetimes).build();
-        let mut runs = Vec::new();
-        let mut decisions = Vec::new();
-        for (name, source) in [("macros.c", &with_macros), ("by_hand.c", &by_hand)] {
-            let at = format!("{name}, lifetimes {lifetimes}");
-            let analysis = tool
-                .analyze(name, source)
-                .unwrap_or_else(|e| panic!("{at}: {e}"));
-            assert!(analysis.diagnostics().is_empty(), "{at}");
-            let rewritten = analysis.rewritten_source();
-            // The rewrite re-parses, verifies clean and runs.
-            let report = verify_source(name, rewritten).unwrap_or_else(|e| panic!("{at}: {e:?}"));
-            assert!(report.stale_reads.is_empty(), "{at}: {report:?}");
-            let run = simulate_source(rewritten, SimConfig::default()).unwrap();
-            assert_eq!(run.output, unmapped.output, "{at}");
-            runs.push((run.profile.total_bytes(), run.profile.total_calls()));
-            // The decisions, up to spans: node ids number the same tree.
-            let plans: Vec<_> = (analysis.plans().iter())
-                .map(|plan| {
-                    let maps: Vec<_> = (plan.maps.iter())
-                        .map(|m| (m.var.clone(), m.map_type, m.section_length.clone()))
-                        .collect();
-                    let updates: Vec<_> = (plan.updates.iter())
-                        .map(|u| (u.var.clone(), u.direction, u.anchor, u.placement))
-                        .collect();
-                    (plan.function.clone(), plan.unstructured, maps, updates)
-                })
-                .collect();
-            decisions.push(plans);
-        }
-        assert_eq!(runs[0], runs[1], "lifetimes {lifetimes}");
-        assert_eq!(decisions[0], decisions[1], "lifetimes {lifetimes}");
-        assert!(
-            runs[0].0 < unmapped.profile.total_bytes(),
-            "the mapping moves less than the implicit one"
-        );
-        assert!(decisions[0].iter().any(|plan| !plan.2.is_empty()));
+    let tool = Ompdart::new();
+    let mut runs = Vec::new();
+    let mut decisions = Vec::new();
+    for (name, source) in [("macros.c", &with_macros), ("by_hand.c", &by_hand)] {
+        let analysis = tool
+            .analyze(name, source)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(analysis.diagnostics().is_empty(), "{name}");
+        let rewritten = analysis.rewritten_source();
+        // The rewrite re-parses, verifies clean and runs.
+        let report = verify_source(name, rewritten).unwrap_or_else(|e| panic!("{name}: {e:?}"));
+        assert!(report.stale_reads.is_empty(), "{name}: {report:?}");
+        let run = simulate_source(rewritten, SimConfig::default()).unwrap();
+        assert_eq!(run.output, unmapped.output, "{name}");
+        runs.push((run.profile.total_bytes(), run.profile.total_calls()));
+        // The decisions, up to spans: node ids number the same tree.
+        let plans: Vec<_> = (analysis.plans().iter())
+            .map(|plan| {
+                let maps: Vec<_> = (plan.maps.iter())
+                    .map(|m| (m.var.clone(), m.map_type, m.section_length.clone()))
+                    .collect();
+                let updates: Vec<_> = (plan.updates.iter())
+                    .map(|u| (u.var.clone(), u.direction, u.anchor, u.placement))
+                    .collect();
+                (plan.function.clone(), maps, updates)
+            })
+            .collect();
+        decisions.push(plans);
     }
+    assert_eq!(runs[0], runs[1]);
+    assert_eq!(decisions[0], decisions[1]);
+    assert!(
+        runs[0].0 < unmapped.profile.total_bytes(),
+        "the mapping moves less than the implicit one"
+    );
+    assert!(decisions[0].iter().any(|plan| !plan.1.is_empty()));
 }
 
 /// A focused subset of the ports (the full ten-port run lives in

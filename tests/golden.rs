@@ -1,15 +1,8 @@
-//! Pinned golden outputs, one plan in two spellings: the rewritten source of
-//! every benchmark — the nine single-file programs and the linked three-file
-//! lulesh port — is byte-identical to the committed `tests/golden/*.mapped.c`
-//! files by default and to `tests/golden/lifetimes/*.mapped.c` under
-//! `--lifetimes`.
+//! Pinned golden outputs: the rewritten source of every benchmark — the nine
+//! single-file programs and the linked three-file lulesh port — is
+//! byte-identical to the committed `tests/golden/*.mapped.c` files.
 //!
-//! The default goldens predate the lifetimes mode; the `--lifetimes` ones
-//! were recorded from the planner that still restated each `map` as an
-//! `enter data` / `exit data` spec pair, before that mode became a rendering
-//! of the structured plan. Neither set has moved since.
-//!
-//! Each port's default-mode plan document is pinned as well
+//! Each port's plan document is pinned as well
 //! (`tests/golden/plans/*.plan.json`): plans serialise node ids, spans and
 //! provenance text, which a change to how the analysis addresses nodes could
 //! move without moving a single byte of the rewrite.
@@ -18,28 +11,24 @@ use ompdart_core::{AnalysisSession, Ompdart, ProgramDriver};
 use ompdart_suite::benchmarks;
 use std::sync::Arc;
 
-/// `(port, default golden, --lifetimes golden)`.
+/// `(port, golden)`.
 macro_rules! goldens {
     ($($name:literal),* $(,)?) => {
-        [$((
-            $name,
-            include_str!(concat!("golden/", $name, ".mapped.c")),
-            include_str!(concat!("golden/lifetimes/", $name, ".mapped.c")),
-        )),*]
+        [$(($name, include_str!(concat!("golden/", $name, ".mapped.c")))),*]
     };
 }
 
-const GOLDENS: [(&str, &str, &str); 9] = goldens![
+const GOLDENS: [(&str, &str); 9] = goldens![
     "accuracy", "ace", "backprop", "bfs", "clenergy", "hotspot", "lulesh", "nw", "xsbench",
 ];
 
-const LINKED_GOLDENS: [(&str, &str, &str); 3] = goldens![
+const LINKED_GOLDENS: [(&str, &str); 3] = goldens![
     "lulesh_mf/lulesh_mf_main",
     "lulesh_mf/lulesh_mf_mesh",
     "lulesh_mf/lulesh_mf_eos",
 ];
 
-/// `(unit stem, default-mode plan JSON golden)`.
+/// `(unit stem, plan JSON golden)`.
 macro_rules! plan_goldens {
     ($($name:literal),* $(,)?) => {
         [$(($name, include_str!(concat!("golden/plans/", $name, ".plan.json")))),*]
@@ -53,43 +42,24 @@ const PLAN_GOLDENS: [(&str, &str); 9] = plan_goldens![
 const LINKED_PLAN_GOLDENS: [(&str, &str); 3] =
     plan_goldens!["lulesh_mf_main", "lulesh_mf_mesh", "lulesh_mf_eos"];
 
-/// Every single-file port in one mode: the rewrite is its golden, and the
-/// plan document round-trips with the mode's marker on every plan — the one
-/// thing, with the `collapse(n)` clauses, that tells the two modes' plans
-/// apart.
-fn single_file_rewrites_match_goldens(lifetimes: bool) {
-    let tool = Ompdart::builder().lifetimes(lifetimes).build();
-    for (name, default_golden, lifetimes_golden) in GOLDENS {
+/// Every single-file port: the rewrite is its golden, and the plan
+/// document round-trips.
+#[test]
+fn default_rewrites_are_byte_identical_to_goldens() {
+    let tool = Ompdart::new();
+    for (name, golden) in GOLDENS {
         let bench = benchmarks::by_name(name).unwrap();
         let analysis = tool
             .analyze(&bench.unoptimized_file(), bench.unoptimized)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(
             analysis.rewritten_source(),
-            if lifetimes {
-                lifetimes_golden
-            } else {
-                default_golden
-            },
-            "{name}: rewrite (lifetimes = {lifetimes}) moved off its golden"
+            golden,
+            "{name}: rewrite moved off its golden"
         );
         let plans = ompdart_core::plan::plans_from_json(&analysis.plans_json()).unwrap();
         assert_eq!(plans, analysis.plans());
-        for plan in &plans {
-            assert_eq!(plan.unstructured, lifetimes);
-            assert!(lifetimes || plan.collapses.is_empty());
-        }
     }
-}
-
-#[test]
-fn default_rewrites_are_byte_identical_to_goldens() {
-    single_file_rewrites_match_goldens(false);
-}
-
-#[test]
-fn lifetimes_rewrites_are_byte_identical_to_goldens() {
-    single_file_rewrites_match_goldens(true);
 }
 
 #[test]
@@ -98,32 +68,24 @@ fn linked_multifile_rewrites_are_byte_identical_to_goldens() {
         .into_iter()
         .map(|(n, s)| (n.to_string(), s.to_string()))
         .collect();
-    for lifetimes in [false, true] {
-        let tool = Ompdart::builder().lifetimes(lifetimes).build();
-        let program = tool.analyze_program(&units).unwrap();
-        for (stem, default_golden, lifetimes_golden) in LINKED_GOLDENS {
-            let name = format!("{}.c", stem.trim_start_matches("lulesh_mf/"));
-            let unit = program
-                .units
-                .iter()
-                .zip(&units)
-                .find(|(_, (n, _))| *n == name)
-                .map(|(u, _)| u)
-                .unwrap_or_else(|| panic!("{name}: unit missing from linked program"));
-            assert_eq!(
-                unit.rewrite.source,
-                if lifetimes {
-                    lifetimes_golden
-                } else {
-                    default_golden
-                },
-                "{name}: linked (lifetimes = {lifetimes}) rewrite moved off its golden"
-            );
-        }
+    let program = Ompdart::new().analyze_program(&units).unwrap();
+    for (stem, golden) in LINKED_GOLDENS {
+        let name = format!("{}.c", stem.trim_start_matches("lulesh_mf/"));
+        let unit = program
+            .units
+            .iter()
+            .zip(&units)
+            .find(|(_, (n, _))| *n == name)
+            .map(|(u, _)| u)
+            .unwrap_or_else(|| panic!("{name}: unit missing from linked program"));
+        assert_eq!(
+            unit.rewrite.source, golden,
+            "{name}: linked rewrite moved off its golden"
+        );
     }
 }
 
-/// The default-mode plan document of every port, node ids and provenance
+/// The plan document of every port, node ids and provenance
 /// text included, is byte-identical to its golden: the nine single-file
 /// ports analysed alone, the three `lulesh_mf` units as one linked program.
 #[test]

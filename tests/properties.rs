@@ -12,8 +12,8 @@
 
 use ompdart_core::pipeline::Stage;
 use ompdart_core::plan::{
-    diff_plans, CollapseSpec, DiffEntry, FirstPrivateSpec, MapSpec, MappingPlan, Placement,
-    Provenance, ProvenanceFact, UpdateDirection, UpdateSpec,
+    FirstPrivateSpec, MapSpec, MappingPlan, Placement, Provenance, ProvenanceFact, UpdateDirection,
+    UpdateSpec,
 };
 use ompdart_core::Ompdart;
 use ompdart_frontend::ast::NodeId;
@@ -231,101 +231,31 @@ fn firstprivate_strategy() -> impl Strategy<Value = FirstPrivateSpec> {
     })
 }
 
-fn collapse_spec_strategy() -> impl Strategy<Value = CollapseSpec> {
-    ((0u32..64), (2u32..6), provenance_strategy()).prop_map(|(kernel, depth, provenance)| {
-        CollapseSpec {
-            kernel: NodeId(kernel),
-            depth,
-            provenance,
-        }
-    })
-}
-
 fn plan_strategy() -> impl Strategy<Value = MappingPlan> {
     (
         proptest::collection::vec(map_spec_strategy(), 0..5),
         proptest::collection::vec(update_spec_strategy(), 0..5),
         proptest::collection::vec(firstprivate_strategy(), 0..4),
-        proptest::collection::vec(collapse_spec_strategy(), 0..3),
-        (0u32..3, 0u32..200, 0u8..2),
+        (0u32..3, 0u32..200),
     )
-        .prop_map(
-            |(maps, updates, firstprivate, collapses, (shape, base, unstructured))| MappingPlan {
-                function: format!("fn_{base}"),
-                region_start: if shape == 0 { None } else { Some(NodeId(base)) },
-                region_end: if shape == 0 {
-                    None
-                } else {
-                    Some(NodeId(base + 9))
-                },
-                attach_to_kernel: if shape == 2 {
-                    Some(NodeId(base + 1))
-                } else {
-                    None
-                },
-                unstructured: unstructured == 1,
-                kernels: (0..shape).map(|k| NodeId(base + k)).collect(),
-                maps,
-                updates,
-                firstprivate,
-                collapses,
+        .prop_map(|(maps, updates, firstprivate, (shape, base))| MappingPlan {
+            function: format!("fn_{base}"),
+            region_start: if shape == 0 { None } else { Some(NodeId(base)) },
+            region_end: if shape == 0 {
+                None
+            } else {
+                Some(NodeId(base + 9))
             },
-        )
-}
-
-/// One plan, two spellings: the plans of a `--lifetimes` run are the default
-/// run's plans plus the marker and the `collapse(n)` clauses, and `diff-plan`
-/// sees no other difference between the two.
-fn one_plan_two_spellings(
-    default: &[MappingPlan],
-    lifetimes: &[MappingPlan],
-) -> Result<(), String> {
-    let respelled: Vec<MappingPlan> = (lifetimes.iter())
-        .map(|plan| MappingPlan {
-            unstructured: false,
-            collapses: Vec::new(),
-            ..plan.clone()
+            attach_to_kernel: if shape == 2 {
+                Some(NodeId(base + 1))
+            } else {
+                None
+            },
+            kernels: (0..shape).map(|k| NodeId(base + k)).collect(),
+            maps,
+            updates,
+            firstprivate,
         })
-        .collect();
-    if !lifetimes.iter().all(|plan| plan.unstructured) || respelled != default {
-        return Err(format!(
-            "`--lifetimes` decided something else:\n{default:#?}\n{lifetimes:#?}"
-        ));
-    }
-    // The same through `diff-plan`, which compares decisions: the clauses
-    // one side added are all it reports.
-    let diff = diff_plans(default, lifetimes);
-    let collapses: usize = lifetimes.iter().map(|plan| plan.collapses.len()).sum();
-    let only_collapses = diff.entries.iter().all(|entry| {
-        matches!(entry, DiffEntry::OnlyRight { construct, .. } if construct.starts_with("collapse("))
-    });
-    match only_collapses && diff.divergences() == collapses {
-        true => Ok(()),
-        false => Err(format!("the two spellings diff: {:?}", diff.entries)),
-    }
-}
-
-/// The ten ports plan the same under both spellings.
-#[test]
-fn the_ports_plan_the_same_under_both_spellings() {
-    let (default, lifetimes) = (
-        Ompdart::builder().build(),
-        Ompdart::builder().lifetimes(true).build(),
-    );
-    for bench in ompdart_suite::all_benchmarks() {
-        let name = bench.unoptimized_file();
-        let plans = |tool: &Ompdart| tool.analyze(&name, bench.unoptimized).unwrap();
-        one_plan_two_spellings(plans(&default).plans(), plans(&lifetimes).plans())
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-    }
-    let lulesh: Vec<(String, String)> = (ompdart_suite::lulesh_multifile().into_iter())
-        .map(|(name, source)| (name.to_string(), source.to_string()))
-        .collect();
-    let linked = |tool: &Ompdart| tool.analyze_program(&lulesh).unwrap();
-    for (default, lifetimes) in (linked(&default).units.iter()).zip(&linked(&lifetimes).units) {
-        one_plan_two_spellings(&default.plans.plans, &lifetimes.plans.plans)
-            .unwrap_or_else(|e| panic!("lulesh_mf: {e}"));
-    }
 }
 
 /// True when `needle` is a (byte-)subsequence of `haystack`: the pure
@@ -401,69 +331,6 @@ proptest! {
             Err(e) => return Err(TestCaseError::fail(format!("incremental analysis failed: {e}\n{edited}"))),
         };
         let fresh = Ompdart::new().analyze("inc.c", &edited).unwrap();
-        prop_assert_eq!(&fresh.rewrite.source, &incremental.rewrite.source);
-        prop_assert_eq!(&fresh.plans.plans, &incremental.plans.plans);
-    }
-
-    /// Unstructured lifetimes: for arbitrary generated programs, planning
-    /// with `--lifetimes` (enter/exit data at phase boundaries, collapse on
-    /// perfect nests) decides what the default mode decides, keeps the
-    /// host-visible output byte-identical and never moves more data than
-    /// the implicit mappings.
-    #[test]
-    fn lifetimes_mode_preserves_semantics(pieces in proptest::collection::vec(piece_strategy(), 1..6)) {
-        let src = render_program(&pieces);
-        let analysis = match Ompdart::builder().lifetimes(true).build().analyze("lt.c", &src) {
-            Ok(a) => a,
-            Err(e) => return Err(TestCaseError::fail(format!("lifetimes analysis failed: {e}\n{src}"))),
-        };
-        let transformed = analysis.rewritten_source();
-        let (_f, reparsed) = parse_str("lt_out.c", transformed);
-        prop_assert!(reparsed.is_ok(), "transformed program failed to parse:\n{transformed}");
-        prop_assert!(analysis.plans().iter().all(|p| p.fully_justified()),
-            "unjustified lifetime construct in plans for:\n{src}");
-        let default = Ompdart::builder().build().analyze("lt.c", &src).unwrap();
-        if let Err(e) = one_plan_two_spellings(default.plans(), analysis.plans()) {
-            return Err(TestCaseError::fail(format!("{e}\n{src}")));
-        }
-        let before = simulate_source(&src, SimConfig::default()).expect("baseline failed");
-        let after = simulate_source(transformed, SimConfig::default())
-            .expect("lifetimes program failed");
-        prop_assert_eq!(&before.output, &after.output,
-            "lifetimes placement changed output\noriginal:\n{src}\ntransformed:\n{transformed}");
-        prop_assert!(after.profile.total_bytes() <= before.profile.total_bytes(),
-            "lifetimes placement increased data movement ({} -> {})\n{transformed}",
-            before.profile.total_bytes(), after.profile.total_bytes());
-    }
-
-    /// With lifetimes on, incremental re-analysis after a one-function edit
-    /// (region anchors and collapse specs on the fresh parse's node ids)
-    /// agrees byte for byte — rewrite and full plan set — with a cold
-    /// analysis of the edited source.
-    #[test]
-    fn lifetimes_incremental_agrees_with_cold(
-        pieces in proptest::collection::vec(piece_strategy(), 1..5),
-        extra in 1u8..4,
-    ) {
-        let lifetimes = || Ompdart::builder().lifetimes(true).build();
-        let src = render_program(&pieces);
-        let tool = lifetimes();
-        if tool.analyze("lt_inc.c", &src).is_err() {
-            return Err(TestCaseError::reject("base program failed to analyze"));
-        }
-        let edited = src.replacen(
-            "  #pragma omp target teams distribute parallel for\n",
-            &format!(
-                "  for (int e = 0; e < {extra}; e++) data[e] += {extra};\n  #pragma omp target teams distribute parallel for\n"
-            ),
-            1,
-        );
-        prop_assert!(edited != src);
-        let incremental = match tool.analyze("lt_inc.c", &edited) {
-            Ok(a) => a,
-            Err(e) => return Err(TestCaseError::fail(format!("incremental lifetimes analysis failed: {e}\n{edited}"))),
-        };
-        let fresh = lifetimes().analyze("lt_inc.c", &edited).unwrap();
         prop_assert_eq!(&fresh.rewrite.source, &incremental.rewrite.source);
         prop_assert_eq!(&fresh.plans.plans, &incremental.plans.plans);
     }
@@ -1110,7 +977,6 @@ proptest! {
         let mut declared: Vec<usize> = Vec::new();
         let options = ompdart_core::OmpDartOptions {
             pessimistic_globals: pessimistic == 1,
-            ..ompdart_core::OmpDartOptions::default()
         };
         let driver_under = |threads: usize| {
             let session =
@@ -1201,7 +1067,6 @@ fn assert_interfaces_carry_the_link(inputs: &[(String, String)], what: &str) {
             let at = format!("{what}, {threads} thread(s), pessimistic {pessimistic_globals}");
             let options = OmpDartOptions {
                 pessimistic_globals,
-                ..OmpDartOptions::default()
             };
             let session =
                 ompdart_core::AnalysisSession::with_options(options).with_parallelism(threads);
@@ -1544,7 +1409,7 @@ proptest! {
     /// caller's local named like another unit's global — and takes the last
     /// one away must never serve a plan that a cold analysis would not
     /// make. One long-lived session per option
-    /// combination (`{lifetimes} × {pessimistic_globals}`) follows the
+    /// setting (`pessimistic_globals` off and on) follows the
     /// script; after every step each unit's rewrite and plan JSON are a
     /// cold analysis's, and the patched link's imports fingerprints a cold
     /// link's.
@@ -1559,12 +1424,8 @@ proptest! {
             let kind = roll(&mut rng, 4);
             edit_device_model(&mut model, &mut rng, kind);
         }
-        let combos = [(false, false), (true, false), (false, true), (true, true)].map(
-            |(lifetimes, pessimistic_globals)| ompdart_core::OmpDartOptions {
-                lifetimes,
-                pessimistic_globals,
-            },
-        );
+        let combos = [false, true]
+            .map(|pessimistic_globals| ompdart_core::OmpDartOptions { pessimistic_globals });
         let driver_under = |options: ompdart_core::OmpDartOptions| {
             let session = ompdart_core::AnalysisSession::with_options(options);
             ompdart_core::ProgramDriver::with_session(std::sync::Arc::new(session))
@@ -1598,19 +1459,10 @@ proptest! {
 // The persistent store: a restart at every step answers like a fresh session
 // ---------------------------------------------------------------------------
 
-/// A session under `threads` workers, `--lifetimes` on or off, over
-/// `cache_dir` if given: what one run of the tool is.
-fn one_run(
-    threads: usize,
-    lifetimes: bool,
-    cache_dir: Option<&std::path::Path>,
-) -> ompdart_core::ProgramDriver {
-    let options = ompdart_core::OmpDartOptions {
-        lifetimes,
-        ..Default::default()
-    };
-    let mut session =
-        ompdart_core::AnalysisSession::with_options(options).with_parallelism(threads);
+/// A session under `threads` workers, over `cache_dir` if given: what one
+/// run of the tool is.
+fn one_run(threads: usize, cache_dir: Option<&std::path::Path>) -> ompdart_core::ProgramDriver {
+    let mut session = ompdart_core::AnalysisSession::new().with_parallelism(threads);
     if let Some(dir) = cache_dir {
         session = session.with_cache_dir(dir);
     }
@@ -1659,7 +1511,7 @@ proptest! {
 
     /// The six-name edit model again, but every step is a *new session over
     /// the same cache directory* — the one-shot user's restart — at 1, 2
-    /// and 8 threads with `--lifetimes` on and off. Each unit's rewritten
+    /// and 8 threads. Each unit's rewritten
     /// source and plan JSON are a store-less fresh session's, byte for byte;
     /// every unit the table did not hold went to the store exactly once; the
     /// directory holds the pack and nothing else; and an edit made right
@@ -1679,16 +1531,15 @@ proptest! {
         for _ in 0..8 {
             edit_model(&mut model, &mut rng, &mut next_file);
         }
-        let runs: Vec<(usize, bool, std::path::PathBuf)> = [1usize, 2, 8]
+        let runs: Vec<(usize, std::path::PathBuf)> = [1usize, 2, 8]
             .into_iter()
-            .flat_map(|threads| [false, true].map(|lifetimes| (threads, lifetimes)))
-            .map(|(threads, lifetimes)| {
+            .map(|threads| {
                 let dir = std::env::temp_dir().join(format!(
-                    "ompdart-restart-{}-{seed:x}-{threads}-{lifetimes}",
+                    "ompdart-restart-{}-{seed:x}-{threads}",
                     std::process::id()
                 ));
                 let _ = std::fs::remove_dir_all(&dir);
-                (threads, lifetimes, dir)
+                (threads, dir)
             })
             .collect();
         let mut history: Vec<Model> = Vec::new();
@@ -1697,14 +1548,14 @@ proptest! {
             // The edit tried right after a restart: one function's body, with
             // text the pack cannot hold yet (unit 0 always defines `main`).
             let edited = edit_one_body(&inputs, roll(&mut rng, inputs.len()), step);
-            for (threads, lifetimes, dir) in &runs {
+            for (threads, dir) in &runs {
                 let at = format!(
-                    "step {step}, {threads} thread(s), lifetimes {lifetimes}, seed {seed:#x}\n{inputs:#?}"
+                    "step {step}, {threads} thread(s), seed {seed:#x}\n{inputs:#?}"
                 );
-                let fresh = one_run(*threads, *lifetimes, None)
+                let fresh = one_run(*threads, None)
                     .analyze_program(&inputs)
                     .expect("the model stays linkable");
-                let restarted = one_run(*threads, *lifetimes, Some(dir));
+                let restarted = one_run(*threads, Some(dir));
                 let warm = restarted.analyze_program(&inputs).expect("the model stays linkable");
                 prop_assert_eq!(&unit_outputs(&warm), &unit_outputs(&fresh), "outputs differ at {}", at);
                 let stats = restarted.session().cache_stats();
@@ -1724,7 +1575,7 @@ proptest! {
                 // Restart once more: everything saved above is served, and
                 // the first edit on top of it is as incremental as it is for
                 // a session that planned the program itself.
-                let again = one_run(*threads, *lifetimes, Some(dir));
+                let again = one_run(*threads, Some(dir));
                 let served = again.analyze_program(&inputs).expect("the model stays linkable");
                 prop_assert_eq!(&unit_outputs(&served), &unit_outputs(&fresh), "outputs differ at {}", at);
                 let parsed = again.session().cache_stats().parse_misses;
@@ -1737,7 +1588,7 @@ proptest! {
                     // A unit with planning diagnostics is never persisted.
                     continue;
                 }
-                let oracle = one_run(*threads, *lifetimes, None);
+                let oracle = one_run(*threads, None);
                 oracle.analyze_program(&inputs).expect("the model stays linkable");
                 let (before, oracle_before) =
                     (again.session().cache_stats(), oracle.session().cache_stats());
@@ -1770,7 +1621,7 @@ proptest! {
                 _ => edit_model(&mut model, &mut rng, &mut next_file),
             }
         }
-        for (_, _, dir) in &runs {
+        for (_, dir) in &runs {
             let _ = std::fs::remove_dir_all(dir);
         }
     }
@@ -1801,11 +1652,11 @@ fn two_hundred_edits_and_reverts_leave_a_bounded_pack() {
             _ => base.clone(),
         };
         let before = pack_len();
-        let run = one_run(2, false, Some(&dir));
+        let run = one_run(2, Some(&dir));
         let warm = run
             .analyze_program(&inputs)
             .expect("the model stays linkable");
-        let fresh = one_run(2, false, None).analyze_program(&inputs).unwrap();
+        let fresh = one_run(2, None).analyze_program(&inputs).unwrap();
         assert_eq!(unit_outputs(&warm), unit_outputs(&fresh), "step {step}");
         drop(run);
         assert_eq!(cache_listing(&dir), ["ompdart.pack"], "step {step}");
@@ -2211,7 +2062,6 @@ fn arbitrary_plan(rng: &mut u64) -> MappingPlan {
         region_start: maybe(rng, id),
         region_end: maybe(rng, id),
         attach_to_kernel: maybe(rng, id),
-        unstructured: roll(rng, 2) == 1,
         kernels: specs(rng, id),
         maps: specs(rng, |rng| MapSpec {
             var: arbitrary_text(rng),
@@ -2230,11 +2080,6 @@ fn arbitrary_plan(rng: &mut u64) -> MappingPlan {
         firstprivate: specs(rng, |rng| FirstPrivateSpec {
             kernel: id(rng),
             var: arbitrary_text(rng),
-            provenance: provenance(rng),
-        }),
-        collapses: specs(rng, |rng| CollapseSpec {
-            kernel: id(rng),
-            depth: [2, 3, u32::MAX][roll(rng, 3)],
             provenance: provenance(rng),
         }),
     }
@@ -2292,7 +2137,7 @@ proptest! {
 }
 
 /// The same over real plans: every unit of the ten ports and of a
-/// 200-unit corpus, in both planner modes, through the analyses' own
+/// 200-unit corpus, through the analyses' own
 /// renderings (`plans_json`, and `plans_json_compact` as the daemon splices
 /// it) as well.
 #[test]
@@ -2303,31 +2148,27 @@ fn plan_writer_matches_the_tree_on_ports_and_corpus() {
         .chain([ompdart_suite::corpus::generate(200, 42)]);
     let mut documents = 0;
     for units in programs.collect::<Vec<_>>() {
-        for lifetimes in [false, true] {
-            let tool = Ompdart::builder().lifetimes(lifetimes).build();
-            let program = tool.analyze_program(&units).expect("analysis");
-            for unit in &program.units {
-                let plans = &unit.plans.plans;
-                check_plan_documents(plans)
-                    .unwrap_or_else(|e| panic!("{}: {e}", unit.unit().name()));
-                let tree = Json::parse(&unit.plans_json()).unwrap();
-                assert_eq!(
-                    unit.plans_json(),
-                    tree.render_pretty(),
-                    "{}",
-                    unit.unit().name()
-                );
-                assert_eq!(
-                    unit.plans_json_compact(),
-                    tree.render(),
-                    "{}",
-                    unit.unit().name()
-                );
-                documents += 1;
-            }
+        let program = Ompdart::new().analyze_program(&units).expect("analysis");
+        for unit in &program.units {
+            let plans = &unit.plans.plans;
+            check_plan_documents(plans).unwrap_or_else(|e| panic!("{}: {e}", unit.unit().name()));
+            let tree = Json::parse(&unit.plans_json()).unwrap();
+            assert_eq!(
+                unit.plans_json(),
+                tree.render_pretty(),
+                "{}",
+                unit.unit().name()
+            );
+            assert_eq!(
+                unit.plans_json_compact(),
+                tree.render(),
+                "{}",
+                unit.unit().name()
+            );
+            documents += 1;
         }
     }
-    assert_eq!(documents, 424);
+    assert_eq!(documents, 212);
 }
 
 /// What `mutated_sources_never_panic` damages: every unit and expert
@@ -2644,60 +2485,57 @@ fn check_outlined(case: &Outlined) -> Result<(), String> {
         return Err(format!("the simulator disagrees with itself on\n{concat}"));
     }
     let inline = render_program(&case.pieces);
-    for lifetimes in [false, true] {
-        for pessimistic in [false, true] {
-            let at = format!("lifetimes {lifetimes}, pessimistic globals {pessimistic}");
-            let tool =
-                || (Ompdart::builder().lifetimes(lifetimes)).pessimistic_globals(pessimistic);
-            let analyze = |name: &str, source: &str| {
-                let analysis = tool().build().analyze(name, source);
-                let analysis = analysis.map_err(|e| format!("{at}: {e}\n{source}"))?;
-                Ok::<String, String>(analysis.rewritten_source().to_string())
-            };
-            let mapped = analyze("pieces_one.c", &concat)?;
-            for threads in [1usize, 2, 8] {
-                let dir = ScratchDir::new("outline");
-                let linked = || tool().parallelism(threads).cache_dir(&dir.0).build();
-                let session = linked();
-                for round in ["cold", "warm", "restart"] {
-                    let tool = match round {
-                        "restart" => linked(),
-                        _ => session.clone(),
-                    };
-                    let program = tool.analyze_program(&units);
-                    let program = program.map_err(|e| format!("{at}: {e}\n{concat}"))?;
-                    if program.concatenated_rewrite() != mapped {
-                        return Err(format!(
-                            "{at}, {threads} thread(s), {round} round: linked\n{}\n\
-                             is not the rewrite of the concatenation\n{mapped}",
-                            program.concatenated_rewrite()
-                        ));
-                    }
-                    if program.stats().unknown_callee_fallbacks != 0 {
-                        return Err(format!("{at}: a call fell back\n{concat}"));
-                    }
-                }
-            }
-            let (output, bytes, calls) = simulated(&mapped)?;
-            if output != expected {
-                return Err(format!(
-                    "{at}: the mapping changed the output: {output:?}, host only {expected:?}\n{mapped}"
-                ));
-            }
-            if bytes > unmapped_bytes {
-                return Err(format!(
-                    "{at}: {bytes} B moved, unmapped {unmapped_bytes} B\n{mapped}"
-                ));
-            }
-            if case.keeps_main_region() {
-                let inline_mapped = analyze("pieces_inline.c", &inline)?;
-                let (_, inline_bytes, inline_calls) = simulated(&inline_mapped)?;
-                if (bytes, calls) != (inline_bytes, inline_calls) {
+    for pessimistic in [false, true] {
+        let at = format!("pessimistic globals {pessimistic}");
+        let tool = || Ompdart::builder().pessimistic_globals(pessimistic);
+        let analyze = |name: &str, source: &str| {
+            let analysis = tool().build().analyze(name, source);
+            let analysis = analysis.map_err(|e| format!("{at}: {e}\n{source}"))?;
+            Ok::<String, String>(analysis.rewritten_source().to_string())
+        };
+        let mapped = analyze("pieces_one.c", &concat)?;
+        for threads in [1usize, 2, 8] {
+            let dir = ScratchDir::new("outline");
+            let linked = || tool().parallelism(threads).cache_dir(&dir.0).build();
+            let session = linked();
+            for round in ["cold", "warm", "restart"] {
+                let tool = match round {
+                    "restart" => linked(),
+                    _ => session.clone(),
+                };
+                let program = tool.analyze_program(&units);
+                let program = program.map_err(|e| format!("{at}: {e}\n{concat}"))?;
+                if program.concatenated_rewrite() != mapped {
                     return Err(format!(
-                        "{at}: outlined {bytes} B / {calls} call(s), inline {inline_bytes} B / \
-                         {inline_calls} call(s)\n{mapped}\ninline:\n{inline_mapped}"
+                        "{at}, {threads} thread(s), {round} round: linked\n{}\n\
+                         is not the rewrite of the concatenation\n{mapped}",
+                        program.concatenated_rewrite()
                     ));
                 }
+                if program.stats().unknown_callee_fallbacks != 0 {
+                    return Err(format!("{at}: a call fell back\n{concat}"));
+                }
+            }
+        }
+        let (output, bytes, calls) = simulated(&mapped)?;
+        if output != expected {
+            return Err(format!(
+                "{at}: the mapping changed the output: {output:?}, host only {expected:?}\n{mapped}"
+            ));
+        }
+        if bytes > unmapped_bytes {
+            return Err(format!(
+                "{at}: {bytes} B moved, unmapped {unmapped_bytes} B\n{mapped}"
+            ));
+        }
+        if case.keeps_main_region() {
+            let inline_mapped = analyze("pieces_inline.c", &inline)?;
+            let (_, inline_bytes, inline_calls) = simulated(&inline_mapped)?;
+            if (bytes, calls) != (inline_bytes, inline_calls) {
+                return Err(format!(
+                    "{at}: outlined {bytes} B / {calls} call(s), inline {inline_bytes} B / \
+                     {inline_calls} call(s)\n{mapped}\ninline:\n{inline_mapped}"
+                ));
             }
         }
     }
@@ -2727,43 +2565,24 @@ proptest! {
 /// The same outliner over the two ports whose kernels touch global arrays
 /// only: every interior kernel run of `lulesh` and `ace`, moved into a
 /// function, costs exactly what the port costs — bytes and calls — and
-/// prints what it prints. With `--lifetimes` (which plans the same regions
-/// and then re-places them) the single kernels and the longest run are
-/// checked, the hundred runs between them only in the structured mode.
+/// prints what it prints.
 #[test]
 fn every_fn_variant_of_lulesh_and_ace_costs_what_its_port_costs() {
     for port in ["lulesh", "ace"] {
         let bench = ompdart_suite::by_name(port).unwrap();
-        for lifetimes in [false, true] {
-            let mapped = |name: &str, source: &str| {
-                let tool = Ompdart::builder().lifetimes(lifetimes).build();
-                let analysis = tool.analyze(name, source).unwrap();
-                assert_eq!(analysis.stats().unknown_callee_fallbacks, 0, "{name}");
-                simulated(analysis.rewritten_source()).unwrap()
-            };
-            let cost = mapped(&bench.unoptimized_file(), bench.unoptimized);
-            let variants = ompdart_suite::outline::kernel_run_variants(port, bench.unoptimized);
-            // `<port>_fn_<first>_<last>`: how many kernels the run holds.
-            let kernels = |name: &str| {
-                let mut numbers = name.rsplit('_').map(|n| n.parse::<usize>().unwrap());
-                let (last, first) = (numbers.next().unwrap(), numbers.next().unwrap());
-                last - first + 1
-            };
-            let longest = variants
-                .iter()
-                .map(|(name, _)| kernels(name))
-                .max()
-                .unwrap();
-            for (name, source) in variants {
-                if lifetimes && !matches!(kernels(&name), n if n == 1 || n == longest) {
-                    continue;
-                }
-                assert_eq!(
-                    mapped(&format!("{name}.c"), &source),
-                    cost,
-                    "{name}, lifetimes {lifetimes}:\n{source}"
-                );
-            }
+        let mapped = |name: &str, source: &str| {
+            let analysis = Ompdart::new().analyze(name, source).unwrap();
+            assert_eq!(analysis.stats().unknown_callee_fallbacks, 0, "{name}");
+            simulated(analysis.rewritten_source()).unwrap()
+        };
+        let cost = mapped(&bench.unoptimized_file(), bench.unoptimized);
+        let variants = ompdart_suite::outline::kernel_run_variants(port, bench.unoptimized);
+        for (name, source) in variants {
+            assert_eq!(
+                mapped(&format!("{name}.c"), &source),
+                cost,
+                "{name}:\n{source}"
+            );
         }
     }
 }
@@ -2774,9 +2593,7 @@ fn every_fn_variant_of_lulesh_and_ace_costs_what_its_port_costs() {
 // ---------------------------------------------------------------------------
 
 /// Every single-edit mutant of a mapped program's text: one `target update`
-/// line dropped, one `map(tofrom:` made `to`, one `map(from:` made `alloc`
-/// (`release` on a `target exit data`, the same mistake in the other
-/// spelling).
+/// line dropped, one `map(tofrom:` made `to`, one `map(from:` made `alloc`.
 fn mapping_mutants(mapped: &str) -> Vec<String> {
     let lines: Vec<&str> = mapped.split_inclusive('\n').collect();
     let mut out = Vec::new();
@@ -2795,11 +2612,7 @@ fn mapping_mutants(mapped: &str) -> Vec<String> {
         if pragma.starts_with("#pragma omp target update") {
             with("");
         }
-        let dropped = match pragma.starts_with("#pragma omp target exit data") {
-            true => "map(release:",
-            false => "map(alloc:",
-        };
-        for (from, to) in [("map(tofrom:", "map(to:"), ("map(from:", dropped)] {
+        for (from, to) in [("map(tofrom:", "map(to:"), ("map(from:", "map(alloc:")] {
             if line.contains(from) {
                 with(&line.replacen(from, to, 1));
             }
@@ -2826,35 +2639,33 @@ fn check_mutants(source: &str, tally: &mut MutantTally) -> Result<(), String> {
         let report = ompdart_core::verify_source("mapped.c", text);
         report.map_err(|e| format!("does not parse: {e:?}\n{text}"))
     };
-    for lifetimes in [false, true] {
-        for pessimistic in [false, true] {
-            let at = format!("lifetimes {lifetimes}, pessimistic globals {pessimistic}");
-            let tool = (Ompdart::builder().lifetimes(lifetimes)).pessimistic_globals(pessimistic);
-            let analysis = tool.build().analyze("pieces.c", source);
-            let analysis = analysis.map_err(|e| format!("{at}: {e}\n{source}"))?;
-            let mapped = analysis.rewritten_source();
-            let report = verified(mapped)?;
-            if !report.is_clean() {
-                let reads = report.stale_reads;
+    for pessimistic in [false, true] {
+        let at = format!("pessimistic globals {pessimistic}");
+        let tool = Ompdart::builder().pessimistic_globals(pessimistic);
+        let analysis = tool.build().analyze("pieces.c", source);
+        let analysis = analysis.map_err(|e| format!("{at}: {e}\n{source}"))?;
+        let mapped = analysis.rewritten_source();
+        let report = verified(mapped)?;
+        if !report.is_clean() {
+            let reads = report.stale_reads;
+            return Err(format!(
+                "{at}: the rewrite is flagged: {reads:#?}\n{mapped}"
+            ));
+        }
+        for mutant in mapping_mutants(mapped) {
+            // A read of device memory nothing was copied into may also
+            // stop the simulator: that is a changed output too.
+            let changed = simulated(&mutant).map_or(true, |run| run.0 != expected);
+            let flagged = !verified(&mutant)?.is_clean();
+            tally.mutants += 1;
+            tally.changed_output += usize::from(changed);
+            tally.changed_and_flagged += usize::from(changed && flagged);
+            tally.flagged_unchanged += usize::from(flagged && !changed);
+            if changed && !flagged {
                 return Err(format!(
-                    "{at}: the rewrite is flagged: {reads:#?}\n{mapped}"
+                    "{at}: this mutant prints something else than {expected:?} and \
+                     verifies clean\n{mutant}\nits origin:\n{mapped}"
                 ));
-            }
-            for mutant in mapping_mutants(mapped) {
-                // A read of device memory nothing was copied into may also
-                // stop the simulator: that is a changed output too.
-                let changed = simulated(&mutant).map_or(true, |run| run.0 != expected);
-                let flagged = !verified(&mutant)?.is_clean();
-                tally.mutants += 1;
-                tally.changed_output += usize::from(changed);
-                tally.changed_and_flagged += usize::from(changed && flagged);
-                tally.flagged_unchanged += usize::from(flagged && !changed);
-                if changed && !flagged {
-                    return Err(format!(
-                        "{at}: this mutant prints something else than {expected:?} and \
-                         verifies clean\n{mutant}\nits origin:\n{mapped}"
-                    ));
-                }
             }
         }
     }

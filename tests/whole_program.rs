@@ -183,16 +183,12 @@ fn single_unit_program_is_degenerate() {
             .step_by(3),
     );
     inputs.push(("only.c".to_string(), unit_main()));
-    for (lifetimes, pessimistic_globals) in
-        [(false, false), (false, true), (true, false), (true, true)]
-    {
+    for pessimistic_globals in [false, true] {
         for (name, source) in &inputs {
-            let at = format!(
-                "`{name}` under lifetimes={lifetimes} pessimistic_globals={pessimistic_globals}"
-            );
+            let at = format!("`{name}` under pessimistic_globals={pessimistic_globals}");
             // Two tools: neither may serve the other's plans.
             let tool = || {
-                (Ompdart::builder().lifetimes(lifetimes))
+                Ompdart::builder()
                     .pessimistic_globals(pessimistic_globals)
                     .build()
             };
@@ -1535,32 +1531,30 @@ fn order_units(callee: &str, call: &str, region: bool) -> Vec<(String, String)> 
 }
 
 /// Analyse `units` as one unit (their concatenation) and as a linked
-/// program, in both planner modes; the rewrites agree byte for byte and the
-/// mapped program prints what the unmapped one prints. Returns the mapped
-/// program of each mode (structured, lifetimes).
-fn mapped_both_ways(units: &[(String, String)]) -> [String; 2] {
+/// program; the rewrites agree byte for byte and the mapped program prints
+/// what the unmapped one prints. Returns the mapped program.
+fn mapped_one_and_linked(units: &[(String, String)]) -> String {
     use ompdart_sim::{simulate_source, SimConfig};
     let concat: String = units.iter().map(|(_, source)| source.as_str()).collect();
     let unmapped = simulate_source(&concat, SimConfig::default()).expect("unmapped program runs");
-    [false, true].map(|lifetimes| {
-        let tool = || Ompdart::builder().lifetimes(lifetimes).build();
-        let one = tool().analyze("order_one.c", &concat).expect("one unit");
-        let linked = tool().analyze_program(units).expect("two units");
-        assert_eq!(linked.stats().unknown_callee_fallbacks, 0);
-        let mapped = linked.concatenated_rewrite();
-        assert_eq!(
-            mapped,
-            one.rewritten_source(),
-            "lifetimes {lifetimes}: the split must not move the rewrite"
-        );
-        let run = simulate_source(&mapped, SimConfig::default()).expect("mapped program runs");
-        assert_eq!(
-            run.output, unmapped.output,
-            "lifetimes {lifetimes}: the mapping changed what the program prints:\n{mapped}"
-        );
-        assert!(run.profile.total_bytes() <= unmapped.profile.total_bytes());
-        mapped
-    })
+    let one = Ompdart::new()
+        .analyze("order_one.c", &concat)
+        .expect("one unit");
+    let linked = Ompdart::new().analyze_program(units).expect("two units");
+    assert_eq!(linked.stats().unknown_callee_fallbacks, 0);
+    let mapped = linked.concatenated_rewrite();
+    assert_eq!(
+        mapped,
+        one.rewritten_source(),
+        "the split must not move the rewrite"
+    );
+    let run = simulate_source(&mapped, SimConfig::default()).expect("mapped program runs");
+    assert_eq!(
+        run.output, unmapped.output,
+        "the mapping changed what the program prints:\n{mapped}"
+    );
+    assert!(run.profile.total_bytes() <= unmapped.profile.total_bytes());
+    mapped
 }
 
 /// The lines of `text` around the one holding `needle`: (before, after).
@@ -1581,21 +1575,20 @@ fn neighbours<'t>(text: &'t str, needle: &str) -> (&'t str, &'t str) {
 #[test]
 fn a_callee_that_host_writes_then_kernel_reads_keeps_the_output() {
     let units = order_units(HOST_WRITE_THEN_KERNEL, "f(s);", true);
-    for mapped in mapped_both_ways(&units) {
-        assert_eq!(
-            mapped.matches("#pragma omp target update").count(),
-            1,
-            "{mapped}"
-        );
-        let (before_call, after_call) = neighbours(&mapped, "    f(s);");
-        assert!(!before_call.contains("target update"), "{mapped}");
-        assert!(!after_call.contains("target update"), "{mapped}");
-        // In `f`: after the host loop, before the kernel and whatever maps
-        // its data.
-        let (before, after) = neighbours(&mapped, "#pragma omp target update to(x)");
-        assert!(before.contains("x[i] = i + s"), "{mapped}");
-        assert!(after.contains("map(to: x)"), "{mapped}");
-    }
+    let mapped = mapped_one_and_linked(&units);
+    assert_eq!(
+        mapped.matches("#pragma omp target update").count(),
+        1,
+        "{mapped}"
+    );
+    let (before_call, after_call) = neighbours(&mapped, "    f(s);");
+    assert!(!before_call.contains("target update"), "{mapped}");
+    assert!(!after_call.contains("target update"), "{mapped}");
+    // In `f`: after the host loop, before the kernel and whatever maps
+    // its data.
+    let (before, after) = neighbours(&mapped, "#pragma omp target update to(x)");
+    assert!(before.contains("x[i] = i + s"), "{mapped}");
+    assert!(after.contains("map(to: x)"), "{mapped}");
 }
 
 /// Miscompile (b): the callee writes `y` in a kernel and reads it on the
@@ -1604,21 +1597,20 @@ fn a_callee_that_host_writes_then_kernel_reads_keeps_the_output() {
 #[test]
 fn a_callee_that_kernel_writes_then_host_reads_keeps_the_output() {
     let units = order_units(KERNEL_THEN_HOST_READ, "sum += g(s);", true);
-    for mapped in mapped_both_ways(&units) {
-        assert_eq!(
-            mapped.matches("#pragma omp target update").count(),
-            1,
-            "{mapped}"
-        );
-        let (before_call, after_call) = neighbours(&mapped, "    sum += g(s);");
-        assert!(!before_call.contains("target update"), "{mapped}");
-        assert!(!after_call.contains("target update"), "{mapped}");
-        // In `g`: after the kernel and whatever unmaps its data, before the
-        // host loop.
-        let (before, after) = neighbours(&mapped, "#pragma omp target update from(y)");
-        assert!(before.contains("y[i] = x[i] * 2.0 + s") || before.contains("map(from: y)"));
-        assert!(after.contains("t += y[i]"), "{mapped}");
-    }
+    let mapped = mapped_one_and_linked(&units);
+    assert_eq!(
+        mapped.matches("#pragma omp target update").count(),
+        1,
+        "{mapped}"
+    );
+    let (before_call, after_call) = neighbours(&mapped, "    sum += g(s);");
+    assert!(!before_call.contains("target update"), "{mapped}");
+    assert!(!after_call.contains("target update"), "{mapped}");
+    // In `g`: after the kernel and whatever unmaps its data, before the
+    // host loop.
+    let (before, after) = neighbours(&mapped, "#pragma omp target update from(y)");
+    assert!(before.contains("y[i] = x[i] * 2.0 + s") || before.contains("map(from: y)"));
+    assert!(after.contains("t += y[i]"), "{mapped}");
 }
 
 /// Under a `main` that holds no region the callee's clauses do the copies
@@ -1631,21 +1623,20 @@ fn callee_side_updates_are_free_when_no_caller_holds_the_data() {
         order_units(KERNEL_THEN_HOST_READ, "sum += g(s);", false),
     ];
     for units in programs {
-        for mapped in mapped_both_ways(&units) {
-            assert_eq!(mapped.matches("#pragma omp target update").count(), 1);
-            let without: String = (mapped.lines())
-                .filter(|line| !line.contains("#pragma omp target update"))
-                .flat_map(|line| [line, "\n"])
-                .collect();
-            let [with, without] = [&mapped, &without]
-                .map(|text| simulate_source(text, SimConfig::default()).unwrap());
-            assert_eq!(with.output, without.output);
-            let moved = |run: &ompdart_sim::Outcome| {
-                let p = run.profile;
-                (p.htod_calls, p.htod_bytes, p.dtoh_calls, p.dtoh_bytes)
-            };
-            assert_eq!(moved(&with), moved(&without), "{mapped}");
-        }
+        let mapped = mapped_one_and_linked(&units);
+        assert_eq!(mapped.matches("#pragma omp target update").count(), 1);
+        let without: String = (mapped.lines())
+            .filter(|line| !line.contains("#pragma omp target update"))
+            .flat_map(|line| [line, "\n"])
+            .collect();
+        let [with, without] =
+            [&mapped, &without].map(|text| simulate_source(text, SimConfig::default()).unwrap());
+        assert_eq!(with.output, without.output);
+        let moved = |run: &ompdart_sim::Outcome| {
+            let p = run.profile;
+            (p.htod_calls, p.htod_bytes, p.dtoh_calls, p.dtoh_bytes)
+        };
+        assert_eq!(moved(&with), moved(&without), "{mapped}");
     }
 }
 
@@ -1674,55 +1665,47 @@ fn lulesh_mf_costs_what_lulesh_costs() {
     let inputs = owned(&lulesh_multifile());
     let lulesh = ompdart_suite::benchmarks::by_name("lulesh").unwrap();
     let unmapped = simulate_source(&lulesh_multifile_concat(), SimConfig::default()).unwrap();
-    for lifetimes in [false, true] {
-        let tool = |threads: usize| {
-            (Ompdart::builder().lifetimes(lifetimes))
-                .parallelism(threads)
-                .build()
-        };
-        let concat = tool(1)
-            .analyze("lulesh_mf_concat.c", &lulesh_multifile_concat())
-            .unwrap();
-        for threads in [1, 2, 8] {
-            let program = tool(threads).analyze_program(&inputs).unwrap();
-            assert_eq!(program.stats().unknown_callee_fallbacks, 0);
-            assert_eq!(program.concatenated_rewrite(), concat.rewritten_source());
-        }
-        let run = simulate_source(concat.rewritten_source(), SimConfig::default()).unwrap();
-        assert_eq!(run.output, unmapped.output);
-        assert!(run.profile.total_bytes() <= 73_600, "{:?}", run.profile);
-        assert!(run.profile.total_calls() <= 23, "{:?}", run.profile);
-        let single = (Ompdart::builder().lifetimes(lifetimes).build())
-            .analyze(&lulesh.unoptimized_file(), lulesh.unoptimized)
-            .unwrap();
-        let inline = simulate_source(single.rewritten_source(), SimConfig::default()).unwrap();
-        assert_eq!(run.profile.total_bytes(), inline.profile.total_bytes());
-        assert_eq!(run.profile.total_calls(), inline.profile.total_calls());
-        if !lifetimes {
-            let main = &tool(1).analyze_program(&inputs).unwrap().units[2];
-            for kind in ["to", "tofrom", "alloc"] {
-                assert_eq!(
-                    clause(&main.rewrite.source, kind),
-                    clause(single.rewritten_source(), kind),
-                    "main's map({kind}: ...) differs from the single-file port's"
-                );
-            }
-            assert_eq!(clause(&main.rewrite.source, "to").len(), 11);
-            assert_eq!(clause(&main.rewrite.source, "tofrom"), ["e", "work", "x"]);
-            assert_eq!(clause(&main.rewrite.source, "alloc").len(), 10);
-            // The clause says what decided it: the callee's order, and what
-            // runs after the region.
-            let explained = main.explain();
-            assert!(
-                explained.contains("`calc_forces` writes `fx` on the device before reading it"),
-                "{explained}"
-            );
-            assert!(
-                explained.contains("nothing that runs after the region reads it"),
-                "{explained}"
-            );
-        }
+    let tool = |threads: usize| Ompdart::builder().parallelism(threads).build();
+    let concat = tool(1)
+        .analyze("lulesh_mf_concat.c", &lulesh_multifile_concat())
+        .unwrap();
+    for threads in [1, 2, 8] {
+        let program = tool(threads).analyze_program(&inputs).unwrap();
+        assert_eq!(program.stats().unknown_callee_fallbacks, 0);
+        assert_eq!(program.concatenated_rewrite(), concat.rewritten_source());
     }
+    let run = simulate_source(concat.rewritten_source(), SimConfig::default()).unwrap();
+    assert_eq!(run.output, unmapped.output);
+    assert!(run.profile.total_bytes() <= 73_600, "{:?}", run.profile);
+    assert!(run.profile.total_calls() <= 23, "{:?}", run.profile);
+    let single = Ompdart::new()
+        .analyze(&lulesh.unoptimized_file(), lulesh.unoptimized)
+        .unwrap();
+    let inline = simulate_source(single.rewritten_source(), SimConfig::default()).unwrap();
+    assert_eq!(run.profile.total_bytes(), inline.profile.total_bytes());
+    assert_eq!(run.profile.total_calls(), inline.profile.total_calls());
+    let main = &tool(1).analyze_program(&inputs).unwrap().units[2];
+    for kind in ["to", "tofrom", "alloc"] {
+        assert_eq!(
+            clause(&main.rewrite.source, kind),
+            clause(single.rewritten_source(), kind),
+            "main's map({kind}: ...) differs from the single-file port's"
+        );
+    }
+    assert_eq!(clause(&main.rewrite.source, "to").len(), 11);
+    assert_eq!(clause(&main.rewrite.source, "tofrom"), ["e", "work", "x"]);
+    assert_eq!(clause(&main.rewrite.source, "alloc").len(), 10);
+    // The clause says what decided it: the callee's order, and what
+    // runs after the region.
+    let explained = main.explain();
+    assert!(
+        explained.contains("`calc_forces` writes `fx` on the device before reading it"),
+        "{explained}"
+    );
+    assert!(
+        explained.contains("nothing that runs after the region reads it"),
+        "{explained}"
+    );
 }
 
 /// The order of a callee's accesses is part of its summary: swapping a
@@ -1828,9 +1811,8 @@ fn a_nested_callees_device_write_is_not_a_host_write_of_its_caller() {
             order_main("f(s);", true).replace("double g(int s);", "void g(int s);"),
         ),
     ];
-    for mapped in mapped_both_ways(&units) {
-        assert!(!mapped.contains("#pragma omp target update"), "{mapped}");
-    }
+    let mapped = mapped_one_and_linked(&units);
+    assert!(!mapped.contains("#pragma omp target update"), "{mapped}");
 }
 
 // ---------------------------------------------------------------------------
@@ -1864,20 +1846,17 @@ int main() {
 }
 ";
 
-/// Map `units` as one program under all four option combinations and
+/// Map `units` as one program under both option settings and
 /// return the analyses after checking that each has no diagnostic and that
 /// each mapped program prints what the unmapped one prints.
 fn mapped_under_every_option(units: &[(String, String)]) -> Vec<ompdart_core::ProgramAnalysis> {
     use ompdart_sim::{simulate_source, SimConfig};
     let concat: String = units.iter().map(|(_, source)| source.as_str()).collect();
     let unmapped = simulate_source(&concat, SimConfig::default()).expect("unmapped program runs");
-    let combos = [(false, false), (true, false), (false, true), (true, true)];
-    (combos.into_iter())
-        .map(|(lifetimes, pessimistic)| {
-            let tool = Ompdart::builder()
-                .lifetimes(lifetimes)
-                .pessimistic_globals(pessimistic)
-                .build();
+    [false, true]
+        .into_iter()
+        .map(|pessimistic| {
+            let tool = Ompdart::builder().pessimistic_globals(pessimistic).build();
             let mapped = ompdart_suite::map_and_simulate(&tool, units).expect("maps and runs");
             for unit in &mapped.analysis.units {
                 assert!(unit.diagnostics().is_empty(), "{:?}", unit.diagnostics());
@@ -1885,7 +1864,7 @@ fn mapped_under_every_option(units: &[(String, String)]) -> Vec<ompdart_core::Pr
             assert_eq!(
                 mapped.run.output,
                 unmapped.output,
-                "lifetimes {lifetimes}, pessimistic globals {pessimistic}: the mapping changed \
+                "pessimistic globals {pessimistic}: the mapping changed \
                  what the program prints:\n{}",
                 mapped.analysis.concatenated_rewrite()
             );
