@@ -465,6 +465,56 @@ mod tests {
         assert!(r.ompdart.profile.total_bytes() * 2 < r.expert.profile.total_bytes());
     }
 
+    /// The benchmark harness still measures a `lifetimes` variant, built
+    /// through `OmpdartBuilder::lifetimes(true)`, which ignores its
+    /// argument. On every port that variant must be the structured
+    /// mapping: the same rewrite and the same run, host-visible output
+    /// equal to the unoptimized and expert programs', no transfer through
+    /// `target enter data`, and a transfer volume below the expert's on at
+    /// least three ports.
+    #[test]
+    fn lifetimes_variant_is_correct_and_beats_expert_volume() {
+        let results = run_all();
+        let tool = Ompdart::builder().lifetimes(true).build();
+        let mut below = 0usize;
+        for (port, r) in ports().iter().zip(&results) {
+            let lt = map_and_simulate(&tool, &port.units).unwrap();
+            assert_eq!(
+                lt.analysis.concatenated_rewrite(),
+                r.transformed_source,
+                "{}: lifetimes variant is not the structured rewrite",
+                r.name
+            );
+            let lt = lt.run;
+            assert_eq!(lt.profile, r.ompdart.profile, "{}", r.name);
+            assert_eq!(
+                lt.output, r.unoptimized.output,
+                "{}: lifetimes variant changes host-visible output",
+                r.name
+            );
+            assert_eq!(
+                lt.output, r.expert.output,
+                "{}: lifetimes variant diverges from the expert program",
+                r.name
+            );
+            assert!(
+                lt.profile.total_bytes() <= r.unoptimized.profile.total_bytes(),
+                "{}: lifetimes variant moves more data than implicit mappings",
+                r.name
+            );
+            assert_eq!(
+                lt.profile.enter_htod_calls, 0,
+                "{}: a transfer attributed to `target enter data`",
+                r.name
+            );
+            below += usize::from(lt.profile.total_bytes() < r.expert.profile.total_bytes());
+        }
+        assert!(
+            below >= 3,
+            "lifetimes variant must beat the expert transfer volume on >=3 ports, got {below}"
+        );
+    }
+
     #[test]
     fn stage_timings_are_populated() {
         let r = run("ace");

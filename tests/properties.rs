@@ -335,6 +335,69 @@ proptest! {
         prop_assert_eq!(&fresh.plans.plans, &incremental.plans.plans);
     }
 
+    /// A tool built with `lifetimes(true)` (a builder method kept for the
+    /// benchmark harness that ignores its argument) plans and rewrites
+    /// exactly what the default tool does, writes no `target enter data`,
+    /// keeps the host-visible output byte-identical and never moves more
+    /// data than the implicit mappings.
+    #[test]
+    fn lifetimes_mode_preserves_semantics(pieces in proptest::collection::vec(piece_strategy(), 1..6)) {
+        let src = render_program(&pieces);
+        let analysis = match Ompdart::builder().lifetimes(true).build().analyze("lt.c", &src) {
+            Ok(a) => a,
+            Err(e) => return Err(TestCaseError::fail(format!("lifetimes analysis failed: {e}\n{src}"))),
+        };
+        let transformed = analysis.rewritten_source();
+        let (_f, reparsed) = parse_str("lt_out.c", transformed);
+        prop_assert!(reparsed.is_ok(), "transformed program failed to parse:\n{transformed}");
+        prop_assert!(analysis.plans().iter().all(|p| p.fully_justified()),
+            "unjustified construct in plans for:\n{src}");
+        let default = Ompdart::builder().build().analyze("lt.c", &src).unwrap();
+        prop_assert_eq!(default.rewritten_source(), transformed);
+        prop_assert_eq!(default.plans(), analysis.plans());
+        prop_assert!(!transformed.contains("target enter data"),
+            "the one spelling is structured:\n{transformed}");
+        let before = simulate_source(&src, SimConfig::default()).expect("baseline failed");
+        let after = simulate_source(transformed, SimConfig::default())
+            .expect("lifetimes program failed");
+        prop_assert_eq!(&before.output, &after.output,
+            "lifetimes tool changed output\noriginal:\n{src}\ntransformed:\n{transformed}");
+        prop_assert!(after.profile.total_bytes() <= before.profile.total_bytes(),
+            "lifetimes tool increased data movement ({} -> {})\n{transformed}",
+            before.profile.total_bytes(), after.profile.total_bytes());
+    }
+
+    /// With a tool built through `lifetimes(true)`, incremental
+    /// re-analysis after a one-function edit agrees byte for byte —
+    /// rewrite and full plan set — with a cold analysis of the edited
+    /// source by the default tool.
+    #[test]
+    fn lifetimes_incremental_agrees_with_cold(
+        pieces in proptest::collection::vec(piece_strategy(), 1..5),
+        extra in 1u8..4,
+    ) {
+        let src = render_program(&pieces);
+        let tool = Ompdart::builder().lifetimes(true).build();
+        if tool.analyze("lt_inc.c", &src).is_err() {
+            return Err(TestCaseError::reject("base program failed to analyze"));
+        }
+        let edited = src.replacen(
+            "  #pragma omp target teams distribute parallel for\n",
+            &format!(
+                "  for (int e = 0; e < {extra}; e++) data[e] += {extra};\n  #pragma omp target teams distribute parallel for\n"
+            ),
+            1,
+        );
+        prop_assert!(edited != src);
+        let incremental = match tool.analyze("lt_inc.c", &edited) {
+            Ok(a) => a,
+            Err(e) => return Err(TestCaseError::fail(format!("incremental lifetimes analysis failed: {e}\n{edited}"))),
+        };
+        let fresh = Ompdart::new().analyze("lt_inc.c", &edited).unwrap();
+        prop_assert_eq!(&fresh.rewrite.source, &incremental.rewrite.source);
+        prop_assert_eq!(&fresh.plans.plans, &incremental.plans.plans);
+    }
+
     /// The versioned JSON serialization is the identity under round-trip
     /// for arbitrary generated plans: `from_json(to_json(p)) == p`, both
     /// per plan and for whole documents.
