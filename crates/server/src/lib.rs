@@ -44,4 +44,4 @@ pub use protocol::{
 };
 pub use registry::{ProgramRegistry, ProgramSession, RegistryConfig};
 pub use signal::{ShutdownToken, SIGINT, SIGTERM};
-pub use watch::{make_watcher, DirWatcher, PollWatcher, WatchWake};
+pub use watch::{make_watcher, DirWatcher, PollWatcher};

@@ -1,15 +1,13 @@
 //! The notify watch backend: inotify-driven directory wakeups with a
 //! polling fallback.
 //!
-//! `ompdart watch` historically slept a fixed interval and re-hashed every
-//! file's content each cycle.
-//! [`DirWatcher`] replaces the *wakeup* side: on Linux an inotify watch on
-//! the directory blocks until something actually changes (bounded by the
-//! caller's timeout, so liveness checks still run), and only then does the
-//! caller re-scan. Content verification stays exactly as before — the
-//! watcher is purely an optimization of *when* to look, never a source of
-//! truth about *what* changed, so a missed or coalesced inotify event can
-//! at worst delay a scan to the timeout, never produce a wrong result.
+//! [`DirWatcher`] decides when `ompdart watch` looks again: on Linux an
+//! inotify watch on the directory blocks until something changes (bounded
+//! by the caller's timeout, so liveness checks still run), and only then
+//! does the caller re-scan. The watcher says *when* to look, never *what*
+//! changed: the caller compares file contents, so a missed or coalesced
+//! inotify event can at worst delay a scan to the timeout, never produce a
+//! wrong result.
 //!
 //! The inotify binding is a direct libc FFI (`inotify_init1`/
 //! `inotify_add_watch`/`poll`/`read`) — no external crates. When inotify
@@ -20,21 +18,12 @@
 use std::path::Path;
 use std::time::Duration;
 
-/// Why a [`DirWatcher::wait`] call returned.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WatchWake {
-    /// The backend observed filesystem activity in the directory.
-    Changed,
-    /// The timeout elapsed with no observed activity (poll backends always
-    /// report this — the caller's content re-scan decides what changed).
-    Timeout,
-}
-
 /// A source of "something may have changed in this directory" wakeups.
 pub trait DirWatcher: Send {
-    /// Block until activity or `timeout`. Spurious `Changed` wakeups are
-    /// allowed; missed changes only delay the caller to the next timeout.
-    fn wait(&mut self, timeout: Duration) -> WatchWake;
+    /// Block until activity or `timeout`. Spurious wakeups are allowed;
+    /// missed changes only delay the caller to the next timeout. Either way
+    /// the caller's content re-scan decides what changed.
+    fn wait(&mut self, timeout: Duration);
 
     /// Human-readable backend name for log lines.
     fn backend(&self) -> &'static str;
@@ -44,9 +33,8 @@ pub trait DirWatcher: Send {
 pub struct PollWatcher;
 
 impl DirWatcher for PollWatcher {
-    fn wait(&mut self, timeout: Duration) -> WatchWake {
+    fn wait(&mut self, timeout: Duration) {
         std::thread::sleep(timeout);
-        WatchWake::Timeout
     }
 
     fn backend(&self) -> &'static str {
@@ -68,7 +56,7 @@ pub fn make_watcher(dir: &Path) -> Box<dyn DirWatcher> {
 
 #[cfg(target_os = "linux")]
 mod inotify {
-    use super::{DirWatcher, WatchWake};
+    use super::DirWatcher;
     use std::ffi::CString;
     use std::os::unix::ffi::OsStrExt;
     use std::path::Path;
@@ -148,7 +136,7 @@ mod inotify {
     }
 
     impl DirWatcher for InotifyWatcher {
-        fn wait(&mut self, timeout: Duration) -> WatchWake {
+        fn wait(&mut self, timeout: Duration) {
             let mut fds = PollFd {
                 fd: self.fd,
                 events: POLLIN,
@@ -161,9 +149,7 @@ mod inotify {
                 // one save triggers one re-scan, not five.
                 std::thread::sleep(Duration::from_millis(20));
                 self.drain();
-                return WatchWake::Changed;
             }
-            WatchWake::Timeout
         }
 
         fn backend(&self) -> &'static str {
@@ -181,11 +167,13 @@ mod inotify {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     #[test]
     fn poll_watcher_times_out() {
-        let mut watcher = PollWatcher;
-        assert_eq!(watcher.wait(Duration::from_millis(1)), WatchWake::Timeout);
+        let start = Instant::now();
+        PollWatcher.wait(Duration::from_millis(30));
+        assert!(start.elapsed() >= Duration::from_millis(30));
     }
 
     #[cfg(target_os = "linux")]
@@ -195,11 +183,19 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let mut watcher = make_watcher(&dir);
         assert_eq!(watcher.backend(), "inotify");
-        // Idle: times out.
-        assert_eq!(watcher.wait(Duration::from_millis(30)), WatchWake::Timeout);
-        // A write wakes it up well before the timeout.
+        // Idle: it waits out the timeout.
+        let start = Instant::now();
+        watcher.wait(Duration::from_millis(30));
+        assert!(start.elapsed() >= Duration::from_millis(30));
+        // A write wakes it well inside a long timeout.
         std::fs::write(dir.join("x.c"), "int main() { return 0; }\n").unwrap();
-        assert_eq!(watcher.wait(Duration::from_secs(5)), WatchWake::Changed);
+        let start = Instant::now();
+        watcher.wait(Duration::from_secs(60));
+        assert!(
+            start.elapsed() < Duration::from_secs(30),
+            "{:?}",
+            start.elapsed()
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -697,7 +697,7 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
         }
         // Returns early on filesystem activity (inotify) or after the
         // interval (poll); either way the content re-scan above decides.
-        let _ = watcher.wait(std::time::Duration::from_millis(interval_ms));
+        watcher.wait(std::time::Duration::from_millis(interval_ms));
         if shutdown.is_shutdown() {
             break;
         }

@@ -1684,6 +1684,10 @@ fn lulesh_mf_costs_what_lulesh_costs() {
     let inline = simulate_source(single.rewritten_source(), SimConfig::default()).unwrap();
     assert_eq!(run.profile.total_bytes(), inline.profile.total_bytes());
     assert_eq!(run.profile.total_calls(), inline.profile.total_calls());
+    // Each direction on its own: the OMPDart columns of Figures 3 and 4.
+    let columns =
+        |p: &ompdart_sim::TransferProfile| (p.htod_bytes, p.dtoh_bytes, p.htod_calls, p.dtoh_calls);
+    assert_eq!(columns(&run.profile), columns(&inline.profile));
     let main = &tool(1).analyze_program(&inputs).unwrap().units[2];
     for kind in ["to", "tofrom", "alloc"] {
         assert_eq!(
