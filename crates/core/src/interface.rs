@@ -24,9 +24,8 @@
 use crate::interproc::{
     visible_globals, ArgTarget, Effect, FunctionSummary, LinkArg, LinkCall, PropagationNode,
 };
-use crate::pipeline::{
-    callee_keys, summary_fingerprint, AccessArtifact, CalleeKey, Fnv, SummariesArtifact,
-};
+use crate::pipeline::key::{callee_keys, local_fingerprint, CalleeKey};
+use crate::pipeline::{AccessArtifact, SummariesArtifact};
 use crate::OmpDartOptions;
 use ompdart_frontend::ast::TranslationUnit;
 use ompdart_frontend::intern::FnvBuild;
@@ -429,39 +428,4 @@ impl UnitExports {
             .all(|pair| pair[0] != pair[1])
             .then_some(exports)
     }
-}
-
-/// Fingerprint of everything the cross-unit propagation reads from one
-/// function's caller side: its local seed summary, every call site — the
-/// resolved callee, the execution space, where each by-reference argument
-/// lands and whether its pointee is `const` — and the globals an unknown
-/// callee would clobber. Two links in which every function's local
-/// fingerprint matches converge to identical summaries — which is what
-/// lets the incremental relink skip them.
-fn local_fingerprint(seed: &FunctionSummary, calls: &[LinkCall], globals: &[Symbol]) -> u64 {
-    let mut h = Fnv::new();
-    h.write_u64(summary_fingerprint(seed));
-    for call in calls {
-        h.write_str(&call.callee);
-        h.write(&[u8::from(call.on_device)]);
-        for arg in &call.args {
-            h.write_u64(u64::from(arg.position));
-            h.write(&[u8::from(arg.const_pointee)]);
-            match arg.target {
-                ArgTarget::Param(at) => {
-                    h.write(&[1]);
-                    h.write_u64(u64::from(at));
-                }
-                ArgTarget::Global(var) => {
-                    h.write(&[2]);
-                    h.write_str(&var);
-                }
-            }
-        }
-        h.write(&[0xfd]);
-    }
-    for global in globals {
-        h.write_str(global);
-    }
-    h.finish()
 }

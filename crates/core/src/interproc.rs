@@ -29,7 +29,7 @@
 //! own `static`s to their mangled symbols first.
 
 use crate::access::{Access, AccessKind, AccessOrigin, CallSite, FunctionAccesses, SymbolTable};
-use crate::pipeline::CalleeKey;
+use crate::pipeline::key::CalleeKey;
 use crate::program::LinkContext;
 use crate::scc::{condense, Condensation};
 use crate::validity::{Position, States, Transfers, VarState, Walker};
@@ -330,7 +330,7 @@ pub struct ProgramSummaries {
 /// parameter effects every projection hashes, or on a global, which the
 /// plan maps only where the device touches it — and then the caller's own
 /// converged summary touches it on the device too. So the plan keys hash
-/// summaries projected onto this set (`pipeline::projected_fingerprint`).
+/// summaries projected onto this set (`pipeline::key::projected_fingerprint`).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct DeviceNames {
     /// Per member: the summaries touching it on the device, and the patch
@@ -1609,8 +1609,8 @@ void f() {
         assert!(!write_first.device_exposed());
         assert!(read_first.device_exposed());
         assert_ne!(
-            crate::pipeline::summary_fingerprint(link.summary("write_first").unwrap()),
-            crate::pipeline::summary_fingerprint(link.summary("read_first").unwrap()),
+            crate::pipeline::key::summary_fingerprint(link.summary("write_first").unwrap()),
+            crate::pipeline::key::summary_fingerprint(link.summary("read_first").unwrap()),
         );
     }
 

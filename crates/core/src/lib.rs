@@ -25,7 +25,7 @@
 //! [`UnitAnalysis`] values, the same ones a linked program's
 //! [`ProgramAnalysis::units`] holds. An analysis exposes the rewritten
 //! source, the provenance-carrying [`MappingPlan`]s of the [`plan`] IR —
-//! serializable via [`MappingPlan::to_json`] and explainable via
+//! serializable via [`plans_to_json`] and explainable via
 //! [`UnitAnalysis::explain`] — plus per-stage timings.
 //!
 //! ```

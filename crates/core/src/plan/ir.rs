@@ -505,8 +505,8 @@ impl FirstPrivateSpec {
 /// explainable Mapping IR.
 ///
 /// The serialized format carries [`PLAN_FORMAT_VERSION`]; see
-/// [`MappingPlan::to_json`] / [`MappingPlan::from_json`] (in
-/// [`crate::plan::json`]) for the stable round-trip and
+/// [`crate::plan::json::plans_to_json`] /
+/// [`crate::plan::json::plans_from_json`] for the stable round-trip and
 /// [`crate::plan::explain`] for the human rendering.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MappingPlan {

@@ -4,14 +4,15 @@
 //! offline-friendly: one [`JsonWriter`] that appends compact or two-space
 //! pretty JSON to a caller's `String`, a tiny [`Json`] value tree, and a
 //! recursive-descent parser. The format is versioned via
-//! [`PLAN_FORMAT_VERSION`]; [`MappingPlan::from_json`] rejects documents
-//! written by an incompatible future version instead of mis-reading them.
+//! [`PLAN_FORMAT_VERSION`]; [`plans_from_json`] rejects documents written
+//! by an incompatible version instead of mis-reading them. A plan document
+//! is always `{version, plans}`, for one plan as for many.
 //!
 //! Plan documents are written, not built: the plan encoder
 //! ([`MappingPlan::write_json`], and `write_plans_json` around it) walks
 //! the plans and hands each field to the writer, so no value tree stands
-//! between the IR and its bytes. Every producer of plan JSON — [`plans_to_json`] and
-//! [`MappingPlan::to_json`] (pretty), the daemon's memoised rendering and
+//! between the IR and its bytes. Every producer of plan JSON — [`plans_to_json`]
+//! (pretty), the daemon's memoised rendering and
 //! the store's unit records ([`plans_to_json_compact`], compact) and the
 //! suite's all-benchmarks report — goes through it. The [`Json`] tree
 //! remains for what is read (decoding, [`plans_from_json`] included, is
@@ -35,7 +36,8 @@
 //! Node ids and byte spans are serialized as plain integers. They are
 //! meaningful relative to a parse of the *same* source text (parsing is
 //! deterministic), which is what makes the round-trip
-//! `plan -> to_json -> from_json -> rewrite` produce byte-identical output.
+//! `plans -> plans_to_json -> plans_from_json -> rewrite` produce
+//! byte-identical output.
 
 use crate::pipeline::Stage;
 use crate::plan::ir::{
@@ -969,13 +971,9 @@ impl MappingPlan {
         w.end_object();
     }
 
-    /// Serialize this plan as pretty-printed, versioned JSON.
-    pub fn to_json(&self) -> String {
-        pretty_document(std::slice::from_ref(self), |w| self.write_json(w))
-    }
-
-    /// Rebuild a plan from a JSON value (already version-checked or not).
-    pub fn from_json_value(value: &Json) -> Result<MappingPlan, PlanJsonError> {
+    /// Rebuild a plan from its JSON value, a member of a document's
+    /// `plans`.
+    fn from_json_value(value: &Json) -> Result<MappingPlan, PlanJsonError> {
         check_version(value)?;
         let mut plan = MappingPlan {
             function: str_field(value, "function")?.to_string(),
@@ -1007,12 +1005,6 @@ impl MappingPlan {
         }
         Ok(plan)
     }
-
-    /// Parse a plan serialized by [`MappingPlan::to_json`]. The round-trip
-    /// is the identity: `MappingPlan::from_json(&plan.to_json()) == plan`.
-    pub fn from_json(text: &str) -> Result<MappingPlan, PlanJsonError> {
-        MappingPlan::from_json_value(&Json::parse(text)?)
-    }
 }
 
 /// Write a whole translation unit's plans as one versioned document — the
@@ -1029,9 +1021,14 @@ pub(crate) fn write_plans_json(w: &mut JsonWriter<'_>, plans: &[MappingPlan]) {
 }
 
 /// Serialize a whole translation unit's plans as one versioned document,
-/// pretty-printed.
+/// pretty-printed, in a buffer of its own length: the caller keeps it, so
+/// it keeps no growth slack.
 pub fn plans_to_json(plans: &[MappingPlan]) -> String {
-    pretty_document(plans, |w| write_plans_json(w, plans))
+    let mut out = String::with_capacity(encoded_size_hint(plans, true));
+    write_plans_json(&mut JsonWriter::pretty(&mut out), plans);
+    out.push('\n');
+    out.shrink_to_fit();
+    out
 }
 
 /// [`plans_to_json`] without insignificant whitespace: the same document
@@ -1039,16 +1036,6 @@ pub fn plans_to_json(plans: &[MappingPlan]) -> String {
 pub fn plans_to_json_compact(plans: &[MappingPlan]) -> String {
     let mut out = String::with_capacity(encoded_size_hint(plans, false));
     write_plans_json(&mut JsonWriter::compact(&mut out), plans);
-    out.shrink_to_fit();
-    out
-}
-
-/// A pretty document about `plans`, written by `write`, in a buffer of its
-/// own length: the caller keeps it, so it keeps no growth slack.
-fn pretty_document(plans: &[MappingPlan], write: impl FnOnce(&mut JsonWriter<'_>)) -> String {
-    let mut out = String::with_capacity(encoded_size_hint(plans, true));
-    write(&mut JsonWriter::pretty(&mut out));
-    out.push('\n');
     out.shrink_to_fit();
     out
 }
@@ -1139,14 +1126,26 @@ mod tests {
         plan
     }
 
+    /// One plan's document: what every reader of a single plan reads.
+    fn to_json(plan: &MappingPlan) -> String {
+        plans_to_json(std::slice::from_ref(plan))
+    }
+
+    /// The one plan of a document.
+    fn from_json(text: &str) -> Result<MappingPlan, PlanJsonError> {
+        let mut plans = plans_from_json(text)?;
+        assert_eq!(plans.len(), 1, "{text}");
+        Ok(plans.remove(0))
+    }
+
     #[test]
     fn round_trip_is_identity() {
         let plan = sample_plan();
-        let json = plan.to_json();
-        let back = MappingPlan::from_json(&json).unwrap();
+        let json = to_json(&plan);
+        let back = from_json(&json).unwrap();
         assert_eq!(plan, back);
         // Serialization is deterministic.
-        assert_eq!(json, back.to_json());
+        assert_eq!(json, to_json(&back));
     }
 
     #[test]
@@ -1159,12 +1158,15 @@ mod tests {
 
     #[test]
     fn version_is_enforced() {
-        let mut json = sample_plan().to_json();
-        json = json.replacen("\"version\": 4", "\"version\": 99", 1);
-        assert_eq!(
-            MappingPlan::from_json(&json),
-            Err(PlanJsonError::UnsupportedVersion(99))
-        );
+        let json = to_json(&sample_plan());
+        // The document's version, then the plan's own.
+        let document = json.replacen("\"version\": 4", "\"version\": 99", 1);
+        let mut plan = json.clone();
+        let at = json.rfind("\"version\": 4").unwrap();
+        plan.replace_range(at.., &json[at..].replacen(": 4", ": 99", 1));
+        for json in [document, plan] {
+            assert_eq!(from_json(&json), Err(PlanJsonError::UnsupportedVersion(99)));
+        }
     }
 
     /// Documents of an older version (1: pre-lifetime schema; 2: lifetimes
@@ -1176,14 +1178,15 @@ mod tests {
         for old in [1, 2, 3] {
             let downgrade =
                 |json: String| json.replacen("\"version\": 4", &format!("\"version\": {old}"), 1);
-            let err = MappingPlan::from_json(&downgrade(sample_plan().to_json())).unwrap_err();
+            let err = from_json(&downgrade(to_json(&sample_plan()))).unwrap_err();
             assert_eq!(err, PlanJsonError::UnsupportedVersion(old));
             let message = err.to_string();
             assert!(message.contains(&format!("unsupported plan format version {old}")));
             assert!(message.contains(&format!("reads version {PLAN_FORMAT_VERSION}")));
-            // Same for whole documents.
+            // Same for a document of two plans.
+            let two = [sample_plan(), MappingPlan::default()];
             assert_eq!(
-                plans_from_json(&downgrade(plans_to_json(&[sample_plan()]))),
+                plans_from_json(&downgrade(plans_to_json(&two))),
                 Err(PlanJsonError::UnsupportedVersion(old))
             );
         }
@@ -1195,40 +1198,32 @@ mod tests {
     /// structured plan it resembles.
     #[test]
     fn lifetime_schema_is_validated() {
-        let json = sample_plan().to_json();
+        let json = to_json(&sample_plan());
         assert!(
             !json.contains("unstructured") && !json.contains("collapses"),
             "{json}"
         );
-        let v3 = json.replacen("\"version\": 4", "\"version\": 3", 1).replacen(
+        let v3 = json.replace("\"version\": 4", "\"version\": 3").replacen(
             "\"kernels\"",
-            "\"unstructured\": true,\n  \"collapses\": [{\"kernel\": 7, \"depth\": 2}],\n  \"kernels\"",
+            "\"unstructured\": true,\n      \"collapses\": [{\"kernel\": 7, \"depth\": 2}],\n      \"kernels\"",
             1,
         );
-        assert_eq!(
-            MappingPlan::from_json(&v3),
-            Err(PlanJsonError::UnsupportedVersion(3))
-        );
+        assert_eq!(from_json(&v3), Err(PlanJsonError::UnsupportedVersion(3)));
     }
 
     #[test]
     fn schema_violations_are_reported() {
         assert!(matches!(
-            MappingPlan::from_json("{\"version\": 4}"),
+            from_json("{\"version\": 4}"),
             Err(PlanJsonError::Schema(_))
         ));
         assert!(matches!(
-            MappingPlan::from_json("not json"),
+            from_json("not json"),
             Err(PlanJsonError::Syntax { .. })
         ));
         // Unknown fact names are schema errors, not silent defaults.
-        let bad = sample_plan()
-            .to_json()
-            .replace("read_and_live_after_region", "vibes");
-        assert!(matches!(
-            MappingPlan::from_json(&bad),
-            Err(PlanJsonError::Schema(_))
-        ));
+        let bad = to_json(&sample_plan()).replace("read_and_live_after_region", "vibes");
+        assert!(matches!(from_json(&bad), Err(PlanJsonError::Schema(_))));
     }
 
     #[test]
@@ -1241,7 +1236,7 @@ mod tests {
             provenance: Provenance::plan(ProvenanceFact::DeviceOnlyData, None, "π ≈ 3"),
             ..MapSpec::new("a", MapType::Alloc)
         });
-        let back = MappingPlan::from_json(&plan.to_json()).unwrap();
+        let back = from_json(&to_json(&plan)).unwrap();
         assert_eq!(plan, back);
     }
 

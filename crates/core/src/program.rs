@@ -51,10 +51,8 @@
 pub use crate::interface::UnitExports;
 use crate::interface::{resolve, ExportedFunction};
 use crate::interproc::{FuncId, FunctionSummary, ProgramSummaries};
-use crate::pipeline::{
-    callees_fingerprint, projected_fingerprint, AnalysisSession, Fnv, StageError, SummarizedUnit,
-    UnitAnalysis,
-};
+use crate::pipeline::key::{imports_fingerprint, projected_fingerprint};
+use crate::pipeline::{AnalysisSession, StageError, SummarizedUnit, UnitAnalysis};
 use crate::plan::json::Json;
 use crate::stats::{Counter, Value};
 use ompdart_frontend::Symbol;
@@ -89,7 +87,7 @@ pub struct LinkContext {
     /// callee its functions name (resolved as [`Self::summary`] resolves
     /// it), what a plan can read of its converged summary — the summary
     /// projected onto the program's device names
-    /// (`pipeline::projected_fingerprint`). Threaded through the
+    /// (`pipeline::key::projected_fingerprint`). Threaded through the
     /// unit table and the persistent store key: editing one file
     /// invalidates another unit's plans only when a fact that unit's plans
     /// can actually *read* changed — an edit round re-plans the units whose
@@ -528,13 +526,7 @@ impl Program {
             let exports = unit.exports();
             let statics = &exports.statics_mangled;
             let projected_fp = |callee| memoised_fingerprint(statics, table, callee);
-            let mut h = Fnv::new();
-            for f in &exports.functions {
-                h.write_str(&f.source);
-                h.write_u64(callees_fingerprint(&f.callees, projected_fp));
-                h.write(&[0xee]);
-            }
-            import_fps[i] = h.finish();
+            import_fps[i] = imports_fingerprint(exports, projected_fp);
         }
 
         *was = units;

@@ -1,14 +1,14 @@
-//! A sharded concurrent map for the session's hot caches.
+//! A sharded concurrent map for the session's unit table.
 //!
-//! Every [`crate::pipeline::AnalysisSession`] cache used to be one global
-//! `Mutex<HashMap>`: eight workers probing the unit table and the function
-//! caches serialized on a single lock per lookup. [`ShardMap`] splits the key
-//! space over [`SHARDS`] independent `RwLock<HashMap>` shards — the key's
-//! hash selects the shard, concurrent readers of one shard share the read
-//! lock, and writers contend only with traffic that hashes to the same
-//! shard. std-only by design (no new dependencies): this is a fixed-width
-//! shard array, not a lock-free map, because the session's access pattern
-//! is read-mostly with short critical sections.
+//! The [`crate::pipeline::AnalysisSession`] unit table used to be one global
+//! `Mutex<HashMap>`: eight workers probing it serialized on a single lock
+//! per lookup. [`ShardMap`] splits the key space over [`SHARDS`] independent
+//! `Mutex<HashMap>` shards — the key's hash selects the shard, and a caller
+//! contends only with traffic that hashes to the same shard. Every access
+//! of the table changes it (a hit moves a version to the front of its
+//! most-recently-used list), so a shard has one lock mode. std-only by
+//! design: a fixed-width shard array, not a lock-free map, because the
+//! critical sections are short.
 //!
 //! Lock contention is *measured*, not guessed: every acquisition first
 //! tries the non-blocking path, and only a failed try falls back to the
@@ -19,54 +19,37 @@ use crate::stats::{ProcessCounter, PROCESS};
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, RandomState};
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
+use std::sync::{Mutex, MutexGuard, TryLockError};
 use std::time::Instant;
 
 /// Number of shards. A small power of two: enough to make cross-shard
-/// collisions rare at the session's worker counts (≤ 8), small enough that
-/// a whole-map sweep (`len`) stays cheap.
+/// collisions rare at the session's worker counts (≤ 8).
 pub const SHARDS: usize = 16;
 
-/// Count one contended acquisition that blocked since `start`.
-fn note_contention(start: Instant) {
-    PROCESS.add(
-        ProcessCounter::lock_wait_ns,
-        start.elapsed().as_nanos() as u64,
-    );
-    PROCESS.add(ProcessCounter::lock_contentions, 1);
-}
-
-fn read_timed<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    match lock.try_read() {
+/// Lock `shard`, counting the acquisition in the process's lock rows if
+/// the lock was held: the contention before blocking, the wait after.
+fn lock_timed<T>(shard: &Mutex<T>) -> MutexGuard<'_, T> {
+    match shard.try_lock() {
         Ok(guard) => guard,
         Err(TryLockError::Poisoned(p)) => p.into_inner(),
         Err(TryLockError::WouldBlock) => {
+            PROCESS.add(ProcessCounter::lock_contentions, 1);
             let start = Instant::now();
-            let guard = lock.read().unwrap_or_else(|p| p.into_inner());
-            note_contention(start);
+            let guard = shard.lock().unwrap_or_else(|p| p.into_inner());
+            PROCESS.add(
+                ProcessCounter::lock_wait_ns,
+                start.elapsed().as_nanos() as u64,
+            );
             guard
         }
     }
 }
 
-fn write_timed<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    match lock.try_write() {
-        Ok(guard) => guard,
-        Err(TryLockError::Poisoned(p)) => p.into_inner(),
-        Err(TryLockError::WouldBlock) => {
-            let start = Instant::now();
-            let guard = lock.write().unwrap_or_else(|p| p.into_inner());
-            note_contention(start);
-            guard
-        }
-    }
-}
-
-/// An N-way sharded `HashMap` behind per-shard `RwLock`s. See the module
+/// An N-way sharded `HashMap` behind per-shard `Mutex`es. See the module
 /// docs for the design rationale.
 #[derive(Debug)]
 pub struct ShardMap<K, V> {
-    shards: [RwLock<HashMap<K, V>>; SHARDS],
+    shards: [Mutex<HashMap<K, V>>; SHARDS],
     hasher: RandomState,
 }
 
@@ -80,68 +63,39 @@ impl<K, V> ShardMap<K, V> {
     /// An empty map.
     pub fn new() -> ShardMap<K, V> {
         ShardMap {
-            shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
+            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
             hasher: RandomState::new(),
         }
-    }
-
-    /// Total number of keys across all shards. Shards are visited one at a
-    /// time, so the count is a consistent-per-shard snapshot, not a frozen
-    /// whole-map one — exactly what a size gauge needs.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| read_timed(s).len()).sum()
-    }
-
-    /// True when no shard holds an entry.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
 impl<K: Hash + Eq, V> ShardMap<K, V> {
     /// The shard of `key`. A borrowed form hashes like the key it borrows
     /// from (the `Borrow` contract), so `&str` finds a `String` key's shard.
-    fn shard<Q: Hash + ?Sized>(&self, key: &Q) -> &RwLock<HashMap<K, V>> {
+    fn shard<Q: Hash + ?Sized>(&self, key: &Q) -> &Mutex<HashMap<K, V>> {
         let h = self.hasher.hash_one(key) as usize;
         &self.shards[h % SHARDS]
     }
 
-    /// Apply `f` to the value under `key` (or `None`) while holding the
-    /// shard's *read* lock. Concurrent readers of one shard proceed in
-    /// parallel.
-    pub fn read<Q, R>(&self, key: &Q, f: impl FnOnce(Option<&V>) -> R) -> R
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        let guard = read_timed(self.shard(key));
-        f(guard.get(key))
-    }
-
-    /// Insert (or replace) the value under `key`.
-    pub fn insert(&self, key: K, value: V) -> Option<V> {
-        write_timed(self.shard(&key)).insert(key, value)
-    }
-
     /// Apply `f` to the value under `key`, if there is one, while holding
-    /// the shard's write lock.
+    /// the shard's lock.
     pub fn modify<Q, R>(&self, key: &Q, f: impl FnOnce(&mut V) -> R) -> Option<R>
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        write_timed(self.shard(key)).get_mut(key).map(f)
+        lock_timed(self.shard(key)).get_mut(key).map(f)
     }
 
     /// Apply `f` to the (default-created if absent) value under `key`
-    /// while holding the shard's write lock. This is the first-writer-wins
+    /// while holding the shard's lock. This is the first-writer-wins
     /// primitive of the unit table: probe the slot again under the lock,
     /// then insert.
     pub fn update<R>(&self, key: K, f: impl FnOnce(&mut V) -> R) -> R
     where
         V: Default,
     {
-        let mut guard = write_timed(self.shard(&key));
+        let mut guard = lock_timed(self.shard(&key));
         f(guard.entry(key).or_default())
     }
 }
@@ -150,9 +104,11 @@ impl<K: Hash + Eq, V> ShardMap<K, V> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     /// Eight threads hammering one key must serialize their bucket pushes
-    /// without losing a single write and without aliasing: the bucket ends
+    /// without losing a single update and without aliasing: the bucket ends
     /// up with exactly one entry per distinct value, first writer winning
     /// per value.
     #[test]
@@ -172,19 +128,17 @@ mod tests {
                                 inserted.fetch_add(1, Ordering::Relaxed);
                             }
                         });
-                        // Read path: the bucket must always contain what
-                        // this thread already pushed.
-                        let seen =
-                            map.read(&42, |b| b.map(|b| b.contains(&value)).unwrap_or(false));
-                        assert!(seen, "thread {t} lost its own write of {value}");
+                        // The bucket must always contain what this thread
+                        // already pushed.
+                        let seen = map.modify(&42, |b| b.contains(&value));
+                        assert_eq!(seen, Some(true), "thread {t} lost {value}");
                     }
                 });
             }
         });
         assert_eq!(inserted.load(Ordering::Relaxed), 8 * 200);
-        let len = map.read(&42, |b| b.map(Vec::len).unwrap_or(0));
-        assert_eq!(len, 8 * 200, "no write may be lost, none duplicated");
-        assert_eq!(map.len(), 1, "all traffic targeted one key");
+        let len = map.modify(&42, |b| b.len());
+        assert_eq!(len, Some(8 * 200), "no update may be lost, none duplicated");
     }
 
     /// A `String`-keyed map answers `&str` probes from the key's own
@@ -193,35 +147,63 @@ mod tests {
     fn borrowed_keys_find_their_shard_and_modify_never_inserts() {
         let map: ShardMap<String, u64> = ShardMap::new();
         for k in 0..1000u64 {
-            map.insert(format!("unit_{k}.c"), k);
+            map.update(format!("unit_{k}.c"), |v| *v = k);
         }
-        assert_eq!(map.len(), 1000);
         for k in 0..1000u64 {
             let name = format!("unit_{k}.c");
-            assert_eq!(map.read(name.as_str(), |v| v.copied()), Some(k));
             assert_eq!(
                 map.modify(name.as_str(), |v| std::mem::replace(v, 0)),
                 Some(k)
             );
         }
         assert_eq!(map.modify("absent.c", |v| *v), None);
-        assert_eq!(map.len(), 1000);
+        let entries = |s: &Mutex<HashMap<String, u64>>| s.lock().unwrap().len();
+        assert_eq!(map.shards.iter().map(entries).sum::<usize>(), 1000);
     }
 
     #[test]
     fn distinct_keys_spread_over_shards() {
         let map: ShardMap<u64, u64> = ShardMap::new();
         for k in 0..256u64 {
-            map.insert(k, k);
+            map.update(k, |v| *v = k);
         }
         let populated = map
             .shards
             .iter()
-            .filter(|s| !s.read().unwrap().is_empty())
+            .filter(|s| !s.lock().unwrap().is_empty())
             .count();
         assert!(
             populated > 1,
             "256 keys must not all hash to a single shard"
         );
+    }
+
+    /// An update that finds its shard locked is counted, then waits: the
+    /// holder keeps the lock until a contention is counted (or a deadline,
+    /// so a lost count fails instead of hanging), so the second update
+    /// cannot get the lock without blocking.
+    #[test]
+    fn a_blocked_acquisition_is_counted() {
+        let map: ShardMap<u64, u64> = ShardMap::new();
+        let contentions = || PROCESS.snapshot().lock_contentions;
+        let before = contentions();
+        let (held, wait) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let map = &map;
+            scope.spawn(move || {
+                map.update(7, |v| {
+                    held.send(()).expect("the test waits for the lock");
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while contentions() == before && Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                    *v += 1;
+                })
+            });
+            wait.recv().expect("the holder took the lock");
+            map.update(7, |v| *v += 1);
+        });
+        assert_eq!(map.modify(&7, |v| *v), Some(2));
+        assert!(contentions() > before);
     }
 }

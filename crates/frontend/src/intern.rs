@@ -48,9 +48,16 @@ const SHARDS: usize = 16;
 
 /// FNV-1a: tiny, fast for short identifier keys, and deterministic (the
 /// interner shards and the per-unit symbol sets — typedef names, macros,
-/// hashed by id — do not need DoS-resistant hashing).
-#[derive(Default)]
+/// hashed by id — do not need DoS-resistant hashing). Also the hasher of
+/// every analysis cache key (`ompdart_core::pipeline::key`), which persist:
+/// a hasher nothing was written to finishes at the offset basis.
 pub struct FnvHasher(u64);
+
+impl Default for FnvHasher {
+    fn default() -> FnvHasher {
+        FnvHasher(0xcbf2_9ce4_8422_2325)
+    }
+}
 
 impl Hasher for FnvHasher {
     fn finish(&self) -> u64 {
@@ -58,11 +65,7 @@ impl Hasher for FnvHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        let mut h = if self.0 == 0 {
-            0xcbf2_9ce4_8422_2325
-        } else {
-            self.0
-        };
+        let mut h = self.0;
         for &b in bytes {
             h ^= b as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);

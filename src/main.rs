@@ -39,7 +39,7 @@ USAGE:
     ompdart diff-plan <left> <right>
     ompdart batch <input.c>... [--threads <N>] [--out-dir <dir>] [--pessimistic-globals]
     ompdart watch <dir> [--out-dir <dir>] [--cache-dir <dir>] [--cache-max-bytes <N[k|m|g]>]
-                  [--pessimistic-globals] [--interval-ms <N>] [--iterations <N>] [--once]
+                  [--pessimistic-globals] [--interval-ms <N>] [--iterations <N>]
     ompdart daemon [--socket <path> | --tcp <addr>] [--workers <N>] [--cache-dir <dir>]
                    [--cache-max-bytes <N[k|m|g]>] [--pessimistic-globals] [--quiet]
     ompdart client [--socket <path> | --tcp <addr>] [--program <key>] <verb> ...
@@ -104,8 +104,8 @@ SUBCOMMANDS:
                --cache-max-bytes caps the pack there (least recently
                used records go first); --pessimistic-globals as for
                `analyze`; --interval-ms bounds the wait between scans
-               (default 500); --iterations exits after N scan cycles;
-               --once scans a single time.
+               (default 500); --iterations exits after N scan cycles
+               (--iterations 1 scans a single time).
                Wakeups come from inotify where available, and from the
                classic fixed-interval re-scan elsewhere. SIGINT/SIGTERM
                flush the persistent store before exit.
@@ -434,14 +434,7 @@ fn cmd_explain(args: &[String]) -> Result<ExitCode, String> {
 fn load_plans(path: &str) -> Result<Vec<MappingPlan>, String> {
     let content = read_source(path)?;
     if Path::new(path).extension().is_some_and(|e| e == "json") {
-        // A document with a `plans` field is a `{version, plans}` dump;
-        // anything else is one serialized plan.
-        let doc = Json::parse(&content).map_err(|e| format!("`{path}`: {e}"))?;
-        let plans = match doc.get("plans") {
-            Some(_) => plans_from_json(&content),
-            None => MappingPlan::from_json(&content).map(|plan| vec![plan]),
-        };
-        return plans.map_err(|e| format!("`{path}`: {e}"));
+        return plans_from_json(&content).map_err(|e| format!("`{path}`: {e}"));
     }
     match Ompdart::new().analyze(path, &content) {
         Ok(analysis) => {
@@ -642,14 +635,12 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
             "--cache-max-bytes=a size",
             "--interval-ms=a number",
             "--iterations=a number",
-            "--once",
             "--pessimistic-globals",
         ],
     )?;
     let dir = Path::new(flags.only_positional("`watch` expects a directory")?);
     let interval_ms: u64 = flags.number("--interval-ms")?.unwrap_or(500);
     let iterations: Option<u64> = flags.number("--iterations")?;
-    let once = flags.has("--once");
     let tool = tool(&flags)?;
     let mut outputs = Outputs::new(flags.value("--out-dir"), true)?;
     // SIGINT/SIGTERM end the loop cleanly so the persistent store's
@@ -692,7 +683,7 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
             Err(e) => return Err(e),
         }
         cycles += 1;
-        if once || iterations.is_some_and(|n| cycles >= n) || shutdown.is_shutdown() {
+        if iterations.is_some_and(|n| cycles >= n) || shutdown.is_shutdown() {
             break;
         }
         // Returns early on filesystem activity (inotify) or after the
@@ -1166,8 +1157,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// `diff-plan` refuses a plan document of an older format version —
-    /// whole or a single plan — and says which version it was.
+    /// `diff-plan` refuses a plan document of an older format version and
+    /// says which version it was, and refuses a bare plan (the one document
+    /// is `{version, plans}`) with the schema error.
     #[test]
     fn load_plans_refuses_a_version_2_document() {
         let dir = std::env::temp_dir().join(format!("ompdart-load-plans-{}", std::process::id()));
@@ -1177,25 +1169,29 @@ mod tests {
             function: "f".into(),
             ..Default::default()
         };
-        let documents = [
-            ompdart_core::plans_to_json(std::slice::from_ref(&plan)),
-            plan.to_json(),
-        ];
-        for (i, current) in documents.iter().enumerate() {
-            let path = dir.join(format!("{i}.json"));
-            let path = path.to_str().unwrap();
-            std::fs::write(path, current).unwrap();
-            assert_eq!(load_plans(path), Ok(vec![plan.clone()]));
-            for old in ['2', '3'] {
-                let downgraded = current.replace("\"version\": 4", &format!("\"version\": {old}"));
-                std::fs::write(path, downgraded).unwrap();
-                let refused = load_plans(path).unwrap_err();
-                assert!(
-                    refused.contains("version") && refused.contains(old),
-                    "{refused}"
-                );
-            }
+        let current = ompdart_core::plans_to_json(std::slice::from_ref(&plan));
+        let path = dir.join("plans.json");
+        let path = path.to_str().unwrap();
+        std::fs::write(path, &current).unwrap();
+        assert_eq!(load_plans(path), Ok(vec![plan.clone()]));
+        for old in ['2', '3'] {
+            let downgraded = current.replace("\"version\": 4", &format!("\"version\": {old}"));
+            std::fs::write(path, downgraded).unwrap();
+            let refused = load_plans(path).unwrap_err();
+            assert!(
+                refused.contains("version") && refused.contains(old),
+                "{refused}"
+            );
         }
+        // The plan alone, as the document's one member: not a document.
+        let document = Json::parse(&current).unwrap();
+        let members = document.get("plans").and_then(Json::as_array).unwrap();
+        std::fs::write(path, members[0].render_pretty()).unwrap();
+        let refused = load_plans(path).unwrap_err();
+        assert!(
+            refused.contains("schema") && refused.contains("`plans`"),
+            "{refused}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -419,6 +419,7 @@ fn a_bad_command_line_exits_1_with_its_message() {
             "error: unknown flag `--lifetimes`",
         ),
         (vec!["watch", "a", "b"], "error: unexpected argument `b`"),
+        (vec!["watch", "a", "--once"], "error: unknown flag `--once`"),
         (
             vec!["cache", "gc", "--max-bytes"],
             "error: `--max-bytes` expects a size",
@@ -976,7 +977,7 @@ fn watch_re_emits_an_edited_unit_once_and_restarts_from_the_store() {
         "{printed}"
     );
 
-    let warm = ompdart(args.iter().chain(&["--once".as_ref()]));
+    let warm = ompdart(args.iter().chain(&["--iterations".as_ref(), "1".as_ref()]));
     assert!(warm.status.success(), "{warm:?}");
     let log: Vec<String> = stdout(&warm).lines().map(String::from).collect();
     assert!(log.iter().any(|l| re_emitted(l, "store")), "{log:#?}");

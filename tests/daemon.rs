@@ -43,12 +43,28 @@ fn daemon_lock() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// A per-test scratch directory (unique per test name, wiped on entry).
-fn scratch(tag: &str) -> PathBuf {
+/// A per-test scratch directory (unique per test name, wiped on entry),
+/// removed when the guard drops.
+struct Scratch(PathBuf);
+
+impl std::ops::Deref for Scratch {
+    type Target = PathBuf;
+    fn deref(&self) -> &PathBuf {
+        &self.0
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn scratch(tag: &str) -> Scratch {
     let dir = std::env::temp_dir().join(format!("ompdartd-test-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
+    Scratch(dir)
 }
 
 fn spawn_daemon(socket: PathBuf, cache_dir: Option<PathBuf>) -> DaemonHandle {

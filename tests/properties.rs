@@ -399,19 +399,19 @@ proptest! {
     }
 
     /// The versioned JSON serialization is the identity under round-trip
-    /// for arbitrary generated plans: `from_json(to_json(p)) == p`, both
-    /// per plan and for whole documents.
+    /// for arbitrary generated plans: `plans_from_json(plans_to_json(p))
+    /// == p`, both for a document of one plan and for whole documents.
     #[test]
     fn plan_json_round_trip_is_identity(plans in proptest::collection::vec(plan_strategy(), 1..4)) {
         for plan in &plans {
-            let json = plan.to_json();
-            let back = match MappingPlan::from_json(&json) {
+            let json = ompdart_core::plans_to_json(std::slice::from_ref(plan));
+            let back = match ompdart_core::plans_from_json(&json) {
                 Ok(p) => p,
                 Err(e) => return Err(TestCaseError::fail(format!("from_json failed: {e}\n{json}"))),
             };
-            prop_assert_eq!(&back, plan, "single-plan round trip diverged:\n{}", json);
+            prop_assert_eq!(&back[..], std::slice::from_ref(plan), "single-plan round trip diverged:\n{}", json);
             // Serialization is deterministic: a second trip is stable.
-            prop_assert_eq!(back.to_json(), json);
+            prop_assert_eq!(ompdart_core::plans_to_json(&back), json);
         }
         let doc = ompdart_core::plans_to_json(&plans);
         let back = match ompdart_core::plans_from_json(&doc) {
@@ -2152,7 +2152,7 @@ fn arbitrary_plan(rng: &mut u64) -> MappingPlan {
 /// document, byte for byte, in both layouts, and what it writes reads back
 /// as `plans`: the pretty document equals its parse rendered pretty, the
 /// compact one that parse rendered compactly, and both decode to `plans`.
-/// Each plan on its own (`MappingPlan::to_json`) holds the same.
+/// A document of each plan on its own holds the same.
 fn check_plan_documents(plans: &[MappingPlan]) -> Result<(), String> {
     use ompdart_core::plan::{plans_from_json, plans_to_json, plans_to_json_compact, Json};
     let (pretty, compact) = (plans_to_json(plans), plans_to_json_compact(plans));
@@ -2175,9 +2175,10 @@ fn check_plan_documents(plans: &[MappingPlan]) -> Result<(), String> {
         }
     }
     for plan in plans {
-        let json = plan.to_json();
+        let one = std::slice::from_ref(plan);
+        let json = plans_to_json(one);
         let tree = Json::parse(&json).map_err(|e| format!("{e}\n{json}"))?;
-        if json != tree.render_pretty() || MappingPlan::from_json(&json).as_ref() != Ok(plan) {
+        if json != tree.render_pretty() || plans_from_json(&json).as_deref() != Ok(one) {
             return Err(format!("plan document diverged:\n{json}"));
         }
     }
